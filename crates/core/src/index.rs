@@ -8,45 +8,45 @@ use acorn_hnsw::{
     CsrGraph, GraphView, LayeredGraph, LevelSampler, ScratchPool, SearchScratch, SearchStats,
     Sq8Store, VectorData, VectorStore,
 };
-use acorn_predicate::{
-    estimate_selectivity, estimate_selectivity_seeding, AttrStore, BitmapFilter, CompiledFilter,
-    CompiledPredicate, CostClass, MemoFilter, NodeFilter, Predicate, PredicateFilter,
-};
+use acorn_predicate::{AttrStore, MemoFilter, NodeFilter, Predicate};
 
 use crate::params::{AcornParams, AcornVariant};
+use crate::plan::{self, PlanSegment};
 use crate::prune::{self, PruneStrategy};
 use crate::search::{acorn_search_layer, LookupMode};
 
-/// Number of sampled rows used by the hybrid-search selectivity estimate.
-/// Shared with the segmented index so per-segment routing samples exactly
-/// like a monolithic index would.
-pub(crate) const SELECTIVITY_SAMPLES: usize = 1000;
-
-/// Adaptive-dispatch threshold: graph-path queries whose estimated
-/// selectivity falls below this value are evaluated **block-materialized**
-/// (one 64-row columnar scan into a bitmap, then constant-time bit tests
-/// during traversal) instead of lazily. Rationale: at low selectivity the
+/// Materialization gate of the hybrid query planner ([`crate::plan`]): a
+/// segment whose **tally of the per-query selectivity sample** (hits ÷ draws
+/// that landed in the segment) falls below this value — or below the
+/// segment's `s_min`, whichever is larger — has the predicate
+/// **block-materialized** into a segment-local bitmap (one 64-row columnar
+/// scan per mask word, then constant-time bit tests) instead of evaluated
+/// lazily; the segment is then routed to the exact scan or to graph
+/// traversal on the bitmap's exact count. Rationale: at low selectivity the
 /// traversal spends most of its predicate checks on *failing* rows spread
 /// across many neighborhoods, so the number of distinct rows it would
-/// evaluate lazily approaches `n` anyway — at which point one vectorized
-/// scan (≈ `n / 64` mask-word stores) is strictly cheaper than `n` scalar
-/// evaluations. Above the threshold the traversal touches a small, reused
-/// subset of rows and lazy memoized evaluation wins. Queries with a regex
-/// clause ([`CostClass::Expensive`]) always materialize, whatever their
-/// selectivity, because per-row regex cost dwarfs the scan overhead.
+/// evaluate lazily approaches the segment's row count anyway — at which
+/// point one vectorized scan (≈ `rows / 64` mask-word stores) is strictly
+/// cheaper than `rows` scalar evaluations. At or above the gate the
+/// traversal touches a small, reused subset of rows and lazy memoized
+/// evaluation wins. Queries with a regex clause
+/// ([`CostClass::Expensive`](acorn_predicate::CostClass::Expensive)) always
+/// materialize, unsampled, because per-row regex cost dwarfs the scan
+/// overhead; so does a segment the sample drew nothing from.
 pub const MATERIALIZE_BELOW_SELECTIVITY: f64 = 0.25;
 
-/// How [`AcornIndex::hybrid_search_with`] evaluates the query predicate.
+/// How [`AcornIndex::hybrid_search_with`] produces row verdicts. Both
+/// strategies follow the one plan in [`crate::plan`] — same sample, same
+/// per-segment decisions — so they answer bit-identically.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PredicateStrategy {
-    /// Walk the [`Predicate`] AST per check (the pre-compilation baseline;
-    /// kept for A/B benchmarking and as the property-test oracle).
+    /// Walk the [`Predicate`] AST for every row the plan evaluates: no
+    /// block kernel, no memo. Kept as the property-test oracle for the
+    /// compiled engine.
     Interpreted,
-    /// Compile the predicate once per query, then pick lazy-memoized or
-    /// block-materialized evaluation from the sampled selectivity and the
-    /// compiled cost class (see [`MATERIALIZE_BELOW_SELECTIVITY`]). Results
-    /// are bit-identical to [`Interpreted`](Self::Interpreted); only the
-    /// evaluation cost changes.
+    /// Compile the predicate once per query; materialized segments run the
+    /// 64-row block kernels, lazily-filtered segments memoize per-row
+    /// verdicts (see [`MATERIALIZE_BELOW_SELECTIVITY`]).
     #[default]
     Adaptive,
 }
@@ -659,7 +659,10 @@ impl AcornIndex {
     /// Enumeration goes through [`NodeFilter::for_each_passing`], so
     /// bitmap-backed filters skip failing rows with a word-level scan
     /// instead of evaluating all `n` ids (`stats.npred` records the
-    /// evaluations actually performed).
+    /// evaluations actually performed). Passing ids are scored a chunk at a
+    /// time through [`VectorData::distances_batch`], whose prefetch
+    /// look-ahead hides the row fetches a sparse scan would otherwise wait
+    /// on; distances and tie order are those of one `distance_to` per row.
     pub fn prefilter_scan<F: NodeFilter>(
         &self,
         query: &[f32],
@@ -667,14 +670,30 @@ impl AcornIndex {
         k: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
+        /// Ids scored per `distances_batch` call.
+        const CHUNK: usize = 64;
         let metric = self.params.metric;
         let mut top = acorn_hnsw::heap::TopK::new(k.max(1));
+        let mut dists = Vec::with_capacity(CHUNK);
         let mut ndis = 0u64;
+        let mut score = |ids: &[u32]| {
+            self.vecs.distances_batch(metric, query, ids, &mut dists);
+            for (&id, &d) in ids.iter().zip(&dists) {
+                top.push(Neighbor::new(d, id));
+            }
+            ndis += ids.len() as u64;
+        };
+        let mut chunk = [0u32; CHUNK];
+        let mut filled = 0usize;
         let evals = filter.for_each_passing(self.graph.len(), &mut |id| {
-            let d = self.vecs.distance_to(metric, id, query);
-            ndis += 1;
-            top.push(Neighbor::new(d, id));
+            chunk[filled] = id;
+            filled += 1;
+            if filled == CHUNK {
+                score(&chunk);
+                filled = 0;
+            }
         });
+        score(&chunk[..filled]);
         stats.npred += evals;
         stats.ndis += ndis;
         stats.fallback = true;
@@ -704,14 +723,17 @@ impl AcornIndex {
         out
     }
 
-    /// Full ACORN hybrid search with the cost-model routing of §5.2:
-    /// estimate the predicate's selectivity; if it falls below
-    /// `s_min = 1/γ`, answer exactly by pre-filtering, otherwise traverse
-    /// the predicate subgraph.
+    /// Full ACORN hybrid search with the cost-model routing of §5.2,
+    /// decided by the query planner ([`crate::plan`]): a predicate that
+    /// passes fewer than `s_min = 1/γ` of the rows is answered exactly by
+    /// pre-filtering, anything denser traverses the predicate subgraph.
     ///
-    /// Predicate evaluation uses the default [`PredicateStrategy::Adaptive`]
-    /// engine (compile → memoize or materialize); see
+    /// Row verdicts come from the default [`PredicateStrategy::Adaptive`]
+    /// engine (compile → materialize or memoize); see
     /// [`hybrid_search_with`](Self::hybrid_search_with) to pin a strategy.
+    ///
+    /// # Panics
+    /// Panics if `attrs` has fewer rows than the index.
     pub fn hybrid_search(
         &self,
         query: &[f32],
@@ -733,11 +755,12 @@ impl AcornIndex {
     }
 
     /// [`hybrid_search`](Self::hybrid_search) with an explicit predicate
-    /// evaluation strategy. Both strategies sample the **same** rows for the
-    /// selectivity estimate (see `estimate_selectivity_compiled`) and
-    /// every filter they build answers `passes(id)` identically, so the
-    /// routing decision and the returned neighbors are bit-identical across
-    /// strategies — only `npred_evaluated` and wall time differ.
+    /// evaluation strategy. This index is planned as a single segment with
+    /// the identity id map and no tombstones — the same routine
+    /// [`SegmentSnapshot::hybrid_search_with`](crate::snapshot::SegmentSnapshot::hybrid_search_with)
+    /// runs over many. Both strategies share the plan and every verdict, so
+    /// routing and neighbors are bit-identical across them; only
+    /// `npred_evaluated` and wall time differ.
     #[allow(clippy::too_many_arguments)]
     pub fn hybrid_search_with(
         &self,
@@ -749,97 +772,25 @@ impl AcornIndex {
         scratch: &mut SearchScratch,
         strategy: PredicateStrategy,
     ) -> (Vec<Neighbor>, SearchStats) {
-        match strategy {
-            PredicateStrategy::Interpreted => {
-                self.hybrid_search_interpreted(query, predicate, attrs, k, efs, scratch)
-            }
-            PredicateStrategy::Adaptive => {
-                self.hybrid_search_adaptive(query, predicate, attrs, k, efs, scratch)
-            }
-        }
-    }
-
-    /// The pre-compilation baseline: one interpretive AST walk per check.
-    fn hybrid_search_interpreted(
-        &self,
-        query: &[f32],
-        predicate: &Predicate,
-        attrs: &AttrStore,
-        k: usize,
-        efs: usize,
-        scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        let mut stats = SearchStats::default();
-        let est = estimate_selectivity(attrs, predicate, SELECTIVITY_SAMPLES, self.params.seed);
-        stats.npred += SELECTIVITY_SAMPLES as u64;
-        let filter = PredicateFilter::new(attrs, predicate);
-        let out = if est < self.params.s_min() {
-            self.prefilter_scan(query, &filter, k, &mut stats)
-        } else {
-            self.search_filtered(query, &filter, k, efs, scratch, &mut stats)
-        };
-        (out, stats)
-    }
-
-    /// The compiled engine: lower the AST to a [`CompiledPredicate`] once,
-    /// then dispatch on sampled selectivity and cost class —
-    ///
-    /// * `est < s_min` → exact pre-filter fallback over a block-materialized
-    ///   bitmap (§5.2 routing, unchanged);
-    /// * regex predicates, or `est <` [`MATERIALIZE_BELOW_SELECTIVITY`] →
-    ///   block-materialize into a bitmap, then traverse with constant-time
-    ///   bit tests (every traversal check lands in `npred_cached`);
-    /// * otherwise → traverse with a lazy
-    ///   [`MemoFilter`]`<`[`CompiledFilter`]`>`, evaluating each distinct
-    ///   row at most once — and the sampling verdicts are pre-seeded into
-    ///   the memo, so rows the estimator already ran are never re-evaluated.
-    fn hybrid_search_adaptive(
-        &self,
-        query: &[f32],
-        predicate: &Predicate,
-        attrs: &AttrStore,
-        k: usize,
-        efs: usize,
-        scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        let mut stats = SearchStats::default();
-        let compiled = CompiledPredicate::compile(predicate);
-        // The estimator records every sampled verdict into the per-query
-        // memo; if the lazy branch runs, its traversal starts warm.
-        let mut memo = scratch.take_memo(self.graph.len().max(attrs.len()));
-        let est = estimate_selectivity_seeding(
-            attrs,
-            &compiled,
-            SELECTIVITY_SAMPLES,
-            self.params.seed,
-            &memo,
+        assert!(
+            attrs.len() >= self.len(),
+            "attribute store ({} rows) must cover every indexed row ({})",
+            attrs.len(),
+            self.len()
         );
-        stats.npred += SELECTIVITY_SAMPLES as u64;
-
-        let materialize =
-            compiled.cost_class() == CostClass::Expensive || est < MATERIALIZE_BELOW_SELECTIVITY;
-        let out = if est < self.params.s_min() {
-            let filter = BitmapFilter::new(compiled.to_bitset(attrs));
-            stats.npred += attrs.len() as u64; // the scan evaluates every row once
-            self.prefilter_scan(query, &filter, k, &mut stats)
-        } else if materialize {
-            let filter = BitmapFilter::new(compiled.to_bitset(attrs));
-            stats.npred += attrs.len() as u64; // the scan evaluates every row once
-            let before = stats.npred;
-            let out = self.search_filtered(query, &filter, k, efs, scratch, &mut stats);
-            // Every traversal check against the bitmap is a cache answer.
-            stats.npred_cached += stats.npred - before;
-            out
-        } else {
-            let inner = CompiledFilter::new(attrs, &compiled);
-            let memoized = MemoFilter::new(&inner, memo);
-            let out = self.search_filtered(query, &memoized, k, efs, scratch, &mut stats);
-            stats.npred_cached += memoized.hits();
-            memo = memoized.into_memo();
-            out
-        };
-        scratch.put_memo(memo);
-        (out, stats)
+        let segment = PlanSegment { index: self, global_ids: None, tombstones: None };
+        let (mut lists, stats) = plan::hybrid_search(
+            std::iter::once(segment),
+            self.params.seed,
+            query,
+            predicate,
+            attrs,
+            k,
+            efs,
+            scratch,
+            strategy,
+        );
+        (lists.pop().unwrap_or_default(), stats)
     }
 
     /// The index's internal scratch pool. [`search`](Self::search) checks
@@ -1042,6 +993,150 @@ mod tests {
         let want = brute_force_filtered(&vecs, &q, &pass, 5);
         assert_eq!(got.iter().map(|n| n.id).collect::<Vec<_>>(), want);
         assert!(stats.fallback);
+    }
+
+    #[test]
+    fn prefilter_scan_batches_bit_identically_across_dims() {
+        // Chunked `distances_batch` scoring must reproduce one `distance_to`
+        // per row exactly: odd dims (scalar tail), the AVX2 widths, and
+        // passing counts below, at and across the chunk size.
+        for (dim, n) in [(7usize, 300usize), (32, 300), (512, 150)] {
+            let vecs = random_store(n, dim, dim as u64);
+            let idx = AcornIndex::build(vecs.clone(), small_params(8, 2), AcornVariant::Gamma);
+            let q: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
+            for keep_mod in [1u32, 2, 5, 40] {
+                let pass = |i: u32| i % keep_mod == 0;
+                let mut want: Vec<Neighbor> = (0..n as u32)
+                    .filter(|&i| pass(i))
+                    .map(|i| Neighbor::new(vecs.distance_to(Metric::L2, i, &q), i))
+                    .collect();
+                want.sort_unstable();
+                let bits =
+                    BitmapFilter::new(Bitset::from_ids(n, (0..n as u32).filter(|&i| pass(i))));
+                struct Lazy(u32);
+                impl NodeFilter for Lazy {
+                    fn passes(&self, id: u32) -> bool {
+                        id % self.0 == 0
+                    }
+                }
+                for k in [1usize, 10, n] {
+                    let expect: Vec<(u32, u32)> =
+                        want.iter().take(k).map(|x| (x.id, x.dist.to_bits())).collect();
+                    let mut stats = SearchStats::default();
+                    let got = idx.prefilter_scan(&q, &bits, k, &mut stats);
+                    let got: Vec<(u32, u32)> =
+                        got.iter().map(|x| (x.id, x.dist.to_bits())).collect();
+                    assert_eq!(got, expect, "bitmap filter, dim {dim}, 1/{keep_mod}, k {k}");
+                    assert_eq!(stats.ndis, want.len() as u64, "every passing row is scored once");
+                    assert_eq!(stats.npred, 0, "bit enumeration evaluates nothing");
+
+                    let mut stats = SearchStats::default();
+                    let got = idx.prefilter_scan(&q, &Lazy(keep_mod), k, &mut stats);
+                    let got: Vec<(u32, u32)> =
+                        got.iter().map(|x| (x.id, x.dist.to_bits())).collect();
+                    assert_eq!(got, expect, "lazy filter, dim {dim}, 1/{keep_mod}, k {k}");
+                    assert_eq!(stats.npred, n as u64, "a lazy filter is asked about every row");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn constant_predicates_bypass_sampling_and_filtering() {
+        let n = 900;
+        let vecs = random_store(n, 8, 50);
+        let attrs = AttrStore::builder().add_int("v", (0..n as i64).collect()).build();
+        let field = attrs.field("v").unwrap();
+        let idx = AcornIndex::build(vecs, small_params(8, 4), AcornVariant::Gamma);
+        let mut scratch = SearchScratch::new(n);
+        let q = vec![0.3; 8];
+
+        let mut pure_stats = SearchStats::default();
+        let pure = idx.search_filtered(
+            &q,
+            &acorn_predicate::AllPass,
+            10,
+            40,
+            &mut scratch,
+            &mut pure_stats,
+        );
+        // `True`, and anything normalization folds to it.
+        let folded = Predicate::Or(vec![Predicate::Equals { field, value: 3 }, Predicate::True]);
+        for pred in [Predicate::True, folded] {
+            for strategy in [PredicateStrategy::Adaptive, PredicateStrategy::Interpreted] {
+                let (out, stats) =
+                    idx.hybrid_search_with(&q, &pred, &attrs, 10, 40, &mut scratch, strategy);
+                assert_eq!(
+                    out.iter().map(|x| (x.id, x.dist.to_bits())).collect::<Vec<_>>(),
+                    pure.iter().map(|x| (x.id, x.dist.to_bits())).collect::<Vec<_>>(),
+                    "a constant-true predicate is the pure search"
+                );
+                assert_eq!(stats, pure_stats, "no sample, no memo, no bitmap: the same work");
+            }
+        }
+        // Constant false: empty, and nothing at all is touched.
+        let never = Predicate::And(vec![
+            Predicate::Equals { field, value: 3 },
+            Predicate::In { field, values: vec![] },
+        ]);
+        for pred in [Predicate::const_false(), never] {
+            let (out, stats) = idx.hybrid_search(&q, &pred, &attrs, 10, 40, &mut scratch);
+            assert!(out.is_empty());
+            assert_eq!(stats, SearchStats::default());
+        }
+    }
+
+    #[test]
+    fn exact_count_routes_at_s_min_and_bitmap_traversal_matches_the_oracle() {
+        // γ = 8 → s_min = 0.125; 800 rows → the scan/traverse boundary is
+        // exactly 100 passing rows. `v = row id`, so `v < c` passes exactly
+        // `c` rows; both sides of the boundary sample far below the 0.25
+        // materialization gate, so the decision is made on the exact count.
+        let n = 800;
+        let vecs = random_store(n, 8, 60);
+        let attrs = AttrStore::builder().add_int("v", (0..n as i64).collect()).build();
+        let field = attrs.field("v").unwrap();
+        let idx = AcornIndex::build(vecs.clone(), small_params(8, 8), AcornVariant::Gamma);
+        assert_eq!(idx.params().s_min(), 0.125);
+        let mut scratch = SearchScratch::new(n);
+        let q = vec![-0.2; 8];
+        for (passing, fallback) in [(99i64, true), (100, false), (101, false), (1, true)] {
+            let pred = Predicate::Between { field, lo: 0, hi: passing - 1 };
+            let (a, sa) = idx.hybrid_search_with(
+                &q,
+                &pred,
+                &attrs,
+                10,
+                n,
+                &mut scratch,
+                PredicateStrategy::Adaptive,
+            );
+            let (b, sb) = idx.hybrid_search_with(
+                &q,
+                &pred,
+                &attrs,
+                10,
+                n,
+                &mut scratch,
+                PredicateStrategy::Interpreted,
+            );
+            assert_eq!(sa.fallback, fallback, "{passing} passing rows of {n}");
+            assert_eq!(sb.fallback, fallback, "the oracle strategy shares the plan");
+            let pairs =
+                |o: &[Neighbor]| o.iter().map(|x| (x.id, x.dist.to_bits())).collect::<Vec<_>>();
+            assert_eq!(pairs(&a), pairs(&b));
+            // With efs ≥ n the traversal is exhaustive, so either route
+            // equals brute force.
+            let want = brute_force_filtered(&vecs, &q, &|i| (i as i64) < passing, 10);
+            assert_eq!(a.iter().map(|x| x.id).collect::<Vec<_>>(), want);
+            // 1,000 sampled rows + one block pass over the 800 rows; the
+            // scan enumerates bits, the traversal's bit tests are cached.
+            assert_eq!(sa.npred_evaluated(), 1000 + n as u64);
+            assert_eq!(sb.npred_evaluated(), 1000 + n as u64);
+            if !fallback {
+                assert!(sa.npred_cached > 0, "bitmap bit tests count as cache answers");
+            }
+        }
     }
 
     #[test]

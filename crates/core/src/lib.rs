@@ -50,6 +50,7 @@ pub mod engine;
 pub mod index;
 pub mod lookup;
 pub mod params;
+pub mod plan;
 pub mod prune;
 pub mod search;
 pub mod segment;

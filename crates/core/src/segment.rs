@@ -46,10 +46,11 @@
 //! hybrid under either [`PredicateStrategy`] — answers **bit-identically**
 //! to a from-scratch [`AcornIndex`] built over the surviving rows in global
 //! id order. This holds because merge rebuilds with the same parameters,
-//! seed, and insertion order, and because per-segment selectivity routing
-//! samples through `estimate_selectivity_mapped`, which draws the same
-//! sample positions over a segment's rows as a monolithic index draws over
-//! its own.
+//! seed, and insertion order, and because both sides run the **same query
+//! planner** ([`crate::plan`]): a monolithic index is planned as one segment
+//! with the identity id map, so the one remaining segment draws the same
+//! sample positions over its rows, tallies the same verdicts, materializes
+//! the same local bitmap and routes on the same exact count as the rebuild.
 //!
 //! [`freeze`]: SegmentedAcornIndex::freeze
 //! [`delete`]: SegmentedAcornIndex::delete
@@ -1051,6 +1052,7 @@ mod tests {
     use super::*;
     use crate::prune::PruneStrategy;
     use acorn_hnsw::Metric;
+    use acorn_predicate::AllPass;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1424,6 +1426,106 @@ mod tests {
         let mut got = ids(&out);
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 4, 5, 6, 7], "gid 3 is tombstoned, the rest must pass");
+    }
+
+    /// Time-ordered ingest: `ts = gid`, three frozen segments of 400 rows.
+    fn time_ordered(seed: u64) -> (SegmentedAcornIndex, Vec<Vec<f32>>, AttrStore) {
+        let vecs = random_vecs(1200, 8, seed);
+        // γ = 8 → s_min = 0.125: a 400-row segment scans under 50 passing
+        // rows and traverses from 50 up.
+        let mut idx = SegmentedAcornIndex::new(8, small_params(8, 8, seed), AcornVariant::Gamma);
+        for (i, v) in vecs.iter().enumerate() {
+            idx.insert(v);
+            if i % 400 == 399 {
+                idx.freeze();
+            }
+        }
+        assert_eq!(idx.num_segments(), 3);
+        let attrs = AttrStore::builder().add_int("ts", (0..1200).collect()).build();
+        (idx, vecs, attrs)
+    }
+
+    fn brute_force(vecs: &[Vec<f32>], q: &[f32], pass: impl Fn(u64) -> bool, k: usize) -> Vec<u64> {
+        let mut all: Vec<GlobalNeighbor> = (0..vecs.len() as u64)
+            .filter(|&g| pass(g))
+            .map(|g| GlobalNeighbor::new(Metric::L2.distance(&vecs[g as usize], q), g))
+            .collect();
+        all.sort_unstable();
+        all.truncate(k);
+        ids(&all)
+    }
+
+    #[test]
+    fn skewed_segments_route_on_their_own_counts() {
+        let (idx, vecs, attrs) = time_ordered(40);
+        let field = attrs.field("ts").unwrap();
+        let snap = idx.snapshot();
+        let mut scratch = SearchScratch::new(snap.max_segment_rows());
+        let q = vec![0.15; 8];
+
+        // "The last 400 rows": all of the newest segment, none of the older
+        // two. The old per-segment samples agreed with that; a router that
+        // looked at the global selectivity (1/3) would traverse all three.
+        let pred = Predicate::Between { field, lo: 800, hi: 1199 };
+        let (out, stats) = snap.hybrid_search(&q, &pred, &attrs, 10, 400, &mut scratch);
+        // The newest segment passes everywhere, so its share of the work is
+        // the pure traversal of that segment; the empty segments must add
+        // no distance computation at all.
+        let newest = &snap.frozen_segments()[2];
+        let mut alone = SearchStats::default();
+        newest.index().search_filtered(&q, &AllPass, 10, 400, &mut scratch, &mut alone);
+        assert_eq!(stats.ndis, alone.ndis, "segments with no passing row cost no distances");
+        assert_eq!(stats.nhops, alone.nhops);
+        assert_eq!(ids(&out), brute_force(&vecs, &q, |g| g >= 800, 10));
+        for strategy in [PredicateStrategy::Interpreted, PredicateStrategy::Adaptive] {
+            let (again, st) =
+                snap.hybrid_search_with(&q, &pred, &attrs, 10, 400, &mut scratch, strategy);
+            assert_eq!(ids(&again), ids(&out));
+            assert_eq!((st.ndis, st.nhops), (stats.ndis, stats.nhops));
+        }
+
+        // The same shape with the middle segment sparse: 49 passing rows of
+        // 400 is under s_min · rows = 50 → exact scan (49 distances); 50 is
+        // not → traversal. The newest segment traverses either way and the
+        // oldest stays empty, so `ndis` pins the middle segment's route.
+        for (sparse, scanned) in [(49u64, true), (50, false)] {
+            let pred = Predicate::Between { field, lo: 800 - sparse as i64, hi: 1199 };
+            let (out, stats) = snap.hybrid_search(&q, &pred, &attrs, 10, 400, &mut scratch);
+            assert_eq!(ids(&out), brute_force(&vecs, &q, |g| g >= 800 - sparse, 10));
+            assert!(stats.fallback, "the empty oldest segment always takes the scan branch");
+            assert_eq!(
+                stats.ndis == alone.ndis + sparse,
+                scanned,
+                "{sparse} passing rows: ndis {} vs newest-alone {}",
+                stats.ndis,
+                alone.ndis
+            );
+        }
+    }
+
+    #[test]
+    fn constant_true_hybrid_is_the_pure_search() {
+        let (mut idx, _, attrs) = time_ordered(41);
+        for gid in (0..1200).step_by(5) {
+            idx.delete(gid);
+        }
+        let snap = idx.snapshot();
+        let mut scratch = SearchScratch::new(snap.max_segment_rows());
+        let q = vec![-0.3; 8];
+        let mut pure_stats = SearchStats::default();
+        let pure = snap.search_with(&q, 10, 48, &mut scratch, &mut pure_stats);
+        let (out, stats) = snap.hybrid_search(&q, &Predicate::True, &attrs, 10, 48, &mut scratch);
+        assert_eq!(
+            out.iter().map(|n| (n.id, n.dist.to_bits())).collect::<Vec<_>>(),
+            pure.iter().map(|n| (n.id, n.dist.to_bits())).collect::<Vec<_>>()
+        );
+        assert_eq!(stats, pure_stats, "no sample, no memo, no bitmap");
+        assert!(out.iter().all(|n| n.id % 5 != 0), "tombstones still apply");
+
+        let (none, stats) =
+            snap.hybrid_search(&q, &Predicate::const_false(), &attrs, 10, 48, &mut scratch);
+        assert!(none.is_empty());
+        assert_eq!(stats, SearchStats::default(), "constant false touches no segment");
     }
 
     #[test]

@@ -29,13 +29,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use acorn_hnsw::heap::{merge_k_sorted, Neighbor};
 use acorn_hnsw::{ScratchPool, SearchScratch, SearchStats};
-use acorn_predicate::{
-    estimate_selectivity_mapped, estimate_selectivity_seeding_mapped, AllPass, AttrStore, Bitset,
-    CompiledPredicate, CostClass, MemoFilter, NodeFilter, Predicate,
-};
+use acorn_predicate::{AllPass, AttrStore, Bitset, NodeFilter, Predicate};
 
-use crate::index::{AcornIndex, PredicateStrategy, MATERIALIZE_BELOW_SELECTIVITY};
+use crate::index::{AcornIndex, PredicateStrategy};
 use crate::params::{AcornParams, AcornVariant};
+use crate::plan::{self, LiveFilter, PlanSegment};
 use crate::segment::{GlobalNeighbor, MergePolicy, QuantizationPolicy};
 
 /// The immutable payload of one sealed segment generation: the per-segment
@@ -136,75 +134,6 @@ impl SegmentView {
         out.into_iter()
             .map(|n| GlobalNeighbor::new(n.dist, self.sealed.global_ids[n.id as usize]))
             .collect()
-    }
-}
-
-/// Composes a segment's tombstones with any row filter: a tombstoned row
-/// never passes, whatever the inner filter says. With an empty tombstone
-/// set this is transparent (same verdicts, same enumeration order), which
-/// is what keeps a fully-merged segment bit-identical to a monolithic
-/// index.
-struct LiveFilter<'a, F: NodeFilter> {
-    inner: &'a F,
-    tombstones: &'a Bitset,
-}
-
-impl<F: NodeFilter> NodeFilter for LiveFilter<'_, F> {
-    #[inline]
-    fn passes(&self, id: u32) -> bool {
-        !self.tombstones.get(id) && self.inner.passes(id)
-    }
-
-    fn for_each_passing(&self, n: usize, f: &mut dyn FnMut(u32)) -> u64 {
-        let tombstones = self.tombstones;
-        self.inner.for_each_passing(n, &mut |id| {
-            if !tombstones.get(id) {
-                f(id);
-            }
-        })
-    }
-}
-
-/// Interpreted predicate evaluation at a row's global id (the attribute
-/// store is indexed by global id; the graph traversal speaks local ids).
-struct RemappedPredicateFilter<'a> {
-    attrs: &'a AttrStore,
-    predicate: &'a Predicate,
-    global_ids: &'a [u64],
-}
-
-impl NodeFilter for RemappedPredicateFilter<'_> {
-    #[inline]
-    fn passes(&self, id: u32) -> bool {
-        self.predicate.eval(self.attrs, self.global_ids[id as usize] as u32)
-    }
-}
-
-/// Compiled predicate evaluation at a row's global id.
-struct RemappedCompiledFilter<'a> {
-    attrs: &'a AttrStore,
-    compiled: &'a CompiledPredicate,
-    global_ids: &'a [u64],
-}
-
-impl NodeFilter for RemappedCompiledFilter<'_> {
-    #[inline]
-    fn passes(&self, id: u32) -> bool {
-        self.compiled.eval(self.attrs, self.global_ids[id as usize] as u32)
-    }
-}
-
-/// Bit test against a globally-materialized predicate bitmap, remapped
-/// through the segment's id map.
-struct GlobalBitsFilter<'a> {
-    bits: &'a Bitset,
-    global_ids: &'a [u64],
-}
-
-impl NodeFilter for GlobalBitsFilter<'_> {
-    #[inline]
-    fn passes(&self, id: u32) -> bool {
-        self.bits.get(self.global_ids[id as usize] as u32)
     }
 }
 
@@ -367,7 +296,7 @@ impl SegmentSnapshot {
     ) -> Vec<GlobalNeighbor> {
         let mut per_seg = Vec::with_capacity(self.num_segments());
         for seg in self.segments() {
-            let filter = LiveFilter { inner: &AllPass, tombstones: &seg.tombstones };
+            let filter = LiveFilter { inner: &AllPass, tombstones: Some(&seg.tombstones) };
             let out = seg.sealed.index.search_filtered(query, &filter, k, efs, scratch, stats);
             per_seg.push(seg.to_global(out));
         }
@@ -390,7 +319,7 @@ impl SegmentSnapshot {
         let mut per_seg = Vec::with_capacity(self.num_segments());
         for seg in self.segments() {
             let inner = GlobalFnFilter { f: filter, global_ids: &seg.sealed.global_ids };
-            let live = LiveFilter { inner: &inner, tombstones: &seg.tombstones };
+            let live = LiveFilter { inner: &inner, tombstones: Some(&seg.tombstones) };
             let out = seg.sealed.index.search_filtered(query, &live, k, efs, scratch, stats);
             per_seg.push(seg.to_global(out));
         }
@@ -398,10 +327,12 @@ impl SegmentSnapshot {
     }
 
     /// Full hybrid search with ACORN's §5.2 cost-model routing applied
-    /// **per segment**: each segment estimates the predicate's selectivity
-    /// over its own rows (sampled through the segment's global-id map) and
-    /// independently chooses graph traversal or the exact pre-filter scan.
-    /// Per-segment top-`k` lists are k-way merged into the global answer.
+    /// **per segment** by the query planner ([`crate::plan`]): one
+    /// selectivity sample over all segments' rows, then each segment is
+    /// routed on its own tally — and, when its predicate bitmap is
+    /// materialized, on its own exact passing count — to graph traversal
+    /// or the exact pre-filter scan. Per-segment top-`k` lists are k-way
+    /// merged into the global answer.
     ///
     /// `attrs` is indexed by **global id** and must cover every id ever
     /// assigned (`attrs.len() >= next_global_id()`); deleted rows keep
@@ -428,7 +359,8 @@ impl SegmentSnapshot {
 
     /// [`hybrid_search`](Self::hybrid_search) with an explicit
     /// [`PredicateStrategy`]. Results are bit-identical across strategies,
-    /// mirroring [`AcornIndex::hybrid_search_with`].
+    /// mirroring [`AcornIndex::hybrid_search_with`] — which runs the same
+    /// planner over its one segment.
     #[allow(clippy::too_many_arguments)]
     pub fn hybrid_search_with(
         &self,
@@ -446,143 +378,25 @@ impl SegmentSnapshot {
             attrs.len(),
             self.next_global
         );
-        let mut stats = SearchStats::default();
-        let mut per_seg = Vec::with_capacity(self.num_segments());
-        match strategy {
-            PredicateStrategy::Interpreted => {
-                for seg in self.segments() {
-                    let out = self.hybrid_on_segment_interpreted(
-                        seg, query, predicate, attrs, k, efs, scratch, &mut stats,
-                    );
-                    per_seg.push(seg.to_global(out));
-                }
-            }
-            PredicateStrategy::Adaptive => {
-                let compiled = CompiledPredicate::compile(predicate);
-                // The block-materialized predicate bitmap is over global
-                // ids, so it is computed at most once per query and shared
-                // by every segment that routes to a materializing branch.
-                let mut global_bits: Option<Bitset> = None;
-                for seg in self.segments() {
-                    let out = self.hybrid_on_segment_adaptive(
-                        seg,
-                        query,
-                        &compiled,
-                        attrs,
-                        k,
-                        efs,
-                        scratch,
-                        &mut stats,
-                        &mut global_bits,
-                    );
-                    per_seg.push(seg.to_global(out));
-                }
-            }
-        }
-        (merge_k_sorted(&per_seg, k), stats)
-    }
-
-    /// One segment of the interpreted strategy: mirrors
-    /// `AcornIndex::hybrid_search_interpreted` with the filter remapped
-    /// through the segment's id map and composed with its tombstones.
-    #[allow(clippy::too_many_arguments)]
-    fn hybrid_on_segment_interpreted(
-        &self,
-        seg: &SegmentView,
-        query: &[f32],
-        predicate: &Predicate,
-        attrs: &AttrStore,
-        k: usize,
-        efs: usize,
-        scratch: &mut SearchScratch,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        let est = estimate_selectivity_mapped(
-            attrs,
+        let segments = self.segments().map(|seg| PlanSegment {
+            index: &seg.sealed.index,
+            global_ids: Some(&seg.sealed.global_ids),
+            tombstones: Some(&seg.tombstones),
+        });
+        let (lists, stats) = plan::hybrid_search(
+            segments,
+            self.params.seed,
+            query,
             predicate,
-            crate::index::SELECTIVITY_SAMPLES,
-            self.params.seed,
-            seg.rows(),
-            |p| seg.sealed.global_ids[p as usize] as u32,
-        );
-        stats.npred += crate::index::SELECTIVITY_SAMPLES as u64;
-        let inner =
-            RemappedPredicateFilter { attrs, predicate, global_ids: &seg.sealed.global_ids };
-        let filter = LiveFilter { inner: &inner, tombstones: &seg.tombstones };
-        if est < seg.sealed.index.params().s_min() {
-            seg.sealed.index.prefilter_scan(query, &filter, k, stats)
-        } else {
-            seg.sealed.index.search_filtered(query, &filter, k, efs, scratch, stats)
-        }
-    }
-
-    /// One segment of the adaptive strategy: mirrors
-    /// `AcornIndex::hybrid_search_adaptive` (memo-seeded sampling, then
-    /// fallback / block-materialize / lazy-memoize) over remapped ids.
-    #[allow(clippy::too_many_arguments)]
-    fn hybrid_on_segment_adaptive(
-        &self,
-        seg: &SegmentView,
-        query: &[f32],
-        compiled: &CompiledPredicate,
-        attrs: &AttrStore,
-        k: usize,
-        efs: usize,
-        scratch: &mut SearchScratch,
-        stats: &mut SearchStats,
-        global_bits: &mut Option<Bitset>,
-    ) -> Vec<Neighbor> {
-        let mut memo = scratch.take_memo(seg.rows());
-        let est = estimate_selectivity_seeding_mapped(
             attrs,
-            compiled,
-            crate::index::SELECTIVITY_SAMPLES,
-            self.params.seed,
-            &memo,
-            seg.rows(),
-            |p| seg.sealed.global_ids[p as usize] as u32,
+            k,
+            efs,
+            scratch,
+            strategy,
         );
-        stats.npred += crate::index::SELECTIVITY_SAMPLES as u64;
-
-        let materialize =
-            compiled.cost_class() == CostClass::Expensive || est < MATERIALIZE_BELOW_SELECTIVITY;
-        let needs_bits = est < seg.sealed.index.params().s_min() || materialize;
-        if needs_bits && global_bits.is_none() {
-            stats.npred += attrs.len() as u64; // the block scan runs every global row once
-            *global_bits = Some(compiled.to_bitset(attrs));
-        }
-
-        let out = if est < seg.sealed.index.params().s_min() {
-            let inner = GlobalBitsFilter {
-                bits: global_bits.as_ref().expect("materialized above"),
-                global_ids: &seg.sealed.global_ids,
-            };
-            let filter = LiveFilter { inner: &inner, tombstones: &seg.tombstones };
-            seg.sealed.index.prefilter_scan(query, &filter, k, stats)
-        } else if materialize {
-            let inner = GlobalBitsFilter {
-                bits: global_bits.as_ref().expect("materialized above"),
-                global_ids: &seg.sealed.global_ids,
-            };
-            let filter = LiveFilter { inner: &inner, tombstones: &seg.tombstones };
-            let before = stats.npred;
-            let out = seg.sealed.index.search_filtered(query, &filter, k, efs, scratch, stats);
-            // Every traversal check against the bitmap is a cache answer.
-            stats.npred_cached += stats.npred - before;
-            out
-        } else {
-            let inner =
-                RemappedCompiledFilter { attrs, compiled, global_ids: &seg.sealed.global_ids };
-            let memoized = MemoFilter::new(&inner, memo);
-            let filter = LiveFilter { inner: &memoized, tombstones: &seg.tombstones };
-            let out = seg.sealed.index.search_filtered(query, &filter, k, efs, scratch, stats);
-            stats.npred_cached += memoized.hits();
-            memo = memoized.into_memo();
-            scratch.put_memo(memo);
-            return out;
-        };
-        scratch.put_memo(memo);
-        out
+        let per_seg: Vec<_> =
+            self.segments().zip(lists).map(|(seg, out)| seg.to_global(out)).collect();
+        (merge_k_sorted(&per_seg, k), stats)
     }
 }
 

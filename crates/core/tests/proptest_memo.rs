@@ -85,6 +85,32 @@ proptest! {
                 );
                 prop_assert_eq!(pairs(&a), pairs(&b), "variant {:?}", variant);
                 prop_assert_eq!(sa.fallback, sb.fallback, "routing must agree");
+                // Both strategies share the plan, so check it against ground
+                // truth computed here: every hit passes, and the route is the
+                // one the exact passing count dictates whenever the sample
+                // cannot have skipped the count (regex predicates always
+                // materialize; a count under s_min·n means a true selectivity
+                // far enough under the 0.25 gate only when it is tiny).
+                let passing: Vec<u32> =
+                    (0..n as u32).filter(|&i| pred.eval(&attrs, i)).collect();
+                for x in &b {
+                    prop_assert!(pred.eval(&attrs, x.id), "row {} fails the predicate", x.id);
+                }
+                let sparse = (passing.len() as f64) < idx.params().s_min() * n as f64;
+                let always_counted = matches!(pred, Predicate::RegexMatch { .. } | Predicate::And(_));
+                if always_counted || passing.len() * 20 < n {
+                    prop_assert_eq!(sb.fallback, sparse, "exact-count routing");
+                }
+                if sb.fallback {
+                    // The scan is exact: brute force over the passing rows.
+                    let mut want: Vec<Neighbor> = passing
+                        .iter()
+                        .map(|&i| Neighbor::new(Metric::L2.distance(vecs.get(i), &q), i))
+                        .collect();
+                    want.sort_unstable();
+                    want.truncate(10);
+                    prop_assert_eq!(pairs(&b), pairs(&want), "the pre-filter scan is exact");
+                }
             }
         }
     }

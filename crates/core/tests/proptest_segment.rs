@@ -1,7 +1,9 @@
 //! Property tests for the segmented updatable index: after any random
 //! interleaving of inserts, deletes, freezes, and merges, (a) no tombstoned
-//! row ever surfaces and both predicate strategies answer bit-identically,
-//! and (b) once `compact_all` collapses the log into one segment, every
+//! row ever surfaces, both predicate strategies answer bit-identically, and
+//! the router's scan/traverse decision agrees with exact per-segment
+//! passing counts computed here from the lifecycle's own ground truth
+//! (not from the planner), and (b) once `compact_all` collapses the log into one segment, every
 //! query — pure, filtered, and hybrid under both `PredicateStrategy`s, plus
 //! raw layer searches in all three `LookupMode`s — is **result-identical**
 //! to a single `AcornIndex` rebuilt from scratch over the surviving rows.
@@ -73,6 +75,34 @@ fn run_lifecycle(seed: u64, n0: usize, ops: usize, variant: AcornVariant) -> Lif
     lc
 }
 
+/// What exact-count routing must do, from ground truth alone: per segment,
+/// the live rows passing `label == value` against `s_min · rows`.
+/// `Some(false)` = every segment is dense enough that no route can scan
+/// (lazily filtered segments traverse; materialized ones count ≥ the
+/// threshold); `Some(true)` = no row passes anywhere, so every segment
+/// tallies zero hits, materializes and scans nothing; `None` = mixed, where
+/// the sample decides which segments are counted at all.
+fn expected_fallback(lc: &Lifecycle, value: i64) -> Option<bool> {
+    let snap = lc.index.snapshot();
+    let s_min = snap.params().s_min();
+    let mut all_dense = true;
+    let mut any_pass = false;
+    for seg in snap.frozen_segments().iter().chain(snap.active_segment()) {
+        let passing = seg
+            .global_ids()
+            .iter()
+            .filter(|&&g| lc.alive[g as usize] && lc.labels[g as usize] == value)
+            .count();
+        any_pass |= passing > 0;
+        all_dense &= passing as f64 >= s_min * seg.rows() as f64;
+    }
+    match (all_dense, any_pass) {
+        (true, _) => Some(false),
+        (false, false) => Some(true),
+        (false, true) => None,
+    }
+}
+
 fn query(rng: &mut StdRng) -> Vec<f32> {
     (0..DIM).map(|_| rng.gen_range(-1.0..1.0)).collect()
 }
@@ -110,12 +140,13 @@ proptest! {
                 lc.alive.iter().filter(|&&a| a).count(),
                 "live-row accounting"
             );
-            for _ in 0..2 {
+            // Labels are 0..4; 9 passes nowhere (the all-sparse extreme).
+            for value in [rng.gen_range(0..4), rng.gen_range(0..4), 9] {
                 let q = query(&mut rng);
                 for n in lc.index.search(&q, 10, 48) {
                     prop_assert!(lc.alive[n.id as usize], "dead gid {} surfaced", n.id);
                 }
-                let pred = Predicate::Equals { field, value: rng.gen_range(0..4) };
+                let pred = Predicate::Equals { field, value };
                 let (a, sa) = lc.index.hybrid_search_with(
                     &q, &pred, &attrs_global, 10, 48, &mut scratch,
                     PredicateStrategy::Interpreted,
@@ -127,6 +158,14 @@ proptest! {
                 prop_assert_eq!(global_pairs(&a), global_pairs(&b),
                     "strategies must agree mid-lifecycle ({:?})", variant);
                 prop_assert_eq!(sa.fallback, sb.fallback);
+                if let Some(fallback) = expected_fallback(&lc, value) {
+                    prop_assert_eq!(sb.fallback, fallback,
+                        "routing must follow the exact per-segment counts (label {})", value);
+                }
+                if value == 9 {
+                    prop_assert!(b.is_empty());
+                    prop_assert_eq!(sb.ndis, 0, "segments with no passing row cost no distances");
+                }
                 for n in &a {
                     prop_assert!(lc.alive[n.id as usize]);
                     prop_assert_eq!(lc.labels[n.id as usize], match &pred {

@@ -5,7 +5,7 @@
 //! of the ACORN paper) lives in `acorn-core`; it shares this module's
 //! scratch-space type so thread pools can reuse allocations across queries.
 
-use acorn_predicate::MemoTable;
+use acorn_predicate::{Bitset, MemoTable};
 
 use crate::graph::GraphView;
 use crate::heap::{MinHeap, Neighbor, TopK};
@@ -39,6 +39,12 @@ pub struct SearchScratch {
     /// layer that uses it checks it out with [`take_memo`](Self::take_memo)
     /// (which resets it), so unfiltered queries never pay the clear.
     pub memo: MemoTable,
+    /// Pooled words for the segment-local predicate bitmap the hybrid query
+    /// planner materializes: it moves the bitset out for one segment's
+    /// search (`std::mem::take`) and stores it back afterwards, so steady
+    /// state allocates no bitmap words per query. Whoever takes it refills
+    /// it completely; nothing here resets it.
+    pub bitmap: Bitset,
 }
 
 impl SearchScratch {
@@ -51,6 +57,7 @@ impl SearchScratch {
             frontier: Vec::new(),
             dist_buf: Vec::new(),
             memo: MemoTable::new(),
+            bitmap: Bitset::default(),
         }
     }
 

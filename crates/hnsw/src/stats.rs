@@ -6,6 +6,23 @@
 //! workspace therefore reports a [`SearchStats`].
 
 /// Counters accumulated over a single query (or summed over a batch).
+///
+/// What the predicate counters mean, branch by branch of the hybrid query
+/// planner (`acorn_core::plan`):
+///
+/// | work | `npred` | `npred_cached` |
+/// |---|---|---|
+/// | one sampled row of the per-query selectivity sample | +1 | — |
+/// | materializing a segment's bitmap | + the rows the block kernel ran over (the segment's global-id span; its row count when evaluated row by row) | — |
+/// | enumerating a bitmap's set bits in the pre-filter scan | — | — |
+/// | a traversal check answered by a bitmap bit | +1 | +1 |
+/// | a traversal check answered by the per-query memo | +1 | +1 |
+/// | a traversal check that ran the predicate program | +1 | — |
+///
+/// So [`npred_evaluated`](Self::npred_evaluated) is exactly the number of
+/// rows the predicate program executed on, and `ndis` counts every distance
+/// kernel call — graph traversal, exact rerank and the pre-filter scan's
+/// batched scoring alike.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Number of vector distance computations performed.

@@ -4,8 +4,9 @@
 //! baseline and the paper's `contains`-over-low-cardinality optimization,
 //! §7.2) and as the `BitmapFilter` backing store.
 
-/// A fixed-universe bitset over ids `0..len`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A fixed-universe bitset over ids `0..len`. The default is the empty
+/// universe (what a pooled, not-yet-used bitmap starts as).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Bitset {
     words: Vec<u64>,
     len: usize,
@@ -48,6 +49,18 @@ impl Bitset {
         let mut b = Self { words, len };
         b.trim();
         b
+    }
+
+    /// Replace the contents with `words` over a universe of `len` ids,
+    /// keeping the allocation: how the compiled range kernel writes into a
+    /// pooled bitmap instead of a fresh `Vec` per query. Bits beyond `len`
+    /// are cleared.
+    pub(crate) fn refill(&mut self, len: usize, words: impl Iterator<Item = u64>) {
+        self.words.clear();
+        self.words.extend(words);
+        debug_assert_eq!(self.words.len(), len.div_ceil(64), "word count must match the universe");
+        self.len = len;
+        self.trim();
     }
 
     /// The packed backing words (bit `i` of `words()[i / 64]` is row `i`).
@@ -115,6 +128,48 @@ impl Bitset {
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= b;
         }
+    }
+
+    /// In-place difference: clear every bit that is set in `other` (how a
+    /// segment's tombstones are removed from a materialized predicate
+    /// bitmap, one word at a time).
+    ///
+    /// # Panics
+    /// Panics on universe mismatch.
+    pub fn and_not_with(&mut self, other: &Bitset) {
+        assert_eq!(self.len, other.len, "bitset universe mismatch");
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= !b;
+        }
+    }
+
+    /// In-place gather: the new universe is `sources.len()` ids and new bit
+    /// `i` is the old bit `sources[i]`. `sources` must be strictly
+    /// ascending, so `sources[i] >= i` and every output word is complete
+    /// before any bit it overwrites is needed — no second buffer. This is
+    /// how a predicate bitmap over a segment's global-id span is compacted
+    /// into the segment's local id space when merges left gaps in the span.
+    ///
+    /// # Panics
+    /// Panics if a source lies beyond the backing words.
+    pub fn gather_ascending(&mut self, sources: impl ExactSizeIterator<Item = u32>) {
+        let len = sources.len();
+        let mut word = 0u64;
+        let mut i = 0usize;
+        for src in sources {
+            debug_assert!(src as usize >= i, "sources must be strictly ascending");
+            word |= (self.words[src as usize / 64] >> (src % 64) & 1) << (i % 64);
+            i += 1;
+            if i % 64 == 0 {
+                self.words[i / 64 - 1] = word;
+                word = 0;
+            }
+        }
+        if i % 64 != 0 {
+            self.words[i / 64] = word;
+        }
+        self.words.truncate(len.div_ceil(64));
+        self.len = len;
     }
 
     /// In-place union.

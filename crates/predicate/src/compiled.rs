@@ -20,12 +20,15 @@
 //!   undecided, so a regex clause behind a cheap date filter runs on the few
 //!   rows that survive the date check.
 //!
-//! [`CompiledPredicate::to_bitset`] (backing `Predicate::to_bitset`,
-//! `BitmapFilter::from_predicate`, and the pre-filter fallback) is therefore
-//! a word-at-a-time columnar scan, and
+//! [`CompiledPredicate::to_bitset`] (backing `Predicate::to_bitset` and
+//! `BitmapFilter::from_predicate`) is therefore a word-at-a-time columnar
+//! scan, [`CompiledPredicate::to_bitset_range`] is the same scan over one
+//! segment's row span (what the hybrid query planner materializes), and
 //! [`estimate_selectivity_compiled`](crate::selectivity::estimate_selectivity_compiled)
 //! gets a fast sampled estimator. Results are bit-identical to interpreted
 //! evaluation (property tested over random ASTs × stores).
+
+use std::ops::RangeInclusive;
 
 use crate::attrs::AttrStore;
 use crate::bitmap::Bitset;
@@ -118,6 +121,19 @@ impl CompiledPredicate {
             CostClass::Expensive
         } else {
             CostClass::Cheap
+        }
+    }
+
+    /// The program's value when it folded to a constant: `Some(true)` for
+    /// `Predicate::True` and anything normalization reduces to it,
+    /// `Some(false)` for the canonical constant-false forms (empty `In`,
+    /// `!true`), `None` when the result depends on the row. Normalization
+    /// leaves constants only at the root, so this is one tag test — the
+    /// hybrid query planner uses it to skip sampling and filtering outright.
+    pub fn as_const(&self) -> Option<bool> {
+        match self.ops[self.root as usize] {
+            Op::Const(b) => Some(b),
+            _ => None,
         }
     }
 
@@ -245,12 +261,42 @@ impl CompiledPredicate {
     /// mask word per 64 rows, written straight into the bitset's backing
     /// words. Bit-identical to setting `eval(attrs, id)` per row.
     pub fn to_bitset(&self, attrs: &AttrStore) -> Bitset {
-        let n = attrs.len();
-        let mut words = vec![0u64; n.div_ceil(64)];
-        for (b, w) in words.iter_mut().enumerate() {
-            *w = self.eval_block(attrs, b);
-        }
-        Bitset::from_words(n, words)
+        let mut bits = Bitset::default();
+        self.fill_rows(attrs, 0, attrs.len(), &mut bits);
+        bits
+    }
+
+    /// The range form of [`to_bitset`](Self::to_bitset): materialize rows
+    /// `rows` into `out`, whose universe becomes the span — bit `i` answers
+    /// row `rows.start() + i` — reusing `out`'s allocation. The start need
+    /// not be 64-aligned: the block kernels read `column[base..base + 64]`
+    /// at any `base`, so an unaligned span costs the same `span / 64` mask
+    /// words as an aligned one. An empty range (`start > end`) yields the
+    /// empty universe.
+    ///
+    /// # Panics
+    /// Panics if a non-empty range ends beyond the store's last row.
+    pub fn to_bitset_range(&self, attrs: &AttrStore, rows: RangeInclusive<u32>, out: &mut Bitset) {
+        let (start, end) = (*rows.start() as usize, *rows.end() as usize + 1);
+        assert!(
+            start >= end || end <= attrs.len(),
+            "row range {rows:?} exceeds the attribute store ({} rows)",
+            attrs.len()
+        );
+        self.fill_rows(attrs, start, end.max(start), out);
+    }
+
+    /// Block-evaluate rows `start..end` into `out` (universe `end - start`).
+    fn fill_rows(&self, attrs: &AttrStore, start: usize, end: usize, out: &mut Bitset) {
+        let len = end - start;
+        out.refill(
+            len,
+            (start..end).step_by(64).map(|base| {
+                let rows = (end - base).min(64);
+                let active = if rows == 64 { u64::MAX } else { (1u64 << rows) - 1 };
+                self.eval_block_masked(self.root, attrs, base, active)
+            }),
+        );
     }
 }
 
@@ -279,6 +325,9 @@ fn block_ints(col: &[i64], base: usize, active: u64, pred: impl Fn(i64) -> bool)
 fn lower(p: &Predicate, ops: &mut Vec<Op>) -> u32 {
     let op = match p {
         Predicate::True => Op::Const(true),
+        // The canonical constant-false form folds to one node, so a
+        // constant program is always a lone `Const` root.
+        Predicate::Not(c) if matches!(**c, Predicate::True) => Op::Const(false),
         Predicate::Equals { field, value } => Op::Equals { field: *field, value: *value },
         Predicate::Between { field, lo, hi } => Op::Between { field: *field, lo: *lo, hi: *hi },
         Predicate::In { field, values } => lower_in(*field, values),

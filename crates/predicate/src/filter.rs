@@ -98,6 +98,12 @@ impl BitmapFilter {
         &self.bits
     }
 
+    /// Give the bitset back (so a pooled bitmap's allocation outlives the
+    /// filter that borrowed it for one search).
+    pub fn into_bits(self) -> Bitset {
+        self.bits
+    }
+
     /// Exact selectivity of the materialized predicate.
     pub fn selectivity(&self) -> f64 {
         self.bits.selectivity()

@@ -43,6 +43,6 @@ pub use memo::{MemoFilter, MemoTable};
 pub use predicate::Predicate;
 pub use regex::Regex;
 pub use selectivity::{
-    estimate_selectivity, estimate_selectivity_compiled, estimate_selectivity_mapped,
-    estimate_selectivity_seeding, estimate_selectivity_seeding_mapped, exact_selectivity,
+    estimate_selectivity, estimate_selectivity_compiled, estimate_selectivity_seeding_mapped,
+    exact_selectivity, sample_positions,
 };

@@ -15,23 +15,42 @@ use crate::attrs::AttrStore;
 use crate::compiled::CompiledPredicate;
 use crate::predicate::Predicate;
 
-/// The one sampling loop behind both estimators: the row sequence depends
-/// only on `(n, sample_size, seed)`, so interpreted and compiled estimation
-/// see **identical samples** and — since compiled evaluation is bit-identical
-/// to interpreted — return identical estimates. ACORN's fallback routing
-/// (`s < s_min`, §5.2) therefore never changes with the evaluation engine.
-fn sampled(n: usize, sample_size: usize, seed: u64, mut pass: impl FnMut(u32) -> bool) -> f64 {
-    if n == 0 || sample_size == 0 {
-        return 0.0;
+/// Draw the sample every estimator and the hybrid query planner share:
+/// `sample_size` positions in `0..universe`, uniform with replacement, each
+/// handed to `visit` in draw order. The sequence depends only on `(universe,
+/// sample_size, seed)`, so interpreted and compiled estimation see
+/// **identical samples** and — since compiled evaluation is bit-identical to
+/// interpreted — identical verdicts: ACORN's fallback routing (§5.2) never
+/// changes with the evaluation engine. Nothing is drawn from an empty
+/// universe.
+///
+/// The planner calls this **once per query** over the concatenated rows of
+/// every segment it is about to search and tallies hits per segment; a
+/// one-segment index is the same sequence over its own rows, which is what
+/// keeps a fully-merged segment routing like a from-scratch rebuild.
+pub fn sample_positions(
+    universe: usize,
+    sample_size: usize,
+    seed: u64,
+    mut visit: impl FnMut(usize),
+) {
+    if universe == 0 {
+        return;
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut hits = 0usize;
     for _ in 0..sample_size {
-        let id = rng.gen_range(0..n) as u32;
-        if pass(id) {
-            hits += 1;
-        }
+        visit(rng.gen_range(0..universe));
     }
+}
+
+/// Hit fraction of `pass` over [`sample_positions`] (0.0 when nothing was
+/// drawn).
+fn sampled(n: usize, sample_size: usize, seed: u64, mut pass: impl FnMut(u32) -> bool) -> f64 {
+    if sample_size == 0 {
+        return 0.0;
+    }
+    let mut hits = 0usize;
+    sample_positions(n, sample_size, seed, |p| hits += usize::from(pass(p as u32)));
     hits as f64 / sample_size as f64
 }
 
@@ -52,9 +71,8 @@ pub fn estimate_selectivity(
 
 /// [`estimate_selectivity`] through an already-compiled predicate: same
 /// sample sequence and (provably) same estimate, but each sample runs the
-/// flat program instead of an interpretive AST walk — this is the fast
-/// estimator the adaptive hybrid-search dispatch uses, and reusing the
-/// query's compiled program means estimation adds no compilation cost.
+/// flat program instead of an interpretive AST walk, and reusing a query's
+/// compiled program means estimation adds no compilation cost.
 pub fn estimate_selectivity_compiled(
     attrs: &AttrStore,
     compiled: &CompiledPredicate,
@@ -64,53 +82,15 @@ pub fn estimate_selectivity_compiled(
     sampled(attrs.len(), sample_size, seed, |id| compiled.eval(attrs, id))
 }
 
-/// [`estimate_selectivity_compiled`] that additionally records every sampled
-/// row's verdict into `memo` (which must cover `attrs.len()` rows and be
-/// freshly reset). The adaptive hybrid path seeds its per-query memo this
-/// way, so a lazily-evaluated traversal never re-evaluates a row the
-/// estimator already ran; duplicate draws within the sample are answered
-/// from the memo too. The sample sequence — and therefore the estimate — is
-/// identical to the non-seeding variants.
-pub fn estimate_selectivity_seeding(
-    attrs: &AttrStore,
-    compiled: &CompiledPredicate,
-    sample_size: usize,
-    seed: u64,
-    memo: &crate::memo::MemoTable,
-) -> f64 {
-    sampled(attrs.len(), sample_size, seed, |id| {
-        memo.lookup(id).unwrap_or_else(|| {
-            let verdict = compiled.eval(attrs, id);
-            memo.record(id, verdict);
-            verdict
-        })
-    })
-}
-
-/// [`estimate_selectivity`] over a **remapped universe**: sample positions
-/// are drawn from `0..universe` with the usual `(universe, sample_size,
-/// seed)`-determined sequence, and each position `p` is evaluated at row
-/// `map(p)` of `attrs`. The segmented index estimates per-segment routing
-/// this way (`universe` = segment rows, `map` = local → global id), so a
-/// fully-merged segment samples **the same positions and verdicts** as a
-/// from-scratch index over the surviving rows — routing, and therefore
-/// results, stay bit-identical across the two.
-pub fn estimate_selectivity_mapped(
-    attrs: &AttrStore,
-    predicate: &Predicate,
-    sample_size: usize,
-    seed: u64,
-    universe: usize,
-    map: impl Fn(u32) -> u32,
-) -> f64 {
-    sampled(universe, sample_size, seed, |p| predicate.eval(attrs, map(p)))
-}
-
-/// The compiled, memo-seeding form of [`estimate_selectivity_mapped`]: the
-/// memo is keyed by the **sampled position** (the segment-local row id, the
-/// same id space a `MemoFilter` over a remapped filter uses), while the
-/// predicate runs on `attrs` row `map(p)`. Duplicate draws are answered from
-/// the memo, exactly like [`estimate_selectivity_seeding`].
+/// [`estimate_selectivity_compiled`] over a **remapped universe** that also
+/// records every sampled verdict into `memo`: positions are drawn from
+/// `0..universe`, position `p` is evaluated at row `map(p)` of `attrs`, and
+/// the verdict is recorded under `p` (the segment-local row id, the id space
+/// a `MemoFilter` over a remapped filter uses). Duplicate draws are answered
+/// from the memo. `memo` must cover `universe` rows and be freshly reset.
+///
+/// The engine plans from one [`sample_positions`] pass per query; this
+/// per-segment form is what the repo benchmark's staged replay times.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_selectivity_seeding_mapped(
     attrs: &AttrStore,
@@ -191,18 +171,24 @@ mod tests {
     }
 
     #[test]
-    fn mapped_estimate_over_identity_matches_plain() {
+    fn sample_positions_is_the_sequence_every_estimator_draws() {
         let s = store(2000);
         let f = s.field("x").unwrap();
         let p = Predicate::Between { field: f, lo: 1, hi: 6 };
-        let plain = estimate_selectivity(&s, &p, 400, 13);
-        let mapped = estimate_selectivity_mapped(&s, &p, 400, 13, s.len(), |p| p);
-        assert_eq!(plain, mapped);
+        let mut hits = 0usize;
+        let mut drawn = Vec::new();
+        sample_positions(s.len(), 400, 13, |pos| {
+            drawn.push(pos);
+            hits += usize::from(p.eval(&s, pos as u32));
+        });
+        assert_eq!(drawn.len(), 400);
+        assert!(drawn.iter().all(|&pos| pos < s.len()));
+        assert_eq!(hits as f64 / 400.0, estimate_selectivity(&s, &p, 400, 13));
 
-        // A shifted sub-universe samples the same positions but remapped
-        // rows; with a constant-true predicate the estimate is still exact.
-        let all = estimate_selectivity_mapped(&s, &Predicate::True, 400, 13, 100, |p| p + 500);
-        assert_eq!(all, 1.0);
+        let mut again = Vec::new();
+        sample_positions(s.len(), 400, 13, |pos| again.push(pos));
+        assert_eq!(drawn, again, "the sequence depends only on (universe, size, seed)");
+        sample_positions(0, 400, 13, |_| panic!("an empty universe draws nothing"));
     }
 
     #[test]
@@ -215,8 +201,9 @@ mod tests {
         memo.reset_for(1000);
         // Sub-universe of 1000 positions mapped to rows 1000..2000.
         let est = estimate_selectivity_seeding_mapped(&s, &c, 500, 9, &memo, 1000, |p| p + 1000);
-        let plain = estimate_selectivity_mapped(&s, &p, 500, 9, 1000, |p| p + 1000);
-        assert_eq!(est, plain, "seeding must not change the estimate");
+        let mut hits = 0usize;
+        sample_positions(1000, 500, 9, |pos| hits += usize::from(p.eval(&s, pos as u32 + 1000)));
+        assert_eq!(est, hits as f64 / 500.0, "seeding must not change the estimate");
         assert!(memo.known_count() > 0, "sampled verdicts must be recorded");
         // Every recorded verdict sits at a local position (< 1000) and
         // matches the predicate at the mapped row.

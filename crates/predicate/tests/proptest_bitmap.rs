@@ -72,5 +72,30 @@ proptest! {
         or.or_with(&bb);
         let want_or: Vec<u32> = (0..universe).filter(|&i| a[i] || b[i]).map(|i| i as u32).collect();
         prop_assert_eq!(or.to_ids(), want_or);
+
+        let mut and_not = ba.clone();
+        and_not.and_not_with(&bb);
+        let want: Vec<u32> = (0..universe).filter(|&i| a[i] && !b[i]).map(|i| i as u32).collect();
+        prop_assert_eq!(and_not.to_ids(), want);
+    }
+
+    /// The in-place gather equals picking the source bits one by one, for
+    /// any strictly ascending source list (dense, gapped, empty, or ending
+    /// on a word boundary).
+    #[test]
+    fn gather_ascending_matches_model(
+        bits in prop::collection::vec(any::<bool>(), 0..300),
+        keep in prop::collection::vec(any::<bool>(), 300),
+    ) {
+        let universe = bits.len();
+        let set = Bitset::from_ids(universe, (0..universe as u32).filter(|&i| bits[i as usize]));
+        let sources: Vec<u32> = (0..universe as u32).filter(|&i| keep[i as usize]).collect();
+        let mut gathered = set.clone();
+        gathered.gather_ascending(sources.iter().copied());
+        let want = Bitset::from_ids(
+            sources.len(),
+            (0..sources.len() as u32).filter(|&i| bits[sources[i as usize] as usize]),
+        );
+        prop_assert_eq!(gathered, want);
     }
 }

@@ -109,6 +109,67 @@ proptest! {
         prop_assert_eq!(est_i, est_c);
     }
 
+    /// The range kernel is the matching slice of the whole-store kernel for
+    /// every start/end, aligned or not, and it recycles its output bitmap.
+    #[test]
+    fn to_bitset_range_is_a_slice_of_to_bitset(
+        seed in 0u64..u64::MAX,
+        n in prop::sample::select(vec![0usize, 1, 63, 64, 65, 200]),
+        depth in 0usize..4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let store = random_store(n, &mut rng);
+        let pred = random_pred(depth, &mut rng);
+        let compiled = CompiledPredicate::compile(&pred);
+        let whole = compiled.to_bitset(&store);
+
+        // One recycled output across every range: stale words from a wider
+        // previous range must never leak into a narrower one.
+        let mut out = Bitset::full(333);
+        #[allow(clippy::reversed_empty_ranges)]
+        compiled.to_bitset_range(&store, 1..=0, &mut out);
+        prop_assert_eq!(&out, &Bitset::new(0), "an empty range yields the empty universe");
+        let mut bounds: Vec<usize> = vec![0, 1, 31, 62, 63, 64, 65, 127, 128, 199];
+        bounds.extend((0..4).map(|_| rng.gen_range(0..n.max(1))));
+        bounds.retain(|&b| b < n);
+        for &start in &bounds {
+            for &end in &bounds {
+                if start > end {
+                    continue;
+                }
+                compiled.to_bitset_range(&store, start as u32..=end as u32, &mut out);
+                let want = Bitset::from_ids(
+                    end - start + 1,
+                    (start..=end).filter(|&r| whole.get(r as u32)).map(|r| (r - start) as u32),
+                );
+                prop_assert_eq!(&out, &want, "rows {}..={} of {}", start, end, n);
+            }
+        }
+    }
+
+    /// `as_const` is `Some(b)` exactly when normalization folded the whole
+    /// predicate to the constant `b`.
+    #[test]
+    fn as_const_matches_the_folded_ast(seed in 0u64..u64::MAX, depth in 0usize..4) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let store = random_store(70, &mut rng);
+        let pred = random_pred(depth, &mut rng);
+        let compiled = CompiledPredicate::compile(&pred);
+        let normalized = pred.clone().normalize();
+        let folded = match &normalized {
+            Predicate::True => Some(true),
+            Predicate::Not(p) if matches!(**p, Predicate::True) => Some(false),
+            _ => None,
+        };
+        prop_assert_eq!(compiled.as_const(), folded);
+        if let Some(b) = compiled.as_const() {
+            prop_assert_eq!(compiled.num_ops(), 1, "a constant program is one node");
+            for id in 0..70u32 {
+                prop_assert_eq!(pred.eval(&store, id), b, "row {}", id);
+            }
+        }
+    }
+
     #[test]
     fn normalize_is_idempotent(seed in 0u64..u64::MAX, depth in 0usize..4) {
         let mut rng = StdRng::seed_from_u64(seed);
