@@ -64,7 +64,12 @@ struct QuantizedTier {
 }
 
 /// An ACORN-γ or ACORN-1 index over a shared vector store.
-#[derive(Debug, Clone)]
+///
+/// [`clone`](Clone::clone) shares rather than copies: the vector rows and
+/// every graph node stay common to both indices until one of them inserts
+/// (see [`LayeredGraph`] and [`VectorStore`]), and the clone starts with
+/// empty search scratch. The cost is one refcount bump per node.
+#[derive(Debug)]
 pub struct AcornIndex {
     params: AcornParams,
     variant: AcornVariant,
@@ -86,6 +91,26 @@ pub struct AcornIndex {
     labels: Option<Vec<i64>>,
     /// Total candidate edges pruned during construction (Figure 12c).
     edges_pruned: u64,
+}
+
+impl Clone for AcornIndex {
+    fn clone(&self) -> Self {
+        Self {
+            params: self.params.clone(),
+            variant: self.variant,
+            vecs: Arc::clone(&self.vecs),
+            graph: self.graph.clone(),
+            csr: self.csr.clone(),
+            quant: self.quant.clone(),
+            sampler: self.sampler.clone(),
+            // Visited stamps and heaps of the last insert: transient state,
+            // regrown on first use like the pool's scratches.
+            scratch: SearchScratch::default(),
+            pool: self.pool.clone(),
+            labels: self.labels.clone(),
+            edges_pruned: self.edges_pruned,
+        }
+    }
 }
 
 /// The `M` used for level sampling: tied to `M` (never `M·γ`, §5.2) unless
@@ -321,31 +346,17 @@ impl AcornIndex {
     /// index's active segment): unlike [`insert`](Self::insert), the vector
     /// does not need to pre-exist in the store.
     ///
+    /// The store may be shared — with a clone of this index, or with whoever
+    /// passed it to [`new`](Self::new): this index then continues on its own
+    /// handle, and no other holder sees the new row. Taking that handle
+    /// copies no row (see [`VectorStore`]).
+    ///
     /// # Panics
-    /// Panics if `v` has the wrong dimension, or if the vector store has
-    /// outstanding `Arc` clones (the caller must be the store's only owner;
-    /// indices built over a shared store are insert-by-id only).
+    /// Panics if `v` has the wrong dimension.
     pub fn insert_vector(&mut self, v: &[f32]) -> u32 {
-        let id = {
-            let store = Arc::get_mut(&mut self.vecs).expect(
-                "insert_vector requires exclusive ownership of the vector store \
-                 (drop other Arc clones, or use insert(id) over a pre-filled store)",
-            );
-            store.push(v)
-        };
+        let id = Arc::make_mut(&mut self.vecs).push(v);
         self.insert(id);
         id
-    }
-
-    /// Replace the shared vector store with a private deep copy, restoring
-    /// exclusive ownership. The segmented writer publishes snapshots of its
-    /// active segment by cloning the index — the clone shares the store's
-    /// `Arc`, which would make the writer's next
-    /// [`insert_vector`](Self::insert_vector) panic; detaching the clone's
-    /// store gives the published view its own immutable copy and hands the
-    /// original `Arc` back to the writer alone.
-    pub(crate) fn detach_store(&mut self) {
-        self.vecs = Arc::new((*self.vecs).clone());
     }
 
     /// Insert vector `id` (ids must be inserted sequentially).
@@ -1300,9 +1311,44 @@ mod tests {
         }
         assert_eq!(grown.len(), n);
         let q = vec![0.2; 8];
-        let a: Vec<(u32, f32)> = built.search(&q, 10, 64).iter().map(|x| (x.id, x.dist)).collect();
-        let b: Vec<(u32, f32)> = grown.search(&q, 10, 64).iter().map(|x| (x.id, x.dist)).collect();
-        assert_eq!(a, b, "grown and prefilled construction must agree");
+        let pairs = |idx: &AcornIndex| -> Vec<(u32, u32)> {
+            idx.search(&q, 10, 64).iter().map(|x| (x.id, x.dist.to_bits())).collect()
+        };
+        assert_eq!(pairs(&built), pairs(&grown), "grown and prefilled construction must agree");
+
+        // The same growth with a clone of the index alive across every push
+        // (the segmented writer's published view): the clone is frozen at
+        // the length it was taken at, and the grower ends up identical.
+        let mut shared =
+            AcornIndex::new(Arc::new(VectorStore::new(8)), small_params(8, 2), AcornVariant::Gamma);
+        let mut view = shared.clone();
+        for id in 0..n as u32 {
+            assert_eq!(shared.insert_vector(prefilled.get(id)), id);
+            assert_eq!(view.len(), id as usize, "a clone never sees a later insert");
+            assert_eq!(view.vectors().len(), id as usize);
+            view = shared.clone();
+        }
+        assert_eq!(pairs(&built), pairs(&shared));
+        // And the other way round: a clone that keeps inserting.
+        let mut halfway =
+            AcornIndex::new(Arc::new(VectorStore::new(8)), small_params(8, 2), AcornVariant::Gamma);
+        for id in 0..n as u32 / 2 {
+            halfway.insert_vector(prefilled.get(id));
+        }
+        let mut fork = halfway.clone();
+        for id in n as u32 / 2..n as u32 {
+            fork.insert_vector(prefilled.get(id));
+        }
+        assert_eq!(pairs(&built), pairs(&fork), "a clone grows into the same index");
+        assert_eq!(halfway.len(), n / 2, "and leaves the index it was cloned from alone");
+        for v in 0..halfway.len() as u32 {
+            assert_eq!(halfway.vectors().get(v), prefilled.get(v));
+            for lev in 0..=halfway.graph().level_of(v) {
+                for &w in halfway.graph().neighbors(v, lev) {
+                    assert!((w as usize) < halfway.len(), "edge {v}->{w} leaked from the fork");
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //!
 //! * **one active segment** — a nested [`LayeredGraph`]-backed
 //!   [`AcornIndex`] absorbing inserts through
-//!   [`AcornIndex::insert_vector`]; owned exclusively by the writer.
+//!   [`AcornIndex::insert_vector`]; only the writer mutates it. Each
+//!   published epoch holds a clone of it that shares every graph node and
+//!   vector row with the writer: publishing costs one refcount bump per
+//!   active row (O(rows), but no list or row is copied), and the next
+//!   insert re-allocates only the nodes it rewires.
 //! * **frozen segments** — read-optimized, immutable
 //!   [`SealedSegment`]s served from the
 //!   [`CsrGraph`](acorn_hnsw::CsrGraph) layout ([`freeze`] compacts the
@@ -209,13 +213,17 @@ impl ActiveSegment {
     }
 
     /// Seal the current state into an immutable view readers can hold
-    /// lock-free: the index is cloned and its vector store detached so the
-    /// writer keeps exclusive ownership of its own store `Arc`.
+    /// lock-free. The view's index shares every vector row and every graph
+    /// node with the writer's; the writer's next insert re-allocates the
+    /// nodes it rewires and appends its row past the view's length, so the
+    /// view never changes. What is copied here is one handle per node, the
+    /// level tags, the id map and the tombstone words.
     fn publish_view(&self) -> SegmentView {
-        let mut index = self.index.clone();
-        index.detach_store();
         SegmentView {
-            sealed: Arc::new(SealedSegment { index, global_ids: self.global_ids.clone() }),
+            sealed: Arc::new(SealedSegment {
+                index: self.index.clone(),
+                global_ids: self.global_ids.clone(),
+            }),
             tombstones: Arc::new(self.tombstones.clone()),
             deleted: self.deleted,
         }
@@ -582,9 +590,10 @@ impl SegmentedAcornIndex {
     /// returning the contiguous global-id range assigned to its rows (row
     /// `i` of the store gets gid `range.start + i`).
     ///
-    /// [`insert`](Self::insert) publishes a clone of the active segment's
-    /// graph per call, which is the right trade for trickle writes but
-    /// quadratic for ingest; `bulk_load` instead builds the chunk's graph
+    /// [`insert`](Self::insert) publishes a view of the active segment per
+    /// call — one refcount bump per active row — which is the right trade
+    /// for trickle writes but adds up to quadratic work over a whole chunk;
+    /// `bulk_load` instead builds the chunk's graph
     /// **off-lock** (queries keep serving the current epoch throughout),
     /// compacts it straight to the CSR read layout, applies the
     /// quantization policy, and publishes exactly one new epoch. By the

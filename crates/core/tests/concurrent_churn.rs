@@ -1,6 +1,6 @@
 //! Concurrent churn stress tests for the snapshot-epoch segment layer.
 //!
-//! Three scenarios, all scheduling-independent (every assertion is an
+//! Four scenarios, all scheduling-independent (every assertion is an
 //! invariant of whatever interleaving actually happened, so `cargo test`
 //! stays deterministic under any `RUST_TEST_THREADS`):
 //!
@@ -13,8 +13,14 @@
 //!    equal a from-scratch build over the survivors.
 //! 3. **Save under load** — a pinned snapshot serializes to identical
 //!    bytes no matter how much churn lands mid-save.
+//! 4. **Pins racing the writer** — reader threads pin epochs while the
+//!    writer, which shares graph nodes and vector rows with every epoch it
+//!    published, keeps inserting; afterwards each pin must still be the twin
+//!    index grown to its rows and answer as it did (`common::Pinned`).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+mod common;
+
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -24,6 +30,8 @@ use acorn_core::{
 use acorn_hnsw::{SearchStats, VectorStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use common::Pinned;
 
 const DIM: usize = 8;
 
@@ -286,4 +294,79 @@ fn save_under_load_is_snapshot_consistent() {
     }
     // The live index has long since moved past the pinned epoch.
     assert!(idx.next_global_id() > pinned.next_global_id());
+}
+
+/// Readers pin epochs while the writer inserts, deletes, freezes and merges;
+/// every pin is verified only after the writer is done, when all the sharing
+/// between the pinned views and the writer's segment has been exercised.
+#[test]
+fn pins_taken_under_churn_stay_isolated() {
+    const WRITES: usize = 360;
+    /// The writer stops this often until a reader has pinned, so pins are
+    /// spread over the whole churn however the threads are scheduled.
+    const PIN_EVERY: usize = 20;
+    let policy = MergePolicy { min_rows: 96, max_tombstone_fraction: 0.05, active_max_rows: 120 };
+    let mut idx =
+        SegmentedAcornIndex::new(DIM, test_params(), AcornVariant::Gamma).with_policy(policy);
+    let reader = idx.reader();
+    let (attrs, predicate) = common::labels(WRITES);
+    let mut vectors: Vec<Vec<f32>> = Vec::new(); // gid -> vector
+    let done = AtomicBool::new(false);
+    let pins_taken = AtomicUsize::new(0);
+
+    let pins: Vec<Pinned> = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..2u64)
+            .map(|r| {
+                let reader = reader.clone();
+                let (done, pins_taken, attrs, predicate) = (&done, &pins_taken, &attrs, &predicate);
+                s.spawn(move || {
+                    let mut pins = Vec::new();
+                    let mut last_epoch = None;
+                    while !done.load(Ordering::Acquire) {
+                        let snap = reader.snapshot();
+                        if last_epoch == Some(snap.epoch()) {
+                            std::thread::yield_now();
+                            continue;
+                        }
+                        last_epoch = Some(snap.epoch());
+                        let seed = 400 + r + 2 * pins.len() as u64;
+                        pins.push(Pinned::take(snap, DIM, seed, attrs, predicate));
+                        pins_taken.fetch_add(1, Ordering::Release);
+                    }
+                    pins
+                })
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(77);
+        for i in 0..WRITES {
+            // Read before the insert: the epoch it publishes is then one no
+            // reader had pinned at this count, so the wait below must end.
+            let seen = pins_taken.load(Ordering::Acquire);
+            let v = random_vec(&mut rng);
+            vectors.push(v.clone());
+            let gid = idx.insert(&v);
+            if i % 5 == 4 {
+                idx.delete(rng.gen_range(0..=gid));
+            }
+            if i % 90 == 89 {
+                idx.merge();
+            }
+            if i % PIN_EVERY == PIN_EVERY - 1 {
+                while pins_taken.load(Ordering::Acquire) == seen {
+                    std::thread::yield_now();
+                }
+            }
+        }
+        done.store(true, Ordering::Release);
+        readers.into_iter().flat_map(|h| h.join().expect("reader panicked")).collect()
+    });
+
+    assert!(pins.len() >= WRITES / PIN_EVERY);
+    assert!(
+        pins.iter().any(|p| p.snapshot().active_segment().is_some()),
+        "some pin must hold a view of the active segment"
+    );
+    for pin in &pins {
+        pin.verify(&vectors, &test_params(), AcornVariant::Gamma, &attrs, &predicate);
+    }
 }

@@ -6,7 +6,12 @@
 //! (not from the planner), and (b) once `compact_all` collapses the log into one segment, every
 //! query — pure, filtered, and hybrid under both `PredicateStrategy`s, plus
 //! raw layer searches in all three `LookupMode`s — is **result-identical**
-//! to a single `AcornIndex` rebuilt from scratch over the surviving rows.
+//! to a single `AcornIndex` rebuilt from scratch over the surviving rows, and
+//! (c) snapshots pinned at random points of such an interleaving stay what
+//! they were: same answers, and an active view equal to a twin index grown
+//! to that epoch and no further (`common::Pinned`).
+
+mod common;
 
 use std::sync::Arc;
 
@@ -18,6 +23,8 @@ use acorn_predicate::{AttrStore, BitmapFilter, Bitset, Predicate};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use common::Pinned;
 
 const DIM: usize = 8;
 
@@ -38,6 +45,18 @@ struct Lifecycle {
 
 /// Drive a random interleaving of insert / delete / freeze / merge ops.
 fn run_lifecycle(seed: u64, n0: usize, ops: usize, variant: AcornVariant) -> Lifecycle {
+    run_lifecycle_with(seed, n0, ops, variant, |_| {})
+}
+
+/// [`run_lifecycle`], calling `after_op` on the state after each of the
+/// `ops` random operations.
+fn run_lifecycle_with(
+    seed: u64,
+    n0: usize,
+    ops: usize,
+    variant: AcornVariant,
+    mut after_op: impl FnMut(&Lifecycle),
+) -> Lifecycle {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut lc = Lifecycle {
         index: SegmentedAcornIndex::new(DIM, params(seed), variant),
@@ -71,6 +90,7 @@ fn run_lifecycle(seed: u64, n0: usize, ops: usize, variant: AcornVariant) -> Lif
                 let _ = lc.index.merge();
             }
         }
+        after_op(&lc);
     }
     lc
 }
@@ -227,6 +247,46 @@ proptest! {
                         "routing must agree with the rebuild ({:?})", strategy
                     );
                 }
+            }
+        }
+    }
+
+    /// Snapshot isolation: the writer shares graph nodes and vector rows
+    /// with every epoch it published, so each pinned epoch is checked, after
+    /// the whole script has run, against what it answered when pinned and
+    /// against a twin grown by `insert_vector` to exactly its rows.
+    #[test]
+    fn pinned_epochs_stay_equal_to_a_twin_grown_to_that_epoch(
+        seed in 0u64..u64::MAX,
+        n0 in 60usize..200,
+        ops in 20usize..80,
+    ) {
+        let (attrs, predicate) = common::labels(n0 + ops);
+        for variant in [AcornVariant::Gamma, AcornVariant::One] {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x91A5);
+            // Each pin with the gids the lifecycle's own bookkeeping says
+            // its active view holds tombstoned at that moment.
+            let mut pins: Vec<(Pinned, Vec<u64>)> = Vec::new();
+            let lc = run_lifecycle_with(seed, n0, ops, variant, |lc| {
+                if rng.gen_range(0..4) > 0 {
+                    return;
+                }
+                let snap = lc.index.snapshot();
+                let tombstoned = snap.active_segment().map_or_else(Vec::new, |view| {
+                    let gids = view.global_ids().iter();
+                    gids.copied().filter(|&g| !lc.alive[g as usize]).collect()
+                });
+                let pin = Pinned::take(snap, DIM, rng.gen_range(0..u64::MAX), &attrs, &predicate);
+                pins.push((pin, tombstoned));
+            });
+            for (pin, tombstoned) in &pins {
+                let held = pin.snapshot().active_segment().map_or_else(Vec::new, |view| {
+                    let locals = view.tombstones().iter_ones();
+                    locals.map(|l| view.global_ids()[l as usize]).collect()
+                });
+                prop_assert_eq!(&held, tombstoned,
+                    "epoch {} pinned the wrong tombstones", pin.snapshot().epoch());
+                pin.verify(&lc.vectors, &params(seed), variant, &attrs, &predicate);
             }
         }
     }

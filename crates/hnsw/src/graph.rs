@@ -6,6 +6,15 @@
 //! `Vec<u32>` in (approximate) nearest-first order; the *order* is load
 //! bearing for ACORN, whose search truncates lists to a prefix and whose
 //! compression keeps the `M_β` nearest candidates verbatim.
+//!
+//! Each node's lists sit behind their own [`Arc`], and every mutator goes
+//! through copy-on-write. [`LayeredGraph::clone`] is therefore a copy of the
+//! node-handle spine plus one refcount bump per node — no neighbor list is
+//! copied — and the next mutation of either copy re-allocates only the nodes
+//! it rewires. A graph that was never cloned holds every node at refcount 1
+//! and mutates in place, so a bulk build pays one uniqueness check per edit.
+
+use std::sync::Arc;
 
 /// Read-only view of a multi-level graph: the contract query-time traversal
 /// is written against.
@@ -53,7 +62,9 @@ pub struct LayeredGraph {
     /// `levels[v]` = maximum level index of node `v`.
     levels: Vec<u8>,
     /// `adj[v][l]` = neighbor list of node `v` at level `l` (l ≤ levels[v]).
-    adj: Vec<Vec<Vec<u32>>>,
+    /// A node's lists are shared with every clone of the graph until one
+    /// side edits that node.
+    adj: Vec<Arc<[Vec<u32>]>>,
     /// Entry point node, if any node has been added.
     entry: Option<u32>,
     /// Maximum level index present in the graph.
@@ -114,7 +125,7 @@ impl LayeredGraph {
         assert!(level <= u8::MAX as usize, "level {level} exceeds supported maximum");
         let id = self.levels.len() as u32;
         self.levels.push(level as u8);
-        self.adj.push(vec![Vec::new(); level + 1]);
+        self.adj.push(std::iter::repeat_with(Vec::new).take(level + 1).collect());
         match self.entry {
             None => {
                 self.entry = Some(id);
@@ -138,22 +149,46 @@ impl LayeredGraph {
         &self.adj[v as usize][level]
     }
 
+    /// The lists of node `v`, made exclusive to this graph first: a node
+    /// still shared with a clone is re-allocated (all its levels copied, the
+    /// clone keeps the original), an unshared one is handed out as is.
+    /// Every mutator goes through here.
+    #[inline]
+    fn lists_mut(&mut self, v: u32) -> &mut [Vec<u32>] {
+        let node = &mut self.adj[v as usize];
+        // No weak handle to a node is ever made, and `&mut self` rules out a
+        // concurrent clone of this one, so a strong count of 1 stays 1.
+        if Arc::strong_count(node) > 1 {
+            // The usual edit of a shared node is one `push_edge`; a spare
+            // slot per list saves that push a second allocation.
+            *node = node
+                .iter()
+                .map(|list| {
+                    let mut copy = Vec::with_capacity(list.len() + 1);
+                    copy.extend_from_slice(list);
+                    copy
+                })
+                .collect();
+        }
+        Arc::get_mut(node).expect("a node just copied has no other owner")
+    }
+
     /// Mutably borrow the neighbor list of `v` at `level`.
     #[inline]
     pub fn neighbors_mut(&mut self, v: u32, level: usize) -> &mut Vec<u32> {
-        &mut self.adj[v as usize][level]
+        &mut self.lists_mut(v)[level]
     }
 
     /// Replace the neighbor list of `v` at `level`.
     #[inline]
     pub fn set_neighbors(&mut self, v: u32, level: usize, list: Vec<u32>) {
-        self.adj[v as usize][level] = list;
+        self.lists_mut(v)[level] = list;
     }
 
     /// Append one directed edge `v -> w` at `level` (no dedup, no cap).
     #[inline]
     pub fn push_edge(&mut self, v: u32, w: u32, level: usize) {
-        self.adj[v as usize][level].push(w);
+        self.lists_mut(v)[level].push(w);
     }
 
     /// Iterate over all node ids present on `level`.
@@ -202,13 +237,16 @@ impl LayeredGraph {
     }
 
     /// Total bytes consumed by adjacency lists and level tags (index-only
-    /// footprint; vectors are accounted separately).
+    /// footprint; vectors are accounted separately). Nodes shared with a
+    /// clone are counted in full by each graph.
     pub fn memory_bytes(&self) -> usize {
+        /// The strong and weak counts heading every node's allocation.
+        const REFCOUNTS: usize = 2 * std::mem::size_of::<usize>();
         let mut bytes = self.levels.len() * std::mem::size_of::<u8>();
-        bytes += self.adj.len() * std::mem::size_of::<Vec<Vec<u32>>>();
+        bytes += self.adj.len() * (std::mem::size_of::<Arc<[Vec<u32>]>>() + REFCOUNTS);
         for per_node in &self.adj {
             bytes += std::mem::size_of::<Vec<u32>>() * per_node.len();
-            for list in per_node {
+            for list in per_node.iter() {
                 bytes += list.len() * std::mem::size_of::<u32>();
             }
         }
@@ -298,6 +336,45 @@ mod tests {
         assert_eq!(s[0].edges, 3);
         assert_eq!(s[0].max_out_degree, 2);
         assert!((s[0].avg_out_degree - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_clone_shares_nodes_and_never_sees_later_edits() {
+        let mut g = LayeredGraph::new();
+        let a = g.add_node(1);
+        let b = g.add_node(0);
+        let c = g.add_node(0);
+        g.push_edge(a, b, 0);
+        g.push_edge(a, c, 1);
+        g.push_edge(b, a, 0);
+        let pinned = g.clone();
+        let shared = |x: &LayeredGraph, y: &LayeredGraph, v: u32| {
+            std::ptr::eq(x.neighbors(v, 0).as_ptr(), y.neighbors(v, 0).as_ptr())
+        };
+        assert!(shared(&g, &pinned, a) && shared(&g, &pinned, b), "cloning copies no list");
+
+        // Every mutator re-allocates the node it edits and only that node.
+        g.push_edge(a, c, 0);
+        g.set_neighbors(c, 0, vec![a, b]);
+        g.neighbors_mut(c, 0).push(c);
+        let d = g.add_node(2);
+        assert!(!shared(&g, &pinned, a));
+        assert!(shared(&g, &pinned, b), "an untouched node stays shared");
+        assert_eq!(g.neighbors(a, 0), &[b, c]);
+        assert_eq!(g.neighbors(a, 1), &[c], "the copy carries every level");
+        assert_eq!(g.neighbors(c, 0), &[a, b, c]);
+        assert_eq!((g.len(), g.entry_point(), g.max_level()), (4, Some(d), 2));
+
+        assert_eq!(pinned.neighbors(a, 0), &[b]);
+        assert_eq!(pinned.neighbors(a, 1), &[c]);
+        assert!(pinned.neighbors(c, 0).is_empty());
+        assert_eq!((pinned.len(), pinned.entry_point(), pinned.max_level()), (3, Some(a), 1));
+
+        // Once the clone is gone the survivor edits in place again.
+        drop(pinned);
+        let before = g.neighbors(b, 0).as_ptr();
+        g.neighbors_mut(b, 0)[0] = c;
+        assert_eq!(g.neighbors(b, 0).as_ptr(), before);
     }
 
     #[test]

@@ -1,10 +1,16 @@
 //! Flat vector storage, the [`VectorData`] abstraction, and metric dispatch.
 //!
-//! The default backend is a dense, row-major `Vec<f32>` holding `n` vectors
-//! of a fixed dimension. Keeping the data flat (rather than `Vec<Vec<f32>>`)
-//! avoids per-vector allocations and keeps distance computations
-//! cache-friendly, which matters because the ACORN paper's evaluation (and
-//! ours) treats distance computations as the dominant search cost.
+//! The default backend is a dense, row-major buffer of `f32` holding `n`
+//! vectors of a fixed dimension. Keeping the data flat (rather than
+//! `Vec<Vec<f32>>`) avoids per-vector allocations and keeps distance
+//! computations cache-friendly, which matters because the ACORN paper's
+//! evaluation (and ours) treats distance computations as the dominant search
+//! cost.
+//!
+//! Rows are immutable once written, so the buffer is **append-only and
+//! shared**: a [`VectorStore`] is a handle `(buffer, len)`, cloning it copies
+//! no row, and a push through one handle writes past the `len` of every
+//! other — see [`VectorStore`] for the ownership rule that makes that sound.
 //!
 //! Search code does not depend on the concrete representation: both search
 //! layers are generic over [`VectorData`], so a frozen segment can swap the
@@ -12,6 +18,10 @@
 //! touching traversal logic. All distances route through the
 //! [`crate::kernels`] module, which picks AVX2/FMA or scalar code
 //! once per process.
+
+use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use crate::kernels;
 
@@ -110,11 +120,73 @@ pub trait VectorData {
     }
 }
 
+/// One fixed-capacity allocation of float slots shared by every
+/// [`VectorStore`] handle cloned from the store that allocated it.
+///
+/// Invariant: slots `..committed` have been written and are never written
+/// again; slots `committed..` belong to whichever handle next moves
+/// `committed` forward, and to nobody until then.
+struct RowBuf {
+    /// Floats claimed so far. Only ever raised, by the compare-exchange in
+    /// [`VectorStore::push`].
+    committed: AtomicUsize,
+    /// Zero-filled at allocation, so every slot is initialized memory.
+    slots: Box<[UnsafeCell<f32>]>,
+}
+
+// SAFETY: `committed` is an atomic. A slot of `slots` is written by at most
+// one thread — the one whose compare-exchange moved `committed` over it — and
+// is read only through handles whose `len` covers it, all of which descend
+// from that writer's handle after the write (`VectorStore::push` sets `len`
+// last), so every read of a slot happens-after its one write. `f32` itself is
+// `Send + Sync`.
+unsafe impl Sync for RowBuf {}
+
+impl RowBuf {
+    fn with_capacity(floats: usize) -> Self {
+        Self {
+            committed: AtomicUsize::new(0),
+            slots: (0..floats).map(|_| UnsafeCell::new(0.0)).collect(),
+        }
+    }
+}
+
+impl std::fmt::Debug for RowBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RowBuf")
+            .field("committed", &self.committed)
+            .field("capacity", &self.slots.len())
+            .finish()
+    }
+}
+
 /// Dense row-major storage for `n` vectors of fixed dimension.
+///
+/// A store is a handle onto a shared append-only buffer: the buffer plus the
+/// number of floats this handle can see. [`clone`](Clone::clone) copies the
+/// handle, never a row, and the two handles then behave as independent
+/// stores:
+///
+/// * a handle reads only the first `len` floats of its buffer, all written
+///   before the handle (or the one it was cloned from) came to hold that
+///   `len`, and none of them is ever written again;
+/// * [`push`](Self::push) claims the slots just past `len` with one
+///   compare-exchange on the buffer's committed length. It succeeds only for
+///   a handle that sits at the buffer's tip, and for one handle at a time, so
+///   the claimed slots are invisible to every other handle — their `len` is
+///   no greater — and the row is written in place;
+/// * a handle that loses the claim (a clone already pushed past it) or whose
+///   buffer is full copies its own rows into a fresh, larger buffer and
+///   appends there. Handles left on the old buffer stay valid.
+///
+/// No interleaving therefore lets one handle observe a row pushed through
+/// another.
 #[derive(Debug, Clone)]
 pub struct VectorStore {
     dim: usize,
-    data: Vec<f32>,
+    buf: Arc<RowBuf>,
+    /// Floats visible through this handle; at most `buf.committed`.
+    len: usize,
 }
 
 /// An empty store of dimension 1.
@@ -125,7 +197,7 @@ pub struct VectorStore {
 /// other `#[derive(Default)]` types) without a panicking landmine.
 impl Default for VectorStore {
     fn default() -> Self {
-        Self { dim: 1, data: Vec::new() }
+        Self::new(1)
     }
 }
 
@@ -135,24 +207,29 @@ impl VectorStore {
     /// # Panics
     /// Panics if `dim == 0`.
     pub fn new(dim: usize) -> Self {
-        assert!(dim > 0, "vector dimension must be positive");
-        Self { dim, data: Vec::new() }
+        Self::with_capacity(dim, 0)
     }
 
     /// Create an empty store with capacity reserved for `n` vectors.
     pub fn with_capacity(dim: usize, n: usize) -> Self {
         assert!(dim > 0, "vector dimension must be positive");
-        Self { dim, data: Vec::with_capacity(dim * n) }
+        Self { dim, buf: Arc::new(RowBuf::with_capacity(dim * n)), len: 0 }
     }
 
-    /// Wrap an existing flat buffer of `len % dim == 0` floats.
+    /// Wrap an existing flat buffer of `len % dim == 0` floats (its allocation
+    /// is reused).
     ///
     /// # Panics
     /// Panics if the buffer length is not a multiple of `dim`.
     pub fn from_flat(dim: usize, data: Vec<f32>) -> Self {
         assert!(dim > 0, "vector dimension must be positive");
         assert_eq!(data.len() % dim, 0, "buffer length must be a multiple of dim");
-        Self { dim, data }
+        let len = data.len();
+        let buf = RowBuf {
+            committed: AtomicUsize::new(len),
+            slots: data.into_iter().map(UnsafeCell::new).collect(),
+        };
+        Self { dim, buf: Arc::new(buf), len }
     }
 
     /// Vector dimensionality.
@@ -164,13 +241,13 @@ impl VectorStore {
     /// Number of vectors stored.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len() / self.dim
+        self.len / self.dim
     }
 
     /// True if the store holds no vectors.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 
     /// Borrow vector `i`.
@@ -180,24 +257,63 @@ impl VectorStore {
     #[inline]
     pub fn get(&self, i: u32) -> &[f32] {
         let start = i as usize * self.dim;
-        &self.data[start..start + self.dim]
+        &self.as_flat()[start..start + self.dim]
     }
 
     /// Append one vector.
+    ///
+    /// Writes in place when this handle sits at the tip of its buffer and
+    /// the buffer has room; otherwise (the buffer is full, or a clone of this
+    /// store pushed first) the handle moves to a fresh buffer holding a copy
+    /// of its rows. Either way no other handle sees the new row.
     ///
     /// # Panics
     /// Panics if `v.len() != dim`.
     pub fn push(&mut self, v: &[f32]) -> u32 {
         assert_eq!(v.len(), self.dim, "pushed vector has wrong dimension");
         let id = self.len() as u32;
-        self.data.extend_from_slice(v);
+        let end = self.len + self.dim;
+        // The exchange only arbitrates who owns the tail; the row itself
+        // reaches other threads with the handle that carries the new `len`.
+        let claimed = end <= self.buf.slots.len()
+            && self
+                .buf
+                .committed
+                .compare_exchange(self.len, end, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok();
+        if !claimed {
+            let mut grown = RowBuf::with_capacity(end.max(2 * self.buf.slots.len()));
+            for (slot, &x) in grown.slots.iter_mut().zip(self.as_flat()) {
+                *slot.get_mut() = x;
+            }
+            *grown.committed.get_mut() = end;
+            self.buf = Arc::new(grown);
+        }
+        let tail = &self.buf.slots[self.len..end];
+        // SAFETY: slots `self.len..end` are this handle's alone. Either the
+        // exchange above moved `committed` from `self.len` to `end` — it can
+        // do so for one handle only, and every other handle on this buffer
+        // has `len <= self.len`, so none reads these slots — or the buffer
+        // was allocated a few lines up and no other handle exists. The
+        // pointer comes from `UnsafeCell::raw_get` on the slice, so writing
+        // through a shared borrow of the buffer is permitted, and `tail` is
+        // exactly `self.dim == v.len()` slots long.
+        unsafe {
+            std::ptr::copy_nonoverlapping(v.as_ptr(), UnsafeCell::raw_get(tail.as_ptr()), v.len());
+        }
+        self.len = end;
         id
     }
 
     /// The raw flat buffer.
     #[inline]
     pub fn as_flat(&self) -> &[f32] {
-        &self.data
+        let visible = &self.buf.slots[..self.len];
+        // SAFETY: `UnsafeCell<f32>` has the layout of `f32`, so `visible` is
+        // `self.len` contiguous initialized floats. None of them is written
+        // while the borrow lives, or ever: `self.len <= committed`, and
+        // `push` writes only slots at or past the `committed` it exchanged.
+        unsafe { std::slice::from_raw_parts(visible.as_ptr().cast::<f32>(), visible.len()) }
     }
 
     /// Distance between stored vector `i` and an external query under `metric`.
@@ -227,33 +343,36 @@ impl VectorStore {
         const PREFETCH_AHEAD: usize = 4;
         out.clear();
         out.reserve(ids.len());
+        // Resolve the handle once: the loop then indexes a plain slice.
+        let flat = self.as_flat();
         for (i, &id) in ids.iter().enumerate() {
             if let Some(&ahead) = ids.get(i + PREFETCH_AHEAD) {
-                self.prefetch_row(ahead);
+                self.prefetch_row(flat, ahead);
             }
-            out.push(metric.distance(self.get(id), query));
+            let start = id as usize * self.dim;
+            out.push(metric.distance(&flat[start..start + self.dim], query));
         }
     }
 
     /// Prefetch is a hint; on non-x86 targets it compiles to nothing.
     #[cfg(not(target_arch = "x86_64"))]
     #[inline]
-    fn prefetch_row(&self, _id: u32) {}
+    fn prefetch_row(&self, _flat: &[f32], _id: u32) {}
 
-    /// Issue a prefetch for the first cache lines of row `id`.
+    /// Issue a prefetch for the first cache lines of row `id` of `flat`.
     #[cfg(target_arch = "x86_64")]
     #[inline]
-    fn prefetch_row(&self, id: u32) {
+    fn prefetch_row(&self, flat: &[f32], id: u32) {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         let start = id as usize * self.dim;
-        if start >= self.data.len() {
+        if start >= flat.len() {
             return;
         }
         // SAFETY: `start` is in bounds (checked above) and _mm_prefetch is a
         // hint with no memory effects — an unmapped address would simply be
         // ignored by the hardware, but we never pass one anyway.
         unsafe {
-            let p = self.data.as_ptr().add(start) as *const i8;
+            let p = flat.as_ptr().add(start) as *const i8;
             _mm_prefetch::<_MM_HINT_T0>(p);
             // Rows are up to a few hundred floats; fetch a second line so
             // dims > 16 don't stall mid-row.
@@ -265,7 +384,7 @@ impl VectorStore {
 
     /// Bytes consumed by the raw vector data.
     pub fn memory_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
+        self.len * std::mem::size_of::<f32>()
     }
 
     /// Extract a sub-store containing the given row ids, in order.
@@ -366,6 +485,73 @@ mod tests {
         assert_eq!(sub.get(0), &[4.0, 4.5]);
         assert_eq!(sub.get(1), &[0.0, 0.5]);
         assert_eq!(sub.get(2), &[2.0, 2.5]);
+    }
+
+    #[test]
+    fn clones_share_rows_until_one_pushes() {
+        let mut a = VectorStore::with_capacity(2, 4);
+        a.push(&[1.0, 1.5]);
+        let mut b = a.clone();
+        assert_eq!(a.as_flat().as_ptr(), b.as_flat().as_ptr(), "a clone copies no row");
+        // `a` is at the tip and claims the tail in place; `b` was cloned at
+        // the same length, loses the claim and moves to its own buffer.
+        a.push(&[2.0, 2.5]);
+        assert_eq!(a.as_flat().as_ptr(), b.as_flat().as_ptr());
+        b.push(&[9.0, 9.5]);
+        assert_ne!(a.as_flat().as_ptr(), b.as_flat().as_ptr());
+        assert_eq!(a.as_flat(), &[1.0, 1.5, 2.0, 2.5]);
+        assert_eq!(b.as_flat(), &[1.0, 1.5, 9.0, 9.5]);
+        // A handle cloned before a push never sees it, even with room left.
+        let c = a.clone();
+        a.push(&[3.0, 3.5]);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.as_flat(), &[1.0, 1.5, 2.0, 2.5]);
+        assert_eq!(a.get(2), &[3.0, 3.5]);
+    }
+
+    #[test]
+    fn growth_keeps_older_handles_valid() {
+        let mut s = VectorStore::new(3);
+        let mut handles = Vec::new();
+        for i in 0..40 {
+            s.push(&[i as f32, 0.5, -(i as f32)]);
+            handles.push(s.clone());
+        }
+        for (i, h) in handles.iter().enumerate() {
+            assert_eq!(h.len(), i + 1);
+            assert_eq!(h.as_flat().len(), (i + 1) * 3);
+            assert_eq!(h.as_flat(), &s.as_flat()[..(i + 1) * 3]);
+        }
+        assert_eq!(s.memory_bytes(), 40 * 3 * 4);
+    }
+
+    #[test]
+    fn readers_on_other_threads_see_their_own_length_while_the_writer_appends() {
+        // The serving pattern: one writer appends and hands out clones; each
+        // reader checks its clone while later pushes land in the same buffer.
+        const ROWS: usize = 64;
+        let row = |i: usize| [i as f32, i as f32 + 0.25, i as f32 + 0.5, i as f32 + 0.75];
+        std::thread::scope(|scope| {
+            let (tx, rx) = std::sync::mpsc::channel::<VectorStore>();
+            let reader = scope.spawn(move || {
+                let mut seen = 0;
+                for snap in rx {
+                    seen += 1;
+                    assert_eq!(snap.len(), seen);
+                    for i in 0..snap.len() {
+                        assert_eq!(snap.get(i as u32), &row(i));
+                    }
+                }
+                seen
+            });
+            let mut writer = VectorStore::with_capacity(4, ROWS / 2);
+            for i in 0..ROWS {
+                writer.push(&row(i));
+                tx.send(writer.clone()).expect("reader is alive");
+            }
+            drop(tx);
+            assert_eq!(reader.join().expect("reader panicked"), ROWS);
+        });
     }
 
     #[test]
