@@ -8,11 +8,10 @@
 use std::sync::Arc;
 
 use acorn_hnsw::heap::{Neighbor, TopK};
-use acorn_hnsw::{Metric, SearchStats, VectorStore};
+use acorn_hnsw::{Metric, SearchStats, Sq8Store, VectorStore};
 use acorn_predicate::NodeFilter;
 
 use crate::kmeans::kmeans;
-use crate::sq8::Sq8Store;
 
 /// An IVF-Flat index.
 #[derive(Debug, Clone)]

@@ -15,7 +15,6 @@
 //!   IVF).
 //! * [`ivf`] — IVF-Flat and IVF-SQ8: coarse quantizer + probed-list
 //!   post-filtering (the Milvus/FAISS-IVF representatives).
-//! * [`sq8`] — the 8-bit scalar-quantization codec behind IVF-SQ8.
 //! * [`vamana`] — the DiskANN graph with α-robust pruning (substrate for the
 //!   filtered variants).
 //! * [`filtered_vamana`] — FilteredVamana (Gollapudi et al. 2023):
@@ -32,7 +31,6 @@ pub mod nhq;
 pub mod oracle;
 pub mod postfilter;
 pub mod prefilter;
-pub mod sq8;
 pub mod stitched_vamana;
 pub mod vamana;
 

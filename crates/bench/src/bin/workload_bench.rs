@@ -40,7 +40,7 @@ use std::time::Duration;
 use acorn_bench::workload::{
     build_index, run_mixed, BandStats, ClassStats, MixedReport, WorkloadConfig, WorkloadPlan,
 };
-use acorn_core::{PredicateStrategy, SegmentedQueryEngine};
+use acorn_core::SegmentedQueryEngine;
 use acorn_eval::Table;
 use acorn_hnsw::LatencySummary;
 
@@ -141,7 +141,7 @@ fn main() {
     let engine = SegmentedQueryEngine::new(&idx).with_threads(config.concurrency);
     let mut steady = Vec::with_capacity(config.bands.len());
     let mut steady_table = Table::new(
-        "steady-state per-band hybrid batch (adaptive strategy)",
+        "steady-state per-band hybrid batch",
         &["band", "avg_sel", "nq", "QPS", "latency"],
     );
     for &band in &config.bands {
@@ -149,13 +149,7 @@ fn main() {
         let avg_sel = pool.iter().map(|t| t.selectivity).sum::<f64>() / pool.len().max(1) as f64;
         let queries: Vec<(&[f32], &acorn_predicate::Predicate)> =
             pool.iter().map(|t| (t.vector.as_slice(), &t.predicate)).collect();
-        let out = engine.hybrid_search_batch_with(
-            &queries,
-            &plan.dataset.attrs,
-            config.k,
-            config.efs,
-            PredicateStrategy::Adaptive,
-        );
+        let out = engine.hybrid_search_batch(&queries, &plan.dataset.attrs, config.k, config.efs);
         let summary = out.latency_summary();
         steady_table.row(vec![
             format!("{band:.3}"),

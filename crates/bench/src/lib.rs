@@ -1,17 +1,20 @@
 //! # acorn-bench
 //!
 //! The experiment harness: one binary per table and figure of the ACORN
-//! paper's evaluation (§7), plus Criterion micro-benchmarks of the hot
-//! kernels. See DESIGN.md §3 for the experiment index and EXPERIMENTS.md
-//! for recorded results.
+//! paper's evaluation (§7), the 1M-row `workload_bench` harness, and
+//! Criterion micro-benchmarks of the hot kernels; docs/BENCHMARKS.md is the
+//! index. Performance claims are measured by the repo benchmark
+//! (`BENCHMARK.json`, a package of its own under `src/bin/benchmark/`).
 //!
-//! All experiments run on synthetic stand-in datasets (DESIGN.md §4) scaled
-//! by environment variables so the full suite completes on one machine:
+//! All experiments run on synthetic stand-in datasets (see `acorn-data`)
+//! scaled by environment variables so the full suite completes on one
+//! machine:
 //!
 //! * `ACORN_BENCH_N` — base dataset size multiplier context (default sizes
 //!   are per-binary; this overrides them).
 //! * `ACORN_BENCH_NQ` — queries per workload (default 50).
 //! * `ACORN_BENCH_THREADS` — query-driver threads (default: all cores).
+//! * `ACORN_BENCH_REPEATS` — executions per query per QPS point (default 5).
 //!
 //! Output: aligned tables on stdout and CSV files under `results/`.
 

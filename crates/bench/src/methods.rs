@@ -7,11 +7,10 @@ use acorn_baselines::{
     FilteredVamana, IvfFlat, IvfSq8, NhqIndex, OraclePartitionIndex, PostFilterHnsw, PreFilter,
     StitchedVamana,
 };
-use acorn_core::engine::{BatchOutput, QueryEngine};
 use acorn_core::AcornIndex;
 use acorn_data::{ground_truth, HybridDataset, Workload};
 use acorn_eval::sweep::{sweep_repeated, SweepPoint};
-use acorn_eval::{workload_recall, Table};
+use acorn_eval::Table;
 use acorn_hnsw::Metric;
 use acorn_predicate::{Predicate, PredicateFilter};
 
@@ -53,35 +52,21 @@ pub fn equals_label(p: &Predicate) -> i64 {
     }
 }
 
-/// Turn one engine batch into a sweep point, scoring recall against the
-/// context's ground truth.
-fn batch_point(ctx: &BenchCtx, param: usize, out: &BatchOutput) -> SweepPoint {
-    let ids: Vec<Vec<u32>> = out.results.iter().map(|r| r.iter().map(|n| n.id).collect()).collect();
-    let denom = ctx.nq().max(1) as f64;
-    SweepPoint {
-        param,
-        recall: workload_recall(&ids, &ctx.truth, ctx.k),
-        qps: out.qps,
-        avg_ndis: out.stats.ndis as f64 / denom,
-        avg_npred: out.stats.npred as f64 / denom,
-        avg_npred_cached: out.stats.npred_cached as f64 / denom,
-    }
-}
-
-/// Sweep ACORN (γ or 1) with its full cost-model routing (§5.2 fallback),
-/// served through the [`QueryEngine`] batch layer.
+/// Sweep ACORN (γ or 1) with its full cost-model routing (§5.2 fallback).
 pub fn sweep_acorn(idx: &AcornIndex, ctx: &BenchCtx, params: &[usize]) -> Vec<SweepPoint> {
-    let engine =
-        QueryEngine::new(idx).with_threads(ctx.threads).with_repeats(crate::bench_repeats());
-    let batch: Vec<(&[f32], &Predicate)> =
-        ctx.workload.queries.iter().map(|q| (q.vector.as_slice(), &q.predicate)).collect();
-    params
-        .iter()
-        .map(|&efs| {
-            let out = engine.hybrid_search_batch(&batch, &ctx.ds.attrs, ctx.k, efs);
-            batch_point(ctx, efs, &out)
-        })
-        .collect()
+    sweep_repeated(
+        params,
+        &ctx.truth,
+        ctx.k,
+        ctx.threads,
+        crate::bench_repeats(),
+        |i, efs, scratch| {
+            let q = &ctx.workload.queries[i];
+            let (out, stats) =
+                idx.hybrid_search(&q.vector, &q.predicate, &ctx.ds.attrs, ctx.k, efs, scratch);
+            (out.iter().map(|n| n.id).collect(), stats)
+        },
+    )
 }
 
 /// Sweep ACORN without the pre-filter fallback (pure predicate-subgraph

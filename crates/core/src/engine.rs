@@ -1,9 +1,10 @@
 //! The batch query engine: concurrent, scratch-pooled serving on top of
-//! [`AcornIndex`].
+//! [`SegmentedAcornIndex`].
 //!
 //! ACORN's headline results are QPS–recall tradeoffs under hybrid
 //! predicates (§7), which makes batched, multi-threaded query execution the
-//! production-facing surface of the index. [`QueryEngine`] provides it:
+//! production-facing surface of the index. [`SegmentedQueryEngine`]
+//! provides it:
 //!
 //! * queries are sharded across `std::thread::scope` workers in contiguous
 //!   chunks, so output ordering is **deterministic** — result `i` always
@@ -15,233 +16,68 @@
 //! * per-worker [`SearchStats`] are merged into one aggregate, and wall
 //!   time / QPS are measured around the whole batch.
 //!
-//! A `repeats` knob re-executes every query several times (reporting
-//! results from the final pass and averaging the stats back down), which
-//! keeps wall time well above thread start-up cost on small benchmark
-//! workloads — the same convention as the `acorn-eval` QPS driver.
+//! A static corpus is served the same way: [`bulk_load`] it as one frozen
+//! segment (local row id == global id) and hand the index to the engine.
+//!
+//! [`bulk_load`]: SegmentedAcornIndex::bulk_load
 
 use std::time::Duration;
 
-use acorn_hnsw::heap::Neighbor;
 use acorn_hnsw::{LatencySummary, ScratchPool, SearchScratch, SearchStats};
-use acorn_predicate::{AttrStore, NodeFilter, Predicate};
+use acorn_predicate::{AttrStore, Predicate};
 
-use crate::index::{AcornIndex, PredicateStrategy};
 use crate::segment::{GlobalNeighbor, SegmentedAcornIndex};
 use crate::snapshot::{IndexReader, SegmentSnapshot};
 
-/// The answer to one batch of queries. `N` is the per-result neighbor type:
-/// [`Neighbor`] (local row ids) from [`QueryEngine`], [`GlobalNeighbor`]
-/// (stable global ids) from [`SegmentedQueryEngine`].
+/// The answer to one batch of queries.
 #[derive(Debug, Clone)]
-pub struct BatchOutput<N = Neighbor> {
+pub struct BatchOutput {
     /// Per-query results, indexed like the input query slice (deterministic
     /// regardless of thread count).
-    pub results: Vec<Vec<N>>,
-    /// Search statistics aggregated across all queries (averaged back to
-    /// one-execution scale when `repeats > 1`).
+    pub results: Vec<Vec<GlobalNeighbor>>,
+    /// Search statistics aggregated across all queries.
     pub stats: SearchStats,
     /// Wall time of the whole batch.
     pub elapsed: Duration,
-    /// Query executions per second (counts every repeat).
+    /// Queries per second.
     pub qps: f64,
-    /// Wall time of every individual query execution (repeats included),
-    /// in shard-then-repeat order — the samples behind
-    /// [`latency_summary`](Self::latency_summary).
+    /// Wall time of every individual query, in shard order — the samples
+    /// behind [`latency_summary`](Self::latency_summary).
     pub latencies: Vec<Duration>,
 }
 
-impl<N> BatchOutput<N> {
+impl BatchOutput {
     /// Tail-latency percentiles (p50/p99/p999), mean, and max over the
-    /// per-execution latencies. `None` for an empty batch.
+    /// per-query latencies. `None` for an empty batch.
     pub fn latency_summary(&self) -> Option<LatencySummary> {
         LatencySummary::from_samples(&self.latencies)
     }
 }
 
-/// A batch-serving layer over a borrowed [`AcornIndex`].
-///
-/// Construction is free; the engine draws scratches from the index's own
-/// [`ScratchPool`], so engine batches, other engines over the same index,
-/// and single-query [`AcornIndex::search`] calls all share one set of
-/// reusable allocations. Keep one engine per index for the lifetime of a
-/// serving process and feed it query batches.
-#[derive(Debug)]
-pub struct QueryEngine<'a> {
-    index: &'a AcornIndex,
-    pool: &'a ScratchPool,
-    threads: usize,
-    repeats: usize,
-}
-
-impl<'a> QueryEngine<'a> {
-    /// An engine over `index` using all available cores and one execution
-    /// per query.
-    pub fn new(index: &'a AcornIndex) -> Self {
-        Self { index, pool: index.scratch_pool(), threads: 0, repeats: 1 }
-    }
-
-    /// Set the worker-thread count (`0` = all available cores).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Execute every query `repeats` times per batch (QPS counts every
-    /// execution; results come from the final pass). Benchmarks use this to
-    /// amortize thread start-up; serving keeps the default of 1.
-    pub fn with_repeats(mut self, repeats: usize) -> Self {
-        self.repeats = repeats.max(1);
-        self
-    }
-
-    /// The scratch pool this engine draws from (the index's own pool;
-    /// mainly for introspection in tests).
-    pub fn pool(&self) -> &ScratchPool {
-        self.pool
-    }
-
-    /// The index this engine serves.
-    pub fn index(&self) -> &AcornIndex {
-        self.index
-    }
-
-    /// Shard `nq` queries across scoped workers; `f(i, scratch, stats)`
-    /// answers query `i`. Output slot `i` always holds query `i`'s answer.
-    /// The shard/repeat/measure semantics live in the one shared driver,
-    /// [`acorn_hnsw::pool::run_sharded`].
-    fn run_batch<F>(&self, nq: usize, f: F) -> BatchOutput
-    where
-        F: Fn(usize, &mut SearchScratch, &mut SearchStats) -> Vec<Neighbor> + Sync,
-    {
-        let run = acorn_hnsw::pool::run_sharded(
-            self.pool,
-            nq,
-            self.threads,
-            self.repeats,
-            self.index.len(),
-            f,
-        );
-        let qps = run.throughput();
-        BatchOutput {
-            results: run.results,
-            stats: run.stats,
-            elapsed: run.elapsed,
-            qps,
-            latencies: run.latencies,
-        }
-    }
-
-    /// Pure ANN search for a batch of queries: the `k` nearest neighbors of
-    /// each, with beam width `efs`.
-    pub fn search_batch<Q>(&self, queries: &[Q], k: usize, efs: usize) -> BatchOutput
-    where
-        Q: AsRef<[f32]> + Sync,
-    {
-        self.run_batch(queries.len(), |i, scratch, stats| {
-            self.index.search_filtered(
-                queries[i].as_ref(),
-                &acorn_predicate::AllPass,
-                k,
-                efs,
-                scratch,
-                stats,
-            )
-        })
-    }
-
-    /// Filtered search (Algorithm 2, no fallback routing) for a batch of
-    /// queries sharing one predicate filter.
-    pub fn search_filtered_batch<Q, F>(
-        &self,
-        queries: &[Q],
-        filter: &F,
-        k: usize,
-        efs: usize,
-    ) -> BatchOutput
-    where
-        Q: AsRef<[f32]> + Sync,
-        F: NodeFilter + Sync,
-    {
-        self.run_batch(queries.len(), |i, scratch, stats| {
-            self.index.search_filtered(queries[i].as_ref(), filter, k, efs, scratch, stats)
-        })
-    }
-
-    /// Full hybrid search (§5.2 cost-model routing included) for a batch of
-    /// `(vector, predicate)` queries against one attribute store, using the
-    /// default adaptive compiled-predicate engine.
-    pub fn hybrid_search_batch<Q>(
-        &self,
-        queries: &[(Q, &Predicate)],
-        attrs: &AttrStore,
-        k: usize,
-        efs: usize,
-    ) -> BatchOutput
-    where
-        Q: AsRef<[f32]> + Sync,
-    {
-        self.hybrid_search_batch_with(queries, attrs, k, efs, PredicateStrategy::default())
-    }
-
-    /// [`hybrid_search_batch`](Self::hybrid_search_batch) with an explicit
-    /// [`PredicateStrategy`] — the A/B surface `bench_qps` uses to measure
-    /// the compiled+memoized engine against the interpreted baseline
-    /// (results are bit-identical across strategies by construction).
-    pub fn hybrid_search_batch_with<Q>(
-        &self,
-        queries: &[(Q, &Predicate)],
-        attrs: &AttrStore,
-        k: usize,
-        efs: usize,
-        strategy: PredicateStrategy,
-    ) -> BatchOutput
-    where
-        Q: AsRef<[f32]> + Sync,
-    {
-        self.run_batch(queries.len(), |i, scratch, stats| {
-            let (q, predicate) = &queries[i];
-            let (out, st) = self.index.hybrid_search_with(
-                q.as_ref(),
-                predicate,
-                attrs,
-                k,
-                efs,
-                scratch,
-                strategy,
-            );
-            stats.merge(&st);
-            out
-        })
-    }
-}
-
-/// The batch-serving layer over a [`SegmentedAcornIndex`]: the same
-/// shard/repeat/measure semantics as [`QueryEngine`] (one
-/// [`run_sharded`](acorn_hnsw::pool::run_sharded) driver behind both), with
-/// each worker's pooled scratch serving **every segment** of its queries in
-/// turn — the per-query fan-out across segments, the k-way merge of
-/// per-segment result heaps, and the global-id remapping all happen inside
-/// the snapshot's `*_with` entry points. Results come back as
-/// [`GlobalNeighbor`]s in deterministic input order with aggregated
-/// [`SearchStats`].
+/// The batch-serving layer over a [`SegmentedAcornIndex`], on the shared
+/// [`run_sharded`](acorn_hnsw::pool::run_sharded) driver: each worker's
+/// pooled scratch serves **every segment** of its queries in turn — the
+/// per-query fan-out across segments, the k-way merge of per-segment result
+/// heaps, and the global-id remapping all happen inside the snapshot's
+/// `*_with` entry points. Results come back as [`GlobalNeighbor`]s in
+/// deterministic input order with aggregated [`SearchStats`].
 ///
 /// The engine holds an [`IndexReader`], not a borrow of the index: it stays
 /// valid while the writer inserts, deletes, and merges concurrently. Each
 /// batch pins **one** [`SegmentSnapshot`] up front, so every query of the
 /// batch answers at the same epoch — bit-identical to a sequential loop at
 /// that epoch, whatever the writer does mid-batch — and no worker acquires
-/// a lock after the pin.
+/// a lock after the pin. Construction is free and scratches come from the
+/// index's own [`ScratchPool`]; keep one engine per index for the lifetime
+/// of a serving process and feed it query batches.
 #[derive(Debug, Clone)]
 pub struct SegmentedQueryEngine {
     reader: IndexReader,
     threads: usize,
-    repeats: usize,
 }
 
 impl SegmentedQueryEngine {
-    /// An engine over `index` using all available cores and one execution
-    /// per query.
+    /// An engine over `index` using all available cores.
     pub fn new(index: &SegmentedAcornIndex) -> Self {
         Self::for_reader(index.reader())
     }
@@ -249,19 +85,12 @@ impl SegmentedQueryEngine {
     /// An engine over a standalone [`IndexReader`] handle (the form a
     /// serving thread uses when the writer lives elsewhere).
     pub fn for_reader(reader: IndexReader) -> Self {
-        Self { reader, threads: 0, repeats: 1 }
+        Self { reader, threads: 0 }
     }
 
     /// Set the worker-thread count (`0` = all available cores).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Execute every query `repeats` times per batch (QPS counts every
-    /// execution; results come from the final pass).
-    pub fn with_repeats(mut self, repeats: usize) -> Self {
-        self.repeats = repeats.max(1);
         self
     }
 
@@ -275,7 +104,10 @@ impl SegmentedQueryEngine {
         self.reader.scratch_pool()
     }
 
-    fn run_batch<F>(&self, snap: &SegmentSnapshot, nq: usize, f: F) -> BatchOutput<GlobalNeighbor>
+    /// Shard `nq` queries across scoped workers; `f(i, scratch, stats)`
+    /// answers query `i` against `snap`. Output slot `i` always holds query
+    /// `i`'s answer.
+    fn run_batch<F>(&self, snap: &SegmentSnapshot, nq: usize, f: F) -> BatchOutput
     where
         F: Fn(usize, &mut SearchScratch, &mut SearchStats) -> Vec<GlobalNeighbor> + Sync,
     {
@@ -283,7 +115,7 @@ impl SegmentedQueryEngine {
             self.reader.scratch_pool(),
             nq,
             self.threads,
-            self.repeats,
+            1,
             snap.max_segment_rows(),
             f,
         );
@@ -299,12 +131,7 @@ impl SegmentedQueryEngine {
 
     /// Pure ANN search for a batch of queries across all segments of one
     /// pinned epoch.
-    pub fn search_batch<Q>(
-        &self,
-        queries: &[Q],
-        k: usize,
-        efs: usize,
-    ) -> BatchOutput<GlobalNeighbor>
+    pub fn search_batch<Q>(&self, queries: &[Q], k: usize, efs: usize) -> BatchOutput
     where
         Q: AsRef<[f32]> + Sync,
     {
@@ -314,14 +141,15 @@ impl SegmentedQueryEngine {
         })
     }
 
-    /// Filtered search for a batch sharing one global-id predicate.
+    /// Filtered search (Algorithm 2, no fallback routing) for a batch
+    /// sharing one global-id predicate.
     pub fn search_filtered_batch<Q, F>(
         &self,
         queries: &[Q],
         filter: &F,
         k: usize,
         efs: usize,
-    ) -> BatchOutput<GlobalNeighbor>
+    ) -> BatchOutput
     where
         Q: AsRef<[f32]> + Sync,
         F: Fn(u64) -> bool + Sync,
@@ -340,31 +168,14 @@ impl SegmentedQueryEngine {
         attrs: &AttrStore,
         k: usize,
         efs: usize,
-    ) -> BatchOutput<GlobalNeighbor>
-    where
-        Q: AsRef<[f32]> + Sync,
-    {
-        self.hybrid_search_batch_with(queries, attrs, k, efs, PredicateStrategy::default())
-    }
-
-    /// [`hybrid_search_batch`](Self::hybrid_search_batch) with an explicit
-    /// [`PredicateStrategy`] (results are bit-identical across strategies).
-    pub fn hybrid_search_batch_with<Q>(
-        &self,
-        queries: &[(Q, &Predicate)],
-        attrs: &AttrStore,
-        k: usize,
-        efs: usize,
-        strategy: PredicateStrategy,
-    ) -> BatchOutput<GlobalNeighbor>
+    ) -> BatchOutput
     where
         Q: AsRef<[f32]> + Sync,
     {
         let snap = self.reader.snapshot();
         self.run_batch(&snap, queries.len(), |i, scratch, stats| {
             let (q, predicate) = &queries[i];
-            let (out, st) =
-                snap.hybrid_search_with(q.as_ref(), predicate, attrs, k, efs, scratch, strategy);
+            let (out, st) = snap.hybrid_search(q.as_ref(), predicate, attrs, k, efs, scratch);
             stats.merge(&st);
             out
         })
@@ -376,26 +187,16 @@ mod tests {
     use std::sync::Arc;
 
     use acorn_hnsw::{Metric, VectorStore};
-    use acorn_predicate::{AttrStore, BitmapFilter, Bitset, Predicate};
+    use acorn_predicate::{AllPass, AttrStore, Predicate};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     use super::*;
+    use crate::index::AcornIndex;
     use crate::params::{AcornParams, AcornVariant};
 
-    fn random_store(n: usize, dim: usize, seed: u64) -> Arc<VectorStore> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut s = VectorStore::with_capacity(dim, n);
-        for _ in 0..n {
-            let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            s.push(&v);
-        }
-        Arc::new(s)
-    }
-
-    fn small_index(n: usize, seed: u64) -> AcornIndex {
-        let vecs = random_store(n, 8, seed);
-        let params = AcornParams {
+    fn small_params(seed: u64) -> AcornParams {
+        AcornParams {
             m: 8,
             gamma: 4,
             m_beta: 16,
@@ -403,8 +204,7 @@ mod tests {
             metric: Metric::L2,
             seed,
             ..Default::default()
-        };
-        AcornIndex::build(vecs, params, AcornVariant::Gamma)
+        }
     }
 
     fn queries(nq: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -412,65 +212,97 @@ mod tests {
         (0..nq).map(|_| (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect()
     }
 
-    fn ids(out: &BatchOutput) -> Vec<Vec<u32>> {
-        out.results.iter().map(|r| r.iter().map(|n| n.id).collect()).collect()
+    /// A static corpus served the one way there is: `bulk_load`ed as a
+    /// single frozen segment, so local row id == global id. Also returns
+    /// the store, for building the monolithic reference index.
+    fn static_index(n: usize, seed: u64) -> (SegmentedAcornIndex, VectorStore) {
+        let store = VectorStore::from_flat(8, queries(n, 8, seed).concat());
+        let mut idx = SegmentedAcornIndex::new(8, small_params(seed), AcornVariant::Gamma);
+        assert_eq!(idx.bulk_load(store.clone()), 0..n as u64);
+        (idx, store)
+    }
+
+    /// Two segments (one frozen, one active) with every 9th gid tombstoned.
+    fn small_segmented(n: usize, seed: u64) -> SegmentedAcornIndex {
+        let mut idx = SegmentedAcornIndex::new(8, small_params(seed), AcornVariant::Gamma);
+        for (i, v) in queries(n, 8, seed).iter().enumerate() {
+            idx.insert(v);
+            if i == n / 2 {
+                idx.freeze();
+            }
+        }
+        for gid in (0..n as u64).step_by(9) {
+            idx.delete(gid);
+        }
+        idx
+    }
+
+    fn pairs(results: &[Vec<GlobalNeighbor>]) -> Vec<Vec<(u64, f32)>> {
+        results.iter().map(|r| r.iter().map(|n| (n.id, n.dist)).collect()).collect()
     }
 
     #[test]
     fn batch_matches_sequential_loop_across_thread_counts() {
-        let idx = small_index(800, 1);
+        let (idx, store) = static_index(800, 1);
         let qs = queries(23, 8, 2);
 
-        // The reference: a plain sequential loop over search_filtered.
-        let mut scratch = SearchScratch::new(idx.len());
-        let sequential: Vec<Vec<Neighbor>> = qs
+        // The reference: a plain sequential loop over a monolithic index
+        // built on the same store (local id == gid).
+        let mono = AcornIndex::build(Arc::new(store), small_params(1), AcornVariant::Gamma);
+        let mut scratch = SearchScratch::new(mono.len());
+        let sequential: Vec<Vec<(u64, f32)>> = qs
             .iter()
             .map(|q| {
                 let mut stats = SearchStats::default();
-                idx.search_filtered(q, &acorn_predicate::AllPass, 10, 48, &mut scratch, &mut stats)
+                mono.search_filtered(q, &AllPass, 10, 48, &mut scratch, &mut stats)
+                    .iter()
+                    .map(|n| (n.id as u64, n.dist))
+                    .collect()
             })
             .collect();
 
         for threads in [1, 2, 4] {
-            let engine = QueryEngine::new(&idx).with_threads(threads);
+            let engine = SegmentedQueryEngine::new(&idx).with_threads(threads);
             let out = engine.search_batch(&qs, 10, 48);
-            assert_eq!(out.results.len(), qs.len());
-            for (got, want) in out.results.iter().zip(&sequential) {
-                let g: Vec<(u32, f32)> = got.iter().map(|n| (n.id, n.dist)).collect();
-                let w: Vec<(u32, f32)> = want.iter().map(|n| (n.id, n.dist)).collect();
-                assert_eq!(g, w, "threads = {threads} must be bit-identical to sequential");
-            }
+            assert_eq!(
+                pairs(&out.results),
+                sequential,
+                "threads = {threads} must be bit-identical to sequential"
+            );
         }
     }
 
     #[test]
     fn batch_aggregates_stats_and_counts_executions() {
-        let idx = small_index(500, 3);
+        let idx = small_segmented(500, 3);
         let qs = queries(10, 8, 4);
-        let engine = QueryEngine::new(&idx).with_threads(2).with_repeats(3);
+        let engine = SegmentedQueryEngine::new(&idx).with_threads(2);
         let out = engine.search_batch(&qs, 5, 32);
-        assert!(out.stats.ndis > 0, "distance counters must aggregate");
-        assert!(out.stats.nhops > 0);
         assert!(out.qps > 0.0);
-        // Repeats average back to one-execution scale: roughly the same ndis
-        // as a single pass (identical queries, deterministic search).
-        let single = QueryEngine::new(&idx).with_threads(2).search_batch(&qs, 5, 32);
-        assert_eq!(out.stats.ndis, single.stats.ndis);
+        assert_eq!(out.latencies.len(), qs.len(), "one latency sample per query");
+        assert!(out.latency_summary().is_some());
+        // The aggregate is exactly the sum of the per-query stats.
+        let snap = engine.reader().snapshot();
+        let mut scratch = SearchScratch::new(snap.max_segment_rows());
+        let mut want = SearchStats::default();
+        for q in &qs {
+            snap.search_with(q, 5, 32, &mut scratch, &mut want);
+        }
+        assert!(want.ndis > 0 && want.nhops > 0);
+        assert_eq!(out.stats, want);
     }
 
     #[test]
     fn filtered_batch_respects_filter() {
-        let n = 600;
-        let idx = small_index(n, 5);
+        let idx = small_segmented(600, 5);
         let qs = queries(8, 8, 6);
-        let bits = Bitset::from_ids(n, (0..n as u32).filter(|i| i % 3 == 0));
-        let filter = BitmapFilter::new(bits);
-        let engine = QueryEngine::new(&idx).with_threads(2);
-        let out = engine.search_filtered_batch(&qs, &filter, 10, 64);
+        let engine = SegmentedQueryEngine::new(&idx).with_threads(2);
+        let out = engine.search_filtered_batch(&qs, &|gid| gid % 3 == 0, 10, 64);
         for r in &out.results {
             assert!(!r.is_empty());
             for nb in r {
                 assert_eq!(nb.id % 3, 0, "filtered batch leaked a failing row");
+                assert!(nb.id % 9 != 0, "tombstoned gid {} surfaced from a batch", nb.id);
             }
         }
     }
@@ -478,12 +310,11 @@ mod tests {
     #[test]
     fn hybrid_batch_matches_sequential_and_routes_fallback() {
         let n = 900;
-        let idx = small_index(n, 7);
+        let idx = small_segmented(n, 7);
         let mut rng = StdRng::seed_from_u64(8);
-        let labels: Vec<i64> = (0..n).map(|_| rng.gen_range(0..4)).collect();
         // Rare label 99 on a handful of rows: selectivity below s_min = 1/4.
         let labels: Vec<i64> =
-            labels.iter().enumerate().map(|(i, &l)| if i < 5 { 99 } else { l }).collect();
+            (0..n).map(|i| if i < 5 { 99 } else { rng.gen_range(0..4) }).collect();
         let attrs = AttrStore::builder().add_int("label", labels).build();
         let field = attrs.field("label").unwrap();
 
@@ -494,20 +325,18 @@ mod tests {
         let batch: Vec<(&[f32], &Predicate)> =
             qs.iter().zip(&preds).map(|(q, p)| (q.as_slice(), p)).collect();
 
-        let mut scratch = SearchScratch::new(n);
-        let sequential: Vec<Vec<u32>> = qs
+        let snap = idx.snapshot();
+        let mut scratch = SearchScratch::new(snap.max_segment_rows());
+        let sequential: Vec<Vec<GlobalNeighbor>> = qs
             .iter()
             .zip(&preds)
-            .map(|(q, p)| {
-                let (out, _) = idx.hybrid_search(q, p, &attrs, 5, 32, &mut scratch);
-                out.iter().map(|nb| nb.id).collect()
-            })
+            .map(|(q, p)| snap.hybrid_search(q, p, &attrs, 5, 32, &mut scratch).0)
             .collect();
 
         for threads in [1, 3] {
-            let engine = QueryEngine::new(&idx).with_threads(threads);
+            let engine = SegmentedQueryEngine::new(&idx).with_threads(threads);
             let out = engine.hybrid_search_batch(&batch, &attrs, 5, 32);
-            assert_eq!(ids(&out), sequential, "threads = {threads}");
+            assert_eq!(pairs(&out.results), pairs(&sequential), "threads = {threads}");
             assert!(out.stats.fallback, "the rare-label query must have routed to the fallback");
             assert!(out.stats.npred > 0);
         }
@@ -515,37 +344,12 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let idx = small_index(50, 10);
-        let engine = QueryEngine::new(&idx);
+        let (idx, _) = static_index(50, 10);
+        let engine = SegmentedQueryEngine::new(&idx);
         let out = engine.search_batch(&Vec::<Vec<f32>>::new(), 5, 16);
         assert!(out.results.is_empty());
         assert_eq!(out.stats, SearchStats::default());
-    }
-
-    fn small_segmented(n: usize, seed: u64) -> crate::SegmentedAcornIndex {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let params = AcornParams {
-            m: 8,
-            gamma: 4,
-            m_beta: 16,
-            ef_construction: 32,
-            metric: Metric::L2,
-            seed,
-            ..Default::default()
-        };
-        let mut idx = crate::SegmentedAcornIndex::new(8, params, AcornVariant::Gamma);
-        for i in 0..n {
-            let v: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            idx.insert(&v);
-            if i == n / 2 {
-                idx.freeze();
-            }
-        }
-        // Tombstone a spread of rows across both segments.
-        for gid in (0..n as u64).step_by(9) {
-            idx.delete(gid);
-        }
-        idx
+        assert!(out.latency_summary().is_none());
     }
 
     #[test]
@@ -555,22 +359,13 @@ mod tests {
 
         let mut scratch = SearchScratch::new(idx.max_segment_rows());
         let mut stats = SearchStats::default();
-        let sequential: Vec<Vec<(u64, f32)>> = qs
-            .iter()
-            .map(|q| {
-                idx.search_with(q, 10, 48, &mut scratch, &mut stats)
-                    .iter()
-                    .map(|n| (n.id, n.dist))
-                    .collect()
-            })
-            .collect();
+        let sequential: Vec<Vec<GlobalNeighbor>> =
+            qs.iter().map(|q| idx.search_with(q, 10, 48, &mut scratch, &mut stats)).collect();
 
         for threads in [1, 2, 4] {
             let engine = SegmentedQueryEngine::new(&idx).with_threads(threads);
             let out = engine.search_batch(&qs, 10, 48);
-            let got: Vec<Vec<(u64, f32)>> =
-                out.results.iter().map(|r| r.iter().map(|n| (n.id, n.dist)).collect()).collect();
-            assert_eq!(got, sequential, "threads = {threads}");
+            assert_eq!(pairs(&out.results), pairs(&sequential), "threads = {threads}");
             for r in &out.results {
                 for n in r {
                     assert!(n.id % 9 != 0, "tombstoned gid {} surfaced from a batch", n.id);
@@ -581,34 +376,10 @@ mod tests {
     }
 
     #[test]
-    fn segmented_hybrid_batch_agrees_across_strategies() {
-        let idx = small_segmented(600, 23);
-        let mut rng = StdRng::seed_from_u64(24);
-        let labels: Vec<i64> = (0..idx.next_global_id()).map(|_| rng.gen_range(0..4)).collect();
-        let attrs = AttrStore::builder().add_int("label", labels).build();
-        let field = attrs.field("label").unwrap();
-        let qs = queries(9, 8, 25);
-        let preds: Vec<Predicate> =
-            (0..qs.len()).map(|i| Predicate::Equals { field, value: (i % 4) as i64 }).collect();
-        let batch: Vec<(&[f32], &Predicate)> =
-            qs.iter().zip(&preds).map(|(q, p)| (q.as_slice(), p)).collect();
-
-        let engine = SegmentedQueryEngine::new(&idx).with_threads(2);
-        let a = engine.hybrid_search_batch_with(&batch, &attrs, 5, 32, PredicateStrategy::Adaptive);
-        let b =
-            engine.hybrid_search_batch_with(&batch, &attrs, 5, 32, PredicateStrategy::Interpreted);
-        let pairs = |out: &BatchOutput<crate::GlobalNeighbor>| -> Vec<Vec<(u64, f32)>> {
-            out.results.iter().map(|r| r.iter().map(|n| (n.id, n.dist)).collect()).collect()
-        };
-        assert_eq!(pairs(&a), pairs(&b), "strategies must answer identically through the engine");
-        assert!(a.stats.npred > 0);
-    }
-
-    #[test]
     fn workers_return_scratches_to_the_pool() {
-        let idx = small_index(400, 11);
+        let (idx, _) = static_index(400, 11);
         let qs = queries(16, 8, 12);
-        let engine = QueryEngine::new(&idx).with_threads(4);
+        let engine = SegmentedQueryEngine::new(&idx).with_threads(4);
         let _ = engine.search_batch(&qs, 5, 32);
         let idle_after_first = engine.pool().idle();
         assert!((1..=4).contains(&idle_after_first), "workers must return scratches");

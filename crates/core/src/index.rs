@@ -8,7 +8,7 @@ use acorn_hnsw::{
     CsrGraph, GraphView, LayeredGraph, LevelSampler, ScratchPool, SearchScratch, SearchStats,
     Sq8Store, VectorData, VectorStore,
 };
-use acorn_predicate::{AttrStore, MemoFilter, NodeFilter, Predicate};
+use acorn_predicate::{AttrStore, NodeFilter, Predicate};
 
 use crate::params::{AcornParams, AcornVariant};
 use crate::plan::{self, PlanSegment};
@@ -84,8 +84,7 @@ pub struct AcornIndex {
     quant: Option<QuantizedTier>,
     sampler: LevelSampler,
     scratch: SearchScratch,
-    /// Pool of query scratches backing [`search`](Self::search) and external
-    /// drivers ([`QueryEngine`](crate::engine::QueryEngine)).
+    /// Pool of query scratches backing [`search`](Self::search).
     pool: ScratchPool,
     /// Node labels for the metadata-aware pruning ablation (Figure 12).
     labels: Option<Vec<i64>>,
@@ -251,9 +250,8 @@ impl AcornIndex {
 
     /// Freeze the graph into its flat CSR form and cache it; all subsequent
     /// searches ([`search`](Self::search), [`search_filtered`](Self::search_filtered),
-    /// [`hybrid_search`](Self::hybrid_search), and every
-    /// [`QueryEngine`](crate::engine::QueryEngine) batch over this index)
-    /// serve from the compacted layout. Idempotent until the next
+    /// [`hybrid_search`](Self::hybrid_search)) serve from the compacted
+    /// layout. Idempotent until the next
     /// [`insert`](Self::insert), which invalidates the cache. Results are
     /// bit-identical across layouts.
     pub fn compact(&mut self) -> &CsrGraph {
@@ -711,29 +709,6 @@ impl AcornIndex {
         top.into_sorted()
     }
 
-    /// [`search_filtered`](Self::search_filtered) with the filter wrapped in
-    /// a per-query [`MemoFilter`] drawn from the scratch's recycled
-    /// [`MemoTable`](acorn_predicate::MemoTable): each row is evaluated
-    /// against `filter` **at most once**, however many overlapping one-/
-    /// two-hop lookups revisit it. Results are bit-identical to the
-    /// unmemoized call; `stats.npred_cached` absorbs the replayed checks.
-    pub fn search_filtered_memoized<F: NodeFilter>(
-        &self,
-        query: &[f32],
-        filter: &F,
-        k: usize,
-        efs: usize,
-        scratch: &mut SearchScratch,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        let memo = scratch.take_memo(self.graph.len());
-        let memoized = MemoFilter::new(filter, memo);
-        let out = self.search_filtered(query, &memoized, k, efs, scratch, stats);
-        stats.npred_cached += memoized.hits();
-        scratch.put_memo(memoized.into_memo());
-        out
-    }
-
     /// Full ACORN hybrid search with the cost-model routing of §5.2,
     /// decided by the query planner ([`crate::plan`]): a predicate that
     /// passes fewer than `s_min = 1/γ` of the rows is answered exactly by
@@ -805,8 +780,7 @@ impl AcornIndex {
     }
 
     /// The index's internal scratch pool. [`search`](Self::search) checks
-    /// scratches out of it; external drivers (e.g.
-    /// [`QueryEngine`](crate::engine::QueryEngine)) may share it too.
+    /// scratches out of it; external drivers may share it too.
     pub fn scratch_pool(&self) -> &ScratchPool {
         &self.pool
     }
@@ -1256,30 +1230,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn memoized_filtered_search_is_identical_and_caches() {
-        let n = 1500;
-        let vecs = random_store(n, 8, 40);
-        let idx = AcornIndex::build(vecs, small_params(8, 3), AcornVariant::Gamma);
-        let bits = Bitset::from_ids(n, (0..n as u32).filter(|i| i % 3 != 0));
-        let filter = BitmapFilter::new(bits);
-        let mut scratch = SearchScratch::new(n);
-        let q = vec![0.1; 8];
-
-        let mut plain_stats = SearchStats::default();
-        let plain = idx.search_filtered(&q, &filter, 10, 64, &mut scratch, &mut plain_stats);
-        let mut memo_stats = SearchStats::default();
-        let memoized =
-            idx.search_filtered_memoized(&q, &filter, 10, 64, &mut scratch, &mut memo_stats);
-
-        let pa: Vec<(u32, f32)> = plain.iter().map(|x| (x.id, x.dist)).collect();
-        let pb: Vec<(u32, f32)> = memoized.iter().map(|x| (x.id, x.dist)).collect();
-        assert_eq!(pa, pb, "memoization must not change results");
-        assert_eq!(plain_stats.npred, memo_stats.npred, "same checks requested");
-        assert!(memo_stats.npred_cached > 0, "revisits must hit the memo");
-        assert!(memo_stats.npred_evaluated() < plain_stats.npred_evaluated());
     }
 
     #[test]

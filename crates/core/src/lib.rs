@@ -30,7 +30,7 @@
 //!
 //! The crate also exposes the pruning-strategy ablation of the paper's
 //! Figure 12 ([`prune::PruneStrategy`]) and graph introspection for
-//! Table 6 / Figure 13, plus the batch-serving layer ([`QueryEngine`]):
+//! Table 6 / Figure 13, plus the batch-serving layer ([`SegmentedQueryEngine`]):
 //! concurrent, scratch-pooled execution of pure/filtered/hybrid query
 //! batches with deterministic output ordering and aggregated search stats.
 //!
@@ -58,7 +58,7 @@ pub mod serialize;
 pub mod snapshot;
 
 pub use durability::{DurabilityOptions, DurableIndex, FsyncPolicy};
-pub use engine::{BatchOutput, QueryEngine, SegmentedQueryEngine};
+pub use engine::{BatchOutput, SegmentedQueryEngine};
 pub use index::{AcornIndex, PredicateStrategy, MATERIALIZE_BELOW_SELECTIVITY};
 pub use params::{AcornParams, AcornVariant};
 pub use prune::PruneStrategy;

@@ -1241,8 +1241,8 @@ mod tests {
         assert_eq!(outcome.rows_kept, 300);
         assert_eq!(outcome.bytes_before, before);
         assert!(
-            outcome.bytes_after < outcome.bytes_before,
-            "merge must reclaim memory: {} -> {}",
+            outcome.bytes_after * 10 <= outcome.bytes_before * 9,
+            "dropping half the rows must reclaim at least a tenth of the memory: {} -> {}",
             outcome.bytes_before,
             outcome.bytes_after
         );

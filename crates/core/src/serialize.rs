@@ -20,58 +20,45 @@
 //! is stored once, in nested form, so a compacted index costs one extra
 //! byte on disk, not a second copy of the graph.
 //!
-//! ## Format v4 — segmented index
+//! ## Format v6 — segmented index
 //!
-//! [`SegmentedAcornIndex`] files share the magic but use version 4 and a
-//! different body: the shared parameter header, then the segment manifest —
-//! `dim`, `next_global`, the [`MergePolicy`], the frozen-segment count, and
-//! one block per segment (frozen segments first, the active segment last):
+//! [`SegmentedAcornIndex`] files share the magic but use version 6 (the
+//! only segmented version; 4 and 5 were footerless predecessors that no
+//! deployed file ever used and `load` refuses) and a different body: the
+//! shared parameter header, then the segment manifest — `dim`,
+//! `next_global`, the [`MergePolicy`], the [`QuantizationPolicy`]
+//! (`sq8_frozen u8 | rerank_k u64`), the frozen-segment count, and one
+//! block per segment (frozen segments first, the active segment last):
 //!
 //! ```text
-//! n u64 | global_ids [u64; n] | tombstone words [u64; ceil(n/64)]
+//! encoding u8 (0 = f32, 1 = sq8)
+//! | if sq8: rerank_k u64 | mins [f32; dim] | steps [f32; dim]
+//! | n u64 | global_ids [u64; n] | tombstone words [u64; ceil(n/64)]
 //! | vectors [f32; n · dim] | embedded v3 index blob
 //! ```
 //!
 //! Unlike v3, segment vectors are embedded: the segmented index owns its
 //! per-segment stores (rows arrive one at a time through `insert`), so a
 //! loaded index resumes serving **and accepting writes** with no external
-//! store to re-attach. Loading re-freezes each frozen segment's CSR via the
-//! embedded `compacted` flag and cross-checks every count in the manifest
-//! against the vector data and the embedded graph — a corrupt length fails
-//! with `InvalidData` instead of a giant allocation (the same guard
-//! philosophy as the v3 neighbor-list check).
+//! store to re-attach. Only the *codebook* of a quantized segment is
+//! persisted — codes are re-derived from the (always embedded) exact f32
+//! rows on load, which is deterministic and keeps quantization nearly free
+//! on disk. Loading re-freezes each frozen segment's CSR via the embedded
+//! `compacted` flag and cross-checks every count in the manifest against
+//! the vector data and the embedded graph — a corrupt length fails with
+//! `InvalidData` instead of a giant allocation (the same guard philosophy
+//! as the v3 neighbor-list check).
 //!
-//! ## Format v5 — quantized segments
-//!
-//! v5 extends v4 in two places. The top-level manifest carries the
-//! [`QuantizationPolicy`] right after the [`MergePolicy`] (`sq8_frozen u8 |
-//! rerank_k u64`), and every segment block now *leads* with an encoding tag:
-//!
-//! ```text
-//! encoding u8 (0 = f32, 1 = sq8)
-//! | if sq8: rerank_k u64 | mins [f32; dim] | steps [f32; dim]
-//! | n u64 | global_ids ... (the v4 block, unchanged)
-//! ```
-//!
-//! Only the *codebook* of a quantized segment is persisted — codes are
-//! re-derived from the (always embedded) exact f32 rows on load, which is
-//! deterministic and keeps quantization nearly free on disk. v4 files load
-//! unchanged (policy off, every segment f32); [`SegmentSnapshot::save_compat_v4`]
-//! writes a v4 file for older readers as long as nothing is quantized.
-//!
-//! ## Format v6 — checksummed snapshots
-//!
-//! v6 is the v5 body followed by a 4-byte footer: the CRC32 (IEEE) of every
+//! The body is followed by a 4-byte footer: the CRC32 (IEEE) of every
 //! preceding byte, magic and version included. [`SegmentedAcornIndex::load`]
 //! verifies the footer over the **whole file before parsing a single body
 //! field**, so no length read out of a torn or bit-rotted file is ever
 //! trusted — corruption anywhere yields a clean `InvalidData` error, never
-//! a panic or an attempted giant allocation. Legacy v4/v5 files still load
-//! through the streaming parser with its per-field structural guards (which
-//! also re-run on a v6 body after the checksum passes, as defense in
-//! depth); all three versions reject trailing bytes after the body. This
-//! footer is the commit unit of the [`durability`](crate::durability)
-//! layer: a crash mid-write leaves a file whose checksum cannot match.
+//! a panic or an attempted giant allocation. The per-field structural
+//! guards still run on the body after the checksum passes, as defense in
+//! depth, and trailing bytes after the body are rejected. This footer is
+//! the commit unit of the [`durability`](crate::durability) layer: a crash
+//! mid-write leaves a file whose checksum cannot match.
 //!
 //! [`CsrGraph`]: acorn_hnsw::CsrGraph
 
@@ -90,15 +77,10 @@ use crate::snapshot::SegmentSnapshot;
 
 const MAGIC: &[u8; 4] = b"ACRN";
 const VERSION: u32 = 3;
-/// Legacy segmented format: no quantization policy, untagged f32 segments.
-const SEGMENTED_V4: u32 = 4;
-/// Legacy segmented format: quantization policy + per-segment encoding
-/// tag, but no checksum footer.
-const SEGMENTED_V5: u32 = 5;
-/// Current segmented format: the v5 body followed by a CRC32 footer over
-/// every preceding byte, verified before any body field is parsed.
+/// The segmented format: the body followed by a CRC32 footer over every
+/// preceding byte, verified before any body field is parsed.
 const SEGMENTED_V6: u32 = 6;
-/// Per-segment encoding tags (v5).
+/// Per-segment encoding tags.
 const ENC_F32: u8 = 0;
 const ENC_SQ8: u8 = 1;
 /// Upper bound on a plausible vector dimensionality; a corrupt `dim` above
@@ -135,7 +117,7 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// The parameter header shared by v3 (per index) and v4 (top level and per
+/// The parameter header shared by v3 (per index) and v6 (top level and per
 /// embedded segment): variant tag, then every [`AcornParams`] field that
 /// round-trips.
 fn put_header(w: &mut impl Write, variant: AcornVariant, p: &AcornParams) -> io::Result<()> {
@@ -251,7 +233,7 @@ impl AcornIndex {
         }
         match get_u32(r)? {
             VERSION => {}
-            SEGMENTED_V4 | SEGMENTED_V5 | SEGMENTED_V6 => {
+            SEGMENTED_V6 => {
                 return Err(bad("this is a segmented index file; use SegmentedAcornIndex::load"))
             }
             _ => return Err(bad("unsupported ACORN index version")),
@@ -296,37 +278,27 @@ impl AcornIndex {
     }
 }
 
-/// One segment block: the v5 encoding tag (+ codebook when quantized), then
+/// One segment block: the encoding tag (+ codebook when quantized), then
 /// the manifest (row count, global ids, tombstones), vector data, and the
-/// embedded v3 index blob (self-delimiting). `tagged` is false when writing
-/// the legacy v4 layout, which has no tag byte and cannot carry a quantized
-/// segment.
+/// embedded v3 index blob (self-delimiting).
 fn put_segment(
     w: &mut impl Write,
     global_ids: &[u64],
     tombstones: &Bitset,
     index: &AcornIndex,
-    tagged: bool,
 ) -> io::Result<()> {
-    if tagged {
-        match index.quantized() {
-            Some(sq) => {
-                w.write_all(&[ENC_SQ8])?;
-                put_u64(w, index.rerank_k().unwrap_or(0) as u64)?;
-                for &m in sq.mins() {
-                    w.write_all(&m.to_le_bytes())?;
-                }
-                for &s in sq.steps() {
-                    w.write_all(&s.to_le_bytes())?;
-                }
+    match index.quantized() {
+        Some(sq) => {
+            w.write_all(&[ENC_SQ8])?;
+            put_u64(w, index.rerank_k().unwrap_or(0) as u64)?;
+            for &m in sq.mins() {
+                w.write_all(&m.to_le_bytes())?;
             }
-            None => w.write_all(&[ENC_F32])?,
+            for &s in sq.steps() {
+                w.write_all(&s.to_le_bytes())?;
+            }
         }
-    } else if index.quantized().is_some() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "quantized segments cannot be written in the v4 compatibility format",
-        ));
+        None => w.write_all(&[ENC_F32])?,
     }
     put_u64(w, global_ids.len() as u64)?;
     for &gid in global_ids {
@@ -355,36 +327,33 @@ fn get_segment(
     next_global: u64,
     expected_variant: AcornVariant,
     expected_params: &AcornParams,
-    tagged: bool,
 ) -> io::Result<RawSegment> {
-    // v5 blocks lead with the encoding tag (and, for SQ8, the codebook the
-    // codes are re-derived from); v4 blocks are always plain f32.
+    // Blocks lead with the encoding tag (and, for SQ8, the codebook the
+    // codes are re-derived from).
     let mut codebook: Option<(usize, Vec<f32>, Vec<f32>)> = None;
-    if tagged {
-        match get_u8(r)? {
-            ENC_F32 => {}
-            ENC_SQ8 => {
-                let rerank_k = get_u64(r)? as usize;
-                let mut read_f32s = |count: usize| -> io::Result<Vec<f32>> {
-                    let mut out = Vec::with_capacity(count);
-                    let mut b = [0u8; 4];
-                    for _ in 0..count {
-                        r.read_exact(&mut b)?;
-                        out.push(f32::from_le_bytes(b));
-                    }
-                    Ok(out)
-                };
-                let mins = read_f32s(dim)?;
-                let steps = read_f32s(dim)?;
-                if mins.iter().any(|m| !m.is_finite())
-                    || steps.iter().any(|s| !s.is_finite() || *s <= 0.0)
-                {
-                    return Err(bad("invalid SQ8 codebook in segment block"));
+    match get_u8(r)? {
+        ENC_F32 => {}
+        ENC_SQ8 => {
+            let rerank_k = get_u64(r)? as usize;
+            let mut read_f32s = |count: usize| -> io::Result<Vec<f32>> {
+                let mut out = Vec::with_capacity(count);
+                let mut b = [0u8; 4];
+                for _ in 0..count {
+                    r.read_exact(&mut b)?;
+                    out.push(f32::from_le_bytes(b));
                 }
-                codebook = Some((rerank_k, mins, steps));
+                Ok(out)
+            };
+            let mins = read_f32s(dim)?;
+            let steps = read_f32s(dim)?;
+            if mins.iter().any(|m| !m.is_finite())
+                || steps.iter().any(|s| !s.is_finite() || *s <= 0.0)
+            {
+                return Err(bad("invalid SQ8 codebook in segment block"));
             }
-            _ => return Err(bad("unknown segment encoding tag")),
+            codebook = Some((rerank_k, mins, steps));
         }
+        _ => return Err(bad("unknown segment encoding tag")),
     }
 
     let n = get_u64(r)? as usize;
@@ -442,46 +411,18 @@ fn get_segment(
 
 impl SegmentSnapshot {
     /// Serialize this snapshot — manifest, tombstones, vectors, and
-    /// per-segment graphs — to `w` (format v6: the v5 body plus a CRC32
-    /// footer over every byte written). A snapshot is immutable, so the
-    /// bytes are consistent *as of this epoch* no matter how many inserts,
-    /// deletes, or background merges land while the write is in flight;
-    /// saving the same snapshot twice yields identical bytes.
+    /// per-segment graphs — to `w` (format v6: the body plus a CRC32 footer
+    /// over every byte written). A snapshot is immutable, so the bytes are
+    /// consistent *as of this epoch* no matter how many inserts, deletes,
+    /// or background merges land while the write is in flight; saving the
+    /// same snapshot twice yields identical bytes.
     pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
-        self.save_version(w, SEGMENTED_V6)
-    }
-
-    /// Serialize this snapshot in the legacy v4 layout for older readers.
-    ///
-    /// # Errors
-    /// Returns `InvalidInput` when the snapshot cannot be represented in
-    /// v4 — the quantization policy is on, or any segment holds SQ8 codes.
-    pub fn save_compat_v4(&self, w: &mut impl Write) -> io::Result<()> {
-        if self.quantization().sq8_frozen {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "the SQ8 quantization policy cannot be represented in the v4 format",
-            ));
-        }
-        self.save_version(w, SEGMENTED_V4)
-    }
-
-    fn save_version(&self, w: &mut impl Write, version: u32) -> io::Result<()> {
-        if version == SEGMENTED_V6 {
-            // Stream the whole preamble + body through the checksummer,
-            // then append the sum as the (unhashed) 4-byte footer.
-            let mut cw = ChecksumWriter::new(w);
-            self.save_preamble_and_body(&mut cw, version)?;
-            let sum = cw.sum();
-            return put_u32(cw.inner_mut(), sum);
-        }
-        self.save_preamble_and_body(w, version)
-    }
-
-    fn save_preamble_and_body(&self, w: &mut impl Write, version: u32) -> io::Result<()> {
-        let tagged = version >= SEGMENTED_V5;
+        // Stream the whole preamble + body through the checksummer, then
+        // append the sum as the (unhashed) 4-byte footer.
+        let mut cw = ChecksumWriter::new(w);
+        let w = &mut cw;
         w.write_all(MAGIC)?;
-        put_u32(w, version)?;
+        put_u32(w, SEGMENTED_V6)?;
         put_header(w, self.variant(), self.params())?;
         put_u64(w, self.dim() as u64)?;
         put_u64(w, self.next_global_id())?;
@@ -489,35 +430,33 @@ impl SegmentSnapshot {
         put_u64(w, policy.min_rows as u64)?;
         w.write_all(&policy.max_tombstone_fraction.to_le_bytes())?;
         put_u64(w, policy.active_max_rows as u64)?;
-        if tagged {
-            let quant = self.quantization();
-            w.write_all(&[quant.sq8_frozen as u8])?;
-            put_u64(w, quant.rerank_k as u64)?;
-        }
+        let quant = self.quantization();
+        w.write_all(&[quant.sq8_frozen as u8])?;
+        put_u64(w, quant.rerank_k as u64)?;
         put_u64(w, self.frozen_segments().len() as u64)?;
         for seg in self.frozen_segments() {
-            put_segment(w, seg.global_ids(), seg.tombstones(), seg.index(), tagged)?;
+            put_segment(w, seg.global_ids(), seg.tombstones(), seg.index())?;
         }
         match self.active_segment() {
-            Some(seg) => put_segment(w, seg.global_ids(), seg.tombstones(), seg.index(), tagged),
+            Some(seg) => put_segment(w, seg.global_ids(), seg.tombstones(), seg.index())?,
             None => {
                 // No published active view (empty or just sealed): write the
                 // block an empty active segment would produce — zero rows,
                 // then a fresh empty index blob carrying the expected
                 // header — so the on-disk layout is invariant to whether the
                 // writer happened to have an unsealed row in flight.
-                if tagged {
-                    w.write_all(&[ENC_F32])?;
-                }
+                w.write_all(&[ENC_F32])?;
                 put_u64(w, 0)?;
                 AcornIndex::new(
                     Arc::new(VectorStore::new(self.dim())),
                     self.params().clone(),
                     self.variant(),
                 )
-                .save(w)
+                .save(w)?
             }
         }
+        let sum = cw.sum();
+        put_u32(cw.inner_mut(), sum)
     }
 }
 
@@ -531,17 +470,9 @@ impl SegmentedAcornIndex {
         self.snapshot().save(w)
     }
 
-    /// Serialize in the legacy v4 layout for older readers; errors with
-    /// `InvalidInput` when quantization is in play (see
-    /// [`SegmentSnapshot::save_compat_v4`]).
-    pub fn save_compat_v4(&self, w: &mut impl Write) -> io::Result<()> {
-        self.snapshot().save_compat_v4(w)
-    }
-
-    /// Load an index previously written by [`save`](Self::save) — the
-    /// current v6 format (whose CRC32 footer is verified over the whole
-    /// file **before** any body field is parsed) or the legacy v5/v4 ones
-    /// (v4 loads with the quantization policy off and every segment f32).
+    /// Load an index previously written by [`save`](Self::save): the CRC32
+    /// footer is verified over the whole file **before** any body field is
+    /// parsed.
     ///
     /// # Errors
     /// Returns `InvalidData` on magic/version mismatch, a checksum-footer
@@ -558,50 +489,42 @@ impl SegmentedAcornIndex {
         if &magic != MAGIC {
             return Err(bad("not an ACORN index file"));
         }
-        let version = get_u32(r)?;
-        match version {
-            SEGMENTED_V6 => {
-                // Checksum-first: slurp the rest of the stream (allocation
-                // bounded by bytes actually present, never by a parsed
-                // length), verify the footer over everything, and only then
-                // hand the body to the structural parser.
-                let mut rest = Vec::new();
-                r.read_to_end(&mut rest)?;
-                if rest.len() < 4 {
-                    return Err(bad("segmented index file too short for its checksum footer"));
-                }
-                let body_len = rest.len() - 4;
-                let footer =
-                    u32::from_le_bytes(rest[body_len..].try_into().expect("4 footer bytes"));
-                let mut crc = Crc32::new();
-                crc.update(MAGIC);
-                crc.update(&version.to_le_bytes());
-                crc.update(&rest[..body_len]);
-                if crc.finish() != footer {
-                    return Err(bad("segmented index checksum mismatch (torn or corrupt file)"));
-                }
-                let mut body = &rest[..body_len];
-                let idx = Self::load_body(&mut body, true)?;
-                if !body.is_empty() {
-                    return Err(bad("trailing bytes after segmented index body"));
-                }
-                Ok(idx)
+        match get_u32(r)? {
+            SEGMENTED_V6 => {}
+            VERSION => {
+                return Err(bad("this is a plain (non-segmented) index file; use AcornIndex::load"))
             }
-            SEGMENTED_V5 | SEGMENTED_V4 => {
-                let idx = Self::load_body(r, version == SEGMENTED_V5)?;
-                if r.read(&mut [0u8; 1])? != 0 {
-                    return Err(bad("trailing bytes after segmented index body"));
-                }
-                Ok(idx)
-            }
-            VERSION => Err(bad("this is a plain (non-segmented) index file; use AcornIndex::load")),
-            _ => Err(bad("unsupported ACORN index version")),
+            _ => return Err(bad("unsupported ACORN index version")),
         }
+        // Checksum-first: slurp the rest of the stream (allocation bounded
+        // by bytes actually present, never by a parsed length), verify the
+        // footer over everything, and only then hand the body to the
+        // structural parser.
+        let mut rest = Vec::new();
+        r.read_to_end(&mut rest)?;
+        if rest.len() < 4 {
+            return Err(bad("segmented index file too short for its checksum footer"));
+        }
+        let body_len = rest.len() - 4;
+        let footer = u32::from_le_bytes(rest[body_len..].try_into().expect("4 footer bytes"));
+        let mut crc = Crc32::new();
+        crc.update(MAGIC);
+        crc.update(&SEGMENTED_V6.to_le_bytes());
+        crc.update(&rest[..body_len]);
+        if crc.finish() != footer {
+            return Err(bad("segmented index checksum mismatch (torn or corrupt file)"));
+        }
+        let mut body = &rest[..body_len];
+        let idx = Self::load_body(&mut body)?;
+        if !body.is_empty() {
+            return Err(bad("trailing bytes after segmented index body"));
+        }
+        Ok(idx)
     }
 
-    /// The version-independent body parser (everything after magic +
-    /// version, footer excluded), with every count cross-checked.
-    fn load_body(r: &mut impl Read, tagged: bool) -> io::Result<SegmentedAcornIndex> {
+    /// The body parser (everything after magic + version, footer
+    /// excluded), with every count cross-checked.
+    fn load_body(r: &mut impl Read) -> io::Result<SegmentedAcornIndex> {
         let (variant, params) = get_header(r)?;
         // `AcornParams::validate` panics; a corrupt file must error instead.
         if params.m < 2
@@ -626,16 +549,12 @@ impl SegmentedAcornIndex {
         }
         let active_max_rows = get_u64(r)? as usize;
         let policy = MergePolicy { min_rows, max_tombstone_fraction, active_max_rows };
-        let quant = if tagged {
-            let sq8_frozen = match get_u8(r)? {
-                0 => false,
-                1 => true,
-                _ => return Err(bad("invalid quantization policy flag")),
-            };
-            QuantizationPolicy { sq8_frozen, rerank_k: get_u64(r)? as usize }
-        } else {
-            QuantizationPolicy::default()
+        let sq8_frozen = match get_u8(r)? {
+            0 => false,
+            1 => true,
+            _ => return Err(bad("invalid quantization policy flag")),
         };
+        let quant = QuantizationPolicy { sq8_frozen, rerank_k: get_u64(r)? as usize };
 
         // Every segment was built from the top-level configuration (with the
         // ACORN-1 override applied by `AcornIndex::new`); reconstruct that
@@ -648,7 +567,7 @@ impl SegmentedAcornIndex {
         let nseg = get_u64(r)? as usize;
         let mut frozen = Vec::new();
         for _ in 0..nseg {
-            let seg = get_segment(r, dim, next_global, variant, &expected_params, tagged)?;
+            let seg = get_segment(r, dim, next_global, variant, &expected_params)?;
             if seg.global_ids.is_empty() {
                 return Err(bad("frozen segments must not be empty"));
             }
@@ -657,7 +576,7 @@ impl SegmentedAcornIndex {
         if frozen.windows(2).any(|w| w[0].global_ids[0] >= w[1].global_ids[0]) {
             return Err(bad("frozen segments must be ascending by first global id"));
         }
-        let active = get_segment(r, dim, next_global, variant, &expected_params, tagged)?;
+        let active = get_segment(r, dim, next_global, variant, &expected_params)?;
         if active.index.quantized().is_some() {
             // Codebooks are only ever trained at seal time; a quantized
             // active segment could not absorb inserts.
@@ -847,23 +766,28 @@ mod tests {
         (idx, vecs)
     }
 
-    /// Bytes before the first frozen segment block of a v5 file: magic 4 +
-    /// version 4 + header 59 + dim 8 + next_global 8 + policy 24 + quant 9
-    /// + nseg 8.
+    /// Bytes before the first frozen segment block: magic 4 + version 4 +
+    /// header 59 + dim 8 + next_global 8 + policy 24 + quant 9 + nseg 8.
     const SEG_HEADER_BYTES: usize = 124;
     /// Offset of the fixture's first frozen segment's row count `n`: the
     /// block leads with its 1-byte encoding tag (f32 here, so no codebook).
     const SEG_N_OFF: usize = SEG_HEADER_BYTES + 1;
 
-    /// Serialize in the legacy (footerless) v5 layout. The structural-guard
-    /// tests poke specific byte offsets and must reach the streaming parser
-    /// directly — on a v6 file the checksum footer would (correctly) reject
-    /// the corruption first. The same guards re-run on v6 bodies after the
-    /// checksum passes.
-    fn save_v5(idx: &crate::SegmentedAcornIndex) -> Vec<u8> {
+    fn saved(idx: &crate::SegmentedAcornIndex) -> Vec<u8> {
         let mut buf = Vec::new();
-        idx.snapshot().save_version(&mut buf, SEGMENTED_V5).unwrap();
+        idx.save(&mut buf).unwrap();
         buf
+    }
+
+    /// Recompute the CRC32 footer of a file whose body a test has just
+    /// corrupted. The structural-guard tests poke specific byte offsets and
+    /// must reach the body parser — the stale footer would (correctly)
+    /// reject the corruption first — so each guard is shown to fire *after*
+    /// the checksum passes.
+    fn reseal(buf: &mut [u8]) {
+        let body_len = buf.len() - 4;
+        let sum = acorn_hnsw::checksum::crc32(&buf[..body_len]);
+        buf[body_len..].copy_from_slice(&sum.to_le_bytes());
     }
 
     #[test]
@@ -903,10 +827,11 @@ mod tests {
     #[test]
     fn segmented_load_rejects_corrupt_row_count_without_huge_alloc() {
         let (idx, _) = segmented_fixture();
-        let mut buf = save_v5(&idx);
+        let mut buf = saved(&idx);
         // First frozen segment's n: an absurd value must error (EOF while
         // reading the manifest), never attempt a proportional allocation.
         buf[SEG_N_OFF..SEG_N_OFF + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        reseal(&mut buf);
         let err = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap_err();
         assert!(
             err.kind() == std::io::ErrorKind::InvalidData
@@ -918,10 +843,11 @@ mod tests {
     #[test]
     fn segmented_load_rejects_unsorted_global_ids() {
         let (idx, _) = segmented_fixture();
-        let mut buf = save_v5(&idx);
+        let mut buf = saved(&idx);
         // First gid (value 0) -> 5: now >= the second gid (1).
         let off = SEG_N_OFF + 8;
         buf[off..off + 8].copy_from_slice(&5u64.to_le_bytes());
+        reseal(&mut buf);
         let err = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("strictly ascending"), "unexpected: {err}");
     }
@@ -929,11 +855,12 @@ mod tests {
     #[test]
     fn segmented_load_rejects_tombstone_bits_beyond_rows() {
         let (idx, _) = segmented_fixture();
-        let mut buf = save_v5(&idx);
+        let mut buf = saved(&idx);
         // Frozen segment: n = 100 -> 2 tombstone words, valid bits 0..36 of
         // the last word. Set bits 40..48.
         let words_off = SEG_N_OFF + 8 + 100 * 8;
         buf[words_off + 8 + 5] = 0xFF;
+        reseal(&mut buf);
         let err = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("beyond the segment's row count"), "unexpected: {err}");
     }
@@ -941,12 +868,13 @@ mod tests {
     #[test]
     fn segmented_load_rejects_cross_segment_duplicate_global_ids() {
         let (idx, _) = segmented_fixture();
-        let mut buf = save_v5(&idx);
+        let mut buf = saved(&idx);
         // Frozen segment: gids 0..100. Rewrite the last one (99 -> 149):
         // still strictly ascending within the segment and < next_global
         // (160), but 149 is also owned by the active segment (100..160).
         let off = SEG_N_OFF + 8 + 99 * 8;
         buf[off..off + 8].copy_from_slice(&149u64.to_le_bytes());
+        reseal(&mut buf);
         let err = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("more than one segment"), "unexpected: {err}");
     }
@@ -954,7 +882,7 @@ mod tests {
     #[test]
     fn segmented_load_rejects_overlapping_segment_ranges() {
         let (idx, _) = segmented_fixture();
-        let mut buf = save_v5(&idx);
+        let mut buf = saved(&idx);
         // Raise next_global (160 -> 200, at magic 4 + version 4 + header 59
         // + dim 8 = offset 75), then rewrite the frozen segment's last gid
         // (99 -> 170): every per-id check passes (ascending within the
@@ -963,6 +891,7 @@ mod tests {
         buf[75..83].copy_from_slice(&200u64.to_le_bytes());
         let off = SEG_N_OFF + 8 + 99 * 8;
         buf[off..off + 8].copy_from_slice(&170u64.to_le_bytes());
+        reseal(&mut buf);
         let err = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("ranges overlap"), "unexpected: {err}");
     }
@@ -970,7 +899,7 @@ mod tests {
     #[test]
     fn segmented_load_rejects_mismatched_embedded_header() {
         let (idx, _) = segmented_fixture();
-        let mut buf = save_v5(&idx);
+        let mut buf = saved(&idx);
         // The frozen segment's embedded v3 blob starts after its manifest
         // (n = 100, dim = 8): 8 + 800 gid bytes + 16 tombstone bytes +
         // 3200 vector bytes. Its metric byte sits 8 (magic + version) + 1
@@ -979,6 +908,7 @@ mod tests {
         let metric = blob + 8 + 1 + 32;
         assert_eq!(buf[metric], 0, "expected the L2 metric tag at the computed offset");
         buf[metric] = 1;
+        reseal(&mut buf);
         let err = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap_err();
         assert!(
             err.to_string().contains("disagrees with the segmented index header"),
@@ -1062,43 +992,22 @@ mod tests {
     }
 
     #[test]
-    fn v4_compat_file_roundtrips_and_quantized_refuses_downgrade() {
-        let (idx, _) = segmented_fixture();
-        let mut v4 = Vec::new();
-        idx.save_compat_v4(&mut v4).unwrap();
-        // The v4 body is 9 header bytes + one tag byte per segment smaller,
-        // and carries no 4-byte checksum footer.
-        let mut v6 = Vec::new();
-        idx.save(&mut v6).unwrap();
-        assert_eq!(v4.len() + 9 + 2 + 4, v6.len());
-
-        let loaded = crate::SegmentedAcornIndex::load(&mut v4.as_slice()).unwrap();
-        assert_eq!(loaded.quantization(), QuantizationPolicy::default());
-        assert!(!loaded.quantization().sq8_frozen, "v4 files load with quantization off");
-        let q = vec![0.2; 8];
-        let a: Vec<(u64, f32)> = idx.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
-        let b: Vec<(u64, f32)> = loaded.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
-        assert_eq!(a, b, "v4-loaded index must answer identically");
-
-        let err = quantized_fixture().save_compat_v4(&mut Vec::new()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    }
-
-    #[test]
     fn load_rejects_corrupt_codebook_and_unknown_encoding_tag() {
         let idx = quantized_fixture();
-        let buf = save_v5(&idx);
+        let buf = saved(&idx);
 
         // The frozen block leads with tag 1 | rerank_k u64 | mins [f32; 8]:
         // poison the first step (offset tag 1 + 8 + 32) with 0.0.
         let mut bad_steps = buf.clone();
         let step0 = SEG_HEADER_BYTES + 1 + 8 + 32;
         bad_steps[step0..step0 + 4].copy_from_slice(&0f32.to_le_bytes());
+        reseal(&mut bad_steps);
         let err = crate::SegmentedAcornIndex::load(&mut bad_steps.as_slice()).unwrap_err();
         assert!(err.to_string().contains("codebook"), "unexpected: {err}");
 
         let mut bad_tag = buf;
         bad_tag[SEG_HEADER_BYTES] = 7;
+        reseal(&mut bad_tag);
         let err = crate::SegmentedAcornIndex::load(&mut bad_tag.as_slice()).unwrap_err();
         assert!(err.to_string().contains("encoding tag"), "unexpected: {err}");
     }
@@ -1151,8 +1060,8 @@ mod tests {
         let (idx, _) = segmented_fixture();
         let mut buf = Vec::new();
         idx.save(&mut buf).unwrap();
-        // The same corrupt row count that the structural guard catches on
-        // v5 must now be rejected by the checksum, i.e. before parsing.
+        // The same corrupt row count that the structural guard catches once
+        // re-sealed is rejected by the stale checksum, i.e. before parsing.
         buf[SEG_N_OFF..SEG_N_OFF + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let err = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -1160,30 +1069,37 @@ mod tests {
     }
 
     #[test]
-    fn v5_legacy_files_still_load_and_answer_identically() {
+    fn retired_segmented_versions_are_unsupported() {
         let (idx, _) = segmented_fixture();
-        let buf = save_v5(&idx);
-        let loaded = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap();
-        let q = vec![0.2; 8];
-        let a: Vec<(u64, f32)> = idx.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
-        let b: Vec<(u64, f32)> = loaded.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
-        assert_eq!(a, b, "v5-loaded index must answer identically");
+        for version in [4u32, 5] {
+            let mut buf = saved(&idx);
+            buf[4..8].copy_from_slice(&version.to_le_bytes());
+            reseal(&mut buf);
+            let err = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap_err();
+            assert!(err.to_string().contains("unsupported ACORN index version"), "{err}");
+            let store = random_store(1, 8, 1);
+            let err = AcornIndex::load(&mut buf.as_slice(), store).unwrap_err();
+            assert!(err.to_string().contains("unsupported ACORN index version"), "{err}");
+        }
     }
 
     #[test]
     fn trailing_bytes_after_the_body_are_rejected_in_every_version() {
         let (idx, _) = segmented_fixture();
-        // v5: the streaming parser must notice it did not consume the file.
-        let mut v5 = save_v5(&idx);
-        v5.push(0);
-        let err = crate::SegmentedAcornIndex::load(&mut v5.as_slice()).unwrap_err();
+        // Appended garbage lands inside the checksummed region's tail, so
+        // the footer no longer matches ...
+        let mut buf = saved(&idx);
+        buf.push(0);
+        let err = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("checksum"), "unexpected: {err}");
+        // ... and sealed under a matching footer, the body parser must
+        // notice it did not consume the file.
+        let mut buf = saved(&idx);
+        let footer = buf.len() - 4;
+        buf.insert(footer, 0);
+        reseal(&mut buf);
+        let err = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("trailing"), "unexpected: {err}");
-        // v6: appended garbage lands inside the checksummed region's tail,
-        // so the footer no longer matches.
-        let mut v6 = Vec::new();
-        idx.save(&mut v6).unwrap();
-        v6.push(0);
-        assert!(crate::SegmentedAcornIndex::load(&mut v6.as_slice()).is_err());
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! with the same vector dimensionality, attribute schema, predicate
 //! operators, selectivity distribution, and — crucially — *predicate
 //! clustering*, the property that makes query-correlation workloads
-//! meaningful (§3.2.1). DESIGN.md §4 documents each substitution.
+//! meaningful (§3.2.1). Each builder's rustdoc in [`datasets`] documents
+//! its substitution.
 //!
 //! * [`synth`] — Gaussian-mixture and uniform vector generators.
 //! * [`captions`] — synthetic caption text for regex predicates.

@@ -4,7 +4,7 @@
 //! cluster structure and intrinsic dimensionality — not on where the
 //! embeddings came from. A Gaussian mixture with tens of clusters reproduces
 //! the clustered embedding spaces of SIFT/CLIP/DPR well enough for the
-//! relative comparisons the paper's evaluation makes (DESIGN.md §4).
+//! relative comparisons the paper's evaluation makes.
 
 use acorn_hnsw::VectorStore;
 use rand::rngs::StdRng;

@@ -216,7 +216,7 @@ impl<R> ShardedRun<R> {
 
 /// The one shard/repeat/measure driver behind every batch executor in the
 /// workspace (the `acorn-eval` QPS harness and the `acorn-core`
-/// `QueryEngine`): split `nq` items into contiguous chunks across
+/// `SegmentedQueryEngine`): split `nq` items into contiguous chunks across
 /// `std::thread::scope` workers (`threads = 0` uses all cores; the worker
 /// count never exceeds `nq`), give each worker one pooled scratch prepared
 /// for `capacity` ids, execute every item `repeats` times (results kept

@@ -1,8 +1,8 @@
 //! The compiled predicate engine: vectorized 64-row block evaluation.
 //!
-//! `BENCH_hybrid.json` showed the hybrid query path is predicate-bound —
-//! tens of thousands of `Predicate::eval` AST walks per query against only
-//! hundreds of distance computations. ACORN's cost model (§6.3.2) *assumes*
+//! The hybrid query path is predicate-bound — tens of thousands of
+//! `Predicate::eval` AST walks per query against only hundreds of distance
+//! computations when evaluated naively. ACORN's cost model (§6.3.2) *assumes*
 //! the predicate check is a cheap constant-time operation; this module makes
 //! that true by lowering the [`Predicate`] AST once per query into a flat
 //! [`CompiledPredicate`] program:

@@ -9,8 +9,7 @@
 //! sampling-based selectivity estimator.
 //!
 //! Regex matching is served by a from-scratch Thompson-NFA engine in
-//! [`regex`] (the offline-dependency policy rules out the `regex` crate; see
-//! DESIGN.md §4).
+//! [`regex`] (the offline-dependency policy rules out the `regex` crate).
 //!
 //! The hot-path contract consumed by the indices is the [`NodeFilter`] trait:
 //! "does dataset row `id` pass this query's predicate?". Implementations

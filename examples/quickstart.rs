@@ -64,13 +64,21 @@ fn main() {
         acorn_gamma.hybrid_search(&query, &selective, &dataset.attrs, 10, 64, &mut scratch);
     println!("\ncompound predicate routed via fallback = {}", stats.fallback);
 
-    // 5. Serving at scale: the QueryEngine shards a query batch across
-    //    worker threads, reusing pooled scratch space, with output order
-    //    (and results) identical to a sequential loop.
+    // 5. Serving at scale: bulk-load the corpus as one frozen segment of an
+    //    updatable index (row i gets global id i; it keeps accepting inserts
+    //    and deletes), then let the SegmentedQueryEngine shard a query batch
+    //    across worker threads, reusing pooled scratch space, with output
+    //    order (and results) identical to a sequential loop.
+    let mut serving = SegmentedAcornIndex::new(
+        dataset.vectors.dim(),
+        acorn_gamma.params().clone(),
+        AcornVariant::Gamma,
+    );
+    serving.bulk_load((*dataset.vectors).clone());
     let queries: Vec<Vec<f32>> = (0..64u32).map(|i| dataset.vectors.get(i * 7).to_vec()).collect();
     let batch: Vec<(&[f32], &Predicate)> =
         queries.iter().map(|q| (q.as_slice(), &predicate)).collect();
-    let engine = QueryEngine::new(&acorn_gamma).with_threads(0); // 0 = all cores
+    let engine = SegmentedQueryEngine::new(&serving).with_threads(0); // 0 = all cores
     let out = engine.hybrid_search_batch(&batch, &dataset.attrs, 10, 64);
     println!(
         "\nbatch of {} hybrid queries: {:.0} QPS, {} total distance computations, {:.1?} wall",

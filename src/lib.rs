@@ -9,10 +9,12 @@
 //! This facade crate re-exports the full workspace:
 //!
 //! * [`core`] — the ACORN-γ and ACORN-1 indices (the paper's contribution),
-//!   the [`QueryEngine`](core::engine::QueryEngine) batch-serving layer
-//!   (concurrent, scratch-pooled query execution), and the
-//!   [`SegmentedAcornIndex`](core::segment::SegmentedAcornIndex) updatable
-//!   index (tombstoned deletes, frozen CSR segments, merge compaction).
+//!   the [`SegmentedAcornIndex`](core::segment::SegmentedAcornIndex)
+//!   updatable index (tombstoned deletes, frozen CSR segments, merge
+//!   compaction), and the
+//!   [`SegmentedQueryEngine`](core::engine::SegmentedQueryEngine)
+//!   batch-serving layer over it (concurrent, scratch-pooled query
+//!   execution).
 //! * [`hnsw`] — the HNSW substrate (vector store, layered graph, Algorithm 1).
 //! * [`predicate`] — attributes, predicates (`equals`/`between`/`contains`/
 //!   regex), filters, and selectivity estimation.
@@ -47,13 +49,19 @@
 //! }
 //! assert!(stats.ndis > 0);
 //!
-//! // 4. Batch serving: shard a query batch across worker threads with
-//! //    pooled scratch space and deterministic output ordering.
-//! let engine = QueryEngine::new(&index).with_threads(2);
+//! // 4. Batch serving: bulk-load the corpus as one frozen segment of an
+//! //    updatable index (row i gets global id i) and shard a query batch
+//! //    across worker threads with pooled scratch space and deterministic
+//! //    output ordering.
+//! let mut serving =
+//!     SegmentedAcornIndex::new(dataset.vectors.dim(), index.params().clone(), AcornVariant::Gamma);
+//! serving.bulk_load((*dataset.vectors).clone());
+//! let engine = SegmentedQueryEngine::new(&serving).with_threads(2);
 //! let batch: Vec<(&[f32], &Predicate)> =
 //!     (0..4).map(|i| (dataset.vectors.get(i), &predicate)).collect();
 //! let out = engine.hybrid_search_batch(&batch, &dataset.attrs, 10, 64);
 //! assert_eq!(out.results.len(), 4);
+//! assert_eq!(out.results[0][0].id, hits[0].id as u64);
 //! ```
 
 pub use acorn_baselines as baselines;
@@ -68,8 +76,7 @@ pub mod prelude {
     pub use acorn_core::{
         AcornIndex, AcornParams, AcornVariant, BatchOutput, DurabilityOptions, DurableIndex,
         FsyncPolicy, GlobalNeighbor, IndexReader, MergeOutcome, MergePolicy, PredicateStrategy,
-        PruneStrategy, QueryEngine, SegmentSnapshot, SegmentView, SegmentedAcornIndex,
-        SegmentedQueryEngine,
+        PruneStrategy, SegmentSnapshot, SegmentView, SegmentedAcornIndex, SegmentedQueryEngine,
     };
     pub use acorn_hnsw::{
         CsrGraph, GraphView, HnswIndex, HnswParams, Metric, Neighbor, ScratchPool, SearchScratch,

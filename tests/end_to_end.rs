@@ -167,28 +167,67 @@ fn hybrid_fallback_is_equivalent_to_explicit_prefilter_scan() {
 fn query_engine_batch_matches_per_query_calls_end_to_end() {
     let ds = sift_like(2500, 23);
     let w = equality_workload(&ds, 12, 24);
-    let idx = AcornIndex::build(ds.vectors.clone(), paper_params(), AcornVariant::Gamma);
-
-    let mut scratch = SearchScratch::new(ds.len());
-    let sequential: Vec<Vec<u32>> = w
-        .queries
-        .iter()
-        .map(|q| {
-            let (hits, _) =
-                idx.hybrid_search(&q.vector, &q.predicate, &ds.attrs, 10, 64, &mut scratch);
-            hits.iter().map(|n| n.id).collect()
-        })
-        .collect();
-
     let batch: Vec<(&[f32], &Predicate)> =
         w.queries.iter().map(|q| (q.vector.as_slice(), &q.predicate)).collect();
-    for threads in [1, 2, 4] {
-        let engine = QueryEngine::new(&idx).with_threads(threads);
-        let out = engine.hybrid_search_batch(&batch, &ds.attrs, 10, 64);
-        let got: Vec<Vec<u32>> =
-            out.results.iter().map(|r| r.iter().map(|n| n.id).collect()).collect();
-        assert_eq!(got, sequential, "engine batch diverged at {threads} threads");
+    let pairs = |results: &[Vec<GlobalNeighbor>]| -> Vec<Vec<(u64, f32)>> {
+        results.iter().map(|r| r.iter().map(|n| (n.id, n.dist)).collect()).collect()
+    };
+
+    // (a) The static corpus served as one bulk-loaded frozen segment, where
+    // local row id == global id ...
+    let mut one_segment =
+        SegmentedAcornIndex::new(ds.vectors.dim(), paper_params(), AcornVariant::Gamma);
+    one_segment.bulk_load((*ds.vectors).clone());
+    // ... and (b) the same rows trickled in across three segments, with
+    // every 7th row deleted.
+    let mut churned =
+        SegmentedAcornIndex::new(ds.vectors.dim(), paper_params(), AcornVariant::Gamma);
+    for i in 0..ds.len() {
+        churned.insert(ds.vectors.get(i as u32));
+        if i == 900 || i == 1800 {
+            churned.freeze();
+        }
     }
+    for gid in (0..ds.len() as u64).step_by(7) {
+        churned.delete(gid);
+    }
+
+    // Whatever the shape, a batch answers like a per-query loop over the
+    // same pinned snapshot, at every thread count.
+    let mut scratch = SearchScratch::new(ds.len());
+    let mut check = |idx: &SegmentedAcornIndex| {
+        let snap = idx.snapshot();
+        let sequential: Vec<Vec<GlobalNeighbor>> = batch
+            .iter()
+            .map(|(q, p)| snap.hybrid_search(q, p, &ds.attrs, 10, 64, &mut scratch).0)
+            .collect();
+        for threads in [1, 2, 4] {
+            let engine = SegmentedQueryEngine::new(idx).with_threads(threads);
+            let out = engine.hybrid_search_batch(&batch, &ds.attrs, 10, 64);
+            assert_eq!(
+                pairs(&out.results),
+                pairs(&sequential),
+                "engine batch diverged at {threads} threads"
+            );
+        }
+        pairs(&sequential)
+    };
+    let static_answers = check(&one_segment);
+    let churned_answers = check(&churned);
+    for (gid, _) in churned_answers.iter().flatten() {
+        assert!(gid % 7 != 0, "deleted gid {gid} surfaced");
+    }
+
+    // The monolithic index over the same store answers like (a).
+    let mono = AcornIndex::build(ds.vectors.clone(), paper_params(), AcornVariant::Gamma);
+    let want: Vec<Vec<(u64, f32)>> = batch
+        .iter()
+        .map(|(q, p)| {
+            let (hits, _) = mono.hybrid_search(q, p, &ds.attrs, 10, 64, &mut scratch);
+            hits.iter().map(|n| (n.id as u64, n.dist)).collect()
+        })
+        .collect();
+    assert_eq!(static_answers, want);
 }
 
 #[test]

@@ -1,13 +1,17 @@
-//! Property tests for the [`QueryEngine`] batch layer: whatever the thread
-//! count, batched execution must be indistinguishable from a sequential
-//! loop over the same index.
+//! Property tests for the [`SegmentedQueryEngine`] batch layer: whatever
+//! the thread count, batched execution must be indistinguishable from a
+//! per-query loop over the same pinned snapshot. Every property runs over
+//! (a) a static corpus `bulk_load`ed as one frozen segment — where local
+//! row id == global id, so the answers are additionally held to a
+//! monolithic [`AcornIndex`] built over the same store — and (b) a
+//! multi-segment index with tombstones.
 
 use std::sync::Arc;
 
 use acorn::prelude::*;
 use proptest::prelude::*;
 
-fn store(n: usize, dim: usize, seed: u64) -> Arc<VectorStore> {
+fn store(n: usize, dim: usize, seed: u64) -> VectorStore {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed);
@@ -16,7 +20,7 @@ fn store(n: usize, dim: usize, seed: u64) -> Arc<VectorStore> {
         let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
         s.push(&v);
     }
-    Arc::new(s)
+    s
 }
 
 fn query_set(nq: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -26,11 +30,39 @@ fn query_set(nq: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
     (0..nq).map(|_| (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect()
 }
 
+/// (a): the whole store as one directly-frozen segment.
+fn one_segment(vecs: &VectorStore, params: &AcornParams) -> SegmentedAcornIndex {
+    let mut idx = SegmentedAcornIndex::new(vecs.dim(), params.clone(), AcornVariant::Gamma);
+    idx.bulk_load(vecs.clone());
+    idx
+}
+
+/// (b): the same rows inserted one at a time across two frozen segments
+/// and a non-empty active one, with every 7th gid tombstoned.
+fn churned(vecs: &VectorStore, params: &AcornParams) -> SegmentedAcornIndex {
+    let mut idx = SegmentedAcornIndex::new(vecs.dim(), params.clone(), AcornVariant::Gamma);
+    let n = vecs.len();
+    for i in 0..n {
+        idx.insert(vecs.get(i as u32));
+        if i == n / 3 || i == 2 * n / 3 {
+            idx.freeze();
+        }
+    }
+    for gid in (0..n as u64).step_by(7) {
+        idx.delete(gid);
+    }
+    idx
+}
+
+fn pairs(results: &[Vec<GlobalNeighbor>]) -> Vec<Vec<(u64, f32)>> {
+    results.iter().map(|r| r.iter().map(|nb| (nb.id, nb.dist)).collect()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// `search_batch` over 1, 2, and 4 threads returns results bit-identical
-    /// (ids *and* distances) to a sequential loop over `search_filtered`.
+    /// (ids *and* distances) to a sequential loop at the same epoch.
     #[test]
     fn search_batch_matches_sequential_for_any_thread_count(
         n in 60usize..300,
@@ -44,34 +76,41 @@ proptest! {
             m: 8, gamma: 3, m_beta: 8, ef_construction: 24, seed,
             ..Default::default()
         };
-        let idx = AcornIndex::build(vecs, params, AcornVariant::Gamma);
         let qs = query_set(nq, 6, seed);
 
+        let mono = AcornIndex::build(Arc::new(vecs.clone()), params.clone(), AcornVariant::Gamma);
         let mut scratch = SearchScratch::new(n);
-        let sequential: Vec<Vec<(u32, f32)>> = qs
+        let mono_answers: Vec<Vec<(u64, f32)>> = qs
             .iter()
             .map(|q| {
                 let mut stats = SearchStats::default();
-                idx.search_filtered(q, &AllPass, k, efs, &mut scratch, &mut stats)
+                mono.search_filtered(q, &AllPass, k, efs, &mut scratch, &mut stats)
                     .iter()
-                    .map(|nb| (nb.id, nb.dist))
+                    .map(|nb| (nb.id as u64, nb.dist))
                     .collect()
             })
             .collect();
 
-        for threads in [1usize, 2, 4] {
-            let engine = QueryEngine::new(&idx).with_threads(threads);
-            let out = engine.search_batch(&qs, k, efs);
-            prop_assert_eq!(out.results.len(), nq);
-            let got: Vec<Vec<(u32, f32)>> = out
-                .results
-                .iter()
-                .map(|r| r.iter().map(|nb| (nb.id, nb.dist)).collect())
-                .collect();
-            prop_assert_eq!(
-                &got, &sequential,
-                "batch results diverged from the sequential loop at {} threads", threads
-            );
+        for (shape, idx, mono_answers) in [
+            ("one segment", one_segment(&vecs, &params), Some(&mono_answers)),
+            ("churned", churned(&vecs, &params), None),
+        ] {
+            let snap = idx.snapshot();
+            let mut stats = SearchStats::default();
+            let sequential: Vec<Vec<GlobalNeighbor>> =
+                qs.iter().map(|q| snap.search_with(q, k, efs, &mut scratch, &mut stats)).collect();
+            if let Some(want) = mono_answers {
+                prop_assert_eq!(&pairs(&sequential), want);
+            }
+            for threads in [1usize, 2, 4] {
+                let engine = SegmentedQueryEngine::new(&idx).with_threads(threads);
+                let out = engine.search_batch(&qs, k, efs);
+                prop_assert_eq!(
+                    pairs(&out.results), pairs(&sequential),
+                    "{}: batch diverged from the sequential loop at {} threads", shape, threads
+                );
+                prop_assert_eq!(out.stats, stats, "{}: aggregated stats", shape);
+            }
         }
     }
 
@@ -95,7 +134,6 @@ proptest! {
             m: 8, gamma: 4, m_beta: 8, ef_construction: 24, seed,
             ..Default::default()
         };
-        let idx = AcornIndex::build(vecs, params, AcornVariant::Gamma);
 
         let qs = query_set(nq, 6, seed);
         let preds: Vec<Predicate> = (0..nq)
@@ -104,20 +142,43 @@ proptest! {
         let batch: Vec<(&[f32], &Predicate)> =
             qs.iter().zip(&preds).map(|(q, p)| (q.as_slice(), p)).collect();
 
-        let reference = QueryEngine::new(&idx)
-            .with_threads(1)
-            .hybrid_search_batch(&batch, &attrs, 5, 24);
-        for threads in [2usize, 4] {
-            let engine = QueryEngine::new(&idx).with_threads(threads);
-            let out = engine.hybrid_search_batch(&batch, &attrs, 5, 24);
-            let a: Vec<Vec<u32>> = reference
-                .results.iter().map(|r| r.iter().map(|nb| nb.id).collect()).collect();
-            let b: Vec<Vec<u32>> =
-                out.results.iter().map(|r| r.iter().map(|nb| nb.id).collect()).collect();
-            prop_assert_eq!(a, b, "hybrid batch diverged at {} threads", threads);
-            prop_assert_eq!(out.stats.ndis, reference.stats.ndis,
-                "aggregated ndis must not depend on sharding");
-            prop_assert_eq!(out.stats.npred, reference.stats.npred);
+        let mono = AcornIndex::build(Arc::new(vecs.clone()), params.clone(), AcornVariant::Gamma);
+        let mut scratch = SearchScratch::new(n);
+        let mono_answers: Vec<Vec<(u64, f32)>> = batch
+            .iter()
+            .map(|(q, p)| {
+                let (hits, _) = mono.hybrid_search(q, p, &attrs, 5, 24, &mut scratch);
+                hits.iter().map(|nb| (nb.id as u64, nb.dist)).collect()
+            })
+            .collect();
+
+        for (shape, idx, mono_answers) in [
+            ("one segment", one_segment(&vecs, &params), Some(&mono_answers)),
+            ("churned", churned(&vecs, &params), None),
+        ] {
+            let snap = idx.snapshot();
+            let mut stats = SearchStats::default();
+            let sequential: Vec<Vec<GlobalNeighbor>> = batch
+                .iter()
+                .map(|(q, p)| {
+                    let (hits, st) = snap.hybrid_search(q, p, &attrs, 5, 24, &mut scratch);
+                    stats.merge(&st);
+                    hits
+                })
+                .collect();
+            if let Some(want) = mono_answers {
+                prop_assert_eq!(&pairs(&sequential), want);
+            }
+            for threads in [1usize, 2, 4] {
+                let engine = SegmentedQueryEngine::new(&idx).with_threads(threads);
+                let out = engine.hybrid_search_batch(&batch, &attrs, 5, 24);
+                prop_assert_eq!(
+                    pairs(&out.results), pairs(&sequential),
+                    "{}: hybrid batch diverged at {} threads", shape, threads
+                );
+                prop_assert_eq!(out.stats, stats,
+                    "{}: aggregated stats must not depend on sharding", shape);
+            }
         }
     }
 }
