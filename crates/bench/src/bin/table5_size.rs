@@ -6,7 +6,7 @@
 //! and ACORN-γ; the flat index is the floor.
 //!
 //! The extra "ACORN-gamma CSR" column reports the same ACORN-γ graph after
-//! `compact()`: one flat offsets/targets arena per level instead of nested
+//! `seal(..)`: one flat offsets/targets arena per level instead of nested
 //! `Vec`s, which removes the per-list headers and allocator slack that
 //! inflate the build-time layout. The "CSR+SQ8" column swaps the f32 rows
 //! for the quantized traversal tier (codes + codebook + norms) — what a
@@ -18,7 +18,7 @@ use acorn_baselines::stitched_vamana::StitchedParams;
 use acorn_baselines::vamana::VamanaParams;
 use acorn_baselines::{FilteredVamana, StitchedVamana};
 use acorn_bench::{bench_n, results_dir};
-use acorn_core::{AcornIndex, AcornParams, AcornVariant};
+use acorn_core::{AcornIndex, AcornParams, AcornVariant, Sq8Tier};
 use acorn_data::datasets::{laion_like, paper_like, sift_like, tripclick_like, HybridDataset};
 use acorn_eval::Table;
 use acorn_hnsw::{HnswIndex, HnswParams};
@@ -34,10 +34,12 @@ fn run(ds: &HybridDataset, t: &mut Table) {
     let hnsw_params = HnswParams { m: 32, ef_construction: 40, ..Default::default() };
 
     eprintln!("[{}] building indices...", ds.name);
-    let mut acorn_g =
-        AcornIndex::build(ds.vectors.clone(), acorn_params.clone(), AcornVariant::Gamma);
-    let acorn_g_csr_bytes = acorn_g.compact().memory_bytes();
-    let sq8_bytes = acorn_g.quantize(32).memory_bytes();
+    let acorn_g = AcornIndex::build(ds.vectors.clone(), acorn_params.clone(), AcornVariant::Gamma);
+    // A sealed index holds the CSR alone: read the nested bytes first.
+    let acorn_g_bytes = acorn_g.memory_bytes();
+    let acorn_g = acorn_g.seal(Some(Sq8Tier::Train { rerank_k: 32 }));
+    let acorn_g_csr_bytes = acorn_g.memory_bytes();
+    let sq8_bytes = acorn_g.quantized().expect("sealed with a tier").memory_bytes();
     let acorn_1 = AcornIndex::build(ds.vectors.clone(), acorn_params, AcornVariant::One);
     let hnsw = HnswIndex::build(ds.vectors.clone(), hnsw_params);
 
@@ -60,7 +62,7 @@ fn run(ds: &HybridDataset, t: &mut Table) {
 
     t.row(vec![
         ds.name.clone(),
-        mb(vec_bytes + acorn_g.memory_bytes()),
+        mb(vec_bytes + acorn_g_bytes),
         mb(vec_bytes + acorn_g_csr_bytes),
         mb(sq8_bytes + acorn_g_csr_bytes),
         mb(vec_bytes + acorn_1.memory_bytes()),

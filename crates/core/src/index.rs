@@ -1,5 +1,10 @@
 //! The ACORN index: predicate-agnostic construction (§5.2) and hybrid
 //! search (§5.1) with the selectivity-based pre-filter fallback.
+//!
+//! An [`AcornIndex`] holds one graph at a time. It is *growing* — a nested
+//! [`LayeredGraph`] that accepts inserts — until [`AcornIndex::seal`] turns
+//! it into its *sealed* form: the same graph as one immutable [`CsrGraph`],
+//! optionally traversed over an SQ8 tier, with the build state dropped.
 
 use std::sync::Arc;
 
@@ -51,9 +56,9 @@ pub enum PredicateStrategy {
     Adaptive,
 }
 
-/// The SQ8 traversal tier of a quantized (frozen) index: graph search runs
-/// over the codes, and the retained exact rows in `AcornIndex::vecs` refine
-/// the top `rerank_k` candidates afterwards.
+/// The SQ8 traversal tier of a sealed index: graph search runs over the
+/// codes, and the retained exact rows in `AcornIndex::vecs` refine the top
+/// `rerank_k` candidates afterwards.
 #[derive(Debug, Clone)]
 struct QuantizedTier {
     store: Sq8Store,
@@ -63,53 +68,100 @@ struct QuantizedTier {
     rerank_k: usize,
 }
 
-/// An ACORN-γ or ACORN-1 index over a shared vector store.
-///
-/// [`clone`](Clone::clone) shares rather than copies: the vector rows and
-/// every graph node stay common to both indices until one of them inserts
-/// (see [`LayeredGraph`] and [`VectorStore`]), and the clone starts with
-/// empty search scratch. The cost is one refcount bump per node.
-#[derive(Debug)]
-pub struct AcornIndex {
-    params: AcornParams,
-    variant: AcornVariant,
-    vecs: Arc<VectorStore>,
-    graph: LayeredGraph,
-    /// Frozen CSR snapshot of `graph`, preferred by the read path when
-    /// present. Built by [`compact`](Self::compact); invalidated by
-    /// [`insert`](Self::insert).
-    csr: Option<CsrGraph>,
-    /// SQ8 serving tier built by [`quantize`](Self::quantize); invalidated
-    /// by [`insert`](Self::insert) like the CSR cache.
-    quant: Option<QuantizedTier>,
-    sampler: LevelSampler,
-    scratch: SearchScratch,
-    /// Pool of query scratches backing [`search`](Self::search).
-    pool: ScratchPool,
-    /// Node labels for the metadata-aware pruning ablation (Figure 12).
-    labels: Option<Vec<i64>>,
-    /// Total candidate edges pruned during construction (Figure 12c).
-    edges_pruned: u64,
+/// The SQ8 traversal tier [`AcornIndex::seal`] gives a sealed index: graph
+/// search computes asymmetric u8 distances, then the top `max(rerank_k, k)`
+/// candidates are refined with exact f32 distances from the retained rows,
+/// so reported distances are always exact.
+#[derive(Debug, Clone)]
+pub enum Sq8Tier {
+    /// Train the per-dimension codebook over the index's own rows.
+    Train {
+        /// Exact-refinement depth per query.
+        rerank_k: usize,
+    },
+    /// Adopt a persisted codebook (the segmented load path): rows are
+    /// re-encoded deterministically against the stored `mins`/`steps`.
+    Adopt {
+        /// Per-dimension minimum of the codebook.
+        mins: Vec<f32>,
+        /// Per-dimension quantization step of the codebook.
+        steps: Vec<f32>,
+        /// Exact-refinement depth per query.
+        rerank_k: usize,
+    },
 }
 
-impl Clone for AcornIndex {
+/// Everything only construction needs; [`AcornIndex::seal`] drops it.
+#[derive(Debug)]
+struct Growing {
+    graph: LayeredGraph,
+    sampler: LevelSampler,
+    /// Scratch of the insert-time searches.
+    scratch: SearchScratch,
+    /// Node labels for the metadata-aware pruning ablation (Figure 12).
+    labels: Option<Vec<i64>>,
+}
+
+impl Clone for Growing {
     fn clone(&self) -> Self {
         Self {
-            params: self.params.clone(),
-            variant: self.variant,
-            vecs: Arc::clone(&self.vecs),
             graph: self.graph.clone(),
-            csr: self.csr.clone(),
-            quant: self.quant.clone(),
             sampler: self.sampler.clone(),
             // Visited stamps and heaps of the last insert: transient state,
             // regrown on first use like the pool's scratches.
             scratch: SearchScratch::default(),
-            pool: self.pool.clone(),
             labels: self.labels.clone(),
-            edges_pruned: self.edges_pruned,
         }
     }
+}
+
+/// The one graph an index holds: the nested build-time layout while it
+/// accepts inserts, the flat CSR (plus an optional SQ8 tier) once sealed.
+#[derive(Debug, Clone)]
+enum State {
+    Growing(Growing),
+    Sealed { csr: CsrGraph, quant: Option<QuantizedTier> },
+}
+
+impl State {
+    fn growing(&self) -> &Growing {
+        match self {
+            State::Growing(g) => g,
+            State::Sealed { .. } => panic!("a sealed index has no build-time graph"),
+        }
+    }
+
+    fn growing_mut(&mut self) -> &mut Growing {
+        match self {
+            State::Growing(g) => g,
+            State::Sealed { .. } => panic!("a sealed index accepts no inserts"),
+        }
+    }
+}
+
+/// An ACORN-γ or ACORN-1 index over a shared vector store.
+///
+/// An index is **growing** from [`new`](Self::new) / [`build`](Self::build)
+/// on — a nested [`LayeredGraph`] that [`insert`](Self::insert) extends,
+/// traversed over the exact f32 rows — until [`seal`](Self::seal) turns it
+/// into its immutable **sealed** form: the same graph as one [`CsrGraph`],
+/// optionally traversed over SQ8 codes. It holds exactly one of the two
+/// graphs at any time, and answers bit-identically from either.
+///
+/// [`clone`](Clone::clone) of a growing index shares rather than copies: the
+/// vector rows and every graph node stay common to both indices until one of
+/// them inserts (see [`LayeredGraph`] and [`VectorStore`]), and the clone
+/// starts with empty search scratch. The cost is one refcount bump per node.
+#[derive(Debug, Clone)]
+pub struct AcornIndex {
+    params: AcornParams,
+    variant: AcornVariant,
+    vecs: Arc<VectorStore>,
+    state: State,
+    /// Pool of query scratches backing [`search`](Self::search).
+    pool: ScratchPool,
+    /// Total candidate edges pruned during construction (Figure 12c).
+    edges_pruned: u64,
 }
 
 /// The `M` used for level sampling: tied to `M` (never `M·γ`, §5.2) unless
@@ -146,20 +198,8 @@ impl AcornIndex {
             params.m_beta = params.m;
         }
         params.validate();
-        let n = vecs.len();
-        Self {
-            sampler: LevelSampler::new(sampler_m(&params), params.seed),
-            scratch: SearchScratch::new(n),
-            pool: ScratchPool::new(),
-            graph: LayeredGraph::with_capacity(n),
-            csr: None,
-            quant: None,
-            vecs,
-            params,
-            variant,
-            labels: None,
-            edges_pruned: 0,
-        }
+        let graph = LayeredGraph::with_capacity(vecs.len());
+        Self::from_parts(params, variant, vecs, graph, 0)
     }
 
     /// Build an index over every vector in the store.
@@ -184,15 +224,16 @@ impl AcornIndex {
     ) -> Self {
         assert_eq!(labels.len(), vecs.len(), "one label per vector required");
         let mut idx = Self::new(vecs.clone(), params, variant);
-        idx.labels = Some(labels);
+        idx.state.growing_mut().labels = Some(labels);
         for id in 0..vecs.len() as u32 {
             idx.insert(id);
         }
         idx
     }
 
-    /// Reassemble an index from deserialized parts (used by
-    /// [`load`](Self::load); not part of the normal construction API).
+    /// A growing index over an already-built graph (validated parameters):
+    /// the empty one of [`new`](Self::new), or the deserialized one of
+    /// [`load`](Self::load).
     pub(crate) fn from_parts(
         params: AcornParams,
         variant: AcornVariant,
@@ -200,7 +241,6 @@ impl AcornIndex {
         graph: LayeredGraph,
         edges_pruned: u64,
     ) -> Self {
-        let n = vecs.len();
         // One level draw was consumed per inserted node: fast-forward the
         // fresh sampler past them so resumed inserts continue the exact
         // stream the original builder was on (load-then-insert must stay
@@ -208,29 +248,33 @@ impl AcornIndex {
         // this).
         let mut sampler = LevelSampler::new(sampler_m(&params), params.seed);
         sampler.skip(graph.len());
+        let scratch = SearchScratch::new(vecs.len());
         Self {
-            sampler,
-            scratch: SearchScratch::new(n),
+            state: State::Growing(Growing { graph, sampler, scratch, labels: None }),
             pool: ScratchPool::new(),
-            graph,
-            csr: None,
-            quant: None,
             vecs,
             params,
             variant,
-            labels: None,
             edges_pruned,
+        }
+    }
+
+    /// The graph held, in whichever layout.
+    pub(crate) fn graph_view(&self) -> &dyn GraphView {
+        match &self.state {
+            State::Growing(g) => &g.graph,
+            State::Sealed { csr, .. } => csr,
         }
     }
 
     /// Number of indexed points.
     pub fn len(&self) -> usize {
-        self.graph.len()
+        self.graph_view().len()
     }
 
     /// True if nothing has been inserted.
     pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
+        self.len() == 0
     }
 
     /// Construction parameters.
@@ -243,65 +287,62 @@ impl AcornIndex {
         self.variant
     }
 
-    /// The underlying layered graph (graph-quality analyses, Figure 13).
-    pub fn graph(&self) -> &LayeredGraph {
-        &self.graph
-    }
-
-    /// Freeze the graph into its flat CSR form and cache it; all subsequent
-    /// searches ([`search`](Self::search), [`search_filtered`](Self::search_filtered),
-    /// [`hybrid_search`](Self::hybrid_search)) serve from the compacted
-    /// layout. Idempotent until the next
-    /// [`insert`](Self::insert), which invalidates the cache. Results are
-    /// bit-identical across layouts.
-    pub fn compact(&mut self) -> &CsrGraph {
-        if self.csr.is_none() {
-            self.csr = Some(self.graph.freeze());
-        }
-        self.csr.as_ref().expect("just populated")
-    }
-
-    /// The cached CSR snapshot, if [`compact`](Self::compact) has been
-    /// called since the last insert.
-    pub fn csr(&self) -> Option<&CsrGraph> {
-        self.csr.as_ref()
-    }
-
-    /// Train an SQ8 codebook over the owned vectors and switch traversal to
-    /// the quantized tier: graph search computes asymmetric u8 distances,
-    /// then the top `max(rerank_k, k)` candidates are refined with exact f32
-    /// distances from the retained rows, so reported distances are always
-    /// exact. Idempotent until the next [`insert`](Self::insert), which
-    /// invalidates the tier (active segments never serve quantized).
-    pub fn quantize(&mut self, rerank_k: usize) -> &Sq8Store {
-        if self.quant.is_none() {
-            self.quant = Some(QuantizedTier { store: Sq8Store::train(&self.vecs), rerank_k });
-        }
-        &self.quant.as_ref().expect("just populated").store
-    }
-
-    /// [`quantize`](Self::quantize) with a pre-trained codebook (serialize
-    /// v5 load path): rows are re-encoded deterministically against the
-    /// stored per-dimension `mins`/`steps`.
+    /// The build-time layered graph of a growing index (graph-quality
+    /// analyses, Figure 13).
     ///
     /// # Panics
-    /// Panics if the codebook lengths do not match the store dimension.
-    pub fn quantize_with_codebook(&mut self, mins: Vec<f32>, steps: Vec<f32>, rerank_k: usize) {
-        self.quant = Some(QuantizedTier {
-            store: Sq8Store::from_codebook(mins, steps, &self.vecs),
-            rerank_k,
-        });
+    /// Panics on a sealed index, which holds only its [`csr`](Self::csr).
+    pub fn graph(&self) -> &LayeredGraph {
+        &self.state.growing().graph
     }
 
-    /// The SQ8 serving tier, if [`quantize`](Self::quantize) has been called
-    /// since the last insert.
+    /// The CSR graph of a sealed index; `None` while the index is growing.
+    pub fn csr(&self) -> Option<&CsrGraph> {
+        match &self.state {
+            State::Growing(_) => None,
+            State::Sealed { csr, .. } => Some(csr),
+        }
+    }
+
+    /// Seal the index: freeze the graph into its flat CSR form, give it the
+    /// SQ8 traversal tier `sq8` asks for (`None` keeps traversing the exact
+    /// f32 rows), and drop everything only construction needed — the nested
+    /// graph, the level sampler, the insert scratch and the labels. The
+    /// sealed index is immutable. Without a tier it answers every search
+    /// bit-identically to the growing one it came from; with one, traversal
+    /// is approximate and reported distances are still exact.
+    ///
+    /// # Panics
+    /// Panics if the index is already sealed, or if an adopted codebook does
+    /// not match the store dimension.
+    pub fn seal(self, sq8: Option<Sq8Tier>) -> Self {
+        let csr = self.state.growing().graph.freeze();
+        let quant = sq8.map(|tier| match tier {
+            Sq8Tier::Train { rerank_k } => {
+                QuantizedTier { store: Sq8Store::train(&self.vecs), rerank_k }
+            }
+            Sq8Tier::Adopt { mins, steps, rerank_k } => {
+                QuantizedTier { store: Sq8Store::from_codebook(mins, steps, &self.vecs), rerank_k }
+            }
+        });
+        Self { state: State::Sealed { csr, quant }, ..self }
+    }
+
+    fn quant(&self) -> Option<&QuantizedTier> {
+        match &self.state {
+            State::Sealed { quant, .. } => quant.as_ref(),
+            State::Growing(_) => None,
+        }
+    }
+
+    /// The SQ8 traversal tier, if the index was sealed with one.
     pub fn quantized(&self) -> Option<&Sq8Store> {
-        self.quant.as_ref().map(|q| &q.store)
+        self.quant().map(|q| &q.store)
     }
 
     /// The exact-refinement depth of the quantized tier, if any.
     pub fn rerank_k(&self) -> Option<usize> {
-        self.quant.as_ref().map(|q| q.rerank_k)
+        self.quant().map(|q| q.rerank_k)
     }
 
     /// The shared vector store.
@@ -314,18 +355,15 @@ impl AcornIndex {
         self.edges_pruned
     }
 
-    /// Index-only memory footprint in bytes (adjacency lists; excludes
-    /// vector data, which [`VectorStore::memory_bytes`] reports).
+    /// Bytes of the graph this index holds — the nested layout while
+    /// growing, the CSR once sealed (index-only: excludes the vector rows
+    /// and the SQ8 tier, which [`VectorStore::memory_bytes`] and
+    /// [`Sq8Store::memory_bytes`] report).
     pub fn memory_bytes(&self) -> usize {
-        self.graph.memory_bytes()
-    }
-
-    /// Memory footprint of the layout the read path is actually serving
-    /// from: the frozen CSR snapshot when [`compact`](Self::compact)ed, the
-    /// nested build-time graph otherwise. The segmented index sums this per
-    /// segment, so merge compaction's reclaimed bytes are visible.
-    pub fn serving_memory_bytes(&self) -> usize {
-        self.csr.as_ref().map_or_else(|| self.graph.memory_bytes(), CsrGraph::memory_bytes)
+        match &self.state {
+            State::Growing(g) => g.graph.memory_bytes(),
+            State::Sealed { csr, .. } => csr.memory_bytes(),
+        }
     }
 
     /// The search-time lookup mode for this index.
@@ -350,7 +388,8 @@ impl AcornIndex {
     /// copies no row (see [`VectorStore`]).
     ///
     /// # Panics
-    /// Panics if `v` has the wrong dimension.
+    /// Panics if `v` has the wrong dimension or the index is
+    /// [`seal`](Self::seal)ed.
     pub fn insert_vector(&mut self, v: &[f32]) -> u32 {
         let id = Arc::make_mut(&mut self.vecs).push(v);
         self.insert(id);
@@ -360,18 +399,17 @@ impl AcornIndex {
     /// Insert vector `id` (ids must be inserted sequentially).
     ///
     /// # Panics
-    /// Panics if `id` is not the next unindexed id or is absent from the
-    /// vector store.
+    /// Panics if the index is [`seal`](Self::seal)ed, or if `id` is not the
+    /// next unindexed id or is absent from the vector store.
     pub fn insert(&mut self, id: u32) {
-        assert_eq!(id as usize, self.graph.len(), "ids must be inserted sequentially");
+        let g = self.state.growing_mut();
+        assert_eq!(id as usize, g.graph.len(), "ids must be inserted sequentially");
         assert!((id as usize) < self.vecs.len(), "id not present in vector store");
 
-        self.csr = None; // mutation invalidates the frozen snapshot
-        self.quant = None; // …and the quantized serving tier
-        let level = self.sampler.sample();
-        let prev_entry = self.graph.entry_point();
-        let prev_max = self.graph.max_level();
-        let new_id = self.graph.add_node(level);
+        let level = g.sampler.sample();
+        let prev_entry = g.graph.entry_point();
+        let prev_max = g.graph.max_level();
+        let new_id = g.graph.add_node(level);
 
         let Some(entry) = prev_entry else {
             return;
@@ -386,7 +424,7 @@ impl AcornIndex {
         let metric = self.params.metric;
         let budget = self.params.edge_budget();
         let mut stats = SearchStats::default();
-        self.scratch.begin(self.graph.len());
+        g.scratch.begin(g.graph.len());
 
         // Phase 1 (§2.1): greedy descent with ef = 1 down to level l + 1,
         // using the metadata-agnostic truncated lookup.
@@ -394,7 +432,7 @@ impl AcornIndex {
         for lev in ((level + 1)..=prev_max).rev() {
             let found = acorn_search_layer(
                 &*vecs,
-                &self.graph,
+                &g.graph,
                 metric,
                 q,
                 &acorn_predicate::AllPass,
@@ -403,21 +441,22 @@ impl AcornIndex {
                 lev,
                 self.params.m,
                 LookupMode::Truncate,
-                &mut self.scratch,
+                &mut g.scratch,
                 &mut stats,
             );
             if !found.is_empty() {
                 entries = found;
             }
-            self.scratch.visited.reset();
+            g.scratch.visited.reset();
         }
 
         // Phase 2: collect M·γ candidate edges per level and connect.
         let ef = self.params.ef_construction.max(budget);
         for lev in (0..=level.min(prev_max)).rev() {
+            let g = self.state.growing_mut();
             let candidates = acorn_search_layer(
                 &*vecs,
-                &self.graph,
+                &g.graph,
                 metric,
                 q,
                 &acorn_predicate::AllPass,
@@ -426,17 +465,17 @@ impl AcornIndex {
                 lev,
                 self.params.m,
                 LookupMode::Truncate,
-                &mut self.scratch,
+                &mut g.scratch,
                 &mut stats,
             );
+            g.scratch.visited.reset();
             let kept = self.select_edges(new_id, lev, &candidates, budget);
             for &s in &kept {
-                self.graph.push_edge(s, new_id, lev);
+                self.state.growing_mut().graph.push_edge(s, new_id, lev);
                 self.shrink_if_needed(s, lev);
             }
-            self.graph.set_neighbors(new_id, lev, kept);
+            self.state.growing_mut().graph.set_neighbors(new_id, lev, kept);
             entries = candidates;
-            self.scratch.visited.reset();
         }
     }
 
@@ -462,16 +501,17 @@ impl AcornIndex {
             // HNSW-without-pruning: nearest 2M, no compression.
             return candidates.iter().take(self.acorn1_level0_cap()).map(|n| n.id).collect();
         }
+        let g = self.state.growing();
         let outcome = prune::apply(
             &self.params.prune,
             &self.vecs,
             self.params.metric,
-            &self.graph,
+            &g.graph,
             level,
             &candidates[..candidates.len().min(budget)],
             self.params.m_beta,
             budget,
-            self.labels.as_deref(),
+            g.labels.as_deref(),
             v,
         );
         self.edges_pruned += outcome.pruned as u64;
@@ -493,11 +533,12 @@ impl AcornIndex {
         } else {
             budget
         };
-        if self.graph.neighbors(v, level).len() <= trigger {
+        let g = self.state.growing();
+        if g.graph.neighbors(v, level).len() <= trigger {
             return;
         }
         let metric = self.params.metric;
-        let mut cands: Vec<Neighbor> = self
+        let mut cands: Vec<Neighbor> = g
             .graph
             .neighbors(v, level)
             .iter()
@@ -512,12 +553,12 @@ impl AcornIndex {
                 &self.params.prune,
                 &self.vecs,
                 metric,
-                &self.graph,
+                &g.graph,
                 level,
                 &cands[..cands.len().min(budget)],
                 self.params.m_beta,
                 budget,
-                self.labels.as_deref(),
+                g.labels.as_deref(),
                 v,
             );
             self.edges_pruned += outcome.pruned as u64;
@@ -525,7 +566,7 @@ impl AcornIndex {
         } else {
             cands.iter().take(budget).map(|n| n.id).collect()
         };
-        self.graph.set_neighbors(v, level, kept);
+        self.state.growing_mut().graph.set_neighbors(v, level, kept);
     }
 
     /// Hybrid search over the predicate subgraph (Algorithm 2): the `k`
@@ -543,41 +584,22 @@ impl AcornIndex {
         scratch: &mut SearchScratch,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        let mut found = match (&self.quant, &self.csr) {
-            (Some(q), Some(csr)) => {
-                self.search_filtered_on(&q.store, csr, query, filter, k, efs, scratch, stats)
+        let vecs = &*self.vecs;
+        let mut found = match &self.state {
+            State::Growing(g) => {
+                self.search_filtered_on(vecs, &g.graph, query, filter, k, efs, scratch, stats)
             }
-            (Some(q), None) => self.search_filtered_on(
-                &q.store,
-                &self.graph,
-                query,
-                filter,
-                k,
-                efs,
-                scratch,
-                stats,
-            ),
-            (None, Some(csr)) => {
-                self.search_filtered_on(&*self.vecs, csr, query, filter, k, efs, scratch, stats)
+            State::Sealed { csr, quant: None } => {
+                self.search_filtered_on(vecs, csr, query, filter, k, efs, scratch, stats)
             }
-            (None, None) => self.search_filtered_on(
-                &*self.vecs,
-                &self.graph,
-                query,
-                filter,
-                k,
-                efs,
-                scratch,
-                stats,
-            ),
+            State::Sealed { csr, quant: Some(q) } => {
+                let beam =
+                    self.search_filtered_on(&q.store, csr, query, filter, k, efs, scratch, stats);
+                return self.rerank_exact(query, beam, k, q.rerank_k, scratch, stats);
+            }
         };
-        match &self.quant {
-            Some(q) => self.rerank_exact(query, found, k, q.rerank_k, scratch, stats),
-            None => {
-                found.truncate(k);
-                found
-            }
-        }
+        found.truncate(k);
+        found
     }
 
     /// Algorithm 2 over any [`GraphView`] layout (nested or CSR) and any
@@ -694,7 +716,7 @@ impl AcornIndex {
         };
         let mut chunk = [0u32; CHUNK];
         let mut filled = 0usize;
-        let evals = filter.for_each_passing(self.graph.len(), &mut |id| {
+        let evals = filter.for_each_passing(self.len(), &mut |id| {
             chunk[filled] = id;
             filled += 1;
             if filled == CHUNK {
@@ -789,7 +811,7 @@ impl AcornIndex {
     /// internal [`ScratchPool`], so repeated calls reuse the O(n) visited
     /// set instead of reallocating it per query.
     pub fn search(&self, query: &[f32], k: usize, efs: usize) -> Vec<Neighbor> {
-        let mut scratch = self.pool.checkout(self.graph.len());
+        let mut scratch = self.pool.checkout(self.len());
         let mut stats = SearchStats::default();
         self.search_filtered(query, &acorn_predicate::AllPass, k, efs, &mut scratch, &mut stats)
     }
@@ -1163,9 +1185,10 @@ mod tests {
             LayeredGraph::with_capacity(10),
             0,
         );
-        assert_eq!(built.sampler.ml(), loaded.sampler.ml());
+        let ml = |idx: &AcornIndex| idx.state.growing().sampler.ml();
+        assert_eq!(ml(&built), ml(&loaded));
         // Flattening ties mL to M·γ = 32, the Qdrant-ablation behaviour.
-        assert!((loaded.sampler.ml() - 1.0 / 32f64.ln()).abs() < 1e-12);
+        assert!((ml(&loaded) - 1.0 / 32f64.ln()).abs() < 1e-12);
 
         // The non-flattened default stays tied to M.
         let params = small_params(4, 8);
@@ -1176,7 +1199,7 @@ mod tests {
             LayeredGraph::with_capacity(10),
             0,
         );
-        assert!((loaded.sampler.ml() - 1.0 / 4f64.ln()).abs() < 1e-12);
+        assert!((ml(&loaded) - 1.0 / 4f64.ln()).abs() < 1e-12);
     }
 
     #[test]
@@ -1302,13 +1325,65 @@ mod tests {
     }
 
     #[test]
-    fn serving_memory_bytes_tracks_the_served_layout() {
+    fn sealing_shrinks_memory_bytes_to_the_csrs() {
         let vecs = random_store(400, 8, 18);
-        let mut idx = AcornIndex::build(vecs, small_params(8, 2), AcornVariant::Gamma);
-        assert_eq!(idx.serving_memory_bytes(), idx.memory_bytes(), "nested until compacted");
-        let csr_bytes = idx.compact().memory_bytes();
-        assert_eq!(idx.serving_memory_bytes(), csr_bytes);
-        assert!(csr_bytes < idx.memory_bytes(), "CSR must be the smaller layout");
+        let idx = AcornIndex::build(vecs, small_params(8, 2), AcornVariant::Gamma);
+        let nested_bytes = idx.graph().memory_bytes();
+        assert_eq!(idx.memory_bytes(), nested_bytes, "nested until sealed");
+        assert!(idx.csr().is_none());
+        let sealed = idx.seal(None);
+        let csr_bytes = sealed.csr().expect("a sealed index holds its CSR").memory_bytes();
+        assert_eq!(sealed.memory_bytes(), csr_bytes);
+        assert!(csr_bytes < nested_bytes, "CSR must be the smaller layout");
+    }
+
+    #[test]
+    #[should_panic(expected = "a sealed index accepts no inserts")]
+    fn insert_into_a_sealed_index_panics() {
+        let vecs = random_store(40, 4, 19);
+        let mut idx = AcornIndex::new(vecs, small_params(4, 2), AcornVariant::Gamma);
+        for id in 0..39 {
+            idx.insert(id);
+        }
+        let mut sealed = idx.seal(None);
+        sealed.insert(39);
+    }
+
+    #[test]
+    #[should_panic(expected = "a sealed index has no build-time graph")]
+    fn graph_of_a_sealed_index_panics() {
+        let idx =
+            AcornIndex::build(random_store(40, 4, 19), small_params(4, 2), AcornVariant::Gamma);
+        idx.seal(None).graph();
+    }
+
+    #[test]
+    fn a_clone_taken_before_seal_still_grows() {
+        // The segmented writer's published view outlives the freeze that
+        // seals the writer's own index: sealing one handle must leave the
+        // other a complete growing index.
+        let n = 200;
+        let prefilled = random_store(n, 8, 23);
+        let built = AcornIndex::build(prefilled.clone(), small_params(8, 2), AcornVariant::Gamma);
+        let mut writer =
+            AcornIndex::new(Arc::new(VectorStore::new(8)), small_params(8, 2), AcornVariant::Gamma);
+        for id in 0..n as u32 / 2 {
+            writer.insert_vector(prefilled.get(id));
+        }
+        let mut view = writer.clone();
+        let sealed = writer.seal(Some(Sq8Tier::Train { rerank_k: 16 }));
+        assert_eq!(sealed.len(), n / 2);
+        assert!(view.csr().is_none() && view.quantized().is_none());
+        for id in n as u32 / 2..n as u32 {
+            view.insert_vector(prefilled.get(id));
+        }
+        let q = vec![0.2; 8];
+        let pairs = |idx: &AcornIndex| -> Vec<(u32, u32)> {
+            idx.search(&q, 10, 64).iter().map(|x| (x.id, x.dist.to_bits())).collect()
+        };
+        assert_eq!(pairs(&built), pairs(&view), "the clone grows into the same index");
+        assert_eq!(sealed.len(), n / 2, "and the sealed index never sees its rows");
+        assert_eq!(sealed.vectors().len(), n / 2);
     }
 
     #[test]

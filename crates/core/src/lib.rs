@@ -59,7 +59,7 @@ pub mod snapshot;
 
 pub use durability::{DurabilityOptions, DurableIndex, FsyncPolicy};
 pub use engine::{BatchOutput, SegmentedQueryEngine};
-pub use index::{AcornIndex, PredicateStrategy, MATERIALIZE_BELOW_SELECTIVITY};
+pub use index::{AcornIndex, PredicateStrategy, Sq8Tier, MATERIALIZE_BELOW_SELECTIVITY};
 pub use params::{AcornParams, AcornVariant};
 pub use prune::PruneStrategy;
 pub use segment::{

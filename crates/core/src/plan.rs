@@ -372,13 +372,13 @@ mod tests {
                 let pred = random_pred(&mut rng);
                 let compiled = CompiledPredicate::compile(&pred);
                 for view in snap.frozen.iter().chain(snap.active.iter()) {
-                    let gids = &view.sealed.global_ids;
+                    let gids = &view.payload.global_ids;
                     let (rows, span) = (gids.len(), (gids[gids.len() - 1] - gids[0] + 1) as usize);
                     gapped |= span != rows;
                     contiguous |= span == rows;
                     tombstoned |= view.deleted > 0;
                     let seg = PlanSegment {
-                        index: &view.sealed.index,
+                        index: &view.payload.index,
                         global_ids: Some(gids),
                         tombstones: Some(&view.tombstones),
                     };

@@ -8,17 +8,17 @@
 //! (segment-per-generation storage; "Vector Search with OpenAI Embeddings:
 //! Lucene Is All You Need"):
 //!
-//! * **one active segment** — a nested [`LayeredGraph`]-backed
-//!   [`AcornIndex`] absorbing inserts through
+//! * **one active segment** — a growing [`AcornIndex`] (nested
+//!   [`LayeredGraph`]) absorbing inserts through
 //!   [`AcornIndex::insert_vector`]; only the writer mutates it. Each
 //!   published epoch holds a clone of it that shares every graph node and
 //!   vector row with the writer: publishing costs one refcount bump per
 //!   active row (O(rows), but no list or row is copied), and the next
 //!   insert re-allocates only the nodes it rewires.
-//! * **frozen segments** — read-optimized, immutable
-//!   [`SealedSegment`]s served from the
-//!   [`CsrGraph`](acorn_hnsw::CsrGraph) layout ([`freeze`] compacts the
-//!   active segment and opens a fresh one);
+//! * **frozen segments** — immutable, each a [sealed](AcornIndex::seal)
+//!   [`AcornIndex`] that holds its graph once, as a
+//!   [`CsrGraph`](acorn_hnsw::CsrGraph) ([`freeze`] seals the active
+//!   segment — dropping its build-time graph — and opens a fresh one);
 //! * **tombstoned deletes** — [`delete`] locates the owning segment by
 //!   range binary search over the ascending, disjoint per-segment gid
 //!   ranges, then sets a bit in a copy-on-write [`Bitset`]; a deleted row
@@ -62,7 +62,6 @@
 //! [`merge`]: SegmentedAcornIndex::merge
 //! [`compact_all`]: SegmentedAcornIndex::compact_all
 //! [`LayeredGraph`]: acorn_hnsw::LayeredGraph
-//! [`SealedSegment`]: crate::snapshot::SegmentView
 
 use std::cmp::Ordering;
 use std::sync::atomic::Ordering as AtomicOrdering;
@@ -73,10 +72,10 @@ use std::time::Duration;
 use acorn_hnsw::{ScratchPool, SearchScratch, SearchStats, VectorStore};
 use acorn_predicate::{AttrStore, Bitset, Predicate};
 
-use crate::index::{AcornIndex, PredicateStrategy};
+use crate::index::{AcornIndex, PredicateStrategy, Sq8Tier};
 use crate::params::{AcornParams, AcornVariant};
 use crate::snapshot::{
-    FrozenSeg, IndexReader, Pending, SealedSegment, SegmentSnapshot, SegmentView, SharedState,
+    FrozenSeg, IndexReader, Pending, SegmentPayload, SegmentSnapshot, SegmentView, SharedState,
 };
 
 /// A search result addressed by **global** row id (stable across freezes
@@ -191,7 +190,7 @@ pub struct MergeOutcome {
     pub bytes_after: usize,
 }
 
-/// The writer-owned mutable segment absorbing inserts. Sealed into an
+/// The writer-owned mutable segment absorbing inserts. Copied into an
 /// immutable [`SegmentView`] on every publication (readers never see this
 /// struct).
 #[derive(Debug)]
@@ -212,7 +211,7 @@ impl ActiveSegment {
         }
     }
 
-    /// Seal the current state into an immutable view readers can hold
+    /// Copy the current state into an immutable view readers can hold
     /// lock-free. The view's index shares every vector row and every graph
     /// node with the writer's; the writer's next insert re-allocates the
     /// nodes it rewires and appends its row past the view's length, so the
@@ -220,7 +219,7 @@ impl ActiveSegment {
     /// level tags, the id map and the tombstone words.
     fn publish_view(&self) -> SegmentView {
         SegmentView {
-            sealed: Arc::new(SealedSegment {
+            payload: Arc::new(SegmentPayload {
                 index: self.index.clone(),
                 global_ids: self.global_ids.clone(),
             }),
@@ -318,7 +317,7 @@ impl SegmentedAcornIndex {
                 let deleted = r.tombstones.count();
                 FrozenSeg {
                     id: i as u64,
-                    sealed: Arc::new(SealedSegment { index: r.index, global_ids: r.global_ids }),
+                    payload: Arc::new(SegmentPayload { index: r.index, global_ids: r.global_ids }),
                     tombstones: Arc::new(r.tombstones),
                     deleted,
                 }
@@ -474,9 +473,8 @@ impl SegmentedAcornIndex {
         self.snapshot().contains(gid)
     }
 
-    /// Bytes held across all segments: served graph layouts, vector data,
-    /// id maps, and tombstone words. Merge compaction shrinks this by
-    /// dropping dead rows.
+    /// Bytes held across all segments: graphs, vector data, id maps, and
+    /// tombstone words. Merge compaction shrinks this by dropping dead rows.
     pub fn memory_bytes(&self) -> usize {
         self.snapshot().memory_bytes()
     }
@@ -542,7 +540,7 @@ impl SegmentedAcornIndex {
             self.active.tombstones.set(local);
             self.active.deleted += 1;
             match &mut p.active_view {
-                // The sealed graph/store are unchanged — swap in the new
+                // The published graph/store are unchanged — swap in the new
                 // tombstone state without re-cloning the index.
                 Some(view) => {
                     view.tombstones = Arc::new(self.active.tombstones.clone());
@@ -560,7 +558,7 @@ impl SegmentedAcornIndex {
             return false;
         }
         let seg = &mut p.frozen[i - 1];
-        let Ok(local) = seg.sealed.global_ids.binary_search(&gid) else {
+        let Ok(local) = seg.payload.global_ids.binary_search(&gid) else {
             return false;
         };
         let local = local as u32;
@@ -574,9 +572,10 @@ impl SegmentedAcornIndex {
         true
     }
 
-    /// Seal the active segment: compact its graph to the CSR read layout,
-    /// move it to the frozen list, and open a fresh active segment. No-op
-    /// when the active segment is empty. Publishes a new epoch.
+    /// Seal the active segment ([`AcornIndex::seal`]: its graph becomes one
+    /// CSR and its build state is dropped), move it to the frozen list, and
+    /// open a fresh active segment. No-op when the active segment is empty.
+    /// Publishes a new epoch.
     pub fn freeze(&mut self) {
         if self.active.global_ids.is_empty() {
             return;
@@ -595,8 +594,8 @@ impl SegmentedAcornIndex {
     /// for trickle writes but adds up to quadratic work over a whole chunk;
     /// `bulk_load` instead builds the chunk's graph
     /// **off-lock** (queries keep serving the current epoch throughout),
-    /// compacts it straight to the CSR read layout, applies the
-    /// quantization policy, and publishes exactly one new epoch. By the
+    /// seals it under the quantization policy, and publishes exactly one
+    /// new epoch. By the
     /// determinism contract the resulting segment answers bit-identically
     /// to inserting the same rows one at a time and freezing.
     ///
@@ -614,26 +613,15 @@ impl SegmentedAcornIndex {
             return next..next;
         }
         let quant = self.shared.pending().quant;
-        let mut index =
+        let index =
             AcornIndex::build(Arc::new(store), self.shared.params.clone(), self.shared.variant);
-        index.compact();
-        if quant.sq8_frozen {
-            index.quantize(quant.rerank_k);
-        }
+        let index = seal(index, quant);
         let mut p = self.shared.pending();
         Self::seal_active_locked(&mut self.active, &self.shared, &mut p);
         let first = p.next_global;
         p.next_global += n as u64;
         let global_ids: Vec<u64> = (first..p.next_global).collect();
-        let id = p.next_seg_id;
-        p.next_seg_id += 1;
-        p.frozen.push(FrozenSeg {
-            id,
-            sealed: Arc::new(SealedSegment { index, global_ids }),
-            tombstones: Arc::new(Bitset::new(n)),
-            deleted: 0,
-        });
-        p.frozen.sort_by_key(FrozenSeg::first_gid);
+        p.push_frozen(SegmentPayload { index, global_ids }, Bitset::new(n), 0);
         self.shared.publish(&mut p);
         first..p.next_global
     }
@@ -643,22 +631,13 @@ impl SegmentedAcornIndex {
         if active.global_ids.is_empty() {
             return;
         }
-        let mut sealed = std::mem::replace(
+        let full = std::mem::replace(
             active,
             ActiveSegment::new(shared.dim, shared.params.clone(), shared.variant),
         );
-        sealed.index.compact();
-        if p.quant.sq8_frozen {
-            sealed.index.quantize(p.quant.rerank_k);
-        }
-        p.frozen.push(FrozenSeg {
-            id: p.next_seg_id,
-            sealed: Arc::new(SealedSegment { index: sealed.index, global_ids: sealed.global_ids }),
-            tombstones: Arc::new(sealed.tombstones),
-            deleted: sealed.deleted,
-        });
-        p.next_seg_id += 1;
-        p.frozen.sort_by_key(FrozenSeg::first_gid);
+        let index = seal(full.index, p.quant);
+        let payload = SegmentPayload { index, global_ids: full.global_ids };
+        p.push_frozen(payload, full.tombstones, full.deleted);
         p.active_view = None;
     }
 
@@ -856,13 +835,19 @@ impl Drop for SegmentedAcornIndex {
     }
 }
 
-/// One merge source captured at selection time: the shared sealed payload
+/// One merge source captured at selection time: the shared payload
 /// plus a **deep copy** of its tombstones, so deletes landing during the
 /// off-lock rebuild are detectable afterwards.
 struct Captured {
     id: u64,
-    sealed: Arc<SealedSegment>,
+    payload: Arc<SegmentPayload>,
     tombstones: Bitset,
+}
+
+/// The one place a built index becomes a frozen segment's: sealed, with the
+/// SQ8 tier the quantization policy asks for.
+fn seal(index: AcornIndex, quant: QuantizationPolicy) -> AcornIndex {
+    index.seal(quant.sq8_frozen.then_some(Sq8Tier::Train { rerank_k: quant.rerank_k }))
 }
 
 /// RAII gauge for [`SharedState::merges_in_flight`].
@@ -893,8 +878,8 @@ fn pending_bytes(p: &Pending) -> usize {
 /// 1. **capture** (pending lock): select candidate segments, group them
 ///    into maximal *adjacent* runs (merging only adjacent segments keeps
 ///    the frozen gid ranges pairwise disjoint — the invariant `delete`'s
-///    range binary search relies on), and capture each source's sealed
-///    payload + a deep tombstone copy.
+///    range binary search relies on), and capture each source's payload +
+///    a deep tombstone copy.
 /// 2. **rebuild** (no lock): build one fresh graph per run over the
 ///    captured survivors in global-id order — the exact code path a
 ///    from-scratch build takes, so answers stay bit-identical — while
@@ -924,7 +909,7 @@ pub(crate) fn run_merge(shared: &SharedState, select_all: bool) -> MergeOutcome 
         let p = shared.pending();
         let bytes_before = pending_bytes(&p);
         let is_candidate = |s: &FrozenSeg| {
-            let rows = s.sealed.global_ids.len();
+            let rows = s.payload.global_ids.len();
             let fraction = if rows == 0 { 0.0 } else { s.deleted as f64 / rows as f64 };
             select_all || rows < p.policy.min_rows || fraction > p.policy.max_tombstone_fraction
         };
@@ -934,7 +919,7 @@ pub(crate) fn run_merge(shared: &SharedState, select_all: bool) -> MergeOutcome 
             if is_candidate(s) {
                 current.push(Captured {
                     id: s.id,
-                    sealed: s.sealed.clone(),
+                    payload: s.payload.clone(),
                     tombstones: (*s.tombstones).clone(),
                 });
             } else if !current.is_empty() {
@@ -957,10 +942,10 @@ pub(crate) fn run_merge(shared: &SharedState, select_all: bool) -> MergeOutcome 
     // Phase 2: rebuild off-lock.
     let mut rows_before_total = 0;
     let mut segments_merged = 0;
-    let mut rebuilt: Vec<Option<(AcornIndex, Vec<u64>)>> = Vec::with_capacity(runs.len());
+    let mut rebuilt: Vec<Option<SegmentPayload>> = Vec::with_capacity(runs.len());
     for run in &runs {
         segments_merged += run.len();
-        rows_before_total += run.iter().map(|c| c.sealed.global_ids.len()).sum::<usize>();
+        rows_before_total += run.iter().map(|c| c.payload.global_ids.len()).sum::<usize>();
         // Survivors, ascending by global id (runs are adjacent, but sorting
         // makes no ordering assumption at all).
         let mut rows: Vec<(u64, usize, u32)> = Vec::new();
@@ -968,7 +953,7 @@ pub(crate) fn run_merge(shared: &SharedState, select_all: bool) -> MergeOutcome 
             rows.extend(
                 c.tombstones
                     .iter_zeros()
-                    .map(|local| (c.sealed.global_ids[local as usize], ci, local)),
+                    .map(|local| (c.payload.global_ids[local as usize], ci, local)),
             );
         }
         rows.sort_unstable_by_key(|&(gid, _, _)| gid);
@@ -979,20 +964,16 @@ pub(crate) fn run_merge(shared: &SharedState, select_all: bool) -> MergeOutcome 
         let mut store = VectorStore::with_capacity(shared.dim, rows.len());
         let mut global_ids = Vec::with_capacity(rows.len());
         for &(gid, ci, local) in &rows {
-            store.push(run[ci].sealed.index.vectors().get(local));
+            store.push(run[ci].payload.index.vectors().get(local));
             global_ids.push(gid);
         }
         // The exact code path a from-scratch build takes: same params, same
         // seed, same insertion order => an identical graph.
-        let mut index = AcornIndex::build(Arc::new(store), shared.params.clone(), shared.variant);
-        index.compact();
-        // Merge products are sealed segments: apply the quantization policy
-        // captured in phase 1 (a policy change mid-rebuild lands on the
-        // *next* merge, which is fine — encodings converge, never diverge).
-        if quant.sq8_frozen {
-            index.quantize(quant.rerank_k);
-        }
-        rebuilt.push(Some((index, global_ids)));
+        let index = AcornIndex::build(Arc::new(store), shared.params.clone(), shared.variant);
+        // Sealed under the quantization policy captured in phase 1 (a policy
+        // change mid-rebuild lands on the *next* merge, which is fine —
+        // encodings converge, never diverge).
+        rebuilt.push(Some(SegmentPayload { index: seal(index, quant), global_ids }));
     }
 
     // Phase 3: splice and publish.
@@ -1010,32 +991,24 @@ pub(crate) fn run_merge(shared: &SharedState, select_all: bool) -> MergeOutcome 
             let source = p.frozen.remove(pos);
             for local in source.tombstones.iter_ones() {
                 if !c.tombstones.get(local) {
-                    late.push(source.sealed.global_ids[local as usize]);
+                    late.push(source.payload.global_ids[local as usize]);
                 }
             }
         }
-        let Some((index, global_ids)) = built else {
+        let Some(payload) = built else {
             continue;
         };
-        rows_kept += global_ids.len();
-        let mut tombstones = Bitset::new(global_ids.len());
+        rows_kept += payload.global_ids.len();
+        let mut tombstones = Bitset::new(payload.global_ids.len());
         let mut deleted = 0;
         for gid in late {
-            if let Ok(local) = global_ids.binary_search(&gid) {
+            if let Ok(local) = payload.global_ids.binary_search(&gid) {
                 tombstones.set(local as u32);
                 deleted += 1;
             }
         }
-        let id = p.next_seg_id;
-        p.next_seg_id += 1;
-        p.frozen.push(FrozenSeg {
-            id,
-            sealed: Arc::new(SealedSegment { index, global_ids }),
-            tombstones: Arc::new(tombstones),
-            deleted,
-        });
+        p.push_frozen(payload, tombstones, deleted);
     }
-    p.frozen.sort_by_key(FrozenSeg::first_gid);
     shared.merges_completed.fetch_add(1, AtomicOrdering::AcqRel);
     shared.publish(&mut p);
     let bytes_after = pending_bytes(&p);

@@ -13,12 +13,12 @@
 //! | edges_pruned u64 | compacted u8
 //! ```
 //!
-//! The trailing `compacted` flag records whether the index was serving from
-//! its frozen CSR layout when saved; [`AcornIndex::load`] re-freezes the
-//! graph (deterministic, so the reconstructed [`CsrGraph`] is identical)
-//! and the loaded index serves from CSR immediately. The adjacency itself
-//! is stored once, in nested form, so a compacted index costs one extra
-//! byte on disk, not a second copy of the graph.
+//! The trailing `compacted` flag records whether the index was
+//! [sealed](AcornIndex::seal) when saved; [`AcornIndex::load`] seals the
+//! loaded graph again (deterministic, so the reconstructed [`CsrGraph`] is
+//! identical) and a growing index comes back growing. `save` walks whichever
+//! graph the index holds and writes the same per-node lists either way, so
+//! the bytes do not depend on the layout beyond that one flag.
 //!
 //! ## Format v6 — segmented index
 //!
@@ -43,11 +43,12 @@
 //! store to re-attach. Only the *codebook* of a quantized segment is
 //! persisted — codes are re-derived from the (always embedded) exact f32
 //! rows on load, which is deterministic and keeps quantization nearly free
-//! on disk. Loading re-freezes each frozen segment's CSR via the embedded
-//! `compacted` flag and cross-checks every count in the manifest against
-//! the vector data and the embedded graph — a corrupt length fails with
-//! `InvalidData` instead of a giant allocation (the same guard philosophy
-//! as the v3 neighbor-list check).
+//! on disk. Loading holds each block's embedded `compacted` flag to the
+//! block's role — frozen segments are sealed, the active segment is growing
+//! — and cross-checks every count in the manifest against the vector data
+//! and the embedded graph — a corrupt length fails with `InvalidData`
+//! instead of a giant allocation (the same guard philosophy as the v3
+//! neighbor-list check).
 //!
 //! The body is followed by a 4-byte footer: the CRC32 (IEEE) of every
 //! preceding byte, magic and version included. [`SegmentedAcornIndex::load`]
@@ -69,7 +70,7 @@ use acorn_hnsw::checksum::{ChecksumWriter, Crc32};
 use acorn_hnsw::{LayeredGraph, Metric, VectorStore};
 use acorn_predicate::Bitset;
 
-use crate::index::AcornIndex;
+use crate::index::{AcornIndex, Sq8Tier};
 use crate::params::{AcornParams, AcornVariant};
 use crate::prune::PruneStrategy;
 use crate::segment::{MergePolicy, QuantizationPolicy, RawSegment, SegmentedAcornIndex};
@@ -191,7 +192,7 @@ impl AcornIndex {
         put_u32(w, VERSION)?;
         put_header(w, self.variant(), self.params())?;
 
-        let g = self.graph();
+        let g = self.graph_view();
         put_u64(w, g.len() as u64)?;
         for v in 0..g.len() as u32 {
             let level = g.level_of(v);
@@ -226,6 +227,13 @@ impl AcornIndex {
     /// Returns `InvalidData` on magic/version mismatch, and if `vecs` does
     /// not have exactly as many vectors as the serialized graph has nodes.
     pub fn load(r: &mut impl Read, vecs: Arc<VectorStore>) -> io::Result<AcornIndex> {
+        let (idx, sealed) = Self::load_growing(r, vecs)?;
+        Ok(if sealed { idx.seal(None) } else { idx })
+    }
+
+    /// [`load`](Self::load) up to the `compacted` flag: the graph as a
+    /// growing index, and whether the saved index was sealed.
+    fn load_growing(r: &mut impl Read, vecs: Arc<VectorStore>) -> io::Result<(AcornIndex, bool)> {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic != MAGIC {
@@ -268,13 +276,8 @@ impl AcornIndex {
             }
         }
         let edges_pruned = get_u64(r)?;
-        let compacted = get_u8(r)? != 0;
-
-        let mut idx = AcornIndex::from_parts(params, variant, vecs, graph, edges_pruned);
-        if compacted {
-            idx.compact();
-        }
-        Ok(idx)
+        let sealed = get_u8(r)? != 0;
+        Ok((AcornIndex::from_parts(params, variant, vecs, graph, edges_pruned), sealed))
     }
 }
 
@@ -390,22 +393,28 @@ fn get_segment(
         store.push(&row);
     }
 
-    // The embedded blob carries its own node count; AcornIndex::load
-    // rejects it unless it matches the store we just rebuilt from the
-    // manifest — the row-count corruption guard.
-    let mut index = AcornIndex::load(r, Arc::new(store))?;
+    // The embedded blob carries its own node count; the load rejects it
+    // unless it matches the store we just rebuilt from the manifest — the
+    // row-count corruption guard.
+    let (index, sealed) = AcornIndex::load_growing(r, Arc::new(store))?;
     if index.len() != global_ids.len() {
         return Err(bad("segment manifest row count disagrees with the vector store"));
     }
     if index.variant() != expected_variant || index.params() != expected_params {
         return Err(bad("embedded segment header disagrees with the segmented index header"));
     }
-    if let Some((rerank_k, mins, steps)) = codebook {
+    let index = match (sealed, codebook) {
+        (false, None) => index,
+        (false, Some(_)) => return Err(bad("a quantized segment block must be sealed")),
         // Re-encode the embedded exact rows against the persisted codebook:
         // deterministic, so the loaded segment answers bit-identically to
         // the one that was saved.
-        index.quantize_with_codebook(mins, steps, rerank_k);
-    }
+        (true, codebook) => index.seal(codebook.map(|(rerank_k, mins, steps)| Sq8Tier::Adopt {
+            mins,
+            steps,
+            rerank_k,
+        })),
+    };
     Ok(RawSegment { index, global_ids, tombstones })
 }
 
@@ -464,8 +473,7 @@ impl SegmentedAcornIndex {
     /// Serialize the whole segmented index to `w` (format v6, checksummed)
     /// by saving the currently published [`SegmentSnapshot`] — see
     /// [`SegmentSnapshot::save`] for the snapshot-consistency guarantee. A
-    /// loaded index resumes serving from CSR and accepting writes
-    /// immediately.
+    /// loaded index resumes serving and accepting writes immediately.
     pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
         self.snapshot().save(w)
     }
@@ -481,8 +489,9 @@ impl SegmentedAcornIndex {
     /// counts disagree with the embedded vector store or graph,
     /// non-ascending / out-of-range / cross-segment-duplicated global ids,
     /// overlapping segment gid ranges, tombstone bits beyond a segment's
-    /// rows, and embedded segment headers that disagree with the top-level
-    /// configuration.
+    /// rows, embedded segment headers that disagree with the top-level
+    /// configuration, and a frozen block that is not sealed or an active
+    /// block that is sealed or quantized.
     pub fn load(r: &mut impl Read) -> io::Result<SegmentedAcornIndex> {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
@@ -571,6 +580,9 @@ impl SegmentedAcornIndex {
             if seg.global_ids.is_empty() {
                 return Err(bad("frozen segments must not be empty"));
             }
+            if seg.index.csr().is_none() {
+                return Err(bad("frozen segments must be sealed"));
+            }
             frozen.push(seg);
         }
         if frozen.windows(2).any(|w| w[0].global_ids[0] >= w[1].global_ids[0]) {
@@ -581,6 +593,10 @@ impl SegmentedAcornIndex {
             // Codebooks are only ever trained at seal time; a quantized
             // active segment could not absorb inserts.
             return Err(bad("the active segment must not be quantized"));
+        }
+        if active.index.csr().is_some() {
+            // A sealed index accepts no inserts.
+            return Err(bad("the active segment must not be sealed"));
         }
 
         // Global ids must be owned by exactly one segment: a duplicated id
@@ -677,24 +693,28 @@ mod tests {
         let vecs = random_store(400, 8, 6);
         let params =
             AcornParams { m: 8, gamma: 4, m_beta: 16, ef_construction: 32, ..Default::default() };
-        let mut idx = AcornIndex::build(vecs.clone(), params, AcornVariant::Gamma);
-        idx.compact();
+        let plain = AcornIndex::build(vecs.clone(), params, AcornVariant::Gamma);
+        let idx = plain.clone().seal(None);
 
         let mut buf = Vec::new();
         idx.save(&mut buf).unwrap();
         let loaded = AcornIndex::load(&mut buf.as_slice(), vecs.clone()).unwrap();
-        assert!(loaded.csr().is_some(), "loaded index must serve from CSR immediately");
+        assert!(loaded.csr().is_some(), "a sealed index must load sealed");
         let q = vec![0.3; 8];
         let a: Vec<(u32, f32)> = idx.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
         let b: Vec<(u32, f32)> = loaded.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
         assert_eq!(a, b);
 
-        // An uncompacted index stays uncompacted through the round trip.
-        let plain = AcornIndex::build(vecs.clone(), idx.params().clone(), AcornVariant::Gamma);
-        let mut buf = Vec::new();
-        plain.save(&mut buf).unwrap();
-        let loaded = AcornIndex::load(&mut buf.as_slice(), vecs).unwrap();
+        // A growing index stays growing through the round trip, and its file
+        // differs from the sealed one's in the trailing flag alone: `save`
+        // writes the same lists from either graph.
+        let mut plain_buf = Vec::new();
+        plain.save(&mut plain_buf).unwrap();
+        let loaded = AcornIndex::load(&mut plain_buf.as_slice(), vecs).unwrap();
         assert!(loaded.csr().is_none());
+        let flag = buf.len() - 1;
+        assert_eq!((plain_buf[flag], buf[flag]), (0, 1));
+        assert_eq!(plain_buf[..flag], buf[..flag]);
     }
 
     #[test]
@@ -766,6 +786,12 @@ mod tests {
         (idx, vecs)
     }
 
+    /// `(length, CRC32 of everything before the footer)` of
+    /// `saved(segmented_fixture)` and `saved(quantized_fixture)`; see
+    /// `saved_bytes_are_those_of_the_two_layout_index`.
+    const FIXTURE_SUM: (usize, u32) = (22_094, 70_889_456);
+    const QUANTIZED_SUM: (usize, u32) = (22_166, 4_192_036_885);
+
     /// Bytes before the first frozen segment block: magic 4 + version 4 +
     /// header 59 + dim 8 + next_global 8 + policy 24 + quant 9 + nseg 8.
     const SEG_HEADER_BYTES: usize = 124;
@@ -804,7 +830,7 @@ mod tests {
         assert_eq!(loaded.policy(), idx.policy());
         assert!(
             loaded.frozen_segments()[0].index().csr().is_some(),
-            "loaded frozen segments must serve from CSR immediately"
+            "loaded frozen segments must be sealed"
         );
 
         let q = vec![0.2; 8];
@@ -967,6 +993,58 @@ mod tests {
             idx.insert(v);
         }
         idx
+    }
+
+    #[test]
+    fn saved_bytes_are_those_of_the_two_layout_index() {
+        // Length and CRC32 of what the parent of the one-graph-per-segment
+        // change wrote for the same op scripts: sealing changed what a
+        // segment holds in memory, not one byte of the file.
+        for (file, sum) in [
+            (saved(&segmented_fixture().0), FIXTURE_SUM),
+            (saved(&quantized_fixture()), QUANTIZED_SUM),
+        ] {
+            let body = &file[..file.len() - 4];
+            assert_eq!((file.len(), acorn_hnsw::checksum::crc32(body)), sum);
+        }
+    }
+
+    #[test]
+    fn segmented_load_holds_each_block_to_the_state_of_its_role() {
+        // Every embedded v3 blob ends in its `compacted` byte: the frozen
+        // block's is the last byte before the active block, the active
+        // block's the last before the footer.
+        let (idx, _) = segmented_fixture();
+        let buf = saved(&idx);
+        let active_flag = buf.len() - 5;
+        // Active block (the same in both fixtures): tag 1 + n 8 + 60 gids +
+        // 1 tombstone word + 60 × 8 floats, then its blob.
+        let mut blob = Vec::new();
+        idx.snapshot().active_segment().unwrap().index().save(&mut blob).unwrap();
+        let active_block = 1 + 8 + 60 * 8 + 8 + 60 * 8 * 4 + blob.len();
+        let frozen_flag = active_flag - active_block;
+        assert_eq!((buf[frozen_flag], buf[active_flag]), (1, 0));
+
+        for (flag, message) in [
+            (frozen_flag, "frozen segments must be sealed"),
+            (active_flag, "the active segment must not be sealed"),
+        ] {
+            let mut flipped = buf.clone();
+            flipped[flag] ^= 1;
+            reseal(&mut flipped);
+            let err = crate::SegmentedAcornIndex::load(&mut flipped.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(message), "unexpected: {err}");
+        }
+
+        // A quantized block is sealed by construction; one that claims
+        // otherwise is refused before its codebook is used.
+        let mut quantized = saved(&quantized_fixture());
+        let frozen_flag = quantized.len() - 5 - active_block;
+        quantized[frozen_flag] = 0;
+        reseal(&mut quantized);
+        let err = crate::SegmentedAcornIndex::load(&mut quantized.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("quantized segment block must be sealed"), "{err}");
     }
 
     #[test]

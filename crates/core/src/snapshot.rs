@@ -9,14 +9,14 @@
 //!   snapshot cell under the writer's pending lock, bumping the epoch.
 //! * A reader calls [`IndexReader::snapshot`] once — a read-lock held only
 //!   long enough to clone an `Arc` — and then serves the entire query from
-//!   that snapshot **without acquiring any lock**: sealed segments are
-//!   `Arc<SealedSegment>`, tombstone sets are `Arc<Bitset>`, and nothing in
+//!   that snapshot **without acquiring any lock**: segment payloads are
+//!   `Arc<SegmentPayload>`, tombstone sets are `Arc<Bitset>`, and nothing in
 //!   a published snapshot is ever mutated again.
 //! * Old epochs are reclaimed by `Arc` drop when the last in-flight reader
 //!   releases them; a background merge publishing a new epoch never stalls
 //!   or retroactively changes a query that started on the old one.
 //!
-//! Tombstones are copy-on-write: deleting a row in a sealed segment clones
+//! Tombstones are copy-on-write: deleting a row in a frozen segment clones
 //! the (small) bitset via [`Arc::make_mut`] while the (large) graph +
 //! vector data stay shared by every epoch that references the segment.
 //!
@@ -36,23 +36,25 @@ use crate::params::{AcornParams, AcornVariant};
 use crate::plan::{self, LiveFilter, PlanSegment};
 use crate::segment::{GlobalNeighbor, MergePolicy, QuantizationPolicy};
 
-/// The immutable payload of one sealed segment generation: the per-segment
-/// ACORN index and its sorted local → global id map. Shared by every
-/// snapshot (and every pending-state entry) that references the segment.
+/// The immutable payload of one published segment generation: the
+/// per-segment ACORN index — [sealed](AcornIndex::seal) for a frozen
+/// segment, a growing clone for a view of the active one — and its sorted
+/// local → global id map. Shared by every snapshot (and every pending-state
+/// entry) that references the segment.
 #[derive(Debug)]
-pub(crate) struct SealedSegment {
+pub(crate) struct SegmentPayload {
     pub(crate) index: AcornIndex,
     pub(crate) global_ids: Vec<u64>,
 }
 
 /// A read-only view of one segment inside a [`SegmentSnapshot`]: the shared
-/// sealed payload plus the tombstone set as of the snapshot's epoch.
+/// payload plus the tombstone set as of the snapshot's epoch.
 ///
 /// Cloning a view clones two `Arc`s — the graph, vectors, and id map are
 /// never copied.
 #[derive(Debug, Clone)]
 pub struct SegmentView {
-    pub(crate) sealed: Arc<SealedSegment>,
+    pub(crate) payload: Arc<SegmentPayload>,
     /// Set bit = deleted row, frozen at this view's epoch (copy-on-write:
     /// later deletes clone the bitset, never mutate this one).
     pub(crate) tombstones: Arc<Bitset>,
@@ -63,7 +65,7 @@ pub struct SegmentView {
 impl SegmentView {
     /// Total rows (live + tombstoned).
     pub fn rows(&self) -> usize {
-        self.sealed.global_ids.len()
+        self.payload.global_ids.len()
     }
 
     /// Rows not tombstoned.
@@ -78,26 +80,27 @@ impl SegmentView {
 
     /// `deleted / rows` (0.0 for an empty segment).
     pub fn tombstone_fraction(&self) -> f64 {
-        if self.sealed.global_ids.is_empty() {
+        if self.payload.global_ids.is_empty() {
             0.0
         } else {
-            self.deleted as f64 / self.sealed.global_ids.len() as f64
+            self.deleted as f64 / self.payload.global_ids.len() as f64
         }
     }
 
     /// True when the segment holds no rows at all.
     pub fn is_empty(&self) -> bool {
-        self.sealed.global_ids.is_empty()
+        self.payload.global_ids.is_empty()
     }
 
-    /// The per-segment ACORN index (sealed segments serve from CSR).
+    /// The per-segment ACORN index: sealed (CSR) for a frozen segment,
+    /// growing (nested graph) for the view of the active one.
     pub fn index(&self) -> &AcornIndex {
-        &self.sealed.index
+        &self.payload.index
     }
 
     /// The sorted local → global id map.
     pub fn global_ids(&self) -> &[u64] {
-        &self.sealed.global_ids
+        &self.payload.global_ids
     }
 
     /// The tombstone set (set bit = deleted local row).
@@ -107,24 +110,24 @@ impl SegmentView {
 
     /// Local row id of `gid`, if this segment owns it (tombstoned or not).
     pub fn local_of(&self, gid: u64) -> Option<u32> {
-        self.sealed.global_ids.binary_search(&gid).ok().map(|i| i as u32)
+        self.payload.global_ids.binary_search(&gid).ok().map(|i| i as u32)
     }
 
-    /// Bytes held by this segment: the served graph layout, the vector
-    /// data (quantized codes + codebook included, when present), the id
-    /// map, and the tombstone words.
+    /// Bytes held by this segment: its graph, the vector data (quantized
+    /// codes + codebook included, when present), the id map, and the
+    /// tombstone words.
     pub fn memory_bytes(&self) -> usize {
-        self.sealed.index.serving_memory_bytes()
-            + self.sealed.index.vectors().memory_bytes()
-            + self.sealed.index.quantized().map_or(0, acorn_hnsw::Sq8Store::memory_bytes)
-            + self.sealed.global_ids.len() * std::mem::size_of::<u64>()
+        self.payload.index.memory_bytes()
+            + self.payload.index.vectors().memory_bytes()
+            + self.payload.index.quantized().map_or(0, acorn_hnsw::Sq8Store::memory_bytes)
+            + self.payload.global_ids.len() * std::mem::size_of::<u64>()
             + self.tombstones.memory_bytes()
     }
 
     /// True when this segment traverses SQ8 codes (with exact rerank)
     /// rather than raw f32 rows.
     pub fn is_quantized(&self) -> bool {
-        self.sealed.index.quantized().is_some()
+        self.payload.index.quantized().is_some()
     }
 
     /// Remap a per-segment result list to global ids. Input is ascending by
@@ -132,7 +135,7 @@ impl SegmentView {
     /// is ascending by `(dist, global)` — ready for the k-way merge.
     pub(crate) fn to_global(&self, out: Vec<Neighbor>) -> Vec<GlobalNeighbor> {
         out.into_iter()
-            .map(|n| GlobalNeighbor::new(n.dist, self.sealed.global_ids[n.id as usize]))
+            .map(|n| GlobalNeighbor::new(n.dist, self.payload.global_ids[n.id as usize]))
             .collect()
     }
 }
@@ -151,9 +154,9 @@ impl<F: Fn(u64) -> bool> NodeFilter for GlobalFnFilter<'_, F> {
     }
 }
 
-/// One immutable epoch of the segmented index: every sealed segment (the
-/// frozen list plus a sealed copy of the active segment) with the tombstone
-/// state as of publication.
+/// One immutable epoch of the segmented index: every segment (the frozen
+/// list plus a view of the active segment) with the tombstone state as of
+/// publication.
 ///
 /// A snapshot answers every query the segmented index supports — pure,
 /// filtered, and hybrid under either [`PredicateStrategy`] — **without any
@@ -169,10 +172,10 @@ pub struct SegmentSnapshot {
     pub(crate) policy: MergePolicy,
     pub(crate) quant: QuantizationPolicy,
     pub(crate) next_global: u64,
-    /// Sealed read-optimized segments, ascending by first global id.
+    /// Frozen (sealed, CSR) segments, ascending by first global id.
     pub(crate) frozen: Vec<SegmentView>,
-    /// Sealed copy of the active segment at publication (absent when the
-    /// active segment was empty).
+    /// View of the active segment at publication (absent when the active
+    /// segment was empty).
     pub(crate) active: Option<SegmentView>,
 }
 
@@ -237,12 +240,12 @@ impl SegmentSnapshot {
         self.segments().map(SegmentView::deleted_rows).sum()
     }
 
-    /// Frozen (read-optimized) segments, ascending by first global id.
+    /// Frozen (sealed, CSR) segments, ascending by first global id.
     pub fn frozen_segments(&self) -> &[SegmentView] {
         &self.frozen
     }
 
-    /// The sealed copy of the active segment, if it held rows.
+    /// The view of the active segment, if it held rows.
     pub fn active_segment(&self) -> Option<&SegmentView> {
         self.active.as_ref()
     }
@@ -261,7 +264,7 @@ impl SegmentSnapshot {
     pub fn live_ids(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = self
             .segments()
-            .flat_map(|s| s.tombstones.iter_zeros().map(|l| s.sealed.global_ids[l as usize]))
+            .flat_map(|s| s.tombstones.iter_zeros().map(|l| s.payload.global_ids[l as usize]))
             .collect();
         ids.sort_unstable();
         ids
@@ -272,8 +275,8 @@ impl SegmentSnapshot {
         self.segments().any(|s| s.local_of(gid).is_some_and(|local| !s.tombstones.get(local)))
     }
 
-    /// Bytes held across all segments: served graph layouts, vector data,
-    /// id maps, and tombstone words.
+    /// Bytes held across all segments: graphs, vector data, id maps, and
+    /// tombstone words.
     pub fn memory_bytes(&self) -> usize {
         self.segments().map(SegmentView::memory_bytes).sum()
     }
@@ -297,7 +300,7 @@ impl SegmentSnapshot {
         let mut per_seg = Vec::with_capacity(self.num_segments());
         for seg in self.segments() {
             let filter = LiveFilter { inner: &AllPass, tombstones: Some(&seg.tombstones) };
-            let out = seg.sealed.index.search_filtered(query, &filter, k, efs, scratch, stats);
+            let out = seg.payload.index.search_filtered(query, &filter, k, efs, scratch, stats);
             per_seg.push(seg.to_global(out));
         }
         merge_k_sorted(&per_seg, k)
@@ -318,9 +321,9 @@ impl SegmentSnapshot {
     ) -> Vec<GlobalNeighbor> {
         let mut per_seg = Vec::with_capacity(self.num_segments());
         for seg in self.segments() {
-            let inner = GlobalFnFilter { f: filter, global_ids: &seg.sealed.global_ids };
+            let inner = GlobalFnFilter { f: filter, global_ids: &seg.payload.global_ids };
             let live = LiveFilter { inner: &inner, tombstones: Some(&seg.tombstones) };
-            let out = seg.sealed.index.search_filtered(query, &live, k, efs, scratch, stats);
+            let out = seg.payload.index.search_filtered(query, &live, k, efs, scratch, stats);
             per_seg.push(seg.to_global(out));
         }
         merge_k_sorted(&per_seg, k)
@@ -379,8 +382,8 @@ impl SegmentSnapshot {
             self.next_global
         );
         let segments = self.segments().map(|seg| PlanSegment {
-            index: &seg.sealed.index,
-            global_ids: Some(&seg.sealed.global_ids),
+            index: &seg.payload.index,
+            global_ids: Some(&seg.payload.global_ids),
             tombstones: Some(&seg.tombstones),
         });
         let (lists, stats) = plan::hybrid_search(
@@ -400,7 +403,7 @@ impl SegmentSnapshot {
     }
 }
 
-/// One frozen segment in the writer's pending state: the shared sealed
+/// One frozen segment in the writer's pending state: the shared
 /// payload, the current (copy-on-write) tombstone set, and a unique segment
 /// id that merge publication uses to splice results without positional
 /// races.
@@ -409,7 +412,7 @@ pub(crate) struct FrozenSeg {
     /// Unique per-index segment id (never reused) — identifies merge
     /// sources across the unlock/relock window of a background merge.
     pub(crate) id: u64,
-    pub(crate) sealed: Arc<SealedSegment>,
+    pub(crate) payload: Arc<SegmentPayload>,
     pub(crate) tombstones: Arc<Bitset>,
     pub(crate) deleted: usize,
 }
@@ -417,24 +420,24 @@ pub(crate) struct FrozenSeg {
 impl FrozenSeg {
     pub(crate) fn view(&self) -> SegmentView {
         SegmentView {
-            sealed: self.sealed.clone(),
+            payload: self.payload.clone(),
             tombstones: self.tombstones.clone(),
             deleted: self.deleted,
         }
     }
 
     pub(crate) fn first_gid(&self) -> u64 {
-        self.sealed.global_ids[0]
+        self.payload.global_ids[0]
     }
 }
 
 /// The writer's mutable bookkeeping, guarded by [`SharedState::pending`].
 /// Everything a publication needs except the active segment's graph (which
-/// only the writer owns and seals into views).
+/// only the writer owns and clones into views).
 #[derive(Debug)]
 pub(crate) struct Pending {
     pub(crate) frozen: Vec<FrozenSeg>,
-    /// Sealed view of the active segment as of the last publication
+    /// View of the active segment as of the last publication
     /// (`None` when the active segment is empty).
     pub(crate) active_view: Option<SegmentView>,
     pub(crate) next_global: u64,
@@ -442,6 +445,26 @@ pub(crate) struct Pending {
     pub(crate) quant: QuantizationPolicy,
     pub(crate) epoch: u64,
     pub(crate) next_seg_id: u64,
+}
+
+impl Pending {
+    /// Add a frozen segment under a fresh segment id, keeping the list
+    /// ascending by first global id.
+    pub(crate) fn push_frozen(
+        &mut self,
+        payload: SegmentPayload,
+        tombstones: Bitset,
+        deleted: usize,
+    ) {
+        self.frozen.push(FrozenSeg {
+            id: self.next_seg_id,
+            payload: Arc::new(payload),
+            tombstones: Arc::new(tombstones),
+            deleted,
+        });
+        self.next_seg_id += 1;
+        self.frozen.sort_by_key(FrozenSeg::first_gid);
+    }
 }
 
 /// The atomically swappable current-snapshot holder. `load` takes the read
@@ -460,7 +483,11 @@ impl SnapshotCell {
     }
 
     fn store(&self, snap: Arc<SegmentSnapshot>) {
-        *self.0.write().unwrap_or_else(PoisonError::into_inner) = snap;
+        // The replaced epoch may be the last holder of a just-sealed active
+        // segment's graph nodes: free them after the write lock is released.
+        let old =
+            std::mem::replace(&mut *self.0.write().unwrap_or_else(PoisonError::into_inner), snap);
+        drop(old);
     }
 }
 

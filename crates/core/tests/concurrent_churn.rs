@@ -214,15 +214,14 @@ fn merges_racing_queries_stay_consistent() {
     assert_eq!(idx.num_segments(), 1, "compact_all must leave one frozen segment");
 
     // Canonical oracle: a plain AcornIndex built over the survivors in gid
-    // order, compacted — exactly what the merge path promises to equal.
+    // order, sealed — exactly what the merge path promises to equal.
     live.sort_unstable();
     assert_eq!(idx.live_ids(), live);
     let mut store = VectorStore::new(DIM);
     for &gid in &live {
         store.push(&vectors[gid as usize]);
     }
-    let mut oracle = AcornIndex::build(Arc::new(store), test_params(), AcornVariant::Gamma);
-    oracle.compact();
+    let oracle = AcornIndex::build(Arc::new(store), test_params(), AcornVariant::Gamma).seal(None);
 
     let mut rng = StdRng::seed_from_u64(8);
     for _ in 0..10 {

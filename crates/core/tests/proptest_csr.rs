@@ -1,8 +1,9 @@
 //! Property tests for the frozen CSR read path: searching over
 //! `LayeredGraph::freeze()` must be *bit-identical* to searching the nested
 //! layout — same ids, same distances, same search-statistics counters — for
-//! every lookup strategy, both ACORN variants, and through the serialize →
-//! load round trip of a compacted index.
+//! every lookup strategy, for a growing index of either ACORN variant
+//! against its sealed clone, and through the serialize → load round trip of
+//! a sealed index.
 
 use std::sync::Arc;
 
@@ -93,9 +94,10 @@ proptest! {
         }
     }
 
-    /// Full filtered index search is bit-identical before and after
-    /// `compact()` for both ACORN variants (covering the GammaSearch and
-    /// TwoHop serving paths end to end, upper levels included).
+    /// Full filtered index search is bit-identical between a growing index
+    /// and its sealed clone for both ACORN variants (covering the
+    /// GammaSearch and TwoHop serving paths end to end, upper levels
+    /// included).
     #[test]
     fn compacted_index_search_identical_for_both_variants(
         n in 50usize..400,
@@ -104,39 +106,32 @@ proptest! {
     ) {
         for variant in [AcornVariant::Gamma, AcornVariant::One] {
             let vecs = random_store(n, 8, seed);
-            let mut idx = AcornIndex::build(vecs, small_params(seed), variant);
+            let growing = AcornIndex::build(vecs, small_params(seed), variant);
+            let sealed = growing.clone().seal(None);
+            prop_assert!(growing.csr().is_none() && sealed.csr().is_some());
             let filter = random_filter(n, keep_one_in, seed);
             let mut scratch = SearchScratch::new(n);
-            let queries: Vec<Vec<f32>> =
-                (0..4).map(|i| random_query(8, seed.wrapping_add(i))).collect();
-
-            let mut nested = Vec::new();
-            for q in &queries {
-                let mut stats = SearchStats::default();
-                nested.push((
-                    pairs(&idx.search_filtered(q, &filter, 10, 40, &mut scratch, &mut stats)),
-                    stats,
-                ));
-            }
-            idx.compact();
-            prop_assert!(idx.csr().is_some());
-            for (q, (want, want_stats)) in queries.iter().zip(&nested) {
-                let mut stats = SearchStats::default();
+            for i in 0..4 {
+                let q = random_query(8, seed.wrapping_add(i));
+                let (mut want_stats, mut stats) = (SearchStats::default(), SearchStats::default());
+                let want = pairs(
+                    &growing.search_filtered(&q, &filter, 10, 40, &mut scratch, &mut want_stats),
+                );
                 let got =
-                    pairs(&idx.search_filtered(q, &filter, 10, 40, &mut scratch, &mut stats));
-                prop_assert_eq!(&got, want, "{:?} CSR result drift", variant);
-                prop_assert_eq!(&stats, want_stats, "{:?} CSR stats drift", variant);
+                    pairs(&sealed.search_filtered(&q, &filter, 10, 40, &mut scratch, &mut stats));
+                prop_assert_eq!(got, want, "{:?} CSR result drift", variant);
+                prop_assert_eq!(stats, want_stats, "{:?} CSR stats drift", variant);
             }
         }
     }
 
-    /// serialize → load of a compacted index serves from CSR and answers
+    /// serialize → load of a sealed index comes back sealed and answers
     /// exactly like the in-memory index it was saved from.
     #[test]
     fn compacted_serialize_roundtrip_identical(n in 40usize..300, seed in 0u64..500) {
         let vecs = random_store(n, 6, seed);
-        let mut idx = AcornIndex::build(vecs.clone(), small_params(seed), AcornVariant::Gamma);
-        idx.compact();
+        let idx =
+            AcornIndex::build(vecs.clone(), small_params(seed), AcornVariant::Gamma).seal(None);
         let mut buf = Vec::new();
         idx.save(&mut buf).unwrap();
         let loaded = AcornIndex::load(&mut buf.as_slice(), vecs).unwrap();

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use acorn_core::search::{acorn_search_layer, LookupMode};
 use acorn_core::{AcornIndex, AcornParams, AcornVariant, PredicateStrategy, SegmentedAcornIndex};
 use acorn_hnsw::heap::Neighbor;
-use acorn_hnsw::{Metric, SearchScratch, SearchStats, VectorStore};
+use acorn_hnsw::{GraphView, Metric, SearchScratch, SearchStats, VectorStore};
 use acorn_predicate::{AttrStore, BitmapFilter, Bitset, Predicate};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -291,9 +291,10 @@ proptest! {
         }
     }
 
-    /// Raw layer searches over the compacted segment's graph agree with the
-    /// rebuilt graph in **all three** `LookupMode`s — the merged graph is
-    /// not merely equivalent, it is the same graph.
+    /// Raw layer searches over the compacted segment's CSR agree with the
+    /// rebuild's nested graph in **all three** `LookupMode`s — the merged
+    /// graph is not merely equivalent, it is the same graph, in the layout a
+    /// sealed segment actually holds.
     #[test]
     fn compacted_graph_is_identical_in_every_lookup_mode(
         seed in 0u64..u64::MAX,
@@ -324,7 +325,8 @@ proptest! {
         let vecs = Arc::new(store);
         let rebuilt = AcornIndex::build(vecs.clone(), params(seed), AcornVariant::Gamma);
         let seg = &lc.index.frozen_segments()[0];
-        prop_assert_eq!(seg.index().graph().len(), rebuilt.graph().len());
+        let csr = seg.index().csr().expect("a frozen segment is sealed");
+        prop_assert_eq!(csr.len(), rebuilt.graph().len());
 
         let n = survivors.len();
         let filter = BitmapFilter::new(Bitset::from_ids(
@@ -333,7 +335,7 @@ proptest! {
         ));
         let q = query(&mut rng);
         let entry = rebuilt.graph().entry_point().unwrap();
-        prop_assert_eq!(seg.index().graph().entry_point(), Some(entry));
+        prop_assert_eq!(csr.entry_point(), Some(entry));
         let entries =
             vec![Neighbor::new(Metric::L2.distance(vecs.get(entry), &q), entry)];
 
@@ -349,7 +351,7 @@ proptest! {
             s1.begin(n);
             s2.begin(n);
             let a = acorn_search_layer(
-                &**seg.index().vectors(), seg.index().graph(), Metric::L2, &q, &filter,
+                &**seg.index().vectors(), csr, Metric::L2, &q, &filter,
                 &entries, 8, 0, 8, mode, &mut s1, &mut st1,
             );
             let b = acorn_search_layer(

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use acorn_core::{
     AcornIndex, AcornParams, AcornVariant, PredicateStrategy, QuantizationPolicy,
-    SegmentedAcornIndex,
+    SegmentedAcornIndex, Sq8Tier,
 };
 use acorn_hnsw::{Metric, SearchScratch, VectorStore};
 use acorn_predicate::{AttrStore, Predicate};
@@ -52,8 +52,8 @@ proptest! {
         rerank_k in 1usize..64,
     ) {
         let (vecs, labels) = random_store(n, seed);
-        let mut idx = AcornIndex::build(vecs.clone(), params(seed), AcornVariant::Gamma);
-        idx.quantize(rerank_k);
+        let idx = AcornIndex::build(vecs.clone(), params(seed), AcornVariant::Gamma)
+            .seal(Some(Sq8Tier::Train { rerank_k }));
         prop_assert!(idx.quantized().is_some());
         let attrs = AttrStore::builder().add_int("label", labels.clone()).build();
         let field = attrs.field("label").unwrap();
@@ -158,8 +158,9 @@ proptest! {
 #[test]
 fn quantized_tier_fits_bytes_budget() {
     let (vecs, _) = random_store(600, 7);
-    let mut idx = AcornIndex::build(vecs.clone(), params(7), AcornVariant::Gamma);
-    let sq8_bytes = idx.quantize(32).memory_bytes();
+    let idx = AcornIndex::build(vecs.clone(), params(7), AcornVariant::Gamma)
+        .seal(Some(Sq8Tier::Train { rerank_k: 32 }));
+    let sq8_bytes = idx.quantized().expect("sealed with a tier").memory_bytes();
     let f32_bytes = vecs.memory_bytes();
     let ratio = sq8_bytes as f64 / f32_bytes as f64;
     assert!(ratio <= 0.45, "sq8 tier is {ratio:.3}x the f32 rows (budget 0.45x)");
@@ -172,8 +173,7 @@ fn quantized_tier_fits_bytes_budget() {
 fn quantized_recall_tracks_exact_tier() {
     let (vecs, labels) = random_store(600, 11);
     let exact = AcornIndex::build(vecs.clone(), params(11), AcornVariant::Gamma);
-    let mut quant = exact.clone();
-    quant.quantize(32);
+    let quant = exact.clone().seal(Some(Sq8Tier::Train { rerank_k: 32 }));
     let attrs = AttrStore::builder().add_int("label", labels).build();
     let field = attrs.field("label").unwrap();
     let mut scratch = SearchScratch::new(600);

@@ -16,9 +16,9 @@ use crate::graph::{GraphView, LayeredGraph};
 
 /// A frozen, flat multi-level graph: per-level `offsets`/`targets` arenas.
 ///
-/// Built by [`LayeredGraph::freeze`]; immutable by design (inserting into a
-/// compacted index invalidates the cached `CsrGraph` and rebuilds it on the
-/// next `compact()` call).
+/// Built by [`LayeredGraph::freeze`]; immutable by design: an index that
+/// still takes inserts keeps its [`LayeredGraph`], and one that is done
+/// replaces it with this.
 #[derive(Debug, Clone, Default)]
 pub struct CsrGraph {
     /// `levels[v]` = maximum level index of node `v`.

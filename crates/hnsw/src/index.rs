@@ -9,8 +9,7 @@
 
 use std::sync::Arc;
 
-use crate::csr::CsrGraph;
-use crate::graph::{GraphView, LayeredGraph};
+use crate::graph::LayeredGraph;
 use crate::heap::Neighbor;
 use crate::level::LevelSampler;
 use crate::pool::ScratchPool;
@@ -57,10 +56,6 @@ pub struct HnswIndex {
     params: HnswParams,
     vecs: Arc<VectorStore>,
     graph: LayeredGraph,
-    /// Frozen CSR snapshot of `graph`, preferred by the read path when
-    /// present. Built by [`compact`](Self::compact); invalidated by
-    /// [`insert`](Self::insert).
-    csr: Option<CsrGraph>,
     sampler: LevelSampler,
     scratch: SearchScratch,
     pool: ScratchPool,
@@ -75,7 +70,6 @@ impl HnswIndex {
             sampler: LevelSampler::new(params.m.max(2), params.seed),
             scratch: SearchScratch::new(n),
             graph: LayeredGraph::with_capacity(n),
-            csr: None,
             vecs,
             params,
             pool: ScratchPool::new(),
@@ -111,22 +105,6 @@ impl HnswIndex {
         &self.graph
     }
 
-    /// Freeze the graph into its CSR form and cache it; subsequent searches
-    /// serve from the flat layout. Idempotent until the next
-    /// [`insert`](Self::insert), which invalidates the cache.
-    pub fn compact(&mut self) -> &CsrGraph {
-        if self.csr.is_none() {
-            self.csr = Some(self.graph.freeze());
-        }
-        self.csr.as_ref().expect("just populated")
-    }
-
-    /// The cached CSR snapshot, if [`compact`](Self::compact) has been
-    /// called since the last insert.
-    pub fn csr(&self) -> Option<&CsrGraph> {
-        self.csr.as_ref()
-    }
-
     /// The shared vector store.
     pub fn vectors(&self) -> &Arc<VectorStore> {
         &self.vecs
@@ -141,7 +119,6 @@ impl HnswIndex {
         assert_eq!(id as usize, self.graph.len(), "ids must be inserted sequentially");
         assert!((id as usize) < self.vecs.len(), "id not present in vector store");
 
-        self.csr = None; // mutation invalidates the frozen snapshot
         let level = self.sampler.sample();
         let prev_entry = self.graph.entry_point();
         let prev_max = self.graph.max_level();
@@ -240,10 +217,9 @@ impl HnswIndex {
         self.search_with(query, k, efs, &mut scratch, &mut stats)
     }
 
-    /// ANN search using caller-provided scratch space and stats counters
-    /// (the form used by the benchmark harness and thread pools). Serves
-    /// from the CSR snapshot when [`compact`](Self::compact) has been
-    /// called; the two layouts return bit-identical results.
+    /// ANN search (Algorithm 1) using caller-provided scratch space and
+    /// stats counters (the form used by the benchmark harness and thread
+    /// pools).
     pub fn search_with(
         &self,
         query: &[f32],
@@ -252,22 +228,7 @@ impl HnswIndex {
         scratch: &mut SearchScratch,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        match &self.csr {
-            Some(csr) => self.search_on(csr, query, k, efs, scratch, stats),
-            None => self.search_on(&self.graph, query, k, efs, scratch, stats),
-        }
-    }
-
-    /// Algorithm 1 over any [`GraphView`] layout.
-    fn search_on<G: GraphView>(
-        &self,
-        graph: &G,
-        query: &[f32],
-        k: usize,
-        efs: usize,
-        scratch: &mut SearchScratch,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
+        let graph = &self.graph;
         let Some(entry) = graph.entry_point() else {
             return Vec::new();
         };
@@ -390,37 +351,6 @@ mod tests {
             assert!(w[0].dist <= w[1].dist, "results must be sorted");
             assert_ne!(w[0].id, w[1].id, "results must be unique");
         }
-    }
-
-    #[test]
-    fn compacted_search_is_bit_identical() {
-        let vecs = random_store(1200, 16, 23);
-        let params = HnswParams { m: 12, ef_construction: 48, metric: Metric::L2, seed: 9 };
-        let mut idx = HnswIndex::build(vecs, params);
-        let qs: Vec<Vec<f32>> = (0..12).map(|i| vec![(i as f32 * 0.17).sin(); 16]).collect();
-        let nested: Vec<Vec<(u32, f32)>> = qs
-            .iter()
-            .map(|q| idx.search(q, 10, 48).iter().map(|n| (n.id, n.dist)).collect())
-            .collect();
-        assert!(idx.csr().is_none());
-        let saved = idx.compact().memory_bytes();
-        assert!(saved < idx.graph().memory_bytes(), "CSR must be smaller than nested");
-        for (q, want) in qs.iter().zip(&nested) {
-            let got: Vec<(u32, f32)> =
-                idx.search(q, 10, 48).iter().map(|n| (n.id, n.dist)).collect();
-            assert_eq!(&got, want, "CSR search must be bit-identical");
-        }
-        // Insert invalidates the snapshot (the store has no row 1200, so
-        // only check the cache flag via a fresh smaller build).
-        let vecs = random_store(40, 4, 24);
-        let mut small = HnswIndex::new(vecs, params);
-        for id in 0..39 {
-            small.insert(id);
-        }
-        small.compact();
-        assert!(small.csr().is_some());
-        small.insert(39);
-        assert!(small.csr().is_none(), "insert must invalidate the CSR cache");
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!   ACORN (`mL = 1/ln(M)`).
 //! * [`graph`] — the multi-level adjacency structure ([`LayeredGraph`]) and
 //!   the [`GraphView`] trait the read path is generic over.
-//! * [`csr`] — the frozen, flat [`CsrGraph`] layout serving queries after
-//!   [`LayeredGraph::freeze`] / `compact()`.
+//! * [`csr`] — the frozen, flat [`CsrGraph`] layout [`LayeredGraph::freeze`]
+//!   produces: what a sealed ACORN index holds in place of the nested graph.
 //! * [`select`] — neighbor selection: simple top-`M` and the RNG-based
 //!   heuristic pruning from the HNSW paper, with an `alpha` knob that also
 //!   serves Vamana's robust prune.

@@ -1,0 +1,15 @@
+#!/bin/sh
+# Surface ledger: non-comment non-test LOC and public-item lines of the
+# workspace sources (`crates/` without the benchmark package, `tests/` and
+# `benches/`, plus `src/`), counting each file up to its first `#[cfg(test)]`.
+# Printed by CI's lint job and quoted in every CHANGES.md entry; not a gate.
+cd "$(dirname "$0")/.." || exit 1
+find crates src -name '*.rs' \
+    ! -path 'crates/bench/src/bin/benchmark/*' ! -path '*/tests/*' ! -path '*/benches/*' |
+    sort | xargs awk '
+        FNR == 1 { live = 1 }
+        /#\[cfg\(test\)\]/ { live = 0 }
+        !live || /^[[:space:]]*($|\/\/)/ { next }
+        { loc++ }
+        /^[[:space:]]*pub (const |unsafe )?(fn|struct|enum|trait|const|type|mod|use) / { items++ }
+        END { printf "non-test LOC %d\npublic-item lines %d\n", loc, items }'
