@@ -1,35 +1,56 @@
-//! Crash-safe persistence for [`SegmentedAcornIndex`]: atomic checksummed
-//! snapshots, a write-ahead log, and generation-manifest recovery.
+//! Crash-safe persistence for [`SegmentedAcornIndex`] whose cost follows
+//! what changed: write-once segment files, small per-generation checkpoints,
+//! a write-ahead log, and generation-manifest recovery.
 //!
 //! # On-disk layout
 //!
 //! ```text
 //! <dir>/
 //!   MANIFEST              20 bytes: magic, version, committed generation, CRC32
-//!   snap-0000000007.acorn v6 snapshot of generation 7 (CRC32 footer)
-//!   wal-0000000007.log    ops applied since snapshot 7 (checksummed records)
+//!   seg-0000000003.acorn  one frozen segment, written once (CRC32 footer)
+//!   seg-0000000005.acorn  ... one file per frozen segment a kept generation names
+//!   snap-0000000007.acorn checkpoint of generation 7: the index header, one
+//!                         reference per frozen segment (file number, length,
+//!                         CRC32, rows, current tombstone words) and the active
+//!                         segment's block (CRC32 footer)
+//!   wal-0000000007.log    ops applied since checkpoint 7 (checksummed records)
 //!   snap-0000000006.acorn previous generation, kept as a bit-rot fallback
 //!   wal-0000000006.log    its WAL (completes the fallback to checkpoint state)
 //!   *.tmp                 in-flight writes; never read, pruned on sight
 //! ```
 //!
+//! A frozen segment never changes but for its tombstones, so its rows and
+//! graph are written exactly once — by the first checkpoint that sees it,
+//! never by `insert` or `freeze` — and every later checkpoint only names the
+//! file again beside the segment's current tombstone words. A checkpoint
+//! therefore costs the active segment plus whatever segments froze or merged
+//! since the last one, not the index. The byte formats are
+//! [`serialize`]'s: one segment-block codec inside three
+//! checksummed containers.
+//!
 //! # Commit protocol
 //!
-//! A checkpoint installs generation `g+1` in this order, each step made
-//! durable before the next (under [`FsyncPolicy::Always`] /
+//! A checkpoint installs generation `g+1` in this order, each file made
+//! durable before the commit point (under [`FsyncPolicy::Always`] /
 //! [`FsyncPolicy::OnCheckpoint`]):
 //!
-//! 1. serialize the snapshot to `snap-<g+1>.acorn.tmp` → fsync → rename to
-//!    its final name → fsync the directory;
-//! 2. create a fresh `wal-<g+1>.log` (header only) → fsync;
-//! 3. **commit point**: write `MANIFEST.tmp` → fsync → rename over
+//! 1. for each frozen segment no kept file holds yet: serialize it to
+//!    `seg-<n>.acorn.tmp` → fsync → rename to its final name (`<n>` is a
+//!    store-wide counter, never reused);
+//! 2. serialize the checkpoint to `snap-<g+1>.acorn.tmp` → fsync → rename →
+//!    fsync the directory, which makes this rename and step 1's durable;
+//! 3. create a fresh `wal-<g+1>.log` (header only) → fsync;
+//! 4. **commit point**: write `MANIFEST.tmp` → fsync → rename over
 //!    `MANIFEST` → fsync the directory;
-//! 4. retire files older than generation `g` (kept as fallback).
+//! 5. collect garbage: `*.tmp`, generations older than `g`, and every
+//!    segment file that neither `g+1` nor `g` (kept as fallback) references —
+//!    merged-away segments and the orphans of a crashed checkpoint alike.
 //!
-//! A crash anywhere before step 3 leaves `MANIFEST` pointing at `g`, whose
-//! snapshot and WAL are untouched — recovery reopens `g` and the partial
-//! `g+1` files are overwritten or pruned later. A crash after step 3 loses
-//! nothing: `g+1` holds exactly the state `g + wal-g` replays to.
+//! A crash anywhere before step 4 leaves `MANIFEST` pointing at `g`, whose
+//! checkpoint, WAL and segment files are untouched — recovery reopens `g`
+//! and the partial `g+1` files are overwritten or collected later. A crash
+//! after step 4 loses nothing: `g+1` holds exactly the state `g + wal-g`
+//! replays to.
 //!
 //! Every mutation is logged to the WAL **before** it is applied (one write
 //! call per record, fsynced under [`FsyncPolicy::Always`]), so the
@@ -37,35 +58,46 @@
 //! everything acknowledged-and-fsynced survives, and at most the single
 //! in-flight op is lost. Structural ops (freeze/merge/compact) are logged
 //! too — segment boundaries affect approximate answers, and replaying them
-//! makes recovery bit-identical, not merely set-equivalent.
+//! makes recovery bit-identical, not merely set-equivalent. A segment frozen
+//! or merged since the last checkpoint exists only as those records until
+//! the next checkpoint writes its file; replay re-derives it.
 //!
 //! # Recovery rules
 //!
 //! [`DurableIndex::open`] reads `MANIFEST` (falling back to the highest
-//! generation whose snapshot passes its CRC32 if the manifest is missing or
-//! corrupt), loads the snapshot — the v6 checksum is verified before any
-//! length field is trusted — then replays the valid prefix of the
-//! generation's WAL. If the WAL was torn, missing, or non-trivially
-//! replayed, open immediately checkpoints, so the store never appends after
-//! a torn tail. Any I/O error from a mutating call poisons the store
-//! (mutations fail fast until reopened); the on-disk state stays
-//! consistent. The whole protocol is swept by a fault-injection VFS — see
-//! [`vfs`] and `crates/core/tests/crash_points.rs`.
+//! generation that loads if the manifest is missing or corrupt), loads that
+//! generation's checkpoint and every segment file it references — each
+//! file's CRC32 footer is verified over the whole file before any length
+//! field is trusted, and a segment file must be byte for byte the one the
+//! checkpoint was written against — then replays the valid prefix of the
+//! generation's WAL. A generation with a damaged checkpoint or segment file
+//! falls back to its predecessor and that one's WAL; damage to a segment
+//! file both reference is a clean `InvalidData`. A directory in any other
+//! layout is `InvalidData` too. The loaded segments are remembered by the
+//! files they came from, so the next checkpoint rewrites none of them. If
+//! the WAL was torn, missing, or non-trivially replayed, open immediately
+//! checkpoints, so the store never appends after a torn tail. Any I/O error
+//! from a mutating call poisons the store (mutations fail fast until
+//! reopened); the on-disk state stays consistent. The whole protocol is
+//! swept by a fault-injection VFS — see [`vfs`] and
+//! `crates/core/tests/crash_points.rs`.
 
 pub mod vfs;
 pub mod wal;
 
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use acorn_hnsw::checksum::crc32;
 
 use crate::segment::{GlobalNeighbor, MergeOutcome};
-use crate::snapshot::IndexReader;
+use crate::serialize::{self, Checkpoint, SegmentFileRef};
+use crate::snapshot::{IndexReader, SegmentPayload, SegmentSnapshot, SegmentView};
 use crate::SegmentedAcornIndex;
 
 pub use vfs::{FailpointVfs, FaultPlan, StdVfs, Vfs, VfsFile};
+use wal::Record;
 pub use wal::WalOp;
 
 const MANIFEST_NAME: &str = "MANIFEST";
@@ -95,9 +127,9 @@ pub struct DurabilityOptions {
     /// (`0` = only on explicit [`DurableIndex::checkpoint`] calls).
     /// Default 8 MiB.
     pub wal_max_bytes: u64,
-    /// Write snapshot files in chunks of this many bytes (default 64 KiB).
-    /// Smaller chunks mean more distinct crash points for the
-    /// fault-injection sweep; the on-disk bytes are identical.
+    /// Write checkpoint and segment files in chunks of this many bytes
+    /// (default 64 KiB). Smaller chunks mean more distinct crash points for
+    /// the fault-injection sweep; the on-disk bytes are identical.
     pub snapshot_chunk_bytes: usize,
 }
 
@@ -108,8 +140,9 @@ impl Default for DurabilityOptions {
 }
 
 /// A [`SegmentedAcornIndex`] bound to a directory with crash-safe
-/// persistence: checksummed snapshots, a write-ahead log, and atomic
-/// generation commits. See the [module docs](self) for the protocol.
+/// persistence: write-once segment files, checksummed checkpoints, a
+/// write-ahead log, and atomic generation commits. See the
+/// [module docs](self) for the protocol.
 ///
 /// All mutations go through this wrapper (there is deliberately no `&mut`
 /// access to the inner index): each one is WAL-logged before it is applied,
@@ -125,6 +158,16 @@ pub struct DurableIndex {
     generation: u64,
     wal: Option<Box<dyn VfsFile>>,
     wal_bytes: u64,
+    /// The record being appended; one allocation for the handle's lifetime.
+    wal_record: Vec<u8>,
+    /// The segment files the committed generation references, each with the
+    /// payload it holds: a frozen segment is its `Arc<SegmentPayload>`, so a
+    /// pointer match means the file on disk is this segment's. The weak
+    /// handle keeps the address from being reused while the entry lives
+    /// without keeping a merged-away segment's rows and graph alive.
+    seg_files: Vec<(Weak<SegmentPayload>, SegmentFileRef)>,
+    /// The number the next segment file gets; never reused.
+    next_seg_file: u64,
     recovered_ops: u64,
     checkpoints: u64,
     poisoned: bool,
@@ -154,8 +197,9 @@ impl DurableIndex {
     ) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         vfs.create_dir_all(&dir)?;
+        let names = vfs.list(&dir)?;
         if vfs.exists(&dir.join(MANIFEST_NAME))
-            || vfs.list(&dir)?.iter().any(|n| parse_gen(n, "snap-", ".acorn").is_some())
+            || names.iter().any(|n| parse_gen(n, "snap-", ".acorn").is_some())
         {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
@@ -170,6 +214,9 @@ impl DurableIndex {
             generation: 0,
             wal: None,
             wal_bytes: 0,
+            wal_record: Vec::new(),
+            seg_files: Vec::new(),
+            next_seg_file: next_seg_file(&names),
             recovered_ops: 0,
             checkpoints: 0,
             poisoned: false,
@@ -193,9 +240,10 @@ impl DurableIndex {
         let dir = dir.as_ref().to_path_buf();
         let names = vfs.list(&dir)?;
 
-        // Candidate generations: the manifest's first, then every snapshot
-        // on disk from newest to oldest (reached only if the manifest or
-        // its snapshot is damaged — bit rot, not crashes).
+        // Candidate generations: the manifest's first, then every
+        // checkpoint on disk from newest to oldest (reached only if the
+        // manifest or one of its generation's files is damaged — bit rot,
+        // not crashes).
         let manifest_gen = read_manifest(&*vfs, &dir);
         let mut snap_gens: Vec<u64> =
             names.iter().filter_map(|n| parse_gen(n, "snap-", ".acorn")).collect();
@@ -208,18 +256,18 @@ impl DurableIndex {
             io::Error::new(io::ErrorKind::NotFound, "no durable index found in directory");
         let mut chosen = None;
         for g in candidates {
-            match vfs
-                .read(&snap_path(&dir, g))
-                .and_then(|bytes| SegmentedAcornIndex::load(&mut bytes.as_slice()))
-            {
-                Ok(index) => {
-                    chosen = Some((g, index));
+            match load_generation(&*vfs, &dir, g) {
+                Ok((index, refs)) => {
+                    chosen = Some((g, index, refs));
                     break;
                 }
                 Err(e) => last_err = e,
             }
         }
-        let Some((generation, mut index)) = chosen else { return Err(last_err) };
+        let Some((generation, mut index, refs)) = chosen else { return Err(last_err) };
+        // Which file holds which segment, taken before replay can merge any
+        // of them away: the next checkpoint rewrites none of these.
+        let seg_files = held_by(&index.snapshot(), refs);
 
         // Replay the valid prefix of this generation's WAL.
         let wal_file = wal_path(&dir, generation);
@@ -244,6 +292,9 @@ impl DurableIndex {
             generation,
             wal: None,
             wal_bytes: 0,
+            wal_record: Vec::new(),
+            seg_files,
+            next_seg_file: next_seg_file(&names),
             recovered_ops,
             checkpoints: 0,
             poisoned: false,
@@ -254,7 +305,9 @@ impl DurableIndex {
             store.run(|s| {
                 s.wal = Some(s.vfs.append(&wal_file)?);
                 s.wal_bytes = file_len as u64;
-                s.prune_stale()
+                // Segment files stay until a checkpoint knows what the two
+                // generations it keeps reference.
+                s.prune_stale(None)
             })?;
         } else {
             // Torn tail, missing file, or headerless stub: never append
@@ -269,11 +322,27 @@ impl DurableIndex {
     /// Insert a vector, returning its durable global id. The record is
     /// logged (and fsynced, under [`FsyncPolicy::Always`]) before it is
     /// applied, so an `Ok` means the insert survives a crash.
+    ///
+    /// # Errors
+    /// `InvalidInput` for a vector of the wrong dimension or with a
+    /// non-finite component: refused before anything is logged, so the
+    /// handle stays usable and the row can never reach a replay.
     pub fn insert(&mut self, v: &[f32]) -> io::Result<u64> {
-        assert_eq!(v.len(), self.index.dim(), "inserted vector has wrong dimension");
+        if v.len() != self.index.dim() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("inserted vector has dimension {}, not {}", v.len(), self.index.dim()),
+            ));
+        }
+        if v.iter().any(|x| !x.is_finite()) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "inserted vector has a non-finite component",
+            ));
+        }
         self.run(|s| {
             let gid = s.index.next_global_id();
-            s.append_op(&WalOp::Insert { gid, vector: v.to_vec() })?;
+            s.append_op(Record::Insert { gid, vector: v })?;
             let got = s.index.insert(v);
             debug_assert_eq!(got, gid);
             s.maybe_auto_checkpoint()?;
@@ -288,7 +357,7 @@ impl DurableIndex {
             if !s.index.contains(gid) {
                 return Ok(false);
             }
-            s.append_op(&WalOp::Delete { gid })?;
+            s.append_op(Record::Delete { gid })?;
             let deleted = s.index.delete(gid);
             debug_assert!(deleted);
             s.maybe_auto_checkpoint()?;
@@ -303,7 +372,7 @@ impl DurableIndex {
             if s.index.snapshot().active_segment().is_none() {
                 return Ok(());
             }
-            s.append_op(&WalOp::Freeze)?;
+            s.append_op(Record::Freeze)?;
             s.index.freeze();
             s.maybe_auto_checkpoint()
         })
@@ -312,7 +381,7 @@ impl DurableIndex {
     /// Run one policy-driven merge pass (logged).
     pub fn merge(&mut self) -> io::Result<MergeOutcome> {
         self.run(|s| {
-            s.append_op(&WalOp::Merge)?;
+            s.append_op(Record::Merge)?;
             let out = s.index.merge();
             s.maybe_auto_checkpoint()?;
             Ok(out)
@@ -322,15 +391,16 @@ impl DurableIndex {
     /// Freeze and compact everything into one segment (logged).
     pub fn compact_all(&mut self) -> io::Result<MergeOutcome> {
         self.run(|s| {
-            s.append_op(&WalOp::CompactAll)?;
+            s.append_op(Record::CompactAll)?;
             let out = s.index.compact_all();
             s.maybe_auto_checkpoint()?;
             Ok(out)
         })
     }
 
-    /// Write a new snapshot generation and truncate the WAL (the atomic
-    /// [commit protocol](self#commit-protocol)).
+    /// Write a new checkpoint generation — plus a segment file for each
+    /// segment frozen or merged since the last one — and truncate the WAL
+    /// (the atomic [commit protocol](self#commit-protocol)).
     pub fn checkpoint(&mut self) -> io::Result<()> {
         self.run(|s| s.install_generation(s.generation + 1))
     }
@@ -352,7 +422,7 @@ impl DurableIndex {
         self.index.search(query, k, efs)
     }
 
-    /// The committed snapshot generation.
+    /// The committed checkpoint generation.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -405,16 +475,16 @@ impl DurableIndex {
         self.opts.fsync != FsyncPolicy::Never
     }
 
-    fn append_op(&mut self, op: &WalOp) -> io::Result<()> {
-        let rec = wal::encode(op);
+    fn append_op(&mut self, rec: Record<'_>) -> io::Result<()> {
+        wal::encode(&mut self.wal_record, rec);
         let w = self.wal.as_mut().expect("store always holds a WAL handle when not poisoned");
         // One write call per record: a crash tears at most this record,
         // and the parse-time checksum discards the torn tail.
-        w.write_all(&rec)?;
+        w.write_all(&self.wal_record)?;
         if self.opts.fsync == FsyncPolicy::Always {
             w.sync()?;
         }
-        self.wal_bytes += rec.len() as u64;
+        self.wal_bytes += self.wal_record.len() as u64;
         Ok(())
     }
 
@@ -425,16 +495,13 @@ impl DurableIndex {
         Ok(())
     }
 
-    /// The commit protocol: install `next` as the committed generation.
-    fn install_generation(&mut self, next: u64) -> io::Result<()> {
-        // 1. Snapshot, atomically: tmp + fsync + rename + dir fsync. The
-        //    v6 format carries its own CRC32 footer.
-        let bytes = {
-            let mut b = Vec::new();
-            self.index.snapshot().save(&mut b)?;
-            b
-        };
-        let tmp = self.dir.join(format!("snap-{next:010}.acorn.tmp"));
+    /// Write `bytes` to `path` by way of `<path>.tmp`: a reader sees the
+    /// whole file under its final name or no file at all. The rename is
+    /// durable once the caller has synced the directory.
+    fn write_atomically(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
         let mut f = self.vfs.create(&tmp)?;
         for chunk in bytes.chunks(self.opts.snapshot_chunk_bytes.max(1)) {
             f.write_all(chunk)?;
@@ -443,12 +510,44 @@ impl DurableIndex {
             f.sync()?;
         }
         drop(f);
-        self.vfs.rename(&tmp, &snap_path(&self.dir, next))?;
+        self.vfs.rename(&tmp, path)
+    }
+
+    /// The reference to `seg`'s file: the one on disk if a kept file
+    /// already holds this segment, a freshly written one otherwise.
+    fn segment_file(&mut self, seg: &SegmentView) -> io::Result<SegmentFileRef> {
+        let payload = Arc::as_ptr(&seg.payload);
+        if let Some((_, on_disk)) = self.seg_files.iter().find(|(p, _)| p.as_ptr() == payload) {
+            return Ok(*on_disk);
+        }
+        let file = self.next_seg_file;
+        self.next_seg_file += 1;
+        let mut bytes = Vec::new();
+        let written = serialize::save_segment_file(&mut bytes, file, seg)?;
+        self.write_atomically(&seg_path(&self.dir, file), &bytes)?;
+        Ok(written)
+    }
+
+    /// The commit protocol: install `next` as the committed generation.
+    fn install_generation(&mut self, next: u64) -> io::Result<()> {
+        let snap = self.index.snapshot();
+
+        // 1. Segment files, for the frozen segments no kept file holds.
+        let mut refs = Vec::with_capacity(snap.frozen_segments().len());
+        for seg in snap.frozen_segments() {
+            refs.push(self.segment_file(seg)?);
+        }
+
+        // 2. The checkpoint, atomically. One directory fsync covers its
+        //    rename and the segment files' before it.
+        let mut bytes = Vec::new();
+        serialize::save_checkpoint(&mut bytes, &snap, &refs)?;
+        self.write_atomically(&snap_path(&self.dir, next), &bytes)?;
         if self.checkpoint_syncs() {
             self.vfs.sync_dir(&self.dir)?;
         }
 
-        // 2. Fresh WAL for the new generation. Created before the commit
+        // 3. Fresh WAL for the new generation. Created before the commit
         //    point so a committed generation always has its (possibly
         //    empty) WAL on disk.
         self.wal = None;
@@ -458,20 +557,13 @@ impl DurableIndex {
             w.sync()?;
         }
 
-        // 3. Commit point: the manifest rename.
+        // 4. Commit point: the manifest rename.
         let mut content = Vec::with_capacity(20);
         content.extend_from_slice(MANIFEST_MAGIC);
         content.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
         content.extend_from_slice(&next.to_le_bytes());
         content.extend_from_slice(&crc32(&content).to_le_bytes());
-        let mtmp = self.dir.join("MANIFEST.tmp");
-        let mut mf = self.vfs.create(&mtmp)?;
-        mf.write_all(&content)?;
-        if self.checkpoint_syncs() {
-            mf.sync()?;
-        }
-        drop(mf);
-        self.vfs.rename(&mtmp, &self.dir.join(MANIFEST_NAME))?;
+        self.write_atomically(&self.dir.join(MANIFEST_NAME), &content)?;
         if self.checkpoint_syncs() {
             self.vfs.sync_dir(&self.dir)?;
         }
@@ -480,23 +572,31 @@ impl DurableIndex {
         self.wal_bytes = wal::WAL_HEADER.len() as u64;
         self.generation = next;
         self.checkpoints += 1;
+        let previous = std::mem::replace(&mut self.seg_files, held_by(&snap, refs));
 
-        // 4. Retire everything older than the previous generation.
-        self.prune_stale()
+        // 5. Retire everything older than the previous generation, and the
+        //    segment files neither generation references.
+        let live: Vec<u64> =
+            previous.iter().chain(&self.seg_files).map(|(_, on_disk)| on_disk.file).collect();
+        self.prune_stale(Some(&live))
     }
 
-    /// Remove `*.tmp` files and generations other than the current one and
-    /// its predecessor (kept, WAL included, as a lossless bit-rot
-    /// fallback to the checkpoint state).
-    fn prune_stale(&mut self) -> io::Result<()> {
+    /// Remove `*.tmp` files, generations other than the current one and its
+    /// predecessor (kept, WAL included, as a lossless bit-rot fallback to
+    /// the checkpoint state) and — when the caller knows which are live —
+    /// the segment files neither of the two references.
+    fn prune_stale(&mut self, live_segments: Option<&[u64]>) -> io::Result<()> {
         let keep_from = self.generation.saturating_sub(1);
+        let kept = |g: u64| keep_from <= g && g <= self.generation;
         for name in self.vfs.list(&self.dir)? {
             let stale = if name.ends_with(".tmp") {
                 true
             } else if let Some(g) = parse_gen(&name, "snap-", ".acorn") {
-                g < keep_from || g > self.generation
+                !kept(g)
             } else if let Some(g) = parse_gen(&name, "wal-", ".log") {
-                g < keep_from || g > self.generation
+                !kept(g)
+            } else if let Some(n) = parse_gen(&name, "seg-", ".acorn") {
+                live_segments.is_some_and(|live| !live.contains(&n))
             } else {
                 false
             };
@@ -506,6 +606,26 @@ impl DurableIndex {
         }
         Ok(())
     }
+}
+
+/// Load generation `gen`: its checkpoint joined with the segment files it
+/// references, and those references in segment order.
+fn load_generation(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    gen: u64,
+) -> io::Result<(SegmentedAcornIndex, Vec<SegmentFileRef>)> {
+    Checkpoint::load(&vfs.read(&snap_path(dir, gen))?)?
+        .into_index(|seg| vfs.read(&seg_path(dir, seg.file)))
+}
+
+/// `refs` (one per frozen segment of `snap`, in order), each beside a weak
+/// handle on the payload its file holds.
+fn held_by(
+    snap: &SegmentSnapshot,
+    refs: Vec<SegmentFileRef>,
+) -> Vec<(Weak<SegmentPayload>, SegmentFileRef)> {
+    snap.frozen_segments().iter().map(|seg| Arc::downgrade(&seg.payload)).zip(refs).collect()
 }
 
 /// Apply one replayed op. Fails (rather than corrupting) if the record is
@@ -544,7 +664,17 @@ fn wal_path(dir: &Path, gen: u64) -> PathBuf {
     dir.join(format!("wal-{gen:010}.log"))
 }
 
-/// Parse `"<prefix><digits><suffix>"` into the generation number.
+fn seg_path(dir: &Path, file: u64) -> PathBuf {
+    dir.join(format!("seg-{file:010}.acorn"))
+}
+
+/// One past the highest segment file number among `names`: a number no file
+/// on disk has, a crashed checkpoint's orphans included.
+fn next_seg_file(names: &[String]) -> u64 {
+    names.iter().filter_map(|n| parse_gen(n, "seg-", ".acorn")).max().map_or(0, |n| n + 1)
+}
+
+/// Parse `"<prefix><digits><suffix>"` into the generation or file number.
 fn parse_gen(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
     name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok()
 }
@@ -700,6 +830,62 @@ mod tests {
         std::fs::write(dir.join(MANIFEST_NAME), b"garbage").unwrap();
         let reopened = DurableIndex::open(&dir, fast_opts()).unwrap();
         assert_eq!(reopened.index().len(), 10);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn insert_refuses_bad_vectors_before_logging_them() {
+        let dir = tmp_dir("total");
+        let dim = 4;
+        let idx = SegmentedAcornIndex::new(dim, params(), AcornVariant::One);
+        let mut store = DurableIndex::create(&dir, idx, fast_opts()).unwrap();
+        assert_eq!(store.insert(&vec_for(0, dim)).unwrap(), 0);
+        let wal_before = store.wal_bytes();
+
+        let mut nan = vec_for(1, dim);
+        nan[2] = f32::NAN;
+        let mut inf = vec_for(1, dim);
+        inf[0] = f32::NEG_INFINITY;
+        for bad in [vec_for(1, dim + 1), vec_for(1, dim - 1), Vec::new(), nan, inf] {
+            let err = store.insert(&bad).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad:?}: {err}");
+            assert_eq!(store.wal_bytes(), wal_before, "a refused row must not reach the WAL");
+            assert!(!store.is_poisoned(), "a refused row is the caller's error, not the store's");
+        }
+        assert_eq!(store.insert(&vec_for(1, dim)).unwrap(), 1, "no gid was spent on a refusal");
+
+        let reopened = DurableIndex::open(&dir, fast_opts()).unwrap();
+        assert_eq!((reopened.recovered_ops(), reopened.index().len()), (2, 2));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_directory_in_another_layout_is_invalid_data() {
+        // The store has one layout. A whole-index v6 file where a
+        // checkpoint belongs (what earlier stores wrote) is refused by its
+        // magic; so is a checkpoint offered as an index export.
+        let dir = tmp_dir("layout");
+        let dim = 4;
+        let idx = SegmentedAcornIndex::new(dim, params(), AcornVariant::One);
+        let mut store = DurableIndex::create(&dir, idx, fast_opts()).unwrap();
+        for i in 0..10u64 {
+            store.insert(&vec_for(i, dim)).unwrap();
+        }
+        store.freeze().unwrap();
+        store.checkpoint().unwrap();
+        let checkpoint = std::fs::read(snap_path(&dir, 1)).unwrap();
+        let err = SegmentedAcornIndex::load(&mut checkpoint.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        let mut export = Vec::new();
+        store.index().save(&mut export).unwrap();
+        drop(store);
+        for gen in [0, 1] {
+            std::fs::write(snap_path(&dir, gen), &export).unwrap();
+        }
+        let err = DurableIndex::open(&dir, fast_opts()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("not an ACORN checkpoint file"), "unexpected: {err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

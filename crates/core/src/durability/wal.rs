@@ -9,10 +9,11 @@
 //!
 //! `crc` is the CRC32 of the length prefix plus the payload, so neither a
 //! corrupted length nor a corrupted body can slip through. Each record is
-//! appended with a **single** write call; a crash therefore tears at most
-//! the final record, and the parser stops cleanly at the first record whose
-//! length, checksum, or payload is invalid — everything before that point
-//! is the legal prefix that recovery replays.
+//! encoded into the store's one reusable buffer, straight from the caller's
+//! slice, and appended with a **single** write call; a crash therefore tears
+//! at most the final record, and the parser stops cleanly at the first
+//! record whose length, checksum, or payload is invalid — everything before
+//! that point is the legal prefix that recovery replays.
 //!
 //! Record payloads start with a one-byte op tag. Structural ops (freeze,
 //! merge, compact) are logged alongside inserts and deletes because segment
@@ -20,7 +21,7 @@
 //! sequence is what makes recovery *bit-identical*, not merely
 //! set-equivalent.
 
-use acorn_hnsw::checksum::crc32;
+use acorn_hnsw::checksum::Crc32;
 
 /// WAL file header: magic plus format version 1.
 pub(crate) const WAL_HEADER: [u8; 8] = *b"ACWL\x01\x00\x00\x00";
@@ -61,35 +62,52 @@ pub enum WalOp {
     CompactAll,
 }
 
-/// Encode `op` as one complete record (length prefix, checksum, payload),
-/// ready to be appended with a single write.
-pub(crate) fn encode(op: &WalOp) -> Vec<u8> {
-    let mut payload = Vec::new();
-    match op {
-        WalOp::Insert { gid, vector } => {
-            payload.push(OP_INSERT);
-            payload.extend_from_slice(&gid.to_le_bytes());
+/// A mutation about to be logged: [`WalOp`] with the vector borrowed from
+/// the caller, so encoding a record copies the row once — into the record.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Record<'a> {
+    Insert { gid: u64, vector: &'a [f32] },
+    Delete { gid: u64 },
+    Freeze,
+    Merge,
+    CompactAll,
+}
+
+/// The CRC a record carries: its length prefix, then its payload.
+fn record_crc(len: &[u8], payload: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(len);
+    crc.update(payload);
+    crc.finish()
+}
+
+/// Replace the contents of `buf` with `rec` as one complete record (length
+/// prefix, checksum, payload), ready to be appended with a single write.
+pub(crate) fn encode(buf: &mut Vec<u8>, rec: Record<'_>) {
+    buf.clear();
+    // Length and checksum are known once the payload is in place.
+    buf.extend_from_slice(&[0; 8]);
+    match rec {
+        Record::Insert { gid, vector } => {
+            buf.push(OP_INSERT);
+            buf.extend_from_slice(&gid.to_le_bytes());
+            buf.reserve(vector.len() * 4);
             for v in vector {
-                payload.extend_from_slice(&v.to_le_bytes());
+                buf.extend_from_slice(&v.to_le_bytes());
             }
         }
-        WalOp::Delete { gid } => {
-            payload.push(OP_DELETE);
-            payload.extend_from_slice(&gid.to_le_bytes());
+        Record::Delete { gid } => {
+            buf.push(OP_DELETE);
+            buf.extend_from_slice(&gid.to_le_bytes());
         }
-        WalOp::Freeze => payload.push(OP_FREEZE),
-        WalOp::Merge => payload.push(OP_MERGE),
-        WalOp::CompactAll => payload.push(OP_COMPACT_ALL),
+        Record::Freeze => buf.push(OP_FREEZE),
+        Record::Merge => buf.push(OP_MERGE),
+        Record::CompactAll => buf.push(OP_COMPACT_ALL),
     }
-    let len = payload.len() as u32;
-    let mut rec = Vec::with_capacity(8 + payload.len());
-    rec.extend_from_slice(&len.to_le_bytes());
-    let mut crc_input = Vec::with_capacity(4 + payload.len());
-    crc_input.extend_from_slice(&len.to_le_bytes());
-    crc_input.extend_from_slice(&payload);
-    rec.extend_from_slice(&crc32(&crc_input).to_le_bytes());
-    rec.extend_from_slice(&payload);
-    rec
+    let len = ((buf.len() - 8) as u32).to_le_bytes();
+    let crc = record_crc(&len, &buf[8..]);
+    buf[..4].copy_from_slice(&len);
+    buf[4..8].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Decode the valid prefix of a WAL file.
@@ -113,10 +131,7 @@ pub(crate) fn parse(buf: &[u8], dim: usize) -> (Vec<WalOp>, usize) {
             break;
         }
         let payload = &rest[..len];
-        let mut crc_input = Vec::with_capacity(4 + len);
-        crc_input.extend_from_slice(&buf[pos..pos + 4]);
-        crc_input.extend_from_slice(payload);
-        if crc32(&crc_input) != crc {
+        if record_crc(&buf[pos..pos + 4], payload) != crc {
             break;
         }
         let Some(op) = decode_payload(payload, dim) else { break };
@@ -166,8 +181,19 @@ mod tests {
 
     fn file_with(ops: &[WalOp]) -> Vec<u8> {
         let mut buf = WAL_HEADER.to_vec();
+        // One buffer across records, as the store reuses its own: a long
+        // record followed by a short one must leave nothing behind.
+        let mut rec = Vec::new();
         for op in ops {
-            buf.extend_from_slice(&encode(op));
+            let borrowed = match op {
+                WalOp::Insert { gid, vector } => Record::Insert { gid: *gid, vector },
+                WalOp::Delete { gid } => Record::Delete { gid: *gid },
+                WalOp::Freeze => Record::Freeze,
+                WalOp::Merge => Record::Merge,
+                WalOp::CompactAll => Record::CompactAll,
+            };
+            encode(&mut rec, borrowed);
+            buf.extend_from_slice(&rec);
         }
         buf
     }

@@ -68,6 +68,17 @@ struct QuantizedTier {
     rerank_k: usize,
 }
 
+impl QuantizedTier {
+    fn new(tier: Sq8Tier, vecs: &VectorStore) -> Self {
+        match tier {
+            Sq8Tier::Train { rerank_k } => Self { store: Sq8Store::train(vecs), rerank_k },
+            Sq8Tier::Adopt { mins, steps, rerank_k } => {
+                Self { store: Sq8Store::from_codebook(mins, steps, vecs), rerank_k }
+            }
+        }
+    }
+}
+
 /// The SQ8 traversal tier [`AcornIndex::seal`] gives a sealed index: graph
 /// search computes asymmetric u8 distances, then the top `max(rerank_k, k)`
 /// candidates are refined with exact f32 distances from the retained rows,
@@ -317,15 +328,31 @@ impl AcornIndex {
     /// not match the store dimension.
     pub fn seal(self, sq8: Option<Sq8Tier>) -> Self {
         let csr = self.state.growing().graph.freeze();
-        let quant = sq8.map(|tier| match tier {
-            Sq8Tier::Train { rerank_k } => {
-                QuantizedTier { store: Sq8Store::train(&self.vecs), rerank_k }
-            }
-            Sq8Tier::Adopt { mins, steps, rerank_k } => {
-                QuantizedTier { store: Sq8Store::from_codebook(mins, steps, &self.vecs), rerank_k }
-            }
-        });
+        let quant = sq8.map(|tier| QuantizedTier::new(tier, &self.vecs));
         Self { state: State::Sealed { csr, quant }, ..self }
+    }
+
+    /// A sealed index over an already-frozen graph — what
+    /// [`seal`](Self::seal) makes of a growing one, for a loader that
+    /// decoded the CSR directly. `csr` must have one node per row of `vecs`.
+    pub(crate) fn from_sealed_parts(
+        params: AcornParams,
+        variant: AcornVariant,
+        vecs: Arc<VectorStore>,
+        csr: CsrGraph,
+        edges_pruned: u64,
+        sq8: Option<Sq8Tier>,
+    ) -> Self {
+        debug_assert_eq!(csr.len(), vecs.len());
+        let quant = sq8.map(|tier| QuantizedTier::new(tier, &vecs));
+        Self {
+            state: State::Sealed { csr, quant },
+            pool: ScratchPool::new(),
+            vecs,
+            params,
+            variant,
+            edges_pruned,
+        }
     }
 
     fn quant(&self) -> Option<&QuantizedTier> {

@@ -1,10 +1,12 @@
-//! Binary serialization for [`AcornIndex`].
+//! Binary serialization for [`AcornIndex`] and [`SegmentedAcornIndex`]:
+//! one little-endian, versioned, length-prefixed codec — no external
+//! serialization crates — behind three checksummed containers.
+//!
+//! ## Format v3 — one index
 //!
 //! The index (graph + parameters) is persisted separately from the vectors:
 //! embeddings usually already live in the application's own storage, and an
 //! ACORN graph is meaningless without exactly the store it was built over.
-//! The format is a little-endian, versioned, length-prefixed layout — no
-//! external serialization crates needed.
 //!
 //! ```text
 //! magic "ACRN" | version u32 | variant u8 | m u64 | gamma u64 | m_beta u64
@@ -20,15 +22,10 @@
 //! graph the index holds and writes the same per-node lists either way, so
 //! the bytes do not depend on the layout beyond that one flag.
 //!
-//! ## Format v6 — segmented index
+//! ## The segment block
 //!
-//! [`SegmentedAcornIndex`] files share the magic but use version 6 (the
-//! only segmented version; 4 and 5 were footerless predecessors that no
-//! deployed file ever used and `load` refuses) and a different body: the
-//! shared parameter header, then the segment manifest — `dim`,
-//! `next_global`, the [`MergePolicy`], the [`QuantizationPolicy`]
-//! (`sq8_frozen u8 | rerank_k u64`), the frozen-segment count, and one
-//! block per segment (frozen segments first, the active segment last):
+//! Everything below stores a segment as the same block, written by one
+//! encoder and read by one decoder:
 //!
 //! ```text
 //! encoding u8 (0 = f32, 1 = sq8)
@@ -43,12 +40,30 @@
 //! store to re-attach. Only the *codebook* of a quantized segment is
 //! persisted — codes are re-derived from the (always embedded) exact f32
 //! rows on load, which is deterministic and keeps quantization nearly free
-//! on disk. Loading holds each block's embedded `compacted` flag to the
-//! block's role — frozen segments are sealed, the active segment is growing
-//! — and cross-checks every count in the manifest against the vector data
-//! and the embedded graph — a corrupt length fails with `InvalidData`
-//! instead of a giant allocation (the same guard philosophy as the v3
-//! neighbor-list check).
+//! on disk. Row data, id maps, tombstone words and neighbor lists are
+//! converted to and from little-endian a slice at a time, and the decoder
+//! works on bytes already in memory, so every count it reads is checked
+//! against the bytes actually present before anything is allocated for it —
+//! a corrupt length fails with `InvalidData` or `UnexpectedEof` instead of
+//! a giant allocation.
+//!
+//! The decoder is told the block's *role* and holds the embedded
+//! `compacted` flag to it. A **frozen** block is sealed: its per-node lists
+//! are decoded straight into [`CsrGraph`] arenas through the validating
+//! [`CsrBuilder`] (node count, level, list length and every edge target
+//! checked; the same entry point the nested graph would have picked) — no
+//! nested graph is built only to be frozen. The **active** block is growing
+//! and unquantized, and comes back as the nested graph inserts extend.
+//!
+//! ## Format v6 — the one-file export of a segmented index
+//!
+//! [`SegmentSnapshot::save`] / [`SegmentedAcornIndex::load`] files share the
+//! magic but use version 6 (the only segmented version; 4 and 5 were
+//! footerless predecessors that no deployed file ever used and `load`
+//! refuses): the shared parameter header, then the segment manifest —
+//! `dim`, `next_global`, the [`MergePolicy`], the [`QuantizationPolicy`]
+//! (`sq8_frozen u8 | rerank_k u64`), the frozen-segment count — and one
+//! block per segment (frozen segments first, the active segment last).
 //!
 //! The body is followed by a 4-byte footer: the CRC32 (IEEE) of every
 //! preceding byte, magic and version included. [`SegmentedAcornIndex::load`]
@@ -57,16 +72,48 @@
 //! trusted — corruption anywhere yields a clean `InvalidData` error, never
 //! a panic or an attempted giant allocation. The per-field structural
 //! guards still run on the body after the checksum passes, as defense in
-//! depth, and trailing bytes after the body are rejected. This footer is
-//! the commit unit of the [`durability`](crate::durability) layer: a crash
-//! mid-write leaves a file whose checksum cannot match.
+//! depth: every count in the manifest is cross-checked against the vector
+//! data and the embedded graph, and trailing bytes after the body are
+//! rejected.
+//!
+//! ## Segment files and checkpoints — the durable store's containers
+//!
+//! The [`durability`](crate::durability) layer stores the same state as
+//! files whose cost follows what changed. A frozen segment is immutable but
+//! for its tombstones, so it is written once, as a **segment file**:
+//!
+//! ```text
+//! magic "ACSG" | version u32 | dim u64 | segment block | CRC32 footer
+//! ```
+//!
+//! and each generation's **checkpoint** holds the manifest fields, one
+//! reference per frozen segment and the active segment's block:
+//!
+//! ```text
+//! magic "ACCP" | version u32 | parameter header | dim | next_global
+//! | merge policy | quantization policy | frozen count
+//! | per frozen segment: file u64, len u64, crc u32, rows u64,
+//!                       tombstone words [u64; ceil(rows/64)]
+//! | active segment block | CRC32 footer
+//! ```
+//!
+//! A reference pins the segment file's number, byte length and footer, so a
+//! checkpoint can only ever be joined with the files it was written
+//! against. The tombstone words in the checkpoint are the current ones and
+//! replace whatever the block carried when its file was written. Both
+//! containers are verified like v6 — footer over the whole file first, then
+//! the same structural guards — and a loaded store goes through the same
+//! cross-segment checks as a loaded export. Each container versions on its
+//! own: a change to the segment block bumps the two numbers that embed it.
 //!
 //! [`CsrGraph`]: acorn_hnsw::CsrGraph
+//! [`CsrBuilder`]: acorn_hnsw::csr::CsrBuilder
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::sync::Arc;
 
-use acorn_hnsw::checksum::{ChecksumWriter, Crc32};
+use acorn_hnsw::checksum::{crc32, ChecksumWriter};
+use acorn_hnsw::csr::CsrBuilder;
 use acorn_hnsw::{LayeredGraph, Metric, VectorStore};
 use acorn_predicate::Bitset;
 
@@ -74,13 +121,17 @@ use crate::index::{AcornIndex, Sq8Tier};
 use crate::params::{AcornParams, AcornVariant};
 use crate::prune::PruneStrategy;
 use crate::segment::{MergePolicy, QuantizationPolicy, RawSegment, SegmentedAcornIndex};
-use crate::snapshot::SegmentSnapshot;
+use crate::snapshot::{SegmentSnapshot, SegmentView};
 
 const MAGIC: &[u8; 4] = b"ACRN";
 const VERSION: u32 = 3;
 /// The segmented format: the body followed by a CRC32 footer over every
 /// preceding byte, verified before any body field is parsed.
 const SEGMENTED_V6: u32 = 6;
+const SEGMENT_FILE_MAGIC: &[u8; 4] = b"ACSG";
+const SEGMENT_FILE_VERSION: u32 = 1;
+const CHECKPOINT_MAGIC: &[u8; 4] = b"ACCP";
+const CHECKPOINT_VERSION: u32 = 1;
 /// Per-segment encoding tags.
 const ENC_F32: u8 = 0;
 const ENC_SQ8: u8 = 1;
@@ -94,6 +145,24 @@ fn put_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
 
 fn put_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
+}
+
+/// Write `xs` little-endian, converting a buffer's worth at a time so the
+/// writer (and the checksummer behind it) is handed slices, not elements.
+fn put_le<T: Copy, const N: usize>(
+    w: &mut impl Write,
+    xs: &[T],
+    le: impl Fn(T) -> [u8; N],
+) -> io::Result<()> {
+    let mut buf = [0u8; 4096];
+    for chunk in xs.chunks(buf.len() / N) {
+        let bytes = &mut buf[..chunk.len() * N];
+        for (dst, &x) in bytes.chunks_exact_mut(N).zip(chunk) {
+            dst.copy_from_slice(&le(x));
+        }
+        w.write_all(bytes)?;
+    }
+    Ok(())
 }
 
 fn get_u32(r: &mut impl Read) -> io::Result<u32> {
@@ -114,13 +183,89 @@ fn get_u8(r: &mut impl Read) -> io::Result<u8> {
     Ok(b[0])
 }
 
+fn get_f64(r: &mut impl Read) -> io::Result<f64> {
+    get_u64(r).map(f64::from_bits)
+}
+
+/// The next `count` elements of `size` bytes each, or `UnexpectedEof`: the
+/// one place an untrusted count meets the bytes actually present, ahead of
+/// any allocation sized by it.
+fn take<'a>(r: &mut &'a [u8], count: usize, size: usize) -> io::Result<&'a [u8]> {
+    let len = count.checked_mul(size).filter(|&len| len <= r.len()).ok_or_else(|| {
+        io::Error::new(io::ErrorKind::UnexpectedEof, "a count runs past the end of the file")
+    })?;
+    let (head, tail) = r.split_at(len);
+    *r = tail;
+    Ok(head)
+}
+
+/// Inverse of [`put_le`] over bytes in memory: `count` elements in one pass.
+fn get_le<T, const N: usize>(
+    r: &mut &[u8],
+    count: usize,
+    le: impl Fn([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    let bytes = take(r, count, N)?;
+    Ok(bytes.chunks_exact(N).map(|c| le(c.try_into().expect("N-byte chunk"))).collect())
+}
+
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// The parameter header shared by v3 (per index) and v6 (top level and per
-/// embedded segment): variant tag, then every [`AcornParams`] field that
-/// round-trips.
+/// Run `body` against `w` behind a buffer and the checksummer, then append
+/// the CRC32 of everything it wrote as the (unhashed) 4-byte footer.
+/// Returns that sum. The buffer turns the body's field-sized writes into
+/// runs the checksummer and `w` take in one call each; slices larger than
+/// the buffer pass straight through.
+fn with_footer<W: Write>(
+    w: W,
+    body: impl FnOnce(&mut BufWriter<ChecksumWriter<W>>) -> io::Result<()>,
+) -> io::Result<u32> {
+    let mut buffered = BufWriter::with_capacity(64 << 10, ChecksumWriter::new(w));
+    body(&mut buffered)?;
+    let mut summed = buffered.into_inner().map_err(io::IntoInnerError::into_error)?;
+    let sum = summed.sum();
+    put_u32(summed.inner_mut(), sum)?;
+    Ok(sum)
+}
+
+/// Split a footered file into its body and the sum the footer records,
+/// after checking that sum over the whole body.
+fn footer_checked<'a>(file: &'a [u8], what: &str) -> io::Result<(&'a [u8], u32)> {
+    let Some(body_len) = file.len().checked_sub(4) else {
+        return Err(bad(&format!("{what} too short for its checksum footer")));
+    };
+    let (body, footer) = file.split_at(body_len);
+    let sum = u32::from_le_bytes(footer.try_into().expect("4 footer bytes"));
+    if crc32(body) != sum {
+        return Err(bad(&format!("{what} checksum mismatch (torn or corrupt file)")));
+    }
+    Ok((body, sum))
+}
+
+/// Open one of the durable store's containers: `magic` and `version` up
+/// front, the footer checked over the whole file, and what lies between
+/// them handed back with the footer's sum.
+fn container_body<'a>(
+    file: &'a [u8],
+    magic: &[u8; 4],
+    version: u32,
+    what: &str,
+) -> io::Result<(&'a [u8], u32)> {
+    if file.len() < 8 || &file[..4] != magic {
+        return Err(bad(&format!("not an ACORN {what}")));
+    }
+    if file[4..8] != version.to_le_bytes() {
+        return Err(bad(&format!("unsupported ACORN {what} version")));
+    }
+    let (body, sum) = footer_checked(file, what)?;
+    Ok((&body[8..], sum))
+}
+
+/// The parameter header shared by v3 (per index) and the segmented
+/// containers (top level and per embedded segment): variant tag, then every
+/// [`AcornParams`] field that round-trips.
 fn put_header(w: &mut impl Write, variant: AcornVariant, p: &AcornParams) -> io::Result<()> {
     w.write_all(&[match variant {
         AcornVariant::Gamma => 0u8,
@@ -160,9 +305,7 @@ fn get_header(r: &mut impl Read) -> io::Result<(AcornVariant, AcornParams)> {
         _ => return Err(bad("unknown metric tag")),
     };
     let seed = get_u64(r)?;
-    let mut s_min_bytes = [0u8; 8];
-    r.read_exact(&mut s_min_bytes)?;
-    let s_min = f64::from_le_bytes(s_min_bytes);
+    let s_min = get_f64(r)?;
     let s_min_override = if s_min.is_nan() { None } else { Some(s_min) };
     let compressed_levels = get_u64(r)? as usize;
     let flatten_hierarchy = get_u8(r)? != 0;
@@ -210,9 +353,7 @@ impl AcornIndex {
             for lev in 0..=level {
                 let list = g.neighbors(v, lev);
                 put_u32(w, list.len() as u32)?;
-                for &id in list {
-                    put_u32(w, id)?;
-                }
+                put_le(w, list, u32::to_le_bytes)?;
             }
         }
         put_u64(w, self.edges_pruned())?;
@@ -231,9 +372,9 @@ impl AcornIndex {
         Ok(if sealed { idx.seal(None) } else { idx })
     }
 
-    /// [`load`](Self::load) up to the `compacted` flag: the graph as a
-    /// growing index, and whether the saved index was sealed.
-    fn load_growing(r: &mut impl Read, vecs: Arc<VectorStore>) -> io::Result<(AcornIndex, bool)> {
+    /// A v3 blob up to its node lists: magic, version, the parameter
+    /// header, and a node count that must be `rows`.
+    fn load_preamble(r: &mut impl Read, rows: usize) -> io::Result<(AcornVariant, AcornParams)> {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic != MAGIC {
@@ -246,12 +387,18 @@ impl AcornIndex {
             }
             _ => return Err(bad("unsupported ACORN index version")),
         }
-        let (variant, params) = get_header(r)?;
-
-        let n = get_u64(r)? as usize;
-        if vecs.len() != n {
+        let header = get_header(r)?;
+        if get_u64(r)? as usize != rows {
             return Err(bad("vector store size does not match serialized index"));
         }
+        Ok(header)
+    }
+
+    /// [`load`](Self::load) up to the `compacted` flag: the graph as a
+    /// growing index, and whether the saved index was sealed.
+    fn load_growing(r: &mut impl Read, vecs: Arc<VectorStore>) -> io::Result<(AcornIndex, bool)> {
+        let n = vecs.len();
+        let (variant, params) = Self::load_preamble(r, n)?;
         let mut graph = LayeredGraph::with_capacity(n);
         for _ in 0..n {
             let level = get_u8(r)? as usize;
@@ -279,143 +426,282 @@ impl AcornIndex {
         let sealed = get_u8(r)? != 0;
         Ok((AcornIndex::from_parts(params, variant, vecs, graph, edges_pruned), sealed))
     }
+
+    /// The v3 blob of a frozen segment block, decoded straight into the
+    /// sealed index it was saved from: each list goes from the file's bytes
+    /// into the CSR arenas, validated by the [`CsrBuilder`] on the way.
+    /// `None` when the blob's `compacted` flag says it was not sealed.
+    fn load_sealed(
+        r: &mut &[u8],
+        vecs: Arc<VectorStore>,
+        sq8: Option<Sq8Tier>,
+    ) -> io::Result<Option<AcornIndex>> {
+        let n = vecs.len();
+        let (variant, params) = Self::load_preamble(r, n)?;
+        let mut csr = CsrBuilder::new(n);
+        for _ in 0..n {
+            let level = get_u8(r)? as usize;
+            csr.push_node(level).map_err(bad)?;
+            for _ in 0..=level {
+                let len = get_u32(r)? as usize;
+                let ids = take(r, len, 4)?.chunks_exact(4);
+                csr.push_list(ids.map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk"))))
+                    .map_err(bad)?;
+            }
+        }
+        let csr = csr.finish().map_err(bad)?;
+        let edges_pruned = get_u64(r)?;
+        let sealed = get_u8(r)? != 0;
+        Ok(sealed
+            .then(|| AcornIndex::from_sealed_parts(params, variant, vecs, csr, edges_pruned, sq8)))
+    }
+}
+
+/// The fields ahead of the segment blocks, shared by the v6 export and the
+/// store's checkpoints: the top-level configuration every block is held to.
+struct Manifest {
+    variant: AcornVariant,
+    params: AcornParams,
+    dim: usize,
+    next_global: u64,
+    policy: MergePolicy,
+    quant: QuantizationPolicy,
+    /// What `save` wrote into every embedded blob: `params` after the
+    /// variant override [`AcornIndex::new`] applies.
+    expected_params: AcornParams,
+}
+
+fn put_manifest(w: &mut impl Write, snap: &SegmentSnapshot) -> io::Result<()> {
+    put_header(w, snap.variant(), snap.params())?;
+    put_u64(w, snap.dim() as u64)?;
+    put_u64(w, snap.next_global_id())?;
+    let policy = snap.policy();
+    put_u64(w, policy.min_rows as u64)?;
+    w.write_all(&policy.max_tombstone_fraction.to_le_bytes())?;
+    put_u64(w, policy.active_max_rows as u64)?;
+    let quant = snap.quantization();
+    w.write_all(&[quant.sq8_frozen as u8])?;
+    put_u64(w, quant.rerank_k as u64)?;
+    put_u64(w, snap.frozen_segments().len() as u64)
+}
+
+/// Inverse of [`put_manifest`]: the manifest and the frozen-segment count.
+fn get_manifest(r: &mut impl Read) -> io::Result<(Manifest, usize)> {
+    let (variant, params) = get_header(r)?;
+    // `AcornParams::validate` panics; a corrupt file must error instead.
+    if params.m < 2
+        || params.gamma < 1
+        || params.m_beta > params.edge_budget()
+        || params.ef_construction < 1
+        || params.compressed_levels < 1
+    {
+        return Err(bad("inconsistent parameters in segmented index header"));
+    }
+    let dim = get_u64(r)? as usize;
+    if dim == 0 || dim > MAX_DIM {
+        return Err(bad("implausible vector dimension in segmented index header"));
+    }
+    let next_global = get_u64(r)?;
+    let min_rows = get_u64(r)? as usize;
+    let max_tombstone_fraction = get_f64(r)?;
+    if !max_tombstone_fraction.is_finite() || max_tombstone_fraction < 0.0 {
+        return Err(bad("invalid merge policy tombstone fraction"));
+    }
+    let active_max_rows = get_u64(r)? as usize;
+    let policy = MergePolicy { min_rows, max_tombstone_fraction, active_max_rows };
+    let sq8_frozen = match get_u8(r)? {
+        0 => false,
+        1 => true,
+        _ => return Err(bad("invalid quantization policy flag")),
+    };
+    let quant = QuantizationPolicy { sq8_frozen, rerank_k: get_u64(r)? as usize };
+
+    // Every segment was built from the top-level configuration (with the
+    // ACORN-1 override applied by `AcornIndex::new`); reconstruct that
+    // expectation once and hold each embedded header to it.
+    let expected_params =
+        AcornIndex::new(Arc::new(VectorStore::new(dim)), params.clone(), variant).params().clone();
+    let nseg = get_u64(r)? as usize;
+    Ok((Manifest { variant, params, dim, next_global, policy, quant, expected_params }, nseg))
 }
 
 /// One segment block: the encoding tag (+ codebook when quantized), then
-/// the manifest (row count, global ids, tombstones), vector data, and the
-/// embedded v3 index blob (self-delimiting).
-fn put_segment(
-    w: &mut impl Write,
-    global_ids: &[u64],
-    tombstones: &Bitset,
-    index: &AcornIndex,
-) -> io::Result<()> {
+/// the row count, global ids, tombstones, vector data, and the embedded v3
+/// index blob (self-delimiting).
+fn put_segment(w: &mut impl Write, seg: &SegmentView) -> io::Result<()> {
+    let index = seg.index();
     match index.quantized() {
         Some(sq) => {
             w.write_all(&[ENC_SQ8])?;
             put_u64(w, index.rerank_k().unwrap_or(0) as u64)?;
-            for &m in sq.mins() {
-                w.write_all(&m.to_le_bytes())?;
-            }
-            for &s in sq.steps() {
-                w.write_all(&s.to_le_bytes())?;
-            }
+            put_le(w, sq.mins(), f32::to_le_bytes)?;
+            put_le(w, sq.steps(), f32::to_le_bytes)?;
         }
         None => w.write_all(&[ENC_F32])?,
     }
-    put_u64(w, global_ids.len() as u64)?;
-    for &gid in global_ids {
-        put_u64(w, gid)?;
-    }
-    for &word in tombstones.words() {
-        put_u64(w, word)?;
-    }
-    for &x in index.vectors().as_flat() {
-        w.write_all(&x.to_le_bytes())?;
-    }
+    put_u64(w, seg.global_ids().len() as u64)?;
+    put_le(w, seg.global_ids(), u64::to_le_bytes)?;
+    put_le(w, seg.tombstones().words(), u64::to_le_bytes)?;
+    put_le(w, index.vectors().as_flat(), f32::to_le_bytes)?;
     index.save(w)
 }
 
-/// Inverse of [`put_segment`], with every count cross-checked. Allocation
-/// is driven by bytes actually present in the stream, never by the
-/// untrusted `n` alone, so a corrupt length fails with `InvalidData` or
-/// `UnexpectedEof` instead of an OOM. `expected_variant`/`expected_params`
-/// are what `save` wrote into every embedded blob (the top-level
-/// configuration after any variant override); a disagreeing embedded
-/// header means corruption — segments searched under a different metric or
-/// seed would merge incommensurable distances.
-fn get_segment(
-    r: &mut impl Read,
-    dim: usize,
-    next_global: u64,
-    expected_variant: AcornVariant,
-    expected_params: &AcornParams,
-) -> io::Result<RawSegment> {
+/// The active segment's block. With no published active view (empty or
+/// just sealed) that is the block an empty active segment would produce —
+/// zero rows, then a fresh empty index blob carrying the expected header —
+/// so the layout is invariant to whether the writer happened to have an
+/// unsealed row in flight.
+fn put_active(w: &mut impl Write, snap: &SegmentSnapshot) -> io::Result<()> {
+    if let Some(seg) = snap.active_segment() {
+        return put_segment(w, seg);
+    }
+    w.write_all(&[ENC_F32])?;
+    put_u64(w, 0)?;
+    AcornIndex::new(Arc::new(VectorStore::new(snap.dim())), snap.params().clone(), snap.variant())
+        .save(w)
+}
+
+/// `n` rows' tombstone words, with no bit set beyond the last row.
+fn get_tombstones(r: &mut &[u8], n: usize) -> io::Result<Bitset> {
+    let words = get_le(r, n.div_ceil(64), u64::from_le_bytes)?;
+    let rem = n % 64;
+    if rem != 0 && words.last().is_some_and(|&w| w >> rem != 0) {
+        return Err(bad("tombstone bits set beyond the segment's row count"));
+    }
+    Ok(Bitset::from_words(n, words))
+}
+
+/// Which segment of the index a block holds, and so which state its
+/// embedded index must be in.
+#[derive(Clone, Copy)]
+enum Role {
+    /// Immutable: sealed, non-empty, possibly quantized.
+    Frozen,
+    /// The one segment taking inserts: growing and unquantized.
+    Active,
+}
+
+/// Inverse of [`put_segment`], with every count cross-checked against the
+/// bytes present and against `m` — a disagreeing embedded header means
+/// corruption: segments searched under a different metric or seed would
+/// merge incommensurable distances.
+fn get_segment(r: &mut &[u8], m: &Manifest, role: Role) -> io::Result<RawSegment> {
     // Blocks lead with the encoding tag (and, for SQ8, the codebook the
     // codes are re-derived from).
-    let mut codebook: Option<(usize, Vec<f32>, Vec<f32>)> = None;
-    match get_u8(r)? {
-        ENC_F32 => {}
+    let codebook = match get_u8(r)? {
+        ENC_F32 => None,
         ENC_SQ8 => {
             let rerank_k = get_u64(r)? as usize;
-            let mut read_f32s = |count: usize| -> io::Result<Vec<f32>> {
-                let mut out = Vec::with_capacity(count);
-                let mut b = [0u8; 4];
-                for _ in 0..count {
-                    r.read_exact(&mut b)?;
-                    out.push(f32::from_le_bytes(b));
-                }
-                Ok(out)
-            };
-            let mins = read_f32s(dim)?;
-            let steps = read_f32s(dim)?;
+            let mins = get_le(r, m.dim, f32::from_le_bytes)?;
+            let steps = get_le(r, m.dim, f32::from_le_bytes)?;
             if mins.iter().any(|m| !m.is_finite())
                 || steps.iter().any(|s| !s.is_finite() || *s <= 0.0)
             {
                 return Err(bad("invalid SQ8 codebook in segment block"));
             }
-            codebook = Some((rerank_k, mins, steps));
+            Some(Sq8Tier::Adopt { mins, steps, rerank_k })
         }
         _ => return Err(bad("unknown segment encoding tag")),
-    }
+    };
 
     let n = get_u64(r)? as usize;
-
-    let mut global_ids = Vec::new();
-    for _ in 0..n {
-        global_ids.push(get_u64(r)?);
-    }
+    let global_ids = get_le(r, n, u64::from_le_bytes)?;
     if global_ids.windows(2).any(|w| w[0] >= w[1]) {
         return Err(bad("segment manifest global ids must be strictly ascending"));
     }
-    if global_ids.last().is_some_and(|&g| g >= next_global) {
+    if global_ids.last().is_some_and(|&g| g >= m.next_global) {
         return Err(bad("segment manifest global id at or beyond next_global"));
     }
+    let tombstones = get_tombstones(r, n)?;
+    // One conversion into a store of exactly the rows' size.
+    let rows = take(r, n, m.dim * 4)?;
+    let store = Arc::new(VectorStore::from_le_bytes(m.dim, rows));
 
-    let mut words = Vec::new();
-    for _ in 0..n.div_ceil(64) {
-        words.push(get_u64(r)?);
-    }
-    let rem = n % 64;
-    if rem != 0 && words.last().is_some_and(|&w| w >> rem != 0) {
-        return Err(bad("tombstone bits set beyond the segment's row count"));
-    }
-    let tombstones = Bitset::from_words(n, words);
-
-    let mut store = VectorStore::with_capacity(dim, n.min(4096));
-    let mut row_bytes = vec![0u8; dim * 4];
-    let mut row = vec![0f32; dim];
-    for _ in 0..n {
-        r.read_exact(&mut row_bytes)?;
-        for (f, c) in row.iter_mut().zip(row_bytes.chunks_exact(4)) {
-            *f = f32::from_le_bytes(c.try_into().expect("4-byte chunk"));
+    // The embedded blob carries its own node count; the decoders reject it
+    // unless it matches the store just rebuilt — the row-count guard.
+    let index = match role {
+        Role::Frozen if n == 0 => return Err(bad("frozen segments must not be empty")),
+        Role::Frozen => {
+            let quantized = codebook.is_some();
+            // The codes are re-derived from the embedded exact rows against
+            // the persisted codebook: deterministic, so the loaded segment
+            // answers bit-identically to the one that was saved.
+            AcornIndex::load_sealed(r, store, codebook)?.ok_or_else(|| {
+                bad(if quantized {
+                    "a quantized segment block must be sealed"
+                } else {
+                    "frozen segments must be sealed"
+                })
+            })?
         }
-        store.push(&row);
-    }
-
-    // The embedded blob carries its own node count; the load rejects it
-    // unless it matches the store we just rebuilt from the manifest — the
-    // row-count corruption guard.
-    let (index, sealed) = AcornIndex::load_growing(r, Arc::new(store))?;
-    if index.len() != global_ids.len() {
-        return Err(bad("segment manifest row count disagrees with the vector store"));
-    }
-    if index.variant() != expected_variant || index.params() != expected_params {
+        Role::Active => {
+            let (index, sealed) = AcornIndex::load_growing(r, store)?;
+            if codebook.is_some() {
+                // Codebooks are only ever trained at seal time; a quantized
+                // active segment could not absorb inserts.
+                return Err(bad("the active segment must not be quantized"));
+            }
+            if sealed {
+                // A sealed index accepts no inserts.
+                return Err(bad("the active segment must not be sealed"));
+            }
+            index
+        }
+    };
+    if index.variant() != m.variant || index.params() != &m.expected_params {
         return Err(bad("embedded segment header disagrees with the segmented index header"));
     }
-    let index = match (sealed, codebook) {
-        (false, None) => index,
-        (false, Some(_)) => return Err(bad("a quantized segment block must be sealed")),
-        // Re-encode the embedded exact rows against the persisted codebook:
-        // deterministic, so the loaded segment answers bit-identically to
-        // the one that was saved.
-        (true, codebook) => index.seal(codebook.map(|(rerank_k, mins, steps)| Sq8Tier::Adopt {
-            mins,
-            steps,
-            rerank_k,
-        })),
-    };
     Ok(RawSegment { index, global_ids, tombstones })
+}
+
+/// The checks no single block can make, then the index: shared by the v6
+/// export and the store's checkpoint + segment files.
+fn assemble(
+    m: Manifest,
+    frozen: Vec<RawSegment>,
+    active: RawSegment,
+) -> io::Result<SegmentedAcornIndex> {
+    if frozen.windows(2).any(|w| w[0].global_ids[0] >= w[1].global_ids[0]) {
+        return Err(bad("frozen segments must be ascending by first global id"));
+    }
+
+    // Global ids must be owned by exactly one segment: a duplicated id
+    // would surface twice from one top-k merge and make deletes only
+    // half-stick. Segment-local ascending order is already enforced, so
+    // one sort over the union exposes any cross-segment duplicate.
+    let mut all_ids: Vec<u64> = frozen
+        .iter()
+        .chain(std::iter::once(&active))
+        .flat_map(|s| s.global_ids.iter().copied())
+        .collect();
+    all_ids.sort_unstable();
+    if all_ids.windows(2).any(|w| w[0] == w[1]) {
+        return Err(bad("global id owned by more than one segment"));
+    }
+
+    // Beyond uniqueness, segment gid *ranges* must be pairwise disjoint
+    // and ascending (frozen by first gid, the active segment above them
+    // all): `delete` routes a gid to its owning segment by range binary
+    // search, so interleaved ranges would silently misroute deletes.
+    let ranges: Vec<(u64, u64)> = frozen
+        .iter()
+        .chain(std::iter::once(&active).filter(|a| !a.global_ids.is_empty()))
+        .map(|s| (s.global_ids[0], *s.global_ids.last().expect("non-empty")))
+        .collect();
+    if ranges.windows(2).any(|w| w[0].1 >= w[1].0) {
+        return Err(bad("segment global id ranges overlap"));
+    }
+
+    Ok(SegmentedAcornIndex::from_loaded_parts(
+        m.params,
+        m.variant,
+        m.dim,
+        frozen,
+        active,
+        m.next_global,
+        m.policy,
+        m.quant,
+    ))
 }
 
 impl SegmentSnapshot {
@@ -426,46 +712,16 @@ impl SegmentSnapshot {
     /// or background merges land while the write is in flight; saving the
     /// same snapshot twice yields identical bytes.
     pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
-        // Stream the whole preamble + body through the checksummer, then
-        // append the sum as the (unhashed) 4-byte footer.
-        let mut cw = ChecksumWriter::new(w);
-        let w = &mut cw;
-        w.write_all(MAGIC)?;
-        put_u32(w, SEGMENTED_V6)?;
-        put_header(w, self.variant(), self.params())?;
-        put_u64(w, self.dim() as u64)?;
-        put_u64(w, self.next_global_id())?;
-        let policy = self.policy();
-        put_u64(w, policy.min_rows as u64)?;
-        w.write_all(&policy.max_tombstone_fraction.to_le_bytes())?;
-        put_u64(w, policy.active_max_rows as u64)?;
-        let quant = self.quantization();
-        w.write_all(&[quant.sq8_frozen as u8])?;
-        put_u64(w, quant.rerank_k as u64)?;
-        put_u64(w, self.frozen_segments().len() as u64)?;
-        for seg in self.frozen_segments() {
-            put_segment(w, seg.global_ids(), seg.tombstones(), seg.index())?;
-        }
-        match self.active_segment() {
-            Some(seg) => put_segment(w, seg.global_ids(), seg.tombstones(), seg.index())?,
-            None => {
-                // No published active view (empty or just sealed): write the
-                // block an empty active segment would produce — zero rows,
-                // then a fresh empty index blob carrying the expected
-                // header — so the on-disk layout is invariant to whether the
-                // writer happened to have an unsealed row in flight.
-                w.write_all(&[ENC_F32])?;
-                put_u64(w, 0)?;
-                AcornIndex::new(
-                    Arc::new(VectorStore::new(self.dim())),
-                    self.params().clone(),
-                    self.variant(),
-                )
-                .save(w)?
+        with_footer(w, |w| {
+            w.write_all(MAGIC)?;
+            put_u32(w, SEGMENTED_V6)?;
+            put_manifest(w, self)?;
+            for seg in self.frozen_segments() {
+                put_segment(w, seg)?;
             }
-        }
-        let sum = cw.sum();
-        put_u32(cw.inner_mut(), sum)
+            put_active(w, self)
+        })
+        .map(drop)
     }
 }
 
@@ -493,149 +749,159 @@ impl SegmentedAcornIndex {
     /// configuration, and a frozen block that is not sealed or an active
     /// block that is sealed or quantized.
     pub fn load(r: &mut impl Read) -> io::Result<SegmentedAcornIndex> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
+        // Checksum-first: slurp the stream (allocation bounded by bytes
+        // actually present, never by a parsed length), verify the footer
+        // over everything, and only then hand the body to the structural
+        // parser.
+        let mut file = Vec::new();
+        r.read_to_end(&mut file)?;
+        if file.len() < 8 || &file[..4] != MAGIC {
             return Err(bad("not an ACORN index file"));
         }
-        match get_u32(r)? {
+        match u32::from_le_bytes(file[4..8].try_into().expect("4 version bytes")) {
             SEGMENTED_V6 => {}
             VERSION => {
                 return Err(bad("this is a plain (non-segmented) index file; use AcornIndex::load"))
             }
             _ => return Err(bad("unsupported ACORN index version")),
         }
-        // Checksum-first: slurp the rest of the stream (allocation bounded
-        // by bytes actually present, never by a parsed length), verify the
-        // footer over everything, and only then hand the body to the
-        // structural parser.
-        let mut rest = Vec::new();
-        r.read_to_end(&mut rest)?;
-        if rest.len() < 4 {
-            return Err(bad("segmented index file too short for its checksum footer"));
-        }
-        let body_len = rest.len() - 4;
-        let footer = u32::from_le_bytes(rest[body_len..].try_into().expect("4 footer bytes"));
-        let mut crc = Crc32::new();
-        crc.update(MAGIC);
-        crc.update(&SEGMENTED_V6.to_le_bytes());
-        crc.update(&rest[..body_len]);
-        if crc.finish() != footer {
-            return Err(bad("segmented index checksum mismatch (torn or corrupt file)"));
-        }
-        let mut body = &rest[..body_len];
-        let idx = Self::load_body(&mut body)?;
-        if !body.is_empty() {
-            return Err(bad("trailing bytes after segmented index body"));
-        }
-        Ok(idx)
-    }
-
-    /// The body parser (everything after magic + version, footer
-    /// excluded), with every count cross-checked.
-    fn load_body(r: &mut impl Read) -> io::Result<SegmentedAcornIndex> {
-        let (variant, params) = get_header(r)?;
-        // `AcornParams::validate` panics; a corrupt file must error instead.
-        if params.m < 2
-            || params.gamma < 1
-            || params.m_beta > params.edge_budget()
-            || params.ef_construction < 1
-            || params.compressed_levels < 1
-        {
-            return Err(bad("inconsistent parameters in segmented index header"));
-        }
-        let dim = get_u64(r)? as usize;
-        if dim == 0 || dim > MAX_DIM {
-            return Err(bad("implausible vector dimension in segmented index header"));
-        }
-        let next_global = get_u64(r)?;
-        let min_rows = get_u64(r)? as usize;
-        let mut frac_bytes = [0u8; 8];
-        r.read_exact(&mut frac_bytes)?;
-        let max_tombstone_fraction = f64::from_le_bytes(frac_bytes);
-        if !max_tombstone_fraction.is_finite() || max_tombstone_fraction < 0.0 {
-            return Err(bad("invalid merge policy tombstone fraction"));
-        }
-        let active_max_rows = get_u64(r)? as usize;
-        let policy = MergePolicy { min_rows, max_tombstone_fraction, active_max_rows };
-        let sq8_frozen = match get_u8(r)? {
-            0 => false,
-            1 => true,
-            _ => return Err(bad("invalid quantization policy flag")),
-        };
-        let quant = QuantizationPolicy { sq8_frozen, rerank_k: get_u64(r)? as usize };
-
-        // Every segment was built from the top-level configuration (with the
-        // ACORN-1 override applied by `AcornIndex::new`); reconstruct that
-        // expectation once and hold each embedded header to it.
-        let expected_params =
-            AcornIndex::new(Arc::new(VectorStore::new(dim)), params.clone(), variant)
-                .params()
-                .clone();
-
-        let nseg = get_u64(r)? as usize;
+        let (body, _) = footer_checked(&file, "segmented index")?;
+        let mut r = &body[8..];
+        let (m, nseg) = get_manifest(&mut r)?;
         let mut frozen = Vec::new();
         for _ in 0..nseg {
-            let seg = get_segment(r, dim, next_global, variant, &expected_params)?;
-            if seg.global_ids.is_empty() {
-                return Err(bad("frozen segments must not be empty"));
+            frozen.push(get_segment(&mut r, &m, Role::Frozen)?);
+        }
+        let active = get_segment(&mut r, &m, Role::Active)?;
+        if !r.is_empty() {
+            return Err(bad("trailing bytes after segmented index body"));
+        }
+        assemble(m, frozen, active)
+    }
+}
+
+/// A checkpoint's reference to one segment file: which file, and the
+/// length and CRC32 footer it must have — the file as it was written, or
+/// not at all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SegmentFileRef {
+    /// The `<n>` of `seg-<n>.acorn`.
+    pub(crate) file: u64,
+    /// The file's length in bytes, footer included.
+    pub(crate) len: u64,
+    /// The file's footer: the CRC32 of every byte before it.
+    pub(crate) crc: u32,
+    /// Rows in the segment (sizes the tombstone words beside the
+    /// reference).
+    pub(crate) rows: u64,
+}
+
+/// Write `seg` as segment file number `file` to `w`, returning the
+/// reference a checkpoint names it by.
+pub(crate) fn save_segment_file(
+    w: &mut Vec<u8>,
+    file: u64,
+    seg: &SegmentView,
+) -> io::Result<SegmentFileRef> {
+    let crc = with_footer(&mut *w, |w| {
+        w.write_all(SEGMENT_FILE_MAGIC)?;
+        put_u32(w, SEGMENT_FILE_VERSION)?;
+        put_u64(w, seg.index().vectors().dim() as u64)?;
+        put_segment(w, seg)
+    })?;
+    Ok(SegmentFileRef { file, len: w.len() as u64, crc, rows: seg.rows() as u64 })
+}
+
+/// Write the checkpoint of `snap` to `w`: everything [`SegmentSnapshot::save`]
+/// writes, with each frozen segment's block replaced by `refs[i]` and its
+/// current tombstone words.
+pub(crate) fn save_checkpoint(
+    w: &mut impl Write,
+    snap: &SegmentSnapshot,
+    refs: &[SegmentFileRef],
+) -> io::Result<()> {
+    debug_assert_eq!(refs.len(), snap.frozen_segments().len());
+    with_footer(w, |w| {
+        w.write_all(CHECKPOINT_MAGIC)?;
+        put_u32(w, CHECKPOINT_VERSION)?;
+        put_manifest(w, snap)?;
+        for (seg, r) in snap.frozen_segments().iter().zip(refs) {
+            put_u64(w, r.file)?;
+            put_u64(w, r.len)?;
+            put_u32(w, r.crc)?;
+            put_u64(w, r.rows)?;
+            put_le(w, seg.tombstones().words(), u64::to_le_bytes)?;
+        }
+        put_active(w, snap)
+    })
+    .map(drop)
+}
+
+/// A decoded checkpoint: everything but the frozen segments' blocks, which
+/// [`into_index`](Self::into_index) fetches through their references.
+pub(crate) struct Checkpoint {
+    manifest: Manifest,
+    /// One per frozen segment, in segment order.
+    refs: Vec<SegmentFileRef>,
+    /// The frozen segments' tombstones as of the checkpoint.
+    tombstones: Vec<Bitset>,
+    active: RawSegment,
+}
+
+impl Checkpoint {
+    /// Decode a checkpoint file, footer first.
+    pub(crate) fn load(file: &[u8]) -> io::Result<Self> {
+        let (mut r, _) =
+            container_body(file, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint file")?;
+        let (manifest, nseg) = get_manifest(&mut r)?;
+        let mut refs = Vec::new();
+        let mut tombstones = Vec::new();
+        for _ in 0..nseg {
+            let (file, len) = (get_u64(&mut r)?, get_u64(&mut r)?);
+            let (crc, rows) = (get_u32(&mut r)?, get_u64(&mut r)?);
+            refs.push(SegmentFileRef { file, len, crc, rows });
+            tombstones.push(get_tombstones(&mut r, rows as usize)?);
+        }
+        let active = get_segment(&mut r, &manifest, Role::Active)?;
+        if !r.is_empty() {
+            return Err(bad("trailing bytes after checkpoint body"));
+        }
+        Ok(Self { manifest, refs, tombstones, active })
+    }
+
+    /// Join the checkpoint with its segment files — `read` fetches the one
+    /// a reference names — into the index it was taken of, returned with
+    /// the references in segment order. Each file must be the one the
+    /// reference was written against (length and footer), pass its own
+    /// checksum over the whole file, and decode under the same guards as a
+    /// v6 block.
+    pub(crate) fn into_index(
+        self,
+        mut read: impl FnMut(&SegmentFileRef) -> io::Result<Vec<u8>>,
+    ) -> io::Result<(SegmentedAcornIndex, Vec<SegmentFileRef>)> {
+        let m = self.manifest;
+        let mut frozen = Vec::with_capacity(self.refs.len());
+        for (seg_ref, tombstones) in self.refs.iter().zip(self.tombstones) {
+            let file = read(seg_ref)?;
+            let (mut r, sum) =
+                container_body(&file, SEGMENT_FILE_MAGIC, SEGMENT_FILE_VERSION, "segment file")?;
+            if file.len() as u64 != seg_ref.len || sum != seg_ref.crc {
+                return Err(bad("segment file is not the one the checkpoint references"));
             }
-            if seg.index.csr().is_none() {
-                return Err(bad("frozen segments must be sealed"));
+            if get_u64(&mut r)? as usize != m.dim {
+                return Err(bad("segment file dimension disagrees with the checkpoint"));
             }
+            let mut seg = get_segment(&mut r, &m, Role::Frozen)?;
+            if !r.is_empty() {
+                return Err(bad("trailing bytes after segment file body"));
+            }
+            if seg.global_ids.len() as u64 != seg_ref.rows {
+                return Err(bad("segment file row count disagrees with the checkpoint"));
+            }
+            seg.tombstones = tombstones;
             frozen.push(seg);
         }
-        if frozen.windows(2).any(|w| w[0].global_ids[0] >= w[1].global_ids[0]) {
-            return Err(bad("frozen segments must be ascending by first global id"));
-        }
-        let active = get_segment(r, dim, next_global, variant, &expected_params)?;
-        if active.index.quantized().is_some() {
-            // Codebooks are only ever trained at seal time; a quantized
-            // active segment could not absorb inserts.
-            return Err(bad("the active segment must not be quantized"));
-        }
-        if active.index.csr().is_some() {
-            // A sealed index accepts no inserts.
-            return Err(bad("the active segment must not be sealed"));
-        }
-
-        // Global ids must be owned by exactly one segment: a duplicated id
-        // would surface twice from one top-k merge and make deletes only
-        // half-stick. Segment-local ascending order is already enforced, so
-        // one sort over the union exposes any cross-segment duplicate.
-        let mut all_ids: Vec<u64> = frozen
-            .iter()
-            .chain(std::iter::once(&active))
-            .flat_map(|s| s.global_ids.iter().copied())
-            .collect();
-        all_ids.sort_unstable();
-        if all_ids.windows(2).any(|w| w[0] == w[1]) {
-            return Err(bad("global id owned by more than one segment"));
-        }
-
-        // Beyond uniqueness, segment gid *ranges* must be pairwise disjoint
-        // and ascending (frozen by first gid, the active segment above them
-        // all): `delete` routes a gid to its owning segment by range binary
-        // search, so interleaved ranges would silently misroute deletes.
-        let ranges: Vec<(u64, u64)> = frozen
-            .iter()
-            .chain(std::iter::once(&active).filter(|a| !a.global_ids.is_empty()))
-            .map(|s| (s.global_ids[0], *s.global_ids.last().expect("non-empty")))
-            .collect();
-        if ranges.windows(2).any(|w| w[0].1 >= w[1].0) {
-            return Err(bad("segment global id ranges overlap"));
-        }
-
-        Ok(SegmentedAcornIndex::from_loaded_parts(
-            params,
-            variant,
-            dim,
-            frozen,
-            active,
-            next_global,
-            policy,
-            quant,
-        ))
+        Ok((assemble(m, frozen, self.active)?, self.refs))
     }
 }
 
@@ -940,6 +1206,33 @@ mod tests {
             err.to_string().contains("disagrees with the segmented index header"),
             "unexpected: {err}"
         );
+    }
+
+    #[test]
+    fn segmented_load_rejects_corrupt_lists_in_a_frozen_block() {
+        // The frozen block's lists go straight into CSR arenas; the guards
+        // the nested loader applies to the active block apply there too.
+        // The blob starts after the manifest (see the test above); its
+        // header is 8 + 59 bytes, then n (8), node 0's level (1), node 0's
+        // first list length (4) and that list's first target.
+        let (idx, _) = segmented_fixture();
+        let buf = saved(&idx);
+        let len_off = SEG_N_OFF + 8 + 800 + 16 + 3200 + 67 + 8 + 1;
+        let corrupt = |off: usize, value: u32| {
+            let mut bad = buf.clone();
+            bad[off..off + 4].copy_from_slice(&value.to_le_bytes());
+            reseal(&mut bad);
+            crate::SegmentedAcornIndex::load(&mut bad.as_slice()).unwrap_err()
+        };
+        // A length the file cannot hold never sizes anything.
+        let err = corrupt(len_off, u32::MAX);
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "unexpected: {err}");
+        // One the file can hold, but the graph (100 nodes) cannot.
+        let err = corrupt(len_off, 101);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("neighbor list longer"), "unexpected: {err}");
+        let err = corrupt(len_off + 4, 100);
+        assert!(err.to_string().contains("edge target out of range"), "unexpected: {err}");
     }
 
     #[test]

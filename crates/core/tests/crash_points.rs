@@ -4,10 +4,11 @@
 //! Protocol per fault point `p`:
 //!
 //! 1. Run a fixed op script (creates the store, inserts, deletes, freezes,
-//!    merges, checkpoints) against a [`FailpointVfs`] armed to die at the
-//!    `p`-th operation — the op that hits the fault tears (a write persists
-//!    half its buffer) and everything after it fails, exactly like a
-//!    process kill.
+//!    merges, checkpoints that write, re-reference and collect segment
+//!    files) against a [`FailpointVfs`] armed to die at the `p`-th
+//!    operation — the op that hits the fault tears (a write persists half
+//!    its buffer) and everything after it fails, exactly like a process
+//!    kill.
 //! 2. Reopen the directory with the **real** filesystem. `open` must
 //!    succeed (never panic, never report corruption).
 //! 3. The recovered index must serialize bit-identically to the oracle
@@ -17,7 +18,7 @@
 //!
 //! A disarmed counting pass establishes how many injectable points the
 //! script reaches; the sweep covers all of them, and the test fails if
-//! that coverage ever drops below the 20-point floor (or below
+//! that coverage ever drops below [`POINT_FLOOR`] (or below
 //! `ACORN_CRASH_POINTS`, when CI sets it).
 
 use std::path::PathBuf;
@@ -31,6 +32,9 @@ use acorn_core::{AcornParams, AcornVariant, SegmentedAcornIndex};
 
 const DIM: usize = 6;
 
+/// Injectable points the script reaches today; the count may only rise.
+const POINT_FLOOR: u64 = 169;
+
 fn params() -> AcornParams {
     AcornParams { m: 8, gamma: 2, m_beta: 12, ef_construction: 32, seed: 11, ..Default::default() }
 }
@@ -41,7 +45,7 @@ fn opts() -> DurabilityOptions {
         // Only explicit checkpoints: keeps the acked-op accounting exact.
         wal_max_bytes: 0,
         // Small chunks multiply the distinct crash points inside each
-        // snapshot write.
+        // checkpoint and segment-file write.
         snapshot_chunk_bytes: 512,
     }
 }
@@ -71,8 +75,13 @@ enum Op {
 }
 
 /// A script that crosses every protocol surface: plain inserts, a freeze,
-/// deletes, a merge, a mid-stream checkpoint, and trailing inserts that
-/// land in the post-checkpoint WAL.
+/// deletes, a merge, a mid-stream checkpoint (the first segment file),
+/// inserts that land in the post-checkpoint WAL, then freeze → checkpoint →
+/// merge → checkpoint: the first writes two more segment files beside the
+/// one it re-references, the second writes the merged segment's and
+/// collects the file only the generation before last still named — so a
+/// segment file's tmp write, fsync and rename, the directory sync that
+/// covers them and the collector's `remove` are all kill points.
 fn script() -> Vec<Op> {
     let mut ops = Vec::new();
     for i in 0..16 {
@@ -93,6 +102,17 @@ fn script() -> Vec<Op> {
     ops.push(Op::Delete(20));
     ops.push(Op::Freeze);
     ops.push(Op::Merge);
+    for i in 32..36 {
+        ops.push(Op::Insert(i));
+    }
+    ops.push(Op::Freeze);
+    ops.push(Op::Checkpoint);
+    ops.push(Op::Delete(33));
+    ops.push(Op::Merge);
+    ops.push(Op::Checkpoint);
+    for i in 36..38 {
+        ops.push(Op::Insert(i));
+    }
     ops
 }
 
@@ -133,6 +153,17 @@ fn oracle_states(ops: &[Op]) -> Vec<Vec<u8>> {
     states
 }
 
+/// Apply one op to the durable store.
+fn apply_durable(store: &mut DurableIndex, op: Op) -> std::io::Result<()> {
+    match op {
+        Op::Insert(i) => store.insert(&vec_for(i)).map(|_| ()),
+        Op::Delete(gid) => store.delete(gid).map(|ok| assert!(ok)),
+        Op::Freeze => store.freeze(),
+        Op::Merge => store.merge().map(|_| ()),
+        Op::Checkpoint => store.checkpoint(),
+    }
+}
+
 /// Run the script against `vfs`. Returns `(acked_mutations, create_ok,
 /// full_run)` — the count of mutating ops acknowledged before the first
 /// error, whether `create` completed, and whether the whole script did.
@@ -143,14 +174,7 @@ fn drive(dir: &PathBuf, vfs: Arc<dyn Vfs>, ops: &[Op]) -> (usize, bool, bool) {
     };
     let mut acked = 0;
     for &op in ops {
-        let r = match op {
-            Op::Insert(i) => store.insert(&vec_for(i)).map(|_| ()),
-            Op::Delete(gid) => store.delete(gid).map(|ok| assert!(ok)),
-            Op::Freeze => store.freeze(),
-            Op::Merge => store.merge().map(|_| ()),
-            Op::Checkpoint => store.checkpoint(),
-        };
-        if r.is_err() {
+        if apply_durable(&mut store, op).is_err() {
             assert!(store.is_poisoned(), "a failed mutation must poison the handle");
             return (acked, true, false);
         }
@@ -190,11 +214,12 @@ fn every_crash_point_recovers_a_legal_prefix() {
     let floor: u64 = std::env::var("ACORN_CRASH_POINTS")
         .ok()
         .map(|v| v.parse().expect("ACORN_CRASH_POINTS must be a number"))
-        .unwrap_or(20);
+        .unwrap_or(POINT_FLOOR);
     assert!(
-        total_points >= floor.max(20),
+        total_points >= floor.max(POINT_FLOOR),
         "only {total_points} injectable points — the sweep lost coverage (floor {floor})"
     );
+    eprintln!("crash sweep: {total_points} injectable points");
 
     // The sweep: die at every point.
     for point in 1..=total_points {
@@ -253,7 +278,7 @@ fn torn_reads_during_open_never_corrupt_recovery() {
     let vfs: Arc<dyn Vfs> = Arc::new(FailpointVfs::new(plan.clone()));
     DurableIndex::open_with_vfs(&dir, opts(), vfs.clone()).expect("disarmed open succeeds");
     let read_points = plan.points_passed();
-    assert!(read_points >= 2, "open must at least read the manifest and the snapshot");
+    assert!(read_points >= 2, "open must at least read the manifest and the checkpoint");
 
     for point in 1..=read_points {
         plan.arm(point);
@@ -326,5 +351,69 @@ fn flipping_bytes_in_any_store_file_never_panics_open() {
             }
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Bit rot in a segment file: one only the committed generation references
+/// costs that generation — recovery falls back to the previous checkpoint
+/// and its complete WAL, i.e. the state at the damaged generation's own
+/// checkpoint — and one both generations reference cannot be recovered
+/// from, which must be a clean `InvalidData`, not a panic or a wrong index.
+#[test]
+fn a_damaged_segment_file_falls_back_one_generation_or_fails_cleanly() {
+    let mut ops: Vec<Op> = (0..12).map(Op::Insert).collect();
+    ops.extend([Op::Freeze, Op::Checkpoint]);
+    ops.extend((12..24).map(Op::Insert));
+    ops.extend([Op::Delete(3), Op::Freeze, Op::Checkpoint]);
+    let mutations_checkpointed = ops.iter().filter(|op| !matches!(op, Op::Checkpoint)).count();
+    ops.extend((24..28).map(Op::Insert));
+    let states = oracle_states(&ops);
+
+    let seg_files = |dir: &PathBuf| -> Vec<String> {
+        let names = StdVfs.list(dir).unwrap();
+        names.into_iter().filter(|n| n.starts_with("seg-")).collect()
+    };
+    let build = |tag: &str| {
+        let dir = tmp_dir(tag);
+        let split = ops.iter().position(|op| matches!(op, Op::Checkpoint)).unwrap() + 1;
+        let idx = SegmentedAcornIndex::new(DIM, params(), AcornVariant::Gamma);
+        let mut store = DurableIndex::create(&dir, idx, opts()).unwrap();
+        let run = |store: &mut DurableIndex, ops: &[Op]| {
+            ops.iter().for_each(|&op| apply_durable(store, op).unwrap());
+        };
+        run(&mut store, &ops[..split]);
+        let in_both = seg_files(&dir);
+        run(&mut store, &ops[split..]);
+        assert_eq!(store.generation(), 2);
+        let only_in_newest: Vec<String> =
+            seg_files(&dir).into_iter().filter(|n| !in_both.contains(n)).collect();
+        assert_eq!((in_both.len(), only_in_newest.len()), (1, 1));
+        (dir, in_both[0].clone(), only_in_newest[0].clone())
+    };
+    let flip = |dir: &PathBuf, name: &str| {
+        let mut bytes = std::fs::read(dir.join(name)).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(dir.join(name), bytes).unwrap();
+    };
+
+    let (dir, _, only_in_newest) = build("rot-newest");
+    flip(&dir, &only_in_newest);
+    let store = DurableIndex::open(&dir, opts()).expect("the previous generation is intact");
+    assert_eq!(store.generation(), 1);
+    let mut got = Vec::new();
+    store.index().snapshot().save(&mut got).unwrap();
+    assert!(
+        got == states[mutations_checkpointed],
+        "generation 1 + its whole WAL is the state at the second checkpoint; got oracle index {:?}",
+        states.iter().position(|s| *s == got)
+    );
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let (dir, in_both, _) = build("rot-both");
+    flip(&dir, &in_both);
+    let err = DurableIndex::open(&dir, opts()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "unexpected: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }

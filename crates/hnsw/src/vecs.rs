@@ -232,6 +232,22 @@ impl VectorStore {
         Self { dim, buf: Arc::new(buf), len }
     }
 
+    /// Decode rows stored as little-endian `f32`s (the on-disk row format)
+    /// straight into a buffer of exactly their size.
+    ///
+    /// # Panics
+    /// Panics if `bytes` is not a whole number of `dim`-float rows.
+    pub fn from_le_bytes(dim: usize, bytes: &[u8]) -> Self {
+        assert!(dim > 0, "vector dimension must be positive");
+        assert_eq!(bytes.len() % (4 * dim), 0, "byte length must be a multiple of a row's");
+        let slots: Box<[UnsafeCell<f32>]> = bytes
+            .chunks_exact(4)
+            .map(|c| UnsafeCell::new(f32::from_le_bytes([c[0], c[1], c[2], c[3]])))
+            .collect();
+        let len = slots.len();
+        Self { dim, buf: Arc::new(RowBuf { committed: AtomicUsize::new(len), slots }), len }
+    }
+
     /// Vector dimensionality.
     #[inline]
     pub fn dim(&self) -> usize {
@@ -472,6 +488,19 @@ mod tests {
         assert_eq!(id1, 1);
         assert_eq!(s.len(), 2);
         assert_eq!(s.get(1), &[4.0, 5.0, 6.0]);
+    }
+
+    #[test]
+    fn from_le_bytes_decodes_rows_into_an_exact_buffer_that_still_grows() {
+        let rows = [[1.5f32, -2.0], [0.0, f32::MIN_POSITIVE], [3.25, 4.0]];
+        let bytes: Vec<u8> = rows.iter().flatten().flat_map(|x| x.to_le_bytes()).collect();
+        let mut s = VectorStore::from_le_bytes(2, &bytes);
+        assert_eq!((s.len(), s.buf.slots.len()), (3, 6));
+        assert_eq!(s.as_flat(), rows.concat());
+        // The buffer is full, so a push moves the handle to a grown copy.
+        assert_eq!(s.push(&[9.0, 9.5]), 3);
+        assert_eq!(s.get(3), &[9.0, 9.5]);
+        assert_eq!(s.get(1), &rows[1]);
     }
 
     #[test]
