@@ -97,7 +97,6 @@ use crate::snapshot::{IndexReader, SegmentPayload, SegmentSnapshot, SegmentView}
 use crate::SegmentedAcornIndex;
 
 pub use vfs::{FailpointVfs, FaultPlan, StdVfs, Vfs, VfsFile};
-use wal::Record;
 pub use wal::WalOp;
 
 const MANIFEST_NAME: &str = "MANIFEST";
@@ -118,24 +117,22 @@ pub enum FsyncPolicy {
     Never,
 }
 
-/// Tuning knobs for a [`DurableIndex`].
+/// The two knobs of a [`DurableIndex`]: when to pay for an fsync, and how
+/// much WAL to let a recovery replay.
 #[derive(Debug, Clone)]
 pub struct DurabilityOptions {
-    /// When to fsync (default [`FsyncPolicy::Always`]).
+    /// When to fsync (default [`FsyncPolicy::Always`]): what an `Ok` from a
+    /// mutation promises about a crash.
     pub fsync: FsyncPolicy,
     /// Checkpoint automatically once the WAL outgrows this many bytes
-    /// (`0` = only on explicit [`DurableIndex::checkpoint`] calls).
-    /// Default 8 MiB.
+    /// (`0` = only on explicit [`DurableIndex::checkpoint`] calls). Bounds
+    /// both the log on disk and the replay a reopen pays. Default 8 MiB.
     pub wal_max_bytes: u64,
-    /// Write checkpoint and segment files in chunks of this many bytes
-    /// (default 64 KiB). Smaller chunks mean more distinct crash points for
-    /// the fault-injection sweep; the on-disk bytes are identical.
-    pub snapshot_chunk_bytes: usize,
 }
 
 impl Default for DurabilityOptions {
     fn default() -> Self {
-        Self { fsync: FsyncPolicy::Always, wal_max_bytes: 8 << 20, snapshot_chunk_bytes: 64 << 10 }
+        Self { fsync: FsyncPolicy::Always, wal_max_bytes: 8 << 20 }
     }
 }
 
@@ -267,22 +264,19 @@ impl DurableIndex {
         let Some((generation, mut index, refs)) = chosen else { return Err(last_err) };
         // Which file holds which segment, taken before replay can merge any
         // of them away: the next checkpoint rewrites none of these.
-        let seg_files = held_by(&index.snapshot(), refs);
+        let seg_files = held_by(&index.state(), refs);
 
-        // Replay the valid prefix of this generation's WAL.
+        // Replay the valid prefix of this generation's WAL, op by op as it
+        // is decoded.
         let wal_file = wal_path(&dir, generation);
-        let (ops, valid_len, file_len, wal_present) = match vfs.read(&wal_file) {
+        let (recovered_ops, valid_len, file_len, wal_present) = match vfs.read(&wal_file) {
             Ok(buf) => {
-                let (ops, valid) = wal::parse(&buf, index.dim());
+                let (ops, valid) = wal::replay(&buf, index.dim(), |op| apply(&mut index, op))?;
                 (ops, valid, buf.len(), true)
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => (Vec::new(), 0, 0, false),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => (0, 0, 0, false),
             Err(e) => return Err(e),
         };
-        let recovered_ops = ops.len() as u64;
-        for op in &ops {
-            apply(&mut index, op)?;
-        }
 
         let mut store = Self {
             dir,
@@ -342,7 +336,7 @@ impl DurableIndex {
         }
         self.run(|s| {
             let gid = s.index.next_global_id();
-            s.append_op(Record::Insert { gid, vector: v })?;
+            s.append_op(WalOp::Insert { gid, vector: v })?;
             let got = s.index.insert(v);
             debug_assert_eq!(got, gid);
             s.maybe_auto_checkpoint()?;
@@ -357,7 +351,7 @@ impl DurableIndex {
             if !s.index.contains(gid) {
                 return Ok(false);
             }
-            s.append_op(Record::Delete { gid })?;
+            s.append_op(WalOp::Delete { gid })?;
             let deleted = s.index.delete(gid);
             debug_assert!(deleted);
             s.maybe_auto_checkpoint()?;
@@ -369,10 +363,10 @@ impl DurableIndex {
     /// logs nothing).
     pub fn freeze(&mut self) -> io::Result<()> {
         self.run(|s| {
-            if s.index.snapshot().active_segment().is_none() {
+            if s.index.active_rows() == 0 {
                 return Ok(());
             }
-            s.append_op(Record::Freeze)?;
+            s.append_op(WalOp::Freeze)?;
             s.index.freeze();
             s.maybe_auto_checkpoint()
         })
@@ -381,7 +375,7 @@ impl DurableIndex {
     /// Run one policy-driven merge pass (logged).
     pub fn merge(&mut self) -> io::Result<MergeOutcome> {
         self.run(|s| {
-            s.append_op(Record::Merge)?;
+            s.append_op(WalOp::Merge)?;
             let out = s.index.merge();
             s.maybe_auto_checkpoint()?;
             Ok(out)
@@ -391,7 +385,7 @@ impl DurableIndex {
     /// Freeze and compact everything into one segment (logged).
     pub fn compact_all(&mut self) -> io::Result<MergeOutcome> {
         self.run(|s| {
-            s.append_op(Record::CompactAll)?;
+            s.append_op(WalOp::CompactAll)?;
             let out = s.index.compact_all();
             s.maybe_auto_checkpoint()?;
             Ok(out)
@@ -475,11 +469,11 @@ impl DurableIndex {
         self.opts.fsync != FsyncPolicy::Never
     }
 
-    fn append_op(&mut self, rec: Record<'_>) -> io::Result<()> {
-        wal::encode(&mut self.wal_record, rec);
+    fn append_op(&mut self, op: WalOp<'_>) -> io::Result<()> {
+        wal::encode(&mut self.wal_record, op);
         let w = self.wal.as_mut().expect("store always holds a WAL handle when not poisoned");
         // One write call per record: a crash tears at most this record,
-        // and the parse-time checksum discards the torn tail.
+        // and the replay-time checksum discards the torn tail.
         w.write_all(&self.wal_record)?;
         if self.opts.fsync == FsyncPolicy::Always {
             w.sync()?;
@@ -503,9 +497,7 @@ impl DurableIndex {
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
         let mut f = self.vfs.create(&tmp)?;
-        for chunk in bytes.chunks(self.opts.snapshot_chunk_bytes.max(1)) {
-            f.write_all(chunk)?;
-        }
+        f.write_all(bytes)?;
         if self.checkpoint_syncs() {
             f.sync()?;
         }
@@ -530,7 +522,7 @@ impl DurableIndex {
 
     /// The commit protocol: install `next` as the committed generation.
     fn install_generation(&mut self, next: u64) -> io::Result<()> {
-        let snap = self.index.snapshot();
+        let snap = self.index.state();
 
         // 1. Segment files, for the frozen segments no kept file holds.
         let mut refs = Vec::with_capacity(snap.frozen_segments().len());
@@ -630,20 +622,20 @@ fn held_by(
 
 /// Apply one replayed op. Fails (rather than corrupting) if the record is
 /// inconsistent with the snapshot it claims to extend.
-fn apply(index: &mut SegmentedAcornIndex, op: &WalOp) -> io::Result<()> {
+fn apply(index: &mut SegmentedAcornIndex, op: WalOp<'_>) -> io::Result<()> {
     match op {
         WalOp::Insert { gid, vector } => {
-            if vector.len() != index.dim() || *gid != index.next_global_id() {
+            if vector.len() != index.dim() || gid != index.next_global_id() {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "WAL insert record inconsistent with the snapshot it extends",
                 ));
             }
             let got = index.insert(vector);
-            debug_assert_eq!(got, *gid);
+            debug_assert_eq!(got, gid);
         }
         WalOp::Delete { gid } => {
-            index.delete(*gid);
+            index.delete(gid);
         }
         WalOp::Freeze => index.freeze(),
         WalOp::Merge => {
@@ -782,11 +774,7 @@ mod tests {
         let dir = tmp_dir("auto");
         let dim = 4;
         let idx = SegmentedAcornIndex::new(dim, params(), AcornVariant::One);
-        let opts = DurabilityOptions {
-            fsync: FsyncPolicy::Never,
-            wal_max_bytes: 256,
-            ..Default::default()
-        };
+        let opts = DurabilityOptions { fsync: FsyncPolicy::Never, wal_max_bytes: 256 };
         let mut store = DurableIndex::create(&dir, idx, opts).unwrap();
         for i in 0..64u64 {
             store.insert(&vec_for(i, dim)).unwrap();
@@ -898,7 +886,7 @@ mod tests {
             // This helper only exists to keep that assertion honest if the
             // test evolves — parse the WAL file directly.
             let buf = self.vfs.read(&wal_path(&self.dir, self.generation)).unwrap();
-            wal::parse(&buf, self.index.dim()).0.len() as u64
+            wal::replay(&buf, self.index.dim(), |_| Ok(())).unwrap().0
         }
     }
 }

@@ -15,6 +15,14 @@
 //! write) and **every subsequent operation on the same plan fails too**.
 //! A store that shrugged off an I/O error and kept going would otherwise
 //! look healthier than it is.
+//!
+//! The store hands a whole checkpoint or segment file to one `write_all`.
+//! A real kernel may persist any prefix of that, so the fault-injecting
+//! file accepts at most `WRITE_CAP` (512) bytes per `write` call (`Write`
+//! allows a short count; `write_all` comes back with the rest): a kill
+//! point falls every `WRITE_CAP` bytes of a large file and a torn write
+//! still persists a strict prefix. The granularity belongs to the fault
+//! model, so it lives here and not among the production options.
 
 use std::fmt::Debug;
 use std::fs;
@@ -148,6 +156,9 @@ pub struct FaultPlan {
     trigger: AtomicU64,
     read_faults: AtomicBool,
 }
+
+/// The most bytes one `write` call on a [`FailpointFile`] accepts.
+const WRITE_CAP: usize = 512;
 
 /// What a single injectable operation should do.
 enum Fire {
@@ -295,6 +306,7 @@ pub struct FailpointFile {
 
 impl Write for FailpointFile {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let buf = &buf[..buf.len().min(WRITE_CAP)];
         match self.plan.fire() {
             Fire::No => self.inner.write(buf),
             Fire::Torn => {

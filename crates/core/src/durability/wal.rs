@@ -11,15 +11,19 @@
 //! corrupted length nor a corrupted body can slip through. Each record is
 //! encoded into the store's one reusable buffer, straight from the caller's
 //! slice, and appended with a **single** write call; a crash therefore tears
-//! at most the final record, and the parser stops cleanly at the first
+//! at most the final record, and `replay` stops cleanly at the first
 //! record whose length, checksum, or payload is invalid — everything before
-//! that point is the legal prefix that recovery replays.
+//! that point is the legal prefix that recovery replays. An op borrows its
+//! vector in both directions: from the caller's slice when logged, from one
+//! reusable row buffer when replayed.
 //!
 //! Record payloads start with a one-byte op tag. Structural ops (freeze,
 //! merge, compact) are logged alongside inserts and deletes because segment
 //! boundaries affect approximate search answers: replaying the full op
 //! sequence is what makes recovery *bit-identical*, not merely
 //! set-equivalent.
+
+use std::io;
 
 use acorn_hnsw::checksum::Crc32;
 
@@ -33,15 +37,15 @@ const OP_MERGE: u8 = 4;
 const OP_COMPACT_ALL: u8 = 5;
 
 /// One logged mutation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalOp {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WalOp<'a> {
     /// An inserted vector and the global id the writer assigned it.
     Insert {
         /// The global id the insert returned (checked against the replayed
         /// index so a WAL can never be applied to the wrong snapshot).
         gid: u64,
         /// The inserted vector.
-        vector: Vec<f32>,
+        vector: &'a [f32],
     },
     /// A tombstone for `gid`.
     Delete {
@@ -62,17 +66,6 @@ pub enum WalOp {
     CompactAll,
 }
 
-/// A mutation about to be logged: [`WalOp`] with the vector borrowed from
-/// the caller, so encoding a record copies the row once — into the record.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Record<'a> {
-    Insert { gid: u64, vector: &'a [f32] },
-    Delete { gid: u64 },
-    Freeze,
-    Merge,
-    CompactAll,
-}
-
 /// The CRC a record carries: its length prefix, then its payload.
 fn record_crc(len: &[u8], payload: &[u8]) -> u32 {
     let mut crc = Crc32::new();
@@ -81,14 +74,14 @@ fn record_crc(len: &[u8], payload: &[u8]) -> u32 {
     crc.finish()
 }
 
-/// Replace the contents of `buf` with `rec` as one complete record (length
+/// Replace the contents of `buf` with `op` as one complete record (length
 /// prefix, checksum, payload), ready to be appended with a single write.
-pub(crate) fn encode(buf: &mut Vec<u8>, rec: Record<'_>) {
+pub(crate) fn encode(buf: &mut Vec<u8>, op: WalOp<'_>) {
     buf.clear();
     // Length and checksum are known once the payload is in place.
     buf.extend_from_slice(&[0; 8]);
-    match rec {
-        Record::Insert { gid, vector } => {
+    match op {
+        WalOp::Insert { gid, vector } => {
             buf.push(OP_INSERT);
             buf.extend_from_slice(&gid.to_le_bytes());
             buf.reserve(vector.len() * 4);
@@ -96,13 +89,13 @@ pub(crate) fn encode(buf: &mut Vec<u8>, rec: Record<'_>) {
                 buf.extend_from_slice(&v.to_le_bytes());
             }
         }
-        Record::Delete { gid } => {
+        WalOp::Delete { gid } => {
             buf.push(OP_DELETE);
             buf.extend_from_slice(&gid.to_le_bytes());
         }
-        Record::Freeze => buf.push(OP_FREEZE),
-        Record::Merge => buf.push(OP_MERGE),
-        Record::CompactAll => buf.push(OP_COMPACT_ALL),
+        WalOp::Freeze => buf.push(OP_FREEZE),
+        WalOp::Merge => buf.push(OP_MERGE),
+        WalOp::CompactAll => buf.push(OP_COMPACT_ALL),
     }
     let len = ((buf.len() - 8) as u32).to_le_bytes();
     let crc = record_crc(&len, &buf[8..]);
@@ -110,19 +103,26 @@ pub(crate) fn encode(buf: &mut Vec<u8>, rec: Record<'_>) {
     buf[4..8].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Decode the valid prefix of a WAL file.
+/// Replay the valid prefix of a WAL file: hand each op to `apply` as it
+/// is decoded.
 ///
-/// Returns the decoded ops and the byte length of the valid region
-/// (header included). A missing/corrupt header yields `(vec![], 0)`; a
-/// torn or corrupt record stops the scan at the last good record. `dim`
-/// bounds insert payloads so a corrupt length can never drive a large
-/// allocation.
-pub(crate) fn parse(buf: &[u8], dim: usize) -> (Vec<WalOp>, usize) {
+/// Returns the number of ops applied and the byte length of the valid
+/// region (header included), or the first error `apply` returned. A
+/// missing/corrupt header yields `(0, 0)`; a torn or corrupt record stops
+/// the scan at the last good record. `dim` bounds insert payloads so a
+/// corrupt length can never drive a large allocation; every insert is
+/// decoded into the same `dim`-float buffer.
+pub(crate) fn replay(
+    buf: &[u8],
+    dim: usize,
+    mut apply: impl FnMut(WalOp<'_>) -> io::Result<()>,
+) -> io::Result<(u64, usize)> {
     if buf.len() < WAL_HEADER.len() || buf[..WAL_HEADER.len()] != WAL_HEADER {
-        return (Vec::new(), 0);
+        return Ok((0, 0));
     }
     let max_payload = 1 + 8 + dim.saturating_mul(4);
-    let mut ops = Vec::new();
+    let mut row = Vec::with_capacity(dim);
+    let mut ops = 0;
     let mut pos = WAL_HEADER.len();
     while let Some(rest) = buf.get(pos + 8..) {
         let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
@@ -134,25 +134,26 @@ pub(crate) fn parse(buf: &[u8], dim: usize) -> (Vec<WalOp>, usize) {
         if record_crc(&buf[pos..pos + 4], payload) != crc {
             break;
         }
-        let Some(op) = decode_payload(payload, dim) else { break };
-        ops.push(op);
+        let Some(op) = decode_payload(payload, dim, &mut row) else { break };
+        apply(op)?;
+        ops += 1;
         pos += 8 + len;
     }
-    (ops, pos)
+    Ok((ops, pos))
 }
 
-fn decode_payload(payload: &[u8], dim: usize) -> Option<WalOp> {
+fn decode_payload<'a>(payload: &[u8], dim: usize, row: &'a mut Vec<f32>) -> Option<WalOp<'a>> {
     match *payload.first()? {
         OP_INSERT => {
             if payload.len() != 1 + 8 + dim * 4 {
                 return None;
             }
             let gid = u64::from_le_bytes(payload[1..9].try_into().unwrap());
-            let vector = payload[9..]
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            Some(WalOp::Insert { gid, vector })
+            row.clear();
+            row.extend(
+                payload[9..].chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())),
+            );
+            Some(WalOp::Insert { gid, vector: row })
         }
         OP_DELETE if payload.len() == 9 => {
             Some(WalOp::Delete { gid: u64::from_le_bytes(payload[1..9].try_into().unwrap()) })
@@ -168,10 +169,14 @@ fn decode_payload(payload: &[u8], dim: usize) -> Option<WalOp> {
 mod tests {
     use super::*;
 
-    fn sample_ops(dim: usize) -> Vec<WalOp> {
+    fn sample_rows(dim: usize) -> [Vec<f32>; 2] {
+        [(0..dim).map(|i| i as f32).collect(), vec![0.5; dim]]
+    }
+
+    fn sample_ops(rows: &[Vec<f32>; 2]) -> Vec<WalOp<'_>> {
         vec![
-            WalOp::Insert { gid: 0, vector: (0..dim).map(|i| i as f32).collect() },
-            WalOp::Insert { gid: 1, vector: vec![0.5; dim] },
+            WalOp::Insert { gid: 0, vector: &rows[0] },
+            WalOp::Insert { gid: 1, vector: &rows[1] },
             WalOp::Delete { gid: 0 },
             WalOp::Freeze,
             WalOp::Merge,
@@ -184,57 +189,66 @@ mod tests {
         // One buffer across records, as the store reuses its own: a long
         // record followed by a short one must leave nothing behind.
         let mut rec = Vec::new();
-        for op in ops {
-            let borrowed = match op {
-                WalOp::Insert { gid, vector } => Record::Insert { gid: *gid, vector },
-                WalOp::Delete { gid } => Record::Delete { gid: *gid },
-                WalOp::Freeze => Record::Freeze,
-                WalOp::Merge => Record::Merge,
-                WalOp::CompactAll => Record::CompactAll,
-            };
-            encode(&mut rec, borrowed);
+        for &op in ops {
+            encode(&mut rec, op);
             buf.extend_from_slice(&rec);
         }
         buf
     }
 
+    /// Replay `buf`, holding the `i`-th decoded op to `ops[i]`: what comes
+    /// back is a prefix of `ops`. Returns its length and the valid bytes.
+    fn replay_prefix(buf: &[u8], dim: usize, ops: &[WalOp], what: &str) -> (usize, usize) {
+        let mut got = 0;
+        let (n, valid) = replay(buf, dim, |op| {
+            assert_eq!(Some(&op), ops.get(got), "{what}: op {got}");
+            got += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(n as usize, got);
+        (got, valid)
+    }
+
     #[test]
     fn roundtrip_all_op_kinds() {
         let dim = 3;
-        let ops = sample_ops(dim);
+        let rows = sample_rows(dim);
+        let ops = sample_ops(&rows);
         let buf = file_with(&ops);
-        let (got, valid) = parse(&buf, dim);
-        assert_eq!(got, ops);
+        let (got, valid) = replay_prefix(&buf, dim, &ops, "clean file");
+        assert_eq!(got, ops.len());
         assert_eq!(valid, buf.len());
     }
 
     #[test]
     fn torn_tail_yields_the_prefix() {
         let dim = 3;
-        let ops = sample_ops(dim);
+        let rows = sample_rows(dim);
+        let ops = sample_ops(&rows);
         let buf = file_with(&ops);
-        // Cut the file at every possible byte length; parse must never
-        // panic and must always return a prefix of the op list.
+        // Cut the file at every possible byte length; replay must never
+        // panic and must always yield a prefix of the op list.
         for cut in 0..buf.len() {
-            let (got, valid) = parse(&buf[..cut], dim);
+            let (_, valid) = replay_prefix(&buf[..cut], dim, &ops, &format!("cut at {cut}"));
             assert!(valid <= cut);
-            assert_eq!(got[..], ops[..got.len()], "cut at {cut}");
         }
     }
 
     #[test]
     fn corrupt_record_stops_the_scan_cleanly() {
         let dim = 2;
-        let ops = sample_ops(dim);
+        let rows = sample_rows(dim);
+        let ops = sample_ops(&rows);
         let clean = file_with(&ops);
-        // Flip every bit of every byte: the parse must never panic, and the
-        // decoded ops must always be a prefix of the original sequence.
+        // Flip every bit of every byte: the replay must never panic, and
+        // never yield more ops than were logged.
         let mut buf = clean.clone();
         for i in 0..buf.len() {
             for bit in 0..8 {
                 buf[i] ^= 1 << bit;
-                let (got, _) = parse(&buf, dim);
-                assert!(got.len() <= ops.len());
+                let (got, _) = replay(&buf, dim, |_| Ok(())).unwrap();
+                assert!(got as usize <= ops.len());
                 buf[i] ^= 1 << bit;
             }
         }
@@ -247,8 +261,26 @@ mod tests {
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         buf.extend_from_slice(&[0u8; 4]);
         buf.extend_from_slice(&[7u8; 64]);
-        let (ops, valid) = parse(&buf, dim);
-        assert!(ops.is_empty());
+        let (ops, valid) = replay(&buf, dim, |_| Ok(())).unwrap();
+        assert_eq!(ops, 0);
         assert_eq!(valid, WAL_HEADER.len());
+    }
+
+    #[test]
+    fn an_error_from_apply_stops_the_replay() {
+        let dim = 3;
+        let rows = sample_rows(dim);
+        let buf = file_with(&sample_ops(&rows));
+        let mut seen = 0;
+        let err = replay(&buf, dim, |_| {
+            seen += 1;
+            if seen == 3 {
+                Err(io::Error::other("refused"))
+            } else {
+                Ok(())
+            }
+        })
+        .unwrap_err();
+        assert_eq!((seen, err.to_string().as_str()), (3, "refused"));
     }
 }

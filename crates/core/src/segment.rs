@@ -10,18 +10,21 @@
 //!
 //! * **one active segment** — a growing [`AcornIndex`] (nested
 //!   [`LayeredGraph`]) absorbing inserts through
-//!   [`AcornIndex::insert_vector`]; only the writer mutates it. Each
-//!   published epoch holds a clone of it that shares every graph node and
-//!   vector row with the writer: publishing costs one refcount bump per
-//!   active row (O(rows), but no list or row is copied), and the next
-//!   insert re-allocates only the nodes it rewires.
+//!   [`AcornIndex::insert_vector`]; only the writer mutates it, and it (with
+//!   the id list it appends to) is the only index state the writer holds
+//!   outside the published snapshot. Each published epoch holds a clone of
+//!   it that shares every graph node and vector row with the writer:
+//!   publishing costs one refcount bump per active row (O(rows), but no
+//!   list or row is copied), and the next insert re-allocates only the
+//!   nodes it rewires.
 //! * **frozen segments** — immutable, each a [sealed](AcornIndex::seal)
 //!   [`AcornIndex`] that holds its graph once, as a
 //!   [`CsrGraph`](acorn_hnsw::CsrGraph) ([`freeze`] seals the active
 //!   segment — dropping its build-time graph — and opens a fresh one);
-//! * **tombstoned deletes** — [`delete`] locates the owning segment by
-//!   range binary search over the ascending, disjoint per-segment gid
-//!   ranges, then sets a bit in a copy-on-write [`Bitset`]; a deleted row
+//! * **tombstoned deletes** — [`delete`] locates the owning segment, the
+//!   active one or a frozen one alike, by range binary search over the
+//!   ascending, disjoint per-segment gid ranges, then sets a bit in that
+//!   segment view's copy-on-write [`Bitset`]; a deleted row
 //!   never surfaces from `search`, `search_filtered`, or `hybrid_search`
 //!   while its graph node keeps serving as a traversal waypoint (recall
 //!   degrades gracefully until the next merge, exactly like Lucene's
@@ -30,12 +33,15 @@
 //!   frozen segments into one fresh graph over the surviving rows, dropping
 //!   dead rows and reclaiming their vector, adjacency, and tombstone
 //!   memory. Merges rebuild **off to the side** (no lock held while the
-//!   replacement graph is built) and may run on a background
+//!   replacement graph is built), find their sources again by payload
+//!   identity ([`Arc::ptr_eq`]) when they splice the result in, and may run
+//!   on a background
 //!   [maintenance thread](SegmentedAcornIndex::start_maintenance).
 //!
-//! Every mutation publishes an immutable [`SegmentSnapshot`] — see the
-//! [`snapshot`](crate::snapshot) module for the epoch lifecycle and the
-//! reader-side guarantees. Readers ([`IndexReader`], the writer's own query
+//! Every mutation edits a copy of the published [`SegmentSnapshot`] — the
+//! one description of the index's state — and publishes it as the next
+//! epoch; see the [`snapshot`](crate::snapshot) module for the epoch
+//! lifecycle and the reader-side guarantees. Readers ([`IndexReader`], the writer's own query
 //! methods, [`SegmentedQueryEngine`](crate::engine::SegmentedQueryEngine))
 //! pin an epoch with one cheap load and then run the whole query without
 //! acquiring any lock.
@@ -74,9 +80,7 @@ use acorn_predicate::{AttrStore, Bitset, Predicate};
 
 use crate::index::{AcornIndex, PredicateStrategy, Sq8Tier};
 use crate::params::{AcornParams, AcornVariant};
-use crate::snapshot::{
-    FrozenSeg, IndexReader, Pending, SegmentPayload, SegmentSnapshot, SegmentView, SharedState,
-};
+use crate::snapshot::{IndexReader, SegmentPayload, SegmentSnapshot, SegmentView, SharedState};
 
 /// A search result addressed by **global** row id (stable across freezes
 /// and merges), the segmented analogue of
@@ -190,15 +194,14 @@ pub struct MergeOutcome {
     pub bytes_after: usize,
 }
 
-/// The writer-owned mutable segment absorbing inserts. Copied into an
-/// immutable [`SegmentView`] on every publication (readers never see this
-/// struct).
+/// What only the writer can own of the active segment: the growing index
+/// and the id list it appends to. Everything else about the segment — its
+/// tombstones included — is in the published [`SegmentView`] of it, which
+/// shares this index's nodes and rows (readers never see this struct).
 #[derive(Debug)]
-pub(crate) struct ActiveSegment {
-    pub(crate) index: AcornIndex,
-    pub(crate) global_ids: Vec<u64>,
-    pub(crate) tombstones: Bitset,
-    pub(crate) deleted: usize,
+struct ActiveSegment {
+    index: AcornIndex,
+    global_ids: Vec<u64>,
 }
 
 impl ActiveSegment {
@@ -206,36 +209,46 @@ impl ActiveSegment {
         Self {
             index: AcornIndex::new(Arc::new(VectorStore::new(dim)), params, variant),
             global_ids: Vec::new(),
-            tombstones: Bitset::new(0),
-            deleted: 0,
         }
     }
 
-    /// Copy the current state into an immutable view readers can hold
-    /// lock-free. The view's index shares every vector row and every graph
-    /// node with the writer's; the writer's next insert re-allocates the
-    /// nodes it rewires and appends its row past the view's length, so the
-    /// view never changes. What is copied here is one handle per node, the
-    /// level tags, the id map and the tombstone words.
-    fn publish_view(&self) -> SegmentView {
-        SegmentView {
-            payload: Arc::new(SegmentPayload {
-                index: self.index.clone(),
-                global_ids: self.global_ids.clone(),
-            }),
-            tombstones: Arc::new(self.tombstones.clone()),
-            deleted: self.deleted,
+    /// Move the active segment's tombstone state out of its view in `next`,
+    /// grown (copy-on-write) to the rows the writer holds now.
+    fn take_tombstones(&self, next: &mut SegmentSnapshot) -> (Arc<Bitset>, usize) {
+        let (mut tombstones, deleted) =
+            next.active.take().map_or_else(|| (Arc::default(), 0), |v| (v.tombstones, v.deleted));
+        if tombstones.len() < self.global_ids.len() {
+            Arc::make_mut(&mut tombstones).grow(self.global_ids.len());
         }
+        (tombstones, deleted)
     }
-}
 
-/// One deserialized segment, before it is wired into the writer's shared
-/// state (`serialize::load` produces these).
-#[derive(Debug)]
-pub(crate) struct RawSegment {
-    pub(crate) index: AcornIndex,
-    pub(crate) global_ids: Vec<u64>,
-    pub(crate) tombstones: Bitset,
+    /// Replace the active view in `next` with one of the current rows. Its
+    /// index shares every vector row and every graph node with the writer's;
+    /// the writer's next insert re-allocates the nodes it rewires and
+    /// appends its row past the view's length, so the view never changes.
+    /// What is copied here is one handle per node, the level tags, the id
+    /// map and (when a row was added) the tombstone words.
+    fn publish_view(&self, next: &mut SegmentSnapshot) {
+        let (tombstones, deleted) = self.take_tombstones(next);
+        let payload =
+            SegmentPayload { index: self.index.clone(), global_ids: self.global_ids.clone() };
+        next.active = Some(SegmentView { payload: Arc::new(payload), tombstones, deleted });
+    }
+
+    /// Seal the rows into a frozen segment of `next` ([`AcornIndex::seal`]
+    /// under its quantization policy), leaving a fresh, empty active
+    /// segment. No-op when there are no rows. Caller publishes.
+    fn seal_into(&mut self, next: &mut SegmentSnapshot) {
+        if self.global_ids.is_empty() {
+            return;
+        }
+        let (tombstones, deleted) = self.take_tombstones(next);
+        let full = std::mem::replace(self, Self::new(next.dim, next.params.clone(), next.variant));
+        let payload =
+            SegmentPayload { index: seal(full.index, next.quant), global_ids: full.global_ids };
+        next.push_frozen(SegmentView { payload: Arc::new(payload), tombstones, deleted });
+    }
 }
 
 /// Background maintenance thread handle: a condvar-signalled stop flag and
@@ -270,107 +283,39 @@ impl SegmentedAcornIndex {
     /// segment now, every merge product later), so all segments share one
     /// level-sampling seed and pruning configuration.
     pub fn new(dim: usize, params: AcornParams, variant: AcornVariant) -> Self {
-        let pending = Pending {
-            frozen: Vec::new(),
-            active_view: None,
-            next_global: 0,
-            policy: MergePolicy::default(),
-            quant: QuantizationPolicy::default(),
-            epoch: 0,
-            next_seg_id: 0,
-        };
-        let snapshot = SegmentSnapshot {
-            epoch: 0,
-            params: params.clone(),
-            variant,
-            dim,
-            policy: MergePolicy::default(),
-            quant: QuantizationPolicy::default(),
-            next_global: 0,
-            frozen: Vec::new(),
-            active: None,
-        };
         Self {
             active: ActiveSegment::new(dim, params.clone(), variant),
-            shared: Arc::new(SharedState::new(params, variant, dim, pending, snapshot)),
+            shared: Arc::new(SharedState::new(SegmentSnapshot::empty(params, variant, dim))),
             maintenance: None,
         }
     }
 
-    /// Reassemble a segmented index from deserialized parts (used by
-    /// `SegmentedAcornIndex::load`; not part of the construction API).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_loaded_parts(
-        params: AcornParams,
-        variant: AcornVariant,
-        dim: usize,
-        frozen: Vec<RawSegment>,
-        active: RawSegment,
-        next_global: u64,
-        policy: MergePolicy,
-        quant: QuantizationPolicy,
-    ) -> Self {
-        let frozen: Vec<FrozenSeg> = frozen
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let deleted = r.tombstones.count();
-                FrozenSeg {
-                    id: i as u64,
-                    payload: Arc::new(SegmentPayload { index: r.index, global_ids: r.global_ids }),
-                    tombstones: Arc::new(r.tombstones),
-                    deleted,
-                }
-            })
-            .collect();
-        let next_seg_id = frozen.len() as u64;
-        let active = ActiveSegment {
-            deleted: active.tombstones.count(),
-            index: active.index,
-            global_ids: active.global_ids,
-            tombstones: active.tombstones,
+    /// Reassemble a segmented index from the state `serialize::load`
+    /// decoded — every frozen segment attached — and the view of the active
+    /// segment, whose index the writer resumes growing (not part of the
+    /// construction API).
+    pub(crate) fn from_loaded_parts(mut loaded: SegmentSnapshot, active: SegmentView) -> Self {
+        let writer = ActiveSegment {
+            index: active.payload.index.clone(),
+            global_ids: active.payload.global_ids.clone(),
         };
-        let active_view = (!active.global_ids.is_empty()).then(|| active.publish_view());
-        let pending = Pending {
-            frozen,
-            active_view: active_view.clone(),
-            next_global,
-            policy: policy.clone(),
-            quant,
-            epoch: 0,
-            next_seg_id,
-        };
-        let snapshot = SegmentSnapshot {
-            epoch: 0,
-            params: params.clone(),
-            variant,
-            dim,
-            policy,
-            quant,
-            next_global,
-            frozen: pending.frozen.iter().map(FrozenSeg::view).collect(),
-            active: active_view,
-        };
-        Self {
-            active,
-            shared: Arc::new(SharedState::new(params, variant, dim, pending, snapshot)),
-            maintenance: None,
-        }
+        loaded.active = (!active.is_empty()).then_some(active);
+        Self { active: writer, shared: Arc::new(SharedState::new(loaded)), maintenance: None }
     }
 
     /// Replace the merge policy (builder style). Publishes a new epoch.
     pub fn with_policy(self, policy: MergePolicy) -> Self {
         {
-            let mut p = self.shared.pending();
-            p.policy = policy;
-            self.shared.publish(&mut p);
+            let (_writer, mut next) = self.shared.begin();
+            next.policy = policy;
+            self.shared.publish(next);
         }
         self
     }
 
     /// The merge policy in force.
     pub fn policy(&self) -> MergePolicy {
-        self.shared.pending().policy.clone()
+        self.state().policy.clone()
     }
 
     /// Replace the quantization policy (builder style). Publishes a new
@@ -378,16 +323,16 @@ impl SegmentedAcornIndex {
     /// frozen keep their encoding until a merge rebuilds them.
     pub fn with_quantization(self, quant: QuantizationPolicy) -> Self {
         {
-            let mut p = self.shared.pending();
-            p.quant = quant;
-            self.shared.publish(&mut p);
+            let (_writer, mut next) = self.shared.begin();
+            next.quant = quant;
+            self.shared.publish(next);
         }
         self
     }
 
     /// The quantization policy in force.
     pub fn quantization(&self) -> QuantizationPolicy {
-        self.shared.pending().quant
+        self.state().quant
     }
 
     /// Construction parameters shared by every segment.
@@ -416,41 +361,47 @@ impl SegmentedAcornIndex {
         self.shared.snapshot()
     }
 
+    /// The published state, read for the write path's own bookkeeping: not
+    /// a reader pin, so [`IndexReader::snapshot_pins`] does not count it.
+    pub(crate) fn state(&self) -> Arc<SegmentSnapshot> {
+        self.shared.state()
+    }
+
     /// The current epoch counter (bumped by every publication).
     pub fn epoch(&self) -> u64 {
-        self.shared.snapshot().epoch()
+        self.state().epoch()
     }
 
     /// Live (non-tombstoned) rows across all segments.
     pub fn len(&self) -> usize {
-        self.snapshot().len()
+        self.state().len()
     }
 
     /// True when no live rows exist.
     pub fn is_empty(&self) -> bool {
-        self.snapshot().is_empty()
+        self.state().is_empty()
     }
 
     /// Total rows still stored, tombstoned included.
     pub fn total_rows(&self) -> usize {
-        self.snapshot().total_rows()
+        self.state().total_rows()
     }
 
     /// Tombstoned rows awaiting compaction.
     pub fn deleted_rows(&self) -> usize {
-        self.snapshot().deleted_rows()
+        self.state().deleted_rows()
     }
 
     /// The next global id [`insert`](Self::insert) will assign (also the
     /// exclusive upper bound of every id ever assigned).
     pub fn next_global_id(&self) -> u64 {
-        self.snapshot().next_global_id()
+        self.state().next_global_id()
     }
 
     /// Views of the frozen (read-optimized) segments at the current epoch,
     /// ascending by first global id.
     pub fn frozen_segments(&self) -> Vec<SegmentView> {
-        self.snapshot().frozen_segments().to_vec()
+        self.state().frozen_segments().to_vec()
     }
 
     /// Rows currently in the writer's active segment.
@@ -460,29 +411,29 @@ impl SegmentedAcornIndex {
 
     /// Number of non-empty segments queries fan out over.
     pub fn num_segments(&self) -> usize {
-        self.snapshot().num_segments()
+        self.state().num_segments()
     }
 
     /// Sorted global ids of all live rows (diagnostics and tests).
     pub fn live_ids(&self) -> Vec<u64> {
-        self.snapshot().live_ids()
+        self.state().live_ids()
     }
 
     /// True when `gid` is indexed and not tombstoned.
     pub fn contains(&self, gid: u64) -> bool {
-        self.snapshot().contains(gid)
+        self.state().contains(gid)
     }
 
     /// Bytes held across all segments: graphs, vector data, id maps, and
     /// tombstone words. Merge compaction shrinks this by dropping dead rows.
     pub fn memory_bytes(&self) -> usize {
-        self.snapshot().memory_bytes()
+        self.state().memory_bytes()
     }
 
     /// Row count of the largest segment — the scratch capacity a worker
     /// needs to serve any single query.
     pub fn max_segment_rows(&self) -> usize {
-        self.snapshot().max_segment_rows()
+        self.state().max_segment_rows()
     }
 
     /// The shared scratch pool (the segmented batch engine draws from it).
@@ -501,18 +452,17 @@ impl SegmentedAcornIndex {
         assert_eq!(v.len(), self.shared.dim, "inserted vector has wrong dimension");
         let local = self.active.index.insert_vector(v);
         debug_assert_eq!(local as usize, self.active.global_ids.len());
-        let mut p = self.shared.pending();
-        let gid = p.next_global;
-        p.next_global += 1;
+        let (_writer, mut next) = self.shared.begin();
+        let gid = next.next_global;
+        next.next_global += 1;
         self.active.global_ids.push(gid);
-        self.active.tombstones.grow(self.active.global_ids.len());
-        if p.policy.active_max_rows > 0 && self.active.global_ids.len() >= p.policy.active_max_rows
-        {
-            Self::seal_active_locked(&mut self.active, &self.shared, &mut p);
+        let max_rows = next.policy.active_max_rows;
+        if max_rows > 0 && self.active.global_ids.len() >= max_rows {
+            self.active.seal_into(&mut next);
         } else {
-            p.active_view = Some(self.active.publish_view());
+            self.active.publish_view(&mut next);
         }
-        self.shared.publish(&mut p);
+        self.shared.publish(next);
         gid
     }
 
@@ -527,48 +477,25 @@ impl SegmentedAcornIndex {
     /// by **range binary search** — `O(log segments + log rows)`, not a
     /// linear scan of every segment's id list.
     pub fn delete(&mut self, gid: u64) -> bool {
-        let mut p = self.shared.pending();
-        // Active segment: its gids are the highest ever assigned.
-        if self.active.global_ids.first().is_some_and(|&first| gid >= first) {
-            let Ok(local) = self.active.global_ids.binary_search(&gid) else {
-                return false;
-            };
-            let local = local as u32;
-            if self.active.tombstones.get(local) {
-                return false;
+        let (_writer, mut next) = self.shared.begin();
+        // At most one segment's range can cover `gid`: the active view's
+        // (its gids are the highest ever assigned) or the last frozen one
+        // starting at or below it.
+        let owner = match &mut next.active {
+            Some(active) if active.first_gid() <= gid => Some(active),
+            _ => {
+                let i = next.frozen.partition_point(|s| s.first_gid() <= gid);
+                next.frozen[..i].last_mut()
             }
-            self.active.tombstones.set(local);
-            self.active.deleted += 1;
-            match &mut p.active_view {
-                // The published graph/store are unchanged — swap in the new
-                // tombstone state without re-cloning the index.
-                Some(view) => {
-                    view.tombstones = Arc::new(self.active.tombstones.clone());
-                    view.deleted = self.active.deleted;
-                }
-                None => p.active_view = Some(self.active.publish_view()),
-            }
-            self.shared.publish(&mut p);
-            return true;
-        }
-        // Frozen segments: ranges are disjoint and sorted by first gid, so
-        // at most one segment can own `gid`.
-        let i = p.frozen.partition_point(|s| s.first_gid() <= gid);
-        if i == 0 {
-            return false;
-        }
-        let seg = &mut p.frozen[i - 1];
-        let Ok(local) = seg.payload.global_ids.binary_search(&gid) else {
+        };
+        let Some(seg) = owner else { return false };
+        let Some(local) = seg.local_of(gid).filter(|&l| !seg.tombstones.get(l)) else {
             return false;
         };
-        let local = local as u32;
-        if seg.tombstones.get(local) {
-            return false;
-        }
         // Copy-on-write: snapshots holding the old bitset keep serving it.
         Arc::make_mut(&mut seg.tombstones).set(local);
         seg.deleted += 1;
-        self.shared.publish(&mut p);
+        self.shared.publish(next);
         true
     }
 
@@ -580,9 +507,9 @@ impl SegmentedAcornIndex {
         if self.active.global_ids.is_empty() {
             return;
         }
-        let mut p = self.shared.pending();
-        Self::seal_active_locked(&mut self.active, &self.shared, &mut p);
-        self.shared.publish(&mut p);
+        let (_writer, mut next) = self.shared.begin();
+        self.active.seal_into(&mut next);
+        self.shared.publish(next);
     }
 
     /// Bulk-load a whole vector store as one directly-frozen segment,
@@ -609,36 +536,20 @@ impl SegmentedAcornIndex {
         assert_eq!(store.dim(), self.shared.dim, "bulk-loaded store has wrong dimension");
         let n = store.len();
         if n == 0 {
-            let next = self.shared.pending().next_global;
+            let next = self.next_global_id();
             return next..next;
         }
-        let quant = self.shared.pending().quant;
         let index =
             AcornIndex::build(Arc::new(store), self.shared.params.clone(), self.shared.variant);
-        let index = seal(index, quant);
-        let mut p = self.shared.pending();
-        Self::seal_active_locked(&mut self.active, &self.shared, &mut p);
-        let first = p.next_global;
-        p.next_global += n as u64;
-        let global_ids: Vec<u64> = (first..p.next_global).collect();
-        p.push_frozen(SegmentPayload { index, global_ids }, Bitset::new(n), 0);
-        self.shared.publish(&mut p);
-        first..p.next_global
-    }
-
-    /// Seal `active` into the frozen list of `p`. Caller publishes.
-    fn seal_active_locked(active: &mut ActiveSegment, shared: &SharedState, p: &mut Pending) {
-        if active.global_ids.is_empty() {
-            return;
-        }
-        let full = std::mem::replace(
-            active,
-            ActiveSegment::new(shared.dim, shared.params.clone(), shared.variant),
-        );
-        let index = seal(full.index, p.quant);
-        let payload = SegmentPayload { index, global_ids: full.global_ids };
-        p.push_frozen(payload, full.tombstones, full.deleted);
-        p.active_view = None;
+        let index = seal(index, self.quantization());
+        let (_writer, mut next) = self.shared.begin();
+        self.active.seal_into(&mut next);
+        let range = next.next_global..next.next_global + n as u64;
+        next.next_global = range.end;
+        let payload = SegmentPayload { index, global_ids: range.clone().collect() };
+        next.push_frozen(SegmentView::new(payload, Bitset::new(n)));
+        self.shared.publish(next);
+        range
     }
 
     /// Compact frozen segments the [`MergePolicy`] flags (too small, or too
@@ -649,7 +560,7 @@ impl SegmentedAcornIndex {
     ///
     /// Takes `&self`: the rebuild happens off to the side while inserts,
     /// deletes, and queries proceed; only the final splice-and-publish
-    /// briefly takes the pending lock. Safe to call from any thread holding
+    /// briefly takes the writer lock. Safe to call from any thread holding
     /// a [`reader`](Self::reader)'s shared state — the background
     /// maintenance thread calls exactly this.
     pub fn merge(&self) -> MergeOutcome {
@@ -835,15 +746,6 @@ impl Drop for SegmentedAcornIndex {
     }
 }
 
-/// One merge source captured at selection time: the shared payload
-/// plus a **deep copy** of its tombstones, so deletes landing during the
-/// off-lock rebuild are detectable afterwards.
-struct Captured {
-    id: u64,
-    payload: Arc<SegmentPayload>,
-    tombstones: Bitset,
-}
-
 /// The one place a built index becomes a frozen segment's: sealed, with the
 /// SQ8 tier the quantization policy asks for.
 fn seal(index: AcornIndex, quant: QuantizationPolicy) -> AcornIndex {
@@ -866,32 +768,13 @@ impl Drop for InFlight<'_> {
     }
 }
 
-fn pending_bytes(p: &Pending) -> usize {
-    p.frozen.iter().map(|s| s.view().memory_bytes()).sum::<usize>()
-        + p.active_view.as_ref().map_or(0, SegmentView::memory_bytes)
-}
-
 /// The three-phase merge shared by foreground [`SegmentedAcornIndex::merge`]
 /// / [`compact_all`](SegmentedAcornIndex::compact_all) and the background
-/// maintenance thread:
-///
-/// 1. **capture** (pending lock): select candidate segments, group them
-///    into maximal *adjacent* runs (merging only adjacent segments keeps
-///    the frozen gid ranges pairwise disjoint — the invariant `delete`'s
-///    range binary search relies on), and capture each source's payload +
-///    a deep tombstone copy.
-/// 2. **rebuild** (no lock): build one fresh graph per run over the
-///    captured survivors in global-id order — the exact code path a
-///    from-scratch build takes, so answers stay bit-identical — while
-///    inserts, deletes, and queries proceed.
-/// 3. **publish** (pending lock): splice each rebuilt segment in place of
-///    its sources (located by segment id), re-apply any deletes that landed
-///    mid-rebuild as tombstones on the merged segment, and publish the new
-///    epoch. In-flight readers keep serving their pinned epoch.
+/// maintenance thread: [`capture`], [`rebuild`], [`splice`].
 ///
 /// `maintenance_lock` serializes whole merges: sources can only be removed
-/// by a merge, so a captured source is guaranteed to still be present at
-/// phase 3.
+/// by a merge, so a captured source is guaranteed to still be present when
+/// it is spliced out.
 pub(crate) fn run_merge(shared: &SharedState, select_all: bool) -> MergeOutcome {
     // Injected fault (tests only): dies before touching any state, so the
     // panic leaves no gauge or lock residue behind.
@@ -904,48 +787,71 @@ pub(crate) fn run_merge(shared: &SharedState, select_all: bool) -> MergeOutcome 
     }
     let _serialized = shared.maintenance_lock.lock().unwrap_or_else(PoisonError::into_inner);
 
-    // Phase 1: capture.
-    let (runs, quant, bytes_before) = {
-        let p = shared.pending();
-        let bytes_before = pending_bytes(&p);
-        let is_candidate = |s: &FrozenSeg| {
-            let rows = s.payload.global_ids.len();
-            let fraction = if rows == 0 { 0.0 } else { s.deleted as f64 / rows as f64 };
-            select_all || rows < p.policy.min_rows || fraction > p.policy.max_tombstone_fraction
-        };
-        let mut runs: Vec<Vec<Captured>> = Vec::new();
-        let mut current: Vec<Captured> = Vec::new();
-        for s in &p.frozen {
-            if is_candidate(s) {
-                current.push(Captured {
-                    id: s.id,
-                    payload: s.payload.clone(),
-                    tombstones: (*s.tombstones).clone(),
-                });
-            } else if !current.is_empty() {
-                runs.push(std::mem::take(&mut current));
-            }
-        }
-        if !current.is_empty() {
-            runs.push(current);
-        }
-        // A lone candidate with no dead rows gains nothing from a rebuild.
-        runs.retain(|r| r.len() >= 2 || r.iter().any(|c| c.tombstones.count() > 0));
-        (runs, p.quant, bytes_before)
-    };
+    let (runs, quant, bytes_before) = capture(shared, select_all);
     if runs.is_empty() {
         return MergeOutcome { bytes_before, bytes_after: bytes_before, ..Default::default() };
     }
-
     let _gauge = InFlight::new(&shared.merges_in_flight);
+    let rebuilt = rebuild(shared, &runs, quant);
+    let (rows_kept, bytes_after) = splice(shared, &runs, rebuilt);
 
-    // Phase 2: rebuild off-lock.
-    let mut rows_before_total = 0;
-    let mut segments_merged = 0;
-    let mut rebuilt: Vec<Option<SegmentPayload>> = Vec::with_capacity(runs.len());
-    for run in &runs {
-        segments_merged += run.len();
-        rows_before_total += run.iter().map(|c| c.payload.global_ids.len()).sum::<usize>();
+    let rows_before: usize = runs.iter().flatten().map(SegmentView::rows).sum();
+    MergeOutcome {
+        segments_merged: runs.iter().map(Vec::len).sum(),
+        rows_dropped: rows_before - rows_kept,
+        rows_kept,
+        bytes_before,
+        bytes_after,
+    }
+}
+
+/// Merge phase 1, **capture** (the published state, no lock): select
+/// candidate segments and group them into maximal *adjacent* runs (merging
+/// only adjacent segments keeps the frozen gid ranges pairwise disjoint —
+/// the invariant `delete`'s range binary search relies on). A source is
+/// captured as a clone of its view: the payload identifies it at splice
+/// time, and holding the tombstone set's `Arc` forces any later delete to
+/// copy it, so deletes landing during the off-lock rebuild are detectable
+/// afterwards. Also returns the quantization policy and the index's bytes
+/// as of the capture.
+pub(crate) fn capture(
+    shared: &SharedState,
+    select_all: bool,
+) -> (Vec<Vec<SegmentView>>, QuantizationPolicy, usize) {
+    let state = shared.state();
+    let is_candidate = |s: &SegmentView| {
+        select_all
+            || s.rows() < state.policy.min_rows
+            || s.tombstone_fraction() > state.policy.max_tombstone_fraction
+    };
+    let mut runs: Vec<Vec<SegmentView>> = Vec::new();
+    let mut current: Vec<SegmentView> = Vec::new();
+    for s in &state.frozen {
+        if is_candidate(s) {
+            current.push(s.clone());
+        } else if !current.is_empty() {
+            runs.push(std::mem::take(&mut current));
+        }
+    }
+    if !current.is_empty() {
+        runs.push(current);
+    }
+    // A lone candidate with no dead rows gains nothing from a rebuild.
+    runs.retain(|r| r.len() >= 2 || r.iter().any(|c| c.deleted > 0));
+    (runs, state.quant, state.memory_bytes())
+}
+
+/// Merge phase 2, **rebuild** (no lock): build one fresh graph per run over
+/// the captured survivors in global-id order — the exact code path a
+/// from-scratch build takes, so answers stay bit-identical — while inserts,
+/// deletes, and queries proceed. `None` for a run with no survivor.
+pub(crate) fn rebuild(
+    shared: &SharedState,
+    runs: &[Vec<SegmentView>],
+    quant: QuantizationPolicy,
+) -> Vec<Option<SegmentPayload>> {
+    let mut rebuilt = Vec::with_capacity(runs.len());
+    for run in runs {
         // Survivors, ascending by global id (runs are adjacent, but sorting
         // makes no ordering assumption at all).
         let mut rows: Vec<(u64, usize, u32)> = Vec::new();
@@ -975,20 +881,31 @@ pub(crate) fn run_merge(shared: &SharedState, select_all: bool) -> MergeOutcome 
         // encodings converge, never diverge).
         rebuilt.push(Some(SegmentPayload { index: seal(index, quant), global_ids }));
     }
+    rebuilt
+}
 
-    // Phase 3: splice and publish.
-    let mut p = shared.pending();
+/// Merge phase 3, **splice** (writer lock): put each rebuilt segment in
+/// place of its sources (located by payload identity), re-apply any deletes
+/// that landed since the capture as tombstones on the merged segment, and
+/// publish the new epoch. In-flight readers keep serving their pinned
+/// epoch. Returns the rows kept and the index's bytes afterwards.
+pub(crate) fn splice(
+    shared: &SharedState,
+    runs: &[Vec<SegmentView>],
+    rebuilt: Vec<Option<SegmentPayload>>,
+) -> (usize, usize) {
+    let (_writer, mut next) = shared.begin();
     let mut rows_kept = 0;
     for (run, built) in runs.iter().zip(rebuilt) {
         // Deletes that landed after capture: bits set now but not then.
         let mut late: Vec<u64> = Vec::new();
         for c in run {
-            let pos = p
+            let pos = next
                 .frozen
                 .iter()
-                .position(|s| s.id == c.id)
+                .position(|s| Arc::ptr_eq(&s.payload, &c.payload))
                 .expect("merge sources are only removed by merges, and merges are serialized");
-            let source = p.frozen.remove(pos);
+            let source = next.frozen.remove(pos);
             for local in source.tombstones.iter_ones() {
                 if !c.tombstones.get(local) {
                     late.push(source.payload.global_ids[local as usize]);
@@ -1000,26 +917,17 @@ pub(crate) fn run_merge(shared: &SharedState, select_all: bool) -> MergeOutcome 
         };
         rows_kept += payload.global_ids.len();
         let mut tombstones = Bitset::new(payload.global_ids.len());
-        let mut deleted = 0;
         for gid in late {
             if let Ok(local) = payload.global_ids.binary_search(&gid) {
                 tombstones.set(local as u32);
-                deleted += 1;
             }
         }
-        p.push_frozen(payload, tombstones, deleted);
+        next.push_frozen(SegmentView::new(payload, tombstones));
     }
+    let bytes_after = next.memory_bytes();
     shared.merges_completed.fetch_add(1, AtomicOrdering::AcqRel);
-    shared.publish(&mut p);
-    let bytes_after = pending_bytes(&p);
-
-    MergeOutcome {
-        segments_merged,
-        rows_dropped: rows_before_total - rows_kept,
-        rows_kept,
-        bytes_before,
-        bytes_after,
-    }
+    shared.publish(next);
+    (rows_kept, bytes_after)
 }
 
 // The writer moves across threads in the churn tests (behind a `Mutex`);
@@ -1239,6 +1147,70 @@ mod tests {
         assert_eq!(outcome.segments_merged, 0);
         assert_eq!(outcome.bytes_before, outcome.bytes_after);
         assert_eq!(idx.frozen_segments().len(), 1);
+    }
+
+    #[test]
+    fn writes_between_capture_and_splice_survive_the_merge() {
+        let vecs = random_vecs(80, 8, 60);
+        // Three small frozen segments (gids 0..60, one row already dead)
+        // and ten active rows; `racing` also runs the writes that race the
+        // merge, `twin` applies the same ops with the merge last.
+        let build = || {
+            let mut idx = SegmentedAcornIndex::new(8, small_params(8, 2, 61), AcornVariant::Gamma);
+            for (i, v) in vecs[..70].iter().enumerate() {
+                idx.insert(v);
+                if i % 20 == 19 && i < 60 {
+                    idx.freeze();
+                }
+            }
+            assert!(idx.delete(7));
+            assert_eq!((idx.frozen_segments().len(), idx.active_rows()), (3, 10));
+            idx
+        };
+        let late_writes = |idx: &mut SegmentedAcornIndex| {
+            assert!(idx.delete(25), "a row inside a captured segment");
+            assert!(idx.delete(65), "an active row");
+            for v in &vecs[70..] {
+                idx.insert(v);
+            }
+            idx.freeze();
+            assert!(idx.delete(72), "a row of the segment frozen mid-merge");
+        };
+
+        let mut racing = build();
+        let (runs, quant, _) = capture(&racing.shared, false);
+        assert_eq!(runs.iter().map(Vec::len).collect::<Vec<_>>(), [3], "one run of three");
+        let rebuilt = rebuild(&racing.shared, &runs, quant);
+        late_writes(&mut racing);
+        let (rows_kept, _) = splice(&racing.shared, &runs, rebuilt);
+        assert_eq!(rows_kept, 59, "gid 7 was dead at capture; gid 25 was not");
+
+        let frozen = racing.frozen_segments();
+        assert_eq!(frozen.len(), 2, "the merged segment and the one frozen mid-merge");
+        let (merged, fourth) = (&frozen[0], &frozen[1]);
+        assert_eq!(merged.local_of(7), None);
+        let late = merged.local_of(25).expect("rebuilt before the delete landed");
+        assert!(merged.tombstones().get(late), "the late delete is a tombstone of the merge");
+        assert_eq!((merged.rows(), merged.deleted_rows()), (59, 1));
+        assert_eq!(fourth.global_ids(), (60..80).collect::<Vec<u64>>());
+        assert_eq!(fourth.tombstones().to_ids(), [5, 12], "gids 65 and 72");
+        assert!(
+            merged.global_ids().last() < fourth.global_ids().first(),
+            "frozen segments stay ascending with disjoint gid ranges"
+        );
+
+        let mut twin = build();
+        late_writes(&mut twin);
+        twin.merge();
+        assert_eq!(racing.live_ids(), twin.live_ids());
+        assert_eq!(racing.len(), 80 - 4);
+        let saved = |idx: &mut SegmentedAcornIndex| {
+            idx.compact_all();
+            let mut bytes = Vec::new();
+            idx.save(&mut bytes).unwrap();
+            bytes
+        };
+        assert_eq!(saved(&mut racing), saved(&mut twin));
     }
 
     #[test]

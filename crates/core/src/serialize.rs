@@ -47,8 +47,12 @@
 //! a corrupt length fails with `InvalidData` or `UnexpectedEof` instead of
 //! a giant allocation.
 //!
-//! The decoder is told the block's *role* and holds the embedded
-//! `compacted` flag to it. A **frozen** block is sealed: its per-node lists
+//! The decoder turns a block straight into the [`SegmentView`] the index
+//! serves — there is no intermediate "loaded segment" form — and the
+//! manifest fields ahead of the blocks into epoch 0 of the loaded index's
+//! [`SegmentSnapshot`], to which the views are attached once the
+//! cross-segment checks pass. It is told the block's *role* and holds the
+//! embedded `compacted` flag to it. A **frozen** block is sealed: its per-node lists
 //! are decoded straight into [`CsrGraph`] arenas through the validating
 //! [`CsrBuilder`] (node count, level, list length and every edge target
 //! checked; the same entry point the nested graph would have picked) — no
@@ -120,8 +124,8 @@ use acorn_predicate::Bitset;
 use crate::index::{AcornIndex, Sq8Tier};
 use crate::params::{AcornParams, AcornVariant};
 use crate::prune::PruneStrategy;
-use crate::segment::{MergePolicy, QuantizationPolicy, RawSegment, SegmentedAcornIndex};
-use crate::snapshot::{SegmentSnapshot, SegmentView};
+use crate::segment::{MergePolicy, QuantizationPolicy, SegmentedAcornIndex};
+use crate::snapshot::{SegmentPayload, SegmentSnapshot, SegmentView};
 
 const MAGIC: &[u8; 4] = b"ACRN";
 const VERSION: u32 = 3;
@@ -460,12 +464,8 @@ impl AcornIndex {
 /// The fields ahead of the segment blocks, shared by the v6 export and the
 /// store's checkpoints: the top-level configuration every block is held to.
 struct Manifest {
-    variant: AcornVariant,
-    params: AcornParams,
-    dim: usize,
-    next_global: u64,
-    policy: MergePolicy,
-    quant: QuantizationPolicy,
+    /// Epoch 0 of the index being loaded, its segments not yet attached.
+    state: SegmentSnapshot,
     /// What `save` wrote into every embedded blob: `params` after the
     /// variant override [`AcornIndex::new`] applies.
     expected_params: AcornParams,
@@ -522,7 +522,13 @@ fn get_manifest(r: &mut impl Read) -> io::Result<(Manifest, usize)> {
     let expected_params =
         AcornIndex::new(Arc::new(VectorStore::new(dim)), params.clone(), variant).params().clone();
     let nseg = get_u64(r)? as usize;
-    Ok((Manifest { variant, params, dim, next_global, policy, quant, expected_params }, nseg))
+    let state = SegmentSnapshot {
+        next_global,
+        policy,
+        quant,
+        ..SegmentSnapshot::empty(params, variant, dim)
+    };
+    Ok((Manifest { state, expected_params }, nseg))
 }
 
 /// One segment block: the encoding tag (+ codebook when quantized), then
@@ -581,19 +587,21 @@ enum Role {
     Active,
 }
 
-/// Inverse of [`put_segment`], with every count cross-checked against the
-/// bytes present and against `m` — a disagreeing embedded header means
+/// Inverse of [`put_segment`] — the block decodes into the [`SegmentView`]
+/// the index will serve — with every count cross-checked against the bytes
+/// present and against `m`: a disagreeing embedded header means
 /// corruption: segments searched under a different metric or seed would
 /// merge incommensurable distances.
-fn get_segment(r: &mut &[u8], m: &Manifest, role: Role) -> io::Result<RawSegment> {
+fn get_segment(r: &mut &[u8], m: &Manifest, role: Role) -> io::Result<SegmentView> {
+    let (dim, next_global) = (m.state.dim, m.state.next_global);
     // Blocks lead with the encoding tag (and, for SQ8, the codebook the
     // codes are re-derived from).
     let codebook = match get_u8(r)? {
         ENC_F32 => None,
         ENC_SQ8 => {
             let rerank_k = get_u64(r)? as usize;
-            let mins = get_le(r, m.dim, f32::from_le_bytes)?;
-            let steps = get_le(r, m.dim, f32::from_le_bytes)?;
+            let mins = get_le(r, dim, f32::from_le_bytes)?;
+            let steps = get_le(r, dim, f32::from_le_bytes)?;
             if mins.iter().any(|m| !m.is_finite())
                 || steps.iter().any(|s| !s.is_finite() || *s <= 0.0)
             {
@@ -609,13 +617,13 @@ fn get_segment(r: &mut &[u8], m: &Manifest, role: Role) -> io::Result<RawSegment
     if global_ids.windows(2).any(|w| w[0] >= w[1]) {
         return Err(bad("segment manifest global ids must be strictly ascending"));
     }
-    if global_ids.last().is_some_and(|&g| g >= m.next_global) {
+    if global_ids.last().is_some_and(|&g| g >= next_global) {
         return Err(bad("segment manifest global id at or beyond next_global"));
     }
     let tombstones = get_tombstones(r, n)?;
     // One conversion into a store of exactly the rows' size.
-    let rows = take(r, n, m.dim * 4)?;
-    let store = Arc::new(VectorStore::from_le_bytes(m.dim, rows));
+    let rows = take(r, n, dim * 4)?;
+    let store = Arc::new(VectorStore::from_le_bytes(dim, rows));
 
     // The embedded blob carries its own node count; the decoders reject it
     // unless it matches the store just rebuilt — the row-count guard.
@@ -648,20 +656,20 @@ fn get_segment(r: &mut &[u8], m: &Manifest, role: Role) -> io::Result<RawSegment
             index
         }
     };
-    if index.variant() != m.variant || index.params() != &m.expected_params {
+    if index.variant() != m.state.variant || index.params() != &m.expected_params {
         return Err(bad("embedded segment header disagrees with the segmented index header"));
     }
-    Ok(RawSegment { index, global_ids, tombstones })
+    Ok(SegmentView::new(SegmentPayload { index, global_ids }, tombstones))
 }
 
 /// The checks no single block can make, then the index: shared by the v6
 /// export and the store's checkpoint + segment files.
 fn assemble(
     m: Manifest,
-    frozen: Vec<RawSegment>,
-    active: RawSegment,
+    frozen: Vec<SegmentView>,
+    active: SegmentView,
 ) -> io::Result<SegmentedAcornIndex> {
-    if frozen.windows(2).any(|w| w[0].global_ids[0] >= w[1].global_ids[0]) {
+    if frozen.windows(2).any(|w| w[0].first_gid() >= w[1].first_gid()) {
         return Err(bad("frozen segments must be ascending by first global id"));
     }
 
@@ -672,7 +680,7 @@ fn assemble(
     let mut all_ids: Vec<u64> = frozen
         .iter()
         .chain(std::iter::once(&active))
-        .flat_map(|s| s.global_ids.iter().copied())
+        .flat_map(|s| s.global_ids().iter().copied())
         .collect();
     all_ids.sort_unstable();
     if all_ids.windows(2).any(|w| w[0] == w[1]) {
@@ -685,23 +693,14 @@ fn assemble(
     // search, so interleaved ranges would silently misroute deletes.
     let ranges: Vec<(u64, u64)> = frozen
         .iter()
-        .chain(std::iter::once(&active).filter(|a| !a.global_ids.is_empty()))
-        .map(|s| (s.global_ids[0], *s.global_ids.last().expect("non-empty")))
+        .chain(std::iter::once(&active).filter(|a| !a.is_empty()))
+        .map(|s| (s.first_gid(), *s.global_ids().last().expect("non-empty")))
         .collect();
     if ranges.windows(2).any(|w| w[0].1 >= w[1].0) {
         return Err(bad("segment global id ranges overlap"));
     }
 
-    Ok(SegmentedAcornIndex::from_loaded_parts(
-        m.params,
-        m.variant,
-        m.dim,
-        frozen,
-        active,
-        m.next_global,
-        m.policy,
-        m.quant,
-    ))
+    Ok(SegmentedAcornIndex::from_loaded_parts(SegmentSnapshot { frozen, ..m.state }, active))
 }
 
 impl SegmentSnapshot {
@@ -845,7 +844,7 @@ pub(crate) struct Checkpoint {
     refs: Vec<SegmentFileRef>,
     /// The frozen segments' tombstones as of the checkpoint.
     tombstones: Vec<Bitset>,
-    active: RawSegment,
+    active: SegmentView,
 }
 
 impl Checkpoint {
@@ -888,17 +887,18 @@ impl Checkpoint {
             if file.len() as u64 != seg_ref.len || sum != seg_ref.crc {
                 return Err(bad("segment file is not the one the checkpoint references"));
             }
-            if get_u64(&mut r)? as usize != m.dim {
+            if get_u64(&mut r)? as usize != m.state.dim {
                 return Err(bad("segment file dimension disagrees with the checkpoint"));
             }
             let mut seg = get_segment(&mut r, &m, Role::Frozen)?;
             if !r.is_empty() {
                 return Err(bad("trailing bytes after segment file body"));
             }
-            if seg.global_ids.len() as u64 != seg_ref.rows {
+            if seg.rows() as u64 != seg_ref.rows {
                 return Err(bad("segment file row count disagrees with the checkpoint"));
             }
-            seg.tombstones = tombstones;
+            seg.deleted = tombstones.count();
+            seg.tombstones = Arc::new(tombstones);
             frozen.push(seg);
         }
         Ok((assemble(m, frozen, self.active)?, self.refs))

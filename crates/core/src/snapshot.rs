@@ -1,12 +1,19 @@
-//! Snapshot-epoch concurrency for the segmented index: immutable
-//! [`SegmentSnapshot`]s published atomically, acquired by readers with one
-//! cheap load, and held lock-free for the whole query.
+//! Snapshot-epoch concurrency for the segmented index: one value — the
+//! published [`SegmentSnapshot`] — describes the index, readers acquire it
+//! with one cheap load and hold it lock-free for the whole query, and a
+//! write replaces it.
 //!
 //! The concurrency model is MVCC over Lucene-style segments:
 //!
-//! * Every mutation ([`insert`], [`delete`], [`freeze`], merges) builds the
-//!   next immutable [`SegmentSnapshot`] and publishes it into the
-//!   snapshot cell under the writer's pending lock, bumping the epoch.
+//! * The published [`SegmentSnapshot`] **is** the writer's state: the
+//!   segment list (each segment one [`SegmentView`]), the tombstones, the
+//!   next global id, the policies. There is no second, writer-side copy to
+//!   keep in step. Every mutation ([`insert`], [`delete`], [`freeze`], a
+//!   merge's splice) takes the writer lock, copies the published value (two
+//!   `Arc` bumps per segment), edits the copy and publishes it as the next
+//!   epoch. The only things kept outside it are what a snapshot cannot
+//!   hold: the writer's growing active index, and the immutable
+//!   configuration accessors borrow from.
 //! * A reader calls [`IndexReader::snapshot`] once — a read-lock held only
 //!   long enough to clone an `Arc` — and then serves the entire query from
 //!   that snapshot **without acquiring any lock**: segment payloads are
@@ -16,9 +23,15 @@
 //!   releases them; a background merge publishing a new epoch never stalls
 //!   or retroactively changes a query that started on the old one.
 //!
-//! Tombstones are copy-on-write: deleting a row in a frozen segment clones
-//! the (small) bitset via [`Arc::make_mut`] while the (large) graph +
-//! vector data stay shared by every epoch that references the segment.
+//! A segment's identity is its payload: two views show the same segment
+//! exactly when their `Arc<SegmentPayload>`s are the same allocation
+//! ([`Arc::ptr_eq`]). A merge finds its sources in a later epoch that way,
+//! and the durable store maps payloads to the files that hold them.
+//!
+//! Tombstones are copy-on-write, in the active segment's view as in a
+//! frozen one's: deleting a row clones the (small) bitset via
+//! [`Arc::make_mut`] while the (large) graph + vector data stay shared by
+//! every epoch that references the segment.
 //!
 //! [`insert`]: crate::segment::SegmentedAcornIndex::insert
 //! [`delete`]: crate::segment::SegmentedAcornIndex::delete
@@ -39,8 +52,8 @@ use crate::segment::{GlobalNeighbor, MergePolicy, QuantizationPolicy};
 /// The immutable payload of one published segment generation: the
 /// per-segment ACORN index — [sealed](AcornIndex::seal) for a frozen
 /// segment, a growing clone for a view of the active one — and its sorted
-/// local → global id map. Shared by every snapshot (and every pending-state
-/// entry) that references the segment.
+/// local → global id map. Shared by every snapshot that references the
+/// segment; its address is the segment's identity.
 #[derive(Debug)]
 pub(crate) struct SegmentPayload {
     pub(crate) index: AcornIndex,
@@ -63,6 +76,15 @@ pub struct SegmentView {
 }
 
 impl SegmentView {
+    /// The view of `payload` under `tombstones`.
+    pub(crate) fn new(payload: SegmentPayload, tombstones: Bitset) -> Self {
+        Self {
+            payload: Arc::new(payload),
+            deleted: tombstones.count(),
+            tombstones: Arc::new(tombstones),
+        }
+    }
+
     /// Total rows (live + tombstoned).
     pub fn rows(&self) -> usize {
         self.payload.global_ids.len()
@@ -106,6 +128,11 @@ impl SegmentView {
     /// The tombstone set (set bit = deleted local row).
     pub fn tombstones(&self) -> &Bitset {
         &self.tombstones
+    }
+
+    /// The lowest global id of a non-empty segment.
+    pub(crate) fn first_gid(&self) -> u64 {
+        self.payload.global_ids[0]
     }
 
     /// Local row id of `gid`, if this segment owns it (tombstoned or not).
@@ -163,7 +190,10 @@ impl<F: Fn(u64) -> bool> NodeFilter for GlobalFnFilter<'_, F> {
 /// locking or shared mutable state**: all methods take `&self` and
 /// caller-owned scratch. Two queries against the same snapshot are
 /// bit-identical, whatever the writer does in between.
-#[derive(Debug)]
+///
+/// It is also the only description of the index's mutable state: a write
+/// clones the published snapshot, edits the clone and publishes it.
+#[derive(Debug, Clone)]
 pub struct SegmentSnapshot {
     pub(crate) epoch: u64,
     pub(crate) params: AcornParams,
@@ -180,6 +210,27 @@ pub struct SegmentSnapshot {
 }
 
 impl SegmentSnapshot {
+    /// Epoch 0 of an index with no rows: default policies, no segments.
+    pub(crate) fn empty(params: AcornParams, variant: AcornVariant, dim: usize) -> Self {
+        Self {
+            epoch: 0,
+            params,
+            variant,
+            dim,
+            policy: MergePolicy::default(),
+            quant: QuantizationPolicy::default(),
+            next_global: 0,
+            frozen: Vec::new(),
+            active: None,
+        }
+    }
+
+    /// Add a frozen segment, keeping the list ascending by first global id.
+    pub(crate) fn push_frozen(&mut self, seg: SegmentView) {
+        self.frozen.push(seg);
+        self.frozen.sort_by_key(SegmentView::first_gid);
+    }
+
     /// The epoch counter: strictly increasing across publications, starting
     /// at 0 for a freshly created index.
     pub fn epoch(&self) -> u64 {
@@ -403,70 +454,6 @@ impl SegmentSnapshot {
     }
 }
 
-/// One frozen segment in the writer's pending state: the shared
-/// payload, the current (copy-on-write) tombstone set, and a unique segment
-/// id that merge publication uses to splice results without positional
-/// races.
-#[derive(Debug, Clone)]
-pub(crate) struct FrozenSeg {
-    /// Unique per-index segment id (never reused) — identifies merge
-    /// sources across the unlock/relock window of a background merge.
-    pub(crate) id: u64,
-    pub(crate) payload: Arc<SegmentPayload>,
-    pub(crate) tombstones: Arc<Bitset>,
-    pub(crate) deleted: usize,
-}
-
-impl FrozenSeg {
-    pub(crate) fn view(&self) -> SegmentView {
-        SegmentView {
-            payload: self.payload.clone(),
-            tombstones: self.tombstones.clone(),
-            deleted: self.deleted,
-        }
-    }
-
-    pub(crate) fn first_gid(&self) -> u64 {
-        self.payload.global_ids[0]
-    }
-}
-
-/// The writer's mutable bookkeeping, guarded by [`SharedState::pending`].
-/// Everything a publication needs except the active segment's graph (which
-/// only the writer owns and clones into views).
-#[derive(Debug)]
-pub(crate) struct Pending {
-    pub(crate) frozen: Vec<FrozenSeg>,
-    /// View of the active segment as of the last publication
-    /// (`None` when the active segment is empty).
-    pub(crate) active_view: Option<SegmentView>,
-    pub(crate) next_global: u64,
-    pub(crate) policy: MergePolicy,
-    pub(crate) quant: QuantizationPolicy,
-    pub(crate) epoch: u64,
-    pub(crate) next_seg_id: u64,
-}
-
-impl Pending {
-    /// Add a frozen segment under a fresh segment id, keeping the list
-    /// ascending by first global id.
-    pub(crate) fn push_frozen(
-        &mut self,
-        payload: SegmentPayload,
-        tombstones: Bitset,
-        deleted: usize,
-    ) {
-        self.frozen.push(FrozenSeg {
-            id: self.next_seg_id,
-            payload: Arc::new(payload),
-            tombstones: Arc::new(tombstones),
-            deleted,
-        });
-        self.next_seg_id += 1;
-        self.frozen.sort_by_key(FrozenSeg::first_gid);
-    }
-}
-
 /// The atomically swappable current-snapshot holder. `load` takes the read
 /// lock only long enough to clone the `Arc` — after that the reader holds
 /// the epoch lock-free for as long as it likes.
@@ -478,7 +465,7 @@ impl SnapshotCell {
         Self(RwLock::new(snap))
     }
 
-    pub(crate) fn load(&self) -> Arc<SegmentSnapshot> {
+    fn load(&self) -> Arc<SegmentSnapshot> {
         self.0.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
@@ -495,21 +482,26 @@ impl SnapshotCell {
 /// background maintenance thread.
 #[derive(Debug)]
 pub(crate) struct SharedState {
+    /// The configuration no write ever changes, kept beside the cell so
+    /// `SegmentedAcornIndex::params` has something to borrow from.
     pub(crate) params: AcornParams,
     pub(crate) variant: AcornVariant,
     pub(crate) dim: usize,
-    pub(crate) pending: Mutex<Pending>,
-    pub(crate) cell: SnapshotCell,
+    /// Held from reading the published state to publishing its successor,
+    /// so two writes (the `&mut` writer and a merge's splice) never build on
+    /// the same epoch.
+    writer: Mutex<()>,
+    cell: SnapshotCell,
     /// Scratch pool shared by reader conveniences and the segmented batch
     /// engine; one checked-out scratch serves all segments of a query
     /// sequentially (`begin(n)` re-arms it per segment).
     pub(crate) pool: ScratchPool,
     /// Serializes merges (foreground `merge`/`compact_all` and the
     /// maintenance thread): merge sources can only disappear through a
-    /// merge, so holding this across capture → rebuild → publish keeps the
+    /// merge, so holding this across capture → rebuild → splice keeps the
     /// three-phase protocol race-free while inserts and deletes proceed.
     pub(crate) maintenance_lock: Mutex<()>,
-    /// Merges currently in their rebuild/publish window (the churn bench
+    /// Merges currently in their rebuild/splice window (the churn bench
     /// samples this to bucket read latencies).
     pub(crate) merges_in_flight: AtomicUsize,
     /// Merges that published a new epoch since the index was created.
@@ -525,24 +517,20 @@ pub(crate) struct SharedState {
     /// Epoch pins taken through [`SharedState::snapshot`] since the index
     /// was created. A read-path traffic gauge: every search pins at least
     /// one snapshot, so the workload bench reports this next to QPS to show
-    /// how many acquisitions a run actually performed.
-    pub(crate) snapshot_pins: AtomicU64,
+    /// how many acquisitions a run actually performed. Writer bookkeeping
+    /// reads through [`SharedState::state`] and is not counted.
+    snapshot_pins: AtomicU64,
 }
 
 impl SharedState {
-    pub(crate) fn new(
-        params: AcornParams,
-        variant: AcornVariant,
-        dim: usize,
-        pending: Pending,
-        snapshot: SegmentSnapshot,
-    ) -> Self {
+    /// Shared state whose first published epoch is `state`.
+    pub(crate) fn new(state: SegmentSnapshot) -> Self {
         Self {
-            params,
-            variant,
-            dim,
-            pending: Mutex::new(pending),
-            cell: SnapshotCell::new(Arc::new(snapshot)),
+            params: state.params.clone(),
+            variant: state.variant,
+            dim: state.dim,
+            writer: Mutex::new(()),
+            cell: SnapshotCell::new(Arc::new(state)),
             pool: ScratchPool::new(),
             maintenance_lock: Mutex::new(()),
             merges_in_flight: AtomicUsize::new(0),
@@ -553,30 +541,29 @@ impl SharedState {
         }
     }
 
-    /// Lock the pending state, surviving a panicked holder.
-    pub(crate) fn pending(&self) -> MutexGuard<'_, Pending> {
-        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Begin a write: take the writer lock (surviving a panicked holder —
+    /// it guards no data of its own) and copy the published state for the
+    /// caller to edit and [`publish`](Self::publish).
+    pub(crate) fn begin(&self) -> (MutexGuard<'_, ()>, SegmentSnapshot) {
+        let writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        (writer, SegmentSnapshot::clone(&self.state()))
     }
 
-    /// Publish the pending state as the next epoch. Caller holds the
-    /// pending lock; readers pick the new snapshot up on their next
-    /// [`IndexReader::snapshot`] call while in-flight queries finish on
+    /// Publish `next` as the next epoch. Caller holds the writer lock from
+    /// [`begin`](Self::begin); readers pick the new snapshot up on their
+    /// next [`IndexReader::snapshot`] call while in-flight queries finish on
     /// whatever epoch they loaded.
-    pub(crate) fn publish(&self, p: &mut Pending) {
-        p.epoch += 1;
-        self.cell.store(Arc::new(SegmentSnapshot {
-            epoch: p.epoch,
-            params: self.params.clone(),
-            variant: self.variant,
-            dim: self.dim,
-            policy: p.policy.clone(),
-            quant: p.quant,
-            next_global: p.next_global,
-            frozen: p.frozen.iter().map(FrozenSeg::view).collect(),
-            active: p.active_view.clone(),
-        }));
+    pub(crate) fn publish(&self, mut next: SegmentSnapshot) {
+        next.epoch += 1;
+        self.cell.store(Arc::new(next));
     }
 
+    /// The published state, for the write path's own bookkeeping.
+    pub(crate) fn state(&self) -> Arc<SegmentSnapshot> {
+        self.cell.load()
+    }
+
+    /// Pin the published state for a reader.
     pub(crate) fn snapshot(&self) -> Arc<SegmentSnapshot> {
         self.snapshot_pins.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.cell.load()

@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use acorn_core::durability::{DurabilityOptions, DurableIndex, FsyncPolicy};
 use acorn_core::{AcornParams, AcornVariant, SegmentedAcornIndex};
 use acorn_hnsw::VectorStore;
 use rand::rngs::StdRng;
@@ -146,6 +147,38 @@ fn snapshot_pins_counts_reader_traffic() {
     reader.search(&[0.0; DIM], 5, 32);
     let after = reader.snapshot_pins();
     assert!(after >= before + 2, "explicit pin + search pin must both count");
+
+    // The gauge is read-path traffic: the writer's own bookkeeping — ids,
+    // liveness probes, counts, policies, checkpoints — pins nothing.
+    let (_, rows) = random_store(100, 24);
+    let churn = |index: &mut SegmentedAcornIndex, rows: &[Vec<f32>]| {
+        let first = index.next_global_id();
+        for v in rows {
+            index.insert(v);
+        }
+        for gid in first..first + 10 {
+            assert!(index.contains(gid) && index.delete(gid));
+        }
+        (index.len(), index.epoch(), index.policy(), index.quantization(), index.memory_bytes())
+    };
+    churn(&mut idx, &rows[..50]);
+    assert_eq!(reader.snapshot_pins(), after, "50 inserts + 10 deletes through the writer");
+
+    let dir = std::env::temp_dir().join(format!("acorn-pins-{}", std::process::id()));
+    let opts = DurabilityOptions { fsync: FsyncPolicy::Never, ..Default::default() };
+    let mut durable = DurableIndex::create(&dir, idx, opts).unwrap();
+    for v in &rows[50..] {
+        durable.insert(v).unwrap();
+    }
+    for gid in 120..130 {
+        assert!(durable.delete(gid).unwrap());
+    }
+    durable.freeze().unwrap();
+    durable.checkpoint().unwrap();
+    assert_eq!(reader.snapshot_pins(), after, "the same through a DurableIndex");
+    durable.search(&[0.0; DIM], 5, 32);
+    assert_eq!(reader.snapshot_pins(), after + 1, "a search through it still counts");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

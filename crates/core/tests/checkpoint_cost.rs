@@ -139,7 +139,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 fn opts() -> DurabilityOptions {
-    DurabilityOptions { fsync: FsyncPolicy::Never, wal_max_bytes: 0, ..Default::default() }
+    DurabilityOptions { fsync: FsyncPolicy::Never, wal_max_bytes: 0 }
 }
 
 fn vec_for(i: u64, dim: usize) -> Vec<f32> {

@@ -44,9 +44,6 @@ fn opts() -> DurabilityOptions {
         fsync: FsyncPolicy::Always,
         // Only explicit checkpoints: keeps the acked-op accounting exact.
         wal_max_bytes: 0,
-        // Small chunks multiply the distinct crash points inside each
-        // checkpoint and segment-file write.
-        snapshot_chunk_bytes: 512,
     }
 }
 

@@ -83,7 +83,6 @@ proptest! {
         let opts = DurabilityOptions {
             fsync: FsyncPolicy::Never,
             wal_max_bytes: wal_max, // 600 exercises mid-sequence auto-checkpoints
-            snapshot_chunk_bytes: 1 << 12,
         };
         let mut oracle = fresh(seed);
         let mut durable = DurableIndex::create(&dir, fresh(seed), opts.clone()).unwrap();
