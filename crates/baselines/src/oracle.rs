@@ -53,11 +53,6 @@ impl OraclePartitionIndex {
         Self::build(vecs, &groups, params)
     }
 
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Total index memory across partitions (adjacency lists only).
     pub fn memory_bytes(&self) -> usize {
         self.partitions.values().map(|p| p.index.graph().memory_bytes()).sum()
@@ -104,7 +99,7 @@ mod tests {
             &labels,
             HnswParams { m: 8, ef_construction: 32, metric: Metric::L2, seed: 2 },
         );
-        assert_eq!(oracle.num_partitions(), 3);
+        assert_eq!(oracle.partitions.len(), 3);
 
         let mut scratch = SearchScratch::new(n);
         let mut stats = SearchStats::default();

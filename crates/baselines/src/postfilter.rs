@@ -28,11 +28,6 @@ impl PostFilterHnsw {
         Self { hnsw: HnswIndex::build(vecs, params) }
     }
 
-    /// Wrap an existing HNSW index.
-    pub fn from_index(hnsw: HnswIndex) -> Self {
-        Self { hnsw }
-    }
-
     /// The wrapped index.
     pub fn index(&self) -> &HnswIndex {
         &self.hnsw

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use acorn_hnsw::heap::{Neighbor, TopK};
 use acorn_hnsw::{Metric, SearchStats, VectorStore};
-use acorn_predicate::{Bitset, NodeFilter};
+use acorn_predicate::NodeFilter;
 
 /// The pre-filtering baseline.
 #[derive(Debug, Clone)]
@@ -47,31 +47,12 @@ impl PreFilter {
         }
         top.into_sorted()
     }
-
-    /// Exact top-`k` over a pre-materialized bitset (skips failing rows
-    /// without a predicate call; the paper's bitset optimization for
-    /// low-cardinality `contains` predicates).
-    pub fn search_bitset(
-        &self,
-        query: &[f32],
-        bits: &Bitset,
-        k: usize,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        let mut top = TopK::new(k.max(1));
-        for id in bits.iter_ones() {
-            let d = self.vecs.distance_to(self.metric, id, query);
-            stats.ndis += 1;
-            top.push(Neighbor::new(d, id));
-        }
-        top.into_sorted()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acorn_predicate::BitmapFilter;
+    use acorn_predicate::{BitmapFilter, Bitset};
 
     fn store() -> Arc<VectorStore> {
         let mut s = VectorStore::new(1);
@@ -84,16 +65,12 @@ mod tests {
     #[test]
     fn returns_exact_filtered_topk() {
         let pf = PreFilter::new(store(), Metric::L2);
-        let bits = Bitset::from_ids(10, [1u32, 4, 7, 9]);
-        let filter = BitmapFilter::new(bits.clone());
+        let filter = BitmapFilter::new(Bitset::from_ids(10, [1u32, 4, 7, 9]));
         let mut stats = SearchStats::default();
         let out = pf.search(&[5.0], &filter, 2, &mut stats);
         assert_eq!(out.iter().map(|n| n.id).collect::<Vec<_>>(), vec![4, 7]);
         assert_eq!(stats.ndis, 4, "one distance per passing row");
         assert_eq!(stats.npred, 10, "one predicate eval per row");
-
-        let out2 = pf.search_bitset(&[5.0], &bits, 2, &mut stats);
-        assert_eq!(out2.iter().map(|n| n.id).collect::<Vec<_>>(), vec![4, 7]);
     }
 
     #[test]

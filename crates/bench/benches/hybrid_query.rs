@@ -1,8 +1,10 @@
-//! Single-query hybrid-search latency: ACORN-γ vs ACORN-1 vs the
-//! pre-/post-filter baselines on one prebuilt SIFT-like index.
+//! Single-query hybrid-search latency: ACORN-γ vs ACORN-1 (each one sealed
+//! segment, queried through the planner) vs the pre-/post-filter baselines
+//! on one prebuilt SIFT-like index.
 
 use acorn_baselines::{PostFilterHnsw, PreFilter};
-use acorn_core::{AcornIndex, AcornParams, AcornVariant};
+use acorn_bench::methods::acorn_segment;
+use acorn_core::{AcornParams, AcornVariant};
 use acorn_data::datasets::sift_like;
 use acorn_hnsw::{HnswParams, Metric, SearchScratch, SearchStats};
 use acorn_predicate::{Predicate, PredicateFilter};
@@ -17,8 +19,8 @@ fn bench_hybrid(c: &mut Criterion) {
 
     let acorn_params =
         AcornParams { m: 32, gamma: 12, m_beta: 64, ef_construction: 40, ..Default::default() };
-    let acorn_g = AcornIndex::build(ds.vectors.clone(), acorn_params.clone(), AcornVariant::Gamma);
-    let acorn_1 = AcornIndex::build(ds.vectors.clone(), acorn_params, AcornVariant::One);
+    let acorn_g = acorn_segment(&ds.vectors, acorn_params.clone(), AcornVariant::Gamma);
+    let acorn_1 = acorn_segment(&ds.vectors, acorn_params, AcornVariant::One);
     let post = PostFilterHnsw::build(
         ds.vectors.clone(),
         HnswParams { m: 32, ef_construction: 40, ..Default::default() },
@@ -28,18 +30,10 @@ fn bench_hybrid(c: &mut Criterion) {
     let mut scratch = SearchScratch::new(n);
     let mut group = c.benchmark_group("hybrid_query");
     group.bench_function("acorn_gamma/efs64", |b| {
-        b.iter(|| {
-            let filter = PredicateFilter::new(&ds.attrs, &pred);
-            let mut stats = SearchStats::default();
-            acorn_g.search_filtered(black_box(&query), &filter, 10, 64, &mut scratch, &mut stats)
-        })
+        b.iter(|| acorn_g.hybrid_search(black_box(&query), &pred, &ds.attrs, 10, 64, &mut scratch))
     });
     group.bench_function("acorn_one/efs64", |b| {
-        b.iter(|| {
-            let filter = PredicateFilter::new(&ds.attrs, &pred);
-            let mut stats = SearchStats::default();
-            acorn_1.search_filtered(black_box(&query), &filter, 10, 64, &mut scratch, &mut stats)
-        })
+        b.iter(|| acorn_1.hybrid_search(black_box(&query), &pred, &ds.attrs, 10, 64, &mut scratch))
     });
     group.bench_function("postfilter/efs64", |b| {
         b.iter(|| {

@@ -34,11 +34,14 @@ fn main() {
         AcornVariant::Gamma,
     );
 
+    let height = |idx: &AcornIndex| idx.graph().expect("a built index is growing").max_level() + 1;
     println!(
         "graph height: ACORN = {} levels, flattened = {} levels\n",
-        normal.graph().max_level() + 1,
-        flat.graph().max_level() + 1
+        height(&normal),
+        height(&flat)
     );
+    // Swept in the layout a frozen segment serves: sealed CSR.
+    let (normal, flat) = (normal.seal(None), flat.seal(None));
 
     let efs = efs_sweep();
     let sweeps = vec![

@@ -39,13 +39,15 @@ fn main() {
         eprintln!("building n_c = {n_c}...");
         let (idx, tti) =
             measure(|| AcornIndex::build(ctx.ds.vectors.clone(), params, AcornVariant::Gamma));
-        let stats = idx.graph().level_stats();
+        let stats = idx.graph().expect("a built index is growing").level_stats();
         let lvl1 = stats.get(1).map_or(0.0, |s| s.avg_out_degree);
-        let pts = sweep_acorn_graph_only(&idx, &ctx, &[64]);
+        let build_bytes = idx.memory_bytes();
+        // Swept in the layout a frozen segment serves: sealed CSR.
+        let pts = sweep_acorn_graph_only(&idx.seal(None), &ctx, &[64]);
         t.row(vec![
             n_c.to_string(),
             format!("{:.1}", tti.as_secs_f64()),
-            format!("{:.1}", idx.memory_bytes() as f64 / (1024.0 * 1024.0)),
+            format!("{:.1}", build_bytes as f64 / (1024.0 * 1024.0)),
             format!("{lvl1:.1}"),
             format!("{:.4}", pts[0].recall),
             format!("{:.0}", pts[0].qps),

@@ -11,10 +11,11 @@
 
 use acorn_baselines::PostFilterHnsw;
 use acorn_bench::methods::{
-    sweep_acorn, sweep_postfilter, sweep_prefilter, sweep_table, table_rows, BenchCtx,
+    acorn_segment, sweep_acorn, sweep_postfilter, sweep_prefilter, sweep_table, table_rows,
+    BenchCtx,
 };
 use acorn_bench::{bench_n, bench_nq, bench_threads, efs_sweep, results_dir};
-use acorn_core::{AcornIndex, AcornParams, AcornVariant};
+use acorn_core::{AcornParams, AcornVariant};
 use acorn_data::correlation::query_correlation;
 use acorn_data::datasets::laion_like;
 use acorn_data::workloads::{keyword_workload, Correlation};
@@ -33,8 +34,8 @@ fn main() {
         AcornParams { m: 32, gamma: 12, m_beta: 32, ef_construction: 40, ..Default::default() };
 
     eprintln!("building indices once (shared across workloads)...");
-    let acorn_g = AcornIndex::build(ds.vectors.clone(), acorn_params.clone(), AcornVariant::Gamma);
-    let acorn_1 = AcornIndex::build(ds.vectors.clone(), acorn_params, AcornVariant::One);
+    let acorn_g = acorn_segment(&ds.vectors, acorn_params.clone(), AcornVariant::Gamma);
+    let acorn_1 = acorn_segment(&ds.vectors, acorn_params, AcornVariant::One);
     let postf = PostFilterHnsw::build(ds.vectors.clone(), hnsw_params);
 
     let mut summary = acorn_eval::Table::new(

@@ -8,9 +8,11 @@
 //! target.
 
 use acorn_baselines::PostFilterHnsw;
-use acorn_bench::methods::{sweep_acorn, sweep_postfilter, sweep_prefilter, BenchCtx};
+use acorn_bench::methods::{
+    acorn_segment, sweep_acorn, sweep_postfilter, sweep_prefilter, BenchCtx,
+};
 use acorn_bench::{bench_n, bench_nq, bench_threads, efs_sweep, results_dir};
-use acorn_core::{AcornIndex, AcornParams, AcornVariant};
+use acorn_core::{AcornParams, AcornVariant};
 use acorn_data::datasets::laion_like;
 use acorn_data::workloads::{keyword_workload, Correlation};
 use acorn_eval::sweep::qps_at_recall;
@@ -44,9 +46,8 @@ fn main() {
         let hnsw_params = HnswParams { m: 32, ef_construction: 40, ..Default::default() };
         let acorn_params =
             AcornParams { m: 32, gamma: 12, m_beta: 32, ef_construction: 40, ..Default::default() };
-        let acorn_g =
-            AcornIndex::build(ctx.ds.vectors.clone(), acorn_params.clone(), AcornVariant::Gamma);
-        let acorn_1 = AcornIndex::build(ctx.ds.vectors.clone(), acorn_params, AcornVariant::One);
+        let acorn_g = acorn_segment(&ctx.ds.vectors, acorn_params.clone(), AcornVariant::Gamma);
+        let acorn_1 = acorn_segment(&ctx.ds.vectors, acorn_params, AcornVariant::One);
         let postf = PostFilterHnsw::build(ctx.ds.vectors.clone(), hnsw_params);
 
         // Larger datasets need wider beams to cross the 0.9 recall bar.

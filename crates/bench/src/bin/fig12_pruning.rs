@@ -74,9 +74,10 @@ fn main() {
                 labels.clone(),
             )
         });
-        let lvl0 = idx.graph().level_stats()[0].avg_out_degree;
+        let lvl0 = idx.graph().expect("a built index is growing").level_stats()[0].avg_out_degree;
         let pruned = idx.edges_pruned();
-        let pts = sweep_acorn_graph_only(&idx, &ctx, &fixed_efs);
+        // Swept in the layout a frozen segment serves: sealed CSR.
+        let pts = sweep_acorn_graph_only(&idx.seal(None), &ctx, &fixed_efs);
         t.row(vec![
             label,
             format!("{:.1}", tti.as_secs_f64()),

@@ -36,6 +36,7 @@ fn main() {
 
     eprintln!("building ACORN-gamma...");
     let acorn = AcornIndex::build(ds.vectors.clone(), acorn_params, AcornVariant::Gamma);
+    let graph = acorn.graph().expect("a built index is growing");
 
     let mut t = Table::new(
         "Figure 13: predicate-subgraph quality (ACORN-gamma vs HNSW oracle partition)",
@@ -58,7 +59,7 @@ fn main() {
 
         // (a,b,c) for ACORN's predicate subgraph under the search-time
         // lookup (filter + truncate, with level-0 two-hop recovery).
-        let aq = predicate_subgraph_quality_with(acorn.graph(), &filter, m, Some(64));
+        let aq = predicate_subgraph_quality_with(graph, &filter, m, Some(64));
         t.row(vec![
             format!("{pct} ({:.4})", q.selectivity),
             "ACORN-gamma subgraph".into(),

@@ -13,11 +13,12 @@ use acorn_baselines::{
     FilteredVamana, IvfFlat, NhqIndex, OraclePartitionIndex, PostFilterHnsw, StitchedVamana,
 };
 use acorn_bench::methods::{
-    sweep_acorn, sweep_filtered_vamana, sweep_ivf, sweep_ivf_sq8, sweep_nhq, sweep_oracle,
-    sweep_postfilter, sweep_prefilter, sweep_stitched, sweep_table, table_rows, BenchCtx,
+    acorn_segment, sweep_acorn, sweep_filtered_vamana, sweep_ivf, sweep_ivf_sq8, sweep_nhq,
+    sweep_oracle, sweep_postfilter, sweep_prefilter, sweep_stitched, sweep_table, table_rows,
+    BenchCtx,
 };
 use acorn_bench::{bench_n, bench_nq, bench_threads, efs_sweep, results_dir};
-use acorn_core::{AcornIndex, AcornParams, AcornVariant};
+use acorn_core::{AcornParams, AcornVariant};
 use acorn_data::datasets::{paper_like, sift_like, HybridDataset};
 use acorn_data::workloads::equality_workload;
 use acorn_eval::sweep::qps_at_recall;
@@ -52,9 +53,8 @@ fn run_dataset(ds: HybridDataset, nq: usize) {
         AcornParams { m: 32, gamma: 12, m_beta: 64, ef_construction: 40, ..Default::default() };
 
     eprintln!("[{name}] building all indices...");
-    let acorn_g =
-        AcornIndex::build(ctx.ds.vectors.clone(), acorn_params.clone(), AcornVariant::Gamma);
-    let acorn_1 = AcornIndex::build(ctx.ds.vectors.clone(), acorn_params, AcornVariant::One);
+    let acorn_g = acorn_segment(&ctx.ds.vectors, acorn_params.clone(), AcornVariant::Gamma);
+    let acorn_1 = acorn_segment(&ctx.ds.vectors, acorn_params, AcornVariant::One);
     let postf = PostFilterHnsw::build(ctx.ds.vectors.clone(), hnsw_params);
     let oracle = OraclePartitionIndex::build_from_labels(&ctx.ds.vectors, &labels, hnsw_params);
     let fv = FilteredVamana::build(

@@ -10,10 +10,11 @@
 
 use acorn_baselines::PostFilterHnsw;
 use acorn_bench::methods::{
-    sweep_acorn, sweep_postfilter, sweep_prefilter, sweep_table, table_rows, BenchCtx,
+    acorn_segment, sweep_acorn, sweep_postfilter, sweep_prefilter, sweep_table, table_rows,
+    BenchCtx,
 };
 use acorn_bench::{bench_n, bench_nq, bench_threads, efs_sweep, results_dir};
-use acorn_core::{AcornIndex, AcornParams, AcornVariant};
+use acorn_core::{AcornParams, AcornVariant};
 use acorn_data::datasets::{laion_like, tripclick_like};
 use acorn_data::workloads::{area_workload, date_range_workload, regex_workload, Workload};
 use acorn_data::HybridDataset;
@@ -31,9 +32,8 @@ fn run_workload(ds: &HybridDataset, workload: Workload, m_beta: usize) {
         AcornParams { m: 32, gamma: 12, m_beta, ef_construction: 40, ..Default::default() };
 
     eprintln!("[{label}] building indices...");
-    let acorn_g =
-        AcornIndex::build(ctx.ds.vectors.clone(), acorn_params.clone(), AcornVariant::Gamma);
-    let acorn_1 = AcornIndex::build(ctx.ds.vectors.clone(), acorn_params, AcornVariant::One);
+    let acorn_g = acorn_segment(&ctx.ds.vectors, acorn_params.clone(), AcornVariant::Gamma);
+    let acorn_1 = acorn_segment(&ctx.ds.vectors, acorn_params, AcornVariant::One);
     let postf = PostFilterHnsw::build(ctx.ds.vectors.clone(), hnsw_params);
 
     let efs = efs_sweep();

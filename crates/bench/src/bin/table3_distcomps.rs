@@ -7,9 +7,9 @@
 //! post-filter needs several times more distance computations.
 
 use acorn_baselines::{OraclePartitionIndex, PostFilterHnsw};
-use acorn_bench::methods::{sweep_acorn, sweep_oracle, sweep_postfilter, BenchCtx};
+use acorn_bench::methods::{acorn_segment, sweep_acorn, sweep_oracle, sweep_postfilter, BenchCtx};
 use acorn_bench::{bench_n, bench_nq, bench_threads, efs_sweep, results_dir};
-use acorn_core::{AcornIndex, AcornParams, AcornVariant};
+use acorn_core::{AcornParams, AcornVariant};
 use acorn_data::datasets::{paper_like, sift_like, HybridDataset};
 use acorn_data::workloads::equality_workload;
 use acorn_eval::sweep::ndis_at_recall;
@@ -34,10 +34,9 @@ fn run_dataset(ds: HybridDataset, nq: usize, rows: &mut Vec<(String, String, Opt
     eprintln!("[{name}] building oracle partitions...");
     let oracle = OraclePartitionIndex::build_from_labels(&ctx.ds.vectors, &labels, hnsw_params);
     eprintln!("[{name}] building ACORN-gamma...");
-    let acorn_g =
-        AcornIndex::build(ctx.ds.vectors.clone(), acorn_params.clone(), AcornVariant::Gamma);
+    let acorn_g = acorn_segment(&ctx.ds.vectors, acorn_params.clone(), AcornVariant::Gamma);
     eprintln!("[{name}] building ACORN-1...");
-    let acorn_1 = AcornIndex::build(ctx.ds.vectors.clone(), acorn_params, AcornVariant::One);
+    let acorn_1 = acorn_segment(&ctx.ds.vectors, acorn_params, AcornVariant::One);
     eprintln!("[{name}] building HNSW (post-filter)...");
     let postf = PostFilterHnsw::build(ctx.ds.vectors.clone(), hnsw_params);
 

@@ -13,7 +13,7 @@ use acorn_eval::Table;
 fn run(ds: &HybridDataset, params: AcornParams, t: &mut Table) {
     eprintln!("[{}] building ACORN-gamma...", ds.name);
     let idx = AcornIndex::build(ds.vectors.clone(), params.clone(), AcornVariant::Gamma);
-    let stats = idx.graph().level_stats();
+    let stats = idx.graph().expect("a built index is growing").level_stats();
     for s in &stats {
         t.row(vec![
             ds.name.clone(),

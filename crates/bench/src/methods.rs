@@ -3,15 +3,17 @@
 //! guarantees every method is measured by the same driver, ground truth,
 //! and recall definition.
 
+use std::sync::Arc;
+
 use acorn_baselines::{
     FilteredVamana, IvfFlat, IvfSq8, NhqIndex, OraclePartitionIndex, PostFilterHnsw, PreFilter,
     StitchedVamana,
 };
-use acorn_core::AcornIndex;
-use acorn_data::{ground_truth, HybridDataset, Workload};
+use acorn_core::{AcornIndex, AcornParams, AcornVariant, SegmentSnapshot, SegmentedAcornIndex};
+use acorn_data::{ground_truth, HybridDataset, HybridQuery, Workload};
 use acorn_eval::sweep::{sweep_repeated, SweepPoint};
 use acorn_eval::Table;
-use acorn_hnsw::Metric;
+use acorn_hnsw::{Metric, Neighbor, SearchScratch, SearchStats, VectorStore};
 use acorn_predicate::{Predicate, PredicateFilter};
 
 /// A prepared benchmark context: dataset + workload + exact ground truth.
@@ -39,6 +41,23 @@ impl BenchCtx {
     pub fn nq(&self) -> usize {
         self.workload.queries.len()
     }
+
+    /// The one sweep body every method shares: `run(query, param, scratch,
+    /// stats)` answers one workload query at one value of the method's
+    /// quality knob; each value becomes a [`SweepPoint`] (recall against
+    /// [`truth`](Self::truth), QPS over [`bench_repeats`](crate::bench_repeats)
+    /// executions per query).
+    pub fn sweep<F>(&self, params: &[usize], run: F) -> Vec<SweepPoint>
+    where
+        F: Fn(&HybridQuery, usize, &mut SearchScratch, &mut SearchStats) -> Vec<Neighbor> + Sync,
+    {
+        let repeats = crate::bench_repeats();
+        sweep_repeated(params, &self.truth, self.k, self.threads, repeats, |i, param, scratch| {
+            let mut stats = SearchStats::default();
+            let out = run(&self.workload.queries[i], param, scratch, &mut stats);
+            (out.iter().map(|n| n.id).collect(), stats)
+        })
+    }
 }
 
 /// Extract the label of an `Equals` predicate (the LCPS benchmarks' key).
@@ -52,21 +71,28 @@ pub fn equals_label(p: &Predicate) -> i64 {
     }
 }
 
-/// Sweep ACORN (γ or 1) with its full cost-model routing (§5.2 fallback).
-pub fn sweep_acorn(idx: &AcornIndex, ctx: &BenchCtx, params: &[usize]) -> Vec<SweepPoint> {
-    sweep_repeated(
-        params,
-        &ctx.truth,
-        ctx.k,
-        ctx.threads,
-        crate::bench_repeats(),
-        |i, efs, scratch| {
-            let q = &ctx.workload.queries[i];
-            let (out, stats) =
-                idx.hybrid_search(&q.vector, &q.predicate, &ctx.ds.attrs, ctx.k, efs, scratch);
-            (out.iter().map(|n| n.id).collect(), stats)
-        },
-    )
+/// ACORN (γ or 1) the way the engine serves a static corpus: `vectors`
+/// bulk-loaded as one sealed segment, so global id == row id and queries
+/// traverse the CSR layout through the planner.
+pub fn acorn_segment(
+    vectors: &VectorStore,
+    params: AcornParams,
+    variant: AcornVariant,
+) -> Arc<SegmentSnapshot> {
+    let mut index = SegmentedAcornIndex::new(vectors.dim(), params, variant);
+    index.bulk_load(vectors.clone());
+    index.snapshot()
+}
+
+/// Sweep ACORN with its full cost-model routing (§5.2 fallback) over an
+/// [`acorn_segment`].
+pub fn sweep_acorn(snap: &SegmentSnapshot, ctx: &BenchCtx, params: &[usize]) -> Vec<SweepPoint> {
+    ctx.sweep(params, |q, efs, scratch, stats| {
+        let (out, st) =
+            snap.hybrid_search(&q.vector, &q.predicate, &ctx.ds.attrs, ctx.k, efs, scratch);
+        *stats = st;
+        out.iter().map(|n| Neighbor::new(n.dist, n.id as u32)).collect()
+    })
 }
 
 /// Sweep ACORN without the pre-filter fallback (pure predicate-subgraph
@@ -76,58 +102,28 @@ pub fn sweep_acorn_graph_only(
     ctx: &BenchCtx,
     params: &[usize],
 ) -> Vec<SweepPoint> {
-    sweep_repeated(
-        params,
-        &ctx.truth,
-        ctx.k,
-        ctx.threads,
-        crate::bench_repeats(),
-        |i, efs, scratch| {
-            let q = &ctx.workload.queries[i];
-            let filter = PredicateFilter::new(&ctx.ds.attrs, &q.predicate);
-            let mut stats = acorn_hnsw::SearchStats::default();
-            let out = idx.search_filtered(&q.vector, &filter, ctx.k, efs, scratch, &mut stats);
-            (out.iter().map(|n| n.id).collect(), stats)
-        },
-    )
+    ctx.sweep(params, |q, efs, scratch, stats| {
+        let filter = PredicateFilter::new(&ctx.ds.attrs, &q.predicate);
+        idx.search_filtered(&q.vector, &filter, ctx.k, efs, scratch, stats)
+    })
 }
 
 /// Sweep HNSW post-filtering (`K/s` over-search, §7.2). Uses each query's
 /// exact selectivity, favoring the baseline.
 pub fn sweep_postfilter(pf: &PostFilterHnsw, ctx: &BenchCtx, params: &[usize]) -> Vec<SweepPoint> {
-    sweep_repeated(
-        params,
-        &ctx.truth,
-        ctx.k,
-        ctx.threads,
-        crate::bench_repeats(),
-        |i, efs, scratch| {
-            let q = &ctx.workload.queries[i];
-            let filter = PredicateFilter::new(&ctx.ds.attrs, &q.predicate);
-            let mut stats = acorn_hnsw::SearchStats::default();
-            let out = pf.search(&q.vector, &filter, ctx.k, efs, q.selectivity, scratch, &mut stats);
-            (out.iter().map(|n| n.id).collect(), stats)
-        },
-    )
+    ctx.sweep(params, |q, efs, scratch, stats| {
+        let filter = PredicateFilter::new(&ctx.ds.attrs, &q.predicate);
+        pf.search(&q.vector, &filter, ctx.k, efs, q.selectivity, scratch, stats)
+    })
 }
 
 /// Pre-filtering has no quality knob: one point at perfect recall.
 pub fn sweep_prefilter(ctx: &BenchCtx) -> Vec<SweepPoint> {
     let pf = PreFilter::new(ctx.ds.vectors.clone(), Metric::L2);
-    sweep_repeated(
-        &[0],
-        &ctx.truth,
-        ctx.k,
-        ctx.threads,
-        crate::bench_repeats(),
-        |i, _p, _scratch| {
-            let q = &ctx.workload.queries[i];
-            let filter = PredicateFilter::new(&ctx.ds.attrs, &q.predicate);
-            let mut stats = acorn_hnsw::SearchStats::default();
-            let out = pf.search(&q.vector, &filter, ctx.k, &mut stats);
-            (out.iter().map(|n| n.id).collect(), stats)
-        },
-    )
+    ctx.sweep(&[0], |q, _, _, stats| {
+        let filter = PredicateFilter::new(&ctx.ds.attrs, &q.predicate);
+        pf.search(&q.vector, &filter, ctx.k, stats)
+    })
 }
 
 /// Sweep the oracle partition index (requires `Equals` predicates).
@@ -136,20 +132,9 @@ pub fn sweep_oracle(
     ctx: &BenchCtx,
     params: &[usize],
 ) -> Vec<SweepPoint> {
-    sweep_repeated(
-        params,
-        &ctx.truth,
-        ctx.k,
-        ctx.threads,
-        crate::bench_repeats(),
-        |i, efs, scratch| {
-            let q = &ctx.workload.queries[i];
-            let label = equals_label(&q.predicate);
-            let mut stats = acorn_hnsw::SearchStats::default();
-            let out = oracle.search(label, &q.vector, ctx.k, efs, scratch, &mut stats);
-            (out.iter().map(|n| n.id).collect(), stats)
-        },
-    )
+    ctx.sweep(params, |q, efs, scratch, stats| {
+        oracle.search(equals_label(&q.predicate), &q.vector, ctx.k, efs, scratch, stats)
+    })
 }
 
 /// Sweep FilteredVamana (param = search beam `L`).
@@ -158,92 +143,39 @@ pub fn sweep_filtered_vamana(
     ctx: &BenchCtx,
     params: &[usize],
 ) -> Vec<SweepPoint> {
-    sweep_repeated(
-        params,
-        &ctx.truth,
-        ctx.k,
-        ctx.threads,
-        crate::bench_repeats(),
-        |i, l, scratch| {
-            let q = &ctx.workload.queries[i];
-            let label = equals_label(&q.predicate);
-            let mut stats = acorn_hnsw::SearchStats::default();
-            let out = fv.search_with(&q.vector, label, ctx.k, l, scratch, &mut stats);
-            (out.iter().map(|n| n.id).collect(), stats)
-        },
-    )
+    ctx.sweep(params, |q, l, scratch, stats| {
+        fv.search_with(&q.vector, equals_label(&q.predicate), ctx.k, l, scratch, stats)
+    })
 }
 
 /// Sweep StitchedVamana (param = search beam `L`).
 pub fn sweep_stitched(sv: &StitchedVamana, ctx: &BenchCtx, params: &[usize]) -> Vec<SweepPoint> {
-    sweep_repeated(
-        params,
-        &ctx.truth,
-        ctx.k,
-        ctx.threads,
-        crate::bench_repeats(),
-        |i, l, scratch| {
-            let q = &ctx.workload.queries[i];
-            let label = equals_label(&q.predicate);
-            let mut stats = acorn_hnsw::SearchStats::default();
-            let out = sv.search_with(&q.vector, label, ctx.k, l, scratch, &mut stats);
-            (out.iter().map(|n| n.id).collect(), stats)
-        },
-    )
+    ctx.sweep(params, |q, l, scratch, stats| {
+        sv.search_with(&q.vector, equals_label(&q.predicate), ctx.k, l, scratch, stats)
+    })
 }
 
 /// Sweep NHQ fusion search (param = beam `ef`).
 pub fn sweep_nhq(nhq: &NhqIndex, ctx: &BenchCtx, params: &[usize]) -> Vec<SweepPoint> {
-    sweep_repeated(
-        params,
-        &ctx.truth,
-        ctx.k,
-        ctx.threads,
-        crate::bench_repeats(),
-        |i, ef, scratch| {
-            let q = &ctx.workload.queries[i];
-            let label = equals_label(&q.predicate);
-            let mut stats = acorn_hnsw::SearchStats::default();
-            let out = nhq.search_with(&q.vector, label, ctx.k, ef, scratch, &mut stats);
-            (out.iter().map(|n| n.id).collect(), stats)
-        },
-    )
+    ctx.sweep(params, |q, ef, scratch, stats| {
+        nhq.search_with(&q.vector, equals_label(&q.predicate), ctx.k, ef, scratch, stats)
+    })
 }
 
 /// Sweep IVF-Flat (param = `nprobe`).
 pub fn sweep_ivf(ivf: &IvfFlat, ctx: &BenchCtx, params: &[usize]) -> Vec<SweepPoint> {
-    sweep_repeated(
-        params,
-        &ctx.truth,
-        ctx.k,
-        ctx.threads,
-        crate::bench_repeats(),
-        |i, nprobe, _scratch| {
-            let q = &ctx.workload.queries[i];
-            let filter = PredicateFilter::new(&ctx.ds.attrs, &q.predicate);
-            let mut stats = acorn_hnsw::SearchStats::default();
-            let out = ivf.search(&q.vector, &filter, ctx.k, nprobe, &mut stats);
-            (out.iter().map(|n| n.id).collect(), stats)
-        },
-    )
+    ctx.sweep(params, |q, nprobe, _, stats| {
+        let filter = PredicateFilter::new(&ctx.ds.attrs, &q.predicate);
+        ivf.search(&q.vector, &filter, ctx.k, nprobe, stats)
+    })
 }
 
 /// Sweep IVF-SQ8 (param = `nprobe`).
 pub fn sweep_ivf_sq8(ivf: &IvfSq8, ctx: &BenchCtx, params: &[usize]) -> Vec<SweepPoint> {
-    sweep_repeated(
-        params,
-        &ctx.truth,
-        ctx.k,
-        ctx.threads,
-        crate::bench_repeats(),
-        |i, nprobe, _scratch| {
-            let q = &ctx.workload.queries[i];
-            let filter = PredicateFilter::new(&ctx.ds.attrs, &q.predicate);
-            let mut stats = acorn_hnsw::SearchStats::default();
-            let out = ivf.search(&q.vector, &filter, ctx.k, nprobe, &mut stats);
-            (out.iter().map(|n| n.id).collect(), stats)
-        },
-    )
+    ctx.sweep(params, |q, nprobe, _, stats| {
+        let filter = PredicateFilter::new(&ctx.ds.attrs, &q.predicate);
+        ivf.search(&q.vector, &filter, ctx.k, nprobe, stats)
+    })
 }
 
 /// Append a method's sweep to a results table.
@@ -269,7 +201,6 @@ pub fn sweep_table(title: &str) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acorn_core::{AcornParams, AcornVariant};
     use acorn_data::datasets::sift_like;
     use acorn_data::workloads::equality_workload;
 
@@ -278,12 +209,12 @@ mod tests {
         let ds = sift_like(1500, 1);
         let w = equality_workload(&ds, 8, 2);
         let ctx = BenchCtx::new(ds, w, 10, 2);
-        let idx = AcornIndex::build(
-            ctx.ds.vectors.clone(),
+        let snap = acorn_segment(
+            &ctx.ds.vectors,
             AcornParams { m: 8, gamma: 6, m_beta: 16, ef_construction: 32, ..Default::default() },
             AcornVariant::Gamma,
         );
-        let pts = sweep_acorn(&idx, &ctx, &[16, 64]);
+        let pts = sweep_acorn(&snap, &ctx, &[16, 64]);
         assert_eq!(pts.len(), 2);
         assert!(pts[1].recall >= pts[0].recall - 0.1, "recall should not collapse with ef");
         assert!(pts[1].recall > 0.5);

@@ -5,8 +5,9 @@
 //! of **mixed traffic** (hybrid, filtered, and pure searches interleaved
 //! with inserts and deletes) against a [`SegmentedAcornIndex`] with
 //! background maintenance merging behind the readers. The `workload_bench`
-//! binary drives it at up to a million rows; CI drives the same code at an
-//! env-scaled row count and gates on tail latency.
+//! binary drives it at a million rows (the defaults — the committed
+//! `BENCH_workload.json`); CI drives the same code at an env-scaled row
+//! count and gates on tail latency.
 //!
 //! The design follows the atomix workload generator (SNIPPETS.md §3): a
 //! single declarative config names every axis — row count, dimension,
@@ -14,9 +15,8 @@
 //! read/write mix, concurrency, op count — and the whole run is a pure
 //! function of that config:
 //!
-//! 1. [`WorkloadConfig`] — parsed from a TOML subset ([`parse_toml`],
-//!    emitted back by [`to_toml`]) with `ACORN_WORKLOAD_*` env overrides
-//!    ([`WorkloadConfig::load`]).
+//! 1. [`WorkloadConfig`] — the defaults, scaled by the three
+//!    `ACORN_WORKLOAD_*` overrides of [`WorkloadConfig::load`].
 //! 2. [`WorkloadPlan::generate`] — expands the config into a corpus
 //!    ([`correlated_dataset`]), a pool of per-band query templates, and a
 //!    fully materialized op script ([`Op`]). Everything an execution needs
@@ -32,8 +32,6 @@
 //!    off, folded into a digest; two same-seed replays must produce the
 //!    same digest bit-for-bit.
 //!
-//! [`to_toml`]: WorkloadConfig::to_toml
-//! [`parse_toml`]: WorkloadConfig::parse_toml
 //! [`correlated_dataset`]: acorn_data::correlated_dataset
 
 use std::time::{Duration, Instant};
@@ -109,13 +107,13 @@ pub struct WorkloadConfig {
 impl Default for WorkloadConfig {
     fn default() -> Self {
         Self {
-            rows: 20_000,
+            rows: 1_000_000,
             dim: 32,
             clusters: 64,
             label_cardinality: 16,
             vocab: 32,
             affinity: 0.8,
-            ops: 8_000,
+            ops: 40_000,
             zipf_exponent: 1.0,
             concurrency: 2,
             hybrid_pct: 40,
@@ -137,135 +135,21 @@ impl Default for WorkloadConfig {
 }
 
 impl WorkloadConfig {
-    /// Parse the TOML subset [`to_toml`](Self::to_toml) emits: one
-    /// `key = value` per line, `#` comments, numeric scalars, and one-line
-    /// float arrays (`bands = [0.01, 0.1, 0.5]`). Unset keys keep their
-    /// defaults; unknown keys are an error (they are always typos).
-    ///
-    /// Hand-rolled because the workspace takes no serde/toml dependency;
-    /// round-tripping is tested (`parse_toml(c.to_toml()) == c`).
-    pub fn parse_toml(text: &str) -> Result<Self, String> {
-        let mut c = Self::default();
-        for (ln, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected `key = value`, got `{raw}`", ln + 1))?;
-            let (key, value) = (key.trim(), value.trim());
-            let bad =
-                |what: &str| format!("line {}: `{key}` must be {what}, got `{value}`", ln + 1);
-            let as_usize = || value.parse::<usize>().map_err(|_| bad("an integer"));
-            let as_u64 = || value.parse::<u64>().map_err(|_| bad("an integer"));
-            let as_f64 = || value.parse::<f64>().map_err(|_| bad("a number"));
-            match key {
-                "rows" => c.rows = as_usize()?,
-                "dim" => c.dim = as_usize()?,
-                "clusters" => c.clusters = as_usize()?,
-                "label_cardinality" => c.label_cardinality = as_usize()?,
-                "vocab" => c.vocab = as_usize()?,
-                "affinity" => c.affinity = as_f64()?,
-                "ops" => c.ops = as_usize()?,
-                "zipf_exponent" => c.zipf_exponent = as_f64()?,
-                "concurrency" => c.concurrency = as_usize()?,
-                "hybrid_pct" => c.hybrid_pct = as_usize()?,
-                "filtered_pct" => c.filtered_pct = as_usize()?,
-                "pure_pct" => c.pure_pct = as_usize()?,
-                "insert_pct" => c.insert_pct = as_usize()?,
-                "delete_pct" => c.delete_pct = as_usize()?,
-                "templates_per_band" => c.templates_per_band = as_usize()?,
-                "k" => c.k = as_usize()?,
-                "efs" => c.efs = as_usize()?,
-                "segment_rows" => c.segment_rows = as_usize()?,
-                "active_max_rows" => c.active_max_rows = as_usize()?,
-                "min_rows" => c.min_rows = as_usize()?,
-                "maintenance_ms" => c.maintenance_ms = as_u64()?,
-                "seed" => c.seed = as_u64()?,
-                "bands" => {
-                    let inner = value
-                        .strip_prefix('[')
-                        .and_then(|v| v.strip_suffix(']'))
-                        .ok_or_else(|| bad("a float array like [0.01, 0.1]"))?;
-                    c.bands = inner
-                        .split(',')
-                        .map(|s| s.trim().parse::<f64>())
-                        .collect::<Result<_, _>>()
-                        .map_err(|_| bad("a float array like [0.01, 0.1]"))?;
-                }
-                other => return Err(format!("line {}: unknown key `{other}`", ln + 1)),
-            }
-        }
-        Ok(c)
-    }
-
-    /// Emit the config as the TOML subset [`parse_toml`](Self::parse_toml)
-    /// reads. Float `Display` round-trips exactly, so
-    /// `parse_toml(c.to_toml()) == c` always.
-    pub fn to_toml(&self) -> String {
-        let bands = self.bands.iter().map(f64::to_string).collect::<Vec<_>>().join(", ");
-        format!(
-            "# acorn workload config (see docs/BENCHMARKS.md)\n\
-             rows = {}\ndim = {}\nclusters = {}\nlabel_cardinality = {}\nvocab = {}\n\
-             affinity = {}\nops = {}\nzipf_exponent = {}\nconcurrency = {}\n\
-             hybrid_pct = {}\nfiltered_pct = {}\npure_pct = {}\ninsert_pct = {}\n\
-             delete_pct = {}\nbands = [{bands}]\ntemplates_per_band = {}\nk = {}\n\
-             efs = {}\nsegment_rows = {}\nactive_max_rows = {}\nmin_rows = {}\n\
-             maintenance_ms = {}\nseed = {}\n",
-            self.rows,
-            self.dim,
-            self.clusters,
-            self.label_cardinality,
-            self.vocab,
-            self.affinity,
-            self.ops,
-            self.zipf_exponent,
-            self.concurrency,
-            self.hybrid_pct,
-            self.filtered_pct,
-            self.pure_pct,
-            self.insert_pct,
-            self.delete_pct,
-            self.templates_per_band,
-            self.k,
-            self.efs,
-            self.segment_rows,
-            self.active_max_rows,
-            self.min_rows,
-            self.maintenance_ms,
-            self.seed,
-        )
-    }
-
-    /// The config a bench run should use: the file named by
-    /// `ACORN_WORKLOAD_CONFIG` (defaults otherwise), then per-field
-    /// `ACORN_WORKLOAD_*` env overrides — `ROWS`, `OPS`, `DIM`, `ZIPF`,
-    /// `CONCURRENCY`, `SEED`, `SEGMENT_ROWS`, `MAINTENANCE_MS`. CI scales a
-    /// run down by exporting `ACORN_WORKLOAD_ROWS`/`OPS` and nothing else.
+    /// The config a bench run uses: the defaults — the scale of the
+    /// committed 1M-row run — unless `ACORN_WORKLOAD_ROWS`,
+    /// `ACORN_WORKLOAD_OPS` or `ACORN_WORKLOAD_SEGMENT_ROWS` scale it (CI's
+    /// smoke run: 20k rows, 6k ops, 10k-row segments).
     pub fn load() -> Result<Self, String> {
-        let mut c = match std::env::var("ACORN_WORKLOAD_CONFIG") {
-            Ok(path) => {
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
-                Self::parse_toml(&text)?
-            }
-            Err(_) => Self::default(),
-        };
-        fn over<T: std::str::FromStr>(key: &str, slot: &mut T) -> Result<(), String> {
+        let mut c = Self::default();
+        for (key, slot) in [
+            ("ACORN_WORKLOAD_ROWS", &mut c.rows),
+            ("ACORN_WORKLOAD_OPS", &mut c.ops),
+            ("ACORN_WORKLOAD_SEGMENT_ROWS", &mut c.segment_rows),
+        ] {
             if let Ok(v) = std::env::var(key) {
-                *slot = v.parse().map_err(|_| format!("{key} must parse, got `{v}`"))?;
+                *slot = v.parse().map_err(|_| format!("{key} must be an integer, got `{v}`"))?;
             }
-            Ok(())
         }
-        over("ACORN_WORKLOAD_ROWS", &mut c.rows)?;
-        over("ACORN_WORKLOAD_OPS", &mut c.ops)?;
-        over("ACORN_WORKLOAD_DIM", &mut c.dim)?;
-        over("ACORN_WORKLOAD_ZIPF", &mut c.zipf_exponent)?;
-        over("ACORN_WORKLOAD_CONCURRENCY", &mut c.concurrency)?;
-        over("ACORN_WORKLOAD_SEED", &mut c.seed)?;
-        over("ACORN_WORKLOAD_SEGMENT_ROWS", &mut c.segment_rows)?;
-        over("ACORN_WORKLOAD_MAINTENANCE_MS", &mut c.maintenance_ms)?;
         c.validate()?;
         Ok(c)
     }

@@ -1,4 +1,4 @@
-//! Determinism and config-round-trip tests for the workload harness: the
+//! Determinism tests for the workload harness: the
 //! whole run — corpus, templates, op script, and every op's observable
 //! result — must be a pure function of the config.
 
@@ -20,26 +20,6 @@ fn small_config() -> WorkloadConfig {
         concurrency: 1,
         ..WorkloadConfig::default()
     }
-}
-
-#[test]
-fn toml_round_trips_exactly() {
-    let mut c = small_config();
-    c.zipf_exponent = 0.73;
-    c.bands = vec![0.015, 0.25];
-    c.seed = 987;
-    let parsed = WorkloadConfig::parse_toml(&c.to_toml()).expect("own emission must parse");
-    assert_eq!(parsed, c, "parse(to_toml(c)) must round-trip every field");
-}
-
-#[test]
-fn toml_rejects_unknown_keys_and_bad_values() {
-    assert!(WorkloadConfig::parse_toml("rowz = 5").is_err(), "typo'd key must not pass silently");
-    assert!(WorkloadConfig::parse_toml("rows = many").is_err());
-    assert!(WorkloadConfig::parse_toml("bands = 0.5").is_err(), "bands must be an array");
-    let c = WorkloadConfig::parse_toml("# just a comment\n\nrows = 777\n").unwrap();
-    assert_eq!(c.rows, 777);
-    assert_eq!(c.dim, WorkloadConfig::default().dim, "unset keys keep defaults");
 }
 
 #[test]

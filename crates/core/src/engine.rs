@@ -11,7 +11,7 @@
 //!   answers query `i`, and the results are identical to a sequential loop
 //!   regardless of the thread count;
 //! * every worker checks one [`SearchScratch`] out of a shared
-//!   [`ScratchPool`] for its whole shard, so no O(n) visited set is ever
+//!   [`ScratchPool`](acorn_hnsw::ScratchPool) for its whole shard, so no O(n) visited set is ever
 //!   allocated per query;
 //! * per-worker [`SearchStats`] are merged into one aggregate, and wall
 //!   time / QPS are measured around the whole batch.
@@ -23,7 +23,7 @@
 
 use std::time::Duration;
 
-use acorn_hnsw::{LatencySummary, ScratchPool, SearchScratch, SearchStats};
+use acorn_hnsw::{LatencySummary, SearchScratch, SearchStats};
 use acorn_predicate::{AttrStore, Predicate};
 
 use crate::segment::{GlobalNeighbor, SegmentedAcornIndex};
@@ -68,7 +68,7 @@ impl BatchOutput {
 /// batch answers at the same epoch — bit-identical to a sequential loop at
 /// that epoch, whatever the writer does mid-batch — and no worker acquires
 /// a lock after the pin. Construction is free and scratches come from the
-/// index's own [`ScratchPool`]; keep one engine per index for the lifetime
+/// index's own [`ScratchPool`](acorn_hnsw::ScratchPool); keep one engine per index for the lifetime
 /// of a serving process and feed it query batches.
 #[derive(Debug, Clone)]
 pub struct SegmentedQueryEngine {
@@ -97,11 +97,6 @@ impl SegmentedQueryEngine {
     /// The reader handle this engine serves through.
     pub fn reader(&self) -> &IndexReader {
         &self.reader
-    }
-
-    /// The scratch pool this engine draws from (the index's own).
-    pub fn pool(&self) -> &ScratchPool {
-        self.reader.scratch_pool()
     }
 
     /// Shard `nq` queries across scoped workers; `f(i, scratch, stats)`
@@ -138,25 +133,6 @@ impl SegmentedQueryEngine {
         let snap = self.reader.snapshot();
         self.run_batch(&snap, queries.len(), |i, scratch, stats| {
             snap.search_with(queries[i].as_ref(), k, efs, scratch, stats)
-        })
-    }
-
-    /// Filtered search (Algorithm 2, no fallback routing) for a batch
-    /// sharing one global-id predicate.
-    pub fn search_filtered_batch<Q, F>(
-        &self,
-        queries: &[Q],
-        filter: &F,
-        k: usize,
-        efs: usize,
-    ) -> BatchOutput
-    where
-        Q: AsRef<[f32]> + Sync,
-        F: Fn(u64) -> bool + Sync,
-    {
-        let snap = self.reader.snapshot();
-        self.run_batch(&snap, queries.len(), |i, scratch, stats| {
-            snap.search_filtered(queries[i].as_ref(), filter, k, efs, scratch, stats)
         })
     }
 
@@ -214,7 +190,7 @@ mod tests {
 
     /// A static corpus served the one way there is: `bulk_load`ed as a
     /// single frozen segment, so local row id == global id. Also returns
-    /// the store, for building the monolithic reference index.
+    /// the store, for building the reference graph.
     fn static_index(n: usize, seed: u64) -> (SegmentedAcornIndex, VectorStore) {
         let store = VectorStore::from_flat(8, queries(n, 8, seed).concat());
         let mut idx = SegmentedAcornIndex::new(8, small_params(seed), AcornVariant::Gamma);
@@ -246,8 +222,8 @@ mod tests {
         let (idx, store) = static_index(800, 1);
         let qs = queries(23, 8, 2);
 
-        // The reference: a plain sequential loop over a monolithic index
-        // built on the same store (local id == gid).
+        // The reference: a plain sequential loop over a bare graph built
+        // on the same store (local id == gid).
         let mono = AcornIndex::build(Arc::new(store), small_params(1), AcornVariant::Gamma);
         let mut scratch = SearchScratch::new(mono.len());
         let sequential: Vec<Vec<(u64, f32)>> = qs
@@ -290,21 +266,6 @@ mod tests {
         }
         assert!(want.ndis > 0 && want.nhops > 0);
         assert_eq!(out.stats, want);
-    }
-
-    #[test]
-    fn filtered_batch_respects_filter() {
-        let idx = small_segmented(600, 5);
-        let qs = queries(8, 8, 6);
-        let engine = SegmentedQueryEngine::new(&idx).with_threads(2);
-        let out = engine.search_filtered_batch(&qs, &|gid| gid % 3 == 0, 10, 64);
-        for r in &out.results {
-            assert!(!r.is_empty());
-            for nb in r {
-                assert_eq!(nb.id % 3, 0, "filtered batch leaked a failing row");
-                assert!(nb.id % 9 != 0, "tombstoned gid {} surfaced from a batch", nb.id);
-            }
-        }
     }
 
     #[test]
@@ -357,10 +318,11 @@ mod tests {
         let idx = small_segmented(700, 21);
         let qs = queries(17, 8, 22);
 
-        let mut scratch = SearchScratch::new(idx.max_segment_rows());
+        let snap = idx.snapshot();
+        let mut scratch = SearchScratch::new(snap.max_segment_rows());
         let mut stats = SearchStats::default();
         let sequential: Vec<Vec<GlobalNeighbor>> =
-            qs.iter().map(|q| idx.search_with(q, 10, 48, &mut scratch, &mut stats)).collect();
+            qs.iter().map(|q| snap.search_with(q, 10, 48, &mut scratch, &mut stats)).collect();
 
         for threads in [1, 2, 4] {
             let engine = SegmentedQueryEngine::new(&idx).with_threads(threads);
@@ -381,12 +343,10 @@ mod tests {
         let qs = queries(16, 8, 12);
         let engine = SegmentedQueryEngine::new(&idx).with_threads(4);
         let _ = engine.search_batch(&qs, 5, 32);
-        let idle_after_first = engine.pool().idle();
+        let pool = engine.reader().scratch_pool();
+        let idle_after_first = pool.idle();
         assert!((1..=4).contains(&idle_after_first), "workers must return scratches");
         let _ = engine.search_batch(&qs, 5, 32);
-        assert!(
-            engine.pool().idle() <= 4,
-            "the pool must never hold more scratches than peak concurrency"
-        );
+        assert!(pool.idle() <= 4, "the pool must never hold more scratches than peak concurrency");
     }
 }

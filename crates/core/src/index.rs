@@ -1,5 +1,9 @@
-//! The ACORN index: predicate-agnostic construction (§5.2) and hybrid
-//! search (§5.1) with the selectivity-based pre-filter fallback.
+//! The ACORN graph of one segment: predicate-agnostic construction (§5.2,
+//! Algorithm 1), predicate-subgraph search (§5.1, Algorithm 2) and the exact
+//! pre-filter scan. Which of the two a hybrid query takes is the planner's
+//! decision ([`crate::plan`]), made per segment of a
+//! [`SegmentedAcornIndex`](crate::segment::SegmentedAcornIndex) — the index
+//! a user builds, queries and saves.
 //!
 //! An [`AcornIndex`] holds one graph at a time. It is *growing* — a nested
 //! [`LayeredGraph`] that accepts inserts — until [`AcornIndex::seal`] turns
@@ -10,51 +14,14 @@ use std::sync::Arc;
 
 use acorn_hnsw::heap::Neighbor;
 use acorn_hnsw::{
-    CsrGraph, GraphView, LayeredGraph, LevelSampler, ScratchPool, SearchScratch, SearchStats,
-    Sq8Store, VectorData, VectorStore,
+    CsrGraph, GraphView, LayeredGraph, LevelSampler, SearchScratch, SearchStats, Sq8Store,
+    VectorData, VectorStore,
 };
-use acorn_predicate::{AttrStore, NodeFilter, Predicate};
+use acorn_predicate::NodeFilter;
 
 use crate::params::{AcornParams, AcornVariant};
-use crate::plan::{self, PlanSegment};
 use crate::prune::{self, PruneStrategy};
 use crate::search::{acorn_search_layer, LookupMode};
-
-/// Materialization gate of the hybrid query planner ([`crate::plan`]): a
-/// segment whose **tally of the per-query selectivity sample** (hits ÷ draws
-/// that landed in the segment) falls below this value — or below the
-/// segment's `s_min`, whichever is larger — has the predicate
-/// **block-materialized** into a segment-local bitmap (one 64-row columnar
-/// scan per mask word, then constant-time bit tests) instead of evaluated
-/// lazily; the segment is then routed to the exact scan or to graph
-/// traversal on the bitmap's exact count. Rationale: at low selectivity the
-/// traversal spends most of its predicate checks on *failing* rows spread
-/// across many neighborhoods, so the number of distinct rows it would
-/// evaluate lazily approaches the segment's row count anyway — at which
-/// point one vectorized scan (≈ `rows / 64` mask-word stores) is strictly
-/// cheaper than `rows` scalar evaluations. At or above the gate the
-/// traversal touches a small, reused subset of rows and lazy memoized
-/// evaluation wins. Queries with a regex clause
-/// ([`CostClass::Expensive`](acorn_predicate::CostClass::Expensive)) always
-/// materialize, unsampled, because per-row regex cost dwarfs the scan
-/// overhead; so does a segment the sample drew nothing from.
-pub const MATERIALIZE_BELOW_SELECTIVITY: f64 = 0.25;
-
-/// How [`AcornIndex::hybrid_search_with`] produces row verdicts. Both
-/// strategies follow the one plan in [`crate::plan`] — same sample, same
-/// per-segment decisions — so they answer bit-identically.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PredicateStrategy {
-    /// Walk the [`Predicate`] AST for every row the plan evaluates: no
-    /// block kernel, no memo. Kept as the property-test oracle for the
-    /// compiled engine.
-    Interpreted,
-    /// Compile the predicate once per query; materialized segments run the
-    /// 64-row block kernels, lazily-filtered segments memoize per-row
-    /// verdicts (see [`MATERIALIZE_BELOW_SELECTIVITY`]).
-    #[default]
-    Adaptive,
-}
 
 /// The SQ8 traversal tier of a sealed index: graph search runs over the
 /// codes, and the retained exact rows in `AcornIndex::vecs` refine the top
@@ -150,7 +117,8 @@ impl State {
     }
 }
 
-/// An ACORN-γ or ACORN-1 index over a shared vector store.
+/// An ACORN-γ or ACORN-1 graph over a shared vector store: what one segment
+/// of a [`SegmentedAcornIndex`](crate::segment::SegmentedAcornIndex) holds.
 ///
 /// An index is **growing** from [`new`](Self::new) / [`build`](Self::build)
 /// on — a nested [`LayeredGraph`] that [`insert`](Self::insert) extends,
@@ -169,8 +137,6 @@ pub struct AcornIndex {
     variant: AcornVariant,
     vecs: Arc<VectorStore>,
     state: State,
-    /// Pool of query scratches backing [`search`](Self::search).
-    pool: ScratchPool,
     /// Total candidate edges pruned during construction (Figure 12c).
     edges_pruned: u64,
 }
@@ -243,8 +209,8 @@ impl AcornIndex {
     }
 
     /// A growing index over an already-built graph (validated parameters):
-    /// the empty one of [`new`](Self::new), or the deserialized one of
-    /// [`load`](Self::load).
+    /// the empty one of [`new`](Self::new), or the decoded one of an active
+    /// segment block.
     pub(crate) fn from_parts(
         params: AcornParams,
         variant: AcornVariant,
@@ -262,7 +228,6 @@ impl AcornIndex {
         let scratch = SearchScratch::new(vecs.len());
         Self {
             state: State::Growing(Growing { graph, sampler, scratch, labels: None }),
-            pool: ScratchPool::new(),
             vecs,
             params,
             variant,
@@ -299,12 +264,13 @@ impl AcornIndex {
     }
 
     /// The build-time layered graph of a growing index (graph-quality
-    /// analyses, Figure 13).
-    ///
-    /// # Panics
-    /// Panics on a sealed index, which holds only its [`csr`](Self::csr).
-    pub fn graph(&self) -> &LayeredGraph {
-        &self.state.growing().graph
+    /// analyses, Figure 13); `None` once sealed, when the index holds only
+    /// its [`csr`](Self::csr).
+    pub fn graph(&self) -> Option<&LayeredGraph> {
+        match &self.state {
+            State::Growing(g) => Some(&g.graph),
+            State::Sealed { .. } => None,
+        }
     }
 
     /// The CSR graph of a sealed index; `None` while the index is growing.
@@ -345,14 +311,7 @@ impl AcornIndex {
     ) -> Self {
         debug_assert_eq!(csr.len(), vecs.len());
         let quant = sq8.map(|tier| QuantizedTier::new(tier, &vecs));
-        Self {
-            state: State::Sealed { csr, quant },
-            pool: ScratchPool::new(),
-            vecs,
-            params,
-            variant,
-            edges_pruned,
-        }
+        Self { state: State::Sealed { csr, quant }, vecs, params, variant, edges_pruned }
     }
 
     fn quant(&self) -> Option<&QuantizedTier> {
@@ -600,7 +559,8 @@ impl AcornIndex {
     /// nearest passing nodes, without the pre-filter fallback.
     ///
     /// Use this when the caller already decided graph search is appropriate
-    /// (e.g. the benchmark sweeps); [`hybrid_search`](Self::hybrid_search)
+    /// (e.g. the benchmark sweeps);
+    /// [`SegmentSnapshot::hybrid_search`](crate::snapshot::SegmentSnapshot::hybrid_search)
     /// adds ACORN's cost-model routing.
     pub fn search_filtered<F: NodeFilter>(
         &self,
@@ -757,91 +717,6 @@ impl AcornIndex {
         stats.fallback = true;
         top.into_sorted()
     }
-
-    /// Full ACORN hybrid search with the cost-model routing of §5.2,
-    /// decided by the query planner ([`crate::plan`]): a predicate that
-    /// passes fewer than `s_min = 1/γ` of the rows is answered exactly by
-    /// pre-filtering, anything denser traverses the predicate subgraph.
-    ///
-    /// Row verdicts come from the default [`PredicateStrategy::Adaptive`]
-    /// engine (compile → materialize or memoize); see
-    /// [`hybrid_search_with`](Self::hybrid_search_with) to pin a strategy.
-    ///
-    /// # Panics
-    /// Panics if `attrs` has fewer rows than the index.
-    pub fn hybrid_search(
-        &self,
-        query: &[f32],
-        predicate: &Predicate,
-        attrs: &AttrStore,
-        k: usize,
-        efs: usize,
-        scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        self.hybrid_search_with(
-            query,
-            predicate,
-            attrs,
-            k,
-            efs,
-            scratch,
-            PredicateStrategy::default(),
-        )
-    }
-
-    /// [`hybrid_search`](Self::hybrid_search) with an explicit predicate
-    /// evaluation strategy. This index is planned as a single segment with
-    /// the identity id map and no tombstones — the same routine
-    /// [`SegmentSnapshot::hybrid_search_with`](crate::snapshot::SegmentSnapshot::hybrid_search_with)
-    /// runs over many. Both strategies share the plan and every verdict, so
-    /// routing and neighbors are bit-identical across them; only
-    /// `npred_evaluated` and wall time differ.
-    #[allow(clippy::too_many_arguments)]
-    pub fn hybrid_search_with(
-        &self,
-        query: &[f32],
-        predicate: &Predicate,
-        attrs: &AttrStore,
-        k: usize,
-        efs: usize,
-        scratch: &mut SearchScratch,
-        strategy: PredicateStrategy,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        assert!(
-            attrs.len() >= self.len(),
-            "attribute store ({} rows) must cover every indexed row ({})",
-            attrs.len(),
-            self.len()
-        );
-        let segment = PlanSegment { index: self, global_ids: None, tombstones: None };
-        let (mut lists, stats) = plan::hybrid_search(
-            std::iter::once(segment),
-            self.params.seed,
-            query,
-            predicate,
-            attrs,
-            k,
-            efs,
-            scratch,
-            strategy,
-        );
-        (lists.pop().unwrap_or_default(), stats)
-    }
-
-    /// The index's internal scratch pool. [`search`](Self::search) checks
-    /// scratches out of it; external drivers may share it too.
-    pub fn scratch_pool(&self) -> &ScratchPool {
-        &self.pool
-    }
-
-    /// Pure ANN search (no predicate). Scratch space comes from the index's
-    /// internal [`ScratchPool`], so repeated calls reuse the O(n) visited
-    /// set instead of reallocating it per query.
-    pub fn search(&self, query: &[f32], k: usize, efs: usize) -> Vec<Neighbor> {
-        let mut scratch = self.pool.checkout(self.len());
-        let mut stats = SearchStats::default();
-        self.search_filtered(query, &acorn_predicate::AllPass, k, efs, &mut scratch, &mut stats)
-    }
 }
 
 #[cfg(test)]
@@ -877,6 +752,13 @@ mod tests {
         }
     }
 
+    /// Pure ANN search (no predicate) with throwaway scratch.
+    fn pure_search(idx: &AcornIndex, query: &[f32], k: usize, efs: usize) -> Vec<Neighbor> {
+        let mut scratch = SearchScratch::new(idx.len());
+        let mut stats = SearchStats::default();
+        idx.search_filtered(query, &acorn_predicate::AllPass, k, efs, &mut scratch, &mut stats)
+    }
+
     fn brute_force_filtered(
         vecs: &VectorStore,
         q: &[f32],
@@ -896,11 +778,11 @@ mod tests {
     fn empty_and_single_point() {
         let vecs = random_store(0, 4, 0);
         let idx = AcornIndex::new(vecs, small_params(4, 2), AcornVariant::Gamma);
-        assert!(idx.search(&[0.0; 4], 3, 8).is_empty());
+        assert!(pure_search(&idx, &[0.0; 4], 3, 8).is_empty());
 
         let vecs = random_store(1, 4, 1);
         let idx = AcornIndex::build(vecs, small_params(4, 2), AcornVariant::Gamma);
-        let out = idx.search(&[0.0; 4], 3, 8);
+        let out = pure_search(&idx, &[0.0; 4], 3, 8);
         assert_eq!(out.len(), 1);
     }
 
@@ -920,7 +802,7 @@ mod tests {
     fn gamma_upper_levels_are_denser_than_m() {
         let vecs = random_store(3000, 8, 3);
         let idx = AcornIndex::build(vecs, small_params(8, 4), AcornVariant::Gamma);
-        let stats = idx.graph().level_stats();
+        let stats = idx.graph().unwrap().level_stats();
         if stats.len() > 1 && stats[1].nodes > 30 {
             assert!(
                 stats[1].avg_out_degree > 8.0,
@@ -936,7 +818,7 @@ mod tests {
         let p = AcornParams { m_beta: 12, ..small_params(8, 4) };
         let vecs = random_store(2000, 8, 4);
         let idx = AcornIndex::build(vecs, p.clone(), AcornVariant::Gamma);
-        let stats = idx.graph().level_stats();
+        let stats = idx.graph().unwrap().level_stats();
         // Re-compression triggers past M_β + M, so lists stay near that cap.
         assert!(
             stats[0].avg_out_degree <= (p.m_beta + p.m) as f64,
@@ -1076,128 +958,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_predicates_bypass_sampling_and_filtering() {
-        let n = 900;
-        let vecs = random_store(n, 8, 50);
-        let attrs = AttrStore::builder().add_int("v", (0..n as i64).collect()).build();
-        let field = attrs.field("v").unwrap();
-        let idx = AcornIndex::build(vecs, small_params(8, 4), AcornVariant::Gamma);
-        let mut scratch = SearchScratch::new(n);
-        let q = vec![0.3; 8];
-
-        let mut pure_stats = SearchStats::default();
-        let pure = idx.search_filtered(
-            &q,
-            &acorn_predicate::AllPass,
-            10,
-            40,
-            &mut scratch,
-            &mut pure_stats,
-        );
-        // `True`, and anything normalization folds to it.
-        let folded = Predicate::Or(vec![Predicate::Equals { field, value: 3 }, Predicate::True]);
-        for pred in [Predicate::True, folded] {
-            for strategy in [PredicateStrategy::Adaptive, PredicateStrategy::Interpreted] {
-                let (out, stats) =
-                    idx.hybrid_search_with(&q, &pred, &attrs, 10, 40, &mut scratch, strategy);
-                assert_eq!(
-                    out.iter().map(|x| (x.id, x.dist.to_bits())).collect::<Vec<_>>(),
-                    pure.iter().map(|x| (x.id, x.dist.to_bits())).collect::<Vec<_>>(),
-                    "a constant-true predicate is the pure search"
-                );
-                assert_eq!(stats, pure_stats, "no sample, no memo, no bitmap: the same work");
-            }
-        }
-        // Constant false: empty, and nothing at all is touched.
-        let never = Predicate::And(vec![
-            Predicate::Equals { field, value: 3 },
-            Predicate::In { field, values: vec![] },
-        ]);
-        for pred in [Predicate::const_false(), never] {
-            let (out, stats) = idx.hybrid_search(&q, &pred, &attrs, 10, 40, &mut scratch);
-            assert!(out.is_empty());
-            assert_eq!(stats, SearchStats::default());
-        }
-    }
-
-    #[test]
-    fn exact_count_routes_at_s_min_and_bitmap_traversal_matches_the_oracle() {
-        // γ = 8 → s_min = 0.125; 800 rows → the scan/traverse boundary is
-        // exactly 100 passing rows. `v = row id`, so `v < c` passes exactly
-        // `c` rows; both sides of the boundary sample far below the 0.25
-        // materialization gate, so the decision is made on the exact count.
-        let n = 800;
-        let vecs = random_store(n, 8, 60);
-        let attrs = AttrStore::builder().add_int("v", (0..n as i64).collect()).build();
-        let field = attrs.field("v").unwrap();
-        let idx = AcornIndex::build(vecs.clone(), small_params(8, 8), AcornVariant::Gamma);
-        assert_eq!(idx.params().s_min(), 0.125);
-        let mut scratch = SearchScratch::new(n);
-        let q = vec![-0.2; 8];
-        for (passing, fallback) in [(99i64, true), (100, false), (101, false), (1, true)] {
-            let pred = Predicate::Between { field, lo: 0, hi: passing - 1 };
-            let (a, sa) = idx.hybrid_search_with(
-                &q,
-                &pred,
-                &attrs,
-                10,
-                n,
-                &mut scratch,
-                PredicateStrategy::Adaptive,
-            );
-            let (b, sb) = idx.hybrid_search_with(
-                &q,
-                &pred,
-                &attrs,
-                10,
-                n,
-                &mut scratch,
-                PredicateStrategy::Interpreted,
-            );
-            assert_eq!(sa.fallback, fallback, "{passing} passing rows of {n}");
-            assert_eq!(sb.fallback, fallback, "the oracle strategy shares the plan");
-            let pairs =
-                |o: &[Neighbor]| o.iter().map(|x| (x.id, x.dist.to_bits())).collect::<Vec<_>>();
-            assert_eq!(pairs(&a), pairs(&b));
-            // With efs ≥ n the traversal is exhaustive, so either route
-            // equals brute force.
-            let want = brute_force_filtered(&vecs, &q, &|i| (i as i64) < passing, 10);
-            assert_eq!(a.iter().map(|x| x.id).collect::<Vec<_>>(), want);
-            // 1,000 sampled rows + one block pass over the 800 rows; the
-            // scan enumerates bits, the traversal's bit tests are cached.
-            assert_eq!(sa.npred_evaluated(), 1000 + n as u64);
-            assert_eq!(sb.npred_evaluated(), 1000 + n as u64);
-            if !fallback {
-                assert!(sa.npred_cached > 0, "bitmap bit tests count as cache answers");
-            }
-        }
-    }
-
-    #[test]
-    fn hybrid_search_falls_back_below_smin() {
-        let n = 1200;
-        let vecs = random_store(n, 8, 9);
-        // Attribute: only rows < 12 have value 1 → selectivity 0.01 < 1/γ = 0.25.
-        let values: Vec<i64> = (0..n as i64).map(|i| if i < 12 { 1 } else { 0 }).collect();
-        let attrs = AttrStore::builder().add_int("v", values).build();
-        let field = attrs.field("v").unwrap();
-        let idx = AcornIndex::build(vecs, small_params(8, 4), AcornVariant::Gamma);
-        let mut scratch = SearchScratch::new(n);
-        let pred = Predicate::Equals { field, value: 1 };
-        let (out, stats) = idx.hybrid_search(&[0.0; 8], &pred, &attrs, 5, 32, &mut scratch);
-        assert!(stats.fallback, "selective predicate must trigger pre-filtering");
-        assert_eq!(out.len(), 5);
-        for n in &out {
-            assert!(n.id < 12, "fallback returned non-passing row {}", n.id);
-        }
-
-        // Broad predicate: stays on the graph path.
-        let pred = Predicate::Equals { field, value: 0 };
-        let (_, stats) = idx.hybrid_search(&[0.0; 8], &pred, &attrs, 5, 32, &mut scratch);
-        assert!(!stats.fallback);
-    }
-
-    #[test]
     fn from_parts_matches_new_sampler_for_flattened_hierarchy() {
         // Regression: from_parts rebuilt the level sampler from M alone,
         // ignoring flatten_hierarchy, so a loaded flattening-ablation index
@@ -1230,74 +990,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_strategy_matches_interpreted_and_cuts_evaluations() {
-        let n = 2000;
-        let vecs = random_store(n, 8, 33);
-        let mut rng = StdRng::seed_from_u64(34);
-        let years: Vec<i64> = (0..n).map(|_| rng.gen_range(1990..2020)).collect();
-        let attrs = AttrStore::builder().add_int("year", years).build();
-        let field = attrs.field("year").unwrap();
-        let idx = AcornIndex::build(vecs, small_params(8, 4), AcornVariant::Gamma);
-        let mut scratch = SearchScratch::new(n);
-
-        for (pred, label) in [
-            (Predicate::Between { field, lo: 1995, hi: 2010 }, "mid-selectivity"),
-            (Predicate::Between { field, lo: 1990, hi: 2020 }, "high-selectivity"),
-            (Predicate::Equals { field, value: 1999 }, "low-selectivity"),
-            (Predicate::in_values(field, vec![1991, 2001, 2011]), "in-list"),
-        ] {
-            let q: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let (a, sa) = idx.hybrid_search_with(
-                &q,
-                &pred,
-                &attrs,
-                10,
-                48,
-                &mut scratch,
-                PredicateStrategy::Interpreted,
-            );
-            let (b, sb) = idx.hybrid_search_with(
-                &q,
-                &pred,
-                &attrs,
-                10,
-                48,
-                &mut scratch,
-                PredicateStrategy::Adaptive,
-            );
-            let pa: Vec<(u32, f32)> = a.iter().map(|x| (x.id, x.dist)).collect();
-            let pb: Vec<(u32, f32)> = b.iter().map(|x| (x.id, x.dist)).collect();
-            assert_eq!(pa, pb, "{label}: strategies must answer bit-identically");
-            assert_eq!(sa.fallback, sb.fallback, "{label}: routing must agree");
-            assert_eq!(sa.npred_cached, 0, "{label}: interpreted path never caches");
-            if !sb.fallback {
-                assert!(
-                    sb.npred_evaluated() < sa.npred_evaluated(),
-                    "{label}: adaptive must evaluate fewer rows \
-                     ({} vs {})",
-                    sb.npred_evaluated(),
-                    sa.npred_evaluated()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn search_reuses_pooled_scratch() {
-        let vecs = random_store(300, 8, 22);
-        let idx = AcornIndex::build(vecs, small_params(8, 2), AcornVariant::Gamma);
-        assert_eq!(idx.scratch_pool().idle(), 0);
-        let a = idx.search(&[0.0; 8], 5, 32);
-        assert_eq!(idx.scratch_pool().idle(), 1, "scratch must return to the pool");
-        let b = idx.search(&[0.0; 8], 5, 32);
-        assert_eq!(idx.scratch_pool().idle(), 1, "second search must reuse the pooled scratch");
-        assert_eq!(
-            a.iter().map(|n| n.id).collect::<Vec<_>>(),
-            b.iter().map(|n| n.id).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn insert_vector_grows_store_and_matches_prefilled_build() {
         let n = 300;
         let prefilled = random_store(n, 8, 17);
@@ -1312,7 +1004,7 @@ mod tests {
         assert_eq!(grown.len(), n);
         let q = vec![0.2; 8];
         let pairs = |idx: &AcornIndex| -> Vec<(u32, u32)> {
-            idx.search(&q, 10, 64).iter().map(|x| (x.id, x.dist.to_bits())).collect()
+            pure_search(idx, &q, 10, 64).iter().map(|x| (x.id, x.dist.to_bits())).collect()
         };
         assert_eq!(pairs(&built), pairs(&grown), "grown and prefilled construction must agree");
 
@@ -1343,8 +1035,8 @@ mod tests {
         assert_eq!(halfway.len(), n / 2, "and leaves the index it was cloned from alone");
         for v in 0..halfway.len() as u32 {
             assert_eq!(halfway.vectors().get(v), prefilled.get(v));
-            for lev in 0..=halfway.graph().level_of(v) {
-                for &w in halfway.graph().neighbors(v, lev) {
+            for lev in 0..=halfway.graph().unwrap().level_of(v) {
+                for &w in halfway.graph().unwrap().neighbors(v, lev) {
                     assert!((w as usize) < halfway.len(), "edge {v}->{w} leaked from the fork");
                 }
             }
@@ -1355,7 +1047,7 @@ mod tests {
     fn sealing_shrinks_memory_bytes_to_the_csrs() {
         let vecs = random_store(400, 8, 18);
         let idx = AcornIndex::build(vecs, small_params(8, 2), AcornVariant::Gamma);
-        let nested_bytes = idx.graph().memory_bytes();
+        let nested_bytes = idx.graph().unwrap().memory_bytes();
         assert_eq!(idx.memory_bytes(), nested_bytes, "nested until sealed");
         assert!(idx.csr().is_none());
         let sealed = idx.seal(None);
@@ -1377,11 +1069,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a sealed index has no build-time graph")]
-    fn graph_of_a_sealed_index_panics() {
+    fn graph_of_a_sealed_index_is_none() {
         let idx =
             AcornIndex::build(random_store(40, 4, 19), small_params(4, 2), AcornVariant::Gamma);
-        idx.seal(None).graph();
+        assert!(idx.graph().is_some() && idx.csr().is_none());
+        let sealed = idx.seal(None);
+        assert!(sealed.graph().is_none() && sealed.csr().is_some());
     }
 
     #[test]
@@ -1406,7 +1099,7 @@ mod tests {
         }
         let q = vec![0.2; 8];
         let pairs = |idx: &AcornIndex| -> Vec<(u32, u32)> {
-            idx.search(&q, 10, 64).iter().map(|x| (x.id, x.dist.to_bits())).collect()
+            pure_search(idx, &q, 10, 64).iter().map(|x| (x.id, x.dist.to_bits())).collect()
         };
         assert_eq!(pairs(&built), pairs(&view), "the clone grows into the same index");
         assert_eq!(sealed.len(), n / 2, "and the sealed index never sees its rows");
@@ -1418,8 +1111,8 @@ mod tests {
         let vecs = random_store(400, 8, 10);
         let a = AcornIndex::build(vecs.clone(), small_params(8, 3), AcornVariant::Gamma);
         let b = AcornIndex::build(vecs, small_params(8, 3), AcornVariant::Gamma);
-        let qa = a.search(&[0.0; 8], 5, 32);
-        let qb = b.search(&[0.0; 8], 5, 32);
+        let qa = pure_search(&a, &[0.0; 8], 5, 32);
+        let qb = pure_search(&b, &[0.0; 8], 5, 32);
         assert_eq!(
             qa.iter().map(|n| n.id).collect::<Vec<_>>(),
             qb.iter().map(|n| n.id).collect::<Vec<_>>()

@@ -31,7 +31,7 @@
 //! The crate also exposes the pruning-strategy ablation of the paper's
 //! Figure 12 ([`prune::PruneStrategy`]) and graph introspection for
 //! Table 6 / Figure 13, plus the batch-serving layer ([`SegmentedQueryEngine`]):
-//! concurrent, scratch-pooled execution of pure/filtered/hybrid query
+//! concurrent, scratch-pooled execution of pure and hybrid query
 //! batches with deterministic output ordering and aggregated search stats.
 //!
 //! For live-traffic workloads, [`SegmentedAcornIndex`] layers a
@@ -59,8 +59,9 @@ pub mod snapshot;
 
 pub use durability::{DurabilityOptions, DurableIndex, FsyncPolicy};
 pub use engine::{BatchOutput, SegmentedQueryEngine};
-pub use index::{AcornIndex, PredicateStrategy, Sq8Tier, MATERIALIZE_BELOW_SELECTIVITY};
+pub use index::{AcornIndex, Sq8Tier};
 pub use params::{AcornParams, AcornVariant};
+pub use plan::{PredicateStrategy, MATERIALIZE_BELOW_SELECTIVITY};
 pub use prune::PruneStrategy;
 pub use segment::{
     GlobalNeighbor, MergeOutcome, MergePolicy, QuantizationPolicy, SegmentedAcornIndex,

@@ -1,12 +1,12 @@
 //! The hybrid query planner: §5.2's cost-model routing, decided **once per
 //! query** for every segment the query will touch.
 //!
-//! [`AcornIndex::hybrid_search_with`] and
 //! [`SegmentSnapshot::hybrid_search_with`](crate::snapshot::SegmentSnapshot::hybrid_search_with)
-//! both end here. A monolithic index is the one-segment case with the
-//! identity id map and no tombstones, so a fully-merged segment and a
-//! from-scratch rebuild over its surviving rows run the same code over the
-//! same numbers — the compaction ≡ rebuild bit-identity holds by
+//! is the one way in. A static corpus is the one-segment case — a
+//! [`bulk_load`](crate::segment::SegmentedAcornIndex::bulk_load)ed segment
+//! with a contiguous id map and no tombstones — so a fully-merged segment
+//! and a from-scratch load of its surviving rows run the same code over the
+//! same numbers: the compaction ≡ rebuild bit-identity holds by
 //! construction.
 //!
 //! The plan, in order:
@@ -38,46 +38,59 @@
 //! is what makes it an oracle for the compiled engine rather than a second
 //! router.
 
-use acorn_hnsw::heap::Neighbor;
 use acorn_hnsw::{SearchScratch, SearchStats};
 use acorn_predicate::{
     sample_positions, AllPass, AttrStore, BitmapFilter, Bitset, CompiledPredicate, CostClass,
     MemoFilter, NodeFilter, Predicate,
 };
 
-use crate::index::{AcornIndex, PredicateStrategy, MATERIALIZE_BELOW_SELECTIVITY};
+use crate::segment::GlobalNeighbor;
+use crate::snapshot::{merge_segments, SegmentView};
+
+/// Materialization gate of the hybrid query planner: a
+/// segment whose **tally of the per-query selectivity sample** (hits ÷ draws
+/// that landed in the segment) falls below this value — or below the
+/// segment's `s_min`, whichever is larger — has the predicate
+/// **block-materialized** into a segment-local bitmap (one 64-row columnar
+/// scan per mask word, then constant-time bit tests) instead of evaluated
+/// lazily; the segment is then routed to the exact scan or to graph
+/// traversal on the bitmap's exact count. Rationale: at low selectivity the
+/// traversal spends most of its predicate checks on *failing* rows spread
+/// across many neighborhoods, so the number of distinct rows it would
+/// evaluate lazily approaches the segment's row count anyway — at which
+/// point one vectorized scan (≈ `rows / 64` mask-word stores) is strictly
+/// cheaper than `rows` scalar evaluations. At or above the gate the
+/// traversal touches a small, reused subset of rows and lazy memoized
+/// evaluation wins. Queries with a regex clause ([`CostClass::Expensive`])
+/// always materialize, unsampled, because per-row regex cost dwarfs the scan
+/// overhead; so does a segment the sample drew nothing from.
+pub const MATERIALIZE_BELOW_SELECTIVITY: f64 = 0.25;
+
+/// How
+/// [`SegmentSnapshot::hybrid_search_with`](crate::snapshot::SegmentSnapshot::hybrid_search_with)
+/// produces row verdicts. Both strategies follow the one plan in this module
+/// — same sample, same per-segment decisions — so they answer
+/// bit-identically.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum PredicateStrategy {
+    /// Walk the [`Predicate`] AST for every row the plan evaluates: no
+    /// block kernel, no memo. Kept as the property-test oracle for the
+    /// compiled engine.
+    Interpreted,
+    /// Compile the predicate once per query; materialized segments run the
+    /// 64-row block kernels, lazily-filtered segments memoize per-row
+    /// verdicts (see [`MATERIALIZE_BELOW_SELECTIVITY`]).
+    #[default]
+    Adaptive,
+}
 
 /// Rows the per-query selectivity sample draws (over all segments together).
 pub(crate) const SELECTIVITY_SAMPLES: usize = 1000;
 
-/// One segment as the planner sees it.
-#[derive(Clone, Copy)]
-pub(crate) struct PlanSegment<'a> {
-    /// The segment's graph and vectors.
-    pub(crate) index: &'a AcornIndex,
-    /// Strictly ascending local → global id map (global ids index the
-    /// attribute store); `None` is the identity of a monolithic index.
-    pub(crate) global_ids: Option<&'a [u64]>,
-    /// Set bit = deleted local row; `None` when the segment has no
-    /// tombstone set at all.
-    pub(crate) tombstones: Option<&'a Bitset>,
-}
-
-impl PlanSegment<'_> {
-    /// The attribute-store row of local row `local`.
-    #[inline]
-    fn attr_row(&self, local: u32) -> u32 {
-        match self.global_ids {
-            Some(gids) => gids[local as usize] as u32,
-            None => local,
-        }
-    }
-}
-
 /// A segment plus its slice of the concatenated sample universe and its
 /// tally of the shared sample.
 struct Planned<'a> {
-    seg: PlanSegment<'a>,
+    seg: &'a SegmentView,
     /// Positions `start..end` of the sample universe are this segment's
     /// local rows `0..end - start`.
     start: usize,
@@ -105,75 +118,57 @@ impl RowEval<'_> {
 }
 
 /// Lazy per-row evaluation at a segment-local id: through the id map to the
-/// attribute row, then the strategy's evaluator.
+/// attribute row (global ids index the attribute store), then the
+/// strategy's evaluator.
 struct SegmentRows<'a> {
     attrs: &'a AttrStore,
     eval: RowEval<'a>,
-    seg: PlanSegment<'a>,
+    global_ids: &'a [u64],
 }
 
 impl NodeFilter for SegmentRows<'_> {
     #[inline]
     fn passes(&self, id: u32) -> bool {
-        self.eval.passes(self.attrs, self.seg.attr_row(id))
-    }
-}
-
-/// Composes a segment's tombstones with any row filter: a tombstoned row
-/// never passes, whatever the inner filter says. Without tombstones (or with
-/// an empty set) this is transparent, which is what keeps a fully-merged
-/// segment bit-identical to a monolithic index.
-pub(crate) struct LiveFilter<'a, F: NodeFilter> {
-    pub(crate) inner: &'a F,
-    pub(crate) tombstones: Option<&'a Bitset>,
-}
-
-impl<F: NodeFilter> NodeFilter for LiveFilter<'_, F> {
-    #[inline]
-    fn passes(&self, id: u32) -> bool {
-        !self.tombstones.is_some_and(|t| t.get(id)) && self.inner.passes(id)
+        self.eval.passes(self.attrs, self.global_ids[id as usize] as u32)
     }
 }
 
 /// Write `{l : pred(attrs[gid[l]]) ∧ ¬tomb[l]}` over the segment's local ids
 /// into `bits`, returning the number of rows the predicate ran on.
 fn materialize_local(
-    seg: &PlanSegment<'_>,
+    seg: &SegmentView,
     eval: RowEval<'_>,
     attrs: &AttrStore,
     bits: &mut Bitset,
 ) -> u64 {
-    let rows = seg.index.len();
+    let gids = seg.global_ids();
+    let rows = gids.len();
     let evaluated = match eval {
         RowEval::Compiled(compiled) => {
-            let first = seg.attr_row(0);
-            compiled.to_bitset_range(attrs, first..=seg.attr_row(rows as u32 - 1), bits);
+            let (first, last) = (gids[0] as u32, gids[rows - 1] as u32);
+            compiled.to_bitset_range(attrs, first..=last, bits);
             let span = bits.len();
-            if let (true, Some(gids)) = (span != rows, seg.global_ids) {
+            if span != rows {
                 bits.gather_ascending(gids.iter().map(|&g| g as u32 - first));
             }
             span
         }
         RowEval::Interpreted(_) => {
-            *bits = Bitset::from_ids(
-                rows,
-                (0..rows as u32).filter(|&l| eval.passes(attrs, seg.attr_row(l))),
-            );
+            let passing = gids.iter().zip(0u32..).filter(|(&g, _)| eval.passes(attrs, g as u32));
+            *bits = Bitset::from_ids(rows, passing.map(|(_, l)| l));
             rows
         }
     };
-    if let Some(tombstones) = seg.tombstones {
-        bits.and_not_with(tombstones);
-    }
+    bits.and_not_with(&seg.tombstones);
     evaluated as u64
 }
 
-/// Plan and run one hybrid query over `segments`; returns each segment's
-/// top-`k` in **local** ids, in the order the segments were given, and the
-/// query's summed stats. `seed` seeds the selectivity sample.
+/// Plan and run one hybrid query over `segments` (non-empty, in query
+/// order); returns the k-way merge of their top-`k` lists by global id and
+/// the query's summed stats. `seed` seeds the selectivity sample.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hybrid_search<'a>(
-    segments: impl Iterator<Item = PlanSegment<'a>>,
+    segments: impl Iterator<Item = &'a SegmentView>,
     seed: u64,
     query: &[f32],
     predicate: &Predicate,
@@ -182,29 +177,25 @@ pub(crate) fn hybrid_search<'a>(
     efs: usize,
     scratch: &mut SearchScratch,
     strategy: PredicateStrategy,
-) -> (Vec<Vec<Neighbor>>, SearchStats) {
+) -> (Vec<GlobalNeighbor>, SearchStats) {
     let mut stats = SearchStats::default();
     let mut total = 0usize;
     let mut planned: Vec<Planned<'a>> = segments
         .map(|seg| {
             let start = total;
-            total += seg.index.len();
+            total += seg.rows();
             Planned { seg, start, end: total, draws: 0, hits: 0 }
         })
         .collect();
 
     let compiled = CompiledPredicate::compile(predicate);
     match compiled.as_const() {
-        Some(false) => return (vec![Vec::new(); planned.len()], stats),
+        Some(false) => return (Vec::new(), stats),
         Some(true) => {
             let lists = planned
                 .iter()
-                .map(|p| {
-                    let live = LiveFilter { inner: &AllPass, tombstones: p.seg.tombstones };
-                    p.seg.index.search_filtered(query, &live, k, efs, scratch, &mut stats)
-                })
-                .collect();
-            return (lists, stats);
+                .map(|p| (p.seg, p.seg.search_live(query, &AllPass, k, efs, scratch, &mut stats)));
+            return (merge_segments(lists, k), stats);
         }
         None => {}
     }
@@ -223,7 +214,7 @@ pub(crate) fn hybrid_search<'a>(
         sample_positions(total, SELECTIVITY_SAMPLES, seed, |pos| {
             let owner = planned.partition_point(|p| p.end <= pos);
             let p = &mut planned[owner];
-            let pass = eval.passes(attrs, p.seg.attr_row((pos - p.start) as u32));
+            let pass = eval.passes(attrs, p.seg.global_ids()[pos - p.start] as u32);
             p.draws += 1;
             p.hits += u32::from(pass);
             sample.push((pos as u32, pass));
@@ -231,26 +222,24 @@ pub(crate) fn hybrid_search<'a>(
         stats.npred += sample.len() as u64;
     }
 
-    let mut lists = Vec::with_capacity(planned.len());
-    for p in &planned {
-        let (seg, rows) = (&p.seg, p.end - p.start);
-        let s_min = seg.index.params().s_min();
+    let lists = planned.iter().map(|p| {
+        let (seg, rows) = (p.seg, p.end - p.start);
+        let index = seg.index();
+        let s_min = index.params().s_min();
         // Anything that could route to the exact scan is materialized, so
         // the scan/traverse decision is always made on an exact count.
         let lazy = p.draws > 0
             && f64::from(p.hits) / f64::from(p.draws) >= MATERIALIZE_BELOW_SELECTIVITY.max(s_min);
-        lists.push(if rows == 0 {
-            Vec::new()
-        } else if !lazy {
+        let out = if !lazy {
             let mut bits = std::mem::take(&mut scratch.bitmap);
             stats.npred += materialize_local(seg, eval, attrs, &mut bits);
             let passing = bits.count();
             let filter = BitmapFilter::new(bits);
             let out = if (passing as f64) < s_min * rows as f64 {
-                seg.index.prefilter_scan(query, &filter, k, &mut stats)
+                index.prefilter_scan(query, &filter, k, &mut stats)
             } else {
                 let before = stats.npred;
-                let out = seg.index.search_filtered(query, &filter, k, efs, scratch, &mut stats);
+                let out = index.search_filtered(query, &filter, k, efs, scratch, &mut stats);
                 // Every traversal check against the bitmap is a cache answer.
                 stats.npred_cached += stats.npred - before;
                 out
@@ -258,11 +247,10 @@ pub(crate) fn hybrid_search<'a>(
             scratch.bitmap = filter.into_bits();
             out
         } else {
-            let rows_filter = SegmentRows { attrs, eval, seg: *seg };
+            let rows_filter = SegmentRows { attrs, eval, global_ids: seg.global_ids() };
             match strategy {
                 PredicateStrategy::Interpreted => {
-                    let live = LiveFilter { inner: &rows_filter, tombstones: seg.tombstones };
-                    seg.index.search_filtered(query, &live, k, efs, scratch, &mut stats)
+                    seg.search_live(query, &rows_filter, k, efs, scratch, &mut stats)
                 }
                 PredicateStrategy::Adaptive => {
                     let memo = scratch.take_memo(rows);
@@ -272,23 +260,28 @@ pub(crate) fn hybrid_search<'a>(
                         }
                     }
                     let memoized = MemoFilter::new(&rows_filter, memo);
-                    let live = LiveFilter { inner: &memoized, tombstones: seg.tombstones };
-                    let out = seg.index.search_filtered(query, &live, k, efs, scratch, &mut stats);
+                    let out = seg.search_live(query, &memoized, k, efs, scratch, &mut stats);
                     stats.npred_cached += memoized.hits();
                     scratch.put_memo(memoized.into_memo());
                     out
                 }
             }
-        });
-    }
-    (lists, stats)
+        };
+        (seg, out)
+    });
+    (merge_segments(lists, k), stats)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::params::{AcornParams, AcornVariant};
     use crate::segment::SegmentedAcornIndex;
+    use crate::snapshot::SegmentSnapshot;
+    use acorn_hnsw::heap::Neighbor;
+    use acorn_hnsw::{Metric, VectorStore};
     use acorn_predicate::Regex;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -314,6 +307,243 @@ mod tests {
                 Predicate::Between { field: 0, lo: 1, hi: 4 },
                 Predicate::RegexMatch { field: 1, regex: Regex::new("d").unwrap() },
             ]),
+        }
+    }
+
+    /// A static corpus served the one way there is: `bulk_load`ed as a
+    /// single frozen segment, so global id == row id.
+    fn one_segment(n: usize, gamma: usize, seed: u64) -> (Arc<SegmentSnapshot>, VectorStore) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows: Vec<f32> = (0..n * 8).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let store = VectorStore::from_flat(8, rows);
+        let params = AcornParams {
+            m: 8,
+            gamma,
+            m_beta: 8,
+            ef_construction: 48,
+            seed: 7,
+            ..Default::default()
+        };
+        let mut index = SegmentedAcornIndex::new(8, params, AcornVariant::Gamma);
+        assert_eq!(index.bulk_load(store.clone()), 0..n as u64);
+        (index.snapshot(), store)
+    }
+
+    fn bits(out: &[GlobalNeighbor]) -> Vec<(u64, u32)> {
+        out.iter().map(|x| (x.id, x.dist.to_bits())).collect()
+    }
+
+    fn local_bits(out: &[Neighbor]) -> Vec<(u64, u32)> {
+        out.iter().map(|x| (u64::from(x.id), x.dist.to_bits())).collect()
+    }
+
+    fn brute_force(
+        vecs: &VectorStore,
+        q: &[f32],
+        pass: impl Fn(u32) -> bool,
+        k: usize,
+    ) -> Vec<u64> {
+        let mut all: Vec<Neighbor> = (0..vecs.len() as u32)
+            .filter(|&i| pass(i))
+            .map(|i| Neighbor::new(Metric::L2.distance(vecs.get(i), q), i))
+            .collect();
+        all.sort_unstable();
+        all.iter().take(k).map(|n| u64::from(n.id)).collect()
+    }
+
+    const BOTH: [PredicateStrategy; 2] =
+        [PredicateStrategy::Adaptive, PredicateStrategy::Interpreted];
+
+    #[test]
+    fn one_segment_snapshot_answers_as_its_graph_on_every_route() {
+        // What lets a one-segment `bulk_load` stand in for a bare graph: on
+        // each route the planner can take, the snapshot returns exactly what
+        // the segment's `AcornIndex` returns for a bitmap of the predicate
+        // built row by row with the interpreter. γ = 8 → s_min = 0.125;
+        // `v = row id`, so `v < c` passes exactly `c` of the 1,000 rows.
+        let n = 1000;
+        let (snap, _) = one_segment(n, 8, 70);
+        let graph = snap.frozen_segments()[0].index();
+        let attrs = AttrStore::builder().add_int("v", (0..n as i64).collect()).build();
+        let field = attrs.field("v").unwrap();
+        let mut scratch = SearchScratch::new(n);
+        let q = vec![0.1; 8];
+        let (k, efs, sampled) = (10, 64, SELECTIVITY_SAMPLES as u64);
+
+        let mut want_stats = SearchStats::default();
+        let want = graph.search_filtered(&q, &AllPass, k, efs, &mut scratch, &mut want_stats);
+        for strategy in BOTH {
+            let (got, stats) = snap.hybrid_search_with(
+                &q,
+                &Predicate::True,
+                &attrs,
+                k,
+                efs,
+                &mut scratch,
+                strategy,
+            );
+            assert_eq!(bits(&got), local_bits(&want), "constant true");
+            assert_eq!(stats, want_stats, "constant true: the pure search and nothing else");
+        }
+
+        // (passing rows, scanned, lazily filtered)
+        for (passing, scan, lazy) in [(50i64, true, false), (200, false, false), (600, false, true)]
+        {
+            let pred = Predicate::Between { field, lo: 0, hi: passing - 1 };
+            let interpreted =
+                Bitset::from_ids(n, (0..n as u32).filter(|&row| pred.eval(&attrs, row)));
+            let filter = BitmapFilter::new(interpreted);
+            let mut want_stats = SearchStats::default();
+            let want = if scan {
+                graph.prefilter_scan(&q, &filter, k, &mut want_stats)
+            } else {
+                graph.search_filtered(&q, &filter, k, efs, &mut scratch, &mut want_stats)
+            };
+            for strategy in BOTH {
+                let (got, stats) =
+                    snap.hybrid_search_with(&q, &pred, &attrs, k, efs, &mut scratch, strategy);
+                assert_eq!(bits(&got), local_bits(&want), "{passing} rows, {strategy:?}");
+                assert_eq!(
+                    (stats.ndis, stats.nhops, stats.fallback),
+                    (want_stats.ndis, want_stats.nhops, scan),
+                    "{passing} rows, {strategy:?}: the same traversal"
+                );
+                // The sample, one pass over the rows unless filtered lazily,
+                // and the graph's own checks.
+                let materialized = if lazy { 0 } else { n as u64 };
+                assert_eq!(stats.npred, sampled + materialized + want_stats.npred);
+                match (lazy, strategy) {
+                    (false, _) => assert_eq!(stats.npred_cached, want_stats.npred),
+                    (true, PredicateStrategy::Interpreted) => assert_eq!(stats.npred_cached, 0),
+                    (true, PredicateStrategy::Adaptive) => assert!(stats.npred_cached > 0),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn constant_predicates_bypass_sampling_and_filtering() {
+        let n = 900;
+        let (snap, _) = one_segment(n, 4, 50);
+        let attrs = AttrStore::builder().add_int("v", (0..n as i64).collect()).build();
+        let field = attrs.field("v").unwrap();
+        let mut scratch = SearchScratch::new(n);
+        let q = vec![0.3; 8];
+
+        let mut pure_stats = SearchStats::default();
+        let pure = snap.search_with(&q, 10, 40, &mut scratch, &mut pure_stats);
+        // `True`, and anything normalization folds to it.
+        let folded = Predicate::Or(vec![Predicate::Equals { field, value: 3 }, Predicate::True]);
+        for pred in [Predicate::True, folded] {
+            for strategy in BOTH {
+                let (out, stats) =
+                    snap.hybrid_search_with(&q, &pred, &attrs, 10, 40, &mut scratch, strategy);
+                assert_eq!(bits(&out), bits(&pure), "a constant-true predicate is the pure search");
+                assert_eq!(stats, pure_stats, "no sample, no memo, no bitmap: the same work");
+            }
+        }
+        // Constant false: empty, and nothing at all is touched.
+        let never = Predicate::And(vec![
+            Predicate::Equals { field, value: 3 },
+            Predicate::In { field, values: vec![] },
+        ]);
+        for pred in [Predicate::const_false(), never] {
+            let (out, stats) = snap.hybrid_search(&q, &pred, &attrs, 10, 40, &mut scratch);
+            assert!(out.is_empty());
+            assert_eq!(stats, SearchStats::default());
+        }
+    }
+
+    #[test]
+    fn exact_count_routes_at_s_min_and_bitmap_traversal_matches_the_oracle() {
+        // γ = 8 → s_min = 0.125; 800 rows → the scan/traverse boundary is
+        // exactly 100 passing rows. `v = row id`, so `v < c` passes exactly
+        // `c` rows; both sides of the boundary sample far below the 0.25
+        // materialization gate, so the decision is made on the exact count.
+        let n = 800;
+        let (snap, vecs) = one_segment(n, 8, 60);
+        let attrs = AttrStore::builder().add_int("v", (0..n as i64).collect()).build();
+        let field = attrs.field("v").unwrap();
+        assert_eq!(snap.frozen_segments()[0].index().params().s_min(), 0.125);
+        let mut scratch = SearchScratch::new(n);
+        let q = vec![-0.2; 8];
+        for (passing, fallback) in [(99i64, true), (100, false), (101, false), (1, true)] {
+            let pred = Predicate::Between { field, lo: 0, hi: passing - 1 };
+            let [(a, sa), (b, sb)] = BOTH.map(|strategy| {
+                snap.hybrid_search_with(&q, &pred, &attrs, 10, n, &mut scratch, strategy)
+            });
+            assert_eq!(sa.fallback, fallback, "{passing} passing rows of {n}");
+            assert_eq!(sb.fallback, fallback, "the oracle strategy shares the plan");
+            assert_eq!(bits(&a), bits(&b));
+            // With efs ≥ n the traversal is exhaustive, so either route
+            // equals brute force.
+            let want = brute_force(&vecs, &q, |i| i64::from(i) < passing, 10);
+            assert_eq!(a.iter().map(|x| x.id).collect::<Vec<_>>(), want);
+            // 1,000 sampled rows + one block pass over the 800 rows; the
+            // scan enumerates bits, the traversal's bit tests are cached.
+            assert_eq!(sa.npred_evaluated(), 1000 + n as u64);
+            assert_eq!(sb.npred_evaluated(), 1000 + n as u64);
+            if !fallback {
+                assert!(sa.npred_cached > 0, "bitmap bit tests count as cache answers");
+            }
+        }
+    }
+
+    #[test]
+    fn hybrid_search_falls_back_below_smin() {
+        let n = 1200;
+        let (snap, _) = one_segment(n, 4, 9);
+        // Attribute: only rows < 12 have value 1 → selectivity 0.01 < 1/γ = 0.25.
+        let values: Vec<i64> = (0..n as i64).map(|i| if i < 12 { 1 } else { 0 }).collect();
+        let attrs = AttrStore::builder().add_int("v", values).build();
+        let field = attrs.field("v").unwrap();
+        let mut scratch = SearchScratch::new(n);
+        let pred = Predicate::Equals { field, value: 1 };
+        let (out, stats) = snap.hybrid_search(&[0.0; 8], &pred, &attrs, 5, 32, &mut scratch);
+        assert!(stats.fallback, "selective predicate must trigger pre-filtering");
+        assert_eq!(out.len(), 5);
+        for n in &out {
+            assert!(n.id < 12, "fallback returned non-passing row {}", n.id);
+        }
+
+        // Broad predicate: stays on the graph path.
+        let pred = Predicate::Equals { field, value: 0 };
+        let (_, stats) = snap.hybrid_search(&[0.0; 8], &pred, &attrs, 5, 32, &mut scratch);
+        assert!(!stats.fallback);
+    }
+
+    #[test]
+    fn adaptive_strategy_matches_interpreted_and_cuts_evaluations() {
+        let n = 2000;
+        let (snap, _) = one_segment(n, 4, 33);
+        let mut rng = StdRng::seed_from_u64(34);
+        let years: Vec<i64> = (0..n).map(|_| rng.gen_range(1990..2020)).collect();
+        let attrs = AttrStore::builder().add_int("year", years).build();
+        let field = attrs.field("year").unwrap();
+        let mut scratch = SearchScratch::new(n);
+
+        for (pred, label) in [
+            (Predicate::Between { field, lo: 1995, hi: 2010 }, "mid-selectivity"),
+            (Predicate::Between { field, lo: 1990, hi: 2020 }, "high-selectivity"),
+            (Predicate::Equals { field, value: 1999 }, "low-selectivity"),
+            (Predicate::in_values(field, vec![1991, 2001, 2011]), "in-list"),
+        ] {
+            let q: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let [(b, sb), (a, sa)] = BOTH.map(|strategy| {
+                snap.hybrid_search_with(&q, &pred, &attrs, 10, 48, &mut scratch, strategy)
+            });
+            assert_eq!(bits(&a), bits(&b), "{label}: strategies must answer bit-identically");
+            assert_eq!(sa.fallback, sb.fallback, "{label}: routing must agree");
+            assert_eq!(sa.npred_cached, 0, "{label}: interpreted path never caches");
+            if !sb.fallback {
+                assert!(
+                    sb.npred_evaluated() < sa.npred_evaluated(),
+                    "{label}: adaptive must evaluate fewer rows \
+                     ({} vs {})",
+                    sb.npred_evaluated(),
+                    sa.npred_evaluated()
+                );
+            }
         }
     }
 
@@ -377,11 +607,6 @@ mod tests {
                     gapped |= span != rows;
                     contiguous |= span == rows;
                     tombstoned |= view.deleted > 0;
-                    let seg = PlanSegment {
-                        index: &view.payload.index,
-                        global_ids: Some(gids),
-                        tombstones: Some(&view.tombstones),
-                    };
                     let want = Bitset::from_ids(
                         rows,
                         (0..rows as u32).filter(|&l| {
@@ -393,7 +618,7 @@ mod tests {
                         (RowEval::Interpreted(&pred), rows),
                     ] {
                         let mut bits = Bitset::full(777); // stale pooled content
-                        let n = materialize_local(&seg, eval, &attrs, &mut bits);
+                        let n = materialize_local(view, eval, &attrs, &mut bits);
                         prop_assert_eq!(&bits, &want, "gids {}..={}", gids[0], gids[rows - 1]);
                         prop_assert_eq!(n, evaluated as u64, "rows charged to npred");
                     }

@@ -12,8 +12,8 @@
 //! (`PredicateFilter`), one compiled-program run (`CompiledFilter`), a
 //! memoized check that evaluates each distinct row at most once per query
 //! (`MemoFilter`), or a bit test against a block-materialized bitmap
-//! (`BitmapFilter`). `AcornIndex::hybrid_search` picks between the last
-//! three adaptively; results are identical for any filter that answers
+//! (`BitmapFilter`). The query planner ([`crate::plan`]) picks between the
+//! last three adaptively; results are identical for any filter that answers
 //! `passes` the same way.
 
 use acorn_hnsw::heap::{Neighbor, TopK};

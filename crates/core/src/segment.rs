@@ -53,20 +53,21 @@
 //!
 //! **Determinism contract** (property-tested): after [`compact_all`]
 //! collapses everything into one segment, every query — pure, filtered, and
-//! hybrid under either [`PredicateStrategy`] — answers **bit-identically**
-//! to a from-scratch [`AcornIndex`] built over the surviving rows in global
-//! id order. This holds because merge rebuilds with the same parameters,
-//! seed, and insertion order, and because both sides run the **same query
-//! planner** ([`crate::plan`]): a monolithic index is planned as one segment
-//! with the identity id map, so the one remaining segment draws the same
-//! sample positions over its rows, tallies the same verdicts, materializes
-//! the same local bitmap and routes on the same exact count as the rebuild.
+//! hybrid under either [`PredicateStrategy`](crate::plan::PredicateStrategy)
+//! — answers **bit-identically** to a fresh index [`bulk_load`]ed with the
+//! surviving rows in global id order. This holds because merge rebuilds with
+//! the same parameters, seed, and insertion order, and because both sides
+//! are one segment under the **same query planner** ([`crate::plan`]): the
+//! merged segment draws the same sample positions over its rows, tallies the
+//! same verdicts, materializes the same local bitmap and routes on the same
+//! exact count as the from-scratch load.
 //!
 //! [`freeze`]: SegmentedAcornIndex::freeze
 //! [`delete`]: SegmentedAcornIndex::delete
 //! [`insert`]: SegmentedAcornIndex::insert
 //! [`merge`]: SegmentedAcornIndex::merge
 //! [`compact_all`]: SegmentedAcornIndex::compact_all
+//! [`bulk_load`]: SegmentedAcornIndex::bulk_load
 //! [`LayeredGraph`]: acorn_hnsw::LayeredGraph
 
 use std::cmp::Ordering;
@@ -78,7 +79,7 @@ use std::time::Duration;
 use acorn_hnsw::{ScratchPool, SearchScratch, SearchStats, VectorStore};
 use acorn_predicate::{AttrStore, Bitset, Predicate};
 
-use crate::index::{AcornIndex, PredicateStrategy, Sq8Tier};
+use crate::index::{AcornIndex, Sq8Tier};
 use crate::params::{AcornParams, AcornVariant};
 use crate::snapshot::{IndexReader, SegmentPayload, SegmentSnapshot, SegmentView, SharedState};
 
@@ -570,8 +571,8 @@ impl SegmentedAcornIndex {
     /// Freeze the active segment, then merge **all** frozen segments into a
     /// single one, dropping every tombstoned row. After this the index
     /// holds at most one (fully live) segment, and every query answers
-    /// bit-identically to a from-scratch [`AcornIndex`] over the surviving
-    /// rows in global id order.
+    /// bit-identically to a fresh index [`bulk_load`](Self::bulk_load)ed
+    /// with the surviving rows in global id order.
     pub fn compact_all(&mut self) -> MergeOutcome {
         self.freeze();
         run_merge(&self.shared, true)
@@ -651,11 +652,6 @@ impl SegmentedAcornIndex {
         }
     }
 
-    /// True while a background maintenance thread is attached.
-    pub fn maintenance_running(&self) -> bool {
-        self.maintenance.is_some()
-    }
-
     /// Background merge cycles that panicked (caught by the maintenance
     /// thread; see [`IndexReader::maintenance_errors`]).
     pub fn maintenance_errors(&self) -> u64 {
@@ -679,35 +675,6 @@ impl SegmentedAcornIndex {
         snap.search_with(query, k, efs, &mut scratch, &mut stats)
     }
 
-    /// [`search`](Self::search) with caller-owned scratch and stats. The
-    /// one scratch serves every segment of the query in turn.
-    pub fn search_with(
-        &self,
-        query: &[f32],
-        k: usize,
-        efs: usize,
-        scratch: &mut SearchScratch,
-        stats: &mut SearchStats,
-    ) -> Vec<GlobalNeighbor> {
-        self.snapshot().search_with(query, k, efs, scratch, stats)
-    }
-
-    /// Filtered search (Algorithm 2 per segment, no fallback routing) with
-    /// a caller-supplied predicate over **global** ids. Tombstones compose
-    /// automatically; deleted rows never pass.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_filtered<F: Fn(u64) -> bool>(
-        &self,
-        query: &[f32],
-        filter: &F,
-        k: usize,
-        efs: usize,
-        scratch: &mut SearchScratch,
-        stats: &mut SearchStats,
-    ) -> Vec<GlobalNeighbor> {
-        self.snapshot().search_filtered(query, filter, k, efs, scratch, stats)
-    }
-
     /// Full hybrid search with ACORN's §5.2 cost-model routing applied
     /// **per segment** — see [`SegmentSnapshot::hybrid_search`].
     pub fn hybrid_search(
@@ -720,23 +687,6 @@ impl SegmentedAcornIndex {
         scratch: &mut SearchScratch,
     ) -> (Vec<GlobalNeighbor>, SearchStats) {
         self.snapshot().hybrid_search(query, predicate, attrs, k, efs, scratch)
-    }
-
-    /// [`hybrid_search`](Self::hybrid_search) with an explicit
-    /// [`PredicateStrategy`]. Results are bit-identical across strategies,
-    /// mirroring [`AcornIndex::hybrid_search_with`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn hybrid_search_with(
-        &self,
-        query: &[f32],
-        predicate: &Predicate,
-        attrs: &AttrStore,
-        k: usize,
-        efs: usize,
-        scratch: &mut SearchScratch,
-        strategy: PredicateStrategy,
-    ) -> (Vec<GlobalNeighbor>, SearchStats) {
-        self.snapshot().hybrid_search_with(query, predicate, attrs, k, efs, scratch, strategy)
     }
 }
 
@@ -940,6 +890,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::PredicateStrategy;
     use crate::prune::PruneStrategy;
     use acorn_hnsw::Metric;
     use acorn_predicate::AllPass;
@@ -1051,13 +1002,14 @@ mod tests {
         }
         assert!(!idx.contains(0) && idx.contains(1));
         assert_eq!(idx.len(), 500 - 167);
-        let mut scratch = SearchScratch::new(idx.max_segment_rows());
+        let snap = idx.snapshot();
+        let mut scratch = SearchScratch::new(snap.max_segment_rows());
         let mut stats = SearchStats::default();
         for q in random_vecs(10, 8, 4) {
             for n in idx.search(&q, 10, 64) {
                 assert!(n.id % 3 != 0, "deleted gid {} surfaced from search", n.id);
             }
-            for n in idx.search_filtered(&q, &|gid| gid % 2 == 0, 10, 64, &mut scratch, &mut stats)
+            for n in snap.search_filtered(&q, &|gid| gid % 2 == 0, 10, 64, &mut scratch, &mut stats)
             {
                 assert!(n.id % 3 != 0 && n.id % 2 == 0, "bad gid {}", n.id);
             }
@@ -1232,12 +1184,15 @@ mod tests {
         assert_eq!(outcome.rows_dropped, 7);
         assert_eq!(idx.num_segments(), 1);
 
+        // The from-scratch side: a fresh index bulk-loaded with the
+        // survivors in global id order (row i of it is `survivors[i]`).
         let survivors = idx.live_ids();
         let mut store = VectorStore::with_capacity(8, survivors.len());
         for &gid in &survivors {
             store.push(&vecs[gid as usize]);
         }
-        let rebuilt = AcornIndex::build(Arc::new(store), params, AcornVariant::Gamma);
+        let mut rebuilt = SegmentedAcornIndex::new(8, params, AcornVariant::Gamma);
+        rebuilt.bulk_load(store);
 
         for q in random_vecs(8, 8, 12) {
             let seg_out = idx.search(&q, 10, 64);
@@ -1324,11 +1279,12 @@ mod tests {
             idx.delete(gid);
         }
 
-        let mut scratch = SearchScratch::new(idx.max_segment_rows());
+        let snap = idx.snapshot();
+        let mut scratch = SearchScratch::new(snap.max_segment_rows());
         for t in 0..6 {
             let q: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let pred = Predicate::Equals { field, value: t % 5 };
-            let (a, sa) = idx.hybrid_search_with(
+            let (a, sa) = snap.hybrid_search_with(
                 &q,
                 &pred,
                 &attrs,
@@ -1337,7 +1293,7 @@ mod tests {
                 &mut scratch,
                 PredicateStrategy::Interpreted,
             );
-            let (b, sb) = idx.hybrid_search_with(
+            let (b, sb) = snap.hybrid_search_with(
                 &q,
                 &pred,
                 &attrs,

@@ -1,12 +1,13 @@
-//! Binary serialization for [`AcornIndex`] and [`SegmentedAcornIndex`]:
-//! one little-endian, versioned, length-prefixed codec — no external
-//! serialization crates — behind three checksummed containers.
+//! Binary serialization for [`SegmentedAcornIndex`]: one little-endian,
+//! versioned, length-prefixed codec — no external serialization crates —
+//! behind three checksummed containers.
 //!
-//! ## Format v3 — one index
+//! ## The v3 blob — one segment's graph
 //!
-//! The index (graph + parameters) is persisted separately from the vectors:
-//! embeddings usually already live in the application's own storage, and an
-//! ACORN graph is meaningless without exactly the store it was built over.
+//! Every segment block below ends in the graph (+ parameters) of its
+//! [`AcornIndex`], in the layout that used to be a file format of its own
+//! (hence the magic and version it still leads with; nothing outside this
+//! module reads or writes it):
 //!
 //! ```text
 //! magic "ACRN" | version u32 | variant u8 | m u64 | gamma u64 | m_beta u64
@@ -16,11 +17,10 @@
 //! ```
 //!
 //! The trailing `compacted` flag records whether the index was
-//! [sealed](AcornIndex::seal) when saved; [`AcornIndex::load`] seals the
-//! loaded graph again (deterministic, so the reconstructed [`CsrGraph`] is
-//! identical) and a growing index comes back growing. `save` walks whichever
-//! graph the index holds and writes the same per-node lists either way, so
-//! the bytes do not depend on the layout beyond that one flag.
+//! [sealed](AcornIndex::seal) when saved: a frozen block's must be set, the
+//! active block's clear. The encoder walks whichever graph the index holds
+//! and writes the same per-node lists either way, so the bytes do not depend
+//! on the layout beyond that one flag.
 //!
 //! ## The segment block
 //!
@@ -34,7 +34,7 @@
 //! | vectors [f32; n · dim] | embedded v3 index blob
 //! ```
 //!
-//! Unlike v3, segment vectors are embedded: the segmented index owns its
+//! The vectors are embedded beside the graph: the segmented index owns its
 //! per-segment stores (rows arrive one at a time through `insert`), so a
 //! loaded index resumes serving **and accepting writes** with no external
 //! store to re-attach. Only the *codebook* of a quantized segment is
@@ -329,12 +329,12 @@ fn get_header(r: &mut impl Read) -> io::Result<(AcornVariant, AcornParams)> {
 }
 
 impl AcornIndex {
-    /// Serialize the index (graph + parameters, not the vectors) to `w`.
+    /// Write the v3 blob (graph + parameters, not the vectors) to `w`.
     ///
     /// Note: only [`PruneStrategy::AcornCompress`] and
     /// [`PruneStrategy::KeepAll`] round-trip; the label-dependent ablation
     /// strategies are research knobs and serialize as `AcornCompress`.
-    pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
+    fn save(&self, w: &mut impl Write) -> io::Result<()> {
         w.write_all(MAGIC)?;
         put_u32(w, VERSION)?;
         put_header(w, self.variant(), self.params())?;
@@ -365,17 +365,6 @@ impl AcornIndex {
         Ok(())
     }
 
-    /// Load an index previously written by [`save`](Self::save), attaching
-    /// it to `vecs` (which must be the store the index was built over).
-    ///
-    /// # Errors
-    /// Returns `InvalidData` on magic/version mismatch, and if `vecs` does
-    /// not have exactly as many vectors as the serialized graph has nodes.
-    pub fn load(r: &mut impl Read, vecs: Arc<VectorStore>) -> io::Result<AcornIndex> {
-        let (idx, sealed) = Self::load_growing(r, vecs)?;
-        Ok(if sealed { idx.seal(None) } else { idx })
-    }
-
     /// A v3 blob up to its node lists: magic, version, the parameter
     /// header, and a node count that must be `rows`.
     fn load_preamble(r: &mut impl Read, rows: usize) -> io::Result<(AcornVariant, AcornParams)> {
@@ -384,12 +373,8 @@ impl AcornIndex {
         if &magic != MAGIC {
             return Err(bad("not an ACORN index file"));
         }
-        match get_u32(r)? {
-            VERSION => {}
-            SEGMENTED_V6 => {
-                return Err(bad("this is a segmented index file; use SegmentedAcornIndex::load"))
-            }
-            _ => return Err(bad("unsupported ACORN index version")),
+        if get_u32(r)? != VERSION {
+            return Err(bad("unsupported ACORN index version"));
         }
         let header = get_header(r)?;
         if get_u64(r)? as usize != rows {
@@ -398,8 +383,13 @@ impl AcornIndex {
         Ok(header)
     }
 
-    /// [`load`](Self::load) up to the `compacted` flag: the graph as a
-    /// growing index, and whether the saved index was sealed.
+    /// The v3 blob of the active segment's block over `vecs` (the rows the
+    /// graph was built over): the graph as a growing index, and whether the
+    /// blob's `compacted` flag says the saved index was sealed.
+    ///
+    /// # Errors
+    /// Returns `InvalidData` on magic/version mismatch, and if `vecs` does
+    /// not have exactly as many vectors as the serialized graph has nodes.
     fn load_growing(r: &mut impl Read, vecs: Arc<VectorStore>) -> io::Result<(AcornIndex, bool)> {
         let n = vecs.len();
         let (variant, params) = Self::load_preamble(r, n)?;
@@ -757,12 +747,8 @@ impl SegmentedAcornIndex {
         if file.len() < 8 || &file[..4] != MAGIC {
             return Err(bad("not an ACORN index file"));
         }
-        match u32::from_le_bytes(file[4..8].try_into().expect("4 version bytes")) {
-            SEGMENTED_V6 => {}
-            VERSION => {
-                return Err(bad("this is a plain (non-segmented) index file; use AcornIndex::load"))
-            }
-            _ => return Err(bad("unsupported ACORN index version")),
+        if file[4..8] != SEGMENTED_V6.to_le_bytes() {
+            return Err(bad("unsupported ACORN index version"));
         }
         let (body, _) = footer_checked(&file, "segmented index")?;
         let mut r = &body[8..];
@@ -921,6 +907,28 @@ mod tests {
         Arc::new(s)
     }
 
+    /// The v3 blob of `idx`.
+    fn blob(idx: &AcornIndex) -> Vec<u8> {
+        let mut buf = Vec::new();
+        idx.save(&mut buf).unwrap();
+        buf
+    }
+
+    /// Decode a v3 blob the way an active segment's block is: as a growing
+    /// index, whatever its `compacted` flag says.
+    fn load_growing(buf: &[u8], vecs: Arc<VectorStore>) -> io::Result<AcornIndex> {
+        AcornIndex::load_growing(&mut &*buf, vecs).map(|(idx, _)| idx)
+    }
+
+    fn search(idx: &AcornIndex, q: &[f32]) -> Vec<(u32, f32)> {
+        let mut scratch = acorn_hnsw::SearchScratch::new(idx.len());
+        let mut stats = acorn_hnsw::SearchStats::default();
+        idx.search_filtered(q, &acorn_predicate::AllPass, 10, 64, &mut scratch, &mut stats)
+            .iter()
+            .map(|n| (n.id, n.dist))
+            .collect()
+    }
+
     #[test]
     fn roundtrip_preserves_search_results() {
         let vecs = random_store(600, 8, 1);
@@ -928,17 +936,13 @@ mod tests {
             AcornParams { m: 8, gamma: 4, m_beta: 16, ef_construction: 32, ..Default::default() };
         let idx = AcornIndex::build(vecs.clone(), params, AcornVariant::Gamma);
 
-        let mut buf = Vec::new();
-        idx.save(&mut buf).unwrap();
-        let loaded = AcornIndex::load(&mut buf.as_slice(), vecs.clone()).unwrap();
+        let loaded = load_growing(&blob(&idx), vecs.clone()).unwrap();
 
         assert_eq!(loaded.len(), idx.len());
         assert_eq!(loaded.variant(), idx.variant());
         assert_eq!(loaded.edges_pruned(), idx.edges_pruned());
         let q = vec![0.1; 8];
-        let a: Vec<u32> = idx.search(&q, 10, 64).iter().map(|n| n.id).collect();
-        let b: Vec<u32> = loaded.search(&q, 10, 64).iter().map(|n| n.id).collect();
-        assert_eq!(a, b, "loaded index must answer identically");
+        assert_eq!(search(&idx, &q), search(&loaded, &q), "loaded index must answer identically");
     }
 
     #[test]
@@ -947,9 +951,7 @@ mod tests {
         let params =
             AcornParams { m: 8, gamma: 6, m_beta: 8, ef_construction: 16, ..Default::default() };
         let idx = AcornIndex::build(vecs.clone(), params, AcornVariant::One);
-        let mut buf = Vec::new();
-        idx.save(&mut buf).unwrap();
-        let loaded = AcornIndex::load(&mut buf.as_slice(), vecs).unwrap();
+        let loaded = load_growing(&blob(&idx), vecs).unwrap();
         assert_eq!(loaded.variant(), AcornVariant::One);
         assert_eq!(loaded.params().s_min(), idx.params().s_min());
     }
@@ -962,22 +964,22 @@ mod tests {
         let plain = AcornIndex::build(vecs.clone(), params, AcornVariant::Gamma);
         let idx = plain.clone().seal(None);
 
-        let mut buf = Vec::new();
-        idx.save(&mut buf).unwrap();
-        let loaded = AcornIndex::load(&mut buf.as_slice(), vecs.clone()).unwrap();
-        assert!(loaded.csr().is_some(), "a sealed index must load sealed");
+        let buf = blob(&idx);
+        let loaded = AcornIndex::load_sealed(&mut buf.as_slice(), vecs.clone(), None).unwrap();
+        let loaded = loaded.expect("a sealed index must load sealed");
+        assert!(loaded.csr().is_some());
         let q = vec![0.3; 8];
-        let a: Vec<(u32, f32)> = idx.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
-        let b: Vec<(u32, f32)> = loaded.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
-        assert_eq!(a, b);
+        assert_eq!(search(&idx, &q), search(&loaded, &q));
 
-        // A growing index stays growing through the round trip, and its file
-        // differs from the sealed one's in the trailing flag alone: `save`
-        // writes the same lists from either graph.
-        let mut plain_buf = Vec::new();
-        plain.save(&mut plain_buf).unwrap();
-        let loaded = AcornIndex::load(&mut plain_buf.as_slice(), vecs).unwrap();
-        assert!(loaded.csr().is_none());
+        // A growing index stays growing through the round trip — the sealed
+        // decoder refuses it — and its blob differs from the sealed one's in
+        // the trailing flag alone: `save` writes the same lists from either
+        // graph.
+        let plain_buf = blob(&plain);
+        let (loaded, sealed) =
+            AcornIndex::load_growing(&mut plain_buf.as_slice(), vecs.clone()).unwrap();
+        assert!(loaded.csr().is_none() && !sealed);
+        assert!(AcornIndex::load_sealed(&mut plain_buf.as_slice(), vecs, None).unwrap().is_none());
         let flag = buf.len() - 1;
         assert_eq!((plain_buf[flag], buf[flag]), (0, 1));
         assert_eq!(plain_buf[..flag], buf[..flag]);
@@ -989,15 +991,14 @@ mod tests {
         let params =
             AcornParams { m: 4, gamma: 2, m_beta: 4, ef_construction: 8, ..Default::default() };
         let idx = AcornIndex::build(vecs.clone(), params, AcornVariant::Gamma);
-        let mut buf = Vec::new();
-        idx.save(&mut buf).unwrap();
+        let buf = blob(&idx);
 
         let mut corrupted = buf.clone();
         corrupted[0] = b'X';
-        assert!(AcornIndex::load(&mut corrupted.as_slice(), vecs.clone()).is_err());
+        assert!(load_growing(&corrupted, vecs.clone()).is_err());
 
         let wrong_store = random_store(49, 4, 4);
-        assert!(AcornIndex::load(&mut buf.as_slice(), wrong_store).is_err());
+        assert!(load_growing(&buf, wrong_store).is_err());
     }
 
     #[test]
@@ -1017,15 +1018,14 @@ mod tests {
         let params =
             AcornParams { m: 4, gamma: 2, m_beta: 4, ef_construction: 8, ..Default::default() };
         let idx = AcornIndex::build(vecs.clone(), params, AcornVariant::Gamma);
-        let mut buf = Vec::new();
-        idx.save(&mut buf).unwrap();
+        let mut buf = blob(&idx);
         // Layout: 4 magic + 4 version + 1 variant + 4×8 params + 1 metric
         // + 8 seed + 8 s_min + 8 n_c + 1 flatten = 67 bytes of header, then
         // 8 bytes of n, 1 byte of node-0 level, then node 0's first list
         // length at offset 76. Corrupt it to an absurd value: load must
         // error out instead of attempting a 16 GiB allocation.
         buf[76..80].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = AcornIndex::load(&mut buf.as_slice(), vecs).unwrap_err();
+        let err = load_growing(&buf, vecs).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("neighbor list"), "unexpected message: {err}");
     }
@@ -1237,22 +1237,21 @@ mod tests {
 
     #[test]
     fn segmented_and_plain_files_reject_each_other_with_guidance() {
+        // A bare v3 blob was a public file format once; the one public
+        // loader must still turn it (and the blob decoder a whole v6 file)
+        // away by version, before parsing anything else.
         let (seg_idx, _) = segmented_fixture();
-        let mut seg_buf = Vec::new();
-        seg_idx.save(&mut seg_buf).unwrap();
-        let store = random_store(1, 8, 1);
-        let err = AcornIndex::load(&mut seg_buf.as_slice(), store.clone()).unwrap_err();
-        assert!(err.to_string().contains("SegmentedAcornIndex::load"), "unexpected: {err}");
+        let err = load_growing(&saved(&seg_idx), random_store(1, 8, 1)).unwrap_err();
+        assert!(err.to_string().contains("unsupported ACORN index version"), "unexpected: {err}");
 
         let plain = AcornIndex::build(
-            store.clone(),
+            random_store(1, 8, 1),
             AcornParams { m: 4, gamma: 2, m_beta: 4, ef_construction: 8, ..Default::default() },
             AcornVariant::Gamma,
         );
-        let mut plain_buf = Vec::new();
-        plain.save(&mut plain_buf).unwrap();
-        let err = crate::SegmentedAcornIndex::load(&mut plain_buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("AcornIndex::load"), "unexpected: {err}");
+        let err = crate::SegmentedAcornIndex::load(&mut blob(&plain).as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unsupported ACORN index version"), "unexpected: {err}");
     }
 
     #[test]
@@ -1312,8 +1311,7 @@ mod tests {
         let active_flag = buf.len() - 5;
         // Active block (the same in both fixtures): tag 1 + n 8 + 60 gids +
         // 1 tombstone word + 60 × 8 floats, then its blob.
-        let mut blob = Vec::new();
-        idx.snapshot().active_segment().unwrap().index().save(&mut blob).unwrap();
+        let blob = blob(idx.snapshot().active_segment().unwrap().index());
         let active_block = 1 + 8 + 60 * 8 + 8 + 60 * 8 * 4 + blob.len();
         let frozen_flag = active_flag - active_block;
         assert_eq!((buf[frozen_flag], buf[active_flag]), (1, 0));
@@ -1448,8 +1446,7 @@ mod tests {
             reseal(&mut buf);
             let err = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap_err();
             assert!(err.to_string().contains("unsupported ACORN index version"), "{err}");
-            let store = random_store(1, 8, 1);
-            let err = AcornIndex::load(&mut buf.as_slice(), store).unwrap_err();
+            let err = load_growing(&buf, random_store(1, 8, 1)).unwrap_err();
             assert!(err.to_string().contains("unsupported ACORN index version"), "{err}");
         }
     }
@@ -1479,11 +1476,10 @@ mod tests {
         let params =
             AcornParams { m: 4, gamma: 2, m_beta: 4, ef_construction: 8, ..Default::default() };
         let idx = AcornIndex::build(vecs.clone(), params, AcornVariant::Gamma);
-        let mut buf = Vec::new();
-        idx.save(&mut buf).unwrap();
+        let buf = blob(&idx);
         for cut in [3usize, 10, buf.len() / 2, buf.len() - 1] {
             assert!(
-                AcornIndex::load(&mut buf[..cut].to_vec().as_slice(), vecs.clone()).is_err(),
+                load_growing(&buf[..cut], vecs.clone()).is_err(),
                 "truncation at {cut} must error"
             );
         }

@@ -44,9 +44,9 @@ use acorn_hnsw::heap::{merge_k_sorted, Neighbor};
 use acorn_hnsw::{ScratchPool, SearchScratch, SearchStats};
 use acorn_predicate::{AllPass, AttrStore, Bitset, NodeFilter, Predicate};
 
-use crate::index::{AcornIndex, PredicateStrategy};
+use crate::index::AcornIndex;
 use crate::params::{AcornParams, AcornVariant};
-use crate::plan::{self, LiveFilter, PlanSegment};
+use crate::plan::{self, PredicateStrategy};
 use crate::segment::{GlobalNeighbor, MergePolicy, QuantizationPolicy};
 
 /// The immutable payload of one published segment generation: the
@@ -157,14 +157,53 @@ impl SegmentView {
         self.payload.index.quantized().is_some()
     }
 
-    /// Remap a per-segment result list to global ids. Input is ascending by
-    /// `(dist, local)`; because `global_ids` is strictly ascending, output
-    /// is ascending by `(dist, global)` — ready for the k-way merge.
-    pub(crate) fn to_global(&self, out: Vec<Neighbor>) -> Vec<GlobalNeighbor> {
-        out.into_iter()
-            .map(|n| GlobalNeighbor::new(n.dist, self.payload.global_ids[n.id as usize]))
-            .collect()
+    /// Algorithm 2 over this segment's live rows that pass `filter` (local
+    /// ids): a tombstoned row never passes, whatever `filter` says, while
+    /// its node keeps serving as a traversal waypoint.
+    pub(crate) fn search_live<F: NodeFilter>(
+        &self,
+        query: &[f32],
+        filter: &F,
+        k: usize,
+        efs: usize,
+        scratch: &mut SearchScratch,
+        stats: &mut SearchStats,
+    ) -> Vec<Neighbor> {
+        let live = LiveFilter { inner: filter, tombstones: &self.tombstones };
+        self.payload.index.search_filtered(query, &live, k, efs, scratch, stats)
     }
+}
+
+/// Composes a segment's tombstones with a row filter. With no bit set this
+/// is transparent, which is what keeps a fully-merged segment bit-identical
+/// to a from-scratch build over its rows.
+struct LiveFilter<'a, F: NodeFilter> {
+    inner: &'a F,
+    tombstones: &'a Bitset,
+}
+
+impl<F: NodeFilter> NodeFilter for LiveFilter<'_, F> {
+    #[inline]
+    fn passes(&self, id: u32) -> bool {
+        !self.tombstones.get(id) && self.inner.passes(id)
+    }
+}
+
+/// The one fan-in of every query: each segment's top-`k` in local ids,
+/// remapped to global ids and k-way merged. A list arrives ascending by
+/// `(dist, local)`; because `global_ids` is strictly ascending it leaves
+/// ascending by `(dist, global)`, which is what the merge needs.
+pub(crate) fn merge_segments<'a>(
+    lists: impl Iterator<Item = (&'a SegmentView, Vec<Neighbor>)>,
+    k: usize,
+) -> Vec<GlobalNeighbor> {
+    let per_seg: Vec<Vec<GlobalNeighbor>> = lists
+        .map(|(seg, out)| {
+            let gids = &seg.payload.global_ids;
+            out.into_iter().map(|n| GlobalNeighbor::new(n.dist, gids[n.id as usize])).collect()
+        })
+        .collect();
+    merge_k_sorted(&per_seg, k)
 }
 
 /// A caller-supplied `Fn(u64) -> bool` over global ids, adapted to the
@@ -307,7 +346,7 @@ impl SegmentSnapshot {
     }
 
     /// All non-empty segments in query order (frozen first, then active).
-    fn segments(&self) -> impl Iterator<Item = &SegmentView> {
+    pub(crate) fn segments(&self) -> impl Iterator<Item = &SegmentView> {
         self.frozen.iter().chain(self.active.iter()).filter(|s| !s.is_empty())
     }
 
@@ -348,13 +387,10 @@ impl SegmentSnapshot {
         scratch: &mut SearchScratch,
         stats: &mut SearchStats,
     ) -> Vec<GlobalNeighbor> {
-        let mut per_seg = Vec::with_capacity(self.num_segments());
-        for seg in self.segments() {
-            let filter = LiveFilter { inner: &AllPass, tombstones: Some(&seg.tombstones) };
-            let out = seg.payload.index.search_filtered(query, &filter, k, efs, scratch, stats);
-            per_seg.push(seg.to_global(out));
-        }
-        merge_k_sorted(&per_seg, k)
+        let lists = self
+            .segments()
+            .map(|seg| (seg, seg.search_live(query, &AllPass, k, efs, scratch, stats)));
+        merge_segments(lists, k)
     }
 
     /// Filtered search (Algorithm 2 per segment, no fallback routing) with
@@ -370,14 +406,11 @@ impl SegmentSnapshot {
         scratch: &mut SearchScratch,
         stats: &mut SearchStats,
     ) -> Vec<GlobalNeighbor> {
-        let mut per_seg = Vec::with_capacity(self.num_segments());
-        for seg in self.segments() {
-            let inner = GlobalFnFilter { f: filter, global_ids: &seg.payload.global_ids };
-            let live = LiveFilter { inner: &inner, tombstones: Some(&seg.tombstones) };
-            let out = seg.payload.index.search_filtered(query, &live, k, efs, scratch, stats);
-            per_seg.push(seg.to_global(out));
-        }
-        merge_k_sorted(&per_seg, k)
+        let lists = self.segments().map(|seg| {
+            let global = GlobalFnFilter { f: filter, global_ids: &seg.payload.global_ids };
+            (seg, seg.search_live(query, &global, k, efs, scratch, stats))
+        });
+        merge_segments(lists, k)
     }
 
     /// Full hybrid search with ACORN's §5.2 cost-model routing applied
@@ -412,9 +445,12 @@ impl SegmentSnapshot {
     }
 
     /// [`hybrid_search`](Self::hybrid_search) with an explicit
-    /// [`PredicateStrategy`]. Results are bit-identical across strategies,
-    /// mirroring [`AcornIndex::hybrid_search_with`] — which runs the same
-    /// planner over its one segment.
+    /// [`PredicateStrategy`] — the test oracle's entry: both strategies share
+    /// the plan and every verdict, so routing and neighbors are bit-identical
+    /// across them; only `npred_evaluated` and wall time differ.
+    ///
+    /// # Panics
+    /// Panics if `attrs` does not cover every assigned global id.
     #[allow(clippy::too_many_arguments)]
     pub fn hybrid_search_with(
         &self,
@@ -432,13 +468,8 @@ impl SegmentSnapshot {
             attrs.len(),
             self.next_global
         );
-        let segments = self.segments().map(|seg| PlanSegment {
-            index: &seg.payload.index,
-            global_ids: Some(&seg.payload.global_ids),
-            tombstones: Some(&seg.tombstones),
-        });
-        let (lists, stats) = plan::hybrid_search(
-            segments,
+        plan::hybrid_search(
+            self.segments(),
             self.params.seed,
             query,
             predicate,
@@ -447,10 +478,7 @@ impl SegmentSnapshot {
             efs,
             scratch,
             strategy,
-        );
-        let per_seg: Vec<_> =
-            self.segments().zip(lists).map(|(seg, out)| seg.to_global(out)).collect();
-        (merge_k_sorted(&per_seg, k), stats)
+        )
     }
 }
 

@@ -115,7 +115,7 @@ impl Pinned {
         assert_eq!(got.len(), want.len(), "epoch {epoch}: active rows");
         assert_eq!(got.vectors().len(), want.len(), "epoch {epoch}: rows visible in the store");
         assert_eq!(got.vectors().as_flat().len(), want.len() * dim);
-        let (g, t) = (got.graph(), want.graph());
+        let (g, t) = (got.graph().expect("active"), want.graph().expect("growing"));
         assert_eq!(g.len(), t.len());
         assert_eq!(
             (g.entry_point(), g.max_level()),

@@ -21,12 +21,10 @@
 mod common;
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
-use acorn_core::{
-    AcornIndex, AcornParams, AcornVariant, GlobalNeighbor, MergePolicy, SegmentedAcornIndex,
-};
+use acorn_core::{AcornParams, AcornVariant, GlobalNeighbor, MergePolicy, SegmentedAcornIndex};
 use acorn_hnsw::{SearchStats, VectorStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -213,15 +211,16 @@ fn merges_racing_queries_stay_consistent() {
     idx.compact_all();
     assert_eq!(idx.num_segments(), 1, "compact_all must leave one frozen segment");
 
-    // Canonical oracle: a plain AcornIndex built over the survivors in gid
-    // order, sealed — exactly what the merge path promises to equal.
+    // Canonical oracle: a fresh index bulk-loaded with the survivors in gid
+    // order — exactly what the merge path promises to equal.
     live.sort_unstable();
     assert_eq!(idx.live_ids(), live);
     let mut store = VectorStore::new(DIM);
     for &gid in &live {
         store.push(&vectors[gid as usize]);
     }
-    let oracle = AcornIndex::build(Arc::new(store), test_params(), AcornVariant::Gamma).seal(None);
+    let mut oracle = SegmentedAcornIndex::new(DIM, test_params(), AcornVariant::Gamma);
+    oracle.bulk_load(store);
 
     let mut rng = StdRng::seed_from_u64(8);
     for _ in 0..10 {

@@ -36,8 +36,8 @@ fn multi_level_compression_shrinks_upper_levels() {
     let one = AcornIndex::build(vecs.clone(), params(1), AcornVariant::Gamma);
     let two = AcornIndex::build(vecs, params(2), AcornVariant::Gamma);
 
-    let s1 = one.graph().level_stats();
-    let s2 = two.graph().level_stats();
+    let s1 = one.graph().expect("growing").level_stats();
+    let s2 = two.graph().expect("growing").level_stats();
     // Level 1 compressed ⇒ significantly smaller average degree than the
     // uncompressed M·γ lists of the n_c = 1 build.
     assert!(s1.len() > 1 && s2.len() > 1, "need at least 2 levels for this test");
@@ -95,10 +95,11 @@ fn flattened_hierarchy_has_fewer_levels() {
         AcornParams { flatten_hierarchy: true, ..params(1) },
         AcornVariant::Gamma,
     );
+    let height = |idx: &AcornIndex| idx.graph().expect("growing").max_level();
     assert!(
-        flat.graph().max_level() < normal.graph().max_level(),
+        height(&flat) < height(&normal),
         "flattening must reduce graph height: {} vs {}",
-        flat.graph().max_level(),
-        normal.graph().max_level()
+        height(&flat),
+        height(&normal)
     );
 }

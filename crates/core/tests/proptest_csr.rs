@@ -2,13 +2,13 @@
 //! `LayeredGraph::freeze()` must be *bit-identical* to searching the nested
 //! layout — same ids, same distances, same search-statistics counters — for
 //! every lookup strategy, for a growing index of either ACORN variant
-//! against its sealed clone, and through the serialize → load round trip of
-//! a sealed index.
+//! against its sealed clone, and through the save → load round trip of a
+//! sealed segment.
 
 use std::sync::Arc;
 
 use acorn_core::search::{acorn_search_layer, LookupMode};
-use acorn_core::{AcornIndex, AcornParams, AcornVariant};
+use acorn_core::{AcornIndex, AcornParams, AcornVariant, SegmentedAcornIndex};
 use acorn_hnsw::heap::Neighbor;
 use acorn_hnsw::{Metric, SearchScratch, SearchStats, VectorStore};
 use proptest::prelude::*;
@@ -62,7 +62,7 @@ proptest! {
     ) {
         let vecs = random_store(n, 6, seed);
         let idx = AcornIndex::build(vecs.clone(), small_params(seed), AcornVariant::Gamma);
-        let g = idx.graph();
+        let g = idx.graph().expect("growing");
         let csr = g.freeze();
         let q = random_query(6, seed);
         let filter = random_filter(n, keep_one_in, seed);
@@ -125,16 +125,19 @@ proptest! {
         }
     }
 
-    /// serialize → load of a sealed index comes back sealed and answers
-    /// exactly like the in-memory index it was saved from.
+    /// save → load of a sealed segment comes back sealed and answers exactly
+    /// like the in-memory index it was saved from.
     #[test]
     fn compacted_serialize_roundtrip_identical(n in 40usize..300, seed in 0u64..500) {
         let vecs = random_store(n, 6, seed);
-        let idx =
-            AcornIndex::build(vecs.clone(), small_params(seed), AcornVariant::Gamma).seal(None);
+        let mut index = SegmentedAcornIndex::new(6, small_params(seed), AcornVariant::Gamma);
+        index.bulk_load(VectorStore::clone(&vecs));
         let mut buf = Vec::new();
-        idx.save(&mut buf).unwrap();
-        let loaded = AcornIndex::load(&mut buf.as_slice(), vecs).unwrap();
+        index.save(&mut buf).unwrap();
+        let loaded = SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap().snapshot();
+        let saved = index.snapshot();
+        let (idx, loaded) =
+            (saved.frozen_segments()[0].index(), loaded.frozen_segments()[0].index());
         prop_assert!(loaded.csr().is_some(), "flag must round-trip");
 
         let filter = random_filter(n, 2, seed);

@@ -7,7 +7,9 @@
 use std::sync::Arc;
 
 use acorn_core::search::{acorn_search_layer, LookupMode};
-use acorn_core::{AcornIndex, AcornParams, AcornVariant, PredicateStrategy};
+use acorn_core::{
+    AcornIndex, AcornParams, AcornVariant, GlobalNeighbor, PredicateStrategy, SegmentedAcornIndex,
+};
 use acorn_hnsw::heap::Neighbor;
 use acorn_hnsw::{Metric, SearchScratch, SearchStats, VectorStore};
 use acorn_predicate::{AttrStore, BitmapFilter, Bitset, MemoFilter, MemoTable, Predicate, Regex};
@@ -56,6 +58,10 @@ fn pairs(out: &[Neighbor]) -> Vec<(u32, f32)> {
     out.iter().map(|n| (n.id, n.dist)).collect()
 }
 
+fn global_pairs(out: &[GlobalNeighbor]) -> Vec<(u32, f32)> {
+    out.iter().map(|n| (n.id as u32, n.dist)).collect()
+}
+
 fn params(m: usize, gamma: usize, seed: u64) -> AcornParams {
     AcornParams { m, gamma, m_beta: m * 2, ef_construction: 32, seed, ..Default::default() }
 }
@@ -72,18 +78,23 @@ proptest! {
         let vecs = random_store(n, 8, &mut rng);
         let attrs = random_attrs(n, &mut rng);
         for variant in [AcornVariant::Gamma, AcornVariant::One] {
-            let idx = AcornIndex::build(vecs.clone(), params(8, 4, seed), variant);
+            // One bulk-loaded segment: global id == row id.
+            let mut index = SegmentedAcornIndex::new(8, params(8, 4, seed), variant);
+            index.bulk_load(VectorStore::clone(&vecs));
+            let snap = index.snapshot();
+            let s_min = snap.frozen_segments()[0].index().params().s_min();
             let mut scratch = SearchScratch::new(n);
             for _ in 0..4 {
                 let pred = random_pred(&mut rng);
                 let q: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                let (a, sa) = idx.hybrid_search_with(
+                let (a, sa) = snap.hybrid_search_with(
                     &q, &pred, &attrs, 10, 40, &mut scratch, PredicateStrategy::Interpreted,
                 );
-                let (b, sb) = idx.hybrid_search_with(
+                let (b, sb) = snap.hybrid_search_with(
                     &q, &pred, &attrs, 10, 40, &mut scratch, PredicateStrategy::Adaptive,
                 );
-                prop_assert_eq!(pairs(&a), pairs(&b), "variant {:?}", variant);
+                let (a, b) = (global_pairs(&a), global_pairs(&b));
+                prop_assert_eq!(&a, &b, "variant {:?}", variant);
                 prop_assert_eq!(sa.fallback, sb.fallback, "routing must agree");
                 // The memo never costs evaluations, and no row is evaluated
                 // twice in one query: at most the one 1,000-draw selectivity
@@ -98,10 +109,10 @@ proptest! {
                 // far enough under the 0.25 gate only when it is tiny).
                 let passing: Vec<u32> =
                     (0..n as u32).filter(|&i| pred.eval(&attrs, i)).collect();
-                for x in &b {
-                    prop_assert!(pred.eval(&attrs, x.id), "row {} fails the predicate", x.id);
+                for &(id, _) in &b {
+                    prop_assert!(pred.eval(&attrs, id), "row {} fails the predicate", id);
                 }
-                let sparse = (passing.len() as f64) < idx.params().s_min() * n as f64;
+                let sparse = (passing.len() as f64) < s_min * n as f64;
                 let always_counted = matches!(pred, Predicate::RegexMatch { .. } | Predicate::And(_));
                 if always_counted || passing.len() * 20 < n {
                     prop_assert_eq!(sb.fallback, sparse, "exact-count routing");
@@ -114,7 +125,7 @@ proptest! {
                         .collect();
                     want.sort_unstable();
                     want.truncate(10);
-                    prop_assert_eq!(pairs(&b), pairs(&want), "the pre-filter scan is exact");
+                    prop_assert_eq!(&b, &pairs(&want), "the pre-filter scan is exact");
                 }
             }
         }
@@ -131,7 +142,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let vecs = random_store(n, 8, &mut rng);
         let idx = AcornIndex::build(vecs.clone(), params(8, 3, seed), AcornVariant::Gamma);
-        let graph = idx.graph();
+        let graph = idx.graph().expect("growing");
         let filter = BitmapFilter::new(Bitset::from_ids(
             n,
             (0..n as u32).filter(|i| i % keep_mod != 0),

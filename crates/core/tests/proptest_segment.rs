@@ -6,7 +6,7 @@
 //! (not from the planner), and (b) once `compact_all` collapses the log into one segment, every
 //! query — pure, filtered, and hybrid under both `PredicateStrategy`s, plus
 //! raw layer searches in all three `LookupMode`s — is **result-identical**
-//! to a single `AcornIndex` rebuilt from scratch over the surviving rows, and
+//! to a fresh index `bulk_load`ed from scratch with the surviving rows, and
 //! (c) snapshots pinned at random points of such an interleaving stay what
 //! they were: same answers, and an active view equal to a twin index grown
 //! to that epoch and no further (`common::Pinned`).
@@ -131,9 +131,9 @@ fn global_pairs(out: &[acorn_core::GlobalNeighbor]) -> Vec<(u64, f32)> {
     out.iter().map(|n| (n.id, n.dist)).collect()
 }
 
-/// Map a rebuilt index's local results through the survivor list so they
-/// are comparable with segmented (global-id) results.
-fn mapped_pairs(out: &[Neighbor], survivors: &[u64]) -> Vec<(u64, f32)> {
+/// Map a rebuilt index's results (its global id = position in the survivor
+/// list) through that list so they are comparable with the original's.
+fn mapped_pairs(out: &[acorn_core::GlobalNeighbor], survivors: &[u64]) -> Vec<(u64, f32)> {
     out.iter().map(|n| (survivors[n.id as usize], n.dist)).collect()
 }
 
@@ -167,11 +167,12 @@ proptest! {
                     prop_assert!(lc.alive[n.id as usize], "dead gid {} surfaced", n.id);
                 }
                 let pred = Predicate::Equals { field, value };
-                let (a, sa) = lc.index.hybrid_search_with(
+                let snap = lc.index.snapshot();
+                let (a, sa) = snap.hybrid_search_with(
                     &q, &pred, &attrs_global, 10, 48, &mut scratch,
                     PredicateStrategy::Interpreted,
                 );
-                let (b, sb) = lc.index.hybrid_search_with(
+                let (b, sb) = snap.hybrid_search_with(
                     &q, &pred, &attrs_global, 10, 48, &mut scratch,
                     PredicateStrategy::Adaptive,
                 );
@@ -212,7 +213,9 @@ proptest! {
             for &g in &survivors {
                 store.push(&lc.vectors[g as usize]);
             }
-            let rebuilt = AcornIndex::build(Arc::new(store), params(seed), variant);
+            let mut rebuilt = SegmentedAcornIndex::new(DIM, params(seed), variant);
+            rebuilt.bulk_load(store);
+            let (compacted, rebuilt) = (lc.index.snapshot(), rebuilt.snapshot());
             let attrs_local = AttrStore::builder()
                 .add_int("label", survivors.iter().map(|&g| lc.labels[g as usize]).collect())
                 .build();
@@ -221,8 +224,10 @@ proptest! {
             for _ in 0..3 {
                 let q = query(&mut rng);
                 // Pure search.
-                let seg_out = lc.index.search(&q, 10, 48);
-                let reb_out = rebuilt.search(&q, 10, 48);
+                let (mut seg_stats, mut reb_stats) = Default::default();
+                let seg_out = compacted.search_with(&q, 10, 48, &mut scratch, &mut seg_stats);
+                let reb_out = rebuilt.search_with(&q, 10, 48, &mut rscratch, &mut reb_stats);
+                prop_assert_eq!(seg_stats, reb_stats, "pure search: the same work");
                 prop_assert_eq!(
                     global_pairs(&seg_out),
                     mapped_pairs(&reb_out, &survivors),
@@ -231,7 +236,7 @@ proptest! {
                 // Hybrid, both predicate strategies.
                 let pred = Predicate::Equals { field, value: rng.gen_range(0..4) };
                 for strategy in [PredicateStrategy::Interpreted, PredicateStrategy::Adaptive] {
-                    let (seg_h, seg_stats) = lc.index.hybrid_search_with(
+                    let (seg_h, seg_stats) = compacted.hybrid_search_with(
                         &q, &pred, &attrs_global, 10, 48, &mut scratch, strategy,
                     );
                     let (reb_h, reb_stats) = rebuilt.hybrid_search_with(
@@ -242,8 +247,12 @@ proptest! {
                         mapped_pairs(&reb_h, &survivors),
                         "hybrid/{:?} must match the rebuild ({:?})", strategy, variant
                     );
+                    // Same route, same traversal. (`npred` may differ: the
+                    // block kernel runs over a segment's gid *span*, and
+                    // only the compacted one has gaps in it.)
                     prop_assert_eq!(
-                        seg_stats.fallback, reb_stats.fallback,
+                        (seg_stats.fallback, seg_stats.ndis, seg_stats.nhops),
+                        (reb_stats.fallback, reb_stats.ndis, reb_stats.nhops),
                         "routing must agree with the rebuild ({:?})", strategy
                     );
                 }
@@ -326,7 +335,8 @@ proptest! {
         let rebuilt = AcornIndex::build(vecs.clone(), params(seed), AcornVariant::Gamma);
         let seg = &lc.index.frozen_segments()[0];
         let csr = seg.index().csr().expect("a frozen segment is sealed");
-        prop_assert_eq!(csr.len(), rebuilt.graph().len());
+        let nested = rebuilt.graph().expect("a built index is growing");
+        prop_assert_eq!(csr.len(), nested.len());
 
         let n = survivors.len();
         let filter = BitmapFilter::new(Bitset::from_ids(
@@ -334,7 +344,7 @@ proptest! {
             (0..n as u32).filter(|i| i % 2 == 0),
         ));
         let q = query(&mut rng);
-        let entry = rebuilt.graph().entry_point().unwrap();
+        let entry = nested.entry_point().unwrap();
         prop_assert_eq!(csr.entry_point(), Some(entry));
         let entries =
             vec![Neighbor::new(Metric::L2.distance(vecs.get(entry), &q), entry)];
@@ -355,7 +365,7 @@ proptest! {
                 &entries, 8, 0, 8, mode, &mut s1, &mut st1,
             );
             let b = acorn_search_layer(
-                &*vecs, rebuilt.graph(), Metric::L2, &q, &filter,
+                &*vecs, nested, Metric::L2, &q, &filter,
                 &entries, 8, 0, 8, mode, &mut s2, &mut st2,
             );
             let pa: Vec<(u32, f32)> = a.iter().map(|x| (x.id, x.dist)).collect();

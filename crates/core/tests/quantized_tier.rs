@@ -7,8 +7,7 @@
 use std::sync::Arc;
 
 use acorn_core::{
-    AcornIndex, AcornParams, AcornVariant, PredicateStrategy, QuantizationPolicy,
-    SegmentedAcornIndex, Sq8Tier,
+    AcornIndex, AcornParams, AcornVariant, QuantizationPolicy, SegmentedAcornIndex, Sq8Tier,
 };
 use acorn_hnsw::{Metric, SearchScratch, VectorStore};
 use acorn_predicate::{AttrStore, Predicate};
@@ -34,6 +33,15 @@ fn random_store(n: usize, seed: u64) -> (Arc<VectorStore>, Vec<i64>) {
     (Arc::new(store), labels)
 }
 
+/// `vecs` as one bulk-loaded segment (global id == row id), sealed under
+/// `policy`.
+fn one_segment(vecs: &VectorStore, seed: u64, policy: QuantizationPolicy) -> SegmentedAcornIndex {
+    let mut idx =
+        SegmentedAcornIndex::new(DIM, params(seed), AcornVariant::Gamma).with_quantization(policy);
+    idx.bulk_load(vecs.clone());
+    idx
+}
+
 fn query(rng: &mut StdRng) -> Vec<f32> {
     (0..DIM).map(|_| rng.gen_range(-1.0..1.0)).collect()
 }
@@ -52,9 +60,8 @@ proptest! {
         rerank_k in 1usize..64,
     ) {
         let (vecs, labels) = random_store(n, seed);
-        let idx = AcornIndex::build(vecs.clone(), params(seed), AcornVariant::Gamma)
-            .seal(Some(Sq8Tier::Train { rerank_k }));
-        prop_assert!(idx.quantized().is_some());
+        let idx = one_segment(&vecs, seed, QuantizationPolicy::sq8(rerank_k));
+        prop_assert!(idx.frozen_segments()[0].is_quantized());
         let attrs = AttrStore::builder().add_int("label", labels.clone()).build();
         let field = attrs.field("label").unwrap();
         let mut scratch = SearchScratch::new(n);
@@ -64,22 +71,20 @@ proptest! {
             let out = idx.search(&q, 10, 48);
             prop_assert!(!out.is_empty());
             for nb in &out {
-                let exact = Metric::L2.distance(vecs.get(nb.id), &q);
+                let exact = Metric::L2.distance(vecs.get(nb.id as u32), &q);
                 prop_assert_eq!(
                     nb.dist.to_bits(), exact.to_bits(),
                     "pure search id {} reported {} vs exact {}", nb.id, nb.dist, exact
                 );
             }
             let pred = Predicate::Equals { field, value: rng.gen_range(0..4) };
-            let (hout, _) = idx.hybrid_search_with(
-                &q, &pred, &attrs, 10, 48, &mut scratch, PredicateStrategy::Adaptive,
-            );
+            let (hout, _) = idx.hybrid_search(&q, &pred, &attrs, 10, 48, &mut scratch);
             for nb in &hout {
                 prop_assert_eq!(labels[nb.id as usize], match &pred {
                     Predicate::Equals { value, .. } => *value,
                     _ => unreachable!(),
                 });
-                let exact = Metric::L2.distance(vecs.get(nb.id), &q);
+                let exact = Metric::L2.distance(vecs.get(nb.id as u32), &q);
                 prop_assert_eq!(
                     nb.dist.to_bits(), exact.to_bits(),
                     "hybrid id {} reported {} vs exact {}", nb.id, nb.dist, exact
@@ -172,8 +177,11 @@ fn quantized_tier_fits_bytes_budget() {
 #[test]
 fn quantized_recall_tracks_exact_tier() {
     let (vecs, labels) = random_store(600, 11);
-    let exact = AcornIndex::build(vecs.clone(), params(11), AcornVariant::Gamma);
-    let quant = exact.clone().seal(Some(Sq8Tier::Train { rerank_k: 32 }));
+    let exact = one_segment(&vecs, 11, QuantizationPolicy::default());
+    let quant = one_segment(&vecs, 11, QuantizationPolicy::sq8(32));
+    assert!(
+        !exact.frozen_segments()[0].is_quantized() && quant.frozen_segments()[0].is_quantized()
+    );
     let attrs = AttrStore::builder().add_int("label", labels).build();
     let field = attrs.field("label").unwrap();
     let mut scratch = SearchScratch::new(600);
@@ -189,7 +197,7 @@ fn quantized_recall_tracks_exact_tier() {
             Some(Predicate::Between { field, lo: l, hi: l + 1 }),
         ];
         for (pred, (hits, total)) in classes.iter().zip(&mut tally) {
-            let mut ask = |idx: &AcornIndex| match pred {
+            let mut ask = |idx: &SegmentedAcornIndex| match pred {
                 None => idx.search(&q, 10, 64),
                 Some(p) => idx.hybrid_search(&q, p, &attrs, 10, 64, &mut scratch).0,
             };

@@ -137,23 +137,17 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub struct ChecksumWriter<W: Write> {
     inner: W,
     crc: Crc32,
-    written: u64,
 }
 
 impl<W: Write> ChecksumWriter<W> {
     /// Wrap `inner`; the running checksum starts empty.
     pub fn new(inner: W) -> Self {
-        Self { inner, crc: Crc32::new(), written: 0 }
+        Self { inner, crc: Crc32::new() }
     }
 
     /// Checksum of every byte successfully written so far.
     pub fn sum(&self) -> u32 {
         self.crc.finish()
-    }
-
-    /// Bytes successfully written so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.written
     }
 
     /// Unwrap, returning the inner writer.
@@ -172,7 +166,6 @@ impl<W: Write> Write for ChecksumWriter<W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let n = self.inner.write(buf)?;
         self.crc.update(&buf[..n]);
-        self.written += n as u64;
         Ok(n)
     }
 
@@ -269,7 +262,6 @@ mod tests {
             }
         }
         assert_eq!(w.sum(), reference(&data));
-        assert_eq!(w.bytes_written(), data.len() as u64);
         assert_eq!(w.into_inner(), data);
     }
 }

@@ -55,11 +55,6 @@ impl CsrGraph {
         b.finish().expect("every node of the layered graph was pushed")
     }
 
-    /// Total directed edges stored on `level`.
-    pub fn edges_on_level(&self, level: usize) -> usize {
-        self.targets.get(level).map_or(0, Vec::len)
-    }
-
     /// Bytes consumed by the flat arenas, offset tables, and level tags
     /// (index-only footprint; vectors are accounted separately). Directly
     /// comparable to [`LayeredGraph::memory_bytes`].
@@ -278,7 +273,7 @@ mod tests {
             }
         }
         let csr = g.freeze();
-        assert_eq!(csr.edges_on_level(0), 500 * 8);
+        assert_eq!(csr.targets[0].len(), 500 * 8);
         assert!(
             csr.memory_bytes() * 2 < g.memory_bytes(),
             "CSR {} bytes should be under half of nested {} bytes",

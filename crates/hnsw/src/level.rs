@@ -30,12 +30,6 @@ impl LevelSampler {
         Self { ml: 1.0 / (m as f64).ln(), rng: StdRng::seed_from_u64(seed) }
     }
 
-    /// Sampler with an explicit normalization constant.
-    pub fn with_ml(ml: f64, seed: u64) -> Self {
-        assert!(ml.is_finite() && ml >= 0.0, "mL must be finite and non-negative");
-        Self { ml, rng: StdRng::seed_from_u64(seed) }
-    }
-
     /// The level normalization constant `mL`.
     #[inline]
     pub fn ml(&self) -> f64 {

@@ -139,29 +139,6 @@ impl LatencySummary {
             max: sorted[n - 1],
         })
     }
-
-    /// Tail-to-median latency ratio, `p99 / p50` — the robustness number
-    /// the churn and workload benches gate on: a graph traversal whose tail
-    /// collapses (a reader stalling behind a merge, a scratch-pool
-    /// pathology) blows this up while mean QPS barely moves. Returns
-    /// infinity when `p50` is zero (degenerate sub-microsecond timers).
-    pub fn p99_over_p50(&self) -> f64 {
-        let p50 = self.p50.as_secs_f64();
-        if p50 <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.p99.as_secs_f64() / p50
-    }
-
-    /// Extreme-tail ratio, `p999 / p50`; same contract as
-    /// [`p99_over_p50`](Self::p99_over_p50).
-    pub fn p999_over_p50(&self) -> f64 {
-        let p50 = self.p50.as_secs_f64();
-        if p50 <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.p999.as_secs_f64() / p50
-    }
 }
 
 /// One fixed-width line — `p50 = … p99 = … p999 = … mean = … max = …` —

@@ -38,7 +38,7 @@ use crate::regex::Regex;
 use crate::FieldId;
 
 /// Coarse per-row cost of a compiled predicate, used by adaptive dispatch
-/// (`AcornIndex::hybrid_search`) to choose between lazy memoized evaluation
+/// (the hybrid query planner, `acorn_core::plan`) to choose between lazy memoized evaluation
 /// and up-front block materialization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostClass {

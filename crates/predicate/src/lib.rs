@@ -22,8 +22,8 @@
 //! against the columnar store into `u64` mask words, and [`memo`] provides
 //! the per-query tri-state [`MemoTable`]/[`MemoFilter`] so graph search
 //! evaluates each row at most once per query. Together they form the
-//! compile → memoize → adaptive-dispatch pipeline `AcornIndex::hybrid_search`
-//! serves from.
+//! compile → memoize → adaptive-dispatch pipeline the hybrid query planner
+//! (`acorn_core::plan`) serves from.
 
 pub mod attrs;
 pub mod bitmap;

@@ -42,12 +42,12 @@ fn main() {
         .build();
     let vectors = std::sync::Arc::new(mix.vectors);
 
-    // One ACORN-γ index serves every filter combination.
-    let index = AcornIndex::build(
-        vectors.clone(),
-        AcornParams { m: 32, gamma: 10, m_beta: 64, ef_construction: 40, ..Default::default() },
-        AcornVariant::Gamma,
-    );
+    // One ACORN-γ index serves every filter combination. The catalogue is
+    // bulk-loaded as one segment: product i gets global id i.
+    let params =
+        AcornParams { m: 32, gamma: 10, m_beta: 64, ef_construction: 40, ..Default::default() };
+    let mut index = SegmentedAcornIndex::new(dim, params, AcornVariant::Gamma);
+    index.bulk_load(VectorStore::clone(&vectors));
     println!("indexed {n} products ({dim}-d embeddings)\n");
 
     let price = attrs.field("price_cents").unwrap();
@@ -87,16 +87,17 @@ fn main() {
             stats.fallback
         );
         for h in &hits {
-            let cat_mask = attrs.keywords(category, h.id);
+            let row = h.id as u32;
+            let cat_mask = attrs.keywords(category, row);
             let cat = CATEGORIES[cat_mask.trailing_zeros() as usize];
             println!(
                 "  #{:<5} {:>8}  ${:>6.2}  dist {:.3}",
                 h.id,
                 cat,
-                attrs.int(price, h.id) as f64 / 100.0,
+                attrs.int(price, row) as f64 / 100.0,
                 h.dist
             );
-            assert!(predicate.eval(&attrs, h.id), "result must satisfy the filter");
+            assert!(predicate.eval(&attrs, row), "result must satisfy the filter");
         }
         println!();
     }

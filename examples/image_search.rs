@@ -16,11 +16,11 @@ fn main() {
     let ds = acorn::data::datasets::laion_like(n, 5);
     println!("dataset: {}\n", ds.summary());
 
-    let index = AcornIndex::build(
-        ds.vectors.clone(),
-        AcornParams { m: 32, gamma: 12, m_beta: 32, ef_construction: 40, ..Default::default() },
-        AcornVariant::Gamma,
-    );
+    // The corpus as one bulk-loaded segment: image i gets global id i.
+    let params =
+        AcornParams { m: 32, gamma: 12, m_beta: 32, ef_construction: 40, ..Default::default() };
+    let mut index = SegmentedAcornIndex::new(ds.vectors.dim(), params, AcornVariant::Gamma);
+    index.bulk_load(VectorStore::clone(&ds.vectors));
 
     let keywords = ds.attrs.field("keywords").unwrap();
     let caption = ds.attrs.field("caption").unwrap();
@@ -64,8 +64,9 @@ fn main() {
             println!("  (no matching images)");
         }
         for h in &hits {
-            println!("  #{:<5} dist {:.3}  \"{}\"", h.id, h.dist, ds.attrs.text(caption, h.id));
-            assert!(predicate.eval(&ds.attrs, h.id));
+            let row = h.id as u32;
+            println!("  #{:<5} dist {:.3}  \"{}\"", h.id, h.dist, ds.attrs.text(caption, row));
+            assert!(predicate.eval(&ds.attrs, row));
         }
         println!();
     }

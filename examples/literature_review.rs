@@ -33,11 +33,11 @@ fn main() {
     let ds = acorn::data::datasets::tripclick_like(n, 11);
     println!("corpus: {}\n", ds.summary());
 
-    let index = AcornIndex::build(
-        ds.vectors.clone(),
-        AcornParams { m: 32, gamma: 12, m_beta: 128, ef_construction: 40, ..Default::default() },
-        AcornVariant::Gamma,
-    );
+    // The corpus as one bulk-loaded segment: paper i gets global id i.
+    let params =
+        AcornParams { m: 32, gamma: 12, m_beta: 128, ef_construction: 40, ..Default::default() };
+    let mut index = SegmentedAcornIndex::new(ds.vectors.dim(), params, AcornVariant::Gamma);
+    index.bulk_load(VectorStore::clone(&ds.vectors));
     let hnsw = PostFilterHnsw::build(
         ds.vectors.clone(),
         HnswParams { m: 32, ef_construction: 40, ..Default::default() },
@@ -67,17 +67,18 @@ fn main() {
     let (hits, stats) = index.hybrid_search(&query, &predicate, &ds.attrs, 5, 64, &mut scratch);
     println!("ACORN-gamma ({} distance computations):", stats.ndis);
     for h in &hits {
-        let mask = ds.attrs.keywords(areas, h.id);
+        let row = h.id as u32;
+        let mask = ds.attrs.keywords(areas, row);
         let names: Vec<String> =
             (0..TRIPCLICK_AREAS as u8).filter(|&a| mask & (1 << a) != 0).map(area_name).collect();
         println!(
             "  #{:<5} {}  [{}]  dist {:.3}",
             h.id,
-            ds.attrs.int(year, h.id),
+            ds.attrs.int(year, row),
             names.join(", "),
             h.dist
         );
-        assert!(predicate.eval(&ds.attrs, h.id));
+        assert!(predicate.eval(&ds.attrs, row));
     }
 
     // Post-filtering baseline on the same query.
@@ -97,7 +98,7 @@ fn main() {
 
     // All three agree on the predicate; ACORN gets there with the fewest
     // distance computations at high recall (the paper's core claim).
-    let acorn_ids: Vec<u32> = hits.iter().map(|h| h.id).collect();
+    let acorn_ids: Vec<u32> = hits.iter().map(|h| h.id as u32).collect();
     let exact_ids: Vec<u32> = pre.iter().map(|h| h.id).collect();
     let overlap = exact_ids.iter().filter(|i| acorn_ids.contains(i)).count();
     println!("\nACORN recall vs exact on this query: {overlap}/5");

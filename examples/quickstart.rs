@@ -1,9 +1,18 @@
-//! Quickstart: build an ACORN-γ index over a small hybrid dataset and run
-//! hybrid queries (vector similarity + structured predicate).
+//! Quickstart: build an ACORN-γ index over a small hybrid dataset, run
+//! hybrid queries (vector similarity + structured predicate), serve a batch,
+//! and save it.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use acorn::prelude::*;
+
+/// The dataset's vectors as one bulk-loaded segment: row `i` gets global id
+/// `i`, and the index keeps accepting inserts and deletes afterwards.
+fn build(vectors: &VectorStore, params: AcornParams, variant: AcornVariant) -> SegmentedAcornIndex {
+    let mut index = SegmentedAcornIndex::new(vectors.dim(), params, variant);
+    index.bulk_load(vectors.clone());
+    index
+}
 
 fn main() {
     // 1. A hybrid dataset: 5,000 SIFT-like vectors, each with an integer
@@ -21,12 +30,11 @@ fn main() {
         ..Default::default()
     };
     let t0 = std::time::Instant::now();
-    let acorn_gamma =
-        AcornIndex::build(dataset.vectors.clone(), params.clone(), AcornVariant::Gamma);
+    let acorn_gamma = build(&dataset.vectors, params.clone(), AcornVariant::Gamma);
     println!("ACORN-gamma built in {:.1?}", t0.elapsed());
 
     let t0 = std::time::Instant::now();
-    let acorn_one = AcornIndex::build(dataset.vectors.clone(), params, AcornVariant::One);
+    let acorn_one = build(&dataset.vectors, params, AcornVariant::One);
     println!("ACORN-1     built in {:.1?} (the low-TTI variant)", t0.elapsed());
 
     // 3. A hybrid query: "nearest neighbors of this vector whose label is 7".
@@ -43,13 +51,9 @@ fn main() {
             stats.ndis, stats.fallback
         );
         for h in &hits {
-            println!(
-                "  id {:>5}  dist {:.3}  label {}",
-                h.id,
-                h.dist,
-                dataset.attrs.int(field, h.id)
-            );
-            assert_eq!(dataset.attrs.int(field, h.id), 7, "results must pass the predicate");
+            let label = dataset.attrs.int(field, h.id as u32);
+            println!("  id {:>5}  dist {:.3}  label {label}", h.id, h.dist);
+            assert_eq!(label, 7, "results must pass the predicate");
         }
     }
 
@@ -64,21 +68,13 @@ fn main() {
         acorn_gamma.hybrid_search(&query, &selective, &dataset.attrs, 10, 64, &mut scratch);
     println!("\ncompound predicate routed via fallback = {}", stats.fallback);
 
-    // 5. Serving at scale: bulk-load the corpus as one frozen segment of an
-    //    updatable index (row i gets global id i; it keeps accepting inserts
-    //    and deletes), then let the SegmentedQueryEngine shard a query batch
+    // 5. Serving at scale: the SegmentedQueryEngine shards a query batch
     //    across worker threads, reusing pooled scratch space, with output
     //    order (and results) identical to a sequential loop.
-    let mut serving = SegmentedAcornIndex::new(
-        dataset.vectors.dim(),
-        acorn_gamma.params().clone(),
-        AcornVariant::Gamma,
-    );
-    serving.bulk_load((*dataset.vectors).clone());
     let queries: Vec<Vec<f32>> = (0..64u32).map(|i| dataset.vectors.get(i * 7).to_vec()).collect();
     let batch: Vec<(&[f32], &Predicate)> =
         queries.iter().map(|q| (q.as_slice(), &predicate)).collect();
-    let engine = SegmentedQueryEngine::new(&serving).with_threads(0); // 0 = all cores
+    let engine = SegmentedQueryEngine::new(&acorn_gamma).with_threads(0); // 0 = all cores
     let out = engine.hybrid_search_batch(&batch, &dataset.attrs, 10, 64);
     println!(
         "\nbatch of {} hybrid queries: {:.0} QPS, {} total distance computations, {:.1?} wall",
@@ -88,4 +84,12 @@ fn main() {
         out.elapsed
     );
     assert_eq!(out.results.len(), batch.len());
+
+    // 6. Save and load: one checksummed file holds graph, vectors and
+    //    tombstones; the loaded index answers identically and takes writes.
+    let mut file = Vec::new();
+    acorn_gamma.save(&mut file).expect("writing to memory cannot fail");
+    let loaded = SegmentedAcornIndex::load(&mut file.as_slice()).expect("just written");
+    assert_eq!(loaded.search(&query, 10, 64), acorn_gamma.search(&query, 10, 64));
+    println!("\nsaved {} bytes and loaded them back", file.len());
 }

@@ -8,10 +8,11 @@
 //!
 //! This facade crate re-exports the full workspace:
 //!
-//! * [`core`] — the ACORN-γ and ACORN-1 indices (the paper's contribution),
-//!   the [`SegmentedAcornIndex`](core::segment::SegmentedAcornIndex)
-//!   updatable index (tombstoned deletes, frozen CSR segments, merge
-//!   compaction), and the
+//! * [`core`] — the ACORN-γ and ACORN-1 graphs (the paper's contribution)
+//!   as the segments of the
+//!   [`SegmentedAcornIndex`](core::segment::SegmentedAcornIndex) — the one
+//!   index a user builds, queries and saves (bulk load and inserts,
+//!   tombstoned deletes, frozen CSR segments, merge compaction) — and the
 //!   [`SegmentedQueryEngine`](core::engine::SegmentedQueryEngine)
 //!   batch-serving layer over it (concurrent, scratch-pooled query
 //!   execution).
@@ -32,9 +33,12 @@
 //! // 1. A hybrid dataset: vectors + structured attributes.
 //! let dataset = acorn::data::datasets::sift_like(2000, 42);
 //!
-//! // 2. Build an ACORN-γ index (predicate-agnostic: no predicate knowledge).
+//! // 2. Build an ACORN-γ index (predicate-agnostic: no predicate knowledge):
+//! //    the corpus bulk-loads as one frozen segment of an updatable index,
+//! //    row i gets global id i.
 //! let params = AcornParams { m: 16, gamma: 12, m_beta: 32, ef_construction: 48, ..Default::default() };
-//! let index = AcornIndex::build(dataset.vectors.clone(), params, AcornVariant::Gamma);
+//! let mut index = SegmentedAcornIndex::new(dataset.vectors.dim(), params, AcornVariant::Gamma);
+//! index.bulk_load(VectorStore::clone(&dataset.vectors));
 //!
 //! // 3. Hybrid query: nearest neighbors among records with label == 7.
 //! let field = dataset.attrs.field("label").unwrap();
@@ -45,23 +49,24 @@
 //!
 //! assert!(!hits.is_empty());
 //! for h in &hits {
-//!     assert_eq!(dataset.attrs.int(field, h.id), 7);
+//!     assert_eq!(dataset.attrs.int(field, h.id as u32), 7);
 //! }
 //! assert!(stats.ndis > 0);
 //!
-//! // 4. Batch serving: bulk-load the corpus as one frozen segment of an
-//! //    updatable index (row i gets global id i) and shard a query batch
-//! //    across worker threads with pooled scratch space and deterministic
-//! //    output ordering.
-//! let mut serving =
-//!     SegmentedAcornIndex::new(dataset.vectors.dim(), index.params().clone(), AcornVariant::Gamma);
-//! serving.bulk_load((*dataset.vectors).clone());
-//! let engine = SegmentedQueryEngine::new(&serving).with_threads(2);
+//! // 4. Batch serving: shard a query batch across worker threads with
+//! //    pooled scratch space and deterministic output ordering.
+//! let engine = SegmentedQueryEngine::new(&index).with_threads(2);
 //! let batch: Vec<(&[f32], &Predicate)> =
 //!     (0..4).map(|i| (dataset.vectors.get(i), &predicate)).collect();
 //! let out = engine.hybrid_search_batch(&batch, &dataset.attrs, 10, 64);
 //! assert_eq!(out.results.len(), 4);
-//! assert_eq!(out.results[0][0].id, hits[0].id as u64);
+//! assert_eq!(out.results[0], hits);
+//!
+//! // 5. Save and load: one checksummed file, answers unchanged.
+//! let mut file = Vec::new();
+//! index.save(&mut file).unwrap();
+//! let loaded = SegmentedAcornIndex::load(&mut file.as_slice()).unwrap();
+//! assert_eq!(loaded.hybrid_search(&query, &predicate, &dataset.attrs, 10, 64, &mut scratch).0, hits);
 //! ```
 
 pub use acorn_baselines as baselines;

@@ -10,6 +10,17 @@ use acorn::data::{ground_truth, HybridDataset, Workload};
 use acorn::eval::{recall_at_k, workload_recall};
 use acorn::prelude::*;
 
+/// The dataset as one bulk-loaded segment: global id == row id.
+fn one_segment(
+    ds: &HybridDataset,
+    params: AcornParams,
+    variant: AcornVariant,
+) -> SegmentedAcornIndex {
+    let mut idx = SegmentedAcornIndex::new(ds.vectors.dim(), params, variant);
+    idx.bulk_load(VectorStore::clone(&ds.vectors));
+    idx
+}
+
 fn acorn_recall(
     ds: &HybridDataset,
     w: &Workload,
@@ -18,7 +29,7 @@ fn acorn_recall(
     efs: usize,
 ) -> f64 {
     let truth = ground_truth(&ds.vectors, &ds.attrs, Metric::L2, &w.queries, 10, 0);
-    let idx = AcornIndex::build(ds.vectors.clone(), params, variant);
+    let idx = one_segment(ds, params, variant);
     let mut scratch = SearchScratch::new(ds.len());
     let got: Vec<Vec<u32>> = w
         .queries
@@ -26,7 +37,7 @@ fn acorn_recall(
         .map(|q| {
             let (hits, _) =
                 idx.hybrid_search(&q.vector, &q.predicate, &ds.attrs, 10, efs, &mut scratch);
-            hits.iter().map(|n| n.id).collect()
+            hits.iter().map(|n| n.id as u32).collect()
         })
         .collect();
     workload_recall(&got, &truth, 10)
@@ -97,28 +108,29 @@ fn results_always_pass_predicate_even_under_bad_estimates() {
     // correctness. Force both routing decisions and check result validity.
     let ds = sift_like(3000, 11);
     let field = ds.attrs.field("label").unwrap();
-    let idx = AcornIndex::build(ds.vectors.clone(), paper_params(), AcornVariant::Gamma);
+    let snap = one_segment(&ds, paper_params(), AcornVariant::Gamma).snapshot();
+    let graph = snap.frozen_segments()[0].index();
     let mut scratch = SearchScratch::new(ds.len());
     let q = ds.vectors.get(0).to_vec();
 
     for value in 1..=12 {
         let pred = Predicate::Equals { field, value };
-        let (hits, _) = idx.hybrid_search(&q, &pred, &ds.attrs, 10, 64, &mut scratch);
+        let (hits, _) = snap.hybrid_search(&q, &pred, &ds.attrs, 10, 64, &mut scratch);
         for h in &hits {
-            assert_eq!(ds.attrs.int(field, h.id), value, "invalid result for label {value}");
+            assert_eq!(ds.attrs.int(field, h.id as u32), value, "invalid result for label {value}");
         }
 
         // Graph-only path (as if the estimate wrongly said "not selective").
         let filter = PredicateFilter::new(&ds.attrs, &pred);
         let mut stats = SearchStats::default();
-        let hits = idx.search_filtered(&q, &filter, 10, 64, &mut scratch, &mut stats);
+        let hits = graph.search_filtered(&q, &filter, 10, 64, &mut scratch, &mut stats);
         for h in &hits {
             assert_eq!(ds.attrs.int(field, h.id), value);
         }
 
         // Forced pre-filter path (as if the estimate wrongly said "selective").
         let mut stats = SearchStats::default();
-        let hits = idx.prefilter_scan(&q, &filter, 10, &mut stats);
+        let hits = graph.prefilter_scan(&q, &filter, 10, &mut stats);
         for h in &hits {
             assert_eq!(ds.attrs.int(field, h.id), value);
         }
@@ -135,7 +147,7 @@ fn hybrid_fallback_is_equivalent_to_explicit_prefilter_scan() {
     // s_min raised to 0.5 so the ≈ 1/12-selectivity equality predicate
     // routes to the fallback deterministically (no estimator borderline).
     let params = AcornParams { s_min_override: Some(0.5), ..paper_params() };
-    let idx = AcornIndex::build(ds.vectors.clone(), params, AcornVariant::Gamma);
+    let snap = one_segment(&ds, params, AcornVariant::Gamma).snapshot();
     let mut scratch = SearchScratch::new(ds.len());
 
     let pred = Predicate::Equals { field, value: 3 };
@@ -143,12 +155,13 @@ fn hybrid_fallback_is_equivalent_to_explicit_prefilter_scan() {
 
     for qi in [0u32, 100, 2000] {
         let q = ds.vectors.get(qi).to_vec();
-        let (hybrid, stats) = idx.hybrid_search(&q, &pred, &ds.attrs, 10, 64, &mut scratch);
+        let (hybrid, stats) = snap.hybrid_search(&q, &pred, &ds.attrs, 10, 64, &mut scratch);
         assert!(stats.fallback, "predicate must route to the fallback");
 
         let mut scan_stats = SearchStats::default();
-        let scan = idx.prefilter_scan(&q, &filter, 10, &mut scan_stats);
-        let h: Vec<(u32, f32)> = hybrid.iter().map(|n| (n.id, n.dist)).collect();
+        let graph = snap.frozen_segments()[0].index();
+        let scan = graph.prefilter_scan(&q, &filter, 10, &mut scan_stats);
+        let h: Vec<(u32, f32)> = hybrid.iter().map(|n| (n.id as u32, n.dist)).collect();
         let s: Vec<(u32, f32)> = scan.iter().map(|n| (n.id, n.dist)).collect();
         assert_eq!(h, s, "fallback answer must equal an explicit prefilter_scan");
 
@@ -158,7 +171,7 @@ fn hybrid_fallback_is_equivalent_to_explicit_prefilter_scan() {
             .map(|i| (Metric::L2.distance(ds.vectors.get(i), &q), i))
             .collect();
         truth.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let want: Vec<u32> = truth.iter().take(10).map(|&(_, i)| i).collect();
+        let want: Vec<u64> = truth.iter().take(10).map(|&(_, i)| u64::from(i)).collect();
         assert_eq!(hybrid.iter().map(|n| n.id).collect::<Vec<_>>(), want);
     }
 }
@@ -175,9 +188,7 @@ fn query_engine_batch_matches_per_query_calls_end_to_end() {
 
     // (a) The static corpus served as one bulk-loaded frozen segment, where
     // local row id == global id ...
-    let mut one_segment =
-        SegmentedAcornIndex::new(ds.vectors.dim(), paper_params(), AcornVariant::Gamma);
-    one_segment.bulk_load((*ds.vectors).clone());
+    let static_corpus = one_segment(&ds, paper_params(), AcornVariant::Gamma);
     // ... and (b) the same rows trickled in across three segments, with
     // every 7th row deleted.
     let mut churned =
@@ -212,29 +223,18 @@ fn query_engine_batch_matches_per_query_calls_end_to_end() {
         }
         pairs(&sequential)
     };
-    let static_answers = check(&one_segment);
+    check(&static_corpus);
     let churned_answers = check(&churned);
     for (gid, _) in churned_answers.iter().flatten() {
         assert!(gid % 7 != 0, "deleted gid {gid} surfaced");
     }
-
-    // The monolithic index over the same store answers like (a).
-    let mono = AcornIndex::build(ds.vectors.clone(), paper_params(), AcornVariant::Gamma);
-    let want: Vec<Vec<(u64, f32)>> = batch
-        .iter()
-        .map(|(q, p)| {
-            let (hits, _) = mono.hybrid_search(q, p, &ds.attrs, 10, 64, &mut scratch);
-            hits.iter().map(|n| (n.id as u64, n.dist)).collect()
-        })
-        .collect();
-    assert_eq!(static_answers, want);
 }
 
 #[test]
 fn empty_predicate_result_returns_empty_not_panic() {
     let ds = sift_like(1000, 13);
     let field = ds.attrs.field("label").unwrap();
-    let idx = AcornIndex::build(ds.vectors.clone(), paper_params(), AcornVariant::Gamma);
+    let idx = one_segment(&ds, paper_params(), AcornVariant::Gamma);
     let mut scratch = SearchScratch::new(ds.len());
     let pred = Predicate::Equals { field, value: 99 }; // no record has label 99
     let q = ds.vectors.get(0).to_vec();

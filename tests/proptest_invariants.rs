@@ -37,7 +37,7 @@ proptest! {
             ..Default::default()
         };
         let idx = AcornIndex::build(vecs, params, AcornVariant::Gamma);
-        let g = idx.graph();
+        let g = idx.graph().expect("a built index is growing");
         prop_assert_eq!(g.len(), n);
         for v in 0..n as u32 {
             for lev in 0..=g.level_of(v) {
@@ -101,7 +101,8 @@ proptest! {
         let attrs = AttrStore::builder().add_int("x", labels.clone()).build();
         let field = attrs.field("x").unwrap();
         let params = AcornParams { m: 8, gamma: 4, m_beta: 8, ef_construction: 24, seed, ..Default::default() };
-        let idx = AcornIndex::build(vecs.clone(), params, AcornVariant::Gamma);
+        let mut idx = SegmentedAcornIndex::new(6, params, AcornVariant::Gamma);
+        idx.bulk_load(VectorStore::clone(&vecs)); // global id == row id
         let mut scratch = SearchScratch::new(n);
         let pred = Predicate::Equals { field, value };
         let (out, _) = idx.hybrid_search(vecs.get(0), &pred, &attrs, 5, 32, &mut scratch);
@@ -119,9 +120,10 @@ proptest! {
     ) {
         let vecs = store(n, 4, seed);
         let params = AcornParams { m: 8, gamma: 2, m_beta: 16, ef_construction: 32, seed, ..Default::default() };
-        let idx = AcornIndex::build(vecs.clone(), params, AcornVariant::Gamma);
+        let mut idx = SegmentedAcornIndex::new(4, params, AcornVariant::Gamma);
+        idx.bulk_load(VectorStore::clone(&vecs)); // global id == row id
         let q = vec![0.0; 4];
-        let got: Vec<u32> = idx.search(&q, 5, n).iter().map(|x| x.id).collect();
+        let got: Vec<u32> = idx.search(&q, 5, n).iter().map(|x| x.id as u32).collect();
         let mut exact: Vec<(f32, u32)> = (0..n as u32)
             .map(|i| (Metric::L2.distance(vecs.get(i), &q), i))
             .collect();
