@@ -308,6 +308,47 @@ mod tests {
         }
     }
 
+    /// The served matcher (literal prefilter + DFA) against the Pike VM it
+    /// was built from, on the corpus and patterns the benchmark runs.
+    #[test]
+    fn regex_workload_verdicts_are_the_vms_row_for_row() {
+        use acorn_predicate::regex::{nfa::Program, parser};
+        let ds = laion_like(2000, 42);
+        let captions = ds.attrs.texts(ds.attrs.field("caption").unwrap());
+        let mut patterns: Vec<String> = (0..4)
+            .flat_map(|seed| regex_workload(&ds, 16, seed).queries)
+            .map(|q| match q.predicate {
+                Predicate::RegexMatch { regex, .. } => regex.pattern().to_string(),
+                other => panic!("unexpected predicate {other:?}"),
+            })
+            .collect();
+        patterns.sort();
+        patterns.dedup();
+        assert!(patterns.len() >= 30, "{} distinct patterns", patterns.len());
+        for pattern in &patterns {
+            // Best of three: one scheduler stall on a shared box is not the
+            // construction's cost.
+            let took = (0..3)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    Regex::new(pattern).unwrap();
+                    t0.elapsed()
+                })
+                .min()
+                .unwrap();
+            assert!(took.as_micros() < 1000, "{pattern:?} compiled in {took:?}");
+            let regex = Regex::new(pattern).unwrap();
+            let vm = Program::compile(&parser::parse(pattern).unwrap());
+            for caption in captions {
+                assert_eq!(
+                    regex.is_match(caption),
+                    vm.is_match(caption),
+                    "{pattern:?} on {caption:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn area_workload_masks_in_vocabulary() {
         let ds = tripclick_like(1000, 9);

@@ -8,8 +8,9 @@
 //! `regex-match`), boolean combinators, bitset materialization, and a
 //! sampling-based selectivity estimator.
 //!
-//! Regex matching is served by a from-scratch Thompson-NFA engine in
-//! [`regex`] (the offline-dependency policy rules out the `regex` crate).
+//! Regex matching is served by a from-scratch engine in [`regex`] — a
+//! Thompson NFA determinized once per pattern behind a literal prefilter
+//! (the offline-dependency policy rules out the `regex` crate).
 //!
 //! The hot-path contract consumed by the indices is the [`NodeFilter`] trait:
 //! "does dataset row `id` pass this query's predicate?". Implementations

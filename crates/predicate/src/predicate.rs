@@ -81,7 +81,7 @@ pub(crate) mod cost {
     pub const LEAF: u64 = 1;
     /// Binary search over a sorted value list.
     pub const IN: u64 = 2;
-    /// NFA simulation over a text row.
+    /// Substring search and an automaton walk over a text row.
     pub const REGEX: u64 = 1000;
 }
 

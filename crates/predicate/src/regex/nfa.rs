@@ -3,6 +3,11 @@
 //! The AST is compiled to a flat instruction program; execution maintains the
 //! set of live NFA states per input position (a "thread list"), giving
 //! `O(len(text) · len(program))` worst-case matching with zero backtracking.
+//!
+//! [`Regex`](super::Regex) answers through the DFA that `super::dfa`
+//! determinizes from a program's `add_thread` (closure) and `Inst::consumes`
+//! (step); the VM here runs patterns whose DFA exceeds the state cap, and is
+//! the oracle the DFA is tested against.
 
 use super::parser::Ast;
 
@@ -32,6 +37,43 @@ pub enum Inst {
     Match,
 }
 
+impl Inst {
+    /// True if this instruction consumes the code point `c` (a `u32` so the
+    /// DFA construction can probe interval representatives that are not
+    /// `char`s, such as the first surrogate).
+    pub(super) fn consumes(&self, c: u32) -> bool {
+        match self {
+            Inst::Char(want) => *want as u32 == c,
+            Inst::Any => true,
+            Inst::Class { negated, ranges } => {
+                let inside = ranges.iter().any(|&(lo, hi)| c >= lo as u32 && c <= hi as u32);
+                inside != *negated
+            }
+            _ => false,
+        }
+    }
+}
+
+/// The consuming instructions live at one text position, in insertion order,
+/// with the visited marks that keep each epsilon closure linear.
+#[derive(Debug)]
+pub(super) struct Threads {
+    pub(super) pcs: Vec<u32>,
+    visited: Vec<bool>,
+}
+
+impl Threads {
+    pub(super) fn new(program: &Program) -> Self {
+        let n = program.insts.len();
+        Self { pcs: Vec::with_capacity(n), visited: vec![false; n] }
+    }
+
+    pub(super) fn clear(&mut self) {
+        self.pcs.clear();
+        self.visited.fill(false);
+    }
+}
+
 /// A compiled regex program.
 #[derive(Debug, Clone)]
 pub struct Program {
@@ -57,70 +99,36 @@ impl Program {
         self.insts.is_empty()
     }
 
+    pub(super) fn insts(&self) -> &[Inst] {
+        &self.insts
+    }
+
     /// Unanchored search: does any substring of `text` match?
     pub fn is_match(&self, text: &str) -> bool {
-        let chars: Vec<char> = text.chars().collect();
-        let n = self.insts.len();
-        let mut current: Vec<u32> = Vec::with_capacity(n);
-        let mut next: Vec<u32> = Vec::with_capacity(n);
-        let mut on_current = vec![false; n];
-        let mut on_next = vec![false; n];
+        let mut current = Threads::new(self);
+        let mut next = Threads::new(self);
+        let mut chars = text.chars();
+        let mut upcoming = chars.next();
 
         // Start a thread at position 0.
-        if self.add_thread(0, 0, chars.len(), &mut current, &mut on_current) {
+        if self.add_thread(0, true, upcoming.is_none(), &mut current) {
             return true;
         }
 
-        for (pos, &c) in chars.iter().enumerate() {
+        while let Some(c) = upcoming {
+            upcoming = chars.next();
+            let at_end = upcoming.is_none();
             next.clear();
-            on_next.fill(false);
-            for &pc in &current {
-                match &self.insts[pc as usize] {
-                    Inst::Char(want)
-                        if *want == c
-                            && self.add_thread(
-                                pc + 1,
-                                pos + 1,
-                                chars.len(),
-                                &mut next,
-                                &mut on_next,
-                            ) =>
-                    {
-                        return true;
-                    }
-                    Inst::Any
-                        if self.add_thread(
-                            pc + 1,
-                            pos + 1,
-                            chars.len(),
-                            &mut next,
-                            &mut on_next,
-                        ) =>
-                    {
-                        return true;
-                    }
-                    Inst::Class { negated, ranges } => {
-                        let inside = ranges.iter().any(|&(lo, hi)| c >= lo && c <= hi);
-                        if inside != *negated
-                            && self.add_thread(
-                                pc + 1,
-                                pos + 1,
-                                chars.len(),
-                                &mut next,
-                                &mut on_next,
-                            )
-                        {
-                            return true;
-                        }
-                    }
-                    // Epsilon instructions were resolved by add_thread.
-                    _ => {}
+            for &pc in &current.pcs {
+                if self.insts[pc as usize].consumes(c as u32)
+                    && self.add_thread(pc + 1, false, at_end, &mut next)
+                {
+                    return true;
                 }
             }
             std::mem::swap(&mut current, &mut next);
-            std::mem::swap(&mut on_current, &mut on_next);
-            // Unanchored search: seed a fresh attempt starting at pos + 1.
-            if self.add_thread(0, pos + 1, chars.len(), &mut current, &mut on_current) {
+            // Unanchored search: seed a fresh attempt starting after `c`.
+            if self.add_thread(0, false, at_end, &mut current) {
                 return true;
             }
         }
@@ -128,32 +136,29 @@ impl Program {
     }
 
     /// Follow epsilon transitions from `pc`, adding consuming instructions to
-    /// the thread list. Returns `true` if a `Match` is reached.
-    fn add_thread(
+    /// `threads`; `at_start` / `at_end` say whether the position is the first
+    /// / one past the last of the text. Returns `true` if a `Match` is reached.
+    pub(super) fn add_thread(
         &self,
         pc: u32,
-        pos: usize,
-        text_len: usize,
-        list: &mut Vec<u32>,
-        on_list: &mut [bool],
+        at_start: bool,
+        at_end: bool,
+        threads: &mut Threads,
     ) -> bool {
-        if on_list[pc as usize] {
+        if std::mem::replace(&mut threads.visited[pc as usize], true) {
             return false;
         }
-        on_list[pc as usize] = true;
         match &self.insts[pc as usize] {
-            Inst::Jmp(t) => self.add_thread(*t, pos, text_len, list, on_list),
+            Inst::Jmp(t) => self.add_thread(*t, at_start, at_end, threads),
             Inst::Split(a, b) => {
-                self.add_thread(*a, pos, text_len, list, on_list)
-                    || self.add_thread(*b, pos, text_len, list, on_list)
+                self.add_thread(*a, at_start, at_end, threads)
+                    || self.add_thread(*b, at_start, at_end, threads)
             }
-            Inst::AssertStart => pos == 0 && self.add_thread(pc + 1, pos, text_len, list, on_list),
-            Inst::AssertEnd => {
-                pos == text_len && self.add_thread(pc + 1, pos, text_len, list, on_list)
-            }
+            Inst::AssertStart => at_start && self.add_thread(pc + 1, at_start, at_end, threads),
+            Inst::AssertEnd => at_end && self.add_thread(pc + 1, at_start, at_end, threads),
             Inst::Match => true,
             _ => {
-                list.push(pc);
+                threads.pcs.push(pc);
                 false
             }
         }

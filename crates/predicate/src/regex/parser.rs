@@ -7,7 +7,7 @@
 //! concat := repeat*
 //! repeat := atom ('*' | '+' | '?')*
 //! atom   := '(' alt ')' | class | '.' | '^' | '$' | escape | literal
-//! class  := '[' '^'? item+ ']'    item := c | c '-' c
+//! class  := '[' '^'? item+ ']'    item := c | c '-' c | '\d' | '\w' | '\s'
 //! ```
 
 use std::fmt;
@@ -187,14 +187,10 @@ impl Parser {
         let Some(c) = self.bump() else {
             return Err(self.err("dangling backslash"));
         };
-        let class = |negated: bool, ranges: Vec<(char, char)>| Ast::Class { negated, ranges };
+        if let Some(ranges) = shorthand(c.to_ascii_lowercase()) {
+            return Ok(Ast::Class { negated: c.is_ascii_uppercase(), ranges: ranges.to_vec() });
+        }
         Ok(match c {
-            'd' => class(false, vec![('0', '9')]),
-            'D' => class(true, vec![('0', '9')]),
-            'w' => class(false, vec![('a', 'z'), ('A', 'Z'), ('0', '9'), ('_', '_')]),
-            'W' => class(true, vec![('a', 'z'), ('A', 'Z'), ('0', '9'), ('_', '_')]),
-            's' => class(false, vec![(' ', ' '), ('\t', '\t'), ('\n', '\n'), ('\r', '\r')]),
-            'S' => class(true, vec![(' ', ' '), ('\t', '\t'), ('\n', '\n'), ('\r', '\r')]),
             'n' => Ast::Char('\n'),
             't' => Ast::Char('\t'),
             'r' => Ast::Char('\r'),
@@ -225,10 +221,18 @@ impl Parser {
                 _ => {}
             }
             first = false;
-            let lo = self.class_char()?;
+            let lo = match self.class_item()? {
+                ClassItem::Char(c) => c,
+                ClassItem::Set(set) => {
+                    ranges.extend_from_slice(set);
+                    continue;
+                }
+            };
             if self.peek() == Some('-') && self.chars.get(self.pos + 1) != Some(&']') {
                 self.bump(); // consume '-'
-                let hi = self.class_char()?;
+                let ClassItem::Char(hi) = self.class_item()? else {
+                    return Err(self.err("a shorthand class cannot end a range"));
+                };
                 if hi < lo {
                     return Err(self.err(&format!("invalid class range {lo}-{hi}")));
                 }
@@ -243,18 +247,44 @@ impl Parser {
         Ok(Ast::Class { negated, ranges })
     }
 
-    fn class_char(&mut self) -> Result<char, ParseError> {
+    fn class_item(&mut self) -> Result<ClassItem, ParseError> {
         match self.bump() {
             None => Err(self.err("unclosed character class")),
             Some('\\') => match self.bump() {
                 None => Err(self.err("dangling backslash in class")),
-                Some('n') => Ok('\n'),
-                Some('t') => Ok('\t'),
-                Some('r') => Ok('\r'),
-                Some(c) => Ok(c),
+                Some('n') => Ok(ClassItem::Char('\n')),
+                Some('t') => Ok(ClassItem::Char('\t')),
+                Some('r') => Ok(ClassItem::Char('\r')),
+                Some(c) => match shorthand(c) {
+                    Some(set) => Ok(ClassItem::Set(set)),
+                    // As outside a class, except that a negated shorthand
+                    // has no ranges to add to a (possibly negated) class.
+                    None if c.is_alphanumeric() => {
+                        Err(self.err(&format!("unknown escape in class: \\{c}")))
+                    }
+                    None => Ok(ClassItem::Char(c)),
+                },
             },
-            Some(c) => Ok(c),
+            Some(c) => Ok(ClassItem::Char(c)),
         }
+    }
+}
+
+/// One member of a `[...]` class.
+enum ClassItem {
+    /// A character, possibly one end of a range.
+    Char(char),
+    /// A shorthand class's ranges.
+    Set(&'static [(char, char)]),
+}
+
+/// The ranges of `\d`, `\w` and `\s`, by letter.
+fn shorthand(c: char) -> Option<&'static [(char, char)]> {
+    match c {
+        'd' => Some(&[('0', '9')]),
+        'w' => Some(&[('a', 'z'), ('A', 'Z'), ('0', '9'), ('_', '_')]),
+        's' => Some(&[(' ', ' '), ('\t', '\t'), ('\n', '\n'), ('\r', '\r')]),
+        _ => None,
     }
 }
 
@@ -306,6 +336,39 @@ mod tests {
     fn class_leading_bracket_is_literal() {
         let ast = parse("[]a]").unwrap();
         assert_eq!(ast, Ast::Class { negated: false, ranges: vec![(']', ']'), ('a', 'a')] });
+    }
+
+    #[test]
+    fn shorthand_escapes_expand_inside_a_class() {
+        let class = |pat: &str| parse(pat).unwrap();
+        assert_eq!(class(r"[\d]"), Ast::Class { negated: false, ranges: vec![('0', '9')] });
+        assert!(class(r"[\d]").class_contains('5'));
+        assert!(!class(r"[\d]").class_contains('d'));
+        // `-` after a shorthand is a literal, as at the end of a class.
+        let word_dash = class(r"[\w-]");
+        assert!("aZ0_-".chars().all(|c| word_dash.class_contains(c)));
+        assert!(!word_dash.class_contains(' '));
+        let space_comma = class(r"[\s,]");
+        assert!(" \t\n\r,".chars().all(|c| space_comma.class_contains(c)));
+        assert!(!space_comma.class_contains('s'));
+        assert!(!class(r"[^\d\s]").class_contains('7'));
+        assert!(class(r"[^\d\s]").class_contains('d'));
+        assert_eq!(class(r"[\d-z]"), class(r"[0-9\-z]"));
+    }
+
+    #[test]
+    fn unsupported_escapes_inside_a_class_are_errors() {
+        for pat in [r"[\D]", r"[\W]", r"[\S]", r"[a\b]", r"[\x41]", r"[\é]"] {
+            let e = parse(pat).unwrap_err();
+            assert!(e.message.contains("unknown escape in class"), "{pat}: {e}");
+        }
+        let e = parse(r"[a-\d]").unwrap_err();
+        assert!(e.message.contains("cannot end a range"), "{e}");
+        // Punctuation and control escapes keep working.
+        assert_eq!(
+            parse(r"[\]\n\-]").unwrap(),
+            Ast::Class { negated: false, ranges: vec![(']', ']'), ('\n', '\n'), ('-', '-')] }
+        );
     }
 
     #[test]
