@@ -235,21 +235,6 @@ impl FilteredVamana {
         self.adj.iter().map(|l| l.len() * 4 + std::mem::size_of::<Vec<u32>>()).sum()
     }
 
-    /// Search for the `k` nearest points carrying exactly `label`,
-    /// allocating fresh scratch space. Query loops should prefer
-    /// [`search_with`](Self::search_with) with a reused (pooled) scratch.
-    pub fn search(
-        &self,
-        query: &[f32],
-        label: i64,
-        k: usize,
-        l: usize,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        let mut scratch = SearchScratch::new(self.adj.len());
-        self.search_with(query, label, k, l, &mut scratch, stats)
-    }
-
     /// Search for the `k` nearest points carrying exactly `label` using
     /// caller-provided scratch space.
     #[allow(clippy::too_many_arguments)]
@@ -312,8 +297,8 @@ mod tests {
             labels.clone(),
             VamanaParams { r: 16, l: 32, alpha: 1.2, metric: Metric::L2, seed: 2 },
         );
-        let mut stats = SearchStats::default();
-        let out = fv.search(&[0.0; 8], 2, 10, 32, &mut stats);
+        let (mut scratch, mut stats) = (SearchScratch::new(0), SearchStats::default());
+        let out = fv.search_with(&[0.0; 8], 2, 10, 32, &mut scratch, &mut stats);
         assert!(!out.is_empty());
         for n in &out {
             assert_eq!(labels[n.id as usize], 2);
@@ -334,9 +319,12 @@ mod tests {
         for t in 0..15 {
             let q: Vec<f32> = (0..10).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let label = t % 3;
-            let mut stats = SearchStats::default();
-            let got: Vec<u32> =
-                fv.search(&q, label, 10, 64, &mut stats).iter().map(|n| n.id).collect();
+            let (mut scratch, mut stats) = (SearchScratch::new(0), SearchStats::default());
+            let got: Vec<u32> = fv
+                .search_with(&q, label, 10, 64, &mut scratch, &mut stats)
+                .iter()
+                .map(|n| n.id)
+                .collect();
             let mut truth: Vec<(f32, u32)> = (0..vecs.len() as u32)
                 .filter(|&i| labels[i as usize] == label)
                 .map(|i| (Metric::L2.distance(vecs.get(i), &q), i))
@@ -353,7 +341,7 @@ mod tests {
     fn unknown_label_returns_empty() {
         let (vecs, labels) = labeled_store(100, 4, 2, 6);
         let fv = FilteredVamana::build(vecs, labels, VamanaParams::default());
-        let mut stats = SearchStats::default();
-        assert!(fv.search(&[0.0; 4], 99, 5, 16, &mut stats).is_empty());
+        let (mut scratch, mut stats) = (SearchScratch::new(0), SearchStats::default());
+        assert!(fv.search_with(&[0.0; 4], 99, 5, 16, &mut scratch, &mut stats).is_empty());
     }
 }

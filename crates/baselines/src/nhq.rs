@@ -153,21 +153,6 @@ impl NhqIndex {
             + self.labels.len() * 8
     }
 
-    /// Fusion-distance hybrid search, allocating fresh scratch space. Query
-    /// loops should prefer [`search_with`](Self::search_with) with a reused
-    /// (pooled) scratch.
-    pub fn search(
-        &self,
-        query: &[f32],
-        target_label: i64,
-        k: usize,
-        ef: usize,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        let mut scratch = SearchScratch::new(self.adj.len());
-        self.search_with(query, target_label, k, ef, &mut scratch, stats)
-    }
-
     /// Fusion-distance hybrid search: the `k` best nodes under
     /// `dist + w·[label ≠ target]`. Results that still mismatch the label
     /// are filtered out at the end (they rank behind matching ones).
@@ -266,8 +251,8 @@ mod tests {
             labels.clone(),
             NhqParams { m: 12, ef_construction: 48, weight: 4.0, ..Default::default() },
         );
-        let mut stats = SearchStats::default();
-        let out = nhq.search(&[0.0; 8], 2, 10, 64, &mut stats);
+        let (mut scratch, mut stats) = (SearchScratch::new(0), SearchStats::default());
+        let out = nhq.search_with(&[0.0; 8], 2, 10, 64, &mut scratch, &mut stats);
         assert!(!out.is_empty());
         for n in &out {
             assert_eq!(labels[n.id as usize], 2);
@@ -287,9 +272,12 @@ mod tests {
         for t in 0..15 {
             let q: Vec<f32> = (0..10).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let label = t % 3;
-            let mut stats = SearchStats::default();
-            let got: Vec<u32> =
-                nhq.search(&q, label, 10, 128, &mut stats).iter().map(|n| n.id).collect();
+            let (mut scratch, mut stats) = (SearchScratch::new(0), SearchStats::default());
+            let got: Vec<u32> = nhq
+                .search_with(&q, label, 10, 128, &mut scratch, &mut stats)
+                .iter()
+                .map(|n| n.id)
+                .collect();
             let mut truth: Vec<(f32, u32)> = (0..vecs.len() as u32)
                 .filter(|&i| labels[i as usize] == label)
                 .map(|i| (Metric::L2.distance(vecs.get(i), &q), i))
@@ -304,7 +292,7 @@ mod tests {
     #[test]
     fn empty_index() {
         let nhq = NhqIndex::build(Arc::new(VectorStore::new(4)), vec![], NhqParams::default());
-        let mut stats = SearchStats::default();
-        assert!(nhq.search(&[0.0; 4], 0, 5, 16, &mut stats).is_empty());
+        let (mut scratch, mut stats) = (SearchScratch::new(0), SearchStats::default());
+        assert!(nhq.search_with(&[0.0; 4], 0, 5, 16, &mut scratch, &mut stats).is_empty());
     }
 }

@@ -245,22 +245,6 @@ impl Vamana {
         self.adj.iter().map(|l| l.len() * 4 + std::mem::size_of::<Vec<u32>>()).sum()
     }
 
-    /// ANN search with beam width `l`, allocating fresh scratch space.
-    ///
-    /// Query loops should prefer [`search_with`](Self::search_with) with a
-    /// reused (pooled) scratch; this convenience form pays an O(n) visited
-    /// set allocation per call.
-    pub fn search(
-        &self,
-        query: &[f32],
-        k: usize,
-        l: usize,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        let mut scratch = SearchScratch::new(self.adj.len());
-        self.search_with(query, k, l, &mut scratch, stats)
-    }
-
     /// ANN search with beam width `l` using caller-provided scratch space
     /// (the form used by the benchmark driver and thread pools).
     pub fn search_with(
@@ -360,8 +344,9 @@ mod tests {
         let mut hits = 0;
         for _ in 0..20 {
             let q: Vec<f32> = (0..12).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let mut stats = SearchStats::default();
-            let got: Vec<u32> = v.search(&q, 10, 48, &mut stats).iter().map(|n| n.id).collect();
+            let (mut scratch, mut stats) = (SearchScratch::new(0), SearchStats::default());
+            let got: Vec<u32> =
+                v.search_with(&q, 10, 48, &mut scratch, &mut stats).iter().map(|n| n.id).collect();
             let mut truth: Vec<(f32, u32)> =
                 (0..n as u32).map(|i| (Metric::L2.distance(vecs.get(i), &q), i)).collect();
             truth.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -386,13 +371,13 @@ mod tests {
     #[test]
     fn empty_and_single() {
         let v0 = Vamana::build(Arc::new(VectorStore::new(3)), VamanaParams::default());
-        let mut stats = SearchStats::default();
-        assert!(v0.search(&[0.0; 3], 5, 10, &mut stats).is_empty());
+        let (mut scratch, mut stats) = (SearchScratch::new(0), SearchStats::default());
+        assert!(v0.search_with(&[0.0; 3], 5, 10, &mut scratch, &mut stats).is_empty());
 
         let mut s = VectorStore::new(2);
         s.push(&[1.0, 1.0]);
         let v1 = Vamana::build(Arc::new(s), VamanaParams::default());
-        let out = v1.search(&[0.0, 0.0], 5, 10, &mut stats);
+        let out = v1.search_with(&[0.0, 0.0], 5, 10, &mut scratch, &mut stats);
         assert_eq!(out.len(), 1);
     }
 }

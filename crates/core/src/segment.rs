@@ -702,22 +702,6 @@ fn seal(index: AcornIndex, quant: QuantizationPolicy) -> AcornIndex {
     index.seal(quant.sq8_frozen.then_some(Sq8Tier::Train { rerank_k: quant.rerank_k }))
 }
 
-/// RAII gauge for [`SharedState::merges_in_flight`].
-struct InFlight<'a>(&'a std::sync::atomic::AtomicUsize);
-
-impl<'a> InFlight<'a> {
-    fn new(gauge: &'a std::sync::atomic::AtomicUsize) -> Self {
-        gauge.fetch_add(1, AtomicOrdering::AcqRel);
-        Self(gauge)
-    }
-}
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, AtomicOrdering::AcqRel);
-    }
-}
-
 /// The three-phase merge shared by foreground [`SegmentedAcornIndex::merge`]
 /// / [`compact_all`](SegmentedAcornIndex::compact_all) and the background
 /// maintenance thread: [`capture`], [`rebuild`], [`splice`].
@@ -727,7 +711,7 @@ impl Drop for InFlight<'_> {
 /// it is spliced out.
 pub(crate) fn run_merge(shared: &SharedState, select_all: bool) -> MergeOutcome {
     // Injected fault (tests only): dies before touching any state, so the
-    // panic leaves no gauge or lock residue behind.
+    // panic leaves no lock residue behind.
     if shared
         .merge_fault
         .fetch_update(AtomicOrdering::AcqRel, AtomicOrdering::Acquire, |n| n.checked_sub(1))
@@ -741,7 +725,6 @@ pub(crate) fn run_merge(shared: &SharedState, select_all: bool) -> MergeOutcome 
     if runs.is_empty() {
         return MergeOutcome { bytes_before, bytes_after: bytes_before, ..Default::default() };
     }
-    let _gauge = InFlight::new(&shared.merges_in_flight);
     let rebuilt = rebuild(shared, &runs, quant);
     let (rows_kept, bytes_after) = splice(shared, &runs, rebuilt);
 

@@ -37,7 +37,7 @@
 //! [`delete`]: crate::segment::SegmentedAcornIndex::delete
 //! [`freeze`]: crate::segment::SegmentedAcornIndex::freeze
 
-use std::sync::atomic::{AtomicU64, AtomicUsize};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use acorn_hnsw::heap::{merge_k_sorted, Neighbor};
@@ -529,9 +529,6 @@ pub(crate) struct SharedState {
     /// merge, so holding this across capture → rebuild → splice keeps the
     /// three-phase protocol race-free while inserts and deletes proceed.
     pub(crate) maintenance_lock: Mutex<()>,
-    /// Merges currently in their rebuild/splice window (the churn bench
-    /// samples this to bucket read latencies).
-    pub(crate) merges_in_flight: AtomicUsize,
     /// Merges that published a new epoch since the index was created.
     pub(crate) merges_completed: AtomicU64,
     /// Maintenance-thread merge cycles that panicked (caught; the thread
@@ -561,7 +558,6 @@ impl SharedState {
             cell: SnapshotCell::new(Arc::new(state)),
             pool: ScratchPool::new(),
             maintenance_lock: Mutex::new(()),
-            merges_in_flight: AtomicUsize::new(0),
             merges_completed: AtomicU64::new(0),
             maintenance_errors: AtomicU64::new(0),
             merge_fault: AtomicU64::new(0),
@@ -626,12 +622,6 @@ impl IndexReader {
     /// The shared scratch pool (the segmented batch engine draws from it).
     pub fn scratch_pool(&self) -> &ScratchPool {
         &self.shared.pool
-    }
-
-    /// Merges currently rebuilding or publishing (0 when maintenance is
-    /// idle). Sampled by the churn bench to bucket read latencies.
-    pub fn merges_in_flight(&self) -> usize {
-        self.shared.merges_in_flight.load(std::sync::atomic::Ordering::Acquire)
     }
 
     /// Merges that have published a new epoch since the index was created.

@@ -70,13 +70,6 @@ impl Zipf {
         self.exponent
     }
 
-    /// Exact probability mass of `rank` (0-based).
-    pub fn prob(&self, rank: usize) -> f64 {
-        let hi = self.cdf[rank];
-        let lo = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
-        hi - lo
-    }
-
     /// Draw one rank in `0..len()` (0 = most popular). Deterministic for a
     /// deterministic `rng`: one `gen_range` call per sample.
     pub fn sample(&self, rng: &mut StdRng) -> usize {
@@ -90,11 +83,17 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// Exact probability mass of `rank` (0-based).
+    fn prob(z: &Zipf, rank: usize) -> f64 {
+        let lo = if rank == 0 { 0.0 } else { z.cdf[rank - 1] };
+        z.cdf[rank] - lo
+    }
+
     #[test]
     fn exponent_zero_is_uniform() {
         let z = Zipf::new(10, 0.0);
         for r in 0..10 {
-            assert!((z.prob(r) - 0.1).abs() < 1e-12, "rank {r} prob {}", z.prob(r));
+            assert!((prob(&z, r) - 0.1).abs() < 1e-12, "rank {r} prob {}", prob(&z, r));
         }
     }
 
@@ -121,7 +120,7 @@ mod tests {
             counts[z.sample(&mut rng)] += 1;
         }
         let head = counts[0] as f64 / samples as f64;
-        assert!((head - z.prob(0)).abs() < 0.01, "head mass {head} vs analytic {}", z.prob(0));
+        assert!((head - prob(&z, 0)).abs() < 0.01, "head mass {head} vs analytic {}", prob(&z, 0));
         // Aggregate monotonicity: the first decile must out-draw the last.
         let first: usize = counts[..n / 10].iter().sum();
         let last: usize = counts[n - n / 10..].iter().sum();
@@ -132,15 +131,15 @@ mod tests {
     fn higher_exponent_concentrates_mass() {
         let mild = Zipf::new(50, 0.5);
         let steep = Zipf::new(50, 1.5);
-        assert!(steep.prob(0) > mild.prob(0));
-        assert!(steep.prob(49) < mild.prob(49));
+        assert!(prob(&steep, 0) > prob(&mild, 0));
+        assert!(prob(&steep, 49) < prob(&mild, 49));
     }
 
     #[test]
     fn probs_sum_to_one() {
         for s in [0.0, 0.7, 1.0, 2.0] {
             let z = Zipf::new(37, s);
-            let total: f64 = (0..z.len()).map(|r| z.prob(r)).sum();
+            let total: f64 = (0..z.len()).map(|r| prob(&z, r)).sum();
             assert!((total - 1.0).abs() < 1e-9, "s = {s}: total {total}");
         }
     }

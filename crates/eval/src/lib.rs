@@ -25,7 +25,7 @@ pub mod tables;
 use std::time::{Duration, Instant};
 
 pub use graph_quality::{predicate_subgraph_quality, SubgraphQuality};
-pub use qps::{run_queries, run_queries_pooled, QpsResult};
+pub use qps::{run_queries_pooled, QpsResult};
 pub use recall::{recall_at_k, workload_recall};
 pub use sweep::{sweep, SweepPoint};
 pub use tables::Table;

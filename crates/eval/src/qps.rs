@@ -22,32 +22,15 @@ pub struct QpsResult {
     pub stats: SearchStats,
 }
 
-/// Run `nq` queries across `threads` workers and measure throughput.
+/// Run `nq` queries across `threads` workers (`0` = all available cores)
+/// and measure throughput.
 ///
 /// `f(query_index, scratch)` executes one query and returns the retrieved
-/// ids plus its [`SearchStats`]. `threads = 0` uses all available cores.
-pub fn run_queries<F>(nq: usize, threads: usize, f: F) -> QpsResult
-where
-    F: Fn(usize, &mut SearchScratch) -> (Vec<u32>, SearchStats) + Sync,
-{
-    run_queries_repeated(nq, threads, 1, f)
-}
-
-/// Like [`run_queries`], but executes every query `repeats` times so that
-/// wall time dwarfs thread start-up on small workloads. Results are taken
-/// from the final repetition; QPS counts every execution.
-pub fn run_queries_repeated<F>(nq: usize, threads: usize, repeats: usize, f: F) -> QpsResult
-where
-    F: Fn(usize, &mut SearchScratch) -> (Vec<u32>, SearchStats) + Sync,
-{
-    let pool = ScratchPool::new();
-    run_queries_pooled(&pool, nq, threads, repeats, f)
-}
-
-/// [`run_queries_repeated`] drawing worker scratches from a caller-owned
-/// [`ScratchPool`], so consecutive runs (e.g. the points of a beam-width
-/// sweep) reuse the same scratch allocations instead of re-allocating
-/// per-run.
+/// ids plus its [`SearchStats`]. Every query runs `repeats` times so that
+/// wall time dwarfs thread start-up on small workloads: results are taken
+/// from the final repetition, QPS counts every execution. Worker scratches
+/// come from the caller-owned [`ScratchPool`], so consecutive runs (e.g. the
+/// points of a beam-width sweep) reuse the same allocations.
 pub fn run_queries_pooled<F>(
     pool: &ScratchPool,
     nq: usize,
@@ -73,6 +56,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One execution per query over a fresh pool.
+    fn run_queries<F>(nq: usize, threads: usize, f: F) -> QpsResult
+    where
+        F: Fn(usize, &mut SearchScratch) -> (Vec<u32>, SearchStats) + Sync,
+    {
+        run_queries_pooled(&ScratchPool::new(), nq, threads, 1, f)
+    }
 
     #[test]
     fn runs_every_query_exactly_once() {
@@ -103,7 +94,7 @@ mod tests {
 
     #[test]
     fn pooled_runs_reuse_scratches_across_runs() {
-        let pool = acorn_hnsw::ScratchPool::new();
+        let pool = ScratchPool::new();
         let f = |i: usize, s: &mut SearchScratch| {
             s.visited.grow(64);
             s.visited.insert(i as u32 % 64);

@@ -45,23 +45,10 @@ impl SweepPoint {
 /// Sweep a beam-width parameter over a workload.
 ///
 /// `f(query_index, param, scratch)` runs one query at the given parameter
-/// value. `truth` supplies exact ground truth for recall@`k`.
+/// value, `repeats` times per point (see
+/// [`run_queries_pooled`]). `truth` supplies exact ground truth for
+/// recall@`k`.
 pub fn sweep<F>(
-    params: &[usize],
-    truth: &[Vec<u32>],
-    k: usize,
-    threads: usize,
-    f: F,
-) -> Vec<SweepPoint>
-where
-    F: Fn(usize, usize, &mut SearchScratch) -> (Vec<u32>, SearchStats) + Sync,
-{
-    sweep_repeated(params, truth, k, threads, 1, f)
-}
-
-/// [`sweep`] with per-query repetition (see
-/// [`run_queries_repeated`](crate::qps::run_queries_repeated)).
-pub fn sweep_repeated<F>(
     params: &[usize],
     truth: &[Vec<u32>],
     k: usize,
@@ -95,40 +82,31 @@ where
         .collect()
 }
 
-/// The QPS a curve achieves at a recall target, by linear interpolation
-/// between the two straddling sweep points (`None` if the target recall is
-/// never reached). This is how "QPS at 0.9 recall" comparisons are read off.
-pub fn qps_at_recall(points: &[SweepPoint], target: f64) -> Option<f64> {
+/// A curve's `value` at a recall target, by linear interpolation between the
+/// two straddling sweep points (`None` if the target recall is never
+/// reached).
+fn at_recall(points: &[SweepPoint], target: f64, value: fn(&SweepPoint) -> f64) -> Option<f64> {
     let mut sorted: Vec<&SweepPoint> = points.iter().collect();
     sorted.sort_by(|a, b| a.recall.total_cmp(&b.recall));
-    if sorted.is_empty() || sorted.last().unwrap().recall < target {
-        return None;
-    }
     // First point at or above the target.
-    let above = sorted.iter().position(|p| p.recall >= target).unwrap();
+    let above = sorted.iter().position(|p| p.recall >= target)?;
     if above == 0 || (sorted[above].recall - target).abs() < 1e-12 {
-        return Some(sorted[above].qps);
+        return Some(value(sorted[above]));
     }
     let (lo, hi) = (sorted[above - 1], sorted[above]);
     let t = (target - lo.recall) / (hi.recall - lo.recall);
-    Some(lo.qps + t * (hi.qps - lo.qps))
+    Some(value(lo) + t * (value(hi) - value(lo)))
 }
 
-/// Distance computations needed to reach a recall target (Table 3), linearly
-/// interpolated like [`qps_at_recall`].
+/// The QPS a curve achieves at a recall target — how "QPS at 0.9 recall"
+/// comparisons are read off.
+pub fn qps_at_recall(points: &[SweepPoint], target: f64) -> Option<f64> {
+    at_recall(points, target, |p| p.qps)
+}
+
+/// Distance computations needed to reach a recall target (Table 3).
 pub fn ndis_at_recall(points: &[SweepPoint], target: f64) -> Option<f64> {
-    let mut sorted: Vec<&SweepPoint> = points.iter().collect();
-    sorted.sort_by(|a, b| a.recall.total_cmp(&b.recall));
-    if sorted.is_empty() || sorted.last().unwrap().recall < target {
-        return None;
-    }
-    let above = sorted.iter().position(|p| p.recall >= target).unwrap();
-    if above == 0 || (sorted[above].recall - target).abs() < 1e-12 {
-        return Some(sorted[above].avg_ndis);
-    }
-    let (lo, hi) = (sorted[above - 1], sorted[above]);
-    let t = (target - lo.recall) / (hi.recall - lo.recall);
-    Some(lo.avg_ndis + t * (hi.avg_ndis - lo.avg_ndis))
+    at_recall(points, target, |p| p.avg_ndis)
 }
 
 #[cfg(test)]
@@ -140,7 +118,7 @@ mod tests {
         // Fake index: with param p, "find" the first min(p, 10) truth items.
         let truth: Vec<Vec<u32>> =
             (0..8).map(|q| (0..10u32).map(|i| q * 100 + i).collect()).collect();
-        let points = sweep(&[2, 5, 10], &truth, 10, 2, |q, p, _s| {
+        let points = sweep(&[2, 5, 10], &truth, 10, 2, 1, |q, p, _s| {
             let ids: Vec<u32> = (0..p.min(10) as u32).map(|i| q as u32 * 100 + i).collect();
             (ids, SearchStats { ndis: p as u64, ..Default::default() })
         });

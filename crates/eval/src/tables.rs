@@ -86,20 +86,6 @@ impl Table {
     }
 }
 
-/// Format a float compactly (3 significant decimals, trailing zeros kept
-/// short) for table cells.
-pub fn fmt_f64(x: f64) -> String {
-    if x == 0.0 {
-        "0".to_string()
-    } else if x.abs() >= 1000.0 {
-        format!("{x:.0}")
-    } else if x.abs() >= 10.0 {
-        format!("{x:.1}")
-    } else {
-        format!("{x:.3}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,13 +117,5 @@ mod tests {
         let s = std::fs::read_to_string(&dir).unwrap();
         assert!(s.contains("\"v,1\",plain"));
         let _ = std::fs::remove_file(&dir);
-    }
-
-    #[test]
-    fn fmt_ranges() {
-        assert_eq!(fmt_f64(0.0), "0");
-        assert_eq!(fmt_f64(0.123456), "0.123");
-        assert_eq!(fmt_f64(42.37), "42.4");
-        assert_eq!(fmt_f64(12345.6), "12346");
     }
 }

@@ -173,12 +173,6 @@ impl LayeredGraph {
         Arc::get_mut(node).expect("a node just copied has no other owner")
     }
 
-    /// Mutably borrow the neighbor list of `v` at `level`.
-    #[inline]
-    pub fn neighbors_mut(&mut self, v: u32, level: usize) -> &mut Vec<u32> {
-        &mut self.lists_mut(v)[level]
-    }
-
     /// Replace the neighbor list of `v` at `level`.
     #[inline]
     pub fn set_neighbors(&mut self, v: u32, level: usize, list: Vec<u32>) {
@@ -189,15 +183,6 @@ impl LayeredGraph {
     #[inline]
     pub fn push_edge(&mut self, v: u32, w: u32, level: usize) {
         self.lists_mut(v)[level].push(w);
-    }
-
-    /// Iterate over all node ids present on `level`.
-    pub fn nodes_on_level(&self, level: usize) -> impl Iterator<Item = u32> + '_ {
-        self.levels
-            .iter()
-            .enumerate()
-            .filter(move |(_, &l)| l as usize >= level)
-            .map(|(i, _)| i as u32)
     }
 
     /// Per-level statistics (Table 6 / Figure 13 support).
@@ -310,18 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn nodes_on_level_filters_by_max_level() {
-        let mut g = LayeredGraph::new();
-        g.add_node(0);
-        g.add_node(2);
-        g.add_node(1);
-        let on1: Vec<u32> = g.nodes_on_level(1).collect();
-        assert_eq!(on1, vec![1, 2]);
-        let on0: Vec<u32> = g.nodes_on_level(0).collect();
-        assert_eq!(on0, vec![0, 1, 2]);
-    }
-
-    #[test]
     fn level_stats_counts_degrees() {
         let mut g = LayeredGraph::new();
         let a = g.add_node(0);
@@ -356,7 +329,7 @@ mod tests {
         // Every mutator re-allocates the node it edits and only that node.
         g.push_edge(a, c, 0);
         g.set_neighbors(c, 0, vec![a, b]);
-        g.neighbors_mut(c, 0).push(c);
+        g.push_edge(c, c, 0);
         let d = g.add_node(2);
         assert!(!shared(&g, &pinned, a));
         assert!(shared(&g, &pinned, b), "an untouched node stays shared");
@@ -370,11 +343,13 @@ mod tests {
         assert!(pinned.neighbors(c, 0).is_empty());
         assert_eq!((pinned.len(), pinned.entry_point(), pinned.max_level()), (3, Some(a), 1));
 
-        // Once the clone is gone the survivor edits in place again.
+        // Once the clone is gone the survivor edits in place again: `b` was
+        // shared until the drop, and editing it now copies no node.
         drop(pinned);
-        let before = g.neighbors(b, 0).as_ptr();
-        g.neighbors_mut(b, 0)[0] = c;
-        assert_eq!(g.neighbors(b, 0).as_ptr(), before);
+        let before = Arc::as_ptr(&g.adj[b as usize]);
+        g.push_edge(b, c, 0);
+        assert_eq!(Arc::as_ptr(&g.adj[b as usize]), before);
+        assert_eq!(g.neighbors(b, 0), &[a, c]);
     }
 
     #[test]

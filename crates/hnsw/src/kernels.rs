@@ -72,12 +72,6 @@ fn detected_path() -> KernelPath {
     KernelPath::Scalar
 }
 
-/// True if the AVX2+FMA kernels are callable on this CPU (regardless of the
-/// `ACORN_FORCE_SCALAR` override). Lets tests compare both paths explicitly.
-pub fn simd_available() -> bool {
-    detected_path() == KernelPath::Avx2Fma
-}
-
 // ---------------------------------------------------------------------------
 // f32 kernels
 // ---------------------------------------------------------------------------
@@ -339,6 +333,14 @@ pub mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// True if the AVX2+FMA kernels are callable on this CPU (regardless of
+    /// the `ACORN_FORCE_SCALAR` override), so the tests can compare both
+    /// paths explicitly.
+    #[cfg(target_arch = "x86_64")]
+    fn simd_available() -> bool {
+        detected_path() == KernelPath::Avx2Fma
+    }
 
     fn vecs(len: usize, seed: f32) -> (Vec<f32>, Vec<f32>) {
         let a: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37 + seed).sin()).collect();

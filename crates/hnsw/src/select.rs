@@ -7,16 +7,10 @@
 //! prune" is the same rule with a slack factor `alpha >= 1`.
 //!
 //! The ACORN paper's Figure 12 compares this *metadata-blind* pruning against
-//! ACORN's predicate-agnostic compression; both call into this module's
-//! simple selection, while ACORN's own pruning lives in `acorn-core`.
+//! ACORN's predicate-agnostic compression, which lives in `acorn-core`.
 
 use crate::heap::Neighbor;
 use crate::vecs::{Metric, VectorStore};
-
-/// Keep the `m` nearest candidates (candidates must be sorted nearest-first).
-pub fn select_simple(candidates: &[Neighbor], m: usize) -> Vec<u32> {
-    candidates.iter().take(m).map(|n| n.id).collect()
-}
 
 /// HNSW's RNG-based heuristic selection (Algorithm 4 of the HNSW paper),
 /// generalized with Vamana's `alpha` slack.
@@ -89,13 +83,6 @@ mod tests {
             ids.iter().map(|&id| Neighbor::new(Metric::L2.distance(vecs.get(id), v), id)).collect();
         c.sort_unstable();
         c
-    }
-
-    #[test]
-    fn simple_takes_prefix() {
-        let c = vec![Neighbor::new(1.0, 7), Neighbor::new(2.0, 3), Neighbor::new(3.0, 9)];
-        assert_eq!(select_simple(&c, 2), vec![7, 3]);
-        assert_eq!(select_simple(&c, 10), vec![7, 3, 9]);
     }
 
     #[test]

@@ -195,12 +195,6 @@ impl Sq8Store {
         kernels::sq8_l2_sq(self.codes_of(i), &self.mins, &self.steps, query)
     }
 
-    /// Worst-case per-dimension quantization error (half a quantization
-    /// step), useful for error-bound tests.
-    pub fn max_step(&self) -> f32 {
-        self.steps.iter().fold(0.0f32, |a, &s| a.max(s)) * 0.5
-    }
-
     /// Metric dispatch against one coded row, given a precomputed query norm
     /// (only used by Cosine; pass anything otherwise).
     #[inline]
@@ -283,6 +277,11 @@ impl VectorData for Sq8Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Worst-case per-dimension quantization error: half a quantization step.
+    fn max_step(sq: &Sq8Store) -> f32 {
+        sq.steps().iter().fold(0.0f32, |a, &s| a.max(s)) * 0.5
+    }
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -304,7 +303,7 @@ mod tests {
         for i in 0..vecs.len() as u32 {
             sq.decode_into(i, &mut decoded);
             for (d, (&orig, &dec)) in vecs.get(i).iter().zip(&decoded).enumerate() {
-                let step = sq.max_step();
+                let step = max_step(&sq);
                 assert!(
                     (orig - dec).abs() <= step + 1e-5,
                     "dim {d}: |{orig} - {dec}| > step {step}"
@@ -384,7 +383,7 @@ mod tests {
             let lo = trained.mins()[d];
             let hi = lo + 255.0 * trained.steps()[d];
             let clamped = orig.clamp(lo, hi);
-            assert!((clamped - got).abs() <= trained.max_step() * 2.0 + 1e-5, "dim {d}");
+            assert!((clamped - got).abs() <= max_step(&trained) * 2.0 + 1e-5, "dim {d}");
         }
     }
 

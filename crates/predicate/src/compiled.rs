@@ -163,18 +163,6 @@ impl CompiledPredicate {
         }
     }
 
-    /// Evaluate rows `block * 64 .. min(block * 64 + 64, n)` into a mask
-    /// word: bit `i` is set iff row `block * 64 + i` passes. Bits beyond the
-    /// store's last row are zero.
-    pub fn eval_block(&self, attrs: &AttrStore, block: usize) -> u64 {
-        let base = block * 64;
-        let n = attrs.len();
-        debug_assert!(base < n.max(1), "block {block} out of range");
-        let len = n.saturating_sub(base).min(64);
-        let active = if len == 64 { u64::MAX } else { (1u64 << len) - 1 };
-        self.eval_block_masked(self.root, attrs, base, active)
-    }
-
     /// Block kernel: evaluate the rows whose bits are set in `active`,
     /// returning the subset that passes. Cheap leaves compute the whole
     /// block branchlessly and mask afterwards (the columnar loops
@@ -442,7 +430,7 @@ mod tests {
         assert_matches_interpreted(&p, &s);
         let c = CompiledPredicate::compile(&p);
         // Tail block must zero bits beyond row 99.
-        assert_eq!(c.eval_block(&s, 1) >> 36, 0);
+        assert_eq!(c.to_bitset(&s).words()[1] >> 36, 0);
     }
 
     #[test]

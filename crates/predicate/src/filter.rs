@@ -11,10 +11,7 @@
 //!   front, one load per check; what Weaviate does, and what we use for
 //!   expensive predicates like regex so that per-node cost stays constant).
 //!
-//! [`CountingFilter`] wraps any filter to count evaluations (the `npred`
-//! statistic), and [`AllPass`] turns a hybrid index into a plain ANN index.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! [`AllPass`] turns a hybrid index into a plain ANN index.
 
 use crate::attrs::AttrStore;
 use crate::bitmap::Bitset;
@@ -127,33 +124,6 @@ impl NodeFilter for BitmapFilter {
     }
 }
 
-/// Wrapper counting predicate evaluations (thread-safe so the parallel QPS
-/// driver can share it).
-pub struct CountingFilter<'a, F: NodeFilter + ?Sized> {
-    inner: &'a F,
-    count: AtomicU64,
-}
-
-impl<'a, F: NodeFilter + ?Sized> CountingFilter<'a, F> {
-    /// Wrap `inner`.
-    pub fn new(inner: &'a F) -> Self {
-        Self { inner, count: AtomicU64::new(0) }
-    }
-
-    /// Evaluations performed so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-}
-
-impl<F: NodeFilter + ?Sized> NodeFilter for CountingFilter<'_, F> {
-    #[inline]
-    fn passes(&self, id: u32) -> bool {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.passes(id)
-    }
-}
-
 impl<F: NodeFilter + ?Sized> NodeFilter for &F {
     #[inline]
     fn passes(&self, id: u32) -> bool {
@@ -197,16 +167,6 @@ mod tests {
             assert_eq!(lazy.passes(id), bm.passes(id), "row {id}");
         }
         assert!((bm.selectivity() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn counting_filter_counts() {
-        let f = AllPass;
-        let c = CountingFilter::new(&f);
-        for id in 0..7 {
-            let _ = c.passes(id);
-        }
-        assert_eq!(c.count(), 7);
     }
 
     #[test]

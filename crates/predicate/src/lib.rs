@@ -38,7 +38,7 @@ pub mod selectivity;
 pub use attrs::{AttrStore, AttrStoreBuilder, Column, FieldId};
 pub use bitmap::Bitset;
 pub use compiled::{CompiledFilter, CompiledPredicate, CostClass};
-pub use filter::{AllPass, BitmapFilter, CountingFilter, NodeFilter, PredicateFilter};
+pub use filter::{AllPass, BitmapFilter, NodeFilter, PredicateFilter};
 pub use memo::{MemoFilter, MemoTable};
 pub use predicate::Predicate;
 pub use regex::Regex;

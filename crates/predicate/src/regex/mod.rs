@@ -17,9 +17,10 @@
 //!    no allocation. The states are capped; past the cap the pattern keeps
 //!    the program alone.
 //! 4. A literal prefilter read off the AST: a pattern that is a literal or
-//!    an alternation of literals is answered by substring search outright,
-//!    and a run of literal characters every match must contain rejects rows
-//!    by substring search before the table is walked.
+//!    an alternation of literals is answered by substring search outright
+//!    (steps 2 and 3 are skipped for it), and a run of literal characters
+//!    every match must contain rejects rows by substring search before the
+//!    table is walked.
 //!
 //! The program's Pike-style virtual machine (`O(len · states)`, no
 //! backtracking and therefore no pathological inputs) is what step 3 caches:
@@ -55,7 +56,9 @@ pub struct Regex {
 struct Compiled {
     pattern: String,
     prefilter: Prefilter,
-    engine: Engine,
+    /// `None` under an exact prefilter: `is_match` answers by substring
+    /// search alone and never walks an automaton, so none is built.
+    engine: Option<Engine>,
 }
 
 #[derive(Debug)]
@@ -80,13 +83,15 @@ impl Regex {
     /// Compile `pattern`.
     pub fn new(pattern: &str) -> Result<Self, ParseError> {
         let ast = parser::parse(pattern)?;
-        let program = Program::compile(&ast);
-        let engine = match Dfa::build(&program) {
-            Some(dfa) => Engine::Dfa(dfa),
-            None => Engine::Vm(program),
-        };
-        let compiled =
-            Compiled { pattern: pattern.to_string(), prefilter: Prefilter::of(&ast), engine };
+        let prefilter = Prefilter::of(&ast);
+        let engine = (!matches!(prefilter, Prefilter::Exact(_))).then(|| {
+            let program = Program::compile(&ast);
+            match Dfa::build(&program) {
+                Some(dfa) => Engine::Dfa(dfa),
+                None => Engine::Vm(program),
+            }
+        });
+        let compiled = Compiled { pattern: pattern.to_string(), prefilter, engine };
         Ok(Self { compiled: Arc::new(compiled) })
     }
 
@@ -105,8 +110,9 @@ impl Regex {
             _ => {}
         }
         match &self.compiled.engine {
-            Engine::Dfa(dfa) => dfa.is_match(text),
-            Engine::Vm(program) => program.is_match(text),
+            Some(Engine::Dfa(dfa)) => dfa.is_match(text),
+            Some(Engine::Vm(program)) => program.is_match(text),
+            None => unreachable!("an exact prefilter answered above"),
         }
     }
 }
@@ -301,14 +307,21 @@ mod tests {
     fn clones_share_the_compiled_pattern() {
         let re = Regex::new("^a photo of .*dog").unwrap();
         assert!(Arc::ptr_eq(&re.compiled, &re.clone().compiled));
-        assert!(matches!(re.compiled.engine, Engine::Dfa(_)));
+        assert!(matches!(re.compiled.engine, Some(Engine::Dfa(_))));
+    }
+
+    #[test]
+    fn exact_prefilter_builds_no_automaton() {
+        let re = Regex::new("(dog|cat)").unwrap();
+        assert!(re.compiled.engine.is_none());
+        assert!(re.is_match("a cat on a mat") && !re.is_match("a cow on a mat"));
     }
 
     #[test]
     fn pattern_past_the_state_cap_answers_through_the_vm() {
         let pat = format!("(a|b)*a{}c", "(a|b)".repeat(12));
         let re = Regex::new(&pat).unwrap();
-        assert!(matches!(re.compiled.engine, Engine::Vm(_)));
+        assert!(matches!(re.compiled.engine, Some(Engine::Vm(_))));
         assert_eq!(re.compiled.prefilter, Prefilter::Required("a".to_string()));
         assert!(re.is_match(&format!("ba{}c", "ab".repeat(6))));
         assert!(!re.is_match(&format!("bb{}c", "ab".repeat(6))));
