@@ -39,11 +39,6 @@ impl IvfFlat {
         Self { vecs, metric, centroids: km.centroids, lists }
     }
 
-    /// Number of inverted lists.
-    pub fn nlist(&self) -> usize {
-        self.lists.len()
-    }
-
     /// Index-only memory (inverted lists + centroids).
     pub fn memory_bytes(&self) -> usize {
         self.centroids.memory_bytes()
@@ -120,11 +115,6 @@ impl IvfSq8 {
         IvfFlat::build(vecs, metric, nlist, kmeans_iters, seed).to_sq8()
     }
 
-    /// Number of inverted lists.
-    pub fn nlist(&self) -> usize {
-        self.lists.len()
-    }
-
     /// Index + codes memory (the point of SQ8: ~4x smaller than flat).
     pub fn memory_bytes(&self) -> usize {
         self.sq.memory_bytes()
@@ -193,8 +183,11 @@ mod tests {
         let ivf = IvfFlat::build(vecs.clone(), Metric::L2, 8, 5, 2);
         let q = vec![0.3; 6];
         let mut stats = SearchStats::default();
-        let got: Vec<u32> =
-            ivf.search(&q, &AllPass, 10, ivf.nlist(), &mut stats).iter().map(|n| n.id).collect();
+        let got: Vec<u32> = ivf
+            .search(&q, &AllPass, 10, ivf.lists.len(), &mut stats)
+            .iter()
+            .map(|n| n.id)
+            .collect();
         let mut truth: Vec<(f32, u32)> =
             (0..n as u32).map(|i| (Metric::L2.distance(vecs.get(i), &q), i)).collect();
         truth.sort_by(|a, b| a.0.total_cmp(&b.0));

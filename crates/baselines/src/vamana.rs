@@ -81,7 +81,7 @@ pub fn robust_prune(
 /// `scratch.frontier`. All per-query state (visited set, candidate heap,
 /// frontier log) lives in `scratch`, so query loops reuse allocations.
 #[allow(clippy::too_many_arguments)]
-pub fn greedy_search(
+fn greedy_search(
     vecs: &VectorStore,
     metric: Metric,
     adj: &[Vec<u32>],

@@ -93,7 +93,7 @@ fn main() {
     println!(
         "loaded {} rows as {} segments in {:.1?} ({:.0} rows/s)",
         config.rows,
-        idx.num_segments(),
+        idx.snapshot().num_segments(),
         load_wall,
         load_rps
     );
@@ -132,7 +132,7 @@ fn main() {
     println!("{}", band_table.render());
 
     // ---- Phase 3: steady-state per-band sweep on the post-churn index.
-    let engine = SegmentedQueryEngine::new(&idx).with_threads(config.concurrency);
+    let engine = SegmentedQueryEngine::for_reader(idx.reader()).with_threads(config.concurrency);
     let mut steady = Vec::with_capacity(config.bands.len());
     let mut steady_table = Table::new(
         "steady-state per-band hybrid batch",
@@ -157,22 +157,24 @@ fn main() {
     println!("{}", steady_table.render());
 
     let reader = idx.reader();
+    let end = reader.snapshot();
     println!(
         "end state: epoch {}, {} segments, {} live rows ({} tombstoned), \
          {} merges, {} maintenance errors, {} snapshot pins, {:.1} MiB",
-        idx.epoch(),
-        idx.num_segments(),
-        idx.len(),
-        idx.deleted_rows(),
+        end.epoch(),
+        end.num_segments(),
+        end.len(),
+        end.deleted_rows(),
         reader.merges_completed(),
         reader.maintenance_errors(),
         reader.snapshot_pins(),
-        idx.memory_bytes() as f64 / (1024.0 * 1024.0)
+        end.memory_bytes() as f64 / (1024.0 * 1024.0)
     );
     assert_eq!(reader.maintenance_errors(), 0, "maintenance must not panic during the run");
 
     // ---- JSON emission.
-    let json = render_json(&config, cores, kernel, load_wall, load_rps, &report, &steady, &idx);
+    let json =
+        render_json(&config, cores, kernel, load_wall, load_rps, &report, &steady, &reader, &end);
     let dir = if config == WorkloadConfig::default() {
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
     } else {
@@ -212,9 +214,9 @@ fn render_json(
     load_rps: f64,
     report: &MixedReport,
     steady: &[SteadyBand],
-    idx: &acorn_core::SegmentedAcornIndex,
+    reader: &acorn_core::IndexReader,
+    end: &acorn_core::SegmentSnapshot,
 ) -> String {
-    let reader = idx.reader();
     let mut s = String::new();
     let bands_json = config.bands.iter().map(|b| b.to_string()).collect::<Vec<_>>().join(", ");
     let _ = writeln!(s, "{{");
@@ -301,14 +303,14 @@ fn render_json(
         "  \"index\": {{\"epoch\": {}, \"segments\": {}, \"live_rows\": {}, \
          \"deleted_rows\": {}, \"merges_completed\": {}, \"maintenance_errors\": {}, \
          \"snapshot_pins\": {}, \"memory_bytes\": {}}}",
-        idx.epoch(),
-        idx.num_segments(),
-        idx.len(),
-        idx.deleted_rows(),
+        end.epoch(),
+        end.num_segments(),
+        end.len(),
+        end.deleted_rows(),
         reader.merges_completed(),
         reader.maintenance_errors(),
         reader.snapshot_pins(),
-        idx.memory_bytes()
+        end.memory_bytes()
     );
     let _ = writeln!(s, "}}");
     s

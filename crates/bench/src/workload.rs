@@ -362,7 +362,7 @@ impl WorkloadPlan {
 /// Construction parameters every workload index uses: γ = 8 keeps the
 /// lowest default band (0.01 < 1/γ) on the prefilter-fallback path while
 /// the others traverse, so one run exercises both regimes.
-pub fn workload_params(config: &WorkloadConfig) -> AcornParams {
+fn workload_params(config: &WorkloadConfig) -> AcornParams {
     AcornParams {
         m: 8,
         gamma: 8,

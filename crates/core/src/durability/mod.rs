@@ -91,9 +91,9 @@ use std::sync::{Arc, Weak};
 
 use acorn_hnsw::checksum::crc32;
 
-use crate::segment::{GlobalNeighbor, MergeOutcome};
+use crate::segment::MergeOutcome;
 use crate::serialize::{self, Checkpoint, SegmentFileRef};
-use crate::snapshot::{IndexReader, SegmentPayload, SegmentSnapshot, SegmentView};
+use crate::snapshot::{SegmentPayload, SegmentSnapshot, SegmentView};
 use crate::SegmentedAcornIndex;
 
 pub use vfs::{FailpointVfs, FaultPlan, StdVfs, Vfs, VfsFile};
@@ -144,8 +144,8 @@ impl Default for DurabilityOptions {
 /// All mutations go through this wrapper (there is deliberately no `&mut`
 /// access to the inner index): each one is WAL-logged before it is applied,
 /// which is what makes recovery bit-identical. Reads are free — borrow the
-/// inner index with [`index`](Self::index) or serve concurrently through
-/// [`reader`](Self::reader) handles.
+/// inner index with [`index`](Self::index) and ask its snapshot, or serve
+/// concurrently through its reader handles.
 #[derive(Debug)]
 pub struct DurableIndex {
     dir: PathBuf,
@@ -271,7 +271,8 @@ impl DurableIndex {
         let wal_file = wal_path(&dir, generation);
         let (recovered_ops, valid_len, file_len, wal_present) = match vfs.read(&wal_file) {
             Ok(buf) => {
-                let (ops, valid) = wal::replay(&buf, index.dim(), |op| apply(&mut index, op))?;
+                let dim = index.state().dim();
+                let (ops, valid) = wal::replay(&buf, dim, |op| apply(&mut index, op))?;
                 (ops, valid, buf.len(), true)
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => (0, 0, 0, false),
@@ -322,10 +323,11 @@ impl DurableIndex {
     /// non-finite component: refused before anything is logged, so the
     /// handle stays usable and the row can never reach a replay.
     pub fn insert(&mut self, v: &[f32]) -> io::Result<u64> {
-        if v.len() != self.index.dim() {
+        let dim = self.index.state().dim();
+        if v.len() != dim {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("inserted vector has dimension {}, not {}", v.len(), self.index.dim()),
+                format!("inserted vector has dimension {}, not {dim}", v.len()),
             ));
         }
         if v.iter().any(|x| !x.is_finite()) {
@@ -335,7 +337,7 @@ impl DurableIndex {
             ));
         }
         self.run(|s| {
-            let gid = s.index.next_global_id();
+            let gid = s.index.state().next_global_id();
             s.append_op(WalOp::Insert { gid, vector: v })?;
             let got = s.index.insert(v);
             debug_assert_eq!(got, gid);
@@ -348,7 +350,7 @@ impl DurableIndex {
     /// live.
     pub fn delete(&mut self, gid: u64) -> io::Result<bool> {
         self.run(|s| {
-            if !s.index.contains(gid) {
+            if !s.index.state().contains(gid) {
                 return Ok(false);
             }
             s.append_op(WalOp::Delete { gid })?;
@@ -401,19 +403,11 @@ impl DurableIndex {
 
     // -- reads --------------------------------------------------------------
 
-    /// The underlying index, for searches and introspection.
+    /// The underlying index — the one read: pin its
+    /// [`snapshot`](SegmentedAcornIndex::snapshot) or take a
+    /// [`reader`](SegmentedAcornIndex::reader) handle to serve concurrently.
     pub fn index(&self) -> &SegmentedAcornIndex {
         &self.index
-    }
-
-    /// A lock-free reader handle for concurrent serving.
-    pub fn reader(&self) -> IndexReader {
-        self.index.reader()
-    }
-
-    /// Convenience: unfiltered k-NN search on the current epoch.
-    pub fn search(&self, query: &[f32], k: usize, efs: usize) -> Vec<GlobalNeighbor> {
-        self.index.search(query, k, efs)
     }
 
     /// The committed checkpoint generation.
@@ -625,7 +619,8 @@ fn held_by(
 fn apply(index: &mut SegmentedAcornIndex, op: WalOp<'_>) -> io::Result<()> {
     match op {
         WalOp::Insert { gid, vector } => {
-            if vector.len() != index.dim() || gid != index.next_global_id() {
+            let state = index.state();
+            if vector.len() != state.dim() || gid != state.next_global_id() {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "WAL insert record inconsistent with the snapshot it extends",
@@ -765,7 +760,7 @@ mod tests {
         let reopened = DurableIndex::open(&dir, fast_opts()).unwrap();
         assert_eq!(reopened.generation(), 1);
         assert_eq!(reopened.recovered_ops(), 0, "a checkpointed store replays nothing");
-        assert_eq!(reopened.index().len(), 25);
+        assert_eq!(reopened.index().snapshot().len(), 25);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -782,7 +777,7 @@ mod tests {
         assert!(store.generation() > 0, "WAL growth must trigger auto-checkpoints");
         assert!(store.wal_bytes() <= 256 + 64, "WAL stays near the bound");
         let reopened = DurableIndex::open(&dir, fast_opts()).unwrap();
-        assert_eq!(reopened.index().len(), 64);
+        assert_eq!(reopened.index().snapshot().len(), 64);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -817,7 +812,7 @@ mod tests {
         drop(store);
         std::fs::write(dir.join(MANIFEST_NAME), b"garbage").unwrap();
         let reopened = DurableIndex::open(&dir, fast_opts()).unwrap();
-        assert_eq!(reopened.index().len(), 10);
+        assert_eq!(reopened.index().snapshot().len(), 10);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -843,7 +838,7 @@ mod tests {
         assert_eq!(store.insert(&vec_for(1, dim)).unwrap(), 1, "no gid was spent on a refusal");
 
         let reopened = DurableIndex::open(&dir, fast_opts()).unwrap();
-        assert_eq!((reopened.recovered_ops(), reopened.index().len()), (2, 2));
+        assert_eq!((reopened.recovered_ops(), reopened.index().snapshot().len()), (2, 2));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -866,7 +861,7 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         let mut export = Vec::new();
-        store.index().save(&mut export).unwrap();
+        store.index().snapshot().save(&mut export).unwrap();
         drop(store);
         for gen in [0, 1] {
             std::fs::write(snap_path(&dir, gen), &export).unwrap();
@@ -886,7 +881,7 @@ mod tests {
             // This helper only exists to keep that assertion honest if the
             // test evolves — parse the WAL file directly.
             let buf = self.vfs.read(&wal_path(&self.dir, self.generation)).unwrap();
-            wal::replay(&buf, self.index.dim(), |_| Ok(())).unwrap().0
+            wal::replay(&buf, self.index.state().dim(), |_| Ok(())).unwrap().0
         }
     }
 }

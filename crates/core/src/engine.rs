@@ -1,66 +1,44 @@
-//! The batch query engine: concurrent, scratch-pooled serving on top of
-//! [`SegmentedAcornIndex`].
+//! The batch query engine: concurrent, scratch-pooled serving through an
+//! [`IndexReader`] of a [`SegmentedAcornIndex`].
 //!
 //! ACORN's headline results are QPS–recall tradeoffs under hybrid
 //! predicates (§7), which makes batched, multi-threaded query execution the
 //! production-facing surface of the index. [`SegmentedQueryEngine`]
-//! provides it:
+//! provides it on top of the workspace's one batch driver,
+//! [`run_sharded`], and returns that driver's [`ShardedRun`] unchanged:
 //!
 //! * queries are sharded across `std::thread::scope` workers in contiguous
 //!   chunks, so output ordering is **deterministic** — result `i` always
 //!   answers query `i`, and the results are identical to a sequential loop
 //!   regardless of the thread count;
-//! * every worker checks one [`SearchScratch`] out of a shared
-//!   [`ScratchPool`](acorn_hnsw::ScratchPool) for its whole shard, so no O(n) visited set is ever
-//!   allocated per query;
+//! * every worker checks one [`SearchScratch`] out of the index's shared
+//!   [`ScratchPool`](acorn_hnsw::ScratchPool) for its whole shard, so no
+//!   O(n) visited set is ever allocated per query;
 //! * per-worker [`SearchStats`] are merged into one aggregate, and wall
 //!   time / QPS are measured around the whole batch.
 //!
 //! A static corpus is served the same way: [`bulk_load`] it as one frozen
-//! segment (local row id == global id) and hand the index to the engine.
+//! segment (local row id == global id) and hand a reader to the engine.
 //!
-//! [`bulk_load`]: SegmentedAcornIndex::bulk_load
+//! [`SegmentedAcornIndex`]: crate::segment::SegmentedAcornIndex
+//! [`bulk_load`]: crate::segment::SegmentedAcornIndex::bulk_load
 
-use std::time::Duration;
-
-use acorn_hnsw::{LatencySummary, SearchScratch, SearchStats};
+use acorn_hnsw::pool::{run_sharded, ShardedRun};
+use acorn_hnsw::{SearchScratch, SearchStats};
 use acorn_predicate::{AttrStore, Predicate};
 
-use crate::segment::{GlobalNeighbor, SegmentedAcornIndex};
+use crate::segment::GlobalNeighbor;
 use crate::snapshot::{IndexReader, SegmentSnapshot};
 
-/// The answer to one batch of queries.
-#[derive(Debug, Clone)]
-pub struct BatchOutput {
-    /// Per-query results, indexed like the input query slice (deterministic
-    /// regardless of thread count).
-    pub results: Vec<Vec<GlobalNeighbor>>,
-    /// Search statistics aggregated across all queries.
-    pub stats: SearchStats,
-    /// Wall time of the whole batch.
-    pub elapsed: Duration,
-    /// Queries per second.
-    pub qps: f64,
-    /// Wall time of every individual query, in shard order — the samples
-    /// behind [`latency_summary`](Self::latency_summary).
-    pub latencies: Vec<Duration>,
-}
-
-impl BatchOutput {
-    /// Tail-latency percentiles (p50/p99/p999), mean, and max over the
-    /// per-query latencies. `None` for an empty batch.
-    pub fn latency_summary(&self) -> Option<LatencySummary> {
-        LatencySummary::from_samples(&self.latencies)
-    }
-}
-
-/// The batch-serving layer over a [`SegmentedAcornIndex`], on the shared
-/// [`run_sharded`](acorn_hnsw::pool::run_sharded) driver: each worker's
+/// The batch-serving layer over a
+/// [`SegmentedAcornIndex`](crate::segment::SegmentedAcornIndex), on the
+/// shared [`run_sharded`] driver: each worker's
 /// pooled scratch serves **every segment** of its queries in turn — the
 /// per-query fan-out across segments, the k-way merge of per-segment result
 /// heaps, and the global-id remapping all happen inside the snapshot's
-/// `*_with` entry points. Results come back as [`GlobalNeighbor`]s in
-/// deterministic input order with aggregated [`SearchStats`].
+/// `*_with` entry points. A batch answers with the driver's own
+/// [`ShardedRun`]: [`GlobalNeighbor`] lists in deterministic input order,
+/// aggregated [`SearchStats`], wall time, QPS and per-query latencies.
 ///
 /// The engine holds an [`IndexReader`], not a borrow of the index: it stays
 /// valid while the writer inserts, deletes, and merges concurrently. Each
@@ -77,13 +55,9 @@ pub struct SegmentedQueryEngine {
 }
 
 impl SegmentedQueryEngine {
-    /// An engine over `index` using all available cores.
-    pub fn new(index: &SegmentedAcornIndex) -> Self {
-        Self::for_reader(index.reader())
-    }
-
-    /// An engine over a standalone [`IndexReader`] handle (the form a
-    /// serving thread uses when the writer lives elsewhere).
+    /// An engine over an [`IndexReader`] handle
+    /// ([`SegmentedAcornIndex::reader`](crate::segment::SegmentedAcornIndex::reader)),
+    /// using all available cores.
     pub fn for_reader(reader: IndexReader) -> Self {
         Self { reader, threads: 0 }
     }
@@ -94,39 +68,29 @@ impl SegmentedQueryEngine {
         self
     }
 
-    /// The reader handle this engine serves through.
-    pub fn reader(&self) -> &IndexReader {
-        &self.reader
-    }
-
     /// Shard `nq` queries across scoped workers; `f(i, scratch, stats)`
     /// answers query `i` against `snap`. Output slot `i` always holds query
     /// `i`'s answer.
-    fn run_batch<F>(&self, snap: &SegmentSnapshot, nq: usize, f: F) -> BatchOutput
+    fn run_batch<F>(
+        &self,
+        snap: &SegmentSnapshot,
+        nq: usize,
+        f: F,
+    ) -> ShardedRun<Vec<GlobalNeighbor>>
     where
         F: Fn(usize, &mut SearchScratch, &mut SearchStats) -> Vec<GlobalNeighbor> + Sync,
     {
-        let run = acorn_hnsw::pool::run_sharded(
-            self.reader.scratch_pool(),
-            nq,
-            self.threads,
-            1,
-            snap.max_segment_rows(),
-            f,
-        );
-        let qps = run.throughput();
-        BatchOutput {
-            results: run.results,
-            stats: run.stats,
-            elapsed: run.elapsed,
-            qps,
-            latencies: run.latencies,
-        }
+        run_sharded(self.reader.scratch_pool(), nq, self.threads, 1, snap.max_segment_rows(), f)
     }
 
     /// Pure ANN search for a batch of queries across all segments of one
     /// pinned epoch.
-    pub fn search_batch<Q>(&self, queries: &[Q], k: usize, efs: usize) -> BatchOutput
+    pub fn search_batch<Q>(
+        &self,
+        queries: &[Q],
+        k: usize,
+        efs: usize,
+    ) -> ShardedRun<Vec<GlobalNeighbor>>
     where
         Q: AsRef<[f32]> + Sync,
     {
@@ -144,7 +108,7 @@ impl SegmentedQueryEngine {
         attrs: &AttrStore,
         k: usize,
         efs: usize,
-    ) -> BatchOutput
+    ) -> ShardedRun<Vec<GlobalNeighbor>>
     where
         Q: AsRef<[f32]> + Sync,
     {
@@ -170,6 +134,7 @@ mod tests {
     use super::*;
     use crate::index::AcornIndex;
     use crate::params::{AcornParams, AcornVariant};
+    use crate::segment::SegmentedAcornIndex;
 
     fn small_params(seed: u64) -> AcornParams {
         AcornParams {
@@ -238,7 +203,7 @@ mod tests {
             .collect();
 
         for threads in [1, 2, 4] {
-            let engine = SegmentedQueryEngine::new(&idx).with_threads(threads);
+            let engine = SegmentedQueryEngine::for_reader(idx.reader()).with_threads(threads);
             let out = engine.search_batch(&qs, 10, 48);
             assert_eq!(
                 pairs(&out.results),
@@ -252,13 +217,13 @@ mod tests {
     fn batch_aggregates_stats_and_counts_executions() {
         let idx = small_segmented(500, 3);
         let qs = queries(10, 8, 4);
-        let engine = SegmentedQueryEngine::new(&idx).with_threads(2);
+        let engine = SegmentedQueryEngine::for_reader(idx.reader()).with_threads(2);
         let out = engine.search_batch(&qs, 5, 32);
         assert!(out.qps > 0.0);
         assert_eq!(out.latencies.len(), qs.len(), "one latency sample per query");
         assert!(out.latency_summary().is_some());
         // The aggregate is exactly the sum of the per-query stats.
-        let snap = engine.reader().snapshot();
+        let snap = idx.snapshot();
         let mut scratch = SearchScratch::new(snap.max_segment_rows());
         let mut want = SearchStats::default();
         for q in &qs {
@@ -295,7 +260,7 @@ mod tests {
             .collect();
 
         for threads in [1, 3] {
-            let engine = SegmentedQueryEngine::new(&idx).with_threads(threads);
+            let engine = SegmentedQueryEngine::for_reader(idx.reader()).with_threads(threads);
             let out = engine.hybrid_search_batch(&batch, &attrs, 5, 32);
             assert_eq!(pairs(&out.results), pairs(&sequential), "threads = {threads}");
             assert!(out.stats.fallback, "the rare-label query must have routed to the fallback");
@@ -306,7 +271,7 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let (idx, _) = static_index(50, 10);
-        let engine = SegmentedQueryEngine::new(&idx);
+        let engine = SegmentedQueryEngine::for_reader(idx.reader());
         let out = engine.search_batch(&Vec::<Vec<f32>>::new(), 5, 16);
         assert!(out.results.is_empty());
         assert_eq!(out.stats, SearchStats::default());
@@ -325,7 +290,7 @@ mod tests {
             qs.iter().map(|q| snap.search_with(q, 10, 48, &mut scratch, &mut stats)).collect();
 
         for threads in [1, 2, 4] {
-            let engine = SegmentedQueryEngine::new(&idx).with_threads(threads);
+            let engine = SegmentedQueryEngine::for_reader(idx.reader()).with_threads(threads);
             let out = engine.search_batch(&qs, 10, 48);
             assert_eq!(pairs(&out.results), pairs(&sequential), "threads = {threads}");
             for r in &out.results {
@@ -341,9 +306,10 @@ mod tests {
     fn workers_return_scratches_to_the_pool() {
         let (idx, _) = static_index(400, 11);
         let qs = queries(16, 8, 12);
-        let engine = SegmentedQueryEngine::new(&idx).with_threads(4);
+        let reader = idx.reader();
+        let engine = SegmentedQueryEngine::for_reader(reader.clone()).with_threads(4);
         let _ = engine.search_batch(&qs, 5, 32);
-        let pool = engine.reader().scratch_pool();
+        let pool = reader.scratch_pool();
         let idle_after_first = pool.idle();
         assert!((1..=4).contains(&idle_after_first), "workers must return scratches");
         let _ = engine.search_batch(&qs, 5, 32);

@@ -870,11 +870,9 @@ mod tests {
         let vecs = random_store(n, 12, 6);
         let mut rng = StdRng::seed_from_u64(11);
         let labels: Vec<i64> = (0..n).map(|_| rng.gen_range(0..4)).collect();
-        let idx = AcornIndex::build(
-            vecs.clone(),
-            AcornParams::acorn1(16, 64, Metric::L2, 3),
-            AcornVariant::One,
-        );
+        // `AcornVariant::One` builds with γ = 1, M_β = M whatever γ says.
+        let params = AcornParams { m: 16, ef_construction: 64, seed: 3, ..AcornParams::default() };
+        let idx = AcornIndex::build(vecs.clone(), params, AcornVariant::One);
         let mut scratch = SearchScratch::new(n);
         let mut hits = 0;
         let mut total = 0;

@@ -58,7 +58,7 @@ pub mod serialize;
 pub mod snapshot;
 
 pub use durability::{DurabilityOptions, DurableIndex, FsyncPolicy};
-pub use engine::{BatchOutput, SegmentedQueryEngine};
+pub use engine::SegmentedQueryEngine;
 pub use index::{AcornIndex, Sq8Tier};
 pub use params::{AcornParams, AcornVariant};
 pub use plan::{PredicateStrategy, MATERIALIZE_BELOW_SELECTIVITY};

@@ -76,26 +76,6 @@ impl Default for AcornParams {
 }
 
 impl AcornParams {
-    /// Parameters for an ACORN-1 index: `γ = 1`, `M_β = M` (§5.3).
-    ///
-    /// The fallback threshold defaults to 0 (never pre-filter); set
-    /// `s_min_override` to the intended serving threshold when pairing
-    /// ACORN-1 against a specific ACORN-γ configuration.
-    pub fn acorn1(m: usize, ef_construction: usize, metric: Metric, seed: u64) -> Self {
-        Self {
-            m,
-            gamma: 1,
-            m_beta: m,
-            ef_construction,
-            metric,
-            seed,
-            prune: PruneStrategy::AcornCompress,
-            s_min_override: Some(0.0),
-            compressed_levels: 1,
-            flatten_hierarchy: false,
-        }
-    }
-
     /// The candidate-edge budget per node per level, `M·γ`.
     #[inline]
     pub fn edge_budget(&self) -> usize {
@@ -134,15 +114,6 @@ mod tests {
         assert_eq!(p.m, 32);
         assert_eq!(p.edge_budget(), 32 * 12);
         assert!((p.s_min() - 1.0 / 12.0).abs() < 1e-12);
-        p.validate();
-    }
-
-    #[test]
-    fn acorn1_fixes_gamma_and_mbeta() {
-        let p = AcornParams::acorn1(16, 40, Metric::L2, 3);
-        assert_eq!(p.gamma, 1);
-        assert_eq!(p.m_beta, 16);
-        assert_eq!(p.edge_budget(), 16);
         p.validate();
     }
 

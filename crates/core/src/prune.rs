@@ -51,7 +51,7 @@ pub struct PruneOutcome {
 ///
 /// `graph` supplies the one-hop neighborhoods of tail candidates (the
 /// dynamic set `H`); `budget = M·γ` bounds `|H| + kept`.
-pub fn acorn_compress(
+fn acorn_compress(
     candidates: &[Neighbor],
     graph: &LayeredGraph,
     level: usize,

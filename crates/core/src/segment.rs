@@ -41,10 +41,11 @@
 //! Every mutation edits a copy of the published [`SegmentSnapshot`] — the
 //! one description of the index's state — and publishes it as the next
 //! epoch; see the [`snapshot`](crate::snapshot) module for the epoch
-//! lifecycle and the reader-side guarantees. Readers ([`IndexReader`], the writer's own query
-//! methods, [`SegmentedQueryEngine`](crate::engine::SegmentedQueryEngine))
-//! pin an epoch with one cheap load and then run the whole query without
-//! acquiring any lock.
+//! lifecycle and the reader-side guarantees. The writer only writes: every
+//! read — a count, a liveness probe, a query, a save — is asked of a pinned
+//! snapshot ([`SegmentedAcornIndex::snapshot`], [`IndexReader`],
+//! [`SegmentedQueryEngine`](crate::engine::SegmentedQueryEngine)), which
+//! costs one cheap load and then answers without acquiring any lock.
 //!
 //! Rows are addressed by **stable global ids** (`u64`, assigned by
 //! [`insert`], never reused); each segment keeps a sorted local → global id
@@ -76,8 +77,8 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use acorn_hnsw::{ScratchPool, SearchScratch, SearchStats, VectorStore};
-use acorn_predicate::{AttrStore, Bitset, Predicate};
+use acorn_hnsw::VectorStore;
+use acorn_predicate::Bitset;
 
 use crate::index::{AcornIndex, Sq8Tier};
 use crate::params::{AcornParams, AcornVariant};
@@ -189,9 +190,9 @@ pub struct MergeOutcome {
     pub rows_dropped: usize,
     /// Surviving rows carried into the merged segment(s).
     pub rows_kept: usize,
-    /// [`SegmentedAcornIndex::memory_bytes`] before the merge.
+    /// [`SegmentSnapshot::memory_bytes`] before the merge.
     pub bytes_before: usize,
-    /// [`SegmentedAcornIndex::memory_bytes`] after the merge.
+    /// [`SegmentSnapshot::memory_bytes`] after the merge.
     pub bytes_after: usize,
 }
 
@@ -266,10 +267,11 @@ struct MaintenanceHandle {
 /// determinism contract.
 ///
 /// This struct is the **writer**: `insert` / `delete` / `freeze` take
-/// `&mut self` and publish a new epoch atomically. Query methods on the
-/// writer are conveniences that pin the current epoch; concurrent serving
-/// goes through [`reader`](Self::reader) handles, which stay valid while
-/// the writer (and the background maintenance thread) keep mutating.
+/// `&mut self` and publish a new epoch atomically. It answers no question
+/// about the index's contents: [`snapshot`](Self::snapshot) pins the
+/// current epoch, and concurrent serving goes through
+/// [`reader`](Self::reader) handles, which stay valid while the writer (and
+/// the background maintenance thread) keep mutating.
 #[derive(Debug)]
 pub struct SegmentedAcornIndex {
     shared: Arc<SharedState>,
@@ -314,11 +316,6 @@ impl SegmentedAcornIndex {
         self
     }
 
-    /// The merge policy in force.
-    pub fn policy(&self) -> MergePolicy {
-        self.state().policy.clone()
-    }
-
     /// Replace the quantization policy (builder style). Publishes a new
     /// epoch. Applies to segments sealed *after* the call; segments already
     /// frozen keep their encoding until a merge rebuilds them.
@@ -331,33 +328,14 @@ impl SegmentedAcornIndex {
         self
     }
 
-    /// The quantization policy in force.
-    pub fn quantization(&self) -> QuantizationPolicy {
-        self.state().quant
-    }
-
-    /// Construction parameters shared by every segment.
-    pub fn params(&self) -> &AcornParams {
-        &self.shared.params
-    }
-
-    /// Which ACORN variant the segments implement.
-    pub fn variant(&self) -> AcornVariant {
-        self.shared.variant
-    }
-
-    /// Vector dimensionality.
-    pub fn dim(&self) -> usize {
-        self.shared.dim
-    }
-
     /// A cloneable, `Send + Sync` handle for serving queries concurrently
     /// with writes and background merges.
     pub fn reader(&self) -> IndexReader {
         IndexReader { shared: self.shared.clone() }
     }
 
-    /// Pin the current epoch (see [`IndexReader::snapshot`]).
+    /// Pin the current epoch (see [`IndexReader::snapshot`]): every read of
+    /// the index's state is a question to the returned snapshot.
     pub fn snapshot(&self) -> Arc<SegmentSnapshot> {
         self.shared.snapshot()
     }
@@ -368,78 +346,9 @@ impl SegmentedAcornIndex {
         self.shared.state()
     }
 
-    /// The current epoch counter (bumped by every publication).
-    pub fn epoch(&self) -> u64 {
-        self.state().epoch()
-    }
-
-    /// Live (non-tombstoned) rows across all segments.
-    pub fn len(&self) -> usize {
-        self.state().len()
-    }
-
-    /// True when no live rows exist.
-    pub fn is_empty(&self) -> bool {
-        self.state().is_empty()
-    }
-
-    /// Total rows still stored, tombstoned included.
-    pub fn total_rows(&self) -> usize {
-        self.state().total_rows()
-    }
-
-    /// Tombstoned rows awaiting compaction.
-    pub fn deleted_rows(&self) -> usize {
-        self.state().deleted_rows()
-    }
-
-    /// The next global id [`insert`](Self::insert) will assign (also the
-    /// exclusive upper bound of every id ever assigned).
-    pub fn next_global_id(&self) -> u64 {
-        self.state().next_global_id()
-    }
-
-    /// Views of the frozen (read-optimized) segments at the current epoch,
-    /// ascending by first global id.
-    pub fn frozen_segments(&self) -> Vec<SegmentView> {
-        self.state().frozen_segments().to_vec()
-    }
-
     /// Rows currently in the writer's active segment.
     pub fn active_rows(&self) -> usize {
         self.active.global_ids.len()
-    }
-
-    /// Number of non-empty segments queries fan out over.
-    pub fn num_segments(&self) -> usize {
-        self.state().num_segments()
-    }
-
-    /// Sorted global ids of all live rows (diagnostics and tests).
-    pub fn live_ids(&self) -> Vec<u64> {
-        self.state().live_ids()
-    }
-
-    /// True when `gid` is indexed and not tombstoned.
-    pub fn contains(&self, gid: u64) -> bool {
-        self.state().contains(gid)
-    }
-
-    /// Bytes held across all segments: graphs, vector data, id maps, and
-    /// tombstone words. Merge compaction shrinks this by dropping dead rows.
-    pub fn memory_bytes(&self) -> usize {
-        self.state().memory_bytes()
-    }
-
-    /// Row count of the largest segment — the scratch capacity a worker
-    /// needs to serve any single query.
-    pub fn max_segment_rows(&self) -> usize {
-        self.state().max_segment_rows()
-    }
-
-    /// The shared scratch pool (the segmented batch engine draws from it).
-    pub fn scratch_pool(&self) -> &ScratchPool {
-        &self.shared.pool
     }
 
     /// Insert a vector, returning its stable global id. The row lands in
@@ -450,7 +359,11 @@ impl SegmentedAcornIndex {
     /// # Panics
     /// Panics if `v` has the wrong dimension.
     pub fn insert(&mut self, v: &[f32]) -> u64 {
-        assert_eq!(v.len(), self.shared.dim, "inserted vector has wrong dimension");
+        assert_eq!(
+            v.len(),
+            self.active.index.vectors().dim(),
+            "inserted vector has wrong dimension"
+        );
         let local = self.active.index.insert_vector(v);
         debug_assert_eq!(local as usize, self.active.global_ids.len());
         let (_writer, mut next) = self.shared.begin();
@@ -534,15 +447,14 @@ impl SegmentedAcornIndex {
     /// # Panics
     /// Panics if the store's dimension does not match the index.
     pub fn bulk_load(&mut self, store: VectorStore) -> std::ops::Range<u64> {
-        assert_eq!(store.dim(), self.shared.dim, "bulk-loaded store has wrong dimension");
+        let state = self.state();
+        assert_eq!(store.dim(), state.dim, "bulk-loaded store has wrong dimension");
         let n = store.len();
         if n == 0 {
-            let next = self.next_global_id();
-            return next..next;
+            return state.next_global..state.next_global;
         }
-        let index =
-            AcornIndex::build(Arc::new(store), self.shared.params.clone(), self.shared.variant);
-        let index = seal(index, self.quantization());
+        let index = AcornIndex::build(Arc::new(store), state.params.clone(), state.variant);
+        let index = seal(index, state.quant);
         let (_writer, mut next) = self.shared.begin();
         self.active.seal_into(&mut next);
         let range = next.next_global..next.next_global + n as u64;
@@ -652,41 +564,12 @@ impl SegmentedAcornIndex {
         }
     }
 
-    /// Background merge cycles that panicked (caught by the maintenance
-    /// thread; see [`IndexReader::maintenance_errors`]).
-    pub fn maintenance_errors(&self) -> u64 {
-        self.shared.maintenance_errors.load(AtomicOrdering::Acquire)
-    }
-
     /// Test hook: make the next `n` merge cycles (foreground or
     /// background) panic on entry. Exercises the maintenance thread's
     /// `catch_unwind` + backoff path.
     #[doc(hidden)]
     pub fn inject_merge_panics(&self, n: u64) {
         self.shared.merge_fault.store(n, AtomicOrdering::Release);
-    }
-
-    /// Pure ANN search: the `k` nearest live rows, by global id. Pins the
-    /// current epoch; scratch comes from the shared pool.
-    pub fn search(&self, query: &[f32], k: usize, efs: usize) -> Vec<GlobalNeighbor> {
-        let snap = self.snapshot();
-        let mut scratch = self.shared.pool.checkout(snap.max_segment_rows());
-        let mut stats = SearchStats::default();
-        snap.search_with(query, k, efs, &mut scratch, &mut stats)
-    }
-
-    /// Full hybrid search with ACORN's §5.2 cost-model routing applied
-    /// **per segment** — see [`SegmentSnapshot::hybrid_search`].
-    pub fn hybrid_search(
-        &self,
-        query: &[f32],
-        predicate: &Predicate,
-        attrs: &AttrStore,
-        k: usize,
-        efs: usize,
-        scratch: &mut SearchScratch,
-    ) -> (Vec<GlobalNeighbor>, SearchStats) {
-        self.snapshot().hybrid_search(query, predicate, attrs, k, efs, scratch)
     }
 }
 
@@ -783,6 +666,8 @@ pub(crate) fn rebuild(
     runs: &[Vec<SegmentView>],
     quant: QuantizationPolicy,
 ) -> Vec<Option<SegmentPayload>> {
+    // The configuration no write changes, so any epoch's copy will do.
+    let state = shared.state();
     let mut rebuilt = Vec::with_capacity(runs.len());
     for run in runs {
         // Survivors, ascending by global id (runs are adjacent, but sorting
@@ -800,7 +685,7 @@ pub(crate) fn rebuild(
             rebuilt.push(None);
             continue;
         }
-        let mut store = VectorStore::with_capacity(shared.dim, rows.len());
+        let mut store = VectorStore::with_capacity(state.dim, rows.len());
         let mut global_ids = Vec::with_capacity(rows.len());
         for &(gid, ci, local) in &rows {
             store.push(run[ci].payload.index.vectors().get(local));
@@ -808,7 +693,7 @@ pub(crate) fn rebuild(
         }
         // The exact code path a from-scratch build takes: same params, same
         // seed, same insertion order => an identical graph.
-        let index = AcornIndex::build(Arc::new(store), shared.params.clone(), shared.variant);
+        let index = AcornIndex::build(Arc::new(store), state.params.clone(), state.variant);
         // Sealed under the quantization policy captured in phase 1 (a policy
         // change mid-rebuild lands on the *next* merge, which is fine —
         // encodings converge, never diverge).
@@ -875,8 +760,8 @@ mod tests {
     use super::*;
     use crate::plan::PredicateStrategy;
     use crate::prune::PruneStrategy;
-    use acorn_hnsw::Metric;
-    use acorn_predicate::AllPass;
+    use acorn_hnsw::{Metric, SearchScratch, SearchStats};
+    use acorn_predicate::{AllPass, AttrStore, Predicate};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -911,15 +796,18 @@ mod tests {
         for (i, v) in vecs.iter().enumerate() {
             assert_eq!(idx.insert(v), i as u64);
         }
-        assert_eq!(idx.len(), 300);
-        assert_eq!(idx.num_segments(), 1, "all rows live in the active segment");
-        let out = idx.search(&vecs[17], 5, 48);
+        assert_eq!(idx.snapshot().len(), 300);
+        assert_eq!(idx.snapshot().num_segments(), 1, "all rows live in the active segment");
+        let out = idx.reader().search(&vecs[17], 5, 48);
         assert_eq!(out[0].id, 17, "nearest neighbor of a stored row is itself");
         // Freezing moves serving to CSR without changing answers or ids.
         idx.freeze();
-        assert_eq!(idx.frozen_segments().len(), 1);
-        assert!(idx.frozen_segments()[0].index().csr().is_some(), "frozen segments serve CSR");
-        let after = idx.search(&vecs[17], 5, 48);
+        assert_eq!(idx.snapshot().frozen_segments().len(), 1);
+        assert!(
+            idx.snapshot().frozen_segments()[0].index().csr().is_some(),
+            "frozen segments serve CSR"
+        );
+        let after = idx.reader().search(&vecs[17], 5, 48);
         assert_eq!(
             out.iter().map(|n| (n.id, n.dist)).collect::<Vec<_>>(),
             after.iter().map(|n| (n.id, n.dist)).collect::<Vec<_>>()
@@ -960,10 +848,9 @@ mod tests {
             reader.merges_completed() >= 1,
             "the thread recovered after the faults and completed a merge"
         );
-        assert_eq!(idx.maintenance_errors(), reader.maintenance_errors());
         // The index still works: the two frozen segments were compacted.
-        assert_eq!(idx.len(), 200);
-        let out = idx.search(&vecs[17], 5, 48);
+        assert_eq!(idx.snapshot().len(), 200);
+        let out = idx.reader().search(&vecs[17], 5, 48);
         assert_eq!(out[0].id, 17);
     }
 
@@ -983,13 +870,13 @@ mod tests {
             assert!(idx.delete(gid), "first delete of {gid} must succeed");
             assert!(!idx.delete(gid), "second delete of {gid} must be a no-op");
         }
-        assert!(!idx.contains(0) && idx.contains(1));
-        assert_eq!(idx.len(), 500 - 167);
+        assert!(!idx.snapshot().contains(0) && idx.snapshot().contains(1));
+        assert_eq!(idx.snapshot().len(), 500 - 167);
         let snap = idx.snapshot();
         let mut scratch = SearchScratch::new(snap.max_segment_rows());
         let mut stats = SearchStats::default();
         for q in random_vecs(10, 8, 4) {
-            for n in idx.search(&q, 10, 64) {
+            for n in idx.reader().search(&q, 10, 64) {
                 assert!(n.id % 3 != 0, "deleted gid {} surfaced from search", n.id);
             }
             for n in snap.search_filtered(&q, &|gid| gid % 2 == 0, 10, 64, &mut scratch, &mut stats)
@@ -1027,7 +914,7 @@ mod tests {
             idx.delete(gid);
         }
         idx.merge();
-        assert_eq!(idx.num_segments(), 1);
+        assert_eq!(idx.snapshot().num_segments(), 1);
         assert!(!idx.delete(42), "dropped gid must not resolve after the merge");
         assert!(idx.delete(43), "surviving gid must resolve inside the merged segment");
         assert!(!idx.delete(1000), "gid above every range must not resolve");
@@ -1050,7 +937,7 @@ mod tests {
                 idx.delete(gid);
             }
         }
-        let before = idx.memory_bytes();
+        let before = idx.snapshot().memory_bytes();
         let outcome = idx.merge(); // 50% tombstones > default 0.2 threshold
         assert_eq!(outcome.segments_merged, 2);
         assert_eq!(outcome.rows_dropped, 300);
@@ -1062,10 +949,13 @@ mod tests {
             outcome.bytes_before,
             outcome.bytes_after
         );
-        assert_eq!(idx.frozen_segments().len(), 1);
-        assert_eq!(idx.deleted_rows(), 0);
-        assert_eq!(idx.len(), 300);
-        assert_eq!(idx.live_ids(), (0..600).filter(|g| g % 2 == 1).collect::<Vec<u64>>());
+        assert_eq!(idx.snapshot().frozen_segments().len(), 1);
+        assert_eq!(idx.snapshot().deleted_rows(), 0);
+        assert_eq!(idx.snapshot().len(), 300);
+        assert_eq!(
+            idx.snapshot().live_ids(),
+            (0..600).filter(|g| g % 2 == 1).collect::<Vec<u64>>()
+        );
     }
 
     #[test]
@@ -1081,7 +971,7 @@ mod tests {
         let outcome = idx.merge();
         assert_eq!(outcome.segments_merged, 0);
         assert_eq!(outcome.bytes_before, outcome.bytes_after);
-        assert_eq!(idx.frozen_segments().len(), 1);
+        assert_eq!(idx.snapshot().frozen_segments().len(), 1);
     }
 
     #[test]
@@ -1099,7 +989,7 @@ mod tests {
                 }
             }
             assert!(idx.delete(7));
-            assert_eq!((idx.frozen_segments().len(), idx.active_rows()), (3, 10));
+            assert_eq!((idx.snapshot().frozen_segments().len(), idx.active_rows()), (3, 10));
             idx
         };
         let late_writes = |idx: &mut SegmentedAcornIndex| {
@@ -1120,7 +1010,8 @@ mod tests {
         let (rows_kept, _) = splice(&racing.shared, &runs, rebuilt);
         assert_eq!(rows_kept, 59, "gid 7 was dead at capture; gid 25 was not");
 
-        let frozen = racing.frozen_segments();
+        let snap = racing.snapshot();
+        let frozen = snap.frozen_segments();
         assert_eq!(frozen.len(), 2, "the merged segment and the one frozen mid-merge");
         let (merged, fourth) = (&frozen[0], &frozen[1]);
         assert_eq!(merged.local_of(7), None);
@@ -1137,12 +1028,12 @@ mod tests {
         let mut twin = build();
         late_writes(&mut twin);
         twin.merge();
-        assert_eq!(racing.live_ids(), twin.live_ids());
-        assert_eq!(racing.len(), 80 - 4);
+        assert_eq!(racing.snapshot().live_ids(), twin.snapshot().live_ids());
+        assert_eq!(racing.snapshot().len(), 80 - 4);
         let saved = |idx: &mut SegmentedAcornIndex| {
             idx.compact_all();
             let mut bytes = Vec::new();
-            idx.save(&mut bytes).unwrap();
+            idx.snapshot().save(&mut bytes).unwrap();
             bytes
         };
         assert_eq!(saved(&mut racing), saved(&mut twin));
@@ -1165,11 +1056,11 @@ mod tests {
         }
         let outcome = idx.compact_all();
         assert_eq!(outcome.rows_dropped, 7);
-        assert_eq!(idx.num_segments(), 1);
+        assert_eq!(idx.snapshot().num_segments(), 1);
 
         // The from-scratch side: a fresh index bulk-loaded with the
         // survivors in global id order (row i of it is `survivors[i]`).
-        let survivors = idx.live_ids();
+        let survivors = idx.snapshot().live_ids();
         let mut store = VectorStore::with_capacity(8, survivors.len());
         for &gid in &survivors {
             store.push(&vecs[gid as usize]);
@@ -1178,8 +1069,8 @@ mod tests {
         rebuilt.bulk_load(store);
 
         for q in random_vecs(8, 8, 12) {
-            let seg_out = idx.search(&q, 10, 64);
-            let reb_out = rebuilt.search(&q, 10, 64);
+            let seg_out = idx.reader().search(&q, 10, 64);
+            let reb_out = rebuilt.reader().search(&q, 10, 64);
             let mapped: Vec<(u64, f32)> =
                 reb_out.iter().map(|n| (survivors[n.id as usize], n.dist)).collect();
             let got: Vec<(u64, f32)> = seg_out.iter().map(|n| (n.id, n.dist)).collect();
@@ -1195,10 +1086,10 @@ mod tests {
         for v in random_vecs(120, 4, 8) {
             idx.insert(&v);
         }
-        assert_eq!(idx.frozen_segments().len(), 2, "two full segments must have rolled");
+        assert_eq!(idx.snapshot().frozen_segments().len(), 2, "two full segments must have rolled");
         assert_eq!(idx.active_rows(), 20);
-        assert_eq!(idx.len(), 120);
-        let out = idx.search(&[0.0; 4], 5, 32);
+        assert_eq!(idx.snapshot().len(), 120);
+        let out = idx.reader().search(&[0.0; 4], 5, 32);
         assert_eq!(out.len(), 5);
     }
 
@@ -1226,7 +1117,7 @@ mod tests {
         }
         idx.freeze();
         idx.merge();
-        assert!(reader.epoch() > pinned_epoch, "mutations must advance the epoch");
+        assert!(reader.snapshot().epoch() > pinned_epoch, "mutations must advance the epoch");
         // The pinned snapshot still answers bit-identically to before.
         let mut scratch = SearchScratch::new(pinned.max_segment_rows());
         let mut stats = SearchStats::default();
@@ -1312,9 +1203,10 @@ mod tests {
         }
         idx.freeze();
         idx.delete(3);
-        let mut scratch = SearchScratch::new(idx.max_segment_rows());
+        let mut scratch = SearchScratch::new(idx.snapshot().max_segment_rows());
         let pred = Predicate::Equals { field, value: 1 };
-        let (out, stats) = idx.hybrid_search(&[0.0; 8], &pred, &attrs, 10, 32, &mut scratch);
+        let (out, stats) =
+            idx.snapshot().hybrid_search(&[0.0; 8], &pred, &attrs, 10, 32, &mut scratch);
         assert!(stats.fallback, "selective predicate must trigger the per-segment fallback");
         let mut got = ids(&out);
         got.sort_unstable();
@@ -1333,7 +1225,7 @@ mod tests {
                 idx.freeze();
             }
         }
-        assert_eq!(idx.num_segments(), 3);
+        assert_eq!(idx.snapshot().num_segments(), 3);
         let attrs = AttrStore::builder().add_int("ts", (0..1200).collect()).build();
         (idx, vecs, attrs)
     }
@@ -1431,7 +1323,7 @@ mod tests {
                 idx.freeze();
             }
         }
-        assert!(idx.num_segments() >= 5);
+        assert!(idx.snapshot().num_segments() >= 5);
         // Brute-force oracle over all live rows.
         let q = vec![0.1; 4];
         let mut all: Vec<GlobalNeighbor> = vecs
@@ -1440,21 +1332,58 @@ mod tests {
             .map(|(i, v)| GlobalNeighbor::new(Metric::L2.distance(v, &q), i as u64))
             .collect();
         all.sort_unstable();
-        let got = idx.search(&q, 10, 120);
+        let got = idx.reader().search(&q, 10, 120);
         // With a generous beam, every segment's true top-10 is found, so the
         // merged list equals the global top-10.
         assert_eq!(ids(&got), all[..10].iter().map(|n| n.id).collect::<Vec<_>>());
     }
 
     #[test]
+    fn wrong_dimension_queries_panic_on_frozen_and_active_segments() {
+        // A 32-d index whose one segment is frozen (and SQ8-coded), and one
+        // whose one segment is active: a query of the wrong length reaches
+        // a distance kernel either way, and the kernel refuses it — in
+        // release builds too — rather than reading past the shorter slice.
+        let vecs = random_vecs(200, 32, 70);
+        let new = || SegmentedAcornIndex::new(32, small_params(8, 2, 71), AcornVariant::Gamma);
+        let mut frozen = new().with_quantization(QuantizationPolicy::sq8(16));
+        let mut active = new();
+        for v in &vecs {
+            frozen.insert(v);
+            active.insert(v);
+        }
+        frozen.freeze();
+        assert!(frozen.snapshot().frozen_segments()[0].is_quantized());
+        assert_eq!(active.active_rows(), 200);
+        let attrs = AttrStore::builder().add_int("x", vec![0; 200]).build();
+        for idx in [&frozen, &active] {
+            let snap = idx.snapshot();
+            for dim in [3, 40] {
+                let query = vec![0.0; dim];
+                let ask = std::panic::AssertUnwindSafe(|| {
+                    let mut scratch = SearchScratch::new(snap.max_segment_rows());
+                    snap.hybrid_search(&query, &Predicate::True, &attrs, 5, 32, &mut scratch)
+                });
+                let err = std::panic::catch_unwind(ask).expect_err("a wrong-dimension query");
+                let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(
+                    msg.contains("different lengths") || msg.contains("SQ8 kernel"),
+                    "a {dim}-d query must stop at the kernel's length check, not: {msg}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn empty_index_answers_empty() {
         let idx = SegmentedAcornIndex::new(8, small_params(8, 2, 0), AcornVariant::Gamma);
-        assert!(idx.is_empty());
-        assert_eq!(idx.num_segments(), 0);
-        assert!(idx.search(&[0.0; 8], 5, 32).is_empty());
+        assert!(idx.snapshot().is_empty());
+        assert_eq!(idx.snapshot().num_segments(), 0);
+        assert!(idx.reader().search(&[0.0; 8], 5, 32).is_empty());
         let mut scratch = SearchScratch::new(0);
         let attrs = AttrStore::builder().add_int("x", vec![]).build();
-        let (out, _) = idx.hybrid_search(&[0.0; 8], &Predicate::True, &attrs, 5, 32, &mut scratch);
+        let (out, _) =
+            idx.snapshot().hybrid_search(&[0.0; 8], &Predicate::True, &attrs, 5, 32, &mut scratch);
         assert!(out.is_empty());
     }
 }

@@ -52,12 +52,14 @@
 //! manifest fields ahead of the blocks into epoch 0 of the loaded index's
 //! [`SegmentSnapshot`], to which the views are attached once the
 //! cross-segment checks pass. It is told the block's *role* and holds the
-//! embedded `compacted` flag to it. A **frozen** block is sealed: its per-node lists
-//! are decoded straight into [`CsrGraph`] arenas through the validating
+//! embedded `compacted` flag to it. Either block's per-node lists are decoded
+//! by one decoder, into [`CsrGraph`] arenas through the validating
 //! [`CsrBuilder`] (node count, level, list length and every edge target
-//! checked; the same entry point the nested graph would have picked) — no
+//! checked; the same entry point the nested graph would have picked). A
+//! **frozen** block is sealed and serves those arenas as they are — no
 //! nested graph is built only to be frozen. The **active** block is growing
-//! and unquantized, and comes back as the nested graph inserts extend.
+//! and unquantized: its lists are copied out of the decoded arenas into the
+//! nested graph inserts extend.
 //!
 //! ## Format v6 — the one-file export of a segmented index
 //!
@@ -118,7 +120,7 @@ use std::sync::Arc;
 
 use acorn_hnsw::checksum::{crc32, ChecksumWriter};
 use acorn_hnsw::csr::CsrBuilder;
-use acorn_hnsw::{LayeredGraph, Metric, VectorStore};
+use acorn_hnsw::{CsrGraph, GraphView, LayeredGraph, Metric, VectorStore};
 use acorn_predicate::Bitset;
 
 use crate::index::{AcornIndex, Sq8Tier};
@@ -365,73 +367,30 @@ impl AcornIndex {
         Ok(())
     }
 
-    /// A v3 blob up to its node lists: magic, version, the parameter
-    /// header, and a node count that must be `rows`.
-    fn load_preamble(r: &mut impl Read, rows: usize) -> io::Result<(AcornVariant, AcornParams)> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
+    /// A v3 blob over `vecs` (the rows the graph was built over), its
+    /// per-node lists decoded into CSR arenas through the validating
+    /// [`CsrBuilder`] — the one neighbor-list decoder, for both roles of
+    /// block. Returns the index's header, the graph, the pruned-edge count
+    /// and whether the blob's `compacted` flag says the saved index was
+    /// sealed.
+    ///
+    /// # Errors
+    /// Returns `InvalidData` on magic/version mismatch, if `vecs` does not
+    /// have exactly as many vectors as the serialized graph has nodes, and
+    /// on any list the builder refuses; `UnexpectedEof` for a list length
+    /// the bytes present cannot hold.
+    fn load_blob(r: &mut &[u8], vecs: &VectorStore) -> io::Result<DecodedBlob> {
+        if take(r, 4, 1)? != MAGIC {
             return Err(bad("not an ACORN index file"));
         }
         if get_u32(r)? != VERSION {
             return Err(bad("unsupported ACORN index version"));
         }
-        let header = get_header(r)?;
-        if get_u64(r)? as usize != rows {
+        let (variant, params) = get_header(r)?;
+        let n = vecs.len();
+        if get_u64(r)? as usize != n {
             return Err(bad("vector store size does not match serialized index"));
         }
-        Ok(header)
-    }
-
-    /// The v3 blob of the active segment's block over `vecs` (the rows the
-    /// graph was built over): the graph as a growing index, and whether the
-    /// blob's `compacted` flag says the saved index was sealed.
-    ///
-    /// # Errors
-    /// Returns `InvalidData` on magic/version mismatch, and if `vecs` does
-    /// not have exactly as many vectors as the serialized graph has nodes.
-    fn load_growing(r: &mut impl Read, vecs: Arc<VectorStore>) -> io::Result<(AcornIndex, bool)> {
-        let n = vecs.len();
-        let (variant, params) = Self::load_preamble(r, n)?;
-        let mut graph = LayeredGraph::with_capacity(n);
-        for _ in 0..n {
-            let level = get_u8(r)? as usize;
-            let v = graph.add_node(level);
-            for lev in 0..=level {
-                let len = get_u32(r)? as usize;
-                // A node cannot have more neighbors than the graph has
-                // nodes; rejecting earlier also stops a corrupt length from
-                // driving a multi-gigabyte Vec::with_capacity below.
-                if len > n {
-                    return Err(bad("neighbor list longer than the graph"));
-                }
-                let mut list = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let id = get_u32(r)?;
-                    if id as usize >= n {
-                        return Err(bad("edge target out of range"));
-                    }
-                    list.push(id);
-                }
-                graph.set_neighbors(v, lev, list);
-            }
-        }
-        let edges_pruned = get_u64(r)?;
-        let sealed = get_u8(r)? != 0;
-        Ok((AcornIndex::from_parts(params, variant, vecs, graph, edges_pruned), sealed))
-    }
-
-    /// The v3 blob of a frozen segment block, decoded straight into the
-    /// sealed index it was saved from: each list goes from the file's bytes
-    /// into the CSR arenas, validated by the [`CsrBuilder`] on the way.
-    /// `None` when the blob's `compacted` flag says it was not sealed.
-    fn load_sealed(
-        r: &mut &[u8],
-        vecs: Arc<VectorStore>,
-        sq8: Option<Sq8Tier>,
-    ) -> io::Result<Option<AcornIndex>> {
-        let n = vecs.len();
-        let (variant, params) = Self::load_preamble(r, n)?;
         let mut csr = CsrBuilder::new(n);
         for _ in 0..n {
             let level = get_u8(r)? as usize;
@@ -443,12 +402,51 @@ impl AcornIndex {
                     .map_err(bad)?;
             }
         }
-        let csr = csr.finish().map_err(bad)?;
+        let graph = csr.finish().map_err(bad)?;
         let edges_pruned = get_u64(r)?;
         let sealed = get_u8(r)? != 0;
-        Ok(sealed
-            .then(|| AcornIndex::from_sealed_parts(params, variant, vecs, csr, edges_pruned, sq8)))
+        Ok(DecodedBlob { variant, params, graph, edges_pruned, sealed })
     }
+
+    /// The v3 blob of the active segment's block over `vecs`: the graph as
+    /// a growing index (its nested lists copied out of the decoded CSR),
+    /// and whether the blob's `compacted` flag says the saved index was
+    /// sealed.
+    fn load_growing(r: &mut &[u8], vecs: Arc<VectorStore>) -> io::Result<(AcornIndex, bool)> {
+        let b = Self::load_blob(r, &vecs)?;
+        let mut graph = LayeredGraph::with_capacity(b.graph.len());
+        for v in 0..b.graph.len() as u32 {
+            let level = b.graph.level_of(v);
+            graph.add_node(level);
+            for lev in 0..=level {
+                graph.set_neighbors(v, lev, b.graph.neighbors(v, lev).to_vec());
+            }
+        }
+        Ok((AcornIndex::from_parts(b.params, b.variant, vecs, graph, b.edges_pruned), b.sealed))
+    }
+
+    /// The v3 blob of a frozen segment block, decoded straight into the
+    /// sealed index it was saved from. `None` when the blob's `compacted`
+    /// flag says it was not sealed.
+    fn load_sealed(
+        r: &mut &[u8],
+        vecs: Arc<VectorStore>,
+        sq8: Option<Sq8Tier>,
+    ) -> io::Result<Option<AcornIndex>> {
+        let b = Self::load_blob(r, &vecs)?;
+        Ok(b.sealed.then(|| {
+            AcornIndex::from_sealed_parts(b.params, b.variant, vecs, b.graph, b.edges_pruned, sq8)
+        }))
+    }
+}
+
+/// What [`AcornIndex::load_blob`] decodes from a v3 blob.
+struct DecodedBlob {
+    variant: AcornVariant,
+    params: AcornParams,
+    graph: CsrGraph,
+    edges_pruned: u64,
+    sealed: bool,
 }
 
 /// The fields ahead of the segment blocks, shared by the v6 export and the
@@ -715,17 +713,10 @@ impl SegmentSnapshot {
 }
 
 impl SegmentedAcornIndex {
-    /// Serialize the whole segmented index to `w` (format v6, checksummed)
-    /// by saving the currently published [`SegmentSnapshot`] — see
-    /// [`SegmentSnapshot::save`] for the snapshot-consistency guarantee. A
-    /// loaded index resumes serving and accepting writes immediately.
-    pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
-        self.snapshot().save(w)
-    }
-
-    /// Load an index previously written by [`save`](Self::save): the CRC32
-    /// footer is verified over the whole file **before** any body field is
-    /// parsed.
+    /// Load an index previously written by [`SegmentSnapshot::save`]: the
+    /// CRC32 footer is verified over the whole file **before** any body
+    /// field is parsed. A loaded index resumes serving and accepting writes
+    /// immediately.
     ///
     /// # Errors
     /// Returns `InvalidData` on magic/version mismatch, a checksum-footer
@@ -1023,8 +1014,13 @@ mod tests {
         // + 8 seed + 8 s_min + 8 n_c + 1 flatten = 67 bytes of header, then
         // 8 bytes of n, 1 byte of node-0 level, then node 0's first list
         // length at offset 76. Corrupt it to an absurd value: load must
-        // error out instead of attempting a 16 GiB allocation.
+        // error out — on the bytes present — instead of attempting a 16 GiB
+        // allocation.
         buf[76..80].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = load_growing(&buf, vecs.clone()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "unexpected: {err}");
+        // A length the bytes could hold is still refused by the graph's size.
+        buf[76..80].copy_from_slice(&51u32.to_le_bytes());
         let err = load_growing(&buf, vecs).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("neighbor list"), "unexpected message: {err}");
@@ -1067,7 +1063,7 @@ mod tests {
 
     fn saved(idx: &crate::SegmentedAcornIndex) -> Vec<u8> {
         let mut buf = Vec::new();
-        idx.save(&mut buf).unwrap();
+        idx.snapshot().save(&mut buf).unwrap();
         buf
     }
 
@@ -1085,35 +1081,41 @@ mod tests {
     #[test]
     fn segmented_roundtrip_preserves_answers_and_accepts_writes() {
         let (idx, vecs) = segmented_fixture();
-        let mut buf = Vec::new();
-        idx.save(&mut buf).unwrap();
+        let buf = saved(&idx);
         let mut loaded = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap();
 
-        assert_eq!(loaded.len(), idx.len());
-        assert_eq!(loaded.total_rows(), idx.total_rows());
-        assert_eq!(loaded.deleted_rows(), 10);
-        assert_eq!(loaded.next_global_id(), idx.next_global_id());
-        assert_eq!(loaded.policy(), idx.policy());
+        let (was, now) = (idx.snapshot(), loaded.snapshot());
+        assert_eq!(now.len(), was.len());
+        assert_eq!(now.total_rows(), was.total_rows());
+        assert_eq!(now.deleted_rows(), 10);
+        assert_eq!(now.next_global_id(), was.next_global_id());
+        assert_eq!(now.policy(), was.policy());
         assert!(
-            loaded.frozen_segments()[0].index().csr().is_some(),
+            now.frozen_segments()[0].index().csr().is_some(),
             "loaded frozen segments must be sealed"
         );
 
         let q = vec![0.2; 8];
-        let a: Vec<(u64, f32)> = idx.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
-        let b: Vec<(u64, f32)> = loaded.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
-        assert_eq!(a, b, "loaded index must answer identically");
+        let search = |idx: &crate::SegmentedAcornIndex, q: &[f32], k| -> Vec<(u64, f32)> {
+            idx.reader().search(q, k, 64).iter().map(|n| (n.id, n.dist)).collect()
+        };
+        assert_eq!(
+            search(&idx, &q, 10),
+            search(&loaded, &q, 10),
+            "loaded index must answer identically"
+        );
 
         // The loaded index resumes accepting writes: insert into the active
         // segment, delete a frozen row, and observe both take effect.
         let gid = loaded.insert(&vecs[0]);
         assert_eq!(gid, 160);
         assert!(loaded.delete(42));
-        assert!(loaded.contains(gid) && !loaded.contains(42));
+        let now = loaded.snapshot();
+        assert!(now.contains(gid) && !now.contains(42));
         // vecs[0]'s original row (gid 0) is tombstoned, so the nearest
         // neighbor of vecs[0] must be its freshly inserted duplicate.
-        let nearest = loaded.search(&vecs[0], 1, 64);
-        assert_eq!(nearest[0].id, gid);
+        let nearest = search(&loaded, &vecs[0], 1);
+        assert_eq!(nearest[0].0, gid);
     }
 
     #[test]
@@ -1210,29 +1212,37 @@ mod tests {
 
     #[test]
     fn segmented_load_rejects_corrupt_lists_in_a_frozen_block() {
-        // The frozen block's lists go straight into CSR arenas; the guards
-        // the nested loader applies to the active block apply there too.
-        // The blob starts after the manifest (see the test above); its
+        // Both blocks' lists go through the one decoder, straight into CSR
+        // arenas, so the frozen block and the active one refuse the same
+        // corruptions the same way. Each blob starts after its block's
+        // manifest (see the test above; the active block's is laid out in
+        // `segmented_load_holds_each_block_to_the_state_of_its_role`); its
         // header is 8 + 59 bytes, then n (8), node 0's level (1), node 0's
         // first list length (4) and that list's first target.
         let (idx, _) = segmented_fixture();
         let buf = saved(&idx);
-        let len_off = SEG_N_OFF + 8 + 800 + 16 + 3200 + 67 + 8 + 1;
+        let to_lists = 67 + 8 + 1;
+        let active_blob = blob(idx.snapshot().active_segment().unwrap().index());
+        let active_start = buf.len() - 4 - (1 + 8 + 60 * 8 + 8 + 60 * 8 * 4 + active_blob.len());
+        let frozen = (SEG_N_OFF + 8 + 800 + 16 + 3200 + to_lists, 100);
+        let active = (active_start + 1 + 8 + 60 * 8 + 8 + 60 * 8 * 4 + to_lists, 60);
         let corrupt = |off: usize, value: u32| {
             let mut bad = buf.clone();
             bad[off..off + 4].copy_from_slice(&value.to_le_bytes());
             reseal(&mut bad);
             crate::SegmentedAcornIndex::load(&mut bad.as_slice()).unwrap_err()
         };
-        // A length the file cannot hold never sizes anything.
-        let err = corrupt(len_off, u32::MAX);
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "unexpected: {err}");
-        // One the file can hold, but the graph (100 nodes) cannot.
-        let err = corrupt(len_off, 101);
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("neighbor list longer"), "unexpected: {err}");
-        let err = corrupt(len_off + 4, 100);
-        assert!(err.to_string().contains("edge target out of range"), "unexpected: {err}");
+        for (len_off, n) in [frozen, active] {
+            // A length the file cannot hold never sizes anything.
+            let err = corrupt(len_off, u32::MAX);
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "unexpected: {err}");
+            // One the file can hold, but the graph (`n` nodes) cannot.
+            let err = corrupt(len_off, n + 1);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("neighbor list longer"), "unexpected: {err}");
+            let err = corrupt(len_off + 4, n);
+            assert!(err.to_string().contains("edge target out of range"), "unexpected: {err}");
+        }
     }
 
     #[test]
@@ -1257,8 +1267,7 @@ mod tests {
     #[test]
     fn segmented_truncation_is_an_error_not_a_panic() {
         let (idx, _) = segmented_fixture();
-        let mut buf = Vec::new();
-        idx.save(&mut buf).unwrap();
+        let buf = saved(&idx);
         for cut in [3usize, 60, SEG_HEADER_BYTES, buf.len() / 2, buf.len() - 1] {
             assert!(
                 crate::SegmentedAcornIndex::load(&mut buf[..cut].to_vec().as_slice()).is_err(),
@@ -1343,20 +1352,21 @@ mod tests {
         let idx = quantized_fixture();
         assert!(idx.snapshot().frozen_segments()[0].is_quantized(), "fixture must quantize");
 
-        let mut buf = Vec::new();
-        idx.save(&mut buf).unwrap();
+        let buf = saved(&idx);
         let loaded = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap();
 
-        assert_eq!(loaded.quantization(), QuantizationPolicy::sq8(16));
         let snap = loaded.snapshot();
+        assert_eq!(snap.quantization(), QuantizationPolicy::sq8(16));
         assert!(snap.frozen_segments()[0].is_quantized(), "loaded segment must stay SQ8");
         assert!(snap.active_segment().is_some_and(|s| !s.is_quantized()));
 
         // Codes are re-derived from the persisted codebook + exact rows, so
         // the loaded index answers bit-identically (ids *and* distances).
         let q = vec![0.2; 8];
-        let a: Vec<(u64, f32)> = idx.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
-        let b: Vec<(u64, f32)> = loaded.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
+        let a: Vec<(u64, f32)> =
+            idx.reader().search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
+        let b: Vec<(u64, f32)> =
+            loaded.reader().search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
         assert_eq!(a, b, "loaded quantized index must answer identically");
     }
 
@@ -1406,8 +1416,7 @@ mod tests {
     #[test]
     fn v6_flipping_any_bit_anywhere_is_a_clean_error() {
         let idx = tiny_fixture();
-        let mut buf = Vec::new();
-        idx.save(&mut buf).unwrap();
+        let mut buf = saved(&idx);
         crate::SegmentedAcornIndex::load(&mut buf.as_slice()).expect("pristine file must load");
         // Exhaustive: every bit of every byte — header, manifest, length
         // fields, vector data, embedded graphs, and the footer itself. A
@@ -1427,8 +1436,7 @@ mod tests {
     #[test]
     fn v6_checksum_is_verified_before_any_length_is_trusted() {
         let (idx, _) = segmented_fixture();
-        let mut buf = Vec::new();
-        idx.save(&mut buf).unwrap();
+        let mut buf = saved(&idx);
         // The same corrupt row count that the structural guard catches once
         // re-sealed is rejected by the stale checksum, i.e. before parsing.
         buf[SEG_N_OFF..SEG_N_OFF + 8].copy_from_slice(&u64::MAX.to_le_bytes());

@@ -56,11 +56,12 @@ fn bulk_load_matches_insert_then_freeze() {
 fn bulk_load_publishes_one_epoch_and_one_segment() {
     let (store, _) = random_store(200, 3);
     let mut idx = SegmentedAcornIndex::new(DIM, params(3), AcornVariant::Gamma);
-    let before = idx.epoch();
+    let before = idx.snapshot().epoch();
     idx.bulk_load(store);
-    assert_eq!(idx.epoch(), before + 1, "bulk load is one publication");
-    assert_eq!(idx.num_segments(), 1);
-    assert_eq!(idx.len(), 200);
+    let snap = idx.snapshot();
+    assert_eq!(snap.epoch(), before + 1, "bulk load is one publication");
+    assert_eq!(snap.num_segments(), 1);
+    assert_eq!(snap.len(), 200);
     assert_eq!(idx.active_rows(), 0, "rows land frozen, not active");
 }
 
@@ -76,10 +77,11 @@ fn bulk_load_seals_active_rows_first() {
     let range = idx.bulk_load(store);
     assert_eq!(range, 20..120, "bulk rows take the next contiguous id range");
     assert_eq!(idx.active_rows(), 0, "prior active rows were sealed");
-    assert_eq!(idx.num_segments(), 2);
+    let snap = idx.snapshot();
+    assert_eq!(snap.num_segments(), 2);
     // The gid-range invariant: segments ascend by first gid, pairwise
     // disjoint — delete's binary search must find rows on both sides.
-    let segs = idx.frozen_segments();
+    let segs = snap.frozen_segments();
     assert!(segs.windows(2).all(|w| w[0].global_ids().last() < w[1].global_ids().first()));
 }
 
@@ -91,8 +93,8 @@ fn delete_works_on_bulk_loaded_rows() {
     assert!(idx.delete(17));
     assert!(!idx.delete(17), "second delete of the same row is a no-op");
     assert!(!idx.delete(150), "never-assigned gid");
-    assert_eq!(idx.len(), 149);
-    assert!(!idx.contains(17));
+    assert_eq!(idx.snapshot().len(), 149);
+    assert!(!idx.snapshot().contains(17));
     for n in idx.reader().search(&[0.0; DIM], 149, 512) {
         assert_ne!(n.id, 17, "tombstoned row surfaced from search");
     }
@@ -108,18 +110,19 @@ fn bulk_load_chunks_are_disjoint_and_ascending() {
         assert_eq!(range, expect..expect + 50);
         expect += 50;
     }
-    assert_eq!(idx.num_segments(), 4);
-    assert_eq!(idx.len(), 200);
+    assert_eq!(idx.snapshot().num_segments(), 4);
+    assert_eq!(idx.snapshot().len(), 200);
 }
 
 #[test]
 fn bulk_load_empty_store_is_a_noop() {
     let mut idx = SegmentedAcornIndex::new(DIM, params(1), AcornVariant::Gamma);
-    let epoch = idx.epoch();
+    let epoch = idx.snapshot().epoch();
     let range = idx.bulk_load(VectorStore::new(DIM));
     assert_eq!(range, 0..0);
-    assert_eq!(idx.epoch(), epoch, "nothing to publish");
-    assert_eq!(idx.num_segments(), 0);
+    let snap = idx.snapshot();
+    assert_eq!(snap.epoch(), epoch, "nothing to publish");
+    assert_eq!(snap.num_segments(), 0);
 }
 
 #[test]
@@ -149,17 +152,18 @@ fn snapshot_pins_counts_reader_traffic() {
     assert!(after >= before + 2, "explicit pin + search pin must both count");
 
     // The gauge is read-path traffic: the writer's own bookkeeping — ids,
-    // liveness probes, counts, policies, checkpoints — pins nothing.
+    // liveness probes, dimension checks, checkpoints — pins nothing. The
+    // writer answers no reads itself; every read is a pin.
     let (_, rows) = random_store(100, 24);
     let churn = |index: &mut SegmentedAcornIndex, rows: &[Vec<f32>]| {
-        let first = index.next_global_id();
-        for v in rows {
+        let first = index.insert(&rows[0]);
+        for v in &rows[1..] {
             index.insert(v);
         }
         for gid in first..first + 10 {
-            assert!(index.contains(gid) && index.delete(gid));
+            assert!(index.delete(gid), "gid {gid} was live");
         }
-        (index.len(), index.epoch(), index.policy(), index.quantization(), index.memory_bytes())
+        index.active_rows()
     };
     churn(&mut idx, &rows[..50]);
     assert_eq!(reader.snapshot_pins(), after, "50 inserts + 10 deletes through the writer");
@@ -176,7 +180,7 @@ fn snapshot_pins_counts_reader_traffic() {
     durable.freeze().unwrap();
     durable.checkpoint().unwrap();
     assert_eq!(reader.snapshot_pins(), after, "the same through a DurableIndex");
-    durable.search(&[0.0; DIM], 5, 32);
+    durable.index().reader().search(&[0.0; DIM], 5, 32);
     assert_eq!(reader.snapshot_pins(), after + 1, "a search through it still counts");
     std::fs::remove_dir_all(&dir).ok();
 }

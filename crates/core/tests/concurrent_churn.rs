@@ -146,16 +146,19 @@ fn churn_matches_sequential_replay_oracle() {
         }
     }
     let idx = idx.into_inner().unwrap();
-    assert_eq!(idx.next_global_id(), replay.next_global_id());
-    assert_eq!(idx.len(), replay.len());
-    assert_eq!(idx.live_ids(), replay.live_ids());
-    assert_eq!(idx.num_segments(), replay.num_segments());
+    let (churned, replayed) = (idx.snapshot(), replay.snapshot());
+    assert_eq!(churned.next_global_id(), replayed.next_global_id());
+    assert_eq!(churned.len(), replayed.len());
+    assert_eq!(churned.live_ids(), replayed.live_ids());
+    assert_eq!(churned.num_segments(), replayed.num_segments());
 
     let mut rng = StdRng::seed_from_u64(9);
     for _ in 0..10 {
         let q = random_vec(&mut rng);
-        let a: Vec<(u64, f32)> = idx.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
-        let b: Vec<(u64, f32)> = replay.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
+        let a: Vec<(u64, f32)> =
+            idx.reader().search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
+        let b: Vec<(u64, f32)> =
+            replay.reader().search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
         assert_eq!(a, b, "churned index must answer exactly like its sequential replay");
     }
 }
@@ -209,12 +212,12 @@ fn merges_racing_queries_stay_consistent() {
     });
     idx.stop_maintenance();
     idx.compact_all();
-    assert_eq!(idx.num_segments(), 1, "compact_all must leave one frozen segment");
+    assert_eq!(idx.snapshot().num_segments(), 1, "compact_all must leave one frozen segment");
 
     // Canonical oracle: a fresh index bulk-loaded with the survivors in gid
     // order — exactly what the merge path promises to equal.
     live.sort_unstable();
-    assert_eq!(idx.live_ids(), live);
+    assert_eq!(idx.snapshot().live_ids(), live);
     let mut store = VectorStore::new(DIM);
     for &gid in &live {
         store.push(&vectors[gid as usize]);
@@ -225,9 +228,14 @@ fn merges_racing_queries_stay_consistent() {
     let mut rng = StdRng::seed_from_u64(8);
     for _ in 0..10 {
         let q = random_vec(&mut rng);
-        let a: Vec<(u64, f32)> = idx.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
-        let b: Vec<(u64, f32)> =
-            oracle.search(&q, 10, 64).iter().map(|n| (live[n.id as usize], n.dist)).collect();
+        let a: Vec<(u64, f32)> =
+            idx.reader().search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
+        let b: Vec<(u64, f32)> = oracle
+            .reader()
+            .search(&q, 10, 64)
+            .iter()
+            .map(|n| (live[n.id as usize], n.dist))
+            .collect();
         assert_eq!(a, b, "post-merge answers must match the from-scratch rebuild");
     }
 }
@@ -275,10 +283,12 @@ fn save_under_load_is_snapshot_consistent() {
     );
 
     let loaded = SegmentedAcornIndex::load(&mut during_churn.as_slice()).unwrap();
-    assert_eq!(loaded.len(), pinned.len());
-    assert_eq!(loaded.next_global_id(), pinned.next_global_id());
-    assert_eq!(loaded.epoch(), 0, "a freshly loaded index starts at epoch 0");
-    let mut scratch = loaded.scratch_pool().checkout(pinned.max_segment_rows());
+    let reader = loaded.reader();
+    let at_load = reader.snapshot();
+    assert_eq!(at_load.len(), pinned.len());
+    assert_eq!(at_load.next_global_id(), pinned.next_global_id());
+    assert_eq!(at_load.epoch(), 0, "a freshly loaded index starts at epoch 0");
+    let mut scratch = reader.scratch_pool().checkout(pinned.max_segment_rows());
     let mut stats = SearchStats::default();
     for _ in 0..5 {
         let q = random_vec(&mut rng);
@@ -287,11 +297,11 @@ fn save_under_load_is_snapshot_consistent() {
             .iter()
             .map(|n| (n.id, n.dist))
             .collect();
-        let b: Vec<(u64, f32)> = loaded.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
+        let b: Vec<(u64, f32)> = reader.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
         assert_eq!(a, b, "the loaded file must answer exactly like the captured epoch");
     }
     // The live index has long since moved past the pinned epoch.
-    assert!(idx.next_global_id() > pinned.next_global_id());
+    assert!(idx.snapshot().next_global_id() > pinned.next_global_id());
 }
 
 /// Readers pin epochs while the writer inserts, deletes, freezes and merges;

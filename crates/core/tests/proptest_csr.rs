@@ -132,10 +132,10 @@ proptest! {
         let vecs = random_store(n, 6, seed);
         let mut index = SegmentedAcornIndex::new(6, small_params(seed), AcornVariant::Gamma);
         index.bulk_load(VectorStore::clone(&vecs));
-        let mut buf = Vec::new();
-        index.save(&mut buf).unwrap();
-        let loaded = SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap().snapshot();
         let saved = index.snapshot();
+        let mut buf = Vec::new();
+        saved.save(&mut buf).unwrap();
+        let loaded = SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap().snapshot();
         let (idx, loaded) =
             (saved.frozen_segments()[0].index(), loaded.frozen_segments()[0].index());
         prop_assert!(loaded.csr().is_some(), "flag must round-trip");

@@ -149,21 +149,21 @@ proptest! {
         for variant in [AcornVariant::Gamma, AcornVariant::One] {
             let mut lc = run_lifecycle(seed, n0, ops, variant);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xD1E5);
-            let mut scratch = SearchScratch::new(lc.index.max_segment_rows().max(1));
+            let mut scratch = SearchScratch::new(lc.index.snapshot().max_segment_rows().max(1));
             let attrs_global =
                 AttrStore::builder().add_int("label", lc.labels.clone()).build();
             let field = attrs_global.field("label").unwrap();
 
             // ---- Mid-lifecycle invariants (multi-segment, tombstones live) ----
             prop_assert_eq!(
-                lc.index.len(),
+                lc.index.snapshot().len(),
                 lc.alive.iter().filter(|&&a| a).count(),
                 "live-row accounting"
             );
             // Labels are 0..4; 9 passes nowhere (the all-sparse extreme).
             for value in [rng.gen_range(0..4), rng.gen_range(0..4), 9] {
                 let q = query(&mut rng);
-                for n in lc.index.search(&q, 10, 48) {
+                for n in lc.index.reader().search(&q, 10, 48) {
                     prop_assert!(lc.alive[n.id as usize], "dead gid {} surfaced", n.id);
                 }
                 let pred = Predicate::Equals { field, value };
@@ -201,13 +201,13 @@ proptest! {
             let survivors: Vec<u64> = (0..lc.vectors.len() as u64)
                 .filter(|&g| lc.alive[g as usize])
                 .collect();
-            prop_assert_eq!(lc.index.live_ids(), survivors.clone());
+            prop_assert_eq!(lc.index.snapshot().live_ids(), survivors.clone());
             if survivors.is_empty() {
-                prop_assert!(lc.index.search(&query(&mut rng), 5, 32).is_empty());
+                prop_assert!(lc.index.reader().search(&query(&mut rng), 5, 32).is_empty());
                 continue;
             }
-            prop_assert_eq!(lc.index.num_segments(), 1);
-            prop_assert_eq!(lc.index.deleted_rows(), 0, "compaction drops every tombstone");
+            prop_assert_eq!(lc.index.snapshot().num_segments(), 1);
+            prop_assert_eq!(lc.index.snapshot().deleted_rows(), 0, "compaction drops every tombstone");
 
             let mut store = VectorStore::with_capacity(DIM, survivors.len());
             for &g in &survivors {
@@ -333,7 +333,8 @@ proptest! {
         }
         let vecs = Arc::new(store);
         let rebuilt = AcornIndex::build(vecs.clone(), params(seed), AcornVariant::Gamma);
-        let seg = &lc.index.frozen_segments()[0];
+        let snap = lc.index.snapshot();
+        let seg = &snap.frozen_segments()[0];
         let csr = seg.index().csr().expect("a frozen segment is sealed");
         let nested = rebuilt.graph().expect("a built index is growing");
         prop_assert_eq!(csr.len(), nested.len());

@@ -61,14 +61,14 @@ proptest! {
     ) {
         let (vecs, labels) = random_store(n, seed);
         let idx = one_segment(&vecs, seed, QuantizationPolicy::sq8(rerank_k));
-        prop_assert!(idx.frozen_segments()[0].is_quantized());
+        prop_assert!(idx.snapshot().frozen_segments()[0].is_quantized());
         let attrs = AttrStore::builder().add_int("label", labels.clone()).build();
         let field = attrs.field("label").unwrap();
         let mut scratch = SearchScratch::new(n);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xACC3);
         for _ in 0..3 {
             let q = query(&mut rng);
-            let out = idx.search(&q, 10, 48);
+            let out = idx.reader().search(&q, 10, 48);
             prop_assert!(!out.is_empty());
             for nb in &out {
                 let exact = Metric::L2.distance(vecs.get(nb.id as u32), &q);
@@ -78,7 +78,7 @@ proptest! {
                 );
             }
             let pred = Predicate::Equals { field, value: rng.gen_range(0..4) };
-            let (hout, _) = idx.hybrid_search(&q, &pred, &attrs, 10, 48, &mut scratch);
+            let (hout, _) = idx.snapshot().hybrid_search(&q, &pred, &attrs, 10, 48, &mut scratch);
             for nb in &hout {
                 prop_assert_eq!(labels[nb.id as usize], match &pred {
                     Predicate::Equals { value, .. } => *value,
@@ -105,7 +105,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut idx = SegmentedAcornIndex::new(DIM, params(seed), AcornVariant::Gamma)
             .with_quantization(QuantizationPolicy::sq8(16));
-        prop_assert_eq!(idx.quantization(), QuantizationPolicy::sq8(16));
+        prop_assert_eq!(idx.snapshot().quantization(), QuantizationPolicy::sq8(16));
         let mut rows: Vec<Vec<f32>> = Vec::new();
         let insert = |idx: &mut SegmentedAcornIndex, rng: &mut StdRng, rows: &mut Vec<Vec<f32>>| {
             let v: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -125,16 +125,17 @@ proptest! {
         for _ in 0..20 {
             insert(&mut idx, &mut rng, &mut rows);
         }
-        let frozen = idx.frozen_segments();
+        let snap = idx.snapshot();
+        let frozen = snap.frozen_segments();
         prop_assert_eq!(frozen.len(), 2);
-        for seg in &frozen {
+        for seg in frozen {
             prop_assert!(seg.is_quantized(), "sealing must quantize under the policy");
             prop_assert_eq!(seg.index().rerank_k(), Some(16));
         }
 
         let check = |idx: &SegmentedAcornIndex, rng: &mut StdRng| -> Result<(), TestCaseError> {
             let q = query(rng);
-            let out = idx.search(&q, 10, 48);
+            let out = idx.reader().search(&q, 10, 48);
             prop_assert!(!out.is_empty());
             for nb in &out {
                 let exact = Metric::L2.distance(&rows[nb.id as usize], &q);
@@ -150,7 +151,8 @@ proptest! {
         // A merge rebuilds the two frozen segments into one; the rebuilt
         // segment must come back quantized without anyone re-asking.
         prop_assert!(idx.merge().segments_merged > 0);
-        let frozen = idx.frozen_segments();
+        let snap = idx.snapshot();
+        let frozen = snap.frozen_segments();
         prop_assert_eq!(frozen.len(), 1);
         prop_assert!(frozen[0].is_quantized(), "merge must re-apply the policy");
         check(&idx, &mut rng)?;
@@ -180,7 +182,8 @@ fn quantized_recall_tracks_exact_tier() {
     let exact = one_segment(&vecs, 11, QuantizationPolicy::default());
     let quant = one_segment(&vecs, 11, QuantizationPolicy::sq8(32));
     assert!(
-        !exact.frozen_segments()[0].is_quantized() && quant.frozen_segments()[0].is_quantized()
+        !exact.snapshot().frozen_segments()[0].is_quantized()
+            && quant.snapshot().frozen_segments()[0].is_quantized()
     );
     let attrs = AttrStore::builder().add_int("label", labels).build();
     let field = attrs.field("label").unwrap();
@@ -198,8 +201,8 @@ fn quantized_recall_tracks_exact_tier() {
         ];
         for (pred, (hits, total)) in classes.iter().zip(&mut tally) {
             let mut ask = |idx: &SegmentedAcornIndex| match pred {
-                None => idx.search(&q, 10, 64),
-                Some(p) => idx.hybrid_search(&q, p, &attrs, 10, 64, &mut scratch).0,
+                None => idx.reader().search(&q, 10, 64),
+                Some(p) => idx.snapshot().hybrid_search(&q, p, &attrs, 10, 64, &mut scratch).0,
             };
             let (e, s) = (ask(&exact), ask(&quant));
             *hits += s.iter().filter(|n| e.iter().any(|x| x.id == n.id)).count();

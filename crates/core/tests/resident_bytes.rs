@@ -105,7 +105,7 @@ fn a_frozen_segment_keeps_on_the_heap_what_memory_bytes_reports() {
         index.insert(&v);
     }
     index.freeze();
-    assert_eq!((index.active_rows(), index.frozen_segments().len()), (0, 2));
+    assert_eq!((index.active_rows(), index.snapshot().frozen_segments().len()), (0, 2));
     let resident = LIVE.load(Ordering::Relaxed) - empty;
     let reported = index.snapshot().memory_bytes();
     check("insert + freeze", resident - bulk_resident, reported - bulk_reported);

@@ -97,7 +97,7 @@ proptest! {
                     prop_assert_eq!(a, b, "global ids must match op-for-op");
                 }
                 Op::Delete(sel) => {
-                    let hwm = oracle.next_global_id();
+                    let hwm = oracle.snapshot().next_global_id();
                     if hwm == 0 {
                         continue;
                     }

@@ -80,7 +80,7 @@ impl Default for CorrelatedSpec {
 
 impl CorrelatedSpec {
     /// The preferred `label` of a cluster.
-    pub fn preferred_label(&self, cluster: u32) -> i64 {
+    fn preferred_label(&self, cluster: u32) -> i64 {
         (cluster as usize % self.label_cardinality.max(1)) as i64
     }
 
@@ -88,7 +88,7 @@ impl CorrelatedSpec {
     /// span into equal contiguous windows (cluster order is scrambled by a
     /// fixed multiplier so adjacent cluster ids do not imply adjacent
     /// years).
-    pub fn year_window(&self, cluster: u32) -> (i64, i64) {
+    fn year_window(&self, cluster: u32) -> (i64, i64) {
         let span = (self.year_hi - self.year_lo + 1).max(1);
         let c = self.clusters.max(1) as i64;
         // Fixed odd multiplier: a bijection over cluster ids that decouples

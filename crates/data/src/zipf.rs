@@ -24,7 +24,6 @@ use rand::Rng;
 pub struct Zipf {
     /// Normalized cumulative probabilities; `cdf[n-1] == 1.0`.
     cdf: Vec<f64>,
-    exponent: f64,
 }
 
 impl Zipf {
@@ -51,7 +50,7 @@ impl Zipf {
         // Binary-search safety: the final bucket must cover u -> 1.0 exactly
         // regardless of floating-point rounding in the running sum.
         *cdf.last_mut().expect("n > 0") = 1.0;
-        Self { cdf, exponent }
+        Self { cdf }
     }
 
     /// Number of ranks.
@@ -63,11 +62,6 @@ impl Zipf {
     /// `n > 0`; provided for clippy's `len`-without-`is_empty` convention).
     pub fn is_empty(&self) -> bool {
         self.cdf.is_empty()
-    }
-
-    /// The exponent this sampler was built with.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
     }
 
     /// Draw one rank in `0..len()` (0 = most popular). Deterministic for a

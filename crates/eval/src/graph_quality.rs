@@ -122,7 +122,7 @@ pub fn predicate_subgraph_quality_with<G: GraphView, F: NodeFilter>(
 }
 
 /// Count strongly connected components with an iterative Tarjan.
-pub fn count_sccs(adj: &[Vec<usize>]) -> usize {
+fn count_sccs(adj: &[Vec<usize>]) -> usize {
     let n = adj.len();
     let mut index = vec![usize::MAX; n];
     let mut lowlink = vec![0usize; n];

@@ -6,9 +6,9 @@
 //! "varying the search parameter efs from 10 to 800" (§7.2); the experiment
 //! binaries do the same.
 
+use acorn_hnsw::pool::run_sharded;
 use acorn_hnsw::{ScratchPool, SearchScratch, SearchStats};
 
-use crate::qps::run_queries_pooled;
 use crate::recall::workload_recall;
 
 /// One point on a recall-QPS curve.
@@ -45,9 +45,11 @@ impl SweepPoint {
 /// Sweep a beam-width parameter over a workload.
 ///
 /// `f(query_index, param, scratch)` runs one query at the given parameter
-/// value, `repeats` times per point (see
-/// [`run_queries_pooled`]). `truth` supplies exact ground truth for
-/// recall@`k`.
+/// value and returns the retrieved ids plus its [`SearchStats`]; each point
+/// is one [`run_sharded`] batch on `threads` workers (`0` = all cores) that
+/// executes every query `repeats` times — results from the final pass, QPS
+/// over every execution — so wall time dwarfs thread start-up on small
+/// workloads. `truth` supplies exact ground truth for recall@`k`.
 pub fn sweep<F>(
     params: &[usize],
     truth: &[Vec<u32>],
@@ -66,8 +68,11 @@ where
     params
         .iter()
         .map(|&param| {
-            let run =
-                run_queries_pooled(&pool, nq, threads, repeats, |i, scratch| f(i, param, scratch));
+            let run = run_sharded(&pool, nq, threads, repeats, 0, |i, scratch, stats| {
+                let (ids, st) = f(i, param, scratch);
+                stats.merge(&st);
+                ids
+            });
             let recall = workload_recall(&run.results, truth, k);
             let denom = nq.max(1) as f64;
             SweepPoint {

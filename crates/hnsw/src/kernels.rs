@@ -20,7 +20,10 @@
 //!   the forced-scalar CI leg. Any other value (or unset) means "auto".
 //! * This module contains the only `unsafe` distance code in the workspace;
 //!   each `unsafe` block is reachable only after the matching
-//!   `is_x86_feature_detected!` probe succeeded.
+//!   `is_x86_feature_detected!` probe succeeded, and only after the
+//!   dispatcher checked that every slice has the query's length (the AVX2
+//!   bodies size their loads by one slice and read all of them). A length
+//!   mismatch panics on either path, in release builds too.
 
 /// Which kernel implementation the process dispatched to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,23 +80,32 @@ fn detected_path() -> KernelPath {
 // ---------------------------------------------------------------------------
 
 /// Squared Euclidean distance (dispatched).
+///
+/// # Panics
+/// Panics if `a` and `b` differ in length.
 #[inline]
 pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "l2_sq of slices of different lengths");
     #[cfg(target_arch = "x86_64")]
     if kernel_path() == KernelPath::Avx2Fma {
         // SAFETY: Avx2Fma is only cached after is_x86_feature_detected!
-        // confirmed both avx2 and fma on this CPU.
+        // confirmed both avx2 and fma on this CPU, and the lengths were
+        // checked above: every 8-lane load stays inside both slices.
         return unsafe { avx2::l2_sq(a, b) };
     }
     l2_sq_scalar(a, b)
 }
 
 /// Dot product (dispatched).
+///
+/// # Panics
+/// Panics if `a` and `b` differ in length.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "dot of slices of different lengths");
     #[cfg(target_arch = "x86_64")]
     if kernel_path() == KernelPath::Avx2Fma {
-        // SAFETY: see l2_sq — the path is cached only after feature detection.
+        // SAFETY: see l2_sq — feature detection, then the length check.
         return unsafe { avx2::dot(a, b) };
     }
     dot_scalar(a, b)
@@ -144,12 +156,16 @@ pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
 // ---------------------------------------------------------------------------
 
 /// Asymmetric squared-L2 between an f32 query and one SQ8-coded row
-/// (dispatched). `codes`, `mins`, `steps` and `q` must share one length.
+/// (dispatched).
+///
+/// # Panics
+/// Panics unless `codes`, `mins`, `steps` and `q` share one length.
 #[inline]
 pub fn sq8_l2_sq(codes: &[u8], mins: &[f32], steps: &[f32], q: &[f32]) -> f32 {
+    assert_sq8_lengths(codes, mins, steps, q);
     #[cfg(target_arch = "x86_64")]
     if kernel_path() == KernelPath::Avx2Fma {
-        // SAFETY: see l2_sq — the path is cached only after feature detection.
+        // SAFETY: see l2_sq — feature detection, then the length check.
         return unsafe { avx2::sq8_l2_sq(codes, mins, steps, q) };
     }
     sq8_l2_sq_scalar(codes, mins, steps, q)
@@ -157,14 +173,32 @@ pub fn sq8_l2_sq(codes: &[u8], mins: &[f32], steps: &[f32], q: &[f32]) -> f32 {
 
 /// Asymmetric dot product between an f32 query and one SQ8-coded row
 /// (dispatched).
+///
+/// # Panics
+/// Panics unless `codes`, `mins`, `steps` and `q` share one length.
 #[inline]
 pub fn sq8_dot(codes: &[u8], mins: &[f32], steps: &[f32], q: &[f32]) -> f32 {
+    assert_sq8_lengths(codes, mins, steps, q);
     #[cfg(target_arch = "x86_64")]
     if kernel_path() == KernelPath::Avx2Fma {
-        // SAFETY: see l2_sq — the path is cached only after feature detection.
+        // SAFETY: see l2_sq — feature detection, then the length check.
         return unsafe { avx2::sq8_dot(codes, mins, steps, q) };
     }
     sq8_dot_scalar(codes, mins, steps, q)
+}
+
+/// The dispatchers' guard for the SQ8 kernels: the AVX2 bodies load 8
+/// lanes of every slice per chunk of `q`, so all four must be `q`'s length.
+#[inline]
+fn assert_sq8_lengths(codes: &[u8], mins: &[f32], steps: &[f32], q: &[f32]) {
+    let n = q.len();
+    assert!(
+        codes.len() == n && mins.len() == n && steps.len() == n,
+        "SQ8 kernel over a {n}-d query and a {}-d row ({} mins, {} steps)",
+        codes.len(),
+        mins.len(),
+        steps.len()
+    );
 }
 
 /// Portable asymmetric squared-L2 (reference semantics).

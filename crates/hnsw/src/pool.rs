@@ -153,8 +153,9 @@ impl std::fmt::Display for LatencySummary {
     }
 }
 
-/// Output of [`run_sharded`]: per-item results in input order plus merged,
-/// repeat-averaged statistics and batch timing.
+/// Output of [`run_sharded`] — and so the answer to every batch in the
+/// workspace: per-item results in input order plus merged, repeat-averaged
+/// statistics and batch timing.
 #[derive(Debug, Clone)]
 pub struct ShardedRun<R> {
     /// Result slot `i` holds item `i`'s answer (from the final repetition),
@@ -168,22 +169,15 @@ pub struct ShardedRun<R> {
     pub elapsed: Duration,
     /// Total item executions (`nq × repeats`).
     pub executions: u64,
+    /// Executions per second over the batch wall time (0 when no time
+    /// elapsed).
+    pub qps: f64,
     /// Wall time of every individual execution (repeats included), ordered
     /// by shard then repetition — `executions` entries in total.
     pub latencies: Vec<Duration>,
 }
 
 impl<R> ShardedRun<R> {
-    /// Executions per second over the batch wall time.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.executions as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// Percentile digest of [`latencies`](Self::latencies) (`None` for an
     /// empty run).
     pub fn latency_summary(&self) -> Option<LatencySummary> {
@@ -192,8 +186,9 @@ impl<R> ShardedRun<R> {
 }
 
 /// The one shard/repeat/measure driver behind every batch executor in the
-/// workspace (the `acorn-eval` QPS harness and the `acorn-core`
-/// `SegmentedQueryEngine`): split `nq` items into contiguous chunks across
+/// workspace (`acorn-eval`'s `sweep` and `acorn-core`'s
+/// `SegmentedQueryEngine`, which returns its [`ShardedRun`] as the batch's
+/// answer): split `nq` items into contiguous chunks across
 /// `std::thread::scope` workers (`threads = 0` uses all cores; the worker
 /// count never exceeds `nq`), give each worker one pooled scratch prepared
 /// for `capacity` ids, execute every item `repeats` times (results kept
@@ -270,7 +265,10 @@ where
     for mut tlat in thread_lats {
         latencies.append(&mut tlat);
     }
-    ShardedRun { results, stats, elapsed, executions: (nq * repeats) as u64, latencies }
+    let executions = (nq * repeats) as u64;
+    let secs = elapsed.as_secs_f64();
+    let qps = if secs > 0.0 { executions as f64 / secs } else { 0.0 };
+    ShardedRun { results, stats, elapsed, executions, qps, latencies }
 }
 
 #[cfg(test)]
@@ -328,6 +326,52 @@ mod tests {
         drop(pool.checkout(4));
         assert_eq!(pool.idle(), 1);
         assert_eq!(pool.clone().idle(), 0);
+    }
+
+    #[test]
+    fn runs_every_query_exactly_once() {
+        let out = run_sharded(&ScratchPool::new(), 37, 4, 1, 0, |i, _scratch, stats| {
+            stats.ndis += 1;
+            vec![i as u32]
+        });
+        assert_eq!(out.results.len(), 37);
+        for (i, r) in out.results.iter().enumerate() {
+            assert_eq!(r, &vec![i as u32]);
+        }
+        assert_eq!(out.stats.ndis, 37);
+        assert!(out.qps > 0.0);
+    }
+
+    #[test]
+    fn zero_queries_ok() {
+        let out = run_sharded(&ScratchPool::new(), 0, 2, 1, 0, |_, _, _| Vec::<u32>::new());
+        assert!(out.results.is_empty());
+    }
+
+    #[test]
+    fn single_thread_matches_multi_thread_results() {
+        let f = |i: usize, _: &mut SearchScratch, _: &mut SearchStats| vec![(i * 3) as u32];
+        let a = run_sharded(&ScratchPool::new(), 20, 1, 1, 0, f);
+        let b = run_sharded(&ScratchPool::new(), 20, 8, 1, 0, f);
+        assert_eq!(a.results, b.results);
+    }
+
+    #[test]
+    fn pooled_runs_reuse_scratches_across_runs() {
+        let pool = ScratchPool::new();
+        let f = |i: usize, s: &mut SearchScratch, _: &mut SearchStats| {
+            s.visited.grow(64);
+            s.visited.insert(i as u32 % 64);
+            vec![i as u32]
+        };
+        // Workers return scratches on completion; a worker that starts after
+        // another finished may reuse its scratch, so the pool holds between
+        // 1 and `threads` scratches — never zero, never more.
+        let _ = run_sharded(&pool, 16, 2, 1, 0, f);
+        let after_first = pool.idle();
+        assert!((1..=2).contains(&after_first), "expected 1..=2 pooled scratches");
+        let _ = run_sharded(&pool, 16, 2, 1, 0, f);
+        assert!(pool.idle() <= 2, "the second run must reuse, not endlessly grow, the pool");
     }
 
     #[test]

@@ -34,9 +34,8 @@ impl Sq8Store {
     /// Train a codebook on `vecs` and encode every row.
     ///
     /// An empty store yields an identity-ish codebook (`min = 0`,
-    /// `step = MIN_STEP`) with no rows — rows can still be added later with
-    /// [`push_after_train`](Self::push_after_train). Constant dimensions get
-    /// the clamped [`MIN_STEP`] instead of a zero step.
+    /// `step = MIN_STEP`) with no rows. Constant dimensions get the clamped
+    /// [`MIN_STEP`] instead of a zero step.
     pub fn train(vecs: &VectorStore) -> Self {
         let dim = vecs.dim();
         if vecs.is_empty() {
@@ -105,7 +104,7 @@ impl Sq8Store {
     ///
     /// # Panics
     /// Panics if `v.len() != dim`.
-    pub fn push_after_train(&mut self, v: &[f32]) -> u32 {
+    fn push_after_train(&mut self, v: &[f32]) -> u32 {
         assert_eq!(v.len(), self.dim, "pushed vector has wrong dimension");
         let id = self.len() as u32;
         let mut norm_sq = 0.0f32;

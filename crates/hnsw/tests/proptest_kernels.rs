@@ -136,3 +136,65 @@ proptest! {
         }
     }
 }
+
+// A length mismatch panics on every path, in release builds too: the AVX2
+// bodies size their 8-lane loads by one slice and read all of them, so the
+// dispatchers check before they dispatch. One test per dispatcher and
+// direction; the lengths span several lanes so the SIMD loop would run.
+
+#[test]
+#[should_panic(expected = "different lengths")]
+fn l2_sq_refuses_a_shorter_second_slice() {
+    kernels::l2_sq(&[0.5; 32], &[0.5; 24]);
+}
+
+#[test]
+#[should_panic(expected = "different lengths")]
+fn l2_sq_refuses_a_shorter_first_slice() {
+    kernels::l2_sq(&[0.5; 24], &[0.5; 32]);
+}
+
+#[test]
+#[should_panic(expected = "different lengths")]
+fn dot_refuses_a_shorter_second_slice() {
+    kernels::dot(&[0.5; 32], &[0.5; 24]);
+}
+
+#[test]
+#[should_panic(expected = "different lengths")]
+fn dot_refuses_a_shorter_first_slice() {
+    kernels::dot(&[0.5; 24], &[0.5; 32]);
+}
+
+/// A 32-d SQ8 row: codes, mins and steps.
+fn sq8_row() -> (Vec<u8>, Vec<f32>, Vec<f32>) {
+    (vec![7; 32], vec![-1.0; 32], vec![0.01; 32])
+}
+
+#[test]
+#[should_panic(expected = "SQ8 kernel")]
+fn sq8_l2_sq_refuses_a_longer_query() {
+    let (codes, mins, steps) = sq8_row();
+    kernels::sq8_l2_sq(&codes, &mins, &steps, &[0.5; 40]);
+}
+
+#[test]
+#[should_panic(expected = "SQ8 kernel")]
+fn sq8_l2_sq_refuses_a_shorter_query() {
+    let (codes, mins, steps) = sq8_row();
+    kernels::sq8_l2_sq(&codes, &mins, &steps, &[0.5; 24]);
+}
+
+#[test]
+#[should_panic(expected = "SQ8 kernel")]
+fn sq8_dot_refuses_a_longer_query() {
+    let (codes, mins, steps) = sq8_row();
+    kernels::sq8_dot(&codes, &mins, &steps, &[0.5; 40]);
+}
+
+#[test]
+#[should_panic(expected = "SQ8 kernel")]
+fn sq8_dot_refuses_a_shorter_query() {
+    let (codes, mins, steps) = sq8_row();
+    kernels::sq8_dot(&codes, &mins, &steps, &[0.5; 24]);
+}

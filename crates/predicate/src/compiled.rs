@@ -24,8 +24,8 @@
 //! `BitmapFilter::from_predicate`) is therefore a word-at-a-time columnar
 //! scan, [`CompiledPredicate::to_bitset_range`] is the same scan over one
 //! segment's row span (what the hybrid query planner materializes), and
-//! [`estimate_selectivity_compiled`](crate::selectivity::estimate_selectivity_compiled)
-//! gets a fast sampled estimator. Results are bit-identical to interpreted
+//! the planner's selectivity sample evaluates each drawn row with
+//! [`CompiledPredicate::eval`]. Results are bit-identical to interpreted
 //! evaluation (property tested over random ASTs × stores).
 
 use std::ops::RangeInclusive;
@@ -108,11 +108,6 @@ impl CompiledPredicate {
     /// Relative evaluation cost weight of the whole program.
     pub fn cost(&self) -> u64 {
         self.cost
-    }
-
-    /// True if any clause is a regex match.
-    pub fn has_regex(&self) -> bool {
-        self.has_regex
     }
 
     /// The dispatch cost class (see [`CostClass`]).
@@ -468,7 +463,6 @@ mod tests {
         ]);
         let c = CompiledPredicate::compile(&p);
         assert_eq!(c.cost_class(), CostClass::Expensive);
-        assert!(c.has_regex());
         // Normalization hoists the cheap equality before the regex: the And
         // node is last (post-order root), its first child evaluates Equals.
         match &c.ops[c.root as usize] {

@@ -42,7 +42,4 @@ pub use filter::{AllPass, BitmapFilter, NodeFilter, PredicateFilter};
 pub use memo::{MemoFilter, MemoTable};
 pub use predicate::Predicate;
 pub use regex::Regex;
-pub use selectivity::{
-    estimate_selectivity, estimate_selectivity_compiled, estimate_selectivity_seeding_mapped,
-    exact_selectivity, sample_positions,
-};
+pub use selectivity::{estimate_selectivity_seeding_mapped, exact_selectivity, sample_positions};

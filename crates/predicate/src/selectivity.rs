@@ -15,14 +15,14 @@ use crate::attrs::AttrStore;
 use crate::compiled::CompiledPredicate;
 use crate::predicate::Predicate;
 
-/// Draw the sample every estimator and the hybrid query planner share:
-/// `sample_size` positions in `0..universe`, uniform with replacement, each
-/// handed to `visit` in draw order. The sequence depends only on `(universe,
-/// sample_size, seed)`, so interpreted and compiled estimation see
-/// **identical samples** and — since compiled evaluation is bit-identical to
-/// interpreted — identical verdicts: ACORN's fallback routing (§5.2) never
-/// changes with the evaluation engine. Nothing is drawn from an empty
-/// universe.
+/// Draw the sample the hybrid query planner (and the per-segment estimator
+/// below) routes on: `sample_size` positions in `0..universe`, uniform with
+/// replacement, each handed to `visit` in draw order. The sequence depends
+/// only on `(universe, sample_size, seed)`, so whatever evaluates the
+/// sampled rows — interpreted or compiled, both bit-identical — sees
+/// **identical samples** and tallies identical verdicts: ACORN's fallback
+/// routing (§5.2) never changes with the evaluation engine. Nothing is drawn
+/// from an empty universe.
 ///
 /// The planner calls this **once per query** over the concatenated rows of
 /// every segment it is about to search and tallies hits per segment; a
@@ -43,54 +43,18 @@ pub fn sample_positions(
     }
 }
 
-/// Hit fraction of `pass` over [`sample_positions`] (0.0 when nothing was
-/// drawn).
-fn sampled(n: usize, sample_size: usize, seed: u64, mut pass: impl FnMut(u32) -> bool) -> f64 {
-    if sample_size == 0 {
-        return 0.0;
-    }
-    let mut hits = 0usize;
-    sample_positions(n, sample_size, seed, |p| hits += usize::from(pass(p as u32)));
-    hits as f64 / sample_size as f64
-}
-
-/// Estimate the fraction of rows passing `predicate` from a uniform sample
-/// of `sample_size` rows (with replacement), walking the AST per sample.
-///
-/// Returns 0.0 for an empty store. The standard error is
-/// `sqrt(s(1-s)/sample_size)`; the default harness uses 1,000 samples,
-/// giving ±1.6% absolute error at `s = 0.5`.
-pub fn estimate_selectivity(
-    attrs: &AttrStore,
-    predicate: &Predicate,
-    sample_size: usize,
-    seed: u64,
-) -> f64 {
-    sampled(attrs.len(), sample_size, seed, |id| predicate.eval(attrs, id))
-}
-
-/// [`estimate_selectivity`] through an already-compiled predicate: same
-/// sample sequence and (provably) same estimate, but each sample runs the
-/// flat program instead of an interpretive AST walk, and reusing a query's
-/// compiled program means estimation adds no compilation cost.
-pub fn estimate_selectivity_compiled(
-    attrs: &AttrStore,
-    compiled: &CompiledPredicate,
-    sample_size: usize,
-    seed: u64,
-) -> f64 {
-    sampled(attrs.len(), sample_size, seed, |id| compiled.eval(attrs, id))
-}
-
-/// [`estimate_selectivity_compiled`] over a **remapped universe** that also
-/// records every sampled verdict into `memo`: positions are drawn from
+/// The fraction of `sample_size` [`sample_positions`] over a **remapped
+/// universe** that pass `compiled`, recording every sampled verdict into
+/// `memo` (0.0 when nothing was drawn): positions are drawn from
 /// `0..universe`, position `p` is evaluated at row `map(p)` of `attrs`, and
 /// the verdict is recorded under `p` (the segment-local row id, the id space
 /// a `MemoFilter` over a remapped filter uses). Duplicate draws are answered
 /// from the memo. `memo` must cover `universe` rows and be freshly reset.
 ///
-/// The engine plans from one [`sample_positions`] pass per query; this
-/// per-segment form is what the repo benchmark's staged replay times.
+/// The standard error is `sqrt(s(1-s)/sample_size)`: ±1.6% absolute at
+/// `s = 0.5` for the router's 1,000 samples. The engine plans from one
+/// [`sample_positions`] pass per query; this per-segment form is what the
+/// repo benchmark's staged replay times.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_selectivity_seeding_mapped(
     attrs: &AttrStore,
@@ -101,13 +65,20 @@ pub fn estimate_selectivity_seeding_mapped(
     universe: usize,
     map: impl Fn(u32) -> u32,
 ) -> f64 {
-    sampled(universe, sample_size, seed, |p| {
-        memo.lookup(p).unwrap_or_else(|| {
+    if sample_size == 0 {
+        return 0.0;
+    }
+    let mut hits = 0usize;
+    sample_positions(universe, sample_size, seed, |p| {
+        let p = p as u32;
+        let verdict = memo.lookup(p).unwrap_or_else(|| {
             let verdict = compiled.eval(attrs, map(p));
             memo.record(p, verdict);
             verdict
-        })
-    })
+        });
+        hits += usize::from(verdict);
+    });
+    hits as f64 / sample_size as f64
 }
 
 /// Exact selectivity by full scan (used for analysis and tests).
@@ -135,6 +106,13 @@ mod tests {
         AttrStore::builder().add_int("x", (0..n as i64).map(|i| i % 10).collect()).build()
     }
 
+    /// Hit fraction of `p` over `size` [`sample_positions`] of `s`.
+    fn sampled(s: &AttrStore, p: &Predicate, size: usize, seed: u64) -> f64 {
+        let mut hits = 0usize;
+        sample_positions(s.len(), size, seed, |pos| hits += usize::from(p.eval(s, pos as u32)));
+        hits as f64 / size as f64
+    }
+
     #[test]
     fn exact_matches_construction() {
         let s = store(1000);
@@ -148,7 +126,7 @@ mod tests {
         let s = store(10_000);
         let f = s.field("x").unwrap();
         let p = Predicate::Between { field: f, lo: 0, hi: 4 }; // s = 0.5
-        let est = estimate_selectivity(&s, &p, 5000, 42);
+        let est = sampled(&s, &p, 5000, 42);
         assert!((est - 0.5).abs() < 0.05, "estimate {est} too far from 0.5");
     }
 
@@ -156,7 +134,7 @@ mod tests {
     fn empty_store_is_zero() {
         let s = AttrStore::builder().add_int("x", vec![]).build();
         let p = Predicate::True;
-        assert_eq!(estimate_selectivity(&s, &p, 100, 0), 0.0);
+        assert_eq!(sampled(&s, &p, 100, 0), 0.0);
         assert_eq!(exact_selectivity(&s, &p), 0.0);
     }
 
@@ -165,25 +143,18 @@ mod tests {
         let s = store(1000);
         let f = s.field("x").unwrap();
         let p = Predicate::Equals { field: f, value: 3 };
-        let a = estimate_selectivity(&s, &p, 200, 7);
-        let b = estimate_selectivity(&s, &p, 200, 7);
+        let a = sampled(&s, &p, 200, 7);
+        let b = sampled(&s, &p, 200, 7);
         assert_eq!(a, b);
     }
 
     #[test]
     fn sample_positions_is_the_sequence_every_estimator_draws() {
         let s = store(2000);
-        let f = s.field("x").unwrap();
-        let p = Predicate::Between { field: f, lo: 1, hi: 6 };
-        let mut hits = 0usize;
         let mut drawn = Vec::new();
-        sample_positions(s.len(), 400, 13, |pos| {
-            drawn.push(pos);
-            hits += usize::from(p.eval(&s, pos as u32));
-        });
+        sample_positions(s.len(), 400, 13, |pos| drawn.push(pos));
         assert_eq!(drawn.len(), 400);
         assert!(drawn.iter().all(|&pos| pos < s.len()));
-        assert_eq!(hits as f64 / 400.0, estimate_selectivity(&s, &p, 400, 13));
 
         let mut again = Vec::new();
         sample_positions(s.len(), 400, 13, |pos| again.push(pos));
@@ -211,24 +182,6 @@ mod tests {
             if let Some(v) = memo.lookup(local) {
                 assert_eq!(v, p.eval(&s, local + 1000), "position {local}");
             }
-        }
-    }
-
-    #[test]
-    fn compiled_estimate_equals_interpreted() {
-        let s = store(5000);
-        let f = s.field("x").unwrap();
-        for (p, seed) in [
-            (Predicate::Equals { field: f, value: 0 }, 3u64),
-            (Predicate::Between { field: f, lo: 2, hi: 6 }, 11),
-            (Predicate::in_values(f, vec![1, 4, 9]), 29),
-        ] {
-            let c = CompiledPredicate::compile(&p);
-            assert_eq!(
-                estimate_selectivity(&s, &p, 500, seed),
-                estimate_selectivity_compiled(&s, &c, 500, seed),
-                "routing parity broken for seed {seed}"
-            );
         }
     }
 }

@@ -78,10 +78,12 @@ fn main() {
         ),
     ];
 
-    let mut scratch = SearchScratch::new(n);
+    // Queries are asked of a pinned snapshot of the index.
+    let snap = index.snapshot();
+    let mut scratch = SearchScratch::new(snap.max_segment_rows());
     for (label, predicate) in &scenarios {
         let selectivity = acorn::predicate::exact_selectivity(&attrs, predicate);
-        let (hits, stats) = index.hybrid_search(&reference, predicate, &attrs, 5, 64, &mut scratch);
+        let (hits, stats) = snap.hybrid_search(&reference, predicate, &attrs, 5, 64, &mut scratch);
         println!(
             "query: similar items, filter = {label} (selectivity {selectivity:.3}, fallback = {})",
             stats.fallback

@@ -52,10 +52,12 @@ fn main() {
         ),
     ];
 
-    let mut scratch = SearchScratch::new(n);
+    // Queries are asked of a pinned snapshot of the index.
+    let snap = index.snapshot();
+    let mut scratch = SearchScratch::new(snap.max_segment_rows());
     for (label, predicate) in &scenarios {
         let s = acorn::predicate::exact_selectivity(&ds.attrs, predicate);
-        let (hits, stats) = index.hybrid_search(&query, predicate, &ds.attrs, 5, 64, &mut scratch);
+        let (hits, stats) = snap.hybrid_search(&query, predicate, &ds.attrs, 5, 64, &mut scratch);
         println!(
             "filter: {label}  (selectivity {s:.3}, ndis {}, fallback {})",
             stats.ndis, stats.fallback

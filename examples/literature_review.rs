@@ -63,8 +63,9 @@ fn main() {
 
     let mut scratch = SearchScratch::new(n);
 
-    // ACORN.
-    let (hits, stats) = index.hybrid_search(&query, &predicate, &ds.attrs, 5, 64, &mut scratch);
+    // ACORN: the query is asked of a pinned snapshot of the index.
+    let (hits, stats) =
+        index.snapshot().hybrid_search(&query, &predicate, &ds.attrs, 5, 64, &mut scratch);
     println!("ACORN-gamma ({} distance computations):", stats.ndis);
     for h in &hits {
         let row = h.id as u32;

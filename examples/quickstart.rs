@@ -1,6 +1,7 @@
 //! Quickstart: build an ACORN-γ index over a small hybrid dataset, run
 //! hybrid queries (vector similarity + structured predicate), serve a batch,
-//! and save it.
+//! and save it. The index is the writer; every read — a query, a batch, a
+//! save — is asked of a pinned snapshot or a reader handle.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -44,8 +45,9 @@ fn main() {
 
     let mut scratch = SearchScratch::new(dataset.len());
     for (name, index) in [("ACORN-gamma", &acorn_gamma), ("ACORN-1", &acorn_one)] {
+        let snap = index.snapshot(); // pin the current epoch
         let (hits, stats) =
-            index.hybrid_search(&query, &predicate, &dataset.attrs, 10, 64, &mut scratch);
+            snap.hybrid_search(&query, &predicate, &dataset.attrs, 10, 64, &mut scratch);
         println!(
             "\n{name}: top-10 with label == 7 (ndis = {}, fallback = {}):",
             stats.ndis, stats.fallback
@@ -64,8 +66,8 @@ fn main() {
         Predicate::Equals { field, value: 7 },
         Predicate::Between { field, lo: 7, hi: 7 },
     ]);
-    let (_, stats) =
-        acorn_gamma.hybrid_search(&query, &selective, &dataset.attrs, 10, 64, &mut scratch);
+    let gamma = acorn_gamma.snapshot();
+    let (_, stats) = gamma.hybrid_search(&query, &selective, &dataset.attrs, 10, 64, &mut scratch);
     println!("\ncompound predicate routed via fallback = {}", stats.fallback);
 
     // 5. Serving at scale: the SegmentedQueryEngine shards a query batch
@@ -74,7 +76,7 @@ fn main() {
     let queries: Vec<Vec<f32>> = (0..64u32).map(|i| dataset.vectors.get(i * 7).to_vec()).collect();
     let batch: Vec<(&[f32], &Predicate)> =
         queries.iter().map(|q| (q.as_slice(), &predicate)).collect();
-    let engine = SegmentedQueryEngine::new(&acorn_gamma).with_threads(0); // 0 = all cores
+    let engine = SegmentedQueryEngine::for_reader(acorn_gamma.reader()).with_threads(0); // 0 = all cores
     let out = engine.hybrid_search_batch(&batch, &dataset.attrs, 10, 64);
     println!(
         "\nbatch of {} hybrid queries: {:.0} QPS, {} total distance computations, {:.1?} wall",
@@ -85,11 +87,12 @@ fn main() {
     );
     assert_eq!(out.results.len(), batch.len());
 
-    // 6. Save and load: one checksummed file holds graph, vectors and
-    //    tombstones; the loaded index answers identically and takes writes.
+    // 6. Save and load: one checksummed file holds the snapshot's graph,
+    //    vectors and tombstones; the loaded index answers identically and
+    //    takes writes.
     let mut file = Vec::new();
-    acorn_gamma.save(&mut file).expect("writing to memory cannot fail");
+    gamma.save(&mut file).expect("writing to memory cannot fail");
     let loaded = SegmentedAcornIndex::load(&mut file.as_slice()).expect("just written");
-    assert_eq!(loaded.search(&query, 10, 64), acorn_gamma.search(&query, 10, 64));
+    assert_eq!(loaded.reader().search(&query, 10, 64), acorn_gamma.reader().search(&query, 10, 64));
     println!("\nsaved {} bytes and loaded them back", file.len());
 }

@@ -11,8 +11,10 @@
 //! * [`core`] — the ACORN-γ and ACORN-1 graphs (the paper's contribution)
 //!   as the segments of the
 //!   [`SegmentedAcornIndex`](core::segment::SegmentedAcornIndex) — the one
-//!   index a user builds, queries and saves (bulk load and inserts,
-//!   tombstoned deletes, frozen CSR segments, merge compaction) — and the
+//!   index a user builds (bulk load and inserts, tombstoned deletes, frozen
+//!   CSR segments, merge compaction); its pinned
+//!   [`SegmentSnapshot`](core::snapshot::SegmentSnapshot) is what a user
+//!   queries and saves — and the
 //!   [`SegmentedQueryEngine`](core::engine::SegmentedQueryEngine)
 //!   batch-serving layer over it (concurrent, scratch-pooled query
 //!   execution).
@@ -40,12 +42,14 @@
 //! let mut index = SegmentedAcornIndex::new(dataset.vectors.dim(), params, AcornVariant::Gamma);
 //! index.bulk_load(VectorStore::clone(&dataset.vectors));
 //!
-//! // 3. Hybrid query: nearest neighbors among records with label == 7.
+//! // 3. Hybrid query: nearest neighbors among records with label == 7. The
+//! //    writer only writes; every read is asked of a pinned snapshot.
 //! let field = dataset.attrs.field("label").unwrap();
 //! let predicate = Predicate::Equals { field, value: 7 };
 //! let query = dataset.vectors.get(0).to_vec();
-//! let mut scratch = SearchScratch::new(dataset.len());
-//! let (hits, stats) = index.hybrid_search(&query, &predicate, &dataset.attrs, 10, 64, &mut scratch);
+//! let snap = index.snapshot();
+//! let mut scratch = SearchScratch::new(snap.max_segment_rows());
+//! let (hits, stats) = snap.hybrid_search(&query, &predicate, &dataset.attrs, 10, 64, &mut scratch);
 //!
 //! assert!(!hits.is_empty());
 //! for h in &hits {
@@ -55,17 +59,17 @@
 //!
 //! // 4. Batch serving: shard a query batch across worker threads with
 //! //    pooled scratch space and deterministic output ordering.
-//! let engine = SegmentedQueryEngine::new(&index).with_threads(2);
+//! let engine = SegmentedQueryEngine::for_reader(index.reader()).with_threads(2);
 //! let batch: Vec<(&[f32], &Predicate)> =
 //!     (0..4).map(|i| (dataset.vectors.get(i), &predicate)).collect();
 //! let out = engine.hybrid_search_batch(&batch, &dataset.attrs, 10, 64);
 //! assert_eq!(out.results.len(), 4);
 //! assert_eq!(out.results[0], hits);
 //!
-//! // 5. Save and load: one checksummed file, answers unchanged.
+//! // 5. Save the snapshot and load it: one checksummed file, answers unchanged.
 //! let mut file = Vec::new();
-//! index.save(&mut file).unwrap();
-//! let loaded = SegmentedAcornIndex::load(&mut file.as_slice()).unwrap();
+//! snap.save(&mut file).unwrap();
+//! let loaded = SegmentedAcornIndex::load(&mut file.as_slice()).unwrap().snapshot();
 //! assert_eq!(loaded.hybrid_search(&query, &predicate, &dataset.attrs, 10, 64, &mut scratch).0, hits);
 //! ```
 
@@ -79,13 +83,13 @@ pub use acorn_predicate as predicate;
 /// The most commonly used types, importable in one line.
 pub mod prelude {
     pub use acorn_core::{
-        AcornIndex, AcornParams, AcornVariant, BatchOutput, DurabilityOptions, DurableIndex,
-        FsyncPolicy, GlobalNeighbor, IndexReader, MergeOutcome, MergePolicy, PredicateStrategy,
-        PruneStrategy, SegmentSnapshot, SegmentView, SegmentedAcornIndex, SegmentedQueryEngine,
+        AcornIndex, AcornParams, AcornVariant, DurabilityOptions, DurableIndex, FsyncPolicy,
+        GlobalNeighbor, IndexReader, MergeOutcome, MergePolicy, PredicateStrategy, PruneStrategy,
+        SegmentSnapshot, SegmentView, SegmentedAcornIndex, SegmentedQueryEngine,
     };
     pub use acorn_hnsw::{
         CsrGraph, GraphView, HnswIndex, HnswParams, Metric, Neighbor, ScratchPool, SearchScratch,
-        SearchStats, VectorStore,
+        SearchStats, ShardedRun, VectorStore,
     };
     pub use acorn_predicate::{
         AllPass, AttrStore, BitmapFilter, Bitset, CompiledFilter, CompiledPredicate, CostClass,

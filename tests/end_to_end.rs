@@ -29,14 +29,14 @@ fn acorn_recall(
     efs: usize,
 ) -> f64 {
     let truth = ground_truth(&ds.vectors, &ds.attrs, Metric::L2, &w.queries, 10, 0);
-    let idx = one_segment(ds, params, variant);
+    let snap = one_segment(ds, params, variant).snapshot();
     let mut scratch = SearchScratch::new(ds.len());
     let got: Vec<Vec<u32>> = w
         .queries
         .iter()
         .map(|q| {
             let (hits, _) =
-                idx.hybrid_search(&q.vector, &q.predicate, &ds.attrs, 10, efs, &mut scratch);
+                snap.hybrid_search(&q.vector, &q.predicate, &ds.attrs, 10, efs, &mut scratch);
             hits.iter().map(|n| n.id as u32).collect()
         })
         .collect();
@@ -213,7 +213,7 @@ fn query_engine_batch_matches_per_query_calls_end_to_end() {
             .map(|(q, p)| snap.hybrid_search(q, p, &ds.attrs, 10, 64, &mut scratch).0)
             .collect();
         for threads in [1, 2, 4] {
-            let engine = SegmentedQueryEngine::new(idx).with_threads(threads);
+            let engine = SegmentedQueryEngine::for_reader(idx.reader()).with_threads(threads);
             let out = engine.hybrid_search_batch(&batch, &ds.attrs, 10, 64);
             assert_eq!(
                 pairs(&out.results),
@@ -238,7 +238,7 @@ fn empty_predicate_result_returns_empty_not_panic() {
     let mut scratch = SearchScratch::new(ds.len());
     let pred = Predicate::Equals { field, value: 99 }; // no record has label 99
     let q = ds.vectors.get(0).to_vec();
-    let (hits, stats) = idx.hybrid_search(&q, &pred, &ds.attrs, 10, 64, &mut scratch);
+    let (hits, stats) = idx.snapshot().hybrid_search(&q, &pred, &ds.attrs, 10, 64, &mut scratch);
     assert!(hits.is_empty());
     assert!(stats.fallback, "zero-selectivity predicate must route to the fallback");
 }

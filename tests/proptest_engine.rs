@@ -103,7 +103,7 @@ proptest! {
                 prop_assert_eq!(&pairs(&sequential), want);
             }
             for threads in [1usize, 2, 4] {
-                let engine = SegmentedQueryEngine::new(&idx).with_threads(threads);
+                let engine = SegmentedQueryEngine::for_reader(idx.reader()).with_threads(threads);
                 let out = engine.search_batch(&qs, k, efs);
                 prop_assert_eq!(
                     pairs(&out.results), pairs(&sequential),
@@ -158,7 +158,7 @@ proptest! {
                 })
                 .collect();
             for threads in [1usize, 2, 4] {
-                let engine = SegmentedQueryEngine::new(&idx).with_threads(threads);
+                let engine = SegmentedQueryEngine::for_reader(idx.reader()).with_threads(threads);
                 let out = engine.hybrid_search_batch(&batch, &attrs, 5, 24);
                 prop_assert_eq!(
                     pairs(&out.results), pairs(&sequential),
