@@ -3,11 +3,14 @@
 //! these benches quantify that constant per operator).
 
 use acorn_data::datasets::{laion_like, tripclick_like};
+use acorn_predicate::kernels::kernel_path;
 use acorn_predicate::{
-    BitmapFilter, CompiledFilter, CompiledPredicate, MemoFilter, MemoTable, NodeFilter, Predicate,
-    PredicateFilter, Regex,
+    sample_positions, AttrStore, BitmapFilter, Bitset, CompiledFilter, CompiledPredicate,
+    MemoFilter, MemoTable, NodeFilter, Predicate, PredicateFilter, Regex,
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn bench_predicates(c: &mut Criterion) {
     let trip = tripclick_like(2000, 1);
@@ -66,6 +69,37 @@ fn bench_predicates(c: &mut Criterion) {
     group.bench_function("compiled/compile_compound", |b| {
         b.iter(|| CompiledPredicate::compile(black_box(&compound)))
     });
+
+    // The two costs the planner's 64,000-row rule weighs: a block-kernel
+    // pass (64 rows per mask word, on the dispatched and on the scalar body)
+    // against one scalar evaluation per row of the 1,000-draw sample. A
+    // 10 % `year` band over uniform years, so no branch predictor helps.
+    let mut rng = StdRng::seed_from_u64(3);
+    let years: Vec<i64> = (0..1 << 20).map(|_| rng.gen_range(1950..2020)).collect();
+    let band = CompiledPredicate::compile(&Predicate::Between { field: 0, lo: 1990, hi: 1996 });
+    for rows in [8_000usize, 1 << 20] {
+        let attrs = AttrStore::builder().add_int("year", years[..rows].to_vec()).build();
+        let last = rows as u32 - 1;
+        let mut out = Bitset::default();
+        let path = kernel_path().name();
+        group.bench_function(format!("to_bitset_range/{rows}_rows/{path}"), |b| {
+            b.iter(|| band.to_bitset_range(black_box(&attrs), 0..=last, &mut out))
+        });
+        group.bench_function(format!("to_bitset_range/{rows}_rows/scalar"), |b| {
+            b.iter(|| band.to_bitset_range_scalar(black_box(&attrs), 0..=last, &mut out))
+        });
+        if rows == 1 << 20 {
+            group.bench_function("sample/1000_draws_over_64000_rows", |b| {
+                b.iter(|| {
+                    let mut hits = 0u32;
+                    sample_positions(64_000, 1000, 42, |pos| {
+                        hits += u32::from(band.eval(black_box(&attrs), pos as u32))
+                    });
+                    hits
+                })
+            });
+        }
+    }
     group.finish();
 }
 

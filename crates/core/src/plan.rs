@@ -14,24 +14,31 @@
 //! 1. **Compile** the predicate. A program that folded to a constant needs
 //!    no filter at all: `false` answers empty without touching a segment,
 //!    `true` traverses with tombstones only — the pure-ANN path.
-//! 2. **Sample once**: `SELECTIVITY_SAMPLES` (1,000) positions over the
-//!    concatenated rows of all segments ([`sample_positions`]), tallying
-//!    draws and hits per segment. [`CostClass::Expensive`] programs are not
-//!    sampled — they materialize whatever the tally would say.
-//! 3. **Per segment**, when the tally is under
-//!    `max(`[`MATERIALIZE_BELOW_SELECTIVITY`]`, s_min)` (or the segment drew
-//!    nothing, or the program is expensive): materialize the predicate
-//!    **into the segment's local id space** — one block-kernel pass over
-//!    the segment's global-id span, a gather through the id map only when
-//!    merges left gaps in it — clear the tombstoned bits, and route on the
-//!    **exact** passing count: under `s_min · rows` the set bits are
-//!    enumerated and scored exactly (the pre-filter scan), otherwise the
-//!    graph is traversed with constant-time bit tests. Both branches see a
-//!    plain local-id [`BitmapFilter`]; no id-map gather and no tombstone
-//!    test remain in their inner loops.
-//! 4. Otherwise (tally at or above both thresholds): traverse with a lazy
-//!    per-row filter through the id map; the adaptive strategy memoizes it
-//!    and seeds the memo with the shared sample's verdicts.
+//! 2. **Count small segments, sample large ones.** A segment of at most
+//!    64,000 rows (`EXACT_COUNT_ROWS`) is materialized outright and routed
+//!    on its exact count: it has no more 64-row blocks than the sample has
+//!    draws, and one block-kernel pass over 64 rows costs about what one
+//!    sampled row does. Over the larger segments only, `SELECTIVITY_SAMPLES`
+//!    (1,000) positions are drawn once per query over their concatenated
+//!    rows ([`sample_positions`]), tallying draws and hits per segment; a
+//!    query whose segments are all small draws nothing.
+//!    [`CostClass::Expensive`] programs are not sampled either — they
+//!    materialize whatever the tally would say.
+//! 3. **Per segment**, when it was counted, or its tally is under
+//!    `max(`[`MATERIALIZE_BELOW_SELECTIVITY`]`, s_min)`, or it drew nothing,
+//!    or the program is expensive: materialize the predicate **into the
+//!    segment's local id space** — one block-kernel pass over the segment's
+//!    global-id span, a gather through the id map only when merges left
+//!    gaps in it — clear the tombstoned bits, and route on the **exact**
+//!    passing count: under `s_min · rows` the set bits are enumerated and
+//!    scored exactly (the pre-filter scan), otherwise the graph is traversed
+//!    with constant-time bit tests. Both branches see a plain local-id
+//!    [`BitmapFilter`]; no id-map gather and no tombstone test remain in
+//!    their inner loops.
+//! 4. Otherwise (a sampled segment whose tally is at or above both
+//!    thresholds): traverse with a lazy per-row filter through the id map;
+//!    the adaptive strategy memoizes it and seeds the memo with the shared
+//!    sample's verdicts.
 //!
 //! [`PredicateStrategy::Interpreted`] follows the same plan with every row
 //! verdict produced by the AST interpreter (no block kernel, no memo), which
@@ -47,23 +54,26 @@ use acorn_predicate::{
 use crate::segment::GlobalNeighbor;
 use crate::snapshot::{merge_segments, SegmentView};
 
-/// Materialization gate of the hybrid query planner: a
-/// segment whose **tally of the per-query selectivity sample** (hits ÷ draws
-/// that landed in the segment) falls below this value — or below the
-/// segment's `s_min`, whichever is larger — has the predicate
-/// **block-materialized** into a segment-local bitmap (one 64-row columnar
-/// scan per mask word, then constant-time bit tests) instead of evaluated
-/// lazily; the segment is then routed to the exact scan or to graph
-/// traversal on the bitmap's exact count. Rationale: at low selectivity the
-/// traversal spends most of its predicate checks on *failing* rows spread
-/// across many neighborhoods, so the number of distinct rows it would
-/// evaluate lazily approaches the segment's row count anyway — at which
-/// point one vectorized scan (≈ `rows / 64` mask-word stores) is strictly
-/// cheaper than `rows` scalar evaluations. At or above the gate the
-/// traversal touches a small, reused subset of rows and lazy memoized
-/// evaluation wins. Queries with a regex clause ([`CostClass::Expensive`])
-/// always materialize, unsampled, because per-row regex cost dwarfs the scan
-/// overhead; so does a segment the sample drew nothing from.
+/// Materialization gate of the hybrid query planner for **sampled**
+/// segments — those over 64,000 rows; a smaller segment is always
+/// materialized and counted. A sampled segment whose **tally of the
+/// per-query selectivity sample** (hits ÷ draws that landed in the
+/// segment) falls below this value — or below the segment's `s_min`,
+/// whichever is larger — has the predicate **block-materialized** into a
+/// segment-local bitmap (one 64-row columnar scan per mask word, then
+/// constant-time bit tests) instead of evaluated lazily; the segment is then
+/// routed to the exact scan or to graph traversal on the bitmap's exact
+/// count. Rationale: at low selectivity the traversal spends most of its
+/// predicate checks on *failing* rows spread across many neighborhoods, so
+/// the number of distinct rows it would evaluate lazily approaches the
+/// segment's row count anyway — at which point one vectorized scan
+/// (≈ `rows / 64` mask-word stores) is strictly cheaper than `rows` scalar
+/// evaluations. At or above the gate the traversal touches a small, reused
+/// subset of rows and lazy memoized evaluation wins. Queries with a regex
+/// clause ([`CostClass::Expensive`]) always materialize, unsampled, because
+/// per-row regex cost dwarfs the scan overhead; so does a segment the
+/// sample drew nothing from. The repo benchmark's staged replay binds this
+/// value and still applies it to every segment it estimates.
 pub const MATERIALIZE_BELOW_SELECTIVITY: f64 = 0.25;
 
 /// How
@@ -77,18 +87,28 @@ pub enum PredicateStrategy {
     /// block kernel, no memo. Kept as the property-test oracle for the
     /// compiled engine.
     Interpreted,
-    /// Compile the predicate once per query; materialized segments run the
-    /// 64-row block kernels, lazily-filtered segments memoize per-row
-    /// verdicts (see [`MATERIALIZE_BELOW_SELECTIVITY`]).
+    /// Compile the predicate once per query; materialized segments — every
+    /// segment of at most 64,000 rows, and sampled ones under
+    /// [`MATERIALIZE_BELOW_SELECTIVITY`] — run the 64-row block kernels
+    /// (AVX2 where the CPU has it), lazily-filtered segments memoize per-row
+    /// verdicts.
     #[default]
     Adaptive,
 }
 
-/// Rows the per-query selectivity sample draws (over all segments together).
+/// Rows the per-query selectivity sample draws (over the sampled segments
+/// together).
 pub(crate) const SELECTIVITY_SAMPLES: usize = 1000;
 
+/// Segments of at most this many rows are materialized and routed on their
+/// exact count instead of being sampled: such a segment has no more 64-row
+/// blocks than the sample has draws, and one block-kernel pass costs about
+/// what one sampled row does (`benches/predicate_eval.rs` times both).
+pub(crate) const EXACT_COUNT_ROWS: usize = 64 * SELECTIVITY_SAMPLES;
+
 /// A segment plus its slice of the concatenated sample universe and its
-/// tally of the shared sample.
+/// tally of the shared sample. A counted (unsampled) segment owns the empty
+/// slice and draws nothing.
 struct Planned<'a> {
     seg: &'a SegmentView,
     /// Positions `start..end` of the sample universe are this segment's
@@ -165,7 +185,9 @@ fn materialize_local(
 
 /// Plan and run one hybrid query over `segments` (non-empty, in query
 /// order); returns the k-way merge of their top-`k` lists by global id and
-/// the query's summed stats. `seed` seeds the selectivity sample.
+/// the query's summed stats. `seed` seeds the selectivity sample; segments
+/// of at most `count_rows` rows are counted instead of sampled (the public
+/// entry passes [`EXACT_COUNT_ROWS`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hybrid_search<'a>(
     segments: impl Iterator<Item = &'a SegmentView>,
@@ -177,14 +199,17 @@ pub(crate) fn hybrid_search<'a>(
     efs: usize,
     scratch: &mut SearchScratch,
     strategy: PredicateStrategy,
+    count_rows: usize,
 ) -> (Vec<GlobalNeighbor>, SearchStats) {
     let mut stats = SearchStats::default();
-    let mut total = 0usize;
+    let mut sampled_rows = 0usize;
     let mut planned: Vec<Planned<'a>> = segments
         .map(|seg| {
-            let start = total;
-            total += seg.rows();
-            Planned { seg, start, end: total, draws: 0, hits: 0 }
+            let start = sampled_rows;
+            if seg.rows() > count_rows {
+                sampled_rows += seg.rows();
+            }
+            Planned { seg, start, end: sampled_rows, draws: 0, hits: 0 }
         })
         .collect();
 
@@ -208,10 +233,11 @@ pub(crate) fn hybrid_search<'a>(
     // segment that ends up on the lazy branch starts its memo warm. One
     // 8 KB allocation per sampled query (~0.1 µs); measured alternatives
     // and why it is not pooled: CHANGES.md, PR 15.
+    // A query whose segments are all counted allocates nothing here.
     let mut sample: Vec<(u32, bool)> = Vec::new();
-    if compiled.cost_class() == CostClass::Cheap {
+    if compiled.cost_class() == CostClass::Cheap && sampled_rows > 0 {
         sample.reserve_exact(SELECTIVITY_SAMPLES);
-        sample_positions(total, SELECTIVITY_SAMPLES, seed, |pos| {
+        sample_positions(sampled_rows, SELECTIVITY_SAMPLES, seed, |pos| {
             let owner = planned.partition_point(|p| p.end <= pos);
             let p = &mut planned[owner];
             let pass = eval.passes(attrs, p.seg.global_ids()[pos - p.start] as u32);
@@ -223,11 +249,12 @@ pub(crate) fn hybrid_search<'a>(
     }
 
     let lists = planned.iter().map(|p| {
-        let (seg, rows) = (p.seg, p.end - p.start);
+        let (seg, rows) = (p.seg, p.seg.rows());
         let index = seg.index();
         let s_min = index.params().s_min();
         // Anything that could route to the exact scan is materialized, so
-        // the scan/traverse decision is always made on an exact count.
+        // the scan/traverse decision is always made on an exact count. A
+        // counted segment drew nothing, so it is never lazy.
         let lazy = p.draws > 0
             && f64::from(p.hits) / f64::from(p.draws) >= MATERIALIZE_BELOW_SELECTIVITY.max(s_min);
         let out = if !lazy {
@@ -354,6 +381,26 @@ mod tests {
     const BOTH: [PredicateStrategy; 2] =
         [PredicateStrategy::Adaptive, PredicateStrategy::Interpreted];
 
+    /// The planner over `snap` with an explicit row rule: segments of at
+    /// most `count_rows` rows are counted, larger ones sampled (0 samples
+    /// every segment, which is how a 1,000-row test segment reaches the
+    /// lazy branch without a 64k-row graph).
+    #[allow(clippy::too_many_arguments)]
+    fn plan_with(
+        snap: &SegmentSnapshot,
+        count_rows: usize,
+        q: &[f32],
+        pred: &Predicate,
+        attrs: &AttrStore,
+        k: usize,
+        efs: usize,
+        scratch: &mut SearchScratch,
+        strategy: PredicateStrategy,
+    ) -> (Vec<GlobalNeighbor>, SearchStats) {
+        let seed = snap.params().seed;
+        hybrid_search(snap.segments(), seed, q, pred, attrs, k, efs, scratch, strategy, count_rows)
+    }
+
     #[test]
     fn one_segment_snapshot_answers_as_its_graph_on_every_route() {
         // What lets a one-segment `bulk_load` stand in for a bare graph: on
@@ -368,7 +415,7 @@ mod tests {
         let field = attrs.field("v").unwrap();
         let mut scratch = SearchScratch::new(n);
         let q = vec![0.1; 8];
-        let (k, efs, sampled) = (10, 64, SELECTIVITY_SAMPLES as u64);
+        let (k, efs) = (10, 64);
 
         let mut want_stats = SearchStats::default();
         let want = graph.search_filtered(&q, &AllPass, k, efs, &mut scratch, &mut want_stats);
@@ -386,7 +433,7 @@ mod tests {
             assert_eq!(stats, want_stats, "constant true: the pure search and nothing else");
         }
 
-        // (passing rows, scanned, lazily filtered)
+        // (passing rows, scanned, lazily filtered when sampled)
         for (passing, scan, lazy) in [(50i64, true, false), (200, false, false), (600, false, true)]
         {
             let pred = Predicate::Between { field, lo: 0, hi: passing - 1 };
@@ -399,24 +446,91 @@ mod tests {
             } else {
                 graph.search_filtered(&q, &filter, k, efs, &mut scratch, &mut want_stats)
             };
-            for strategy in BOTH {
-                let (got, stats) =
-                    snap.hybrid_search_with(&q, &pred, &attrs, k, efs, &mut scratch, strategy);
-                assert_eq!(bits(&got), local_bits(&want), "{passing} rows, {strategy:?}");
-                assert_eq!(
-                    (stats.ndis, stats.nhops, stats.fallback),
-                    (want_stats.ndis, want_stats.nhops, scan),
-                    "{passing} rows, {strategy:?}: the same traversal"
-                );
-                // The sample, one pass over the rows unless filtered lazily,
-                // and the graph's own checks.
-                let materialized = if lazy { 0 } else { n as u64 };
-                assert_eq!(stats.npred, sampled + materialized + want_stats.npred);
-                match (lazy, strategy) {
-                    (false, _) => assert_eq!(stats.npred_cached, want_stats.npred),
-                    (true, PredicateStrategy::Interpreted) => assert_eq!(stats.npred_cached, 0),
-                    (true, PredicateStrategy::Adaptive) => assert!(stats.npred_cached > 0),
+            // Counted (the default for a 1,000-row segment), then sampled.
+            for (count_rows, sampled) in [(EXACT_COUNT_ROWS, 0), (0, SELECTIVITY_SAMPLES as u64)] {
+                let lazy = lazy && sampled > 0;
+                for strategy in BOTH {
+                    let (got, stats) = plan_with(
+                        &snap,
+                        count_rows,
+                        &q,
+                        &pred,
+                        &attrs,
+                        k,
+                        efs,
+                        &mut scratch,
+                        strategy,
+                    );
+                    let case = format!("{passing} rows, {strategy:?}, {sampled} sampled");
+                    assert_eq!(bits(&got), local_bits(&want), "{case}");
+                    assert_eq!(
+                        (stats.ndis, stats.nhops, stats.fallback),
+                        (want_stats.ndis, want_stats.nhops, scan),
+                        "{case}: the same traversal"
+                    );
+                    // The sample if drawn, one pass over the rows unless
+                    // filtered lazily, and the graph's own checks.
+                    let materialized = if lazy { 0 } else { n as u64 };
+                    assert_eq!(stats.npred, sampled + materialized + want_stats.npred, "{case}");
+                    match (lazy, strategy) {
+                        (false, _) => assert_eq!(stats.npred_cached, want_stats.npred),
+                        (true, PredicateStrategy::Interpreted) => assert_eq!(stats.npred_cached, 0),
+                        (true, PredicateStrategy::Adaptive) => assert!(stats.npred_cached > 0),
+                    }
                 }
+            }
+        }
+        // The public entry counts this segment: the default threshold.
+        let pred = Predicate::Between { field, lo: 0, hi: 599 };
+        let entry = snap.hybrid_search(&q, &pred, &attrs, k, efs, &mut scratch);
+        let counted = plan_with(
+            &snap,
+            EXACT_COUNT_ROWS,
+            &q,
+            &pred,
+            &attrs,
+            k,
+            efs,
+            &mut scratch,
+            PredicateStrategy::Adaptive,
+        );
+        assert_eq!((bits(&entry.0), entry.1), (bits(&counted.0), counted.1));
+    }
+
+    #[test]
+    fn the_row_rule_counts_small_segments_and_samples_only_the_rest() {
+        // Two segments, 300 and 900 rows, and a predicate every row passes:
+        // a sampled segment tallies 1.0 and filters lazily, a counted one is
+        // materialized whatever its tally would say.
+        let mut index = SegmentedAcornIndex::new(8, params(5), AcornVariant::Gamma);
+        let mut rng = StdRng::seed_from_u64(5);
+        for rows in [300, 900] {
+            let flat: Vec<f32> = (0..rows * 8).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            index.bulk_load(VectorStore::from_flat(8, flat));
+        }
+        let snap = index.snapshot();
+        assert_eq!(snap.frozen_segments().len(), 2);
+        let attrs = AttrStore::builder().add_int("v", vec![1; 1200]).build();
+        let pred = Predicate::Equals { field: 0, value: 1 };
+        let mut scratch = SearchScratch::new(900);
+        let q = vec![0.2; 8];
+        let run = |count_rows, strategy, scratch: &mut SearchScratch| {
+            plan_with(&snap, count_rows, &q, &pred, &attrs, 10, 48, scratch, strategy)
+        };
+        let (want, all_lazy) = run(0, PredicateStrategy::Interpreted, &mut scratch);
+        assert_eq!(all_lazy.npred_cached, 0, "both sampled, both lazy");
+        let lazy_checks = all_lazy.npred - SELECTIVITY_SAMPLES as u64;
+        // (row rule, rows materialized, sample drawn)
+        for (count_rows, materialized, sampled) in [(300, 300, true), (900, 1200, false)] {
+            for strategy in BOTH {
+                let (got, stats) = run(count_rows, strategy, &mut scratch);
+                assert_eq!(bits(&got), bits(&want), "{count_rows}: same answers");
+                assert_eq!((stats.ndis, stats.nhops), (all_lazy.ndis, all_lazy.nhops));
+                // The same checks are asked for on either strategy; on a
+                // counted segment they became bitmap tests.
+                let draws = if sampled { SELECTIVITY_SAMPLES as u64 } else { 0 };
+                assert_eq!(stats.npred, draws + materialized + lazy_checks, "{count_rows}");
+                assert!(stats.npred_cached > 0, "{count_rows}: the counted segment");
             }
         }
     }
@@ -458,8 +572,8 @@ mod tests {
     fn exact_count_routes_at_s_min_and_bitmap_traversal_matches_the_oracle() {
         // γ = 8 → s_min = 0.125; 800 rows → the scan/traverse boundary is
         // exactly 100 passing rows. `v = row id`, so `v < c` passes exactly
-        // `c` rows; both sides of the boundary sample far below the 0.25
-        // materialization gate, so the decision is made on the exact count.
+        // `c` rows; an 800-row segment is counted, not sampled, so the
+        // decision is made on the exact count.
         let n = 800;
         let (snap, vecs) = one_segment(n, 8, 60);
         let attrs = AttrStore::builder().add_int("v", (0..n as i64).collect()).build();
@@ -479,10 +593,10 @@ mod tests {
             // equals brute force.
             let want = brute_force(&vecs, &q, |i| i64::from(i) < passing, 10);
             assert_eq!(a.iter().map(|x| x.id).collect::<Vec<_>>(), want);
-            // 1,000 sampled rows + one block pass over the 800 rows; the
-            // scan enumerates bits, the traversal's bit tests are cached.
-            assert_eq!(sa.npred_evaluated(), 1000 + n as u64);
-            assert_eq!(sb.npred_evaluated(), 1000 + n as u64);
+            // One block pass over the 800 rows and no sample; the scan
+            // enumerates bits, the traversal's bit tests are cached.
+            assert_eq!(sa.npred_evaluated(), n as u64);
+            assert_eq!(sb.npred_evaluated(), n as u64);
             if !fallback {
                 assert!(sa.npred_cached > 0, "bitmap bit tests count as cache answers");
             }
@@ -529,8 +643,9 @@ mod tests {
             (Predicate::in_values(field, vec![1991, 2001, 2011]), "in-list"),
         ] {
             let q: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            // Sampled, so the dense predicates take the lazy memo branch.
             let [(b, sb), (a, sa)] = BOTH.map(|strategy| {
-                snap.hybrid_search_with(&q, &pred, &attrs, 10, 48, &mut scratch, strategy)
+                plan_with(&snap, 0, &q, &pred, &attrs, 10, 48, &mut scratch, strategy)
             });
             assert_eq!(bits(&a), bits(&b), "{label}: strategies must answer bit-identically");
             assert_eq!(sa.fallback, sb.fallback, "{label}: routing must agree");

@@ -418,12 +418,13 @@ impl SegmentSnapshot {
     }
 
     /// Full hybrid search with ACORN's §5.2 cost-model routing applied
-    /// **per segment** by the query planner ([`crate::plan`]): one
-    /// selectivity sample over all segments' rows, then each segment is
-    /// routed on its own tally — and, when its predicate bitmap is
-    /// materialized, on its own exact passing count — to graph traversal
-    /// or the exact pre-filter scan. Per-segment top-`k` lists are k-way
-    /// merged into the global answer.
+    /// **per segment** by the query planner ([`crate::plan`]): segments of
+    /// up to 64,000 rows are materialized and counted exactly, one
+    /// selectivity sample is drawn over the larger segments' rows, and each
+    /// segment is routed — on its exact passing count whenever its predicate
+    /// bitmap is materialized, else on its tally — to graph traversal or the
+    /// exact pre-filter scan. Per-segment top-`k` lists are k-way merged
+    /// into the global answer.
     ///
     /// `attrs` is indexed by **global id** and must cover every id ever
     /// assigned (`attrs.len() >= next_global_id()`); deleted rows keep
@@ -482,6 +483,7 @@ impl SegmentSnapshot {
             efs,
             scratch,
             strategy,
+            plan::EXACT_COUNT_ROWS,
         )
     }
 }

@@ -8,7 +8,9 @@
 //! process: [`kernel_path`] probes `is_x86_feature_detected!` (and the
 //! `ACORN_FORCE_SCALAR` environment variable) on first use and caches the
 //! verdict, so the per-call overhead is one relaxed load and a predictable
-//! branch.
+//! branch. The decision lives in `acorn_predicate::kernels` and is
+//! re-exported here, so the predicate block kernels and these distance
+//! kernels always run on the same path.
 //!
 //! Rules of the road:
 //!
@@ -25,55 +27,7 @@
 //!   bodies size their loads by one slice and read all of them). A length
 //!   mismatch panics on either path, in release builds too.
 
-/// Which kernel implementation the process dispatched to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelPath {
-    /// Portable scalar loops (reference semantics).
-    Scalar,
-    /// `std::arch` AVX2 + FMA intrinsics (x86_64 only).
-    Avx2Fma,
-}
-
-impl KernelPath {
-    /// Stable lowercase name for logs and bench JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelPath::Scalar => "scalar",
-            KernelPath::Avx2Fma => "avx2+fma",
-        }
-    }
-}
-
-/// The kernel path this process uses, decided once and cached.
-///
-/// Scalar is forced when `ACORN_FORCE_SCALAR=1` is set; otherwise AVX2+FMA
-/// is selected iff the CPU reports both features at runtime.
-pub fn kernel_path() -> KernelPath {
-    use std::sync::OnceLock;
-    static PATH: OnceLock<KernelPath> = OnceLock::new();
-    *PATH.get_or_init(|| {
-        if std::env::var("ACORN_FORCE_SCALAR").is_ok_and(|v| v == "1") {
-            return KernelPath::Scalar;
-        }
-        detected_path()
-    })
-}
-
-/// What the hardware supports, ignoring the `ACORN_FORCE_SCALAR` override.
-#[cfg(target_arch = "x86_64")]
-fn detected_path() -> KernelPath {
-    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-        KernelPath::Avx2Fma
-    } else {
-        KernelPath::Scalar
-    }
-}
-
-/// Non-x86_64 targets always run the portable loops.
-#[cfg(not(target_arch = "x86_64"))]
-fn detected_path() -> KernelPath {
-    KernelPath::Scalar
-}
+pub use acorn_predicate::kernels::{kernel_path, KernelPath};
 
 // ---------------------------------------------------------------------------
 // f32 kernels
@@ -373,7 +327,7 @@ mod tests {
     /// paths explicitly.
     #[cfg(target_arch = "x86_64")]
     fn simd_available() -> bool {
-        detected_path() == KernelPath::Avx2Fma
+        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
     }
 
     fn vecs(len: usize, seed: f32) -> (Vec<f32>, Vec<f32>) {
@@ -443,6 +397,7 @@ mod tests {
     fn kernel_path_is_stable_and_named() {
         let p = kernel_path();
         assert_eq!(p, kernel_path(), "dispatch must be cached");
+        assert_eq!(p, acorn_predicate::kernels::kernel_path(), "one decision for both crates");
         assert!(matches!(p.name(), "scalar" | "avx2+fma"));
     }
 }

@@ -15,10 +15,11 @@
 //!   instead of a pointer tree, and `In` lists are lowered to a binary
 //!   search — or a single bitmask test when the value span fits in 64;
 //! * every kernel evaluates a **64-row block** directly against the columnar
-//!   [`AttrStore`] slices into a `u64` mask word. `And`/`Or` combine words
-//!   with short-circuiting *active masks*: a child only evaluates rows still
-//!   undecided, so a regex clause behind a cheap date filter runs on the few
-//!   rows that survive the date check.
+//!   [`AttrStore`] slices into a `u64` mask word — the cheap leaves on the
+//!   branch-free scalar or AVX2 bodies in [`kernels`]. `And`/`Or` combine
+//!   words with short-circuiting *active masks*: a child only evaluates rows
+//!   still undecided, so a regex clause behind a cheap date filter runs on
+//!   the few rows that survive the date check.
 //!
 //! [`CompiledPredicate::to_bitset`] (backing `Predicate::to_bitset` and
 //! `BitmapFilter::from_predicate`) is therefore a word-at-a-time columnar
@@ -33,6 +34,7 @@ use std::ops::RangeInclusive;
 use crate::attrs::AttrStore;
 use crate::bitmap::Bitset;
 use crate::filter::NodeFilter;
+use crate::kernels::{self, kernel_path, KernelPath};
 use crate::predicate::Predicate;
 use crate::regex::Regex;
 use crate::FieldId;
@@ -143,11 +145,10 @@ impl CompiledPredicate {
         match &self.ops[op as usize] {
             Op::Const(b) => *b,
             Op::Equals { field, value } => attrs.int(*field, id) == *value,
-            Op::Between { field, lo, hi } => {
-                let v = attrs.int(*field, id);
-                *lo <= v && v <= *hi
+            Op::Between { field, lo, hi } => kernels::between(attrs.int(*field, id), *lo, *hi),
+            Op::InMask { field, base, mask } => {
+                kernels::in_mask(attrs.int(*field, id), *base, *mask)
             }
-            Op::InMask { field, base, mask } => in_mask(attrs.int(*field, id), *base, *mask),
             Op::InSorted { field, values } => values.binary_search(&attrs.int(*field, id)).is_ok(),
             Op::ContainsAny { field, mask } => attrs.keywords(*field, id) & mask != 0,
             Op::ContainsAll { field, mask } => attrs.keywords(*field, id) & mask == *mask,
@@ -160,10 +161,17 @@ impl CompiledPredicate {
 
     /// Block kernel: evaluate the rows whose bits are set in `active`,
     /// returning the subset that passes. Cheap leaves compute the whole
-    /// block branchlessly and mask afterwards (the columnar loops
-    /// autovectorize); the regex kernel iterates only the set bits, which is
+    /// block branchlessly on `path`'s body and mask afterwards
+    /// ([`kernels`]); the regex kernel iterates only the set bits, which is
     /// what makes cheapest-first `And` ordering pay off.
-    fn eval_block_masked(&self, op: u32, attrs: &AttrStore, base: usize, active: u64) -> u64 {
+    fn eval_block_masked(
+        &self,
+        path: KernelPath,
+        op: u32,
+        attrs: &AttrStore,
+        base: usize,
+        active: u64,
+    ) -> u64 {
         match &self.ops[op as usize] {
             Op::Const(b) => {
                 if *b {
@@ -173,34 +181,23 @@ impl CompiledPredicate {
                 }
             }
             Op::Equals { field, value } => {
-                block_ints(attrs.ints(*field), base, active, |v| v == *value)
+                kernels::equals_block(path, attrs.ints(*field), base, *value) & active
             }
             Op::Between { field, lo, hi } => {
-                block_ints(attrs.ints(*field), base, active, |v| *lo <= v && v <= *hi)
+                kernels::between_block(path, attrs.ints(*field), base, *lo, *hi) & active
             }
             Op::InMask { field, base: b0, mask } => {
-                block_ints(attrs.ints(*field), base, active, |v| in_mask(v, *b0, *mask))
+                kernels::in_mask_block(path, attrs.ints(*field), base, *b0, *mask) & active
             }
             Op::InSorted { field, values } => {
-                block_ints(attrs.ints(*field), base, active, |v| values.binary_search(&v).is_ok())
+                let hit = |v| values.binary_search(&v).is_ok();
+                kernels::scalar_block(attrs.ints(*field), base, hit) & active
             }
             Op::ContainsAny { field, mask } => {
-                let col = attrs.keyword_masks(*field);
-                let end = col.len().min(base + 64);
-                let mut w = 0u64;
-                for (i, &kw) in col[base..end].iter().enumerate() {
-                    w |= u64::from(kw & mask != 0) << i;
-                }
-                w & active
+                kernels::contains_any_block(path, attrs.keyword_masks(*field), base, *mask) & active
             }
             Op::ContainsAll { field, mask } => {
-                let col = attrs.keyword_masks(*field);
-                let end = col.len().min(base + 64);
-                let mut w = 0u64;
-                for (i, &kw) in col[base..end].iter().enumerate() {
-                    w |= u64::from(kw & mask == *mask) << i;
-                }
-                w & active
+                kernels::contains_all_block(path, attrs.keyword_masks(*field), base, *mask) & active
             }
             Op::Regex { field, regex } => {
                 let col = attrs.texts(*field);
@@ -219,7 +216,7 @@ impl CompiledPredicate {
                     if acc == 0 {
                         break;
                     }
-                    acc = self.eval_block_masked(c, attrs, base, acc);
+                    acc = self.eval_block_masked(path, c, attrs, base, acc);
                 }
                 acc
             }
@@ -230,13 +227,15 @@ impl CompiledPredicate {
                     if rem == 0 {
                         break;
                     }
-                    let w = self.eval_block_masked(c, attrs, base, rem);
+                    let w = self.eval_block_masked(path, c, attrs, base, rem);
                     acc |= w;
                     rem &= !w;
                 }
                 acc
             }
-            Op::Not { child } => active & !self.eval_block_masked(*child, attrs, base, active),
+            Op::Not { child } => {
+                active & !self.eval_block_masked(path, *child, attrs, base, active)
+            }
         }
     }
 
@@ -245,7 +244,7 @@ impl CompiledPredicate {
     /// words. Bit-identical to setting `eval(attrs, id)` per row.
     pub fn to_bitset(&self, attrs: &AttrStore) -> Bitset {
         let mut bits = Bitset::default();
-        self.fill_rows(attrs, 0, attrs.len(), &mut bits);
+        self.fill_rows(kernel_path(), attrs, 0, attrs.len(), &mut bits);
         bits
     }
 
@@ -255,52 +254,67 @@ impl CompiledPredicate {
     /// not be 64-aligned: the block kernels read `column[base..base + 64]`
     /// at any `base`, so an unaligned span costs the same `span / 64` mask
     /// words as an aligned one. An empty range (`start > end`) yields the
-    /// empty universe.
+    /// empty universe. Cheap leaves run on the process's
+    /// [`kernel_path`]; see [`to_bitset_range_scalar`](Self::to_bitset_range_scalar)
+    /// for the portable body alone.
     ///
     /// # Panics
     /// Panics if a non-empty range ends beyond the store's last row.
     pub fn to_bitset_range(&self, attrs: &AttrStore, rows: RangeInclusive<u32>, out: &mut Bitset) {
+        self.fill_range(kernel_path(), attrs, rows, out);
+    }
+
+    /// [`to_bitset_range`](Self::to_bitset_range) on the scalar block
+    /// kernels whatever the CPU offers: the reference the SIMD bodies are
+    /// held to, and the forced-scalar row of `benches/predicate_eval.rs`.
+    ///
+    /// # Panics
+    /// Panics if a non-empty range ends beyond the store's last row.
+    pub fn to_bitset_range_scalar(
+        &self,
+        attrs: &AttrStore,
+        rows: RangeInclusive<u32>,
+        out: &mut Bitset,
+    ) {
+        self.fill_range(KernelPath::Scalar, attrs, rows, out);
+    }
+
+    /// Check `rows` against the store, then block-evaluate it on `path`.
+    fn fill_range(
+        &self,
+        path: KernelPath,
+        attrs: &AttrStore,
+        rows: RangeInclusive<u32>,
+        out: &mut Bitset,
+    ) {
         let (start, end) = (*rows.start() as usize, *rows.end() as usize + 1);
         assert!(
             start >= end || end <= attrs.len(),
             "row range {rows:?} exceeds the attribute store ({} rows)",
             attrs.len()
         );
-        self.fill_rows(attrs, start, end.max(start), out);
+        self.fill_rows(path, attrs, start, end.max(start), out);
     }
 
     /// Block-evaluate rows `start..end` into `out` (universe `end - start`).
-    fn fill_rows(&self, attrs: &AttrStore, start: usize, end: usize, out: &mut Bitset) {
+    fn fill_rows(
+        &self,
+        path: KernelPath,
+        attrs: &AttrStore,
+        start: usize,
+        end: usize,
+        out: &mut Bitset,
+    ) {
         let len = end - start;
         out.refill(
             len,
             (start..end).step_by(64).map(|base| {
                 let rows = (end - base).min(64);
                 let active = if rows == 64 { u64::MAX } else { (1u64 << rows) - 1 };
-                self.eval_block_masked(self.root, attrs, base, active)
+                self.eval_block_masked(path, self.root, attrs, base, active)
             }),
         );
     }
-}
-
-/// The `InMask` membership test. The subtraction runs in `i128` so extreme
-/// `i64` values cannot wrap into the 0..64 window.
-#[inline]
-fn in_mask(v: i64, base: i64, mask: u64) -> bool {
-    let d = v as i128 - base as i128;
-    (0..64).contains(&d) && mask >> d & 1 == 1
-}
-
-/// Shared int-leaf block kernel: apply `pred` to rows `base..base+64` of
-/// `col`, packing results into a mask word restricted to `active`.
-#[inline]
-fn block_ints(col: &[i64], base: usize, active: u64, pred: impl Fn(i64) -> bool) -> u64 {
-    let end = col.len().min(base + 64);
-    let mut w = 0u64;
-    for (i, &v) in col[base..end].iter().enumerate() {
-        w |= u64::from(pred(v)) << i;
-    }
-    w & active
 }
 
 /// Post-order lowering of a normalized AST into the arena; returns the index

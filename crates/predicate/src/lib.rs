@@ -20,7 +20,8 @@
 //!
 //! The [`compiled`] module lowers the AST into a flat, constant-folded
 //! [`CompiledPredicate`] program whose kernels evaluate 64-row blocks
-//! against the columnar store into `u64` mask words, and [`memo`] provides
+//! against the columnar store into `u64` mask words (scalar or AVX2 bodies,
+//! chosen once per process by [`kernels::kernel_path`]), and [`memo`] provides
 //! the per-query tri-state [`MemoTable`]/[`MemoFilter`] so graph search
 //! evaluates each row at most once per query. Together they form the
 //! compile → memoize → adaptive-dispatch pipeline the hybrid query planner
@@ -30,6 +31,7 @@ pub mod attrs;
 pub mod bitmap;
 pub mod compiled;
 pub mod filter;
+pub mod kernels;
 pub mod memo;
 pub mod predicate;
 pub mod regex;

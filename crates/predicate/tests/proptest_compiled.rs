@@ -6,11 +6,18 @@
 //! empty `In` lists, unsorted `In` lists (canonicalized through
 //! `in_values`), nested `Not`, empty/wide `And`/`Or`, regex clauses, and
 //! block-boundary row counts (63/64/65).
+//!
+//! The block kernels run on whichever body `kernel_path` picked for this
+//! process, so CI runs this file with `ACORN_FORCE_SCALAR=0` and `=1`; the
+//! `kernel_*` properties aim at what a SIMD body could get wrong — partial
+//! blocks at unaligned starts, signed compares at the `i64` extremes, the
+//! `In` window edge, and keyword bit 63 — and hold the portable twin
+//! `to_bitset_range_scalar` to the same oracle.
 
 use acorn_predicate::{AttrStore, Bitset, CompiledPredicate, Predicate, Regex};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 const WORDS: [&str; 8] = ["red", "dog", "cat", "photo", "a9", "blue fish", "", "riverbed"];
 const PATTERNS: [&str; 6] = ["^red", "dog", "(cat|fish)", "[0-9]", "photo .*d", "e$"];
@@ -65,8 +72,132 @@ fn random_pred(depth: usize, rng: &mut StdRng) -> Predicate {
     }
 }
 
+/// Int values at and next to every edge a 64-bit compare or the `In`
+/// window subtraction can get wrong.
+const EDGES: [i64; 14] = [
+    i64::MIN,
+    i64::MIN + 1,
+    i64::MIN + 63,
+    i64::MIN + 64,
+    -65,
+    -1,
+    0,
+    1,
+    63,
+    64,
+    i64::MAX - 64,
+    i64::MAX - 63,
+    i64::MAX - 1,
+    i64::MAX,
+];
+
+fn edge(rng: &mut StdRng) -> i64 {
+    match rng.gen_range(0..3) {
+        0 => rng.gen_range(-70i64..70),
+        _ => EDGES[rng.gen_range(0..EDGES.len())],
+    }
+}
+
+/// Ints drawn from [`edge`]; keyword masks that set bit 63 half the time.
+fn edge_store(n: usize, rng: &mut StdRng) -> AttrStore {
+    AttrStore::builder()
+        .add_int("x", (0..n).map(|_| edge(rng)).collect())
+        .add_keywords(
+            "kw",
+            (0..n).map(|_| (rng.next_u64() & 0xF) | u64::from(rng.gen_bool(0.5)) << 63).collect(),
+        )
+        .build()
+}
+
+/// A cheap leaf aimed at a kernel edge: `Between` with extreme or inverted
+/// bounds, `In` spanning exactly 63 (one bitmask) or 64 (binary search)
+/// values, keyword masks with bit 63.
+fn edge_leaf(rng: &mut StdRng) -> Predicate {
+    match rng.gen_range(0..5) {
+        0 => Predicate::Between { field: 0, lo: edge(rng), hi: edge(rng) },
+        1 => Predicate::Equals { field: 0, value: edge(rng) },
+        2 => {
+            let span = rng.gen_range(63i64..65);
+            let lo = edge(rng).min(i64::MAX - span);
+            let mut values = vec![lo, lo + span];
+            values.extend((0..rng.gen_range(0..6)).map(|_| lo + rng.gen_range(0..=span)));
+            Predicate::in_values(0, values)
+        }
+        3 => Predicate::ContainsAny { field: 1, mask: 1 << 63 | rng.gen_range(0..16u64) },
+        _ => Predicate::ContainsAll { field: 1, mask: 1 << 63 | rng.gen_range(0..4u64) },
+    }
+}
+
+/// An edge leaf, or a `Not`/`And`/`Or` over two of them.
+fn edge_pred(rng: &mut StdRng) -> Predicate {
+    match rng.gen_range(0..5) {
+        0 => Predicate::Not(Box::new(edge_leaf(rng))),
+        1 => Predicate::And(vec![edge_leaf(rng), edge_leaf(rng)]),
+        2 => Predicate::Or(vec![edge_leaf(rng), edge_leaf(rng)]),
+        _ => edge_leaf(rng),
+    }
+}
+
+/// `rows` of `store` through the dispatched and the scalar range kernels,
+/// each checked against the interpreter row by row.
+fn check_range(
+    compiled: &CompiledPredicate,
+    pred: &Predicate,
+    store: &AttrStore,
+    start: usize,
+    len: usize,
+    out: &mut Bitset,
+) -> Result<(), TestCaseError> {
+    let want =
+        Bitset::from_ids(len, (0..len as u32).filter(|&i| pred.eval(store, start as u32 + i)));
+    // `start..=start - 1` is the empty span (callers never start at 0 empty).
+    let rows = start as u32..=(start + len) as u32 - 1;
+    compiled.to_bitset_range(store, rows.clone(), out);
+    prop_assert_eq!(&*out, &want, "dispatched, rows {}+{}", start, len);
+    compiled.to_bitset_range_scalar(store, rows, out);
+    prop_assert_eq!(&*out, &want, "scalar, rows {}+{}", start, len);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every span length from 0 to 130 at unaligned starts: zero, one and
+    /// two full blocks, each followed by every possible partial block.
+    #[test]
+    fn kernel_ranges_of_every_tail_length_at_unaligned_starts(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let store = edge_store(400, &mut rng);
+        let pred = edge_pred(&mut rng);
+        let compiled = CompiledPredicate::compile(&pred);
+        let mut out = Bitset::full(500);
+        for start in [1usize, 37, 63, 65, 127, 200 + rng.gen_range(0usize..64)] {
+            for len in 0..=130 {
+                check_range(&compiled, &pred, &store, start, len, &mut out)?;
+            }
+        }
+    }
+
+    /// The edge leaves over whole stores of block-boundary sizes.
+    #[test]
+    fn kernel_edges_equal_the_interpreter(
+        seed in 0u64..u64::MAX,
+        n in prop::sample::select(vec![1usize, 63, 64, 65, 128, 129, 300]),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let store = edge_store(n, &mut rng);
+        let mut out = Bitset::new(0);
+        for _ in 0..8 {
+            let pred = edge_pred(&mut rng);
+            let compiled = CompiledPredicate::compile(&pred);
+            for id in 0..n as u32 {
+                prop_assert_eq!(compiled.eval(&store, id), pred.eval(&store, id), "row {}", id);
+            }
+            let oracle = Bitset::from_ids(n, (0..n as u32).filter(|&i| pred.eval(&store, i)));
+            prop_assert_eq!(&compiled.to_bitset(&store), &oracle);
+            check_range(&compiled, &pred, &store, 0, n, &mut out)?;
+        }
+    }
 
     #[test]
     fn compiled_equals_interpreted_everywhere(
