@@ -1,8 +1,9 @@
 //! The experiment table: the paper's evaluation (§7: Figures 7–13, Tables
-//! 2–6, two ablations) as rows of [`EXPERIMENTS`] for the `reproduce`
-//! binary. A row names its datasets, workloads and methods and prints its
-//! readout; the [`Run`] it executes in owns the build [`Cache`], so
-//! experiments run together share datasets, ground truth and indices.
+//! 2–6, two ablations) and the 1M-row serving run as rows of
+//! [`EXPERIMENTS`] for the `reproduce` binary. A row names its datasets,
+//! workloads and methods and prints its readout; the [`Run`] it executes in
+//! owns the build [`Cache`], so experiments run together share datasets,
+//! ground truth and indices.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -32,8 +33,8 @@ pub struct Experiment {
     run: fn(&mut Run, usize, usize),
 }
 
-/// Every experiment, in the paper's order.
-pub static EXPERIMENTS: [Experiment; 14] = [
+/// Every experiment, in the paper's order, then the serving run.
+pub static EXPERIMENTS: [Experiment; 15] = [
     Experiment { name: "table2", n: 5000, nq: 30, run: table2 },
     Experiment { name: "fig7", n: 10_000, nq: 50, run: fig7 },
     Experiment { name: "fig8", n: 8000, nq: 40, run: fig8 },
@@ -48,6 +49,7 @@ pub static EXPERIMENTS: [Experiment; 14] = [
     Experiment { name: "fig13", n: 6000, nq: 0, run: fig13 },
     Experiment { name: "ablation_flatten", n: 10_000, nq: 30, run: ablation_flatten },
     Experiment { name: "ablation_multilevel", n: 10_000, nq: 30, run: ablation_multilevel },
+    Experiment { name: "serve", n: 1_000_000, nq: 100, run: serve },
 ];
 
 /// The experiments `names` select, in order (`all` selects every one), or
@@ -710,4 +712,59 @@ fn ablation_multilevel(run: &mut Run, n: usize, nq: usize) {
         t.row(vec![n_c.to_string(), secs(&build), size, format!("{lvl1:.1}"), recall, qps]);
     }
     run.emit(&t, "ablation_multilevel.csv");
+}
+
+/// The `serve` query classes: year ranges at three selectivities, then
+/// keyword filters drawn from the query vector's own cluster and from the
+/// cluster farthest from it (~0.06 selectivity each).
+const SERVE_CLASSES: [(&str, Queries); 5] = [
+    ("s0.01", Queries::DateRange(0.01)),
+    ("s0.1", Queries::DateRange(0.1)),
+    ("s0.5", Queries::DateRange(0.5)),
+    ("pos-cor", Queries::Keyword(Correlation::Positive)),
+    ("neg-cor", Queries::Keyword(Correlation::Negative)),
+];
+
+/// The serving run: ACORN-γ at the paper's parameters over the correlated
+/// corpus, loaded the way a large index is (one sealed segment per
+/// `SEGMENT_ROWS` rows: ten at 1M, each large enough that the planner
+/// samples its selectivity rather than counting it), and queried through
+/// the planner. Each class is swept over efs with recall@10 against exact
+/// ground truth; the summary reads QPS at recall 0.9 per class beside the
+/// index's segment count (every query visits every segment), load rows/s
+/// and resident bytes per row.
+///
+/// # Panics
+/// Panics, after writing the summary, when a class reaches recall 0.9 at no
+/// efs of the sweep: the recall floor this run gates.
+fn serve(run: &mut Run, n: usize, nq: usize) {
+    let data = Data { gen: Gen::Correlated, n, seed: 1 };
+    let acorn = [("ACORN-gamma", Method::acorn_gamma(64))];
+    let mut summary = Table::new(
+        "serve: ACORN-gamma per query class",
+        &["class", "avg sel", "QPS@0.9", "segments", "load rows/s", "bytes/row"],
+    );
+    let mut below = Vec::new();
+    for (seed, (class, queries)) in (1..).zip(SERVE_CLASSES) {
+        let ctx = run.cache.ctx(data, queries, nq, seed);
+        let avg_s = ctx.workload.avg_selectivity();
+        let title = format!("serve ({class}, avg selectivity {avg_s:.4})");
+        let file = format!("serve_{}.csv", class.replace('.', "p").replace('-', "_"));
+        let qps = run.readout(&ctx, &acorn, &EFS, QPS_AT_09, Some((&title, &file)));
+        let build = run.cache.index(data, &acorn[0].1);
+        let Index::Segment(snap) = &build.index else {
+            unreachable!("an Acorn method builds a segmented index")
+        };
+        let head = vec![class.to_string(), format!("{avg_s:.4}")];
+        let mut row = summary_row(head, &qps);
+        row.push(snap.num_segments().to_string());
+        row.push(format!("{:.0}", n as f64 / build.tti.as_secs_f64()));
+        row.push(format!("{:.1}", snap.memory_bytes() as f64 / n as f64));
+        summary.row(row);
+        if qps[0].is_none() {
+            below.push(class);
+        }
+    }
+    run.emit(&summary, "serve_summary.csv");
+    assert!(below.is_empty(), "serve: {below:?} never reach recall 0.9 over efs {EFS:?}");
 }

@@ -1,10 +1,10 @@
 //! # acorn-bench
 //!
 //! The experiment harness: the `reproduce` binary — every table and figure
-//! of the ACORN paper's evaluation (§7) as a row of
-//! [`experiments::EXPERIMENTS`], over the method table and per-run build
-//! cache of [`methods`] — the 1M-row `workload_bench` harness, and Criterion
-//! micro-benchmarks of the hot kernels; docs/BENCHMARKS.md is the index.
+//! of the ACORN paper's evaluation (§7), plus the 1M-row `serve` run, as a
+//! row of [`experiments::EXPERIMENTS`], over the method table and per-run
+//! build cache of [`methods`] — and Criterion micro-benchmarks of the hot
+//! kernels; docs/BENCHMARKS.md is the index.
 //! Performance claims are measured by the repo benchmark (`BENCHMARK.json`,
 //! a package of its own under `src/bin/benchmark/`).
 //!
@@ -23,7 +23,6 @@
 
 pub mod experiments;
 pub mod methods;
-pub mod workload;
 
 use std::path::PathBuf;
 

@@ -21,12 +21,13 @@ use acorn_baselines::{
 use acorn_core::{
     AcornIndex, AcornParams, AcornVariant, PruneStrategy, SegmentSnapshot, SegmentedAcornIndex,
 };
+use acorn_data::captions::KEYWORDS;
 use acorn_data::datasets::{laion_like, paper_like, sift_like, tripclick_like};
 use acorn_data::workloads::{
     area_workload, date_range_workload, equality_workload, keyword_workload, regex_workload,
     Correlation,
 };
-use acorn_data::{ground_truth, HybridDataset, Workload};
+use acorn_data::{correlated_dataset, ground_truth, CorrelatedSpec, HybridDataset, Workload};
 use acorn_eval::sweep::{sweep, SweepPoint};
 use acorn_hnsw::graph::LevelStats;
 use acorn_hnsw::{HnswParams, Metric, Neighbor, SearchStats, VectorStore};
@@ -34,7 +35,8 @@ use acorn_predicate::{Predicate, PredicateFilter};
 
 use crate::{bench_threads, env_or};
 
-/// The stand-in dataset generators of `acorn_data::datasets`.
+/// The stand-in dataset generators of `acorn_data::datasets`, and the
+/// scalable corpus of `acorn_data::scale`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gen {
     /// `sift_like`: LCPS, integer label.
@@ -45,6 +47,9 @@ pub enum Gen {
     TripClick,
     /// `laion_like`: HCPS, captions and keyword list.
     Laion,
+    /// `correlated_dataset` at 32-d: label, keyword list and a `year` over
+    /// 0..=9,999, each cluster-correlated.
+    Correlated,
 }
 
 /// One generated dataset: generator, size and seed determine it.
@@ -203,17 +208,39 @@ fn distance_scale(ds: &HybridDataset) -> f32 {
     (dists.iter().sum::<f64>() / dists.len().max(1) as f64) as f32
 }
 
+/// Rows per bulk-loaded segment: a corpus larger than this is served as
+/// several sealed segments, the way a 1M-row index is loaded in chunks.
+pub(crate) const SEGMENT_ROWS: usize = 100_000;
+
 /// ACORN (γ or 1) the way the engine serves a static corpus: `vectors`
-/// bulk-loaded as one sealed segment, so global id == row id and queries
-/// traverse the CSR layout through the planner.
+/// bulk-loaded in `SEGMENT_ROWS`-row chunks, one sealed segment each (one
+/// segment for every corpus of at most that size), so global id == row id
+/// and queries traverse the CSR layout through the planner.
 pub fn acorn_segment(
     vectors: &VectorStore,
     params: AcornParams,
     variant: AcornVariant,
 ) -> Arc<SegmentSnapshot> {
     let mut index = SegmentedAcornIndex::new(vectors.dim(), params, variant);
-    index.bulk_load(vectors.clone());
+    for rows in vectors.as_flat().chunks(SEGMENT_ROWS * vectors.dim()) {
+        index.bulk_load(VectorStore::from_flat(vectors.dim(), rows.to_vec()));
+    }
     index.snapshot()
+}
+
+/// [`Gen::Correlated`]: a 10,000-value `year` span, so a year range hits its
+/// target selectivity without ties, and the vocabulary `keyword_workload`
+/// draws its correlated keywords from.
+fn correlated(n: usize, seed: u64) -> HybridDataset {
+    correlated_dataset(&CorrelatedSpec {
+        n,
+        dim: 32,
+        year_lo: 0,
+        year_hi: 9_999,
+        vocab: KEYWORDS.len(),
+        seed,
+        ..Default::default()
+    })
 }
 
 /// Build `method` over `ds` and time its constructor, nothing after it
@@ -363,6 +390,7 @@ impl Cache {
             Gen::Paper => paper_like,
             Gen::TripClick => tripclick_like,
             Gen::Laion => laion_like,
+            Gen::Correlated => correlated,
         };
         memo(&mut self.datasets, data, || generate(data.n, data.seed))
     }

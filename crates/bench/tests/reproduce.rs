@@ -2,7 +2,7 @@
 //! share one build, and an experiment's non-timing output is a pure function
 //! of its sizes.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use acorn_bench::experiments::{select, Run, EXPERIMENTS};
@@ -21,7 +21,7 @@ fn out_dir(tag: &str) -> PathBuf {
 }
 
 /// The rows of `file` without the columns whose header is in `timed`.
-fn untimed_cells(file: &std::path::Path, timed: &[&str]) -> Vec<Vec<String>> {
+fn untimed_cells(file: &Path, timed: &[&str]) -> Vec<Vec<String>> {
     let text = std::fs::read_to_string(file).unwrap();
     let mut lines = text.lines().map(|l| l.split(',').map(str::to_string).collect::<Vec<_>>());
     let header = lines.next().unwrap();
@@ -92,20 +92,57 @@ fn table5_weighs_the_builds_table4_timed() {
     std::fs::remove_dir_all(out).unwrap();
 }
 
+/// The columns a run times; every other cell is a function of the sizes.
+const TIMED: [&str; 4] = ["QPS", "value", "QPS@0.9", "load rows/s"];
+
+/// The output directory of a fresh run of experiment `name`.
+fn run_fresh(name: &str, n: usize, nq: usize, tag: &str) -> PathBuf {
+    let out = out_dir(tag);
+    // A fresh run each time: the builds are repeated, not shared.
+    Run::new(out.clone()).run(select(&names(&[name])).unwrap()[0], n, nq);
+    out
+}
+
+/// Every CSV under `out`, by file name in name order, without its timed
+/// columns.
+fn untimed_files(out: &Path) -> Vec<(String, Vec<Vec<String>>)> {
+    let mut files: Vec<PathBuf> =
+        std::fs::read_dir(out).unwrap().map(|entry| entry.unwrap().path()).collect();
+    files.sort();
+    let name = |f: &PathBuf| f.file_name().unwrap().to_string_lossy().into_owned();
+    files.iter().map(|f| (name(f), untimed_cells(f, &TIMED))).collect()
+}
+
 #[test]
 fn a_sweep_experiment_run_twice_writes_the_same_untimed_cells() {
-    let flatten = select(&names(&["ablation_flatten"])).unwrap()[0];
-    let cells = |tag: &str| {
-        let out = out_dir(tag);
-        // A fresh run each time: the builds are repeated, not shared.
-        Run::new(out.clone()).run(flatten, 600, 6);
-        let curves = untimed_cells(&out.join("ablation_flatten.csv"), &["QPS"]);
-        let scorecard = untimed_cells(&out.join("scorecard.csv"), &["value"]);
-        std::fs::remove_dir_all(out).unwrap();
-        (curves, scorecard)
-    };
-    let (first, second) = (cells("first"), cells("second"));
-    // Two methods, six beam widths each; one QPS-at-recall reading a method.
-    assert_eq!((first.0.len(), first.1.len()), (12, 2));
-    assert_eq!(first, second);
+    // Rows per file: a curve row per method and beam width, a scorecard row
+    // per curve, and for `serve` one summary row per query class.
+    let serve_curve = |class: &str| (format!("serve_{class}.csv"), 6);
+    let serve_files = [("scorecard.csv".to_string(), 5)]
+        .into_iter()
+        .chain(["neg_cor", "pos_cor", "s0p01", "s0p1", "s0p5"].map(serve_curve))
+        .chain([("serve_summary.csv".to_string(), 5)]);
+    let flatten_files =
+        [("ablation_flatten.csv".to_string(), 12), ("scorecard.csv".to_string(), 2)];
+    for (name, n, files) in
+        [("ablation_flatten", 600, flatten_files.to_vec()), ("serve", 1000, serve_files.collect())]
+    {
+        let [first, second] =
+            ["first", "second"].map(|tag| run_fresh(name, n, 6, &format!("{name}_{tag}")));
+        let cells = untimed_files(&first);
+        let rows: Vec<(String, usize)> = cells.iter().map(|(f, r)| (f.clone(), r.len())).collect();
+        assert_eq!(rows, files, "{name}");
+        assert_eq!(cells, untimed_files(&second), "{name}");
+        if name == "serve" {
+            // Every class reaches recall 0.9, so every summary row reads a QPS there.
+            let summary = std::fs::read_to_string(first.join("serve_summary.csv")).unwrap();
+            let mut lines = summary.lines().map(|l| l.split(',').collect::<Vec<_>>());
+            let col = lines.next().unwrap().iter().position(|h| *h == "QPS@0.9").unwrap();
+            let qps: Vec<f64> = lines.map(|row| row[col].parse().unwrap()).collect();
+            assert!(qps.len() == 5 && qps.iter().all(|&q| q > 0.0), "{qps:?}");
+        }
+        for out in [first, second] {
+            std::fs::remove_dir_all(out).unwrap();
+        }
+    }
 }

@@ -264,14 +264,14 @@ impl DurableIndex {
         let Some((generation, mut index, refs)) = chosen else { return Err(last_err) };
         // Which file holds which segment, taken before replay can merge any
         // of them away: the next checkpoint rewrites none of these.
-        let seg_files = held_by(&index.state(), refs);
+        let seg_files = held_by(&index.snapshot(), refs);
 
         // Replay the valid prefix of this generation's WAL, op by op as it
         // is decoded.
         let wal_file = wal_path(&dir, generation);
         let (recovered_ops, valid_len, file_len, wal_present) = match vfs.read(&wal_file) {
             Ok(buf) => {
-                let dim = index.state().dim();
+                let dim = index.snapshot().dim();
                 let (ops, valid) = wal::replay(&buf, dim, |op| apply(&mut index, op))?;
                 (ops, valid, buf.len(), true)
             }
@@ -323,7 +323,7 @@ impl DurableIndex {
     /// non-finite component: refused before anything is logged, so the
     /// handle stays usable and the row can never reach a replay.
     pub fn insert(&mut self, v: &[f32]) -> io::Result<u64> {
-        let dim = self.index.state().dim();
+        let dim = self.index.snapshot().dim();
         if v.len() != dim {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -337,7 +337,7 @@ impl DurableIndex {
             ));
         }
         self.run(|s| {
-            let gid = s.index.state().next_global_id();
+            let gid = s.index.snapshot().next_global_id();
             s.append_op(WalOp::Insert { gid, vector: v })?;
             let got = s.index.insert(v);
             debug_assert_eq!(got, gid);
@@ -350,7 +350,7 @@ impl DurableIndex {
     /// live.
     pub fn delete(&mut self, gid: u64) -> io::Result<bool> {
         self.run(|s| {
-            if !s.index.state().contains(gid) {
+            if !s.index.snapshot().contains(gid) {
                 return Ok(false);
             }
             s.append_op(WalOp::Delete { gid })?;
@@ -516,7 +516,7 @@ impl DurableIndex {
 
     /// The commit protocol: install `next` as the committed generation.
     fn install_generation(&mut self, next: u64) -> io::Result<()> {
-        let snap = self.index.state();
+        let snap = self.index.snapshot();
 
         // 1. Segment files, for the frozen segments no kept file holds.
         let mut refs = Vec::with_capacity(snap.frozen_segments().len());
@@ -619,7 +619,7 @@ fn held_by(
 fn apply(index: &mut SegmentedAcornIndex, op: WalOp<'_>) -> io::Result<()> {
     match op {
         WalOp::Insert { gid, vector } => {
-            let state = index.state();
+            let state = index.snapshot();
             if vector.len() != state.dim() || gid != state.next_global_id() {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -881,7 +881,7 @@ mod tests {
             // This helper only exists to keep that assertion honest if the
             // test evolves — parse the WAL file directly.
             let buf = self.vfs.read(&wal_path(&self.dir, self.generation)).unwrap();
-            wal::replay(&buf, self.index.state().dim(), |_| Ok(())).unwrap().0
+            wal::replay(&buf, self.index.snapshot().dim(), |_| Ok(())).unwrap().0
         }
     }
 }

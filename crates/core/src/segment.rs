@@ -337,12 +337,6 @@ impl SegmentedAcornIndex {
     /// Pin the current epoch (see [`IndexReader::snapshot`]): every read of
     /// the index's state is a question to the returned snapshot.
     pub fn snapshot(&self) -> Arc<SegmentSnapshot> {
-        self.shared.snapshot()
-    }
-
-    /// The published state, read for the write path's own bookkeeping: not
-    /// a reader pin, so [`IndexReader::snapshot_pins`] does not count it.
-    pub(crate) fn state(&self) -> Arc<SegmentSnapshot> {
         self.shared.state()
     }
 
@@ -447,7 +441,7 @@ impl SegmentedAcornIndex {
     /// # Panics
     /// Panics if the store's dimension does not match the index.
     pub fn bulk_load(&mut self, store: VectorStore) -> std::ops::Range<u64> {
-        let state = self.state();
+        let state = self.snapshot();
         assert_eq!(store.dim(), state.dim, "bulk-loaded store has wrong dimension");
         let n = store.len();
         if n == 0 {

@@ -516,9 +516,9 @@ impl SnapshotCell {
 /// background maintenance thread.
 ///
 /// Aligned to two cache lines so that no other heap object shares a line
-/// with the locks and counters every pin and every publish write: at 104
-/// bytes unaligned it did, and the repo benchmark's `churn-mixed` lost
-/// ~5 % QPS (6 of 6 alternating pairs) until it was aligned.
+/// with the locks every pin and every publish write: at 104 bytes
+/// unaligned it did, and the repo benchmark's `churn-mixed` lost ~5 % QPS
+/// (6 of 6 alternating pairs) until it was aligned.
 #[derive(Debug)]
 #[repr(align(128))]
 pub(crate) struct SharedState {
@@ -546,12 +546,6 @@ pub(crate) struct SharedState {
     /// Only ever set through the doc-hidden
     /// `SegmentedAcornIndex::inject_merge_panics`.
     pub(crate) merge_fault: AtomicU64,
-    /// Epoch pins taken through [`SharedState::snapshot`] since the index
-    /// was created. A read-path traffic gauge: every search pins at least
-    /// one snapshot, so the workload bench reports this next to QPS to show
-    /// how many acquisitions a run actually performed. Writer bookkeeping
-    /// reads through [`SharedState::state`] and is not counted.
-    snapshot_pins: AtomicU64,
 }
 
 impl SharedState {
@@ -565,7 +559,6 @@ impl SharedState {
             merges_completed: AtomicU64::new(0),
             maintenance_errors: AtomicU64::new(0),
             merge_fault: AtomicU64::new(0),
-            snapshot_pins: AtomicU64::new(0),
         }
     }
 
@@ -586,14 +579,9 @@ impl SharedState {
         self.cell.store(Arc::new(next));
     }
 
-    /// The published state, for the write path's own bookkeeping.
+    /// Pin the published state: a reader's epoch, or the write path's own
+    /// bookkeeping.
     pub(crate) fn state(&self) -> Arc<SegmentSnapshot> {
-        self.cell.load()
-    }
-
-    /// Pin the published state for a reader.
-    pub(crate) fn snapshot(&self) -> Arc<SegmentSnapshot> {
-        self.snapshot_pins.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.cell.load()
     }
 }
@@ -615,7 +603,7 @@ impl IndexReader {
     /// to release the epoch's memory (shared segments stay alive as long as
     /// any epoch references them).
     pub fn snapshot(&self) -> Arc<SegmentSnapshot> {
-        self.shared.snapshot()
+        self.shared.state()
     }
 
     /// The shared scratch pool (the segmented batch engine draws from it).
@@ -634,13 +622,6 @@ impl IndexReader {
     /// and tombstoned rows are accumulating.
     pub fn maintenance_errors(&self) -> u64 {
         self.shared.maintenance_errors.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Epoch pins taken across all readers of this index since creation.
-    /// Every search acquires at least one, so this counts read-path
-    /// snapshot traffic; the workload bench reports it next to QPS.
-    pub fn snapshot_pins(&self) -> u64 {
-        self.shared.snapshot_pins.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Pure ANN search against the current epoch: the `k` nearest live

@@ -4,7 +4,6 @@
 
 use std::sync::Arc;
 
-use acorn_core::durability::{DurabilityOptions, DurableIndex, FsyncPolicy};
 use acorn_core::{AcornParams, AcornVariant, SegmentedAcornIndex};
 use acorn_hnsw::VectorStore;
 use rand::rngs::StdRng;
@@ -137,52 +136,6 @@ fn bulk_load_respects_quantization_policy() {
         snap.frozen_segments().iter().all(|s| s.is_quantized()),
         "frozen bulk segment must carry the SQ8 tier when the policy asks"
     );
-}
-
-#[test]
-fn snapshot_pins_counts_reader_traffic() {
-    let (store, _) = random_store(60, 23);
-    let mut idx = SegmentedAcornIndex::new(DIM, params(23), AcornVariant::Gamma);
-    idx.bulk_load(store);
-    let reader = idx.reader();
-    let before = reader.snapshot_pins();
-    let _pin = reader.snapshot();
-    reader.search(&[0.0; DIM], 5, 32);
-    let after = reader.snapshot_pins();
-    assert!(after >= before + 2, "explicit pin + search pin must both count");
-
-    // The gauge is read-path traffic: the writer's own bookkeeping — ids,
-    // liveness probes, dimension checks, checkpoints — pins nothing. The
-    // writer answers no reads itself; every read is a pin.
-    let (_, rows) = random_store(100, 24);
-    let churn = |index: &mut SegmentedAcornIndex, rows: &[Vec<f32>]| {
-        let first = index.insert(&rows[0]);
-        for v in &rows[1..] {
-            index.insert(v);
-        }
-        for gid in first..first + 10 {
-            assert!(index.delete(gid), "gid {gid} was live");
-        }
-        index.active_rows()
-    };
-    churn(&mut idx, &rows[..50]);
-    assert_eq!(reader.snapshot_pins(), after, "50 inserts + 10 deletes through the writer");
-
-    let dir = std::env::temp_dir().join(format!("acorn-pins-{}", std::process::id()));
-    let opts = DurabilityOptions { fsync: FsyncPolicy::Never, ..Default::default() };
-    let mut durable = DurableIndex::create(&dir, idx, opts).unwrap();
-    for v in &rows[50..] {
-        durable.insert(v).unwrap();
-    }
-    for gid in 120..130 {
-        assert!(durable.delete(gid).unwrap());
-    }
-    durable.freeze().unwrap();
-    durable.checkpoint().unwrap();
-    assert_eq!(reader.snapshot_pins(), after, "the same through a DurableIndex");
-    durable.index().reader().search(&[0.0; DIM], 5, 32);
-    assert_eq!(reader.snapshot_pins(), after + 1, "a search through it still counts");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -22,8 +22,8 @@
 //!   selectivities, and regex.
 //! * [`mod@ground_truth`] — exact filtered K-NN (parallel brute force).
 //! * [`correlation`] — the paper's query-correlation statistic `C(D, Q)`.
-//! * [`scale`] — config-driven correlated-attribute corpora for the
-//!   million-row workload harness ([`CorrelatedSpec`]).
+//! * [`scale`] — correlated-attribute corpora of any size, for the
+//!   million-row `serve` run and the repo benchmark ([`CorrelatedSpec`]).
 //! * [`zipf`] — Zipf-distributed rank sampling for skewed query traffic
 //!   ([`Zipf`]).
 

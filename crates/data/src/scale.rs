@@ -1,13 +1,12 @@
-//! Scalable correlated-attribute dataset generation for the production
-//! workload harness.
+//! Scalable correlated-attribute dataset generation.
 //!
 //! The paper stand-ins in [`datasets`](crate::datasets) reproduce specific
-//! corpora at fixed dimensionality and schema. The workload harness
-//! (`workload_bench` in `acorn-bench`) instead needs a dataset whose every
-//! axis is a config knob — row count up to millions, vector dimension,
-//! cluster count, attribute cardinalities, and, crucially, how strongly the
-//! attribute columns *correlate* with the vector clusters and with each
-//! other.
+//! corpora at fixed dimensionality and schema. The 1M-row `serve` run of
+//! `acorn-bench`'s `reproduce` and the repo benchmark instead need a
+//! dataset whose every axis is a knob — row count up to millions, vector
+//! dimension, cluster count, attribute cardinalities, and, crucially, how
+//! strongly the attribute columns *correlate* with the vector clusters and
+//! with each other.
 //!
 //! [`correlated_dataset`] generates three attribute columns, all driven by
 //! the row's mixture cluster, so they correlate with vector geometry and
@@ -48,6 +47,7 @@ pub struct CorrelatedSpec {
     /// Cardinality of the `label` column.
     pub label_cardinality: usize,
     /// Keyword vocabulary size for the `keywords` column (max 64).
+    /// `keyword_workload`'s correlated classes need `KEYWORDS.len()` (30).
     pub vocab: usize,
     /// Probability that a column value is drawn from its cluster's
     /// preferred value/window rather than uniformly (0 = independent
@@ -173,6 +173,10 @@ pub fn correlated_dataset(spec: &CorrelatedSpec) -> HybridDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::captions::KEYWORDS;
+    use crate::correlation::query_correlation;
+    use crate::workloads::{keyword_workload, Correlation};
+    use acorn_hnsw::Metric;
     use acorn_predicate::Predicate;
 
     fn small_spec() -> CorrelatedSpec {
@@ -273,6 +277,25 @@ mod tests {
             covered += hi - lo + 1;
         }
         assert_eq!(covered, spec.year_hi - spec.year_lo + 1, "windows must tile the span");
+    }
+
+    #[test]
+    fn keyword_correlation_regimes_hold_at_the_workload_vocabulary() {
+        // `keyword_workload` names a cluster's keywords over `KEYWORDS.len()`
+        // terms, so a corpus drawn over that vocabulary orders the regimes
+        // as Figure 10 does, with the positive one at least as far above
+        // chance as the negative one is below it. Over the default 32 terms,
+        // clusters from the eleventh on prefer other keywords than the
+        // workload filters on, and the positive regime sinks toward chance.
+        let spec = CorrelatedSpec { n: 2000, vocab: KEYWORDS.len(), ..Default::default() };
+        let d = correlated_dataset(&spec);
+        let cdq = |correlation| {
+            let w = keyword_workload(&d, correlation, 24, 5);
+            query_correlation(&d.vectors, &d.attrs, Metric::L2, &w.queries, 3, 7)
+        };
+        let [pos, none, neg] =
+            [Correlation::Positive, Correlation::None, Correlation::Negative].map(cdq);
+        assert!(pos > none && none > neg && pos > -neg, "C(D,Q) pos {pos}, none {none}, neg {neg}");
     }
 
     #[test]

@@ -117,6 +117,13 @@ pub fn equality_workload(ds: &HybridDataset, nq: usize, seed: u64) -> Workload {
 /// vector's own cluster's preferred set, `None` uniformly, and `Negative`
 /// from the "opposite" cluster's preferred set (maximally distant cluster
 /// id), reproducing the paper's pos-/no-/neg-correlation micro-benchmarks.
+///
+/// A cluster's preferred keywords are computed over a `KEYWORDS.len()`-term
+/// vocabulary, so `ds` must draw its `keywords` column over that same
+/// vocabulary (as `laion_like` does). A corpus over another vocabulary size,
+/// such as `CorrelatedSpec::default()`'s 32, gives most clusters other
+/// preferred keywords, and `Positive`/`Negative` filter on the wrong
+/// clusters' terms.
 pub fn keyword_workload(
     ds: &HybridDataset,
     correlation: Correlation,

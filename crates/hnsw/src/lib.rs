@@ -57,7 +57,7 @@ pub use heap::Neighbor;
 pub use index::{HnswIndex, HnswParams};
 pub use kernels::KernelPath;
 pub use level::LevelSampler;
-pub use pool::{run_sharded, LatencySummary, PooledScratch, ScratchPool, ShardedRun};
+pub use pool::{run_sharded, PooledScratch, ScratchPool, ShardedRun};
 pub use search::SearchScratch;
 pub use sq8::Sq8Store;
 pub use stats::SearchStats;

@@ -99,60 +99,6 @@ impl Drop for PooledScratch<'_> {
     }
 }
 
-/// Tail-latency digest of a set of per-execution wall times: the
-/// percentiles the serving story is judged on (p50/p99/p999), plus mean
-/// and max for context.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencySummary {
-    /// Median execution latency.
-    pub p50: Duration,
-    /// 99th-percentile execution latency.
-    pub p99: Duration,
-    /// 99.9th-percentile execution latency.
-    pub p999: Duration,
-    /// Mean execution latency.
-    pub mean: Duration,
-    /// Slowest execution.
-    pub max: Duration,
-}
-
-impl LatencySummary {
-    /// Summarize `samples` (any order). `None` when empty.
-    ///
-    /// Percentiles use the nearest-rank method: `p_q = sorted[⌈n·q⌉ - 1]`,
-    /// so `p999` of fewer than 1000 samples degrades to the max rather than
-    /// interpolating data that is not there.
-    pub fn from_samples(samples: &[Duration]) -> Option<Self> {
-        if samples.is_empty() {
-            return None;
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        let n = sorted.len();
-        let pct = |q: f64| sorted[((n as f64 * q).ceil() as usize).saturating_sub(1).min(n - 1)];
-        let total: Duration = sorted.iter().sum();
-        Some(Self {
-            p50: pct(0.50),
-            p99: pct(0.99),
-            p999: pct(0.999),
-            mean: total / n as u32,
-            max: sorted[n - 1],
-        })
-    }
-}
-
-/// One fixed-width line — `p50 = … p99 = … p999 = … mean = … max = …` —
-/// so every bench binary prints latency digests identically.
-impl std::fmt::Display for LatencySummary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "p50 = {:>8.1?} p99 = {:>8.1?} p999 = {:>8.1?} mean = {:>8.1?} max = {:>8.1?}",
-            self.p50, self.p99, self.p999, self.mean, self.max
-        )
-    }
-}
-
 /// Output of [`run_sharded`] — and so the answer to every batch in the
 /// workspace: per-item results in input order plus merged, repeat-averaged
 /// statistics and batch timing.
@@ -172,17 +118,6 @@ pub struct ShardedRun<R> {
     /// Executions per second over the batch wall time (0 when no time
     /// elapsed).
     pub qps: f64,
-    /// Wall time of every individual execution (repeats included), ordered
-    /// by shard then repetition — `executions` entries in total.
-    pub latencies: Vec<Duration>,
-}
-
-impl<R> ShardedRun<R> {
-    /// Percentile digest of [`latencies`](Self::latencies) (`None` for an
-    /// empty run).
-    pub fn latency_summary(&self) -> Option<LatencySummary> {
-        LatencySummary::from_samples(&self.latencies)
-    }
 }
 
 /// The one shard/repeat/measure driver behind every batch executor in the
@@ -220,28 +155,21 @@ where
 
     let mut results: Vec<R> = std::iter::repeat_with(R::default).take(nq).collect();
     let mut thread_stats: Vec<SearchStats> = vec![SearchStats::default(); threads];
-    let mut thread_lats: Vec<Vec<Duration>> = vec![Vec::new(); threads];
 
     let t0 = Instant::now();
     if nq > 0 {
         let chunk = nq.div_ceil(threads);
         std::thread::scope(|s| {
             let f = &f;
-            for (((t, shard), tstat), tlat) in results
-                .chunks_mut(chunk)
-                .enumerate()
-                .zip(thread_stats.iter_mut())
-                .zip(thread_lats.iter_mut())
+            for ((t, shard), tstat) in
+                results.chunks_mut(chunk).enumerate().zip(thread_stats.iter_mut())
             {
                 s.spawn(move || {
                     let mut scratch = pool.checkout(capacity);
                     let base = t * chunk;
-                    tlat.reserve(shard.len() * repeats);
                     for rep in 0..repeats {
                         for (off, slot) in shard.iter_mut().enumerate() {
-                            let q0 = Instant::now();
                             let out = f(base + off, &mut scratch, tstat);
-                            tlat.push(q0.elapsed());
                             if rep + 1 == repeats {
                                 *slot = out;
                             }
@@ -261,14 +189,10 @@ where
     stats.nhops /= repeats as u64;
     stats.npred /= repeats as u64;
     stats.npred_cached /= repeats as u64;
-    let mut latencies = Vec::with_capacity(nq * repeats);
-    for mut tlat in thread_lats {
-        latencies.append(&mut tlat);
-    }
     let executions = (nq * repeats) as u64;
     let secs = elapsed.as_secs_f64();
     let qps = if secs > 0.0 { executions as f64 / secs } else { 0.0 };
-    ShardedRun { results, stats, elapsed, executions, qps, latencies }
+    ShardedRun { results, stats, elapsed, executions, qps }
 }
 
 #[cfg(test)]
