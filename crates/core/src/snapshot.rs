@@ -187,6 +187,8 @@ struct LiveFilter<'a, F: NodeFilter> {
 }
 
 impl<F: NodeFilter> NodeFilter for LiveFilter<'_, F> {
+    const BRANCH_FREE: bool = F::BRANCH_FREE;
+
     #[inline]
     fn passes(&self, id: u32) -> bool {
         !self.tombstones.get(id) && self.inner.passes(id)

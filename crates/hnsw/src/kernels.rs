@@ -20,12 +20,16 @@
 //!   tests in `tests/proptest_kernels.rs` enforce this).
 //! * `ACORN_FORCE_SCALAR=1` pins the scalar path for A/B debugging and for
 //!   the forced-scalar CI leg. Any other value (or unset) means "auto".
+//! * [`l2_sq_x4`] scores four rows per call for the batched scan; each of
+//!   its lanes is bit-identical to [`l2_sq`] on the same path.
 //! * This module contains the only `unsafe` distance code in the workspace;
 //!   each `unsafe` block is reachable only after the matching
 //!   `is_x86_feature_detected!` probe succeeded, and only after the
 //!   dispatcher checked that every slice has the query's length (the AVX2
 //!   bodies size their loads by one slice and read all of them). A length
-//!   mismatch panics on either path, in release builds too.
+//!   mismatch panics on either path, in release builds too. It also holds
+//!   the workspace's one cache-prefetch hint, [`prefetch`], which the vector
+//!   stores and the graph lookups share.
 
 pub use acorn_predicate::kernels::{kernel_path, KernelPath};
 
@@ -48,6 +52,48 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
         return unsafe { avx2::l2_sq(a, b) };
     }
     l2_sq_scalar(a, b)
+}
+
+/// Squared Euclidean distances from four rows to `q` at once (dispatched):
+/// element `i` is bit-identical to `l2_sq(rows[i], q)`.
+///
+/// One `l2_sq` is a single chain of dependent FMAs, so it runs at the FMA's
+/// latency, not its throughput; four interleaved chains keep the unit busy.
+///
+/// # Panics
+/// Panics if any row's length differs from `q`'s.
+#[inline]
+pub fn l2_sq_x4(rows: [&[f32]; 4], q: &[f32]) -> [f32; 4] {
+    for row in rows {
+        assert_eq!(row.len(), q.len(), "l2_sq of slices of different lengths");
+    }
+    #[cfg(target_arch = "x86_64")]
+    if kernel_path() == KernelPath::Avx2Fma {
+        // SAFETY: see l2_sq — feature detection, then the length checks.
+        return unsafe { avx2::l2_sq_x4(rows, q) };
+    }
+    rows.map(|row| l2_sq_scalar(row, q))
+}
+
+/// Ask the CPU to start loading the first cache line of `s`, and the second
+/// when `s` spans more than one, ahead of a read. A hint only: it changes no
+/// value, and compiles to nothing off x86_64.
+#[inline]
+pub fn prefetch<T>(s: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let p = s.as_ptr().cast::<i8>();
+        // SAFETY: `_mm_prefetch` has no memory effects and never faults.
+        // `p.add(64)` is formed only when `s` spans more than 64 bytes, so it
+        // stays inside `s`.
+        unsafe {
+            _mm_prefetch::<_MM_HINT_T0>(p);
+            if std::mem::size_of_val(s) > 64 {
+                _mm_prefetch::<_MM_HINT_T0>(p.add(64));
+            }
+        }
+    }
 }
 
 /// Dot product (dispatched).
@@ -226,6 +272,35 @@ pub mod avx2 {
             sum += d * d;
         }
         sum
+    }
+
+    /// AVX2+FMA squared-L2 of four rows against one query: four
+    /// accumulators, each in [`l2_sq`]'s exact operation order.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA; every row must have `q`'s length.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn l2_sq_x4(rows: [&[f32]; 4], q: &[f32]) -> [f32; 4] {
+        let n = q.len();
+        let chunks = n / 8;
+        let mut acc = [_mm256_setzero_ps(); 4];
+        for c in 0..chunks {
+            let off = c * 8;
+            let pq = _mm256_loadu_ps(q.as_ptr().add(off));
+            for (acc, row) in acc.iter_mut().zip(rows) {
+                let d = _mm256_sub_ps(_mm256_loadu_ps(row.as_ptr().add(off)), pq);
+                *acc = _mm256_fmadd_ps(d, d, *acc);
+            }
+        }
+        let mut sums = [0.0f32; 4];
+        for ((sum, acc), row) in sums.iter_mut().zip(acc).zip(rows) {
+            *sum = hsum256(acc);
+            for i in chunks * 8..n {
+                let d = row[i] - q[i];
+                *sum += d * d;
+            }
+        }
+        sums
     }
 
     /// AVX2+FMA dot product.

@@ -211,29 +211,6 @@ impl Sq8Store {
             }
         }
     }
-
-    /// Prefetch is a hint; on non-x86 targets it compiles to nothing.
-    #[cfg(not(target_arch = "x86_64"))]
-    #[inline]
-    fn prefetch_row(&self, _id: u32) {}
-
-    /// Issue a prefetch for the first cache line of code row `id`. One line
-    /// covers 64 coded dimensions, so a single hint suffices for typical
-    /// embedding sizes.
-    #[cfg(target_arch = "x86_64")]
-    #[inline]
-    fn prefetch_row(&self, id: u32) {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let start = id as usize * self.dim;
-        if start >= self.codes.len() {
-            return;
-        }
-        // SAFETY: `start` is in bounds (checked above) and _mm_prefetch is a
-        // pure hint with no memory effects.
-        unsafe {
-            _mm_prefetch::<_MM_HINT_T0>(self.codes.as_ptr().add(start) as *const i8);
-        }
-    }
 }
 
 impl VectorData for Sq8Store {
@@ -266,7 +243,9 @@ impl VectorData for Sq8Store {
         let qnorm = if metric == Metric::Cosine { kernels::dot(query, query).sqrt() } else { 0.0 };
         for (i, &id) in ids.iter().enumerate() {
             if let Some(&ahead) = ids.get(i + PREFETCH_AHEAD) {
-                self.prefetch_row(ahead);
+                // One line covers 64 coded dimensions, so a single hint
+                // suffices for typical embedding sizes.
+                kernels::prefetch(&self.codes_of(ahead)[..self.dim.min(64)]);
             }
             out.push(self.distance_with_qnorm(metric, id, query, qnorm));
         }

@@ -349,9 +349,11 @@ impl VectorStore {
     ///
     /// This is the batched form of [`distance_to`](Self::distance_to) used
     /// once per expanded neighborhood on the search hot path: upcoming rows
-    /// are prefetched (`_mm_prefetch` on x86_64, no-op elsewhere) while the
-    /// current row is being reduced, hiding the cache misses that dominate
-    /// pointer-chased graph traversal.
+    /// are prefetched ([`kernels::prefetch`], two lines of a row wider than
+    /// 16 floats) while the current row is being reduced, hiding the cache
+    /// misses that dominate pointer-chased graph traversal. L2 rows are
+    /// scored four per [`kernels::l2_sq_x4`] call and the remainder one by
+    /// one; every distance is bit-identical to `distance_to`'s.
     pub fn distances_batch(&self, metric: Metric, query: &[f32], ids: &[u32], out: &mut Vec<f32>) {
         /// How many rows ahead of the current one to prefetch: far enough
         /// that the line arrives before it is needed, near enough to stay
@@ -359,42 +361,29 @@ impl VectorStore {
         const PREFETCH_AHEAD: usize = 4;
         out.clear();
         out.reserve(ids.len());
-        // Resolve the handle once: the loop then indexes a plain slice.
-        let flat = self.as_flat();
-        for (i, &id) in ids.iter().enumerate() {
+        // Resolve the handle once: the loops then index a plain slice.
+        let (flat, dim) = (self.as_flat(), self.dim);
+        let row = |id: u32| {
+            let start = id as usize * dim;
+            &flat[start..start + dim]
+        };
+        let prefetch_ahead = |i: usize| {
             if let Some(&ahead) = ids.get(i + PREFETCH_AHEAD) {
-                self.prefetch_row(flat, ahead);
+                kernels::prefetch(row(ahead));
             }
-            let start = id as usize * self.dim;
-            out.push(metric.distance(&flat[start..start + self.dim], query));
-        }
-    }
-
-    /// Prefetch is a hint; on non-x86 targets it compiles to nothing.
-    #[cfg(not(target_arch = "x86_64"))]
-    #[inline]
-    fn prefetch_row(&self, _flat: &[f32], _id: u32) {}
-
-    /// Issue a prefetch for the first cache lines of row `id` of `flat`.
-    #[cfg(target_arch = "x86_64")]
-    #[inline]
-    fn prefetch_row(&self, flat: &[f32], id: u32) {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let start = id as usize * self.dim;
-        if start >= flat.len() {
-            return;
-        }
-        // SAFETY: `start` is in bounds (checked above) and _mm_prefetch is a
-        // hint with no memory effects — an unmapped address would simply be
-        // ignored by the hardware, but we never pass one anyway.
-        unsafe {
-            let p = flat.as_ptr().add(start) as *const i8;
-            _mm_prefetch::<_MM_HINT_T0>(p);
-            // Rows are up to a few hundred floats; fetch a second line so
-            // dims > 16 don't stall mid-row.
-            if self.dim > 16 {
-                _mm_prefetch::<_MM_HINT_T0>(p.add(64));
+        };
+        let mut done = 0;
+        if metric == Metric::L2 {
+            for quad in ids.chunks_exact(4) {
+                (done..done + 4).for_each(prefetch_ahead);
+                let rows = [row(quad[0]), row(quad[1]), row(quad[2]), row(quad[3])];
+                out.extend_from_slice(&kernels::l2_sq_x4(rows, query));
+                done += 4;
             }
+        }
+        for (i, &id) in ids.iter().enumerate().skip(done) {
+            prefetch_ahead(i);
+            out.push(metric.distance(row(id), query));
         }
     }
 

@@ -45,6 +45,37 @@ proptest! {
         }
     }
 
+    /// The batched L2 scan scores four rows per `l2_sq_x4` call and the rest
+    /// one by one. Every distance must be bit-identical to `l2_sq` on the
+    /// same path, for every dimension up to 130 (each 8-lane remainder) and
+    /// every id-list length up to 9 (each remainder of 4).
+    #[test]
+    fn batched_l2_is_bit_identical_to_l2_sq(seed in 0u64..10_000, scale in 0.1f32..100.0) {
+        let mut out = Vec::new();
+        for dim in 0..=130usize {
+            let rows: Vec<Vec<f32>> = (0..4).map(|r| vec_of(dim, seed + r, scale)).collect();
+            let q = vec_of(dim, seed + 4, scale);
+            let x4 = kernels::l2_sq_x4([&rows[0], &rows[1], &rows[2], &rows[3]], &q);
+            for (row, d) in rows.iter().zip(x4) {
+                prop_assert_eq!(d.to_bits(), kernels::l2_sq(row, &q).to_bits(), "dim {}", dim);
+            }
+            if dim == 0 {
+                continue; // a store has at least one dimension
+            }
+            let flat = (0..6).flat_map(|r| vec_of(dim, seed + 5 + r, scale)).collect();
+            let store = VectorStore::from_flat(dim, flat);
+            for len in 0..=9u64 {
+                let ids: Vec<u32> = (0..len).map(|i| ((seed + 5 * i) % 6) as u32).collect();
+                store.distances_batch(Metric::L2, &q, &ids, &mut out);
+                prop_assert_eq!(out.len(), ids.len());
+                for (&id, d) in ids.iter().zip(&out) {
+                    let want = kernels::l2_sq(store.get(id), &q);
+                    prop_assert_eq!(d.to_bits(), want.to_bits(), "dim {} len {}", dim, len);
+                }
+            }
+        }
+    }
+
     /// Dispatched SQ8 kernels agree with the scalar reference on every
     /// length (codes decoded as `min + code * step` on both paths).
     #[test]
@@ -152,6 +183,13 @@ fn l2_sq_refuses_a_shorter_second_slice() {
 #[should_panic(expected = "different lengths")]
 fn l2_sq_refuses_a_shorter_first_slice() {
     kernels::l2_sq(&[0.5; 24], &[0.5; 32]);
+}
+
+#[test]
+#[should_panic(expected = "different lengths")]
+fn l2_sq_x4_refuses_a_short_row() {
+    let row = [0.5; 32];
+    kernels::l2_sq_x4([&row, &row, &row[..24], &row], &[0.5; 32]);
 }
 
 #[test]

@@ -19,6 +19,19 @@ use crate::predicate::Predicate;
 
 /// "Does dataset row `id` pass this query's predicate?"
 pub trait NodeFilter {
+    /// True if [`passes`](Self::passes) is a side-effect-free test cheap
+    /// enough to ask of every row the graph lookups scan, visited or not.
+    ///
+    /// The graph lookups (`acorn_core::lookup`) then ask the filter about
+    /// every candidate and mask the verdict with "not visited", so no jump
+    /// depends on a verdict that may pass only one time in five. A filter
+    /// that does work per call — a lazy predicate walk, a memo that counts
+    /// its hits — keeps the default `false` and is asked only about
+    /// unvisited rows, so its evaluations and hits stay exactly the checks
+    /// the lookups count. [`AllPass`] and [`BitmapFilter`] opt in; wrappers
+    /// forward their inner filter's value.
+    const BRANCH_FREE: bool = false;
+
     /// Evaluate row `id`.
     fn passes(&self, id: u32) -> bool;
 
@@ -46,6 +59,8 @@ pub trait NodeFilter {
 pub struct AllPass;
 
 impl NodeFilter for AllPass {
+    const BRANCH_FREE: bool = true;
+
     #[inline]
     fn passes(&self, _id: u32) -> bool {
         true
@@ -108,6 +123,8 @@ impl BitmapFilter {
 }
 
 impl NodeFilter for BitmapFilter {
+    const BRANCH_FREE: bool = true;
+
     #[inline]
     fn passes(&self, id: u32) -> bool {
         self.bits.get(id)
@@ -125,6 +142,8 @@ impl NodeFilter for BitmapFilter {
 }
 
 impl<F: NodeFilter + ?Sized> NodeFilter for &F {
+    const BRANCH_FREE: bool = F::BRANCH_FREE;
+
     #[inline]
     fn passes(&self, id: u32) -> bool {
         (**self).passes(id)
