@@ -36,7 +36,7 @@ use crate::snapshot::{IndexReader, SegmentSnapshot};
 /// pooled scratch serves **every segment** of its queries in turn — the
 /// per-query fan-out across segments, the k-way merge of per-segment result
 /// heaps, and the global-id remapping all happen inside the snapshot's
-/// `*_with` entry points. A batch answers with the driver's own
+/// `search_with` and `hybrid_search`. A batch answers with the driver's own
 /// [`ShardedRun`]: [`GlobalNeighbor`] lists in deterministic input order,
 /// aggregated [`SearchStats`], wall time and QPS.
 ///
@@ -264,6 +264,33 @@ mod tests {
             assert_eq!(pairs(&out.results), pairs(&sequential), "threads = {threads}");
             assert!(out.stats.fallback, "the rare-label query must have routed to the fallback");
             assert!(out.stats.npred > 0);
+        }
+    }
+
+    #[test]
+    fn k_zero_answers_empty_through_every_read_door() {
+        // Frozen + active segments, tombstones, and a dense predicate that
+        // would otherwise be compiled, counted and traversed. With `efs = 0`
+        // a search would ask the layer search for an empty beam.
+        let idx = small_segmented(200, 13);
+        let attrs = AttrStore::builder().add_int("label", vec![1; 200]).build();
+        let dense = Predicate::Equals { field: 0, value: 1 };
+        let q = queries(1, 8, 14).remove(0);
+        let reader = idx.reader();
+        let snap = reader.snapshot();
+        let mut scratch = SearchScratch::new(snap.max_segment_rows());
+        for efs in [0, 16] {
+            assert!(reader.search(&q, 0, efs).is_empty(), "efs {efs}");
+            let mut stats = SearchStats::default();
+            assert!(snap.search_with(&q, 0, efs, &mut scratch, &mut stats).is_empty());
+            assert_eq!(stats, SearchStats::default(), "efs {efs}: nothing searched");
+            let (out, stats) = snap.hybrid_search(&q, &dense, &attrs, 0, efs, &mut scratch);
+            assert!(out.is_empty());
+            assert_eq!(stats, SearchStats::default(), "efs {efs}: nothing compiled or searched");
+            let engine = SegmentedQueryEngine::for_reader(reader.clone()).with_threads(2);
+            let run = engine.hybrid_search_batch(&[(&q, &dense), (&q, &dense)], &attrs, 0, efs);
+            assert_eq!(run.results, vec![Vec::new(), Vec::new()]);
+            assert_eq!(run.stats, SearchStats::default());
         }
     }
 

@@ -12,9 +12,10 @@
 //! (`PredicateFilter`), one compiled-program run (`CompiledFilter`), a
 //! memoized check that evaluates each distinct row at most once per query
 //! (`MemoFilter`), or a bit test against a block-materialized bitmap
-//! (`BitmapFilter`). The query planner ([`crate::plan`]) picks between the
-//! last three adaptively; results are identical for any filter that answers
-//! `passes` the same way.
+//! (`BitmapFilter`). The query planner ([`crate::plan`]) picks per segment
+//! between the last two: a `BitmapFilter` when it materialized the segment,
+//! a `MemoFilter` over the compiled program otherwise. Results are identical
+//! for any filter that answers `passes` the same way.
 
 use acorn_hnsw::heap::{Neighbor, TopK};
 use acorn_hnsw::{GraphView, Metric, SearchScratch, SearchStats, VectorData, VisitedSet};

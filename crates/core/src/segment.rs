@@ -25,7 +25,7 @@
 //!   active one or a frozen one alike, by range binary search over the
 //!   ascending, disjoint per-segment gid ranges, then sets a bit in that
 //!   segment view's copy-on-write [`Bitset`]; a deleted row
-//!   never surfaces from `search`, `search_filtered`, or `hybrid_search`
+//!   never surfaces from `search` or `hybrid_search`
 //!   while its graph node keeps serving as a traversal waypoint (recall
 //!   degrades gracefully until the next merge, exactly like Lucene's
 //!   deleted docs);
@@ -53,9 +53,8 @@
 //! global answer.
 //!
 //! **Determinism contract** (property-tested): after [`compact_all`]
-//! collapses everything into one segment, every query — pure, filtered, and
-//! hybrid under either [`PredicateStrategy`](crate::plan::PredicateStrategy)
-//! — answers **bit-identically** to a fresh index [`bulk_load`]ed with the
+//! collapses everything into one segment, every query — pure and hybrid —
+//! answers **bit-identically** to a fresh index [`bulk_load`]ed with the
 //! surviving rows in global id order. This holds because merge rebuilds with
 //! the same parameters, seed, and insertion order, and because both sides
 //! are one segment under the **same query planner** ([`crate::plan`]): the
@@ -752,7 +751,6 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::PredicateStrategy;
     use crate::prune::PruneStrategy;
     use acorn_hnsw::{Metric, SearchScratch, SearchStats};
     use acorn_predicate::{AllPass, AttrStore, Predicate};
@@ -868,13 +866,14 @@ mod tests {
         assert_eq!(idx.snapshot().len(), 500 - 167);
         let snap = idx.snapshot();
         let mut scratch = SearchScratch::new(snap.max_segment_rows());
-        let mut stats = SearchStats::default();
+        let attrs =
+            AttrStore::builder().add_int("parity", (0..500).map(|g| g % 2).collect()).build();
+        let even = Predicate::Equals { field: 0, value: 0 };
         for q in random_vecs(10, 8, 4) {
             for n in idx.reader().search(&q, 10, 64) {
                 assert!(n.id % 3 != 0, "deleted gid {} surfaced from search", n.id);
             }
-            for n in snap.search_filtered(&q, &|gid| gid % 2 == 0, 10, 64, &mut scratch, &mut stats)
-            {
+            for n in snap.hybrid_search(&q, &even, &attrs, 10, 64, &mut scratch).0 {
                 assert!(n.id % 3 != 0 && n.id % 2 == 0, "bad gid {}", n.id);
             }
         }
@@ -1147,37 +1146,20 @@ mod tests {
             idx.delete(gid);
         }
 
+        // Each label passes ~43 live rows of a 250-row segment, under
+        // s_min · rows = 62.5: both segments take the exact scan, so the
+        // reference is brute force over the live passing rows.
         let snap = idx.snapshot();
         let mut scratch = SearchScratch::new(snap.max_segment_rows());
         for t in 0..6 {
             let q: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let pred = Predicate::Equals { field, value: t % 5 };
-            let (a, sa) = snap.hybrid_search_with(
-                &q,
-                &pred,
-                &attrs,
-                10,
-                48,
-                &mut scratch,
-                PredicateStrategy::Interpreted,
-            );
-            let (b, sb) = snap.hybrid_search_with(
-                &q,
-                &pred,
-                &attrs,
-                10,
-                48,
-                &mut scratch,
-                PredicateStrategy::Adaptive,
-            );
-            let pa: Vec<(u64, f32)> = a.iter().map(|x| (x.id, x.dist)).collect();
-            let pb: Vec<(u64, f32)> = b.iter().map(|x| (x.id, x.dist)).collect();
-            assert_eq!(pa, pb, "strategies must answer identically");
-            assert_eq!(sa.fallback, sb.fallback);
-            for x in &a {
-                assert!(x.id % 7 != 0, "deleted row {} surfaced", x.id);
-                assert_eq!(labels[x.id as usize], t % 5, "predicate violated");
-            }
+            let (a, sa) = snap.hybrid_search(&q, &pred, &attrs, 10, 48, &mut scratch);
+            let pass = |g: u64| g % 7 != 0 && labels[g as usize] == t % 5;
+            assert_eq!(ids(&a), brute_force(&vecs, &q, pass, 10), "label {}", t % 5);
+            assert!(sa.fallback);
+            let passing = (0..n as u64).filter(|&g| pass(g)).count() as u64;
+            assert_eq!(sa.ndis, passing, "both segments scanned exactly their passing rows");
         }
     }
 
@@ -1256,12 +1238,6 @@ mod tests {
         assert_eq!(stats.ndis, alone.ndis, "segments with no passing row cost no distances");
         assert_eq!(stats.nhops, alone.nhops);
         assert_eq!(ids(&out), brute_force(&vecs, &q, |g| g >= 800, 10));
-        for strategy in [PredicateStrategy::Interpreted, PredicateStrategy::Adaptive] {
-            let (again, st) =
-                snap.hybrid_search_with(&q, &pred, &attrs, 10, 400, &mut scratch, strategy);
-            assert_eq!(ids(&again), ids(&out));
-            assert_eq!((st.ndis, st.nhops), (stats.ndis, stats.nhops));
-        }
 
         // The same shape with the middle segment sparse: 49 passing rows of
         // 400 is under s_min · rows = 50 → exact scan (49 distances); 50 is

@@ -50,7 +50,7 @@ use acorn_predicate::{AllPass, AttrStore, Bitset, NodeFilter, Predicate};
 
 use crate::index::AcornIndex;
 use crate::params::{AcornParams, AcornVariant};
-use crate::plan::{self, PredicateStrategy};
+use crate::plan;
 use crate::segment::{GlobalNeighbor, MergePolicy, QuantizationPolicy};
 
 /// The immutable payload of one published segment generation: the
@@ -212,28 +212,15 @@ pub(crate) fn merge_segments<'a>(
     merge_k_sorted(&per_seg, k)
 }
 
-/// A caller-supplied `Fn(u64) -> bool` over global ids, adapted to the
-/// local-id [`NodeFilter`] contract.
-struct GlobalFnFilter<'a, F: Fn(u64) -> bool> {
-    f: &'a F,
-    global_ids: &'a [u64],
-}
-
-impl<F: Fn(u64) -> bool> NodeFilter for GlobalFnFilter<'_, F> {
-    #[inline]
-    fn passes(&self, id: u32) -> bool {
-        (self.f)(self.global_ids[id as usize])
-    }
-}
-
 /// One immutable epoch of the segmented index: every segment (the frozen
 /// list plus a view of the active segment) with the tombstone state as of
 /// publication.
 ///
-/// A snapshot answers every query the segmented index supports — pure,
-/// filtered, and hybrid under either [`PredicateStrategy`] — **without any
-/// locking or shared mutable state**: all methods take `&self` and
-/// caller-owned scratch. Two queries against the same snapshot are
+/// A snapshot answers every query the segmented index supports — pure
+/// ([`search_with`](Self::search_with)) and hybrid
+/// ([`hybrid_search`](Self::hybrid_search)) — **without any locking or
+/// shared mutable state**: all methods take `&self` and caller-owned
+/// scratch. Two queries against the same snapshot are
 /// bit-identical, whatever the writer does in between.
 ///
 /// It is also the only description of the index's mutable state: a write
@@ -385,6 +372,7 @@ impl SegmentSnapshot {
 
     /// Pure ANN search with caller-owned scratch and stats: the `k` nearest
     /// live rows, by global id. Lock-free: touches only this snapshot.
+    /// `k == 0` answers empty without searching.
     pub fn search_with(
         &self,
         query: &[f32],
@@ -393,29 +381,12 @@ impl SegmentSnapshot {
         scratch: &mut SearchScratch,
         stats: &mut SearchStats,
     ) -> Vec<GlobalNeighbor> {
+        if k == 0 {
+            return Vec::new();
+        }
         let lists = self
             .segments()
             .map(|seg| (seg, seg.search_live(query, &AllPass, k, efs, scratch, stats)));
-        merge_segments(lists, k)
-    }
-
-    /// Filtered search (Algorithm 2 per segment, no fallback routing) with
-    /// a caller-supplied predicate over **global** ids. Tombstones compose
-    /// automatically; deleted rows never pass.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_filtered<F: Fn(u64) -> bool>(
-        &self,
-        query: &[f32],
-        filter: &F,
-        k: usize,
-        efs: usize,
-        scratch: &mut SearchScratch,
-        stats: &mut SearchStats,
-    ) -> Vec<GlobalNeighbor> {
-        let lists = self.segments().map(|seg| {
-            let global = GlobalFnFilter { f: filter, global_ids: &seg.payload.global_ids };
-            (seg, seg.search_live(query, &global, k, efs, scratch, stats))
-        });
         merge_segments(lists, k)
     }
 
@@ -431,6 +402,11 @@ impl SegmentSnapshot {
     /// `attrs` is indexed by **global id** and must cover every id ever
     /// assigned (`attrs.len() >= next_global_id()`); deleted rows keep
     /// their attribute values but are excluded by tombstone composition.
+    /// `k == 0` answers empty, with default stats, before the predicate is
+    /// compiled or any segment is touched.
+    ///
+    /// # Panics
+    /// Panics if `attrs` does not cover every assigned global id.
     pub fn hybrid_search(
         &self,
         query: &[f32],
@@ -440,41 +416,15 @@ impl SegmentSnapshot {
         efs: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<GlobalNeighbor>, SearchStats) {
-        self.hybrid_search_with(
-            query,
-            predicate,
-            attrs,
-            k,
-            efs,
-            scratch,
-            PredicateStrategy::default(),
-        )
-    }
-
-    /// [`hybrid_search`](Self::hybrid_search) with an explicit
-    /// [`PredicateStrategy`] — the test oracle's entry: both strategies share
-    /// the plan and every verdict, so routing and neighbors are bit-identical
-    /// across them; only `npred_evaluated` and wall time differ.
-    ///
-    /// # Panics
-    /// Panics if `attrs` does not cover every assigned global id.
-    #[allow(clippy::too_many_arguments)]
-    pub fn hybrid_search_with(
-        &self,
-        query: &[f32],
-        predicate: &Predicate,
-        attrs: &AttrStore,
-        k: usize,
-        efs: usize,
-        scratch: &mut SearchScratch,
-        strategy: PredicateStrategy,
-    ) -> (Vec<GlobalNeighbor>, SearchStats) {
         assert!(
             attrs.len() as u64 >= self.next_global,
             "attribute store ({} rows) must cover every assigned global id (next = {})",
             attrs.len(),
             self.next_global
         );
+        if k == 0 {
+            return (Vec::new(), SearchStats::default());
+        }
         plan::hybrid_search(
             self.segments(),
             self.params.seed,
@@ -484,7 +434,6 @@ impl SegmentSnapshot {
             k,
             efs,
             scratch,
-            strategy,
             plan::EXACT_COUNT_ROWS,
         )
     }
@@ -635,8 +584,8 @@ impl IndexReader {
         snap.search_with(query, k, efs, &mut scratch, &mut stats)
     }
 
-    /// Hybrid search against the current epoch with the default strategy.
-    /// Scratch comes from the shared pool.
+    /// Hybrid search against the current epoch. Scratch comes from the
+    /// shared pool.
     pub fn hybrid_search(
         &self,
         query: &[f32],

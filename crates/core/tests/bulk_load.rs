@@ -140,7 +140,6 @@ fn bulk_load_respects_quantization_policy() {
 
 #[test]
 fn bulk_load_serves_hybrid_queries() {
-    use acorn_core::PredicateStrategy;
     use acorn_predicate::{AttrStore, Predicate};
 
     let (store, _) = random_store(200, 31);
@@ -153,15 +152,7 @@ fn bulk_load_serves_hybrid_queries() {
     let reader = idx.reader();
     let snap = reader.snapshot();
     let mut scratch = reader.scratch_pool().checkout(snap.max_segment_rows());
-    let (out, _) = snap.hybrid_search_with(
-        &[0.0; DIM],
-        &p,
-        &attrs,
-        10,
-        64,
-        &mut scratch,
-        PredicateStrategy::Adaptive,
-    );
+    let (out, _) = snap.hybrid_search(&[0.0; DIM], &p, &attrs, 10, 64, &mut scratch);
     assert!(!out.is_empty());
     for n in &out {
         assert_eq!(n.id % 4, 2, "hybrid result violates the predicate");

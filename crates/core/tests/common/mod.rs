@@ -1,23 +1,77 @@
-//! Snapshot-isolation oracle shared by `proptest_segment.rs` (scripted
-//! interleavings) and `concurrent_churn.rs` (pins taken by reader threads
-//! while a writer churns).
+//! Oracles shared by the integration tests; each test crate uses its own
+//! part of them.
 //!
-//! A [`Pinned`] records what a snapshot answered the moment it was pinned.
-//! After any amount of later writing, [`Pinned::verify`] demands that the
-//! snapshot still answers the same, bit for bit, and that its active view is
-//! — node by node, level by level, row by row — the `AcornIndex` a twin
-//! reaches by `insert_vector`-ing that epoch's rows and stopping there. The
-//! writer shares the view's graph nodes and vector buffer and keeps
-//! inserting, so any write that leaks into a published epoch shows up as a
-//! difference from the twin.
+//! [`interpreted_plan`] (`proptest_memo.rs`, `proptest_segment.rs`) is the
+//! planner rebuilt from public calls, with every row verdict from the AST
+//! interpreter: the reference the engine's compiled, materialized and
+//! memoized verdicts are held to.
+//!
+//! [`Pinned`] is the snapshot-isolation oracle (`proptest_segment.rs`'s
+//! scripted interleavings, `concurrent_churn.rs`'s reader threads). It
+//! records what a snapshot answered the moment it was pinned. After any
+//! amount of later writing, [`Pinned::verify`] demands that the snapshot
+//! still answers the same, bit for bit, and that its active view is — node
+//! by node, level by level, row by row — the `AcornIndex` a twin reaches by
+//! `insert_vector`-ing that epoch's rows and stopping there. The writer
+//! shares the view's graph nodes and vector buffer and keeps inserting, so
+//! any write that leaks into a published epoch shows up as a difference from
+//! the twin.
+
+#![allow(dead_code)]
 
 use std::sync::Arc;
 
-use acorn_core::{AcornIndex, AcornParams, AcornVariant, SegmentSnapshot};
+use acorn_core::{AcornIndex, AcornParams, AcornVariant, GlobalNeighbor, SegmentSnapshot};
 use acorn_hnsw::{SearchScratch, SearchStats, VectorStore};
-use acorn_predicate::{AttrStore, Predicate};
+use acorn_predicate::{AttrStore, BitmapFilter, Bitset, Predicate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// `snap.hybrid_search(q, predicate, attrs, k, efs, ..)` as the plan says it
+/// must come out, built from public calls and [`Predicate::eval`]. Per
+/// non-empty segment: the live passing bitmap, row by row with the
+/// interpreter; the exact pre-filter scan when it counts under
+/// `s_min · rows`, else traversal over it; then the lists mapped to global
+/// ids and merged.
+///
+/// Valid for non-constant predicates (a constant one skips the bitmap) over
+/// segments of at most 64,000 rows (larger ones are sampled, not counted),
+/// which covers every test segment. Its `fallback`, `ndis` and `nhops` are
+/// the engine's; `npred` is not (the engine's block kernel runs over gid
+/// spans and its traversal checks are bit tests).
+pub fn interpreted_plan(
+    snap: &SegmentSnapshot,
+    q: &[f32],
+    predicate: &Predicate,
+    attrs: &AttrStore,
+    k: usize,
+    efs: usize,
+) -> (Vec<GlobalNeighbor>, SearchStats) {
+    let mut scratch = SearchScratch::new(snap.max_segment_rows());
+    let mut stats = SearchStats::default();
+    let mut hits = Vec::new();
+    for seg in snap.frozen_segments().iter().chain(snap.active_segment()) {
+        let gids = seg.global_ids();
+        if gids.is_empty() {
+            continue;
+        }
+        let live = (0..gids.len() as u32).filter(|&l| {
+            !seg.tombstones().get(l) && predicate.eval(attrs, gids[l as usize] as u32)
+        });
+        let bits = Bitset::from_ids(gids.len(), live);
+        let scan = (bits.count() as f64) < snap.params().s_min() * gids.len() as f64;
+        let filter = BitmapFilter::new(bits);
+        let out = if scan {
+            seg.index().prefilter_scan(q, &filter, k, &mut stats)
+        } else {
+            seg.index().search_filtered(q, &filter, k, efs, &mut scratch, &mut stats)
+        };
+        hits.extend(out.iter().map(|n| GlobalNeighbor::new(n.dist, gids[n.id as usize])));
+    }
+    hits.sort_unstable();
+    hits.truncate(k);
+    (hits, stats)
+}
 
 /// An attribute store over global ids `0..rows` with one int column
 /// `label = gid % 4`, and the predicate `label == 1` (a quarter of the rows:

@@ -1,15 +1,16 @@
-//! Property tests: per-query predicate memoization and the adaptive
-//! compiled-predicate strategy must never change search results — across
-//! every `LookupMode` (Truncate, GammaSearch compressed/uncompressed,
-//! TwoHop), both `AcornVariant`s, and both routing outcomes (graph
-//! traversal and the pre-filter fallback).
+//! Property tests: per-query predicate memoization and the compiled
+//! predicate engine must never change search results — across every
+//! `LookupMode` (Truncate, GammaSearch compressed/uncompressed, TwoHop),
+//! both `AcornVariant`s, and both routing outcomes (graph traversal and the
+//! pre-filter fallback). The end-to-end reference is the plan rebuilt with
+//! the AST interpreter (`common::interpreted_plan`).
+
+mod common;
 
 use std::sync::Arc;
 
 use acorn_core::search::{acorn_search_layer, LookupMode};
-use acorn_core::{
-    AcornIndex, AcornParams, AcornVariant, GlobalNeighbor, PredicateStrategy, SegmentedAcornIndex,
-};
+use acorn_core::{AcornIndex, AcornParams, AcornVariant, GlobalNeighbor, SegmentedAcornIndex};
 use acorn_hnsw::heap::Neighbor;
 use acorn_hnsw::{Metric, SearchScratch, SearchStats, VectorStore};
 use acorn_predicate::{AttrStore, BitmapFilter, Bitset, MemoFilter, MemoTable, Predicate, Regex};
@@ -69,9 +70,10 @@ fn params(m: usize, gamma: usize, seed: u64) -> AcornParams {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// End-to-end: Interpreted vs Adaptive hybrid search over both variants
-    /// (GammaSearch and TwoHop lookups) must be bit-identical, so recall is
-    /// unchanged by construction.
+    /// End-to-end: the engine's hybrid search over both variants
+    /// (GammaSearch and TwoHop lookups) must be bit-identical to the plan
+    /// rebuilt with the interpreter, route and traversal included, so recall
+    /// is unchanged by construction.
     #[test]
     fn strategies_agree_end_to_end(seed in 0u64..u64::MAX, n in 200usize..500) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -87,36 +89,29 @@ proptest! {
             for _ in 0..4 {
                 let pred = random_pred(&mut rng);
                 let q: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                let (a, sa) = snap.hybrid_search_with(
-                    &q, &pred, &attrs, 10, 40, &mut scratch, PredicateStrategy::Interpreted,
-                );
-                let (b, sb) = snap.hybrid_search_with(
-                    &q, &pred, &attrs, 10, 40, &mut scratch, PredicateStrategy::Adaptive,
-                );
+                let (a, sa) = common::interpreted_plan(&snap, &q, &pred, &attrs, 10, 40);
+                let (b, sb) = snap.hybrid_search(&q, &pred, &attrs, 10, 40, &mut scratch);
                 let (a, b) = (global_pairs(&a), global_pairs(&b));
                 prop_assert_eq!(&a, &b, "variant {:?}", variant);
-                prop_assert_eq!(sa.fallback, sb.fallback, "routing must agree");
-                // The memo never costs evaluations, and no row is evaluated
-                // twice in one query: a segment this small is counted, not
-                // sampled, so at most one pass over the rows.
-                prop_assert!(sb.npred_evaluated() <= sa.npred_evaluated());
+                prop_assert_eq!(
+                    (sa.fallback, sa.ndis, sa.nhops),
+                    (sb.fallback, sb.ndis, sb.nhops),
+                    "the same route and traversal ({:?})", variant
+                );
+                // No row is evaluated twice in one query: a segment this
+                // small is counted, not sampled, so at most one pass over
+                // the rows.
                 prop_assert!(sb.npred_evaluated() <= n as u64);
-                // Both strategies share the plan, so check it against ground
-                // truth computed here: every hit passes, and the route is the
-                // one the exact passing count dictates whenever the sample
-                // cannot have skipped the count (regex predicates always
-                // materialize; a count under s_min·n means a true selectivity
-                // far enough under the 0.25 gate only when it is tiny).
+                // Ground truth computed here, not from the plan: every hit
+                // passes, and the route is the one the exact passing count
+                // dictates.
                 let passing: Vec<u32> =
                     (0..n as u32).filter(|&i| pred.eval(&attrs, i)).collect();
                 for &(id, _) in &b {
                     prop_assert!(pred.eval(&attrs, id), "row {} fails the predicate", id);
                 }
                 let sparse = (passing.len() as f64) < s_min * n as f64;
-                let always_counted = matches!(pred, Predicate::RegexMatch { .. } | Predicate::And(_));
-                if always_counted || passing.len() * 20 < n {
-                    prop_assert_eq!(sb.fallback, sparse, "exact-count routing");
-                }
+                prop_assert_eq!(sb.fallback, sparse, "exact-count routing");
                 if sb.fallback {
                     // The scan is exact: brute force over the passing rows.
                     let mut want: Vec<Neighbor> = passing

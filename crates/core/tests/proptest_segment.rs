@@ -1,10 +1,11 @@
 //! Property tests for the segmented updatable index: after any random
 //! interleaving of inserts, deletes, freezes, and merges, (a) no tombstoned
-//! row ever surfaces, both predicate strategies answer bit-identically, and
-//! the router's scan/traverse decision agrees with exact per-segment
-//! passing counts computed here from the lifecycle's own ground truth
-//! (not from the planner), and (b) once `compact_all` collapses the log into one segment, every
-//! query — pure, filtered, and hybrid under both `PredicateStrategy`s, plus
+//! row ever surfaces, hybrid search answers bit-identically to the plan
+//! rebuilt with the interpreter (`common::interpreted_plan`), and the
+//! router's scan/traverse decision agrees with exact per-segment passing
+//! counts computed here from the lifecycle's own ground truth (not from the
+//! planner), and (b) once `compact_all` collapses the log into one segment,
+//! every query — pure and hybrid (held to the interpreter's plan too), plus
 //! raw layer searches in all three `LookupMode`s — is **result-identical**
 //! to a fresh index `bulk_load`ed from scratch with the surviving rows, and
 //! (c) snapshots pinned at random points of such an interleaving stay what
@@ -16,7 +17,7 @@ mod common;
 use std::sync::Arc;
 
 use acorn_core::search::{acorn_search_layer, LookupMode};
-use acorn_core::{AcornIndex, AcornParams, AcornVariant, PredicateStrategy, SegmentedAcornIndex};
+use acorn_core::{AcornIndex, AcornParams, AcornVariant, SegmentedAcornIndex};
 use acorn_hnsw::heap::Neighbor;
 use acorn_hnsw::{GraphView, Metric, SearchScratch, SearchStats, VectorStore};
 use acorn_predicate::{AttrStore, BitmapFilter, Bitset, Predicate};
@@ -168,17 +169,16 @@ proptest! {
                 }
                 let pred = Predicate::Equals { field, value };
                 let snap = lc.index.snapshot();
-                let (a, sa) = snap.hybrid_search_with(
-                    &q, &pred, &attrs_global, 10, 48, &mut scratch,
-                    PredicateStrategy::Interpreted,
-                );
-                let (b, sb) = snap.hybrid_search_with(
-                    &q, &pred, &attrs_global, 10, 48, &mut scratch,
-                    PredicateStrategy::Adaptive,
-                );
+                let (a, sa) = common::interpreted_plan(&snap, &q, &pred, &attrs_global, 10, 48);
+                let (b, sb) = snap.hybrid_search(&q, &pred, &attrs_global, 10, 48, &mut scratch);
                 prop_assert_eq!(global_pairs(&a), global_pairs(&b),
-                    "strategies must agree mid-lifecycle ({:?})", variant);
-                prop_assert_eq!(sa.fallback, sb.fallback);
+                    "the engine must answer as the interpreter's plan mid-lifecycle ({:?})",
+                    variant);
+                prop_assert_eq!(
+                    (sa.fallback, sa.ndis, sa.nhops),
+                    (sb.fallback, sb.ndis, sb.nhops),
+                    "the same route and traversal ({:?})", variant
+                );
                 if let Some(fallback) = expected_fallback(&lc, value) {
                     prop_assert_eq!(sb.fallback, fallback,
                         "routing must follow the exact per-segment counts (label {})", value);
@@ -187,12 +187,9 @@ proptest! {
                     prop_assert!(b.is_empty());
                     prop_assert_eq!(sb.ndis, 0, "segments with no passing row cost no distances");
                 }
-                for n in &a {
+                for n in &b {
                     prop_assert!(lc.alive[n.id as usize]);
-                    prop_assert_eq!(lc.labels[n.id as usize], match &pred {
-                        Predicate::Equals { value, .. } => *value,
-                        _ => unreachable!(),
-                    });
+                    prop_assert_eq!(lc.labels[n.id as usize], value);
                 }
             }
 
@@ -233,29 +230,30 @@ proptest! {
                     mapped_pairs(&reb_out, &survivors),
                     "pure search must match the rebuild ({:?})", variant
                 );
-                // Hybrid, both predicate strategies.
+                // Hybrid: the compacted index, the rebuild and the
+                // interpreter's plan over the compacted index.
                 let pred = Predicate::Equals { field, value: rng.gen_range(0..4) };
-                for strategy in [PredicateStrategy::Interpreted, PredicateStrategy::Adaptive] {
-                    let (seg_h, seg_stats) = compacted.hybrid_search_with(
-                        &q, &pred, &attrs_global, 10, 48, &mut scratch, strategy,
-                    );
-                    let (reb_h, reb_stats) = rebuilt.hybrid_search_with(
-                        &q, &pred, &attrs_local, 10, 48, &mut rscratch, strategy,
-                    );
-                    prop_assert_eq!(
-                        global_pairs(&seg_h),
-                        mapped_pairs(&reb_h, &survivors),
-                        "hybrid/{:?} must match the rebuild ({:?})", strategy, variant
-                    );
-                    // Same route, same traversal. (`npred` may differ: the
-                    // block kernel runs over a segment's gid *span*, and
-                    // only the compacted one has gaps in it.)
-                    prop_assert_eq!(
-                        (seg_stats.fallback, seg_stats.ndis, seg_stats.nhops),
-                        (reb_stats.fallback, reb_stats.ndis, reb_stats.nhops),
-                        "routing must agree with the rebuild ({:?})", strategy
-                    );
-                }
+                let (seg_h, seg_stats) =
+                    compacted.hybrid_search(&q, &pred, &attrs_global, 10, 48, &mut scratch);
+                let (reb_h, reb_stats) =
+                    rebuilt.hybrid_search(&q, &pred, &attrs_local, 10, 48, &mut rscratch);
+                let (want, want_stats) =
+                    common::interpreted_plan(&compacted, &q, &pred, &attrs_global, 10, 48);
+                prop_assert_eq!(
+                    global_pairs(&seg_h),
+                    mapped_pairs(&reb_h, &survivors),
+                    "hybrid must match the rebuild ({:?})", variant
+                );
+                prop_assert_eq!(global_pairs(&seg_h), global_pairs(&want),
+                    "hybrid must match the interpreter's plan ({:?})", variant);
+                // Same route, same traversal. (`npred` may differ: the block
+                // kernel runs over a segment's gid *span*, and only the
+                // compacted one has gaps in it.)
+                let work = |s: &SearchStats| (s.fallback, s.ndis, s.nhops);
+                prop_assert_eq!(work(&seg_stats), work(&reb_stats),
+                    "routing must agree with the rebuild ({:?})", variant);
+                prop_assert_eq!(work(&seg_stats), work(&want_stats),
+                    "routing must agree with the interpreter's plan ({:?})", variant);
             }
         }
     }

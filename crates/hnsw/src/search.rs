@@ -35,8 +35,8 @@ pub struct SearchScratch {
     pub dist_buf: Vec<f32>,
     /// Per-query predicate memo (tri-state known/pass words), recycled with
     /// the scratch through the [`ScratchPool`](crate::pool::ScratchPool).
-    /// Not touched by [`reset_for`](Self::reset_for): the predicate-strategy
-    /// layer that uses it checks it out with [`take_memo`](Self::take_memo)
+    /// Not touched by [`reset_for`](Self::reset_for): the hybrid query
+    /// planner that uses it checks it out with [`take_memo`](Self::take_memo)
     /// (which resets it), so unfiltered queries never pay the clear.
     pub memo: MemoTable,
     /// Pooled words for the segment-local predicate bitmap the hybrid query

@@ -30,8 +30,8 @@ pub struct SearchStats {
     /// Number of graph nodes expanded (greedy hops).
     pub nhops: u64,
     /// Number of per-row predicate checks charged to the query: every
-    /// `NodeFilter::passes` call the search issues, plus any rows a
-    /// strategy evaluated up front (selectivity sampling, block
+    /// `NodeFilter::passes` call the search issues, plus any rows the
+    /// hybrid query planner evaluated up front (selectivity sampling, block
     /// materialization).
     pub npred: u64,
     /// The subset of [`npred`](Self::npred) answered from a per-query cache
