@@ -13,13 +13,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use acorn_hnsw::heap::{Neighbor, TopK};
-use acorn_hnsw::{Metric, SearchScratch, SearchStats, VectorStore};
+use acorn_hnsw::heap::Neighbor;
+use acorn_hnsw::{SearchScratch, SearchStats, VectorStore};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::vamana::{medoid, VamanaParams};
+use crate::vamana::{beam_search, insert_pass, medoid, VamanaParams};
 
 /// A FilteredVamana index over single-label points.
 #[derive(Debug, Clone)]
@@ -31,193 +31,33 @@ pub struct FilteredVamana {
     start_points: HashMap<i64, u32>,
 }
 
-/// Filtered greedy beam search: only nodes whose label equals `label` are
-/// expanded or reported.
-#[allow(clippy::too_many_arguments)]
-fn filtered_greedy(
-    vecs: &VectorStore,
-    metric: Metric,
-    adj: &[Vec<u32>],
-    labels: &[i64],
-    start: u32,
-    label: i64,
-    query: &[f32],
-    l: usize,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-) -> Vec<Neighbor> {
-    scratch.begin(adj.len());
-    let mut beam = TopK::new(l.max(1));
-    let cands = &mut scratch.candidates;
-    let d0 = vecs.distance_to(metric, start, query);
-    stats.ndis += 1;
-    scratch.visited.insert(start);
-    let e = Neighbor::new(d0, start);
-    if labels[start as usize] == label {
-        beam.push(e);
-    }
-    cands.push(e);
-    while let Some(c) = cands.pop() {
-        if beam.is_full() {
-            if let Some(w) = beam.worst() {
-                if c.dist > w.dist {
-                    break;
-                }
-            }
-        }
-        stats.nhops += 1;
-        scratch.frontier.push(c);
-        for &nb in &adj[c.id as usize] {
-            stats.npred += 1;
-            if labels[nb as usize] != label {
-                continue;
-            }
-            if !scratch.visited.insert(nb) {
-                continue;
-            }
-            let d = vecs.distance_to(metric, nb, query);
-            stats.ndis += 1;
-            let n = Neighbor::new(d, nb);
-            let admit = match beam.worst() {
-                Some(w) => d < w.dist || !beam.is_full(),
-                None => true,
-            };
-            if admit {
-                cands.push(n);
-                beam.push(n);
-            }
-        }
-    }
-    beam.into_sorted()
-}
-
-/// Label-aware robust prune: relay `p*` may shadow candidate `c` only when
-/// all three nodes share a label.
-fn filtered_robust_prune(
-    vecs: &VectorStore,
-    metric: Metric,
-    labels: &[i64],
-    p: u32,
-    mut candidates: Vec<Neighbor>,
-    r: usize,
-    alpha: f32,
-) -> Vec<u32> {
-    candidates.sort_unstable();
-    candidates.dedup_by_key(|n| n.id);
-    let mut kept: Vec<u32> = Vec::with_capacity(r);
-    let mut alive = vec![true; candidates.len()];
-    for i in 0..candidates.len() {
-        if !alive[i] {
-            continue;
-        }
-        let p_star = candidates[i];
-        kept.push(p_star.id);
-        if kept.len() >= r {
-            break;
-        }
-        for (j, c) in candidates.iter().enumerate().skip(i + 1) {
-            if !alive[j] {
-                continue;
-            }
-            let relay_ok = labels[p_star.id as usize] == labels[c.id as usize]
-                && labels[p_star.id as usize] == labels[p as usize];
-            if relay_ok && alpha * vecs.distance_between(metric, p_star.id, c.id) <= c.dist {
-                alive[j] = false;
-            }
-        }
-    }
-    kept
-}
-
 impl FilteredVamana {
-    /// Build over single-label points.
+    /// Build over single-label points: one label-aware re-insertion pass
+    /// (filtered candidate search, same-label relay pruning) in a seeded
+    /// random order.
     ///
     /// # Panics
     /// Panics if `labels.len() != vecs.len()`.
     pub fn build(vecs: Arc<VectorStore>, labels: Vec<i64>, params: VamanaParams) -> Self {
         assert_eq!(labels.len(), vecs.len(), "one label per vector required");
         let n = vecs.len();
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
 
         // Per-label start points: the medoid of each label's subset.
         let mut groups: HashMap<i64, Vec<u32>> = HashMap::new();
         for (i, &l) in labels.iter().enumerate() {
             groups.entry(l).or_default().push(i as u32);
         }
-        let mut start_points = HashMap::with_capacity(groups.len());
-        for (&l, ids) in &groups {
-            let sub = vecs.subset(ids);
-            let local = medoid(&sub, params.metric);
-            start_points.insert(l, ids[local as usize]);
-        }
+        let start_points: HashMap<i64, u32> = groups
+            .iter()
+            .map(|(&l, ids)| (l, ids[medoid(&vecs.subset(ids), params.metric) as usize]))
+            .collect();
 
-        let mut idx = Self { params, vecs, labels, adj: Vec::new(), start_points };
-        if n == 0 {
-            return idx;
-        }
-
-        let mut rng = StdRng::seed_from_u64(params.seed);
+        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut order: Vec<u32> = (0..n as u32).collect();
-        order.shuffle(&mut rng);
-        let mut scratch = SearchScratch::new(n);
-        let mut stats = SearchStats::default();
-
-        for &p in &order {
-            let label = idx.labels[p as usize];
-            let start = idx.start_points[&label];
-            let q = idx.vecs.get(p).to_vec();
-            let _ = filtered_greedy(
-                &idx.vecs,
-                idx.params.metric,
-                &adj,
-                &idx.labels,
-                start,
-                label,
-                &q,
-                idx.params.l,
-                &mut scratch,
-                &mut stats,
-            );
-            let mut cands: Vec<Neighbor> =
-                scratch.frontier.iter().copied().filter(|nb| nb.id != p).collect();
-            for &nb in &adj[p as usize] {
-                cands.push(Neighbor::new(idx.vecs.distance_between(idx.params.metric, p, nb), nb));
-            }
-            let kept = filtered_robust_prune(
-                &idx.vecs,
-                idx.params.metric,
-                &idx.labels,
-                p,
-                cands,
-                idx.params.r,
-                idx.params.alpha,
-            );
-            adj[p as usize] = kept.clone();
-            for j in kept {
-                if !adj[j as usize].contains(&p) {
-                    adj[j as usize].push(p);
-                    if adj[j as usize].len() > idx.params.r {
-                        let c: Vec<Neighbor> = adj[j as usize]
-                            .iter()
-                            .map(|&w| {
-                                Neighbor::new(idx.vecs.distance_between(idx.params.metric, j, w), w)
-                            })
-                            .collect();
-                        adj[j as usize] = filtered_robust_prune(
-                            &idx.vecs,
-                            idx.params.metric,
-                            &idx.labels,
-                            j,
-                            c,
-                            idx.params.r,
-                            idx.params.alpha,
-                        );
-                    }
-                }
-            }
-        }
-        idx.adj = adj;
-        idx
+        order.shuffle(&mut StdRng::seed_from_u64(params.seed));
+        let label = |v: u32| labels[v as usize];
+        insert_pass(&vecs, &mut adj, &order, &params, params.alpha, label, |l| start_points[&l]);
+        Self { params, vecs, labels, adj, start_points }
     }
 
     /// Number of points.
@@ -236,7 +76,8 @@ impl FilteredVamana {
     }
 
     /// Search for the `k` nearest points carrying exactly `label` using
-    /// caller-provided scratch space.
+    /// caller-provided scratch space: a beam from the label's start point
+    /// that expands matching nodes only, one `npred` per neighbor scanned.
     #[allow(clippy::too_many_arguments)]
     pub fn search_with(
         &self,
@@ -250,26 +91,19 @@ impl FilteredVamana {
         let Some(&start) = self.start_points.get(&label) else {
             return Vec::new();
         };
-        let mut beam = filtered_greedy(
-            &self.vecs,
-            self.params.metric,
-            &self.adj,
-            &self.labels,
-            start,
-            label,
-            query,
-            l.max(k),
-            scratch,
-            stats,
-        );
-        beam.truncate(k);
-        beam
+        let gate = |nb: u32, stats: &mut SearchStats| {
+            stats.npred += 1;
+            self.labels[nb as usize] == label
+        };
+        let (vecs, metric) = (&self.vecs, self.params.metric);
+        beam_search(vecs, metric, &self.adj, start, query, k, l, scratch, stats, gate)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acorn_hnsw::Metric;
     use rand::Rng;
 
     fn labeled_store(

@@ -59,7 +59,8 @@ impl IvfFlat {
         }
     }
 
-    /// Hybrid search scanning the `nprobe` nearest lists, filtering inline.
+    /// Hybrid search scanning the `nprobe` nearest lists, filtering inline
+    /// (`k = 0` answers empty).
     pub fn search<F: NodeFilter>(
         &self,
         query: &[f32],
@@ -68,6 +69,9 @@ impl IvfFlat {
         nprobe: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
+        if k == 0 {
+            return Vec::new();
+        }
         let nprobe = nprobe.clamp(1, self.lists.len());
         // Rank centroids.
         let mut order: Vec<Neighbor> = (0..self.centroids.len() as u32)
@@ -78,7 +82,7 @@ impl IvfFlat {
             .collect();
         order.sort_unstable();
 
-        let mut top = TopK::new(k.max(1));
+        let mut top = TopK::new(k);
         for probe in &order[..nprobe] {
             for &id in &self.lists[probe.id as usize] {
                 stats.npred += 1;
@@ -126,7 +130,8 @@ impl IvfSq8 {
                 .sum::<usize>()
     }
 
-    /// Hybrid search over quantized codes (asymmetric distances).
+    /// Hybrid search over quantized codes (asymmetric distances; `k = 0`
+    /// answers empty).
     pub fn search<F: NodeFilter>(
         &self,
         query: &[f32],
@@ -135,6 +140,9 @@ impl IvfSq8 {
         nprobe: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
+        if k == 0 {
+            return Vec::new();
+        }
         let nprobe = nprobe.clamp(1, self.lists.len());
         let mut order: Vec<Neighbor> = (0..self.centroids.len() as u32)
             .map(|c| {
@@ -144,7 +152,7 @@ impl IvfSq8 {
             .collect();
         order.sort_unstable();
 
-        let mut top = TopK::new(k.max(1));
+        let mut top = TopK::new(k);
         for probe in &order[..nprobe] {
             for &id in &self.lists[probe.id as usize] {
                 stats.npred += 1;

@@ -4,7 +4,14 @@
 //!
 //! Every hybrid-search method the ACORN paper benchmarks against (§7.2),
 //! implemented from scratch on the shared `acorn-hnsw` substrate so that
-//! comparisons use identical distance kernels and data layouts:
+//! comparisons use identical distance kernels and data layouts. Every graph
+//! method's beam search, at build and at query time, is the one shared loop
+//! [`acorn_hnsw::search::search_layer`] — the loop HNSW runs, scoring each
+//! neighborhood in one batched, prefetched
+//! [`VectorData::distances_batch`](acorn_hnsw::VectorData::distances_batch)
+//! pass — walking the method's flat `[Vec<u32>]` adjacency through a
+//! neighbor gate (label filters), its `frontier` log (Vamana's prune set)
+//! or a fusion-distance store (NHQ):
 //!
 //! * [`prefilter`] — exact filtered scan (perfect recall, `O(s·n)`).
 //! * [`postfilter`] — HNSW with `K/s` over-search then filtering (the

@@ -14,9 +14,10 @@
 
 use std::sync::Arc;
 
-use acorn_hnsw::heap::{MinHeap, Neighbor, TopK};
+use acorn_hnsw::heap::Neighbor;
+use acorn_hnsw::search::search_layer;
 use acorn_hnsw::select::select_heuristic;
-use acorn_hnsw::{Metric, SearchScratch, SearchStats, VectorStore, VisitedSet};
+use acorn_hnsw::{Metric, SearchScratch, SearchStats, VectorData, VectorStore};
 
 /// NHQ construction/search parameters.
 #[derive(Debug, Clone, Copy)]
@@ -29,24 +30,66 @@ pub struct NhqParams {
     pub weight: f32,
     /// Metric for the vector component.
     pub metric: Metric,
-    /// RNG seed (reserved; construction is currently deterministic).
-    pub seed: u64,
 }
 
 impl Default for NhqParams {
     fn default() -> Self {
-        Self { m: 16, ef_construction: 64, weight: 1.0, metric: Metric::L2, seed: 0 }
+        Self { m: 16, ef_construction: 64, weight: 1.0, metric: Metric::L2 }
     }
 }
 
-/// An NHQ-style index: single-layer NSW graph + per-point attribute.
+/// An NHQ-style index: single-layer NSW graph + per-point attribute. Both
+/// construction and search start from node 0, the first node inserted.
 #[derive(Debug, Clone)]
 pub struct NhqIndex {
     params: NhqParams,
     vecs: Arc<VectorStore>,
     labels: Vec<i64>,
     adj: Vec<Vec<u32>>,
-    entry: u32,
+}
+
+/// The fusion distance `dist + w·[label ≠ target]` as a [`VectorData`], so
+/// the shared beam search scores it with the store's batched kernels.
+struct Fused<'a> {
+    vecs: &'a VectorStore,
+    labels: &'a [i64],
+    target: i64,
+    weight: f32,
+}
+
+impl Fused<'_> {
+    fn fuse(&self, id: u32, d: f32) -> f32 {
+        if self.labels[id as usize] == self.target {
+            d
+        } else {
+            d + self.weight
+        }
+    }
+}
+
+impl VectorData for Fused<'_> {
+    fn len(&self) -> usize {
+        self.vecs.len()
+    }
+
+    fn dim(&self) -> usize {
+        self.vecs.dim()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.vecs.memory_bytes()
+    }
+
+    fn distance_to(&self, metric: Metric, i: u32, query: &[f32]) -> f32 {
+        self.fuse(i, self.vecs.distance_to(metric, i, query))
+    }
+
+    fn distances_batch(&self, metric: Metric, query: &[f32], ids: &[u32], out: &mut Vec<f32>) {
+        self.vecs.distances_batch(metric, query, ids, out);
+        for (d, &id) in out.iter_mut().zip(ids) {
+            *d = self.fuse(id, *d);
+        }
+    }
 }
 
 impl NhqIndex {
@@ -56,85 +99,45 @@ impl NhqIndex {
     /// Panics if `labels.len() != vecs.len()`.
     pub fn build(vecs: Arc<VectorStore>, labels: Vec<i64>, params: NhqParams) -> Self {
         assert_eq!(labels.len(), vecs.len(), "one label per vector required");
-        let n = vecs.len();
-        let mut idx = Self { params, vecs, labels, adj: vec![Vec::new(); n], entry: 0 };
-        if n == 0 {
-            return idx;
-        }
-        let mut visited = VisitedSet::new(n);
-        let mut stats = SearchStats::default();
+        let (n, metric, m) = (vecs.len(), params.metric, params.m);
+        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let (mut scratch, mut stats) = (SearchScratch::new(n), SearchStats::default());
         for p in 1..n as u32 {
-            let q = idx.vecs.get(p).to_vec();
-            let beam = idx.beam_search_vec(&q, params.ef_construction, p, &mut visited, &mut stats);
-            let kept = select_heuristic(&idx.vecs, params.metric, &beam, params.m, 1.0, true);
+            let q = vecs.get(p);
+            scratch.begin(n);
+            let entry = [Neighbor::new(vecs.distance_to(metric, 0, q), 0)];
+            // Only nodes inserted before `p` are linked.
+            let gate = |nb: u32, _: &mut SearchStats| nb < p;
+            let ef = params.ef_construction.max(1);
+            let beam = search_layer(
+                &*vecs,
+                &adj[..],
+                metric,
+                q,
+                &entry,
+                ef,
+                0,
+                &mut scratch,
+                &mut stats,
+                gate,
+            );
+            let kept = select_heuristic(&vecs, metric, &beam, m, 1.0, true);
             for &s in &kept {
-                idx.adj[s as usize].push(p);
-                if idx.adj[s as usize].len() > params.m * 2 {
-                    idx.shrink(s);
+                let list = &mut adj[s as usize];
+                list.push(p);
+                if list.len() > m * 2 {
+                    let mut cands: Vec<Neighbor> = list
+                        .iter()
+                        .map(|&w| Neighbor::new(vecs.distance_between(metric, s, w), w))
+                        .collect();
+                    cands.sort_unstable();
+                    cands.dedup_by_key(|n| n.id);
+                    *list = select_heuristic(&vecs, metric, &cands, m * 2, 1.0, false);
                 }
             }
-            idx.adj[p as usize] = kept;
+            adj[p as usize] = kept;
         }
-        idx
-    }
-
-    fn shrink(&mut self, v: u32) {
-        let mut cands: Vec<Neighbor> = self.adj[v as usize]
-            .iter()
-            .map(|&w| Neighbor::new(self.vecs.distance_between(self.params.metric, v, w), w))
-            .collect();
-        cands.sort_unstable();
-        cands.dedup_by_key(|n| n.id);
-        self.adj[v as usize] =
-            select_heuristic(&self.vecs, self.params.metric, &cands, self.params.m * 2, 1.0, false);
-    }
-
-    /// Vector-distance beam search over nodes `< limit` (construction).
-    fn beam_search_vec(
-        &self,
-        query: &[f32],
-        ef: usize,
-        limit: u32,
-        visited: &mut VisitedSet,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        visited.grow(self.adj.len());
-        visited.reset();
-        let start = self.entry.min(limit.saturating_sub(1));
-        let mut beam = TopK::new(ef.max(1));
-        let mut cands = MinHeap::with_capacity(ef * 2);
-        let d0 = self.vecs.distance_to(self.params.metric, start, query);
-        stats.ndis += 1;
-        visited.insert(start);
-        let e = Neighbor::new(d0, start);
-        beam.push(e);
-        cands.push(e);
-        while let Some(c) = cands.pop() {
-            if beam.is_full() {
-                if let Some(w) = beam.worst() {
-                    if c.dist > w.dist {
-                        break;
-                    }
-                }
-            }
-            for &nb in &self.adj[c.id as usize] {
-                if nb >= limit || !visited.insert(nb) {
-                    continue;
-                }
-                let d = self.vecs.distance_to(self.params.metric, nb, query);
-                stats.ndis += 1;
-                let n = Neighbor::new(d, nb);
-                let admit = match beam.worst() {
-                    Some(w) => d < w.dist || !beam.is_full(),
-                    None => true,
-                };
-                if admit {
-                    cands.push(n);
-                    beam.push(n);
-                }
-            }
-        }
-        beam.into_sorted()
+        Self { params, vecs, labels, adj }
     }
 
     /// Number of points.
@@ -155,7 +158,8 @@ impl NhqIndex {
 
     /// Fusion-distance hybrid search: the `k` best nodes under
     /// `dist + w·[label ≠ target]`. Results that still mismatch the label
-    /// are filtered out at the end (they rank behind matching ones).
+    /// are filtered out at the end (they rank behind matching ones). Every
+    /// fused distance reads one label: `npred` counts them with `ndis`.
     pub fn search_with(
         &self,
         query: &[f32],
@@ -165,58 +169,31 @@ impl NhqIndex {
         scratch: &mut SearchScratch,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        if self.adj.is_empty() {
+        if k == 0 || self.adj.is_empty() {
             return Vec::new();
         }
-        let fused = |id: u32, stats: &mut SearchStats| -> f32 {
-            let d = self.vecs.distance_to(self.params.metric, id, query);
-            stats.ndis += 1;
-            stats.npred += 1;
-            if self.labels[id as usize] == target_label {
-                d
-            } else {
-                d + self.params.weight
-            }
-        };
+        let (labels, metric) = (&self.labels[..], self.params.metric);
+        let fused =
+            Fused { vecs: &self.vecs, labels, target: target_label, weight: self.params.weight };
         scratch.begin(self.adj.len());
-        let visited = &mut scratch.visited;
-        let ef = ef.max(k).max(1);
-        let mut beam = TopK::new(ef);
-        let cands = &mut scratch.candidates;
-        visited.insert(self.entry);
-        let e = Neighbor::new(fused(self.entry, stats), self.entry);
-        beam.push(e);
-        cands.push(e);
-        while let Some(c) = cands.pop() {
-            if beam.is_full() {
-                if let Some(w) = beam.worst() {
-                    if c.dist > w.dist {
-                        break;
-                    }
-                }
-            }
-            stats.nhops += 1;
-            for &nb in &self.adj[c.id as usize] {
-                if !visited.insert(nb) {
-                    continue;
-                }
-                let f = fused(nb, stats);
-                let n = Neighbor::new(f, nb);
-                let admit = match beam.worst() {
-                    Some(w) => f < w.dist || !beam.is_full(),
-                    None => true,
-                };
-                if admit {
-                    cands.push(n);
-                    beam.push(n);
-                }
-            }
-        }
-        beam.into_sorted()
-            .into_iter()
-            .filter(|n| self.labels[n.id as usize] == target_label)
-            .take(k)
-            .collect()
+        let ndis_before = stats.ndis;
+        let entry = [Neighbor::new(fused.distance_to(metric, 0, query), 0)];
+        stats.ndis += 1;
+        let all = |_, _: &mut SearchStats| true;
+        let beam = search_layer(
+            &fused,
+            &self.adj[..],
+            metric,
+            query,
+            &entry,
+            ef.max(k),
+            0,
+            scratch,
+            stats,
+            all,
+        );
+        stats.npred += stats.ndis - ndis_before;
+        beam.into_iter().filter(|n| labels[n.id as usize] == target_label).take(k).collect()
     }
 }
 

@@ -45,7 +45,8 @@ impl PostFilterHnsw {
     ///
     /// `selectivity` is the query predicate's (estimated) selectivity; pass
     /// the exact value when known. Values ≤ 0 are clamped so the expansion
-    /// never divides by zero (the expansion is then capped at `n`).
+    /// never divides by zero (the expansion is then capped at `n`). `k = 0`
+    /// answers empty.
     #[allow(clippy::too_many_arguments)]
     pub fn search<F: NodeFilter>(
         &self,
@@ -57,6 +58,9 @@ impl PostFilterHnsw {
         scratch: &mut SearchScratch,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
+        if k == 0 {
+            return Vec::new();
+        }
         let n = self.hnsw.len().max(1);
         let s = selectivity.max(1.0 / n as f64);
         let expanded = ((k as f64 / s).ceil() as usize).max(efs).min(n).max(k);

@@ -28,7 +28,7 @@ impl PreFilter {
         &self.vecs
     }
 
-    /// Exact top-`k` among rows passing `filter`.
+    /// Exact top-`k` among rows passing `filter` (`k = 0` answers empty).
     pub fn search<F: NodeFilter>(
         &self,
         query: &[f32],
@@ -36,7 +36,10 @@ impl PreFilter {
         k: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        let mut top = TopK::new(k.max(1));
+        if k == 0 {
+            return Vec::new();
+        }
+        let mut top = TopK::new(k);
         for id in 0..self.vecs.len() as u32 {
             stats.npred += 1;
             if filter.passes(id) {

@@ -8,10 +8,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use acorn_hnsw::heap::{Neighbor, TopK};
+use acorn_hnsw::heap::Neighbor;
 use acorn_hnsw::{Metric, SearchScratch, SearchStats, VectorStore};
 
-use crate::vamana::{medoid, robust_prune, Vamana, VamanaParams};
+use crate::vamana::{beam_search, medoid, robust_prune, Vamana, VamanaParams};
 
 /// StitchedVamana construction parameters (paper §7.2 defaults).
 #[derive(Debug, Clone, Copy)]
@@ -96,8 +96,8 @@ impl StitchedVamana {
                     .iter()
                     .map(|&w| Neighbor::new(vecs.distance_between(params.metric, v, w), w))
                     .collect();
-                adj[v as usize] =
-                    robust_prune(&vecs, params.metric, cands, params.r_stitched, params.alpha);
+                let (r, alpha) = (params.r_stitched, params.alpha);
+                adj[v as usize] = robust_prune(&vecs, params.metric, cands, r, alpha, |_, _| true);
             }
         }
 
@@ -120,7 +120,7 @@ impl StitchedVamana {
     }
 
     /// Search for the `k` nearest points carrying exactly `label` using
-    /// caller-provided scratch space.
+    /// caller-provided scratch space (FilteredVamana's label-filtered beam).
     #[allow(clippy::too_many_arguments)]
     pub fn search_with(
         &self,
@@ -134,49 +134,11 @@ impl StitchedVamana {
         let Some(&start) = self.start_points.get(&label) else {
             return Vec::new();
         };
-        scratch.begin(self.adj.len());
-        let ef = l.max(k).max(1);
-        let mut beam = TopK::new(ef);
-        let cands = &mut scratch.candidates;
-        let d0 = self.vecs.distance_to(self.metric, start, query);
-        stats.ndis += 1;
-        scratch.visited.insert(start);
-        let e = Neighbor::new(d0, start);
-        beam.push(e);
-        cands.push(e);
-        while let Some(c) = cands.pop() {
-            if beam.is_full() {
-                if let Some(w) = beam.worst() {
-                    if c.dist > w.dist {
-                        break;
-                    }
-                }
-            }
-            stats.nhops += 1;
-            for &nb in &self.adj[c.id as usize] {
-                stats.npred += 1;
-                if self.labels[nb as usize] != label {
-                    continue;
-                }
-                if !scratch.visited.insert(nb) {
-                    continue;
-                }
-                let d = self.vecs.distance_to(self.metric, nb, query);
-                stats.ndis += 1;
-                let nnb = Neighbor::new(d, nb);
-                let admit = match beam.worst() {
-                    Some(w) => d < w.dist || !beam.is_full(),
-                    None => true,
-                };
-                if admit {
-                    cands.push(nnb);
-                    beam.push(nnb);
-                }
-            }
-        }
-        let mut out = beam.into_sorted();
-        out.truncate(k);
-        out
+        let gate = |nb: u32, stats: &mut SearchStats| {
+            stats.npred += 1;
+            self.labels[nb as usize] == label
+        };
+        beam_search(&self.vecs, self.metric, &self.adj, start, query, k, l, scratch, stats, gate)
     }
 }
 

@@ -8,7 +8,8 @@
 
 use std::sync::Arc;
 
-use acorn_hnsw::heap::{Neighbor, TopK};
+use acorn_hnsw::heap::Neighbor;
+use acorn_hnsw::search::search_layer;
 use acorn_hnsw::{Metric, SearchScratch, SearchStats, VectorStore};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -46,13 +47,16 @@ pub struct Vamana {
 }
 
 /// α-robust prune: `candidates` are (distance-to-p, id) pairs; returns at
-/// most `r` kept ids (nearest-first).
+/// most `r` kept ids (nearest-first). A kept relay `p*` removes a later
+/// candidate `c` when `shadows(p*, c)` and `α·d(p*, c) ≤ d(p, c)`: Vamana
+/// passes `|_, _| true`, FilteredVamana its same-label relay rule.
 pub fn robust_prune(
     vecs: &VectorStore,
     metric: Metric,
     mut candidates: Vec<Neighbor>,
     r: usize,
     alpha: f32,
+    shadows: impl Fn(u32, u32) -> bool,
 ) -> Vec<u32> {
     candidates.sort_unstable();
     candidates.dedup_by_key(|n| n.id);
@@ -68,7 +72,10 @@ pub fn robust_prune(
             break;
         }
         for (j, c) in candidates.iter().enumerate().skip(i + 1) {
-            if alive[j] && alpha * vecs.distance_between(metric, p_star.id, c.id) <= c.dist {
+            if alive[j]
+                && shadows(p_star.id, c.id)
+                && alpha * vecs.distance_between(metric, p_star.id, c.id) <= c.dist
+            {
                 alive[j] = false;
             }
         }
@@ -76,58 +83,81 @@ pub fn robust_prune(
     kept
 }
 
-/// Greedy beam search over a single-layer adjacency list. Returns the beam
-/// (sorted nearest-first) and records every expanded node in
-/// `scratch.frontier`. All per-query state (visited set, candidate heap,
-/// frontier log) lives in `scratch`, so query loops reuse allocations.
+/// Beam search (width `max(l, k)`) over a flat adjacency from `start`,
+/// through the nodes `gate` admits: the `k` nearest found, nearest-first.
+/// The shared loop is [`search_layer`]; `k = 0` answers empty.
 #[allow(clippy::too_many_arguments)]
-fn greedy_search(
+pub(crate) fn beam_search(
     vecs: &VectorStore,
     metric: Metric,
     adj: &[Vec<u32>],
     start: u32,
     query: &[f32],
+    k: usize,
     l: usize,
     scratch: &mut SearchScratch,
     stats: &mut SearchStats,
+    gate: impl FnMut(u32, &mut SearchStats) -> bool,
 ) -> Vec<Neighbor> {
+    if k == 0 {
+        return Vec::new();
+    }
     scratch.begin(adj.len());
-    let mut beam = TopK::new(l.max(1));
-    let cands = &mut scratch.candidates;
-    let d0 = vecs.distance_to(metric, start, query);
+    let entry = [Neighbor::new(vecs.distance_to(metric, start, query), start)];
     stats.ndis += 1;
-    let e = Neighbor::new(d0, start);
-    scratch.visited.insert(start);
-    beam.push(e);
-    cands.push(e);
-    while let Some(c) = cands.pop() {
-        if beam.is_full() {
-            if let Some(w) = beam.worst() {
-                if c.dist > w.dist {
-                    break;
+    let mut beam =
+        search_layer(vecs, adj, metric, query, &entry, l.max(k), 0, scratch, stats, gate);
+    beam.truncate(k);
+    beam
+}
+
+/// One re-insertion pass over `order`: each `p` beam-searches (width `L`)
+/// from `start(label(p))` through the nodes sharing its label, robust-prunes
+/// the nodes the beam expanded plus its current list, and links back from
+/// every kept neighbor, re-pruning any list that outgrows `R`. A relay may
+/// shadow a candidate only when both carry the label of the node being
+/// pruned. Vamana runs it with one label for every node (`|_| 0`), which
+/// makes the gate and the relay rule always true; FilteredVamana's build is
+/// one pass with the real labels.
+pub(crate) fn insert_pass(
+    vecs: &VectorStore,
+    adj: &mut [Vec<u32>],
+    order: &[u32],
+    params: &VamanaParams,
+    alpha: f32,
+    label: impl Fn(u32) -> i64,
+    start: impl Fn(i64) -> u32,
+) {
+    let (metric, ef) = (params.metric, params.l.max(1));
+    let (mut scratch, mut stats) = (SearchScratch::new(adj.len()), SearchStats::default());
+    let prune = |cands: Vec<Neighbor>, p: u32| {
+        let relay = |s: u32, c: u32| label(s) == label(c) && label(s) == label(p);
+        robust_prune(vecs, metric, cands, params.r, alpha, relay)
+    };
+    let scored = |p: u32, list: &[u32]| -> Vec<Neighbor> {
+        list.iter().map(|&w| Neighbor::new(vecs.distance_between(metric, p, w), w)).collect()
+    };
+    for &p in order {
+        let (q, lp) = (vecs.get(p), label(p));
+        let s = start(lp);
+        scratch.begin(adj.len());
+        let entry = [Neighbor::new(vecs.distance_to(metric, s, q), s)];
+        let gate = |nb: u32, _: &mut SearchStats| label(nb) == lp;
+        search_layer(vecs, &*adj, metric, q, &entry, ef, 0, &mut scratch, &mut stats, gate);
+        let mut cands: Vec<Neighbor> =
+            scratch.frontier.iter().copied().filter(|nb| nb.id != p).collect();
+        cands.extend(scored(p, &adj[p as usize]));
+        let kept = prune(cands, p);
+        adj[p as usize] = kept.clone();
+        for j in kept {
+            if !adj[j as usize].contains(&p) {
+                adj[j as usize].push(p);
+                if adj[j as usize].len() > params.r {
+                    adj[j as usize] = prune(scored(j, &adj[j as usize]), j);
                 }
             }
         }
-        stats.nhops += 1;
-        scratch.frontier.push(c);
-        for &nb in &adj[c.id as usize] {
-            if !scratch.visited.insert(nb) {
-                continue;
-            }
-            let d = vecs.distance_to(metric, nb, query);
-            stats.ndis += 1;
-            let n = Neighbor::new(d, nb);
-            let admit = match beam.worst() {
-                Some(w) => d < w.dist || !beam.is_full(),
-                None => true,
-            };
-            if admit {
-                cands.push(n);
-                beam.push(n);
-            }
-        }
     }
-    beam.into_sorted()
 }
 
 /// The medoid: the dataset point nearest the coordinate mean.
@@ -173,51 +203,13 @@ impl Vamana {
                 }
             }
         }
-        let med = medoid(&vecs, params.metric);
-        let mut idx = Self { params, vecs, adj, medoid: med };
-
+        let medoid = medoid(&vecs, params.metric);
         let mut order: Vec<u32> = (0..n as u32).collect();
-        let mut scratch = SearchScratch::new(n);
         for alpha in [1.0, params.alpha] {
             order.shuffle(&mut rng);
-            let mut stats = SearchStats::default();
-            for &p in &order {
-                let q = idx.vecs.get(p).to_vec();
-                let _ = greedy_search(
-                    &idx.vecs,
-                    params.metric,
-                    &idx.adj,
-                    idx.medoid,
-                    &q,
-                    params.l,
-                    &mut scratch,
-                    &mut stats,
-                );
-                let mut cands: Vec<Neighbor> =
-                    scratch.frontier.iter().copied().filter(|nb| nb.id != p).collect();
-                for &nb in &idx.adj[p as usize] {
-                    cands.push(Neighbor::new(idx.vecs.distance_between(params.metric, p, nb), nb));
-                }
-                let kept = robust_prune(&idx.vecs, params.metric, cands, params.r, alpha);
-                idx.adj[p as usize] = kept.clone();
-                for j in kept {
-                    if !idx.adj[j as usize].contains(&p) {
-                        idx.adj[j as usize].push(p);
-                        if idx.adj[j as usize].len() > params.r {
-                            let c: Vec<Neighbor> = idx.adj[j as usize]
-                                .iter()
-                                .map(|&w| {
-                                    Neighbor::new(idx.vecs.distance_between(params.metric, j, w), w)
-                                })
-                                .collect();
-                            idx.adj[j as usize] =
-                                robust_prune(&idx.vecs, params.metric, c, params.r, alpha);
-                        }
-                    }
-                }
-            }
+            insert_pass(&vecs, &mut adj, &order, &params, alpha, |_| 0, |_| medoid);
         }
-        idx
+        Self { params, vecs, adj, medoid }
     }
 
     /// Number of points.
@@ -258,18 +250,8 @@ impl Vamana {
         if self.adj.is_empty() {
             return Vec::new();
         }
-        let mut beam = greedy_search(
-            &self.vecs,
-            self.params.metric,
-            &self.adj,
-            self.medoid,
-            query,
-            l.max(k),
-            scratch,
-            stats,
-        );
-        beam.truncate(k);
-        beam
+        let (vecs, metric, all) = (&self.vecs, self.params.metric, |_, _: &mut SearchStats| true);
+        beam_search(vecs, metric, &self.adj, self.medoid, query, k, l, scratch, stats, all)
     }
 }
 
@@ -296,14 +278,14 @@ mod tests {
         let q = s.get(0).to_vec();
         let cands: Vec<Neighbor> =
             (1..5u32).map(|i| Neighbor::new(Metric::L2.distance(s.get(i), &q), i)).collect();
-        let kept = robust_prune(&s, Metric::L2, cands.clone(), 4, 1.0);
+        let kept = robust_prune(&s, Metric::L2, cands.clone(), 4, 1.0, |_, _| true);
         // Node 2 (1.1, 0) is shadowed by node 1 (1.0, 0).
         assert!(kept.contains(&1));
         assert!(!kept.contains(&2));
         assert!(kept.contains(&3));
         assert!(kept.contains(&4));
 
-        let kept_r1 = robust_prune(&s, Metric::L2, cands, 1, 1.0);
+        let kept_r1 = robust_prune(&s, Metric::L2, cands, 1, 1.0, |_, _| true);
         assert_eq!(kept_r1.len(), 1);
     }
 
@@ -316,8 +298,8 @@ mod tests {
         let q = s.get(0).to_vec();
         let cands: Vec<Neighbor> =
             (1..4u32).map(|i| Neighbor::new(Metric::L2.distance(s.get(i), &q), i)).collect();
-        let strict = robust_prune(&s, Metric::L2, cands.clone(), 4, 1.0);
-        let slack = robust_prune(&s, Metric::L2, cands, 4, 2.0);
+        let strict = robust_prune(&s, Metric::L2, cands.clone(), 4, 1.0, |_, _| true);
+        let slack = robust_prune(&s, Metric::L2, cands, 4, 2.0, |_, _| true);
         // α > 1 makes the removal condition α·d(p*,c) ≤ d(p,c) harder to
         // satisfy, so fewer candidates are pruned (denser graph).
         assert!(slack.len() >= strict.len(), "alpha > 1 must retain at least as many edges");

@@ -23,7 +23,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Robust prune output: bounded by r, unique, subset of the input, and
-    /// the nearest candidate always survives.
+    /// the nearest candidate always survives. Under FilteredVamana's relay
+    /// rule with a different label on every node, no relay may shadow any
+    /// candidate, so the prune keeps `min(r, candidates)` ids.
     #[test]
     fn robust_prune_invariants(pts in points(2, 2..30), r in 1usize..8, alpha in 1.0f32..2.0) {
         let s = store_from(&pts);
@@ -33,7 +35,7 @@ proptest! {
             .collect();
         let mut sorted = cands.clone();
         sorted.sort_unstable();
-        let kept = robust_prune(&s, Metric::L2, cands, r, alpha);
+        let kept = robust_prune(&s, Metric::L2, cands.clone(), r, alpha, |_, _| true);
         prop_assert!(kept.len() <= r);
         let set: std::collections::HashSet<u32> = kept.iter().copied().collect();
         prop_assert_eq!(set.len(), kept.len(), "duplicates in prune output");
@@ -41,6 +43,11 @@ proptest! {
         if !sorted.is_empty() {
             prop_assert_eq!(kept[0], sorted[0].id, "nearest candidate must survive");
         }
+
+        let label = |v: u32| v; // every node its own label
+        let relay = |p_star: u32, c: u32| label(p_star) == label(c) && label(p_star) == label(0);
+        let kept = robust_prune(&s, Metric::L2, cands.clone(), r, alpha, relay);
+        prop_assert_eq!(kept.len(), r.min(cands.len()), "a relay rule that never holds shadows nothing");
     }
 
     /// Every point is assigned to its genuinely nearest centroid after the

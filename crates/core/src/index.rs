@@ -561,7 +561,7 @@ impl AcornIndex {
     /// Use this when the caller already decided graph search is appropriate
     /// (e.g. the benchmark sweeps);
     /// [`SegmentSnapshot::hybrid_search`](crate::snapshot::SegmentSnapshot::hybrid_search)
-    /// adds ACORN's cost-model routing.
+    /// adds ACORN's cost-model routing. `k = 0` answers empty.
     pub fn search_filtered<F: NodeFilter>(
         &self,
         query: &[f32],
@@ -571,6 +571,9 @@ impl AcornIndex {
         scratch: &mut SearchScratch,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
+        if k == 0 {
+            return Vec::new();
+        }
         let vecs = &*self.vecs;
         let mut found = match &self.state {
             State::Growing(g) => {
@@ -681,6 +684,7 @@ impl AcornIndex {
     /// time through [`VectorData::distances_batch`], whose prefetch
     /// look-ahead hides the row fetches a sparse scan would otherwise wait
     /// on; distances and tie order are those of one `distance_to` per row.
+    /// `k = 0` answers empty.
     pub fn prefilter_scan<F: NodeFilter>(
         &self,
         query: &[f32],
@@ -690,8 +694,11 @@ impl AcornIndex {
     ) -> Vec<Neighbor> {
         /// Ids scored per `distances_batch` call.
         const CHUNK: usize = 64;
+        if k == 0 {
+            return Vec::new();
+        }
         let metric = self.params.metric;
-        let mut top = acorn_hnsw::heap::TopK::new(k.max(1));
+        let mut top = acorn_hnsw::heap::TopK::new(k);
         let mut dists = Vec::with_capacity(CHUNK);
         let mut ndis = 0u64;
         let mut score = |ids: &[u32]| {
@@ -784,6 +791,22 @@ mod tests {
         let idx = AcornIndex::build(vecs, small_params(4, 2), AcornVariant::Gamma);
         let out = pure_search(&idx, &[0.0; 4], 3, 8);
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn k_zero_answers_empty_at_every_door() {
+        let growing =
+            AcornIndex::build(random_store(200, 4, 1), small_params(4, 2), AcornVariant::Gamma);
+        let sealed = growing.clone().seal(Some(Sq8Tier::Train { rerank_k: 8 }));
+        for idx in [&growing, &sealed] {
+            for efs in [0, 16] {
+                assert!(pure_search(idx, &[0.0; 4], 0, efs).is_empty(), "efs = {efs}");
+            }
+            let mut stats = SearchStats::default();
+            assert!(idx
+                .prefilter_scan(&[0.0; 4], &acorn_predicate::AllPass, 0, &mut stats)
+                .is_empty());
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub fn ground_truth(
     out
 }
 
-/// Exact top-`k` for one query.
+/// Exact top-`k` for one query (`k = 0` answers empty).
 pub fn single_query(
     vectors: &VectorStore,
     attrs: &AttrStore,
@@ -53,7 +53,10 @@ pub fn single_query(
     query: &HybridQuery,
     k: usize,
 ) -> Vec<u32> {
-    let mut top = TopK::new(k.max(1));
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut top = TopK::new(k);
     for id in 0..vectors.len() as u32 {
         if query.predicate.eval(attrs, id) {
             let d = vectors.distance_to(metric, id, &query.vector);
@@ -94,6 +97,17 @@ mod tests {
                 prev = d;
             }
         }
+    }
+
+    #[test]
+    fn k_zero_answers_empty() {
+        let ds = sift_like(200, 8);
+        let w = equality_workload(&ds, 3, 9);
+        for q in &w.queries {
+            assert!(single_query(&ds.vectors, &ds.attrs, Metric::L2, q, 0).is_empty());
+        }
+        let gt = ground_truth(&ds.vectors, &ds.attrs, Metric::L2, &w.queries, 0, 2);
+        assert!(gt.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -23,7 +23,8 @@ use std::sync::Arc;
 /// query-time layout ([`CsrGraph`](crate::csr::CsrGraph)) implement this
 /// trait, so every search routine (`search_layer`, `greedy_descend`,
 /// ACORN's `acorn_search_layer` and its lookups) is generic over the
-/// representation and monomorphizes to direct slice access on either.
+/// representation and monomorphizes to direct slice access on either. The
+/// graph baselines' flat one-level `[Vec<u32>]` implements it too.
 pub trait GraphView {
     /// Number of nodes.
     fn len(&self) -> usize;
@@ -263,6 +264,38 @@ impl GraphView for LayeredGraph {
     #[inline]
     fn neighbors(&self, v: u32, level: usize) -> &[u32] {
         LayeredGraph::neighbors(self, v, level)
+    }
+}
+
+/// A flat, one-level adjacency — `self[v]` lists the neighbors of `v` — the
+/// way the Vamana-family baselines and NHQ keep their graphs. It has no
+/// designated entry point: those callers start from their own (a medoid, a
+/// label's start point, node 0).
+impl GraphView for [Vec<u32>] {
+    #[inline]
+    fn len(&self) -> usize {
+        <[Vec<u32>]>::len(self)
+    }
+
+    #[inline]
+    fn entry_point(&self) -> Option<u32> {
+        None
+    }
+
+    #[inline]
+    fn max_level(&self) -> usize {
+        0
+    }
+
+    #[inline]
+    fn level_of(&self, _: u32) -> usize {
+        0
+    }
+
+    #[inline]
+    fn neighbors(&self, v: u32, level: usize) -> &[u32] {
+        debug_assert_eq!(level, 0, "a flat adjacency has one level");
+        &self[v as usize]
     }
 }
 

@@ -139,17 +139,8 @@ impl HnswIndex {
 
         let mut ep = Neighbor::new(vecs.distance_to(metric, entry, q), entry);
         if prev_max > level {
-            ep = greedy_descend(
-                &*vecs,
-                &self.graph,
-                metric,
-                q,
-                ep,
-                prev_max,
-                level + 1,
-                &mut self.scratch,
-                &mut stats,
-            );
+            ep =
+                greedy_descend(&*vecs, &self.graph, metric, q, ep, prev_max, level + 1, &mut stats);
         }
 
         let top = level.min(prev_max);
@@ -165,6 +156,7 @@ impl HnswIndex {
                 lev,
                 &mut self.scratch,
                 &mut stats,
+                |_, _| true,
             );
             let m_level = self.params.max_degree(lev);
             let selected = select_heuristic(&self.vecs, metric, &candidates, m_level, 1.0, true);
@@ -219,7 +211,7 @@ impl HnswIndex {
 
     /// ANN search (Algorithm 1) using caller-provided scratch space and
     /// stats counters (the form used by the benchmark harness and thread
-    /// pools).
+    /// pools). `k = 0` answers empty.
     pub fn search_with(
         &self,
         query: &[f32],
@@ -229,7 +221,7 @@ impl HnswIndex {
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
         let graph = &self.graph;
-        let Some(entry) = graph.entry_point() else {
+        let Some(entry) = graph.entry_point().filter(|_| k > 0) else {
             return Vec::new();
         };
         scratch.begin(graph.len());
@@ -237,22 +229,13 @@ impl HnswIndex {
         let mut ep = Neighbor::new(self.vecs.distance_to(metric, entry, query), entry);
         stats.ndis += 1;
         if graph.max_level() > 0 {
-            ep = greedy_descend(
-                &*self.vecs,
-                graph,
-                metric,
-                query,
-                ep,
-                graph.max_level(),
-                1,
-                scratch,
-                stats,
-            );
+            ep = greedy_descend(&*self.vecs, graph, metric, query, ep, graph.max_level(), 1, stats);
         }
         scratch.visited.reset();
         let ef = efs.max(k);
+        let all = |_, _: &mut SearchStats| true;
         let mut found =
-            search_layer(&*self.vecs, graph, metric, query, &[ep], ef, 0, scratch, stats);
+            search_layer(&*self.vecs, graph, metric, query, &[ep], ef, 0, scratch, stats, all);
         found.truncate(k);
         found
     }
@@ -319,6 +302,17 @@ mod tests {
         }
         let recall = hits as f64 / total as f64;
         assert!(recall >= 0.9, "HNSW recall@10 too low: {recall}");
+    }
+
+    #[test]
+    fn k_zero_answers_empty() {
+        let params = HnswParams { m: 8, ef_construction: 32, metric: Metric::L2, seed: 1 };
+        let idx = HnswIndex::build(random_store(300, 4, 2), params);
+        for efs in [0, 16] {
+            assert!(idx.search(&[0.0; 4], 0, efs).is_empty(), "efs = {efs}");
+            let (mut scratch, mut stats) = (SearchScratch::new(0), SearchStats::default());
+            assert!(idx.search_with(&[0.0; 4], 0, efs, &mut scratch, &mut stats).is_empty());
+        }
     }
 
     #[test]

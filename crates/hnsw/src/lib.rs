@@ -29,7 +29,8 @@
 //! * [`select`] — neighbor selection: simple top-`M` and the RNG-based
 //!   heuristic pruning from the HNSW paper, with an `alpha` knob that also
 //!   serves Vamana's robust prune.
-//! * [`search`] — the greedy beam search over one graph layer.
+//! * [`search`] — the greedy beam search over one graph layer, the
+//!   best-first loop HNSW and every graph baseline share.
 //! * [`index`] — the assembled [`HnswIndex`] with Algorithm 1 search.
 //!
 //! The ACORN paper (SIGMOD 2024) extends this structure; see the

@@ -1,9 +1,11 @@
 //! Greedy beam search over one graph layer (SEARCH-LAYER of the HNSW paper).
 //!
-//! The routine here is the *unfiltered* variant used by HNSW itself and by
-//! the post-filtering baseline. ACORN's predicate-aware variant (Algorithm 2
-//! of the ACORN paper) lives in `acorn-core`; it shares this module's
-//! scratch-space type so thread pools can reuse allocations across queries.
+//! [`search_layer`] is the best-first loop of HNSW and of every graph
+//! baseline (Vamana, FilteredVamana, StitchedVamana, NHQ), whose label
+//! filters ride on its neighbor gate. ACORN's predicate-aware variant
+//! (Algorithm 2 of the ACORN paper) lives in `acorn-core`; it shares this
+//! module's scratch-space type so thread pools can reuse allocations across
+//! queries.
 
 use acorn_predicate::{Bitset, MemoTable};
 
@@ -27,8 +29,9 @@ pub struct SearchScratch {
     pub candidates: MinHeap,
     /// Secondary buffer for neighbor-list expansion (used by ACORN lookups).
     pub expansion: Vec<u32>,
-    /// Expanded-node log (used by Vamana-style searches, which re-rank every
-    /// node the beam expanded).
+    /// Expanded-node log: [`search_layer`] clears it on entry and appends
+    /// every node it expands, in expansion order (Vamana's construction
+    /// robust-prunes over that set).
     pub frontier: Vec<Neighbor>,
     /// Per-hood distance buffer filled by
     /// [`VectorData::distances_batch`] (reused allocation).
@@ -108,12 +111,23 @@ impl SearchScratch {
 ///
 /// This is SEARCH-LAYER from the HNSW paper: a best-first expansion that
 /// stops when the closest unexpanded candidate is further than the worst of
-/// the `ef` results.
+/// the `ef` results. It is the one such loop behind HNSW and every graph
+/// baseline (Vamana, FilteredVamana, StitchedVamana, NHQ); ACORN's
+/// predicate-subgraph expansion in `acorn-core` is the only other.
+///
+/// * `gate` is asked about every neighbor of an expanded node *before* the
+///   visited check: a rejected node stays unvisited, so a later expansion
+///   asks about it again (FilteredVamana counts one predicate evaluation per
+///   neighbor scanned this way). Entries are not gated. Pass `|_, _| true`
+///   for an unfiltered walk.
+/// * Every expanded node is logged in `scratch.frontier` (cleared first), so
+///   it ends with one entry per `stats.nhops` this call added.
 ///
 /// Generic over [`VectorData`], so the same traversal serves the exact f32
-/// tier and SQ8-quantized segments.
+/// tier, SQ8-quantized segments and NHQ's fusion distance, and over
+/// [`GraphView`], so it walks nested, CSR and flat `[Vec<u32>]` adjacency.
 #[allow(clippy::too_many_arguments)]
-pub fn search_layer<V: VectorData + ?Sized, G: GraphView>(
+pub fn search_layer<V, G, P>(
     vecs: &V,
     graph: &G,
     metric: Metric,
@@ -123,9 +137,16 @@ pub fn search_layer<V: VectorData + ?Sized, G: GraphView>(
     level: usize,
     scratch: &mut SearchScratch,
     stats: &mut SearchStats,
-) -> Vec<Neighbor> {
+    mut gate: P,
+) -> Vec<Neighbor>
+where
+    V: VectorData + ?Sized,
+    G: GraphView + ?Sized,
+    P: FnMut(u32, &mut SearchStats) -> bool,
+{
     debug_assert!(ef > 0);
     scratch.candidates.clear();
+    scratch.frontier.clear();
     let mut results = TopK::new(ef);
 
     for &e in entry {
@@ -142,11 +163,12 @@ pub fn search_layer<V: VectorData + ?Sized, G: GraphView>(
             }
         }
         stats.nhops += 1;
-        // Gather the unvisited neighbors, then compute all their distances
-        // in one batched, prefetched pass over the vector store.
+        scratch.frontier.push(c);
+        // Gather the admitted unvisited neighbors, then compute all their
+        // distances in one batched, prefetched pass over the vector store.
         scratch.expansion.clear();
         for &nb in graph.neighbors(c.id, level) {
-            if scratch.visited.insert(nb) {
+            if gate(nb, stats) && scratch.visited.insert(nb) {
                 scratch.expansion.push(nb);
             }
         }
@@ -179,7 +201,6 @@ pub fn greedy_descend<V: VectorData + ?Sized, G: GraphView>(
     mut entry: Neighbor,
     from_level: usize,
     to_level: usize,
-    _scratch: &mut SearchScratch,
     stats: &mut SearchStats,
 ) -> Neighbor {
     debug_assert!(from_level >= to_level);
@@ -213,6 +234,11 @@ mod tests {
     use crate::graph::LayeredGraph;
     use crate::vecs::VectorStore;
 
+    /// The unfiltered gate.
+    fn all(_: u32, _: &mut SearchStats) -> bool {
+        true
+    }
+
     /// Build a tiny single-level graph: a path 0 - 1 - 2 - 3 on a line.
     fn line_world() -> (VectorStore, LayeredGraph) {
         let mut vecs = VectorStore::new(1);
@@ -237,8 +263,18 @@ mod tests {
         scratch.begin(4);
         let mut stats = SearchStats::default();
         let entry = vec![Neighbor::new(vecs.distance_to(Metric::L2, 0, &[3.0]), 0)];
-        let out =
-            search_layer(&vecs, &g, Metric::L2, &[3.0], &entry, 2, 0, &mut scratch, &mut stats);
+        let out = search_layer(
+            &vecs,
+            &g,
+            Metric::L2,
+            &[3.0],
+            &entry,
+            2,
+            0,
+            &mut scratch,
+            &mut stats,
+            all,
+        );
         assert_eq!(out[0].id, 3);
         assert_eq!(out[1].id, 2);
         assert!(stats.ndis > 0);
@@ -252,8 +288,18 @@ mod tests {
         scratch.begin(4);
         let mut stats = SearchStats::default();
         let entry = vec![Neighbor::new(vecs.distance_to(Metric::L2, 0, &[0.0]), 0)];
-        let out =
-            search_layer(&vecs, &g, Metric::L2, &[0.0], &entry, 1, 0, &mut scratch, &mut stats);
+        let out = search_layer(
+            &vecs,
+            &g,
+            Metric::L2,
+            &[0.0],
+            &entry,
+            1,
+            0,
+            &mut scratch,
+            &mut stats,
+            all,
+        );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].id, 0);
     }
@@ -265,8 +311,82 @@ mod tests {
         scratch.begin(4);
         let mut stats = SearchStats::default();
         let start = Neighbor::new(vecs.distance_to(Metric::L2, 0, &[2.9]), 0);
-        let got =
-            greedy_descend(&vecs, &g, Metric::L2, &[2.9], start, 0, 0, &mut scratch, &mut stats);
+        let got = greedy_descend(&vecs, &g, Metric::L2, &[2.9], start, 0, 0, &mut stats);
         assert_eq!(got.id, 3);
+    }
+
+    #[test]
+    fn gate_is_asked_before_the_visited_mark() {
+        // Flat adjacency 0 -> {1, 2}, 1 -> {2}; the gate turns node 2 away
+        // the first time only. Rejected, it must stay unvisited, so the
+        // expansion of node 1 offers it again and it is found.
+        let mut vecs = VectorStore::new(1);
+        for x in [0.0, 1.0, 2.0] {
+            vecs.push(&[x]);
+        }
+        let adj: Vec<Vec<u32>> = vec![vec![1, 2], vec![2], vec![]];
+        let mut scratch = SearchScratch::new(3);
+        scratch.begin(3);
+        let mut stats = SearchStats::default();
+        let mut asked_about_2 = 0;
+        let gate = |nb: u32, _: &mut SearchStats| {
+            if nb == 2 {
+                asked_about_2 += 1;
+                return asked_about_2 > 1;
+            }
+            true
+        };
+        let entry = [Neighbor::new(vecs.distance_to(Metric::L2, 0, &[2.0]), 0)];
+        let out = search_layer(
+            &vecs,
+            &adj[..],
+            Metric::L2,
+            &[2.0],
+            &entry,
+            3,
+            0,
+            &mut scratch,
+            &mut stats,
+            gate,
+        );
+        assert_eq!(asked_about_2, 2);
+        assert_eq!(out.iter().map(|n| n.id).collect::<Vec<_>>(), [2, 1, 0]);
+    }
+
+    #[test]
+    fn frontier_logs_one_node_per_hop() {
+        let (vecs, g) = line_world();
+        let mut scratch = SearchScratch::new(4);
+        scratch.begin(4);
+        scratch.frontier.push(Neighbor::new(9.0, 3)); // stale: cleared on entry
+        let mut stats = SearchStats::default();
+        let entry = [Neighbor::new(vecs.distance_to(Metric::L2, 0, &[3.0]), 0)];
+        search_layer(&vecs, &g, Metric::L2, &[3.0], &entry, 2, 0, &mut scratch, &mut stats, all);
+        assert_eq!(scratch.frontier.len() as u64, stats.nhops);
+        assert_eq!(scratch.frontier[0], entry[0]);
+    }
+
+    #[test]
+    fn rejecting_gate_returns_only_the_entries() {
+        let (vecs, g) = line_world();
+        let mut scratch = SearchScratch::new(4);
+        scratch.begin(4);
+        let mut stats = SearchStats::default();
+        let entry = [Neighbor::new(vecs.distance_to(Metric::L2, 1, &[3.0]), 1)];
+        let none = |_: u32, _: &mut SearchStats| false;
+        let out = search_layer(
+            &vecs,
+            &g,
+            Metric::L2,
+            &[3.0],
+            &entry,
+            4,
+            0,
+            &mut scratch,
+            &mut stats,
+            none,
+        );
+        assert_eq!(out, entry);
+        assert_eq!(stats.ndis, 0);
     }
 }
