@@ -1,26 +1,35 @@
-//! IVF-Flat: inverted-file index with exact distances in probed lists.
+//! IVF-Flat and IVF-SQ8: inverted-file indexes scanning their probed lists.
 //!
 //! The space-partitioning baseline class (Milvus IVF-Flat/SQ8/PQ, FAISS-IVF)
 //! from the paper's related work and Figure 7. Vectors are bucketed by their
 //! nearest k-means centroid; a query scans the `nprobe` nearest buckets,
 //! applying the predicate as it goes (post-filtering within probed lists).
+//! Both variants run one probe, generic over the store that scores rows.
 
 use std::sync::Arc;
 
-use acorn_hnsw::heap::{Neighbor, TopK};
-use acorn_hnsw::{Metric, SearchStats, Sq8Store, VectorStore};
+use acorn_hnsw::heap::Neighbor;
+use acorn_hnsw::search::exact_top_k;
+use acorn_hnsw::{Metric, SearchStats, Sq8Store, VectorData, VectorStore};
 use acorn_predicate::NodeFilter;
 
 use crate::kmeans::kmeans;
 
-/// An IVF-Flat index.
+/// An inverted-file index whose probed rows are scored by the store `V`.
 #[derive(Debug, Clone)]
-pub struct IvfFlat {
-    vecs: Arc<VectorStore>,
+pub struct Ivf<V> {
+    vecs: Arc<V>,
     metric: Metric,
     centroids: VectorStore,
     lists: Vec<Vec<u32>>,
 }
+
+/// IVF-Flat: exact f32 distances in the probed lists.
+pub type IvfFlat = Ivf<VectorStore>;
+
+/// IVF with 8-bit scalar-quantized vectors (the Milvus IVF-SQ8 variant):
+/// same coarse quantizer and probing, asymmetric distances against SQ8 codes.
+pub type IvfSq8 = Ivf<Sq8Store>;
 
 impl IvfFlat {
     /// Build with `nlist` coarse clusters (`kmeans_iters` Lloyd iterations).
@@ -41,6 +50,29 @@ impl IvfFlat {
 
     /// Index-only memory (inverted lists + centroids).
     pub fn memory_bytes(&self) -> usize {
+        self.index_bytes()
+    }
+
+    /// Convert to an IVF-SQ8 index (quantize the stored vectors).
+    pub fn to_sq8(&self) -> IvfSq8 {
+        Ivf {
+            vecs: Arc::new(Sq8Store::train(&self.vecs)),
+            metric: self.metric,
+            centroids: self.centroids.clone(),
+            lists: self.lists.clone(),
+        }
+    }
+}
+
+impl IvfSq8 {
+    /// Index + codes memory (the point of SQ8: ~4x smaller than flat).
+    pub fn memory_bytes(&self) -> usize {
+        self.vecs.memory_bytes() + self.index_bytes()
+    }
+}
+
+impl<V: VectorData> Ivf<V> {
+    fn index_bytes(&self) -> usize {
         self.centroids.memory_bytes()
             + self
                 .lists
@@ -49,18 +81,8 @@ impl IvfFlat {
                 .sum::<usize>()
     }
 
-    /// Convert to an IVF-SQ8 index (quantize the stored vectors).
-    pub fn to_sq8(&self) -> IvfSq8 {
-        IvfSq8 {
-            sq: Sq8Store::train(&self.vecs),
-            metric: self.metric,
-            centroids: self.centroids.clone(),
-            lists: self.lists.clone(),
-        }
-    }
-
     /// Hybrid search scanning the `nprobe` nearest lists, filtering inline
-    /// (`k = 0` answers empty).
+    /// (`k = 0` answers empty and ranks no centroid).
     pub fn search<F: NodeFilter>(
         &self,
         query: &[f32],
@@ -69,101 +91,20 @@ impl IvfFlat {
         nprobe: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let nprobe = nprobe.clamp(1, self.lists.len());
-        // Rank centroids.
-        let mut order: Vec<Neighbor> = (0..self.centroids.len() as u32)
-            .map(|c| {
-                stats.ndis += 1;
-                Neighbor::new(self.centroids.distance_to(self.metric, c, query), c)
-            })
-            .collect();
-        order.sort_unstable();
-
-        let mut top = TopK::new(k);
-        for probe in &order[..nprobe] {
-            for &id in &self.lists[probe.id as usize] {
-                stats.npred += 1;
-                if filter.passes(id) {
-                    let d = self.vecs.distance_to(self.metric, id, query);
-                    stats.ndis += 1;
-                    top.push(Neighbor::new(d, id));
-                }
+        let (top, ndis) = exact_top_k(&*self.vecs, self.metric, query, k, |f| {
+            let nprobe = nprobe.clamp(1, self.lists.len());
+            let (probes, ncent) = exact_top_k(&self.centroids, self.metric, query, nprobe, |c| {
+                (0..self.centroids.len() as u32).for_each(c)
+            });
+            stats.ndis += ncent;
+            for probe in probes {
+                let list = &self.lists[probe.id as usize];
+                stats.npred += list.len() as u64;
+                list.iter().copied().filter(|&id| filter.passes(id)).for_each(&mut *f);
             }
-        }
-        top.into_sorted()
-    }
-}
-
-/// IVF with 8-bit scalar-quantized vectors (the Milvus IVF-SQ8 variant):
-/// same coarse quantizer and probing, distances computed against SQ8 codes.
-#[derive(Debug, Clone)]
-pub struct IvfSq8 {
-    sq: Sq8Store,
-    metric: Metric,
-    centroids: VectorStore,
-    lists: Vec<Vec<u32>>,
-}
-
-impl IvfSq8 {
-    /// Build by training k-means and the SQ8 codec.
-    pub fn build(
-        vecs: Arc<VectorStore>,
-        metric: Metric,
-        nlist: usize,
-        kmeans_iters: usize,
-        seed: u64,
-    ) -> Self {
-        IvfFlat::build(vecs, metric, nlist, kmeans_iters, seed).to_sq8()
-    }
-
-    /// Index + codes memory (the point of SQ8: ~4x smaller than flat).
-    pub fn memory_bytes(&self) -> usize {
-        self.sq.memory_bytes()
-            + self.centroids.memory_bytes()
-            + self
-                .lists
-                .iter()
-                .map(|l| l.len() * 4 + std::mem::size_of::<Vec<u32>>())
-                .sum::<usize>()
-    }
-
-    /// Hybrid search over quantized codes (asymmetric distances; `k = 0`
-    /// answers empty).
-    pub fn search<F: NodeFilter>(
-        &self,
-        query: &[f32],
-        filter: &F,
-        k: usize,
-        nprobe: usize,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let nprobe = nprobe.clamp(1, self.lists.len());
-        let mut order: Vec<Neighbor> = (0..self.centroids.len() as u32)
-            .map(|c| {
-                stats.ndis += 1;
-                Neighbor::new(self.centroids.distance_to(self.metric, c, query), c)
-            })
-            .collect();
-        order.sort_unstable();
-
-        let mut top = TopK::new(k);
-        for probe in &order[..nprobe] {
-            for &id in &self.lists[probe.id as usize] {
-                stats.npred += 1;
-                if filter.passes(id) {
-                    let d = self.sq.l2_sq_to(id, query);
-                    stats.ndis += 1;
-                    top.push(Neighbor::new(d, id));
-                }
-            }
-        }
-        top.into_sorted()
+        });
+        stats.ndis += ndis;
+        top
     }
 }
 
@@ -268,6 +209,23 @@ mod sq8_tests {
         let b: Vec<u32> = sq.search(&q, &AllPass, 10, 16, &mut s2).iter().map(|n| n.id).collect();
         let overlap = a.iter().filter(|x| b.contains(x)).count();
         assert!(overlap >= 8, "SQ8 top-10 diverges too much from flat: {overlap}/10");
+    }
+
+    #[test]
+    fn sq8_full_probe_ranks_codes_by_the_index_metric() {
+        let n = 400;
+        let vecs = random_store(n, 8, 5);
+        let sq = IvfFlat::build(vecs.clone(), Metric::InnerProduct, 8, 5, 6).to_sq8();
+        let q = vec![0.4; 8];
+        let mut stats = SearchStats::default();
+        let got = sq.search(&q, &AllPass, 10, sq.lists.len(), &mut stats);
+        let codes = Sq8Store::train(&vecs);
+        let mut want: Vec<Neighbor> = (0..n as u32)
+            .map(|i| Neighbor::new(codes.distance_to(Metric::InnerProduct, i, &q), i))
+            .collect();
+        want.sort_unstable();
+        want.truncate(10);
+        assert_eq!(got, want, "a full probe must rank the codes by inner product");
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! The coarse-quantizer substrate for [`crate::ivf::IvfFlat`] (the
 //! Milvus/FAISS-IVF baseline class in the paper's evaluation).
 
+use acorn_hnsw::search::exact_top_k;
 use acorn_hnsw::{Metric, VectorStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,15 +67,7 @@ pub fn kmeans(vecs: &VectorStore, k: usize, iters: usize, seed: u64) -> KMeans {
         // Assign.
         let mut moved = false;
         for i in 0..n as u32 {
-            let mut best = 0u32;
-            let mut best_d = f32::INFINITY;
-            for c in 0..centroids.len() as u32 {
-                let d = Metric::L2.distance(vecs.get(i), centroids.get(c));
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
+            let best = nearest_row(&centroids, Metric::L2, vecs.get(i));
             if assignments[i as usize] != best {
                 assignments[i as usize] = best;
                 moved = true;
@@ -110,20 +103,18 @@ pub fn kmeans(vecs: &VectorStore, k: usize, iters: usize, seed: u64) -> KMeans {
     }
 
     // Final assignment against final centroids.
-    for i in 0..n as u32 {
-        let mut best = 0u32;
-        let mut best_d = f32::INFINITY;
-        for c in 0..centroids.len() as u32 {
-            let d = Metric::L2.distance(vecs.get(i), centroids.get(c));
-            if d < best_d {
-                best_d = d;
-                best = c;
-            }
-        }
-        assignments[i as usize] = best;
+    for (i, a) in assignments.iter_mut().enumerate() {
+        *a = nearest_row(&centroids, Metric::L2, vecs.get(i as u32));
     }
 
     KMeans { centroids, assignments }
+}
+
+/// The row of `vecs` nearest `point` (the lowest id on ties): one k = 1
+/// exact scan. `vecs` must not be empty.
+pub(crate) fn nearest_row(vecs: &VectorStore, metric: Metric, point: &[f32]) -> u32 {
+    let rows = |f: &mut dyn FnMut(u32)| (0..vecs.len() as u32).for_each(f);
+    exact_top_k(vecs, metric, point, 1, rows).0[0].id
 }
 
 #[cfg(test)]

@@ -11,7 +11,10 @@
 //! [`VectorData::distances_batch`](acorn_hnsw::VectorData::distances_batch)
 //! pass — walking the method's flat `[Vec<u32>]` adjacency through a
 //! neighbor gate (label filters), its `frontier` log (Vamana's prune set)
-//! or a fusion-distance store (NHQ):
+//! or a fusion-distance store (NHQ). Every exact scan — the pre-filter, both
+//! IVF probes, k-means assignment and the Vamana medoids — is a call to the
+//! one batched scan [`acorn_hnsw::search::exact_top_k`], fed the ids it
+//! should score:
 //!
 //! * [`prefilter`] — exact filtered scan (perfect recall, `O(s·n)`).
 //! * [`postfilter`] — HNSW with `K/s` over-search then filtering (the
@@ -21,7 +24,8 @@
 //! * [`kmeans`] — Lloyd's algorithm with k-means++ seeding (substrate for
 //!   IVF).
 //! * [`ivf`] — IVF-Flat and IVF-SQ8: coarse quantizer + probed-list
-//!   post-filtering (the Milvus/FAISS-IVF representatives).
+//!   post-filtering (the Milvus/FAISS-IVF representatives), one generic
+//!   index over the store that scores the probed rows.
 //! * [`vamana`] — the DiskANN graph with α-robust pruning (substrate for the
 //!   filtered variants).
 //! * [`filtered_vamana`] — FilteredVamana (Gollapudi et al. 2023):

@@ -121,7 +121,7 @@ impl NhqIndex {
                 &mut stats,
                 gate,
             );
-            let kept = select_heuristic(&vecs, metric, &beam, m, 1.0, true);
+            let kept = select_heuristic(&vecs, metric, &beam, m, 1.0, true, |_, _| true);
             for &s in &kept {
                 let list = &mut adj[s as usize];
                 list.push(p);
@@ -132,7 +132,7 @@ impl NhqIndex {
                         .collect();
                     cands.sort_unstable();
                     cands.dedup_by_key(|n| n.id);
-                    *list = select_heuristic(&vecs, metric, &cands, m * 2, 1.0, false);
+                    *list = select_heuristic(&vecs, metric, &cands, m * 2, 1.0, false, |_, _| true);
                 }
             }
             adj[p as usize] = kept;

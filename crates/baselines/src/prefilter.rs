@@ -6,7 +6,8 @@
 
 use std::sync::Arc;
 
-use acorn_hnsw::heap::{Neighbor, TopK};
+use acorn_hnsw::heap::Neighbor;
+use acorn_hnsw::search::exact_top_k;
 use acorn_hnsw::{Metric, SearchStats, VectorStore};
 use acorn_predicate::NodeFilter;
 
@@ -28,7 +29,8 @@ impl PreFilter {
         &self.vecs
     }
 
-    /// Exact top-`k` among rows passing `filter` (`k = 0` answers empty).
+    /// Exact top-`k` among rows passing `filter`, one predicate evaluation
+    /// per row (`k = 0` answers empty).
     pub fn search<F: NodeFilter>(
         &self,
         query: &[f32],
@@ -36,19 +38,12 @@ impl PreFilter {
         k: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut top = TopK::new(k);
-        for id in 0..self.vecs.len() as u32 {
-            stats.npred += 1;
-            if filter.passes(id) {
-                let d = self.vecs.distance_to(self.metric, id, query);
-                stats.ndis += 1;
-                top.push(Neighbor::new(d, id));
-            }
-        }
-        top.into_sorted()
+        let (top, ndis) = exact_top_k(&*self.vecs, self.metric, query, k, |f| {
+            stats.npred += self.vecs.len() as u64;
+            (0..self.vecs.len() as u32).filter(|&id| filter.passes(id)).for_each(f)
+        });
+        stats.ndis += ndis;
+        top
     }
 }
 

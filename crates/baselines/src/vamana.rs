@@ -15,6 +15,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+use crate::kmeans::nearest_row;
+
 /// Vamana construction parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct VamanaParams {
@@ -171,16 +173,7 @@ pub fn medoid(vecs: &VectorStore, metric: Metric) -> u32 {
         }
     }
     let mean_f32: Vec<f32> = mean.iter().map(|&m| (m / vecs.len() as f64) as f32).collect();
-    let mut best = 0u32;
-    let mut best_d = f32::INFINITY;
-    for i in 0..vecs.len() as u32 {
-        let d = metric.distance(vecs.get(i), &mean_f32);
-        if d < best_d {
-            best_d = d;
-            best = i;
-        }
-    }
-    best
+    nearest_row(vecs, metric, &mean_f32)
 }
 
 impl Vamana {

@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use acorn_hnsw::heap::Neighbor;
+use acorn_hnsw::search::exact_top_k;
 use acorn_hnsw::{
     CsrGraph, GraphView, LayeredGraph, LevelSampler, SearchScratch, SearchStats, Sq8Store,
     VectorData, VectorStore,
@@ -585,7 +586,7 @@ impl AcornIndex {
             State::Sealed { csr, quant: Some(q) } => {
                 let beam =
                     self.search_filtered_on(&q.store, csr, query, filter, k, efs, scratch, stats);
-                return self.rerank_exact(query, beam, k, q.rerank_k, scratch, stats);
+                return self.rerank_exact(query, beam, k, q.rerank_k, stats);
             }
         };
         found.truncate(k);
@@ -637,40 +638,24 @@ impl AcornIndex {
         )
     }
 
-    /// Refine quantized candidates with exact distances: keep the top
-    /// `max(rerank_k, k)` of the SQ8 beam, recompute their distances from
-    /// the retained f32 rows, re-sort, and truncate to `k`. Because the
-    /// refinement depth never drops below `k`, every reported distance is
-    /// bit-identical to the exact f32 kernel's output, which also keeps
-    /// cross-segment merges comparable when only some segments are
-    /// quantized.
+    /// Refine quantized candidates with exact distances: the `k` nearest,
+    /// by the retained f32 rows, of the SQ8 beam's top `max(rerank_k, k)`.
+    /// Because the refinement depth never drops below `k`, every reported
+    /// distance is bit-identical to the exact f32 kernel's output, which
+    /// also keeps cross-segment merges comparable when only some segments
+    /// are quantized.
     fn rerank_exact(
         &self,
         query: &[f32],
-        mut cands: Vec<Neighbor>,
+        cands: Vec<Neighbor>,
         k: usize,
         rerank_k: usize,
-        scratch: &mut SearchScratch,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        cands.truncate(rerank_k.max(k));
-        scratch.expansion.clear();
-        scratch.expansion.extend(cands.iter().map(|n| n.id));
-        self.vecs.distances_batch(
-            self.params.metric,
-            query,
-            &scratch.expansion,
-            &mut scratch.dist_buf,
-        );
-        stats.ndis += scratch.expansion.len() as u64;
-        let mut out: Vec<Neighbor> = scratch
-            .expansion
-            .iter()
-            .zip(&scratch.dist_buf)
-            .map(|(&id, &d)| Neighbor::new(d, id))
-            .collect();
-        out.sort_unstable();
-        out.truncate(k);
+        let (out, ndis) = exact_top_k(&*self.vecs, self.params.metric, query, k, |f| {
+            cands.iter().take(rerank_k.max(k)).for_each(|n| f(n.id))
+        });
+        stats.ndis += ndis;
         out
     }
 
@@ -680,11 +665,9 @@ impl AcornIndex {
     /// Enumeration goes through [`NodeFilter::for_each_passing`], so
     /// bitmap-backed filters skip failing rows with a word-level scan
     /// instead of evaluating all `n` ids (`stats.npred` records the
-    /// evaluations actually performed). Passing ids are scored a chunk at a
-    /// time through [`VectorData::distances_batch`], whose prefetch
-    /// look-ahead hides the row fetches a sparse scan would otherwise wait
-    /// on; distances and tie order are those of one `distance_to` per row.
-    /// `k = 0` answers empty.
+    /// evaluations actually performed). Passing ids are scored by the
+    /// shared [`exact_top_k`]: batched, prefetched, and bit-identical to one
+    /// `distance_to` per row. `k = 0` answers empty.
     pub fn prefilter_scan<F: NodeFilter>(
         &self,
         query: &[f32],
@@ -692,37 +675,12 @@ impl AcornIndex {
         k: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        /// Ids scored per `distances_batch` call.
-        const CHUNK: usize = 64;
-        if k == 0 {
-            return Vec::new();
-        }
-        let metric = self.params.metric;
-        let mut top = acorn_hnsw::heap::TopK::new(k);
-        let mut dists = Vec::with_capacity(CHUNK);
-        let mut ndis = 0u64;
-        let mut score = |ids: &[u32]| {
-            self.vecs.distances_batch(metric, query, ids, &mut dists);
-            for (&id, &d) in ids.iter().zip(&dists) {
-                top.push(Neighbor::new(d, id));
-            }
-            ndis += ids.len() as u64;
-        };
-        let mut chunk = [0u32; CHUNK];
-        let mut filled = 0usize;
-        let evals = filter.for_each_passing(self.len(), &mut |id| {
-            chunk[filled] = id;
-            filled += 1;
-            if filled == CHUNK {
-                score(&chunk);
-                filled = 0;
-            }
+        let (out, ndis) = exact_top_k(&*self.vecs, self.params.metric, query, k, |f| {
+            stats.npred += filter.for_each_passing(self.len(), f);
+            stats.fallback = true;
         });
-        score(&chunk[..filled]);
-        stats.npred += evals;
         stats.ndis += ndis;
-        stats.fallback = true;
-        top.into_sorted()
+        out
     }
 }
 

@@ -107,12 +107,15 @@ pub fn apply(
     match strategy {
         PruneStrategy::AcornCompress => acorn_compress(candidates, graph, level, m_beta, budget),
         PruneStrategy::RngBlind => {
-            let kept = select_heuristic(vecs, metric, candidates, m_beta, 1.0, false);
+            let kept = select_heuristic(vecs, metric, candidates, m_beta, 1.0, false, |_, _| true);
             PruneOutcome { pruned: candidates.len() - kept.len(), kept }
         }
         PruneStrategy::RngMetadataAware => {
             let labels = labels.expect("RngMetadataAware pruning requires node labels");
-            let kept = select_label_aware(vecs, metric, candidates, m_beta, labels, v);
+            // Only a relay sharing the label of both endpoints may shadow.
+            let label = |id: u32| labels[id as usize];
+            let relay = |s: u32, c: u32| label(s) == label(c) && label(s) == label(v);
+            let kept = select_heuristic(vecs, metric, candidates, m_beta, 1.0, false, relay);
             PruneOutcome { pruned: candidates.len() - kept.len(), kept }
         }
         PruneStrategy::KeepAll => {
@@ -120,39 +123,6 @@ pub fn apply(
             PruneOutcome { pruned: candidates.len().saturating_sub(budget), kept }
         }
     }
-}
-
-/// RNG pruning that only prunes a triangle `v–s–c` when the relay `s` has
-/// the same label as both endpoints, guaranteeing the relay exists in every
-/// equality-label predicate subgraph containing `v` and `c`.
-fn select_label_aware(
-    vecs: &VectorStore,
-    metric: Metric,
-    candidates: &[Neighbor],
-    m: usize,
-    labels: &[i64],
-    v: u32,
-) -> Vec<u32> {
-    let mut kept: Vec<Neighbor> = Vec::with_capacity(m);
-    for &c in candidates {
-        if kept.len() >= m {
-            break;
-        }
-        let mut good = true;
-        for s in &kept {
-            // Only a same-label relay may shadow c.
-            let relay_valid = labels[s.id as usize] == labels[c.id as usize]
-                && labels[s.id as usize] == labels[v as usize];
-            if relay_valid && vecs.distance_between(metric, c.id, s.id) < c.dist {
-                good = false;
-                break;
-            }
-        }
-        if good {
-            kept.push(c);
-        }
-    }
-    kept.iter().map(|n| n.id).collect()
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! workload is positively correlated (targets nearer than chance), negative
 //! values the opposite.
 
+use acorn_hnsw::search::exact_top_k;
 use acorn_hnsw::{Metric, VectorStore};
 use acorn_predicate::AttrStore;
 use rand::rngs::StdRng;
@@ -42,19 +43,13 @@ pub fn query_correlation(
     let mut counted = 0usize;
 
     for q in queries {
-        // g(x, X_p): nearest passing record.
-        let mut g_true = f32::INFINITY;
-        let mut pass_count = 0usize;
-        for id in 0..n as u32 {
-            if q.predicate.eval(attrs, id) {
-                pass_count += 1;
-                let d = vectors.distance_to(metric, id, &q.vector);
-                g_true = g_true.min(d);
-            }
-        }
-        if pass_count == 0 {
+        // g(x, X_p): nearest passing record, one distance per passing row.
+        let (nearest, pass_count) = exact_top_k(vectors, metric, &q.vector, 1, |f| {
+            (0..n as u32).filter(|&id| q.predicate.eval(attrs, id)).for_each(f)
+        });
+        let Some(g_true) = nearest.first().map(|nb| nb.dist) else {
             continue; // no targets; the statistic is undefined for this query
-        }
+        };
 
         // E_R[g(x, R)] over r_draws uniform samples of size |X_p|.
         let mut g_rand_sum = 0.0f64;

@@ -3,9 +3,12 @@
 //! Recall@K (§3.1) compares retrieved sets against the true `K` nearest
 //! passing records. This module computes them by parallel brute force:
 //! queries are sharded across threads with `std::thread::scope`, each thread
-//! scanning the full dataset with a top-K accumulator.
+//! feeding the rows that pass to the workspace's one exact scan,
+//! [`acorn_hnsw::search::exact_top_k`]. Row verdicts come from the AST
+//! interpreter (`Predicate::eval`), not the compiled program the engine
+//! runs, so the truth stays independent of the path it grades.
 
-use acorn_hnsw::heap::{Neighbor, TopK};
+use acorn_hnsw::search::exact_top_k;
 use acorn_hnsw::{Metric, VectorStore};
 use acorn_predicate::AttrStore;
 
@@ -53,17 +56,10 @@ pub fn single_query(
     query: &HybridQuery,
     k: usize,
 ) -> Vec<u32> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut top = TopK::new(k);
-    for id in 0..vectors.len() as u32 {
-        if query.predicate.eval(attrs, id) {
-            let d = vectors.distance_to(metric, id, &query.vector);
-            top.push(Neighbor::new(d, id));
-        }
-    }
-    top.into_sorted().iter().map(|n| n.id).collect()
+    let (top, _) = exact_top_k(vectors, metric, &query.vector, k, |f| {
+        (0..vectors.len() as u32).filter(|&id| query.predicate.eval(attrs, id)).for_each(f)
+    });
+    top.iter().map(|n| n.id).collect()
 }
 
 #[cfg(test)]

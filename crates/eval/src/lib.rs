@@ -23,31 +23,7 @@ pub mod recall;
 pub mod sweep;
 pub mod tables;
 
-use std::time::{Duration, Instant};
-
 pub use graph_quality::{predicate_subgraph_quality, SubgraphQuality};
 pub use recall::{recall_at_k, workload_recall};
 pub use sweep::{sweep, SweepPoint};
 pub use tables::Table;
-
-/// Time a closure (used for TTI measurements, Table 4).
-pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let t0 = Instant::now();
-    let out = f();
-    (out, t0.elapsed())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn measure_times_work() {
-        let (v, d) = measure(|| {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            42
-        });
-        assert_eq!(v, 42);
-        assert!(d.as_millis() >= 9);
-    }
-}

@@ -159,7 +159,8 @@ impl HnswIndex {
                 |_, _| true,
             );
             let m_level = self.params.max_degree(lev);
-            let selected = select_heuristic(&self.vecs, metric, &candidates, m_level, 1.0, true);
+            let selected =
+                select_heuristic(&self.vecs, metric, &candidates, m_level, 1.0, true, |_, _| true);
             for &s in &selected {
                 self.graph.push_edge(s, new_id, lev);
                 self.shrink_if_needed(s, lev);
@@ -188,7 +189,7 @@ impl HnswIndex {
         // No keep_pruned backfill here: leaving the list below capacity
         // amortizes future shrinks (one heuristic pass per ~M backlinks
         // instead of one per backlink), matching FAISS's shrink behavior.
-        let kept = select_heuristic(&self.vecs, metric, &cands, cap, 1.0, false);
+        let kept = select_heuristic(&self.vecs, metric, &cands, cap, 1.0, false, |_, _| true);
         self.graph.set_neighbors(v, lev, kept);
     }
 

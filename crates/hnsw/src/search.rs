@@ -1,11 +1,14 @@
-//! Greedy beam search over one graph layer (SEARCH-LAYER of the HNSW paper).
+//! Greedy beam search over one graph layer (SEARCH-LAYER of the HNSW paper),
+//! and the workspace's one exact nearest-`k` scan.
 //!
 //! [`search_layer`] is the best-first loop of HNSW and of every graph
 //! baseline (Vamana, FilteredVamana, StitchedVamana, NHQ), whose label
 //! filters ride on its neighbor gate. ACORN's predicate-aware variant
 //! (Algorithm 2 of the ACORN paper) lives in `acorn-core`; it shares this
 //! module's scratch-space type so thread pools can reuse allocations across
-//! queries.
+//! queries. [`exact_top_k`] is the brute-force scan behind ACORN's pre-filter
+//! fallback, its SQ8 rerank, the pre-filter and IVF baselines, k-means,
+//! medoids and the exact ground truth.
 
 use acorn_predicate::{Bitset, MemoTable};
 
@@ -188,6 +191,51 @@ where
     }
 
     results.into_sorted()
+}
+
+/// Exact nearest-`k` scan over the row ids `ids` feeds it: returns the `k`
+/// nearest, nearest-first, and the number of distances computed (one per id
+/// fed).
+///
+/// Ids are scored 64 at a time through [`VectorData::distances_batch`], whose
+/// prefetch look-ahead hides the row fetches a sparse scan would otherwise
+/// wait on. Distances are those of one `distance_to` per row, and
+/// [`Neighbor`]'s total order on `(dist, id)` makes the answer independent of
+/// the order ids arrive in. `k = 0` answers empty without calling `ids`.
+pub fn exact_top_k<V: VectorData + ?Sized>(
+    vecs: &V,
+    metric: Metric,
+    query: &[f32],
+    k: usize,
+    ids: impl FnOnce(&mut dyn FnMut(u32)),
+) -> (Vec<Neighbor>, u64) {
+    /// Ids scored per `distances_batch` call.
+    const CHUNK: usize = 64;
+    if k == 0 {
+        return (Vec::new(), 0);
+    }
+    let mut top = TopK::new(k);
+    let mut dists = Vec::with_capacity(CHUNK);
+    let mut ndis = 0u64;
+    let mut score = |ids: &[u32]| {
+        vecs.distances_batch(metric, query, ids, &mut dists);
+        for (&id, &d) in ids.iter().zip(&dists) {
+            top.push(Neighbor::new(d, id));
+        }
+        ndis += ids.len() as u64;
+    };
+    let mut chunk = [0u32; CHUNK];
+    let mut filled = 0usize;
+    ids(&mut |id| {
+        chunk[filled] = id;
+        filled += 1;
+        if filled == CHUNK {
+            score(&chunk);
+            filled = 0;
+        }
+    });
+    score(&chunk[..filled]);
+    (top.into_sorted(), ndis)
 }
 
 /// Greedy descent: at each level choose the single closest node (`ef = 1`).

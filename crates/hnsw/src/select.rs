@@ -23,6 +23,9 @@ use crate::vecs::{Metric, VectorStore};
 /// When `keep_pruned` is true, pruned candidates are appended (nearest-first)
 /// until `m` edges are chosen, matching HNSW's `extendCandidates=false,
 /// keepPrunedConnections=true` configuration used by FAISS.
+///
+/// A kept `s` may prune `c` only when `shadows(s, c)`: HNSW passes
+/// `|_, _| true`, ACORN's metadata-aware ablation its same-label relay rule.
 pub fn select_heuristic(
     vecs: &VectorStore,
     metric: Metric,
@@ -30,6 +33,7 @@ pub fn select_heuristic(
     m: usize,
     alpha: f32,
     keep_pruned: bool,
+    shadows: impl Fn(u32, u32) -> bool,
 ) -> Vec<u32> {
     debug_assert!(alpha >= 1.0, "alpha must be >= 1");
     let mut kept: Vec<Neighbor> = Vec::with_capacity(m);
@@ -41,8 +45,7 @@ pub fn select_heuristic(
         }
         let mut good = true;
         for s in &kept {
-            let d_cs = vecs.distance_between(metric, c.id, s.id);
-            if d_cs * alpha < c.dist {
+            if shadows(s.id, c.id) && vecs.distance_between(metric, c.id, s.id) * alpha < c.dist {
                 good = false;
                 break;
             }
@@ -92,7 +95,7 @@ mod tests {
         let vecs = store(&[[0.0, 0.0], [1.0, 0.0], [1.2, 0.1]]);
         let v = vecs.get(0).to_vec();
         let c = cands(&vecs, &v, &[1, 2]);
-        let kept = select_heuristic(&vecs, Metric::L2, &c, 3, 1.0, false);
+        let kept = select_heuristic(&vecs, Metric::L2, &c, 3, 1.0, false, |_, _| true);
         assert_eq!(kept, vec![1]);
     }
 
@@ -101,7 +104,7 @@ mod tests {
         let vecs = store(&[[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]);
         let v = vecs.get(0).to_vec();
         let c = cands(&vecs, &v, &[1, 2, 3]);
-        let kept = select_heuristic(&vecs, Metric::L2, &c, 3, 1.0, false);
+        let kept = select_heuristic(&vecs, Metric::L2, &c, 3, 1.0, false, |_, _| true);
         assert_eq!(kept.len(), 3, "orthogonal/opposite points must all survive");
     }
 
@@ -110,7 +113,7 @@ mod tests {
         let vecs = store(&[[0.0, 0.0], [1.0, 0.0], [1.2, 0.1]]);
         let v = vecs.get(0).to_vec();
         let c = cands(&vecs, &v, &[1, 2]);
-        let kept = select_heuristic(&vecs, Metric::L2, &c, 2, 1.0, true);
+        let kept = select_heuristic(&vecs, Metric::L2, &c, 2, 1.0, true, |_, _| true);
         assert_eq!(kept, vec![1, 2], "pruned candidate must backfill");
     }
 
@@ -120,10 +123,10 @@ mod tests {
         let vecs = store(&[[0.0, 0.0], [1.0, 0.0], [1.6, 0.0]]);
         let v = vecs.get(0).to_vec();
         let c = cands(&vecs, &v, &[1, 2]);
-        let strict = select_heuristic(&vecs, Metric::L2, &c, 3, 1.0, false);
+        let strict = select_heuristic(&vecs, Metric::L2, &c, 3, 1.0, false, |_, _| true);
         // dist(2 -> 1) = 0.36 (sq), dist(2 -> v) = 2.56: pruned at alpha=1.
         assert_eq!(strict, vec![1]);
-        let relaxed = select_heuristic(&vecs, Metric::L2, &c, 3, 8.0, false);
+        let relaxed = select_heuristic(&vecs, Metric::L2, &c, 3, 8.0, false, |_, _| true);
         assert_eq!(relaxed, vec![1, 2]);
     }
 }

@@ -187,13 +187,6 @@ impl Sq8Store {
         }
     }
 
-    /// Asymmetric squared-L2 distance between an f32 query and code `i`.
-    #[inline]
-    pub fn l2_sq_to(&self, i: u32, query: &[f32]) -> f32 {
-        debug_assert_eq!(query.len(), self.dim);
-        kernels::sq8_l2_sq(self.codes_of(i), &self.mins, &self.steps, query)
-    }
-
     /// Metric dispatch against one coded row, given a precomputed query norm
     /// (only used by Cosine; pass anything otherwise).
     #[inline]
@@ -297,7 +290,7 @@ mod tests {
         let q: Vec<f32> = (0..32).map(|i| (i as f32 * 0.1).sin()).collect();
         for i in 0..vecs.len() as u32 {
             let exact = Metric::L2.distance(vecs.get(i), &q);
-            let approx = sq.l2_sq_to(i, &q);
+            let approx = sq.distance_to(Metric::L2, i, &q);
             // Relative error stays small (quantization noise only).
             assert!(
                 (exact - approx).abs() <= 0.05 * exact.max(1.0),
@@ -325,7 +318,7 @@ mod tests {
         sq.decode_into(0, &mut out);
         assert!((out[1] - 5.0).abs() < 1e-6);
         // Encoding with the clamped step must not produce NaN/inf codes.
-        assert!(sq.l2_sq_to(0, &[1.0, 5.0]).is_finite());
+        assert!(sq.distance_to(Metric::L2, 0, &[1.0, 5.0]).is_finite());
     }
 
     #[test]
@@ -339,7 +332,7 @@ mod tests {
         // dividing by zero.
         let id = sq.push_after_train(&[0.5, -0.5, 0.0, 1.0]);
         assert_eq!(id, 0);
-        assert!(sq.l2_sq_to(0, &[0.0; 4]).is_finite());
+        assert!(sq.distance_to(Metric::L2, 0, &[0.0; 4]).is_finite());
     }
 
     #[test]
@@ -411,7 +404,9 @@ mod tests {
                 })
                 .unwrap();
             let approx = (0..sq.len() as u32)
-                .min_by(|&a, &b| sq.l2_sq_to(a, &q).total_cmp(&sq.l2_sq_to(b, &q)))
+                .min_by(|&a, &b| {
+                    sq.distance_to(Metric::L2, a, &q).total_cmp(&sq.distance_to(Metric::L2, b, &q))
+                })
                 .unwrap();
             if exact == approx {
                 agree += 1;

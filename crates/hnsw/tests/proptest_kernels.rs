@@ -2,11 +2,14 @@
 //! SIMD) kernels must agree with the portable scalar ones on every length —
 //! including the remainder-loop edge cases around the 8-lane boundary — and
 //! the SQ8 codec's per-dimension error must stay within half a
-//! quantization step.
+//! quantization step. The batched exact scan built on them must answer as a
+//! per-row score-and-sort would.
 
+use acorn_hnsw::heap::Neighbor;
 use acorn_hnsw::kernels;
+use acorn_hnsw::search::exact_top_k;
 use acorn_hnsw::sq8::Sq8Store;
-use acorn_hnsw::{Metric, VectorStore};
+use acorn_hnsw::{Metric, VectorData, VectorStore};
 use proptest::prelude::*;
 
 /// Lengths that straddle every code path: empty, sub-lane, one lane, lane
@@ -74,6 +77,49 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The shared exact scan equals "score each id with `distance_to`, sort,
+    /// truncate" bit for bit on both stores under every metric: unsorted id
+    /// lists (repeats allowed) on each side of the 64-id chunk edge, `k` up
+    /// to two past the list length, and dimensions across the 4-row
+    /// kernel's remainder. It counts one distance per id fed, and at
+    /// `k = 0` it never calls the feeder.
+    #[test]
+    fn exact_top_k_equals_score_sort_truncate(
+        seed in 0u64..10_000,
+        dim in 1usize..=40,
+        len in 0usize..=150,
+        k_pick in 0usize..1_000,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const ROWS: u32 = 200;
+        let store = VectorStore::from_flat(dim, vec_of(ROWS as usize * dim, seed, 1.0));
+        let sq = Sq8Store::train(&store);
+        let q = vec_of(dim, seed + 1, 1.0);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bits = |v: &[Neighbor]| v.iter().map(|n| (n.dist.to_bits(), n.id)).collect::<Vec<_>>();
+        for len in [0, 1, 5, 63, 64, 65, 128, 129, len] {
+            let ids: Vec<u32> = (0..len).map(|_| rng.gen_range(0..ROWS)).collect();
+            let k = k_pick % (len + 3);
+            for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+                for vecs in [&store as &dyn VectorData, &sq] {
+                    let (got, ndis) =
+                        exact_top_k(vecs, metric, &q, k, |f| ids.iter().copied().for_each(f));
+                    let mut want: Vec<Neighbor> = ids
+                        .iter()
+                        .map(|&id| Neighbor::new(vecs.distance_to(metric, id, &q), id))
+                        .collect();
+                    want.sort_unstable();
+                    want.truncate(k);
+                    prop_assert_eq!(bits(&got), bits(&want), "{:?} dim {} len {} k {}", metric, dim, len, k);
+                    prop_assert_eq!(ndis, if k == 0 { 0 } else { len as u64 });
+                }
+            }
+        }
+        let (none, ndis) = exact_top_k(&store, Metric::L2, &q, 0, |_| panic!("k = 0 fed ids"));
+        prop_assert!(none.is_empty() && ndis == 0);
     }
 
     /// Dispatched SQ8 kernels agree with the scalar reference on every
