@@ -488,9 +488,9 @@ fn table4(run: &mut Run, n: usize, _nq: usize) {
 /// Table 5: total space footprint (vector storage + index structures) in MB.
 /// "ACORN-gamma CSR" is the same ACORN-γ graph once sealed: one flat
 /// offsets/targets arena per level instead of nested `Vec`s. "CSR+SQ8" swaps
-/// the f32 rows for the quantized traversal tier (codes + codebook + norms)
-/// — what a frozen segment serves from under `QuantizationPolicy`, with
-/// exact rows demoted to the rerank tier.
+/// the f32 rows for SQ8 codes (codes + codebook + norms): the footprint a
+/// quantized segment would reach if its exact rows need not stay resident.
+/// No segment serves from SQ8 codes today.
 ///
 /// Paper's finding: ACORN-γ is at most ~1.3× HNSW and smaller than
 /// StitchedVamana; ACORN-1 sits between HNSW and ACORN-γ; the flat index is
@@ -587,12 +587,13 @@ fn fig12(run: &mut Run, n: usize, nq: usize) {
     let ctx = ablation_ctx(run, n, nq);
     let budget = AcornParams::default().edge_budget();
     // ACORN compression at several M_β, then the two RNG strategies (the
-    // paper plots them at a fixed target degree).
+    // paper plots them at a fixed target degree). At `M_β = M·γ` the
+    // compression keeps every candidate: the "no prune" row.
     let mut variants: Vec<(String, usize, PruneStrategy)> = [16, 32, 64, 128, 256]
         .map(|m_beta| (format!("ACORN Mb={m_beta}"), m_beta, PruneStrategy::AcornCompress))
         .into();
     variants.extend([
-        (format!("ACORN Mb={budget} (no prune)"), budget, PruneStrategy::KeepAll),
+        (format!("ACORN Mb={budget} (no prune)"), budget, PruneStrategy::AcornCompress),
         ("RNG metadata-aware".into(), 32, PruneStrategy::RngMetadataAware),
         ("RNG metadata-blind (HNSW)".into(), 32, PruneStrategy::RngBlind),
     ]);

@@ -270,7 +270,7 @@ fn build(method: &Method, ds: &HybridDataset) -> (Index, Duration) {
             let facts =
                 GraphFacts { nested_bytes: graph.memory_bytes(), levels: graph.level_stats() };
             // Swept in the layout a frozen segment serves: sealed CSR.
-            return (Index::Graph(index.seal(None), facts), tti);
+            return (Index::Graph(index.seal(), facts), tti);
         }
         Method::Hnsw => Index::Hnsw(PostFilterHnsw::build(vecs, HnswParams::default())),
         Method::PreFilter => Index::PreFilter(PreFilter::new(vecs, Metric::L2)),

@@ -31,8 +31,7 @@
 //! # Commit protocol
 //!
 //! A checkpoint installs generation `g+1` in this order, each file made
-//! durable before the commit point (under [`FsyncPolicy::Always`] /
-//! [`FsyncPolicy::OnCheckpoint`]):
+//! durable before the commit point (under [`FsyncPolicy::Always`]):
 //!
 //! 1. for each frozen segment no kept file holds yet: serialize it to
 //!    `seg-<n>.acorn.tmp` → fsync → rename to its final name (`<n>` is a
@@ -109,9 +108,6 @@ pub enum FsyncPolicy {
     /// Fsync the WAL after every logged op and every checkpoint step. An
     /// `Ok` from a mutation means the op survives any crash.
     Always,
-    /// Fsync only during checkpoints. Ops logged since the last checkpoint
-    /// may be lost on a crash (recovery still lands on a legal prefix).
-    OnCheckpoint,
     /// Never fsync. For tests and benchmarks; crash safety then depends on
     /// the OS flushing in order.
     Never,
@@ -186,6 +182,11 @@ impl DurableIndex {
 
     /// [`create`](Self::create) against an explicit [`Vfs`] (fault
     /// injection, alternate filesystems).
+    ///
+    /// # Errors
+    /// `AlreadyExists` as for [`create`](Self::create); `InvalidInput` for
+    /// an index that [`SegmentSnapshot::save`] refuses, and any I/O error of
+    /// writing generation 0.
     pub fn create_with_vfs(
         dir: impl AsRef<Path>,
         index: SegmentedAcornIndex,
@@ -684,7 +685,7 @@ fn read_manifest(vfs: &dyn Vfs, dir: &Path) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AcornParams, AcornVariant};
+    use crate::{AcornParams, AcornVariant, PruneStrategy};
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -797,6 +798,30 @@ mod tests {
         assert!(DurableIndex::open(&empty, fast_opts()).is_err());
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&empty).ok();
+    }
+
+    #[test]
+    fn save_and_create_refuse_a_prune_strategy_the_format_cannot_hold() {
+        // The header has no prune field and every load prunes with
+        // `AcornCompress`: an `RngBlind` index that saved and recovered
+        // would build a different graph on its next insert than the
+        // never-saved one.
+        let dim = 4;
+        let blind = AcornParams { prune: PruneStrategy::RngBlind, ..params() };
+        let mut idx = SegmentedAcornIndex::new(dim, blind, AcornVariant::Gamma);
+        for i in 0..30u64 {
+            idx.insert(&vec_for(i, dim));
+        }
+        idx.freeze();
+        idx.insert(&vec_for(30, dim));
+        let err = idx.snapshot().save(&mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+
+        let dir = tmp_dir("prune");
+        let err = DurableIndex::create(&dir, idx, fast_opts()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(DurableIndex::open(&dir, fast_opts()).is_err(), "nothing was committed");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

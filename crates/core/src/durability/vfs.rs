@@ -3,10 +3,10 @@
 //! [`DurableIndex`](super::DurableIndex) never touches `std::fs` directly;
 //! every byte it persists flows through the [`Vfs`] / [`VfsFile`] traits.
 //! Production uses [`StdVfs`] (a thin veneer over `std::fs` that knows how
-//! to fsync directories). Tests use [`FailpointVfs`], which wraps any inner
-//! VFS and injects a fault — a torn write, a failed rename, a failed fsync,
-//! a short read — at exactly the N-th injectable operation, as counted by a
-//! shared [`FaultPlan`]. Sweeping N over every reachable operation is how
+//! to fsync directories). Tests use [`FailpointVfs`], which wraps it and
+//! injects a fault — a torn write, a failed rename, a failed fsync, a short
+//! read — at exactly the N-th injectable operation, as counted by a shared
+//! [`FaultPlan`]. Sweeping N over every reachable operation is how
 //! the crash-point tests prove that *no* single kill point can corrupt the
 //! store (see `crates/core/tests/crash_points.rs`).
 //!
@@ -225,28 +225,22 @@ fn injected() -> io::Error {
     io::Error::other("injected fault (FailpointVfs)")
 }
 
-/// A [`Vfs`] decorator that injects faults according to a [`FaultPlan`].
+/// The real filesystem ([`StdVfs`]) with faults injected according to a
+/// [`FaultPlan`].
 #[derive(Debug)]
-pub struct FailpointVfs<V: Vfs> {
-    inner: V,
+pub struct FailpointVfs {
+    inner: StdVfs,
     plan: Arc<FaultPlan>,
 }
 
-impl FailpointVfs<StdVfs> {
+impl FailpointVfs {
     /// Wrap the real filesystem with fault injection driven by `plan`.
     pub fn new(plan: Arc<FaultPlan>) -> Self {
         Self { inner: StdVfs, plan }
     }
 }
 
-impl<V: Vfs> FailpointVfs<V> {
-    /// Wrap an arbitrary inner VFS.
-    pub fn wrap(inner: V, plan: Arc<FaultPlan>) -> Self {
-        Self { inner, plan }
-    }
-}
-
-impl<V: Vfs> Vfs for FailpointVfs<V> {
+impl Vfs for FailpointVfs {
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
         // Opening a handle is not itself a kill point; the writes are.
         Ok(Box::new(FailpointFile { inner: self.inner.create(path)?, plan: self.plan.clone() }))

@@ -8,67 +8,20 @@
 //! An [`AcornIndex`] holds one graph at a time. It is *growing* — a nested
 //! [`LayeredGraph`] that accepts inserts — until [`AcornIndex::seal`] turns
 //! it into its *sealed* form: the same graph as one immutable [`CsrGraph`],
-//! optionally traversed over an SQ8 tier, with the build state dropped.
+//! with the build state dropped.
 
 use std::sync::Arc;
 
 use acorn_hnsw::heap::Neighbor;
 use acorn_hnsw::search::exact_top_k;
 use acorn_hnsw::{
-    CsrGraph, GraphView, LayeredGraph, LevelSampler, SearchScratch, SearchStats, Sq8Store,
-    VectorData, VectorStore,
+    CsrGraph, GraphView, LayeredGraph, LevelSampler, SearchScratch, SearchStats, VectorStore,
 };
 use acorn_predicate::NodeFilter;
 
 use crate::params::{AcornParams, AcornVariant};
 use crate::prune::{self, PruneStrategy};
 use crate::search::{acorn_search_layer, LookupMode};
-
-/// The SQ8 traversal tier of a sealed index: graph search runs over the
-/// codes, and the retained exact rows in `AcornIndex::vecs` refine the top
-/// `rerank_k` candidates afterwards.
-#[derive(Debug, Clone)]
-struct QuantizedTier {
-    store: Sq8Store,
-    /// How many quantized candidates get exact-distance refinement per
-    /// query. Clamped up to `k` at query time, so reported distances are
-    /// always exact f32 distances.
-    rerank_k: usize,
-}
-
-impl QuantizedTier {
-    fn new(tier: Sq8Tier, vecs: &VectorStore) -> Self {
-        match tier {
-            Sq8Tier::Train { rerank_k } => Self { store: Sq8Store::train(vecs), rerank_k },
-            Sq8Tier::Adopt { mins, steps, rerank_k } => {
-                Self { store: Sq8Store::from_codebook(mins, steps, vecs), rerank_k }
-            }
-        }
-    }
-}
-
-/// The SQ8 traversal tier [`AcornIndex::seal`] gives a sealed index: graph
-/// search computes asymmetric u8 distances, then the top `max(rerank_k, k)`
-/// candidates are refined with exact f32 distances from the retained rows,
-/// so reported distances are always exact.
-#[derive(Debug, Clone)]
-pub enum Sq8Tier {
-    /// Train the per-dimension codebook over the index's own rows.
-    Train {
-        /// Exact-refinement depth per query.
-        rerank_k: usize,
-    },
-    /// Adopt a persisted codebook (the segmented load path): rows are
-    /// re-encoded deterministically against the stored `mins`/`steps`.
-    Adopt {
-        /// Per-dimension minimum of the codebook.
-        mins: Vec<f32>,
-        /// Per-dimension quantization step of the codebook.
-        steps: Vec<f32>,
-        /// Exact-refinement depth per query.
-        rerank_k: usize,
-    },
-}
 
 /// Everything only construction needs; [`AcornIndex::seal`] drops it.
 #[derive(Debug)]
@@ -95,25 +48,29 @@ impl Clone for Growing {
 }
 
 /// The one graph an index holds: the nested build-time layout while it
-/// accepts inserts, the flat CSR (plus an optional SQ8 tier) once sealed.
+/// accepts inserts, the flat CSR once sealed.
+///
+/// Not boxed despite the size gap: an index holds one `State`, and a box
+/// would cost the writer an allocation on every publication's clone.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum State {
     Growing(Growing),
-    Sealed { csr: CsrGraph, quant: Option<QuantizedTier> },
+    Sealed(CsrGraph),
 }
 
 impl State {
     fn growing(&self) -> &Growing {
         match self {
             State::Growing(g) => g,
-            State::Sealed { .. } => panic!("a sealed index has no build-time graph"),
+            State::Sealed(_) => panic!("a sealed index has no build-time graph"),
         }
     }
 
     fn growing_mut(&mut self) -> &mut Growing {
         match self {
             State::Growing(g) => g,
-            State::Sealed { .. } => panic!("a sealed index accepts no inserts"),
+            State::Sealed(_) => panic!("a sealed index accepts no inserts"),
         }
     }
 }
@@ -124,9 +81,9 @@ impl State {
 /// An index is **growing** from [`new`](Self::new) / [`build`](Self::build)
 /// on — a nested [`LayeredGraph`] that [`insert`](Self::insert) extends,
 /// traversed over the exact f32 rows — until [`seal`](Self::seal) turns it
-/// into its immutable **sealed** form: the same graph as one [`CsrGraph`],
-/// optionally traversed over SQ8 codes. It holds exactly one of the two
-/// graphs at any time, and answers bit-identically from either.
+/// into its immutable **sealed** form: the same graph as one [`CsrGraph`].
+/// It holds exactly one of the two graphs at any time, and answers
+/// bit-identically from either.
 ///
 /// [`clone`](Clone::clone) of a growing index shares rather than copies: the
 /// vector rows and every graph node stay common to both indices until one of
@@ -240,7 +197,7 @@ impl AcornIndex {
     pub(crate) fn graph_view(&self) -> &dyn GraphView {
         match &self.state {
             State::Growing(g) => &g.graph,
-            State::Sealed { csr, .. } => csr,
+            State::Sealed(csr) => csr,
         }
     }
 
@@ -270,7 +227,7 @@ impl AcornIndex {
     pub fn graph(&self) -> Option<&LayeredGraph> {
         match &self.state {
             State::Growing(g) => Some(&g.graph),
-            State::Sealed { .. } => None,
+            State::Sealed(_) => None,
         }
     }
 
@@ -278,25 +235,21 @@ impl AcornIndex {
     pub fn csr(&self) -> Option<&CsrGraph> {
         match &self.state {
             State::Growing(_) => None,
-            State::Sealed { csr, .. } => Some(csr),
+            State::Sealed(csr) => Some(csr),
         }
     }
 
-    /// Seal the index: freeze the graph into its flat CSR form, give it the
-    /// SQ8 traversal tier `sq8` asks for (`None` keeps traversing the exact
-    /// f32 rows), and drop everything only construction needed — the nested
-    /// graph, the level sampler, the insert scratch and the labels. The
-    /// sealed index is immutable. Without a tier it answers every search
-    /// bit-identically to the growing one it came from; with one, traversal
-    /// is approximate and reported distances are still exact.
+    /// Seal the index: freeze the graph into its flat CSR form and drop
+    /// everything only construction needed — the nested graph, the level
+    /// sampler, the insert scratch and the labels. The sealed index is
+    /// immutable and answers every search bit-identically to the growing one
+    /// it came from.
     ///
     /// # Panics
-    /// Panics if the index is already sealed, or if an adopted codebook does
-    /// not match the store dimension.
-    pub fn seal(self, sq8: Option<Sq8Tier>) -> Self {
+    /// Panics if the index is already sealed.
+    pub fn seal(self) -> Self {
         let csr = self.state.growing().graph.freeze();
-        let quant = sq8.map(|tier| QuantizedTier::new(tier, &self.vecs));
-        Self { state: State::Sealed { csr, quant }, ..self }
+        Self { state: State::Sealed(csr), ..self }
     }
 
     /// A sealed index over an already-frozen graph — what
@@ -308,28 +261,9 @@ impl AcornIndex {
         vecs: Arc<VectorStore>,
         csr: CsrGraph,
         edges_pruned: u64,
-        sq8: Option<Sq8Tier>,
     ) -> Self {
         debug_assert_eq!(csr.len(), vecs.len());
-        let quant = sq8.map(|tier| QuantizedTier::new(tier, &vecs));
-        Self { state: State::Sealed { csr, quant }, vecs, params, variant, edges_pruned }
-    }
-
-    fn quant(&self) -> Option<&QuantizedTier> {
-        match &self.state {
-            State::Sealed { quant, .. } => quant.as_ref(),
-            State::Growing(_) => None,
-        }
-    }
-
-    /// The SQ8 traversal tier, if the index was sealed with one.
-    pub fn quantized(&self) -> Option<&Sq8Store> {
-        self.quant().map(|q| &q.store)
-    }
-
-    /// The exact-refinement depth of the quantized tier, if any.
-    pub fn rerank_k(&self) -> Option<usize> {
-        self.quant().map(|q| q.rerank_k)
+        Self { state: State::Sealed(csr), vecs, params, variant, edges_pruned }
     }
 
     /// The shared vector store.
@@ -343,13 +277,12 @@ impl AcornIndex {
     }
 
     /// Bytes of the graph this index holds — the nested layout while
-    /// growing, the CSR once sealed (index-only: excludes the vector rows
-    /// and the SQ8 tier, which [`VectorStore::memory_bytes`] and
-    /// [`Sq8Store::memory_bytes`] report).
+    /// growing, the CSR once sealed (index-only: excludes the vector rows,
+    /// which [`VectorStore::memory_bytes`] reports).
     pub fn memory_bytes(&self) -> usize {
         match &self.state {
             State::Growing(g) => g.graph.memory_bytes(),
-            State::Sealed { csr, .. } => csr.memory_bytes(),
+            State::Sealed(csr) => csr.memory_bytes(),
         }
     }
 
@@ -575,32 +508,24 @@ impl AcornIndex {
         if k == 0 {
             return Vec::new();
         }
-        let vecs = &*self.vecs;
         let mut found = match &self.state {
             State::Growing(g) => {
-                self.search_filtered_on(vecs, &g.graph, query, filter, k, efs, scratch, stats)
+                self.search_filtered_on(&g.graph, query, filter, k, efs, scratch, stats)
             }
-            State::Sealed { csr, quant: None } => {
-                self.search_filtered_on(vecs, csr, query, filter, k, efs, scratch, stats)
-            }
-            State::Sealed { csr, quant: Some(q) } => {
-                let beam =
-                    self.search_filtered_on(&q.store, csr, query, filter, k, efs, scratch, stats);
-                return self.rerank_exact(query, beam, k, q.rerank_k, stats);
+            State::Sealed(csr) => {
+                self.search_filtered_on(csr, query, filter, k, efs, scratch, stats)
             }
         };
         found.truncate(k);
         found
     }
 
-    /// Algorithm 2 over any [`GraphView`] layout (nested or CSR) and any
-    /// [`VectorData`] tier (exact f32 or SQ8 codes). Returns the full
-    /// bottom-level beam (up to `max(efs, k)` results) so a quantized caller
-    /// can rerank before truncating to `k`.
+    /// Algorithm 2 over either [`GraphView`] layout (nested or CSR). Returns
+    /// the full bottom-level beam (up to `max(efs, k)` results); the caller
+    /// truncates to `k`.
     #[allow(clippy::too_many_arguments)]
-    fn search_filtered_on<V: VectorData + ?Sized, G: GraphView, F: NodeFilter>(
+    fn search_filtered_on<G: GraphView, F: NodeFilter>(
         &self,
-        vecs: &V,
         graph: &G,
         query: &[f32],
         filter: &F,
@@ -613,6 +538,7 @@ impl AcornIndex {
             return Vec::new();
         };
         scratch.begin(graph.len());
+        let vecs = &*self.vecs;
         let metric = self.params.metric;
         let mode = self.lookup_mode();
         let m = self.params.m;
@@ -636,27 +562,6 @@ impl AcornIndex {
         acorn_search_layer(
             vecs, graph, metric, query, filter, &entries, ef, 0, m, mode, scratch, stats,
         )
-    }
-
-    /// Refine quantized candidates with exact distances: the `k` nearest,
-    /// by the retained f32 rows, of the SQ8 beam's top `max(rerank_k, k)`.
-    /// Because the refinement depth never drops below `k`, every reported
-    /// distance is bit-identical to the exact f32 kernel's output, which
-    /// also keeps cross-segment merges comparable when only some segments
-    /// are quantized.
-    fn rerank_exact(
-        &self,
-        query: &[f32],
-        cands: Vec<Neighbor>,
-        k: usize,
-        rerank_k: usize,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        let (out, ndis) = exact_top_k(&*self.vecs, self.params.metric, query, k, |f| {
-            cands.iter().take(rerank_k.max(k)).for_each(|n| f(n.id))
-        });
-        stats.ndis += ndis;
-        out
     }
 
     /// Exact pre-filtered scan: the fallback for highly selective queries
@@ -755,7 +660,7 @@ mod tests {
     fn k_zero_answers_empty_at_every_door() {
         let growing =
             AcornIndex::build(random_store(200, 4, 1), small_params(4, 2), AcornVariant::Gamma);
-        let sealed = growing.clone().seal(Some(Sq8Tier::Train { rerank_k: 8 }));
+        let sealed = growing.clone().seal();
         for idx in [&growing, &sealed] {
             for efs in [0, 16] {
                 assert!(pure_search(idx, &[0.0; 4], 0, efs).is_empty(), "efs = {efs}");
@@ -1029,7 +934,7 @@ mod tests {
         let nested_bytes = idx.graph().unwrap().memory_bytes();
         assert_eq!(idx.memory_bytes(), nested_bytes, "nested until sealed");
         assert!(idx.csr().is_none());
-        let sealed = idx.seal(None);
+        let sealed = idx.seal();
         let csr_bytes = sealed.csr().expect("a sealed index holds its CSR").memory_bytes();
         assert_eq!(sealed.memory_bytes(), csr_bytes);
         assert!(csr_bytes < nested_bytes, "CSR must be the smaller layout");
@@ -1043,7 +948,7 @@ mod tests {
         for id in 0..39 {
             idx.insert(id);
         }
-        let mut sealed = idx.seal(None);
+        let mut sealed = idx.seal();
         sealed.insert(39);
     }
 
@@ -1052,7 +957,7 @@ mod tests {
         let idx =
             AcornIndex::build(random_store(40, 4, 19), small_params(4, 2), AcornVariant::Gamma);
         assert!(idx.graph().is_some() && idx.csr().is_none());
-        let sealed = idx.seal(None);
+        let sealed = idx.seal();
         assert!(sealed.graph().is_none() && sealed.csr().is_some());
     }
 
@@ -1070,9 +975,9 @@ mod tests {
             writer.insert_vector(prefilled.get(id));
         }
         let mut view = writer.clone();
-        let sealed = writer.seal(Some(Sq8Tier::Train { rerank_k: 16 }));
+        let sealed = writer.seal();
         assert_eq!(sealed.len(), n / 2);
-        assert!(view.csr().is_none() && view.quantized().is_none());
+        assert!(view.csr().is_none());
         for id in n as u32 / 2..n as u32 {
             view.insert_vector(prefilled.get(id));
         }

@@ -59,13 +59,11 @@ pub mod snapshot;
 
 pub use durability::{DurabilityOptions, DurableIndex, FsyncPolicy};
 pub use engine::SegmentedQueryEngine;
-pub use index::{AcornIndex, Sq8Tier};
+pub use index::AcornIndex;
 pub use params::{AcornParams, AcornVariant};
 pub use plan::MATERIALIZE_BELOW_SELECTIVITY;
 pub use prune::PruneStrategy;
-pub use segment::{
-    GlobalNeighbor, MergeOutcome, MergePolicy, QuantizationPolicy, SegmentedAcornIndex,
-};
+pub use segment::{GlobalNeighbor, MergeOutcome, MergePolicy, SegmentedAcornIndex};
 pub use snapshot::{IndexReader, SegmentSnapshot, SegmentView};
 
 pub use acorn_hnsw::{CsrGraph, GraphView, Neighbor, ScratchPool, SearchScratch, SearchStats};

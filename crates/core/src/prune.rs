@@ -33,8 +33,6 @@ pub enum PruneStrategy {
     /// Requires per-node labels; only valid for low-cardinality equality
     /// predicate sets.
     RngMetadataAware,
-    /// Keep all `M·γ` candidates (no compression; `M_β = M·γ`).
-    KeepAll,
 }
 
 /// Outcome of pruning one candidate list.
@@ -117,10 +115,6 @@ pub fn apply(
             let relay = |s: u32, c: u32| label(s) == label(c) && label(s) == label(v);
             let kept = select_heuristic(vecs, metric, candidates, m_beta, 1.0, false, relay);
             PruneOutcome { pruned: candidates.len() - kept.len(), kept }
-        }
-        PruneStrategy::KeepAll => {
-            let kept: Vec<u32> = candidates.iter().take(budget).map(|n| n.id).collect();
-            PruneOutcome { pruned: candidates.len().saturating_sub(budget), kept }
         }
     }
 }
@@ -235,15 +229,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn keep_all_truncates_to_budget() {
-        let (vecs, g) = grid();
-        let c = cands(&vecs, &[0.0], &[1, 2, 3, 4]);
-        let out = apply(&PruneStrategy::KeepAll, &vecs, Metric::L2, &g, 0, &c, 0, 2, None, 0);
-        assert_eq!(out.kept, vec![1, 2]);
-        assert_eq!(out.pruned, 2);
     }
 
     #[test]

@@ -77,9 +77,10 @@ fn get_neighbors<G: GraphView, F: NodeFilter>(
 /// is reachable (the caller then drops to the next level with its previous
 /// entry point, per stage 1 of §6.3.2).
 ///
-/// Generic over [`VectorData`]: the same traversal serves the exact f32 tier
-/// and SQ8-quantized frozen segments (whose distances are then refined by an
-/// exact rerank pass in `AcornIndex::search_filtered`).
+/// Generic over [`VectorData`] like the rest of the workspace's scans; the
+/// engine traverses the exact f32 rows of its
+/// [`VectorStore`](acorn_hnsw::VectorStore) for both the
+/// growing and the sealed graph layout.
 #[allow(clippy::too_many_arguments)]
 pub fn acorn_search_layer<V: VectorData + ?Sized, G: GraphView, F: NodeFilter>(
     vecs: &V,

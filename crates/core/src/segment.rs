@@ -79,7 +79,7 @@ use std::time::Duration;
 use acorn_hnsw::VectorStore;
 use acorn_predicate::Bitset;
 
-use crate::index::{AcornIndex, Sq8Tier};
+use crate::index::AcornIndex;
 use crate::params::{AcornParams, AcornVariant};
 use crate::snapshot::{IndexReader, SegmentPayload, SegmentSnapshot, SegmentView, SharedState};
 
@@ -142,42 +142,6 @@ impl Default for MergePolicy {
     }
 }
 
-/// How frozen segments store their vector data.
-///
-/// With `sq8_frozen` set, every segment sealed by
-/// [`freeze`](SegmentedAcornIndex::freeze) (or rebuilt by a merge) trains an
-/// [`Sq8Store`](acorn_hnsw::Sq8Store) over its rows and traverses the graph
-/// on the quantized codes (~4x smaller than f32); the exact f32 rows are
-/// retained and the top `rerank_k` candidates of every query are re-scored
-/// against them, so reported distances are always exact-kernel f32 values.
-/// The active segment always stays f32 — codebooks are only trained at seal
-/// time, when the row set is final.
-///
-/// Off by default: quantization trades a small amount of traversal recall
-/// (recovered by the rerank pass) for memory, and the repo's bit-exactness
-/// oracles compare against unquantized builds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuantizationPolicy {
-    /// Quantize segments to SQ8 codes when they are sealed or merge-rebuilt.
-    pub sq8_frozen: bool,
-    /// How many of the best quantized candidates each query re-scores with
-    /// exact f32 rows (the effective depth is `max(rerank_k, k)`).
-    pub rerank_k: usize,
-}
-
-impl Default for QuantizationPolicy {
-    fn default() -> Self {
-        Self { sq8_frozen: false, rerank_k: 32 }
-    }
-}
-
-impl QuantizationPolicy {
-    /// SQ8 quantization with the given exact-rerank depth.
-    pub fn sq8(rerank_k: usize) -> Self {
-        Self { sq8_frozen: true, rerank_k }
-    }
-}
-
 /// What a [`merge`](SegmentedAcornIndex::merge) /
 /// [`compact_all`](SegmentedAcornIndex::compact_all) call did.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -237,17 +201,16 @@ impl ActiveSegment {
         next.active = Some(SegmentView { payload: Arc::new(payload), tombstones, deleted });
     }
 
-    /// Seal the rows into a frozen segment of `next` ([`AcornIndex::seal`]
-    /// under its quantization policy), leaving a fresh, empty active
-    /// segment. No-op when there are no rows. Caller publishes.
+    /// Seal the rows into a frozen segment of `next` ([`AcornIndex::seal`]),
+    /// leaving a fresh, empty active segment. No-op when there are no rows.
+    /// Caller publishes.
     fn seal_into(&mut self, next: &mut SegmentSnapshot) {
         if self.global_ids.is_empty() {
             return;
         }
         let (tombstones, deleted) = self.take_tombstones(next);
         let full = std::mem::replace(self, Self::new(next.dim, next.params.clone(), next.variant));
-        let payload =
-            SegmentPayload { index: seal(full.index, next.quant), global_ids: full.global_ids };
+        let payload = SegmentPayload { index: full.index.seal(), global_ids: full.global_ids };
         next.push_frozen(SegmentView { payload: Arc::new(payload), tombstones, deleted });
     }
 }
@@ -310,18 +273,6 @@ impl SegmentedAcornIndex {
         {
             let (_writer, mut next) = self.shared.begin();
             next.policy = policy;
-            self.shared.publish(next);
-        }
-        self
-    }
-
-    /// Replace the quantization policy (builder style). Publishes a new
-    /// epoch. Applies to segments sealed *after* the call; segments already
-    /// frozen keep their encoding until a merge rebuilds them.
-    pub fn with_quantization(self, quant: QuantizationPolicy) -> Self {
-        {
-            let (_writer, mut next) = self.shared.begin();
-            next.quant = quant;
             self.shared.publish(next);
         }
         self
@@ -428,8 +379,7 @@ impl SegmentedAcornIndex {
     /// for trickle writes but adds up to quadratic work over a whole chunk;
     /// `bulk_load` instead builds the chunk's graph
     /// **off-lock** (queries keep serving the current epoch throughout),
-    /// seals it under the quantization policy, and publishes exactly one
-    /// new epoch. By the
+    /// seals it, and publishes exactly one new epoch. By the
     /// determinism contract the resulting segment answers bit-identically
     /// to inserting the same rows one at a time and freezing.
     ///
@@ -446,8 +396,7 @@ impl SegmentedAcornIndex {
         if n == 0 {
             return state.next_global..state.next_global;
         }
-        let index = AcornIndex::build(Arc::new(store), state.params.clone(), state.variant);
-        let index = seal(index, state.quant);
+        let index = AcornIndex::build(Arc::new(store), state.params.clone(), state.variant).seal();
         let (_writer, mut next) = self.shared.begin();
         self.active.seal_into(&mut next);
         let range = next.next_global..next.next_global + n as u64;
@@ -572,12 +521,6 @@ impl Drop for SegmentedAcornIndex {
     }
 }
 
-/// The one place a built index becomes a frozen segment's: sealed, with the
-/// SQ8 tier the quantization policy asks for.
-fn seal(index: AcornIndex, quant: QuantizationPolicy) -> AcornIndex {
-    index.seal(quant.sq8_frozen.then_some(Sq8Tier::Train { rerank_k: quant.rerank_k }))
-}
-
 /// The three-phase merge shared by foreground [`SegmentedAcornIndex::merge`]
 /// / [`compact_all`](SegmentedAcornIndex::compact_all) and the background
 /// maintenance thread: [`capture`], [`rebuild`], [`splice`].
@@ -597,11 +540,11 @@ pub(crate) fn run_merge(shared: &SharedState, select_all: bool) -> MergeOutcome 
     }
     let _serialized = shared.maintenance_lock.lock().unwrap_or_else(PoisonError::into_inner);
 
-    let (runs, quant, bytes_before) = capture(shared, select_all);
+    let (runs, bytes_before) = capture(shared, select_all);
     if runs.is_empty() {
         return MergeOutcome { bytes_before, bytes_after: bytes_before, ..Default::default() };
     }
-    let rebuilt = rebuild(shared, &runs, quant);
+    let rebuilt = rebuild(shared, &runs);
     let (rows_kept, bytes_after) = splice(shared, &runs, rebuilt);
 
     let rows_before: usize = runs.iter().flatten().map(SegmentView::rows).sum();
@@ -621,12 +564,8 @@ pub(crate) fn run_merge(shared: &SharedState, select_all: bool) -> MergeOutcome 
 /// captured as a clone of its view: the payload identifies it at splice
 /// time, and holding the tombstone set's `Arc` forces any later delete to
 /// copy it, so deletes landing during the off-lock rebuild are detectable
-/// afterwards. Also returns the quantization policy and the index's bytes
-/// as of the capture.
-pub(crate) fn capture(
-    shared: &SharedState,
-    select_all: bool,
-) -> (Vec<Vec<SegmentView>>, QuantizationPolicy, usize) {
+/// afterwards. Also returns the index's bytes as of the capture.
+pub(crate) fn capture(shared: &SharedState, select_all: bool) -> (Vec<Vec<SegmentView>>, usize) {
     let state = shared.state();
     let is_candidate = |s: &SegmentView| {
         select_all
@@ -647,7 +586,7 @@ pub(crate) fn capture(
     }
     // A lone candidate with no dead rows gains nothing from a rebuild.
     runs.retain(|r| r.len() >= 2 || r.iter().any(|c| c.deleted > 0));
-    (runs, state.quant, state.memory_bytes())
+    (runs, state.memory_bytes())
 }
 
 /// Merge phase 2, **rebuild** (no lock): build one fresh graph per run over
@@ -657,7 +596,6 @@ pub(crate) fn capture(
 pub(crate) fn rebuild(
     shared: &SharedState,
     runs: &[Vec<SegmentView>],
-    quant: QuantizationPolicy,
 ) -> Vec<Option<SegmentPayload>> {
     // The configuration no write changes, so any epoch's copy will do.
     let state = shared.state();
@@ -687,10 +625,7 @@ pub(crate) fn rebuild(
         // The exact code path a from-scratch build takes: same params, same
         // seed, same insertion order => an identical graph.
         let index = AcornIndex::build(Arc::new(store), state.params.clone(), state.variant);
-        // Sealed under the quantization policy captured in phase 1 (a policy
-        // change mid-rebuild lands on the *next* merge, which is fine —
-        // encodings converge, never diverge).
-        rebuilt.push(Some(SegmentPayload { index: seal(index, quant), global_ids }));
+        rebuilt.push(Some(SegmentPayload { index: index.seal(), global_ids }));
     }
     rebuilt
 }
@@ -996,9 +931,9 @@ mod tests {
         };
 
         let mut racing = build();
-        let (runs, quant, _) = capture(&racing.shared, false);
+        let (runs, _) = capture(&racing.shared, false);
         assert_eq!(runs.iter().map(Vec::len).collect::<Vec<_>>(), [3], "one run of three");
-        let rebuilt = rebuild(&racing.shared, &runs, quant);
+        let rebuilt = rebuild(&racing.shared, &runs);
         late_writes(&mut racing);
         let (rows_kept, _) = splice(&racing.shared, &runs, rebuilt);
         assert_eq!(rows_kept, 59, "gid 7 was dead at capture; gid 25 was not");
@@ -1310,20 +1245,20 @@ mod tests {
 
     #[test]
     fn wrong_dimension_queries_panic_on_frozen_and_active_segments() {
-        // A 32-d index whose one segment is frozen (and SQ8-coded), and one
-        // whose one segment is active: a query of the wrong length reaches
+        // A 32-d index whose one segment is frozen, and one whose one
+        // segment is active: a query of the wrong length reaches
         // a distance kernel either way, and the kernel refuses it — in
         // release builds too — rather than reading past the shorter slice.
         let vecs = random_vecs(200, 32, 70);
         let new = || SegmentedAcornIndex::new(32, small_params(8, 2, 71), AcornVariant::Gamma);
-        let mut frozen = new().with_quantization(QuantizationPolicy::sq8(16));
+        let mut frozen = new();
         let mut active = new();
         for v in &vecs {
             frozen.insert(v);
             active.insert(v);
         }
         frozen.freeze();
-        assert!(frozen.snapshot().frozen_segments()[0].is_quantized());
+        assert_eq!(frozen.snapshot().frozen_segments().len(), 1);
         assert_eq!(active.active_rows(), 200);
         let attrs = AttrStore::builder().add_int("x", vec![0; 200]).build();
         for idx in [&frozen, &active] {
@@ -1337,7 +1272,7 @@ mod tests {
                 let err = std::panic::catch_unwind(ask).expect_err("a wrong-dimension query");
                 let msg = err.downcast_ref::<String>().map_or("", String::as_str);
                 assert!(
-                    msg.contains("different lengths") || msg.contains("SQ8 kernel"),
+                    msg.contains("different lengths"),
                     "a {dim}-d query must stop at the kernel's length check, not: {msg}"
                 );
             }

@@ -28,8 +28,7 @@
 //! encoder and read by one decoder:
 //!
 //! ```text
-//! encoding u8 (0 = f32, 1 = sq8)
-//! | if sq8: rerank_k u64 | mins [f32; dim] | steps [f32; dim]
+//! encoding u8 (always 0 = f32)
 //! | n u64 | global_ids [u64; n] | tombstone words [u64; ceil(n/64)]
 //! | vectors [f32; n · dim] | embedded v3 index blob
 //! ```
@@ -37,11 +36,8 @@
 //! The vectors are embedded beside the graph: the segmented index owns its
 //! per-segment stores (rows arrive one at a time through `insert`), so a
 //! loaded index resumes serving **and accepting writes** with no external
-//! store to re-attach. Only the *codebook* of a quantized segment is
-//! persisted — codes are re-derived from the (always embedded) exact f32
-//! rows on load, which is deterministic and keeps quantization nearly free
-//! on disk. Row data, id maps, tombstone words and neighbor lists are
-//! converted to and from little-endian a slice at a time, and the decoder
+//! store to re-attach. Row data, id maps, tombstone words and neighbor lists
+//! are converted to and from little-endian a slice at a time, and the decoder
 //! works on bytes already in memory, so every count it reads is checked
 //! against the bytes actually present before anything is allocated for it —
 //! a corrupt length fails with `InvalidData` or `UnexpectedEof` instead of
@@ -57,9 +53,19 @@
 //! [`CsrBuilder`] (node count, level, list length and every edge target
 //! checked; the same entry point the nested graph would have picked). A
 //! **frozen** block is sealed and serves those arenas as they are — no
-//! nested graph is built only to be frozen. The **active** block is growing
-//! and unquantized: its lists are copied out of the decoded arenas into the
-//! nested graph inserts extend.
+//! nested graph is built only to be frozen. The **active** block is growing:
+//! its lists are copied out of the decoded arenas into the nested graph
+//! inserts extend.
+//!
+//! ## Retired quantization fields
+//!
+//! Two fields of a removed SQ8 segment tier stay, so that files keep every
+//! byte: the segment block's leading encoding tag, always `0`, and the
+//! manifest's 9-byte quantization field (`flag u8 | rerank depth u64`),
+//! written as the unquantized default always wrote it (`0`, then `32`) and
+//! skipped on load. A tag or flag of `1` — a quantized segment — is refused
+//! with `InvalidData`. The next format version drops both fields together
+//! with the nested v3 header.
 //!
 //! ## Format v6 — the one-file export of a segmented index
 //!
@@ -67,8 +73,8 @@
 //! magic but use version 6 (the only segmented version; 4 and 5 were
 //! footerless predecessors that no deployed file ever used and `load`
 //! refuses): the shared parameter header, then the segment manifest —
-//! `dim`, `next_global`, the [`MergePolicy`], the [`QuantizationPolicy`]
-//! (`sq8_frozen u8 | rerank_k u64`), the frozen-segment count — and one
+//! `dim`, `next_global`, the [`MergePolicy`], the retired quantization
+//! field (`0 u8 | 32 u64`), the frozen-segment count — and one
 //! block per segment (frozen segments first, the active segment last).
 //!
 //! The body is followed by a 4-byte footer: the CRC32 (IEEE) of every
@@ -97,7 +103,7 @@
 //!
 //! ```text
 //! magic "ACCP" | version u32 | parameter header | dim | next_global
-//! | merge policy | quantization policy | frozen count
+//! | merge policy | retired quantization field | frozen count
 //! | per frozen segment: file u64, len u64, crc u32, rows u64,
 //!                       tombstone words [u64; ceil(rows/64)]
 //! | active segment block | CRC32 footer
@@ -123,10 +129,10 @@ use acorn_hnsw::csr::CsrBuilder;
 use acorn_hnsw::{CsrGraph, GraphView, LayeredGraph, Metric, VectorStore};
 use acorn_predicate::Bitset;
 
-use crate::index::{AcornIndex, Sq8Tier};
+use crate::index::AcornIndex;
 use crate::params::{AcornParams, AcornVariant};
 use crate::prune::PruneStrategy;
-use crate::segment::{MergePolicy, QuantizationPolicy, SegmentedAcornIndex};
+use crate::segment::{MergePolicy, SegmentedAcornIndex};
 use crate::snapshot::{SegmentPayload, SegmentSnapshot, SegmentView};
 
 const MAGIC: &[u8; 4] = b"ACRN";
@@ -138,9 +144,12 @@ const SEGMENT_FILE_MAGIC: &[u8; 4] = b"ACSG";
 const SEGMENT_FILE_VERSION: u32 = 1;
 const CHECKPOINT_MAGIC: &[u8; 4] = b"ACCP";
 const CHECKPOINT_VERSION: u32 = 1;
-/// Per-segment encoding tags.
+/// The only encoding, f32 rows: every block's tag and the manifest's flag.
 const ENC_F32: u8 = 0;
+/// The retired SQ8 encoding, as a block tag or the manifest's flag.
 const ENC_SQ8: u8 = 1;
+/// The retired manifest field's rerank depth, as the default policy wrote it.
+const RETIRED_RERANK_K: u64 = 32;
 /// Upper bound on a plausible vector dimensionality; a corrupt `dim` above
 /// this fails cleanly instead of sizing row buffers from garbage.
 const MAX_DIM: usize = 1 << 20;
@@ -271,8 +280,19 @@ fn container_body<'a>(
 
 /// The parameter header shared by v3 (per index) and the segmented
 /// containers (top level and per embedded segment): variant tag, then every
-/// [`AcornParams`] field that round-trips.
+/// [`AcornParams`] field but `prune`, which the format has no field for.
+///
+/// # Errors
+/// `InvalidInput` for any prune strategy but [`PruneStrategy::AcornCompress`]:
+/// it would load as `AcornCompress`, and every later insert would build a
+/// different graph than the never-saved index.
 fn put_header(w: &mut impl Write, variant: AcornVariant, p: &AcornParams) -> io::Result<()> {
+    if p.prune != PruneStrategy::AcornCompress {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("only AcornCompress pruning can be saved, not {:?}", p.prune),
+        ));
+    }
     w.write_all(&[match variant {
         AcornVariant::Gamma => 0u8,
         AcornVariant::One => 1u8,
@@ -292,8 +312,8 @@ fn put_header(w: &mut impl Write, variant: AcornVariant, p: &AcornParams) -> io:
     w.write_all(&[p.flatten_hierarchy as u8])
 }
 
-/// Inverse of [`put_header`]. The label-dependent ablation prune strategies
-/// do not round-trip; loaded params always carry `AcornCompress`.
+/// Inverse of [`put_header`]: loaded params carry `AcornCompress`, the one
+/// strategy `put_header` writes.
 fn get_header(r: &mut impl Read) -> io::Result<(AcornVariant, AcornParams)> {
     let variant = match get_u8(r)? {
         0 => AcornVariant::Gamma,
@@ -333,9 +353,10 @@ fn get_header(r: &mut impl Read) -> io::Result<(AcornVariant, AcornParams)> {
 impl AcornIndex {
     /// Write the v3 blob (graph + parameters, not the vectors) to `w`.
     ///
-    /// Note: only [`PruneStrategy::AcornCompress`] and
-    /// [`PruneStrategy::KeepAll`] round-trip; the label-dependent ablation
-    /// strategies are research knobs and serialize as `AcornCompress`.
+    /// # Errors
+    /// `InvalidInput` unless the index prunes with
+    /// [`PruneStrategy::AcornCompress`] (see [`put_header`]); the ablation
+    /// strategies are research knobs of in-memory graphs.
     fn save(&self, w: &mut impl Write) -> io::Result<()> {
         w.write_all(MAGIC)?;
         put_u32(w, VERSION)?;
@@ -428,14 +449,10 @@ impl AcornIndex {
     /// The v3 blob of a frozen segment block, decoded straight into the
     /// sealed index it was saved from. `None` when the blob's `compacted`
     /// flag says it was not sealed.
-    fn load_sealed(
-        r: &mut &[u8],
-        vecs: Arc<VectorStore>,
-        sq8: Option<Sq8Tier>,
-    ) -> io::Result<Option<AcornIndex>> {
+    fn load_sealed(r: &mut &[u8], vecs: Arc<VectorStore>) -> io::Result<Option<AcornIndex>> {
         let b = Self::load_blob(r, &vecs)?;
         Ok(b.sealed.then(|| {
-            AcornIndex::from_sealed_parts(b.params, b.variant, vecs, b.graph, b.edges_pruned, sq8)
+            AcornIndex::from_sealed_parts(b.params, b.variant, vecs, b.graph, b.edges_pruned)
         }))
     }
 }
@@ -467,9 +484,8 @@ fn put_manifest(w: &mut impl Write, snap: &SegmentSnapshot) -> io::Result<()> {
     put_u64(w, policy.min_rows as u64)?;
     w.write_all(&policy.max_tombstone_fraction.to_le_bytes())?;
     put_u64(w, policy.active_max_rows as u64)?;
-    let quant = snap.quantization();
-    w.write_all(&[quant.sq8_frozen as u8])?;
-    put_u64(w, quant.rerank_k as u64)?;
+    w.write_all(&[ENC_F32])?;
+    put_u64(w, RETIRED_RERANK_K)?;
     put_u64(w, snap.frozen_segments().len() as u64)
 }
 
@@ -497,12 +513,12 @@ fn get_manifest(r: &mut impl Read) -> io::Result<(Manifest, usize)> {
     }
     let active_max_rows = get_u64(r)? as usize;
     let policy = MergePolicy { min_rows, max_tombstone_fraction, active_max_rows };
-    let sq8_frozen = match get_u8(r)? {
-        0 => false,
-        1 => true,
+    match get_u8(r)? {
+        ENC_F32 => {}
+        ENC_SQ8 => return Err(quantized()),
         _ => return Err(bad("invalid quantization policy flag")),
-    };
-    let quant = QuantizationPolicy { sq8_frozen, rerank_k: get_u64(r)? as usize };
+    }
+    get_u64(r)?;
 
     // Every segment was built from the top-level configuration (with the
     // ACORN-1 override applied by `AcornIndex::new`); reconstruct that
@@ -510,29 +526,22 @@ fn get_manifest(r: &mut impl Read) -> io::Result<(Manifest, usize)> {
     let expected_params =
         AcornIndex::new(Arc::new(VectorStore::new(dim)), params.clone(), variant).params().clone();
     let nseg = get_u64(r)? as usize;
-    let state = SegmentSnapshot {
-        next_global,
-        policy,
-        quant,
-        ..SegmentSnapshot::empty(params, variant, dim)
-    };
+    let state =
+        SegmentSnapshot { next_global, policy, ..SegmentSnapshot::empty(params, variant, dim) };
     Ok((Manifest { state, expected_params }, nseg))
 }
 
-/// One segment block: the encoding tag (+ codebook when quantized), then
-/// the row count, global ids, tombstones, vector data, and the embedded v3
-/// index blob (self-delimiting).
+/// The error for a file holding a retired SQ8 segment.
+fn quantized() -> io::Error {
+    bad("quantized segments are not supported")
+}
+
+/// One segment block: the encoding tag, then the row count, global ids,
+/// tombstones, vector data, and the embedded v3 index blob
+/// (self-delimiting).
 fn put_segment(w: &mut impl Write, seg: &SegmentView) -> io::Result<()> {
     let index = seg.index();
-    match index.quantized() {
-        Some(sq) => {
-            w.write_all(&[ENC_SQ8])?;
-            put_u64(w, index.rerank_k().unwrap_or(0) as u64)?;
-            put_le(w, sq.mins(), f32::to_le_bytes)?;
-            put_le(w, sq.steps(), f32::to_le_bytes)?;
-        }
-        None => w.write_all(&[ENC_F32])?,
-    }
+    w.write_all(&[ENC_F32])?;
     put_u64(w, seg.global_ids().len() as u64)?;
     put_le(w, seg.global_ids(), u64::to_le_bytes)?;
     put_le(w, seg.tombstones().words(), u64::to_le_bytes)?;
@@ -569,9 +578,9 @@ fn get_tombstones(r: &mut &[u8], n: usize) -> io::Result<Bitset> {
 /// embedded index must be in.
 #[derive(Clone, Copy)]
 enum Role {
-    /// Immutable: sealed, non-empty, possibly quantized.
+    /// Immutable: sealed and non-empty.
     Frozen,
-    /// The one segment taking inserts: growing and unquantized.
+    /// The one segment taking inserts: growing.
     Active,
 }
 
@@ -582,23 +591,11 @@ enum Role {
 /// merge incommensurable distances.
 fn get_segment(r: &mut &[u8], m: &Manifest, role: Role) -> io::Result<SegmentView> {
     let (dim, next_global) = (m.state.dim, m.state.next_global);
-    // Blocks lead with the encoding tag (and, for SQ8, the codebook the
-    // codes are re-derived from).
-    let codebook = match get_u8(r)? {
-        ENC_F32 => None,
-        ENC_SQ8 => {
-            let rerank_k = get_u64(r)? as usize;
-            let mins = get_le(r, dim, f32::from_le_bytes)?;
-            let steps = get_le(r, dim, f32::from_le_bytes)?;
-            if mins.iter().any(|m| !m.is_finite())
-                || steps.iter().any(|s| !s.is_finite() || *s <= 0.0)
-            {
-                return Err(bad("invalid SQ8 codebook in segment block"));
-            }
-            Some(Sq8Tier::Adopt { mins, steps, rerank_k })
-        }
+    match get_u8(r)? {
+        ENC_F32 => {}
+        ENC_SQ8 => return Err(quantized()),
         _ => return Err(bad("unknown segment encoding tag")),
-    };
+    }
 
     let n = get_u64(r)? as usize;
     let global_ids = get_le(r, n, u64::from_le_bytes)?;
@@ -617,26 +614,10 @@ fn get_segment(r: &mut &[u8], m: &Manifest, role: Role) -> io::Result<SegmentVie
     // unless it matches the store just rebuilt — the row-count guard.
     let index = match role {
         Role::Frozen if n == 0 => return Err(bad("frozen segments must not be empty")),
-        Role::Frozen => {
-            let quantized = codebook.is_some();
-            // The codes are re-derived from the embedded exact rows against
-            // the persisted codebook: deterministic, so the loaded segment
-            // answers bit-identically to the one that was saved.
-            AcornIndex::load_sealed(r, store, codebook)?.ok_or_else(|| {
-                bad(if quantized {
-                    "a quantized segment block must be sealed"
-                } else {
-                    "frozen segments must be sealed"
-                })
-            })?
-        }
+        Role::Frozen => AcornIndex::load_sealed(r, store)?
+            .ok_or_else(|| bad("frozen segments must be sealed"))?,
         Role::Active => {
             let (index, sealed) = AcornIndex::load_growing(r, store)?;
-            if codebook.is_some() {
-                // Codebooks are only ever trained at seal time; a quantized
-                // active segment could not absorb inserts.
-                return Err(bad("the active segment must not be quantized"));
-            }
             if sealed {
                 // A sealed index accepts no inserts.
                 return Err(bad("the active segment must not be sealed"));
@@ -698,6 +679,11 @@ impl SegmentSnapshot {
     /// consistent *as of this epoch* no matter how many inserts, deletes,
     /// or background merges land while the write is in flight; saving the
     /// same snapshot twice yields identical bytes.
+    ///
+    /// # Errors
+    /// `InvalidInput` if the index prunes with anything but
+    /// [`PruneStrategy::AcornCompress`]: the format has no field for the
+    /// strategy, and the loaded index would grow differently.
     pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
         with_footer(w, |w| {
             w.write_all(MAGIC)?;
@@ -726,8 +712,8 @@ impl SegmentedAcornIndex {
     /// non-ascending / out-of-range / cross-segment-duplicated global ids,
     /// overlapping segment gid ranges, tombstone bits beyond a segment's
     /// rows, embedded segment headers that disagree with the top-level
-    /// configuration, and a frozen block that is not sealed or an active
-    /// block that is sealed or quantized.
+    /// configuration, a frozen block that is not sealed or an active block
+    /// that is sealed, and a quantized segment (see the module docs).
     pub fn load(r: &mut impl Read) -> io::Result<SegmentedAcornIndex> {
         // Checksum-first: slurp the stream (allocation bounded by bytes
         // actually present, never by a parsed length), verify the footer
@@ -953,10 +939,10 @@ mod tests {
         let params =
             AcornParams { m: 8, gamma: 4, m_beta: 16, ef_construction: 32, ..Default::default() };
         let plain = AcornIndex::build(vecs.clone(), params, AcornVariant::Gamma);
-        let idx = plain.clone().seal(None);
+        let idx = plain.clone().seal();
 
         let buf = blob(&idx);
-        let loaded = AcornIndex::load_sealed(&mut buf.as_slice(), vecs.clone(), None).unwrap();
+        let loaded = AcornIndex::load_sealed(&mut buf.as_slice(), vecs.clone()).unwrap();
         let loaded = loaded.expect("a sealed index must load sealed");
         assert!(loaded.csr().is_some());
         let q = vec![0.3; 8];
@@ -970,7 +956,7 @@ mod tests {
         let (loaded, sealed) =
             AcornIndex::load_growing(&mut plain_buf.as_slice(), vecs.clone()).unwrap();
         assert!(loaded.csr().is_none() && !sealed);
-        assert!(AcornIndex::load_sealed(&mut plain_buf.as_slice(), vecs, None).unwrap().is_none());
+        assert!(AcornIndex::load_sealed(&mut plain_buf.as_slice(), vecs).unwrap().is_none());
         let flag = buf.len() - 1;
         assert_eq!((plain_buf[flag], buf[flag]), (0, 1));
         assert_eq!(plain_buf[..flag], buf[..flag]);
@@ -1049,16 +1035,15 @@ mod tests {
     }
 
     /// `(length, CRC32 of everything before the footer)` of
-    /// `saved(segmented_fixture)` and `saved(quantized_fixture)`; see
+    /// `saved(segmented_fixture)`; see
     /// `saved_bytes_are_those_of_the_two_layout_index`.
     const FIXTURE_SUM: (usize, u32) = (22_094, 70_889_456);
-    const QUANTIZED_SUM: (usize, u32) = (22_166, 4_192_036_885);
 
     /// Bytes before the first frozen segment block: magic 4 + version 4 +
     /// header 59 + dim 8 + next_global 8 + policy 24 + quant 9 + nseg 8.
     const SEG_HEADER_BYTES: usize = 124;
     /// Offset of the fixture's first frozen segment's row count `n`: the
-    /// block leads with its 1-byte encoding tag (f32 here, so no codebook).
+    /// block leads with its 1-byte encoding tag.
     const SEG_N_OFF: usize = SEG_HEADER_BYTES + 1;
 
     fn saved(idx: &crate::SegmentedAcornIndex) -> Vec<u8> {
@@ -1276,38 +1261,14 @@ mod tests {
         }
     }
 
-    /// The segmented fixture with SQ8 quantization on: the frozen segment
-    /// traverses codes, the active segment stays f32.
-    fn quantized_fixture() -> crate::SegmentedAcornIndex {
-        let mut rng = StdRng::seed_from_u64(77);
-        let vecs: Vec<Vec<f32>> =
-            (0..160).map(|_| (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
-        let params =
-            AcornParams { m: 8, gamma: 4, m_beta: 16, ef_construction: 32, ..Default::default() };
-        let mut idx = crate::SegmentedAcornIndex::new(8, params, AcornVariant::Gamma)
-            .with_quantization(QuantizationPolicy::sq8(16));
-        for v in &vecs[..100] {
-            idx.insert(v);
-        }
-        idx.freeze();
-        for v in &vecs[100..] {
-            idx.insert(v);
-        }
-        idx
-    }
-
     #[test]
     fn saved_bytes_are_those_of_the_two_layout_index() {
         // Length and CRC32 of what the parent of the one-graph-per-segment
         // change wrote for the same op scripts: sealing changed what a
         // segment holds in memory, not one byte of the file.
-        for (file, sum) in [
-            (saved(&segmented_fixture().0), FIXTURE_SUM),
-            (saved(&quantized_fixture()), QUANTIZED_SUM),
-        ] {
-            let body = &file[..file.len() - 4];
-            assert_eq!((file.len(), acorn_hnsw::checksum::crc32(body)), sum);
-        }
+        let file = saved(&segmented_fixture().0);
+        let body = &file[..file.len() - 4];
+        assert_eq!((file.len(), acorn_hnsw::checksum::crc32(body)), FIXTURE_SUM);
     }
 
     #[test]
@@ -1318,8 +1279,8 @@ mod tests {
         let (idx, _) = segmented_fixture();
         let buf = saved(&idx);
         let active_flag = buf.len() - 5;
-        // Active block (the same in both fixtures): tag 1 + n 8 + 60 gids +
-        // 1 tombstone word + 60 × 8 floats, then its blob.
+        // Active block: tag 1 + n 8 + 60 gids + 1 tombstone word + 60 × 8
+        // floats, then its blob.
         let blob = blob(idx.snapshot().active_segment().unwrap().index());
         let active_block = 1 + 8 + 60 * 8 + 8 + 60 * 8 * 4 + blob.len();
         let frozen_flag = active_flag - active_block;
@@ -1336,59 +1297,34 @@ mod tests {
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
             assert!(err.to_string().contains(message), "unexpected: {err}");
         }
-
-        // A quantized block is sealed by construction; one that claims
-        // otherwise is refused before its codebook is used.
-        let mut quantized = saved(&quantized_fixture());
-        let frozen_flag = quantized.len() - 5 - active_block;
-        quantized[frozen_flag] = 0;
-        reseal(&mut quantized);
-        let err = crate::SegmentedAcornIndex::load(&mut quantized.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("quantized segment block must be sealed"), "{err}");
-    }
-
-    #[test]
-    fn quantized_roundtrip_is_bit_identical_and_stays_quantized() {
-        let idx = quantized_fixture();
-        assert!(idx.snapshot().frozen_segments()[0].is_quantized(), "fixture must quantize");
-
-        let buf = saved(&idx);
-        let loaded = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap();
-
-        let snap = loaded.snapshot();
-        assert_eq!(snap.quantization(), QuantizationPolicy::sq8(16));
-        assert!(snap.frozen_segments()[0].is_quantized(), "loaded segment must stay SQ8");
-        assert!(snap.active_segment().is_some_and(|s| !s.is_quantized()));
-
-        // Codes are re-derived from the persisted codebook + exact rows, so
-        // the loaded index answers bit-identically (ids *and* distances).
-        let q = vec![0.2; 8];
-        let a: Vec<(u64, f32)> =
-            idx.reader().search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
-        let b: Vec<(u64, f32)> =
-            loaded.reader().search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
-        assert_eq!(a, b, "loaded quantized index must answer identically");
     }
 
     #[test]
     fn load_rejects_corrupt_codebook_and_unknown_encoding_tag() {
-        let idx = quantized_fixture();
+        // No segment carries a codebook any more: a block tagged SQ8, or a
+        // manifest whose retired quantization flag is set, is refused, and
+        // so is a tag no version ever wrote.
+        let (idx, _) = segmented_fixture();
         let buf = saved(&idx);
-
-        // The frozen block leads with tag 1 | rerank_k u64 | mins [f32; 8]:
-        // poison the first step (offset tag 1 + 8 + 32) with 0.0.
-        let mut bad_steps = buf.clone();
-        let step0 = SEG_HEADER_BYTES + 1 + 8 + 32;
-        bad_steps[step0..step0 + 4].copy_from_slice(&0f32.to_le_bytes());
-        reseal(&mut bad_steps);
-        let err = crate::SegmentedAcornIndex::load(&mut bad_steps.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("codebook"), "unexpected: {err}");
-
-        let mut bad_tag = buf;
-        bad_tag[SEG_HEADER_BYTES] = 7;
-        reseal(&mut bad_tag);
-        let err = crate::SegmentedAcornIndex::load(&mut bad_tag.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("encoding tag"), "unexpected: {err}");
+        // The retired manifest field sits after magic 4 + version 4 + header
+        // 59 + dim 8 + next_global 8 + policy 24 = offset 107: flag, then
+        // the rerank depth the default policy wrote.
+        let flag = 107;
+        assert_eq!(buf[flag], 0);
+        assert_eq!(buf[flag + 1..flag + 9], 32u64.to_le_bytes());
+        assert_eq!(buf[SEG_HEADER_BYTES], 0, "the frozen block's f32 tag");
+        for (off, value, message) in [
+            (SEG_HEADER_BYTES, 1, "quantized segments are not supported"),
+            (SEG_HEADER_BYTES, 7, "unknown segment encoding tag"),
+            (flag, 1, "quantized segments are not supported"),
+        ] {
+            let mut bad = buf.clone();
+            bad[off] = value;
+            reseal(&mut bad);
+            let err = crate::SegmentedAcornIndex::load(&mut bad.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(message), "unexpected: {err}");
+        }
     }
 
     /// A small segmented fixture (one frozen + one active segment, a few

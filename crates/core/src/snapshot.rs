@@ -51,7 +51,7 @@ use acorn_predicate::{AllPass, AttrStore, Bitset, NodeFilter, Predicate};
 use crate::index::AcornIndex;
 use crate::params::{AcornParams, AcornVariant};
 use crate::plan;
-use crate::segment::{GlobalNeighbor, MergePolicy, QuantizationPolicy};
+use crate::segment::{GlobalNeighbor, MergePolicy};
 
 /// The immutable payload of one published segment generation: the
 /// per-segment ACORN index — [sealed](AcornIndex::seal) for a frozen
@@ -144,21 +144,13 @@ impl SegmentView {
         self.payload.global_ids.binary_search(&gid).ok().map(|i| i as u32)
     }
 
-    /// Bytes held by this segment: its graph, the vector data (quantized
-    /// codes + codebook included, when present), the id map, and the
-    /// tombstone words.
+    /// Bytes held by this segment: its graph, the vector rows, the id map,
+    /// and the tombstone words.
     pub fn memory_bytes(&self) -> usize {
         self.payload.index.memory_bytes()
             + self.payload.index.vectors().memory_bytes()
-            + self.payload.index.quantized().map_or(0, acorn_hnsw::Sq8Store::memory_bytes)
             + self.payload.global_ids.len() * std::mem::size_of::<u64>()
             + self.tombstones.memory_bytes()
-    }
-
-    /// True when this segment traverses SQ8 codes (with exact rerank)
-    /// rather than raw f32 rows.
-    pub fn is_quantized(&self) -> bool {
-        self.payload.index.quantized().is_some()
     }
 
     /// Algorithm 2 over this segment's live rows that pass `filter` (local
@@ -232,7 +224,6 @@ pub struct SegmentSnapshot {
     pub(crate) variant: AcornVariant,
     pub(crate) dim: usize,
     pub(crate) policy: MergePolicy,
-    pub(crate) quant: QuantizationPolicy,
     pub(crate) next_global: u64,
     /// Frozen (sealed, CSR) segments, ascending by first global id.
     pub(crate) frozen: Vec<SegmentView>,
@@ -250,7 +241,6 @@ impl SegmentSnapshot {
             variant,
             dim,
             policy: MergePolicy::default(),
-            quant: QuantizationPolicy::default(),
             next_global: 0,
             frozen: Vec::new(),
             active: None,
@@ -287,14 +277,6 @@ impl SegmentSnapshot {
     /// The merge policy in force at this epoch.
     pub fn policy(&self) -> &MergePolicy {
         &self.policy
-    }
-
-    /// The quantization policy in force at this epoch. Individual segments
-    /// may still be unquantized (sealed before the policy was set, or
-    /// quantized before it was cleared) — check
-    /// [`SegmentView::is_quantized`] per segment.
-    pub fn quantization(&self) -> QuantizationPolicy {
-        self.quant
     }
 
     /// The next global id the writer would assign at this epoch (also the

@@ -125,20 +125,6 @@ fn bulk_load_empty_store_is_a_noop() {
 }
 
 #[test]
-fn bulk_load_respects_quantization_policy() {
-    use acorn_core::QuantizationPolicy;
-    let (store, _) = random_store(120, 17);
-    let mut idx = SegmentedAcornIndex::new(DIM, params(17), AcornVariant::Gamma)
-        .with_quantization(QuantizationPolicy { sq8_frozen: true, rerank_k: 16 });
-    idx.bulk_load(store);
-    let snap = idx.snapshot();
-    assert!(
-        snap.frozen_segments().iter().all(|s| s.is_quantized()),
-        "frozen bulk segment must carry the SQ8 tier when the policy asks"
-    );
-}
-
-#[test]
 fn bulk_load_serves_hybrid_queries() {
     use acorn_predicate::{AttrStore, Predicate};
 

@@ -107,7 +107,7 @@ proptest! {
         for variant in [AcornVariant::Gamma, AcornVariant::One] {
             let vecs = random_store(n, 8, seed);
             let growing = AcornIndex::build(vecs, small_params(seed), variant);
-            let sealed = growing.clone().seal(None);
+            let sealed = growing.clone().seal();
             prop_assert!(growing.csr().is_none() && sealed.csr().is_some());
             let filter = random_filter(n, keep_one_in, seed);
             let mut scratch = SearchScratch::new(n);

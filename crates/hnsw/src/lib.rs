@@ -14,7 +14,7 @@
 //! * [`kernels`] — explicit AVX2/FMA distance kernels with runtime dispatch
 //!   and a portable scalar fallback.
 //! * [`sq8`] — the 8-bit scalar-quantized [`Sq8Store`] backend (codes +
-//!   per-dimension codebook) used by quantized frozen segments.
+//!   per-dimension codebook) behind the IVF-SQ8 baseline.
 //! * [`heap`] — binary-heap helpers ordered on `(distance, id)` pairs
 //!   ([`Neighbor`]).
 //! * [`visited`] — epoch-stamped visited sets reusable across queries.

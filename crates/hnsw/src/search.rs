@@ -7,8 +7,8 @@
 //! (Algorithm 2 of the ACORN paper) lives in `acorn-core`; it shares this
 //! module's scratch-space type so thread pools can reuse allocations across
 //! queries. [`exact_top_k`] is the brute-force scan behind ACORN's pre-filter
-//! fallback, its SQ8 rerank, the pre-filter and IVF baselines, k-means,
-//! medoids and the exact ground truth.
+//! fallback, the pre-filter and IVF baselines, k-means, medoids and the
+//! exact ground truth.
 
 use acorn_predicate::{Bitset, MemoTable};
 
@@ -127,7 +127,7 @@ impl SearchScratch {
 ///   it ends with one entry per `stats.nhops` this call added.
 ///
 /// Generic over [`VectorData`], so the same traversal serves the exact f32
-/// tier, SQ8-quantized segments and NHQ's fusion distance, and over
+/// rows and NHQ's fusion distance, and over
 /// [`GraphView`], so it walks nested, CSR and flat `[Vec<u32>]` adjacency.
 #[allow(clippy::too_many_arguments)]
 pub fn search_layer<V, G, P>(

@@ -7,9 +7,10 @@
 //! [`crate::kernels`] SQ8 kernels, which keeps the recall loss
 //! small while cutting vector memory ~4×.
 //!
-//! [`Sq8Store`] implements [`VectorData`], so it can serve as the traversal
-//! tier of a frozen segment: graph search runs over the codes, and the
-//! segment's retained exact rows refine the top candidates afterwards.
+//! [`Sq8Store`] implements [`VectorData`], so IVF-SQ8 scores its lists
+//! through the same exact scan ([`crate::search::exact_top_k`]) as the f32
+//! baselines do. No ACORN segment traverses codes: the SQ8 kernels are
+//! slower than the f32 ones today, and the f32 rows would stay resident.
 
 use crate::kernels;
 use crate::vecs::{Metric, VectorData, VectorStore};
@@ -75,32 +76,9 @@ impl Sq8Store {
         out
     }
 
-    /// Rebuild a store from a serialized codebook by re-encoding `vecs`.
-    ///
-    /// Encoding is deterministic given the codebook, so persisting only the
-    /// tag + codebook (serialize v5) and re-encoding on load reproduces the
-    /// exact codes that were in memory at save time.
-    ///
-    /// # Panics
-    /// Panics if the codebook lengths do not match `vecs.dim()`.
-    pub fn from_codebook(mins: Vec<f32>, steps: Vec<f32>, vecs: &VectorStore) -> Self {
-        let dim = vecs.dim();
-        assert_eq!(mins.len(), dim, "codebook mins length must equal dim");
-        assert_eq!(steps.len(), dim, "codebook steps length must equal dim");
-        assert!(steps.iter().all(|s| s.is_finite() && *s > 0.0), "steps must be positive");
-        let mut out = Self { dim, mins, steps, codes: Vec::new(), norms: Vec::new() };
-        out.codes.reserve(vecs.len() * dim);
-        for i in 0..vecs.len() as u32 {
-            out.push_after_train(vecs.get(i));
-        }
-        out
-    }
-
-    /// Encode one row with the already-trained codebook and append it.
-    ///
-    /// This is the active→frozen sealing hook: a segment trains the codebook
-    /// once at seal time, and late rows (or a merge rebuild) encode against
-    /// the fixed codebook without retraining.
+    /// Encode one row with the already-trained codebook and append it:
+    /// [`train`](Self::train)'s encoder, clamping values outside the
+    /// codebook's range.
     ///
     /// # Panics
     /// Panics if `v.len() != dim`.
@@ -116,26 +94,6 @@ impl Sq8Store {
         }
         self.norms.push(norm_sq.sqrt());
         id
-    }
-
-    /// Extract a sub-store containing the given row ids, in order, sharing
-    /// this store's codebook (no retraining, codes are copied verbatim).
-    ///
-    /// # Panics
-    /// Panics if any id is out of bounds.
-    pub fn subset(&self, ids: &[u32]) -> Sq8Store {
-        let mut out = Self {
-            dim: self.dim,
-            mins: self.mins.clone(),
-            steps: self.steps.clone(),
-            codes: Vec::with_capacity(ids.len() * self.dim),
-            norms: Vec::with_capacity(ids.len()),
-        };
-        for &id in ids {
-            out.codes.extend_from_slice(self.codes_of(id));
-            out.norms.push(self.norms[id as usize]);
-        }
-        out
     }
 
     /// Number of encoded vectors.
@@ -339,12 +297,7 @@ mod tests {
     fn push_after_train_matches_train_encoding() {
         let vecs = random_store(50, 8, 7);
         let trained = Sq8Store::train(&vecs);
-        let mut incremental =
-            Sq8Store::from_codebook(trained.mins().to_vec(), trained.steps().to_vec(), &vecs);
-        assert_eq!(trained.len(), incremental.len());
-        for i in 0..trained.len() as u32 {
-            assert_eq!(trained.codes_of(i), incremental.codes_of(i), "row {i}");
-        }
+        let mut incremental = trained.clone();
         let extra: Vec<f32> = (0..8).map(|d| (d as f32 * 0.3).sin()).collect();
         let id = incremental.push_after_train(&extra);
         assert_eq!(id as usize, vecs.len());
@@ -356,20 +309,6 @@ mod tests {
             let clamped = orig.clamp(lo, hi);
             assert!((clamped - got).abs() <= max_step(&trained) * 2.0 + 1e-5, "dim {d}");
         }
-    }
-
-    #[test]
-    fn subset_shares_codebook_and_preserves_rows() {
-        let vecs = random_store(40, 12, 9);
-        let sq = Sq8Store::train(&vecs);
-        let sub = sq.subset(&[30, 2, 2, 17]);
-        assert_eq!(sub.len(), 4);
-        assert_eq!(sub.mins(), sq.mins());
-        assert_eq!(sub.steps(), sq.steps());
-        assert_eq!(sub.codes_of(0), sq.codes_of(30));
-        assert_eq!(sub.codes_of(1), sq.codes_of(2));
-        assert_eq!(sub.codes_of(2), sq.codes_of(2));
-        assert_eq!(sub.codes_of(3), sq.codes_of(17));
     }
 
     #[test]

@@ -21,8 +21,8 @@
 ///
 /// So [`npred_evaluated`](Self::npred_evaluated) is exactly the number of
 /// rows the predicate program executed on, and `ndis` counts every distance
-/// kernel call — graph traversal, exact rerank and the pre-filter scan's
-/// batched scoring alike.
+/// kernel call — graph traversal and the pre-filter scan's batched scoring
+/// alike.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Number of vector distance computations performed.

@@ -13,9 +13,9 @@
 //! other — see [`VectorStore`] for the ownership rule that makes that sound.
 //!
 //! Search code does not depend on the concrete representation: both search
-//! layers are generic over [`VectorData`], so a frozen segment can swap the
-//! f32 tier for the SQ8-quantized [`Sq8Store`](crate::Sq8Store) without
-//! touching traversal logic. All distances route through the
+//! layers and the exact scan are generic over [`VectorData`], so the f32
+//! rows and the SQ8-quantized [`Sq8Store`](crate::Sq8Store) share one
+//! traversal and one scan. All distances route through the
 //! [`crate::kernels`] module, which picks AVX2/FMA or scalar code
 //! once per process.
 
