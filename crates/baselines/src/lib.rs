@@ -5,13 +5,14 @@
 //! Every hybrid-search method the ACORN paper benchmarks against (§7.2),
 //! implemented from scratch on the shared `acorn-hnsw` substrate so that
 //! comparisons use identical distance kernels and data layouts. Every graph
-//! method's beam search, at build and at query time, is the one shared loop
-//! [`acorn_hnsw::search::search_layer`] — the loop HNSW runs, scoring each
-//! neighborhood in one batched, prefetched
+//! method's beam search, at build and at query time, is the workspace's one
+//! best-first loop [`acorn_hnsw::search::search_layer`] — the loop HNSW and
+//! ACORN run, scoring each neighborhood in one batched, prefetched
 //! [`VectorData::distances_batch`](acorn_hnsw::VectorData::distances_batch)
-//! pass — walking the method's flat `[Vec<u32>]` adjacency through a
-//! neighbor gate (label filters), its `frontier` log (Vamana's prune set)
-//! or a fusion-distance store (NHQ). Every exact scan — the pre-filter, both
+//! pass — handed the method's flat `[Vec<u32>]` adjacency as the
+//! neighborhood [`gated`](acorn_hnsw::search::gated) builds, with a
+//! neighbor gate (label filters), and read through its `frontier` log
+//! (Vamana's prune set) or a fusion-distance store (NHQ). Every exact scan — the pre-filter, both
 //! IVF probes, k-means assignment and the Vamana medoids — is a call to the
 //! one batched scan [`acorn_hnsw::search::exact_top_k`], fed the ids it
 //! should score:

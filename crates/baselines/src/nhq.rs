@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use acorn_hnsw::heap::Neighbor;
-use acorn_hnsw::search::search_layer;
+use acorn_hnsw::search::{gated, search_layer};
 use acorn_hnsw::select::select_heuristic;
 use acorn_hnsw::{Metric, SearchScratch, SearchStats, VectorData, VectorStore};
 
@@ -107,19 +107,18 @@ impl NhqIndex {
             scratch.begin(n);
             let entry = [Neighbor::new(vecs.distance_to(metric, 0, q), 0)];
             // Only nodes inserted before `p` are linked.
-            let gate = |nb: u32, _: &mut SearchStats| nb < p;
+            let hood = gated(&adj[..], 0, |nb, _| nb < p);
             let ef = params.ef_construction.max(1);
             let beam = search_layer(
                 &*vecs,
-                &adj[..],
                 metric,
                 q,
                 &entry,
                 ef,
-                0,
                 &mut scratch,
                 &mut stats,
-                gate,
+                |_, _| true,
+                hood,
             );
             let kept = select_heuristic(&vecs, metric, &beam, m, 1.0, true, |_, _| true);
             for &s in &kept {
@@ -180,18 +179,9 @@ impl NhqIndex {
         let entry = [Neighbor::new(fused.distance_to(metric, 0, query), 0)];
         stats.ndis += 1;
         let all = |_, _: &mut SearchStats| true;
-        let beam = search_layer(
-            &fused,
-            &self.adj[..],
-            metric,
-            query,
-            &entry,
-            ef.max(k),
-            0,
-            scratch,
-            stats,
-            all,
-        );
+        let hood = gated(&self.adj[..], 0, all);
+        let beam =
+            search_layer(&fused, metric, query, &entry, ef.max(k), scratch, stats, all, hood);
         stats.npred += stats.ndis - ndis_before;
         beam.into_iter().filter(|n| labels[n.id as usize] == target_label).take(k).collect()
     }

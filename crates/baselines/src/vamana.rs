@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use acorn_hnsw::heap::Neighbor;
-use acorn_hnsw::search::search_layer;
+use acorn_hnsw::search::{gated, search_layer};
 use acorn_hnsw::{Metric, SearchScratch, SearchStats, VectorStore};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -107,8 +107,9 @@ pub(crate) fn beam_search(
     scratch.begin(adj.len());
     let entry = [Neighbor::new(vecs.distance_to(metric, start, query), start)];
     stats.ndis += 1;
+    let hood = gated(adj, 0, gate);
     let mut beam =
-        search_layer(vecs, adj, metric, query, &entry, l.max(k), 0, scratch, stats, gate);
+        search_layer(vecs, metric, query, &entry, l.max(k), scratch, stats, |_, _| true, hood);
     beam.truncate(k);
     beam
 }
@@ -145,7 +146,8 @@ pub(crate) fn insert_pass(
         scratch.begin(adj.len());
         let entry = [Neighbor::new(vecs.distance_to(metric, s, q), s)];
         let gate = |nb: u32, _: &mut SearchStats| label(nb) == lp;
-        search_layer(vecs, &*adj, metric, q, &entry, ef, 0, &mut scratch, &mut stats, gate);
+        let hood = gated(&*adj, 0, gate);
+        search_layer(vecs, metric, q, &entry, ef, &mut scratch, &mut stats, |_, _| true, hood);
         let mut cands: Vec<Neighbor> =
             scratch.frontier.iter().copied().filter(|nb| nb.id != p).collect();
         cands.extend(scored(p, &adj[p as usize]));

@@ -10,6 +10,7 @@
 //! it into its *sealed* form: the same graph as one immutable [`CsrGraph`],
 //! with the build state dropped.
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use acorn_hnsw::heap::Neighbor;
@@ -348,27 +349,18 @@ impl AcornIndex {
 
         // Phase 1 (§2.1): greedy descent with ef = 1 down to level l + 1,
         // using the metadata-agnostic truncated lookup.
-        let mut entries = vec![Neighbor::new(vecs.distance_to(metric, entry, q), entry)];
-        for lev in ((level + 1)..=prev_max).rev() {
-            let found = acorn_search_layer(
-                &*vecs,
-                &g.graph,
-                metric,
-                q,
-                &acorn_predicate::AllPass,
-                &entries,
-                1,
-                lev,
-                self.params.m,
-                LookupMode::Truncate,
-                &mut g.scratch,
-                &mut stats,
-            );
-            if !found.is_empty() {
-                entries = found;
-            }
-            g.scratch.visited.reset();
-        }
+        let mut entries = descend(
+            &vecs,
+            &g.graph,
+            &self.params,
+            q,
+            &acorn_predicate::AllPass,
+            LookupMode::Truncate,
+            vec![Neighbor::new(vecs.distance_to(metric, entry, q), entry)],
+            (level + 1)..=prev_max,
+            &mut g.scratch,
+            &mut stats,
+        );
 
         // Phase 2: collect M·γ candidate edges per level and connect.
         let ef = self.params.ef_construction.max(budget);
@@ -543,19 +535,22 @@ impl AcornIndex {
         let mode = self.lookup_mode();
         let m = self.params.m;
 
-        let mut entries = vec![Neighbor::new(vecs.distance_to(metric, entry, query), entry)];
+        let entry = Neighbor::new(vecs.distance_to(metric, entry, query), entry);
         stats.ndis += 1;
 
         // Stage 1 + upper predicate-subgraph traversal: ef = 1 per level.
-        for lev in (1..=graph.max_level()).rev() {
-            let found = acorn_search_layer(
-                vecs, graph, metric, query, filter, &entries, 1, lev, m, mode, scratch, stats,
-            );
-            if !found.is_empty() {
-                entries = found;
-            }
-            scratch.visited.reset();
-        }
+        let entries = descend(
+            vecs,
+            graph,
+            &self.params,
+            query,
+            filter,
+            mode,
+            vec![entry],
+            1..=graph.max_level(),
+            scratch,
+            stats,
+        );
 
         // Bottom level with the full beam.
         let ef = efs.max(k);
@@ -587,6 +582,38 @@ impl AcornIndex {
         stats.ndis += ndis;
         out
     }
+}
+
+/// ACORN's ef = 1 walk down `levels`, top first: each level's nearest
+/// passing node becomes the next level's entry, and a level that finds none
+/// keeps the previous entries. The visited marks are cleared after every
+/// level. Insertion walks it with [`LookupMode::Truncate`] and no filter
+/// (phase 1 of §2.1), search with the query's filter and the index's lookup
+/// (stage 1 of §6.3.2).
+#[allow(clippy::too_many_arguments)]
+fn descend<G: GraphView, F: NodeFilter>(
+    vecs: &VectorStore,
+    graph: &G,
+    params: &AcornParams,
+    query: &[f32],
+    filter: &F,
+    mode: LookupMode,
+    mut entries: Vec<Neighbor>,
+    levels: RangeInclusive<usize>,
+    scratch: &mut SearchScratch,
+    stats: &mut SearchStats,
+) -> Vec<Neighbor> {
+    let (metric, m) = (params.metric, params.m);
+    for lev in levels.rev() {
+        let found = acorn_search_layer(
+            vecs, graph, metric, query, filter, &entries, 1, lev, m, mode, scratch, stats,
+        );
+        if !found.is_empty() {
+            entries = found;
+        }
+        scratch.visited.reset();
+    }
+    entries
 }
 
 #[cfg(test)]

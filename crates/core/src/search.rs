@@ -1,9 +1,11 @@
 //! ACORN's greedy layer search (Algorithm 2 of the paper).
 //!
-//! The traversal mirrors HNSW's SEARCH-LAYER with one structural change:
-//! neighbor lookups go through a predicate-aware strategy
-//! ([`crate::lookup`]), and the dynamic result list `W` only ever contains
-//! nodes that pass the query predicate. The fixed entry point may *fail* the
+//! The traversal is HNSW's SEARCH-LAYER with one structural change, and the
+//! code has that shape: [`acorn_search_layer`] runs the workspace's one
+//! best-first loop, [`acorn_hnsw::search::search_layer`], with neighbor
+//! lookups that go through a predicate-aware strategy ([`crate::lookup`]),
+//! so the dynamic result list `W` only ever contains nodes that pass the
+//! query predicate. The fixed entry point may *fail* the
 //! predicate — stage 1 of the search (§6.3.2) expands it anyway, dropping
 //! through levels until the predicate subgraph is reached.
 //!
@@ -17,7 +19,8 @@
 //! a `MemoFilter` over the compiled program otherwise. Results are identical
 //! for any filter that answers `passes` the same way.
 
-use acorn_hnsw::heap::{Neighbor, TopK};
+use acorn_hnsw::heap::Neighbor;
+use acorn_hnsw::search::search_layer;
 use acorn_hnsw::{GraphView, Metric, SearchScratch, SearchStats, VectorData, VisitedSet};
 use acorn_predicate::NodeFilter;
 
@@ -55,7 +58,6 @@ fn get_neighbors<G: GraphView, F: NodeFilter>(
     out: &mut Vec<u32>,
     stats: &mut SearchStats,
 ) {
-    out.clear();
     match mode {
         LookupMode::Truncate => lookup::filtered(graph, v, level, filter, m, visited, out, stats),
         LookupMode::GammaSearch { m_beta, compressed_levels } => {
@@ -77,8 +79,12 @@ fn get_neighbors<G: GraphView, F: NodeFilter>(
 /// is reachable (the caller then drops to the next level with its previous
 /// entry point, per stage 1 of §6.3.2).
 ///
-/// Generic over [`VectorData`] like the rest of the workspace's scans; the
-/// engine traverses the exact f32 rows of its
+/// An adapter over the workspace's one best-first loop,
+/// [`search_layer`]: each fresh entry is reported if it passes `filter`
+/// (one `npred` apiece), and the neighborhood is the `mode`'s
+/// GET-NEIGHBORS, which admits only passing nodes. Generic over
+/// [`VectorData`] like the rest of the workspace's scans; the engine
+/// traverses the exact f32 rows of its
 /// [`VectorStore`](acorn_hnsw::VectorStore) for both the
 /// growing and the sealed graph layout.
 #[allow(clippy::too_many_arguments)]
@@ -96,62 +102,14 @@ pub fn acorn_search_layer<V: VectorData + ?Sized, G: GraphView, F: NodeFilter>(
     scratch: &mut SearchScratch,
     stats: &mut SearchStats,
 ) -> Vec<Neighbor> {
-    debug_assert!(ef > 0);
-    scratch.candidates.clear();
-    let mut results = TopK::new(ef);
-
-    for &e in entries {
-        if scratch.visited.insert(e.id) {
-            scratch.candidates.push(e);
-            stats.npred += 1;
-            if filter.passes(e.id) {
-                results.push(e);
-            }
-        }
-    }
-
-    while let Some(c) = scratch.candidates.pop() {
-        if results.is_full() {
-            if let Some(worst) = results.worst() {
-                if c.dist > worst.dist {
-                    break;
-                }
-            }
-        }
-        stats.nhops += 1;
-        get_neighbors(
-            graph,
-            c.id,
-            level,
-            filter,
-            m,
-            mode,
-            &scratch.visited,
-            &mut scratch.expansion,
-            stats,
-        );
-        // Dedup within the lookup's output, then compute the whole hood's
-        // distances in one batched, prefetched pass over the vector store.
-        let visited = &mut scratch.visited;
-        scratch.expansion.retain(|&v| visited.insert(v));
-        vecs.distances_batch(metric, query, &scratch.expansion, &mut scratch.dist_buf);
-        stats.ndis += scratch.expansion.len() as u64;
-        for (&v, &d) in scratch.expansion.iter().zip(&scratch.dist_buf) {
-            let cand = Neighbor::new(d, v);
-            let admit = match results.worst() {
-                Some(w) => d < w.dist || !results.is_full(),
-                None => true,
-            };
-            if admit {
-                scratch.candidates.push(cand);
-                // v passed the predicate inside the lookup, so it is a
-                // legitimate member of the result list.
-                results.push(cand);
-            }
-        }
-    }
-
-    results.into_sorted()
+    let reports = |e: u32, stats: &mut SearchStats| {
+        stats.npred += 1;
+        filter.passes(e)
+    };
+    let hood = |v: u32, visited: &VisitedSet, out: &mut Vec<u32>, stats: &mut SearchStats| {
+        get_neighbors(graph, v, level, filter, m, mode, visited, out, stats)
+    };
+    search_layer(vecs, metric, query, entries, ef, scratch, stats, reports, hood)
 }
 
 #[cfg(test)]

@@ -3,14 +3,17 @@
 //! layout — same ids, same distances, same search-statistics counters — for
 //! every lookup strategy, for a growing index of either ACORN variant
 //! against its sealed clone, and through the save → load round trip of a
-//! sealed segment.
+//! sealed segment. Where the paper says ACORN's lookup is HNSW's (everything
+//! passes, nothing truncated), its layer search must walk exactly like the
+//! plain one.
 
 use std::sync::Arc;
 
 use acorn_core::search::{acorn_search_layer, LookupMode};
 use acorn_core::{AcornIndex, AcornParams, AcornVariant, SegmentedAcornIndex};
 use acorn_hnsw::heap::Neighbor;
-use acorn_hnsw::{Metric, SearchScratch, SearchStats, VectorStore};
+use acorn_hnsw::search::{gated, search_layer};
+use acorn_hnsw::{GraphView, LayeredGraph, Metric, SearchScratch, SearchStats, VectorStore};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -45,6 +48,90 @@ fn small_params(seed: u64) -> AcornParams {
 
 fn pairs(out: &[Neighbor]) -> Vec<(u32, f32)> {
     out.iter().map(|n| (n.id, n.dist)).collect()
+}
+
+fn bits(out: &[Neighbor]) -> Vec<(u32, u32)> {
+    out.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+}
+
+/// A random multi-level graph: geometric levels, and up to 12 random
+/// targets per node and level drawn from the nodes on that level, self
+/// loops and repeated targets included. Half the lists are full, so the
+/// truncation bound is reached; none outgrows the graph, which the CSR
+/// refuses.
+fn random_graph(n: usize, seed: u64) -> LayeredGraph {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9a7);
+    let mut g = LayeredGraph::new();
+    for _ in 0..n {
+        let mut level = 0;
+        while level < 3 && rng.gen_range(0..4) == 0 {
+            level += 1;
+        }
+        g.add_node(level);
+    }
+    for lev in 0..=g.max_level() {
+        let on_level: Vec<u32> = (0..n as u32).filter(|&v| g.level_of(v) >= lev).collect();
+        for &v in &on_level {
+            let cap = on_level.len().min(12);
+            let degree = if rng.gen_range(0..2) == 0 { cap } else { rng.gen_range(0..=cap) };
+            for _ in 0..degree {
+                g.push_edge(v, on_level[rng.gen_range(0..on_level.len())], lev);
+            }
+        }
+    }
+    g
+}
+
+/// One layer walk: answers, `ndis`, `nhops` and the expansion log, each
+/// distance as its bits.
+type Walk = (Vec<(u32, u32)>, u64, u64, Vec<(u32, u32)>);
+
+/// Run `search` on a fresh scratch over `n` nodes and record its walk.
+fn walk(
+    n: usize,
+    search: impl FnOnce(&mut SearchScratch, &mut SearchStats) -> Vec<Neighbor>,
+) -> Walk {
+    let mut scratch = SearchScratch::new(n);
+    scratch.begin(n);
+    let mut stats = SearchStats::default();
+    let out = search(&mut scratch, &mut stats);
+    (bits(&out), stats.ndis, stats.nhops, bits(&scratch.frontier))
+}
+
+/// ACORN's all-pass truncated walk and the gated all-pass walk from the same
+/// entries.
+fn acorn_and_gated_walks<G: GraphView>(
+    vecs: &VectorStore,
+    graph: &G,
+    q: &[f32],
+    entries: &[Neighbor],
+    ef: usize,
+    level: usize,
+    m: usize,
+) -> (Walk, Walk) {
+    let (n, all) = (graph.len(), |_: u32, _: &mut SearchStats| true);
+    let acorn = walk(n, |scratch, stats| {
+        let (filter, mode) = (&acorn_predicate::AllPass, LookupMode::Truncate);
+        acorn_search_layer(
+            vecs,
+            graph,
+            Metric::L2,
+            q,
+            filter,
+            entries,
+            ef,
+            level,
+            m,
+            mode,
+            scratch,
+            stats,
+        )
+    });
+    let plain = walk(n, |scratch, stats| {
+        let hood = gated(graph, level, all);
+        search_layer(vecs, Metric::L2, q, entries, ef, scratch, stats, all, hood)
+    });
+    (acorn, plain)
 }
 
 proptest! {
@@ -150,6 +237,43 @@ proptest! {
             let b = pairs(&loaded.search_filtered(&q, &filter, 8, 32, &mut scratch, &mut sb));
             prop_assert_eq!(a, b);
             prop_assert_eq!(sa, sb);
+        }
+    }
+
+    /// With an all-pass filter, the truncated lookup and `m` at least the
+    /// longest list, ACORN's neighborhood is HNSW's: `acorn_search_layer`
+    /// walks exactly like `search_layer` over `gated(graph, level, all)` —
+    /// same answers, distance and hop counts, and expansion order — on the
+    /// growing and the frozen layout, at every level.
+    #[test]
+    fn acorn_walk_is_the_gated_walk_when_everything_passes(
+        n in 2usize..200,
+        ef in 1usize..24,
+        slack in 0usize..2,
+        seed in 0u64..500,
+    ) {
+        let vecs = random_store(n, 6, seed);
+        let g = random_graph(n, seed);
+        let csr = g.freeze();
+        let q = random_query(6, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xe7);
+        let longest = (0..n as u32)
+            .flat_map(|v| (0..=g.level_of(v)).map(move |lev| (v, lev)))
+            .map(|(v, lev)| g.neighbors(v, lev).len())
+            .max()
+            .unwrap_or(0);
+        let m = longest + slack;
+        for lev in 0..=g.max_level() {
+            let on_level: Vec<u32> = (0..n as u32).filter(|&v| g.level_of(v) >= lev).collect();
+            let starts = [g.entry_point().unwrap(), on_level[rng.gen_range(0..on_level.len())]];
+            let entries: Vec<Neighbor> = starts
+                .iter()
+                .map(|&v| Neighbor::new(Metric::L2.distance(vecs.get(v), &q), v))
+                .collect();
+            let (acorn, plain) = acorn_and_gated_walks(&vecs, &g, &q, &entries, ef, lev, m);
+            prop_assert_eq!(acorn, plain, "growing layout, level {}", lev);
+            let (acorn, plain) = acorn_and_gated_walks(&vecs, &csr, &q, &entries, ef, lev, m);
+            prop_assert_eq!(acorn, plain, "frozen layout, level {}", lev);
         }
     }
 }

@@ -12,7 +12,9 @@
 //! toward ~2× as `M` shrinks and headers dominate. Search over either
 //! layout is bit-identical; see [`GraphView`].
 
-use crate::graph::{GraphView, LayeredGraph};
+use crate::graph::GraphView;
+#[cfg(doc)]
+use crate::graph::LayeredGraph;
 
 /// A frozen, flat multi-level graph: per-level `offsets`/`targets` arenas.
 ///
@@ -36,25 +38,6 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Compact a [`LayeredGraph`] into CSR form.
-    ///
-    /// # Panics
-    /// Panics if any single level holds more than `u32::MAX` edges (the
-    /// offset table is 32-bit; at `M·γ` ≤ a few hundred edges per node that
-    /// is over ten billion nodes, far past the `u32` id space itself).
-    pub fn from_layered(g: &LayeredGraph) -> Self {
-        let mut b = CsrBuilder::new(g.len());
-        for v in 0..g.len() as u32 {
-            let level = g.level_of(v);
-            b.push_node(level).expect("a layered graph's levels fit the CSR");
-            for lev in 0..=level {
-                b.push_list(g.neighbors(v, lev).iter().copied())
-                    .expect("a layered graph's lists fit the CSR");
-            }
-        }
-        b.finish().expect("every node of the layered graph was pushed")
-    }
-
     /// Bytes consumed by the flat arenas, offset tables, and level tags
     /// (index-only footprint; vectors are accounted separately). Directly
     /// comparable to [`LayeredGraph::memory_bytes`].
@@ -208,6 +191,7 @@ impl CsrBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::LayeredGraph;
 
     fn sample() -> LayeredGraph {
         let mut g = LayeredGraph::new();

@@ -21,8 +21,8 @@ use std::sync::Arc;
 ///
 /// Both the mutable build-time layout ([`LayeredGraph`]) and the frozen
 /// query-time layout ([`CsrGraph`](crate::csr::CsrGraph)) implement this
-/// trait, so every search routine (`search_layer`, `greedy_descend`,
-/// ACORN's `acorn_search_layer` and its lookups) is generic over the
+/// trait, so every search routine (`search_layer`'s neighborhoods,
+/// `greedy_descend`, ACORN's lookups) is generic over the
 /// representation and monomorphizes to direct slice access on either. The
 /// graph baselines' flat one-level `[Vec<u32>]` implements it too.
 pub trait GraphView {
@@ -218,8 +218,22 @@ impl LayeredGraph {
     /// The frozen graph is a read-only snapshot: neighbor lists, ordering,
     /// entry point, and levels are preserved exactly, so search over either
     /// layout returns bit-identical results.
+    ///
+    /// # Panics
+    /// Panics if any single level holds more than `u32::MAX` edges (the
+    /// offset table is 32-bit; at `M·γ` ≤ a few hundred edges per node that
+    /// is over ten billion nodes, far past the `u32` id space itself).
     pub fn freeze(&self) -> crate::csr::CsrGraph {
-        crate::csr::CsrGraph::from_layered(self)
+        let mut b = crate::csr::CsrBuilder::new(self.len());
+        for v in 0..self.len() as u32 {
+            let level = self.level_of(v);
+            b.push_node(level).expect("a layered graph's levels fit the CSR");
+            for lev in 0..=level {
+                b.push_list(self.neighbors(v, lev).iter().copied())
+                    .expect("a layered graph's lists fit the CSR");
+            }
+        }
+        b.finish().expect("every node of the layered graph was pushed")
     }
 
     /// Total bytes consumed by adjacency lists and level tags (index-only

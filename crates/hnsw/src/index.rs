@@ -13,7 +13,7 @@ use crate::graph::LayeredGraph;
 use crate::heap::Neighbor;
 use crate::level::LevelSampler;
 use crate::pool::ScratchPool;
-use crate::search::{greedy_descend, search_layer, SearchScratch};
+use crate::search::{gated, greedy_descend, search_layer, SearchScratch};
 use crate::select::select_heuristic;
 use crate::stats::SearchStats;
 use crate::vecs::{Metric, VectorStore};
@@ -148,15 +148,14 @@ impl HnswIndex {
         for lev in (0..=top).rev() {
             let candidates = search_layer(
                 &*vecs,
-                &self.graph,
                 metric,
                 q,
                 &entries,
                 self.params.ef_construction,
-                lev,
                 &mut self.scratch,
                 &mut stats,
                 |_, _| true,
+                gated(&self.graph, lev, |_, _| true),
             );
             let m_level = self.params.max_degree(lev);
             let selected =
@@ -235,8 +234,9 @@ impl HnswIndex {
         scratch.visited.reset();
         let ef = efs.max(k);
         let all = |_, _: &mut SearchStats| true;
+        let hood = gated(graph, 0, all);
         let mut found =
-            search_layer(&*self.vecs, graph, metric, query, &[ep], ef, 0, scratch, stats, all);
+            search_layer(&*self.vecs, metric, query, &[ep], ef, scratch, stats, all, hood);
         found.truncate(k);
         found
     }

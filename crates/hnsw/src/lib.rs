@@ -30,7 +30,8 @@
 //!   heuristic pruning from the HNSW paper, with an `alpha` knob that also
 //!   serves Vamana's robust prune.
 //! * [`search`] — the greedy beam search over one graph layer, the
-//!   best-first loop HNSW and every graph baseline share, and
+//!   workspace's one best-first loop (HNSW, ACORN and every graph baseline
+//!   pass it their neighborhood), and
 //!   [`exact_top_k`](search::exact_top_k), the batched brute-force scan
 //!   behind every exact nearest-`k` in the workspace.
 //! * [`index`] — the assembled [`HnswIndex`] with Algorithm 1 search.

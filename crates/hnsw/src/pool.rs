@@ -6,7 +6,7 @@
 //! free list of scratches behind a mutex: workers check one out for the
 //! duration of a query (or a whole batch shard) and the guard returns it on
 //! drop. Checked-out scratches are re-sized via
-//! [`SearchScratch::reset_for`], so one pool keeps serving an index that has
+//! [`SearchScratch::begin`], so one pool keeps serving an index that has
 //! grown since the scratches were first allocated.
 //!
 //! The lock is held only for the `Vec` push/pop — never across a search —
@@ -41,7 +41,7 @@ impl ScratchPool {
     /// allocates a new one. The guard returns the scratch on drop.
     pub fn checkout(&self, n: usize) -> PooledScratch<'_> {
         let mut scratch = self.lock().pop().unwrap_or_default();
-        scratch.reset_for(n);
+        scratch.begin(n);
         PooledScratch { pool: self, scratch: Some(scratch) }
     }
 

@@ -1,14 +1,16 @@
-//! Greedy beam search over one graph layer (SEARCH-LAYER of the HNSW paper),
-//! and the workspace's one exact nearest-`k` scan.
+//! The workspace's one best-first graph traversal (SEARCH-LAYER of the HNSW
+//! paper) and its one exact nearest-`k` scan.
 //!
-//! [`search_layer`] is the best-first loop of HNSW and of every graph
-//! baseline (Vamana, FilteredVamana, StitchedVamana, NHQ), whose label
-//! filters ride on its neighbor gate. ACORN's predicate-aware variant
-//! (Algorithm 2 of the ACORN paper) lives in `acorn-core`; it shares this
-//! module's scratch-space type so thread pools can reuse allocations across
-//! queries. [`exact_top_k`] is the brute-force scan behind ACORN's pre-filter
-//! fallback, the pre-filter and IVF baselines, k-means, medoids and the
-//! exact ground truth.
+//! [`search_layer`] is the loop behind HNSW, ACORN and every graph baseline
+//! (Vamana, FilteredVamana, StitchedVamana, NHQ). They differ only in the
+//! neighborhood a hop expands and in which entries may be reported, and
+//! both are arguments: [`gated`] turns a graph level and a neighbor gate
+//! into a neighborhood (HNSW and the baselines, whose label filters ride on
+//! the gate), and `acorn-core` passes ACORN's predicate-aware GET-NEIGHBORS
+//! (Algorithm 2 of the ACORN paper). A new lookup rule is a new
+//! neighborhood function, not a new loop. [`exact_top_k`] is the
+//! brute-force scan behind ACORN's pre-filter fallback, the pre-filter and
+//! IVF baselines, k-means, medoids and the exact ground truth.
 
 use acorn_predicate::{Bitset, MemoTable};
 
@@ -30,18 +32,18 @@ pub struct SearchScratch {
     pub visited: VisitedSet,
     /// Candidate min-heap (reused allocation).
     pub candidates: MinHeap,
-    /// Secondary buffer for neighbor-list expansion (used by ACORN lookups).
+    /// The neighborhood [`search_layer`] collects for the node it expands.
     pub expansion: Vec<u32>,
-    /// Expanded-node log: [`search_layer`] clears it on entry and appends
-    /// every node it expands, in expansion order (Vamana's construction
-    /// robust-prunes over that set).
+    /// Expanded-node log: every traversal runs [`search_layer`], which
+    /// clears it on entry and appends every node it expands, in expansion
+    /// order (Vamana's construction robust-prunes over that set).
     pub frontier: Vec<Neighbor>,
     /// Per-hood distance buffer filled by
     /// [`VectorData::distances_batch`] (reused allocation).
     pub dist_buf: Vec<f32>,
     /// Per-query predicate memo (tri-state known/pass words), recycled with
     /// the scratch through the [`ScratchPool`](crate::pool::ScratchPool).
-    /// Not touched by [`reset_for`](Self::reset_for): the hybrid query
+    /// Not touched by [`begin`](Self::begin): the hybrid query
     /// planner that uses it checks it out with [`take_memo`](Self::take_memo)
     /// (which resets it), so unfiltered queries never pay the clear.
     pub memo: MemoTable,
@@ -87,10 +89,12 @@ impl SearchScratch {
     /// visited set if the index has grown since the scratch was created, and
     /// clear all per-query state while keeping the allocations.
     ///
-    /// This is the reuse API behind [`ScratchPool`](crate::pool::ScratchPool):
-    /// a pooled scratch sized for an older, smaller index is rehabilitated
-    /// here rather than reallocated.
-    pub fn reset_for(&mut self, n: usize) {
+    /// Searches call it at query start, and
+    /// [`ScratchPool`](crate::pool::ScratchPool) at checkout, which is how a
+    /// pooled scratch sized for an older, smaller index is rehabilitated
+    /// rather than reallocated. The double reset when a pooled scratch
+    /// enters a search is an O(1) epoch bump, not a wipe.
+    pub fn begin(&mut self, n: usize) {
         self.visited.grow(n);
         self.visited.reset();
         self.candidates.clear();
@@ -98,54 +102,48 @@ impl SearchScratch {
         self.frontier.clear();
         self.dist_buf.clear();
     }
-
-    /// Ensure capacity for `n` nodes and reset per-query state: the name
-    /// the search routines call at query start. Alias of
-    /// [`reset_for`](Self::reset_for) (which pools call at checkout); the
-    /// double reset when a pooled scratch enters a search is an O(1) epoch
-    /// bump, not a wipe.
-    pub fn begin(&mut self, n: usize) {
-        self.reset_for(n);
-    }
 }
 
-/// Greedy beam search on `level`, starting from `entry`, returning the `ef`
-/// closest nodes found (sorted nearest-first).
+/// Greedy beam search from `entry`, returning the `ef` closest reported
+/// nodes found (sorted nearest-first).
 ///
 /// This is SEARCH-LAYER from the HNSW paper: a best-first expansion that
 /// stops when the closest unexpanded candidate is further than the worst of
-/// the `ef` results. It is the one such loop behind HNSW and every graph
-/// baseline (Vamana, FilteredVamana, StitchedVamana, NHQ); ACORN's
-/// predicate-subgraph expansion in `acorn-core` is the only other.
+/// the `ef` results. It is the workspace's one such loop; callers differ
+/// only in the two callbacks.
 ///
-/// * `gate` is asked about every neighbor of an expanded node *before* the
-///   visited check: a rejected node stays unvisited, so a later expansion
-///   asks about it again (FilteredVamana counts one predicate evaluation per
-///   neighbor scanned this way). Entries are not gated. Pass `|_, _| true`
-///   for an unfiltered walk.
+/// * `reports` is asked once about each entry not yet visited, and says
+///   whether it may enter the result list. An entry it turns away is still
+///   expanded. Pass `|_, _| true` to report every entry.
+/// * `hood` is called once per expanded node with the node, the visited set
+///   as it stands and a cleared buffer, and appends the node's candidates.
+///   The loop then drops visited ids and repeats, marks the rest visited,
+///   scores them with one [`VectorData::distances_batch`] call, and admits
+///   each that beats the worst result into both the candidates and the
+///   results, so a neighborhood must yield only nodes that may be reported.
+///   [`gated`] builds the plain one.
 /// * Every expanded node is logged in `scratch.frontier` (cleared first), so
 ///   it ends with one entry per `stats.nhops` this call added.
 ///
 /// Generic over [`VectorData`], so the same traversal serves the exact f32
-/// rows and NHQ's fusion distance, and over
-/// [`GraphView`], so it walks nested, CSR and flat `[Vec<u32>]` adjacency.
+/// rows and NHQ's fusion distance; the neighborhood decides which graph
+/// layout ([`GraphView`]) it walks.
 #[allow(clippy::too_many_arguments)]
-pub fn search_layer<V, G, P>(
+pub fn search_layer<V, R, H>(
     vecs: &V,
-    graph: &G,
     metric: Metric,
     query: &[f32],
     entry: &[Neighbor],
     ef: usize,
-    level: usize,
     scratch: &mut SearchScratch,
     stats: &mut SearchStats,
-    mut gate: P,
+    mut reports: R,
+    mut hood: H,
 ) -> Vec<Neighbor>
 where
     V: VectorData + ?Sized,
-    G: GraphView + ?Sized,
-    P: FnMut(u32, &mut SearchStats) -> bool,
+    R: FnMut(u32, &mut SearchStats) -> bool,
+    H: FnMut(u32, &VisitedSet, &mut Vec<u32>, &mut SearchStats),
 {
     debug_assert!(ef > 0);
     scratch.candidates.clear();
@@ -155,7 +153,9 @@ where
     for &e in entry {
         if scratch.visited.insert(e.id) {
             scratch.candidates.push(e);
-            results.push(e);
+            if reports(e.id, stats) {
+                results.push(e);
+            }
         }
     }
 
@@ -167,14 +167,12 @@ where
         }
         stats.nhops += 1;
         scratch.frontier.push(c);
-        // Gather the admitted unvisited neighbors, then compute all their
-        // distances in one batched, prefetched pass over the vector store.
+        // Gather the unvisited neighborhood, then compute all its distances
+        // in one batched, prefetched pass over the vector store.
         scratch.expansion.clear();
-        for &nb in graph.neighbors(c.id, level) {
-            if gate(nb, stats) && scratch.visited.insert(nb) {
-                scratch.expansion.push(nb);
-            }
-        }
+        hood(c.id, &scratch.visited, &mut scratch.expansion, stats);
+        let visited = &mut scratch.visited;
+        scratch.expansion.retain(|&nb| visited.insert(nb));
         vecs.distances_batch(metric, query, &scratch.expansion, &mut scratch.dist_buf);
         stats.ndis += scratch.expansion.len() as u64;
         for (&nb, &d) in scratch.expansion.iter().zip(&scratch.dist_buf) {
@@ -191,6 +189,27 @@ where
     }
 
     results.into_sorted()
+}
+
+/// The plain neighborhood for [`search_layer`]: `v`'s list on `level`,
+/// through `gate`.
+///
+/// `gate` is asked about every neighbor in list order *before* the visited
+/// check: a rejected node stays unvisited, so a later expansion asks about
+/// it again (FilteredVamana counts one predicate evaluation per neighbor
+/// scanned this way). Pass `|_, _| true` for an unfiltered walk.
+pub fn gated<'g, G, P>(
+    graph: &'g G,
+    level: usize,
+    mut gate: P,
+) -> impl FnMut(u32, &VisitedSet, &mut Vec<u32>, &mut SearchStats) + 'g
+where
+    G: GraphView + ?Sized,
+    P: FnMut(u32, &mut SearchStats) -> bool + 'g,
+{
+    move |v, _, out, stats| {
+        out.extend(graph.neighbors(v, level).iter().copied().filter(|&nb| gate(nb, stats)));
+    }
 }
 
 /// Exact nearest-`k` scan over the row ids `ids` feeds it: returns the `k`
@@ -313,15 +332,14 @@ mod tests {
         let entry = vec![Neighbor::new(vecs.distance_to(Metric::L2, 0, &[3.0]), 0)];
         let out = search_layer(
             &vecs,
-            &g,
             Metric::L2,
             &[3.0],
             &entry,
             2,
-            0,
             &mut scratch,
             &mut stats,
             all,
+            gated(&g, 0, all),
         );
         assert_eq!(out[0].id, 3);
         assert_eq!(out[1].id, 2);
@@ -338,15 +356,14 @@ mod tests {
         let entry = vec![Neighbor::new(vecs.distance_to(Metric::L2, 0, &[0.0]), 0)];
         let out = search_layer(
             &vecs,
-            &g,
             Metric::L2,
             &[0.0],
             &entry,
             1,
-            0,
             &mut scratch,
             &mut stats,
             all,
+            gated(&g, 0, all),
         );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].id, 0);
@@ -387,15 +404,14 @@ mod tests {
         let entry = [Neighbor::new(vecs.distance_to(Metric::L2, 0, &[2.0]), 0)];
         let out = search_layer(
             &vecs,
-            &adj[..],
             Metric::L2,
             &[2.0],
             &entry,
             3,
-            0,
             &mut scratch,
             &mut stats,
-            gate,
+            all,
+            gated(&adj[..], 0, gate),
         );
         assert_eq!(asked_about_2, 2);
         assert_eq!(out.iter().map(|n| n.id).collect::<Vec<_>>(), [2, 1, 0]);
@@ -409,7 +425,8 @@ mod tests {
         scratch.frontier.push(Neighbor::new(9.0, 3)); // stale: cleared on entry
         let mut stats = SearchStats::default();
         let entry = [Neighbor::new(vecs.distance_to(Metric::L2, 0, &[3.0]), 0)];
-        search_layer(&vecs, &g, Metric::L2, &[3.0], &entry, 2, 0, &mut scratch, &mut stats, all);
+        let hood = gated(&g, 0, all);
+        search_layer(&vecs, Metric::L2, &[3.0], &entry, 2, &mut scratch, &mut stats, all, hood);
         assert_eq!(scratch.frontier.len() as u64, stats.nhops);
         assert_eq!(scratch.frontier[0], entry[0]);
     }
@@ -424,17 +441,28 @@ mod tests {
         let none = |_: u32, _: &mut SearchStats| false;
         let out = search_layer(
             &vecs,
-            &g,
             Metric::L2,
             &[3.0],
             &entry,
             4,
-            0,
             &mut scratch,
             &mut stats,
-            none,
+            all,
+            gated(&g, 0, none),
         );
         assert_eq!(out, entry);
         assert_eq!(stats.ndis, 0);
+    }
+
+    #[test]
+    fn a_fresh_scratch_needs_no_begin() {
+        let (vecs, g) = line_world();
+        let mut scratch = SearchScratch::new(4);
+        let mut stats = SearchStats::default();
+        let entry = [Neighbor::new(vecs.distance_to(Metric::L2, 2, &[2.0]), 2)];
+        let hood = gated(&g, 0, all);
+        let out =
+            search_layer(&vecs, Metric::L2, &[2.0], &entry, 1, &mut scratch, &mut stats, all, hood);
+        assert_eq!(out, entry);
     }
 }

@@ -4,19 +4,26 @@
 //! millions of times. Clearing a boolean array per query would cost `O(n)`;
 //! instead each slot stores the epoch at which it was last marked and a query
 //! simply bumps the epoch. The array is only wiped on the (rare) epoch
-//! overflow.
+//! overflow. Stamps start at 0 and the epoch never is, so a fresh or
+//! freshly grown slot reads unvisited.
 
 /// A reusable visited-set over node ids `0..n`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct VisitedSet {
     stamps: Vec<u32>,
     epoch: u32,
 }
 
+impl Default for VisitedSet {
+    fn default() -> Self {
+        Self::new(0)
+    }
+}
+
 impl VisitedSet {
-    /// Create a set covering ids `0..n`.
+    /// Create a set covering ids `0..n`, none of them visited.
     pub fn new(n: usize) -> Self {
-        Self { stamps: vec![0; n], epoch: 0 }
+        Self { stamps: vec![0; n], epoch: 1 }
     }
 
     /// Begin a new query: all ids become unvisited in O(1).
@@ -64,6 +71,16 @@ impl VisitedSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_fresh_set_has_visited_nothing() {
+        let mut v = VisitedSet::new(3);
+        assert!((0..3).all(|id| !v.contains(id)));
+        assert!(v.insert(0), "the first insert into a fresh set is new");
+        let mut d = VisitedSet::default();
+        d.grow(2);
+        assert!(!d.contains(1));
+    }
 
     #[test]
     fn insert_and_contains() {
