@@ -70,10 +70,11 @@ fn bench_predicates(c: &mut Criterion) {
         b.iter(|| CompiledPredicate::compile(black_box(&compound)))
     });
 
-    // The two costs the planner's 64,000-row rule weighs: a block-kernel
-    // pass (64 rows per mask word, on the dispatched and on the scalar body)
-    // against one scalar evaluation per row of the 1,000-draw sample. A
-    // 10 % `year` band over uniform years, so no branch predictor helps.
+    // What the planner pays to count a segment: a block-kernel pass (64
+    // rows per mask word, on the dispatched and on the scalar body), beside
+    // one scalar evaluation per row of a 1,000-draw sample (what a sampled
+    // router would pay instead). A 10 % `year` band over uniform years, so
+    // no branch predictor helps.
     let mut rng = StdRng::seed_from_u64(3);
     let years: Vec<i64> = (0..1 << 20).map(|_| rng.gen_range(1950..2020)).collect();
     let band = CompiledPredicate::compile(&Predicate::Between { field: 0, lo: 1990, hi: 1996 });

@@ -728,9 +728,8 @@ const SERVE_CLASSES: [(&str, Queries); 5] = [
 
 /// The serving run: ACORN-γ at the paper's parameters over the correlated
 /// corpus, loaded the way a large index is (one sealed segment per
-/// `SEGMENT_ROWS` rows: ten at 1M, each large enough that the planner
-/// samples its selectivity rather than counting it), and queried through
-/// the planner. Each class is swept over efs with recall@10 against exact
+/// `SEGMENT_ROWS` rows: ten at 1M, each routed on its exact passing
+/// count), and queried through the planner. Each class is swept over efs with recall@10 against exact
 /// ground truth; the summary reads QPS at recall 0.9 per class beside the
 /// index's segment count (every query visits every segment), load rows/s
 /// and resident bytes per row.

@@ -685,7 +685,7 @@ fn read_manifest(vfs: &dyn Vfs, dir: &Path) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AcornParams, AcornVariant, PruneStrategy};
+    use crate::{AcornParams, AcornVariant, MergePolicy, PruneStrategy};
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -822,6 +822,30 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
         assert!(DurableIndex::open(&dir, fast_opts()).is_err(), "nothing was committed");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_and_create_refuse_a_merge_policy_the_loader_would_reject() {
+        // `get_manifest` rejects these fractions, so bytes that held one
+        // could never be loaded, and a store created with one could never
+        // be reopened.
+        let dim = 4;
+        for fraction in [f64::NAN, -0.5, f64::INFINITY] {
+            let policy = MergePolicy { max_tombstone_fraction: fraction, ..Default::default() };
+            let mut idx =
+                SegmentedAcornIndex::new(dim, params(), AcornVariant::Gamma).with_policy(policy);
+            for i in 0..10u64 {
+                idx.insert(&vec_for(i, dim));
+            }
+            let err = idx.snapshot().save(&mut Vec::new()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{fraction}: {err}");
+
+            let dir = tmp_dir("policy");
+            let err = DurableIndex::create(&dir, idx, fast_opts()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{fraction}: {err}");
+            assert!(DurableIndex::open(&dir, fast_opts()).is_err(), "nothing was committed");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

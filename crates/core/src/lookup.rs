@@ -44,8 +44,8 @@
 //! evaluation: overlapping one-/two-hop neighborhoods legitimately present
 //! the same unexpanded row to `filter.passes` dozens of times per query.
 //! The lookups stay oblivious to that — deduplicating evaluations is the
-//! filter's job (`MemoFilter` answers revisits from a per-query memo, and
-//! `SearchStats::npred_cached` records how many checks it absorbed).
+//! filter's job (a bitmap answers every revisit with a bit test, and
+//! `SearchStats::npred_cached` records how many checks a cache absorbed).
 
 use acorn_hnsw::{kernels, GraphView, SearchStats, VisitedSet};
 use acorn_predicate::NodeFilter;

@@ -35,7 +35,7 @@ pub struct AcornParams {
     pub ef_construction: usize,
     /// Distance metric.
     pub metric: Metric,
-    /// RNG seed for level sampling (and the selectivity estimator).
+    /// RNG seed for level sampling.
     pub seed: u64,
     /// Level-0 pruning strategy; [`PruneStrategy::AcornCompress`] is the
     /// paper's method, the others exist for the Figure 12 ablation.

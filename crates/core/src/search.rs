@@ -12,12 +12,11 @@
 //! The layer search is generic over [`NodeFilter`], so the cost of a
 //! predicate check is whatever the filter makes it: an interpreted AST walk
 //! (`PredicateFilter`), one compiled-program run (`CompiledFilter`), a
-//! memoized check that evaluates each distinct row at most once per query
-//! (`MemoFilter`), or a bit test against a block-materialized bitmap
-//! (`BitmapFilter`). The query planner ([`crate::plan`]) picks per segment
-//! between the last two: a `BitmapFilter` when it materialized the segment,
-//! a `MemoFilter` over the compiled program otherwise. Results are identical
-//! for any filter that answers `passes` the same way.
+//! memoized check that evaluates each distinct row at most once per query,
+//! or a bit test against a block-materialized bitmap (`BitmapFilter`). The
+//! query planner ([`crate::plan`]) materializes every segment and hands the
+//! traversal a `BitmapFilter`. Results are identical for any filter that
+//! answers `passes` the same way.
 
 use acorn_hnsw::heap::Neighbor;
 use acorn_hnsw::search::search_layer;

@@ -58,9 +58,9 @@
 //! surviving rows in global id order. This holds because merge rebuilds with
 //! the same parameters, seed, and insertion order, and because both sides
 //! are one segment under the **same query planner** ([`crate::plan`]): the
-//! merged segment draws the same sample positions over its rows, tallies the
-//! same verdicts, materializes the same local bitmap and routes on the same
-//! exact count as the from-scratch load.
+//! merged segment materializes the same local bitmap and routes on the same
+//! exact count as the from-scratch load. The planner draws no sample and
+//! reads no seed, so nothing else could tell the two apart.
 //!
 //! [`freeze`]: SegmentedAcornIndex::freeze
 //! [`delete`]: SegmentedAcornIndex::delete
@@ -1160,8 +1160,8 @@ mod tests {
         let q = vec![0.15; 8];
 
         // "The last 400 rows": all of the newest segment, none of the older
-        // two. The old per-segment samples agreed with that; a router that
-        // looked at the global selectivity (1/3) would traverse all three.
+        // two. The per-segment counts say exactly that; a router that looked
+        // at the global selectivity (1/3) would traverse all three.
         let pred = Predicate::Between { field, lo: 800, hi: 1199 };
         let (out, stats) = snap.hybrid_search(&q, &pred, &attrs, 10, 400, &mut scratch);
         // The newest segment passes everywhere, so its share of the work is
@@ -1209,7 +1209,7 @@ mod tests {
             out.iter().map(|n| (n.id, n.dist.to_bits())).collect::<Vec<_>>(),
             pure.iter().map(|n| (n.id, n.dist.to_bits())).collect::<Vec<_>>()
         );
-        assert_eq!(stats, pure_stats, "no sample, no memo, no bitmap");
+        assert_eq!(stats, pure_stats, "no bitmap: the pure search's work");
         assert!(out.iter().all(|n| n.id % 5 != 0), "tombstones still apply");
 
         let (none, stats) =

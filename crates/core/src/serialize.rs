@@ -476,11 +476,33 @@ struct Manifest {
     expected_params: AcornParams,
 }
 
+/// Whether the manifest can hold `fraction` as a merge policy's
+/// `max_tombstone_fraction`: [`put_manifest`] refuses and [`get_manifest`]
+/// rejects exactly the values this says no to.
+fn tombstone_fraction_fits(fraction: f64) -> bool {
+    fraction.is_finite() && fraction >= 0.0
+}
+
+/// Write the manifest fields of `snap`: parameters, sizes, merge policy.
+///
+/// # Errors
+/// `InvalidInput` for what [`put_header`] refuses, and for a merge policy
+/// whose `max_tombstone_fraction` is NaN, negative or infinite: the loader
+/// rejects it, so the bytes could never be read back.
 fn put_manifest(w: &mut impl Write, snap: &SegmentSnapshot) -> io::Result<()> {
+    let policy = snap.policy();
+    if !tombstone_fraction_fits(policy.max_tombstone_fraction) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "merge policy tombstone fraction {} cannot be saved",
+                policy.max_tombstone_fraction
+            ),
+        ));
+    }
     put_header(w, snap.variant(), snap.params())?;
     put_u64(w, snap.dim() as u64)?;
     put_u64(w, snap.next_global_id())?;
-    let policy = snap.policy();
     put_u64(w, policy.min_rows as u64)?;
     w.write_all(&policy.max_tombstone_fraction.to_le_bytes())?;
     put_u64(w, policy.active_max_rows as u64)?;
@@ -508,7 +530,7 @@ fn get_manifest(r: &mut impl Read) -> io::Result<(Manifest, usize)> {
     let next_global = get_u64(r)?;
     let min_rows = get_u64(r)? as usize;
     let max_tombstone_fraction = get_f64(r)?;
-    if !max_tombstone_fraction.is_finite() || max_tombstone_fraction < 0.0 {
+    if !tombstone_fraction_fits(max_tombstone_fraction) {
         return Err(bad("invalid merge policy tombstone fraction"));
     }
     let active_max_rows = get_u64(r)? as usize;
@@ -682,8 +704,10 @@ impl SegmentSnapshot {
     ///
     /// # Errors
     /// `InvalidInput` if the index prunes with anything but
-    /// [`PruneStrategy::AcornCompress`]: the format has no field for the
-    /// strategy, and the loaded index would grow differently.
+    /// [`PruneStrategy::AcornCompress`] (the format has no field for the
+    /// strategy, and the loaded index would grow differently), or if its
+    /// merge policy's `max_tombstone_fraction` is NaN, negative or infinite
+    /// (the loader would refuse the bytes).
     pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
         with_footer(w, |w| {
             w.write_all(MAGIC)?;

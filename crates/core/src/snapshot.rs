@@ -373,13 +373,13 @@ impl SegmentSnapshot {
     }
 
     /// Full hybrid search with ACORN's §5.2 cost-model routing applied
-    /// **per segment** by the query planner ([`crate::plan`]): segments of
-    /// up to 64,000 rows are materialized and counted exactly, one
-    /// selectivity sample is drawn over the larger segments' rows, and each
-    /// segment is routed — on its exact passing count whenever its predicate
-    /// bitmap is materialized, else on its tally — to graph traversal or the
-    /// exact pre-filter scan. Per-segment top-`k` lists are k-way merged
-    /// into the global answer.
+    /// **per segment** by the query planner ([`crate::plan`]): every
+    /// segment has the predicate materialized into a bitmap of its live
+    /// rows and is routed on that bitmap's exact count — to the exact
+    /// pre-filter scan under `s_min · rows`, else to graph traversal over
+    /// the bitmap. Per-segment top-`k` lists are k-way merged into the
+    /// global answer. No sample is drawn, so the answer depends only on the
+    /// snapshot, the query and the predicate.
     ///
     /// `attrs` is indexed by **global id** and must cover every id ever
     /// assigned (`attrs.len() >= next_global_id()`); deleted rows keep
@@ -407,17 +407,7 @@ impl SegmentSnapshot {
         if k == 0 {
             return (Vec::new(), SearchStats::default());
         }
-        plan::hybrid_search(
-            self.segments(),
-            self.params.seed,
-            query,
-            predicate,
-            attrs,
-            k,
-            efs,
-            scratch,
-            plan::EXACT_COUNT_ROWS,
-        )
+        plan::hybrid_search(self.segments(), query, predicate, attrs, k, efs, scratch)
     }
 }
 

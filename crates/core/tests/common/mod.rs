@@ -34,11 +34,10 @@ use rand::{Rng, SeedableRng};
 /// `s_min · rows`, else traversal over it; then the lists mapped to global
 /// ids and merged.
 ///
-/// Valid for non-constant predicates (a constant one skips the bitmap) over
-/// segments of at most 64,000 rows (larger ones are sampled, not counted),
-/// which covers every test segment. Its `fallback`, `ndis` and `nhops` are
-/// the engine's; `npred` is not (the engine's block kernel runs over gid
-/// spans and its traversal checks are bit tests).
+/// Valid for non-constant predicates (a constant one skips the bitmap). Its
+/// `fallback`, `ndis` and `nhops` are the engine's; `npred` is not (the
+/// engine's block kernel runs over gid spans and its traversal checks are
+/// bit tests).
 pub fn interpreted_plan(
     snap: &SegmentSnapshot,
     q: &[f32],

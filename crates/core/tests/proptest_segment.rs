@@ -96,32 +96,22 @@ fn run_lifecycle_with(
     lc
 }
 
-/// What exact-count routing must do, from ground truth alone: per segment,
-/// the live rows passing `label == value` against `s_min · rows`.
-/// `Some(false)` = every segment is dense enough that no route can scan
-/// (lazily filtered segments traverse; materialized ones count ≥ the
-/// threshold); `Some(true)` = no row passes anywhere, so every segment
-/// tallies zero hits, materializes and scans nothing; `None` = mixed, where
-/// the sample decides which segments are counted at all.
-fn expected_fallback(lc: &Lifecycle, value: i64) -> Option<bool> {
+/// What exact-count routing must do, from ground truth alone: true iff
+/// some non-empty segment has fewer live rows passing `label == value` than
+/// `s_min · rows`, so that segment takes the pre-filter scan.
+fn expected_fallback(lc: &Lifecycle, value: i64) -> bool {
     let snap = lc.index.snapshot();
     let s_min = snap.params().s_min();
-    let mut all_dense = true;
-    let mut any_pass = false;
-    for seg in snap.frozen_segments().iter().chain(snap.active_segment()) {
-        let passing = seg
-            .global_ids()
-            .iter()
-            .filter(|&&g| lc.alive[g as usize] && lc.labels[g as usize] == value)
-            .count();
-        any_pass |= passing > 0;
-        all_dense &= passing as f64 >= s_min * seg.rows() as f64;
-    }
-    match (all_dense, any_pass) {
-        (true, _) => Some(false),
-        (false, false) => Some(true),
-        (false, true) => None,
-    }
+    snap.frozen_segments().iter().chain(snap.active_segment()).filter(|seg| !seg.is_empty()).any(
+        |seg| {
+            let passing = seg
+                .global_ids()
+                .iter()
+                .filter(|&&g| lc.alive[g as usize] && lc.labels[g as usize] == value)
+                .count();
+            (passing as f64) < s_min * seg.rows() as f64
+        },
+    )
 }
 
 fn query(rng: &mut StdRng) -> Vec<f32> {
@@ -179,10 +169,8 @@ proptest! {
                     (sb.fallback, sb.ndis, sb.nhops),
                     "the same route and traversal ({:?})", variant
                 );
-                if let Some(fallback) = expected_fallback(&lc, value) {
-                    prop_assert_eq!(sb.fallback, fallback,
-                        "routing must follow the exact per-segment counts (label {})", value);
-                }
+                prop_assert_eq!(sb.fallback, expected_fallback(&lc, value),
+                    "routing must follow the exact per-segment counts (label {})", value);
                 if value == 9 {
                     prop_assert!(b.is_empty());
                     prop_assert_eq!(sb.ndis, 0, "segments with no passing row cost no distances");

@@ -43,9 +43,12 @@ pub struct SearchScratch {
     pub dist_buf: Vec<f32>,
     /// Per-query predicate memo (tri-state known/pass words), recycled with
     /// the scratch through the [`ScratchPool`](crate::pool::ScratchPool).
-    /// Not touched by [`begin`](Self::begin): the hybrid query
-    /// planner that uses it checks it out with [`take_memo`](Self::take_memo)
-    /// (which resets it), so unfiltered queries never pay the clear.
+    /// Not touched by [`begin`](Self::begin): whoever uses it checks it out
+    /// with [`take_memo`](Self::take_memo) (which resets it). The engine no
+    /// longer does — the hybrid query planner materializes every segment
+    /// into [`bitmap`](Self::bitmap) — so this field and its two accessors
+    /// stay public only for the repo benchmark's staged replay, which binds
+    /// them; ROADMAP item 2(b) retires them with it.
     pub memo: MemoTable,
     /// Pooled words for the segment-local predicate bitmap the hybrid query
     /// planner materializes: it moves the bitset out for one segment's
@@ -73,7 +76,8 @@ impl SearchScratch {
     /// rows `0..n`. Moving it out lets a `MemoFilter` own it while the same
     /// scratch is mutably borrowed by the search; return it afterwards with
     /// [`put_memo`](Self::put_memo) so the allocation keeps recycling
-    /// through the pool.
+    /// through the pool. The engine no longer calls it (see
+    /// [`memo`](Self::memo)).
     pub fn take_memo(&mut self, n: usize) -> MemoTable {
         let mut memo = std::mem::take(&mut self.memo);
         memo.reset_for(n);
@@ -81,6 +85,7 @@ impl SearchScratch {
     }
 
     /// Return a memo previously taken with [`take_memo`](Self::take_memo).
+    /// The engine no longer calls it (see [`memo`](Self::memo)).
     pub fn put_memo(&mut self, memo: MemoTable) {
         self.memo = memo;
     }

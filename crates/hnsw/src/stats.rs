@@ -12,12 +12,11 @@
 ///
 /// | work | `npred` | `npred_cached` |
 /// |---|---|---|
-/// | one sampled row of the per-query selectivity sample | +1 | — |
-/// | materializing a segment's bitmap | + the rows the block kernel ran over (the segment's global-id span; its row count when evaluated row by row) | — |
+/// | materializing a segment's bitmap | + the rows the block kernel ran over (the segment's global-id span) | — |
 /// | enumerating a bitmap's set bits in the pre-filter scan | — | — |
 /// | a traversal check answered by a bitmap bit | +1 | +1 |
-/// | a traversal check answered by the per-query memo | +1 | +1 |
-/// | a traversal check that ran the predicate program | +1 | — |
+/// | a traversal check answered by a per-query memo (`MemoFilter`, outside the planner) | +1 | +1 |
+/// | a traversal check that ran the predicate program (a lazy filter, outside the planner) | +1 | — |
 ///
 /// So [`npred_evaluated`](Self::npred_evaluated) is exactly the number of
 /// rows the predicate program executed on, and `ndis` counts every distance
@@ -31,8 +30,7 @@ pub struct SearchStats {
     pub nhops: u64,
     /// Number of per-row predicate checks charged to the query: every
     /// `NodeFilter::passes` call the search issues, plus any rows the
-    /// hybrid query planner evaluated up front (selectivity sampling, block
-    /// materialization).
+    /// hybrid query planner evaluated up front (block materialization).
     pub npred: u64,
     /// The subset of [`npred`](Self::npred) answered from a per-query cache
     /// — a memoized verdict (`MemoFilter`) or a materialized bitmap — rather

@@ -24,10 +24,10 @@
 //! [`CompiledPredicate::to_bitset`] (backing `Predicate::to_bitset` and
 //! `BitmapFilter::from_predicate`) is therefore a word-at-a-time columnar
 //! scan, [`CompiledPredicate::to_bitset_range`] is the same scan over one
-//! segment's row span (what the hybrid query planner materializes), and
-//! the planner's selectivity sample evaluates each drawn row with
-//! [`CompiledPredicate::eval`]. Results are bit-identical to interpreted
-//! evaluation (property tested over random ASTs × stores).
+//! segment's row span (what the hybrid query planner materializes for every
+//! segment), and [`CompiledPredicate::eval`] answers one row at a time.
+//! Results are bit-identical to interpreted evaluation (property tested over
+//! random ASTs × stores).
 
 use std::ops::RangeInclusive;
 
@@ -39,9 +39,11 @@ use crate::predicate::Predicate;
 use crate::regex::Regex;
 use crate::FieldId;
 
-/// Coarse per-row cost of a compiled predicate, used by adaptive dispatch
-/// (the hybrid query planner, `acorn_core::plan`) to choose between lazy memoized evaluation
-/// and up-front block materialization.
+/// Coarse per-row cost of a compiled predicate. The hybrid query planner
+/// (`acorn_core::plan`) no longer reads it — it materializes every segment
+/// whatever the cost — but the repo benchmark's staged replay still uses it
+/// to choose between lazy memoized evaluation and up-front block
+/// materialization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostClass {
     /// Bounded per-row work: column compares, membership tests, and their
@@ -126,7 +128,8 @@ impl CompiledPredicate {
     /// `Some(false)` for the canonical constant-false forms (empty `In`,
     /// `!true`), `None` when the result depends on the row. Normalization
     /// leaves constants only at the root, so this is one tag test — the
-    /// hybrid query planner uses it to skip sampling and filtering outright.
+    /// hybrid query planner uses it to skip materializing and filtering
+    /// outright.
     pub fn as_const(&self) -> Option<bool> {
         match self.ops[self.root as usize] {
             Op::Const(b) => Some(b),
@@ -135,7 +138,8 @@ impl CompiledPredicate {
     }
 
     /// Evaluate one row; bit-identical to `Predicate::eval` on the source
-    /// AST. This is the scalar kernel behind lazy (memoized) filtering.
+    /// AST. The scalar kernel behind lazy filtering ([`CompiledFilter`]);
+    /// the engine's planner materializes with the block kernels instead.
     #[inline]
     pub fn eval(&self, attrs: &AttrStore, id: u32) -> bool {
         self.eval_op(self.root, attrs, id)

@@ -22,10 +22,11 @@
 //! [`CompiledPredicate`] program whose kernels evaluate 64-row blocks
 //! against the columnar store into `u64` mask words (scalar or AVX2 bodies,
 //! chosen once per process by [`kernels::kernel_path`]), and [`memo`] provides
-//! the per-query tri-state [`MemoTable`]/[`MemoFilter`] so graph search
-//! evaluates each row at most once per query. Together they form the
-//! compile → memoize → adaptive-dispatch pipeline the hybrid query planner
-//! (`acorn_core::plan`) serves from.
+//! the per-query tri-state [`MemoTable`]/[`MemoFilter`] so lazy graph
+//! search evaluates each row at most once per query. The hybrid query
+//! planner (`acorn_core::plan`) serves from the compiled block kernels:
+//! it materializes every segment's predicate into a bitmap and routes on the
+//! exact count.
 
 pub mod attrs;
 pub mod bitmap;

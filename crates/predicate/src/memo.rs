@@ -8,6 +8,13 @@
 //! [`MemoFilter`] wraps any [`NodeFilter`] so every row is evaluated **at
 //! most once per query** no matter how many hops touch it.
 //!
+//! The engine no longer filters through a memo: its hybrid query planner
+//! (`acorn_core::plan`) materializes every segment's predicate into a bitmap
+//! and routes on the exact count. The memo stays public only because the
+//! repo benchmark's staged replay binds it; ROADMAP item 2(b) retires it
+//! along with that replay. Its property tests (`proptest_memo`) still hold
+//! it bit-identical to its inner filter.
+//!
 //! The table is owned by `SearchScratch` (in `acorn-hnsw`) and recycled
 //! through its `ScratchPool`, so steady-state serving never allocates memo
 //! words per query; resetting costs one `memset` of `n / 64` words. Interior
@@ -29,6 +36,9 @@ use crate::filter::NodeFilter;
 /// on [`reset_for`](Self::reset_for): a `pass` bit is written together with
 /// its `known` bit on every [`record`](Self::record), so stale `pass` bits
 /// from a previous query are never observable.
+///
+/// The engine no longer reads it; the repo benchmark's staged replay binds
+/// it, and ROADMAP item 2(b) retires it along with that replay.
 #[derive(Debug, Default)]
 pub struct MemoTable {
     known: Vec<AtomicU64>,
@@ -116,6 +126,9 @@ impl MemoTable {
 /// [`into_memo`](Self::into_memo)); [`hits`](Self::hits) reports how many
 /// checks were answered from the memo, which callers feed into
 /// `SearchStats::npred_cached`.
+///
+/// The engine no longer reads it; the repo benchmark's staged replay binds
+/// it, and ROADMAP item 2(b) retires it along with that replay.
 pub struct MemoFilter<'a, F: NodeFilter> {
     inner: &'a F,
     memo: MemoTable,

@@ -6,7 +6,12 @@
 //! predicate set"; we implement the standard database approach — Bernoulli
 //! sampling over the attribute store — plus an exact variant for analysis.
 //! §5.2 also argues estimation errors degrade only efficiency, never result
-//! quality; integration tests assert exactly that.
+//! quality.
+//!
+//! The engine itself estimates nothing: its hybrid query planner
+//! (`acorn_core::plan`) materializes the predicate over every segment and
+//! routes on the exact count. The sampler stays for the repo benchmark's
+//! staged replay and the `predicate_eval` bench, which time it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,19 +20,17 @@ use crate::attrs::AttrStore;
 use crate::compiled::CompiledPredicate;
 use crate::predicate::Predicate;
 
-/// Draw the sample the hybrid query planner (and the per-segment estimator
-/// below) routes on: `sample_size` positions in `0..universe`, uniform with
-/// replacement, each handed to `visit` in draw order. The sequence depends
-/// only on `(universe, sample_size, seed)`, so whatever evaluates the
-/// sampled rows — interpreted or compiled, both bit-identical — sees
-/// **identical samples** and tallies identical verdicts: ACORN's fallback
-/// routing (§5.2) never changes with the evaluation engine. Nothing is drawn
-/// from an empty universe.
+/// Draw the sample the per-segment estimator below routes on: `sample_size`
+/// positions in `0..universe`, uniform with replacement, each handed to
+/// `visit` in draw order. The sequence depends only on
+/// `(universe, sample_size, seed)`, so whatever evaluates the sampled rows
+/// — interpreted or compiled, both bit-identical — sees **identical
+/// samples** and tallies identical verdicts. Nothing is drawn from an empty
+/// universe.
 ///
-/// The planner calls this **once per query** over the concatenated rows of
-/// every segment it is about to search and tallies hits per segment; a
-/// one-segment index is the same sequence over its own rows, which is what
-/// keeps a fully-merged segment routing like a from-scratch rebuild.
+/// The engine's planner draws no sample (it counts every segment); the
+/// `predicate_eval` bench times a 1,000-draw sample against one
+/// materializing pass.
 pub fn sample_positions(
     universe: usize,
     sample_size: usize,
@@ -52,9 +55,10 @@ pub fn sample_positions(
 /// from the memo. `memo` must cover `universe` rows and be freshly reset.
 ///
 /// The standard error is `sqrt(s(1-s)/sample_size)`: ±1.6% absolute at
-/// `s = 0.5` for the router's 1,000 samples. The engine plans from one
-/// [`sample_positions`] pass per query; this per-segment form is what the
-/// repo benchmark's staged replay times.
+/// `s = 0.5` for a 1,000-draw sample. The engine no longer reads it: its
+/// planner routes every segment on an exact count. It stays public only
+/// because the repo benchmark's staged replay binds it; ROADMAP item 2(b)
+/// retires it along with that replay.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_selectivity_seeding_mapped(
     attrs: &AttrStore,
