@@ -34,8 +34,8 @@ use crate::snapshot::{IndexReader, SegmentSnapshot};
 /// [`SegmentedAcornIndex`](crate::segment::SegmentedAcornIndex), on the
 /// shared [`run_sharded`] driver: each worker's
 /// pooled scratch serves **every segment** of its queries in turn — the
-/// per-query fan-out across segments, the k-way merge of per-segment result
-/// heaps, and the global-id remapping all happen inside the snapshot's
+/// per-query fan-out across segments, the one query-wide top-`k` every
+/// segment feeds, and the global-id remapping all happen inside the snapshot's
 /// `search_with` and `hybrid_search`. A batch answers with the driver's own
 /// [`ShardedRun`]: [`GlobalNeighbor`] lists in deterministic input order,
 /// aggregated [`SearchStats`], wall time and QPS.

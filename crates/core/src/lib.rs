@@ -64,6 +64,6 @@ pub use params::{AcornParams, AcornVariant};
 pub use plan::MATERIALIZE_BELOW_SELECTIVITY;
 pub use prune::PruneStrategy;
 pub use segment::{GlobalNeighbor, MergeOutcome, MergePolicy, SegmentedAcornIndex};
-pub use snapshot::{IndexReader, SegmentSnapshot, SegmentView};
+pub use snapshot::{IndexReader, QueryError, SegmentSnapshot, SegmentView};
 
 pub use acorn_hnsw::{CsrGraph, GraphView, Neighbor, ScratchPool, SearchScratch, SearchStats};

@@ -2,7 +2,9 @@
 //! segment** on the segment's exact passing count.
 //!
 //! [`SegmentSnapshot::hybrid_search`](crate::snapshot::SegmentSnapshot::hybrid_search)
-//! is the one way in. A static corpus is the one-segment case — a
+//! is the one way in for a predicate, and the pure search
+//! ([`search_with`](crate::snapshot::SegmentSnapshot::search_with)) is the
+//! same plan with none. A static corpus is the one-segment case — a
 //! [`bulk_load`](crate::segment::SegmentedAcornIndex::bulk_load)ed segment
 //! with a contiguous id map and no tombstones — so a fully-merged segment
 //! and a from-scratch load of its surviving rows run the same code over the
@@ -19,11 +21,18 @@
 //!    global-id span, a gather through the id map only when merges left
 //!    gaps in it — and clear the tombstoned bits. The bitmap's popcount is
 //!    the segment's exact number of passing live rows.
-//! 3. **Per segment, route** on that count: under `s_min · rows` the set
-//!    bits are enumerated and scored exactly (the pre-filter scan),
-//!    otherwise the graph is traversed with constant-time bit tests. Both
-//!    branches see a plain local-id [`BitmapFilter`]; no id-map gather and
-//!    no tombstone test remain in their inner loops.
+//! 3. **Per segment, route** on that count into **one top-`k` per query**
+//!    (by global id): under `s_min · rows` the bitmap's words are walked
+//!    and the set rows scored exactly, 64 per [`score_into`] batch,
+//!    straight into that top-`k` (the pre-filter scan); a row above the
+//!    current `k`-th distance costs one compare and never reaches the
+//!    heap or the id map, and that bound carries from each segment to the
+//!    next. Otherwise the graph is traversed with constant-time bit tests
+//!    over a plain local-id [`BitmapFilter`] and its top-`k` list is offered
+//!    to the same top-`k`. No id-map gather and no tombstone test remain in
+//!    either inner loop, and there is no k-way merge: a segment's global
+//!    ids ascend with its local ones, so the query's top-`k` holds exactly
+//!    what merging sorted per-segment lists would.
 //!
 //! There is no sample and no seed: a plan depends only on the snapshot and
 //! the predicate. Every row verdict comes from the compiled program. The AST
@@ -31,11 +40,13 @@
 //! rebuilds this plan from public calls with it and holds the engine to the
 //! result.
 
+use acorn_hnsw::heap::{Neighbor, TopK};
+use acorn_hnsw::search::score_into;
 use acorn_hnsw::{SearchScratch, SearchStats};
 use acorn_predicate::{AllPass, AttrStore, BitmapFilter, Bitset, CompiledPredicate, Predicate};
 
 use crate::segment::GlobalNeighbor;
-use crate::snapshot::{merge_segments, SegmentView};
+use crate::snapshot::SegmentView;
 
 /// The selectivity under which the repo benchmark's staged replay
 /// block-materializes a segment it has sampled, instead of filtering it
@@ -66,49 +77,86 @@ fn materialize_local(
     span as u64
 }
 
-/// Plan and run one hybrid query over `segments` (non-empty, in query
-/// order); returns the k-way merge of their top-`k` lists by global id and
-/// the query's summed stats.
-pub(crate) fn hybrid_search<'a>(
+/// Plan and run one query over `segments` (non-empty, in query order,
+/// `k > 0`), adding its work to `stats`; returns the query's top-`k` by
+/// global id. With no predicate (or one that folds to `true`) every
+/// segment's live rows are traversed: the pure search.
+pub(crate) fn search<'a>(
     segments: impl Iterator<Item = &'a SegmentView>,
     query: &[f32],
-    predicate: &Predicate,
-    attrs: &AttrStore,
+    predicate: Option<(&Predicate, &AttrStore)>,
     k: usize,
     efs: usize,
     scratch: &mut SearchScratch,
-) -> (Vec<GlobalNeighbor>, SearchStats) {
-    let mut stats = SearchStats::default();
-    let compiled = CompiledPredicate::compile(predicate);
-    match compiled.as_const() {
-        Some(false) => return (Vec::new(), stats),
-        Some(true) => {
-            let lists = segments
-                .map(|seg| (seg, seg.search_live(query, &AllPass, k, efs, scratch, &mut stats)));
-            return (merge_segments(lists, k), stats);
-        }
-        None => {}
-    }
-
-    let lists = segments.map(|seg| {
+    stats: &mut SearchStats,
+) -> Vec<GlobalNeighbor> {
+    let compiled = predicate.map(|(p, attrs)| (CompiledPredicate::compile(p), attrs));
+    // A program that folded to a constant needs no bitmap: `false` answers
+    // empty without touching a segment, `true` is the pure search.
+    let filter = match &compiled {
+        Some((program, _)) if program.as_const() == Some(false) => return Vec::new(),
+        Some((program, attrs)) if program.as_const().is_none() => Some((program, *attrs)),
+        _ => None,
+    };
+    let mut top = TopK::new(k);
+    for seg in segments {
         let index = seg.index();
+        let Some((compiled, attrs)) = filter else {
+            offer_list(&mut top, seg, seg.search_live(query, &AllPass, k, efs, scratch, stats));
+            continue;
+        };
         let mut bits = std::mem::take(&mut scratch.bitmap);
-        stats.npred += materialize_local(seg, &compiled, attrs, &mut bits);
+        stats.npred += materialize_local(seg, compiled, attrs, &mut bits);
         let passing = bits.count();
-        let filter = BitmapFilter::new(bits);
-        let out = if (passing as f64) < index.params().s_min() * seg.rows() as f64 {
-            index.prefilter_scan(query, &filter, k, &mut stats)
+        if (passing as f64) < index.params().s_min() * seg.rows() as f64 {
+            // The exact pre-filter scan, straight into the query's top-k,
+            // 64 set bits per batch: a row the segments before this one
+            // already beat costs one compare, and only rows that enter are
+            // mapped to global ids.
+            let (vecs, metric, gids) =
+                (&**index.vectors(), index.params().metric, seg.global_ids());
+            let (mut batch, mut filled) = ([0u32; 64], 0);
+            let mut score = |ids: &[u32]| {
+                let to_global = |d, l: u32| GlobalNeighbor::new(d, gids[l as usize]);
+                score_into(vecs, metric, query, ids, &mut scratch.dist_buf, &mut top, to_global);
+            };
+            for (w, mut word) in bits.words().iter().copied().enumerate() {
+                while word != 0 {
+                    batch[filled] = (w * 64) as u32 + word.trailing_zeros();
+                    word &= word - 1;
+                    filled += 1;
+                    if filled == batch.len() {
+                        score(&batch);
+                        filled = 0;
+                    }
+                }
+            }
+            score(&batch[..filled]);
+            stats.ndis += passing as u64;
+            stats.fallback = true;
+            scratch.bitmap = bits;
         } else {
+            let filter = BitmapFilter::new(bits);
             let before = stats.npred;
-            let out = index.search_filtered(query, &filter, k, efs, scratch, &mut stats);
+            let out = index.search_filtered(query, &filter, k, efs, scratch, stats);
             // Every traversal check against the bitmap is a cache answer.
             stats.npred_cached += stats.npred - before;
-            out
-        };
-        scratch.bitmap = filter.into_bits();
-        (seg, out)
-    });
-    (merge_segments(lists, k), stats)
+            offer_list(&mut top, seg, out);
+            scratch.bitmap = filter.into_bits();
+        }
+    }
+    top.into_sorted()
+}
+
+/// Offer one segment's top-`k` list (local ids) to the query's top-`k` under
+/// global ids. Because a segment's global ids ascend with its local ids,
+/// `(dist, gid)` orders its rows as `(dist, local)` does, so the `k`
+/// smallest of the union are the k-way merge of the sorted lists.
+fn offer_list(top: &mut TopK<GlobalNeighbor>, seg: &SegmentView, list: Vec<Neighbor>) {
+    let gids = seg.global_ids();
+    for n in list {
+        top.push(GlobalNeighbor::new(n.dist, gids[n.id as usize]));
+    }
 }
 
 #[cfg(test)]
@@ -236,6 +284,66 @@ mod tests {
             assert_eq!(stats.npred, n as u64 + want_stats.npred, "{passing} rows");
             assert_eq!(stats.npred_cached, want_stats.npred, "{passing} rows: bit tests");
         }
+    }
+
+    #[test]
+    fn bad_input_is_a_typed_error_at_the_snapshot_and_a_panic_in_the_wrappers() {
+        use crate::snapshot::QueryError;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let n = 300;
+        let mut index = SegmentedAcornIndex::new(8, params(80), AcornVariant::Gamma);
+        let mut rng = StdRng::seed_from_u64(80);
+        index.bulk_load(VectorStore::from_flat(
+            8,
+            (0..n * 8).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+        ));
+        let (snap, reader) = (index.snapshot(), index.reader());
+        let attrs = AttrStore::builder().add_int("v", (0..n as i64).collect()).build();
+        let short = AttrStore::builder().add_int("v", (1..n as i64).collect()).build();
+        let pred = Predicate::Between { field: 0, lo: 0, hi: 9 };
+        let mut scratch = SearchScratch::new(n);
+        let good = vec![0.1f32; 8];
+        let with = |i: usize, x: f32| {
+            let mut q = good.clone();
+            q[i] = x;
+            q
+        };
+        let cases = [
+            (vec![0.1; 7], &attrs, QueryError::Dimension { expected: 8, got: 7 }),
+            (vec![0.1; 9], &attrs, QueryError::Dimension { expected: 8, got: 9 }),
+            (Vec::new(), &attrs, QueryError::Dimension { expected: 8, got: 0 }),
+            (with(3, f32::NAN), &attrs, QueryError::NonFinite { index: 3 }),
+            (with(0, -f32::NAN), &attrs, QueryError::NonFinite { index: 0 }),
+            (with(7, f32::NEG_INFINITY), &attrs, QueryError::NonFinite { index: 7 }),
+            (
+                good.clone(),
+                &short,
+                QueryError::ShortAttrs { rows: n - 1, next_global_id: n as u64 },
+            ),
+        ];
+        for (q, attrs, want) in cases {
+            for k in [0, 10] {
+                let got = catch_unwind(AssertUnwindSafe(|| {
+                    snap.try_hybrid_search(&q, &pred, attrs, k, 32, &mut scratch)
+                }));
+                assert_eq!(got.expect("a typed error, not a panic"), Err(want.clone()), "k {k}");
+                let message = |payload: Box<dyn std::any::Any + Send>| {
+                    payload.downcast::<String>().map(|s| *s).unwrap_or_default()
+                };
+                let snapshot_panic = catch_unwind(AssertUnwindSafe(|| {
+                    snap.hybrid_search(&q, &pred, attrs, k, 32, &mut scratch)
+                }));
+                assert_eq!(snapshot_panic.map_err(message).unwrap_err(), want.to_string());
+                let reader_panic = catch_unwind(AssertUnwindSafe(|| {
+                    reader.hybrid_search(&q, &pred, attrs, k, 32)
+                }));
+                assert_eq!(reader_panic.map_err(message).unwrap_err(), want.to_string());
+            }
+        }
+        let (hits, stats) =
+            snap.try_hybrid_search(&good, &pred, &attrs, 10, 32, &mut scratch).unwrap();
+        assert_eq!((hits.len(), stats.fallback), (10, true), "good input still answers");
     }
 
     #[test]

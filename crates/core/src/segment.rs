@@ -49,8 +49,8 @@
 //!
 //! Rows are addressed by **stable global ids** (`u64`, assigned by
 //! [`insert`], never reused); each segment keeps a sorted local → global id
-//! map, and every query k-way merges per-segment top-`k` lists into one
-//! global answer.
+//! map, and every query collects its segments into one top-`k` by global
+//! id.
 //!
 //! **Determinism contract** (property-tested): after [`compact_all`]
 //! collapses everything into one segment, every query — pure and hybrid —
@@ -118,6 +118,12 @@ impl PartialOrd for GlobalNeighbor {
     #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+impl acorn_hnsw::heap::Scored for GlobalNeighbor {
+    fn dist(&self) -> f32 {
+        self.dist
     }
 }
 
@@ -1246,7 +1252,9 @@ mod tests {
     #[test]
     fn wrong_dimension_queries_panic_on_frozen_and_active_segments() {
         // A 32-d index whose one segment is frozen, and one whose one
-        // segment is active: a query of the wrong length reaches
+        // segment is active. A hybrid query of the wrong length is refused
+        // at the snapshot boundary with its typed error's message, before
+        // any segment is touched. A pure query of the wrong length reaches
         // a distance kernel either way, and the kernel refuses it — in
         // release builds too — rather than reading past the shorter slice.
         let vecs = random_vecs(200, 32, 70);
@@ -1261,16 +1269,25 @@ mod tests {
         assert_eq!(frozen.snapshot().frozen_segments().len(), 1);
         assert_eq!(active.active_rows(), 200);
         let attrs = AttrStore::builder().add_int("x", vec![0; 200]).build();
+        let panic_message = |ask: &mut dyn FnMut()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(ask))
+                .expect_err("a wrong-dimension query");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
         for idx in [&frozen, &active] {
             let snap = idx.snapshot();
+            let mut scratch = SearchScratch::new(snap.max_segment_rows());
             for dim in [3, 40] {
                 let query = vec![0.0; dim];
-                let ask = std::panic::AssertUnwindSafe(|| {
-                    let mut scratch = SearchScratch::new(snap.max_segment_rows());
-                    snap.hybrid_search(&query, &Predicate::True, &attrs, 5, 32, &mut scratch)
+                let msg = panic_message(&mut || {
+                    snap.hybrid_search(&query, &Predicate::True, &attrs, 5, 32, &mut scratch);
                 });
-                let err = std::panic::catch_unwind(ask).expect_err("a wrong-dimension query");
-                let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+                let refused = crate::QueryError::Dimension { expected: 32, got: dim };
+                assert_eq!(msg, refused.to_string(), "a {dim}-d hybrid query");
+                let msg = panic_message(&mut || {
+                    let mut stats = SearchStats::default();
+                    snap.search_with(&query, 5, 32, &mut scratch, &mut stats);
+                });
                 assert!(
                     msg.contains("different lengths"),
                     "a {dim}-d query must stop at the kernel's length check, not: {msg}"

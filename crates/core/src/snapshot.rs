@@ -44,9 +44,9 @@
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-use acorn_hnsw::heap::{merge_k_sorted, Neighbor};
+use acorn_hnsw::heap::Neighbor;
 use acorn_hnsw::{ScratchPool, SearchScratch, SearchStats};
-use acorn_predicate::{AllPass, AttrStore, Bitset, NodeFilter, Predicate};
+use acorn_predicate::{AttrStore, Bitset, NodeFilter, Predicate};
 
 use crate::index::AcornIndex;
 use crate::params::{AcornParams, AcornVariant};
@@ -185,23 +185,6 @@ impl<F: NodeFilter> NodeFilter for LiveFilter<'_, F> {
     fn passes(&self, id: u32) -> bool {
         !self.tombstones.get(id) && self.inner.passes(id)
     }
-}
-
-/// The one fan-in of every query: each segment's top-`k` in local ids,
-/// remapped to global ids and k-way merged. A list arrives ascending by
-/// `(dist, local)`; because `global_ids` is strictly ascending it leaves
-/// ascending by `(dist, global)`, which is what the merge needs.
-pub(crate) fn merge_segments<'a>(
-    lists: impl Iterator<Item = (&'a SegmentView, Vec<Neighbor>)>,
-    k: usize,
-) -> Vec<GlobalNeighbor> {
-    let per_seg: Vec<Vec<GlobalNeighbor>> = lists
-        .map(|(seg, out)| {
-            let gids = &seg.payload.global_ids;
-            out.into_iter().map(|n| GlobalNeighbor::new(n.dist, gids[n.id as usize])).collect()
-        })
-        .collect();
-    merge_k_sorted(&per_seg, k)
 }
 
 /// One immutable epoch of the segmented index: every segment (the frozen
@@ -366,10 +349,7 @@ impl SegmentSnapshot {
         if k == 0 {
             return Vec::new();
         }
-        let lists = self
-            .segments()
-            .map(|seg| (seg, seg.search_live(query, &AllPass, k, efs, scratch, stats)));
-        merge_segments(lists, k)
+        plan::search(self.segments(), query, None, k, efs, scratch, stats)
     }
 
     /// Full hybrid search with ACORN's §5.2 cost-model routing applied
@@ -377,9 +357,9 @@ impl SegmentSnapshot {
     /// segment has the predicate materialized into a bitmap of its live
     /// rows and is routed on that bitmap's exact count — to the exact
     /// pre-filter scan under `s_min · rows`, else to graph traversal over
-    /// the bitmap. Per-segment top-`k` lists are k-way merged into the
-    /// global answer. No sample is drawn, so the answer depends only on the
-    /// snapshot, the query and the predicate.
+    /// the bitmap. Every segment feeds one query-wide top-`k` by global id.
+    /// No sample is drawn, so the answer depends only on the snapshot, the
+    /// query and the predicate.
     ///
     /// `attrs` is indexed by **global id** and must cover every id ever
     /// assigned (`attrs.len() >= next_global_id()`); deleted rows keep
@@ -387,8 +367,43 @@ impl SegmentSnapshot {
     /// `k == 0` answers empty, with default stats, before the predicate is
     /// compiled or any segment is touched.
     ///
+    /// # Errors
+    /// Refuses, before any work, a query whose length is not
+    /// [`dim`](Self::dim) or that holds a NaN or infinite component, and an
+    /// `attrs` store that does not cover every assigned global id.
+    pub fn try_hybrid_search(
+        &self,
+        query: &[f32],
+        predicate: &Predicate,
+        attrs: &AttrStore,
+        k: usize,
+        efs: usize,
+        scratch: &mut SearchScratch,
+    ) -> Result<(Vec<GlobalNeighbor>, SearchStats), QueryError> {
+        if query.len() != self.dim {
+            return Err(QueryError::Dimension { expected: self.dim, got: query.len() });
+        }
+        if let Some(index) = query.iter().position(|x| !x.is_finite()) {
+            return Err(QueryError::NonFinite { index });
+        }
+        let (rows, next_global_id) = (attrs.len(), self.next_global);
+        if (rows as u64) < next_global_id {
+            return Err(QueryError::ShortAttrs { rows, next_global_id });
+        }
+        let mut stats = SearchStats::default();
+        if k == 0 {
+            return Ok((Vec::new(), stats));
+        }
+        let filter = Some((predicate, attrs));
+        Ok((plan::search(self.segments(), query, filter, k, efs, scratch, &mut stats), stats))
+    }
+
+    /// [`try_hybrid_search`](Self::try_hybrid_search) for callers whose
+    /// input is known good.
+    ///
     /// # Panics
-    /// Panics if `attrs` does not cover every assigned global id.
+    /// Panics with the [`QueryError`]'s message where `try_hybrid_search`
+    /// would refuse the query.
     pub fn hybrid_search(
         &self,
         query: &[f32],
@@ -398,18 +413,51 @@ impl SegmentSnapshot {
         efs: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<GlobalNeighbor>, SearchStats) {
-        assert!(
-            attrs.len() as u64 >= self.next_global,
-            "attribute store ({} rows) must cover every assigned global id (next = {})",
-            attrs.len(),
-            self.next_global
-        );
-        if k == 0 {
-            return (Vec::new(), SearchStats::default());
-        }
-        plan::hybrid_search(self.segments(), query, predicate, attrs, k, efs, scratch)
+        self.try_hybrid_search(query, predicate, attrs, k, efs, scratch)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
+
+/// Why [`SegmentSnapshot::try_hybrid_search`] refused a query. Each case is
+/// checked once, at the snapshot boundary, before any segment is touched.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum QueryError {
+    /// The query's length is not the index's dimension.
+    Dimension {
+        /// The index's dimension.
+        expected: usize,
+        /// The query's length.
+        got: usize,
+    },
+    /// The query holds a NaN or infinite component.
+    NonFinite {
+        /// Position of the first such component.
+        index: usize,
+    },
+    /// The attribute store does not cover every assigned global id.
+    ShortAttrs {
+        /// Rows in the store.
+        rows: usize,
+        /// The snapshot's next global id, which the store must reach.
+        next_global_id: u64,
+    },
+}
+
+impl std::fmt::Display for QueryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Self::Dimension { expected, got } => {
+                write!(f, "a {got}-d query for a {expected}-d index")
+            }
+            Self::NonFinite { index } => write!(f, "query component {index} is NaN or infinite"),
+            Self::ShortAttrs { rows, next_global_id: next } => {
+                write!(f, "attribute store ({rows} rows) must cover every global id below {next}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for QueryError {}
 
 /// The atomically swappable current-snapshot holder. `load` takes the read
 /// lock only long enough to clone the `Arc` — after that the reader holds

@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use acorn_core::{AcornIndex, AcornParams, AcornVariant, GlobalNeighbor, SegmentSnapshot};
-use acorn_hnsw::{SearchScratch, SearchStats, VectorStore};
+use acorn_hnsw::{Neighbor, SearchScratch, SearchStats, VectorStore};
 use acorn_predicate::{AttrStore, BitmapFilter, Bitset, Predicate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,9 +30,10 @@ use rand::{Rng, SeedableRng};
 /// `snap.hybrid_search(q, predicate, attrs, k, efs, ..)` as the plan says it
 /// must come out, built from public calls and [`Predicate::eval`]. Per
 /// non-empty segment: the live passing bitmap, row by row with the
-/// interpreter; the exact pre-filter scan when it counts under
-/// `s_min · rows`, else traversal over it; then the lists mapped to global
-/// ids and merged.
+/// interpreter; when it counts under `s_min · rows`, brute force (one
+/// `distance_to` per passing row, sorted, truncated to `k` — none of the
+/// engine's scan code), else traversal over it; then the lists mapped to
+/// global ids, sorted and truncated.
 ///
 /// Valid for non-constant predicates (a constant one skips the bitmap). Its
 /// `fallback`, `ndis` and `nhops` are the engine's; `npred` is not (the
@@ -61,7 +62,17 @@ pub fn interpreted_plan(
         let scan = (bits.count() as f64) < snap.params().s_min() * gids.len() as f64;
         let filter = BitmapFilter::new(bits);
         let out = if scan {
-            seg.index().prefilter_scan(q, &filter, k, &mut stats)
+            let vecs = seg.index().vectors();
+            let mut all: Vec<Neighbor> = filter
+                .bits()
+                .iter_ones()
+                .map(|l| Neighbor::new(vecs.distance_to(snap.params().metric, l, q), l))
+                .collect();
+            all.sort_unstable();
+            all.truncate(k);
+            stats.ndis += filter.bits().count() as u64;
+            stats.fallback = true;
+            all
         } else {
             seg.index().search_filtered(q, &filter, k, efs, &mut scratch, &mut stats)
         };

@@ -1,7 +1,8 @@
 //! Property tests for the segmented updatable index: after any random
 //! interleaving of inserts, deletes, freezes, and merges, (a) no tombstoned
 //! row ever surfaces, hybrid search answers bit-identically to the plan
-//! rebuilt with the interpreter (`common::interpreted_plan`), and the
+//! rebuilt with the interpreter (`common::interpreted_plan`, whose scan arm
+//! is brute force) at `k` of 1, 10 and more than the passing rows, and the
 //! router's scan/traverse decision agrees with exact per-segment passing
 //! counts computed here from the lifecycle's own ground truth (not from the
 //! planner), and (b) once `compact_all` collapses the log into one segment,
@@ -114,6 +115,13 @@ fn expected_fallback(lc: &Lifecycle, value: i64) -> bool {
     )
 }
 
+/// A query's `k`: one, ten, or more than the `rows` ever inserted (so more
+/// than any query's passing rows). The query-wide top-`k` then starts full
+/// after one row, carries a bound across segments, or never fills.
+fn draw_k(rng: &mut StdRng, rows: usize) -> usize {
+    [1, 10, rows + 1][rng.gen_range(0..3usize)]
+}
+
 fn query(rng: &mut StdRng) -> Vec<f32> {
     (0..DIM).map(|_| rng.gen_range(-1.0..1.0)).collect()
 }
@@ -154,13 +162,14 @@ proptest! {
             // Labels are 0..4; 9 passes nowhere (the all-sparse extreme).
             for value in [rng.gen_range(0..4), rng.gen_range(0..4), 9] {
                 let q = query(&mut rng);
-                for n in lc.index.reader().search(&q, 10, 48) {
+                let k = draw_k(&mut rng, lc.vectors.len());
+                for n in lc.index.reader().search(&q, k, 48) {
                     prop_assert!(lc.alive[n.id as usize], "dead gid {} surfaced", n.id);
                 }
                 let pred = Predicate::Equals { field, value };
                 let snap = lc.index.snapshot();
-                let (a, sa) = common::interpreted_plan(&snap, &q, &pred, &attrs_global, 10, 48);
-                let (b, sb) = snap.hybrid_search(&q, &pred, &attrs_global, 10, 48, &mut scratch);
+                let (a, sa) = common::interpreted_plan(&snap, &q, &pred, &attrs_global, k, 48);
+                let (b, sb) = snap.hybrid_search(&q, &pred, &attrs_global, k, 48, &mut scratch);
                 prop_assert_eq!(global_pairs(&a), global_pairs(&b),
                     "the engine must answer as the interpreter's plan mid-lifecycle ({:?})",
                     variant);
@@ -208,10 +217,11 @@ proptest! {
 
             for _ in 0..3 {
                 let q = query(&mut rng);
+                let k = draw_k(&mut rng, lc.vectors.len());
                 // Pure search.
                 let (mut seg_stats, mut reb_stats) = Default::default();
-                let seg_out = compacted.search_with(&q, 10, 48, &mut scratch, &mut seg_stats);
-                let reb_out = rebuilt.search_with(&q, 10, 48, &mut rscratch, &mut reb_stats);
+                let seg_out = compacted.search_with(&q, k, 48, &mut scratch, &mut seg_stats);
+                let reb_out = rebuilt.search_with(&q, k, 48, &mut rscratch, &mut reb_stats);
                 prop_assert_eq!(seg_stats, reb_stats, "pure search: the same work");
                 prop_assert_eq!(
                     global_pairs(&seg_out),
@@ -222,11 +232,11 @@ proptest! {
                 // interpreter's plan over the compacted index.
                 let pred = Predicate::Equals { field, value: rng.gen_range(0..4) };
                 let (seg_h, seg_stats) =
-                    compacted.hybrid_search(&q, &pred, &attrs_global, 10, 48, &mut scratch);
+                    compacted.hybrid_search(&q, &pred, &attrs_global, k, 48, &mut scratch);
                 let (reb_h, reb_stats) =
-                    rebuilt.hybrid_search(&q, &pred, &attrs_local, 10, 48, &mut rscratch);
+                    rebuilt.hybrid_search(&q, &pred, &attrs_local, k, 48, &mut rscratch);
                 let (want, want_stats) =
-                    common::interpreted_plan(&compacted, &q, &pred, &attrs_global, 10, 48);
+                    common::interpreted_plan(&compacted, &q, &pred, &attrs_global, k, 48);
                 prop_assert_eq!(
                     global_pairs(&seg_h),
                     mapped_pairs(&reb_h, &survivors),

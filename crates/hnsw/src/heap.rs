@@ -57,11 +57,6 @@ impl MinHeap {
         Self::default()
     }
 
-    /// Create an empty heap with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self { inner: BinaryHeap::with_capacity(cap) }
-    }
-
     /// Insert an element.
     #[inline]
     pub fn push(&mut self, n: Neighbor) {
@@ -74,24 +69,6 @@ impl MinHeap {
         self.inner.pop().map(|r| r.0)
     }
 
-    /// Peek at the closest element.
-    #[inline]
-    pub fn peek(&self) -> Option<Neighbor> {
-        self.inner.peek().map(|r| r.0)
-    }
-
-    /// Number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
     /// Remove all elements, keeping the allocation.
     #[inline]
     pub fn clear(&mut self) {
@@ -99,18 +76,32 @@ impl MinHeap {
     }
 }
 
-/// Bounded max-heap over [`Neighbor`] holding the best (closest) `k` seen.
+/// A `(distance, id)` pair ordered by distance first, under `f32::total_cmp`,
+/// then by id: what a [`TopK`] holds. [`Neighbor`] is one; the segmented
+/// index's global-id result is the other.
+pub trait Scored: Ord + Copy {
+    /// The distance the order is keyed on first.
+    fn dist(&self) -> f32;
+}
+
+impl Scored for Neighbor {
+    fn dist(&self) -> f32 {
+        self.dist
+    }
+}
+
+/// Bounded max-heap holding the best (closest) `k` [`Scored`] elements seen.
 ///
 /// `push` keeps at most `k` elements, evicting the furthest. This is the
 /// dynamic result list `W` of Algorithm 1/2 in the ACORN paper as well as the
-/// top-K accumulator of the brute-force baselines.
+/// top-K accumulator of the brute-force scans.
 #[derive(Debug, Clone)]
-pub struct TopK {
+pub struct TopK<T = Neighbor> {
     k: usize,
-    inner: BinaryHeap<Neighbor>,
+    inner: BinaryHeap<T>,
 }
 
-impl TopK {
+impl<T: Scored> TopK<T> {
     /// Create an accumulator that retains the closest `k` elements.
     ///
     /// # Panics
@@ -123,14 +114,13 @@ impl TopK {
     /// Offer an element; it is retained only if among the closest `k` so far.
     /// Returns `true` if the element was kept.
     #[inline]
-    pub fn push(&mut self, n: Neighbor) -> bool {
+    pub fn push(&mut self, n: T) -> bool {
         if self.inner.len() < self.k {
             self.inner.push(n);
             true
-        } else if let Some(worst) = self.inner.peek() {
+        } else if let Some(mut worst) = self.inner.peek_mut() {
             if n < *worst {
-                self.inner.pop();
-                self.inner.push(n);
+                *worst = n;
                 true
             } else {
                 false
@@ -140,22 +130,17 @@ impl TopK {
         }
     }
 
-    /// The current furthest retained element, if any.
+    /// The distance an element must not exceed to have a chance of being
+    /// kept: the `k`-th distance once the accumulator is full, `+∞` before.
+    /// An element whose distance is strictly greater (`d > bound`, an IEEE
+    /// compare, false whenever either side is NaN) is greater than the worst
+    /// retained one in the total order too, so `push` would turn it away.
     #[inline]
-    pub fn worst(&self) -> Option<Neighbor> {
-        self.inner.peek().copied()
-    }
-
-    /// Number of retained elements (≤ k).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when nothing is retained.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+    pub fn bound(&self) -> f32 {
+        match self.inner.peek() {
+            Some(worst) if self.is_full() => worst.dist(),
+            _ => f32::INFINITY,
+        }
     }
 
     /// True when the accumulator holds `k` elements.
@@ -165,22 +150,18 @@ impl TopK {
     }
 
     /// Consume and return the retained elements sorted closest-first.
-    pub fn into_sorted(self) -> Vec<Neighbor> {
+    pub fn into_sorted(self) -> Vec<T> {
         let mut v = self.inner.into_vec();
         v.sort_unstable();
         v
     }
-
-    /// Iterate over retained elements in arbitrary (heap) order.
-    pub fn iter(&self) -> impl Iterator<Item = &Neighbor> {
-        self.inner.iter()
-    }
 }
 
 /// K-way merge of ascending-sorted lists: the `k` smallest elements across
-/// all of `lists`, ascending. The segmented index uses this to combine
-/// per-segment top-`k` result lists into one global answer; it is generic so
-/// any `(distance, id)`-like ordering works.
+/// all of `lists`, ascending; generic so any `(distance, id)`-like ordering
+/// works. The engine no longer calls it — the segmented index collects every
+/// segment into one query-wide [`TopK`] — and it stays public only because
+/// the repo benchmark's adapter binds it (its `hnsw.merge_k_us` stage).
 ///
 /// Runs in `O(k · log L)` for `L` input lists via a cursor heap — no
 /// concatenate-and-sort of all inputs.
@@ -259,7 +240,7 @@ mod tests {
         assert!(t.push(Neighbor::new(2.0, 1)));
         assert!(!t.push(Neighbor::new(3.0, 2)), "worse than worst must be rejected");
         assert!(t.push(Neighbor::new(0.5, 3)));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.into_sorted().len(), 2);
     }
 
     #[test]
@@ -277,9 +258,27 @@ mod tests {
     }
 
     #[test]
+    fn topk_bound_is_infinite_until_full_then_the_kth_distance() {
+        let mut t = TopK::new(2);
+        assert_eq!(t.bound(), f32::INFINITY);
+        t.push(Neighbor::new(3.0, 0));
+        assert_eq!(t.bound(), f32::INFINITY, "one of two held");
+        t.push(Neighbor::new(1.0, 1));
+        assert_eq!(t.bound(), 3.0);
+        t.push(Neighbor::new(2.0, 2));
+        assert_eq!(t.bound(), 2.0, "the evicted row no longer bounds");
+        t.push(Neighbor::new(f32::NAN, 3));
+        assert_eq!(t.bound(), 2.0, "NaN sorts last and is turned away");
+        t.push(Neighbor::new(-f32::NAN, 4));
+        assert_eq!(t.bound(), 1.0, "-NaN sorts first and enters");
+        t.push(Neighbor::new(-f32::NAN, 5));
+        assert!(t.bound().is_nan(), "two -NaN held: a bound no compare exceeds");
+    }
+
+    #[test]
     #[should_panic(expected = "k > 0")]
     fn topk_zero_panics() {
-        let _ = TopK::new(0);
+        let _ = TopK::<Neighbor>::new(0);
     }
 
     #[test]

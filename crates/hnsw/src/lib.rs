@@ -33,7 +33,9 @@
 //!   workspace's one best-first loop (HNSW, ACORN and every graph baseline
 //!   pass it their neighborhood), and
 //!   [`exact_top_k`](search::exact_top_k), the batched brute-force scan
-//!   behind every exact nearest-`k` in the workspace.
+//!   behind every exact nearest-`k` in the workspace
+//!   ([`score_into`](search::score_into), its scoring step, feeds a top-`k`
+//!   the caller carries across segments).
 //! * [`index`] — the assembled [`HnswIndex`] with Algorithm 1 search.
 //!
 //! The ACORN paper (SIGMOD 2024) extends this structure; see the

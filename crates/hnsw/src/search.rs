@@ -9,13 +9,15 @@
 //! the gate), and `acorn-core` passes ACORN's predicate-aware GET-NEIGHBORS
 //! (Algorithm 2 of the ACORN paper). A new lookup rule is a new
 //! neighborhood function, not a new loop. [`exact_top_k`] is the
-//! brute-force scan behind ACORN's pre-filter fallback, the pre-filter and
-//! IVF baselines, k-means, medoids and the exact ground truth.
+//! brute-force scan behind `AcornIndex::prefilter_scan`, the pre-filter and
+//! IVF baselines, k-means, medoids and the exact ground truth. Its scoring
+//! step, [`score_into`], is public: the segmented planner's pre-filter
+//! route walks each segment's bitmap into it, feeding one top-`k` per query.
 
 use acorn_predicate::{Bitset, MemoTable};
 
 use crate::graph::GraphView;
-use crate::heap::{MinHeap, Neighbor, TopK};
+use crate::heap::{MinHeap, Neighbor, Scored, TopK};
 use crate::stats::SearchStats;
 use crate::vecs::{Metric, VectorData};
 use crate::visited::VisitedSet;
@@ -165,10 +167,8 @@ where
     }
 
     while let Some(c) = scratch.candidates.pop() {
-        if let Some(worst) = results.worst() {
-            if c.dist > worst.dist && results.is_full() {
-                break;
-            }
+        if c.dist > results.bound() {
+            break;
         }
         stats.nhops += 1;
         scratch.frontier.push(c);
@@ -182,11 +182,7 @@ where
         stats.ndis += scratch.expansion.len() as u64;
         for (&nb, &d) in scratch.expansion.iter().zip(&scratch.dist_buf) {
             let cand = Neighbor::new(d, nb);
-            let admit = match results.worst() {
-                Some(w) => d < w.dist || !results.is_full(),
-                None => true,
-            };
-            if admit {
+            if !results.is_full() || d < results.bound() {
                 scratch.candidates.push(cand);
                 results.push(cand);
             }
@@ -226,6 +222,15 @@ where
 /// wait on. Distances are those of one `distance_to` per row, and
 /// [`Neighbor`]'s total order on `(dist, id)` makes the answer independent of
 /// the order ids arrive in. `k = 0` answers empty without calling `ids`.
+///
+/// Once `k` rows are held, a row is turned away with one IEEE compare,
+/// `d > bound` against the `k`-th distance ([`TopK::bound`]), before it
+/// touches the heap. The skip keeps the total order's answer: an IEEE
+/// `d > bound` holds only between two ordered values with `d` the larger,
+/// so `d` sorts after the worst held row under `total_cmp` too. NaN (either
+/// sign) compares false on either side and `-0.0 > +0.0` is false, so those
+/// rows and every exact tie fall through to the total-order push, which
+/// settles them by `(dist, id)`.
 pub fn exact_top_k<V: VectorData + ?Sized>(
     vecs: &V,
     metric: Metric,
@@ -233,33 +238,53 @@ pub fn exact_top_k<V: VectorData + ?Sized>(
     k: usize,
     ids: impl FnOnce(&mut dyn FnMut(u32)),
 ) -> (Vec<Neighbor>, u64) {
-    /// Ids scored per `distances_batch` call.
-    const CHUNK: usize = 64;
     if k == 0 {
         return (Vec::new(), 0);
     }
-    let mut top = TopK::new(k);
-    let mut dists = Vec::with_capacity(CHUNK);
-    let mut ndis = 0u64;
-    let mut score = |ids: &[u32]| {
-        vecs.distances_batch(metric, query, ids, &mut dists);
-        for (&id, &d) in ids.iter().zip(&dists) {
-            top.push(Neighbor::new(d, id));
-        }
-        ndis += ids.len() as u64;
-    };
-    let mut chunk = [0u32; CHUNK];
-    let mut filled = 0usize;
+    let (mut top, mut dists, mut chunk) = (TopK::new(k), Vec::new(), [0u32; 64]);
+    let (mut filled, mut ndis) = (0usize, 0u64);
     ids(&mut |id| {
         chunk[filled] = id;
         filled += 1;
-        if filled == CHUNK {
-            score(&chunk);
+        if filled == chunk.len() {
+            score_into(vecs, metric, query, &chunk, &mut dists, &mut top, Neighbor::new);
+            ndis += filled as u64;
             filled = 0;
         }
     });
-    score(&chunk[..filled]);
-    (top.into_sorted(), ndis)
+    score_into(vecs, metric, query, &chunk[..filled], &mut dists, &mut top, Neighbor::new);
+    (top.into_sorted(), ndis + filled as u64)
+}
+
+/// One batch of [`exact_top_k`]'s scan, into a top-`k` the caller owns:
+/// `ids` are scored with one [`VectorData::distances_batch`] call into
+/// `dists`, and each row the one-compare skip lets through is offered to
+/// `top` as `item(dist, id)` (`item` runs for no other row).
+///
+/// `top` carries its bound from call to call, so a scan that feeds one
+/// `top` from several row sets — the segmented planner's pre-filter scan,
+/// one segment's bitmap after another — starts each set from the `k`-th
+/// distance the sets before it left.
+#[inline]
+pub fn score_into<V: VectorData + ?Sized, T: Scored>(
+    vecs: &V,
+    metric: Metric,
+    query: &[f32],
+    ids: &[u32],
+    dists: &mut Vec<f32>,
+    top: &mut TopK<T>,
+    mut item: impl FnMut(f32, u32) -> T,
+) {
+    vecs.distances_batch(metric, query, ids, dists);
+    let mut bound = top.bound();
+    for (&id, &d) in ids.iter().zip(dists.iter()) {
+        if d > bound {
+            continue;
+        }
+        if top.push(item(d, id)) {
+            bound = top.bound();
+        }
+    }
 }
 
 /// Greedy descent: at each level choose the single closest node (`ef = 1`).

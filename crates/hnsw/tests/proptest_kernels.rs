@@ -84,7 +84,9 @@ proptest! {
     /// lists (repeats allowed) on each side of the 64-id chunk edge, `k` up
     /// to two past the list length, and dimensions across the 4-row
     /// kernel's remainder. It counts one distance per id fed, and at
-    /// `k = 0` it never calls the feeder.
+    /// `k = 0` it never calls the feeder. Rows scoring NaN, -NaN, ±∞, -0.0
+    /// and +0.0, duplicate rows and repeated ids hold its one-compare skip
+    /// to `Neighbor`'s total order.
     #[test]
     fn exact_top_k_equals_score_sort_truncate(
         seed in 0u64..10_000,
@@ -120,6 +122,51 @@ proptest! {
         }
         let (none, ndis) = exact_top_k(&store, Metric::L2, &q, 0, |_| panic!("k = 0 fed ids"));
         prop_assert!(none.is_empty() && ndis == 0);
+
+        // Rows the one-compare skip must leave to the total order. With
+        // `q[0] = 0`: the query itself scores +0.0 under L2; the zero row
+        // -0.0 under inner product and +0.0 under cosine; the first axis
+        // (orthogonal to the query) -0.0 under both; a NaN or -NaN component
+        // scores NaN of either sign; an infinite one ±∞ or NaN; and one row
+        // is stored twice. Every special id is fed twice, in random order
+        // among random ids.
+        let mut q = q;
+        q[0] = 0.0;
+        let mut flat = vec_of(ROWS as usize * dim, seed + 2, 1.0);
+        let mut axis = vec![0.0; dim];
+        axis[0] = 1.0;
+        let specials: [Vec<f32>; 6] = [
+            q.clone(),
+            vec![0.0; dim],
+            axis,
+            (0..dim).map(|i| if i == 0 { f32::NAN } else { 0.5 }).collect(),
+            (0..dim).map(|i| if i == 0 { -f32::NAN } else { 0.5 }).collect(),
+            (0..dim).map(|i| if i == 0 { f32::INFINITY } else { 0.5 }).collect(),
+        ];
+        for (row, special) in specials.iter().enumerate() {
+            flat[row * dim..(row + 1) * dim].copy_from_slice(special);
+        }
+        flat.copy_within(7 * dim..8 * dim, 6 * dim);
+        let edge = VectorStore::from_flat(dim, flat);
+        let mut ids: Vec<u32> = (0..8).chain(0..8).collect();
+        ids.extend((0..len).map(|_| rng.gen_range(0..ROWS)));
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.gen_range(0..=i));
+        }
+        for k in [1, 2, 3, 8, 16, k_pick % (ids.len() + 3)] {
+            for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+                let (got, ndis) =
+                    exact_top_k(&edge, metric, &q, k, |f| ids.iter().copied().for_each(f));
+                let mut want: Vec<Neighbor> = ids
+                    .iter()
+                    .map(|&id| Neighbor::new(edge.distance_to(metric, id, &q), id))
+                    .collect();
+                want.sort_unstable();
+                want.truncate(k);
+                prop_assert_eq!(bits(&got), bits(&want), "edge rows {:?} dim {} k {}", metric, dim, k);
+                prop_assert_eq!(ndis, if k == 0 { 0 } else { ids.len() as u64 });
+            }
+        }
     }
 
     /// Dispatched SQ8 kernels agree with the scalar reference on every
