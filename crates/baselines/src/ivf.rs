@@ -91,18 +91,19 @@ impl<V: VectorData> Ivf<V> {
         nprobe: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        let (top, ndis) = exact_top_k(&*self.vecs, self.metric, query, k, |f| {
-            let nprobe = nprobe.clamp(1, self.lists.len());
-            let (probes, ncent) = exact_top_k(&self.centroids, self.metric, query, nprobe, |c| {
-                (0..self.centroids.len() as u32).for_each(c)
-            });
-            stats.ndis += ncent;
-            for probe in probes {
-                let list = &self.lists[probe.id as usize];
-                stats.npred += list.len() as u64;
-                list.iter().copied().filter(|&id| filter.passes(id)).for_each(&mut *f);
-            }
+        if k == 0 {
+            return Vec::new();
+        }
+        let nprobe = nprobe.clamp(1, self.lists.len());
+        let centroids = 0..self.centroids.len() as u32;
+        let (probes, ncent) = exact_top_k(&self.centroids, self.metric, query, nprobe, centroids);
+        stats.ndis += ncent;
+        let rows = probes.iter().flat_map(|probe| {
+            let list = &self.lists[probe.id as usize];
+            stats.npred += list.len() as u64;
+            list.iter().copied().filter(|&id| filter.passes(id))
         });
+        let (top, ndis) = exact_top_k(&*self.vecs, self.metric, query, k, rows);
         stats.ndis += ndis;
         top
     }

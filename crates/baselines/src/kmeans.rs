@@ -113,8 +113,7 @@ pub fn kmeans(vecs: &VectorStore, k: usize, iters: usize, seed: u64) -> KMeans {
 /// The row of `vecs` nearest `point` (the lowest id on ties): one k = 1
 /// exact scan. `vecs` must not be empty.
 pub(crate) fn nearest_row(vecs: &VectorStore, metric: Metric, point: &[f32]) -> u32 {
-    let rows = |f: &mut dyn FnMut(u32)| (0..vecs.len() as u32).for_each(f);
-    exact_top_k(vecs, metric, point, 1, rows).0[0].id
+    exact_top_k(vecs, metric, point, 1, 0..vecs.len() as u32).0[0].id
 }
 
 #[cfg(test)]

@@ -38,10 +38,12 @@ impl PreFilter {
         k: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        let (top, ndis) = exact_top_k(&*self.vecs, self.metric, query, k, |f| {
-            stats.npred += self.vecs.len() as u64;
-            (0..self.vecs.len() as u32).filter(|&id| filter.passes(id)).for_each(f)
-        });
+        if k == 0 {
+            return Vec::new();
+        }
+        stats.npred += self.vecs.len() as u64;
+        let passing = (0..self.vecs.len() as u32).filter(|&id| filter.passes(id));
+        let (top, ndis) = exact_top_k(&*self.vecs, self.metric, query, k, passing);
         stats.ndis += ndis;
         top
     }

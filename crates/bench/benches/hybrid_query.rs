@@ -1,17 +1,17 @@
 //! Single-query hybrid-search latency: ACORN-γ vs ACORN-1 (each one sealed
 //! segment, queried through the planner) vs the pre-/post-filter baselines
-//! on one prebuilt SIFT-like index; then the exact-scan route on its own
-//! (`scan_route`): `prefilter_scan` over one 8,000-row 32-d segment's
-//! bitmap, and a four-segment `hybrid_search` that scans every segment,
-//! each at 1 % and 10 % density. Each `scan_route` id names the rows it
-//! scores, so time ÷ rows is the cost per scanned row.
+//! on one prebuilt SIFT-like index; then the planner's exact-scan route on
+//! its own (`scan_route`): `hybrid_search` over one 8,000-row 32-d segment
+//! and over four such segments, the predicate under `s_min` in each, at 1 %
+//! and 10 % density. Each `scan_route` id names the rows it scores, so
+//! time ÷ rows is the cost per scanned row.
 
 use acorn_baselines::{PostFilterHnsw, PreFilter};
 use acorn_bench::methods::acorn_segment;
 use acorn_core::{AcornParams, AcornVariant, SegmentedAcornIndex};
 use acorn_data::datasets::sift_like;
 use acorn_hnsw::{HnswParams, Metric, SearchScratch, SearchStats, VectorStore};
-use acorn_predicate::{AttrStore, BitmapFilter, Bitset, Predicate, PredicateFilter};
+use acorn_predicate::{AttrStore, Predicate, PredicateFilter};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,13 +66,17 @@ fn bench_scan_route(c: &mut Criterion) {
     // γ = 8 → s_min = 0.125: both densities take the scan route.
     let params =
         AcornParams { m: 16, gamma: 8, m_beta: 32, ef_construction: 64, ..Default::default() };
-    let mut index = SegmentedAcornIndex::new(DIM, params, AcornVariant::Gamma);
-    for _ in 0..SEGMENTS {
+    let mut index = SegmentedAcornIndex::new(DIM, params.clone(), AcornVariant::Gamma);
+    let mut one = SegmentedAcornIndex::new(DIM, params, AcornVariant::Gamma);
+    for s in 0..SEGMENTS {
         let flat = (0..ROWS * DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        index.bulk_load(VectorStore::from_flat(DIM, flat));
+        let store = VectorStore::from_flat(DIM, flat);
+        if s == 0 {
+            one.bulk_load(store.clone());
+        }
+        index.bulk_load(store);
     }
-    let snap = index.snapshot();
-    let segment = snap.frozen_segments()[0].index();
+    let (snap, one) = (index.snapshot(), one.snapshot());
     let percent: Vec<i64> = (0..SEGMENTS * ROWS).map(|_| rng.gen_range(0i64..100)).collect();
     let attrs = AttrStore::builder().add_int("percent", percent.clone()).build();
     let field = attrs.field("percent").unwrap();
@@ -81,17 +85,11 @@ fn bench_scan_route(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("scan_route");
     for density in [1i64, 10] {
-        let bits =
-            Bitset::from_ids(ROWS, (0..ROWS as u32).filter(|&r| percent[r as usize] < density));
-        let rows = bits.count();
-        let filter = BitmapFilter::new(bits);
-        group.bench_function(format!("prefilter_scan/{density}%/{rows}rows"), |b| {
-            b.iter(|| {
-                let mut stats = SearchStats::default();
-                segment.prefilter_scan(black_box(&query), &filter, 10, &mut stats)
-            })
-        });
         let pred = Predicate::Between { field, lo: 0, hi: density - 1 };
+        let rows = percent[..ROWS].iter().filter(|&&p| p < density).count();
+        group.bench_function(format!("hybrid_search/1seg/{density}%/{rows}rows"), |b| {
+            b.iter(|| one.hybrid_search(black_box(&query), &pred, &attrs, 10, 16, &mut scratch))
+        });
         let rows = percent.iter().filter(|&&p| p < density).count();
         group.bench_function(format!("hybrid_search/{SEGMENTS}seg/{density}%/{rows}rows"), |b| {
             b.iter(|| snap.hybrid_search(black_box(&query), &pred, &attrs, 10, 16, &mut scratch))

@@ -92,7 +92,7 @@ use acorn_hnsw::checksum::crc32;
 
 use crate::segment::MergeOutcome;
 use crate::serialize::{self, Checkpoint, SegmentFileRef};
-use crate::snapshot::{SegmentPayload, SegmentSnapshot, SegmentView};
+use crate::snapshot::{check_vector, SegmentPayload, SegmentSnapshot, SegmentView};
 use crate::SegmentedAcornIndex;
 
 pub use vfs::{FailpointVfs, FaultPlan, StdVfs, Vfs, VfsFile};
@@ -324,19 +324,8 @@ impl DurableIndex {
     /// non-finite component: refused before anything is logged, so the
     /// handle stays usable and the row can never reach a replay.
     pub fn insert(&mut self, v: &[f32]) -> io::Result<u64> {
-        let dim = self.index.snapshot().dim();
-        if v.len() != dim {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("inserted vector has dimension {}, not {dim}", v.len()),
-            ));
-        }
-        if v.iter().any(|x| !x.is_finite()) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "inserted vector has a non-finite component",
-            ));
-        }
+        check_vector(self.index.snapshot().dim(), v)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         self.run(|s| {
             let gid = s.index.snapshot().next_global_id();
             s.append_op(WalOp::Insert { gid, vector: v })?;
@@ -621,7 +610,7 @@ fn apply(index: &mut SegmentedAcornIndex, op: WalOp<'_>) -> io::Result<()> {
     match op {
         WalOp::Insert { gid, vector } => {
             let state = index.snapshot();
-            if vector.len() != state.dim() || gid != state.next_global_id() {
+            if gid != state.next_global_id() || check_vector(state.dim(), vector).is_err() {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "WAL insert record inconsistent with the snapshot it extends",
@@ -888,6 +877,74 @@ mod tests {
 
         let reopened = DurableIndex::open(&dir, fast_opts()).unwrap();
         assert_eq!((reopened.recovered_ops(), reopened.index().snapshot().len()), (2, 2));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bad_vectors_are_typed_errors_at_every_read_and_write_door() {
+        // Wrong lengths and NaN, -NaN and ±∞ components, at the two pure
+        // reads (a pinned snapshot and a pooled reader, over a frozen and an
+        // active segment), the writer's `try_insert` and the durable
+        // `insert`: each answers the rule's typed error, nothing panics, and
+        // no row, gid or WAL byte is spent.
+        use crate::QueryError;
+        use acorn_hnsw::{SearchScratch, SearchStats};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let (dim, dir) = (4, tmp_dir("doors"));
+        let mut writer = SegmentedAcornIndex::new(dim, params(), AcornVariant::Gamma);
+        for i in 0..40 {
+            writer.insert(&vec_for(i, dim));
+        }
+        writer.freeze();
+        writer.insert(&vec_for(40, dim));
+        let idx = SegmentedAcornIndex::new(dim, params(), AcornVariant::Gamma);
+        let mut store = DurableIndex::create(&dir, idx, fast_opts()).unwrap();
+        store.insert(&vec_for(0, dim)).unwrap();
+        let with = |i: usize, x: f32| {
+            let mut v = vec_for(7, dim);
+            v[i] = x;
+            v
+        };
+        let cases = [
+            (Vec::new(), QueryError::Dimension { expected: dim, got: 0 }),
+            (vec_for(7, dim - 1), QueryError::Dimension { expected: dim, got: dim - 1 }),
+            (vec_for(7, dim + 1), QueryError::Dimension { expected: dim, got: dim + 1 }),
+            (with(1, f32::NAN), QueryError::NonFinite { index: 1 }),
+            (with(0, -f32::NAN), QueryError::NonFinite { index: 0 }),
+            (with(3, f32::INFINITY), QueryError::NonFinite { index: 3 }),
+            (with(2, f32::NEG_INFINITY), QueryError::NonFinite { index: 2 }),
+        ];
+        let spent = |idx: &SegmentedAcornIndex| {
+            let snap = idx.snapshot();
+            (snap.epoch(), snap.next_global_id(), snap.total_rows(), idx.active_rows())
+        };
+        let (writer_before, store_before) = (spent(&writer), spent(store.index()));
+        let wal_before = store.wal_bytes();
+        for (v, want) in cases {
+            let got = catch_unwind(AssertUnwindSafe(|| {
+                let snap = writer.snapshot();
+                let mut scratch = SearchScratch::new(snap.max_segment_rows());
+                for k in [0, 5] {
+                    let mut stats = SearchStats::default();
+                    let pinned = snap.search_with(&v, k, 32, &mut scratch, &mut stats);
+                    assert_eq!(pinned, Err(want.clone()), "search_with, k {k}");
+                    assert_eq!(stats, SearchStats::default(), "no work before the check");
+                    assert_eq!(writer.reader().search(&v, k, 32), Err(want.clone()), "reader");
+                }
+                assert_eq!(writer.try_insert(&v), Err(want.clone()), "try_insert");
+                let durable = store.insert(&v).unwrap_err();
+                assert_eq!(durable.kind(), io::ErrorKind::InvalidInput);
+                let inner = durable.into_inner().and_then(|e| e.downcast::<QueryError>().ok());
+                assert_eq!(inner.as_deref(), Some(&want), "DurableIndex::insert");
+            }));
+            assert!(got.is_ok(), "{want}: a typed error, not a panic");
+            assert_eq!(spent(&writer), writer_before, "{want}: the writer spent nothing");
+            assert_eq!(spent(store.index()), store_before, "{want}: the store spent nothing");
+            assert_eq!(store.wal_bytes(), wal_before, "{want}: nothing logged");
+        }
+        assert_eq!(writer.try_insert(&vec_for(41, dim)), Ok(41), "the next gid is unspent");
+        assert_eq!(store.insert(&vec_for(1, dim)).unwrap(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -85,6 +85,10 @@ impl SegmentedQueryEngine {
 
     /// Pure ANN search for a batch of queries across all segments of one
     /// pinned epoch.
+    ///
+    /// # Panics
+    /// Panics with the [`QueryError`](crate::QueryError)'s message on a
+    /// query [`SegmentSnapshot::search_with`] refuses.
     pub fn search_batch<Q>(
         &self,
         queries: &[Q],
@@ -96,7 +100,8 @@ impl SegmentedQueryEngine {
     {
         let snap = self.reader.snapshot();
         self.run_batch(&snap, queries.len(), |i, scratch, stats| {
-            snap.search_with(queries[i].as_ref(), k, efs, scratch, stats)
+            let query = queries[i].as_ref();
+            snap.search_with(query, k, efs, scratch, stats).unwrap_or_else(|e| panic!("{e}"))
         })
     }
 
@@ -226,7 +231,7 @@ mod tests {
         let mut scratch = SearchScratch::new(snap.max_segment_rows());
         let mut want = SearchStats::default();
         for q in &qs {
-            snap.search_with(q, 5, 32, &mut scratch, &mut want);
+            snap.search_with(q, 5, 32, &mut scratch, &mut want).unwrap();
         }
         assert!(want.ndis > 0 && want.nhops > 0);
         assert_eq!(out.stats, want);
@@ -280,9 +285,9 @@ mod tests {
         let snap = reader.snapshot();
         let mut scratch = SearchScratch::new(snap.max_segment_rows());
         for efs in [0, 16] {
-            assert!(reader.search(&q, 0, efs).is_empty(), "efs {efs}");
+            assert!(reader.search(&q, 0, efs).unwrap().is_empty(), "efs {efs}");
             let mut stats = SearchStats::default();
-            assert!(snap.search_with(&q, 0, efs, &mut scratch, &mut stats).is_empty());
+            assert!(snap.search_with(&q, 0, efs, &mut scratch, &mut stats).unwrap().is_empty());
             assert_eq!(stats, SearchStats::default(), "efs {efs}: nothing searched");
             let (out, stats) = snap.hybrid_search(&q, &dense, &attrs, 0, efs, &mut scratch);
             assert!(out.is_empty());
@@ -312,8 +317,10 @@ mod tests {
         let snap = idx.snapshot();
         let mut scratch = SearchScratch::new(snap.max_segment_rows());
         let mut stats = SearchStats::default();
-        let sequential: Vec<Vec<GlobalNeighbor>> =
-            qs.iter().map(|q| snap.search_with(q, 10, 48, &mut scratch, &mut stats)).collect();
+        let sequential: Vec<Vec<GlobalNeighbor>> = qs
+            .iter()
+            .map(|q| snap.search_with(q, 10, 48, &mut scratch, &mut stats).unwrap())
+            .collect();
 
         for threads in [1, 2, 4] {
             let engine = SegmentedQueryEngine::for_reader(idx.reader()).with_threads(threads);

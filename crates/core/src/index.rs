@@ -559,15 +559,14 @@ impl AcornIndex {
         )
     }
 
-    /// Exact pre-filtered scan: the fallback for highly selective queries
-    /// (§5.2) and the building block reused by tests.
-    ///
-    /// Enumeration goes through [`NodeFilter::for_each_passing`], so
-    /// bitmap-backed filters skip failing rows with a word-level scan
-    /// instead of evaluating all `n` ids (`stats.npred` records the
-    /// evaluations actually performed). Passing ids are scored by the
-    /// shared [`exact_top_k`]: batched, prefetched, and bit-identical to one
-    /// `distance_to` per row. `k = 0` answers empty.
+    /// Exact pre-filtered scan over every row `filter` passes: the
+    /// fallback for highly selective queries (§5.2), for callers holding a
+    /// filter rather than a bitmap of the rows. Each row is asked once, in
+    /// id order, so `stats.npred` gains one check per row asked, bitmap or
+    /// not. Passing ids are scored by the shared [`exact_top_k`]: batched,
+    /// prefetched, and bit-identical to one `distance_to` per row. `k = 0`
+    /// answers empty, asking nothing. The planner's own scan route feeds
+    /// the same driver a segment's bitmap directly.
     pub fn prefilter_scan<F: NodeFilter>(
         &self,
         query: &[f32],
@@ -575,10 +574,13 @@ impl AcornIndex {
         k: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        let (out, ndis) = exact_top_k(&*self.vecs, self.params.metric, query, k, |f| {
-            stats.npred += filter.for_each_passing(self.len(), f);
-            stats.fallback = true;
-        });
+        if k == 0 {
+            return Vec::new();
+        }
+        stats.npred += self.len() as u64;
+        stats.fallback = true;
+        let passing = (0..self.len() as u32).filter(|&id| filter.passes(id));
+        let (out, ndis) = exact_top_k(&*self.vecs, self.params.metric, query, k, passing);
         stats.ndis += ndis;
         out
     }
@@ -855,7 +857,7 @@ mod tests {
                         got.iter().map(|x| (x.id, x.dist.to_bits())).collect();
                     assert_eq!(got, expect, "bitmap filter, dim {dim}, 1/{keep_mod}, k {k}");
                     assert_eq!(stats.ndis, want.len() as u64, "every passing row is scored once");
-                    assert_eq!(stats.npred, 0, "bit enumeration evaluates nothing");
+                    assert_eq!(stats.npred, n as u64, "one bit test per row");
 
                     let mut stats = SearchStats::default();
                     let got = idx.prefilter_scan(&q, &Lazy(keep_mod), k, &mut stats);

@@ -13,26 +13,29 @@
 //!
 //! The plan, in order:
 //!
-//! 1. **Compile** the predicate. A program that folded to a constant needs
-//!    no filter at all: `false` answers empty without touching a segment,
-//!    `true` traverses with tombstones only — the pure-ANN path.
-//! 2. **Per segment, count.** Materialize the predicate **into the
-//!    segment's local id space** — one block-kernel pass over the segment's
-//!    global-id span, a gather through the id map only when merges left
-//!    gaps in it — and clear the tombstoned bits. The bitmap's popcount is
-//!    the segment's exact number of passing live rows.
-//! 3. **Per segment, route** on that count into **one top-`k` per query**
-//!    (by global id): under `s_min · rows` the bitmap's words are walked
-//!    and the set rows scored exactly, 64 per [`score_into`] batch,
-//!    straight into that top-`k` (the pre-filter scan); a row above the
-//!    current `k`-th distance costs one compare and never reaches the
-//!    heap or the id map, and that bound carries from each segment to the
-//!    next. Otherwise the graph is traversed with constant-time bit tests
-//!    over a plain local-id [`BitmapFilter`] and its top-`k` list is offered
-//!    to the same top-`k`. No id-map gather and no tombstone test remain in
+//! 1. **Compile** the predicate. A program that folded to `false` answers
+//!    empty without touching a segment; one that folded to `true` is no
+//!    predicate at all — the pure search.
+//! 2. **Per segment, one bitmap** of its passing live rows, in its local
+//!    id space. With a predicate, it is materialized — one block-kernel
+//!    pass over the segment's global-id span, a gather through the id map
+//!    only when merges left gaps in it — and the tombstoned bits cleared.
+//!    With none, it is the negated tombstones. Its popcount is the
+//!    segment's exact number of passing live rows.
+//! 3. **Per segment, route** on that count to one of §5.2's two leaves,
+//!    both feeding **one top-`k` per query** (by global id). Under
+//!    `s_min · rows` the set rows are scored exactly by
+//!    [`scan_into`], 64 per batch, straight into that top-`k` (the
+//!    pre-filter scan): a row above the current `k`-th distance costs one
+//!    compare and never reaches the heap or the id map, and that bound
+//!    carries from each segment to the next. Otherwise the graph is
+//!    traversed with constant-time bit tests over the bitmap as a plain
+//!    local-id [`BitmapFilter`], and its top-`k` list is offered to the
+//!    same top-`k`. No id-map gather and no tombstone test remain in
 //!    either inner loop, and there is no k-way merge: a segment's global
-//!    ids ascend with its local ones, so the query's top-`k` holds exactly
-//!    what merging sorted per-segment lists would.
+//!    ids ascend with its local ones, so `(dist, gid)` orders its rows as
+//!    `(dist, local)` does and the query's top-`k` holds exactly what
+//!    merging sorted per-segment lists would.
 //!
 //! There is no sample and no seed: a plan depends only on the snapshot and
 //! the predicate. Every row verdict comes from the compiled program. The AST
@@ -40,10 +43,10 @@
 //! rebuilds this plan from public calls with it and holds the engine to the
 //! result.
 
-use acorn_hnsw::heap::{Neighbor, TopK};
-use acorn_hnsw::search::score_into;
+use acorn_hnsw::heap::TopK;
+use acorn_hnsw::search::scan_into;
 use acorn_hnsw::{SearchScratch, SearchStats};
-use acorn_predicate::{AllPass, AttrStore, BitmapFilter, Bitset, CompiledPredicate, Predicate};
+use acorn_predicate::{AttrStore, BitmapFilter, Bitset, CompiledPredicate, Predicate};
 
 use crate::segment::GlobalNeighbor;
 use crate::snapshot::SegmentView;
@@ -79,8 +82,8 @@ fn materialize_local(
 
 /// Plan and run one query over `segments` (non-empty, in query order,
 /// `k > 0`), adding its work to `stats`; returns the query's top-`k` by
-/// global id. With no predicate (or one that folds to `true`) every
-/// segment's live rows are traversed: the pure search.
+/// global id. With no predicate (or one that folds to `true`) each
+/// segment's bitmap is its live rows: the pure search.
 pub(crate) fn search<'a>(
     segments: impl Iterator<Item = &'a SegmentView>,
     query: &[f32],
@@ -91,8 +94,6 @@ pub(crate) fn search<'a>(
     stats: &mut SearchStats,
 ) -> Vec<GlobalNeighbor> {
     let compiled = predicate.map(|(p, attrs)| (CompiledPredicate::compile(p), attrs));
-    // A program that folded to a constant needs no bitmap: `false` answers
-    // empty without touching a segment, `true` is the pure search.
     let filter = match &compiled {
         Some((program, _)) if program.as_const() == Some(false) => return Vec::new(),
         Some((program, attrs)) if program.as_const().is_none() => Some((program, *attrs)),
@@ -100,39 +101,20 @@ pub(crate) fn search<'a>(
     };
     let mut top = TopK::new(k);
     for seg in segments {
-        let index = seg.index();
-        let Some((compiled, attrs)) = filter else {
-            offer_list(&mut top, seg, seg.search_live(query, &AllPass, k, efs, scratch, stats));
-            continue;
-        };
+        let (index, gids) = (seg.index(), seg.global_ids());
         let mut bits = std::mem::take(&mut scratch.bitmap);
-        stats.npred += materialize_local(seg, compiled, attrs, &mut bits);
-        let passing = bits.count();
-        if (passing as f64) < index.params().s_min() * seg.rows() as f64 {
-            // The exact pre-filter scan, straight into the query's top-k,
-            // 64 set bits per batch: a row the segments before this one
-            // already beat costs one compare, and only rows that enter are
-            // mapped to global ids.
-            let (vecs, metric, gids) =
-                (&**index.vectors(), index.params().metric, seg.global_ids());
-            let (mut batch, mut filled) = ([0u32; 64], 0);
-            let mut score = |ids: &[u32]| {
-                let to_global = |d, l: u32| GlobalNeighbor::new(d, gids[l as usize]);
-                score_into(vecs, metric, query, ids, &mut scratch.dist_buf, &mut top, to_global);
-            };
-            for (w, mut word) in bits.words().iter().copied().enumerate() {
-                while word != 0 {
-                    batch[filled] = (w * 64) as u32 + word.trailing_zeros();
-                    word &= word - 1;
-                    filled += 1;
-                    if filled == batch.len() {
-                        score(&batch);
-                        filled = 0;
-                    }
-                }
-            }
-            score(&batch[..filled]);
-            stats.ndis += passing as u64;
+        if let Some((compiled, attrs)) = filter {
+            stats.npred += materialize_local(seg, compiled, attrs, &mut bits);
+        } else {
+            bits.clone_from(&seg.tombstones);
+            bits.negate();
+        }
+        if (bits.count() as f64) < index.params().s_min() * seg.rows() as f64 {
+            let (vecs, metric) = (&**index.vectors(), index.params().metric);
+            let to_global = |d, l: u32| GlobalNeighbor::new(d, gids[l as usize]);
+            let dists = &mut scratch.dist_buf;
+            stats.ndis +=
+                scan_into(vecs, metric, query, bits.iter_ones(), dists, &mut top, to_global);
             stats.fallback = true;
             scratch.bitmap = bits;
         } else {
@@ -141,22 +123,13 @@ pub(crate) fn search<'a>(
             let out = index.search_filtered(query, &filter, k, efs, scratch, stats);
             // Every traversal check against the bitmap is a cache answer.
             stats.npred_cached += stats.npred - before;
-            offer_list(&mut top, seg, out);
+            for n in out {
+                top.push(GlobalNeighbor::new(n.dist, gids[n.id as usize]));
+            }
             scratch.bitmap = filter.into_bits();
         }
     }
     top.into_sorted()
-}
-
-/// Offer one segment's top-`k` list (local ids) to the query's top-`k` under
-/// global ids. Because a segment's global ids ascend with its local ids,
-/// `(dist, gid)` orders its rows as `(dist, local)` does, so the `k`
-/// smallest of the union are the k-way merge of the sorted lists.
-fn offer_list(top: &mut TopK<GlobalNeighbor>, seg: &SegmentView, list: Vec<Neighbor>) {
-    let gids = seg.global_ids();
-    for n in list {
-        top.push(GlobalNeighbor::new(n.dist, gids[n.id as usize]));
-    }
 }
 
 #[cfg(test)]
@@ -169,7 +142,7 @@ mod tests {
     use crate::snapshot::SegmentSnapshot;
     use acorn_hnsw::heap::Neighbor;
     use acorn_hnsw::{Metric, VectorStore};
-    use acorn_predicate::Regex;
+    use acorn_predicate::{AllPass, Regex};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -258,7 +231,10 @@ mod tests {
         let want = graph.search_filtered(&q, &AllPass, k, efs, &mut scratch, &mut want_stats);
         let (got, stats) = snap.hybrid_search(&q, &Predicate::True, &attrs, k, efs, &mut scratch);
         assert_eq!(bits(&got), local_bits(&want), "constant true");
-        assert_eq!(stats, want_stats, "constant true: the pure search and nothing else");
+        // The pure search: the live rows' bitmap, traversed; every check
+        // is a bit test against it.
+        let checks = SearchStats { npred_cached: want_stats.npred, ..want_stats };
+        assert_eq!(stats, checks, "constant true: the live-row bitmap and nothing else");
 
         // (passing rows, scanned)
         for (passing, scan) in [(50i64, true), (200, false), (600, false)] {
@@ -279,10 +255,12 @@ mod tests {
                 (want_stats.ndis, want_stats.nhops, scan),
                 "{passing} rows: the same traversal"
             );
-            // One pass over the rows, then the graph's own checks, each a
-            // bit test.
-            assert_eq!(stats.npred, n as u64 + want_stats.npred, "{passing} rows");
-            assert_eq!(stats.npred_cached, want_stats.npred, "{passing} rows: bit tests");
+            // One pass over the rows; then the scan enumerates set bits,
+            // while the traversal's checks are each a bit test (the
+            // reference `prefilter_scan` asks the bitmap about every row).
+            let checks = if scan { 0 } else { want_stats.npred };
+            assert_eq!(stats.npred, n as u64 + checks, "{passing} rows");
+            assert_eq!(stats.npred_cached, checks, "{passing} rows: bit tests");
         }
     }
 
@@ -399,7 +377,7 @@ mod tests {
         let q = vec![0.3; 8];
 
         let mut pure_stats = SearchStats::default();
-        let pure = snap.search_with(&q, 10, 40, &mut scratch, &mut pure_stats);
+        let pure = snap.search_with(&q, 10, 40, &mut scratch, &mut pure_stats).unwrap();
         // `True`, and anything normalization folds to it.
         let folded = Predicate::Or(vec![Predicate::Equals { field, value: 3 }, Predicate::True]);
         for pred in [Predicate::True, folded] {

@@ -81,7 +81,10 @@ use acorn_predicate::Bitset;
 
 use crate::index::AcornIndex;
 use crate::params::{AcornParams, AcornVariant};
-use crate::snapshot::{IndexReader, SegmentPayload, SegmentSnapshot, SegmentView, SharedState};
+use crate::snapshot::{
+    check_vector, IndexReader, QueryError, SegmentPayload, SegmentSnapshot, SegmentView,
+    SharedState,
+};
 
 /// A search result addressed by **global** row id (stable across freezes
 /// and merges), the segmented analogue of
@@ -301,19 +304,27 @@ impl SegmentedAcornIndex {
         self.active.global_ids.len()
     }
 
+    /// [`try_insert`](Self::try_insert) for callers whose rows are known
+    /// good.
+    ///
+    /// # Panics
+    /// Panics with the [`QueryError`]'s message where `try_insert` would
+    /// refuse the row.
+    pub fn insert(&mut self, v: &[f32]) -> u64 {
+        self.try_insert(v).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Insert a vector, returning its stable global id. The row lands in
     /// the active segment; if the merge policy's `active_max_rows` is set
     /// and reached, the active segment is auto-frozen afterwards. Publishes
     /// a new epoch — readers see the row on their next snapshot.
     ///
-    /// # Panics
-    /// Panics if `v` has the wrong dimension.
-    pub fn insert(&mut self, v: &[f32]) -> u64 {
-        assert_eq!(
-            v.len(),
-            self.active.index.vectors().dim(),
-            "inserted vector has wrong dimension"
-        );
+    /// # Errors
+    /// Refuses a vector of the wrong dimension or with a NaN or infinite
+    /// component before anything is stored: no row and no global id is
+    /// spent on it.
+    pub fn try_insert(&mut self, v: &[f32]) -> Result<u64, QueryError> {
+        check_vector(self.active.index.vectors().dim(), v)?;
         let local = self.active.index.insert_vector(v);
         debug_assert_eq!(local as usize, self.active.global_ids.len());
         let (_writer, mut next) = self.shared.begin();
@@ -327,7 +338,7 @@ impl SegmentedAcornIndex {
             self.active.publish_view(&mut next);
         }
         self.shared.publish(next);
-        gid
+        Ok(gid)
     }
 
     /// Tombstone the row with global id `gid`. Returns `true` if the row
@@ -394,11 +405,16 @@ impl SegmentedAcornIndex {
     /// [`delete`](Self::delete)'s range binary search relies on.
     ///
     /// # Panics
-    /// Panics if the store's dimension does not match the index.
+    /// Panics if the store's dimension does not match the index, or, with
+    /// the first refused row's index and [`QueryError`] message, if a row
+    /// holds a NaN or infinite component.
     pub fn bulk_load(&mut self, store: VectorStore) -> std::ops::Range<u64> {
         let state = self.snapshot();
         assert_eq!(store.dim(), state.dim, "bulk-loaded store has wrong dimension");
         let n = store.len();
+        for row in 0..n as u32 {
+            check_vector(state.dim, store.get(row)).unwrap_or_else(|e| panic!("row {row}: {e}"));
+        }
         if n == 0 {
             return state.next_global..state.next_global;
         }
@@ -731,7 +747,7 @@ mod tests {
         }
         assert_eq!(idx.snapshot().len(), 300);
         assert_eq!(idx.snapshot().num_segments(), 1, "all rows live in the active segment");
-        let out = idx.reader().search(&vecs[17], 5, 48);
+        let out = idx.reader().search(&vecs[17], 5, 48).unwrap();
         assert_eq!(out[0].id, 17, "nearest neighbor of a stored row is itself");
         // Freezing moves serving to CSR without changing answers or ids.
         idx.freeze();
@@ -740,7 +756,7 @@ mod tests {
             idx.snapshot().frozen_segments()[0].index().csr().is_some(),
             "frozen segments serve CSR"
         );
-        let after = idx.reader().search(&vecs[17], 5, 48);
+        let after = idx.reader().search(&vecs[17], 5, 48).unwrap();
         assert_eq!(
             out.iter().map(|n| (n.id, n.dist)).collect::<Vec<_>>(),
             after.iter().map(|n| (n.id, n.dist)).collect::<Vec<_>>()
@@ -783,7 +799,7 @@ mod tests {
         );
         // The index still works: the two frozen segments were compacted.
         assert_eq!(idx.snapshot().len(), 200);
-        let out = idx.reader().search(&vecs[17], 5, 48);
+        let out = idx.reader().search(&vecs[17], 5, 48).unwrap();
         assert_eq!(out[0].id, 17);
     }
 
@@ -811,7 +827,7 @@ mod tests {
             AttrStore::builder().add_int("parity", (0..500).map(|g| g % 2).collect()).build();
         let even = Predicate::Equals { field: 0, value: 0 };
         for q in random_vecs(10, 8, 4) {
-            for n in idx.reader().search(&q, 10, 64) {
+            for n in idx.reader().search(&q, 10, 64).unwrap() {
                 assert!(n.id % 3 != 0, "deleted gid {} surfaced from search", n.id);
             }
             for n in snap.hybrid_search(&q, &even, &attrs, 10, 64, &mut scratch).0 {
@@ -1003,8 +1019,8 @@ mod tests {
         rebuilt.bulk_load(store);
 
         for q in random_vecs(8, 8, 12) {
-            let seg_out = idx.reader().search(&q, 10, 64);
-            let reb_out = rebuilt.reader().search(&q, 10, 64);
+            let seg_out = idx.reader().search(&q, 10, 64).unwrap();
+            let reb_out = rebuilt.reader().search(&q, 10, 64).unwrap();
             let mapped: Vec<(u64, f32)> =
                 reb_out.iter().map(|n| (survivors[n.id as usize], n.dist)).collect();
             let got: Vec<(u64, f32)> = seg_out.iter().map(|n| (n.id, n.dist)).collect();
@@ -1023,7 +1039,7 @@ mod tests {
         assert_eq!(idx.snapshot().frozen_segments().len(), 2, "two full segments must have rolled");
         assert_eq!(idx.active_rows(), 20);
         assert_eq!(idx.snapshot().len(), 120);
-        let out = idx.reader().search(&[0.0; 4], 5, 32);
+        let out = idx.reader().search(&[0.0; 4], 5, 32).unwrap();
         assert_eq!(out.len(), 5);
     }
 
@@ -1040,7 +1056,7 @@ mod tests {
         let baseline = {
             let mut scratch = SearchScratch::new(pinned.max_segment_rows());
             let mut stats = SearchStats::default();
-            pinned.search_with(&vecs[3], 5, 32, &mut scratch, &mut stats)
+            pinned.search_with(&vecs[3], 5, 32, &mut scratch, &mut stats).unwrap()
         };
         // Mutate heavily: more inserts, deletes, a freeze, and a merge.
         for v in &vecs[60..] {
@@ -1055,7 +1071,7 @@ mod tests {
         // The pinned snapshot still answers bit-identically to before.
         let mut scratch = SearchScratch::new(pinned.max_segment_rows());
         let mut stats = SearchStats::default();
-        let again = pinned.search_with(&vecs[3], 5, 32, &mut scratch, &mut stats);
+        let again = pinned.search_with(&vecs[3], 5, 32, &mut scratch, &mut stats).unwrap();
         assert_eq!(
             baseline.iter().map(|n| (n.id, n.dist)).collect::<Vec<_>>(),
             again.iter().map(|n| (n.id, n.dist)).collect::<Vec<_>>(),
@@ -1209,7 +1225,7 @@ mod tests {
         let mut scratch = SearchScratch::new(snap.max_segment_rows());
         let q = vec![-0.3; 8];
         let mut pure_stats = SearchStats::default();
-        let pure = snap.search_with(&q, 10, 48, &mut scratch, &mut pure_stats);
+        let pure = snap.search_with(&q, 10, 48, &mut scratch, &mut pure_stats).unwrap();
         let (out, stats) = snap.hybrid_search(&q, &Predicate::True, &attrs, 10, 48, &mut scratch);
         assert_eq!(
             out.iter().map(|n| (n.id, n.dist.to_bits())).collect::<Vec<_>>(),
@@ -1243,7 +1259,7 @@ mod tests {
             .map(|(i, v)| GlobalNeighbor::new(Metric::L2.distance(v, &q), i as u64))
             .collect();
         all.sort_unstable();
-        let got = idx.reader().search(&q, 10, 120);
+        let got = idx.reader().search(&q, 10, 120).unwrap();
         // With a generous beam, every segment's true top-10 is found, so the
         // merged list equals the global top-10.
         assert_eq!(ids(&got), all[..10].iter().map(|n| n.id).collect::<Vec<_>>());
@@ -1252,11 +1268,10 @@ mod tests {
     #[test]
     fn wrong_dimension_queries_panic_on_frozen_and_active_segments() {
         // A 32-d index whose one segment is frozen, and one whose one
-        // segment is active. A hybrid query of the wrong length is refused
-        // at the snapshot boundary with its typed error's message, before
-        // any segment is touched. A pure query of the wrong length reaches
-        // a distance kernel either way, and the kernel refuses it — in
-        // release builds too — rather than reading past the shorter slice.
+        // segment is active. A query of the wrong length is refused at the
+        // snapshot boundary, before any segment is touched: the hybrid
+        // search panics with its typed error's message, and the pure search
+        // returns that error.
         let vecs = random_vecs(200, 32, 70);
         let new = || SegmentedAcornIndex::new(32, small_params(8, 2, 71), AcornVariant::Gamma);
         let mut frozen = new();
@@ -1284,14 +1299,10 @@ mod tests {
                 });
                 let refused = crate::QueryError::Dimension { expected: 32, got: dim };
                 assert_eq!(msg, refused.to_string(), "a {dim}-d hybrid query");
-                let msg = panic_message(&mut || {
-                    let mut stats = SearchStats::default();
-                    snap.search_with(&query, 5, 32, &mut scratch, &mut stats);
-                });
-                assert!(
-                    msg.contains("different lengths"),
-                    "a {dim}-d query must stop at the kernel's length check, not: {msg}"
-                );
+                let mut stats = SearchStats::default();
+                let got = snap.search_with(&query, 5, 32, &mut scratch, &mut stats);
+                assert_eq!(got, Err(refused), "a {dim}-d pure query");
+                assert_eq!(stats, SearchStats::default(), "nothing was searched");
             }
         }
     }
@@ -1301,7 +1312,7 @@ mod tests {
         let idx = SegmentedAcornIndex::new(8, small_params(8, 2, 0), AcornVariant::Gamma);
         assert!(idx.snapshot().is_empty());
         assert_eq!(idx.snapshot().num_segments(), 0);
-        assert!(idx.reader().search(&[0.0; 8], 5, 32).is_empty());
+        assert!(idx.reader().search(&[0.0; 8], 5, 32).unwrap().is_empty());
         let mut scratch = SearchScratch::new(0);
         let attrs = AttrStore::builder().add_int("x", vec![]).build();
         let (out, _) =

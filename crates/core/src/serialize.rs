@@ -1106,7 +1106,7 @@ mod tests {
 
         let q = vec![0.2; 8];
         let search = |idx: &crate::SegmentedAcornIndex, q: &[f32], k| -> Vec<(u64, f32)> {
-            idx.reader().search(q, k, 64).iter().map(|n| (n.id, n.dist)).collect()
+            idx.reader().search(q, k, 64).unwrap().iter().map(|n| (n.id, n.dist)).collect()
         };
         assert_eq!(
             search(&idx, &q, 10),

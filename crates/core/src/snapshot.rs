@@ -44,9 +44,8 @@
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-use acorn_hnsw::heap::Neighbor;
 use acorn_hnsw::{ScratchPool, SearchScratch, SearchStats};
-use acorn_predicate::{AttrStore, Bitset, NodeFilter, Predicate};
+use acorn_predicate::{AttrStore, Bitset, Predicate};
 
 use crate::index::AcornIndex;
 use crate::params::{AcornParams, AcornVariant};
@@ -151,39 +150,6 @@ impl SegmentView {
             + self.payload.index.vectors().memory_bytes()
             + self.payload.global_ids.len() * std::mem::size_of::<u64>()
             + self.tombstones.memory_bytes()
-    }
-
-    /// Algorithm 2 over this segment's live rows that pass `filter` (local
-    /// ids): a tombstoned row never passes, whatever `filter` says, while
-    /// its node keeps serving as a traversal waypoint.
-    pub(crate) fn search_live<F: NodeFilter>(
-        &self,
-        query: &[f32],
-        filter: &F,
-        k: usize,
-        efs: usize,
-        scratch: &mut SearchScratch,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        let live = LiveFilter { inner: filter, tombstones: &self.tombstones };
-        self.payload.index.search_filtered(query, &live, k, efs, scratch, stats)
-    }
-}
-
-/// Composes a segment's tombstones with a row filter. With no bit set this
-/// is transparent, which is what keeps a fully-merged segment bit-identical
-/// to a from-scratch build over its rows.
-struct LiveFilter<'a, F: NodeFilter> {
-    inner: &'a F,
-    tombstones: &'a Bitset,
-}
-
-impl<F: NodeFilter> NodeFilter for LiveFilter<'_, F> {
-    const BRANCH_FREE: bool = F::BRANCH_FREE;
-
-    #[inline]
-    fn passes(&self, id: u32) -> bool {
-        !self.tombstones.get(id) && self.inner.passes(id)
     }
 }
 
@@ -336,8 +302,14 @@ impl SegmentSnapshot {
     }
 
     /// Pure ANN search with caller-owned scratch and stats: the `k` nearest
-    /// live rows, by global id. Lock-free: touches only this snapshot.
-    /// `k == 0` answers empty without searching.
+    /// live rows, by global id. Lock-free: touches only this snapshot. It
+    /// is [`try_hybrid_search`](Self::try_hybrid_search)'s plan with no
+    /// predicate: each segment's live rows are its bitmap, routed on their
+    /// count. `k == 0` answers empty without searching.
+    ///
+    /// # Errors
+    /// Refuses, before any work, a query whose length is not
+    /// [`dim`](Self::dim) or that holds a NaN or infinite component.
     pub fn search_with(
         &self,
         query: &[f32],
@@ -345,11 +317,8 @@ impl SegmentSnapshot {
         efs: usize,
         scratch: &mut SearchScratch,
         stats: &mut SearchStats,
-    ) -> Vec<GlobalNeighbor> {
-        if k == 0 {
-            return Vec::new();
-        }
-        plan::search(self.segments(), query, None, k, efs, scratch, stats)
+    ) -> Result<Vec<GlobalNeighbor>, QueryError> {
+        self.run(query, None, k, efs, scratch, stats)
     }
 
     /// Full hybrid search with ACORN's §5.2 cost-model routing applied
@@ -380,22 +349,9 @@ impl SegmentSnapshot {
         efs: usize,
         scratch: &mut SearchScratch,
     ) -> Result<(Vec<GlobalNeighbor>, SearchStats), QueryError> {
-        if query.len() != self.dim {
-            return Err(QueryError::Dimension { expected: self.dim, got: query.len() });
-        }
-        if let Some(index) = query.iter().position(|x| !x.is_finite()) {
-            return Err(QueryError::NonFinite { index });
-        }
-        let (rows, next_global_id) = (attrs.len(), self.next_global);
-        if (rows as u64) < next_global_id {
-            return Err(QueryError::ShortAttrs { rows, next_global_id });
-        }
         let mut stats = SearchStats::default();
-        if k == 0 {
-            return Ok((Vec::new(), stats));
-        }
-        let filter = Some((predicate, attrs));
-        Ok((plan::search(self.segments(), query, filter, k, efs, scratch, &mut stats), stats))
+        let hits = self.run(query, Some((predicate, attrs)), k, efs, scratch, &mut stats)?;
+        Ok((hits, stats))
     }
 
     /// [`try_hybrid_search`](Self::try_hybrid_search) for callers whose
@@ -416,20 +372,55 @@ impl SegmentSnapshot {
         self.try_hybrid_search(query, predicate, attrs, k, efs, scratch)
             .unwrap_or_else(|e| panic!("{e}"))
     }
+
+    /// Check the input, then run the plan (unless `k == 0`).
+    fn run(
+        &self,
+        query: &[f32],
+        predicate: Option<(&Predicate, &AttrStore)>,
+        k: usize,
+        efs: usize,
+        scratch: &mut SearchScratch,
+        stats: &mut SearchStats,
+    ) -> Result<Vec<GlobalNeighbor>, QueryError> {
+        check_vector(self.dim, query)?;
+        if let Some((_, attrs)) = predicate {
+            let (rows, next_global_id) = (attrs.len(), self.next_global);
+            if (rows as u64) < next_global_id {
+                return Err(QueryError::ShortAttrs { rows, next_global_id });
+            }
+        }
+        if k == 0 {
+            return Ok(Vec::new());
+        }
+        Ok(plan::search(self.segments(), query, predicate, k, efs, scratch, stats))
+    }
 }
 
-/// Why [`SegmentSnapshot::try_hybrid_search`] refused a query. Each case is
-/// checked once, at the snapshot boundary, before any segment is touched.
+/// The rule every vector crossing the API meets, query or row: `dim`
+/// components, each finite.
+pub(crate) fn check_vector(dim: usize, v: &[f32]) -> Result<(), QueryError> {
+    if v.len() != dim {
+        return Err(QueryError::Dimension { expected: dim, got: v.len() });
+    }
+    match v.iter().position(|x| !x.is_finite()) {
+        Some(index) => Err(QueryError::NonFinite { index }),
+        None => Ok(()),
+    }
+}
+
+/// Why a read or a write refused its input. Each case is checked once, at
+/// the API boundary, before any segment is touched or any row stored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
-    /// The query's length is not the index's dimension.
+    /// The vector's length is not the index's dimension.
     Dimension {
         /// The index's dimension.
         expected: usize,
-        /// The query's length.
+        /// The vector's length.
         got: usize,
     },
-    /// The query holds a NaN or infinite component.
+    /// The vector holds a NaN or infinite component.
     NonFinite {
         /// Position of the first such component.
         index: usize,
@@ -447,9 +438,9 @@ impl std::fmt::Display for QueryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             Self::Dimension { expected, got } => {
-                write!(f, "a {got}-d query for a {expected}-d index")
+                write!(f, "a {got}-d vector for a {expected}-d index")
             }
-            Self::NonFinite { index } => write!(f, "query component {index} is NaN or infinite"),
+            Self::NonFinite { index } => write!(f, "vector component {index} is NaN or infinite"),
             Self::ShortAttrs { rows, next_global_id: next } => {
                 write!(f, "attribute store ({rows} rows) must cover every global id below {next}")
             }
@@ -597,7 +588,15 @@ impl IndexReader {
 
     /// Pure ANN search against the current epoch: the `k` nearest live
     /// rows, by global id. Scratch comes from the shared pool.
-    pub fn search(&self, query: &[f32], k: usize, efs: usize) -> Vec<GlobalNeighbor> {
+    ///
+    /// # Errors
+    /// As [`SegmentSnapshot::search_with`].
+    pub fn search(
+        &self,
+        query: &[f32],
+        k: usize,
+        efs: usize,
+    ) -> Result<Vec<GlobalNeighbor>, QueryError> {
         let snap = self.snapshot();
         let mut scratch = self.shared.pool.checkout(snap.max_segment_rows());
         let mut stats = SearchStats::default();

@@ -43,8 +43,8 @@ fn bulk_load_matches_insert_then_freeze() {
     let mut rng = StdRng::seed_from_u64(99);
     for _ in 0..25 {
         let q: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let a = bulk.reader().search(&q, 10, 64);
-        let b = serial.reader().search(&q, 10, 64);
+        let a = bulk.reader().search(&q, 10, 64).unwrap();
+        let b = serial.reader().search(&q, 10, 64).unwrap();
         let a: Vec<(u64, f32)> = a.iter().map(|n| (n.id, n.dist)).collect();
         let b: Vec<(u64, f32)> = b.iter().map(|n| (n.id, n.dist)).collect();
         assert_eq!(a, b, "bulk-loaded segment must answer bit-identically");
@@ -94,7 +94,7 @@ fn delete_works_on_bulk_loaded_rows() {
     assert!(!idx.delete(150), "never-assigned gid");
     assert_eq!(idx.snapshot().len(), 149);
     assert!(!idx.snapshot().contains(17));
-    for n in idx.reader().search(&[0.0; DIM], 149, 512) {
+    for n in idx.reader().search(&[0.0; DIM], 149, 512).unwrap() {
         assert_ne!(n.id, 17, "tombstoned row surfaced from search");
     }
 }

@@ -35,10 +35,11 @@ use rand::{Rng, SeedableRng};
 /// engine's scan code), else traversal over it; then the lists mapped to
 /// global ids, sorted and truncated.
 ///
-/// Valid for non-constant predicates (a constant one skips the bitmap). Its
-/// `fallback`, `ndis` and `nhops` are the engine's; `npred` is not (the
-/// engine's block kernel runs over gid spans and its traversal checks are
-/// bit tests).
+/// With [`Predicate::True`] the bitmap is the live rows: the plan of the
+/// pure search. Valid for every predicate but a constant `false` (which
+/// answers without touching a segment). Its `fallback`, `ndis` and `nhops`
+/// are the engine's; `npred` is not (the engine's block kernel runs over
+/// gid spans and its traversal checks are bit tests).
 pub fn interpreted_plan(
     snap: &SegmentSnapshot,
     q: &[f32],
@@ -111,7 +112,7 @@ fn answer(snap: &SegmentSnapshot, q: &[f32], attrs: &AttrStore, predicate: &Pred
     };
     let mut scratch = SearchScratch::new(snap.max_segment_rows());
     let mut pure_stats = SearchStats::default();
-    let pure = bits(snap.search_with(q, 10, 48, &mut scratch, &mut pure_stats));
+    let pure = bits(snap.search_with(q, 10, 48, &mut scratch, &mut pure_stats).unwrap());
     let (hybrid, hybrid_stats) = snap.hybrid_search(q, predicate, attrs, 10, 48, &mut scratch);
     Answers { pure, pure_stats, hybrid: bits(hybrid), hybrid_stats }
 }

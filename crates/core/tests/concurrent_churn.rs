@@ -111,7 +111,7 @@ fn churn_matches_sequential_replay_oracle() {
                     let q = random_vec(&mut rng);
                     let mut scratch = reader.scratch_pool().checkout(snap.max_segment_rows());
                     let mut stats = SearchStats::default();
-                    let hits = snap.search_with(&q, 10, 64, &mut scratch, &mut stats);
+                    let hits = snap.search_with(&q, 10, 64, &mut scratch, &mut stats).unwrap();
                     check_hits(&snap, &hits);
                     queries += 1;
                 }
@@ -156,9 +156,9 @@ fn churn_matches_sequential_replay_oracle() {
     for _ in 0..10 {
         let q = random_vec(&mut rng);
         let a: Vec<(u64, f32)> =
-            idx.reader().search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
+            idx.reader().search(&q, 10, 64).unwrap().iter().map(|n| (n.id, n.dist)).collect();
         let b: Vec<(u64, f32)> =
-            replay.reader().search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
+            replay.reader().search(&q, 10, 64).unwrap().iter().map(|n| (n.id, n.dist)).collect();
         assert_eq!(a, b, "churned index must answer exactly like its sequential replay");
     }
 }
@@ -190,7 +190,7 @@ fn merges_racing_queries_stay_consistent() {
                     let q = random_vec(&mut rng);
                     let mut scratch = reader.scratch_pool().checkout(snap.max_segment_rows());
                     let mut stats = SearchStats::default();
-                    let hits = snap.search_with(&q, 10, 64, &mut scratch, &mut stats);
+                    let hits = snap.search_with(&q, 10, 64, &mut scratch, &mut stats).unwrap();
                     check_hits(&snap, &hits);
                     queries += 1;
                 }
@@ -229,10 +229,11 @@ fn merges_racing_queries_stay_consistent() {
     for _ in 0..10 {
         let q = random_vec(&mut rng);
         let a: Vec<(u64, f32)> =
-            idx.reader().search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
+            idx.reader().search(&q, 10, 64).unwrap().iter().map(|n| (n.id, n.dist)).collect();
         let b: Vec<(u64, f32)> = oracle
             .reader()
             .search(&q, 10, 64)
+            .unwrap()
             .iter()
             .map(|n| (live[n.id as usize], n.dist))
             .collect();
@@ -294,10 +295,12 @@ fn save_under_load_is_snapshot_consistent() {
         let q = random_vec(&mut rng);
         let a: Vec<(u64, f32)> = pinned
             .search_with(&q, 10, 64, &mut scratch, &mut stats)
+            .unwrap()
             .iter()
             .map(|n| (n.id, n.dist))
             .collect();
-        let b: Vec<(u64, f32)> = reader.search(&q, 10, 64).iter().map(|n| (n.id, n.dist)).collect();
+        let b: Vec<(u64, f32)> =
+            reader.search(&q, 10, 64).unwrap().iter().map(|n| (n.id, n.dist)).collect();
         assert_eq!(a, b, "the loaded file must answer exactly like the captured epoch");
     }
     // The live index has long since moved past the pinned epoch.

@@ -1,6 +1,7 @@
 //! Property tests for the segmented updatable index: after any random
-//! interleaving of inserts, deletes, freezes, and merges, (a) no tombstoned
-//! row ever surfaces, hybrid search answers bit-identically to the plan
+//! interleaving of inserts, deletes, freezes, and merges — half of them
+//! then tombstoning a segment past `1 − s_min` — (a) no tombstoned row ever
+//! surfaces, pure and hybrid search answer bit-identically to the plan
 //! rebuilt with the interpreter (`common::interpreted_plan`, whose scan arm
 //! is brute force) at `k` of 1, 10 and more than the passing rows, and the
 //! router's scan/traverse decision agrees with exact per-segment passing
@@ -98,9 +99,9 @@ fn run_lifecycle_with(
 }
 
 /// What exact-count routing must do, from ground truth alone: true iff
-/// some non-empty segment has fewer live rows passing `label == value` than
+/// some non-empty segment has fewer live rows whose label `passes` than
 /// `s_min · rows`, so that segment takes the pre-filter scan.
-fn expected_fallback(lc: &Lifecycle, value: i64) -> bool {
+fn expected_fallback(lc: &Lifecycle, passes: impl Fn(i64) -> bool) -> bool {
     let snap = lc.index.snapshot();
     let s_min = snap.params().s_min();
     snap.frozen_segments().iter().chain(snap.active_segment()).filter(|seg| !seg.is_empty()).any(
@@ -108,11 +109,25 @@ fn expected_fallback(lc: &Lifecycle, value: i64) -> bool {
             let passing = seg
                 .global_ids()
                 .iter()
-                .filter(|&&g| lc.alive[g as usize] && lc.labels[g as usize] == value)
+                .filter(|&&g| lc.alive[g as usize] && passes(lc.labels[g as usize]))
                 .count();
             (passing as f64) < s_min * seg.rows() as f64
         },
     )
+}
+
+/// Tombstone all but every eighth row of the largest segment: under
+/// `s_min · rows` live rows for any `γ ≤ 4`, so even its pure search scans.
+fn gut_largest_segment(lc: &mut Lifecycle) {
+    let snap = lc.index.snapshot();
+    let segments = snap.frozen_segments().iter().chain(snap.active_segment());
+    let Some(seg) = segments.max_by_key(|seg| seg.rows()) else { return };
+    for (local, &gid) in seg.global_ids().iter().enumerate() {
+        if local % 8 != 7 {
+            lc.index.delete(gid);
+            lc.alive[gid as usize] = false;
+        }
+    }
 }
 
 /// A query's `k`: one, ten, or more than the `rows` ever inserted (so more
@@ -144,9 +159,13 @@ proptest! {
         seed in 0u64..u64::MAX,
         n0 in 120usize..250,
         ops in 10usize..40,
+        gut in prop::sample::select(vec![false, true]),
     ) {
         for variant in [AcornVariant::Gamma, AcornVariant::One] {
             let mut lc = run_lifecycle(seed, n0, ops, variant);
+            if gut {
+                gut_largest_segment(&mut lc);
+            }
             let mut rng = StdRng::seed_from_u64(seed ^ 0xD1E5);
             let mut scratch = SearchScratch::new(lc.index.snapshot().max_segment_rows().max(1));
             let attrs_global =
@@ -163,11 +182,26 @@ proptest! {
             for value in [rng.gen_range(0..4), rng.gen_range(0..4), 9] {
                 let q = query(&mut rng);
                 let k = draw_k(&mut rng, lc.vectors.len());
-                for n in lc.index.reader().search(&q, k, 48) {
+                for n in lc.index.reader().search(&q, k, 48).unwrap() {
                     prop_assert!(lc.alive[n.id as usize], "dead gid {} surfaced", n.id);
                 }
-                let pred = Predicate::Equals { field, value };
+                // The pure search is the plan with the live rows as bitmap.
                 let snap = lc.index.snapshot();
+                let mut sp = SearchStats::default();
+                let pure = snap.search_with(&q, k, 48, &mut scratch, &mut sp).unwrap();
+                let (want, sw) =
+                    common::interpreted_plan(&snap, &q, &Predicate::True, &attrs_global, k, 48);
+                prop_assert_eq!(global_pairs(&pure), global_pairs(&want),
+                    "the pure search must answer as the interpreter's plan ({:?})", variant);
+                prop_assert_eq!(
+                    (sp.fallback, sp.ndis, sp.nhops),
+                    (sw.fallback, sw.ndis, sw.nhops),
+                    "the pure search's route and traversal ({:?})", variant
+                );
+                let pure_scans = expected_fallback(&lc, |_| true);
+                prop_assert_eq!(sp.fallback, pure_scans, "pure routing follows live counts");
+                prop_assert!(pure_scans || !gut, "a gutted segment scans");
+                let pred = Predicate::Equals { field, value };
                 let (a, sa) = common::interpreted_plan(&snap, &q, &pred, &attrs_global, k, 48);
                 let (b, sb) = snap.hybrid_search(&q, &pred, &attrs_global, k, 48, &mut scratch);
                 prop_assert_eq!(global_pairs(&a), global_pairs(&b),
@@ -178,7 +212,7 @@ proptest! {
                     (sb.fallback, sb.ndis, sb.nhops),
                     "the same route and traversal ({:?})", variant
                 );
-                prop_assert_eq!(sb.fallback, expected_fallback(&lc, value),
+                prop_assert_eq!(sb.fallback, expected_fallback(&lc, |label| label == value),
                     "routing must follow the exact per-segment counts (label {})", value);
                 if value == 9 {
                     prop_assert!(b.is_empty());
@@ -197,7 +231,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(lc.index.snapshot().live_ids(), survivors.clone());
             if survivors.is_empty() {
-                prop_assert!(lc.index.reader().search(&query(&mut rng), 5, 32).is_empty());
+                prop_assert!(lc.index.reader().search(&query(&mut rng), 5, 32).unwrap().is_empty());
                 continue;
             }
             prop_assert_eq!(lc.index.snapshot().num_segments(), 1);
@@ -220,8 +254,8 @@ proptest! {
                 let k = draw_k(&mut rng, lc.vectors.len());
                 // Pure search.
                 let (mut seg_stats, mut reb_stats) = Default::default();
-                let seg_out = compacted.search_with(&q, k, 48, &mut scratch, &mut seg_stats);
-                let reb_out = rebuilt.search_with(&q, k, 48, &mut rscratch, &mut reb_stats);
+                let seg_out = compacted.search_with(&q, k, 48, &mut scratch, &mut seg_stats).unwrap();
+                let reb_out = rebuilt.search_with(&q, k, 48, &mut rscratch, &mut reb_stats).unwrap();
                 prop_assert_eq!(seg_stats, reb_stats, "pure search: the same work");
                 prop_assert_eq!(
                     global_pairs(&seg_out),

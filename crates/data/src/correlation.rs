@@ -44,9 +44,8 @@ pub fn query_correlation(
 
     for q in queries {
         // g(x, X_p): nearest passing record, one distance per passing row.
-        let (nearest, pass_count) = exact_top_k(vectors, metric, &q.vector, 1, |f| {
-            (0..n as u32).filter(|&id| q.predicate.eval(attrs, id)).for_each(f)
-        });
+        let passing = (0..n as u32).filter(|&id| q.predicate.eval(attrs, id));
+        let (nearest, pass_count) = exact_top_k(vectors, metric, &q.vector, 1, passing);
         let Some(g_true) = nearest.first().map(|nb| nb.dist) else {
             continue; // no targets; the statistic is undefined for this query
         };

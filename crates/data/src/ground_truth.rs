@@ -56,9 +56,8 @@ pub fn single_query(
     query: &HybridQuery,
     k: usize,
 ) -> Vec<u32> {
-    let (top, _) = exact_top_k(vectors, metric, &query.vector, k, |f| {
-        (0..vectors.len() as u32).filter(|&id| query.predicate.eval(attrs, id)).for_each(f)
-    });
+    let passing = (0..vectors.len() as u32).filter(|&id| query.predicate.eval(attrs, id));
+    let (top, _) = exact_top_k(vectors, metric, &query.vector, k, passing);
     top.iter().map(|n| n.id).collect()
 }
 

@@ -32,10 +32,10 @@
 //! * [`search`] — the greedy beam search over one graph layer, the
 //!   workspace's one best-first loop (HNSW, ACORN and every graph baseline
 //!   pass it their neighborhood), and
-//!   [`exact_top_k`](search::exact_top_k), the batched brute-force scan
-//!   behind every exact nearest-`k` in the workspace
-//!   ([`score_into`](search::score_into), its scoring step, feeds a top-`k`
-//!   the caller carries across segments).
+//!   [`scan_into`](search::scan_into), the batched brute-force scan
+//!   behind every exact nearest-`k` in the workspace (into a top-`k` the
+//!   caller may carry across segments;
+//!   [`exact_top_k`](search::exact_top_k) is it with a fresh one).
 //! * [`index`] — the assembled [`HnswIndex`] with Algorithm 1 search.
 //!
 //! The ACORN paper (SIGMOD 2024) extends this structure; see the

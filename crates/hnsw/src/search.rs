@@ -8,11 +8,11 @@
 //! into a neighborhood (HNSW and the baselines, whose label filters ride on
 //! the gate), and `acorn-core` passes ACORN's predicate-aware GET-NEIGHBORS
 //! (Algorithm 2 of the ACORN paper). A new lookup rule is a new
-//! neighborhood function, not a new loop. [`exact_top_k`] is the
-//! brute-force scan behind `AcornIndex::prefilter_scan`, the pre-filter and
-//! IVF baselines, k-means, medoids and the exact ground truth. Its scoring
-//! step, [`score_into`], is public: the segmented planner's pre-filter
-//! route walks each segment's bitmap into it, feeding one top-`k` per query.
+//! neighborhood function, not a new loop. [`scan_into`] is the one exact
+//! scan: the segmented planner's pre-filter route feeds it each segment's
+//! bitmap into one top-`k` per query, and [`exact_top_k`] wraps it for
+//! `AcornIndex::prefilter_scan`, the pre-filter and IVF baselines, k-means,
+//! medoids and the exact ground truth.
 
 use acorn_predicate::{Bitset, MemoTable};
 
@@ -213,76 +213,75 @@ where
     }
 }
 
-/// Exact nearest-`k` scan over the row ids `ids` feeds it: returns the `k`
-/// nearest, nearest-first, and the number of distances computed (one per id
-/// fed).
+/// Exact nearest-`k` scan over `ids`: returns the `k` nearest,
+/// nearest-first, and the number of distances computed (one per id). `k = 0`
+/// answers empty without drawing an id. The scan itself is [`scan_into`].
+pub fn exact_top_k<V: VectorData + ?Sized>(
+    vecs: &V,
+    metric: Metric,
+    query: &[f32],
+    k: usize,
+    ids: impl IntoIterator<Item = u32>,
+) -> (Vec<Neighbor>, u64) {
+    if k == 0 {
+        return (Vec::new(), 0);
+    }
+    let mut top = TopK::new(k);
+    let ndis = scan_into(vecs, metric, query, ids, &mut Vec::new(), &mut top, Neighbor::new);
+    (top.into_sorted(), ndis)
+}
+
+/// The workspace's one exact scan: every id `ids` yields is scored into a
+/// top-`k` the caller owns, and each row the skip below lets through is
+/// offered to `top` as `item(dist, id)` (`item` runs for no other row).
+/// Returns the number of distances computed, one per id.
 ///
-/// Ids are scored 64 at a time through [`VectorData::distances_batch`], whose
-/// prefetch look-ahead hides the row fetches a sparse scan would otherwise
-/// wait on. Distances are those of one `distance_to` per row, and
-/// [`Neighbor`]'s total order on `(dist, id)` makes the answer independent of
-/// the order ids arrive in. `k = 0` answers empty without calling `ids`.
+/// Ids are scored 64 at a time through [`VectorData::distances_batch`]
+/// (into `dists`), whose prefetch look-ahead hides the row fetches a sparse
+/// scan would otherwise wait on. Distances are those of one `distance_to`
+/// per row, and a total order on `(dist, id)` makes the answer independent
+/// of the order ids arrive in.
 ///
-/// Once `k` rows are held, a row is turned away with one IEEE compare,
+/// Once `top` is full, a row is turned away with one IEEE compare,
 /// `d > bound` against the `k`-th distance ([`TopK::bound`]), before it
 /// touches the heap. The skip keeps the total order's answer: an IEEE
 /// `d > bound` holds only between two ordered values with `d` the larger,
 /// so `d` sorts after the worst held row under `total_cmp` too. NaN (either
 /// sign) compares false on either side and `-0.0 > +0.0` is false, so those
 /// rows and every exact tie fall through to the total-order push, which
-/// settles them by `(dist, id)`.
-pub fn exact_top_k<V: VectorData + ?Sized>(
+/// settles them by `(dist, id)`. `top` carries its bound from call to call,
+/// so a scan over several row sets — the segmented planner's, one segment's
+/// bitmap after another — starts each set from the `k`-th distance the sets
+/// before it left.
+pub fn scan_into<V: VectorData + ?Sized, T: Scored>(
     vecs: &V,
     metric: Metric,
     query: &[f32],
-    k: usize,
-    ids: impl FnOnce(&mut dyn FnMut(u32)),
-) -> (Vec<Neighbor>, u64) {
-    if k == 0 {
-        return (Vec::new(), 0);
-    }
-    let (mut top, mut dists, mut chunk) = (TopK::new(k), Vec::new(), [0u32; 64]);
-    let (mut filled, mut ndis) = (0usize, 0u64);
-    ids(&mut |id| {
-        chunk[filled] = id;
-        filled += 1;
-        if filled == chunk.len() {
-            score_into(vecs, metric, query, &chunk, &mut dists, &mut top, Neighbor::new);
-            ndis += filled as u64;
-            filled = 0;
-        }
-    });
-    score_into(vecs, metric, query, &chunk[..filled], &mut dists, &mut top, Neighbor::new);
-    (top.into_sorted(), ndis + filled as u64)
-}
-
-/// One batch of [`exact_top_k`]'s scan, into a top-`k` the caller owns:
-/// `ids` are scored with one [`VectorData::distances_batch`] call into
-/// `dists`, and each row the one-compare skip lets through is offered to
-/// `top` as `item(dist, id)` (`item` runs for no other row).
-///
-/// `top` carries its bound from call to call, so a scan that feeds one
-/// `top` from several row sets — the segmented planner's pre-filter scan,
-/// one segment's bitmap after another — starts each set from the `k`-th
-/// distance the sets before it left.
-#[inline]
-pub fn score_into<V: VectorData + ?Sized, T: Scored>(
-    vecs: &V,
-    metric: Metric,
-    query: &[f32],
-    ids: &[u32],
+    ids: impl IntoIterator<Item = u32>,
     dists: &mut Vec<f32>,
     top: &mut TopK<T>,
     mut item: impl FnMut(f32, u32) -> T,
-) {
-    vecs.distances_batch(metric, query, ids, dists);
-    let mut bound = top.bound();
-    for (&id, &d) in ids.iter().zip(dists.iter()) {
-        if d > bound {
-            continue;
+) -> u64 {
+    let (mut ids, mut batch, mut ndis) = (ids.into_iter(), [0u32; 64], 0u64);
+    loop {
+        let mut filled = 0;
+        for (slot, id) in batch.iter_mut().zip(&mut ids) {
+            *slot = id;
+            filled += 1;
         }
-        if top.push(item(d, id)) {
-            bound = top.bound();
+        vecs.distances_batch(metric, query, &batch[..filled], dists);
+        let mut bound = top.bound();
+        for (&id, &d) in batch.iter().zip(dists.iter()) {
+            if d > bound {
+                continue;
+            }
+            if top.push(item(d, id)) {
+                bound = top.bound();
+            }
+        }
+        ndis += filled as u64;
+        if filled < batch.len() {
+            return ndis;
         }
     }
 }

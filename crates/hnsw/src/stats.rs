@@ -13,8 +13,9 @@
 /// | work | `npred` | `npred_cached` |
 /// |---|---|---|
 /// | materializing a segment's bitmap | + the rows the block kernel ran over (the segment's global-id span) | — |
+/// | the pure search's bitmap (the negated tombstones) | — | — |
 /// | enumerating a bitmap's set bits in the pre-filter scan | — | — |
-/// | a traversal check answered by a bitmap bit | +1 | +1 |
+/// | a traversal check answered by a bitmap bit, the pure search's included | +1 | +1 |
 /// | a traversal check answered by a per-query memo (`MemoFilter`, outside the planner) | +1 | +1 |
 /// | a traversal check that ran the predicate program (a lazy filter, outside the planner) | +1 | — |
 ///
@@ -33,8 +34,9 @@ pub struct SearchStats {
     /// hybrid query planner evaluated up front (block materialization).
     pub npred: u64,
     /// The subset of [`npred`](Self::npred) answered from a per-query cache
-    /// — a memoized verdict (`MemoFilter`) or a materialized bitmap — rather
-    /// than by running the predicate program. The remainder,
+    /// — a memoized verdict (`MemoFilter`), a materialized bitmap, or the
+    /// pure search's live-row bitmap — rather than by running the predicate
+    /// program. The remainder,
     /// [`npred_evaluated`](Self::npred_evaluated), is the number of rows the
     /// predicate actually executed on; `npred_cached / npred` is the
     /// cache-hit rate the figure/table binaries report.

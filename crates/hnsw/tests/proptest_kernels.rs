@@ -84,7 +84,7 @@ proptest! {
     /// lists (repeats allowed) on each side of the 64-id chunk edge, `k` up
     /// to two past the list length, and dimensions across the 4-row
     /// kernel's remainder. It counts one distance per id fed, and at
-    /// `k = 0` it never calls the feeder. Rows scoring NaN, -NaN, ±∞, -0.0
+    /// `k = 0` it never draws an id. Rows scoring NaN, -NaN, ±∞, -0.0
     /// and +0.0, duplicate rows and repeated ids hold its one-compare skip
     /// to `Neighbor`'s total order.
     #[test]
@@ -108,7 +108,7 @@ proptest! {
             for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
                 for vecs in [&store as &dyn VectorData, &sq] {
                     let (got, ndis) =
-                        exact_top_k(vecs, metric, &q, k, |f| ids.iter().copied().for_each(f));
+                        exact_top_k(vecs, metric, &q, k, ids.iter().copied());
                     let mut want: Vec<Neighbor> = ids
                         .iter()
                         .map(|&id| Neighbor::new(vecs.distance_to(metric, id, &q), id))
@@ -120,7 +120,8 @@ proptest! {
                 }
             }
         }
-        let (none, ndis) = exact_top_k(&store, Metric::L2, &q, 0, |_| panic!("k = 0 fed ids"));
+        let never = std::iter::from_fn(|| panic!("k = 0 drew an id"));
+        let (none, ndis) = exact_top_k(&store, Metric::L2, &q, 0, never);
         prop_assert!(none.is_empty() && ndis == 0);
 
         // Rows the one-compare skip must leave to the total order. With
@@ -156,7 +157,7 @@ proptest! {
         for k in [1, 2, 3, 8, 16, k_pick % (ids.len() + 3)] {
             for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
                 let (got, ndis) =
-                    exact_top_k(&edge, metric, &q, k, |f| ids.iter().copied().for_each(f));
+                    exact_top_k(&edge, metric, &q, k, ids.iter().copied());
                 let mut want: Vec<Neighbor> = ids
                     .iter()
                     .map(|&id| Neighbor::new(edge.distance_to(metric, id, &q), id))

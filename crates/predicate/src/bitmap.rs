@@ -6,10 +6,23 @@
 
 /// A fixed-universe bitset over ids `0..len`. The default is the empty
 /// universe (what a pooled, not-yet-used bitmap starts as).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Bitset {
     words: Vec<u64>,
     len: usize,
+}
+
+impl Clone for Bitset {
+    fn clone(&self) -> Self {
+        Self { words: self.words.clone(), len: self.len }
+    }
+
+    /// Copy `source` into `self`'s allocation (how the planner fills a
+    /// pooled bitmap from a segment's tombstones).
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.len = source.len;
+    }
 }
 
 impl Bitset {

@@ -34,24 +34,6 @@ pub trait NodeFilter {
 
     /// Evaluate row `id`.
     fn passes(&self, id: u32) -> bool;
-
-    /// Invoke `f` for every id in `0..n` that passes, in ascending order,
-    /// returning the number of [`passes`](Self::passes) evaluations
-    /// performed (the `npred` accounting the caller owes).
-    ///
-    /// The default evaluates all `n` rows. Filters with a materialized
-    /// representation override it to skip failing rows wholesale:
-    /// [`BitmapFilter`] scans its bitset word-by-word (64 rows per branch)
-    /// and performs zero per-row evaluations, which is what makes the
-    /// pre-filter fallback `O(s·n)` instead of `O(n)` predicate calls.
-    fn for_each_passing(&self, n: usize, f: &mut dyn FnMut(u32)) -> u64 {
-        for id in 0..n as u32 {
-            if self.passes(id) {
-                f(id);
-            }
-        }
-        n as u64
-    }
 }
 
 /// Filter that accepts everything (pure ANN search).
@@ -129,16 +111,6 @@ impl NodeFilter for BitmapFilter {
     fn passes(&self, id: u32) -> bool {
         self.bits.get(id)
     }
-
-    fn for_each_passing(&self, n: usize, f: &mut dyn FnMut(u32)) -> u64 {
-        for id in self.bits.iter_ones() {
-            if id as usize >= n {
-                break; // iter_ones is ascending; nothing below n remains
-            }
-            f(id);
-        }
-        0 // the word-level scan performs no per-row predicate evaluations
-    }
 }
 
 impl<F: NodeFilter + ?Sized> NodeFilter for &F {
@@ -147,11 +119,6 @@ impl<F: NodeFilter + ?Sized> NodeFilter for &F {
     #[inline]
     fn passes(&self, id: u32) -> bool {
         (**self).passes(id)
-    }
-
-    #[inline]
-    fn for_each_passing(&self, n: usize, f: &mut dyn FnMut(u32)) -> u64 {
-        (**self).for_each_passing(n, f)
     }
 }
 
@@ -192,36 +159,5 @@ mod tests {
     fn all_pass_accepts_all() {
         assert!(AllPass.passes(0));
         assert!(AllPass.passes(u32::MAX));
-    }
-
-    #[test]
-    fn for_each_passing_default_visits_passing_rows_in_order() {
-        let s = store();
-        let f = s.field("x").unwrap();
-        let p = Predicate::Between { field: f, lo: 2, hi: 4 };
-        let filter = PredicateFilter::new(&s, &p);
-        let mut seen = Vec::new();
-        let evals = filter.for_each_passing(5, &mut |id| seen.push(id));
-        assert_eq!(seen, vec![1, 2, 3]);
-        assert_eq!(evals, 5, "default path evaluates every row");
-    }
-
-    #[test]
-    fn bitmap_fast_path_skips_evaluations_and_respects_n() {
-        let bm = BitmapFilter::new(Bitset::from_ids(200, [0u32, 63, 64, 150, 199]));
-        let mut seen = Vec::new();
-        let evals = bm.for_each_passing(200, &mut |id| seen.push(id));
-        assert_eq!(seen, vec![0, 63, 64, 150, 199]);
-        assert_eq!(evals, 0, "word-level scan must not call passes()");
-        // A smaller n truncates the scan (universe larger than the dataset).
-        seen.clear();
-        let _ = bm.for_each_passing(100, &mut |id| seen.push(id));
-        assert_eq!(seen, vec![0, 63, 64]);
-        // The forwarding impl for &F must preserve the fast path.
-        seen.clear();
-        let by_ref: &BitmapFilter = &bm;
-        let evals = by_ref.for_each_passing(200, &mut |id| seen.push(id));
-        assert_eq!(evals, 0);
-        assert_eq!(seen.len(), 5);
     }
 }

@@ -84,8 +84,8 @@ pub use acorn_predicate as predicate;
 pub mod prelude {
     pub use acorn_core::{
         AcornIndex, AcornParams, AcornVariant, DurabilityOptions, DurableIndex, FsyncPolicy,
-        GlobalNeighbor, IndexReader, MergeOutcome, MergePolicy, PruneStrategy, SegmentSnapshot,
-        SegmentView, SegmentedAcornIndex, SegmentedQueryEngine,
+        GlobalNeighbor, IndexReader, MergeOutcome, MergePolicy, PruneStrategy, QueryError,
+        SegmentSnapshot, SegmentView, SegmentedAcornIndex, SegmentedQueryEngine,
     };
     pub use acorn_hnsw::{
         CsrGraph, GraphView, HnswIndex, HnswParams, Metric, Neighbor, ScratchPool, SearchScratch,

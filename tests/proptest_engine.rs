@@ -98,7 +98,7 @@ proptest! {
             let snap = idx.snapshot();
             let mut stats = SearchStats::default();
             let sequential: Vec<Vec<GlobalNeighbor>> =
-                qs.iter().map(|q| snap.search_with(q, k, efs, &mut scratch, &mut stats)).collect();
+                qs.iter().map(|q| snap.search_with(q, k, efs, &mut scratch, &mut stats).unwrap()).collect();
             if let Some(want) = mono_answers {
                 prop_assert_eq!(&pairs(&sequential), want);
             }

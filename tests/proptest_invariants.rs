@@ -123,7 +123,7 @@ proptest! {
         let mut idx = SegmentedAcornIndex::new(4, params, AcornVariant::Gamma);
         idx.bulk_load(VectorStore::clone(&vecs)); // global id == row id
         let q = vec![0.0; 4];
-        let got: Vec<u32> = idx.reader().search(&q, 5, n).iter().map(|x| x.id as u32).collect();
+        let got: Vec<u32> = idx.reader().search(&q, 5, n).unwrap().iter().map(|x| x.id as u32).collect();
         let mut exact: Vec<(f32, u32)> = (0..n as u32)
             .map(|i| (Metric::L2.distance(vecs.get(i), &q), i))
             .collect();
