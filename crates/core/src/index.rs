@@ -381,7 +381,7 @@ impl AcornIndex {
                 &mut stats,
             );
             g.scratch.visited.reset();
-            let kept = self.select_edges(new_id, lev, &candidates, budget);
+            let kept = self.keep(new_id, lev, &candidates);
             for &s in &kept {
                 self.state.growing_mut().graph.push_edge(s, new_id, lev);
                 self.shrink_if_needed(s, lev);
@@ -391,93 +391,73 @@ impl AcornIndex {
         }
     }
 
-    /// ACORN-1's level-0 degree cap: the "original HNSW without pruning"
-    /// construction (§5.3) doubles the bottom-level bound like HNSW does.
-    fn acorn1_level0_cap(&self) -> usize {
-        self.params.m * 2
-    }
-
-    /// Choose the stored edges for a fresh node from its sorted candidates.
-    fn select_edges(
-        &mut self,
-        v: u32,
-        level: usize,
-        candidates: &[Neighbor],
-        budget: usize,
-    ) -> Vec<u32> {
-        if level >= self.params.compressed_levels {
-            // Uncompressed levels: the nearest M·γ candidates.
-            return candidates.iter().take(budget).map(|n| n.id).collect();
-        }
-        if self.variant == AcornVariant::One {
-            // HNSW-without-pruning: nearest 2M, no compression.
-            return candidates.iter().take(self.acorn1_level0_cap()).map(|n| n.id).collect();
-        }
-        let g = self.state.growing();
-        let outcome = prune::apply(
-            &self.params.prune,
-            &self.vecs,
-            self.params.metric,
-            &g.graph,
-            level,
-            &candidates[..candidates.len().min(budget)],
-            self.params.m_beta,
-            budget,
-            g.labels.as_deref(),
-            v,
-        );
-        self.edges_pruned += outcome.pruned as u64;
-        outcome.kept
-    }
-
-    /// Level-0 lists re-compress once they exceed `M_β + M` (keeping the
-    /// stored footprint at the `M_β + O(M)` the paper reports in Table 6);
-    /// upper-level lists truncate to the `M·γ` nearest once past budget.
-    /// ACORN-1's level 0 truncates to the nearest `2M` like HNSW.
-    fn shrink_if_needed(&mut self, v: u32, level: usize) {
+    /// The edges `v` keeps on `level` out of `cands` (sorted nearest-first):
+    /// the one rule for a new node's list and for an overflowing one.
+    ///
+    /// ACORN-1 is HNSW without pruning (§5.3): the nearest `2M` on level 0,
+    /// the nearest `M` above. It never compresses, whatever
+    /// [`compressed_levels`](AcornParams::compressed_levels) says. ACORN-γ
+    /// keeps the nearest `M·γ` on an uncompressed level and runs the
+    /// configured [`PruneStrategy`] over them on a compressed one (§5.2,
+    /// generalized to the bottom `n_c` levels by §6.1), counting what it
+    /// prunes in [`edges_pruned`](Self::edges_pruned).
+    fn keep(&mut self, v: u32, level: usize, cands: &[Neighbor]) -> Vec<u32> {
         let budget = self.params.edge_budget();
-        let compressed = level < self.params.compressed_levels;
-        let acorn1_l0 = self.variant == AcornVariant::One && level == 0;
-        let trigger = if acorn1_l0 {
-            self.acorn1_level0_cap()
-        } else if compressed && self.params.prune == PruneStrategy::AcornCompress {
-            (self.params.m_beta + self.params.m).min(budget)
-        } else {
-            budget
-        };
-        let g = self.state.growing();
-        if g.graph.neighbors(v, level).len() <= trigger {
+        let nearest = |n: usize| cands.iter().take(n).map(|c| c.id).collect();
+        match self.variant {
+            AcornVariant::One if level == 0 => nearest(2 * self.params.m),
+            AcornVariant::Gamma if level < self.params.compressed_levels => {
+                let g = self.state.growing();
+                let outcome = prune::apply(
+                    &self.params.prune,
+                    &self.vecs,
+                    self.params.metric,
+                    &g.graph,
+                    level,
+                    &cands[..cands.len().min(budget)],
+                    self.params.m_beta,
+                    budget,
+                    g.labels.as_deref(),
+                    v,
+                );
+                self.edges_pruned += outcome.pruned as u64;
+                outcome.kept
+            }
+            _ => nearest(budget),
+        }
+    }
+
+    /// The length past which a list on `level` is chosen again by
+    /// [`keep`](Self::keep): `2M` on ACORN-1's level 0 (§5.3);
+    /// `M_β + M` (at most `M·γ`) on an ACORN-γ compressed level under
+    /// [`PruneStrategy::AcornCompress`], which holds the stored footprint at
+    /// the `M_β + O(M)` the paper reports in Table 6 (§5.2); `M·γ`
+    /// everywhere else — `M` for ACORN-1, which never compresses.
+    fn list_cap(&self, level: usize) -> usize {
+        let p = &self.params;
+        let compress = level < p.compressed_levels && p.prune == PruneStrategy::AcornCompress;
+        match self.variant {
+            AcornVariant::One if level == 0 => 2 * p.m,
+            AcornVariant::Gamma if compress => (p.m_beta + p.m).min(p.edge_budget()),
+            _ => p.edge_budget(),
+        }
+    }
+
+    /// Past [`list_cap`](Self::list_cap), rank `v`'s list on `level` by
+    /// distance to `v` and let [`keep`](Self::keep) choose it again.
+    fn shrink_if_needed(&mut self, v: u32, level: usize) {
+        let list = self.state.growing().graph.neighbors(v, level);
+        if list.len() <= self.list_cap(level) {
             return;
         }
         let metric = self.params.metric;
-        let mut cands: Vec<Neighbor> = g
-            .graph
-            .neighbors(v, level)
+        let mut cands: Vec<Neighbor> = list
             .iter()
             .map(|&w| Neighbor::new(self.vecs.distance_between(metric, v, w), w))
             .collect();
         cands.sort_unstable();
         cands.dedup_by_key(|n| n.id);
-        let kept = if acorn1_l0 {
-            cands.iter().take(self.acorn1_level0_cap()).map(|n| n.id).collect()
-        } else if compressed {
-            let outcome = prune::apply(
-                &self.params.prune,
-                &self.vecs,
-                metric,
-                &g.graph,
-                level,
-                &cands[..cands.len().min(budget)],
-                self.params.m_beta,
-                budget,
-                g.labels.as_deref(),
-                v,
-            );
-            self.edges_pruned += outcome.pruned as u64;
-            outcome.kept
-        } else {
-            cands.iter().take(budget).map(|n| n.id).collect()
-        };
+        let kept = self.keep(v, level, &cands);
         self.state.growing_mut().graph.set_neighbors(v, level, kept);
     }
 
@@ -487,7 +467,9 @@ impl AcornIndex {
     /// Use this when the caller already decided graph search is appropriate
     /// (e.g. the benchmark sweeps);
     /// [`SegmentSnapshot::hybrid_search`](crate::snapshot::SegmentSnapshot::hybrid_search)
-    /// adds ACORN's cost-model routing. `k = 0` answers empty.
+    /// adds ACORN's cost-model routing. `k = 0` answers empty. The
+    /// bottom-level beam, `max(efs, k)`, is clamped to the node count: a
+    /// beam as wide as the graph explores what any wider one would.
     pub fn search_filtered<F: NodeFilter>(
         &self,
         query: &[f32],
@@ -552,8 +534,8 @@ impl AcornIndex {
             stats,
         );
 
-        // Bottom level with the full beam.
-        let ef = efs.max(k);
+        // Bottom level with the full beam (never wider than the graph).
+        let ef = efs.max(k).min(graph.len());
         acorn_search_layer(
             vecs, graph, metric, query, filter, &entries, ef, 0, m, mode, scratch, stats,
         )
@@ -565,7 +547,9 @@ impl AcornIndex {
     /// id order, so `stats.npred` gains one check per row asked, bitmap or
     /// not. Passing ids are scored by the shared [`exact_top_k`]: batched,
     /// prefetched, and bit-identical to one `distance_to` per row. `k = 0`
-    /// answers empty, asking nothing. The planner's own scan route feeds
+    /// answers empty, asking nothing; a `k` past the row count is clamped
+    /// to it, so no top-`k` is ever sized past the rows it could hold. The
+    /// planner's own scan route feeds
     /// the same driver a segment's bitmap directly.
     pub fn prefilter_scan<F: NodeFilter>(
         &self,
@@ -580,6 +564,7 @@ impl AcornIndex {
         stats.npred += self.len() as u64;
         stats.fallback = true;
         let passing = (0..self.len() as u32).filter(|&id| filter.passes(id));
+        let k = k.min(self.len());
         let (out, ndis) = exact_top_k(&*self.vecs, self.params.metric, query, k, passing);
         stats.ndis += ndis;
         out

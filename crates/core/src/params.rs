@@ -49,6 +49,8 @@ pub struct AcornParams {
     /// compression: per-node memory is
     /// `O(n_c·(M_β + M) + (mL − n_c)·M·γ)`. The paper's evaluation uses 1
     /// (level 0 only); larger values trade upper-level density for space.
+    /// An ACORN-γ knob: ACORN-1 never compresses and ignores it, keeping
+    /// HNSW's `2M` on level 0 and `M` above (§5.3).
     pub compressed_levels: usize,
     /// Reproduce the Qdrant densification pitfall (§8): tie the level
     /// normalization constant to `M·γ` instead of `M`, flattening the

@@ -313,10 +313,14 @@ mod tests {
                     snap.hybrid_search(&q, &pred, attrs, k, 32, &mut scratch)
                 }));
                 assert_eq!(snapshot_panic.map_err(message).unwrap_err(), want.to_string());
-                let reader_panic = catch_unwind(AssertUnwindSafe(|| {
+                let pooled = catch_unwind(AssertUnwindSafe(|| {
                     reader.hybrid_search(&q, &pred, attrs, k, 32)
                 }));
-                assert_eq!(reader_panic.map_err(message).unwrap_err(), want.to_string());
+                assert_eq!(
+                    pooled.expect("a typed error, not a panic"),
+                    Err(want.clone()),
+                    "reader"
+                );
             }
         }
         let (hits, stats) =

@@ -71,6 +71,7 @@
 //! [`LayeredGraph`]: acorn_hnsw::LayeredGraph
 
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -387,6 +388,16 @@ impl SegmentedAcornIndex {
         self.shared.publish(next);
     }
 
+    /// [`try_bulk_load`](Self::try_bulk_load) for callers whose rows are
+    /// known good.
+    ///
+    /// # Panics
+    /// Panics with the [`QueryError`]'s message where `try_bulk_load` would
+    /// refuse the store.
+    pub fn bulk_load(&mut self, store: VectorStore) -> Range<u64> {
+        self.try_bulk_load(store).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Bulk-load a whole vector store as one directly-frozen segment,
     /// returning the contiguous global-id range assigned to its rows (row
     /// `i` of the store gets gid `range.start + i`).
@@ -394,7 +405,7 @@ impl SegmentedAcornIndex {
     /// [`insert`](Self::insert) publishes a view of the active segment per
     /// call — one refcount bump per active row — which is the right trade
     /// for trickle writes but adds up to quadratic work over a whole chunk;
-    /// `bulk_load` instead builds the chunk's graph
+    /// `try_bulk_load` instead builds the chunk's graph
     /// **off-lock** (queries keep serving the current epoch throughout),
     /// seals it, and publishes exactly one new epoch. By the
     /// determinism contract the resulting segment answers bit-identically
@@ -404,19 +415,23 @@ impl SegmentedAcornIndex {
     /// owning ascending, pairwise-disjoint gid ranges — the invariant
     /// [`delete`](Self::delete)'s range binary search relies on.
     ///
-    /// # Panics
-    /// Panics if the store's dimension does not match the index, or, with
-    /// the first refused row's index and [`QueryError`] message, if a row
-    /// holds a NaN or infinite component.
-    pub fn bulk_load(&mut self, store: VectorStore) -> std::ops::Range<u64> {
-        let state = self.snapshot();
-        assert_eq!(store.dim(), state.dim, "bulk-loaded store has wrong dimension");
-        let n = store.len();
-        for row in 0..n as u32 {
-            check_vector(state.dim, store.get(row)).unwrap_or_else(|e| panic!("row {row}: {e}"));
+    /// # Errors
+    /// Refuses, in one pass over the rows before anything is built, a store
+    /// of another dimension ([`QueryError::Dimension`]) and the first row
+    /// holding a NaN or infinite component ([`QueryError::NonFiniteRow`]).
+    /// A refused store spends no global id, seals no active row and
+    /// publishes no epoch.
+    pub fn try_bulk_load(&mut self, store: VectorStore) -> Result<Range<u64>, QueryError> {
+        let (state, dim) = (self.snapshot(), store.dim());
+        if dim != state.dim {
+            return Err(QueryError::Dimension { expected: state.dim, got: dim });
         }
+        if let Some(at) = store.as_flat().iter().position(|x| !x.is_finite()) {
+            return Err(QueryError::NonFiniteRow { row: at / dim, index: at % dim });
+        }
+        let n = store.len();
         if n == 0 {
-            return state.next_global..state.next_global;
+            return Ok(state.next_global..state.next_global);
         }
         let index = AcornIndex::build(Arc::new(store), state.params.clone(), state.variant).seal();
         let (_writer, mut next) = self.shared.begin();
@@ -426,7 +441,7 @@ impl SegmentedAcornIndex {
         let payload = SegmentPayload { index, global_ids: range.clone().collect() };
         next.push_frozen(SegmentView::new(payload, Bitset::new(n)));
         self.shared.publish(next);
-        range
+        Ok(range)
     }
 
     /// Compact frozen segments the [`MergePolicy`] flags (too small, or too

@@ -45,7 +45,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use acorn_hnsw::{ScratchPool, SearchScratch, SearchStats};
-use acorn_predicate::{AttrStore, Bitset, Predicate};
+use acorn_predicate::{AttrStore, Bitset, FieldId, Predicate};
 
 use crate::index::AcornIndex;
 use crate::params::{AcornParams, AcornVariant};
@@ -305,11 +305,13 @@ impl SegmentSnapshot {
     /// live rows, by global id. Lock-free: touches only this snapshot. It
     /// is [`try_hybrid_search`](Self::try_hybrid_search)'s plan with no
     /// predicate: each segment's live rows are its bitmap, routed on their
-    /// count. `k == 0` answers empty without searching.
+    /// count. `k` is clamped to [`total_rows`](Self::total_rows), and
+    /// `k == 0` answers empty without searching.
     ///
     /// # Errors
     /// Refuses, before any work, a query whose length is not
-    /// [`dim`](Self::dim) or that holds a NaN or infinite component.
+    /// [`dim`](Self::dim) ([`QueryError::Dimension`]) or that holds a NaN
+    /// or infinite component ([`QueryError::NonFinite`]).
     pub fn search_with(
         &self,
         query: &[f32],
@@ -333,13 +335,22 @@ impl SegmentSnapshot {
     /// `attrs` is indexed by **global id** and must cover every id ever
     /// assigned (`attrs.len() >= next_global_id()`); deleted rows keep
     /// their attribute values but are excluded by tombstone composition.
-    /// `k == 0` answers empty, with default stats, before the predicate is
-    /// compiled or any segment is touched.
+    /// `k` is clamped to [`total_rows`](Self::total_rows) (so no top-`k` is
+    /// sized past the rows it could hold), and `k == 0` answers empty, with
+    /// default stats, before the predicate is compiled or any segment is
+    /// touched.
     ///
     /// # Errors
-    /// Refuses, before any work, a query whose length is not
-    /// [`dim`](Self::dim) or that holds a NaN or infinite component, and an
-    /// `attrs` store that does not cover every assigned global id.
+    /// Refuses, before any work:
+    /// - a query whose length is not [`dim`](Self::dim)
+    ///   ([`QueryError::Dimension`]) or that holds a NaN or infinite
+    ///   component ([`QueryError::NonFinite`]);
+    /// - an `attrs` store that does not cover every assigned global id
+    ///   ([`QueryError::ShortAttrs`]);
+    /// - a predicate that names a field `attrs` lacks, or reads a field of
+    ///   another kind ([`QueryError::Field`]): `Equals`, `In` and `Between`
+    ///   read int, `ContainsAny` and `ContainsAll` keywords, `RegexMatch`
+    ///   str.
     pub fn try_hybrid_search(
         &self,
         query: &[f32],
@@ -384,12 +395,14 @@ impl SegmentSnapshot {
         stats: &mut SearchStats,
     ) -> Result<Vec<GlobalNeighbor>, QueryError> {
         check_vector(self.dim, query)?;
-        if let Some((_, attrs)) = predicate {
+        if let Some((predicate, attrs)) = predicate {
             let (rows, next_global_id) = (attrs.len(), self.next_global);
             if (rows as u64) < next_global_id {
                 return Err(QueryError::ShortAttrs { rows, next_global_id });
             }
+            check_fields(predicate, attrs)?;
         }
+        let k = k.min(self.total_rows());
         if k == 0 {
             return Ok(Vec::new());
         }
@@ -409,6 +422,30 @@ pub(crate) fn check_vector(dim: usize, v: &[f32]) -> Result<(), QueryError> {
     }
 }
 
+/// Every field `predicate` reads must be a column of `attrs` of the kind
+/// it reads; the first leaf (in pre-order) that is not is refused.
+fn check_fields(predicate: &Predicate, attrs: &AttrStore) -> Result<(), QueryError> {
+    let (field, reads) = match predicate {
+        Predicate::True => return Ok(()),
+        Predicate::And(ps) | Predicate::Or(ps) => {
+            return ps.iter().try_for_each(|p| check_fields(p, attrs));
+        }
+        Predicate::Not(p) => return check_fields(p, attrs),
+        Predicate::Equals { field, .. }
+        | Predicate::In { field, .. }
+        | Predicate::Between { field, .. } => (*field, "int"),
+        Predicate::ContainsAny { field, .. } | Predicate::ContainsAll { field, .. } => {
+            (*field, "keywords")
+        }
+        Predicate::RegexMatch { field, .. } => (*field, "str"),
+    };
+    let holds = (field < attrs.num_fields()).then(|| attrs.column(field).kind());
+    if holds != Some(reads) {
+        return Err(QueryError::Field { field, reads, holds });
+    }
+    Ok(())
+}
+
 /// Why a read or a write refused its input. Each case is checked once, at
 /// the API boundary, before any segment is touched or any row stored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -425,12 +462,29 @@ pub enum QueryError {
         /// Position of the first such component.
         index: usize,
     },
+    /// A bulk-loaded row holds a NaN or infinite component.
+    NonFiniteRow {
+        /// The row's position in the loaded store.
+        row: usize,
+        /// Position of the row's first such component.
+        index: usize,
+    },
     /// The attribute store does not cover every assigned global id.
     ShortAttrs {
         /// Rows in the store.
         rows: usize,
         /// The snapshot's next global id, which the store must reach.
         next_global_id: u64,
+    },
+    /// The predicate names a field the attribute store lacks, or reads a
+    /// field of another kind.
+    Field {
+        /// The field the predicate names.
+        field: FieldId,
+        /// The kind the predicate reads it as: `int`, `keywords` or `str`.
+        reads: &'static str,
+        /// The kind the store holds there; `None` when it has no such field.
+        holds: Option<&'static str>,
     },
 }
 
@@ -441,8 +495,15 @@ impl std::fmt::Display for QueryError {
                 write!(f, "a {got}-d vector for a {expected}-d index")
             }
             Self::NonFinite { index } => write!(f, "vector component {index} is NaN or infinite"),
+            Self::NonFiniteRow { row, index } => {
+                write!(f, "row {row}: {}", Self::NonFinite { index })
+            }
             Self::ShortAttrs { rows, next_global_id: next } => {
                 write!(f, "attribute store ({rows} rows) must cover every global id below {next}")
+            }
+            Self::Field { field, reads, holds } => {
+                let holds = holds.unwrap_or("no column");
+                write!(f, "predicate reads field {field} as {reads}; the store holds {holds} there")
             }
         }
     }
@@ -605,6 +666,9 @@ impl IndexReader {
 
     /// Hybrid search against the current epoch. Scratch comes from the
     /// shared pool.
+    ///
+    /// # Errors
+    /// As [`SegmentSnapshot::try_hybrid_search`].
     pub fn hybrid_search(
         &self,
         query: &[f32],
@@ -612,10 +676,10 @@ impl IndexReader {
         attrs: &AttrStore,
         k: usize,
         efs: usize,
-    ) -> (Vec<GlobalNeighbor>, SearchStats) {
+    ) -> Result<(Vec<GlobalNeighbor>, SearchStats), QueryError> {
         let snap = self.snapshot();
         let mut scratch = self.shared.pool.checkout(snap.max_segment_rows());
-        snap.hybrid_search(query, predicate, attrs, k, efs, &mut scratch)
+        snap.try_hybrid_search(query, predicate, attrs, k, efs, &mut scratch)
     }
 }
 

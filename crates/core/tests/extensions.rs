@@ -103,3 +103,23 @@ fn flattened_hierarchy_has_fewer_levels() {
         height(&normal)
     );
 }
+
+#[test]
+fn acorn1_holds_hnsw_caps_on_every_level_at_any_n_c() {
+    // ACORN-1 is HNSW without pruning (§5.3) and never compresses, so
+    // `compressed_levels` must not change its caps: at most 2M ids on
+    // level 0 and M above, at insertion and after every overflow.
+    let vecs = random_store(3000, 8, 4);
+    for n_c in 1..=3 {
+        let idx = AcornIndex::build(vecs.clone(), params(n_c), AcornVariant::One);
+        let g = idx.graph().expect("growing");
+        let m = idx.params().m;
+        for v in 0..g.len() as u32 {
+            for level in 0..=g.level_of(v) {
+                let cap = if level == 0 { 2 * m } else { m };
+                let len = g.neighbors(v, level).len();
+                assert!(len <= cap, "n_c {n_c}: node {v} holds {len} > {cap} ids on level {level}");
+            }
+        }
+    }
+}

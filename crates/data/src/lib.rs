@@ -14,7 +14,7 @@
 //! meaningful (§3.2.1). Each builder's rustdoc in [`datasets`] documents
 //! its substitution.
 //!
-//! * [`synth`] — Gaussian-mixture and uniform vector generators.
+//! * [`synth`] — Gaussian-mixture vector generator.
 //! * [`captions`] — synthetic caption text for regex predicates.
 //! * [`datasets`] — the four dataset builders ([`HybridDataset`]).
 //! * [`workloads`] — query-workload generators: equality, keyword-contains

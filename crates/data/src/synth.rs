@@ -79,20 +79,6 @@ pub fn gaussian_mixture(spec: MixtureSpec) -> Mixture {
     Mixture { vectors, cluster_of, centers }
 }
 
-/// Uniform random vectors in `[-1, 1]^dim` (no cluster structure).
-pub fn uniform(n: usize, dim: usize, seed: u64) -> VectorStore {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut vectors = VectorStore::with_capacity(dim, n);
-    let mut buf = vec![0.0f32; dim];
-    for _ in 0..n {
-        for b in buf.iter_mut() {
-            *b = rng.gen_range(-1.0..1.0);
-        }
-        vectors.push(&buf);
-    }
-    vectors
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,14 +129,5 @@ mod tests {
         let b = gaussian_mixture(MixtureSpec { n: 10, dim: 4, clusters: 2, std: 0.1, seed: 7 });
         assert_eq!(a.vectors.as_flat(), b.vectors.as_flat());
         assert_eq!(a.cluster_of, b.cluster_of);
-    }
-
-    #[test]
-    fn uniform_within_bounds() {
-        let v = uniform(50, 6, 9);
-        assert_eq!(v.len(), 50);
-        for i in 0..50u32 {
-            assert!(v.get(i).iter().all(|&x| (-1.0..1.0).contains(&x)));
-        }
     }
 }

@@ -87,7 +87,6 @@ enum Op {
 pub struct CompiledPredicate {
     ops: Vec<Op>,
     root: u32,
-    cost: u64,
     has_regex: bool,
 }
 
@@ -101,17 +100,12 @@ impl CompiledPredicate {
         let mut ops = Vec::new();
         let root = lower(&normalized, &mut ops);
         let has_regex = ops.iter().any(|op| matches!(op, Op::Regex { .. }));
-        Self { ops, root, cost: normalized.cost_weight(), has_regex }
+        Self { ops, root, has_regex }
     }
 
     /// Number of program nodes (after folding and flattening).
     pub fn num_ops(&self) -> usize {
         self.ops.len()
-    }
-
-    /// Relative evaluation cost weight of the whole program.
-    pub fn cost(&self) -> u64 {
-        self.cost
     }
 
     /// The dispatch cost class (see [`CostClass`]).

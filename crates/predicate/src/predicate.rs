@@ -72,10 +72,10 @@ pub enum Predicate {
     Not(Box<Predicate>),
 }
 
-/// Relative per-row evaluation cost weights, shared by
-/// [`Predicate::normalize`]'s clause reordering and the compiled engine's
-/// cost classes. Regex dominates everything else by orders of magnitude, so
-/// its weight keeps any regex clause sorted after every structured clause.
+/// Relative per-row evaluation cost weights, which drive
+/// [`Predicate::normalize`]'s clause reordering. Regex dominates everything
+/// else by orders of magnitude, so its weight keeps any regex clause sorted
+/// after every structured clause.
 pub(crate) mod cost {
     /// Constant-time column compare (`Equals`, `Between`, `Contains*`).
     pub const LEAF: u64 = 1;
