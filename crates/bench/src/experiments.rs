@@ -8,7 +8,10 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use acorn_core::{AcornIndex, AcornParams, AcornVariant, PruneStrategy};
+use acorn_core::{
+    AcornIndex, AcornParams, AcornVariant, PruneStrategy, QueryTrace, Route, SearchScratch,
+    SegmentSnapshot,
+};
 use acorn_data::correlation::query_correlation;
 use acorn_data::Correlation;
 use acorn_eval::graph_quality::predicate_subgraph_quality_with;
@@ -17,7 +20,7 @@ use acorn_eval::{predicate_subgraph_quality, Table};
 use acorn_hnsw::{HnswIndex, HnswParams, Metric, Sq8Store};
 use acorn_predicate::{AllPass, BitmapFilter};
 
-use crate::methods::{BenchCtx, Build, Cache, Data, Gen, GraphFacts, Index, Method, Queries};
+use crate::methods::{BenchCtx, Build, Cache, Data, Gen, GraphFacts, Index, Method, Queries, K};
 use crate::EFS;
 
 /// One reproduction of a figure or table.
@@ -726,13 +729,42 @@ const SERVE_CLASSES: [(&str, Queries); 5] = [
     ("neg-cor", Queries::Keyword(Correlation::Negative)),
 ];
 
+/// The `serve` stage table's row for one class: one traced pass over its
+/// queries at every efs of the sweep, as per-query means of the stage
+/// times (µs) and of the segments each route served.
+fn stage_row(class: &str, ctx: &BenchCtx, snap: &SegmentSnapshot) -> Vec<String> {
+    let mut scratch = SearchScratch::new(snap.max_segment_rows());
+    let mut trace = QueryTrace::default();
+    let (mut ns, mut scanned, mut segments, mut queries) = ([0u64; 4], 0, 0, 0);
+    let attrs = &ctx.ds.attrs;
+    for efs in EFS {
+        for q in &ctx.workload.queries {
+            let (v, p) = (&q.vector, &q.predicate);
+            snap.try_hybrid_search_traced(v, p, attrs, K, efs, &mut scratch, &mut trace)
+                .expect("serve queries are well-formed");
+            let stages = [trace.compile_ns, trace.materialize_ns, trace.scan_ns, trace.traverse_ns];
+            ns.iter_mut().zip(stages).for_each(|(sum, t)| *sum += t);
+            scanned += trace.segments.iter().filter(|s| s.route == Route::Scan).count();
+            segments += trace.segments.len();
+            queries += 1;
+        }
+    }
+    let mean = |x: f64| format!("{:.1}", x / queries.max(1) as f64);
+    let mut row = vec![class.to_string()];
+    row.extend(ns.map(|t| mean(t as f64 / 1e3)));
+    row.extend([mean(scanned as f64), mean((segments - scanned) as f64)]);
+    row
+}
+
 /// The serving run: ACORN-γ at the paper's parameters over the correlated
 /// corpus, loaded the way a large index is (one sealed segment per
 /// `SEGMENT_ROWS` rows: ten at 1M, each routed on its exact passing
 /// count), and queried through the planner. Each class is swept over efs with recall@10 against exact
 /// ground truth; the summary reads QPS at recall 0.9 per class beside the
 /// index's segment count (every query visits every segment), load rows/s
-/// and resident bytes per row.
+/// and resident bytes per row. A traced pass per class then prints (to
+/// stdout only, no CSV) where a query's time goes: compile, materialize,
+/// scan and traverse µs per query, and the segments scanned and traversed.
 ///
 /// # Panics
 /// Panics, after writing the summary, when a class reaches recall 0.9 at no
@@ -743,6 +775,10 @@ fn serve(run: &mut Run, n: usize, nq: usize) {
     let mut summary = Table::new(
         "serve: ACORN-gamma per query class",
         &["class", "avg sel", "QPS@0.9", "segments", "load rows/s", "bytes/row"],
+    );
+    let mut stages = Table::new(
+        "serve: per-query stages (µs; traced, one pass per efs of the sweep)",
+        &["class", "compile", "materialize", "scan", "traverse", "scanned", "traversed"],
     );
     let mut below = Vec::new();
     for (seed, (class, queries)) in (1..).zip(SERVE_CLASSES) {
@@ -761,10 +797,12 @@ fn serve(run: &mut Run, n: usize, nq: usize) {
         row.push(format!("{:.0}", n as f64 / build.tti.as_secs_f64()));
         row.push(format!("{:.1}", snap.memory_bytes() as f64 / n as f64));
         summary.row(row);
+        stages.row(stage_row(class, &ctx, snap));
         if qps[0].is_none() {
             below.push(class);
         }
     }
     run.emit(&summary, "serve_summary.csv");
+    println!("{}\n", stages.render());
     assert!(below.is_empty(), "serve: {below:?} never reach recall 0.9 over efs {EFS:?}");
 }

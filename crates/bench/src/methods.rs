@@ -301,7 +301,7 @@ fn build(method: &Method, ds: &HybridDataset) -> (Index, Duration) {
 }
 
 /// Recall target size: every experiment reports recall@10.
-const K: usize = 10;
+pub(crate) const K: usize = 10;
 
 /// A prepared workload: dataset + queries + exact top-[`K`] ground truth.
 pub(crate) struct BenchCtx {

@@ -61,7 +61,7 @@ pub use durability::{DurabilityOptions, DurableIndex, FsyncPolicy};
 pub use engine::SegmentedQueryEngine;
 pub use index::AcornIndex;
 pub use params::{AcornParams, AcornVariant};
-pub use plan::MATERIALIZE_BELOW_SELECTIVITY;
+pub use plan::{QueryTrace, Route, SegmentTrace, MATERIALIZE_BELOW_SELECTIVITY};
 pub use prune::PruneStrategy;
 pub use segment::{GlobalNeighbor, MergeOutcome, MergePolicy, SegmentedAcornIndex};
 pub use snapshot::{IndexReader, QueryError, SegmentSnapshot, SegmentView};

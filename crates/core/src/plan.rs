@@ -37,11 +37,19 @@
 //!    `(dist, local)` does and the query's top-`k` holds exactly what
 //!    merging sorted per-segment lists would.
 //!
+//! A traced query ([`SegmentSnapshot::try_hybrid_search_traced`](crate::snapshot::SegmentSnapshot::try_hybrid_search_traced))
+//! runs the same plan and records, in a [`QueryTrace`], the wall time of
+//! each stage — compile, materialize, scan, traverse — and per segment its
+//! rows, its passing count, the route that count chose and its share of
+//! the [`SearchStats`]. Untraced, the clock is never read.
+//!
 //! There is no sample and no seed: a plan depends only on the snapshot and
 //! the predicate. Every row verdict comes from the compiled program. The AST
 //! interpreter ([`Predicate::eval`]) is the tests' oracle: `core/tests/common`
 //! rebuilds this plan from public calls with it and holds the engine to the
 //! result.
+
+use std::time::Instant;
 
 use acorn_hnsw::heap::TopK;
 use acorn_hnsw::search::scan_into;
@@ -58,6 +66,68 @@ use crate::snapshot::SegmentView;
 /// benchmark adapter binds it; ROADMAP item 2(b) retires it along with the
 /// staged replay.
 pub const MATERIALIZE_BELOW_SELECTIVITY: f64 = 0.25;
+
+/// The leaf a segment was routed to, on its exact passing count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// The exact pre-filter scan: fewer than `s_min · rows` rows passed.
+    Scan,
+    /// Graph traversal over the segment's bitmap.
+    Traverse,
+}
+
+/// One segment's part in a traced query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentTrace {
+    /// The segment's rows, tombstoned ones included.
+    pub rows: usize,
+    /// Its live rows that pass the predicate (all live rows without one):
+    /// the count the route was chosen on.
+    pub passing: usize,
+    /// The route that count chose.
+    pub route: Route,
+    /// This segment's share of the query's [`SearchStats`]; the shares sum
+    /// to the query's.
+    pub stats: SearchStats,
+}
+
+/// Where one query's time went, stage by stage, and what each segment did.
+/// Filled by
+/// [`SegmentSnapshot::try_hybrid_search_traced`](crate::snapshot::SegmentSnapshot::try_hybrid_search_traced);
+/// times are wall-clock nanoseconds, summed over the segments.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct QueryTrace {
+    /// Compiling the predicate.
+    pub compile_ns: u64,
+    /// Building and counting every segment's bitmap.
+    pub materialize_ns: u64,
+    /// The exact scans of the segments routed to [`Route::Scan`].
+    pub scan_ns: u64,
+    /// The traversals of the segments routed to [`Route::Traverse`],
+    /// offering their lists to the query's top-`k` included.
+    pub traverse_ns: u64,
+    /// One entry per segment, in query order.
+    pub segments: Vec<SegmentTrace>,
+}
+
+/// A wall clock read only for a traced query.
+struct Lap(Option<Instant>);
+
+impl Lap {
+    fn new(traced: bool) -> Self {
+        Self(traced.then(Instant::now))
+    }
+
+    /// Nanoseconds since the previous lap; 0, without reading the clock,
+    /// when untraced.
+    fn lap(&mut self) -> u64 {
+        let Some(last) = &mut self.0 else { return 0 };
+        let now = Instant::now();
+        let ns = now.duration_since(*last).as_nanos() as u64;
+        *last = now;
+        ns
+    }
+}
 
 /// Write `{l : pred(attrs[gid[l]]) ∧ ¬tomb[l]}` over the segment's local ids
 /// into `bits`, returning the number of rows the predicate ran on (the
@@ -81,9 +151,11 @@ fn materialize_local(
 }
 
 /// Plan and run one query over `segments` (non-empty, in query order,
-/// `k > 0`), adding its work to `stats`; returns the query's top-`k` by
-/// global id. With no predicate (or one that folds to `true`) each
-/// segment's bitmap is its live rows: the pure search.
+/// `k > 0`), adding its work to `stats` and, when traced, its stages and
+/// segments to `trace`; returns the query's top-`k` by global id. With no
+/// predicate (or one that folds to `true`) each segment's bitmap is its
+/// live rows: the pure search.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn search<'a>(
     segments: impl Iterator<Item = &'a SegmentView>,
     query: &[f32],
@@ -92,8 +164,13 @@ pub(crate) fn search<'a>(
     efs: usize,
     scratch: &mut SearchScratch,
     stats: &mut SearchStats,
+    mut trace: Option<&mut QueryTrace>,
 ) -> Vec<GlobalNeighbor> {
+    let mut clock = Lap::new(trace.is_some());
     let compiled = predicate.map(|(p, attrs)| (CompiledPredicate::compile(p), attrs));
+    if let Some(trace) = trace.as_deref_mut() {
+        trace.compile_ns += clock.lap();
+    }
     let filter = match &compiled {
         Some((program, _)) if program.as_const() == Some(false) => return Vec::new(),
         Some((program, attrs)) if program.as_const().is_none() => Some((program, *attrs)),
@@ -102,31 +179,51 @@ pub(crate) fn search<'a>(
     let mut top = TopK::new(k);
     for seg in segments {
         let (index, gids) = (seg.index(), seg.global_ids());
+        let mut own = SearchStats::default();
         let mut bits = std::mem::take(&mut scratch.bitmap);
         if let Some((compiled, attrs)) = filter {
-            stats.npred += materialize_local(seg, compiled, attrs, &mut bits);
+            own.npred += materialize_local(seg, compiled, attrs, &mut bits);
         } else {
             bits.clone_from(&seg.tombstones);
             bits.negate();
         }
-        if (bits.count() as f64) < index.params().s_min() * seg.rows() as f64 {
-            let (vecs, metric) = (&**index.vectors(), index.params().metric);
-            let to_global = |d, l: u32| GlobalNeighbor::new(d, gids[l as usize]);
-            let dists = &mut scratch.dist_buf;
-            stats.ndis +=
-                scan_into(vecs, metric, query, bits.iter_ones(), dists, &mut top, to_global);
-            stats.fallback = true;
-            scratch.bitmap = bits;
+        let passing = bits.count();
+        let route = if (passing as f64) < index.params().s_min() * seg.rows() as f64 {
+            Route::Scan
         } else {
-            let filter = BitmapFilter::new(bits);
-            let before = stats.npred;
-            let out = index.search_filtered(query, &filter, k, efs, scratch, stats);
-            // Every traversal check against the bitmap is a cache answer.
-            stats.npred_cached += stats.npred - before;
-            for n in out {
-                top.push(GlobalNeighbor::new(n.dist, gids[n.id as usize]));
+            Route::Traverse
+        };
+        let materialize_ns = clock.lap();
+        match route {
+            Route::Scan => {
+                let (vecs, metric) = (&**index.vectors(), index.params().metric);
+                let to_global = |d, l: u32| GlobalNeighbor::new(d, gids[l as usize]);
+                let dists = &mut scratch.dist_buf;
+                own.ndis +=
+                    scan_into(vecs, metric, query, bits.iter_ones(), dists, &mut top, to_global);
+                own.fallback = true;
+                scratch.bitmap = bits;
             }
-            scratch.bitmap = filter.into_bits();
+            Route::Traverse => {
+                let filter = BitmapFilter::new(bits);
+                let before = own.npred;
+                let out = index.search_filtered(query, &filter, k, efs, scratch, &mut own);
+                // Every traversal check against the bitmap is a cache answer.
+                own.npred_cached += own.npred - before;
+                for n in out {
+                    top.push(GlobalNeighbor::new(n.dist, gids[n.id as usize]));
+                }
+                scratch.bitmap = filter.into_bits();
+            }
+        }
+        stats.merge(&own);
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.materialize_ns += materialize_ns;
+            *match route {
+                Route::Scan => &mut trace.scan_ns,
+                Route::Traverse => &mut trace.traverse_ns,
+            } += clock.lap();
+            trace.segments.push(SegmentTrace { rows: seg.rows(), passing, route, stats: own });
         }
     }
     top.into_sorted()
@@ -539,6 +636,66 @@ mod tests {
         delete_some(&mut index, rng, chunks.iter().sum());
         insert(&mut index, rng, active_rows);
         index.snapshot()
+    }
+
+    #[test]
+    fn a_traced_query_answers_as_the_untraced_one_and_accounts_for_every_segment() {
+        let mut rng = StdRng::seed_from_u64(91);
+        let snap = lifecycle(&mut rng, 91, [120, 120, 200], 70);
+        let total = 440 + 70;
+        let attrs = AttrStore::builder()
+            .add_int("label", (0..total).map(|_| rng.gen_range(0i64..6)).collect())
+            .add_text(
+                "cap",
+                (0..total).map(|_| CAPTIONS[rng.gen_range(0..CAPTIONS.len())].into()).collect(),
+            )
+            .build();
+        let views: Vec<&SegmentView> = snap.segments().collect();
+        assert!(views.len() >= 3, "frozen segments and an active one");
+        let mut scratch = SearchScratch::new(snap.max_segment_rows());
+        let mut trace = QueryTrace::default();
+        let mut routes = Vec::new();
+        let mut preds = vec![Predicate::True, Predicate::const_false()];
+        preds.extend((0..12).map(|_| random_pred(&mut rng)));
+        for pred in &preds {
+            let q: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let (want, want_stats) =
+                snap.try_hybrid_search(&q, pred, &attrs, 10, 32, &mut scratch).unwrap();
+            let t0 = std::time::Instant::now();
+            let (got, stats) = snap
+                .try_hybrid_search_traced(&q, pred, &attrs, 10, 32, &mut scratch, &mut trace)
+                .unwrap();
+            let wall = t0.elapsed().as_nanos() as u64;
+            let what = pred.describe(&attrs);
+            assert_eq!(bits(&got), bits(&want), "{what}: the untraced list");
+            assert_eq!(stats, want_stats, "{what}: the untraced stats");
+            if CompiledPredicate::compile(pred).as_const() == Some(false) {
+                assert!(trace.segments.is_empty(), "{what}: no segment is touched");
+                continue;
+            }
+            assert_eq!(trace.segments.len(), views.len(), "{what}: one entry per segment");
+            let mut sum = SearchStats::default();
+            for (view, seg) in views.iter().zip(&trace.segments) {
+                let gids = view.global_ids();
+                let live_passing = (0..gids.len() as u32)
+                    .filter(|&l| {
+                        !view.tombstones.get(l) && pred.eval(&attrs, gids[l as usize] as u32)
+                    })
+                    .count();
+                assert_eq!((seg.rows, seg.passing), (gids.len(), live_passing), "{what}");
+                let s_min = view.index().params().s_min();
+                let scan = (seg.passing as f64) < s_min * seg.rows as f64;
+                assert_eq!(seg.route, if scan { Route::Scan } else { Route::Traverse }, "{what}");
+                assert_eq!(seg.stats.fallback, scan, "{what}");
+                routes.push(seg.route);
+                sum.merge(&seg.stats);
+            }
+            assert_eq!(sum, stats, "{what}: the segments' shares sum to the query's stats");
+            let staged =
+                trace.compile_ns + trace.materialize_ns + trace.scan_ns + trace.traverse_ns;
+            assert!(staged <= wall, "{what}: stages {staged} ns within the call's {wall} ns");
+        }
+        assert!(routes.contains(&Route::Scan) && routes.contains(&Route::Traverse));
     }
 
     proptest! {

@@ -49,7 +49,7 @@ use acorn_predicate::{AttrStore, Bitset, FieldId, Predicate};
 
 use crate::index::AcornIndex;
 use crate::params::{AcornParams, AcornVariant};
-use crate::plan;
+use crate::plan::{self, QueryTrace};
 use crate::segment::{GlobalNeighbor, MergePolicy};
 
 /// The immutable payload of one published segment generation: the
@@ -320,7 +320,7 @@ impl SegmentSnapshot {
         scratch: &mut SearchScratch,
         stats: &mut SearchStats,
     ) -> Result<Vec<GlobalNeighbor>, QueryError> {
-        self.run(query, None, k, efs, scratch, stats)
+        self.run(query, None, k, efs, scratch, stats, None)
     }
 
     /// Full hybrid search with ACORN's §5.2 cost-model routing applied
@@ -361,7 +361,34 @@ impl SegmentSnapshot {
         scratch: &mut SearchScratch,
     ) -> Result<(Vec<GlobalNeighbor>, SearchStats), QueryError> {
         let mut stats = SearchStats::default();
-        let hits = self.run(query, Some((predicate, attrs)), k, efs, scratch, &mut stats)?;
+        let hits = self.run(query, Some((predicate, attrs)), k, efs, scratch, &mut stats, None)?;
+        Ok((hits, stats))
+    }
+
+    /// [`try_hybrid_search`](Self::try_hybrid_search), recording into
+    /// `trace` (overwritten) how long each stage of the plan took and what
+    /// each segment did: its rows, its passing count, its route and its
+    /// share of the stats ([`QueryTrace`]). The answer and the stats are
+    /// the untraced call's. A refused query, or `k == 0`, leaves the trace
+    /// empty.
+    ///
+    /// # Errors
+    /// As [`try_hybrid_search`](Self::try_hybrid_search).
+    #[allow(clippy::too_many_arguments)]
+    pub fn try_hybrid_search_traced(
+        &self,
+        query: &[f32],
+        predicate: &Predicate,
+        attrs: &AttrStore,
+        k: usize,
+        efs: usize,
+        scratch: &mut SearchScratch,
+        trace: &mut QueryTrace,
+    ) -> Result<(Vec<GlobalNeighbor>, SearchStats), QueryError> {
+        *trace = QueryTrace::default();
+        let mut stats = SearchStats::default();
+        let predicate = Some((predicate, attrs));
+        let hits = self.run(query, predicate, k, efs, scratch, &mut stats, Some(trace))?;
         Ok((hits, stats))
     }
 
@@ -384,7 +411,9 @@ impl SegmentSnapshot {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Check the input, then run the plan (unless `k == 0`).
+    /// Check the input, then run the plan (unless `k == 0`), traced when
+    /// `trace` is given.
+    #[allow(clippy::too_many_arguments)]
     fn run(
         &self,
         query: &[f32],
@@ -393,6 +422,7 @@ impl SegmentSnapshot {
         efs: usize,
         scratch: &mut SearchScratch,
         stats: &mut SearchStats,
+        trace: Option<&mut QueryTrace>,
     ) -> Result<Vec<GlobalNeighbor>, QueryError> {
         check_vector(self.dim, query)?;
         if let Some((predicate, attrs)) = predicate {
@@ -406,7 +436,7 @@ impl SegmentSnapshot {
         if k == 0 {
             return Ok(Vec::new());
         }
-        Ok(plan::search(self.segments(), query, predicate, k, efs, scratch, stats))
+        Ok(plan::search(self.segments(), query, predicate, k, efs, scratch, stats, trace))
     }
 }
 

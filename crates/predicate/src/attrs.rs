@@ -5,7 +5,9 @@
 //! keyword lists with small vocabularies (TripClick's 28 clinical areas,
 //! LAION's 30 keywords — stored here as `u64` bitmasks so a `contains`
 //! check is a single AND), and free text (LAION captions for regex
-//! predicates).
+//! predicates). Each text column is also copied once, at
+//! [`build`](AttrStoreBuilder::build), into a [`TextArena`]: its rows back
+//! to back in one buffer, which is what the regex block kernels scan.
 
 /// Index of a field within an [`AttrStore`].
 pub type FieldId = usize;
@@ -55,11 +57,73 @@ impl Column {
     }
 }
 
+/// One text column's rows back to back in one buffer, for the regex block
+/// kernels ([`kernels::literal_block`](crate::kernels::literal_block),
+/// [`Regex::match_block`](crate::Regex::match_block)): a 64-row block of
+/// text is one contiguous byte span, not 64 separate allocations.
+///
+/// Row `i` is `text[starts[i]..starts[i + 1]]`; `starts` holds `rows + 1`
+/// offsets as `usize`, so the arena imposes no size limit of its own. The
+/// buffer ends in 32 NUL bytes that belong to no row, so a 32-byte vector
+/// load at any byte of any row stays inside it.
+#[derive(Debug, Clone)]
+pub struct TextArena {
+    text: String,
+    starts: Vec<usize>,
+}
+
+impl TextArena {
+    /// Bytes past the last row: one 32-byte AVX2 load at any row byte fits.
+    pub(crate) const PADDING: usize = 32;
+
+    /// Copy `rows` into one buffer.
+    fn new(rows: &[String]) -> Self {
+        let total: usize = rows.iter().map(String::len).sum();
+        let mut text = String::with_capacity(total + Self::PADDING);
+        let mut starts = Vec::with_capacity(rows.len() + 1);
+        starts.push(0);
+        for row in rows {
+            text.push_str(row);
+            starts.push(text.len());
+        }
+        text.extend(std::iter::repeat('\0').take(Self::PADDING));
+        Self { text, starts }
+    }
+
+    /// Row `i`'s text.
+    ///
+    /// # Panics
+    /// Panics if `i` is not a row of the arena.
+    #[inline]
+    pub fn row(&self, i: usize) -> &str {
+        &self.text[self.starts[i]..self.starts[i + 1]]
+    }
+
+    /// The `rows + 1` row offsets into [`bytes`](Self::bytes).
+    #[inline]
+    pub(crate) fn starts(&self) -> &[usize] {
+        &self.starts
+    }
+
+    /// Every row's bytes back to back, then the padding.
+    #[inline]
+    pub(crate) fn bytes(&self) -> &[u8] {
+        self.text.as_bytes()
+    }
+
+    /// Heap bytes of the buffer and the offsets.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.text.capacity() + self.starts.capacity() * std::mem::size_of::<usize>()
+    }
+}
+
 /// Immutable columnar attribute store for `n` dataset rows.
 #[derive(Debug, Clone, Default)]
 pub struct AttrStore {
     names: Vec<String>,
     columns: Vec<Column>,
+    /// One [`TextArena`] per column, `Some` exactly for the text columns.
+    arenas: Vec<Option<TextArena>>,
     n: usize,
 }
 
@@ -139,6 +203,19 @@ impl AttrStore {
         }
     }
 
+    /// The text column's [`TextArena`] (what the regex block kernels read;
+    /// [`text`](Self::text) reads the column's own strings).
+    ///
+    /// # Panics
+    /// Panics if the field is not a text column.
+    #[inline]
+    pub fn text_arena(&self, f: FieldId) -> &TextArena {
+        match &self.arenas[f] {
+            Some(arena) => arena,
+            None => panic!("field {} is {}, not str", self.names[f], self.columns[f].kind()),
+        }
+    }
+
     /// Integer value at (`f`, `id`).
     ///
     /// # Panics
@@ -169,9 +246,10 @@ impl AttrStore {
         }
     }
 
-    /// Approximate heap bytes over all columns.
+    /// Approximate heap bytes over all columns, text arenas included.
     pub fn memory_bytes(&self) -> usize {
-        self.columns.iter().map(Column::memory_bytes).sum()
+        let arenas: usize = self.arenas.iter().flatten().map(TextArena::memory_bytes).sum();
+        self.columns.iter().map(Column::memory_bytes).sum::<usize>() + arenas
     }
 }
 
@@ -209,7 +287,8 @@ impl AttrStoreBuilder {
         self.add(name, Column::Str(values))
     }
 
-    /// Finish, validating row-count agreement.
+    /// Finish, validating row-count agreement, and copy each text column
+    /// into its [`TextArena`].
     ///
     /// # Panics
     /// Panics if columns disagree on length.
@@ -218,7 +297,15 @@ impl AttrStoreBuilder {
         for (name, col) in self.names.iter().zip(&self.columns) {
             assert_eq!(col.len(), n, "column {name} has {} rows, expected {n}", col.len());
         }
-        AttrStore { names: self.names, columns: self.columns, n }
+        let arenas = self
+            .columns
+            .iter()
+            .map(|col| match col {
+                Column::Str(rows) => Some(TextArena::new(rows)),
+                _ => None,
+            })
+            .collect();
+        AttrStore { names: self.names, columns: self.columns, arenas, n }
     }
 }
 
@@ -291,5 +378,28 @@ mod tests {
     #[test]
     fn memory_accounting_nonzero() {
         assert!(sample().memory_bytes() > 0);
+    }
+
+    #[test]
+    fn the_arena_holds_each_row_at_its_start_then_the_padding() {
+        let rows: Vec<String> = ["a dog", "", "日本 é", "🦀"].map(String::from).into();
+        let s = AttrStore::builder().add_int("x", vec![0; 4]).add_text("t", rows.clone()).build();
+        let arena = s.text_arena(1);
+        assert_eq!(arena.starts().len(), 5);
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(arena.row(i), row);
+            assert_eq!(s.text(1, i as u32), row, "text() reads the column");
+        }
+        let end = arena.starts()[4];
+        assert_eq!(&arena.bytes()[end..], &[0u8; TextArena::PADDING]);
+        assert!(s.memory_bytes() >= s.column(1).memory_bytes() + arena.memory_bytes());
+        let empty = AttrStore::builder().add_text("t", Vec::new()).build();
+        assert_eq!(empty.text_arena(0).starts(), &[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not str")]
+    fn an_int_column_has_no_arena() {
+        let _ = sample().text_arena(0);
     }
 }

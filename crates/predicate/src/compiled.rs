@@ -72,7 +72,10 @@ enum Op {
     ContainsAny { field: FieldId, mask: u64 },
     /// `column[id] & mask == mask`.
     ContainsAll { field: FieldId, mask: u64 },
-    /// Regex search over a text column.
+    /// Regex search over a text column: one row through
+    /// [`Regex::is_match`] on the column's string, a block through
+    /// [`Regex::match_block`] on the column's arena, so the block never
+    /// touches the per-row strings.
     Regex { field: FieldId, regex: Regex },
     /// Conjunction over children (cheapest-first).
     And { children: Vec<u32> },
@@ -160,8 +163,11 @@ impl CompiledPredicate {
     /// Block kernel: evaluate the rows whose bits are set in `active`,
     /// returning the subset that passes. Cheap leaves compute the whole
     /// block branchlessly on `path`'s body and mask afterwards
-    /// ([`kernels`]); the regex kernel iterates only the set bits, which is
-    /// what makes cheapest-first `And` ordering pay off.
+    /// ([`kernels`]). A regex reads only the active rows of its column's
+    /// [`TextArena`](crate::attrs::TextArena) ([`Regex::match_block`]: its
+    /// literals scanned as byte spans on `path`'s body, the automaton run
+    /// on the rows that hold them), which is what makes cheapest-first
+    /// `And` ordering pay off.
     fn eval_block_masked(
         &self,
         path: KernelPath,
@@ -198,15 +204,7 @@ impl CompiledPredicate {
                 kernels::contains_all_block(path, attrs.keyword_masks(*field), base, *mask) & active
             }
             Op::Regex { field, regex } => {
-                let col = attrs.texts(*field);
-                let mut w = 0u64;
-                let mut rem = active;
-                while rem != 0 {
-                    let i = rem.trailing_zeros() as u64;
-                    rem &= rem - 1;
-                    w |= u64::from(regex.is_match(&col[base + i as usize])) << i;
-                }
-                w
+                regex.match_block(path, attrs.text_arena(*field), base, active)
             }
             Op::And { children } => {
                 let mut acc = active;

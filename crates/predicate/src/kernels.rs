@@ -14,10 +14,19 @@
 //!   x86-64 has no 64-bit vector compare, so without it the int leaves run
 //!   one row at a time.
 //!
+//! [`literal_block`] is the text leaf's kernel: substring search over the
+//! rows of a [`TextArena`], `str::contains` per row on the scalar body and a
+//! 32-byte first-/last-byte filter on the AVX2 one (see its docs).
+//!
 //! [`kernel_path`] decides once per process which body runs. The distance
 //! kernels (`acorn_hnsw::kernels`) re-export it, so one decision — and one
 //! `ACORN_FORCE_SCALAR=1` override — covers both crates. The property tests
-//! in `tests/proptest_compiled.rs` hold either path to the interpreter.
+//! in `tests/proptest_compiled.rs` and `tests/proptest_text.rs` hold either
+//! path to the interpreter.
+
+use std::ops::Range;
+
+use crate::attrs::TextArena;
 
 /// Which kernel implementation the process dispatched to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,6 +167,54 @@ pub(crate) fn contains_all_block(path: KernelPath, col: &[u64], base: usize, mas
     scalar_block(col, base, |kw| kw & mask == mask)
 }
 
+/// Rows `base + i`, for the set bits `i` of `active`, whose text contains
+/// `needle`, as bit `i`: per row, `arena.row(base + i).contains(needle)`.
+/// `active` may only name rows of the arena.
+///
+/// Rows lie back to back in the arena, so each maximal run of set bits in
+/// `active` is one contiguous byte span, and each span is scanned once: a
+/// dense block is one span, and a sparse mask reads only its own rows'
+/// bytes. On [`KernelPath::Avx2Fma`] a span is scanned 32 candidate starts
+/// per step, each compared at once against the needle's first byte and,
+/// `needle.len() - 1` bytes on, its last; every candidate both accept is
+/// confirmed by a byte compare and mapped to its row through the starts. A
+/// match that crosses a row end does not count, and after a hit the scan
+/// resumes at the next row's start. The scalar body — the reference — is
+/// `str::contains` per row. The two agree because both needle and text are
+/// UTF-8: a byte match of a UTF-8 needle starts and ends on code point
+/// boundaries, which is the match `str::contains` finds.
+pub fn literal_block(
+    path: KernelPath,
+    arena: &TextArena,
+    base: usize,
+    active: u64,
+    needle: &str,
+) -> u64 {
+    let mut hits = 0u64;
+    let mut rem = active;
+    while rem != 0 {
+        let lo = rem.trailing_zeros();
+        let len = (!(rem >> lo)).trailing_zeros();
+        rem &= !(u64::MAX >> (64 - len) << lo);
+        let rows = base + lo as usize..base + (lo + len) as usize;
+        hits |= literal_span(path, arena, rows, needle) << lo;
+    }
+    hits
+}
+
+/// [`literal_block`] over one run of rows, bit `i` for row `rows.start + i`.
+#[inline]
+fn literal_span(path: KernelPath, arena: &TextArena, rows: Range<usize>, needle: &str) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if path == KernelPath::Avx2Fma && !needle.is_empty() {
+        let starts = &arena.starts()[rows.start..=rows.end];
+        // SAFETY: `Avx2Fma` is only produced after AVX2 was detected on this
+        // CPU; the body checks its loads against `bytes` itself.
+        return unsafe { avx2::literal_span(arena.bytes(), starts, needle.as_bytes()) };
+    }
+    rows.enumerate().fold(0, |w, (i, r)| w | u64::from(arena.row(r).contains(needle)) << i)
+}
+
 /// The scalar body of every block kernel (and the `InSorted` leaf's only
 /// one): `test` on each row of the block, packed into a mask word.
 #[inline]
@@ -266,6 +323,56 @@ mod avx2 {
             none |= lanes(_mm256_cmpeq_epi64(hit, zero)) << (4 * i);
         }
         !none
+    }
+
+    /// The rows `starts.windows(2)` of `bytes` that contain `needle`
+    /// (non-empty), bit `i` for row `i`: see `super::literal_block`. A
+    /// candidate start `p` is a byte where `needle[0]` sits and, at
+    /// `p + needle.len() - 1`, `needle`'s last byte does. Every load begins
+    /// at or before the span's last candidate start plus
+    /// `needle.len() - 1`, so it ends at most 31 bytes past the span, which
+    /// the arena's padding covers; the assert checks exactly that.
+    ///
+    /// # Safety
+    /// Requires AVX2 at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn literal_span(bytes: &[u8], starts: &[usize], needle: &[u8]) -> u64 {
+        let (start, end, m) = (starts[0], starts[starts.len() - 1], needle.len());
+        if end - start < m {
+            return 0;
+        }
+        let last_start = end - m;
+        assert!(end + 31 <= bytes.len(), "a text span needs 32 bytes of padding past it");
+        let first = _mm256_set1_epi8(needle[0] as i8);
+        let last = _mm256_set1_epi8(needle[m - 1] as i8);
+        let (mut hits, mut row, mut p) = (0u64, 0usize, start);
+        'scan: while p <= last_start {
+            let at_first = _mm256_loadu_si256(bytes.as_ptr().add(p) as *const __m256i);
+            let at_last = _mm256_loadu_si256(bytes.as_ptr().add(p + m - 1) as *const __m256i);
+            let both = _mm256_and_si256(
+                _mm256_cmpeq_epi8(at_first, first),
+                _mm256_cmpeq_epi8(at_last, last),
+            );
+            let mut candidates = _mm256_movemask_epi8(both) as u32;
+            if last_start - p < 31 {
+                candidates &= u32::MAX >> (31 - (last_start - p));
+            }
+            while candidates != 0 {
+                let q = p + candidates.trailing_zeros() as usize;
+                candidates &= candidates - 1;
+                while starts[row + 1] <= q {
+                    row += 1;
+                }
+                let row_end = starts[row + 1];
+                if q + m <= row_end && bytes[q..q + m] == *needle {
+                    hits |= 1 << row;
+                    p = row_end;
+                    continue 'scan;
+                }
+            }
+            p += 32;
+        }
+        hits
     }
 
     /// # Safety

@@ -38,7 +38,7 @@ pub mod predicate;
 pub mod regex;
 pub mod selectivity;
 
-pub use attrs::{AttrStore, AttrStoreBuilder, Column, FieldId};
+pub use attrs::{AttrStore, AttrStoreBuilder, Column, FieldId, TextArena};
 pub use bitmap::Bitset;
 pub use compiled::{CompiledFilter, CompiledPredicate, CostClass};
 pub use filter::{AllPass, BitmapFilter, NodeFilter, PredicateFilter};

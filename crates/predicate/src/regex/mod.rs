@@ -18,9 +18,12 @@
 //!    the program alone.
 //! 4. A literal prefilter read off the AST: a pattern that is a literal or
 //!    an alternation of literals is answered by substring search outright
-//!    (steps 2 and 3 are skipped for it), and a run of literal characters
-//!    every match must contain rejects rows by substring search before the
-//!    table is walked.
+//!    (steps 2 and 3 are skipped for it); otherwise every run of literal
+//!    characters in the top-level sequence is one every match must contain,
+//!    and a row must contain all of them before the table is walked. Over a
+//!    block of rows ([`Regex::match_block`]) each literal is one block scan
+//!    of the column's [`TextArena`] ([`literal_block`]: AVX2 on 32 bytes a
+//!    step), so the automaton runs only on the rows that hold every run.
 //!
 //! The program's Pike-style virtual machine (`O(len · states)`, no
 //! backtracking and therefore no pathological inputs) is what step 3 caches:
@@ -46,6 +49,9 @@ use std::sync::Arc;
 use dfa::Dfa;
 use nfa::Program;
 
+use crate::attrs::TextArena;
+use crate::kernels::{literal_block, KernelPath};
+
 /// A compiled regular expression; clones share the compiled state.
 #[derive(Debug, Clone)]
 pub struct Regex {
@@ -68,14 +74,24 @@ enum Engine {
     Vm(Program),
 }
 
+impl Engine {
+    fn is_match(&self, text: &str) -> bool {
+        match self {
+            Engine::Dfa(dfa) => dfa.is_match(text),
+            Engine::Vm(program) => program.is_match(text),
+        }
+    }
+}
+
 /// What substring search says about a pattern.
 #[derive(Debug, PartialEq)]
 enum Prefilter {
     /// The pattern is an alternation of these literals: a text matches iff
     /// it contains one.
     Exact(Vec<String>),
-    /// Every match contains this literal.
-    Required(String),
+    /// Every match contains each of these literals (non-empty, none inside
+    /// another, longest first).
+    Required(Vec<String>),
     None,
 }
 
@@ -106,14 +122,68 @@ impl Regex {
             Prefilter::Exact(literals) => {
                 return literals.iter().any(|l| text.contains(l.as_str()))
             }
-            Prefilter::Required(literal) if !text.contains(literal.as_str()) => return false,
+            Prefilter::Required(runs) if !runs.iter().all(|r| text.contains(r.as_str())) => {
+                return false
+            }
             _ => {}
         }
-        match &self.compiled.engine {
-            Some(Engine::Dfa(dfa)) => dfa.is_match(text),
-            Some(Engine::Vm(program)) => program.is_match(text),
-            None => unreachable!("an exact prefilter answered above"),
+        self.engine().is_match(text)
+    }
+
+    /// [`is_match`](Self::is_match) for the rows `base + i` of `arena`, one
+    /// per set bit `i` of `active`, as bit `i` of the result. `active` may
+    /// only name rows of the arena.
+    ///
+    /// Each prefilter literal is one [`literal_block`] scan on `path`'s
+    /// body. An alternation of literals ORs the scans, each over the rows
+    /// no earlier literal matched. Otherwise the required runs are ANDed,
+    /// longest first, each scanning only the rows every earlier run left
+    /// set, and the automaton then runs on the surviving rows alone, each
+    /// read as a `&str` slice of the arena.
+    pub fn match_block(
+        &self,
+        path: KernelPath,
+        arena: &TextArena,
+        base: usize,
+        active: u64,
+    ) -> u64 {
+        let mut live = active;
+        match &self.compiled.prefilter {
+            Prefilter::Exact(literals) => {
+                let mut hits = 0u64;
+                for literal in literals {
+                    if live == 0 {
+                        break;
+                    }
+                    let w = literal_block(path, arena, base, live, literal);
+                    hits |= w;
+                    live &= !w;
+                }
+                return hits;
+            }
+            Prefilter::Required(runs) => {
+                for run in runs {
+                    if live == 0 {
+                        return 0;
+                    }
+                    live = literal_block(path, arena, base, live, run);
+                }
+            }
+            Prefilter::None => {}
         }
+        let engine = self.engine();
+        let mut hits = 0u64;
+        while live != 0 {
+            let i = live.trailing_zeros();
+            live &= live - 1;
+            hits |= u64::from(engine.is_match(arena.row(base + i as usize))) << i;
+        }
+        hits
+    }
+
+    /// The automaton; every pattern without an exact prefilter has one.
+    fn engine(&self) -> &Engine {
+        self.compiled.engine.as_ref().expect("only an exact prefilter builds no automaton")
     }
 }
 
@@ -126,26 +196,34 @@ impl Prefilter {
         if let Some(literals) = branches.iter().map(literal).collect() {
             return Prefilter::Exact(literals);
         }
-        // The longest run of literals in the top-level sequence. A run right
-        // after `^` is left to the automaton, which checks it in place and
-        // stops at the first mismatch; searching for it would scan the row.
+        // Every run of literals in the top-level sequence, longest first,
+        // dropping any a longer one contains. A run right after `^` is left
+        // to the automaton, which checks it in place and stops at the first
+        // mismatch; searching for it would scan the row.
         let sequence = match ast {
             Ast::Concat(sequence) => sequence.as_slice(),
             other => std::slice::from_ref(other),
         };
-        let mut best = String::new();
+        let mut runs: Vec<String> = Vec::new();
         let mut anchored = false;
         for chunk in sequence.split_inclusive(|node| literal(node).is_none()) {
             let run: String = chunk.iter().map_while(literal).collect();
-            if !anchored && run.len() > best.len() {
-                best = run;
+            if !anchored && !run.is_empty() {
+                runs.push(run);
             }
             anchored = chunk.last() == Some(&Ast::StartAnchor);
         }
-        if best.is_empty() {
+        runs.sort_by_key(|run| std::cmp::Reverse(run.len()));
+        let mut required: Vec<String> = Vec::new();
+        for run in runs {
+            if !required.iter().any(|longer| longer.contains(run.as_str())) {
+                required.push(run);
+            }
+        }
+        if required.is_empty() {
             Prefilter::None
         } else {
-            Prefilter::Required(best)
+            Prefilter::Required(required)
         }
     }
 }
@@ -287,20 +365,24 @@ mod tests {
     #[test]
     fn prefilter_reads_literals_off_the_pattern() {
         let exact = |lits: &[&str]| Prefilter::Exact(lits.iter().map(|l| l.to_string()).collect());
-        let required = |lit: &str| Prefilter::Required(lit.to_string());
+        let required =
+            |runs: &[&str]| Prefilter::Required(runs.iter().map(|r| r.to_string()).collect());
         assert_eq!(prefilter("mountain"), exact(&["mountain"]));
         assert_eq!(prefilter("(dog|cat)"), exact(&["dog", "cat"]));
         assert_eq!(prefilter("(re)d|"), exact(&["red", ""]));
         assert_eq!(prefilter(""), exact(&[""]));
-        assert_eq!(prefilter("forest .*person"), required("forest "));
-        assert_eq!(prefilter("red .*yellow"), required("yellow"));
-        assert_eq!(prefilter("photo .*(red|blue) dog$"), required("photo "));
+        // Every run, longest first (ties keep pattern order).
+        assert_eq!(prefilter("forest .*person"), required(&["forest ", "person"]));
+        assert_eq!(prefilter("red .*yellow"), required(&["yellow", "red "]));
+        assert_eq!(prefilter("photo .*(red|blue) dog$"), required(&["photo ", " dog"]));
         // The run behind `^` is the automaton's to check.
-        assert_eq!(prefilter("^a photo of .*dog"), required("dog"));
+        assert_eq!(prefilter("^a photo of .*dog"), required(&["dog"]));
         assert_eq!(prefilter("^[0-9]"), Prefilter::None);
         assert_eq!(prefilter("^abc"), Prefilter::None);
         assert_eq!(prefilter("(dog|c.t)"), Prefilter::None);
-        assert_eq!(prefilter("(ab)+c"), required("c"));
+        assert_eq!(prefilter("(ab)+c"), required(&["c"]));
+        // A run inside a longer one adds nothing.
+        assert_eq!(prefilter("cat.*a cat.*at"), required(&["a cat"]));
     }
 
     #[test]
@@ -322,7 +404,7 @@ mod tests {
         let pat = format!("(a|b)*a{}c", "(a|b)".repeat(12));
         let re = Regex::new(&pat).unwrap();
         assert!(matches!(re.compiled.engine, Some(Engine::Vm(_))));
-        assert_eq!(re.compiled.prefilter, Prefilter::Required("a".to_string()));
+        assert_eq!(re.compiled.prefilter, Prefilter::Required(vec!["a".into(), "c".into()]));
         assert!(re.is_match(&format!("ba{}c", "ab".repeat(6))));
         assert!(!re.is_match(&format!("bb{}c", "ab".repeat(6))));
         assert!(!re.is_match(&"ab".repeat(20)));
@@ -384,13 +466,15 @@ mod tests {
                         let found = literals.iter().any(|l| txt.contains(l.as_str()));
                         prop_assert_eq!(found, accepted, "literals {:?} text {:?}", literals, txt);
                     }
-                    Prefilter::Required(literal) => {
-                        prop_assert!(
-                            !accepted || txt.contains(&literal),
-                            "literal {:?} text {:?}",
-                            literal,
-                            txt
-                        );
+                    Prefilter::Required(runs) => {
+                        for run in runs {
+                            prop_assert!(
+                                !accepted || txt.contains(&run),
+                                "run {:?} text {:?}",
+                                run,
+                                txt
+                            );
+                        }
                     }
                     Prefilter::None => {}
                 }
