@@ -4,12 +4,17 @@
 //! its own (`scan_route`): `hybrid_search` over one 8,000-row 32-d segment
 //! and over four such segments, the predicate under `s_min` in each, at 1 %
 //! and 10 % density. Each `scan_route` id names the rows it scores, so
-//! time ÷ rows is the cost per scanned row.
+//! time ÷ rows is the cost per scanned row. Last, the traversal route
+//! (`traverse_route`): a pure search of one 4,000-row 512-d LAION-like
+//! segment and a 20 %-selective hybrid search of one 8,000-row 32-d
+//! correlated segment, both above `s_min`, so the time per iteration is the
+//! µs per query of ACORN-γ's layer searches over a bitmap.
 
 use acorn_baselines::{PostFilterHnsw, PreFilter};
 use acorn_bench::methods::acorn_segment;
 use acorn_core::{AcornParams, AcornVariant, SegmentedAcornIndex};
-use acorn_data::datasets::sift_like;
+use acorn_data::datasets::{laion_like, sift_like, HybridDataset};
+use acorn_data::{correlated_dataset, CorrelatedSpec};
 use acorn_hnsw::{HnswParams, Metric, SearchScratch, SearchStats, VectorStore};
 use acorn_predicate::{AttrStore, Predicate, PredicateFilter};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -98,5 +103,51 @@ fn bench_scan_route(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_hybrid, bench_scan_route);
+fn bench_traverse_route(c: &mut Criterion) {
+    const QUERIES: usize = 64;
+    // The repo benchmark's corpora and index parameters: `hcps-512d`'s
+    // LAION stand-in at its 4,000-row segment size, and `bands-graph`'s
+    // correlated 32-d rows at its 8,000. γ = 8 → s_min = 0.125, so the
+    // pure search (every row live) and the 20 % predicate both traverse.
+    let params =
+        AcornParams { m: 16, gamma: 8, m_beta: 32, ef_construction: 64, ..Default::default() };
+    let segment = |ds: &HybridDataset, rows: usize| {
+        let mut index =
+            SegmentedAcornIndex::new(ds.vectors.dim(), params.clone(), AcornVariant::Gamma);
+        let flat = ds.vectors.as_flat()[..rows * ds.vectors.dim()].to_vec();
+        index.bulk_load(VectorStore::from_flat(ds.vectors.dim(), flat));
+        let queries: Vec<Vec<f32>> =
+            (rows..rows + QUERIES).map(|q| ds.vectors.get(q as u32).to_vec()).collect();
+        (index.snapshot(), queries)
+    };
+    let (wide, wide_queries) = segment(&laion_like(4_000 + QUERIES, 42), 4_000);
+    let spec = CorrelatedSpec { n: 8_000 + QUERIES, dim: 32, seed: 42, ..Default::default() };
+    let (narrow, narrow_queries) = segment(&correlated_dataset(&spec), 8_000);
+    let percent: Vec<i64> = (0..8_000).map(|i| i % 100).collect();
+    let attrs = AttrStore::builder().add_int("percent", percent).build();
+    let field = attrs.field("percent").unwrap();
+    let pred = Predicate::Between { field, lo: 0, hi: 19 };
+    let mut scratch = SearchScratch::new(8_000);
+
+    // Each iteration asks the next of `QUERIES` held-out rows.
+    let mut group = c.benchmark_group("traverse_route");
+    let mut next = 0;
+    group.bench_function("pure/512d/1seg/efs64", |b| {
+        b.iter(|| {
+            next = (next + 1) % QUERIES;
+            let mut stats = SearchStats::default();
+            wide.search_with(black_box(&wide_queries[next]), 10, 64, &mut scratch, &mut stats)
+        })
+    });
+    group.bench_function("hybrid/32d/20%/1seg/efs64", |b| {
+        b.iter(|| {
+            next = (next + 1) % QUERIES;
+            let query = black_box(&narrow_queries[next]);
+            narrow.hybrid_search(query, &pred, &attrs, 10, 64, &mut scratch)
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_hybrid, bench_scan_route, bench_traverse_route);
 criterion_main!(benches);

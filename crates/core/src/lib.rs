@@ -64,6 +64,6 @@ pub use params::{AcornParams, AcornVariant};
 pub use plan::{QueryTrace, Route, SegmentTrace, MATERIALIZE_BELOW_SELECTIVITY};
 pub use prune::PruneStrategy;
 pub use segment::{GlobalNeighbor, MergeOutcome, MergePolicy, SegmentedAcornIndex};
-pub use snapshot::{IndexReader, QueryError, SegmentSnapshot, SegmentView};
+pub use snapshot::{IndexReader, MetricsSnapshot, QueryError, SegmentSnapshot, SegmentView};
 
 pub use acorn_hnsw::{CsrGraph, GraphView, Neighbor, ScratchPool, SearchScratch, SearchStats};

@@ -40,6 +40,31 @@
 //! are exactly the checks the lookup counts. Either way the output, the
 //! stop point and `npred` are the same.
 //!
+//! **Resume, don't rescan.** `compressed` and `two_hop` expand a tail
+//! neighbor `y` by walking `y`'s own list, and one layer search meets the
+//! same `y` at hop after hop. With a `BRANCH_FREE` filter the walk goes
+//! through a [`ResumeMemo`] the layer search owns: it starts where an
+//! *earlier* lookup of this layer search left `y`'s list, adds that
+//! prefix's recorded failing count to `npred`, and afterwards records the
+//! offset it reached and `failing + Δnpred − Δlen`, the fresh entries of
+//! the whole prefix that failed. That is exact, for three reasons:
+//!
+//! * `search_layer` marks every id a lookup admits visited before the next
+//!   lookup, and otherwise only the entries, before the first. So after a
+//!   lookup each entry of a list prefix it walked is visited, or fresh and
+//!   failing, and stays so for the rest of the layer search. A rescan of
+//!   the prefix would admit nothing (so never stop early) and count
+//!   exactly its failing entries.
+//! * A list met twice within one lookup is walked again from its start:
+//!   the ids that lookup admitted from it are not visited yet. Only marks
+//!   of earlier lookups are resumed from.
+//! * A lazy filter keeps the full walk and never reads or writes a mark,
+//!   so it is still asked exactly about the checks the lookup counts.
+//!
+//! The output, the stop point and `npred` are therefore the same as a full
+//! walk's, and a layer search's answers, `ndis`, `nhops` and `npred` with
+//! them.
+//!
 //! Note that "visited" is a property of the *beam*, not of predicate
 //! evaluation: overlapping one-/two-hop neighborhoods legitimately present
 //! the same unexpanded row to `filter.passes` dozens of times per query.
@@ -47,13 +72,14 @@
 //! filter's job (a bitmap answers every revisit with a bit test, and
 //! `SearchStats::npred_cached` records how many checks a cache absorbed).
 
-use acorn_hnsw::{kernels, GraphView, SearchStats, VisitedSet};
+use acorn_hnsw::{kernels, GraphView, ResumeMemo, SearchStats, VisitedSet};
 use acorn_predicate::NodeFilter;
 
 /// One lookup's output while it fills: `len` candidates admitted into the
 /// `m` slots of `out`, and the predicate checks made so far.
 struct Hood<'a> {
     out: &'a mut Vec<u32>,
+    visited: &'a VisitedSet,
     len: usize,
     m: usize,
     npred: u64,
@@ -62,13 +88,13 @@ struct Hood<'a> {
 impl<'a> Hood<'a> {
     /// Append to whatever `out` already holds, up to `m` entries in all;
     /// `None` when it already holds `m` and there is nothing to look up.
-    fn new(out: &'a mut Vec<u32>, m: usize) -> Option<Self> {
+    fn new(out: &'a mut Vec<u32>, visited: &'a VisitedSet, m: usize) -> Option<Self> {
         let len = out.len();
         if len >= m {
             return None;
         }
         out.resize(m, 0);
-        Some(Self { out, len, m, npred: 0 })
+        Some(Self { out, visited, len, m, npred: 0 })
     }
 
     /// The admit step (see the module doc); true once the output is full.
@@ -80,6 +106,36 @@ impl<'a> Hood<'a> {
         self.len += usize::from(passes);
         self.npred += u64::from(fresh);
         self.len == self.m
+    }
+
+    /// Admit the entries of `list`, the list of `v`'s neighbor `y`, other
+    /// than `v`; true once the output is full. A `BRANCH_FREE` filter
+    /// resumes where an earlier lookup left `list` in `memo` and records
+    /// where this walk stops (see the module doc).
+    #[inline(always)]
+    fn expand<F: NodeFilter>(
+        &mut self,
+        filter: &F,
+        v: u32,
+        y: u32,
+        list: &[u32],
+        memo: &mut ResumeMemo,
+    ) -> bool {
+        let (start, failing) = if F::BRANCH_FREE { memo.resume(y) } else { (0, 0) };
+        let (len, npred) = (self.len, self.npred);
+        self.npred += failing;
+        let (mut reached, mut full) = (list.len(), false);
+        for (i, &z) in list[start..].iter().enumerate() {
+            let fresh = (z != v) & !self.visited.contains(z);
+            if self.admit(filter, z, fresh) {
+                (reached, full) = (start + i + 1, true);
+                break;
+            }
+        }
+        if F::BRANCH_FREE {
+            memo.record(y, reached, self.npred - npred - (self.len - len) as u64);
+        }
+        full
     }
 
     fn finish(self, stats: &mut SearchStats) {
@@ -102,7 +158,7 @@ pub fn filtered<G: GraphView, F: NodeFilter>(
     out: &mut Vec<u32>,
     stats: &mut SearchStats,
 ) {
-    let Some(mut hood) = Hood::new(out, m) else { return };
+    let Some(mut hood) = Hood::new(out, visited, m) else { return };
     for &nb in graph.neighbors(v, level) {
         if hood.admit(filter, nb, !visited.contains(nb)) {
             break;
@@ -114,6 +170,12 @@ pub fn filtered<G: GraphView, F: NodeFilter>(
 /// Compression-aware lookup (Figure 4b): simple filtering over the first
 /// `m_beta` entries, then expansion of the remaining entries' one-hop
 /// neighborhoods before filtering.
+///
+/// `memo`, [begun](ResumeMemo::begin) over the graph's ids, carries the
+/// expansion's resume marks from lookup to lookup of one layer search, so
+/// every id a lookup admits must be visited before the next one runs, as
+/// `search_layer` does (see the module doc). A memo begun for this lookup
+/// alone is always safe.
 #[allow(clippy::too_many_arguments)]
 pub fn compressed<G: GraphView, F: NodeFilter>(
     graph: &G,
@@ -123,12 +185,14 @@ pub fn compressed<G: GraphView, F: NodeFilter>(
     m: usize,
     m_beta: usize,
     visited: &VisitedSet,
+    memo: &mut ResumeMemo,
     out: &mut Vec<u32>,
     stats: &mut SearchStats,
 ) {
     let list = graph.neighbors(v, level);
     let (head, tail) = list.split_at(list.len().min(m_beta));
-    let Some(mut hood) = Hood::new(out, m) else { return };
+    let Some(mut hood) = Hood::new(out, visited, m) else { return };
+    memo.next_lookup();
     'fill: {
         // Phase 1: the M_β nearest stored neighbors, filter only.
         for &nb in head {
@@ -146,10 +210,8 @@ pub fn compressed<G: GraphView, F: NodeFilter>(
             if hood.admit(filter, y, !visited.contains(y)) {
                 break 'fill;
             }
-            for &z in graph.neighbors(y, level) {
-                if hood.admit(filter, z, (z != v) & !visited.contains(z)) {
-                    break 'fill;
-                }
+            if hood.expand(filter, v, y, graph.neighbors(y, level), memo) {
+                break 'fill;
             }
         }
     }
@@ -157,7 +219,7 @@ pub fn compressed<G: GraphView, F: NodeFilter>(
 }
 
 /// Full two-hop expansion (Figure 4c, ACORN-1): all one-hop and two-hop
-/// neighbors, filtered, truncated to `m`.
+/// neighbors, filtered, truncated to `m`. `memo` as in [`compressed`].
 #[allow(clippy::too_many_arguments)]
 pub fn two_hop<G: GraphView, F: NodeFilter>(
     graph: &G,
@@ -166,11 +228,13 @@ pub fn two_hop<G: GraphView, F: NodeFilter>(
     filter: &F,
     m: usize,
     visited: &VisitedSet,
+    memo: &mut ResumeMemo,
     out: &mut Vec<u32>,
     stats: &mut SearchStats,
 ) {
     let list = graph.neighbors(v, level);
-    let Some(mut hood) = Hood::new(out, m) else { return };
+    let Some(mut hood) = Hood::new(out, visited, m) else { return };
+    memo.next_lookup();
     'fill: {
         for &nb in list {
             if hood.admit(filter, nb, !visited.contains(nb)) {
@@ -178,10 +242,8 @@ pub fn two_hop<G: GraphView, F: NodeFilter>(
             }
         }
         for &y in list {
-            for &z in graph.neighbors(y, level) {
-                if hood.admit(filter, z, (z != v) & !visited.contains(z)) {
-                    break 'fill;
-                }
+            if hood.expand(filter, v, y, graph.neighbors(y, level), memo) {
+                break 'fill;
             }
         }
     }
@@ -215,6 +277,14 @@ mod tests {
 
     fn filter_of(ids: &[u32]) -> BitmapFilter {
         BitmapFilter::new(Bitset::from_ids(9, ids.iter().copied()))
+    }
+
+    /// A memo for one lookup on its own: it has no earlier lookup to
+    /// resume from.
+    fn memo() -> ResumeMemo {
+        let mut memo = ResumeMemo::default();
+        memo.begin(80);
+        memo
     }
 
     fn fresh_visited() -> VisitedSet {
@@ -268,12 +338,12 @@ mod tests {
         let visited = fresh_visited();
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
-        compressed(&g, 0, 0, &f, 10, 4, &visited, &mut out, &mut stats);
+        compressed(&g, 0, 0, &f, 10, 4, &visited, &mut memo(), &mut out, &mut stats);
         assert!(out.is_empty(), "head entries must not be expanded, got {out:?}");
 
         // m_beta = 1: now 2..=6 are tail; expansion of 2 reaches 8.
         let mut out = Vec::new();
-        compressed(&g, 0, 0, &f, 10, 1, &visited, &mut out, &mut stats);
+        compressed(&g, 0, 0, &f, 10, 1, &visited, &mut memo(), &mut out, &mut stats);
         assert_eq!(out, vec![8]);
     }
 
@@ -286,7 +356,7 @@ mod tests {
         let visited = fresh_visited();
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
-        compressed(&g, 0, 0, &f, 10, 0, &visited, &mut out, &mut stats);
+        compressed(&g, 0, 0, &f, 10, 0, &visited, &mut memo(), &mut out, &mut stats);
         assert!(out.contains(&1));
         assert!(out.contains(&7), "two-hop expansion must recover pruned edge");
     }
@@ -298,7 +368,7 @@ mod tests {
         let visited = fresh_visited();
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
-        two_hop(&g, 0, 0, &f, 10, &visited, &mut out, &mut stats);
+        two_hop(&g, 0, 0, &f, 10, &visited, &mut memo(), &mut out, &mut stats);
         assert_eq!(out, vec![7, 8]);
     }
 
@@ -314,7 +384,7 @@ mod tests {
         let visited = fresh_visited();
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
-        two_hop(&g, 0, 0, &AllPass, 10, &visited, &mut out, &mut stats);
+        two_hop(&g, 0, 0, &AllPass, 10, &visited, &mut memo(), &mut out, &mut stats);
         assert_eq!(out, vec![1, 2]);
     }
 
@@ -324,7 +394,7 @@ mod tests {
         let visited = fresh_visited();
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
-        two_hop(&g, 0, 0, &AllPass, 2, &visited, &mut out, &mut stats);
+        two_hop(&g, 0, 0, &AllPass, 2, &visited, &mut memo(), &mut out, &mut stats);
         assert_eq!(out.len(), 2);
         assert_eq!(stats.npred, 2, "must stop evaluating once M found");
     }
@@ -338,7 +408,7 @@ mod tests {
         filtered(&g, 0, 0, &AllPass, 3, &visited, &mut out, &mut stats);
         assert_eq!((out, stats.npred), (vec![42, 1, 2], 2));
         let mut out = vec![42];
-        compressed(&g, 0, 0, &AllPass, 1, 0, &visited, &mut out, &mut stats);
+        compressed(&g, 0, 0, &AllPass, 1, 0, &visited, &mut memo(), &mut out, &mut stats);
         assert_eq!((out, stats.npred), (vec![42], 2), "a full output asks nothing");
     }
 
@@ -364,11 +434,11 @@ mod tests {
         m_beta: usize,
         visited: &VisitedSet,
     ) -> (Vec<u32>, u64) {
-        let (mut out, mut stats) = (Vec::new(), SearchStats::default());
+        let (mut out, mut stats, memo) = (Vec::new(), SearchStats::default(), &mut memo());
         match which {
             0 => filtered(graph, v, 0, filter, m, visited, &mut out, &mut stats),
-            1 => compressed(graph, v, 0, filter, m, m_beta, visited, &mut out, &mut stats),
-            _ => two_hop(graph, v, 0, filter, m, visited, &mut out, &mut stats),
+            1 => compressed(graph, v, 0, filter, m, m_beta, visited, memo, &mut out, &mut stats),
+            _ => two_hop(graph, v, 0, filter, m, visited, memo, &mut out, &mut stats),
         }
         (out, stats.npred)
     }

@@ -20,7 +20,9 @@
 
 use acorn_hnsw::heap::Neighbor;
 use acorn_hnsw::search::search_layer;
-use acorn_hnsw::{GraphView, Metric, SearchScratch, SearchStats, VectorData, VisitedSet};
+use acorn_hnsw::{
+    GraphView, Metric, ResumeMemo, SearchScratch, SearchStats, VectorData, VisitedSet,
+};
 use acorn_predicate::NodeFilter;
 
 use crate::lookup;
@@ -54,6 +56,7 @@ fn get_neighbors<G: GraphView, F: NodeFilter>(
     m: usize,
     mode: LookupMode,
     visited: &VisitedSet,
+    memo: &mut ResumeMemo,
     out: &mut Vec<u32>,
     stats: &mut SearchStats,
 ) {
@@ -61,12 +64,14 @@ fn get_neighbors<G: GraphView, F: NodeFilter>(
         LookupMode::Truncate => lookup::filtered(graph, v, level, filter, m, visited, out, stats),
         LookupMode::GammaSearch { m_beta, compressed_levels } => {
             if level < compressed_levels {
-                lookup::compressed(graph, v, level, filter, m, m_beta, visited, out, stats);
+                lookup::compressed(graph, v, level, filter, m, m_beta, visited, memo, out, stats);
             } else {
                 lookup::filtered(graph, v, level, filter, m, visited, out, stats);
             }
         }
-        LookupMode::TwoHop => lookup::two_hop(graph, v, level, filter, m, visited, out, stats),
+        LookupMode::TwoHop => {
+            lookup::two_hop(graph, v, level, filter, m, visited, memo, out, stats)
+        }
     }
 }
 
@@ -86,6 +91,13 @@ fn get_neighbors<G: GraphView, F: NodeFilter>(
 /// traverses the exact f32 rows of its
 /// [`VectorStore`](acorn_hnsw::VectorStore) for both the
 /// growing and the sealed graph layout.
+///
+/// The layer search owns `scratch.resume` for its duration (moved out and
+/// back, as the planner does with `scratch.bitmap`): with a `BRANCH_FREE`
+/// filter and an expanding lookup it starts the memo empty, so the
+/// expansion resumes each neighbor list where an earlier hop of this layer
+/// search left it ([`crate::lookup`]). [`LookupMode::Truncate`] never
+/// touches it.
 #[allow(clippy::too_many_arguments)]
 pub fn acorn_search_layer<V: VectorData + ?Sized, G: GraphView, F: NodeFilter>(
     vecs: &V,
@@ -105,10 +117,16 @@ pub fn acorn_search_layer<V: VectorData + ?Sized, G: GraphView, F: NodeFilter>(
         stats.npred += 1;
         filter.passes(e)
     };
+    let mut memo = std::mem::take(&mut scratch.resume);
+    if F::BRANCH_FREE && mode != LookupMode::Truncate {
+        memo.begin(graph.len());
+    }
     let hood = |v: u32, visited: &VisitedSet, out: &mut Vec<u32>, stats: &mut SearchStats| {
-        get_neighbors(graph, v, level, filter, m, mode, visited, out, stats)
+        get_neighbors(graph, v, level, filter, m, mode, visited, &mut memo, out, stats)
     };
-    search_layer(vecs, metric, query, entries, ef, scratch, stats, reports, hood)
+    let found = search_layer(vecs, metric, query, entries, ef, scratch, stats, reports, hood);
+    scratch.resume = memo;
+    found
 }
 
 #[cfg(test)]

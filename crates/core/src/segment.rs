@@ -75,7 +75,7 @@ use std::ops::Range;
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use acorn_hnsw::VectorStore;
 use acorn_predicate::Bitset;
@@ -83,8 +83,8 @@ use acorn_predicate::Bitset;
 use crate::index::AcornIndex;
 use crate::params::{AcornParams, AcornVariant};
 use crate::snapshot::{
-    check_vector, IndexReader, QueryError, SegmentPayload, SegmentSnapshot, SegmentView,
-    SharedState,
+    check_vector, nanos_since, IndexReader, QueryError, SegmentPayload, SegmentSnapshot,
+    SegmentView, SharedState,
 };
 
 /// A search result addressed by **global** row id (stable across freezes
@@ -281,9 +281,9 @@ impl SegmentedAcornIndex {
     /// Replace the merge policy (builder style). Publishes a new epoch.
     pub fn with_policy(self, policy: MergePolicy) -> Self {
         {
-            let (_writer, mut next) = self.shared.begin();
+            let (writer, mut next) = self.shared.begin();
             next.policy = policy;
-            self.shared.publish(next);
+            self.shared.publish(writer, next);
         }
         self
     }
@@ -328,7 +328,7 @@ impl SegmentedAcornIndex {
         check_vector(self.active.index.vectors().dim(), v)?;
         let local = self.active.index.insert_vector(v);
         debug_assert_eq!(local as usize, self.active.global_ids.len());
-        let (_writer, mut next) = self.shared.begin();
+        let (writer, mut next) = self.shared.begin();
         let gid = next.next_global;
         next.next_global += 1;
         self.active.global_ids.push(gid);
@@ -338,7 +338,7 @@ impl SegmentedAcornIndex {
         } else {
             self.active.publish_view(&mut next);
         }
-        self.shared.publish(next);
+        self.shared.publish(writer, next);
         Ok(gid)
     }
 
@@ -353,7 +353,7 @@ impl SegmentedAcornIndex {
     /// by **range binary search** — `O(log segments + log rows)`, not a
     /// linear scan of every segment's id list.
     pub fn delete(&mut self, gid: u64) -> bool {
-        let (_writer, mut next) = self.shared.begin();
+        let (writer, mut next) = self.shared.begin();
         // At most one segment's range can cover `gid`: the active view's
         // (its gids are the highest ever assigned) or the last frozen one
         // starting at or below it.
@@ -371,7 +371,7 @@ impl SegmentedAcornIndex {
         // Copy-on-write: snapshots holding the old bitset keep serving it.
         Arc::make_mut(&mut seg.tombstones).set(local);
         seg.deleted += 1;
-        self.shared.publish(next);
+        self.shared.publish(writer, next);
         true
     }
 
@@ -383,9 +383,9 @@ impl SegmentedAcornIndex {
         if self.active.global_ids.is_empty() {
             return;
         }
-        let (_writer, mut next) = self.shared.begin();
+        let (writer, mut next) = self.shared.begin();
         self.active.seal_into(&mut next);
-        self.shared.publish(next);
+        self.shared.publish(writer, next);
     }
 
     /// [`try_bulk_load`](Self::try_bulk_load) for callers whose rows are
@@ -434,13 +434,13 @@ impl SegmentedAcornIndex {
             return Ok(state.next_global..state.next_global);
         }
         let index = AcornIndex::build(Arc::new(store), state.params.clone(), state.variant).seal();
-        let (_writer, mut next) = self.shared.begin();
+        let (writer, mut next) = self.shared.begin();
         self.active.seal_into(&mut next);
         let range = next.next_global..next.next_global + n as u64;
         next.next_global = range.end;
         let payload = SegmentPayload { index, global_ids: range.clone().collect() };
         next.push_frozen(SegmentView::new(payload, Bitset::new(n)));
-        self.shared.publish(next);
+        self.shared.publish(writer, next);
         Ok(range)
     }
 
@@ -577,12 +577,14 @@ pub(crate) fn run_merge(shared: &SharedState, select_all: bool) -> MergeOutcome 
     }
     let _serialized = shared.maintenance_lock.lock().unwrap_or_else(PoisonError::into_inner);
 
+    let since = Instant::now();
     let (runs, bytes_before) = capture(shared, select_all);
     if runs.is_empty() {
         return MergeOutcome { bytes_before, bytes_after: bytes_before, ..Default::default() };
     }
     let rebuilt = rebuild(shared, &runs);
     let (rows_kept, bytes_after) = splice(shared, &runs, rebuilt);
+    shared.merge_ns.fetch_add(nanos_since(since), AtomicOrdering::Relaxed);
 
     let rows_before: usize = runs.iter().flatten().map(SegmentView::rows).sum();
     MergeOutcome {
@@ -677,7 +679,7 @@ pub(crate) fn splice(
     runs: &[Vec<SegmentView>],
     rebuilt: Vec<Option<SegmentPayload>>,
 ) -> (usize, usize) {
-    let (_writer, mut next) = shared.begin();
+    let (writer, mut next) = shared.begin();
     let mut rows_kept = 0;
     for (run, built) in runs.iter().zip(rebuilt) {
         // Deletes that landed after capture: bits set now but not then.
@@ -709,7 +711,7 @@ pub(crate) fn splice(
     }
     let bytes_after = next.memory_bytes();
     shared.merges_completed.fetch_add(1, AtomicOrdering::AcqRel);
-    shared.publish(next);
+    shared.publish(writer, next);
     (rows_kept, bytes_after)
 }
 
@@ -724,6 +726,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::prune::PruneStrategy;
+    use crate::snapshot::MetricsSnapshot;
     use acorn_hnsw::{Metric, SearchScratch, SearchStats};
     use acorn_predicate::{AllPass, AttrStore, Predicate};
     use rand::rngs::StdRng;
@@ -921,6 +924,54 @@ mod tests {
             idx.snapshot().live_ids(),
             (0..600).filter(|g| g % 2 == 1).collect::<Vec<u64>>()
         );
+    }
+
+    #[test]
+    fn metrics_show_the_pinned_shape_and_count_every_publish_and_merge() {
+        let vecs = random_vecs(120, 4, 8);
+        let mut idx = SegmentedAcornIndex::new(4, small_params(4, 2, 2), AcornVariant::Gamma);
+        let reader = idx.reader();
+        assert_eq!(reader.metrics(), MetricsSnapshot::default(), "a new index has done nothing");
+        for v in &vecs[..50] {
+            idx.insert(v);
+        }
+        idx.freeze();
+        for v in &vecs[50..] {
+            idx.insert(v);
+        }
+        assert!(!idx.delete(1_000), "an unknown id publishes nothing");
+        for gid in [0, 1, 60] {
+            idx.delete(gid);
+        }
+        let m = reader.metrics();
+        let (publishes, publish_ns) = (120 + 1 + 3, m.publish_ns);
+        let want = MetricsSnapshot {
+            epoch: publishes,
+            segments: 2,
+            rows: 120,
+            live_rows: 117,
+            active_rows: 70,
+            largest_segment_rows: 70,
+            tombstone_fraction: 3.0 / 120.0,
+            publishes,
+            publish_ns,
+            ..Default::default()
+        };
+        assert_eq!(m, want);
+        assert!(publish_ns > 0, "each publish is timed");
+
+        idx.freeze();
+        assert_eq!(idx.merge().segments_merged, 2);
+        let m = reader.metrics();
+        assert_eq!((m.segments, m.rows, m.live_rows, m.active_rows), (1, 117, 117, 0));
+        assert_eq!((m.publishes, m.merges_completed, m.maintenance_errors), (publishes + 2, 1, 0));
+        assert!(m.merge_ns > 0 && m.publish_ns > publish_ns);
+        assert_eq!(m.epoch, m.publishes);
+        assert_eq!((reader.merges_completed(), reader.maintenance_errors()), (1, 0));
+        let text = m.to_string();
+        assert_eq!(text.lines().count(), 12, "one line per field:\n{text}");
+        assert!(text.contains("live_rows             117\n"), "{text}");
+        assert!(text.ends_with("maintenance_errors    0\n"), "{text}");
     }
 
     #[test]

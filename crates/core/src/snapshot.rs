@@ -41,8 +41,9 @@
 //! [`delete`]: crate::segment::SegmentedAcornIndex::delete
 //! [`freeze`]: crate::segment::SegmentedAcornIndex::freeze
 
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::time::Instant;
 
 use acorn_hnsw::{ScratchPool, SearchScratch, SearchStats};
 use acorn_predicate::{AttrStore, Bitset, FieldId, Predicate};
@@ -591,6 +592,12 @@ pub(crate) struct SharedState {
     pub(crate) maintenance_lock: Mutex<()>,
     /// Merges that published a new epoch since the index was created.
     pub(crate) merges_completed: AtomicU64,
+    /// Wall nanoseconds of those merges, capture to splice.
+    pub(crate) merge_ns: AtomicU64,
+    /// Epochs published since the index was created.
+    pub(crate) publishes: AtomicU64,
+    /// Nanoseconds the writer lock was held across those publishes.
+    pub(crate) publish_ns: AtomicU64,
     /// Maintenance-thread merge cycles that panicked (caught; the thread
     /// backs off and keeps running). A health gauge: nonzero means merges
     /// are failing and compaction is stalled.
@@ -610,6 +617,9 @@ impl SharedState {
             pool: ScratchPool::new(),
             maintenance_lock: Mutex::new(()),
             merges_completed: AtomicU64::new(0),
+            merge_ns: AtomicU64::new(0),
+            publishes: AtomicU64::new(0),
+            publish_ns: AtomicU64::new(0),
             maintenance_errors: AtomicU64::new(0),
             merge_fault: AtomicU64::new(0),
         }
@@ -618,24 +628,98 @@ impl SharedState {
     /// Begin a write: take the writer lock (surviving a panicked holder —
     /// it guards no data of its own) and copy the published state for the
     /// caller to edit and [`publish`](Self::publish).
-    pub(crate) fn begin(&self) -> (MutexGuard<'_, ()>, SegmentSnapshot) {
-        let writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+    pub(crate) fn begin(&self) -> (Writer<'_>, SegmentSnapshot) {
+        let lock = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let writer = Writer { _lock: lock, since: Instant::now() };
         (writer, SegmentSnapshot::clone(&self.state()))
     }
 
-    /// Publish `next` as the next epoch. Caller holds the writer lock from
-    /// [`begin`](Self::begin); readers pick the new snapshot up on their
-    /// next [`IndexReader::snapshot`] call while in-flight queries finish on
+    /// Publish `next` as the next epoch and release the writer lock taken
+    /// by [`begin`](Self::begin), adding the time it was held to the
+    /// publish counters. Readers pick the new snapshot up on their next
+    /// [`IndexReader::snapshot`] call while in-flight queries finish on
     /// whatever epoch they loaded.
-    pub(crate) fn publish(&self, mut next: SegmentSnapshot) {
+    pub(crate) fn publish(&self, writer: Writer<'_>, mut next: SegmentSnapshot) {
         next.epoch += 1;
         self.cell.store(Arc::new(next));
+        self.publishes.fetch_add(1, Ordering::Relaxed);
+        self.publish_ns.fetch_add(nanos_since(writer.since), Ordering::Relaxed);
     }
 
     /// Pin the published state: a reader's epoch, or the write path's own
     /// bookkeeping.
     pub(crate) fn state(&self) -> Arc<SegmentSnapshot> {
         self.cell.load()
+    }
+}
+
+/// The writer lock, held from [`SharedState::begin`] until
+/// [`SharedState::publish`] consumes it (or the write is abandoned), and
+/// when it was taken.
+pub(crate) struct Writer<'a> {
+    _lock: MutexGuard<'a, ()>,
+    since: Instant,
+}
+
+/// Nanoseconds since `start`, saturating at `u64::MAX`.
+pub(crate) fn nanos_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// An index's health at one moment, read with [`IndexReader::metrics`]: the
+/// pinned epoch's segment shape and the writer's and the merger's
+/// cumulative counters. `Display` prints it as one `name value` line per
+/// field, the two nanosecond totals as means: µs per publish, ms per merge.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct MetricsSnapshot {
+    /// The pinned epoch.
+    pub epoch: u64,
+    /// Non-empty segments queries fan out over, the active one included.
+    pub segments: usize,
+    /// Rows stored, tombstoned ones included.
+    pub rows: usize,
+    /// Rows not tombstoned.
+    pub live_rows: usize,
+    /// Rows in the writer's active segment.
+    pub active_rows: usize,
+    /// Rows of the largest segment.
+    pub largest_segment_rows: usize,
+    /// Tombstoned share of `rows` (0 with no rows).
+    pub tombstone_fraction: f64,
+    /// Epochs published since the index was created or loaded: every
+    /// insert, delete, freeze, bulk load, policy change and merge.
+    pub publishes: u64,
+    /// Nanoseconds the writer lock was held across those publishes: copy
+    /// the published state, edit it, publish the next epoch.
+    pub publish_ns: u64,
+    /// Merges that published a new epoch.
+    pub merges_completed: u64,
+    /// Wall nanoseconds of those merges, capture to splice.
+    pub merge_ns: u64,
+    /// Background merge cycles that panicked (see
+    /// [`IndexReader::maintenance_errors`]).
+    pub maintenance_errors: u64,
+}
+
+impl std::fmt::Display for MetricsSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mean = |ns: u64, n: u64| if n == 0 { 0.0 } else { ns as f64 / n as f64 };
+        writeln!(f, "epoch                 {}", self.epoch)?;
+        writeln!(f, "segments              {}", self.segments)?;
+        writeln!(f, "rows                  {}", self.rows)?;
+        writeln!(f, "live_rows             {}", self.live_rows)?;
+        writeln!(f, "active_rows           {}", self.active_rows)?;
+        writeln!(f, "largest_segment_rows  {}", self.largest_segment_rows)?;
+        writeln!(f, "tombstone_fraction    {:.4}", self.tombstone_fraction)?;
+        writeln!(f, "publishes             {}", self.publishes)?;
+        writeln!(f, "publish_us_mean       {:.3}", mean(self.publish_ns, self.publishes) / 1e3)?;
+        writeln!(f, "merges_completed      {}", self.merges_completed)?;
+        writeln!(
+            f,
+            "merge_ms_mean         {:.3}",
+            mean(self.merge_ns, self.merges_completed) / 1e6
+        )?;
+        writeln!(f, "maintenance_errors    {}", self.maintenance_errors)
     }
 }
 
@@ -664,17 +748,46 @@ impl IndexReader {
         &self.shared.pool
     }
 
-    /// Merges that have published a new epoch since the index was created.
+    /// The current epoch's segment shape and the index's cumulative
+    /// publish, merge and maintenance counters. Pins one snapshot; the
+    /// counters are read after it, so they may already count a write the
+    /// pinned epoch does not show.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let snap = self.snapshot();
+        let (rows, shared) = (snap.total_rows(), &*self.shared);
+        MetricsSnapshot {
+            epoch: snap.epoch(),
+            segments: snap.num_segments(),
+            rows,
+            live_rows: snap.len(),
+            active_rows: snap.active_segment().map_or(0, SegmentView::rows),
+            largest_segment_rows: snap.max_segment_rows(),
+            tombstone_fraction: if rows == 0 {
+                0.0
+            } else {
+                snap.deleted_rows() as f64 / rows as f64
+            },
+            publishes: shared.publishes.load(Ordering::Relaxed),
+            publish_ns: shared.publish_ns.load(Ordering::Relaxed),
+            merges_completed: shared.merges_completed.load(Ordering::Acquire),
+            merge_ns: shared.merge_ns.load(Ordering::Relaxed),
+            maintenance_errors: shared.maintenance_errors.load(Ordering::Acquire),
+        }
+    }
+
+    /// Merges that have published a new epoch since the index was created
+    /// ([`metrics`](Self::metrics)' `merges_completed`).
     pub fn merges_completed(&self) -> u64 {
-        self.shared.merges_completed.load(std::sync::atomic::Ordering::Acquire)
+        self.metrics().merges_completed
     }
 
     /// Background merge cycles that panicked (each one is caught; the
     /// maintenance thread backs off exponentially and keeps running).
     /// Monitor this: a nonzero, growing value means compaction is stalled
-    /// and tombstoned rows are accumulating.
+    /// and tombstoned rows are accumulating ([`metrics`](Self::metrics)'
+    /// `maintenance_errors`).
     pub fn maintenance_errors(&self) -> u64 {
-        self.shared.maintenance_errors.load(std::sync::atomic::Ordering::Acquire)
+        self.metrics().maintenance_errors
     }
 
     /// Pure ANN search against the current epoch: the `k` nearest live

@@ -17,7 +17,8 @@
 //!   per-dimension codebook) behind the IVF-SQ8 baseline.
 //! * [`heap`] — binary-heap helpers ordered on `(distance, id)` pairs
 //!   ([`Neighbor`]).
-//! * [`visited`] — epoch-stamped visited sets reusable across queries.
+//! * [`visited`] — epoch-stamped visited sets reusable across queries, and
+//!   the per-layer-search [`ResumeMemo`] of ACORN's two-hop expansion.
 //! * [`pool`] — a checkout/return pool of search scratches shared by query
 //!   threads ([`ScratchPool`]).
 //! * [`level`] — the exponentially decaying level sampler used by HNSW and
@@ -68,4 +69,4 @@ pub use search::SearchScratch;
 pub use sq8::Sq8Store;
 pub use stats::SearchStats;
 pub use vecs::{Metric, VectorData, VectorStore};
-pub use visited::VisitedSet;
+pub use visited::{ResumeMemo, VisitedSet};

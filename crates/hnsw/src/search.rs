@@ -20,7 +20,7 @@ use crate::graph::GraphView;
 use crate::heap::{MinHeap, Neighbor, Scored, TopK};
 use crate::stats::SearchStats;
 use crate::vecs::{Metric, VectorData};
-use crate::visited::VisitedSet;
+use crate::visited::{ResumeMemo, VisitedSet};
 
 /// Reusable per-thread scratch space for graph searches.
 ///
@@ -58,6 +58,15 @@ pub struct SearchScratch {
     /// state allocates no bitmap words per query. Whoever takes it refills
     /// it completely; nothing here resets it.
     pub bitmap: Bitset,
+    /// Pooled resume memo of ACORN's two-hop expansion: where each node's
+    /// neighbor list was left off, and how many fresh entries of the walked
+    /// prefix failed the filter. ACORN's layer search moves it out
+    /// (`std::mem::take`) and [`begins`](ResumeMemo::begin) it, an O(1)
+    /// tick bump that forgets every mark, so no mark outlives the layer
+    /// search that wrote it. Only searches whose lookups expand lists and
+    /// whose filter is a bit test use it; it stays empty (no bytes) for
+    /// every other search. Nothing here resets it.
+    pub resume: ResumeMemo,
 }
 
 impl SearchScratch {
@@ -71,6 +80,7 @@ impl SearchScratch {
             dist_buf: Vec::new(),
             memo: MemoTable::new(),
             bitmap: Bitset::default(),
+            resume: ResumeMemo::default(),
         }
     }
 

@@ -1,11 +1,12 @@
-//! Epoch-stamped visited sets.
+//! Epoch-stamped per-node tables: the visited set and the resume memo.
 //!
 //! Graph search must test "have I touched this node during *this* query?"
 //! millions of times. Clearing a boolean array per query would cost `O(n)`;
 //! instead each slot stores the epoch at which it was last marked and a query
 //! simply bumps the epoch. The array is only wiped on the (rare) epoch
 //! overflow. Stamps start at 0 and the epoch never is, so a fresh or
-//! freshly grown slot reads unvisited.
+//! freshly grown slot reads unvisited. [`ResumeMemo`] stamps its marks the
+//! same way, with one tick per neighbor lookup.
 
 /// A reusable visited-set over node ids `0..n`.
 #[derive(Debug, Clone)]
@@ -68,6 +69,83 @@ impl VisitedSet {
     }
 }
 
+/// Where ACORN's two-hop expansion left off in each node's neighbor list,
+/// for one layer search.
+///
+/// A mark says that the lookup with tick `tick` walked node `y`'s list up
+/// to `offset`, and that `failing` of the entries in that prefix were fresh
+/// (unvisited, and not the node being expanded) and failed the filter. The
+/// layer search that owns the memo marks every id a lookup admits visited
+/// before the next lookup runs, so once that lookup is over each entry of
+/// the prefix is visited or failing for the rest of the layer search: a
+/// later lookup may skip the prefix and count `failing` checks for it (see
+/// `acorn_core::lookup`). Each mark is 8 bytes.
+///
+/// [`begin`](Self::begin) forgets every mark in O(1) and
+/// [`next_lookup`](Self::next_lookup) starts a lookup; a mark is returned
+/// only to a later lookup of the same layer search. The table is wiped only
+/// when the tick wraps.
+#[derive(Debug, Clone, Default)]
+pub struct ResumeMemo {
+    marks: Vec<ResumeMark>,
+    /// Ticks up to here belong to earlier layer searches.
+    base: u32,
+    /// The current lookup's tick.
+    tick: u32,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct ResumeMark {
+    tick: u32,
+    offset: u16,
+    failing: u16,
+}
+
+impl ResumeMemo {
+    /// Begin a layer search over ids `0..n`: grow the table if needed and
+    /// forget every mark, in O(1).
+    pub fn begin(&mut self, n: usize) {
+        if self.marks.len() < n {
+            self.marks.resize(n, ResumeMark::default());
+        }
+        self.base = self.tick;
+    }
+
+    /// Begin a lookup. Marks it records are returned only to later
+    /// lookups; on tick wrap the table is wiped, which forgets them all.
+    #[inline]
+    pub fn next_lookup(&mut self) {
+        if self.tick == u32::MAX {
+            self.marks.fill(ResumeMark::default());
+            (self.base, self.tick) = (0, 0);
+        }
+        self.tick += 1;
+    }
+
+    /// `(offset, failing)` as an earlier lookup of this layer search left
+    /// them for `y`'s list, or `(0, 0)` when none did.
+    #[inline]
+    pub fn resume(&self, y: u32) -> (usize, u64) {
+        let mark = self.marks[y as usize];
+        if mark.tick > self.base && mark.tick < self.tick {
+            (usize::from(mark.offset), u64::from(mark.failing))
+        } else {
+            (0, 0)
+        }
+    }
+
+    /// Record that this lookup walked `y`'s list up to `offset` with
+    /// `failing` fresh failing entries in that prefix. A prefix too long
+    /// for a mark is not recorded: a later lookup resumes from the mark
+    /// before it, or walks the list from its start.
+    #[inline]
+    pub fn record(&mut self, y: u32, offset: usize, failing: u64) {
+        if let (Ok(offset), Ok(failing)) = (u16::try_from(offset), u16::try_from(failing)) {
+            self.marks[y as usize] = ResumeMark { tick: self.tick, offset, failing };
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,5 +201,44 @@ mod tests {
         v.reset();
         assert!(v.insert(4));
         assert!(v.contains(4));
+    }
+
+    #[test]
+    fn a_mark_reaches_only_later_lookups_of_its_layer_search() {
+        let mut memo = ResumeMemo::default();
+        memo.begin(3);
+        memo.next_lookup();
+        assert_eq!(memo.resume(1), (0, 0), "nothing recorded yet");
+        memo.record(1, 5, 2);
+        assert_eq!(memo.resume(1), (0, 0), "the lookup that recorded it walks again");
+        memo.next_lookup();
+        assert_eq!(memo.resume(1), (5, 2));
+        memo.record(1, 70_000, 0);
+        memo.next_lookup();
+        assert_eq!(memo.resume(1), (5, 2), "an offset past u16 keeps the older mark");
+        memo.begin(3);
+        memo.next_lookup();
+        assert_eq!(memo.resume(1), (0, 0), "a new layer search forgets every mark");
+    }
+
+    #[test]
+    fn tick_wrap_wipes_every_mark() {
+        let mut memo = ResumeMemo::default();
+        memo.begin(2);
+        memo.tick = u32::MAX - 2;
+        memo.next_lookup();
+        memo.record(0, 4, 1);
+        memo.next_lookup(); // -> u32::MAX
+        assert_eq!(memo.resume(0), (4, 1));
+        memo.record(1, 3, 0);
+        memo.next_lookup(); // wraps: wiped, tick 1
+        assert_eq!(memo.tick, 1);
+        assert_eq!((memo.resume(0), memo.resume(1)), ((0, 0), (0, 0)));
+        memo.record(1, 2, 2);
+        memo.next_lookup();
+        assert_eq!(memo.resume(1), (2, 2), "the memo works on after the wrap");
+        memo.begin(2);
+        memo.next_lookup();
+        assert_eq!(memo.resume(1), (0, 0));
     }
 }
