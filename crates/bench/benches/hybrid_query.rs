@@ -8,16 +8,21 @@
 //! (`traverse_route`): a pure search of one 4,000-row 512-d LAION-like
 //! segment and a 20 %-selective hybrid search of one 8,000-row 32-d
 //! correlated segment, both above `s_min`, so the time per iteration is the
-//! µs per query of ACORN-γ's layer searches over a bitmap.
+//! µs per query of ACORN-γ's layer searches over a bitmap. Then
+//! construction (`build`): `AcornIndex::build` of those two segments (each
+//! id names its rows, so rows ÷ time is rows/s) and one insert into a
+//! 1,000-row growing index.
 
 use acorn_baselines::{PostFilterHnsw, PreFilter};
 use acorn_bench::methods::acorn_segment;
-use acorn_core::{AcornParams, AcornVariant, SegmentedAcornIndex};
+use std::sync::Arc;
+
+use acorn_core::{AcornIndex, AcornParams, AcornVariant, SegmentedAcornIndex};
 use acorn_data::datasets::{laion_like, sift_like, HybridDataset};
 use acorn_data::{correlated_dataset, CorrelatedSpec};
 use acorn_hnsw::{HnswParams, Metric, SearchScratch, SearchStats, VectorStore};
 use acorn_predicate::{AttrStore, Predicate, PredicateFilter};
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -149,5 +154,53 @@ fn bench_traverse_route(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_hybrid, bench_scan_route, bench_traverse_route);
+fn bench_build(c: &mut Criterion) {
+    const HELD_OUT: usize = 64;
+    // The repo benchmark's index parameters and segment shapes:
+    // `bands-graph`'s correlated 32-d rows at 8,000 and `hcps-512d`'s LAION
+    // stand-in at 4,000.
+    let params = AcornParams {
+        m: 16,
+        gamma: 8,
+        m_beta: 32,
+        ef_construction: 64,
+        seed: 42,
+        ..Default::default()
+    };
+    let spec = CorrelatedSpec { n: 8_000 + HELD_OUT, dim: 32, seed: 42, ..Default::default() };
+    let narrow = correlated_dataset(&spec).vectors;
+    let wide = laion_like(4_000, 42).vectors;
+    let rows = |vecs: &VectorStore, n: usize| {
+        Arc::new(VectorStore::from_flat(vecs.dim(), vecs.as_flat()[..n * vecs.dim()].to_vec()))
+    };
+
+    let mut group = c.benchmark_group("build");
+    for (name, vecs) in [("32d", rows(&narrow, 8_000)), ("512d", wide)] {
+        group.bench_function(format!("acorn_gamma/{name}/{}rows", vecs.len()), |b| {
+            b.iter(|| AcornIndex::build(vecs.clone(), params.clone(), AcornVariant::Gamma))
+        });
+    }
+    // Each iteration inserts the next of `HELD_OUT` rows into its own
+    // clone of a 1,000-row growing index: an active segment's graph work,
+    // without publication. A clone shares every row and node, so the time
+    // includes copying each node the insert rewires, as the writer's first
+    // insert after a publication does, and growing the clone's empty scratch.
+    let active = AcornIndex::build(rows(&narrow, 1_000), params, AcornVariant::Gamma);
+    let held_out: Vec<&[f32]> = (8_000..8_000 + HELD_OUT as u32).map(|r| narrow.get(r)).collect();
+    let mut next = 0;
+    group.bench_function("insert/32d/1000rows", |b| {
+        b.iter_batched(
+            || active.clone(),
+            |mut index| {
+                next = (next + 1) % HELD_OUT;
+                index.insert_vector(held_out[next]);
+                index
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_hybrid, bench_scan_route, bench_traverse_route, bench_build);
 criterion_main!(benches);

@@ -87,6 +87,7 @@ pub mod wal;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Weak};
+use std::time::Instant;
 
 use acorn_hnsw::checksum::crc32;
 
@@ -132,6 +133,50 @@ impl Default for DurabilityOptions {
     }
 }
 
+/// What a [`DurableIndex`] handle has spent on its log and its checkpoints
+/// since [`create`](DurableIndex::create) or [`open`](DurableIndex::open),
+/// read with [`DurableIndex::metrics`]. Times are wall nanoseconds.
+/// `Display` prints one `name value` line per field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DurabilityMetrics {
+    /// WAL records appended, one per logged mutation.
+    pub appends: u64,
+    /// Nanoseconds writing those records, their fsyncs excluded.
+    pub append_ns: u64,
+    /// `fsync` calls: one per record under [`FsyncPolicy::Always`], and
+    /// every file and directory a checkpoint makes durable.
+    pub fsyncs: u64,
+    /// Nanoseconds in those calls.
+    pub fsync_ns: u64,
+    /// Checkpoints installed: `create`'s generation 0, explicit and
+    /// automatic ones, and the one `open` takes after a torn or missing WAL.
+    pub checkpoints: u64,
+    /// Nanoseconds in those checkpoints, their fsyncs included.
+    pub checkpoint_ns: u64,
+    /// WAL ops replayed by `open`.
+    pub replayed_ops: u64,
+    /// Nanoseconds reading, decoding and applying them.
+    pub replay_ns: u64,
+}
+
+impl std::fmt::Display for DurabilityMetrics {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(f, "appends        {}", self.appends)?;
+        writeln!(f, "append_ns      {}", self.append_ns)?;
+        writeln!(f, "fsyncs         {}", self.fsyncs)?;
+        writeln!(f, "fsync_ns       {}", self.fsync_ns)?;
+        writeln!(f, "checkpoints    {}", self.checkpoints)?;
+        writeln!(f, "checkpoint_ns  {}", self.checkpoint_ns)?;
+        writeln!(f, "replayed_ops   {}", self.replayed_ops)?;
+        writeln!(f, "replay_ns      {}", self.replay_ns)
+    }
+}
+
+/// Nanoseconds since `start`.
+fn ns_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// A [`SegmentedAcornIndex`] bound to a directory with crash-safe
 /// persistence: write-once segment files, checksummed checkpoints, a
 /// write-ahead log, and atomic generation commits. See the
@@ -161,8 +206,7 @@ pub struct DurableIndex {
     seg_files: Vec<(Weak<SegmentPayload>, SegmentFileRef)>,
     /// The number the next segment file gets; never reused.
     next_seg_file: u64,
-    recovered_ops: u64,
-    checkpoints: u64,
+    metrics: DurabilityMetrics,
     poisoned: bool,
 }
 
@@ -215,8 +259,7 @@ impl DurableIndex {
             wal_record: Vec::new(),
             seg_files: Vec::new(),
             next_seg_file: next_seg_file(&names),
-            recovered_ops: 0,
-            checkpoints: 0,
+            metrics: DurabilityMetrics::default(),
             poisoned: false,
         };
         store.run(|s| s.install_generation(0))?;
@@ -270,7 +313,8 @@ impl DurableIndex {
         // Replay the valid prefix of this generation's WAL, op by op as it
         // is decoded.
         let wal_file = wal_path(&dir, generation);
-        let (recovered_ops, valid_len, file_len, wal_present) = match vfs.read(&wal_file) {
+        let start = Instant::now();
+        let (replayed_ops, valid_len, file_len, wal_present) = match vfs.read(&wal_file) {
             Ok(buf) => {
                 let dim = index.snapshot().dim();
                 let (ops, valid) = wal::replay(&buf, dim, |op| apply(&mut index, op))?;
@@ -279,6 +323,7 @@ impl DurableIndex {
             Err(e) if e.kind() == io::ErrorKind::NotFound => (0, 0, 0, false),
             Err(e) => return Err(e),
         };
+        let replay_ns = ns_since(start);
 
         let mut store = Self {
             dir,
@@ -291,8 +336,7 @@ impl DurableIndex {
             wal_record: Vec::new(),
             seg_files,
             next_seg_file: next_seg_file(&names),
-            recovered_ops,
-            checkpoints: 0,
+            metrics: DurabilityMetrics { replayed_ops, replay_ns, ..DurabilityMetrics::default() },
             poisoned: false,
         };
         let clean = wal_present && file_len >= wal::WAL_HEADER.len() && valid_len == file_len;
@@ -410,14 +454,16 @@ impl DurableIndex {
         self.wal_bytes
     }
 
-    /// Ops replayed from the WAL when this handle was opened.
+    /// Ops replayed from the WAL when this handle was opened (the
+    /// [`metrics`](Self::metrics)' `replayed_ops`).
     pub fn recovered_ops(&self) -> u64 {
-        self.recovered_ops
+        self.metrics.replayed_ops
     }
 
-    /// Checkpoints taken through this handle (auto + explicit + recovery).
-    pub fn checkpoints(&self) -> u64 {
-        self.checkpoints
+    /// What this handle has spent on WAL appends, fsyncs, checkpoints and
+    /// its opening replay.
+    pub fn metrics(&self) -> DurabilityMetrics {
+        self.metrics
     }
 
     /// The directory this store lives in.
@@ -458,9 +504,12 @@ impl DurableIndex {
         let w = self.wal.as_mut().expect("store always holds a WAL handle when not poisoned");
         // One write call per record: a crash tears at most this record,
         // and the replay-time checksum discards the torn tail.
+        let start = Instant::now();
         w.write_all(&self.wal_record)?;
+        self.metrics.appends += 1;
+        self.metrics.append_ns += ns_since(start);
         if self.opts.fsync == FsyncPolicy::Always {
-            w.sync()?;
+            synced(&mut self.metrics, || w.sync())?;
         }
         self.wal_bytes += self.wal_record.len() as u64;
         Ok(())
@@ -476,14 +525,14 @@ impl DurableIndex {
     /// Write `bytes` to `path` by way of `<path>.tmp`: a reader sees the
     /// whole file under its final name or no file at all. The rename is
     /// durable once the caller has synced the directory.
-    fn write_atomically(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    fn write_atomically(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
         let mut f = self.vfs.create(&tmp)?;
         f.write_all(bytes)?;
         if self.checkpoint_syncs() {
-            f.sync()?;
+            synced(&mut self.metrics, || f.sync())?;
         }
         drop(f);
         self.vfs.rename(&tmp, path)
@@ -506,6 +555,7 @@ impl DurableIndex {
 
     /// The commit protocol: install `next` as the committed generation.
     fn install_generation(&mut self, next: u64) -> io::Result<()> {
+        let start = Instant::now();
         let snap = self.index.snapshot();
 
         // 1. Segment files, for the frozen segments no kept file holds.
@@ -519,9 +569,7 @@ impl DurableIndex {
         let mut bytes = Vec::new();
         serialize::save_checkpoint(&mut bytes, &snap, &refs)?;
         self.write_atomically(&snap_path(&self.dir, next), &bytes)?;
-        if self.checkpoint_syncs() {
-            self.vfs.sync_dir(&self.dir)?;
-        }
+        self.sync_dir()?;
 
         // 3. Fresh WAL for the new generation. Created before the commit
         //    point so a committed generation always has its (possibly
@@ -530,7 +578,7 @@ impl DurableIndex {
         let mut w = self.vfs.create(&wal_path(&self.dir, next))?;
         w.write_all(&wal::WAL_HEADER)?;
         if self.checkpoint_syncs() {
-            w.sync()?;
+            synced(&mut self.metrics, || w.sync())?;
         }
 
         // 4. Commit point: the manifest rename.
@@ -540,21 +588,29 @@ impl DurableIndex {
         content.extend_from_slice(&next.to_le_bytes());
         content.extend_from_slice(&crc32(&content).to_le_bytes());
         self.write_atomically(&self.dir.join(MANIFEST_NAME), &content)?;
-        if self.checkpoint_syncs() {
-            self.vfs.sync_dir(&self.dir)?;
-        }
+        self.sync_dir()?;
 
         self.wal = Some(w);
         self.wal_bytes = wal::WAL_HEADER.len() as u64;
         self.generation = next;
-        self.checkpoints += 1;
+        self.metrics.checkpoints += 1;
         let previous = std::mem::replace(&mut self.seg_files, held_by(&snap, refs));
 
         // 5. Retire everything older than the previous generation, and the
         //    segment files neither generation references.
         let live: Vec<u64> =
             previous.iter().chain(&self.seg_files).map(|(_, on_disk)| on_disk.file).collect();
-        self.prune_stale(Some(&live))
+        let pruned = self.prune_stale(Some(&live));
+        self.metrics.checkpoint_ns += ns_since(start);
+        pruned
+    }
+
+    /// Make the directory's renames durable, when checkpoints sync.
+    fn sync_dir(&mut self) -> io::Result<()> {
+        if self.checkpoint_syncs() {
+            synced(&mut self.metrics, || self.vfs.sync_dir(&self.dir))?;
+        }
+        Ok(())
     }
 
     /// Remove `*.tmp` files, generations other than the current one and its
@@ -582,6 +638,18 @@ impl DurableIndex {
         }
         Ok(())
     }
+}
+
+/// Run one `fsync`, counting it and its nanoseconds in `metrics`.
+fn synced(
+    metrics: &mut DurabilityMetrics,
+    sync: impl FnOnce() -> io::Result<()>,
+) -> io::Result<()> {
+    let start = Instant::now();
+    sync()?;
+    metrics.fsyncs += 1;
+    metrics.fsync_ns += ns_since(start);
+    Ok(())
 }
 
 /// Load generation `gen`: its checkpoint joined with the segment files it
@@ -703,6 +771,52 @@ mod tests {
 
     fn fast_opts() -> DurabilityOptions {
         DurabilityOptions { fsync: FsyncPolicy::Never, ..Default::default() }
+    }
+
+    #[test]
+    fn metrics_count_appends_fsyncs_checkpoints_and_the_replay() {
+        let dir = tmp_dir("metrics");
+        let dim = 4;
+        let opts = DurabilityOptions { fsync: FsyncPolicy::Always, wal_max_bytes: 0 };
+        let idx = SegmentedAcornIndex::new(dim, params(), AcornVariant::Gamma);
+        let mut store = DurableIndex::create(&dir, idx, opts.clone()).unwrap();
+        let created = store.metrics();
+        assert_eq!((created.appends, created.checkpoints, created.replayed_ops), (0, 1, 0));
+        // Snapshot, WAL and manifest files, and the directory after each rename.
+        let per_checkpoint = created.fsyncs;
+        assert!(per_checkpoint >= 3 && created.checkpoint_ns > 0, "{created:?}");
+
+        for i in 0..12u64 {
+            store.insert(&vec_for(i, dim)).unwrap();
+        }
+        assert!(store.delete(5).unwrap());
+        store.checkpoint().unwrap();
+        for i in 12..19u64 {
+            store.insert(&vec_for(i, dim)).unwrap();
+        }
+        let m = store.metrics();
+        assert_eq!(m.appends, 20, "13 logged ops, 7 more after the checkpoint");
+        assert_eq!(m.fsyncs, 2 * per_checkpoint + 20, "one per record, the rest per checkpoint");
+        assert_eq!(m.checkpoints, 2);
+        assert!(m.append_ns > 0 && m.fsync_ns > 0 && m.checkpoint_ns > created.checkpoint_ns);
+        assert_eq!(m.replayed_ops, 0);
+
+        drop(store);
+        let reopened = DurableIndex::open(&dir, opts).unwrap();
+        let r = reopened.metrics();
+        assert_eq!((r.appends, r.fsyncs, r.checkpoints), (0, 0, 0), "a clean WAL is appended to");
+        assert_eq!(r.replayed_ops, 7, "the ops after the checkpoint");
+        assert_eq!(reopened.recovered_ops(), r.replayed_ops);
+        assert!(r.replay_ns > 0);
+
+        let text = r.to_string();
+        assert_eq!(text.lines().count(), 8, "{text}");
+        assert!(
+            text.contains("replayed_ops   7\n")
+                && text.ends_with(&format!("replay_ns      {}\n", r.replay_ns)),
+            "{text}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -139,6 +139,13 @@ impl AcornIndex {
     }
 
     /// Build an index over every vector in the store.
+    ///
+    /// # Panics
+    /// Panics if the parameters are inconsistent (see
+    /// [`AcornParams::validate`]). An ACORN-γ build under
+    /// [`PruneStrategy::RngMetadataAware`] panics at its second insert,
+    /// because that strategy prunes by node labels: build it with
+    /// [`build_with_labels`](Self::build_with_labels).
     pub fn build(vecs: Arc<VectorStore>, params: AcornParams, variant: AcornVariant) -> Self {
         let mut idx = Self::new(vecs.clone(), params, variant);
         for id in 0..vecs.len() as u32 {
@@ -366,6 +373,8 @@ impl AcornIndex {
         let ef = self.params.ef_construction.max(budget);
         for lev in (0..=level.min(prev_max)).rev() {
             let g = self.state.growing_mut();
+            // The level before left its compression's `H` in the stamps.
+            g.scratch.visited.reset();
             let candidates = acorn_search_layer(
                 &*vecs,
                 &g.graph,
@@ -380,7 +389,6 @@ impl AcornIndex {
                 &mut g.scratch,
                 &mut stats,
             );
-            g.scratch.visited.reset();
             let kept = self.keep(new_id, lev, &candidates);
             for &s in &kept {
                 self.state.growing_mut().graph.push_edge(s, new_id, lev);
@@ -407,7 +415,7 @@ impl AcornIndex {
         match self.variant {
             AcornVariant::One if level == 0 => nearest(2 * self.params.m),
             AcornVariant::Gamma if level < self.params.compressed_levels => {
-                let g = self.state.growing();
+                let g = self.state.growing_mut();
                 let outcome = prune::apply(
                     &self.params.prune,
                     &self.vecs,
@@ -419,6 +427,7 @@ impl AcornIndex {
                     budget,
                     g.labels.as_deref(),
                     v,
+                    &mut g.scratch.visited,
                 );
                 self.edges_pruned += outcome.pruned as u64;
                 outcome.kept
@@ -445,6 +454,10 @@ impl AcornIndex {
 
     /// Past [`list_cap`](Self::list_cap), rank `v`'s list on `level` by
     /// distance to `v` and let [`keep`](Self::keep) choose it again.
+    ///
+    /// The ranking ([`rank`]) merges the list's sorted run with the back
+    /// edges appended since instead of sorting it from scratch, and gives
+    /// the order `sort_unstable` gave, so every graph stays the same.
     fn shrink_if_needed(&mut self, v: u32, level: usize) {
         let list = self.state.growing().graph.neighbors(v, level);
         if list.len() <= self.list_cap(level) {
@@ -455,8 +468,7 @@ impl AcornIndex {
             .iter()
             .map(|&w| Neighbor::new(self.vecs.distance_between(metric, v, w), w))
             .collect();
-        cands.sort_unstable();
-        cands.dedup_by_key(|n| n.id);
+        rank(&mut cands);
         let kept = self.keep(v, level, &cands);
         self.state.growing_mut().graph.set_neighbors(v, level, kept);
     }
@@ -571,6 +583,24 @@ impl AcornIndex {
     }
 }
 
+/// Sort an overflowing list's candidates nearest-first and drop repeated
+/// ids.
+///
+/// A list is the nearest-first run its last [`keep`](AcornIndex::keep)
+/// stored, followed by the back edges appended since, so its candidates
+/// arrive as one long sorted run and a short unsorted tail. The stable
+/// `slice::sort` finds that run in one pass, sorts the tail and merges the
+/// two, where `sort_unstable` sorted the whole list again to drop a single
+/// entry. Both sort by `Neighbor`'s total order (distance by `total_cmp`,
+/// then id), under which two entries compare equal only when they are the
+/// same id at the same distance: equal entries are identical, so the
+/// sorted list, and with it the list `dedup` leaves, is the same whatever
+/// the sort, and whether or not the run really is sorted.
+fn rank(cands: &mut Vec<Neighbor>) {
+    cands.sort();
+    cands.dedup_by_key(|n| n.id);
+}
+
 /// ACORN's ef = 1 walk down `levels`, top first: each level's nearest
 /// passing node becomes the next level's entry, and a level that finds none
 /// keeps the previous entries. The visited marks are cleared after every
@@ -608,8 +638,60 @@ mod tests {
     use super::*;
     use acorn_hnsw::Metric;
     use acorn_predicate::{BitmapFilter, Bitset};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The ranking as it was before [`rank`]: `sort_unstable` over the whole
+    /// list, then `dedup` by id. The oracle of
+    /// `rank_equals_the_sort_unstable_reference`.
+    fn rank_sort_unstable(cands: &mut Vec<Neighbor>) {
+        cands.sort_unstable();
+        cands.dedup_by_key(|n| n.id);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// [`rank`] orders and thins a list exactly as `sort_unstable` +
+        /// `dedup` did: a sorted run (sometimes with a few entries out of
+        /// place) then a random tail, over few distances (ties between
+        /// ids, `-0.0` and `0.0` included) and few ids (an id repeats, at
+        /// its one distance).
+        #[test]
+        fn rank_equals_the_sort_unstable_reference(
+            seed in 0u64..u64::MAX,
+            run_len in 0usize..200,
+            tail_len in 0usize..40,
+            ids in 1u32..300,
+            swaps in 0usize..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let levels = [-0.0f32, 0.0, 0.5, 1.0, 1.0, 2.0, f32::MAX];
+            let dist: Vec<f32> =
+                (0..ids).map(|_| levels[rng.gen_range(0..levels.len())]).collect();
+            let mut draw = |len: usize| -> Vec<Neighbor> {
+                (0..len)
+                    .map(|_| rng.gen_range(0..ids))
+                    .map(|id| Neighbor::new(dist[id as usize], id))
+                    .collect()
+            };
+            let mut list = draw(run_len);
+            list.sort_unstable();
+            list.dedup_by_key(|n| n.id);
+            list.extend(draw(tail_len));
+            for _ in 0..swaps {
+                let (a, b) = (rng.gen_range(0..=list.len()), rng.gen_range(0..=list.len()));
+                if a < list.len() && b < list.len() {
+                    list.swap(a, b);
+                }
+            }
+            let mut want = list.clone();
+            rank_sort_unstable(&mut want);
+            rank(&mut list);
+            prop_assert_eq!(list, want);
+        }
+    }
 
     fn random_store(n: usize, dim: usize, seed: u64) -> Arc<VectorStore> {
         let mut rng = StdRng::seed_from_u64(seed);

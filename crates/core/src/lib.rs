@@ -57,7 +57,7 @@ pub mod segment;
 pub mod serialize;
 pub mod snapshot;
 
-pub use durability::{DurabilityOptions, DurableIndex, FsyncPolicy};
+pub use durability::{DurabilityMetrics, DurabilityOptions, DurableIndex, FsyncPolicy};
 pub use engine::SegmentedQueryEngine;
 pub use index::AcornIndex;
 pub use params::{AcornParams, AcornVariant};

@@ -82,6 +82,7 @@ use acorn_predicate::Bitset;
 
 use crate::index::AcornIndex;
 use crate::params::{AcornParams, AcornVariant};
+use crate::prune::PruneStrategy;
 use crate::snapshot::{
     check_vector, nanos_since, IndexReader, QueryError, SegmentPayload, SegmentSnapshot,
     SegmentView, SharedState,
@@ -257,7 +258,20 @@ impl SegmentedAcornIndex {
     /// `params`/`variant` apply to every segment ever built (the active
     /// segment now, every merge product later), so all segments share one
     /// level-sampling seed and pruning configuration.
+    ///
+    /// # Panics
+    /// Panics if the parameters are inconsistent (see
+    /// [`AcornParams::validate`]), or if they ask for
+    /// [`PruneStrategy::RngMetadataAware`]: that ablation prunes by node
+    /// labels, which no segment has, so every write past the first would
+    /// panic — even through [`try_insert`](Self::try_insert) and
+    /// [`try_bulk_load`](Self::try_bulk_load).
     pub fn new(dim: usize, params: AcornParams, variant: AcornVariant) -> Self {
+        assert!(
+            params.prune != PruneStrategy::RngMetadataAware,
+            "PruneStrategy::RngMetadataAware needs node labels, which a segmented index \
+             does not have; build one labelled graph with AcornIndex::build_with_labels"
+        );
         Self {
             active: ActiveSegment::new(dim, params.clone(), variant),
             shared: Arc::new(SharedState::new(SegmentSnapshot::empty(params, variant, dim))),

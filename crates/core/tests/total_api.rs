@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use acorn_core::{
     AcornParams, AcornVariant, DurabilityOptions, DurableIndex, FsyncPolicy, GlobalNeighbor,
-    QueryError, SegmentedAcornIndex,
+    PruneStrategy, QueryError, SegmentedAcornIndex,
 };
 use acorn_hnsw::{SearchScratch, SearchStats, VectorStore};
 use acorn_predicate::{AttrStore, Predicate, Regex};
@@ -110,13 +110,17 @@ fn drawn_width(rng: &mut StdRng, rows: usize) -> usize {
 /// Run one door under `catch_unwind`, failing the case if it panics.
 fn door<T>(name: &str, f: impl FnOnce() -> T) -> Result<T, TestCaseError> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        TestCaseError::fail(format!("{name} panicked: {message}"))
+        TestCaseError::fail(format!("{name} panicked: {}", panic_message(&*payload)))
     })
+}
+
+/// The text a panic carried.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
 }
 
 /// What a write may spend: epoch, next gid, rows, active rows.
@@ -279,5 +283,34 @@ proptest! {
         prop_assert_eq!(store.insert(&row(&mut rng)).unwrap(), next, "the next gid is unspent");
         drop(store);
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Metadata-aware pruning needs node labels, which a segmented index never
+/// has. Its constructor refuses the strategy, naming the door that takes
+/// labels, so no `try_insert` or `try_bulk_load` can reach the prune that
+/// would panic.
+#[test]
+fn the_segmented_constructor_refuses_label_pruning() {
+    for variant in [AcornVariant::Gamma, AcornVariant::One] {
+        let params = AcornParams { prune: PruneStrategy::RngMetadataAware, ..params(1) };
+        let payload = catch_unwind(|| SegmentedAcornIndex::new(DIM, params, variant))
+            .expect_err("the constructor refuses RngMetadataAware");
+        let message = panic_message(&*payload);
+        assert!(message.contains("AcornIndex::build_with_labels"), "{message}");
+    }
+
+    // Every other strategy builds past two rows through both fallible doors.
+    for prune in [PruneStrategy::AcornCompress, PruneStrategy::RngBlind] {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut idx =
+            SegmentedAcornIndex::new(DIM, AcornParams { prune, ..params(2) }, AcornVariant::Gamma);
+        for _ in 0..3 {
+            door("try_insert", || idx.try_insert(&row(&mut rng))).unwrap().unwrap();
+        }
+        let flat = (0..4 * DIM).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let store = VectorStore::from_flat(DIM, flat);
+        door("try_bulk_load", || idx.try_bulk_load(store)).unwrap().unwrap();
+        assert_eq!(idx.snapshot().total_rows(), 7);
     }
 }
