@@ -87,9 +87,11 @@ impl State {
 /// bit-identically from either.
 ///
 /// [`clone`](Clone::clone) of a growing index shares rather than copies: the
-/// vector rows and every graph node stay common to both indices until one of
-/// them inserts (see [`LayeredGraph`] and [`VectorStore`]), and the clone
-/// starts with empty search scratch. The cost is one refcount bump per node.
+/// vector rows and every neighbor list stay in buffers common to both
+/// indices, and an insert into either writes past what the other reaches
+/// (see [`LayeredGraph`] and [`VectorStore`]); the clone starts with empty
+/// search scratch. The cost is one `Arc` bump per buffer and a copy of the
+/// graph's span and level tables (~18 B per node), with no per-node atomic.
 #[derive(Debug, Clone)]
 pub struct AcornIndex {
     params: AcornParams,
@@ -1024,16 +1026,28 @@ mod tests {
     }
 
     #[test]
-    fn sealing_shrinks_memory_bytes_to_the_csrs() {
+    fn sealing_reports_the_csrs_memory_bytes() {
         let vecs = random_store(400, 8, 18);
         let idx = AcornIndex::build(vecs, small_params(8, 2), AcornVariant::Gamma);
-        let nested_bytes = idx.graph().unwrap().memory_bytes();
+        let graph = idx.graph().unwrap();
+        let nested_bytes = graph.memory_bytes();
         assert_eq!(idx.memory_bytes(), nested_bytes, "nested until sealed");
         assert!(idx.csr().is_none());
+        // Both layouts count the same edge words. The nested one adds a
+        // 12 B span per list, a 4 B upper-level index and a level tag per
+        // node; the CSR one offset per node and level (and one more per
+        // level) and a level tag per node.
+        let n = graph.len();
+        let lists = |v: u32| 0..=graph.level_of(v);
+        let words: usize =
+            (0..n as u32).flat_map(|v| lists(v).map(move |l| graph.neighbors(v, l).len())).sum();
+        let upper: usize = (0..n as u32).map(|v| graph.level_of(v)).sum();
+        let levels = graph.max_level() + 1;
+        assert_eq!(nested_bytes, 4 * words + 12 * (n + upper) + 4 * n + n);
         let sealed = idx.seal();
         let csr_bytes = sealed.csr().expect("a sealed index holds its CSR").memory_bytes();
         assert_eq!(sealed.memory_bytes(), csr_bytes);
-        assert!(csr_bytes < nested_bytes, "CSR must be the smaller layout");
+        assert_eq!(csr_bytes, 4 * words + 4 * (n + 1) * levels + n);
     }
 
     #[test]

@@ -76,6 +76,17 @@ pub enum Route {
     Traverse,
 }
 
+/// How many segments of one query took each route: read from the plan
+/// without a clock or an allocation, and added to an
+/// [`IndexReader`](crate::snapshot::IndexReader)'s counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Routes {
+    /// Segments routed to [`Route::Scan`].
+    pub(crate) scanned: u64,
+    /// Segments routed to [`Route::Traverse`].
+    pub(crate) traversed: u64,
+}
+
 /// One segment's part in a traced query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentTrace {
@@ -152,9 +163,9 @@ fn materialize_local(
 
 /// Plan and run one query over `segments` (non-empty, in query order,
 /// `k > 0`), adding its work to `stats` and, when traced, its stages and
-/// segments to `trace`; returns the query's top-`k` by global id. With no
-/// predicate (or one that folds to `true`) each segment's bitmap is its
-/// live rows: the pure search.
+/// segments to `trace`; returns the query's top-`k` by global id and how
+/// many segments took each route. With no predicate (or one that folds to
+/// `true`) each segment's bitmap is its live rows: the pure search.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search<'a>(
     segments: impl Iterator<Item = &'a SegmentView>,
@@ -165,18 +176,21 @@ pub(crate) fn search<'a>(
     scratch: &mut SearchScratch,
     stats: &mut SearchStats,
     mut trace: Option<&mut QueryTrace>,
-) -> Vec<GlobalNeighbor> {
+) -> (Vec<GlobalNeighbor>, Routes) {
     let mut clock = Lap::new(trace.is_some());
     let compiled = predicate.map(|(p, attrs)| (CompiledPredicate::compile(p), attrs));
     if let Some(trace) = trace.as_deref_mut() {
         trace.compile_ns += clock.lap();
     }
     let filter = match &compiled {
-        Some((program, _)) if program.as_const() == Some(false) => return Vec::new(),
+        Some((program, _)) if program.as_const() == Some(false) => {
+            return (Vec::new(), Routes::default())
+        }
         Some((program, attrs)) if program.as_const().is_none() => Some((program, *attrs)),
         _ => None,
     };
     let mut top = TopK::new(k);
+    let mut routes = Routes::default();
     for seg in segments {
         let (index, gids) = (seg.index(), seg.global_ids());
         let mut own = SearchStats::default();
@@ -203,6 +217,7 @@ pub(crate) fn search<'a>(
                     scan_into(vecs, metric, query, bits.iter_ones(), dists, &mut top, to_global);
                 own.fallback = true;
                 scratch.bitmap = bits;
+                routes.scanned += 1;
             }
             Route::Traverse => {
                 let filter = BitmapFilter::new(bits);
@@ -214,6 +229,7 @@ pub(crate) fn search<'a>(
                     top.push(GlobalNeighbor::new(n.dist, gids[n.id as usize]));
                 }
                 scratch.bitmap = filter.into_bits();
+                routes.traversed += 1;
             }
         }
         stats.merge(&own);
@@ -226,7 +242,7 @@ pub(crate) fn search<'a>(
             trace.segments.push(SegmentTrace { rows: seg.rows(), passing, route, stats: own });
         }
     }
-    top.into_sorted()
+    (top.into_sorted(), routes)
 }
 
 #[cfg(test)]

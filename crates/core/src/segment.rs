@@ -13,10 +13,11 @@
 //!   [`AcornIndex::insert_vector`]; only the writer mutates it, and it (with
 //!   the id list it appends to) is the only index state the writer holds
 //!   outside the published snapshot. Each published epoch holds a clone of
-//!   it that shares every graph node and vector row with the writer:
-//!   publishing costs one refcount bump per active row (O(rows), but no
-//!   list or row is copied), and the next insert re-allocates only the
-//!   nodes it rewires.
+//!   it that shares the graph's edge buffer and the vector rows with the
+//!   writer: publishing costs one `Arc` bump per buffer and a flat copy of
+//!   the graph's span and level tables (O(rows) bytes, but no per-row
+//!   atomic, and no list or row is copied), and the next insert writes the
+//!   lists it rewires past the view's words.
 //! * **frozen segments** — immutable, each a [sealed](AcornIndex::seal)
 //!   [`AcornIndex`] that holds its graph once, as a
 //!   [`CsrGraph`](acorn_hnsw::CsrGraph) ([`freeze`] seals the active
@@ -200,11 +201,11 @@ impl ActiveSegment {
     }
 
     /// Replace the active view in `next` with one of the current rows. Its
-    /// index shares every vector row and every graph node with the writer's;
-    /// the writer's next insert re-allocates the nodes it rewires and
-    /// appends its row past the view's length, so the view never changes.
-    /// What is copied here is one handle per node, the level tags, the id
-    /// map and (when a row was added) the tombstone words.
+    /// index shares the edge buffer and the vector rows with the writer's;
+    /// the writer's next insert writes the lists it rewires and its row past
+    /// the view's words, so the view never changes. What is copied here is
+    /// the graph's span and level tables, the id map and (when a row was
+    /// added) the tombstone words.
     fn publish_view(&self, next: &mut SegmentSnapshot) {
         let (tombstones, deleted) = self.take_tombstones(next);
         let payload =
@@ -417,7 +418,7 @@ impl SegmentedAcornIndex {
     /// `i` of the store gets gid `range.start + i`).
     ///
     /// [`insert`](Self::insert) publishes a view of the active segment per
-    /// call — one refcount bump per active row — which is the right trade
+    /// call — a copy of its per-row tables — which is the right trade
     /// for trickle writes but adds up to quadratic work over a whole chunk;
     /// `try_bulk_load` instead builds the chunk's graph
     /// **off-lock** (queries keep serving the current epoch throughout),
@@ -983,9 +984,60 @@ mod tests {
         assert_eq!(m.epoch, m.publishes);
         assert_eq!((reader.merges_completed(), reader.maintenance_errors()), (1, 0));
         let text = m.to_string();
-        assert_eq!(text.lines().count(), 12, "one line per field:\n{text}");
+        assert_eq!(text.lines().count(), 16, "one line per field:\n{text}");
         assert!(text.contains("live_rows             117\n"), "{text}");
         assert!(text.ends_with("maintenance_errors    0\n"), "{text}");
+    }
+
+    #[test]
+    fn a_reader_counts_each_querys_routes_and_a_snapshot_counts_none() {
+        // Two segments: 100 frozen rows and 60 active ones. γ = 2 puts
+        // s_min at 1/2: the pure search and an always-true predicate
+        // traverse both, a predicate passing no row scans both, and one
+        // passing only the active segment's rows scans the frozen one.
+        let vecs = random_vecs(160, 4, 21);
+        let mut idx = SegmentedAcornIndex::new(4, small_params(4, 2, 3), AcornVariant::Gamma);
+        for v in &vecs[..100] {
+            idx.insert(v);
+        }
+        idx.freeze();
+        for v in &vecs[100..] {
+            idx.insert(v);
+        }
+        let attrs = AttrStore::builder()
+            .add_int("active", (0..160).map(|g| i64::from(g >= 100)).collect())
+            .build();
+        let field = attrs.field("active").unwrap();
+        let reader = idx.reader();
+        let q = &vecs[7];
+        reader.search(q, 5, 16).unwrap();
+        reader
+            .hybrid_search(q, &Predicate::Between { field, lo: 0, hi: 1 }, &attrs, 5, 16)
+            .unwrap();
+        reader.hybrid_search(q, &Predicate::Equals { field, value: 7 }, &attrs, 5, 16).unwrap();
+        reader.hybrid_search(q, &Predicate::Equals { field, value: 1 }, &attrs, 5, 16).unwrap();
+        // Refused queries and a pinned snapshot's doors count nothing.
+        assert!(reader.search(&[f32::NAN; 4], 5, 16).is_err());
+        let snap = idx.snapshot();
+        let mut scratch = SearchScratch::new(snap.max_segment_rows());
+        snap.search_with(q, 5, 16, &mut scratch, &mut SearchStats::default()).unwrap();
+        snap.try_hybrid_search(
+            q,
+            &Predicate::Equals { field, value: 7 },
+            &attrs,
+            5,
+            16,
+            &mut scratch,
+        )
+        .unwrap();
+
+        let m = reader.metrics();
+        assert_eq!((m.queries, m.segments_scanned, m.segments_traversed), (4, 3, 5));
+        assert_eq!(m.scan_share(), 3.0 / 8.0);
+        let text = m.to_string();
+        assert!(text.contains("queries               4\n"), "{text}");
+        assert!(text.contains("scan_share            0.3750\n"), "{text}");
+        assert_eq!(MetricsSnapshot::default().scan_share(), 0.0, "no segment routed yet");
     }
 
     #[test]

@@ -126,7 +126,7 @@ use std::sync::Arc;
 
 use acorn_hnsw::checksum::{crc32, ChecksumWriter};
 use acorn_hnsw::csr::CsrBuilder;
-use acorn_hnsw::{CsrGraph, GraphView, LayeredGraph, Metric, VectorStore};
+use acorn_hnsw::{CsrGraph, LayeredGraph, Metric, VectorStore};
 use acorn_predicate::Bitset;
 
 use crate::index::AcornIndex;
@@ -430,19 +430,12 @@ impl AcornIndex {
     }
 
     /// The v3 blob of the active segment's block over `vecs`: the graph as
-    /// a growing index (its nested lists copied out of the decoded CSR),
-    /// and whether the blob's `compacted` flag says the saved index was
-    /// sealed.
+    /// a growing index (the decoded CSR's lists appended to one edge buffer
+    /// in one pass, [`LayeredGraph::thaw`]), and whether the blob's
+    /// `compacted` flag says the saved index was sealed.
     fn load_growing(r: &mut &[u8], vecs: Arc<VectorStore>) -> io::Result<(AcornIndex, bool)> {
         let b = Self::load_blob(r, &vecs)?;
-        let mut graph = LayeredGraph::with_capacity(b.graph.len());
-        for v in 0..b.graph.len() as u32 {
-            let level = b.graph.level_of(v);
-            graph.add_node(level);
-            for lev in 0..=level {
-                graph.set_neighbors(v, lev, b.graph.neighbors(v, lev).to_vec());
-            }
-        }
+        let graph = LayeredGraph::thaw(&b.graph);
         Ok((AcornIndex::from_parts(b.params, b.variant, vecs, graph, b.edges_pruned), b.sealed))
     }
 

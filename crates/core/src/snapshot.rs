@@ -50,7 +50,7 @@ use acorn_predicate::{AttrStore, Bitset, FieldId, Predicate};
 
 use crate::index::AcornIndex;
 use crate::params::{AcornParams, AcornVariant};
-use crate::plan::{self, QueryTrace};
+use crate::plan::{self, QueryTrace, Routes};
 use crate::segment::{GlobalNeighbor, MergePolicy};
 
 /// The immutable payload of one published segment generation: the
@@ -68,7 +68,9 @@ pub(crate) struct SegmentPayload {
 /// payload plus the tombstone set as of the snapshot's epoch.
 ///
 /// Cloning a view clones two `Arc`s — the graph, vectors, and id map are
-/// never copied.
+/// never copied. (Publishing a new view of the active segment clones the
+/// writer's index instead: a copy of its graph's span and level tables,
+/// sharing every list and row; see [`AcornIndex`]'s clone.)
 #[derive(Debug, Clone)]
 pub struct SegmentView {
     pub(crate) payload: Arc<SegmentPayload>,
@@ -321,6 +323,19 @@ impl SegmentSnapshot {
         scratch: &mut SearchScratch,
         stats: &mut SearchStats,
     ) -> Result<Vec<GlobalNeighbor>, QueryError> {
+        Ok(self.search_routed(query, k, efs, scratch, stats)?.0)
+    }
+
+    /// [`search_with`](Self::search_with), also returning how many segments
+    /// took each route (what [`IndexReader::search`] counts).
+    fn search_routed(
+        &self,
+        query: &[f32],
+        k: usize,
+        efs: usize,
+        scratch: &mut SearchScratch,
+        stats: &mut SearchStats,
+    ) -> Result<(Vec<GlobalNeighbor>, Routes), QueryError> {
         self.run(query, None, k, efs, scratch, stats, None)
     }
 
@@ -361,9 +376,26 @@ impl SegmentSnapshot {
         efs: usize,
         scratch: &mut SearchScratch,
     ) -> Result<(Vec<GlobalNeighbor>, SearchStats), QueryError> {
-        let mut stats = SearchStats::default();
-        let hits = self.run(query, Some((predicate, attrs)), k, efs, scratch, &mut stats, None)?;
+        let (hits, stats, _) = self.hybrid_routed(query, predicate, attrs, k, efs, scratch)?;
         Ok((hits, stats))
+    }
+
+    /// [`try_hybrid_search`](Self::try_hybrid_search), also returning how
+    /// many segments took each route (what [`IndexReader::hybrid_search`]
+    /// counts).
+    fn hybrid_routed(
+        &self,
+        query: &[f32],
+        predicate: &Predicate,
+        attrs: &AttrStore,
+        k: usize,
+        efs: usize,
+        scratch: &mut SearchScratch,
+    ) -> Result<(Vec<GlobalNeighbor>, SearchStats, Routes), QueryError> {
+        let mut stats = SearchStats::default();
+        let predicate = Some((predicate, attrs));
+        let (hits, routes) = self.run(query, predicate, k, efs, scratch, &mut stats, None)?;
+        Ok((hits, stats, routes))
     }
 
     /// [`try_hybrid_search`](Self::try_hybrid_search), recording into
@@ -389,7 +421,7 @@ impl SegmentSnapshot {
         *trace = QueryTrace::default();
         let mut stats = SearchStats::default();
         let predicate = Some((predicate, attrs));
-        let hits = self.run(query, predicate, k, efs, scratch, &mut stats, Some(trace))?;
+        let (hits, _) = self.run(query, predicate, k, efs, scratch, &mut stats, Some(trace))?;
         Ok((hits, stats))
     }
 
@@ -413,7 +445,8 @@ impl SegmentSnapshot {
     }
 
     /// Check the input, then run the plan (unless `k == 0`), traced when
-    /// `trace` is given.
+    /// `trace` is given; returns the hits and how many segments took each
+    /// route.
     #[allow(clippy::too_many_arguments)]
     fn run(
         &self,
@@ -424,7 +457,7 @@ impl SegmentSnapshot {
         scratch: &mut SearchScratch,
         stats: &mut SearchStats,
         trace: Option<&mut QueryTrace>,
-    ) -> Result<Vec<GlobalNeighbor>, QueryError> {
+    ) -> Result<(Vec<GlobalNeighbor>, Routes), QueryError> {
         check_vector(self.dim, query)?;
         if let Some((predicate, attrs)) = predicate {
             let (rows, next_global_id) = (attrs.len(), self.next_global);
@@ -435,7 +468,7 @@ impl SegmentSnapshot {
         }
         let k = k.min(self.total_rows());
         if k == 0 {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), Routes::default()));
         }
         Ok(plan::search(self.segments(), query, predicate, k, efs, scratch, stats, trace))
     }
@@ -606,6 +639,29 @@ pub(crate) struct SharedState {
     /// Only ever set through the doc-hidden
     /// `SegmentedAcornIndex::inject_merge_panics`.
     pub(crate) merge_fault: AtomicU64,
+    /// What the [`IndexReader`] queries routed where.
+    routes: RouteCounters,
+}
+
+/// The routing mix of every query an [`IndexReader`] answered: relaxed
+/// counters, bumped once per query by whichever reader thread ran it, so
+/// they sit on a cache line of their own — apart from the locks every pin
+/// and every publish write (see [`SharedState`]'s alignment).
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct RouteCounters {
+    queries: AtomicU64,
+    scanned: AtomicU64,
+    traversed: AtomicU64,
+}
+
+impl RouteCounters {
+    /// Count one answered query and its segments' routes.
+    fn add(&self, routes: Routes) {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.scanned.fetch_add(routes.scanned, Ordering::Relaxed);
+        self.traversed.fetch_add(routes.traversed, Ordering::Relaxed);
+    }
 }
 
 impl SharedState {
@@ -622,6 +678,7 @@ impl SharedState {
             publish_ns: AtomicU64::new(0),
             maintenance_errors: AtomicU64::new(0),
             merge_fault: AtomicU64::new(0),
+            routes: RouteCounters::default(),
         }
     }
 
@@ -667,9 +724,11 @@ pub(crate) fn nanos_since(start: Instant) -> u64 {
 }
 
 /// An index's health at one moment, read with [`IndexReader::metrics`]: the
-/// pinned epoch's segment shape and the writer's and the merger's
-/// cumulative counters. `Display` prints it as one `name value` line per
-/// field, the two nanosecond totals as means: µs per publish, ms per merge.
+/// pinned epoch's segment shape, the writer's and the merger's cumulative
+/// counters, and the routing mix of the queries the index's readers
+/// answered. `Display` prints it as one `name value` line per field, the
+/// two nanosecond totals as means (µs per publish, ms per merge), and the
+/// [`scan_share`](Self::scan_share).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// The pinned epoch.
@@ -696,9 +755,30 @@ pub struct MetricsSnapshot {
     pub merges_completed: u64,
     /// Wall nanoseconds of those merges, capture to splice.
     pub merge_ns: u64,
+    /// Queries [`IndexReader::search`] and [`IndexReader::hybrid_search`]
+    /// answered (refused ones are not counted). A pinned
+    /// [`SegmentSnapshot`]'s own doors count nothing.
+    pub queries: u64,
+    /// Segments those queries routed to the exact pre-filter scan.
+    pub segments_scanned: u64,
+    /// Segments those queries routed to graph traversal.
+    pub segments_traversed: u64,
     /// Background merge cycles that panicked (see
     /// [`IndexReader::maintenance_errors`]).
     pub maintenance_errors: u64,
+}
+
+impl MetricsSnapshot {
+    /// The share of the counted queries' segments routed to the scan (0
+    /// before any segment was).
+    pub fn scan_share(&self) -> f64 {
+        let routed = self.segments_scanned + self.segments_traversed;
+        if routed == 0 {
+            0.0
+        } else {
+            self.segments_scanned as f64 / routed as f64
+        }
+    }
 }
 
 impl std::fmt::Display for MetricsSnapshot {
@@ -719,6 +799,10 @@ impl std::fmt::Display for MetricsSnapshot {
             "merge_ms_mean         {:.3}",
             mean(self.merge_ns, self.merges_completed) / 1e6
         )?;
+        writeln!(f, "queries               {}", self.queries)?;
+        writeln!(f, "segments_scanned      {}", self.segments_scanned)?;
+        writeln!(f, "segments_traversed    {}", self.segments_traversed)?;
+        writeln!(f, "scan_share            {:.4}", self.scan_share())?;
         writeln!(f, "maintenance_errors    {}", self.maintenance_errors)
     }
 }
@@ -749,9 +833,9 @@ impl IndexReader {
     }
 
     /// The current epoch's segment shape and the index's cumulative
-    /// publish, merge and maintenance counters. Pins one snapshot; the
-    /// counters are read after it, so they may already count a write the
-    /// pinned epoch does not show.
+    /// publish, merge, maintenance and routing counters. Pins one snapshot;
+    /// the counters are read after it, so they may already count a write
+    /// (or a query) the pinned epoch does not show.
     pub fn metrics(&self) -> MetricsSnapshot {
         let snap = self.snapshot();
         let (rows, shared) = (snap.total_rows(), &*self.shared);
@@ -771,6 +855,9 @@ impl IndexReader {
             publish_ns: shared.publish_ns.load(Ordering::Relaxed),
             merges_completed: shared.merges_completed.load(Ordering::Acquire),
             merge_ns: shared.merge_ns.load(Ordering::Relaxed),
+            queries: shared.routes.queries.load(Ordering::Relaxed),
+            segments_scanned: shared.routes.scanned.load(Ordering::Relaxed),
+            segments_traversed: shared.routes.traversed.load(Ordering::Relaxed),
             maintenance_errors: shared.maintenance_errors.load(Ordering::Acquire),
         }
     }
@@ -791,7 +878,8 @@ impl IndexReader {
     }
 
     /// Pure ANN search against the current epoch: the `k` nearest live
-    /// rows, by global id. Scratch comes from the shared pool.
+    /// rows, by global id. Scratch comes from the shared pool; the query
+    /// and its segments' routes are counted in [`metrics`](Self::metrics).
     ///
     /// # Errors
     /// As [`SegmentSnapshot::search_with`].
@@ -804,11 +892,14 @@ impl IndexReader {
         let snap = self.snapshot();
         let mut scratch = self.shared.pool.checkout(snap.max_segment_rows());
         let mut stats = SearchStats::default();
-        snap.search_with(query, k, efs, &mut scratch, &mut stats)
+        let (hits, routes) = snap.search_routed(query, k, efs, &mut scratch, &mut stats)?;
+        self.shared.routes.add(routes);
+        Ok(hits)
     }
 
     /// Hybrid search against the current epoch. Scratch comes from the
-    /// shared pool.
+    /// shared pool; the query and its segments' routes are counted in
+    /// [`metrics`](Self::metrics).
     ///
     /// # Errors
     /// As [`SegmentSnapshot::try_hybrid_search`].
@@ -822,7 +913,10 @@ impl IndexReader {
     ) -> Result<(Vec<GlobalNeighbor>, SearchStats), QueryError> {
         let snap = self.snapshot();
         let mut scratch = self.shared.pool.checkout(snap.max_segment_rows());
-        snap.try_hybrid_search(query, predicate, attrs, k, efs, &mut scratch)
+        let (hits, stats, routes) =
+            snap.hybrid_routed(query, predicate, attrs, k, efs, &mut scratch)?;
+        self.shared.routes.add(routes);
+        Ok((hits, stats))
     }
 }
 

@@ -1,16 +1,25 @@
-//! What one `SegmentedAcornIndex::insert` allocates, counted by the global
-//! allocator: publication shares the active segment's graph nodes and vector
-//! rows with the writer instead of copying them, so an insert allocates the
-//! nodes it rewires plus a per-row spine — not the segment.
+//! What one `SegmentedAcornIndex::insert` allocates, in all and beyond its
+//! graph work, counted by the global allocator. The whole median insert
+//! allocates a small constant number of blocks, at 250 rows and at 1,000,
+//! whatever it rewires. The graph work is the same insert into a twin
+//! `AcornIndex` that is never cloned, so the two build the same graph and
+//! allocate the same search and pruning buffers. The rest is the
+//! publication, which shares the active segment's edge buffer and vector
+//! rows with the writer instead of copying them: it copies the segment's
+//! span and level tables, its id map and its tombstone words, and allocates
+//! the new epoch's handles — a constant number of blocks whatever the
+//! insert rewires, and bytes that grow with the rows by those tables' size
+//! per row, not by any list or row.
 //!
 //! A file of its own because `#[global_allocator]` is per binary, and one
 //! test only so nothing else allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use acorn_core::{AcornParams, AcornVariant, SegmentedAcornIndex};
-use acorn_hnsw::Metric;
+use acorn_core::{AcornIndex, AcornParams, AcornVariant, SegmentedAcornIndex};
+use acorn_hnsw::{Metric, VectorStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,28 +59,57 @@ static ALLOCATOR: Counting = Counting;
 
 const DIM: usize = 32;
 /// Inserts measured at each size; the median ignores the odd insert that
-/// doubles a `Vec` or the row buffer.
+/// doubles a `Vec`, the row buffer or the edge buffer.
 const WINDOW: usize = 15;
 
-/// The per-row state a publication still copies: one node handle (16 B), one
-/// level tag (1 B) and one global id (8 B), plus a tombstone bit.
-const SPINE_BYTES_PER_ROW: usize = 26;
+/// Blocks one publication allocates: the active segment's four graph
+/// tables (level tags, level-0 spans, upper-level indices, upper-level
+/// spans), its id map, the tombstone words, the view's and the epoch's
+/// `Arc`s, the writer's fresh `VectorStore` handle, with room to spare. A
+/// publication that copied a list per rewired node would allocate dozens.
+const PUBLISH_BLOCKS: usize = 16;
 
-/// `(blocks, bytes)` of the median insert among the next `WINDOW`.
-fn median_insert(index: &mut SegmentedAcornIndex, rng: &mut StdRng) -> (usize, usize) {
-    let mut blocks = Vec::with_capacity(WINDOW);
-    let mut bytes = Vec::with_capacity(WINDOW);
+/// Blocks one whole insert allocates: its publication's plus the graph
+/// work's search and pruning buffers and the lists an overflow shrinks
+/// (about a dozen, at any segment size), with room to spare.
+const INSERT_BLOCKS: usize = 48;
+
+/// The per-row state a publication copies: a level tag (1 B), a level-0
+/// span (12 B), an upper-level index (4 B), the upper-level spans (12 B
+/// per upper list, ~1/15 of a list per row at `m = 16`: 1 B), a global id
+/// (8 B) and a tombstone bit (1 B, rounded up).
+const TABLE_BYTES_PER_ROW: usize = 1 + 12 + 4 + 1 + 8 + 1;
+
+/// What the median insert among the next `WINDOW` allocates: in all, and
+/// beyond its twin's.
+struct Medians {
+    blocks: usize,
+    bytes: usize,
+    publish_blocks: usize,
+    publish_bytes: usize,
+}
+
+fn measure(index: &mut SegmentedAcornIndex, twin: &mut AcornIndex, rng: &mut StdRng) -> Medians {
+    let count = || (BLOCKS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    let mut samples = [(); 4].map(|_| Vec::with_capacity(WINDOW));
     let mut v = vec![0.0f32; DIM];
     for _ in 0..WINDOW {
         v.fill_with(|| rng.gen_range(-1.0..1.0));
-        let (b0, y0) = (BLOCKS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+        let (b0, y0) = count();
         index.insert(&v);
-        blocks.push(BLOCKS.load(Ordering::Relaxed) - b0);
-        bytes.push(BYTES.load(Ordering::Relaxed) - y0);
+        let (b1, y1) = count();
+        twin.insert_vector(&v);
+        let (b2, y2) = count();
+        samples[0].push(b1 - b0);
+        samples[1].push(y1 - y0);
+        samples[2].push((b1 - b0).saturating_sub(b2 - b1));
+        samples[3].push((y1 - y0).saturating_sub(y2 - y1));
     }
-    blocks.sort_unstable();
-    bytes.sort_unstable();
-    (blocks[WINDOW / 2], bytes[WINDOW / 2])
+    let [blocks, bytes, publish_blocks, publish_bytes] = samples.map(|mut s| {
+        s.sort_unstable();
+        s[WINDOW / 2]
+    });
+    Medians { blocks, bytes, publish_blocks, publish_bytes }
 }
 
 #[test]
@@ -86,38 +124,64 @@ fn an_insert_allocates_what_it_touches_not_the_active_segment() {
         seed: 42,
         ..AcornParams::default()
     };
-    let mut index = SegmentedAcornIndex::new(DIM, params, AcornVariant::Gamma);
+    let mut index = SegmentedAcornIndex::new(DIM, params.clone(), AcornVariant::Gamma);
+    let mut twin = AcornIndex::new(Arc::new(VectorStore::new(DIM)), params, AcornVariant::Gamma);
     let mut rng = StdRng::seed_from_u64(16);
-    let mut fill = |index: &mut SegmentedAcornIndex, rows: usize| {
+    let mut fill = |index: &mut SegmentedAcornIndex, twin: &mut AcornIndex, rows: usize| {
         while index.active_rows() < rows {
             let v: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0..1.0)).collect();
             index.insert(&v);
+            twin.insert_vector(&v);
         }
     };
 
-    fill(&mut index, 250);
+    fill(&mut index, &mut twin, 250);
     let mut probe = StdRng::seed_from_u64(17);
-    let (_, bytes_250) = median_insert(&mut index, &mut probe);
-    fill(&mut index, 1000);
-    let (blocks_1000, bytes_1000) = median_insert(&mut index, &mut probe);
+    let at_250 = measure(&mut index, &mut twin, &mut probe);
+    fill(&mut index, &mut twin, 1000);
+    let at_1000 = measure(&mut index, &mut twin, &mut probe);
+    let (blocks_250, bytes_250) = (at_250.publish_blocks, at_250.publish_bytes);
+    let (blocks_1000, bytes_1000) = (at_1000.publish_blocks, at_1000.publish_bytes);
     assert_eq!(index.active_rows(), 1000 + WINDOW, "no freeze may split the measurement");
+    assert_eq!(twin.len(), index.active_rows());
 
+    // A constant number of blocks, at either size: the median insert
+    // rewires dozens of lists, and none of them costs a block.
+    for (rows, blocks) in [(250, blocks_250), (1000, blocks_1000)] {
+        assert!(
+            blocks <= PUBLISH_BLOCKS,
+            "publishing a {rows}-row active segment allocated {blocks} blocks"
+        );
+    }
+    assert_eq!(blocks_1000, blocks_250, "the blocks do not depend on the segment's size");
+    // Four times the rows may cost four times the tables and nothing else.
+    // The slack covers inserts that differ in how many upper-level lists
+    // the segment holds; a copy of the lists or the rows would be hundreds
+    // of bytes per row.
+    let tables = (1000 - 250) * TABLE_BYTES_PER_ROW;
+    let slack = 1024;
     assert!(
-        bytes_1000 < 64 * 1024,
-        "an insert into a 1,000-row active segment allocated {bytes_1000} B"
+        bytes_1000 <= bytes_250 + tables + slack,
+        "publication bytes grew from {bytes_250} at 250 rows to {bytes_1000} at 1,000: \
+         more than the {tables} B of tables"
     );
     assert!(
-        blocks_1000 < 400,
-        "an insert into a 1,000-row active segment allocated {blocks_1000} blocks"
+        bytes_1000 < 1000 * 2 * TABLE_BYTES_PER_ROW,
+        "publishing a 1,000-row active segment allocated {bytes_1000} B"
     );
-    // Four times the rows may cost four times the spine and nothing else.
-    // Inserts differ in how many nodes they rewire, hence the slack; a copy
-    // of the lists or the rows would be hundreds of bytes per row.
-    let spine = (1000 - 250) * SPINE_BYTES_PER_ROW;
-    let slack = 4 * 1024;
+
+    // The whole insert, graph work included: a small constant number of
+    // blocks at either size, and under 64 KB into a 1,000-row segment.
+    for (rows, at) in [(250, &at_250), (1000, &at_1000)] {
+        assert!(
+            at.blocks <= INSERT_BLOCKS,
+            "an insert into a {rows}-row active segment allocated {} blocks",
+            at.blocks
+        );
+    }
     assert!(
-        bytes_1000 <= bytes_250 + spine + slack,
-        "insert bytes grew from {bytes_250} at 250 rows to {bytes_1000} at 1,000: \
-         more than the {spine} B of spine"
+        at_1000.bytes < 64 * 1024,
+        "an insert into a 1,000-row active segment allocated {} B",
+        at_1000.bytes
     );
 }

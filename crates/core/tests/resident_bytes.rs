@@ -2,7 +2,8 @@
 //! frozen segment reports is what it keeps on the heap. A sealed segment
 //! holds one graph (its CSR), its rows, its id map and its tombstones, and
 //! nothing of the build that produced it — no nested graph, no level
-//! sampler, no insert scratch.
+//! sampler, no insert scratch. An active segment holds more than it
+//! reports, within a bound its growth policy sets (`ACTIVE_SLACK`).
 //!
 //! A file of its own because `#[global_allocator]` is per binary, and one
 //! test only so nothing else allocates while it counts.
@@ -59,9 +60,24 @@ const BULK_ROWS: usize = 8000;
 /// graph layout this test is about.
 const TRICKLED_ROWS: usize = 2048;
 
+/// Rows inserted into the active segment after the freeze, left unfrozen:
+/// the repo benchmark's `active_max_rows`.
+const ACTIVE_ROWS: usize = 1024;
+/// How often the active segment's heap is checked.
+const ACTIVE_STEP: usize = 128;
+
 /// Heap growth may exceed the reported bytes by this factor: the snapshot
 /// and segment spines, the empty active segment, `Arc` headers.
 const SLACK: f64 = 1.05;
+/// The same factor for an active segment, which reports the words its
+/// graph's spans reach but holds more: its edge buffer is allocated with
+/// as much room again as the words claimed when it was last compacted, and
+/// holds up to as many dead words as live ones before the next compaction;
+/// the row buffer and the id map double as they grow; the writer keeps its
+/// own span tables, id map and insert scratch beside the published view's.
+/// Measured 1.64–1.93 over the cycle (1.12–1.39 for the per-node lists the
+/// edge buffer replaced).
+const ACTIVE_SLACK: f64 = 2.25;
 
 #[test]
 fn a_frozen_segment_keeps_on_the_heap_what_memory_bytes_reports() {
@@ -77,10 +93,10 @@ fn a_frozen_segment_keeps_on_the_heap_what_memory_bytes_reports() {
     };
     let mut rng = StdRng::seed_from_u64(18);
     let mut v = vec![0.0f32; DIM];
-    let check = |what: &str, resident: usize, reported: usize| {
+    let check = |what: &str, resident: usize, reported: usize, slack: f64| {
         let ratio = resident as f64 / reported as f64;
         assert!(
-            (1.0..=SLACK).contains(&ratio),
+            (1.0..=slack).contains(&ratio),
             "{what}: {resident} B live on the heap for {reported} B reported ({ratio:.3}x)"
         );
     };
@@ -95,7 +111,7 @@ fn a_frozen_segment_keeps_on_the_heap_what_memory_bytes_reports() {
     index.bulk_load(store);
     let bulk_resident = LIVE.load(Ordering::Relaxed) - empty;
     let bulk_reported = index.snapshot().memory_bytes();
-    check("bulk_load", bulk_resident, bulk_reported);
+    check("bulk_load", bulk_resident, bulk_reported, SLACK);
 
     // The trickle path: every insert publishes a view of the growing active
     // segment; with no snapshot pinned, the freeze leaves none of them, and
@@ -108,5 +124,19 @@ fn a_frozen_segment_keeps_on_the_heap_what_memory_bytes_reports() {
     assert_eq!((index.active_rows(), index.snapshot().frozen_segments().len()), (0, 2));
     let resident = LIVE.load(Ordering::Relaxed) - empty;
     let reported = index.snapshot().memory_bytes();
-    check("insert + freeze", resident - bulk_resident, reported - bulk_reported);
+    check("insert + freeze", resident - bulk_resident, reported - bulk_reported, SLACK);
+
+    // The growing path, left growing: an active segment through one
+    // benchmark cycle, measured every `ACTIVE_STEP` rows. No earlier view
+    // is pinned, so no old edge buffer outlives its compaction.
+    let (frozen_resident, frozen_reported) = (resident, reported);
+    for rows in 1..=ACTIVE_ROWS {
+        v.fill_with(|| rng.gen_range(-1.0..1.0));
+        index.insert(&v);
+        if rows % ACTIVE_STEP == 0 {
+            let resident = LIVE.load(Ordering::Relaxed) - empty - frozen_resident;
+            let reported = index.snapshot().memory_bytes() - frozen_reported;
+            check(&format!("{rows} active rows"), resident, reported, ACTIVE_SLACK);
+        }
+    }
 }

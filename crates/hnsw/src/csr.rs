@@ -1,16 +1,17 @@
 //! Frozen CSR (compressed sparse row) graph layout for the read path.
 //!
-//! [`LayeredGraph`] is the right shape for construction — per-node, per-level
-//! `Vec<u32>` lists grow and shrink freely — but a terrible shape for
-//! serving: every neighbor scan chases three pointers (`adj[v]` → `[level]`
-//! → heap buffer) and each list is its own allocation scattered across the
-//! heap. [`CsrGraph`] is the same graph compacted into one `targets` arena
-//! per level with a flat `offsets` table, so `neighbors(v, level)` is two
-//! array loads and a slice, adjacent lists are adjacent in memory, and the
-//! structure is smaller (no per-list `Vec` headers or allocator slack):
-//! ~1.1× at the repo's default `M = 32` where edge data dominates, growing
-//! toward ~2× as `M` shrinks and headers dominate. Search over either
-//! layout is bit-identical; see [`GraphView`].
+//! [`LayeredGraph`] is the right shape for construction — every list lives
+//! in a region of one shared, append-only buffer that it grows in place or
+//! leaves for the buffer's tip — but not for serving: its lists lie in edit
+//! order with dead words and spare room between them, and each neighbor
+//! scan reads a span table before the list. [`CsrGraph`] is the same graph
+//! compacted into one `targets` arena per level with a flat `offsets`
+//! table, so `neighbors(v, level)` is two array loads and a slice, adjacent
+//! lists are adjacent in memory, and no dead word or spare room is held.
+//! Both report the same edge words; their tables differ (the CSR's offsets
+//! take 4 B per node and level, the growing graph's spans 12 B per list
+//! plus 4 B per node). Search over either layout is bit-identical; see
+//! [`GraphView`].
 
 use crate::graph::GraphView;
 #[cfg(doc)]
@@ -245,8 +246,10 @@ mod tests {
 
     #[test]
     fn csr_is_smaller_than_nested() {
-        // A realistic shape: many nodes with short lists is exactly where
-        // the per-Vec headers dominate the nested layout.
+        // A realistic shape: many nodes with short lists, where per-node
+        // bookkeeping weighs most. Both layouts hold the same 4,000 words;
+        // the CSR keeps one offset per node (and one more) where the nested
+        // layout keeps a 12 B span and a 4 B upper-level index.
         let mut g = LayeredGraph::new();
         for _ in 0..500 {
             g.add_node(0);
@@ -258,12 +261,10 @@ mod tests {
         }
         let csr = g.freeze();
         assert_eq!(csr.targets[0].len(), 500 * 8);
-        assert!(
-            csr.memory_bytes() * 2 < g.memory_bytes(),
-            "CSR {} bytes should be under half of nested {} bytes",
-            csr.memory_bytes(),
-            g.memory_bytes()
-        );
+        let words = 500 * 8 * 4;
+        assert_eq!(csr.memory_bytes(), words + 501 * 4 + 500);
+        assert_eq!(g.memory_bytes(), words + 500 * (12 + 4) + 500);
+        assert!(csr.memory_bytes() < g.memory_bytes());
     }
 
     /// Push `g`'s nodes through a builder, `corrupt` getting a say on every

@@ -10,7 +10,8 @@
 //! ACORN indices and the graph-based baselines are built on:
 //!
 //! * [`vecs`] — flat vector storage and the pluggable [`VectorData`]
-//!   abstraction ([`VectorStore`], [`Metric`]).
+//!   abstraction ([`VectorStore`], [`Metric`]), and the shared append-only
+//!   buffer behind both `VectorStore`'s rows and `LayeredGraph`'s lists.
 //! * [`kernels`] — explicit AVX2/FMA distance kernels with runtime dispatch
 //!   and a portable scalar fallback.
 //! * [`sq8`] — the 8-bit scalar-quantized [`Sq8Store`] backend (codes +
@@ -23,8 +24,9 @@
 //!   threads ([`ScratchPool`]).
 //! * [`level`] — the exponentially decaying level sampler used by HNSW and
 //!   ACORN (`mL = 1/ln(M)`).
-//! * [`graph`] — the multi-level adjacency structure ([`LayeredGraph`]) and
-//!   the [`GraphView`] trait the read path is generic over.
+//! * [`graph`] — the multi-level adjacency structure ([`LayeredGraph`]: a
+//!   handle onto a shared edge buffer, cloned by copying its span tables)
+//!   and the [`GraphView`] trait the read path is generic over.
 //! * [`csr`] — the frozen, flat [`CsrGraph`] layout [`LayeredGraph::freeze`]
 //!   produces: what a sealed ACORN index holds in place of the nested graph.
 //! * [`select`] — neighbor selection: simple top-`M` and the RNG-based

@@ -20,6 +20,7 @@
 //! once per process.
 
 use std::cell::UnsafeCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -120,41 +121,155 @@ pub trait VectorData {
     }
 }
 
-/// One fixed-capacity allocation of float slots shared by every
-/// [`VectorStore`] handle cloned from the store that allocated it.
+/// One fixed-capacity allocation of `T` slots shared by every handle cloned
+/// from the handle that allocated it: the rows of a [`VectorStore`] and the
+/// neighbor lists of a [`LayeredGraph`](crate::LayeredGraph).
 ///
-/// Invariant: slots `..committed` have been written and are never written
-/// again; slots `committed..` belong to whichever handle next moves
-/// `committed` forward, and to nobody until then.
-struct RowBuf {
-    /// Floats claimed so far. Only ever raised, by the compare-exchange in
-    /// [`VectorStore::push`].
+/// A handle owns a *tip*: the slots it has claimed end there, and every slot
+/// it reads lies below it. The protocol is:
+///
+/// * slots `..committed` are claimed; slots `committed..` belong to
+///   whichever handle next moves `committed` forward with
+///   [`claim`](Self::claim) — which succeeds only for a handle whose tip is
+///   `committed`, for one handle at a time — and to nobody until then;
+/// * a claimed slot is written by the handle that claimed it, and once a
+///   copy of that handle may reach it, never again: a handle raises the
+///   watermark `shared` to its tip with [`share`](Self::share) before any
+///   copy of it exists, so a slot at or above the watermark was claimed
+///   after the buffer was last shared, and only its claimer reaches it. A
+///   handle that never rewrites a slot ([`VectorStore`]) never shares.
+pub(crate) struct RowBuf<T> {
+    /// Slots claimed so far. Only ever raised, by the compare-exchange in
+    /// [`claim`](Self::claim).
     committed: AtomicUsize,
-    /// Zero-filled at allocation, so every slot is initialized memory.
-    slots: Box<[UnsafeCell<f32>]>,
+    /// Slots below this may be reachable from more than one handle. Only
+    /// ever raised, by [`share`](Self::share). The handle that raises it
+    /// and the one that reads it before rewriting a slot are the same
+    /// handle (or its clone), whose moves between threads already order
+    /// the two; the acquire/release pair keeps that true of the counter
+    /// alone.
+    shared: AtomicUsize,
+    /// Zeroed at allocation (or holding the rows it was made from), so every
+    /// slot is initialized memory.
+    slots: Box<[UnsafeCell<T>]>,
 }
 
-// SAFETY: `committed` is an atomic. A slot of `slots` is written by at most
-// one thread — the one whose compare-exchange moved `committed` over it — and
-// is read only through handles whose `len` covers it, all of which descend
-// from that writer's handle after the write (`VectorStore::push` sets `len`
-// last), so every read of a slot happens-after its one write. `f32` itself is
-// `Send + Sync`.
-unsafe impl Sync for RowBuf {}
+// SAFETY: the counters are atomics. A slot of `slots` is written only by the
+// one handle that may reach it when it writes — the one whose
+// compare-exchange moved `committed` over it, or, for a slot at or above
+// `shared`, the one that claimed it — and is read only through handles that
+// descend from that writer's handle after the write (a handle copies its
+// state after writing, and raises `shared` first), so every read of a slot
+// happens-after its last write. `T: Send + Sync` lets the values themselves
+// cross threads.
+unsafe impl<T: Send + Sync> Sync for RowBuf<T> {}
 
-impl RowBuf {
-    fn with_capacity(floats: usize) -> Self {
+impl<T: Copy + Default> RowBuf<T> {
+    /// `capacity` unclaimed slots, zeroed by the allocator (lazily, for a
+    /// large buffer: its pages are touched as they are claimed).
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Self::from_vec(vec![T::default(); capacity], 0)
+    }
+}
+
+impl<T> RowBuf<T> {
+    /// The buffer of `slots` (its allocation is reused when it holds no
+    /// spare capacity), of which the first `committed` are claimed.
+    ///
+    /// # Panics
+    /// Panics if `committed > slots.len()`.
+    pub(crate) fn from_vec(slots: Vec<T>, committed: usize) -> Self {
+        assert!(committed <= slots.len(), "{committed} slots claimed of {}", slots.len());
+        let slots = Box::into_raw(slots.into_boxed_slice()) as *mut [UnsafeCell<T>];
         Self {
-            committed: AtomicUsize::new(0),
-            slots: (0..floats).map(|_| UnsafeCell::new(0.0)).collect(),
+            committed: AtomicUsize::new(committed),
+            shared: AtomicUsize::new(0),
+            // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so the
+            // boxed slice has the same layout either way, and the box is
+            // owned here alone.
+            slots: unsafe { Box::from_raw(slots) },
+        }
+    }
+
+    /// Slots allocated.
+    #[inline]
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Claim slots `at..at + n` for the handle whose tip is `at`: `true` if
+    /// `at` is the buffer's committed length and the slots fit. Nothing else
+    /// moves `committed`, so on `true` the slots are the caller's alone.
+    #[inline]
+    pub(crate) fn claim(&self, at: usize, n: usize) -> bool {
+        // The exchange only arbitrates who owns the tail; what is written
+        // there reaches other threads with the handle that covers it.
+        at + n <= self.slots.len()
+            && self
+                .committed
+                .compare_exchange(at, at + n, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok()
+    }
+
+    /// Raise the watermark to `tip`, the tip of a handle about to be copied:
+    /// no slot below it is rewritten after this.
+    #[inline]
+    pub(crate) fn share(&self, tip: usize) {
+        self.shared.fetch_max(tip, Ordering::AcqRel);
+    }
+
+    /// The watermark: a slot at or above it was claimed since the buffer
+    /// was last shared, and only the handle that claimed it reaches it.
+    #[inline]
+    pub(crate) fn shared(&self) -> usize {
+        self.shared.load(Ordering::Acquire)
+    }
+
+    /// Borrow slots `range`.
+    ///
+    /// # Safety
+    /// No slot of `range` may be written while the borrow lives: the range
+    /// lies below the caller's tip, and the caller neither writes it itself
+    /// during the borrow nor lets a handle that may reach it do so.
+    #[inline]
+    pub(crate) unsafe fn get(&self, range: Range<usize>) -> &[T] {
+        let cells = &self.slots[range];
+        // SAFETY: `UnsafeCell<T>` has the layout of `T`, so `cells` is
+        // `cells.len()` contiguous initialized values, unwritten while the
+        // borrow lives by the caller's contract.
+        unsafe { std::slice::from_raw_parts(cells.as_ptr().cast::<T>(), cells.len()) }
+    }
+
+    /// Write `src` to the slots starting at `at`.
+    ///
+    /// # Safety
+    /// The slots must be the caller's alone: claimed by its handle and not
+    /// yet visible to any copy of it — just claimed, or at or above
+    /// [`shared`](Self::shared) — and not borrowed. `src` may lie in this
+    /// buffer, but not overlap the slots written.
+    #[inline]
+    pub(crate) unsafe fn write(&self, at: usize, src: &[T]) {
+        let dst = &self.slots[at..at + src.len()];
+        // SAFETY: by the caller's contract nothing reads or writes `dst`
+        // meanwhile and `src` does not overlap it. The pointer comes from
+        // `UnsafeCell::raw_get` on the slice, so writing through a shared
+        // borrow of the buffer is permitted, and `dst` is exactly
+        // `src.len()` slots long.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                src.as_ptr(),
+                UnsafeCell::raw_get(dst.as_ptr()),
+                src.len(),
+            );
         }
     }
 }
 
-impl std::fmt::Debug for RowBuf {
+impl<T> std::fmt::Debug for RowBuf<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RowBuf")
             .field("committed", &self.committed)
+            .field("shared", &self.shared)
             .field("capacity", &self.slots.len())
             .finish()
     }
@@ -184,8 +299,9 @@ impl std::fmt::Debug for RowBuf {
 #[derive(Debug, Clone)]
 pub struct VectorStore {
     dim: usize,
-    buf: Arc<RowBuf>,
-    /// Floats visible through this handle; at most `buf.committed`.
+    buf: Arc<RowBuf<f32>>,
+    /// Floats visible through this handle (its tip); at most the buffer's
+    /// committed length.
     len: usize,
 }
 
@@ -225,11 +341,7 @@ impl VectorStore {
         assert!(dim > 0, "vector dimension must be positive");
         assert_eq!(data.len() % dim, 0, "buffer length must be a multiple of dim");
         let len = data.len();
-        let buf = RowBuf {
-            committed: AtomicUsize::new(len),
-            slots: data.into_iter().map(UnsafeCell::new).collect(),
-        };
-        Self { dim, buf: Arc::new(buf), len }
+        Self { dim, buf: Arc::new(RowBuf::from_vec(data, len)), len }
     }
 
     /// Decode rows stored as little-endian `f32`s (the on-disk row format)
@@ -240,12 +352,8 @@ impl VectorStore {
     pub fn from_le_bytes(dim: usize, bytes: &[u8]) -> Self {
         assert!(dim > 0, "vector dimension must be positive");
         assert_eq!(bytes.len() % (4 * dim), 0, "byte length must be a multiple of a row's");
-        let slots: Box<[UnsafeCell<f32>]> = bytes
-            .chunks_exact(4)
-            .map(|c| UnsafeCell::new(f32::from_le_bytes([c[0], c[1], c[2], c[3]])))
-            .collect();
-        let len = slots.len();
-        Self { dim, buf: Arc::new(RowBuf { committed: AtomicUsize::new(len), slots }), len }
+        let rows = bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
+        Self::from_flat(dim, rows.collect())
     }
 
     /// Vector dimensionality.
@@ -288,48 +396,28 @@ impl VectorStore {
     pub fn push(&mut self, v: &[f32]) -> u32 {
         assert_eq!(v.len(), self.dim, "pushed vector has wrong dimension");
         let id = self.len() as u32;
-        let end = self.len + self.dim;
-        // The exchange only arbitrates who owns the tail; the row itself
-        // reaches other threads with the handle that carries the new `len`.
-        let claimed = end <= self.buf.slots.len()
-            && self
-                .buf
-                .committed
-                .compare_exchange(self.len, end, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok();
-        if !claimed {
-            let mut grown = RowBuf::with_capacity(end.max(2 * self.buf.slots.len()));
-            for (slot, &x) in grown.slots.iter_mut().zip(self.as_flat()) {
-                *slot.get_mut() = x;
-            }
-            *grown.committed.get_mut() = end;
-            self.buf = Arc::new(grown);
+        if !self.buf.claim(self.len, self.dim) {
+            let mut grown = vec![0.0; (self.len + self.dim).max(2 * self.buf.capacity())];
+            grown[..self.len].copy_from_slice(self.as_flat());
+            self.buf = Arc::new(RowBuf::from_vec(grown, self.len));
+            assert!(self.buf.claim(self.len, self.dim), "a fresh buffer has room at its tip");
         }
-        let tail = &self.buf.slots[self.len..end];
-        // SAFETY: slots `self.len..end` are this handle's alone. Either the
-        // exchange above moved `committed` from `self.len` to `end` — it can
-        // do so for one handle only, and every other handle on this buffer
-        // has `len <= self.len`, so none reads these slots — or the buffer
-        // was allocated a few lines up and no other handle exists. The
-        // pointer comes from `UnsafeCell::raw_get` on the slice, so writing
-        // through a shared borrow of the buffer is permitted, and `tail` is
-        // exactly `self.dim == v.len()` slots long.
-        unsafe {
-            std::ptr::copy_nonoverlapping(v.as_ptr(), UnsafeCell::raw_get(tail.as_ptr()), v.len());
-        }
-        self.len = end;
+        // SAFETY: the claim above made slots `self.len..` this handle's
+        // alone: it moved the committed length from `self.len` for this
+        // handle only, and every other handle on the buffer has a tip no
+        // greater, so none reads these slots. `v` is a caller's slice.
+        unsafe { self.buf.write(self.len, v) };
+        self.len += self.dim;
         id
     }
 
     /// The raw flat buffer.
     #[inline]
     pub fn as_flat(&self) -> &[f32] {
-        let visible = &self.buf.slots[..self.len];
-        // SAFETY: `UnsafeCell<f32>` has the layout of `f32`, so `visible` is
-        // `self.len` contiguous initialized floats. None of them is written
-        // while the borrow lives, or ever: `self.len <= committed`, and
-        // `push` writes only slots at or past the `committed` it exchanged.
-        unsafe { std::slice::from_raw_parts(visible.as_ptr().cast::<f32>(), visible.len()) }
+        // SAFETY: no slot below this handle's tip is ever written again:
+        // `push` writes only slots it has just claimed, past the committed
+        // length, and a store never shares its buffer's watermark.
+        unsafe { self.buf.get(0..self.len) }
     }
 
     /// Distance between stored vector `i` and an external query under `metric`.
@@ -484,7 +572,7 @@ mod tests {
         let rows = [[1.5f32, -2.0], [0.0, f32::MIN_POSITIVE], [3.25, 4.0]];
         let bytes: Vec<u8> = rows.iter().flatten().flat_map(|x| x.to_le_bytes()).collect();
         let mut s = VectorStore::from_le_bytes(2, &bytes);
-        assert_eq!((s.len(), s.buf.slots.len()), (3, 6));
+        assert_eq!((s.len(), s.buf.capacity()), (3, 6));
         assert_eq!(s.as_flat(), rows.concat());
         // The buffer is full, so a push moves the handle to a grown copy.
         assert_eq!(s.push(&[9.0, 9.5]), 3);
