@@ -6,10 +6,13 @@
 //! and 10 % density. Each `scan_route` id names the rows it scores, so
 //! time ÷ rows is the cost per scanned row. Next, the traversal route
 //! (`traverse_route`): a pure search of one 4,000-row 512-d LAION-like
-//! segment and a 20 %-selective hybrid search of one 8,000-row 32-d
-//! correlated segment, both above `s_min`, so the time per iteration is the
-//! µs per query of ACORN-γ's layer searches over a bitmap. Last,
-//! construction (`build`): `AcornIndex::build` of those two segments (each
+//! segment, and a traversal of one 8,000-row 32-d correlated segment over
+//! the bitmap of a 20 % predicate, so the time per iteration is the µs per
+//! query of ACORN-γ's layer searches over a bitmap. The planner itself
+//! scans that 20 % segment at efs 64 (its scan costs less), so the second
+//! row calls the segment's graph directly. With `scan_route` these two
+//! rows fit the work constants of `Route::choose` (`core/src/plan.rs`).
+//! Last, construction (`build`): `AcornIndex::build` of those two segments (each
 //! id names its rows, so rows ÷ time is rows/s), and single inserts into
 //! growing indices of ~250 and ~1,000 rows — the graph work alone
 //! (`insert_vector`), the same plus a publication (`segment_insert`), and
@@ -29,7 +32,7 @@ use acorn_core::{AcornIndex, AcornParams, AcornVariant, SegmentedAcornIndex};
 use acorn_data::datasets::{laion_like, sift_like, HybridDataset};
 use acorn_data::{correlated_dataset, CorrelatedSpec};
 use acorn_hnsw::{HnswParams, Metric, SearchScratch, SearchStats, VectorStore};
-use acorn_predicate::{AttrStore, Predicate, PredicateFilter};
+use acorn_predicate::{AttrStore, BitmapFilter, Bitset, Predicate, PredicateFilter};
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Bencher, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -134,7 +137,9 @@ fn bench_traverse_route(c: &mut Criterion) {
     // The repo benchmark's corpora and index parameters: `hcps-512d`'s
     // LAION stand-in at its 4,000-row segment size, and `bands-graph`'s
     // correlated 32-d rows at its 8,000. γ = 8 → s_min = 0.125, so the
-    // pure search (every row live) and the 20 % predicate both traverse.
+    // pure search (every row live) and the 20 % bitmap are both above the
+    // floor; the pure search traverses through the planner, the bitmap is
+    // handed to the segment's graph.
     let params =
         AcornParams { m: 16, gamma: 8, m_beta: 32, ef_construction: 64, ..Default::default() };
     let segment = |ds: &HybridDataset, rows: usize| {
@@ -152,10 +157,7 @@ fn bench_traverse_route(c: &mut Criterion) {
     let narrow_ds = correlated_dataset(&spec);
     let (wide_queries, narrow_queries) = (held_out(&wide_ds, 4_000), held_out(&narrow_ds, 8_000));
     let (mut wide, mut narrow) = (None, None);
-    let percent: Vec<i64> = (0..8_000).map(|i| i % 100).collect();
-    let attrs = AttrStore::builder().add_int("percent", percent).build();
-    let field = attrs.field("percent").unwrap();
-    let pred = Predicate::Between { field, lo: 0, hi: 19 };
+    let bitmap = BitmapFilter::new(Bitset::from_ids(8_000, (0..8_000).filter(|i| i % 100 < 20)));
     let mut scratch = SearchScratch::new(8_000);
 
     // Each iteration asks the next of `QUERIES` held-out rows.
@@ -169,12 +171,14 @@ fn bench_traverse_route(c: &mut Criterion) {
             wide.search_with(black_box(&wide_queries[next]), 10, 64, &mut scratch, &mut stats)
         })
     });
-    group.bench_function("hybrid/32d/20%/1seg/efs64", |b| {
+    group.bench_function("bitmap/32d/20%/1seg/efs64", |b| {
         let narrow = narrow.get_or_insert_with(|| segment(&narrow_ds, 8_000));
+        let graph = narrow.frozen_segments()[0].index();
         b.iter(|| {
             next = (next + 1) % QUERIES;
             let query = black_box(&narrow_queries[next]);
-            narrow.hybrid_search(query, &pred, &attrs, 10, 64, &mut scratch)
+            let mut stats = SearchStats::default();
+            graph.search_filtered(query, &bitmap, 10, 64, &mut scratch, &mut stats)
         })
     });
     group.finish();

@@ -342,8 +342,9 @@ fn fig8(run: &mut Run, n: usize, nq: usize) {
 ///
 /// Paper's finding (§7.3.2): ACORN-γ wins at every percentile; pre-filter is
 /// the runner-up at low selectivity (s ≈ 0.01) and fades as selectivity
-/// grows; post-filter is the opposite. ACORN's cost model exploits exactly
-/// this crossover via its `s_min` fallback.
+/// grows; post-filter is the opposite. ACORN's planner exploits exactly
+/// this crossover: it scans a segment below `s_min`, and above it wherever
+/// the exact scan is predicted to cost less than the traversal.
 fn fig9(run: &mut Run, n: usize, nq: usize) {
     let data = Data { gen: Gen::TripClick, n, seed: 1 };
     let mut summary = Table::new(

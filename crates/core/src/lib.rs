@@ -25,8 +25,10 @@
 //! * **ACORN-1** (§5.3): construction with `γ = 1, M_β = M`; search expands
 //!   the full one-hop *and* two-hop neighborhood of every visited node
 //!   before filtering, approximating ACORN-γ's dense graph at search time.
-//! * **Pre-filter fallback** (§5.2): queries with estimated selectivity
-//!   below `s_min = 1/γ` are answered exactly by a filtered scan.
+//! * **Pre-filter fallback** (§5.2): a segment whose exact passing count
+//!   is below `s_min = 1/γ` of its rows is answered exactly by a filtered
+//!   scan, and so is a sealed segment whose scan is predicted to cost no
+//!   more work than a traversal ([`Route::choose`]).
 //!
 //! The crate also exposes the pruning-strategy ablation of the paper's
 //! Figure 12 ([`prune::PruneStrategy`]) and graph introspection for

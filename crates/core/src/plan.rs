@@ -22,20 +22,23 @@
 //!    only when merges left gaps in it — and the tombstoned bits cleared.
 //!    With none, it is the negated tombstones. Its popcount is the
 //!    segment's exact number of passing live rows.
-//! 3. **Per segment, route** on that count to one of §5.2's two leaves,
-//!    both feeding **one top-`k` per query** (by global id). Under
-//!    `s_min · rows` the set rows are scored exactly by
-//!    [`scan_into`], 64 per batch, straight into that top-`k` (the
-//!    pre-filter scan): a row above the current `k`-th distance costs one
-//!    compare and never reaches the heap or the id map, and that bound
-//!    carries from each segment to the next. Otherwise the graph is
-//!    traversed with constant-time bit tests over the bitmap as a plain
-//!    local-id [`BitmapFilter`], and its top-`k` list is offered to the
-//!    same top-`k`. No id-map gather and no tombstone test remain in
-//!    either inner loop, and there is no k-way merge: a segment's global
-//!    ids ascend with its local ones, so `(dist, gid)` orders its rows as
-//!    `(dist, local)` does and the query's top-`k` holds exactly what
-//!    merging sorted per-segment lists would.
+//! 3. **Per segment, route** on that count to one of §5.2's two leaves
+//!    ([`Route::choose`]), both feeding **one top-`k` per query** (by
+//!    global id). A segment scans when fewer than `s_min · rows` rows pass
+//!    (§5.2's recall floor) or, once sealed, when scoring its passing rows
+//!    is predicted to cost no more work than a traversal of its graph
+//!    would; the active segment, still growing, keeps the `s_min` rule
+//!    alone. A scan scores the set rows exactly with [`scan_into`], 64 per
+//!    batch, straight into that top-`k` (the pre-filter scan): a row above
+//!    the current `k`-th distance costs one compare and never reaches the
+//!    heap or the id map, and that bound carries from each segment to the
+//!    next. Otherwise the graph is traversed with constant-time bit tests
+//!    over the bitmap as a plain local-id [`BitmapFilter`], and its top-`k`
+//!    list is offered to the same top-`k`. No id-map gather and no
+//!    tombstone test remain in either inner loop, and there is no k-way
+//!    merge: a segment's global ids ascend with its local ones, so
+//!    `(dist, gid)` orders its rows as `(dist, local)` does and the query's
+//!    top-`k` holds exactly what merging sorted per-segment lists would.
 //!
 //! A traced query ([`SegmentSnapshot::try_hybrid_search_traced`](crate::snapshot::SegmentSnapshot::try_hybrid_search_traced))
 //! runs the same plan and records, in a [`QueryTrace`], the wall time of
@@ -43,11 +46,11 @@
 //! rows, its passing count, the route that count chose and its share of
 //! the [`SearchStats`]. Untraced, the clock is never read.
 //!
-//! There is no sample and no seed: a plan depends only on the snapshot and
-//! the predicate. Every row verdict comes from the compiled program. The AST
-//! interpreter ([`Predicate::eval`]) is the tests' oracle: `core/tests/common`
-//! rebuilds this plan from public calls with it and holds the engine to the
-//! result.
+//! There is no sample, no seed and no clock in the route: a plan depends
+//! only on the snapshot, the predicate, `k` and `efs`. Every row verdict
+//! comes from the compiled program. The AST interpreter
+//! ([`Predicate::eval`]) is the tests' oracle: `core/tests/common` rebuilds
+//! this plan from public calls with it and holds the engine to the result.
 
 use std::time::Instant;
 
@@ -56,6 +59,7 @@ use acorn_hnsw::search::scan_into;
 use acorn_hnsw::{SearchScratch, SearchStats};
 use acorn_predicate::{AttrStore, BitmapFilter, Bitset, CompiledPredicate, Predicate};
 
+use crate::params::AcornParams;
 use crate::segment::GlobalNeighbor;
 use crate::snapshot::SegmentView;
 
@@ -70,10 +74,88 @@ pub const MATERIALIZE_BELOW_SELECTIVITY: f64 = 0.25;
 /// The leaf a segment was routed to, on its exact passing count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
-    /// The exact pre-filter scan: fewer than `s_min · rows` rows passed.
+    /// The exact pre-filter scan: fewer than `s_min · rows` rows passed,
+    /// or the segment is sealed and the scan is predicted to cost no more
+    /// than the traversal ([`Route::choose`]).
     Scan,
     /// Graph traversal over the segment's bitmap.
     Traverse,
+}
+
+// The work model behind `Route::choose`, in units of one vector component.
+// Fitted once with `cargo bench --bench hybrid_query` on a 2-vCPU AVX2 host,
+// at the repo benchmark's M = 16, γ = 8:
+// - `scan_route` scores a 32-d row in ~10 ns (11–14 ns on its 10 % rows
+//   with the materialization, ~9 ns in the scan stage alone). Calling that
+//   row `32 + SCAN_ROW` = 70 units makes a unit ~1/7 ns, near one component
+//   of `cargo bench --bench distance`'s single `l2_sq` (0.18 ns at
+//   128–512-d).
+// - `traverse_route`'s two rows run at efs 64, so `ef · M` = 1,024. Fitted
+//   at ~115 µs, the 512-d pure search (`rows / passing` = 1) is
+//   `1,024 · (512 + D + C)` units; fitted at ~62 µs, the 32-d segment over
+//   a 20 % bitmap (`rows / passing` = 5) is `1,024 · (32 + D + 5·C)`. So
+//   D ≈ 240 and C ≈ 31: ~39 ns per 32-d distance, ~4.4 ns per check.
+// The same rows re-run on the same shared host read 99–113 µs and 63–81 µs,
+// which fits C up to ~2× higher and D lower; the benchmark's shapes route
+// the same either way (`the_route_rule_on_the_benchmarks_shapes`), and the
+// 100,000-row crossovers of `reproduce serve` move by less than 2×. On the
+// repo benchmark's `bands-graph` corpus (four 8,000 × 32-d segments), its
+// `sel20` class at efs 64 traversed a segment in ~566 distances and ~8,800
+// checks, 426k units, where the rule predicts 437k; scanning the segment's
+// ~1,600 passing rows is 112k.
+
+/// Scan work per scored row, beyond its `dim` components: the top-`k`
+/// compare, the id map, the bitmap walk.
+const SCAN_ROW: f64 = 38.0;
+/// Traversal work per distance, beyond its `dim` components: the visited
+/// stamp, the candidate and result heaps, the neighbor list.
+const TRAVERSE_DISTANCE: f64 = 240.0;
+/// Traversal work per bitmap check of a neighbor.
+const TRAVERSE_CHECK: f64 = 31.0;
+
+impl Route {
+    /// The route of a segment of `rows` rows of which `passing` live rows
+    /// pass, for a query of `k` at beam `efs` over `dim`-d vectors.
+    ///
+    /// Below §5.2's recall floor, `passing < s_min · rows`, it scans. Above
+    /// it, a `sealed` segment still scans when the scan is predicted to be
+    /// no more work:
+    ///
+    /// `passing · (dim + S) ≤ ef · M · ((dim + D) + C · rows / passing)`,
+    ///
+    /// with `ef = max(efs, k)` capped at `rows`: about `ef` hops, each
+    /// admitting `M` rows at `rows / passing` checks per admitted row.
+    /// `S`, `D` and `C` are fixed work constants; the rule reads no clock,
+    /// so a plan stays a function of its inputs. The scan is exact, so it
+    /// never lowers recall. A growing segment keeps the `s_min` rule alone:
+    /// scanning it takes the reader off the graph a writer is inserting
+    /// into, which slowed inserts more than it sped reads.
+    pub fn choose(
+        rows: usize,
+        passing: usize,
+        dim: usize,
+        efs: usize,
+        k: usize,
+        params: &AcornParams,
+        sealed: bool,
+    ) -> Route {
+        let (n, p) = (rows as f64, passing as f64);
+        if p < params.s_min() * n {
+            return Route::Scan;
+        }
+        if !sealed {
+            return Route::Traverse;
+        }
+        let (ef, m, dim) = (efs.max(k).min(rows) as f64, params.m as f64, dim as f64);
+        // Both sides times `passing`, so an empty bitmap needs no division.
+        let scan = p * p * (dim + SCAN_ROW);
+        let traverse = ef * m * ((dim + TRAVERSE_DISTANCE) * p + TRAVERSE_CHECK * n);
+        if scan <= traverse {
+            Route::Scan
+        } else {
+            Route::Traverse
+        }
+    }
 }
 
 /// How many segments of one query took each route: read from the plan
@@ -202,11 +284,8 @@ pub(crate) fn search<'a>(
             bits.negate();
         }
         let passing = bits.count();
-        let route = if (passing as f64) < index.params().s_min() * seg.rows() as f64 {
-            Route::Scan
-        } else {
-            Route::Traverse
-        };
+        let (rows, dim, sealed) = (seg.rows(), index.vectors().dim(), index.csr().is_some());
+        let route = Route::choose(rows, passing, dim, efs, k, index.params(), sealed);
         let materialize_ns = clock.lap();
         match route {
             Route::Scan => {
@@ -239,7 +318,7 @@ pub(crate) fn search<'a>(
                 Route::Scan => &mut trace.scan_ns,
                 Route::Traverse => &mut trace.traverse_ns,
             } += clock.lap();
-            trace.segments.push(SegmentTrace { rows: seg.rows(), passing, route, stats: own });
+            trace.segments.push(SegmentTrace { rows, passing, route, stats: own });
         }
     }
     (top.into_sorted(), routes)
@@ -330,7 +409,9 @@ mod tests {
         // each route the planner can take, the snapshot returns exactly what
         // the segment's `AcornIndex` returns for a bitmap of the predicate
         // built row by row with the interpreter. γ = 8 → s_min = 0.125;
-        // `v = row id`, so `v < c` passes exactly `c` of the 1,000 rows.
+        // `v = row id`, so `v < c` passes exactly `c` of the 1,000 rows. At
+        // efs 16, 50 rows scan under the recall floor, 600 scan because the
+        // scan costs less than a traversal, and 900 and all rows traverse.
         let n = 1000;
         let (snap, _) = one_segment(n, 8, 70);
         let graph = snap.frozen_segments()[0].index();
@@ -338,7 +419,7 @@ mod tests {
         let field = attrs.field("v").unwrap();
         let mut scratch = SearchScratch::new(n);
         let q = vec![0.1; 8];
-        let (k, efs) = (10, 64);
+        let (k, efs) = (10, 16);
 
         let mut want_stats = SearchStats::default();
         let want = graph.search_filtered(&q, &AllPass, k, efs, &mut scratch, &mut want_stats);
@@ -350,7 +431,7 @@ mod tests {
         assert_eq!(stats, checks, "constant true: the live-row bitmap and nothing else");
 
         // (passing rows, scanned)
-        for (passing, scan) in [(50i64, true), (200, false), (600, false)] {
+        for (passing, scan) in [(50i64, true), (600, true), (900, false)] {
             let pred = Predicate::Between { field, lo: 0, hi: passing - 1 };
             let interpreted =
                 Bitset::from_ids(n, (0..n as u32).filter(|&row| pred.eval(&attrs, row)));
@@ -443,19 +524,20 @@ mod tests {
 
     #[test]
     fn two_segments_charge_their_gid_spans_and_their_traversal_checks() {
-        // Two segments, 300 and 900 rows, and a predicate half the rows of
-        // each pass (γ = 4 → s_min = 0.25, so both traverse): each segment
-        // is materialized over its gid span and then traversed over its
-        // bitmap, and nothing else is charged — no sample.
+        // Two segments, 600 and 900 rows, and a predicate half the rows of
+        // each pass (γ = 4 → s_min = 0.25, and at k = efs = 10 a traversal
+        // costs less than scanning 300 or 450 rows, so both traverse): each
+        // segment is materialized over its gid span and then traversed over
+        // its bitmap, and nothing else is charged — no sample.
         let mut index = SegmentedAcornIndex::new(8, params(5), AcornVariant::Gamma);
         let mut rng = StdRng::seed_from_u64(5);
-        for rows in [300, 900] {
+        for rows in [600, 900] {
             let flat: Vec<f32> = (0..rows * 8).map(|_| rng.gen_range(-1.0..1.0)).collect();
             index.bulk_load(VectorStore::from_flat(8, flat));
         }
         let snap = index.snapshot();
         assert_eq!(snap.frozen_segments().len(), 2);
-        let attrs = AttrStore::builder().add_int("v", (0..1200).map(|g| g % 2).collect()).build();
+        let attrs = AttrStore::builder().add_int("v", (0..1500).map(|g| g % 2).collect()).build();
         let pred = Predicate::Equals { field: 0, value: 1 };
         let mut scratch = SearchScratch::new(900);
         let q = vec![0.2; 8];
@@ -468,19 +550,19 @@ mod tests {
                 (0..gids.len() as u32).filter(|&l| pred.eval(&attrs, gids[l as usize] as u32));
             let filter = BitmapFilter::new(Bitset::from_ids(gids.len(), passing));
             let out =
-                seg.index().search_filtered(&q, &filter, 10, 48, &mut scratch, &mut want_stats);
+                seg.index().search_filtered(&q, &filter, 10, 10, &mut scratch, &mut want_stats);
             want.extend(out.iter().map(|n| GlobalNeighbor::new(n.dist, gids[n.id as usize])));
         }
         want.sort_unstable();
         want.truncate(10);
 
-        let (got, stats) = snap.hybrid_search(&q, &pred, &attrs, 10, 48, &mut scratch);
+        let (got, stats) = snap.hybrid_search(&q, &pred, &attrs, 10, 10, &mut scratch);
         assert_eq!(bits(&got), bits(&want), "the merge of the two traversals");
         assert_eq!(
             (stats.ndis, stats.nhops, stats.fallback),
             (want_stats.ndis, want_stats.nhops, false)
         );
-        assert_eq!(stats.npred, 300 + 900 + want_stats.npred, "two gid spans, then the checks");
+        assert_eq!(stats.npred, 600 + 900 + want_stats.npred, "two gid spans, then the checks");
         assert_eq!(stats.npred_cached, want_stats.npred, "every check is a bit test");
     }
 
@@ -516,29 +598,43 @@ mod tests {
 
     #[test]
     fn exact_count_routes_at_s_min_and_bitmap_traversal_matches_the_oracle() {
-        // γ = 8 → s_min = 0.125; 800 rows → the scan/traverse boundary is
-        // exactly 100 passing rows. `v = row id`, so `v < c` passes exactly
-        // `c` rows, and the decision is made on that exact count.
+        // γ = 8 → s_min = 0.125; 800 rows → the recall floor is exactly 100
+        // passing rows. `v = row id`, so `v < c` passes exactly `c` rows,
+        // and the decision is made on that exact count. At k = efs = 1 a
+        // traversal costs less than scanning any count from the floor up,
+        // so the route flips exactly there; at efs = n (an exhaustive beam)
+        // the scan always costs less, so every count scans.
         let n = 800;
         let (snap, vecs) = one_segment(n, 8, 60);
+        let graph = snap.frozen_segments()[0].index();
         let attrs = AttrStore::builder().add_int("v", (0..n as i64).collect()).build();
         let field = attrs.field("v").unwrap();
-        assert_eq!(snap.frozen_segments()[0].index().params().s_min(), 0.125);
+        assert_eq!(graph.params().s_min(), 0.125);
         let mut scratch = SearchScratch::new(n);
         let q = vec![-0.2; 8];
-        for (passing, fallback) in [(99i64, true), (100, false), (101, false), (1, true)] {
+        let cases = [(99i64, true, true), (100, false, true), (101, false, true), (1, true, true)];
+        for (passing, narrow_scans, wide_scans) in cases {
             let pred = Predicate::Between { field, lo: 0, hi: passing - 1 };
-            let (a, sa) = snap.hybrid_search(&q, &pred, &attrs, 10, n, &mut scratch);
-            assert_eq!(sa.fallback, fallback, "{passing} passing rows of {n}");
-            // With efs ≥ n the traversal is exhaustive, so either route
-            // equals brute force.
-            let want = brute_force(&vecs, &q, |i| i64::from(i) < passing, 10);
-            assert_eq!(a.iter().map(|x| x.id).collect::<Vec<_>>(), want);
-            // One block pass over the 800 rows; the scan
-            // enumerates bits, the traversal's bit tests are cached.
-            assert_eq!(sa.npred_evaluated(), n as u64);
-            if !fallback {
-                assert!(sa.npred_cached > 0, "bitmap bit tests count as cache answers");
+            for (k, efs, fallback) in [(1, 1, narrow_scans), (10, n, wide_scans)] {
+                let what = format!("{passing} passing rows of {n}, efs {efs}");
+                let (a, sa) = snap.hybrid_search(&q, &pred, &attrs, k, efs, &mut scratch);
+                assert_eq!(sa.fallback, fallback, "{what}");
+                if fallback {
+                    // The scan is exact.
+                    let want = brute_force(&vecs, &q, |i| i64::from(i) < passing, k);
+                    assert_eq!(a.iter().map(|x| x.id).collect::<Vec<_>>(), want, "{what}");
+                } else {
+                    // The traversal is the graph's over the interpreter's
+                    // bitmap, and its bit tests count as cache answers.
+                    let filter = BitmapFilter::new(Bitset::from_ids(n, 0..passing as u32));
+                    let mut sb = SearchStats::default();
+                    let b = graph.search_filtered(&q, &filter, k, efs, &mut scratch, &mut sb);
+                    assert_eq!(bits(&a), local_bits(&b), "{what}");
+                    assert_eq!((sa.ndis, sa.nhops), (sb.ndis, sb.nhops), "{what}");
+                    assert!(sa.npred_cached > 0, "{what}: bit tests are cache answers");
+                }
+                // One block pass over the 800 rows.
+                assert_eq!(sa.npred_evaluated(), n as u64, "{what}");
             }
         }
     }
@@ -553,16 +649,17 @@ mod tests {
         let field = attrs.field("v").unwrap();
         let mut scratch = SearchScratch::new(n);
         let pred = Predicate::Equals { field, value: 1 };
-        let (out, stats) = snap.hybrid_search(&[0.0; 8], &pred, &attrs, 5, 32, &mut scratch);
+        let (out, stats) = snap.hybrid_search(&[0.0; 8], &pred, &attrs, 5, 16, &mut scratch);
         assert!(stats.fallback, "selective predicate must trigger pre-filtering");
         assert_eq!(out.len(), 5);
         for n in &out {
             assert!(n.id < 12, "fallback returned non-passing row {}", n.id);
         }
 
-        // Broad predicate: stays on the graph path.
+        // Broad predicate: at efs 16 a traversal costs less than scanning
+        // its 1,188 rows, so it stays on the graph path.
         let pred = Predicate::Equals { field, value: 0 };
-        let (_, stats) = snap.hybrid_search(&[0.0; 8], &pred, &attrs, 5, 32, &mut scratch);
+        let (_, stats) = snap.hybrid_search(&[0.0; 8], &pred, &attrs, 5, 16, &mut scratch);
         assert!(!stats.fallback);
     }
 
@@ -571,13 +668,15 @@ mod tests {
         let n = 2000;
         let (snap, _) = one_segment(n, 4, 33);
         let graph = snap.frozen_segments()[0].index();
-        let s_min = graph.params().s_min();
         let mut rng = StdRng::seed_from_u64(34);
         let years: Vec<i64> = (0..n).map(|_| rng.gen_range(1990..2020)).collect();
         let attrs = AttrStore::builder().add_int("year", years).build();
         let field = attrs.field("year").unwrap();
         let mut scratch = SearchScratch::new(n);
+        let mut routes = Vec::new();
 
+        // At efs 16 the two wide ranges traverse and the two narrow
+        // predicates scan under the recall floor.
         for (pred, label) in [
             (Predicate::Between { field, lo: 1995, hi: 2010 }, "mid-selectivity"),
             (Predicate::Between { field, lo: 1990, hi: 2020 }, "high-selectivity"),
@@ -588,15 +687,16 @@ mod tests {
             // The reference: the interpreter's bitmap, routed on its count.
             let interpreted =
                 Bitset::from_ids(n, (0..n as u32).filter(|&row| pred.eval(&attrs, row)));
-            let scan = (interpreted.count() as f64) < s_min * n as f64;
+            let route = Route::choose(n, interpreted.count(), 8, 16, 10, graph.params(), true);
+            routes.push(route);
             let filter = BitmapFilter::new(interpreted);
             let mut sb = SearchStats::default();
-            let b = if scan {
+            let b = if route == Route::Scan {
                 graph.prefilter_scan(&q, &filter, 10, &mut sb)
             } else {
-                graph.search_filtered(&q, &filter, 10, 48, &mut scratch, &mut sb)
+                graph.search_filtered(&q, &filter, 10, 16, &mut scratch, &mut sb)
             };
-            let (a, sa) = snap.hybrid_search(&q, &pred, &attrs, 10, 48, &mut scratch);
+            let (a, sa) = snap.hybrid_search(&q, &pred, &attrs, 10, 16, &mut scratch);
             assert_eq!(bits(&a), local_bits(&b), "{label}: routes must answer bit-identically");
             assert_eq!(
                 (sa.fallback, sa.ndis, sa.nhops),
@@ -616,6 +716,46 @@ mod tests {
                 );
             }
         }
+        assert_eq!(routes, [Route::Traverse, Route::Traverse, Route::Scan, Route::Scan]);
+    }
+
+    #[test]
+    fn the_route_rule_on_the_benchmarks_shapes() {
+        use Route::{Scan, Traverse};
+        // The repo benchmark's segments (M 16, γ 8), and `reproduce
+        // serve`'s 100,000-row segments at the paper's M 32, γ 12; k = 10.
+        let bench = AcornParams { m: 16, gamma: 8, m_beta: 32, ..Default::default() };
+        let serve = AcornParams::default();
+        let route = |p: &AcornParams, rows, passing, dim, efs| {
+            Route::choose(rows, passing, dim, efs, 10, p, true)
+        };
+        for (what, params, rows, passing, dim, efs, want) in [
+            ("bands-graph sel20 @ 64", &bench, 8_000, 1_600, 32, 64, Scan),
+            ("bands-graph sel50 @ 32", &bench, 8_000, 4_000, 32, 32, Traverse),
+            ("bands-graph pure @ 16", &bench, 8_000, 8_000, 32, 16, Traverse),
+            ("hcps-512d pure @ 64", &bench, 4_000, 4_000, 512, 64, Traverse),
+            ("serve s0.1 @ 37", &serve, 100_000, 10_000, 32, 37, Traverse),
+            ("serve s0.1 @ 38", &serve, 100_000, 10_000, 32, 38, Scan),
+            ("serve s0.5 @ 320", &serve, 100_000, 50_000, 32, 320, Traverse),
+            ("serve s0.5 @ 330", &serve, 100_000, 50_000, 32, 330, Scan),
+        ] {
+            assert_eq!(route(params, rows, passing, dim, efs), want, "{what}");
+        }
+
+        // Under `s_min · rows` (12,500 of 100,000) a segment scans, sealed
+        // or growing, even at a beam of one where the traversal is cheaper.
+        for sealed in [true, false] {
+            let at = |passing| Route::choose(100_000, passing, 32, 1, 1, &bench, sealed);
+            assert_eq!((at(0), at(12_499), at(12_500)), (Scan, Scan, Traverse), "{sealed}");
+        }
+        // A growing segment ignores the cost term: `sel20` traverses there.
+        assert_eq!(Route::choose(8_000, 1_600, 32, 64, 10, &bench, false), Traverse);
+        // `efs` past the crossover flips a segment to the scan, and so does
+        // a `k` past it (the beam is `max(efs, k)`), and a beam past the
+        // rows is capped at them.
+        let s01 = |efs, k| Route::choose(100_000, 10_000, 32, efs, k, &serve, true);
+        assert_eq!((s01(20, 10), s01(40, 10), s01(20, 40)), (Traverse, Scan, Scan));
+        assert_eq!(Route::choose(8_000, 8_000, 32, usize::MAX, 10, &bench, true), Scan);
     }
 
     /// Every segment layout a lifecycle produces, in one snapshot: two
@@ -656,9 +796,12 @@ mod tests {
 
     #[test]
     fn a_traced_query_answers_as_the_untraced_one_and_accounts_for_every_segment() {
+        // At k = efs = 10 the sealed segments traverse their live rows and
+        // scan a label (a sixth of them, under the floor); the 70-row active
+        // segment traverses its live rows although sealed it would scan them.
         let mut rng = StdRng::seed_from_u64(91);
-        let snap = lifecycle(&mut rng, 91, [120, 120, 200], 70);
-        let total = 440 + 70;
+        let snap = lifecycle(&mut rng, 91, [400, 400, 600], 70);
+        let total = 1400 + 70;
         let attrs = AttrStore::builder()
             .add_int("label", (0..total).map(|_| rng.gen_range(0i64..6)).collect())
             .add_text(
@@ -670,16 +813,20 @@ mod tests {
         assert!(views.len() >= 3, "frozen segments and an active one");
         let mut scratch = SearchScratch::new(snap.max_segment_rows());
         let mut trace = QueryTrace::default();
-        let mut routes = Vec::new();
-        let mut preds = vec![Predicate::True, Predicate::const_false()];
+        let (mut routes, mut growing_kept_the_floor) = (Vec::new(), false);
+        let mut preds = vec![
+            Predicate::True,
+            Predicate::const_false(),
+            Predicate::Equals { field: 0, value: 0 },
+        ];
         preds.extend((0..12).map(|_| random_pred(&mut rng)));
         for pred in &preds {
             let q: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let (want, want_stats) =
-                snap.try_hybrid_search(&q, pred, &attrs, 10, 32, &mut scratch).unwrap();
+                snap.try_hybrid_search(&q, pred, &attrs, 10, 10, &mut scratch).unwrap();
             let t0 = std::time::Instant::now();
             let (got, stats) = snap
-                .try_hybrid_search_traced(&q, pred, &attrs, 10, 32, &mut scratch, &mut trace)
+                .try_hybrid_search_traced(&q, pred, &attrs, 10, 10, &mut scratch, &mut trace)
                 .unwrap();
             let wall = t0.elapsed().as_nanos() as u64;
             let what = pred.describe(&attrs);
@@ -699,11 +846,15 @@ mod tests {
                     })
                     .count();
                 assert_eq!((seg.rows, seg.passing), (gids.len(), live_passing), "{what}");
-                let s_min = view.index().params().s_min();
-                let scan = (seg.passing as f64) < s_min * seg.rows as f64;
-                assert_eq!(seg.route, if scan { Route::Scan } else { Route::Traverse }, "{what}");
-                assert_eq!(seg.stats.fallback, scan, "{what}");
-                routes.push(seg.route);
+                let sealed = view.index().csr().is_some();
+                let params = view.index().params();
+                let route =
+                    |sealed| Route::choose(seg.rows, seg.passing, DIM, 10, 10, params, sealed);
+                assert_eq!(seg.route, route(sealed), "{what}");
+                assert_eq!(seg.stats.fallback, seg.route == Route::Scan, "{what}");
+                growing_kept_the_floor |=
+                    !sealed && seg.route == Route::Traverse && route(true) == Route::Scan;
+                routes.push((sealed, seg.route));
                 sum.merge(&seg.stats);
             }
             assert_eq!(sum, stats, "{what}: the segments' shares sum to the query's stats");
@@ -711,11 +862,73 @@ mod tests {
                 trace.compile_ns + trace.materialize_ns + trace.scan_ns + trace.traverse_ns;
             assert!(staged <= wall, "{what}: stages {staged} ns within the call's {wall} ns");
         }
-        assert!(routes.contains(&Route::Scan) && routes.contains(&Route::Traverse));
+        for route in [Route::Scan, Route::Traverse] {
+            assert!(routes.contains(&(true, route)), "a sealed segment takes {route:?}");
+        }
+        assert!(growing_kept_the_floor, "the active segment routes on s_min alone");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Over one sealed segment, predicates of every density and beams
+        /// from 1 to past the rows: a segment the rule scans answers the
+        /// brute-force top-`k` bit for bit, above `s_min` too; one that
+        /// `s_min` alone would also have traversed answers as that
+        /// traversal — the segment's graph over the interpreter's bitmap.
+        #[test]
+        fn a_scan_is_exact_and_an_unchanged_traversal_answers_as_before(
+            seed in 0u64..u64::MAX,
+            n in 200usize..1000,
+        ) {
+            let (snap, vecs) = one_segment(n, 4, seed);
+            let graph = snap.frozen_segments()[0].index();
+            let v = (0..n as i64).map(|g| g % 100).collect();
+            let attrs = AttrStore::builder().add_int("v", v).build();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut scratch = SearchScratch::new(n);
+            let mut trace = QueryTrace::default();
+            let (mut scanned_above_floor, mut traversed) = (false, false);
+            // The pure search at a beam of one traverses, half the rows at a
+            // wide beam scan above the floor; then drawn ones.
+            let mut queries = vec![(100, 1, 1), (50, 10, 128)];
+            queries.extend((0..6).map(|_| {
+                let efs = [1, 8, 32, 128, n + 1][rng.gen_range(0..5usize)];
+                (rng.gen_range(0..=100i64), [1, 10][rng.gen_range(0..2usize)], efs)
+            }));
+            for (below, k, efs) in queries {
+                let what = format!("v < {below}, k {k}, efs {efs}");
+                let pred = Predicate::Between { field: 0, lo: 0, hi: below - 1 };
+                let q: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let (got, stats) = snap
+                    .try_hybrid_search_traced(&q, &pred, &attrs, k, efs, &mut scratch, &mut trace)
+                    .unwrap();
+                let passing: Vec<u32> = (0..n as u32).filter(|&i| pred.eval(&attrs, i)).collect();
+                let floor = (passing.len() as f64) < graph.params().s_min() * n as f64;
+                let route = Route::choose(n, passing.len(), 8, efs, k, graph.params(), true);
+                prop_assert_eq!(trace.segments[0].route, route, "{}", &what);
+                if route == Route::Scan {
+                    let mut want: Vec<Neighbor> = passing
+                        .iter()
+                        .map(|&i| Neighbor::new(vecs.distance_to(Metric::L2, i, &q), i))
+                        .collect();
+                    want.sort_unstable();
+                    want.truncate(k);
+                    prop_assert_eq!(bits(&got), local_bits(&want), "{}: the exact top-k", &what);
+                    scanned_above_floor |= !floor;
+                } else {
+                    prop_assert!(!floor, "{}: under the floor every segment scans", &what);
+                    let filter = BitmapFilter::new(Bitset::from_ids(n, passing.iter().copied()));
+                    let mut want_stats = SearchStats::default();
+                    let want =
+                        graph.search_filtered(&q, &filter, k, efs, &mut scratch, &mut want_stats);
+                    prop_assert_eq!(bits(&got), local_bits(&want), "{}: the traversal", &what);
+                    prop_assert_eq!((stats.ndis, stats.nhops), (want_stats.ndis, want_stats.nhops));
+                    traversed = true;
+                }
+            }
+            prop_assert!(scanned_above_floor && traversed, "both routes, the scan above s_min");
+        }
 
         /// Over every segment layout a lifecycle produces — contiguous gid
         /// spans (fresh freezes), spans with gaps (merged survivors),

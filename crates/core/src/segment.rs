@@ -992,9 +992,11 @@ mod tests {
     #[test]
     fn a_reader_counts_each_querys_routes_and_a_snapshot_counts_none() {
         // Two segments: 100 frozen rows and 60 active ones. γ = 2 puts
-        // s_min at 1/2: the pure search and an always-true predicate
-        // traverse both, a predicate passing no row scans both, and one
-        // passing only the active segment's rows scans the frozen one.
+        // s_min at 1/2. The sealed segment is small enough that scanning
+        // its rows costs less than a traversal at efs 16, so it scans for
+        // every query; the active one routes on s_min alone, so the pure
+        // search, an always-true predicate and one passing only its rows
+        // traverse it, and a predicate passing no row scans it.
         let vecs = random_vecs(160, 4, 21);
         let mut idx = SegmentedAcornIndex::new(4, small_params(4, 2, 3), AcornVariant::Gamma);
         for v in &vecs[..100] {
@@ -1032,11 +1034,11 @@ mod tests {
         .unwrap();
 
         let m = reader.metrics();
-        assert_eq!((m.queries, m.segments_scanned, m.segments_traversed), (4, 3, 5));
-        assert_eq!(m.scan_share(), 3.0 / 8.0);
+        assert_eq!((m.queries, m.segments_scanned, m.segments_traversed), (4, 5, 3));
+        assert_eq!(m.scan_share(), 5.0 / 8.0);
         let text = m.to_string();
         assert!(text.contains("queries               4\n"), "{text}");
-        assert!(text.contains("scan_share            0.3750\n"), "{text}");
+        assert!(text.contains("scan_share            0.6250\n"), "{text}");
         assert_eq!(MetricsSnapshot::default().scan_share(), 0.0, "no segment routed yet");
     }
 
@@ -1282,7 +1284,7 @@ mod tests {
     fn time_ordered(seed: u64) -> (SegmentedAcornIndex, Vec<Vec<f32>>, AttrStore) {
         let vecs = random_vecs(1200, 8, seed);
         // γ = 8 → s_min = 0.125: a 400-row segment scans under 50 passing
-        // rows and traverses from 50 up.
+        // rows; from 50 up it traverses unless the scan costs less.
         let mut idx = SegmentedAcornIndex::new(8, small_params(8, 8, seed), AcornVariant::Gamma);
         for (i, v) in vecs.iter().enumerate() {
             idx.insert(v);
@@ -1315,27 +1317,32 @@ mod tests {
 
         // "The last 400 rows": all of the newest segment, none of the older
         // two. The per-segment counts say exactly that; a router that looked
-        // at the global selectivity (1/3) would traverse all three.
+        // at the global selectivity (1/3) would treat all three alike. At
+        // k = efs = 5 a traversal of 400 passing rows costs less than their
+        // scan.
         let pred = Predicate::Between { field, lo: 800, hi: 1199 };
-        let (out, stats) = snap.hybrid_search(&q, &pred, &attrs, 10, 400, &mut scratch);
+        let (out, stats) = snap.hybrid_search(&q, &pred, &attrs, 5, 5, &mut scratch);
         // The newest segment passes everywhere, so its share of the work is
         // the pure traversal of that segment; the empty segments must add
         // no distance computation at all.
         let newest = &snap.frozen_segments()[2];
         let mut alone = SearchStats::default();
-        newest.index().search_filtered(&q, &AllPass, 10, 400, &mut scratch, &mut alone);
+        let traversed =
+            newest.index().search_filtered(&q, &AllPass, 5, 5, &mut scratch, &mut alone);
+        let traversed: Vec<GlobalNeighbor> =
+            traversed.iter().map(|n| GlobalNeighbor::new(n.dist, 800 + u64::from(n.id))).collect();
         assert_eq!(stats.ndis, alone.ndis, "segments with no passing row cost no distances");
         assert_eq!(stats.nhops, alone.nhops);
-        assert_eq!(ids(&out), brute_force(&vecs, &q, |g| g >= 800, 10));
+        assert_eq!(ids(&out), ids(&traversed));
 
-        // The same shape with the middle segment sparse: 49 passing rows of
-        // 400 is under s_min · rows = 50 → exact scan (49 distances); 50 is
-        // not → traversal. The newest segment traverses either way and the
+        // The same shape with the middle segment passing some rows: 49 of
+        // 400 is under s_min · rows = 50 and 200 costs less to scan than to
+        // traverse, so both scan (exactly their passing rows); 300 does not
+        // and traverses. The newest segment traverses every time and the
         // oldest stays empty, so `ndis` pins the middle segment's route.
-        for (sparse, scanned) in [(49u64, true), (50, false)] {
+        for (sparse, scanned) in [(49u64, true), (200, true), (300, false)] {
             let pred = Predicate::Between { field, lo: 800 - sparse as i64, hi: 1199 };
-            let (out, stats) = snap.hybrid_search(&q, &pred, &attrs, 10, 400, &mut scratch);
-            assert_eq!(ids(&out), brute_force(&vecs, &q, |g| g >= 800 - sparse, 10));
+            let (out, stats) = snap.hybrid_search(&q, &pred, &attrs, 5, 5, &mut scratch);
             assert!(stats.fallback, "the empty oldest segment always takes the scan branch");
             assert_eq!(
                 stats.ndis == alone.ndis + sparse,
@@ -1344,6 +1351,19 @@ mod tests {
                 stats.ndis,
                 alone.ndis
             );
+            if scanned {
+                // The middle segment's exact top-5 beside the newest's list.
+                let middle = |g: u64| (800 - sparse..800).contains(&g);
+                let mut want = traversed.clone();
+                want.extend(
+                    brute_force(&vecs, &q, middle, 5).into_iter().map(|g| {
+                        GlobalNeighbor::new(Metric::L2.distance(&vecs[g as usize], &q), g)
+                    }),
+                );
+                want.sort_unstable();
+                want.truncate(5);
+                assert_eq!(ids(&out), ids(&want), "{sparse} passing rows");
+            }
         }
     }
 

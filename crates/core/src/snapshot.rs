@@ -343,10 +343,12 @@ impl SegmentSnapshot {
     /// **per segment** by the query planner ([`crate::plan`]): every
     /// segment has the predicate materialized into a bitmap of its live
     /// rows and is routed on that bitmap's exact count — to the exact
-    /// pre-filter scan under `s_min · rows`, else to graph traversal over
-    /// the bitmap. Every segment feeds one query-wide top-`k` by global id.
-    /// No sample is drawn, so the answer depends only on the snapshot, the
-    /// query and the predicate.
+    /// pre-filter scan under `s_min · rows` or, for a sealed segment, where
+    /// the scan is predicted to cost no more work than a traversal
+    /// ([`Route::choose`](crate::Route::choose)), else to graph traversal
+    /// over the bitmap. Every segment feeds one query-wide top-`k` by global
+    /// id. No sample is drawn and no clock is read, so the answer depends
+    /// only on the snapshot, the query, the predicate, `k` and `efs`.
     ///
     /// `attrs` is indexed by **global id** and must cover every id ever
     /// assigned (`attrs.len() >= next_global_id()`); deleted rows keep

@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use acorn_core::{AcornIndex, AcornParams, AcornVariant, GlobalNeighbor, SegmentSnapshot};
+use acorn_core::{AcornIndex, AcornParams, AcornVariant, GlobalNeighbor, Route, SegmentSnapshot};
 use acorn_hnsw::{Neighbor, SearchScratch, SearchStats, VectorStore};
 use acorn_predicate::{AttrStore, BitmapFilter, Bitset, Predicate};
 use rand::rngs::StdRng;
@@ -30,10 +30,11 @@ use rand::{Rng, SeedableRng};
 /// `snap.hybrid_search(q, predicate, attrs, k, efs, ..)` as the plan says it
 /// must come out, built from public calls and [`Predicate::eval`]. Per
 /// non-empty segment: the live passing bitmap, row by row with the
-/// interpreter; when it counts under `s_min · rows`, brute force (one
-/// `distance_to` per passing row, sorted, truncated to `k` — none of the
-/// engine's scan code), else traversal over it; then the lists mapped to
-/// global ids, sorted and truncated.
+/// interpreter; when [`Route::choose`] sends its count to the scan (under
+/// `s_min · rows`, or a sealed segment whose scan costs less than its
+/// traversal), brute force (one `distance_to` per passing row, sorted,
+/// truncated to `k` — none of the engine's scan code), else traversal over
+/// it; then the lists mapped to global ids, sorted and truncated.
 ///
 /// With [`Predicate::True`] the bitmap is the live rows: the plan of the
 /// pure search. Valid for every predicate but a constant `false` (which
@@ -60,9 +61,11 @@ pub fn interpreted_plan(
             !seg.tombstones().get(l) && predicate.eval(attrs, gids[l as usize] as u32)
         });
         let bits = Bitset::from_ids(gids.len(), live);
-        let scan = (bits.count() as f64) < snap.params().s_min() * gids.len() as f64;
+        let (index, rows) = (seg.index(), gids.len());
+        let sealed = index.csr().is_some();
+        let route = Route::choose(rows, bits.count(), snap.dim(), efs, k, index.params(), sealed);
         let filter = BitmapFilter::new(bits);
-        let out = if scan {
+        let out = if route == Route::Scan {
             let vecs = seg.index().vectors();
             let mut all: Vec<Neighbor> = filter
                 .bits()

@@ -2,15 +2,17 @@
 //! predicate engine must never change search results — across every
 //! `LookupMode` (Truncate, GammaSearch compressed/uncompressed, TwoHop),
 //! both `AcornVariant`s, and both routing outcomes (graph traversal and the
-//! pre-filter fallback). The end-to-end reference is the plan rebuilt with
-//! the AST interpreter (`common::interpreted_plan`).
+//! pre-filter scan, which every case takes). The end-to-end reference is
+//! the plan rebuilt with the AST interpreter (`common::interpreted_plan`).
 
 mod common;
 
 use std::sync::Arc;
 
 use acorn_core::search::{acorn_search_layer, LookupMode};
-use acorn_core::{AcornIndex, AcornParams, AcornVariant, GlobalNeighbor, SegmentedAcornIndex};
+use acorn_core::{
+    AcornIndex, AcornParams, AcornVariant, GlobalNeighbor, Route, SegmentedAcornIndex,
+};
 use acorn_hnsw::heap::Neighbor;
 use acorn_hnsw::{Metric, SearchScratch, SearchStats, VectorStore};
 use acorn_predicate::{AttrStore, BitmapFilter, Bitset, MemoFilter, MemoTable, Predicate, Regex};
@@ -73,7 +75,9 @@ proptest! {
     /// End-to-end: the engine's hybrid search over both variants
     /// (GammaSearch and TwoHop lookups) must be bit-identical to the plan
     /// rebuilt with the interpreter, route and traversal included, so recall
-    /// is unchanged by construction.
+    /// is unchanged by construction. Each case traverses (every row passes
+    /// at a beam of one) and scans above `s_min` (half the years at a beam
+    /// of 40), then draws predicates, `k` and beams.
     #[test]
     fn strategies_agree_end_to_end(seed in 0u64..u64::MAX, n in 200usize..500) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -84,13 +88,21 @@ proptest! {
             let mut index = SegmentedAcornIndex::new(8, params(8, 4, seed), variant);
             index.bulk_load(VectorStore::clone(&vecs));
             let snap = index.snapshot();
-            let s_min = snap.frozen_segments()[0].index().params().s_min();
+            let graph_params = snap.frozen_segments()[0].index().params().clone();
             let mut scratch = SearchScratch::new(n);
-            for _ in 0..4 {
-                let pred = random_pred(&mut rng);
+            let mut queries = vec![
+                (Predicate::Between { field: 0, lo: 1990, hi: 2019 }, 1, 1),
+                (Predicate::Between { field: 0, lo: 1990, hi: 2004 }, 10, 40),
+            ];
+            queries.extend((0..4).map(|_| {
+                let k = [1, 10][rng.gen_range(0..2usize)];
+                (random_pred(&mut rng), k, [1, 10, 40][rng.gen_range(0..3usize)])
+            }));
+            let (mut scanned_above_floor, mut traversed) = (false, false);
+            for (pred, k, efs) in queries {
                 let q: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                let (a, sa) = common::interpreted_plan(&snap, &q, &pred, &attrs, 10, 40);
-                let (b, sb) = snap.hybrid_search(&q, &pred, &attrs, 10, 40, &mut scratch);
+                let (a, sa) = common::interpreted_plan(&snap, &q, &pred, &attrs, k, efs);
+                let (b, sb) = snap.hybrid_search(&q, &pred, &attrs, k, efs, &mut scratch);
                 let (a, b) = (global_pairs(&a), global_pairs(&b));
                 prop_assert_eq!(&a, &b, "variant {:?}", variant);
                 prop_assert_eq!(
@@ -110,8 +122,8 @@ proptest! {
                 for &(id, _) in &b {
                     prop_assert!(pred.eval(&attrs, id), "row {} fails the predicate", id);
                 }
-                let sparse = (passing.len() as f64) < s_min * n as f64;
-                prop_assert_eq!(sb.fallback, sparse, "exact-count routing");
+                let route = Route::choose(n, passing.len(), 8, efs, k, &graph_params, true);
+                prop_assert_eq!(sb.fallback, route == Route::Scan, "exact-count routing");
                 if sb.fallback {
                     // The scan is exact: brute force over the passing rows.
                     let mut want: Vec<Neighbor> = passing
@@ -119,10 +131,14 @@ proptest! {
                         .map(|&i| Neighbor::new(Metric::L2.distance(vecs.get(i), &q), i))
                         .collect();
                     want.sort_unstable();
-                    want.truncate(10);
+                    want.truncate(k);
                     prop_assert_eq!(&b, &pairs(&want), "the pre-filter scan is exact");
+                    scanned_above_floor |= passing.len() as f64 >= graph_params.s_min() * n as f64;
+                } else {
+                    traversed = true;
                 }
             }
+            prop_assert!(scanned_above_floor && traversed, "both routes ({:?})", variant);
         }
     }
 

@@ -3,10 +3,11 @@
 //! then tombstoning a segment past `1 − s_min` — (a) no tombstoned row ever
 //! surfaces, pure and hybrid search answer bit-identically to the plan
 //! rebuilt with the interpreter (`common::interpreted_plan`, whose scan arm
-//! is brute force) at `k` of 1, 10 and more than the passing rows, and the
-//! router's scan/traverse decision agrees with exact per-segment passing
-//! counts computed here from the lifecycle's own ground truth (not from the
-//! planner), and (b) once `compact_all` collapses the log into one segment,
+//! is brute force) at `k` of 1, 10 and more than the passing rows and beams
+//! of 1, 8 and 48, and the router's scan/traverse decision agrees, segment
+//! by segment, with exact passing counts computed here from the
+//! lifecycle's own ground truth (not from the planner), every case taking
+//! both routes, and (b) once `compact_all` collapses the log into one segment,
 //! every query — pure and hybrid (held to the interpreter's plan too), plus
 //! raw layer searches in all three `LookupMode`s — is **result-identical**
 //! to a fresh index `bulk_load`ed from scratch with the surviving rows, and
@@ -19,7 +20,7 @@ mod common;
 use std::sync::Arc;
 
 use acorn_core::search::{acorn_search_layer, LookupMode};
-use acorn_core::{AcornIndex, AcornParams, AcornVariant, SegmentedAcornIndex};
+use acorn_core::{AcornIndex, AcornParams, AcornVariant, QueryTrace, Route, SegmentedAcornIndex};
 use acorn_hnsw::heap::Neighbor;
 use acorn_hnsw::{GraphView, Metric, SearchScratch, SearchStats, VectorStore};
 use acorn_predicate::{AttrStore, BitmapFilter, Bitset, Predicate};
@@ -98,22 +99,29 @@ fn run_lifecycle_with(
     lc
 }
 
-/// What exact-count routing must do, from ground truth alone: true iff
-/// some non-empty segment has fewer live rows whose label `passes` than
-/// `s_min · rows`, so that segment takes the pre-filter scan.
-fn expected_fallback(lc: &Lifecycle, passes: impl Fn(i64) -> bool) -> bool {
+/// What exact-count routing must do, from ground truth alone: per
+/// non-empty segment in query order, [`Route::choose`] on its live rows
+/// whose label `passes`, the frozen segments sealed and the active one not.
+fn expected_routes(
+    lc: &Lifecycle,
+    passes: impl Fn(i64) -> bool,
+    k: usize,
+    efs: usize,
+) -> Vec<Route> {
     let snap = lc.index.snapshot();
-    let s_min = snap.params().s_min();
-    snap.frozen_segments().iter().chain(snap.active_segment()).filter(|seg| !seg.is_empty()).any(
-        |seg| {
+    let sealed = snap.frozen_segments().iter().map(|seg| (seg, true));
+    let segments = sealed.chain(snap.active_segment().map(|seg| (seg, false)));
+    segments
+        .filter(|(seg, _)| !seg.is_empty())
+        .map(|(seg, sealed)| {
             let passing = seg
                 .global_ids()
                 .iter()
                 .filter(|&&g| lc.alive[g as usize] && passes(lc.labels[g as usize]))
                 .count();
-            (passing as f64) < s_min * seg.rows() as f64
-        },
-    )
+            Route::choose(seg.rows(), passing, DIM, efs, k, seg.index().params(), sealed)
+        })
+        .collect()
 }
 
 /// Tombstone all but every eighth row of the largest segment: under
@@ -137,6 +145,13 @@ fn draw_k(rng: &mut StdRng, rows: usize) -> usize {
     [1, 10, rows + 1][rng.gen_range(0..3usize)]
 }
 
+/// A query's beam: one (a sealed segment of more than ~50 live rows
+/// traverses at `k = 1`), a narrow one, or 48 (a sealed segment of a few
+/// hundred rows scans).
+fn draw_efs(rng: &mut StdRng) -> usize {
+    [1, 8, 48][rng.gen_range(0..3usize)]
+}
+
 fn query(rng: &mut StdRng) -> Vec<f32> {
     (0..DIM).map(|_| rng.gen_range(-1.0..1.0)).collect()
 }
@@ -154,10 +169,13 @@ fn mapped_pairs(out: &[acorn_core::GlobalNeighbor], survivors: &[u64]) -> Vec<(u
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
+    /// `n0` is large enough that even a gutted lifecycle leaves more than
+    /// ~50 survivors, so the compacted segment's pure search at `k = 1`,
+    /// beam 1 traverses, while a label passing no row scans everywhere.
     #[test]
     fn segmented_equals_rebuild_after_interleaved_ops(
         seed in 0u64..u64::MAX,
-        n0 in 120usize..250,
+        n0 in 720usize..900,
         ops in 10usize..40,
         gut in prop::sample::select(vec![false, true]),
     ) {
@@ -166,6 +184,8 @@ proptest! {
             if gut {
                 gut_largest_segment(&mut lc);
             }
+            let (mut scanned, mut traversed) = (false, false);
+            let mut trace = QueryTrace::default();
             let mut rng = StdRng::seed_from_u64(seed ^ 0xD1E5);
             let mut scratch = SearchScratch::new(lc.index.snapshot().max_segment_rows().max(1));
             let attrs_global =
@@ -181,16 +201,16 @@ proptest! {
             // Labels are 0..4; 9 passes nowhere (the all-sparse extreme).
             for value in [rng.gen_range(0..4), rng.gen_range(0..4), 9] {
                 let q = query(&mut rng);
-                let k = draw_k(&mut rng, lc.vectors.len());
-                for n in lc.index.reader().search(&q, k, 48).unwrap() {
+                let (k, efs) = (draw_k(&mut rng, lc.vectors.len()), draw_efs(&mut rng));
+                for n in lc.index.reader().search(&q, k, efs).unwrap() {
                     prop_assert!(lc.alive[n.id as usize], "dead gid {} surfaced", n.id);
                 }
                 // The pure search is the plan with the live rows as bitmap.
                 let snap = lc.index.snapshot();
                 let mut sp = SearchStats::default();
-                let pure = snap.search_with(&q, k, 48, &mut scratch, &mut sp).unwrap();
+                let pure = snap.search_with(&q, k, efs, &mut scratch, &mut sp).unwrap();
                 let (want, sw) =
-                    common::interpreted_plan(&snap, &q, &Predicate::True, &attrs_global, k, 48);
+                    common::interpreted_plan(&snap, &q, &Predicate::True, &attrs_global, k, efs);
                 prop_assert_eq!(global_pairs(&pure), global_pairs(&want),
                     "the pure search must answer as the interpreter's plan ({:?})", variant);
                 prop_assert_eq!(
@@ -198,12 +218,16 @@ proptest! {
                     (sw.fallback, sw.ndis, sw.nhops),
                     "the pure search's route and traversal ({:?})", variant
                 );
-                let pure_scans = expected_fallback(&lc, |_| true);
+                let pure_scans = expected_routes(&lc, |_| true, k, efs).contains(&Route::Scan);
                 prop_assert_eq!(sp.fallback, pure_scans, "pure routing follows live counts");
                 prop_assert!(pure_scans || !gut, "a gutted segment scans");
                 let pred = Predicate::Equals { field, value };
-                let (a, sa) = common::interpreted_plan(&snap, &q, &pred, &attrs_global, k, 48);
-                let (b, sb) = snap.hybrid_search(&q, &pred, &attrs_global, k, 48, &mut scratch);
+                let (a, sa) = common::interpreted_plan(&snap, &q, &pred, &attrs_global, k, efs);
+                let (b, sb) = snap
+                    .try_hybrid_search_traced(
+                        &q, &pred, &attrs_global, k, efs, &mut scratch, &mut trace,
+                    )
+                    .unwrap();
                 prop_assert_eq!(global_pairs(&a), global_pairs(&b),
                     "the engine must answer as the interpreter's plan mid-lifecycle ({:?})",
                     variant);
@@ -212,8 +236,11 @@ proptest! {
                     (sb.fallback, sb.ndis, sb.nhops),
                     "the same route and traversal ({:?})", variant
                 );
-                prop_assert_eq!(sb.fallback, expected_fallback(&lc, |label| label == value),
+                let routes: Vec<Route> = trace.segments.iter().map(|seg| seg.route).collect();
+                prop_assert_eq!(&routes, &expected_routes(&lc, |label| label == value, k, efs),
                     "routing must follow the exact per-segment counts (label {})", value);
+                scanned |= routes.contains(&Route::Scan);
+                traversed |= routes.contains(&Route::Traverse);
                 if value == 9 {
                     prop_assert!(b.is_empty());
                     prop_assert_eq!(sb.ndis, 0, "segments with no passing row cost no distances");
@@ -249,14 +276,20 @@ proptest! {
                 .build();
             let mut rscratch = SearchScratch::new(survivors.len());
 
-            for _ in 0..3 {
+            for i in 0..3 {
                 let q = query(&mut rng);
-                let k = draw_k(&mut rng, lc.vectors.len());
+                let (k, efs) = match i {
+                    0 => (1, 1),
+                    _ => (draw_k(&mut rng, lc.vectors.len()), draw_efs(&mut rng)),
+                };
                 // Pure search.
                 let (mut seg_stats, mut reb_stats) = Default::default();
-                let seg_out = compacted.search_with(&q, k, 48, &mut scratch, &mut seg_stats).unwrap();
-                let reb_out = rebuilt.search_with(&q, k, 48, &mut rscratch, &mut reb_stats).unwrap();
+                let seg_out =
+                    compacted.search_with(&q, k, efs, &mut scratch, &mut seg_stats).unwrap();
+                let reb_out =
+                    rebuilt.search_with(&q, k, efs, &mut rscratch, &mut reb_stats).unwrap();
                 prop_assert_eq!(seg_stats, reb_stats, "pure search: the same work");
+                traversed |= !seg_stats.fallback;
                 prop_assert_eq!(
                     global_pairs(&seg_out),
                     mapped_pairs(&reb_out, &survivors),
@@ -266,11 +299,11 @@ proptest! {
                 // interpreter's plan over the compacted index.
                 let pred = Predicate::Equals { field, value: rng.gen_range(0..4) };
                 let (seg_h, seg_stats) =
-                    compacted.hybrid_search(&q, &pred, &attrs_global, k, 48, &mut scratch);
+                    compacted.hybrid_search(&q, &pred, &attrs_global, k, efs, &mut scratch);
                 let (reb_h, reb_stats) =
-                    rebuilt.hybrid_search(&q, &pred, &attrs_local, k, 48, &mut rscratch);
+                    rebuilt.hybrid_search(&q, &pred, &attrs_local, k, efs, &mut rscratch);
                 let (want, want_stats) =
-                    common::interpreted_plan(&compacted, &q, &pred, &attrs_global, k, 48);
+                    common::interpreted_plan(&compacted, &q, &pred, &attrs_global, k, efs);
                 prop_assert_eq!(
                     global_pairs(&seg_h),
                     mapped_pairs(&reb_h, &survivors),
@@ -287,6 +320,7 @@ proptest! {
                 prop_assert_eq!(work(&seg_stats), work(&want_stats),
                     "routing must agree with the interpreter's plan ({:?})", variant);
             }
+            prop_assert!(scanned && traversed, "both routes ({:?})", variant);
         }
     }
 

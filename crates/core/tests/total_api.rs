@@ -7,7 +7,9 @@
 //! (a) nothing panics, (b) each refusal is the typed error the boundary
 //! rule gives, (c) a refusal spends nothing (epoch, next gid, rows, active
 //! rows and WAL bytes stay put), and (d) the next valid insert gets the
-//! next gid.
+//! next gid. Every case's reads take both routes: the frozen segment has
+//! enough rows that its pure search at `k = 1`, beam 1 traverses, and a
+//! beam past its rows scans it.
 //!
 //! The rule, in the order it is applied: a vector's length, then its first
 //! non-finite component; then the attribute store's length, then every
@@ -145,7 +147,7 @@ proptest! {
     fn every_fallible_door_refuses_bad_input_with_its_typed_error(
         seed in 0u64..u64::MAX,
         variant in prop::sample::select(vec![AcornVariant::Gamma, AcornVariant::One]),
-        n0 in 10usize..60,
+        n0 in 32usize..64,
         n1 in 0usize..15,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -216,6 +218,13 @@ proptest! {
                 }
             }
         }
+        let q = row(&mut rng);
+        for width in [1, usize::MAX] {
+            let hits = door("IndexReader::search", || reader.search(&q, width, width))?;
+            check_hits(&idx, &hits.unwrap(), width)?;
+        }
+        let m = reader.metrics();
+        prop_assert!(m.segments_scanned > 0 && m.segments_traversed > 0, "both routes: {:?}", m);
 
         // ---- Writes: the writer's checked doors and the durable store ----
         for _ in 0..8 {

@@ -41,8 +41,10 @@ pub struct SearchStats {
     /// predicate actually executed on; `npred_cached / npred` is the
     /// cache-hit rate the figure/table binaries report.
     pub npred_cached: u64,
-    /// Whether the query was answered by the pre-filter fallback
-    /// (ACORN §5.2: queries below `s_min` selectivity).
+    /// Whether the pre-filter scan answered the query, or in a segmented
+    /// index any of its segments: below `s_min` selectivity (ACORN §5.2),
+    /// or where the planner predicts the exact scan costs no more than a
+    /// traversal.
     pub fallback: bool,
 }
 

@@ -3,11 +3,13 @@
 //! per-query loop over the same pinned snapshot. Every property runs over
 //! (a) a static corpus `bulk_load`ed as one frozen segment — where local
 //! row id == global id, so the pure answers are additionally held to a bare
-//! [`AcornIndex`] graph built over the same store — and (b) a multi-segment
-//! index with tombstones.
+//! [`AcornIndex`] graph built over the same store when the planner traverses
+//! it, and to brute force over the store when it scans — and (b) a
+//! multi-segment index with tombstones.
 
 use std::sync::Arc;
 
+use acorn::core::Route;
 use acorn::prelude::*;
 use proptest::prelude::*;
 
@@ -80,14 +82,17 @@ proptest! {
 
         let mono = AcornIndex::build(Arc::new(vecs.clone()), params.clone(), AcornVariant::Gamma);
         let mut scratch = SearchScratch::new(n);
+        let scans = Route::choose(n, n, 6, efs, k, &params, true) == Route::Scan;
         let mono_answers: Vec<Vec<(u64, f32)>> = qs
             .iter()
             .map(|q| {
                 let mut stats = SearchStats::default();
-                mono.search_filtered(q, &AllPass, k, efs, &mut scratch, &mut stats)
-                    .iter()
-                    .map(|nb| (nb.id as u64, nb.dist))
-                    .collect()
+                let found = if scans {
+                    mono.prefilter_scan(q, &AllPass, k, &mut stats)
+                } else {
+                    mono.search_filtered(q, &AllPass, k, efs, &mut scratch, &mut stats)
+                };
+                found.iter().map(|nb| (nb.id as u64, nb.dist)).collect()
             })
             .collect();
 
