@@ -10,8 +10,13 @@
 //! the bitmap of a 20 % predicate, so the time per iteration is the µs per
 //! query of ACORN-γ's layer searches over a bitmap. The planner itself
 //! scans that 20 % segment at efs 64 (its scan costs less), so the second
-//! row calls the segment's graph directly. With `scan_route` these two
-//! rows fit the work constants of `Route::choose` (`core/src/plan.rs`).
+//! row calls the segment's graph directly. Then the dense shape where a
+//! traversal revisits most of what it admits: `reproduce fig9`'s 99th
+//! percentile band, a 10,000-row 768-d TripClick-like segment at the
+//! paper's M = 32, γ = 12 with ~68 % of its rows passing a date range,
+//! traversed at efs 160 and scanned (`prefilter_scan`) over the same
+//! bitmaps. With `scan_route` these rows anchor the work constants of
+//! `Route::choose` (`core/src/plan.rs`).
 //! Last, construction (`build`): `AcornIndex::build` of those two segments (each
 //! id names its rows, so rows ÷ time is rows/s), and single inserts into
 //! growing indices of ~250 and ~1,000 rows — the graph work alone
@@ -29,7 +34,8 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use acorn_core::{AcornIndex, AcornParams, AcornVariant, SegmentedAcornIndex};
-use acorn_data::datasets::{laion_like, sift_like, HybridDataset};
+use acorn_data::datasets::{laion_like, sift_like, tripclick_like, HybridDataset};
+use acorn_data::workloads::date_range_workload;
 use acorn_data::{correlated_dataset, CorrelatedSpec};
 use acorn_hnsw::{HnswParams, Metric, SearchScratch, SearchStats, VectorStore};
 use acorn_predicate::{AttrStore, BitmapFilter, Bitset, Predicate, PredicateFilter};
@@ -179,6 +185,40 @@ fn bench_traverse_route(c: &mut Criterion) {
             let query = black_box(&narrow_queries[next]);
             let mut stats = SearchStats::default();
             graph.search_filtered(query, &bitmap, 10, 64, &mut scratch, &mut stats)
+        })
+    });
+
+    // `reproduce fig9`'s corpus, ACORN-γ parameters and 99th-percentile
+    // date ranges, one bitmap per query.
+    let dense = || {
+        let ds = tripclick_like(10_000, 1);
+        let params = AcornParams { m_beta: 128, ..Default::default() };
+        let graph = AcornIndex::build(ds.vectors.clone(), params, AcornVariant::Gamma);
+        let queries: Vec<(Vec<f32>, BitmapFilter)> = date_range_workload(&ds, 0.6164, QUERIES, 7)
+            .queries
+            .into_iter()
+            .map(|q| (q.vector, BitmapFilter::new(q.predicate.to_bitset(&ds.attrs))))
+            .collect();
+        (graph.seal(), queries)
+    };
+    let mut dense_built = None;
+    let mut dense_scratch = SearchScratch::new(10_000);
+    group.bench_function("bitmap/768d/68%/1seg/efs160", |b| {
+        let (graph, queries) = dense_built.get_or_insert_with(dense);
+        b.iter(|| {
+            next = (next + 1) % QUERIES;
+            let (query, bitmap) = &queries[next];
+            let mut stats = SearchStats::default();
+            graph.search_filtered(black_box(query), bitmap, 10, 160, &mut dense_scratch, &mut stats)
+        })
+    });
+    group.bench_function("scan/768d/68%/1seg", |b| {
+        let (graph, queries) = dense_built.get_or_insert_with(dense);
+        b.iter(|| {
+            next = (next + 1) % QUERIES;
+            let (query, bitmap) = &queries[next];
+            let mut stats = SearchStats::default();
+            graph.prefilter_scan(black_box(query), bitmap, 10, &mut stats)
         })
     });
     group.finish();

@@ -82,36 +82,47 @@ pub enum Route {
     Traverse,
 }
 
-// The work model behind `Route::choose`, in units of one vector component.
-// Fitted once with `cargo bench --bench hybrid_query` on a 2-vCPU AVX2 host,
-// at the repo benchmark's M = 16, γ = 8:
-// - `scan_route` scores a 32-d row in ~10 ns (11–14 ns on its 10 % rows
-//   with the materialization, ~9 ns in the scan stage alone). Calling that
-//   row `32 + SCAN_ROW` = 70 units makes a unit ~1/7 ns, near one component
-//   of `cargo bench --bench distance`'s single `l2_sq` (0.18 ns at
-//   128–512-d).
-// - `traverse_route`'s two rows run at efs 64, so `ef · M` = 1,024. Fitted
-//   at ~115 µs, the 512-d pure search (`rows / passing` = 1) is
-//   `1,024 · (512 + D + C)` units; fitted at ~62 µs, the 32-d segment over
-//   a 20 % bitmap (`rows / passing` = 5) is `1,024 · (32 + D + 5·C)`. So
-//   D ≈ 240 and C ≈ 31: ~39 ns per 32-d distance, ~4.4 ns per check.
-// The same rows re-run on the same shared host read 99–113 µs and 63–81 µs,
-// which fits C up to ~2× higher and D lower; the benchmark's shapes route
-// the same either way (`the_route_rule_on_the_benchmarks_shapes`), and the
-// 100,000-row crossovers of `reproduce serve` move by less than 2×. On the
-// repo benchmark's `bands-graph` corpus (four 8,000 × 32-d segments), its
-// `sel20` class at efs 64 traversed a segment in ~566 distances and ~8,800
-// checks, 426k units, where the rule predicts 437k; scanning the segment's
-// ~1,600 passing rows is 112k.
+// The work model behind `Route::choose`, in units of one vector component
+// scored by a scan (~0.21 ns on a 2-vCPU AVX2 host). Fitted by least
+// squares on per-query times of a scan and of a traversal over the same
+// bitmaps, k = 10, at the repo benchmark's M = 16, γ = 8 and at the paper's
+// M = 32, γ = 12 (ACORN-γ and ACORN-1), on five shapes:
+// - 8,000 × 32-d correlated rows, 20 / 50 / 100 % passing, efs 16–256;
+// - 4,000 × 512-d LAION-like rows, all passing, efs 16–256;
+// - 10,000 × 768-d TripClick-like rows (`reproduce fig9`), date ranges
+//   passing 12 / 25 / 68 %, efs 10–320;
+// - 100,000 × 32-d correlated rows (`reproduce serve`'s segments),
+//   10 / 50 % passing, efs 20–640.
+// `cargo bench --bench hybrid_query`'s `scan_route` and `traverse_route`
+// rows time the first three. What the fit says:
+// - A scan costs its rows' components plus `SCAN_ROW` each, and
+//   `SCAN_SPAN` per row of the segment: the bitmap walk, and the cache
+//   lines a sparse scan cannot stream (10 % of 100,000 rows scanned at
+//   30 ns a row, all of 8,000 at 12).
+// - A traversal makes about `ef` hops (`nhops` read 0.95–1.6 × efs on
+//   every shape). A hop admits `M` rows at `TRAVERSE_ADMIT` each and
+//   `TRAVERSE_CHECK` per bitmap check, `rows / passing` checks per admitted
+//   row; its distances cost `TRAVERSE_DIMS` components per dimension, not
+//   `M`: most admitted rows were visited already. At `fig9`'s 99th
+//   percentile (68 %), efs 160 computed 450 distances in 165 hops where
+//   `ef · M` is 5,120, and took 336–570 µs against the scan's 1,090.
+// - Where the fit errs it traverses, as the `s_min` rule alone always did:
+//   on every point above it picks the cheaper route or one within 5 %,
+//   except that it traverses where a scan is up to 1.9× cheaper on the
+//   100,000-row segments past efs ~140 (a hop there costs twice what the
+//   fit charges) and on the 512-d segment between efs ~220 and 323.
 
 /// Scan work per scored row, beyond its `dim` components: the top-`k`
-/// compare, the id map, the bitmap walk.
-const SCAN_ROW: f64 = 38.0;
-/// Traversal work per distance, beyond its `dim` components: the visited
-/// stamp, the candidate and result heaps, the neighbor list.
-const TRAVERSE_DISTANCE: f64 = 240.0;
+/// compare, the id map.
+const SCAN_ROW: f64 = 14.0;
+/// Scan work per row of the segment, scored or not.
+const SCAN_SPAN: f64 = 9.0;
+/// Traversal work per admitted row: the visited stamp, the heaps, the list.
+const TRAVERSE_ADMIT: f64 = 300.0;
 /// Traversal work per bitmap check of a neighbor.
-const TRAVERSE_CHECK: f64 = 31.0;
+const TRAVERSE_CHECK: f64 = 57.0;
+/// A hop's distance work per vector dimension.
+const TRAVERSE_DIMS: f64 = 1.8;
 
 impl Route {
     /// The route of a segment of `rows` rows of which `passing` live rows
@@ -121,15 +132,18 @@ impl Route {
     /// it, a `sealed` segment still scans when the scan is predicted to be
     /// no more work:
     ///
-    /// `passing · (dim + S) ≤ ef · M · ((dim + D) + C · rows / passing)`,
+    /// `passing · (dim + S) + W · rows ≤ ef · (M · (A + C · rows / passing) + B · dim)`,
     ///
     /// with `ef = max(efs, k)` capped at `rows`: about `ef` hops, each
-    /// admitting `M` rows at `rows / passing` checks per admitted row.
-    /// `S`, `D` and `C` are fixed work constants; the rule reads no clock,
-    /// so a plan stays a function of its inputs. The scan is exact, so it
-    /// never lowers recall. A growing segment keeps the `s_min` rule alone:
-    /// scanning it takes the reader off the graph a writer is inserting
-    /// into, which slowed inserts more than it sped reads.
+    /// admitting `M` rows at `rows / passing` checks per admitted row and
+    /// computing a few distances. `S`, `W`, `A`, `C` and `B` are fixed work
+    /// constants (`SCAN_ROW`, `SCAN_SPAN`, `TRAVERSE_ADMIT`,
+    /// `TRAVERSE_CHECK`, `TRAVERSE_DIMS`, fitted in this module's source);
+    /// the rule reads no clock, so a plan stays a function of its inputs.
+    /// The scan is exact, so it never lowers recall. A growing segment
+    /// keeps the `s_min` rule alone: routed on the cost term too, it slowed
+    /// `churn-mixed`'s inserts (p50 +23 %) more than it sped its reads
+    /// (`qps` +14 %).
     pub fn choose(
         rows: usize,
         passing: usize,
@@ -148,8 +162,9 @@ impl Route {
         }
         let (ef, m, dim) = (efs.max(k).min(rows) as f64, params.m as f64, dim as f64);
         // Both sides times `passing`, so an empty bitmap needs no division.
-        let scan = p * p * (dim + SCAN_ROW);
-        let traverse = ef * m * ((dim + TRAVERSE_DISTANCE) * p + TRAVERSE_CHECK * n);
+        let scan = p * (p * (dim + SCAN_ROW) + SCAN_SPAN * n);
+        let traverse =
+            ef * (m * (TRAVERSE_ADMIT * p + TRAVERSE_CHECK * n) + TRAVERSE_DIMS * dim * p);
         if scan <= traverse {
             Route::Scan
         } else {
@@ -410,8 +425,9 @@ mod tests {
         // the segment's `AcornIndex` returns for a bitmap of the predicate
         // built row by row with the interpreter. γ = 8 → s_min = 0.125;
         // `v = row id`, so `v < c` passes exactly `c` of the 1,000 rows. At
-        // efs 16, 50 rows scan under the recall floor, 600 scan because the
-        // scan costs less than a traversal, and 900 and all rows traverse.
+        // k = efs = 5, 50 rows scan under the recall floor, 300 scan because
+        // the scan costs less than a traversal, and 600, 900 and all rows
+        // traverse.
         let n = 1000;
         let (snap, _) = one_segment(n, 8, 70);
         let graph = snap.frozen_segments()[0].index();
@@ -419,7 +435,7 @@ mod tests {
         let field = attrs.field("v").unwrap();
         let mut scratch = SearchScratch::new(n);
         let q = vec![0.1; 8];
-        let (k, efs) = (10, 16);
+        let (k, efs) = (5, 5);
 
         let mut want_stats = SearchStats::default();
         let want = graph.search_filtered(&q, &AllPass, k, efs, &mut scratch, &mut want_stats);
@@ -431,7 +447,7 @@ mod tests {
         assert_eq!(stats, checks, "constant true: the live-row bitmap and nothing else");
 
         // (passing rows, scanned)
-        for (passing, scan) in [(50i64, true), (600, true), (900, false)] {
+        for (passing, scan) in [(50i64, true), (300, true), (600, false), (900, false)] {
             let pred = Predicate::Between { field, lo: 0, hi: passing - 1 };
             let interpreted =
                 Bitset::from_ids(n, (0..n as u32).filter(|&row| pred.eval(&attrs, row)));
@@ -525,7 +541,7 @@ mod tests {
     #[test]
     fn two_segments_charge_their_gid_spans_and_their_traversal_checks() {
         // Two segments, 600 and 900 rows, and a predicate half the rows of
-        // each pass (γ = 4 → s_min = 0.25, and at k = efs = 10 a traversal
+        // each pass (γ = 4 → s_min = 0.25, and at k = efs = 5 a traversal
         // costs less than scanning 300 or 450 rows, so both traverse): each
         // segment is materialized over its gid span and then traversed over
         // its bitmap, and nothing else is charged — no sample.
@@ -549,14 +565,13 @@ mod tests {
             let passing =
                 (0..gids.len() as u32).filter(|&l| pred.eval(&attrs, gids[l as usize] as u32));
             let filter = BitmapFilter::new(Bitset::from_ids(gids.len(), passing));
-            let out =
-                seg.index().search_filtered(&q, &filter, 10, 10, &mut scratch, &mut want_stats);
+            let out = seg.index().search_filtered(&q, &filter, 5, 5, &mut scratch, &mut want_stats);
             want.extend(out.iter().map(|n| GlobalNeighbor::new(n.dist, gids[n.id as usize])));
         }
         want.sort_unstable();
-        want.truncate(10);
+        want.truncate(5);
 
-        let (got, stats) = snap.hybrid_search(&q, &pred, &attrs, 10, 10, &mut scratch);
+        let (got, stats) = snap.hybrid_search(&q, &pred, &attrs, 5, 5, &mut scratch);
         assert_eq!(bits(&got), bits(&want), "the merge of the two traversals");
         assert_eq!(
             (stats.ndis, stats.nhops, stats.fallback),
@@ -656,10 +671,10 @@ mod tests {
             assert!(n.id < 12, "fallback returned non-passing row {}", n.id);
         }
 
-        // Broad predicate: at efs 16 a traversal costs less than scanning
+        // Broad predicate: at efs 10 a traversal costs less than scanning
         // its 1,188 rows, so it stays on the graph path.
         let pred = Predicate::Equals { field, value: 0 };
-        let (_, stats) = snap.hybrid_search(&[0.0; 8], &pred, &attrs, 5, 16, &mut scratch);
+        let (_, stats) = snap.hybrid_search(&[0.0; 8], &pred, &attrs, 5, 10, &mut scratch);
         assert!(!stats.fallback);
     }
 
@@ -675,7 +690,7 @@ mod tests {
         let mut scratch = SearchScratch::new(n);
         let mut routes = Vec::new();
 
-        // At efs 16 the two wide ranges traverse and the two narrow
+        // At k = efs = 10 the two wide ranges traverse and the two narrow
         // predicates scan under the recall floor.
         for (pred, label) in [
             (Predicate::Between { field, lo: 1995, hi: 2010 }, "mid-selectivity"),
@@ -687,16 +702,16 @@ mod tests {
             // The reference: the interpreter's bitmap, routed on its count.
             let interpreted =
                 Bitset::from_ids(n, (0..n as u32).filter(|&row| pred.eval(&attrs, row)));
-            let route = Route::choose(n, interpreted.count(), 8, 16, 10, graph.params(), true);
+            let route = Route::choose(n, interpreted.count(), 8, 10, 10, graph.params(), true);
             routes.push(route);
             let filter = BitmapFilter::new(interpreted);
             let mut sb = SearchStats::default();
             let b = if route == Route::Scan {
                 graph.prefilter_scan(&q, &filter, 10, &mut sb)
             } else {
-                graph.search_filtered(&q, &filter, 10, 16, &mut scratch, &mut sb)
+                graph.search_filtered(&q, &filter, 10, 10, &mut scratch, &mut sb)
             };
-            let (a, sa) = snap.hybrid_search(&q, &pred, &attrs, 10, 16, &mut scratch);
+            let (a, sa) = snap.hybrid_search(&q, &pred, &attrs, 10, 10, &mut scratch);
             assert_eq!(bits(&a), local_bits(&b), "{label}: routes must answer bit-identically");
             assert_eq!(
                 (sa.fallback, sa.ndis, sa.nhops),
@@ -722,10 +737,11 @@ mod tests {
     #[test]
     fn the_route_rule_on_the_benchmarks_shapes() {
         use Route::{Scan, Traverse};
-        // The repo benchmark's segments (M 16, γ 8), and `reproduce
-        // serve`'s 100,000-row segments at the paper's M 32, γ 12; k = 10.
+        // The repo benchmark's segments (M 16, γ 8); `reproduce serve`'s
+        // 100,000-row segments and `reproduce fig9`'s 10,000-row 768-d one
+        // at the paper's M 32, γ 12; k = 10.
         let bench = AcornParams { m: 16, gamma: 8, m_beta: 32, ..Default::default() };
-        let serve = AcornParams::default();
+        let paper = AcornParams::default();
         let route = |p: &AcornParams, rows, passing, dim, efs| {
             Route::choose(rows, passing, dim, efs, 10, p, true)
         };
@@ -734,10 +750,16 @@ mod tests {
             ("bands-graph sel50 @ 32", &bench, 8_000, 4_000, 32, 32, Traverse),
             ("bands-graph pure @ 16", &bench, 8_000, 8_000, 32, 16, Traverse),
             ("hcps-512d pure @ 64", &bench, 4_000, 4_000, 512, 64, Traverse),
-            ("serve s0.1 @ 37", &serve, 100_000, 10_000, 32, 37, Traverse),
-            ("serve s0.1 @ 38", &serve, 100_000, 10_000, 32, 38, Scan),
-            ("serve s0.5 @ 320", &serve, 100_000, 50_000, 32, 320, Traverse),
-            ("serve s0.5 @ 330", &serve, 100_000, 50_000, 32, 330, Scan),
+            ("serve s0.1 @ 48", &paper, 100_000, 10_000, 32, 48, Traverse),
+            ("serve s0.1 @ 49", &paper, 100_000, 10_000, 32, 49, Scan),
+            ("serve s0.5 @ 240", &paper, 100_000, 50_000, 32, 240, Traverse),
+            ("serve s0.5 @ 241", &paper, 100_000, 50_000, 32, 241, Scan),
+            // fig9's 99th-percentile band: a traversal of the dense 768-d
+            // graph computed 450 distances in 165 hops at efs 160, and
+            // took a third of the scan's time; at 320, two thirds.
+            ("fig9 99p @ 160", &paper, 10_000, 6_835, 768, 160, Traverse),
+            ("fig9 99p @ 320", &paper, 10_000, 6_835, 768, 320, Traverse),
+            ("fig9 25p @ 320", &paper, 10_000, 2_882, 768, 320, Scan),
         ] {
             assert_eq!(route(params, rows, passing, dim, efs), want, "{what}");
         }
@@ -753,8 +775,8 @@ mod tests {
         // `efs` past the crossover flips a segment to the scan, and so does
         // a `k` past it (the beam is `max(efs, k)`), and a beam past the
         // rows is capped at them.
-        let s01 = |efs, k| Route::choose(100_000, 10_000, 32, efs, k, &serve, true);
-        assert_eq!((s01(20, 10), s01(40, 10), s01(20, 40)), (Traverse, Scan, Scan));
+        let s01 = |efs, k| Route::choose(100_000, 10_000, 32, efs, k, &paper, true);
+        assert_eq!((s01(20, 10), s01(60, 10), s01(20, 60)), (Traverse, Scan, Scan));
         assert_eq!(Route::choose(8_000, 8_000, 32, usize::MAX, 10, &bench, true), Scan);
     }
 
@@ -796,7 +818,7 @@ mod tests {
 
     #[test]
     fn a_traced_query_answers_as_the_untraced_one_and_accounts_for_every_segment() {
-        // At k = efs = 10 the sealed segments traverse their live rows and
+        // At k = efs = 5 the sealed segments traverse their live rows and
         // scan a label (a sixth of them, under the floor); the 70-row active
         // segment traverses its live rows although sealed it would scan them.
         let mut rng = StdRng::seed_from_u64(91);
@@ -823,10 +845,10 @@ mod tests {
         for pred in &preds {
             let q: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let (want, want_stats) =
-                snap.try_hybrid_search(&q, pred, &attrs, 10, 10, &mut scratch).unwrap();
+                snap.try_hybrid_search(&q, pred, &attrs, 5, 5, &mut scratch).unwrap();
             let t0 = std::time::Instant::now();
             let (got, stats) = snap
-                .try_hybrid_search_traced(&q, pred, &attrs, 10, 10, &mut scratch, &mut trace)
+                .try_hybrid_search_traced(&q, pred, &attrs, 5, 5, &mut scratch, &mut trace)
                 .unwrap();
             let wall = t0.elapsed().as_nanos() as u64;
             let what = pred.describe(&attrs);
@@ -849,7 +871,7 @@ mod tests {
                 let sealed = view.index().csr().is_some();
                 let params = view.index().params();
                 let route =
-                    |sealed| Route::choose(seg.rows, seg.passing, DIM, 10, 10, params, sealed);
+                    |sealed| Route::choose(seg.rows, seg.passing, DIM, 5, 5, params, sealed);
                 assert_eq!(seg.route, route(sealed), "{what}");
                 assert_eq!(seg.stats.fallback, seg.route == Route::Scan, "{what}");
                 growing_kept_the_floor |=

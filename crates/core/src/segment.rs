@@ -743,7 +743,7 @@ mod tests {
     use crate::prune::PruneStrategy;
     use crate::snapshot::MetricsSnapshot;
     use acorn_hnsw::{Metric, SearchScratch, SearchStats};
-    use acorn_predicate::{AllPass, AttrStore, Predicate};
+    use acorn_predicate::{AllPass, AttrStore, BitmapFilter, Predicate};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1318,17 +1318,17 @@ mod tests {
         // "The last 400 rows": all of the newest segment, none of the older
         // two. The per-segment counts say exactly that; a router that looked
         // at the global selectivity (1/3) would treat all three alike. At
-        // k = efs = 5 a traversal of 400 passing rows costs less than their
+        // k = efs = 3 a traversal of 400 passing rows costs less than their
         // scan.
         let pred = Predicate::Between { field, lo: 800, hi: 1199 };
-        let (out, stats) = snap.hybrid_search(&q, &pred, &attrs, 5, 5, &mut scratch);
+        let (out, stats) = snap.hybrid_search(&q, &pred, &attrs, 3, 3, &mut scratch);
         // The newest segment passes everywhere, so its share of the work is
         // the pure traversal of that segment; the empty segments must add
         // no distance computation at all.
         let newest = &snap.frozen_segments()[2];
         let mut alone = SearchStats::default();
         let traversed =
-            newest.index().search_filtered(&q, &AllPass, 5, 5, &mut scratch, &mut alone);
+            newest.index().search_filtered(&q, &AllPass, 3, 3, &mut scratch, &mut alone);
         let traversed: Vec<GlobalNeighbor> =
             traversed.iter().map(|n| GlobalNeighbor::new(n.dist, 800 + u64::from(n.id))).collect();
         assert_eq!(stats.ndis, alone.ndis, "segments with no passing row cost no distances");
@@ -1340,9 +1340,11 @@ mod tests {
         // traverse, so both scan (exactly their passing rows); 300 does not
         // and traverses. The newest segment traverses every time and the
         // oldest stays empty, so `ndis` pins the middle segment's route.
+        let middle = &snap.frozen_segments()[1];
+        assert_eq!(middle.global_ids()[0], 400);
         for (sparse, scanned) in [(49u64, true), (200, true), (300, false)] {
             let pred = Predicate::Between { field, lo: 800 - sparse as i64, hi: 1199 };
-            let (out, stats) = snap.hybrid_search(&q, &pred, &attrs, 5, 5, &mut scratch);
+            let (out, stats) = snap.hybrid_search(&q, &pred, &attrs, 3, 3, &mut scratch);
             assert!(stats.fallback, "the empty oldest segment always takes the scan branch");
             assert_eq!(
                 stats.ndis == alone.ndis + sparse,
@@ -1351,19 +1353,29 @@ mod tests {
                 stats.ndis,
                 alone.ndis
             );
+            // The middle segment's list beside the newest's: its exact
+            // top-3 when it scans, else its graph's over the interpreter's
+            // bitmap of its rows.
+            let mut want = traversed.clone();
             if scanned {
-                // The middle segment's exact top-5 beside the newest's list.
-                let middle = |g: u64| (800 - sparse..800).contains(&g);
-                let mut want = traversed.clone();
+                let in_middle = |g: u64| (800 - sparse..800).contains(&g);
                 want.extend(
-                    brute_force(&vecs, &q, middle, 5).into_iter().map(|g| {
+                    brute_force(&vecs, &q, in_middle, 3).into_iter().map(|g| {
                         GlobalNeighbor::new(Metric::L2.distance(&vecs[g as usize], &q), g)
                     }),
                 );
-                want.sort_unstable();
-                want.truncate(5);
-                assert_eq!(ids(&out), ids(&want), "{sparse} passing rows");
+            } else {
+                let gids = middle.global_ids();
+                let passing =
+                    (0..gids.len() as u32).filter(|&l| pred.eval(&attrs, gids[l as usize] as u32));
+                let filter = BitmapFilter::new(Bitset::from_ids(gids.len(), passing));
+                let mut st = SearchStats::default();
+                let out = middle.index().search_filtered(&q, &filter, 3, 3, &mut scratch, &mut st);
+                want.extend(out.iter().map(|n| GlobalNeighbor::new(n.dist, gids[n.id as usize])));
             }
+            want.sort_unstable();
+            want.truncate(3);
+            assert_eq!(ids(&out), ids(&want), "{sparse} passing rows");
         }
     }
 

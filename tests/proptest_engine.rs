@@ -88,7 +88,13 @@ proptest! {
             .map(|q| {
                 let mut stats = SearchStats::default();
                 let found = if scans {
-                    mono.prefilter_scan(q, &AllPass, k, &mut stats)
+                    // Brute force: one distance per row, sorted.
+                    let mut all: Vec<Neighbor> = (0..n as u32)
+                        .map(|id| Neighbor::new(vecs.distance_to(params.metric, id, q), id))
+                        .collect();
+                    all.sort_unstable();
+                    all.truncate(k);
+                    all
                 } else {
                     mono.search_filtered(q, &AllPass, k, efs, &mut scratch, &mut stats)
                 };
