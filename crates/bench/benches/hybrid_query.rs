@@ -18,10 +18,12 @@
 //! bitmaps. With `scan_route` these rows anchor the work constants of
 //! `Route::choose` (`core/src/plan.rs`).
 //! Last, construction (`build`): `AcornIndex::build` of those two segments (each
-//! id names its rows, so rows ÷ time is rows/s), and single inserts into
-//! growing indices of ~250 and ~1,000 rows — the graph work alone
-//! (`insert_vector`), the same plus a publication (`segment_insert`), and
-//! the graph work beside a live clone (`insert`).
+//! id names its rows, so rows ÷ time is rows/s); the build and seal of one
+//! pending segment's 1,024 rows (`seal_build`), the graph work a segmented
+//! index does once per sealed segment, off the writer's path; and single
+//! inserts at ~250 and ~1,000 rows — into a growing graph (`insert_vector`,
+//! the graph work an insert no longer does) and into a segmented index's
+//! active segment (`segment_insert`: an append plus a publication).
 //!
 //! A name filter runs only the rows whose id contains it
 //! (`cargo bench --bench hybrid_query build`); each group builds its
@@ -230,13 +232,11 @@ const HELD_OUT: usize = 64;
 
 /// Time `insert` of the next held-out row into the index `fresh` builds,
 /// built again (untimed) every `HELD_OUT` inserts so it stays within
-/// `HELD_OUT` rows of its starting size. `pin` runs untimed before each
-/// insert, and what it returns is dropped untimed after it.
-fn rolling<I, P>(
+/// `HELD_OUT` rows of its starting size.
+fn rolling<I>(
     b: &mut Bencher,
     held_out: &[&[f32]],
     fresh: impl Fn() -> I,
-    pin: impl Fn(&I) -> P,
     insert: impl Fn(&mut I, &[f32]),
 ) {
     let state = RefCell::new((fresh(), 0));
@@ -246,13 +246,11 @@ fn rolling<I, P>(
             if state.1 == held_out.len() {
                 *state = (fresh(), 0);
             }
-            pin(&state.0)
         },
-        |pinned| {
+        |()| {
             let (index, next) = &mut *state.borrow_mut();
             insert(index, held_out[*next]);
             *next += 1;
-            pinned
         },
         BatchSize::SmallInput,
     );
@@ -287,14 +285,19 @@ fn bench_build(c: &mut Criterion) {
         b.iter(|| AcornIndex::build(vecs.clone(), params.clone(), AcornVariant::Gamma))
     });
 
-    // Single inserts of the held-out rows into growing indices over the
-    // first `n` rows: `insert_vector` into an index never cloned (the graph
-    // work alone), `segment_insert` into a segmented index's active segment
-    // (the same plus the publication of a new epoch, whose view shares the
-    // graph), and `insert` into an index with a live clone of it (the graph
-    // work of the writer's first insert after a publication, the
-    // publication itself left out). `segment_insert` minus `insert_vector`
-    // is the publication's cost at that size.
+    // What a pending segment of the repo benchmark's `active_max_rows`
+    // costs to build once sealed: its graph over its rows in gid order,
+    // then the CSR.
+    group.bench_function("seal_build/32d/1024rows", |b| {
+        let vecs = rows(&narrow, 1_024);
+        b.iter(|| AcornIndex::build(vecs.clone(), params.clone(), AcornVariant::Gamma).seal())
+    });
+
+    // Single inserts of the held-out rows over the first `n` rows:
+    // `insert_vector` into a growing graph (the graph work alone, which an
+    // insert into a segmented index no longer does), and `segment_insert`
+    // into a segmented index's active segment (an append to its rows plus
+    // the publication of a new epoch, whose view shares them).
     let held_out: Vec<&[f32]> = (8_000..8_000 + HELD_OUT as u32).map(|r| narrow.get(r)).collect();
     let growing =
         |n: usize| AcornIndex::build(rows(&narrow, n), params.clone(), AcornVariant::Gamma);
@@ -311,7 +314,6 @@ fn bench_build(c: &mut Criterion) {
                 b,
                 &held_out,
                 || growing(n),
-                |_| (),
                 |index, v| {
                     index.insert_vector(v);
                 },
@@ -322,24 +324,12 @@ fn bench_build(c: &mut Criterion) {
                 b,
                 &held_out,
                 || segment(n),
-                |_| (),
                 |index, v| {
                     index.insert(v);
                 },
             )
         });
     }
-    group.bench_function("insert/32d/1000rows", |b| {
-        rolling(
-            b,
-            &held_out,
-            || growing(1_000),
-            AcornIndex::clone,
-            |index, v| {
-                index.insert_vector(v);
-            },
-        )
-    });
     group.finish();
 }
 

@@ -395,11 +395,12 @@ impl DurableIndex {
         })
     }
 
-    /// Seal the active segment (logged; a no-op on an empty active segment
-    /// logs nothing).
+    /// Seal the active segment and build every pending one (logged; a
+    /// no-op with no active row and no pending segment logs nothing).
     pub fn freeze(&mut self) -> io::Result<()> {
         self.run(|s| {
-            if s.index.active_rows() == 0 {
+            let pending = s.index.snapshot().frozen_segments().iter().any(SegmentView::is_pending);
+            if s.index.active_rows() == 0 && !pending {
                 return Ok(());
             }
             s.append_op(WalOp::Freeze)?;

@@ -220,10 +220,12 @@ mod tests {
 
     #[test]
     fn batch_aggregates_stats_and_counts_executions() {
-        let idx = small_segmented(500, 3);
+        // At k = efs = 5 the 601-row frozen segment traverses; the active
+        // one, which has no graph, scans.
+        let idx = small_segmented(1200, 3);
         let qs = queries(10, 8, 4);
         let engine = SegmentedQueryEngine::for_reader(idx.reader()).with_threads(2);
-        let out = engine.search_batch(&qs, 5, 32);
+        let out = engine.search_batch(&qs, 5, 5);
         assert!(out.qps > 0.0);
         assert_eq!(out.executions, qs.len() as u64, "one execution per query");
         // The aggregate is exactly the sum of the per-query stats.
@@ -231,7 +233,7 @@ mod tests {
         let mut scratch = SearchScratch::new(snap.max_segment_rows());
         let mut want = SearchStats::default();
         for q in &qs {
-            snap.search_with(q, 5, 32, &mut scratch, &mut want).unwrap();
+            snap.search_with(q, 5, 5, &mut scratch, &mut want).unwrap();
         }
         assert!(want.ndis > 0 && want.nhops > 0);
         assert_eq!(out.stats, want);

@@ -5,10 +5,11 @@
 //! [`SegmentedAcornIndex`](crate::segment::SegmentedAcornIndex) — the index
 //! a user builds, queries and saves.
 //!
-//! An [`AcornIndex`] holds one graph at a time. It is *growing* — a nested
+//! An [`AcornIndex`] holds at most one graph. It is *growing* — a nested
 //! [`LayeredGraph`] that accepts inserts — until [`AcornIndex::seal`] turns
 //! it into its *sealed* form: the same graph as one immutable [`CsrGraph`],
-//! with the build state dropped.
+//! with the build state dropped. A segment whose graph is not built yet
+//! holds an index of its rows alone, with an empty graph.
 
 use std::ops::RangeInclusive;
 use std::sync::Arc;
@@ -25,7 +26,7 @@ use crate::prune::{self, PruneStrategy};
 use crate::search::{acorn_search_layer, LookupMode};
 
 /// Everything only construction needs; [`AcornIndex::seal`] drops it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Growing {
     graph: LayeredGraph,
     sampler: LevelSampler,
@@ -35,29 +36,18 @@ struct Growing {
     labels: Option<Vec<i64>>,
 }
 
-impl Clone for Growing {
-    fn clone(&self) -> Self {
-        Self {
-            graph: self.graph.clone(),
-            sampler: self.sampler.clone(),
-            // Visited stamps and heaps of the last insert: transient state,
-            // regrown on first use like the pool's scratches.
-            scratch: SearchScratch::default(),
-            labels: self.labels.clone(),
-        }
-    }
-}
-
-/// The one graph an index holds: the nested build-time layout while it
-/// accepts inserts, the flat CSR once sealed.
+/// The graph an index holds: the nested build-time layout while it accepts
+/// inserts, the flat CSR once sealed, none for a segment's rows before
+/// their graph is built.
 ///
-/// Not boxed despite the size gap: an index holds one `State`, and a box
-/// would cost the writer an allocation on every publication's clone.
+/// Not boxed despite the size gap: every publication of the active segment
+/// makes a rows-only index, and a box would cost it an allocation.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum State {
     Growing(Growing),
     Sealed(CsrGraph),
+    Rows,
 }
 
 impl State {
@@ -65,6 +55,7 @@ impl State {
         match self {
             State::Growing(g) => g,
             State::Sealed(_) => panic!("a sealed index has no build-time graph"),
+            State::Rows => panic!("an index of rows alone has no build-time graph"),
         }
     }
 
@@ -72,6 +63,7 @@ impl State {
         match self {
             State::Growing(g) => g,
             State::Sealed(_) => panic!("a sealed index accepts no inserts"),
+            State::Rows => panic!("an index of rows alone accepts no inserts"),
         }
     }
 }
@@ -83,15 +75,13 @@ impl State {
 /// on — a nested [`LayeredGraph`] that [`insert`](Self::insert) extends,
 /// traversed over the exact f32 rows — until [`seal`](Self::seal) turns it
 /// into its immutable **sealed** form: the same graph as one [`CsrGraph`].
-/// It holds exactly one of the two graphs at any time, and answers
-/// bit-identically from either.
+/// It holds one of the two graphs, and answers bit-identically from either.
+/// The third form, a segment's rows before their graph is built, has an
+/// empty graph: [`len`](Self::len) is 0, a traversal finds nothing, and
+/// [`prefilter_scan`](Self::prefilter_scan) scores its rows.
 ///
-/// [`clone`](Clone::clone) of a growing index shares rather than copies: the
-/// vector rows and every neighbor list stay in buffers common to both
-/// indices, and an insert into either writes past what the other reaches
-/// (see [`LayeredGraph`] and [`VectorStore`]); the clone starts with empty
-/// search scratch. The cost is one `Arc` bump per buffer and a copy of the
-/// graph's span and level tables (~18 B per node), with no per-node atomic.
+/// [`clone`](Clone::clone) copies the graph and its build state and shares
+/// the vector rows (see [`VectorStore`]).
 #[derive(Debug, Clone)]
 pub struct AcornIndex {
     params: AcornParams,
@@ -102,16 +92,26 @@ pub struct AcornIndex {
     edges_pruned: u64,
 }
 
-/// The `M` used for level sampling: tied to `M` (never `M·γ`, §5.2) unless
-/// the Qdrant flattening ablation is explicitly requested. Shared by
-/// [`AcornIndex::new`] and [`AcornIndex::from_parts`] so a deserialized
-/// index resumes inserts with the same level distribution it was built with.
-fn sampler_m(params: &AcornParams) -> usize {
-    if params.flatten_hierarchy {
-        (params.m * params.gamma).max(2)
-    } else {
-        params.m.max(2)
+/// The parameters an index over `params` builds with. For
+/// [`AcornVariant::One`], `γ` and `M_β` are overridden to `1` and `M` per
+/// §5.3, keeping the ACORN-γ serving threshold `s_min = 1/γ`.
+///
+/// # Panics
+/// Panics if the parameters are inconsistent (see
+/// [`AcornParams::validate`]).
+pub(crate) fn resolve_params(mut params: AcornParams, variant: AcornVariant) -> AcornParams {
+    if variant == AcornVariant::One {
+        // Preserve the intended serving threshold before forcing the
+        // construction parameters to γ = 1, M_β = M (§5.3): ACORN-1
+        // approximates an ACORN-γ index, including its fallback point.
+        if params.s_min_override.is_none() {
+            params.s_min_override = Some(1.0 / params.gamma as f64);
+        }
+        params.gamma = 1;
+        params.m_beta = params.m;
     }
+    params.validate();
+    params
 }
 
 impl AcornIndex {
@@ -124,20 +124,25 @@ impl AcornIndex {
     /// # Panics
     /// Panics if the parameters are inconsistent (see
     /// [`AcornParams::validate`]).
-    pub fn new(vecs: Arc<VectorStore>, mut params: AcornParams, variant: AcornVariant) -> Self {
-        if variant == AcornVariant::One {
-            // Preserve the intended serving threshold before forcing the
-            // construction parameters to γ = 1, M_β = M (§5.3): ACORN-1
-            // approximates an ACORN-γ index, including its fallback point.
-            if params.s_min_override.is_none() {
-                params.s_min_override = Some(1.0 / params.gamma as f64);
-            }
-            params.gamma = 1;
-            params.m_beta = params.m;
-        }
-        params.validate();
-        let graph = LayeredGraph::with_capacity(vecs.len());
-        Self::from_parts(params, variant, vecs, graph, 0)
+    pub fn new(vecs: Arc<VectorStore>, params: AcornParams, variant: AcornVariant) -> Self {
+        let params = resolve_params(params, variant);
+        // Level sampling is tied to `M` (never `M·γ`, §5.2) unless the
+        // Qdrant flattening ablation is explicitly requested.
+        let sampler_m = if params.flatten_hierarchy { params.m * params.gamma } else { params.m };
+        let growing = Growing {
+            graph: LayeredGraph::with_capacity(vecs.len()),
+            sampler: LevelSampler::new(sampler_m.max(2), params.seed),
+            scratch: SearchScratch::new(vecs.len()),
+            labels: None,
+        };
+        Self { params, variant, vecs, state: State::Growing(growing), edges_pruned: 0 }
+    }
+
+    /// The index of `vecs` alone, with an empty graph: a segment's rows
+    /// before their graph is built. `params` are as [`resolve_params`]
+    /// returns them.
+    pub(crate) fn rows(vecs: Arc<VectorStore>, params: AcornParams, variant: AcornVariant) -> Self {
+        Self { params, variant, vecs, state: State::Rows, edges_pruned: 0 }
     }
 
     /// Build an index over every vector in the store.
@@ -176,47 +181,21 @@ impl AcornIndex {
         idx
     }
 
-    /// A growing index over an already-built graph (validated parameters):
-    /// the empty one of [`new`](Self::new), or the decoded one of an active
-    /// segment block.
-    pub(crate) fn from_parts(
-        params: AcornParams,
-        variant: AcornVariant,
-        vecs: Arc<VectorStore>,
-        graph: LayeredGraph,
-        edges_pruned: u64,
-    ) -> Self {
-        // One level draw was consumed per inserted node: fast-forward the
-        // fresh sampler past them so resumed inserts continue the exact
-        // stream the original builder was on (load-then-insert must stay
-        // bit-identical to never-having-saved — crash recovery relies on
-        // this).
-        let mut sampler = LevelSampler::new(sampler_m(&params), params.seed);
-        sampler.skip(graph.len());
-        let scratch = SearchScratch::new(vecs.len());
-        Self {
-            state: State::Growing(Growing { graph, sampler, scratch, labels: None }),
-            vecs,
-            params,
-            variant,
-            edges_pruned,
-        }
-    }
-
-    /// The graph held, in whichever layout.
-    pub(crate) fn graph_view(&self) -> &dyn GraphView {
+    /// The graph held, in whichever layout; `None` for rows alone.
+    pub(crate) fn graph_view(&self) -> Option<&dyn GraphView> {
         match &self.state {
-            State::Growing(g) => &g.graph,
-            State::Sealed(csr) => csr,
+            State::Growing(g) => Some(&g.graph),
+            State::Sealed(csr) => Some(csr),
+            State::Rows => None,
         }
     }
 
-    /// Number of indexed points.
+    /// Number of points in the graph (0 for an index of rows alone).
     pub fn len(&self) -> usize {
-        self.graph_view().len()
+        self.graph_view().map_or(0, GraphView::len)
     }
 
-    /// True if nothing has been inserted.
+    /// True if the graph holds no point.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -233,19 +212,19 @@ impl AcornIndex {
 
     /// The build-time layered graph of a growing index (graph-quality
     /// analyses, Figure 13); `None` once sealed, when the index holds only
-    /// its [`csr`](Self::csr).
+    /// its [`csr`](Self::csr), and for rows alone.
     pub fn graph(&self) -> Option<&LayeredGraph> {
         match &self.state {
             State::Growing(g) => Some(&g.graph),
-            State::Sealed(_) => None,
+            _ => None,
         }
     }
 
-    /// The CSR graph of a sealed index; `None` while the index is growing.
+    /// The CSR graph of a sealed index; `None` otherwise.
     pub fn csr(&self) -> Option<&CsrGraph> {
         match &self.state {
-            State::Growing(_) => None,
             State::Sealed(csr) => Some(csr),
+            _ => None,
         }
     }
 
@@ -256,7 +235,7 @@ impl AcornIndex {
     /// it came from.
     ///
     /// # Panics
-    /// Panics if the index is already sealed.
+    /// Panics if the index is not growing.
     pub fn seal(self) -> Self {
         let csr = self.state.growing().graph.freeze();
         Self { state: State::Sealed(csr), ..self }
@@ -287,12 +266,14 @@ impl AcornIndex {
     }
 
     /// Bytes of the graph this index holds — the nested layout while
-    /// growing, the CSR once sealed (index-only: excludes the vector rows,
-    /// which [`VectorStore::memory_bytes`] reports).
+    /// growing, the CSR once sealed, none for rows alone (index-only:
+    /// excludes the vector rows, which [`VectorStore::memory_bytes`]
+    /// reports).
     pub fn memory_bytes(&self) -> usize {
         match &self.state {
             State::Growing(g) => g.graph.memory_bytes(),
             State::Sealed(csr) => csr.memory_bytes(),
+            State::Rows => 0,
         }
     }
 
@@ -308,9 +289,9 @@ impl AcornIndex {
     }
 
     /// Append `v` to the owned vector store and index it, returning the new
-    /// row id. This is the write path of a *growing* index (the segmented
-    /// index's active segment): unlike [`insert`](Self::insert), the vector
-    /// does not need to pre-exist in the store.
+    /// row id. This is the write path of a *growing* index: unlike
+    /// [`insert`](Self::insert), the vector does not need to pre-exist in
+    /// the store.
     ///
     /// The store may be shared — with a clone of this index, or with whoever
     /// passed it to [`new`](Self::new): this index then continues on its own
@@ -318,8 +299,7 @@ impl AcornIndex {
     /// copies no row (see [`VectorStore`]).
     ///
     /// # Panics
-    /// Panics if `v` has the wrong dimension or the index is
-    /// [`seal`](Self::seal)ed.
+    /// Panics if `v` has the wrong dimension or the index is not growing.
     pub fn insert_vector(&mut self, v: &[f32]) -> u32 {
         let id = Arc::make_mut(&mut self.vecs).push(v);
         self.insert(id);
@@ -329,8 +309,8 @@ impl AcornIndex {
     /// Insert vector `id` (ids must be inserted sequentially).
     ///
     /// # Panics
-    /// Panics if the index is [`seal`](Self::seal)ed, or if `id` is not the
-    /// next unindexed id or is absent from the vector store.
+    /// Panics if the index is not growing, or if `id` is not the next
+    /// unindexed id or is absent from the vector store.
     pub fn insert(&mut self, id: u32) {
         let g = self.state.growing_mut();
         assert_eq!(id as usize, g.graph.len(), "ids must be inserted sequentially");
@@ -503,6 +483,7 @@ impl AcornIndex {
             State::Sealed(csr) => {
                 self.search_filtered_on(csr, query, filter, k, efs, scratch, stats)
             }
+            State::Rows => Vec::new(),
         };
         found.truncate(k);
         found
@@ -555,11 +536,11 @@ impl AcornIndex {
         )
     }
 
-    /// Exact pre-filtered scan over every row `filter` passes: the
-    /// fallback for highly selective queries (§5.2), for callers holding a
-    /// filter rather than a bitmap of the rows. Each row is asked once, in
-    /// id order, so `stats.npred` gains one check per row asked, bitmap or
-    /// not. Passing ids are scored by the shared [`exact_top_k`]: batched,
+    /// Exact pre-filtered scan over every row of the store that `filter`
+    /// passes, graph or no graph: the fallback for highly selective
+    /// queries (§5.2), for callers holding a filter rather than a bitmap of
+    /// the rows. Each row is asked once, in id order, so `stats.npred`
+    /// gains one check per row asked, bitmap or not. Passing ids are scored by the shared [`exact_top_k`]: batched,
     /// prefetched, and bit-identical to one `distance_to` per row. `k = 0`
     /// answers empty, asking nothing; a `k` past the row count is clamped
     /// to it, so no top-`k` is ever sized past the rows it could hold. The
@@ -575,10 +556,11 @@ impl AcornIndex {
         if k == 0 {
             return Vec::new();
         }
-        stats.npred += self.len() as u64;
+        let rows = self.vecs.len();
+        stats.npred += rows as u64;
         stats.fallback = true;
-        let passing = (0..self.len() as u32).filter(|&id| filter.passes(id));
-        let k = k.min(self.len());
+        let passing = (0..rows as u32).filter(|&id| filter.passes(id));
+        let k = k.min(rows);
         let (out, ndis) = exact_top_k(&*self.vecs, self.params.metric, query, k, passing);
         stats.ndis += ndis;
         out
@@ -940,35 +922,16 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_matches_new_sampler_for_flattened_hierarchy() {
-        // Regression: from_parts rebuilt the level sampler from M alone,
-        // ignoring flatten_hierarchy, so a loaded flattening-ablation index
-        // resumed inserts with the wrong level distribution.
-        let params = AcornParams { flatten_hierarchy: true, ..small_params(4, 8) };
-        let vecs = random_store(10, 4, 20);
-        let built = AcornIndex::new(vecs.clone(), params.clone(), AcornVariant::Gamma);
-        let loaded = AcornIndex::from_parts(
-            params,
-            AcornVariant::Gamma,
-            vecs,
-            LayeredGraph::with_capacity(10),
-            0,
-        );
+    fn new_ties_the_level_sampler_to_the_flattened_hierarchy() {
         let ml = |idx: &AcornIndex| idx.state.growing().sampler.ml();
-        assert_eq!(ml(&built), ml(&loaded));
         // Flattening ties mL to M·γ = 32, the Qdrant-ablation behaviour.
-        assert!((ml(&loaded) - 1.0 / 32f64.ln()).abs() < 1e-12);
-
+        let params = AcornParams { flatten_hierarchy: true, ..small_params(4, 8) };
+        let flat = AcornIndex::new(random_store(10, 4, 20), params, AcornVariant::Gamma);
+        assert!((ml(&flat) - 1.0 / 32f64.ln()).abs() < 1e-12);
         // The non-flattened default stays tied to M.
-        let params = small_params(4, 8);
-        let loaded = AcornIndex::from_parts(
-            params,
-            AcornVariant::Gamma,
-            random_store(10, 4, 21),
-            LayeredGraph::with_capacity(10),
-            0,
-        );
-        assert!((ml(&loaded) - 1.0 / 4f64.ln()).abs() < 1e-12);
+        let tied =
+            AcornIndex::new(random_store(10, 4, 21), small_params(4, 8), AcornVariant::Gamma);
+        assert!((ml(&tied) - 1.0 / 4f64.ln()).abs() < 1e-12);
     }
 
     #[test]
@@ -990,9 +953,9 @@ mod tests {
         };
         assert_eq!(pairs(&built), pairs(&grown), "grown and prefilled construction must agree");
 
-        // The same growth with a clone of the index alive across every push
-        // (the segmented writer's published view): the clone is frozen at
-        // the length it was taken at, and the grower ends up identical.
+        // The same growth with a clone of the index alive across every push:
+        // the clone stays at the length it was taken at, and the grower
+        // ends up identical.
         let mut shared =
             AcornIndex::new(Arc::new(VectorStore::new(8)), small_params(8, 2), AcornVariant::Gamma);
         let mut view = shared.clone();
@@ -1073,9 +1036,8 @@ mod tests {
 
     #[test]
     fn a_clone_taken_before_seal_still_grows() {
-        // The segmented writer's published view outlives the freeze that
-        // seals the writer's own index: sealing one handle must leave the
-        // other a complete growing index.
+        // Sealing one index must leave a clone of it a complete growing
+        // index.
         let n = 200;
         let prefilled = random_store(n, 8, 23);
         let built = AcornIndex::build(prefilled.clone(), small_params(8, 2), AcornVariant::Gamma);
@@ -1098,6 +1060,35 @@ mod tests {
         assert_eq!(pairs(&built), pairs(&view), "the clone grows into the same index");
         assert_eq!(sealed.len(), n / 2, "and the sealed index never sees its rows");
         assert_eq!(sealed.vectors().len(), n / 2);
+    }
+
+    #[test]
+    fn an_index_of_rows_alone_scans_them_and_traverses_nothing() {
+        let n = 300;
+        let vecs = random_store(n, 8, 24);
+        let params = resolve_params(small_params(8, 2), AcornVariant::Gamma);
+        let rows = AcornIndex::rows(vecs.clone(), params, AcornVariant::Gamma);
+        assert!(rows.is_empty() && rows.graph().is_none() && rows.csr().is_none());
+        assert_eq!((rows.vectors().len(), rows.memory_bytes()), (n, 0));
+        let q = vec![0.2; 8];
+        assert!(pure_search(&rows, &q, 10, 64).is_empty(), "no graph, nothing to traverse");
+        // The scan covers every row of the store, as the built graph's does.
+        let built = AcornIndex::build(vecs, small_params(8, 2), AcornVariant::Gamma).seal();
+        let scan = |idx: &AcornIndex| {
+            let mut stats = SearchStats::default();
+            let out = idx.prefilter_scan(&q, &acorn_predicate::AllPass, 10, &mut stats);
+            (out.iter().map(|x| (x.id, x.dist.to_bits())).collect::<Vec<_>>(), stats)
+        };
+        assert_eq!(scan(&rows), scan(&built));
+        assert_eq!(scan(&rows).1.ndis, n as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "an index of rows alone accepts no inserts")]
+    fn insert_into_an_index_of_rows_alone_panics() {
+        let vecs = random_store(40, 4, 19);
+        let params = resolve_params(small_params(4, 2), AcornVariant::Gamma);
+        AcornIndex::rows(vecs, params, AcornVariant::Gamma).insert(0);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //!   before filtering, approximating ACORN-γ's dense graph at search time.
 //! * **Pre-filter fallback** (§5.2): a segment whose exact passing count
 //!   is below `s_min = 1/γ` of its rows is answered exactly by a filtered
-//!   scan, and so is a sealed segment whose scan is predicted to cost no
-//!   more work than a traversal ([`Route::choose`]).
+//!   scan, and so is one whose scan is predicted to cost no more work than
+//!   a traversal ([`Route::choose`]) or that has no graph yet.
 //!
 //! The crate also exposes the pruning-strategy ablation of the paper's
 //! Figure 12 ([`prune::PruneStrategy`]) and graph introspection for
@@ -37,9 +37,9 @@
 //! batches with deterministic output ordering and aggregated search stats.
 //!
 //! For live-traffic workloads, [`SegmentedAcornIndex`] layers a
-//! Lucene-style storage engine on top: one mutable active segment absorbing
-//! inserts, frozen CSR-served segments, tombstoned deletes, and merge
-//! compaction that drops dead rows — with a property-tested guarantee that
+//! Lucene-style storage engine on top: one active segment of rows absorbing
+//! inserts, frozen CSR-served segments whose graphs are built once when
+//! they seal, tombstoned deletes, and merge compaction that drops dead rows — with a property-tested guarantee that
 //! a fully-compacted index answers bit-identically to a from-scratch
 //! rebuild over the surviving rows (see [`segment`]). Concurrency is
 //! snapshot-epoch MVCC (see [`snapshot`]): every mutation publishes an

@@ -22,13 +22,13 @@
 //!    only when merges left gaps in it — and the tombstoned bits cleared.
 //!    With none, it is the negated tombstones. Its popcount is the
 //!    segment's exact number of passing live rows.
-//! 3. **Per segment, route** on that count to one of §5.2's two leaves
-//!    ([`Route::choose`]), both feeding **one top-`k` per query** (by
-//!    global id). A segment scans when fewer than `s_min · rows` rows pass
-//!    (§5.2's recall floor) or, once sealed, when scoring its passing rows
-//!    is predicted to cost no more work than a traversal of its graph
-//!    would; the active segment, still growing, keeps the `s_min` rule
-//!    alone. A scan scores the set rows exactly with [`scan_into`], 64 per
+//! 3. **Per segment, route** on that count to one of §5.2's two leaves,
+//!    both feeding **one top-`k` per query** (by global id). A segment
+//!    without a graph — the active segment, a pending one — scans: it has
+//!    nothing to traverse. A sealed one scans when fewer than `s_min · rows`
+//!    rows pass (§5.2's recall floor) or when scoring its passing rows is
+//!    predicted to cost no more work than a traversal of its graph would
+//!    ([`Route::choose`]). A scan scores the set rows exactly with [`scan_into`], 64 per
 //!    batch, straight into that top-`k` (the pre-filter scan): a row above
 //!    the current `k`-th distance costs one compare and never reaches the
 //!    heap or the id map, and that bound carries from each segment to the
@@ -74,8 +74,8 @@ pub const MATERIALIZE_BELOW_SELECTIVITY: f64 = 0.25;
 /// The leaf a segment was routed to, on its exact passing count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
-    /// The exact pre-filter scan: fewer than `s_min · rows` rows passed,
-    /// or the segment is sealed and the scan is predicted to cost no more
+    /// The exact pre-filter scan: the segment has no graph, fewer than
+    /// `s_min · rows` rows passed, or the scan is predicted to cost no more
     /// than the traversal ([`Route::choose`]).
     Scan,
     /// Graph traversal over the segment's bitmap.
@@ -125,12 +125,12 @@ const TRAVERSE_CHECK: f64 = 57.0;
 const TRAVERSE_DIMS: f64 = 1.8;
 
 impl Route {
-    /// The route of a segment of `rows` rows of which `passing` live rows
-    /// pass, for a query of `k` at beam `efs` over `dim`-d vectors.
+    /// The route of a segment with a graph, of `rows` rows of which
+    /// `passing` live rows pass, for a query of `k` at beam `efs` over
+    /// `dim`-d vectors. (A segment without one always scans.)
     ///
     /// Below §5.2's recall floor, `passing < s_min · rows`, it scans. Above
-    /// it, a `sealed` segment still scans when the scan is predicted to be
-    /// no more work:
+    /// it, it still scans when the scan is predicted to be no more work:
     ///
     /// `passing · (dim + S) + W · rows ≤ ef · (M · (A + C · rows / passing) + B · dim)`,
     ///
@@ -140,10 +140,7 @@ impl Route {
     /// constants (`SCAN_ROW`, `SCAN_SPAN`, `TRAVERSE_ADMIT`,
     /// `TRAVERSE_CHECK`, `TRAVERSE_DIMS`, fitted in this module's source);
     /// the rule reads no clock, so a plan stays a function of its inputs.
-    /// The scan is exact, so it never lowers recall. A growing segment
-    /// keeps the `s_min` rule alone: routed on the cost term too, it slowed
-    /// `churn-mixed`'s inserts (p50 +23 %) more than it sped its reads
-    /// (`qps` +14 %).
+    /// The scan is exact, so it never lowers recall.
     pub fn choose(
         rows: usize,
         passing: usize,
@@ -151,14 +148,10 @@ impl Route {
         efs: usize,
         k: usize,
         params: &AcornParams,
-        sealed: bool,
     ) -> Route {
         let (n, p) = (rows as f64, passing as f64);
         if p < params.s_min() * n {
             return Route::Scan;
-        }
-        if !sealed {
-            return Route::Traverse;
         }
         let (ef, m, dim) = (efs.max(k).min(rows) as f64, params.m as f64, dim as f64);
         // Both sides times `passing`, so an empty bitmap needs no division.
@@ -298,9 +291,12 @@ pub(crate) fn search<'a>(
             bits.clone_from(&seg.tombstones);
             bits.negate();
         }
-        let passing = bits.count();
-        let (rows, dim, sealed) = (seg.rows(), index.vectors().dim(), index.csr().is_some());
-        let route = Route::choose(rows, passing, dim, efs, k, index.params(), sealed);
+        let (rows, passing, dim) = (seg.rows(), bits.count(), index.vectors().dim());
+        let route = if index.is_empty() {
+            Route::Scan
+        } else {
+            Route::choose(rows, passing, dim, efs, k, index.params())
+        };
         let materialize_ns = clock.lap();
         match route {
             Route::Scan => {
@@ -702,7 +698,7 @@ mod tests {
             // The reference: the interpreter's bitmap, routed on its count.
             let interpreted =
                 Bitset::from_ids(n, (0..n as u32).filter(|&row| pred.eval(&attrs, row)));
-            let route = Route::choose(n, interpreted.count(), 8, 10, 10, graph.params(), true);
+            let route = Route::choose(n, interpreted.count(), 8, 10, 10, graph.params());
             routes.push(route);
             let filter = BitmapFilter::new(interpreted);
             let mut sb = SearchStats::default();
@@ -743,7 +739,7 @@ mod tests {
         let bench = AcornParams { m: 16, gamma: 8, m_beta: 32, ..Default::default() };
         let paper = AcornParams::default();
         let route = |p: &AcornParams, rows, passing, dim, efs| {
-            Route::choose(rows, passing, dim, efs, 10, p, true)
+            Route::choose(rows, passing, dim, efs, 10, p)
         };
         for (what, params, rows, passing, dim, efs, want) in [
             ("bands-graph sel20 @ 64", &bench, 8_000, 1_600, 32, 64, Scan),
@@ -764,20 +760,16 @@ mod tests {
             assert_eq!(route(params, rows, passing, dim, efs), want, "{what}");
         }
 
-        // Under `s_min · rows` (12,500 of 100,000) a segment scans, sealed
-        // or growing, even at a beam of one where the traversal is cheaper.
-        for sealed in [true, false] {
-            let at = |passing| Route::choose(100_000, passing, 32, 1, 1, &bench, sealed);
-            assert_eq!((at(0), at(12_499), at(12_500)), (Scan, Scan, Traverse), "{sealed}");
-        }
-        // A growing segment ignores the cost term: `sel20` traverses there.
-        assert_eq!(Route::choose(8_000, 1_600, 32, 64, 10, &bench, false), Traverse);
+        // Under `s_min · rows` (12,500 of 100,000) a segment scans, even at
+        // a beam of one where the traversal is cheaper.
+        let at = |passing| Route::choose(100_000, passing, 32, 1, 1, &bench);
+        assert_eq!((at(0), at(12_499), at(12_500)), (Scan, Scan, Traverse));
         // `efs` past the crossover flips a segment to the scan, and so does
         // a `k` past it (the beam is `max(efs, k)`), and a beam past the
         // rows is capped at them.
-        let s01 = |efs, k| Route::choose(100_000, 10_000, 32, efs, k, &paper, true);
+        let s01 = |efs, k| Route::choose(100_000, 10_000, 32, efs, k, &paper);
         assert_eq!((s01(20, 10), s01(60, 10), s01(20, 60)), (Traverse, Scan, Scan));
-        assert_eq!(Route::choose(8_000, 8_000, 32, usize::MAX, 10, &bench, true), Scan);
+        assert_eq!(Route::choose(8_000, 8_000, 32, usize::MAX, 10, &bench), Scan);
     }
 
     /// Every segment layout a lifecycle produces, in one snapshot: two
@@ -819,11 +811,12 @@ mod tests {
     #[test]
     fn a_traced_query_answers_as_the_untraced_one_and_accounts_for_every_segment() {
         // At k = efs = 5 the sealed segments traverse their live rows and
-        // scan a label (a sixth of them, under the floor); the 70-row active
-        // segment traverses its live rows although sealed it would scan them.
+        // scan a label (a sixth of them, under the floor); the 600-row
+        // active segment has no graph and scans, its live rows included,
+        // where a sealed segment of its counts would traverse.
         let mut rng = StdRng::seed_from_u64(91);
-        let snap = lifecycle(&mut rng, 91, [400, 400, 600], 70);
-        let total = 1400 + 70;
+        let snap = lifecycle(&mut rng, 91, [400, 400, 600], 600);
+        let total = 1400 + 600;
         let attrs = AttrStore::builder()
             .add_int("label", (0..total).map(|_| rng.gen_range(0i64..6)).collect())
             .add_text(
@@ -835,7 +828,7 @@ mod tests {
         assert!(views.len() >= 3, "frozen segments and an active one");
         let mut scratch = SearchScratch::new(snap.max_segment_rows());
         let mut trace = QueryTrace::default();
-        let (mut routes, mut growing_kept_the_floor) = (Vec::new(), false);
+        let (mut routes, mut active_scanned_above_the_floor) = (Vec::new(), false);
         let mut preds = vec![
             Predicate::True,
             Predicate::const_false(),
@@ -870,12 +863,11 @@ mod tests {
                 assert_eq!((seg.rows, seg.passing), (gids.len(), live_passing), "{what}");
                 let sealed = view.index().csr().is_some();
                 let params = view.index().params();
-                let route =
-                    |sealed| Route::choose(seg.rows, seg.passing, DIM, 5, 5, params, sealed);
-                assert_eq!(seg.route, route(sealed), "{what}");
+                let graph_route = Route::choose(seg.rows, seg.passing, DIM, 5, 5, params);
+                let route = if sealed { graph_route } else { Route::Scan };
+                assert_eq!(seg.route, route, "{what}");
                 assert_eq!(seg.stats.fallback, seg.route == Route::Scan, "{what}");
-                growing_kept_the_floor |=
-                    !sealed && seg.route == Route::Traverse && route(true) == Route::Scan;
+                active_scanned_above_the_floor |= !sealed && graph_route == Route::Traverse;
                 routes.push((sealed, seg.route));
                 sum.merge(&seg.stats);
             }
@@ -887,7 +879,7 @@ mod tests {
         for route in [Route::Scan, Route::Traverse] {
             assert!(routes.contains(&(true, route)), "a sealed segment takes {route:?}");
         }
-        assert!(growing_kept_the_floor, "the active segment routes on s_min alone");
+        assert!(active_scanned_above_the_floor, "the graph-less active segment always scans");
     }
 
     proptest! {
@@ -927,7 +919,7 @@ mod tests {
                     .unwrap();
                 let passing: Vec<u32> = (0..n as u32).filter(|&i| pred.eval(&attrs, i)).collect();
                 let floor = (passing.len() as f64) < graph.params().s_min() * n as f64;
-                let route = Route::choose(n, passing.len(), 8, efs, k, graph.params(), true);
+                let route = Route::choose(n, passing.len(), 8, efs, k, graph.params());
                 prop_assert_eq!(trace.segments[0].route, route, "{}", &what);
                 if route == Route::Scan {
                     let mut want: Vec<Neighbor> = passing

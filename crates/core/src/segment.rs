@@ -8,20 +8,27 @@
 //! (segment-per-generation storage; "Vector Search with OpenAI Embeddings:
 //! Lucene Is All You Need"):
 //!
-//! * **one active segment** — a growing [`AcornIndex`] (nested
-//!   [`LayeredGraph`]) absorbing inserts through
-//!   [`AcornIndex::insert_vector`]; only the writer mutates it, and it (with
-//!   the id list it appends to) is the only index state the writer holds
-//!   outside the published snapshot. Each published epoch holds a clone of
-//!   it that shares the graph's edge buffer and the vector rows with the
-//!   writer: publishing costs one `Arc` bump per buffer and a flat copy of
-//!   the graph's span and level tables (O(rows) bytes, but no per-row
-//!   atomic, and no list or row is copied), and the next insert writes the
-//!   lists it rewires past the view's words.
+//! * **one active segment** — rows, not a graph: the [`VectorStore`] an
+//!   insert appends its row to, the id list and the tombstones. The rows and
+//!   the id list are the only index state the writer holds outside the
+//!   published snapshot. Each published epoch holds a view of the segment
+//!   whose index is its rows alone ([`AcornIndex`] with an empty graph),
+//!   sharing them with the writer — the next insert writes its row past the
+//!   view's — so publishing copies the id map and no row. Every query scans
+//!   the active segment exactly.
+//! * **pending segments** — an active segment that reached the policy's
+//!   `active_max_rows` is sealed into the frozen list as it is, rows alone,
+//!   and queries keep scanning it. Its graph is built once, off the
+//!   writer's path: [`AcornIndex::build`] over its surviving rows in gid
+//!   order, through the merge path's `capture`, `rebuild` and
+//!   `splice`. A pending segment is always a merge candidate, so the
+//!   [maintenance thread](SegmentedAcornIndex::start_maintenance) builds it,
+//!   alone or in a run with its neighbours. The backpressure is a count,
+//!   never a clock: when a seal would leave a third segment pending, the
+//!   writer builds the oldest itself, and [`freeze`] builds every one.
 //! * **frozen segments** — immutable, each a [sealed](AcornIndex::seal)
 //!   [`AcornIndex`] that holds its graph once, as a
-//!   [`CsrGraph`](acorn_hnsw::CsrGraph) ([`freeze`] seals the active
-//!   segment — dropping its build-time graph — and opens a fresh one);
+//!   [`CsrGraph`](acorn_hnsw::CsrGraph);
 //! * **tombstoned deletes** — [`delete`] locates the owning segment, the
 //!   active one or a frozen one alike, by range binary search over the
 //!   ascending, disjoint per-segment gid ranges, then sets a bit in that
@@ -61,7 +68,10 @@
 //! are one segment under the **same query planner** ([`crate::plan`]): the
 //! merged segment materializes the same local bitmap and routes on the same
 //! exact count as the from-scratch load. The planner draws no sample and
-//! reads no seed, so nothing else could tell the two apart.
+//! reads no seed, so nothing else could tell the two apart. Every graph is
+//! made that one way — [`AcornIndex::build`] over a segment's surviving
+//! rows in global id order, by a bulk load, a pending segment's build or a
+//! merge — so `freeze` after inserts equals a `bulk_load` of the rows.
 //!
 //! [`freeze`]: SegmentedAcornIndex::freeze
 //! [`delete`]: SegmentedAcornIndex::delete
@@ -69,7 +79,6 @@
 //! [`merge`]: SegmentedAcornIndex::merge
 //! [`compact_all`]: SegmentedAcornIndex::compact_all
 //! [`bulk_load`]: SegmentedAcornIndex::bulk_load
-//! [`LayeredGraph`]: acorn_hnsw::LayeredGraph
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -81,7 +90,7 @@ use std::time::{Duration, Instant};
 use acorn_hnsw::VectorStore;
 use acorn_predicate::Bitset;
 
-use crate::index::AcornIndex;
+use crate::index::{resolve_params, AcornIndex};
 use crate::params::{AcornParams, AcornVariant};
 use crate::prune::PruneStrategy;
 use crate::snapshot::{
@@ -143,8 +152,9 @@ pub struct MergePolicy {
     /// Frozen segments whose tombstoned fraction exceeds this are merge
     /// candidates (dead rows waste memory and traversal work).
     pub max_tombstone_fraction: f64,
-    /// Auto-[`freeze`](SegmentedAcornIndex::freeze) the active segment once
-    /// it reaches this many rows (`0` = freeze only on explicit calls).
+    /// Seal the active segment into a pending one once it reaches this
+    /// many rows (`0` = only explicit [`freeze`](SegmentedAcornIndex::freeze)
+    /// calls seal it).
     pub active_max_rows: usize,
 }
 
@@ -171,22 +181,25 @@ pub struct MergeOutcome {
     pub bytes_after: usize,
 }
 
-/// What only the writer can own of the active segment: the growing index
-/// and the id list it appends to. Everything else about the segment — its
-/// tombstones included — is in the published [`SegmentView`] of it, which
-/// shares this index's nodes and rows (readers never see this struct).
+/// The most pending segments a seal leaves: when it would leave a third,
+/// the writer builds the oldest itself ([`build_pending`]).
+const MAX_PENDING: usize = 2;
+
+/// What only the writer can own of the active segment: its handle on the
+/// rows, which it appends to, and the id list. Everything else about the
+/// segment — its tombstones included — is in the published [`SegmentView`]
+/// of it, which shares the rows (readers never see this struct).
 #[derive(Debug)]
 struct ActiveSegment {
-    index: AcornIndex,
+    vecs: VectorStore,
     global_ids: Vec<u64>,
+    /// The parameters every segment's index carries ([`resolve_params`]).
+    params: AcornParams,
 }
 
 impl ActiveSegment {
-    fn new(dim: usize, params: AcornParams, variant: AcornVariant) -> Self {
-        Self {
-            index: AcornIndex::new(Arc::new(VectorStore::new(dim)), params, variant),
-            global_ids: Vec::new(),
-        }
+    fn new(dim: usize, params: AcornParams) -> Self {
+        Self { vecs: VectorStore::new(dim), global_ids: Vec::new(), params }
     }
 
     /// Move the active segment's tombstone state out of its view in `next`,
@@ -200,29 +213,28 @@ impl ActiveSegment {
         (tombstones, deleted)
     }
 
-    /// Replace the active view in `next` with one of the current rows. Its
-    /// index shares the edge buffer and the vector rows with the writer's;
-    /// the writer's next insert writes the lists it rewires and its row past
-    /// the view's words, so the view never changes. What is copied here is
-    /// the graph's span and level tables, the id map and (when a row was
-    /// added) the tombstone words.
+    /// Replace the active view in `next` with one of the current rows: an
+    /// index of the rows alone, sharing them with the writer (its next
+    /// insert writes past the view's rows, so the view never changes), a
+    /// copy of the id map and (when a row was added) of the tombstone words.
     fn publish_view(&self, next: &mut SegmentSnapshot) {
         let (tombstones, deleted) = self.take_tombstones(next);
-        let payload =
-            SegmentPayload { index: self.index.clone(), global_ids: self.global_ids.clone() };
+        let vecs = Arc::new(self.vecs.clone());
+        let index = AcornIndex::rows(vecs, self.params.clone(), next.variant);
+        let payload = SegmentPayload { index, global_ids: self.global_ids.clone() };
         next.active = Some(SegmentView { payload: Arc::new(payload), tombstones, deleted });
     }
 
-    /// Seal the rows into a frozen segment of `next` ([`AcornIndex::seal`]),
-    /// leaving a fresh, empty active segment. No-op when there are no rows.
-    /// Caller publishes.
+    /// Seal the rows into a pending segment of `next`, leaving a fresh,
+    /// empty active segment. No-op when there are no rows. Caller publishes.
     fn seal_into(&mut self, next: &mut SegmentSnapshot) {
         if self.global_ids.is_empty() {
             return;
         }
         let (tombstones, deleted) = self.take_tombstones(next);
-        let full = std::mem::replace(self, Self::new(next.dim, next.params.clone(), next.variant));
-        let payload = SegmentPayload { index: full.index.seal(), global_ids: full.global_ids };
+        let full = std::mem::replace(self, Self::new(next.dim, self.params.clone()));
+        let index = AcornIndex::rows(Arc::new(full.vecs), full.params, next.variant);
+        let payload = SegmentPayload { index, global_ids: full.global_ids };
         next.push_frozen(SegmentView { payload: Arc::new(payload), tombstones, deleted });
     }
 }
@@ -235,10 +247,10 @@ struct MaintenanceHandle {
     join: Option<JoinHandle<()>>,
 }
 
-/// A segmented, updatable ACORN index: one mutable active segment plus any
-/// number of frozen, CSR-served segments, with tombstone deletes and merge
-/// compaction. See the [module docs](self) for the architecture and the
-/// determinism contract.
+/// A segmented, updatable ACORN index: one active segment of rows plus any
+/// number of frozen segments — CSR-served, or pending their graph — with
+/// tombstone deletes and merge compaction. See the [module docs](self) for
+/// the architecture and the determinism contract.
 ///
 /// This struct is the **writer**: `insert` / `delete` / `freeze` take
 /// `&mut self` and publish a new epoch atomically. It answers no question
@@ -274,7 +286,7 @@ impl SegmentedAcornIndex {
              does not have; build one labelled graph with AcornIndex::build_with_labels"
         );
         Self {
-            active: ActiveSegment::new(dim, params.clone(), variant),
+            active: ActiveSegment::new(dim, resolve_params(params.clone(), variant)),
             shared: Arc::new(SharedState::new(SegmentSnapshot::empty(params, variant, dim))),
             maintenance: None,
         }
@@ -282,12 +294,14 @@ impl SegmentedAcornIndex {
 
     /// Reassemble a segmented index from the state `serialize::load`
     /// decoded — every frozen segment attached — and the view of the active
-    /// segment, whose index the writer resumes growing (not part of the
+    /// segment, whose rows the writer resumes appending to (not part of the
     /// construction API).
     pub(crate) fn from_loaded_parts(mut loaded: SegmentSnapshot, active: SegmentView) -> Self {
+        let index = active.index();
         let writer = ActiveSegment {
-            index: active.payload.index.clone(),
+            vecs: VectorStore::clone(index.vectors()),
             global_ids: active.payload.global_ids.clone(),
+            params: index.params().clone(),
         };
         loaded.active = (!active.is_empty()).then_some(active);
         Self { active: writer, shared: Arc::new(SharedState::new(loaded)), maintenance: None }
@@ -330,30 +344,36 @@ impl SegmentedAcornIndex {
         self.try_insert(v).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Insert a vector, returning its stable global id. The row lands in
-    /// the active segment; if the merge policy's `active_max_rows` is set
-    /// and reached, the active segment is auto-frozen afterwards. Publishes
-    /// a new epoch — readers see the row on their next snapshot.
+    /// Insert a vector, returning its stable global id. The row is appended
+    /// to the active segment, and no graph is touched; if the merge
+    /// policy's `active_max_rows` is set and reached, the active segment is
+    /// sealed into a pending one afterwards, and if that leaves a third
+    /// segment pending, the oldest is built here.
+    /// Publishes a new epoch — readers see the row on their next snapshot.
     ///
     /// # Errors
     /// Refuses a vector of the wrong dimension or with a NaN or infinite
     /// component before anything is stored: no row and no global id is
     /// spent on it.
     pub fn try_insert(&mut self, v: &[f32]) -> Result<u64, QueryError> {
-        check_vector(self.active.index.vectors().dim(), v)?;
-        let local = self.active.index.insert_vector(v);
+        check_vector(self.active.vecs.dim(), v)?;
+        let local = self.active.vecs.push(v);
         debug_assert_eq!(local as usize, self.active.global_ids.len());
         let (writer, mut next) = self.shared.begin();
         let gid = next.next_global;
         next.next_global += 1;
         self.active.global_ids.push(gid);
         let max_rows = next.policy.active_max_rows;
-        if max_rows > 0 && self.active.global_ids.len() >= max_rows {
+        let seal = max_rows > 0 && self.active.global_ids.len() >= max_rows;
+        if seal {
             self.active.seal_into(&mut next);
         } else {
             self.active.publish_view(&mut next);
         }
         self.shared.publish(writer, next);
+        if seal {
+            build_pending(&self.shared, MAX_PENDING);
+        }
         Ok(gid)
     }
 
@@ -390,17 +410,24 @@ impl SegmentedAcornIndex {
         true
     }
 
-    /// Seal the active segment ([`AcornIndex::seal`]: its graph becomes one
-    /// CSR and its build state is dropped), move it to the frozen list, and
-    /// open a fresh active segment. No-op when the active segment is empty.
-    /// Publishes a new epoch.
+    /// Seal the active segment into a pending one and open a fresh active
+    /// segment, then build every pending segment here, oldest first: each
+    /// becomes [`AcornIndex::build`] over its
+    /// surviving rows in gid order, sealed. Publishes an epoch for the seal
+    /// (none when the active segment is empty) and one per build.
     pub fn freeze(&mut self) {
-        if self.active.global_ids.is_empty() {
-            return;
+        self.seal_active();
+        build_pending(&self.shared, 0);
+    }
+
+    /// Seal the active segment into a pending one and publish; no-op when
+    /// it is empty.
+    fn seal_active(&mut self) {
+        if !self.active.global_ids.is_empty() {
+            let (writer, mut next) = self.shared.begin();
+            self.active.seal_into(&mut next);
+            self.shared.publish(writer, next);
         }
-        let (writer, mut next) = self.shared.begin();
-        self.active.seal_into(&mut next);
-        self.shared.publish(writer, next);
     }
 
     /// [`try_bulk_load`](Self::try_bulk_load) for callers whose rows are
@@ -426,9 +453,11 @@ impl SegmentedAcornIndex {
     /// determinism contract the resulting segment answers bit-identically
     /// to inserting the same rows one at a time and freezing.
     ///
-    /// Any rows in the active segment are sealed first so segments keep
-    /// owning ascending, pairwise-disjoint gid ranges — the invariant
-    /// [`delete`](Self::delete)'s range binary search relies on.
+    /// Any rows in the active segment are sealed into a pending segment
+    /// first so segments keep owning ascending, pairwise-disjoint gid ranges
+    /// — the invariant [`delete`](Self::delete)'s range binary search relies
+    /// on — under the same count rule as [`try_insert`](Self::try_insert)'s
+    /// seals.
     ///
     /// # Errors
     /// Refuses, in one pass over the rows before anything is built, a store
@@ -456,14 +485,15 @@ impl SegmentedAcornIndex {
         let payload = SegmentPayload { index, global_ids: range.clone().collect() };
         next.push_frozen(SegmentView::new(payload, Bitset::new(n)));
         self.shared.publish(writer, next);
+        build_pending(&self.shared, MAX_PENDING);
         Ok(range)
     }
 
     /// Compact frozen segments the [`MergePolicy`] flags (too small, or too
-    /// tombstone-heavy) into fresh segments over their surviving rows.
-    /// Returns what happened; a call with nothing worth merging (no
-    /// adjacent run of two candidates and no tombstones among lone ones)
-    /// is a no-op.
+    /// tombstone-heavy) and every pending one into fresh segments over their
+    /// surviving rows. Returns what happened; a call with nothing worth
+    /// merging (no adjacent run of two candidates, and no tombstones among
+    /// lone sealed ones) is a no-op.
     ///
     /// Takes `&self`: the rebuild happens off to the side while inserts,
     /// deletes, and queries proceed; only the final splice-and-publish
@@ -474,20 +504,22 @@ impl SegmentedAcornIndex {
         run_merge(&self.shared, false)
     }
 
-    /// Freeze the active segment, then merge **all** frozen segments into a
+    /// Seal the active segment, then merge **all** frozen segments — the
+    /// pending ones included, so each row's graph is built once — into a
     /// single one, dropping every tombstoned row. After this the index
     /// holds at most one (fully live) segment, and every query answers
     /// bit-identically to a fresh index [`bulk_load`](Self::bulk_load)ed
     /// with the surviving rows in global id order.
     pub fn compact_all(&mut self) -> MergeOutcome {
-        self.freeze();
+        self.seal_active();
         run_merge(&self.shared, true)
     }
 
     /// Start a background maintenance thread that runs
     /// [`merge`](Self::merge) every `interval` until
-    /// [`stop_maintenance`](Self::stop_maintenance) (or drop). No-op when
-    /// already running.
+    /// [`stop_maintenance`](Self::stop_maintenance) (or drop) — which builds
+    /// every pending segment, so the graph work of an insert-heavy writer
+    /// runs here, off its path. No-op when already running.
     ///
     /// The thread rebuilds off to the side and publishes each merge as a
     /// new epoch; in-flight readers keep serving the epoch they pinned,
@@ -600,6 +632,7 @@ pub(crate) fn run_merge(shared: &SharedState, select_all: bool) -> MergeOutcome 
     let rebuilt = rebuild(shared, &runs);
     let (rows_kept, bytes_after) = splice(shared, &runs, rebuilt);
     shared.merge_ns.fetch_add(nanos_since(since), AtomicOrdering::Relaxed);
+    shared.merges_completed.fetch_add(1, AtomicOrdering::AcqRel);
 
     let rows_before: usize = runs.iter().flatten().map(SegmentView::rows).sum();
     MergeOutcome {
@@ -623,6 +656,7 @@ pub(crate) fn capture(shared: &SharedState, select_all: bool) -> (Vec<Vec<Segmen
     let state = shared.state();
     let is_candidate = |s: &SegmentView| {
         select_all
+            || s.is_pending()
             || s.rows() < state.policy.min_rows
             || s.tombstone_fraction() > state.policy.max_tombstone_fraction
     };
@@ -638,15 +672,18 @@ pub(crate) fn capture(shared: &SharedState, select_all: bool) -> (Vec<Vec<Segmen
     if !current.is_empty() {
         runs.push(current);
     }
-    // A lone candidate with no dead rows gains nothing from a rebuild.
-    runs.retain(|r| r.len() >= 2 || r.iter().any(|c| c.deleted > 0));
+    // A lone sealed candidate with no dead rows gains nothing from a
+    // rebuild; a lone pending one gains its graph.
+    runs.retain(|r| r.len() >= 2 || r.iter().any(|c| c.deleted > 0 || c.is_pending()));
     (runs, state.memory_bytes())
 }
 
 /// Merge phase 2, **rebuild** (no lock): build one fresh graph per run over
 /// the captured survivors in global-id order — the exact code path a
 /// from-scratch build takes, so answers stay bit-identical — while inserts,
-/// deletes, and queries proceed. `None` for a run with no survivor.
+/// deletes, and queries proceed. `None` for a run with no survivor. A run
+/// holding pending segments counts them and its build's time as seal
+/// builds.
 pub(crate) fn rebuild(
     shared: &SharedState,
     runs: &[Vec<SegmentView>],
@@ -678,7 +715,13 @@ pub(crate) fn rebuild(
         }
         // The exact code path a from-scratch build takes: same params, same
         // seed, same insertion order => an identical graph.
+        let since = Instant::now();
         let index = AcornIndex::build(Arc::new(store), state.params.clone(), state.variant);
+        let pending = run.iter().filter(|c| c.is_pending()).count() as u64;
+        if pending > 0 {
+            shared.seal_builds.fetch_add(pending, AtomicOrdering::Relaxed);
+            shared.seal_build_ns.fetch_add(nanos_since(since), AtomicOrdering::Relaxed);
+        }
         rebuilt.push(Some(SegmentPayload { index: index.seal(), global_ids }));
     }
     rebuilt
@@ -725,9 +768,37 @@ pub(crate) fn splice(
         next.push_frozen(SegmentView::new(payload, tombstones));
     }
     let bytes_after = next.memory_bytes();
-    shared.merges_completed.fetch_add(1, AtomicOrdering::AcqRel);
     shared.publish(writer, next);
     (rows_kept, bytes_after)
+}
+
+/// Build every pending segment but the newest `keep`, oldest first, each in
+/// a run of its own: [`capture_pending`], [`rebuild`] and [`splice`],
+/// serialized with the merges. The writer's backpressure (`keep` =
+/// [`MAX_PENDING`], after a seal) and [`freeze`](SegmentedAcornIndex::freeze)
+/// (`keep` = 0) call it; with no more than `keep` pending it takes no lock.
+pub(crate) fn build_pending(shared: &SharedState, keep: usize) {
+    let pending = shared.state().frozen.iter().filter(|s| s.is_pending()).count();
+    if pending <= keep {
+        return;
+    }
+    let _serialized = shared.maintenance_lock.lock().unwrap_or_else(PoisonError::into_inner);
+    // A merge may have built some while this waited for the lock.
+    let runs = capture_pending(shared, keep);
+    if !runs.is_empty() {
+        let rebuilt = rebuild(shared, &runs);
+        splice(shared, &runs, rebuilt);
+    }
+}
+
+/// Pending-build phase 1, **capture**: every pending segment of the
+/// published state but the newest `keep`, oldest first, each a run of its
+/// own (see [`capture`] for what holding a view's clone detects).
+pub(crate) fn capture_pending(shared: &SharedState, keep: usize) -> Vec<Vec<SegmentView>> {
+    let state = shared.state();
+    let pending: Vec<&SegmentView> = state.frozen.iter().filter(|s| s.is_pending()).collect();
+    let built = pending.len().saturating_sub(keep);
+    pending[..built].iter().map(|&s| vec![s.clone()]).collect()
 }
 
 // The writer moves across threads in the churn tests (behind a `Mutex`);
@@ -959,7 +1030,8 @@ mod tests {
             idx.delete(gid);
         }
         let m = reader.metrics();
-        let (publishes, publish_ns) = (120 + 1 + 3, m.publish_ns);
+        // 120 inserts, the freeze's seal and its build, 3 deletes.
+        let (publishes, publish_ns, build_ns) = (120 + 2 + 3, m.publish_ns, m.seal_build_ns);
         let want = MetricsSnapshot {
             epoch: publishes,
             segments: 2,
@@ -970,75 +1042,87 @@ mod tests {
             tombstone_fraction: 3.0 / 120.0,
             publishes,
             publish_ns,
+            seal_builds: 1,
+            seal_build_ns: build_ns,
             ..Default::default()
         };
         assert_eq!(m, want);
-        assert!(publish_ns > 0, "each publish is timed");
+        assert!(publish_ns > 0 && build_ns > 0, "each publish and each build is timed");
 
+        // A seal leaves the active rows pending; the merge builds them with
+        // the first segment's.
         idx.freeze();
-        assert_eq!(idx.merge().segments_merged, 2);
         let m = reader.metrics();
-        assert_eq!((m.segments, m.rows, m.live_rows, m.active_rows), (1, 117, 117, 0));
-        assert_eq!((m.publishes, m.merges_completed, m.maintenance_errors), (publishes + 2, 1, 0));
-        assert!(m.merge_ns > 0 && m.publish_ns > publish_ns);
+        assert_eq!((m.pending_segments, m.seal_builds), (0, 2));
+        idx.insert(&vecs[0]);
+        let (writer, mut next) = idx.shared.begin();
+        idx.active.seal_into(&mut next);
+        idx.shared.publish(writer, next);
+        assert_eq!(reader.metrics().pending_segments, 1);
+        assert_eq!(idx.merge().segments_merged, 3);
+        let m = reader.metrics();
+        assert_eq!((m.segments, m.rows, m.live_rows, m.active_rows), (1, 118, 118, 0));
+        assert_eq!((m.pending_segments, m.seal_builds, m.merges_completed), (0, 3, 1));
+        assert_eq!((m.publishes, m.maintenance_errors), (publishes + 5, 0));
+        assert!(m.merge_ns > 0 && m.publish_ns > publish_ns && m.seal_build_ns > build_ns);
         assert_eq!(m.epoch, m.publishes);
         assert_eq!((reader.merges_completed(), reader.maintenance_errors()), (1, 0));
         let text = m.to_string();
-        assert_eq!(text.lines().count(), 16, "one line per field:\n{text}");
-        assert!(text.contains("live_rows             117\n"), "{text}");
+        assert_eq!(text.lines().count(), 19, "one line per field:\n{text}");
+        assert!(text.contains("live_rows             118\n"), "{text}");
+        assert!(text.contains("pending_segments      0\n"), "{text}");
+        assert!(text.contains("seal_builds           3\n"), "{text}");
+        assert!(text.contains("seal_build_ms_mean    "), "{text}");
         assert!(text.ends_with("maintenance_errors    0\n"), "{text}");
     }
 
     #[test]
     fn a_reader_counts_each_querys_routes_and_a_snapshot_counts_none() {
-        // Two segments: 100 frozen rows and 60 active ones. γ = 2 puts
-        // s_min at 1/2. The sealed segment is small enough that scanning
-        // its rows costs less than a traversal at efs 16, so it scans for
-        // every query; the active one routes on s_min alone, so the pure
-        // search, an always-true predicate and one passing only its rows
-        // traverse it, and a predicate passing no row scans it.
-        let vecs = random_vecs(160, 4, 21);
-        let mut idx = SegmentedAcornIndex::new(4, small_params(4, 2, 3), AcornVariant::Gamma);
-        for v in &vecs[..100] {
+        // Two segments: 600 frozen rows and 60 active ones, at k = efs = 5.
+        // The sealed segment traverses the pure search and an always-true
+        // predicate (a traversal costs less than scoring 600 rows) and
+        // scans the two predicates none of its rows pass; the active one
+        // has no graph and scans every query.
+        let vecs = random_vecs(660, 8, 21);
+        let mut idx = SegmentedAcornIndex::new(8, small_params(8, 2, 3), AcornVariant::Gamma);
+        for v in &vecs[..600] {
             idx.insert(v);
         }
         idx.freeze();
-        for v in &vecs[100..] {
+        for v in &vecs[600..] {
             idx.insert(v);
         }
         let attrs = AttrStore::builder()
-            .add_int("active", (0..160).map(|g| i64::from(g >= 100)).collect())
+            .add_int("active", (0..660).map(|g| i64::from(g >= 600)).collect())
             .build();
         let field = attrs.field("active").unwrap();
         let reader = idx.reader();
         let q = &vecs[7];
-        reader.search(q, 5, 16).unwrap();
-        reader
-            .hybrid_search(q, &Predicate::Between { field, lo: 0, hi: 1 }, &attrs, 5, 16)
-            .unwrap();
-        reader.hybrid_search(q, &Predicate::Equals { field, value: 7 }, &attrs, 5, 16).unwrap();
-        reader.hybrid_search(q, &Predicate::Equals { field, value: 1 }, &attrs, 5, 16).unwrap();
+        reader.search(q, 5, 5).unwrap();
+        reader.hybrid_search(q, &Predicate::Between { field, lo: 0, hi: 1 }, &attrs, 5, 5).unwrap();
+        reader.hybrid_search(q, &Predicate::Equals { field, value: 7 }, &attrs, 5, 5).unwrap();
+        reader.hybrid_search(q, &Predicate::Equals { field, value: 1 }, &attrs, 5, 5).unwrap();
         // Refused queries and a pinned snapshot's doors count nothing.
-        assert!(reader.search(&[f32::NAN; 4], 5, 16).is_err());
+        assert!(reader.search(&[f32::NAN; 8], 5, 5).is_err());
         let snap = idx.snapshot();
         let mut scratch = SearchScratch::new(snap.max_segment_rows());
-        snap.search_with(q, 5, 16, &mut scratch, &mut SearchStats::default()).unwrap();
+        snap.search_with(q, 5, 5, &mut scratch, &mut SearchStats::default()).unwrap();
         snap.try_hybrid_search(
             q,
             &Predicate::Equals { field, value: 7 },
             &attrs,
             5,
-            16,
+            5,
             &mut scratch,
         )
         .unwrap();
 
         let m = reader.metrics();
-        assert_eq!((m.queries, m.segments_scanned, m.segments_traversed), (4, 5, 3));
-        assert_eq!(m.scan_share(), 5.0 / 8.0);
+        assert_eq!((m.queries, m.segments_scanned, m.segments_traversed), (4, 6, 2));
+        assert_eq!(m.scan_share(), 6.0 / 8.0);
         let text = m.to_string();
         assert!(text.contains("queries               4\n"), "{text}");
-        assert!(text.contains("scan_share            0.6250\n"), "{text}");
+        assert!(text.contains("scan_share            0.7500\n"), "{text}");
         assert_eq!(MetricsSnapshot::default().scan_share(), 0.0, "no segment routed yet");
     }
 
@@ -1078,7 +1162,7 @@ mod tests {
         };
         let late_writes = |idx: &mut SegmentedAcornIndex| {
             assert!(idx.delete(25), "a row inside a captured segment");
-            assert!(idx.delete(65), "an active row");
+            assert!(idx.delete(65), "an active row, dropped by the freeze's build");
             for v in &vecs[70..] {
                 idx.insert(v);
             }
@@ -1102,8 +1186,8 @@ mod tests {
         let late = merged.local_of(25).expect("rebuilt before the delete landed");
         assert!(merged.tombstones().get(late), "the late delete is a tombstone of the merge");
         assert_eq!((merged.rows(), merged.deleted_rows()), (59, 1));
-        assert_eq!(fourth.global_ids(), (60..80).collect::<Vec<u64>>());
-        assert_eq!(fourth.tombstones().to_ids(), [5, 12], "gids 65 and 72");
+        assert_eq!(fourth.global_ids(), (60..80).filter(|&g| g != 65).collect::<Vec<u64>>());
+        assert_eq!(fourth.tombstones().to_ids(), [11], "gid 72");
         assert!(
             merged.global_ids().last() < fourth.global_ids().first(),
             "frozen segments stay ascending with disjoint gid ranges"
@@ -1114,6 +1198,7 @@ mod tests {
         twin.merge();
         assert_eq!(racing.snapshot().live_ids(), twin.snapshot().live_ids());
         assert_eq!(racing.snapshot().len(), 80 - 4);
+        assert_eq!(racing.snapshot().total_rows(), 80 - 2, "gids 7 and 65 were dropped");
         let saved = |idx: &mut SegmentedAcornIndex| {
             idx.compact_all();
             let mut bytes = Vec::new();
@@ -1121,6 +1206,110 @@ mod tests {
             bytes
         };
         assert_eq!(saved(&mut racing), saved(&mut twin));
+    }
+
+    #[test]
+    fn deletes_during_a_pending_build_survive_the_splice() {
+        // A 40-row segment seals pending at its 40th insert, with gid 3
+        // already dead. Its build is driven by hand, and writes land between
+        // the capture and the splice: deletes of its rows, a delete of an
+        // active row, more inserts.
+        let vecs = random_vecs(50, 8, 80);
+        let policy = MergePolicy { active_max_rows: 40, ..Default::default() };
+        let build = || {
+            let mut idx = SegmentedAcornIndex::new(8, small_params(8, 2, 81), AcornVariant::Gamma)
+                .with_policy(policy.clone());
+            for (i, v) in vecs[..45].iter().enumerate() {
+                idx.insert(v);
+                if i == 10 {
+                    assert!(idx.delete(3));
+                }
+            }
+            let snap = idx.snapshot();
+            let pending: Vec<bool> =
+                snap.frozen_segments().iter().map(|s| s.is_pending()).collect();
+            assert_eq!((pending, idx.active_rows()), (vec![true], 5));
+            idx
+        };
+        let late_writes = |idx: &mut SegmentedAcornIndex| {
+            assert!(idx.delete(17) && idx.delete(39), "rows of the segment being built");
+            assert!(idx.delete(41), "an active row");
+            for v in &vecs[45..] {
+                idx.insert(v);
+            }
+        };
+
+        let mut racing = build();
+        let runs = capture_pending(&racing.shared, 0);
+        assert_eq!(runs.iter().map(Vec::len).collect::<Vec<_>>(), [1], "one pending segment");
+        let rebuilt = rebuild(&racing.shared, &runs);
+        late_writes(&mut racing);
+        let (rows_kept, _) = splice(&racing.shared, &runs, rebuilt);
+        assert_eq!(rows_kept, 39, "gid 3 was dead at capture; gids 17 and 39 were not");
+
+        let snap = racing.snapshot();
+        let built = &snap.frozen_segments()[0];
+        assert!(!built.is_pending() && built.index().csr().is_some());
+        assert_eq!(built.global_ids(), (0..40).filter(|&g| g != 3).collect::<Vec<u64>>());
+        let late: Vec<u64> =
+            built.tombstones().iter_ones().map(|l| built.global_ids()[l as usize]).collect();
+        assert_eq!(late, [17, 39], "the late deletes are tombstones of the built segment");
+        let active = snap.active_segment().expect("the rows inserted mid-build");
+        assert_eq!(active.global_ids(), (40..50).collect::<Vec<u64>>());
+        assert_eq!(active.tombstones().to_ids(), [1], "gid 41");
+        let m = racing.reader().metrics();
+        assert_eq!((m.pending_segments, m.seal_builds, m.merges_completed), (0, 1, 0));
+
+        // The same writes with the build last: the same live rows, and the
+        // same answers once both are compacted.
+        let mut twin = build();
+        late_writes(&mut twin);
+        twin.freeze();
+        assert_eq!(racing.snapshot().live_ids(), twin.snapshot().live_ids());
+        let saved = |idx: &mut SegmentedAcornIndex| {
+            idx.compact_all();
+            let mut bytes = Vec::new();
+            idx.snapshot().save(&mut bytes).unwrap();
+            bytes
+        };
+        assert_eq!(saved(&mut racing), saved(&mut twin));
+    }
+
+    #[test]
+    fn auto_seals_leave_at_most_two_pending_segments_and_freeze_leaves_none() {
+        // No maintenance thread: every graph is built by the writer. A seal
+        // every 20 inserts leaves its segment pending; the third pending
+        // segment makes the writer build the oldest, so two stay pending.
+        let policy = MergePolicy { active_max_rows: 20, ..Default::default() };
+        let mut idx = SegmentedAcornIndex::new(4, small_params(4, 2, 5), AcornVariant::Gamma)
+            .with_policy(policy);
+        let reader = idx.reader();
+        let vecs = random_vecs(210, 4, 6);
+        for (i, v) in vecs.iter().enumerate() {
+            idx.insert(v);
+            let seals = (i + 1) / 20;
+            let m = reader.metrics();
+            assert_eq!(m.pending_segments, seals.min(2), "after insert {i}");
+            assert_eq!(m.seal_builds, seals.saturating_sub(2) as u64, "after insert {i}");
+        }
+        // The writer built the oldest first: the pending two are the newest.
+        let snap = idx.snapshot();
+        let pending: Vec<bool> = snap.frozen_segments().iter().map(|s| s.is_pending()).collect();
+        assert_eq!(pending, [vec![false; 8], vec![true; 2]].concat());
+        assert_eq!(idx.active_rows(), 10);
+
+        // Pending or built, every segment answers exactly what a scan of the
+        // live rows would: the graphs at a beam wide enough to be exhaustive.
+        let q = vec![0.05; 4];
+        let exact = |idx: &SegmentedAcornIndex| idx.reader().search(&q, 10, 210).unwrap();
+        let before = exact(&idx);
+        idx.freeze();
+        let m = reader.metrics();
+        assert_eq!((m.pending_segments, m.seal_builds, m.active_rows), (0, 11, 0));
+        assert!(idx.snapshot().frozen_segments().iter().all(|s| !s.is_pending()));
+        assert_eq!(exact(&idx), before);
+        idx.freeze();
+        assert_eq!(reader.metrics().seal_builds, 11, "nothing left to build");
     }
 
     #[test]

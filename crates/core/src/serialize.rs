@@ -12,15 +12,16 @@
 //! ```text
 //! magic "ACRN" | version u32 | variant u8 | m u64 | gamma u64 | m_beta u64
 //! | efc u64 | metric u8 | seed u64 | s_min f64 (NaN = none) | n_c u64
-//! | flatten u8 | n u64 | per node: level u8, per level: len u32, ids [u32]
+//! | flatten u8 | nodes u64 | per node: level u8, per level: len u32, ids [u32]
 //! | edges_pruned u64 | compacted u8
 //! ```
 //!
 //! The trailing `compacted` flag records whether the index was
-//! [sealed](AcornIndex::seal) when saved: a frozen block's must be set, the
-//! active block's clear. The encoder walks whichever graph the index holds
-//! and writes the same per-node lists either way, so the bytes do not depend
-//! on the layout beyond that one flag.
+//! [sealed](AcornIndex::seal) when saved. A sealed index's graph has a node
+//! per row of its block; an unsealed one — the active segment's, or a
+//! pending segment's — is its rows alone and writes no node. The active
+//! block's flag must be clear; a frozen block's is set once its graph is
+//! built. A blob whose node count disagrees with its flag is refused.
 //!
 //! ## The segment block
 //!
@@ -52,10 +53,8 @@
 //! by one decoder, into [`CsrGraph`] arenas through the validating
 //! [`CsrBuilder`] (node count, level, list length and every edge target
 //! checked; the same entry point the nested graph would have picked). A
-//! **frozen** block is sealed and serves those arenas as they are — no
-//! nested graph is built only to be frozen. The **active** block is growing:
-//! its lists are copied out of the decoded arenas into the nested graph
-//! inserts extend.
+//! sealed block serves those arenas as they are — no nested graph is built
+//! only to be frozen.
 //!
 //! ## Retired quantization fields
 //!
@@ -126,10 +125,10 @@ use std::sync::Arc;
 
 use acorn_hnsw::checksum::{crc32, ChecksumWriter};
 use acorn_hnsw::csr::CsrBuilder;
-use acorn_hnsw::{CsrGraph, LayeredGraph, Metric, VectorStore};
+use acorn_hnsw::{Metric, VectorStore};
 use acorn_predicate::Bitset;
 
-use crate::index::AcornIndex;
+use crate::index::{resolve_params, AcornIndex};
 use crate::params::{AcornParams, AcornVariant};
 use crate::prune::PruneStrategy;
 use crate::segment::{MergePolicy, SegmentedAcornIndex};
@@ -363,8 +362,10 @@ impl AcornIndex {
         put_header(w, self.variant(), self.params())?;
 
         let g = self.graph_view();
-        put_u64(w, g.len() as u64)?;
-        for v in 0..g.len() as u32 {
+        let nodes = g.map_or(0, |g| g.len());
+        put_u64(w, nodes as u64)?;
+        for v in 0..nodes as u32 {
+            let g = g.expect("an index with nodes has a graph");
             let level = g.level_of(v);
             // The format stores levels as one byte. Real graphs top out
             // around level ~10 (geometric level distribution), so > 255 is
@@ -388,19 +389,18 @@ impl AcornIndex {
         Ok(())
     }
 
-    /// A v3 blob over `vecs` (the rows the graph was built over), its
+    /// A v3 blob over `vecs` (the rows of its block): a sealed index, its
     /// per-node lists decoded into CSR arenas through the validating
-    /// [`CsrBuilder`] — the one neighbor-list decoder, for both roles of
-    /// block. Returns the index's header, the graph, the pruned-edge count
-    /// and whether the blob's `compacted` flag says the saved index was
-    /// sealed.
+    /// [`CsrBuilder`] — the one neighbor-list decoder — or, when the blob's
+    /// `compacted` flag is clear, the rows alone.
     ///
     /// # Errors
-    /// Returns `InvalidData` on magic/version mismatch, if `vecs` does not
-    /// have exactly as many vectors as the serialized graph has nodes, and
+    /// Returns `InvalidData` on magic/version mismatch, if the graph has
+    /// neither as many nodes as `vecs` has rows nor none, if its node count
+    /// disagrees with the flag (`role` names the block in the message), and
     /// on any list the builder refuses; `UnexpectedEof` for a list length
     /// the bytes present cannot hold.
-    fn load_blob(r: &mut &[u8], vecs: &VectorStore) -> io::Result<DecodedBlob> {
+    fn load(r: &mut &[u8], vecs: Arc<VectorStore>, role: Role) -> io::Result<AcornIndex> {
         if take(r, 4, 1)? != MAGIC {
             return Err(bad("not an ACORN index file"));
         }
@@ -408,12 +408,12 @@ impl AcornIndex {
             return Err(bad("unsupported ACORN index version"));
         }
         let (variant, params) = get_header(r)?;
-        let n = vecs.len();
-        if get_u64(r)? as usize != n {
+        let nodes = get_u64(r)? as usize;
+        if nodes != vecs.len() && nodes != 0 {
             return Err(bad("vector store size does not match serialized index"));
         }
-        let mut csr = CsrBuilder::new(n);
-        for _ in 0..n {
+        let mut csr = CsrBuilder::new(nodes);
+        for _ in 0..nodes {
             let level = get_u8(r)? as usize;
             csr.push_node(level).map_err(bad)?;
             for _ in 0..=level {
@@ -425,38 +425,18 @@ impl AcornIndex {
         }
         let graph = csr.finish().map_err(bad)?;
         let edges_pruned = get_u64(r)?;
-        let sealed = get_u8(r)? != 0;
-        Ok(DecodedBlob { variant, params, graph, edges_pruned, sealed })
+        match (get_u8(r)? != 0, role) {
+            (true, Role::Active) => Err(bad("the active segment must not be sealed")),
+            (true, Role::Frozen) if nodes != vecs.len() => {
+                Err(bad("a sealed segment must hold a graph of every row"))
+            }
+            (true, Role::Frozen) => {
+                Ok(AcornIndex::from_sealed_parts(params, variant, vecs, graph, edges_pruned))
+            }
+            (false, _) if nodes != 0 => Err(bad("an unsealed segment must hold its rows alone")),
+            (false, _) => Ok(AcornIndex::rows(vecs, params, variant)),
+        }
     }
-
-    /// The v3 blob of the active segment's block over `vecs`: the graph as
-    /// a growing index (the decoded CSR's lists appended to one edge buffer
-    /// in one pass, [`LayeredGraph::thaw`]), and whether the blob's
-    /// `compacted` flag says the saved index was sealed.
-    fn load_growing(r: &mut &[u8], vecs: Arc<VectorStore>) -> io::Result<(AcornIndex, bool)> {
-        let b = Self::load_blob(r, &vecs)?;
-        let graph = LayeredGraph::thaw(&b.graph);
-        Ok((AcornIndex::from_parts(b.params, b.variant, vecs, graph, b.edges_pruned), b.sealed))
-    }
-
-    /// The v3 blob of a frozen segment block, decoded straight into the
-    /// sealed index it was saved from. `None` when the blob's `compacted`
-    /// flag says it was not sealed.
-    fn load_sealed(r: &mut &[u8], vecs: Arc<VectorStore>) -> io::Result<Option<AcornIndex>> {
-        let b = Self::load_blob(r, &vecs)?;
-        Ok(b.sealed.then(|| {
-            AcornIndex::from_sealed_parts(b.params, b.variant, vecs, b.graph, b.edges_pruned)
-        }))
-    }
-}
-
-/// What [`AcornIndex::load_blob`] decodes from a v3 blob.
-struct DecodedBlob {
-    variant: AcornVariant,
-    params: AcornParams,
-    graph: CsrGraph,
-    edges_pruned: u64,
-    sealed: bool,
 }
 
 /// The fields ahead of the segment blocks, shared by the v6 export and the
@@ -538,8 +518,7 @@ fn get_manifest(r: &mut impl Read) -> io::Result<(Manifest, usize)> {
     // Every segment was built from the top-level configuration (with the
     // ACORN-1 override applied by `AcornIndex::new`); reconstruct that
     // expectation once and hold each embedded header to it.
-    let expected_params =
-        AcornIndex::new(Arc::new(VectorStore::new(dim)), params.clone(), variant).params().clone();
+    let expected_params = resolve_params(params.clone(), variant);
     let nseg = get_u64(r)? as usize;
     let state =
         SegmentSnapshot { next_global, policy, ..SegmentSnapshot::empty(params, variant, dim) };
@@ -566,17 +545,17 @@ fn put_segment(w: &mut impl Write, seg: &SegmentView) -> io::Result<()> {
 
 /// The active segment's block. With no published active view (empty or
 /// just sealed) that is the block an empty active segment would produce —
-/// zero rows, then a fresh empty index blob carrying the expected header —
-/// so the layout is invariant to whether the writer happened to have an
-/// unsealed row in flight.
+/// zero rows, then the blob of no rows carrying the expected header — so the
+/// layout is invariant to whether the writer happened to have an unsealed
+/// row in flight.
 fn put_active(w: &mut impl Write, snap: &SegmentSnapshot) -> io::Result<()> {
     if let Some(seg) = snap.active_segment() {
         return put_segment(w, seg);
     }
     w.write_all(&[ENC_F32])?;
     put_u64(w, 0)?;
-    AcornIndex::new(Arc::new(VectorStore::new(snap.dim())), snap.params().clone(), snap.variant())
-        .save(w)
+    let (params, variant) = (resolve_params(snap.params().clone(), snap.variant()), snap.variant());
+    AcornIndex::rows(Arc::new(VectorStore::new(snap.dim())), params, variant).save(w)
 }
 
 /// `n` rows' tombstone words, with no bit set beyond the last row.
@@ -593,9 +572,9 @@ fn get_tombstones(r: &mut &[u8], n: usize) -> io::Result<Bitset> {
 /// embedded index must be in.
 #[derive(Clone, Copy)]
 enum Role {
-    /// Immutable: sealed and non-empty.
+    /// Non-empty: sealed, or pending its graph.
     Frozen,
-    /// The one segment taking inserts: growing.
+    /// The one segment taking inserts: its rows alone.
     Active,
 }
 
@@ -625,21 +604,13 @@ fn get_segment(r: &mut &[u8], m: &Manifest, role: Role) -> io::Result<SegmentVie
     let rows = take(r, n, dim * 4)?;
     let store = Arc::new(VectorStore::from_le_bytes(dim, rows));
 
-    // The embedded blob carries its own node count; the decoders reject it
-    // unless it matches the store just rebuilt — the row-count guard.
-    let index = match role {
-        Role::Frozen if n == 0 => return Err(bad("frozen segments must not be empty")),
-        Role::Frozen => AcornIndex::load_sealed(r, store)?
-            .ok_or_else(|| bad("frozen segments must be sealed"))?,
-        Role::Active => {
-            let (index, sealed) = AcornIndex::load_growing(r, store)?;
-            if sealed {
-                // A sealed index accepts no inserts.
-                return Err(bad("the active segment must not be sealed"));
-            }
-            index
-        }
-    };
+    if matches!(role, Role::Frozen) && n == 0 {
+        return Err(bad("frozen segments must not be empty"));
+    }
+    // The embedded blob carries its own node count; the decoder rejects it
+    // unless it matches the store just rebuilt (or is 0 for rows alone) —
+    // the row-count guard.
+    let index = AcornIndex::load(r, store, role)?;
     if index.variant() != m.state.variant || index.params() != &m.expected_params {
         return Err(bad("embedded segment header disagrees with the segmented index header"));
     }
@@ -729,8 +700,9 @@ impl SegmentedAcornIndex {
     /// non-ascending / out-of-range / cross-segment-duplicated global ids,
     /// overlapping segment gid ranges, tombstone bits beyond a segment's
     /// rows, embedded segment headers that disagree with the top-level
-    /// configuration, a frozen block that is not sealed or an active block
-    /// that is sealed, and a quantized segment (see the module docs).
+    /// configuration, a block whose graph disagrees with its `compacted`
+    /// flag, an active block that is sealed, and a quantized segment (see
+    /// the module docs).
     pub fn load(r: &mut impl Read) -> io::Result<SegmentedAcornIndex> {
         // Checksum-first: slurp the stream (allocation bounded by bytes
         // actually present, never by a parsed length), verify the footer
@@ -908,10 +880,15 @@ mod tests {
         buf
     }
 
-    /// Decode a v3 blob the way an active segment's block is: as a growing
-    /// index, whatever its `compacted` flag says.
-    fn load_growing(buf: &[u8], vecs: Arc<VectorStore>) -> io::Result<AcornIndex> {
-        AcornIndex::load_growing(&mut &*buf, vecs).map(|(idx, _)| idx)
+    /// Decode a v3 blob the way a frozen segment's block is: sealed, or
+    /// rows alone, as its `compacted` flag says.
+    fn load_blob(buf: &[u8], vecs: Arc<VectorStore>) -> io::Result<AcornIndex> {
+        AcornIndex::load(&mut &*buf, vecs, Role::Frozen)
+    }
+
+    /// A sealed index over `vecs`.
+    fn sealed(vecs: &Arc<VectorStore>, params: AcornParams, variant: AcornVariant) -> AcornIndex {
+        AcornIndex::build(vecs.clone(), params, variant).seal()
     }
 
     fn search(idx: &AcornIndex, q: &[f32]) -> Vec<(u32, f32)> {
@@ -928,9 +905,9 @@ mod tests {
         let vecs = random_store(600, 8, 1);
         let params =
             AcornParams { m: 8, gamma: 4, m_beta: 16, ef_construction: 32, ..Default::default() };
-        let idx = AcornIndex::build(vecs.clone(), params, AcornVariant::Gamma);
+        let idx = sealed(&vecs, params, AcornVariant::Gamma);
 
-        let loaded = load_growing(&blob(&idx), vecs.clone()).unwrap();
+        let loaded = load_blob(&blob(&idx), vecs.clone()).unwrap();
 
         assert_eq!(loaded.len(), idx.len());
         assert_eq!(loaded.variant(), idx.variant());
@@ -944,8 +921,8 @@ mod tests {
         let vecs = random_store(200, 4, 2);
         let params =
             AcornParams { m: 8, gamma: 6, m_beta: 8, ef_construction: 16, ..Default::default() };
-        let idx = AcornIndex::build(vecs.clone(), params, AcornVariant::One);
-        let loaded = load_growing(&blob(&idx), vecs).unwrap();
+        let idx = sealed(&vecs, params, AcornVariant::One);
+        let loaded = load_blob(&blob(&idx), vecs).unwrap();
         assert_eq!(loaded.variant(), AcornVariant::One);
         assert_eq!(loaded.params().s_min(), idx.params().s_min());
     }
@@ -955,28 +932,31 @@ mod tests {
         let vecs = random_store(400, 8, 6);
         let params =
             AcornParams { m: 8, gamma: 4, m_beta: 16, ef_construction: 32, ..Default::default() };
-        let plain = AcornIndex::build(vecs.clone(), params, AcornVariant::Gamma);
+        let plain = AcornIndex::build(vecs.clone(), params.clone(), AcornVariant::Gamma);
         let idx = plain.clone().seal();
 
         let buf = blob(&idx);
-        let loaded = AcornIndex::load_sealed(&mut buf.as_slice(), vecs.clone()).unwrap();
-        let loaded = loaded.expect("a sealed index must load sealed");
-        assert!(loaded.csr().is_some());
+        let loaded = load_blob(&buf, vecs.clone()).unwrap();
+        assert!(loaded.csr().is_some(), "a sealed index must load sealed");
         let q = vec![0.3; 8];
         assert_eq!(search(&idx, &q), search(&loaded, &q));
 
-        // A growing index stays growing through the round trip — the sealed
-        // decoder refuses it — and its blob differs from the sealed one's in
-        // the trailing flag alone: `save` writes the same lists from either
-        // graph.
+        // Rows alone round-trip as rows alone: no node, a clear flag.
+        let rows = AcornIndex::rows(vecs.clone(), idx.params().clone(), AcornVariant::Gamma);
+        let rows_buf = blob(&rows);
+        let loaded = load_blob(&rows_buf, vecs.clone()).unwrap();
+        assert!(loaded.is_empty() && loaded.csr().is_none() && loaded.graph().is_none());
+        assert_eq!(loaded.vectors().len(), 400);
+        assert_eq!(rows_buf[rows_buf.len() - 1], 0);
+
+        // A growing graph's blob — its nodes under a clear flag — and a
+        // sealed one with its flag cleared are refused.
         let plain_buf = blob(&plain);
-        let (loaded, sealed) =
-            AcornIndex::load_growing(&mut plain_buf.as_slice(), vecs.clone()).unwrap();
-        assert!(loaded.csr().is_none() && !sealed);
-        assert!(AcornIndex::load_sealed(&mut plain_buf.as_slice(), vecs).unwrap().is_none());
         let flag = buf.len() - 1;
         assert_eq!((plain_buf[flag], buf[flag]), (0, 1));
-        assert_eq!(plain_buf[..flag], buf[..flag]);
+        assert_eq!(plain_buf[..flag], buf[..flag], "the same lists from either graph");
+        let err = load_blob(&plain_buf, vecs).unwrap_err();
+        assert!(err.to_string().contains("must hold its rows alone"), "unexpected: {err}");
     }
 
     #[test]
@@ -984,15 +964,15 @@ mod tests {
         let vecs = random_store(50, 4, 3);
         let params =
             AcornParams { m: 4, gamma: 2, m_beta: 4, ef_construction: 8, ..Default::default() };
-        let idx = AcornIndex::build(vecs.clone(), params, AcornVariant::Gamma);
+        let idx = sealed(&vecs, params, AcornVariant::Gamma);
         let buf = blob(&idx);
 
         let mut corrupted = buf.clone();
         corrupted[0] = b'X';
-        assert!(load_growing(&corrupted, vecs.clone()).is_err());
+        assert!(load_blob(&corrupted, vecs.clone()).is_err());
 
         let wrong_store = random_store(49, 4, 4);
-        assert!(load_growing(&buf, wrong_store).is_err());
+        assert!(load_blob(&buf, wrong_store).is_err());
     }
 
     #[test]
@@ -1002,7 +982,7 @@ mod tests {
         // this assertion in `LayeredGraph::add_node` is what makes a > 255
         // level unrepresentable before serialization is ever reached, so
         // `level as u8` can no longer truncate silently anywhere.
-        let mut graph = LayeredGraph::with_capacity(1);
+        let mut graph = acorn_hnsw::LayeredGraph::with_capacity(1);
         graph.add_node(300);
     }
 
@@ -1011,7 +991,7 @@ mod tests {
         let vecs = random_store(50, 4, 10);
         let params =
             AcornParams { m: 4, gamma: 2, m_beta: 4, ef_construction: 8, ..Default::default() };
-        let idx = AcornIndex::build(vecs.clone(), params, AcornVariant::Gamma);
+        let idx = sealed(&vecs, params, AcornVariant::Gamma);
         let mut buf = blob(&idx);
         // Layout: 4 magic + 4 version + 1 variant + 4×8 params + 1 metric
         // + 8 seed + 8 s_min + 8 n_c + 1 flatten = 67 bytes of header, then
@@ -1020,11 +1000,11 @@ mod tests {
         // error out — on the bytes present — instead of attempting a 16 GiB
         // allocation.
         buf[76..80].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = load_growing(&buf, vecs.clone()).unwrap_err();
+        let err = load_blob(&buf, vecs.clone()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "unexpected: {err}");
         // A length the bytes could hold is still refused by the graph's size.
         buf[76..80].copy_from_slice(&51u32.to_le_bytes());
-        let err = load_growing(&buf, vecs).unwrap_err();
+        let err = load_blob(&buf, vecs).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("neighbor list"), "unexpected message: {err}");
     }
@@ -1054,7 +1034,7 @@ mod tests {
     /// `(length, CRC32 of everything before the footer)` of
     /// `saved(segmented_fixture)`; see
     /// `saved_bytes_are_those_of_the_two_layout_index`.
-    const FIXTURE_SUM: (usize, u32) = (22_094, 70_889_456);
+    const FIXTURE_SUM: (usize, u32) = (16_338, 247_927_260);
 
     /// Bytes before the first frozen segment block: magic 4 + version 4 +
     /// header 59 + dim 8 + next_global 8 + policy 24 + quant 9 + nseg 8.
@@ -1214,37 +1194,29 @@ mod tests {
 
     #[test]
     fn segmented_load_rejects_corrupt_lists_in_a_frozen_block() {
-        // Both blocks' lists go through the one decoder, straight into CSR
-        // arenas, so the frozen block and the active one refuse the same
-        // corruptions the same way. Each blob starts after its block's
-        // manifest (see the test above; the active block's is laid out in
-        // `segmented_load_holds_each_block_to_the_state_of_its_role`); its
-        // header is 8 + 59 bytes, then n (8), node 0's level (1), node 0's
-        // first list length (4) and that list's first target.
+        // A sealed block's lists go straight into CSR arenas through the one
+        // decoder. The blob starts after its block's manifest (see the test
+        // above); its header is 8 + 59 bytes, then the node count (8), node
+        // 0's level (1), node 0's first list length (4) and that list's
+        // first target.
         let (idx, _) = segmented_fixture();
         let buf = saved(&idx);
-        let to_lists = 67 + 8 + 1;
-        let active_blob = blob(idx.snapshot().active_segment().unwrap().index());
-        let active_start = buf.len() - 4 - (1 + 8 + 60 * 8 + 8 + 60 * 8 * 4 + active_blob.len());
-        let frozen = (SEG_N_OFF + 8 + 800 + 16 + 3200 + to_lists, 100);
-        let active = (active_start + 1 + 8 + 60 * 8 + 8 + 60 * 8 * 4 + to_lists, 60);
+        let (len_off, n) = (SEG_N_OFF + 8 + 800 + 16 + 3200 + 67 + 8 + 1, 100);
         let corrupt = |off: usize, value: u32| {
             let mut bad = buf.clone();
             bad[off..off + 4].copy_from_slice(&value.to_le_bytes());
             reseal(&mut bad);
             crate::SegmentedAcornIndex::load(&mut bad.as_slice()).unwrap_err()
         };
-        for (len_off, n) in [frozen, active] {
-            // A length the file cannot hold never sizes anything.
-            let err = corrupt(len_off, u32::MAX);
-            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "unexpected: {err}");
-            // One the file can hold, but the graph (`n` nodes) cannot.
-            let err = corrupt(len_off, n + 1);
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains("neighbor list longer"), "unexpected: {err}");
-            let err = corrupt(len_off + 4, n);
-            assert!(err.to_string().contains("edge target out of range"), "unexpected: {err}");
-        }
+        // A length the file cannot hold never sizes anything.
+        let err = corrupt(len_off, u32::MAX);
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "unexpected: {err}");
+        // One the file can hold, but the graph (`n` nodes) cannot.
+        let err = corrupt(len_off, n + 1);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("neighbor list longer"), "unexpected: {err}");
+        let err = corrupt(len_off + 4, n);
+        assert!(err.to_string().contains("edge target out of range"), "unexpected: {err}");
     }
 
     #[test]
@@ -1253,7 +1225,7 @@ mod tests {
         // loader must still turn it (and the blob decoder a whole v6 file)
         // away by version, before parsing anything else.
         let (seg_idx, _) = segmented_fixture();
-        let err = load_growing(&saved(&seg_idx), random_store(1, 8, 1)).unwrap_err();
+        let err = load_blob(&saved(&seg_idx), random_store(1, 8, 1)).unwrap_err();
         assert!(err.to_string().contains("unsupported ACORN index version"), "unexpected: {err}");
 
         let plain = AcornIndex::build(
@@ -1280,9 +1252,10 @@ mod tests {
 
     #[test]
     fn saved_bytes_are_those_of_the_two_layout_index() {
-        // Length and CRC32 of what the parent of the one-graph-per-segment
-        // change wrote for the same op scripts: sealing changed what a
-        // segment holds in memory, not one byte of the file.
+        // Length and CRC32 of the fixture's file. Re-pinned when the active
+        // segment came to hold its rows alone: its block lost its growing
+        // graph's nodes (the frozen block's bytes are unchanged, since its
+        // graph is built over the same rows in the same order).
         let file = saved(&segmented_fixture().0);
         let body = &file[..file.len() - 4];
         assert_eq!((file.len(), acorn_hnsw::checksum::crc32(body)), FIXTURE_SUM);
@@ -1297,14 +1270,16 @@ mod tests {
         let buf = saved(&idx);
         let active_flag = buf.len() - 5;
         // Active block: tag 1 + n 8 + 60 gids + 1 tombstone word + 60 × 8
-        // floats, then its blob.
+        // floats, then its blob: the header (67), no node, edges pruned (8)
+        // and the flag.
         let blob = blob(idx.snapshot().active_segment().unwrap().index());
+        assert_eq!(blob.len(), 67 + 8 + 8 + 1, "the active segment's rows alone");
         let active_block = 1 + 8 + 60 * 8 + 8 + 60 * 8 * 4 + blob.len();
         let frozen_flag = active_flag - active_block;
         assert_eq!((buf[frozen_flag], buf[active_flag]), (1, 0));
 
         for (flag, message) in [
-            (frozen_flag, "frozen segments must be sealed"),
+            (frozen_flag, "an unsealed segment must hold its rows alone"),
             (active_flag, "the active segment must not be sealed"),
         ] {
             let mut flipped = buf.clone();
@@ -1407,7 +1382,7 @@ mod tests {
             reseal(&mut buf);
             let err = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap_err();
             assert!(err.to_string().contains("unsupported ACORN index version"), "{err}");
-            let err = load_growing(&buf, random_store(1, 8, 1)).unwrap_err();
+            let err = load_blob(&buf, random_store(1, 8, 1)).unwrap_err();
             assert!(err.to_string().contains("unsupported ACORN index version"), "{err}");
         }
     }
@@ -1436,11 +1411,11 @@ mod tests {
         let vecs = random_store(50, 4, 5);
         let params =
             AcornParams { m: 4, gamma: 2, m_beta: 4, ef_construction: 8, ..Default::default() };
-        let idx = AcornIndex::build(vecs.clone(), params, AcornVariant::Gamma);
+        let idx = sealed(&vecs, params, AcornVariant::Gamma);
         let buf = blob(&idx);
         for cut in [3usize, 10, buf.len() / 2, buf.len() - 1] {
             assert!(
-                load_growing(&buf[..cut], vecs.clone()).is_err(),
+                load_blob(&buf[..cut], vecs.clone()).is_err(),
                 "truncation at {cut} must error"
             );
         }

@@ -11,8 +11,8 @@
 //!   keep in step. Every mutation ([`insert`], [`delete`], [`freeze`], a
 //!   merge's splice) takes the writer lock, copies the published value (two
 //!   `Arc` bumps per segment), edits the copy and publishes it as the next
-//!   epoch. The only thing kept outside it is what a snapshot cannot hold:
-//!   the writer's growing active index.
+//!   epoch. The only thing kept outside it is the writer's handle on the
+//!   active segment's rows and its id list, which it appends to.
 //! * It is also the one read surface. The writer
 //!   ([`SegmentedAcornIndex`](crate::segment::SegmentedAcornIndex)) writes
 //!   and answers nothing; its [`snapshot`](crate::segment::SegmentedAcornIndex::snapshot),
@@ -37,6 +37,10 @@
 //! [`Arc::make_mut`] while the (large) graph + vector data stay shared by
 //! every epoch that references the segment.
 //!
+//! A segment without a graph — the active one, or a *pending* one that
+//! filled up and awaits its build — is scanned by every query: the planner
+//! routes a graph-less segment to the exact scan.
+//!
 //! [`insert`]: crate::segment::SegmentedAcornIndex::insert
 //! [`delete`]: crate::segment::SegmentedAcornIndex::delete
 //! [`freeze`]: crate::segment::SegmentedAcornIndex::freeze
@@ -54,8 +58,8 @@ use crate::plan::{self, QueryTrace, Routes};
 use crate::segment::{GlobalNeighbor, MergePolicy};
 
 /// The immutable payload of one published segment generation: the
-/// per-segment ACORN index — [sealed](AcornIndex::seal) for a frozen
-/// segment, a growing clone for a view of the active one — and its sorted
+/// per-segment ACORN index — [sealed](AcornIndex::seal) for a built
+/// segment, its rows alone for the active and pending ones — and its sorted
 /// local → global id map. Shared by every snapshot that references the
 /// segment; its address is the segment's identity.
 #[derive(Debug)]
@@ -68,9 +72,8 @@ pub(crate) struct SegmentPayload {
 /// payload plus the tombstone set as of the snapshot's epoch.
 ///
 /// Cloning a view clones two `Arc`s — the graph, vectors, and id map are
-/// never copied. (Publishing a new view of the active segment clones the
-/// writer's index instead: a copy of its graph's span and level tables,
-/// sharing every list and row; see [`AcornIndex`]'s clone.)
+/// never copied. (Publishing a new view of the active segment copies its
+/// id map and shares its vector rows with the writer.)
 #[derive(Debug, Clone)]
 pub struct SegmentView {
     pub(crate) payload: Arc<SegmentPayload>,
@@ -120,10 +123,16 @@ impl SegmentView {
         self.payload.global_ids.is_empty()
     }
 
-    /// The per-segment ACORN index: sealed (CSR) for a frozen segment,
-    /// growing (nested graph) for the view of the active one.
+    /// The per-segment ACORN index: sealed (CSR) for a built segment; its
+    /// rows with an empty graph for the active segment and a pending one.
     pub fn index(&self) -> &AcornIndex {
         &self.payload.index
+    }
+
+    /// True for a frozen segment whose graph is not built yet: it holds
+    /// rows alone, and queries scan it until a build replaces it.
+    pub fn is_pending(&self) -> bool {
+        self.payload.index.csr().is_none()
     }
 
     /// The sorted local → global id map.
@@ -177,7 +186,7 @@ pub struct SegmentSnapshot {
     pub(crate) dim: usize,
     pub(crate) policy: MergePolicy,
     pub(crate) next_global: u64,
-    /// Frozen (sealed, CSR) segments, ascending by first global id.
+    /// Frozen segments, sealed or pending, ascending by first global id.
     pub(crate) frozen: Vec<SegmentView>,
     /// View of the active segment at publication (absent when the active
     /// segment was empty).
@@ -257,7 +266,8 @@ impl SegmentSnapshot {
         self.segments().map(SegmentView::deleted_rows).sum()
     }
 
-    /// Frozen (sealed, CSR) segments, ascending by first global id.
+    /// Frozen segments — sealed, or [pending](SegmentView::is_pending) —
+    /// ascending by first global id.
     pub fn frozen_segments(&self) -> &[SegmentView] {
         &self.frozen
     }
@@ -343,7 +353,7 @@ impl SegmentSnapshot {
     /// **per segment** by the query planner ([`crate::plan`]): every
     /// segment has the predicate materialized into a bitmap of its live
     /// rows and is routed on that bitmap's exact count — to the exact
-    /// pre-filter scan under `s_min · rows` or, for a sealed segment, where
+    /// pre-filter scan when it has no graph, under `s_min · rows`, or where
     /// the scan is predicted to cost no more work than a traversal
     /// ([`Route::choose`](crate::Route::choose)), else to graph traversal
     /// over the bitmap. Every segment feeds one query-wide top-`k` by global
@@ -593,8 +603,8 @@ impl SnapshotCell {
     }
 
     fn store(&self, snap: Arc<SegmentSnapshot>) {
-        // The replaced epoch may be the last holder of a just-sealed active
-        // segment's graph nodes: free them after the write lock is released.
+        // The replaced epoch may be the last holder of a merged-away
+        // segment: free it after the write lock is released.
         let old =
             std::mem::replace(&mut *self.0.write().unwrap_or_else(PoisonError::into_inner), snap);
         drop(old);
@@ -629,6 +639,11 @@ pub(crate) struct SharedState {
     pub(crate) merges_completed: AtomicU64,
     /// Wall nanoseconds of those merges, capture to splice.
     pub(crate) merge_ns: AtomicU64,
+    /// Pending segments given their graph, by a merge or by
+    /// [`build_pending`](crate::segment::build_pending).
+    pub(crate) seal_builds: AtomicU64,
+    /// Nanoseconds of the rebuilds that built them.
+    pub(crate) seal_build_ns: AtomicU64,
     /// Epochs published since the index was created.
     pub(crate) publishes: AtomicU64,
     /// Nanoseconds the writer lock was held across those publishes.
@@ -676,6 +691,8 @@ impl SharedState {
             maintenance_lock: Mutex::new(()),
             merges_completed: AtomicU64::new(0),
             merge_ns: AtomicU64::new(0),
+            seal_builds: AtomicU64::new(0),
+            seal_build_ns: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
             publish_ns: AtomicU64::new(0),
             maintenance_errors: AtomicU64::new(0),
@@ -729,8 +746,8 @@ pub(crate) fn nanos_since(start: Instant) -> u64 {
 /// pinned epoch's segment shape, the writer's and the merger's cumulative
 /// counters, and the routing mix of the queries the index's readers
 /// answered. `Display` prints it as one `name value` line per field, the
-/// two nanosecond totals as means (µs per publish, ms per merge), and the
-/// [`scan_share`](Self::scan_share).
+/// nanosecond totals as means (µs per publish, ms per merge and per seal
+/// build), and the [`scan_share`](Self::scan_share).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// The pinned epoch.
@@ -743,6 +760,9 @@ pub struct MetricsSnapshot {
     pub live_rows: usize,
     /// Rows in the writer's active segment.
     pub active_rows: usize,
+    /// Frozen segments whose graph is not built yet
+    /// ([`SegmentView::is_pending`]); queries scan them.
+    pub pending_segments: usize,
     /// Rows of the largest segment.
     pub largest_segment_rows: usize,
     /// Tombstoned share of `rows` (0 with no rows).
@@ -757,6 +777,12 @@ pub struct MetricsSnapshot {
     pub merges_completed: u64,
     /// Wall nanoseconds of those merges, capture to splice.
     pub merge_ns: u64,
+    /// Pending segments given their graph: by the maintenance thread's
+    /// merges, by the writer when a third segment would be pending, or by
+    /// [`freeze`](crate::SegmentedAcornIndex::freeze).
+    pub seal_builds: u64,
+    /// Nanoseconds of the rebuilds that built them.
+    pub seal_build_ns: u64,
     /// Queries [`IndexReader::search`] and [`IndexReader::hybrid_search`]
     /// answered (refused ones are not counted). A pinned
     /// [`SegmentSnapshot`]'s own doors count nothing.
@@ -791,6 +817,7 @@ impl std::fmt::Display for MetricsSnapshot {
         writeln!(f, "rows                  {}", self.rows)?;
         writeln!(f, "live_rows             {}", self.live_rows)?;
         writeln!(f, "active_rows           {}", self.active_rows)?;
+        writeln!(f, "pending_segments      {}", self.pending_segments)?;
         writeln!(f, "largest_segment_rows  {}", self.largest_segment_rows)?;
         writeln!(f, "tombstone_fraction    {:.4}", self.tombstone_fraction)?;
         writeln!(f, "publishes             {}", self.publishes)?;
@@ -800,6 +827,12 @@ impl std::fmt::Display for MetricsSnapshot {
             f,
             "merge_ms_mean         {:.3}",
             mean(self.merge_ns, self.merges_completed) / 1e6
+        )?;
+        writeln!(f, "seal_builds           {}", self.seal_builds)?;
+        writeln!(
+            f,
+            "seal_build_ms_mean    {:.3}",
+            mean(self.seal_build_ns, self.seal_builds) / 1e6
         )?;
         writeln!(f, "queries               {}", self.queries)?;
         writeln!(f, "segments_scanned      {}", self.segments_scanned)?;
@@ -835,7 +868,7 @@ impl IndexReader {
     }
 
     /// The current epoch's segment shape and the index's cumulative
-    /// publish, merge, maintenance and routing counters. Pins one snapshot;
+    /// publish, merge, seal-build, maintenance and routing counters. Pins one snapshot;
     /// the counters are read after it, so they may already count a write
     /// (or a query) the pinned epoch does not show.
     pub fn metrics(&self) -> MetricsSnapshot {
@@ -847,6 +880,7 @@ impl IndexReader {
             rows,
             live_rows: snap.len(),
             active_rows: snap.active_segment().map_or(0, SegmentView::rows),
+            pending_segments: snap.frozen.iter().filter(|s| s.is_pending()).count(),
             largest_segment_rows: snap.max_segment_rows(),
             tombstone_fraction: if rows == 0 {
                 0.0
@@ -857,6 +891,8 @@ impl IndexReader {
             publish_ns: shared.publish_ns.load(Ordering::Relaxed),
             merges_completed: shared.merges_completed.load(Ordering::Acquire),
             merge_ns: shared.merge_ns.load(Ordering::Relaxed),
+            seal_builds: shared.seal_builds.load(Ordering::Relaxed),
+            seal_build_ns: shared.seal_build_ns.load(Ordering::Relaxed),
             queries: shared.routes.queries.load(Ordering::Relaxed),
             segments_scanned: shared.routes.scanned.load(Ordering::Relaxed),
             segments_traversed: shared.routes.traversed.load(Ordering::Relaxed),

@@ -10,12 +10,10 @@
 //! scripted interleavings, `concurrent_churn.rs`'s reader threads). It
 //! records what a snapshot answered the moment it was pinned. After any
 //! amount of later writing, [`Pinned::verify`] demands that the snapshot
-//! still answers the same, bit for bit, and that its active view is — node
-//! by node, level by level, row by row — the `AcornIndex` a twin reaches by
-//! `insert_vector`-ing that epoch's rows and stopping there. The writer
-//! shares the view's graph nodes and vector buffer and keeps inserting, so
-//! any write that leaks into a published epoch shows up as a difference from
-//! the twin.
+//! still answers the same, bit for bit, and that its active view holds —
+//! row by row — exactly that epoch's rows and no graph. The writer shares
+//! the view's vector buffer and keeps appending to it, so any write that
+//! leaks into a published epoch shows up as a difference.
 
 #![allow(dead_code)]
 
@@ -30,11 +28,12 @@ use rand::{Rng, SeedableRng};
 /// `snap.hybrid_search(q, predicate, attrs, k, efs, ..)` as the plan says it
 /// must come out, built from public calls and [`Predicate::eval`]. Per
 /// non-empty segment: the live passing bitmap, row by row with the
-/// interpreter; when [`Route::choose`] sends its count to the scan (under
-/// `s_min · rows`, or a sealed segment whose scan costs less than its
-/// traversal), brute force (one `distance_to` per passing row, sorted,
-/// truncated to `k` — none of the engine's scan code), else traversal over
-/// it; then the lists mapped to global ids, sorted and truncated.
+/// interpreter; when the segment has no graph, or [`Route::choose`] sends
+/// its count to the scan (under `s_min · rows`, or a scan that costs less
+/// than the traversal), brute force (one `distance_to` per passing row,
+/// sorted, truncated to `k` — none of the engine's scan code), else
+/// traversal over it; then the lists mapped to global ids, sorted and
+/// truncated.
 ///
 /// With [`Predicate::True`] the bitmap is the live rows: the plan of the
 /// pure search. Valid for every predicate but a constant `false` (which
@@ -62,8 +61,11 @@ pub fn interpreted_plan(
         });
         let bits = Bitset::from_ids(gids.len(), live);
         let (index, rows) = (seg.index(), gids.len());
-        let sealed = index.csr().is_some();
-        let route = Route::choose(rows, bits.count(), snap.dim(), efs, k, index.params(), sealed);
+        let route = if index.csr().is_none() {
+            Route::Scan
+        } else {
+            Route::choose(rows, bits.count(), snap.dim(), efs, k, index.params())
+        };
         let filter = BitmapFilter::new(bits);
         let out = if route == Route::Scan {
             let vecs = seg.index().vectors();
@@ -152,9 +154,10 @@ impl Pinned {
         &self.snap
     }
 
-    /// Check the pinned epoch against its own past and against a twin.
-    /// `vectors[gid]` is the row inserted under `gid`; it must cover every
-    /// gid the snapshot knows.
+    /// Check the pinned epoch against its own past and against the rows
+    /// its active view's ids name. `vectors[gid]` is the row inserted under
+    /// `gid`; it must cover every gid the snapshot knows. `params` and
+    /// `variant` are the index's: the view's index carries them.
     pub fn verify(
         &self,
         vectors: &[Vec<f32>],
@@ -174,32 +177,16 @@ impl Pinned {
         let still: Vec<u32> = view.tombstones().iter_ones().collect();
         assert_eq!(still, self.active_tombstones, "epoch {epoch}: tombstones moved");
 
-        let dim = self.snap.dim();
-        let mut twin = AcornIndex::new(Arc::new(VectorStore::new(dim)), params.clone(), variant);
-        for &gid in view.global_ids() {
-            twin.insert_vector(&vectors[gid as usize]);
-        }
-        let (got, want) = (view.index(), &twin);
-        assert_eq!(got.len(), want.len(), "epoch {epoch}: active rows");
-        assert_eq!(got.vectors().len(), want.len(), "epoch {epoch}: rows visible in the store");
-        assert_eq!(got.vectors().as_flat().len(), want.len() * dim);
-        let (g, t) = (got.graph().expect("active"), want.graph().expect("growing"));
-        assert_eq!(g.len(), t.len());
-        assert_eq!(
-            (g.entry_point(), g.max_level()),
-            (t.entry_point(), t.max_level()),
-            "epoch {epoch}: entry point"
-        );
-        for v in 0..t.len() as u32 {
-            assert_eq!(got.vectors().get(v), want.vectors().get(v), "epoch {epoch}: row {v}");
-            assert_eq!(g.level_of(v), t.level_of(v), "epoch {epoch}: level of node {v}");
-            for level in 0..=t.level_of(v) {
-                assert_eq!(
-                    g.neighbors(v, level),
-                    t.neighbors(v, level),
-                    "epoch {epoch}: neighbors of node {v} at level {level}"
-                );
-            }
+        let (got, rows) = (view.index(), view.global_ids().len());
+        let twin =
+            AcornIndex::new(Arc::new(VectorStore::new(self.snap.dim())), params.clone(), variant);
+        assert_eq!((got.params(), got.variant()), (twin.params(), variant), "epoch {epoch}");
+        assert!(got.is_empty() && got.graph().is_none() && got.csr().is_none(), "epoch {epoch}");
+        assert_eq!(got.vectors().len(), rows, "epoch {epoch}: rows visible in the store");
+        assert_eq!(got.vectors().as_flat().len(), rows * self.snap.dim());
+        for (local, &gid) in view.global_ids().iter().enumerate() {
+            let row = got.vectors().get(local as u32);
+            assert_eq!(row, &vectors[gid as usize][..], "epoch {epoch}: row {local}");
         }
     }
 }

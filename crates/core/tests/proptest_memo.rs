@@ -122,7 +122,7 @@ proptest! {
                 for &(id, _) in &b {
                     prop_assert!(pred.eval(&attrs, id), "row {} fails the predicate", id);
                 }
-                let route = Route::choose(n, passing.len(), 8, efs, k, &graph_params, true);
+                let route = Route::choose(n, passing.len(), 8, efs, k, &graph_params);
                 prop_assert_eq!(sb.fallback, route == Route::Scan, "exact-count routing");
                 if sb.fallback {
                     // The scan is exact: brute force over the passing rows.

@@ -12,8 +12,8 @@
 //! raw layer searches in all three `LookupMode`s — is **result-identical**
 //! to a fresh index `bulk_load`ed from scratch with the surviving rows, and
 //! (c) snapshots pinned at random points of such an interleaving stay what
-//! they were: same answers, and an active view equal to a twin index grown
-//! to that epoch and no further (`common::Pinned`).
+//! they were: same answers, and an active view holding that epoch's rows
+//! and no further (`common::Pinned`).
 
 mod common;
 
@@ -100,8 +100,9 @@ fn run_lifecycle_with(
 }
 
 /// What exact-count routing must do, from ground truth alone: per
-/// non-empty segment in query order, [`Route::choose`] on its live rows
-/// whose label `passes`, the frozen segments sealed and the active one not.
+/// non-empty segment in query order, the scan for the active segment (it
+/// has no graph) and [`Route::choose`] on the live rows whose label
+/// `passes` for the frozen ones, which every `freeze` and merge here builds.
 fn expected_routes(
     lc: &Lifecycle,
     passes: impl Fn(i64) -> bool,
@@ -119,7 +120,10 @@ fn expected_routes(
                 .iter()
                 .filter(|&&g| lc.alive[g as usize] && passes(lc.labels[g as usize]))
                 .count();
-            Route::choose(seg.rows(), passing, DIM, efs, k, seg.index().params(), sealed)
+            if !sealed {
+                return Route::Scan;
+            }
+            Route::choose(seg.rows(), passing, DIM, efs, k, seg.index().params())
         })
         .collect()
 }
@@ -324,10 +328,10 @@ proptest! {
         }
     }
 
-    /// Snapshot isolation: the writer shares graph nodes and vector rows
-    /// with every epoch it published, so each pinned epoch is checked, after
-    /// the whole script has run, against what it answered when pinned and
-    /// against a twin grown by `insert_vector` to exactly its rows.
+    /// Snapshot isolation: the writer shares the active segment's vector
+    /// rows with every epoch it published, so each pinned epoch is checked,
+    /// after the whole script has run, against what it answered when pinned
+    /// and against exactly the rows its active view's ids name.
     #[test]
     fn pinned_epochs_stay_equal_to_a_twin_grown_to_that_epoch(
         seed in 0u64..u64::MAX,

@@ -2,8 +2,9 @@
 //! frozen segment reports is what it keeps on the heap. A sealed segment
 //! holds one graph (its CSR), its rows, its id map and its tombstones, and
 //! nothing of the build that produced it — no nested graph, no level
-//! sampler, no insert scratch. An active segment holds more than it
-//! reports, within a bound its growth policy sets (`ACTIVE_SLACK`).
+//! sampler, no insert scratch; a pending one holds its rows, id map and
+//! tombstones. An active segment holds no graph and more than it reports,
+//! within the bound its buffers' doubling sets (`ACTIVE_SLACK`).
 //!
 //! A file of its own because `#[global_allocator]` is per binary, and one
 //! test only so nothing else allocates while it counts.
@@ -11,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use acorn_core::{AcornParams, AcornVariant, SegmentedAcornIndex};
+use acorn_core::{AcornParams, AcornVariant, MergePolicy, SegmentedAcornIndex};
 use acorn_hnsw::{Metric, VectorStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,24 +61,22 @@ const BULK_ROWS: usize = 8000;
 /// graph layout this test is about.
 const TRICKLED_ROWS: usize = 2048;
 
-/// Rows inserted into the active segment after the freeze, left unfrozen:
-/// the repo benchmark's `active_max_rows`.
+/// Rows inserted into the active segment after the freeze: the repo
+/// benchmark's `active_max_rows`, at which it seals into a pending segment.
 const ACTIVE_ROWS: usize = 1024;
 /// How often the active segment's heap is checked.
-const ACTIVE_STEP: usize = 128;
+const ACTIVE_STEP: usize = 32;
 
 /// Heap growth may exceed the reported bytes by this factor: the snapshot
 /// and segment spines, the empty active segment, `Arc` headers.
 const SLACK: f64 = 1.05;
-/// The same factor for an active segment, which reports the words its
-/// graph's spans reach but holds more: its edge buffer is allocated with
-/// as much room again as the words claimed when it was last compacted, and
-/// holds up to as many dead words as live ones before the next compaction;
-/// the row buffer and the id map double as they grow; the writer keeps its
-/// own span tables, id map and insert scratch beside the published view's.
-/// Measured 1.64–1.93 over the cycle (1.12–1.39 for the per-node lists the
-/// edge buffer replaced).
-const ACTIVE_SLACK: f64 = 2.25;
+/// The same factor for an active segment, which holds no graph and reports
+/// its rows, its id map and its tombstone words. The row buffer, the
+/// writer's id map and the tombstone words double as they grow, to at most
+/// twice what they hold, and the writer keeps its id map beside the
+/// published view's copy: at 32-d, `(2 · 128 + 3 · 8 + 2 / 8) / (128 + 8 +
+/// 1 / 8)` ≈ 2.06 B per reported byte just after a doubling.
+const ACTIVE_SLACK: f64 = 2.06;
 
 #[test]
 fn a_frozen_segment_keeps_on_the_heap_what_memory_bytes_reports() {
@@ -113,9 +112,9 @@ fn a_frozen_segment_keeps_on_the_heap_what_memory_bytes_reports() {
     let bulk_reported = index.snapshot().memory_bytes();
     check("bulk_load", bulk_resident, bulk_reported, SLACK);
 
-    // The trickle path: every insert publishes a view of the growing active
+    // The trickle path: every insert publishes a view of the active
     // segment; with no snapshot pinned, the freeze leaves none of them, and
-    // none of the active segment's build state, behind.
+    // none of its build state, behind.
     for _ in 0..TRICKLED_ROWS {
         v.fill_with(|| rng.gen_range(-1.0..1.0));
         index.insert(&v);
@@ -126,17 +125,27 @@ fn a_frozen_segment_keeps_on_the_heap_what_memory_bytes_reports() {
     let reported = index.snapshot().memory_bytes();
     check("insert + freeze", resident - bulk_resident, reported - bulk_reported, SLACK);
 
-    // The growing path, left growing: an active segment through one
-    // benchmark cycle, measured every `ACTIVE_STEP` rows. No earlier view
-    // is pinned, so no old edge buffer outlives its compaction.
+    // The active segment through one benchmark cycle, measured every
+    // `ACTIVE_STEP` rows. No earlier view is pinned, so no old row buffer
+    // outlives its doubling. Its last insert seals it into a pending
+    // segment, which keeps what it reports: its buffers are exactly full
+    // at a power of two.
+    let mut index =
+        index.with_policy(MergePolicy { active_max_rows: ACTIVE_ROWS, ..Default::default() });
     let (frozen_resident, frozen_reported) = (resident, reported);
     for rows in 1..=ACTIVE_ROWS {
         v.fill_with(|| rng.gen_range(-1.0..1.0));
         index.insert(&v);
-        if rows % ACTIVE_STEP == 0 {
+        if rows % ACTIVE_STEP == 0 && rows < ACTIVE_ROWS {
             let resident = LIVE.load(Ordering::Relaxed) - empty - frozen_resident;
             let reported = index.snapshot().memory_bytes() - frozen_reported;
             check(&format!("{rows} active rows"), resident, reported, ACTIVE_SLACK);
         }
     }
+    let snap = index.snapshot();
+    let pending: Vec<bool> = snap.frozen_segments().iter().map(|s| s.is_pending()).collect();
+    assert_eq!((index.active_rows(), pending), (0, vec![false, false, true]));
+    let resident = LIVE.load(Ordering::Relaxed) - empty - frozen_resident;
+    let reported = snap.memory_bytes() - frozen_reported;
+    check("a pending segment", resident, reported, SLACK);
 }

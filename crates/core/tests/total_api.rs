@@ -9,7 +9,8 @@
 //! rows and WAL bytes stay put), and (d) the next valid insert gets the
 //! next gid. Every case's reads take both routes: the frozen segment has
 //! enough rows that its pure search at `k = 1`, beam 1 traverses, and a
-//! beam past its rows scans it.
+//! beam past its rows scans it (the active segment has no graph and always
+//! scans).
 //!
 //! The rule, in the order it is applied: a vector's length, then its first
 //! non-finite component; then the attribute store's length, then every
@@ -147,7 +148,7 @@ proptest! {
     fn every_fallible_door_refuses_bad_input_with_its_typed_error(
         seed in 0u64..u64::MAX,
         variant in prop::sample::select(vec![AcornVariant::Gamma, AcornVariant::One]),
-        n0 in 32usize..64,
+        n0 in 64usize..96,
         n1 in 0usize..15,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);

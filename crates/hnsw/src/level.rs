@@ -42,20 +42,6 @@ impl LevelSampler {
         let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
         (-u.ln() * self.ml).floor() as usize
     }
-
-    /// Advance past `draws` samples without using them.
-    ///
-    /// Each inserted node consumes exactly one draw, so fast-forwarding a
-    /// fresh sampler by an index's node count puts it exactly where the
-    /// original builder's sampler was — a deserialized index then assigns
-    /// future inserts the *same* levels the never-serialized index would
-    /// have, which is what keeps crash recovery (snapshot + WAL replay)
-    /// bit-identical to the uncrashed writer.
-    pub fn skip(&mut self, draws: usize) {
-        for _ in 0..draws {
-            self.sample();
-        }
-    }
 }
 
 #[cfg(test)]

@@ -121,71 +121,51 @@ pub trait VectorData {
     }
 }
 
-/// One fixed-capacity allocation of `T` slots shared by every handle cloned
-/// from the handle that allocated it: the rows of a [`VectorStore`] and the
-/// neighbor lists of a [`LayeredGraph`](crate::LayeredGraph).
+/// One fixed-capacity allocation of `f32` slots shared by every
+/// [`VectorStore`] handle cloned from the handle that allocated it.
 ///
 /// A handle owns a *tip*: the slots it has claimed end there, and every slot
-/// it reads lies below it. The protocol is:
-///
-/// * slots `..committed` are claimed; slots `committed..` belong to
-///   whichever handle next moves `committed` forward with
-///   [`claim`](Self::claim) — which succeeds only for a handle whose tip is
-///   `committed`, for one handle at a time — and to nobody until then;
-/// * a claimed slot is written by the handle that claimed it, and once a
-///   copy of that handle may reach it, never again: a handle raises the
-///   watermark `shared` to its tip with [`share`](Self::share) before any
-///   copy of it exists, so a slot at or above the watermark was claimed
-///   after the buffer was last shared, and only its claimer reaches it. A
-///   handle that never rewrites a slot ([`VectorStore`]) never shares.
-pub(crate) struct RowBuf<T> {
+/// it reads lies below it. Slots `..committed` are claimed; slots
+/// `committed..` belong to whichever handle next moves `committed` forward
+/// with [`claim`](Self::claim) — which succeeds only for a handle whose tip is
+/// `committed`, for one handle at a time — and to nobody until then. A
+/// claimed slot is written once, by the handle that claimed it, before any
+/// copy of that handle can reach it, and never again.
+pub(crate) struct RowBuf {
     /// Slots claimed so far. Only ever raised, by the compare-exchange in
     /// [`claim`](Self::claim).
     committed: AtomicUsize,
-    /// Slots below this may be reachable from more than one handle. Only
-    /// ever raised, by [`share`](Self::share). The handle that raises it
-    /// and the one that reads it before rewriting a slot are the same
-    /// handle (or its clone), whose moves between threads already order
-    /// the two; the acquire/release pair keeps that true of the counter
-    /// alone.
-    shared: AtomicUsize,
     /// Zeroed at allocation (or holding the rows it was made from), so every
     /// slot is initialized memory.
-    slots: Box<[UnsafeCell<T>]>,
+    slots: Box<[UnsafeCell<f32>]>,
 }
 
-// SAFETY: the counters are atomics. A slot of `slots` is written only by the
-// one handle that may reach it when it writes — the one whose
-// compare-exchange moved `committed` over it, or, for a slot at or above
-// `shared`, the one that claimed it — and is read only through handles that
-// descend from that writer's handle after the write (a handle copies its
-// state after writing, and raises `shared` first), so every read of a slot
-// happens-after its last write. `T: Send + Sync` lets the values themselves
-// cross threads.
-unsafe impl<T: Send + Sync> Sync for RowBuf<T> {}
+// SAFETY: the counter is an atomic. A slot of `slots` is written only by the
+// one handle whose compare-exchange moved `committed` over it, before any
+// other handle reaches it, and is read only through handles that descend
+// from that writer's handle after the write (a handle copies its state after
+// writing), so every read of a slot happens-after its one write.
+unsafe impl Sync for RowBuf {}
 
-impl<T: Copy + Default> RowBuf<T> {
+impl RowBuf {
     /// `capacity` unclaimed slots, zeroed by the allocator (lazily, for a
     /// large buffer: its pages are touched as they are claimed).
     pub(crate) fn with_capacity(capacity: usize) -> Self {
-        Self::from_vec(vec![T::default(); capacity], 0)
+        Self::from_vec(vec![0.0; capacity], 0)
     }
-}
 
-impl<T> RowBuf<T> {
     /// The buffer of `slots` (its allocation is reused when it holds no
     /// spare capacity), of which the first `committed` are claimed.
     ///
     /// # Panics
     /// Panics if `committed > slots.len()`.
-    pub(crate) fn from_vec(slots: Vec<T>, committed: usize) -> Self {
+    pub(crate) fn from_vec(slots: Vec<f32>, committed: usize) -> Self {
         assert!(committed <= slots.len(), "{committed} slots claimed of {}", slots.len());
-        let slots = Box::into_raw(slots.into_boxed_slice()) as *mut [UnsafeCell<T>];
+        let slots = Box::into_raw(slots.into_boxed_slice()) as *mut [UnsafeCell<f32>];
         Self {
             committed: AtomicUsize::new(committed),
-            shared: AtomicUsize::new(0),
-            // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so the
-            // boxed slice has the same layout either way, and the box is
+            // SAFETY: `UnsafeCell<f32>` is `repr(transparent)` over `f32`, so
+            // the boxed slice has the same layout either way, and the box is
             // owned here alone.
             slots: unsafe { Box::from_raw(slots) },
         }
@@ -211,20 +191,6 @@ impl<T> RowBuf<T> {
                 .is_ok()
     }
 
-    /// Raise the watermark to `tip`, the tip of a handle about to be copied:
-    /// no slot below it is rewritten after this.
-    #[inline]
-    pub(crate) fn share(&self, tip: usize) {
-        self.shared.fetch_max(tip, Ordering::AcqRel);
-    }
-
-    /// The watermark: a slot at or above it was claimed since the buffer
-    /// was last shared, and only the handle that claimed it reaches it.
-    #[inline]
-    pub(crate) fn shared(&self) -> usize {
-        self.shared.load(Ordering::Acquire)
-    }
-
     /// Borrow slots `range`.
     ///
     /// # Safety
@@ -232,23 +198,22 @@ impl<T> RowBuf<T> {
     /// lies below the caller's tip, and the caller neither writes it itself
     /// during the borrow nor lets a handle that may reach it do so.
     #[inline]
-    pub(crate) unsafe fn get(&self, range: Range<usize>) -> &[T] {
+    pub(crate) unsafe fn get(&self, range: Range<usize>) -> &[f32] {
         let cells = &self.slots[range];
-        // SAFETY: `UnsafeCell<T>` has the layout of `T`, so `cells` is
+        // SAFETY: `UnsafeCell<f32>` has the layout of `f32`, so `cells` is
         // `cells.len()` contiguous initialized values, unwritten while the
         // borrow lives by the caller's contract.
-        unsafe { std::slice::from_raw_parts(cells.as_ptr().cast::<T>(), cells.len()) }
+        unsafe { std::slice::from_raw_parts(cells.as_ptr().cast::<f32>(), cells.len()) }
     }
 
     /// Write `src` to the slots starting at `at`.
     ///
     /// # Safety
-    /// The slots must be the caller's alone: claimed by its handle and not
-    /// yet visible to any copy of it — just claimed, or at or above
-    /// [`shared`](Self::shared) — and not borrowed. `src` may lie in this
-    /// buffer, but not overlap the slots written.
+    /// The slots must be the caller's alone: just claimed by its handle, not
+    /// yet visible to any copy of it, and not borrowed. `src` must not
+    /// overlap them.
     #[inline]
-    pub(crate) unsafe fn write(&self, at: usize, src: &[T]) {
+    pub(crate) unsafe fn write(&self, at: usize, src: &[f32]) {
         let dst = &self.slots[at..at + src.len()];
         // SAFETY: by the caller's contract nothing reads or writes `dst`
         // meanwhile and `src` does not overlap it. The pointer comes from
@@ -265,11 +230,10 @@ impl<T> RowBuf<T> {
     }
 }
 
-impl<T> std::fmt::Debug for RowBuf<T> {
+impl std::fmt::Debug for RowBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RowBuf")
             .field("committed", &self.committed)
-            .field("shared", &self.shared)
             .field("capacity", &self.slots.len())
             .finish()
     }
@@ -299,7 +263,7 @@ impl<T> std::fmt::Debug for RowBuf<T> {
 #[derive(Debug, Clone)]
 pub struct VectorStore {
     dim: usize,
-    buf: Arc<RowBuf<f32>>,
+    buf: Arc<RowBuf>,
     /// Floats visible through this handle (its tip); at most the buffer's
     /// committed length.
     len: usize,
@@ -416,7 +380,7 @@ impl VectorStore {
     pub fn as_flat(&self) -> &[f32] {
         // SAFETY: no slot below this handle's tip is ever written again:
         // `push` writes only slots it has just claimed, past the committed
-        // length, and a store never shares its buffer's watermark.
+        // length.
         unsafe { self.buf.get(0..self.len) }
     }
 

@@ -1,14 +1,10 @@
-//! Model test for [`LayeredGraph`] handles on their shared edge buffer: a
-//! population of graphs is grown, edited, cloned and dropped in random
-//! order, and after every step each handle must hold exactly the lists a
-//! plain `Vec<Vec<Vec<u32>>>` model of it holds (node → level → list) — so
-//! no handle ever observes an edit made through another, whether the edit
-//! was written in place, past the tip or into a fresh buffer, and the
-//! compactions the edits trigger leave every handle's lists as they were.
-//!
-//! CI also runs this file under Miri (`PROPTEST_CASES` lowered): together
-//! with the unit tests in `vecs.rs` and `graph.rs` it covers the crate's
-//! only hand-written aliasing argument.
+//! Model test for [`LayeredGraph`]'s edge buffer: a population of graphs is
+//! grown, edited, cloned and dropped in random order, and after every step
+//! each graph must hold exactly the lists a plain `Vec<Vec<Vec<u32>>>` model
+//! of it holds (node → level → list) — whether an edit was written in place,
+//! past the end of the buffer or into a new region, and however often the
+//! edits compacted the buffer — and no graph ever observes an edit made to
+//! another.
 
 use acorn_hnsw::LayeredGraph;
 use proptest::prelude::*;
@@ -24,7 +20,7 @@ enum Op {
     /// through handle `i % live`.
     Push(usize, usize, usize),
     /// Replace that list with the given number of fresh edges (a shorter
-    /// list is written over the old one when the handle owns it).
+    /// list is written over the old one).
     Set(usize, usize, usize, usize),
     /// Keep the first half of that list: the bulk build's shrink.
     Shrink(usize, usize, usize),

@@ -82,7 +82,7 @@ proptest! {
 
         let mono = AcornIndex::build(Arc::new(vecs.clone()), params.clone(), AcornVariant::Gamma);
         let mut scratch = SearchScratch::new(n);
-        let scans = Route::choose(n, n, 6, efs, k, &params, true) == Route::Scan;
+        let scans = Route::choose(n, n, 6, efs, k, &params) == Route::Scan;
         let mono_answers: Vec<Vec<(u64, f32)>> = qs
             .iter()
             .map(|q| {
