@@ -496,7 +496,7 @@ mod tests {
     }
 
     #[test]
-    fn a_clone_never_sees_later_edits_and_edits_land_in_place() {
+    fn a_clone_shares_nodes_and_never_sees_later_edits() {
         let mut g = LayeredGraph::new();
         let a = g.add_node(1);
         let b = g.add_node(0);
@@ -505,6 +505,14 @@ mod tests {
         g.push_edge(a, c, 1);
         g.push_edge(b, a, 0);
         let pinned = g.clone();
+        // The clone starts with every node and list of the original.
+        assert_eq!((pinned.len(), pinned.entry_point(), pinned.max_level()), (3, Some(a), 1));
+        for v in [a, b, c] {
+            assert_eq!(pinned.level_of(v), g.level_of(v));
+            for l in 0..=g.level_of(v) {
+                assert_eq!(pinned.neighbors(v, l), g.neighbors(v, l));
+            }
+        }
 
         g.push_edge(a, c, 0);
         g.set_neighbors(c, 0, vec![a, b]);
@@ -533,6 +541,28 @@ mod tests {
         g.push_edge(c, a, 0);
         assert_eq!((g.span(c, 0).start, g.span(c, 0).cap), (last.start, 8));
         assert_eq!(g.neighbors(c, 0), &[a, b, c, d, a]);
+    }
+
+    #[test]
+    fn a_clone_that_edits_moves_to_its_own_buffer() {
+        let mut g = LayeredGraph::new();
+        for _ in 0..3 {
+            g.add_node(0);
+        }
+        g.push_edge(0, 1, 0);
+        let mut fork = g.clone();
+        // Each handle owns its buffer: the edits of one never reach the other.
+        assert!(!std::ptr::eq(g.edges.as_ptr(), fork.edges.as_ptr()));
+        g.push_edge(2, 0, 0);
+        fork.push_edge(2, 1, 0);
+        assert_eq!((g.neighbors(2, 0), fork.neighbors(2, 0)), (&[0][..], &[1][..]));
+        assert_eq!((g.neighbors(0, 0), fork.neighbors(0, 0)), (&[1][..], &[1][..]));
+        // The fork's buffer is its alone: it rewrites in place.
+        let list = fork.neighbors(0, 0).as_ptr();
+        fork.set_neighbors(0, 0, vec![2]);
+        assert_eq!(fork.neighbors(0, 0).as_ptr(), list);
+        assert_eq!(fork.neighbors(0, 0), &[2]);
+        assert_eq!(g.neighbors(0, 0), &[1]);
     }
 
     #[test]
