@@ -22,8 +22,10 @@
 //!   writer's path: [`AcornIndex::build`] over its surviving rows in gid
 //!   order, through the merge path's `capture`, `rebuild` and
 //!   `splice`. A pending segment is always a merge candidate, so the
-//!   [maintenance thread](SegmentedAcornIndex::start_maintenance) builds it,
-//!   alone or in a run with its neighbours. The backpressure is a count,
+//!   [maintenance thread](SegmentedAcornIndex::start_maintenance) builds it
+//!   in a run with its neighbours — alone only once it reaches `min_rows`
+//!   or its dead rows pass `max_tombstone_fraction`, since a smaller one
+//!   would be rebuilt with the next seal anyway. The backpressure is a count,
 //!   never a clock: when a seal would leave a third segment pending, the
 //!   writer builds the oldest itself, and [`freeze`] builds every one.
 //! * **frozen segments** — immutable, each a [sealed](AcornIndex::seal)
@@ -490,10 +492,11 @@ impl SegmentedAcornIndex {
     }
 
     /// Compact frozen segments the [`MergePolicy`] flags (too small, or too
-    /// tombstone-heavy) and every pending one into fresh segments over their
+    /// tombstone-heavy) and pending ones into fresh segments over their
     /// surviving rows. Returns what happened; a call with nothing worth
-    /// merging (no adjacent run of two candidates, and no tombstones among
-    /// lone sealed ones) is a no-op.
+    /// merging (no adjacent run of two candidates, no tombstones among lone
+    /// sealed ones, and no lone pending one at `min_rows` or past
+    /// `max_tombstone_fraction`) is a no-op.
     ///
     /// Takes `&self`: the rebuild happens off to the side while inserts,
     /// deletes, and queries proceed; only the final splice-and-publish
@@ -673,8 +676,20 @@ pub(crate) fn capture(shared: &SharedState, select_all: bool) -> (Vec<Vec<Segmen
         runs.push(current);
     }
     // A lone sealed candidate with no dead rows gains nothing from a
-    // rebuild; a lone pending one gains its graph.
-    runs.retain(|r| r.len() >= 2 || r.iter().any(|c| c.deleted > 0 || c.is_pending()));
+    // rebuild. A lone pending one gains its graph, but one under `min_rows`
+    // would be rebuilt again once the next seal lands beside it, so it
+    // waits (scanned) for that neighbour unless its dead rows already make
+    // it a candidate on their own.
+    let policy = &state.policy;
+    runs.retain(|r| match r.as_slice() {
+        [c] if c.is_pending() => {
+            select_all
+                || c.rows() >= policy.min_rows
+                || c.tombstone_fraction() > policy.max_tombstone_fraction
+        }
+        [c] => c.deleted > 0,
+        _ => true,
+    });
     (runs, state.memory_bytes())
 }
 
@@ -1310,6 +1325,55 @@ mod tests {
         assert_eq!(exact(&idx), before);
         idx.freeze();
         assert_eq!(reader.metrics().seal_builds, 11, "nothing left to build");
+    }
+
+    #[test]
+    fn a_lone_pending_segment_under_min_rows_waits_for_its_neighbour() {
+        // A maintenance pass builds a pending segment under `min_rows` only
+        // together with the next seal, so each row is built once, not alone
+        // and then again in the merged run.
+        let policy = MergePolicy { min_rows: 30, active_max_rows: 20, ..Default::default() };
+        let mut idx = SegmentedAcornIndex::new(4, small_params(4, 2, 5), AcornVariant::Gamma)
+            .with_policy(policy);
+        let reader = idx.reader();
+        let counts = || {
+            let m = reader.metrics();
+            (m.pending_segments, m.seal_builds, m.merges_completed)
+        };
+        let vecs = random_vecs(60, 4, 8);
+        for v in &vecs[..20] {
+            idx.insert(v);
+        }
+        assert_eq!(idx.merge().segments_merged, 0);
+        assert_eq!(counts(), (1, 0, 0));
+        for v in &vecs[20..40] {
+            idx.insert(v);
+        }
+        assert_eq!(idx.merge().segments_merged, 2);
+        assert_eq!(counts(), (0, 2, 1), "both pending segments built as one run");
+        assert_eq!(idx.snapshot().frozen_segments().len(), 1);
+
+        // Beside a segment at `min_rows` the next pending one is alone, and
+        // is built alone once its dead rows pass `max_tombstone_fraction`.
+        for v in &vecs[40..] {
+            idx.insert(v);
+        }
+        assert_eq!(idx.merge().segments_merged, 0);
+        for gid in 40..45 {
+            assert!(idx.delete(gid));
+        }
+        assert_eq!(idx.merge().segments_merged, 1);
+        assert_eq!(counts(), (0, 3, 2));
+
+        // A lone pending segment that reaches `min_rows` is built at once.
+        let policy = MergePolicy { min_rows: 20, active_max_rows: 20, ..Default::default() };
+        let mut idx = SegmentedAcornIndex::new(4, small_params(4, 2, 5), AcornVariant::Gamma)
+            .with_policy(policy);
+        for v in &vecs[..20] {
+            idx.insert(v);
+        }
+        assert_eq!(idx.merge().segments_merged, 1);
+        assert_eq!(idx.reader().metrics().pending_segments, 0);
     }
 
     #[test]

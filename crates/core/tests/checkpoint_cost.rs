@@ -11,6 +11,8 @@
 //!   segments are known by the files they came from;
 //! * after a `merge()` or `compact_all()` and two checkpoints, the segment
 //!   files on disk are exactly the frozen segments of the index;
+//! * a pending segment checkpointed before its build is written twice: its
+//!   rows alone, then the built segment (the test prints both sizes);
 //! * and at every reopen the recovered index serializes to the bytes of an
 //!   undurable oracle driven by the same ops.
 //!
@@ -81,6 +83,13 @@ impl CountingVfs {
         // A file created and never written to still shows up, with 0 bytes.
         self.written.add(&name, 0);
         Box::new(CountingFile { inner, name, written: self.written.clone() })
+    }
+
+    /// The segment files written since the last call, with their bytes.
+    fn take_segments(&self) -> BTreeMap<String, u64> {
+        let mut files = std::mem::take(&mut *self.written.0.lock().unwrap());
+        files.retain(|name, _| name.starts_with("seg-"));
+        files
     }
 
     /// What was written since the last call: `(segment files, all bytes)`.
@@ -316,6 +325,70 @@ fn checkpoint_bytes_follow_the_change() {
     p.store.checkpoint().unwrap();
     p.assert_no_unreferenced_segment_file();
     assert_eq!(segment_files_on_disk(&dir).len(), 1);
+    p.reopen();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A pending segment (sealed, its graph not built yet) is checkpointed as a
+/// file of its rows alone; once built it is a new segment, and the next
+/// checkpoint writes its file again, graph included. A seal that lands
+/// before one checkpoint and a build that lands before the next write those
+/// rows to segment files twice: the rows-only file plus the built file.
+#[test]
+fn a_pending_segment_built_between_checkpoints_is_written_twice() {
+    const DIM: usize = 8;
+    const ACTIVE_MAX_ROWS: u64 = 64;
+    let params = AcornParams {
+        m: 8,
+        gamma: 2,
+        m_beta: 12,
+        ef_construction: 32,
+        seed: 5,
+        ..Default::default()
+    };
+    let policy = MergePolicy { active_max_rows: ACTIVE_MAX_ROWS as usize, ..Default::default() };
+    let index = || base_index(DIM, params.clone(), policy.clone(), 1, 300);
+
+    let dir = tmp_dir("pending");
+    let vfs = Arc::new(CountingVfs::default());
+    let store = DurableIndex::create_with_vfs(&dir, index(), opts(), vfs.clone()).unwrap();
+    let mut p = Pair { dir: dir.clone(), vfs, store, oracle: index(), dim: DIM };
+    p.vfs.take();
+
+    // The seal: the active segment reaches `active_max_rows` and stays
+    // pending (a `DurableIndex` runs no maintenance thread).
+    for i in 0..ACTIVE_MAX_ROWS {
+        p.insert(300 + i);
+    }
+    assert_eq!(p.store.index().reader().metrics().pending_segments, 1);
+    p.store.checkpoint().unwrap();
+    let rows_only = p.vfs.take_segments();
+    assert_eq!(rows_only.len(), 1, "the pending segment's file: {rows_only:?}");
+    let on_disk: BTreeMap<String, u64> = segment_files_on_disk(&dir).into_iter().collect();
+    let rows_only_file = on_disk[rows_only.keys().next().unwrap()];
+
+    // The build (`freeze` builds every pending segment), then the next
+    // checkpoint: a new file for the same rows, now with their graph.
+    p.store.freeze().unwrap();
+    p.oracle.freeze();
+    assert_eq!(p.store.index().reader().metrics().pending_segments, 0);
+    p.store.checkpoint().unwrap();
+    let built = p.vfs.take_segments();
+    assert_eq!(built.len(), 1, "the built segment's file: {built:?}");
+    assert!(built.keys().all(|name| !rows_only.contains_key(name)), "a built segment is new");
+    let on_disk: BTreeMap<String, u64> = segment_files_on_disk(&dir).into_iter().collect();
+    let built_file = on_disk[built.keys().next().unwrap()];
+    assert!(built_file > rows_only_file, "the built file adds the graph");
+
+    let written: u64 = rows_only.values().chain(built.values()).sum();
+    assert_eq!(written, rows_only_file + built_file);
+    println!(
+        "pending segment of {ACTIVE_MAX_ROWS} rows: {written} B of segment files written = \
+         {rows_only_file} B rows alone + {built_file} B built ({:.2}x the file it ends in)",
+        written as f64 / built_file as f64
+    );
+    p.store.checkpoint().unwrap();
+    p.assert_no_unreferenced_segment_file();
     p.reopen();
     std::fs::remove_dir_all(&dir).ok();
 }

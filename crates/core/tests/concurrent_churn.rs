@@ -14,9 +14,11 @@
 //! 3. **Save under load** — a pinned snapshot serializes to identical
 //!    bytes no matter how much churn lands mid-save.
 //! 4. **Pins racing the writer** — reader threads pin epochs while the
-//!    writer, which shares graph nodes and vector rows with every epoch it
-//!    published, keeps inserting; afterwards each pin must still be the twin
-//!    index grown to its rows and answer as it did (`common::Pinned`).
+//!    writer, which shares the active segment's vector rows with every epoch
+//!    it published, keeps inserting, deleting, sealing and merging;
+//!    afterwards each pin must answer as it did, keep its active view's
+//!    tombstones, and that view must hold exactly the rows its gids name and
+//!    no graph (`common::Pinned`).
 
 mod common;
 

@@ -22,9 +22,10 @@
 //!   the forced-scalar CI leg. Any other value (or unset) means "auto".
 //! * [`l2_sq_x4`] scores four rows per call for the batched scan; each of
 //!   its lanes is bit-identical to [`l2_sq`] on the same path.
-//! * This module contains the only `unsafe` distance code in the workspace;
-//!   each `unsafe` block is reachable only after the matching
-//!   `is_x86_feature_detected!` probe succeeded, and only after the
+//! * Two modules of this crate hold `unsafe` SIMD code: this one (the
+//!   distance kernels) and [`checksum`](crate::checksum) (the CRC32 fold).
+//!   Each `unsafe` block in either is reachable only after the cached
+//!   `is_x86_feature_detected!` probe succeeded; here, only after the
 //!   dispatcher checked that every slice has the query's length (the AVX2
 //!   bodies size their loads by one slice and read all of them). A length
 //!   mismatch panics on either path, in release builds too. It also holds

@@ -19,7 +19,8 @@
 //! 32-byte first-/last-byte filter on the AVX2 one (see its docs).
 //!
 //! [`kernel_path`] decides once per process which body runs. The distance
-//! kernels (`acorn_hnsw::kernels`) re-export it, so one decision — and one
+//! kernels (`acorn_hnsw::kernels`) re-export it and the CRC32 fold
+//! (`acorn_hnsw::checksum`) follows it, so one decision — and one
 //! `ACORN_FORCE_SCALAR=1` override — covers both crates. The property tests
 //! in `tests/proptest_compiled.rs` and `tests/proptest_text.rs` hold either
 //! path to the interpreter.
@@ -33,7 +34,9 @@ use crate::attrs::TextArena;
 pub enum KernelPath {
     /// Portable scalar loops (reference semantics).
     Scalar,
-    /// `std::arch` AVX2 + FMA intrinsics (x86_64 only).
+    /// `std::arch` AVX2 + FMA intrinsics (x86_64 only); the CPU also has
+    /// PCLMULQDQ and SSE4.1, which the CRC32 fold in
+    /// `acorn_hnsw::checksum` uses.
     Avx2Fma,
 }
 
@@ -50,7 +53,8 @@ impl KernelPath {
 /// The kernel path this process uses, decided once and cached.
 ///
 /// Scalar is forced when `ACORN_FORCE_SCALAR=1` is set; otherwise AVX2+FMA
-/// is selected iff the CPU reports both features at runtime.
+/// is selected iff the CPU reports AVX2, FMA, PCLMULQDQ and SSE4.1 at
+/// runtime.
 pub fn kernel_path() -> KernelPath {
     use std::sync::OnceLock;
     static PATH: OnceLock<KernelPath> = OnceLock::new();
@@ -65,7 +69,11 @@ pub fn kernel_path() -> KernelPath {
 /// What the hardware supports, ignoring the `ACORN_FORCE_SCALAR` override.
 #[cfg(target_arch = "x86_64")]
 fn detected_path() -> KernelPath {
-    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+    if is_x86_feature_detected!("avx2")
+        && is_x86_feature_detected!("fma")
+        && is_x86_feature_detected!("pclmulqdq")
+        && is_x86_feature_detected!("sse4.1")
+    {
         KernelPath::Avx2Fma
     } else {
         KernelPath::Scalar
