@@ -101,6 +101,28 @@ fn bench_predicates(c: &mut Criterion) {
             });
         }
     }
+
+    // The ordered index against the block kernel on an int column of
+    // uniform values: `to_bitset` takes the route the rule picks (the
+    // ordered index at 1 and 10 %, the block kernels at 30 %; a fresh
+    // bitmap per call), `to_bitset_range` is the block kernel alone (into a
+    // pooled bitmap).
+    let values: Vec<i64> = (0..1_000_000).map(|_| rng.gen_range(0..1000)).collect();
+    for rows in [32_000usize, 1_000_000] {
+        let attrs = AttrStore::builder().add_int("v", values[..rows].to_vec()).build();
+        let last = rows as u32 - 1;
+        let mut out = Bitset::default();
+        for pct in [1i64, 10, 30] {
+            let band = Predicate::Between { field: 0, lo: 0, hi: pct * 10 - 1 };
+            let band = CompiledPredicate::compile(&band);
+            group.bench_function(format!("to_bitset/{rows}_rows/{pct}pct"), |b| {
+                b.iter(|| band.to_bitset(black_box(&attrs)))
+            });
+            group.bench_function(format!("to_bitset_range/{rows}_rows/{pct}pct"), |b| {
+                b.iter(|| band.to_bitset_range(black_box(&attrs), 0..=last, &mut out))
+            });
+        }
+    }
     group.finish();
 }
 

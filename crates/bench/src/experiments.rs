@@ -734,11 +734,14 @@ const SERVE_CLASSES: [(&str, Queries); 5] = [
 
 /// The `serve` stage table's row for one class: one traced pass over its
 /// queries at every efs of the sweep, as per-query means of the stage
-/// times (µs) and of the segments each route served.
+/// times (µs) and of the segments each route served, the share of queries
+/// the predicate's ordered index served, and the mean rows the predicate
+/// program ran on.
 fn stage_row(class: &str, ctx: &BenchCtx, snap: &SegmentSnapshot) -> Vec<String> {
     let mut scratch = SearchScratch::new(snap.max_segment_rows());
     let mut trace = QueryTrace::default();
     let (mut ns, mut scanned, mut segments, mut queries) = ([0u64; 4], 0, 0, 0);
+    let (mut ordered, mut predicate_rows) = (0, 0);
     let attrs = &ctx.ds.attrs;
     for efs in EFS {
         for q in &ctx.workload.queries {
@@ -749,6 +752,8 @@ fn stage_row(class: &str, ctx: &BenchCtx, snap: &SegmentSnapshot) -> Vec<String>
             ns.iter_mut().zip(stages).for_each(|(sum, t)| *sum += t);
             scanned += trace.segments.iter().filter(|s| s.route == Route::Scan).count();
             segments += trace.segments.len();
+            ordered += usize::from(trace.ordered);
+            predicate_rows += trace.segments.iter().map(|s| s.stats.npred_evaluated()).sum::<u64>();
             queries += 1;
         }
     }
@@ -756,6 +761,10 @@ fn stage_row(class: &str, ctx: &BenchCtx, snap: &SegmentSnapshot) -> Vec<String>
     let mut row = vec![class.to_string()];
     row.extend(ns.map(|t| mean(t as f64 / 1e3)));
     row.extend([mean(scanned as f64), mean((segments - scanned) as f64)]);
+    row.extend([
+        mean(ordered as f64 * 100.0),
+        format!("{:.0}", predicate_rows as f64 / queries.max(1) as f64),
+    ]);
     row
 }
 
@@ -767,7 +776,9 @@ fn stage_row(class: &str, ctx: &BenchCtx, snap: &SegmentSnapshot) -> Vec<String>
 /// index's segment count (every query visits every segment), load rows/s
 /// and resident bytes per row. A traced pass per class then prints (to
 /// stdout only, no CSV) where a query's time goes: compile, materialize,
-/// scan and traverse µs per query, and the segments scanned and traversed.
+/// scan and traverse µs per query, the segments scanned and traversed, the
+/// percentage of queries the predicate's ordered index served, and the
+/// rows the predicate program ran on per query.
 ///
 /// # Panics
 /// Panics, after writing the summary, when a class reaches recall 0.9 at no
@@ -781,7 +792,17 @@ fn serve(run: &mut Run, n: usize, nq: usize) {
     );
     let mut stages = Table::new(
         "serve: per-query stages (µs; traced, one pass per efs of the sweep)",
-        &["class", "compile", "materialize", "scan", "traverse", "scanned", "traversed"],
+        &[
+            "class",
+            "compile",
+            "materialize",
+            "scan",
+            "traverse",
+            "scanned",
+            "traversed",
+            "ordered %",
+            "pred rows",
+        ],
     );
     let mut below = Vec::new();
     for (seed, (class, queries)) in (1..).zip(SERVE_CLASSES) {

@@ -17,11 +17,23 @@
 //!    empty without touching a segment; one that folded to `true` is no
 //!    predicate at all — the pure search.
 //! 2. **Per segment, one bitmap** of its passing live rows, in its local
-//!    id space. With a predicate, it is materialized — one block-kernel
-//!    pass over the segment's global-id span, a gather through the id map
-//!    only when merges left gaps in it — and the tombstoned bits cleared.
-//!    With none, it is the negated tombstones. Its popcount is the
-//!    segment's exact number of passing live rows.
+//!    id space. With a predicate, it is materialized over the segment's
+//!    global-id span on one of two routes, picked once per query by the
+//!    predicate crate's work rule (candidates against the rows every
+//!    segment spans; [`CompiledPredicate::ordered_candidates`]):
+//!    - *ordered*: when the program is an int `Equals`/`Between`/`In`, or
+//!      an `And` with one, and few enough rows pass it, the attribute
+//!      store's value-ordered index sets them, with two searches per
+//!      value range, in one store-wide bitmap; each segment's span is
+//!      shifted out of it, and the `And`'s other conjuncts run on the rows
+//!      set there alone ([`CompiledPredicate::ordered_range`]);
+//!    - *blocks*: one block-kernel pass over the span.
+//!
+//!    Either way, a gather through the id map follows only when merges
+//!    left gaps in the span, and the tombstoned bits are cleared. Both
+//!    routes give the same bits. With no predicate, the bitmap is the
+//!    negated tombstones. Its popcount is the segment's exact number of
+//!    passing live rows.
 //! 3. **Per segment, route** on that count to one of §5.2's two leaves,
 //!    both feeding **one top-`k` per query** (by global id). A segment
 //!    without a graph — the active segment, a pending one — scans: it has
@@ -200,8 +212,15 @@ pub struct SegmentTrace {
 pub struct QueryTrace {
     /// Compiling the predicate.
     pub compile_ns: u64,
-    /// Building and counting every segment's bitmap.
+    /// Building and counting every segment's bitmap, the ordered index's
+    /// store-wide candidates included.
     pub materialize_ns: u64,
+    /// Whether the predicate's ordered index served the query (step 2 of
+    /// the plan); false without a predicate. The rows the predicate program
+    /// ran on are the segments' [`SearchStats::npred_evaluated`]: each
+    /// one's global-id span on the block route, the candidates in it on
+    /// the ordered one.
+    pub ordered: bool,
     /// The exact scans of the segments routed to [`Route::Scan`].
     pub scan_ns: u64,
     /// The traversals of the segments routed to [`Route::Traverse`],
@@ -230,35 +249,64 @@ impl Lap {
     }
 }
 
+/// How the planner materializes a predicate: on the route the work rule
+/// picks, or on one forced (the seam the tests hold the routes to each
+/// other through).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Materialize {
+    /// The route [`CompiledPredicate::ordered_candidates`] picks.
+    Rule,
+    /// The ordered index whenever the program has an indexed conjunct.
+    #[cfg_attr(not(test), allow(dead_code))]
+    Ordered,
+    /// The block kernels.
+    #[cfg_attr(not(test), allow(dead_code))]
+    Blocks,
+}
+
+/// A segment's global-id span: its first and last global id.
+fn gid_span(seg: &SegmentView) -> (u32, u32) {
+    let gids = seg.global_ids();
+    (gids[0] as u32, gids[gids.len() - 1] as u32)
+}
+
 /// Write `{l : pred(attrs[gid[l]]) ∧ ¬tomb[l]}` over the segment's local ids
-/// into `bits`, returning the number of rows the predicate ran on (the
-/// segment's gid span).
+/// into `bits`, cut from the ordered index's store-wide `candidates` when
+/// given, block-evaluated otherwise; returns the number of rows the
+/// predicate ran on (the candidates in the segment's gid span, or the
+/// span).
 fn materialize_local(
     seg: &SegmentView,
     compiled: &CompiledPredicate,
     attrs: &AttrStore,
+    candidates: Option<&Bitset>,
     bits: &mut Bitset,
 ) -> u64 {
     let gids = seg.global_ids();
-    let rows = gids.len();
-    let (first, last) = (gids[0] as u32, gids[rows - 1] as u32);
-    compiled.to_bitset_range(attrs, first..=last, bits);
-    let span = bits.len();
-    if span != rows {
+    let (first, last) = gid_span(seg);
+    let read = match candidates {
+        Some(candidates) => compiled.ordered_range(attrs, candidates, first..=last, bits),
+        None => {
+            compiled.to_bitset_range(attrs, first..=last, bits);
+            bits.len()
+        }
+    };
+    if bits.len() != gids.len() {
         bits.gather_ascending(gids.iter().map(|&g| g as u32 - first));
     }
     bits.and_not_with(&seg.tombstones);
-    span as u64
+    read as u64
 }
 
 /// Plan and run one query over `segments` (non-empty, in query order,
 /// `k > 0`), adding its work to `stats` and, when traced, its stages and
 /// segments to `trace`; returns the query's top-`k` by global id and how
 /// many segments took each route. With no predicate (or one that folds to
-/// `true`) each segment's bitmap is its live rows: the pure search.
+/// `true`) each segment's bitmap is its live rows: the pure search. A
+/// predicate's bitmaps are materialized as `via` says.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search<'a>(
-    segments: impl Iterator<Item = &'a SegmentView>,
+    segments: impl Iterator<Item = &'a SegmentView> + Clone,
     query: &[f32],
     predicate: Option<(&Predicate, &AttrStore)>,
     k: usize,
@@ -266,6 +314,7 @@ pub(crate) fn search<'a>(
     scratch: &mut SearchScratch,
     stats: &mut SearchStats,
     mut trace: Option<&mut QueryTrace>,
+    via: Materialize,
 ) -> (Vec<GlobalNeighbor>, Routes) {
     let mut clock = Lap::new(trace.is_some());
     let compiled = predicate.map(|(p, attrs)| (CompiledPredicate::compile(p), attrs));
@@ -279,6 +328,24 @@ pub(crate) fn search<'a>(
         Some((program, attrs)) if program.as_const().is_none() => Some((program, *attrs)),
         _ => None,
     };
+    // The ordered index answers the query once, store-wide, when the rule
+    // finds its candidates cheaper than the block kernels over every
+    // segment's span (forced, the span counts as unbounded).
+    let mut store_bits = std::mem::take(&mut scratch.store_bits);
+    let ordered = filter.is_some_and(|(compiled, attrs)| {
+        let spanned = match via {
+            Materialize::Rule => {
+                segments.clone().map(gid_span).map(|(f, l)| (l - f) as usize + 1).sum()
+            }
+            Materialize::Ordered => usize::MAX,
+            Materialize::Blocks => return false,
+        };
+        compiled.ordered_candidates(attrs, spanned, &mut store_bits).is_some()
+    });
+    if let Some(trace) = trace.as_deref_mut() {
+        trace.ordered = ordered;
+    }
+    let candidates = ordered.then_some(&store_bits);
     let mut top = TopK::new(k);
     let mut routes = Routes::default();
     for seg in segments {
@@ -286,7 +353,7 @@ pub(crate) fn search<'a>(
         let mut own = SearchStats::default();
         let mut bits = std::mem::take(&mut scratch.bitmap);
         if let Some((compiled, attrs)) = filter {
-            own.npred += materialize_local(seg, compiled, attrs, &mut bits);
+            own.npred = materialize_local(seg, compiled, attrs, candidates, &mut bits);
         } else {
             bits.clone_from(&seg.tombstones);
             bits.negate();
@@ -332,6 +399,7 @@ pub(crate) fn search<'a>(
             trace.segments.push(SegmentTrace { rows, passing, route, stats: own });
         }
     }
+    scratch.store_bits = store_bits;
     (top.into_sorted(), routes)
 }
 
@@ -341,7 +409,7 @@ mod tests {
 
     use super::*;
     use crate::params::{AcornParams, AcornVariant};
-    use crate::segment::SegmentedAcornIndex;
+    use crate::segment::{MergePolicy, SegmentedAcornIndex};
     use crate::snapshot::SegmentSnapshot;
     use acorn_hnsw::heap::Neighbor;
     use acorn_hnsw::{Metric, VectorStore};
@@ -442,8 +510,11 @@ mod tests {
         let checks = SearchStats { npred_cached: want_stats.npred, ..want_stats };
         assert_eq!(stats, checks, "constant true: the live-row bitmap and nothing else");
 
-        // (passing rows, scanned)
-        for (passing, scan) in [(50i64, true), (300, true), (600, false), (900, false)] {
+        // (passing rows, scanned, rows the program reads): the ordered
+        // index serves the 50-row band, under a quarter of the rows, and
+        // the program reads those rows alone; the block kernels read all.
+        let cases = [(50i64, true, 50), (300, true, n), (600, false, n), (900, false, n)];
+        for (passing, scan, read) in cases {
             let pred = Predicate::Between { field, lo: 0, hi: passing - 1 };
             let interpreted =
                 Bitset::from_ids(n, (0..n as u32).filter(|&row| pred.eval(&attrs, row)));
@@ -461,11 +532,11 @@ mod tests {
                 (want_stats.ndis, want_stats.nhops, scan),
                 "{passing} rows: the same traversal"
             );
-            // One pass over the rows; then the scan enumerates set bits,
+            // One materialization; then the scan enumerates set bits,
             // while the traversal's checks are each a bit test (the
             // reference `prefilter_scan` asks the bitmap about every row).
             let checks = if scan { 0 } else { want_stats.npred };
-            assert_eq!(stats.npred, n as u64 + checks, "{passing} rows");
+            assert_eq!(stats.npred, read as u64 + checks, "{passing} rows");
             assert_eq!(stats.npred_cached, checks, "{passing} rows: bit tests");
         }
     }
@@ -644,8 +715,9 @@ mod tests {
                     assert_eq!((sa.ndis, sa.nhops), (sb.ndis, sb.nhops), "{what}");
                     assert!(sa.npred_cached > 0, "{what}: bit tests are cache answers");
                 }
-                // One block pass over the 800 rows.
-                assert_eq!(sa.npred_evaluated(), n as u64, "{what}");
+                // Under a quarter of the rows pass, so the ordered index
+                // serves every case: the program reads the passing rows.
+                assert_eq!(sa.npred_evaluated(), passing as u64, "{what}");
             }
         }
     }
@@ -687,18 +759,20 @@ mod tests {
         let mut routes = Vec::new();
 
         // At k = efs = 10 the two wide ranges traverse and the two narrow
-        // predicates scan under the recall floor.
-        for (pred, label) in [
-            (Predicate::Between { field, lo: 1995, hi: 2010 }, "mid-selectivity"),
-            (Predicate::Between { field, lo: 1990, hi: 2020 }, "high-selectivity"),
-            (Predicate::Equals { field, value: 1999 }, "low-selectivity"),
-            (Predicate::in_values(field, vec![1991, 2001, 2011]), "in-list"),
+        // predicates scan under the recall floor; the block kernels
+        // materialize the wide ones and the ordered index the narrow ones.
+        for (pred, label, ordered) in [
+            (Predicate::Between { field, lo: 1995, hi: 2010 }, "mid-selectivity", false),
+            (Predicate::Between { field, lo: 1990, hi: 2020 }, "high-selectivity", false),
+            (Predicate::Equals { field, value: 1999 }, "low-selectivity", true),
+            (Predicate::in_values(field, vec![1991, 2001, 2011]), "in-list", true),
         ] {
             let q: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
             // The reference: the interpreter's bitmap, routed on its count.
             let interpreted =
                 Bitset::from_ids(n, (0..n as u32).filter(|&row| pred.eval(&attrs, row)));
-            let route = Route::choose(n, interpreted.count(), 8, 10, 10, graph.params());
+            let passing = interpreted.count();
+            let route = Route::choose(n, passing, 8, 10, 10, graph.params());
             routes.push(route);
             let filter = BitmapFilter::new(interpreted);
             let mut sb = SearchStats::default();
@@ -714,7 +788,8 @@ mod tests {
                 (sb.fallback, sb.ndis, sb.nhops),
                 "{label}: the same route and traversal"
             );
-            assert_eq!(sa.npred_evaluated(), n as u64, "{label}: one pass over the rows");
+            let read = if ordered { passing } else { n };
+            assert_eq!(sa.npred_evaluated(), read as u64, "{label}: one materialization");
             if !sa.fallback {
                 // Without the bitmap, every check the traversal asks for
                 // would be an evaluation.
@@ -783,7 +858,23 @@ mod tests {
         chunks: [usize; 3],
         active_rows: usize,
     ) -> Arc<SegmentSnapshot> {
-        let mut index = SegmentedAcornIndex::new(DIM, params(seed), AcornVariant::Gamma);
+        lifecycle_with_pending(rng, seed, chunks, 0, active_rows)
+    }
+
+    /// [`lifecycle`], with `pending_rows` (more than any chunk and than
+    /// `active_rows`, or 0 for none) inserted before the active rows and
+    /// sealed into a pending segment: one that scans until its graph is
+    /// built.
+    fn lifecycle_with_pending(
+        rng: &mut StdRng,
+        seed: u64,
+        chunks: [usize; 3],
+        pending_rows: usize,
+        active_rows: usize,
+    ) -> Arc<SegmentSnapshot> {
+        let policy = MergePolicy { active_max_rows: pending_rows, ..Default::default() };
+        let mut index =
+            SegmentedAcornIndex::new(DIM, params(seed), AcornVariant::Gamma).with_policy(policy);
         let insert = |index: &mut SegmentedAcornIndex, rng: &mut StdRng, n: usize| {
             for _ in 0..n {
                 let v: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -804,6 +895,7 @@ mod tests {
         insert(&mut index, rng, chunks[2]);
         index.freeze();
         delete_some(&mut index, rng, chunks.iter().sum());
+        insert(&mut index, rng, pending_rows);
         insert(&mut index, rng, active_rows);
         index.snapshot()
     }
@@ -872,6 +964,19 @@ mod tests {
                 sum.merge(&seg.stats);
             }
             assert_eq!(sum, stats, "{what}: the segments' shares sum to the query's stats");
+            // A label passes a sixth of the rows: the ordered index serves
+            // it, and the program reads those rows alone. Without a
+            // predicate there is nothing to serve or read.
+            if matches!(pred, Predicate::Equals { .. }) {
+                assert!(trace.ordered, "{what}");
+                let spans = views.iter().map(|&v| gid_span(v));
+                let read: usize =
+                    spans.map(|(f, l)| (f..=l).filter(|&g| pred.eval(&attrs, g)).count()).sum();
+                assert_eq!(stats.npred_evaluated(), read as u64, "{what}");
+            }
+            if matches!(pred, Predicate::True) {
+                assert!(!trace.ordered && stats.npred_evaluated() == 0, "{what}");
+            }
             let staged =
                 trace.compile_ns + trace.materialize_ns + trace.scan_ns + trace.traverse_ns;
             assert!(staged <= wall, "{what}: stages {staged} ns within the call's {wall} ns");
@@ -944,6 +1049,63 @@ mod tests {
             prop_assert!(scanned_above_floor && traversed, "both routes, the scan above s_min");
         }
 
+        /// Both materialization routes, forced through the planner over
+        /// snapshots with merge gaps, tombstones, a pending segment and an
+        /// active one, and an attribute store longer than the index (rows
+        /// not inserted yet): the same hits to the distance bit, the same
+        /// per-segment counts and routes, the same `ndis` and `nhops`; and
+        /// the rule's choice answers as both.
+        #[test]
+        fn the_ordered_and_block_routes_plan_the_same_query(
+            seed in 0u64..u64::MAX,
+            chunk in 30usize..130,
+            active_rows in prop::sample::select(vec![0usize, 1, 70]),
+            pool_rows in prop::sample::select(vec![0usize, 1, 200]),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pending_rows = 140;
+            let snap = lifecycle_with_pending(&mut rng, seed, [chunk; 3], pending_rows, active_rows);
+            let total = 3 * chunk + pending_rows + active_rows + pool_rows;
+            let attrs = AttrStore::builder()
+                .add_int("label", (0..total).map(|_| rng.gen_range(0i64..6)).collect())
+                .add_text(
+                    "cap",
+                    (0..total).map(|_| CAPTIONS[rng.gen_range(0..CAPTIONS.len())].into()).collect(),
+                )
+                .build();
+            let pending = snap.frozen_segments().iter().filter(|s| s.is_pending()).count();
+            prop_assert_eq!((pending, snap.active.is_some()), (1, active_rows > 0));
+            let mut scratch = SearchScratch::new(snap.max_segment_rows());
+            let mut preds: Vec<Predicate> = (0..6).map(|_| random_pred(&mut rng)).collect();
+            preds.push(Predicate::in_values(0, vec![1, 4]));
+            let mut served = false;
+            for pred in &preds {
+                let q: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let (k, efs) = (rng.gen_range(1usize..10), [5, 40][rng.gen_range(0..2usize)]);
+                let what = pred.describe(&attrs);
+                let mut run = |via| {
+                    let (mut stats, mut trace) = (SearchStats::default(), QueryTrace::default());
+                    let predicate = Some((pred, &attrs));
+                    let segments = snap.segments();
+                    let (hits, _) = search(
+                        segments, &q, predicate, k, efs, &mut scratch, &mut stats, Some(&mut trace), via,
+                    );
+                    let plan: Vec<_> = trace.segments.iter().map(|s| (s.rows, s.passing, s.route)).collect();
+                    (bits(&hits), (stats.ndis, stats.nhops, stats.fallback), plan, trace.ordered)
+                };
+                let (ordered, blocks, rule) =
+                    (run(Materialize::Ordered), run(Materialize::Blocks), run(Materialize::Rule));
+                prop_assert!(!blocks.3, "{}: forced onto the blocks", &what);
+                served |= ordered.3;
+                for (got, name) in [(&ordered, "ordered"), (&rule, "rule")] {
+                    prop_assert_eq!(&got.0, &blocks.0, "{}: {} hits", &what, name);
+                    prop_assert_eq!(got.1, blocks.1, "{}: {} ndis, nhops, fallback", &what, name);
+                    prop_assert_eq!(&got.2, &blocks.2, "{}: {} counts and routes", &what, name);
+                }
+            }
+            prop_assert!(served, "the ordered index must serve some query");
+        }
+
         /// Over every segment layout a lifecycle produces — contiguous gid
         /// spans (fresh freezes), spans with gaps (merged survivors),
         /// tombstoned rows, an active segment that is empty or not — the
@@ -984,9 +1146,20 @@ mod tests {
                         }),
                     );
                     let mut bits = Bitset::full(777); // stale pooled content
-                    let n = materialize_local(view, &compiled, &attrs, &mut bits);
+                    let n = materialize_local(view, &compiled, &attrs, None, &mut bits);
                     prop_assert_eq!(&bits, &want, "gids {}..={}", gids[0], gids[rows - 1]);
                     prop_assert_eq!(n, span as u64, "rows charged to npred");
+                    // The ordered route, where the program has an indexed
+                    // conjunct: the same bits, its candidates in the span
+                    // charged.
+                    let mut all = Bitset::full(999);
+                    if compiled.ordered_candidates(&attrs, usize::MAX, &mut all).is_some() {
+                        let mut bits = Bitset::full(777);
+                        let n = materialize_local(view, &compiled, &attrs, Some(&all), &mut bits);
+                        prop_assert_eq!(&bits, &want, "ordered, gids {}..={}", gids[0], gids[rows - 1]);
+                        let read = (gids[0]..=gids[rows - 1]).filter(|&g| all.get(g as u32)).count();
+                        prop_assert_eq!(n, read as u64, "candidates charged to npred");
+                    }
                 }
             }
             prop_assert!(gapped && contiguous && tombstoned, "every layout must be exercised");

@@ -54,7 +54,7 @@ use acorn_predicate::{AttrStore, Bitset, FieldId, Predicate};
 
 use crate::index::AcornIndex;
 use crate::params::{AcornParams, AcornVariant};
-use crate::plan::{self, QueryTrace, Routes};
+use crate::plan::{self, Materialize, QueryTrace, Routes};
 use crate::segment::{GlobalNeighbor, MergePolicy};
 
 /// The immutable payload of one published segment generation: the
@@ -283,7 +283,7 @@ impl SegmentSnapshot {
     }
 
     /// All non-empty segments in query order (frozen first, then active).
-    pub(crate) fn segments(&self) -> impl Iterator<Item = &SegmentView> {
+    pub(crate) fn segments(&self) -> impl Iterator<Item = &SegmentView> + Clone {
         self.frozen.iter().chain(self.active.iter()).filter(|s| !s.is_empty())
     }
 
@@ -482,7 +482,8 @@ impl SegmentSnapshot {
         if k == 0 {
             return Ok((Vec::new(), Routes::default()));
         }
-        Ok(plan::search(self.segments(), query, predicate, k, efs, scratch, stats, trace))
+        let via = Materialize::Rule;
+        Ok(plan::search(self.segments(), query, predicate, k, efs, scratch, stats, trace, via))
     }
 }
 

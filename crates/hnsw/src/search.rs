@@ -67,6 +67,12 @@ pub struct SearchScratch {
     /// whose filter is a bit test use it; it stays empty (no bytes) for
     /// every other search. Nothing here resets it.
     pub resume: ResumeMemo,
+    /// Pooled words for the store-wide candidate bitmap the hybrid query
+    /// planner fills once per query when the predicate's ordered index
+    /// serves it, and cuts each segment's [`bitmap`](Self::bitmap) out of.
+    /// Moved out and back like `bitmap`; whoever takes it refills it
+    /// completely.
+    pub store_bits: Bitset,
 }
 
 impl SearchScratch {
@@ -81,6 +87,7 @@ impl SearchScratch {
             memo: MemoTable::new(),
             bitmap: Bitset::default(),
             resume: ResumeMemo::default(),
+            store_bits: Bitset::default(),
         }
     }
 

@@ -12,7 +12,8 @@
 ///
 /// | work | `npred` | `npred_cached` |
 /// |---|---|---|
-/// | materializing a segment's bitmap | + the rows the block kernel ran over (the segment's global-id span) | — |
+/// | materializing a segment's bitmap on the block route | + the rows the block kernel ran over (the segment's global-id span) | — |
+/// | materializing a segment's bitmap on the ordered-index route | + the rows the program read: the index's candidates in that span | — |
 /// | the pure search's bitmap (the negated tombstones) | — | — |
 /// | enumerating a bitmap's set bits in the pre-filter scan | — | — |
 /// | a traversal check answered by a bitmap bit, the pure search's included | +1 | +1 |
@@ -30,8 +31,12 @@ pub struct SearchStats {
     /// Number of graph nodes expanded (greedy hops).
     pub nhops: u64,
     /// Number of per-row predicate checks charged to the query: every
-    /// `NodeFilter::passes` call the search issues, plus any rows the
-    /// hybrid query planner evaluated up front (block materialization).
+    /// `NodeFilter::passes` call the search issues, plus the rows the
+    /// hybrid query planner's predicate program read up front: each
+    /// segment's global-id span on the block route, and on the
+    /// ordered-index route only the rows the index found in it (its other
+    /// conjuncts ran on those alone), so a selective query charges its
+    /// candidates, not the span.
     pub npred: u64,
     /// The subset of [`npred`](Self::npred) answered from a per-query cache
     /// — a memoized verdict (`MemoFilter`), a materialized bitmap, or the

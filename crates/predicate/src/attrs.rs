@@ -7,7 +7,14 @@
 //! check is a single AND), and free text (LAION captions for regex
 //! predicates). Each text column is also copied once, at
 //! [`build`](AttrStoreBuilder::build), into a [`TextArena`]: its rows back
-//! to back in one buffer, which is what the regex block kernels scan.
+//! to back in one buffer, which is what the regex block kernels scan. Each
+//! int column gets, at the same time, its rows ordered by value (4 B per
+//! row, plus one 8-byte key per 64 rows): the ordered index that answers
+//! an equality, range or
+//! membership test with two binary searches per value range
+//! ([`CompiledPredicate::ordered_candidates`](crate::CompiledPredicate::ordered_candidates)).
+
+use std::ops::Range;
 
 /// Index of a field within an [`AttrStore`].
 pub type FieldId = usize;
@@ -124,6 +131,8 @@ pub struct AttrStore {
     columns: Vec<Column>,
     /// One [`TextArena`] per column, `Some` exactly for the text columns.
     arenas: Vec<Option<TextArena>>,
+    /// One [`ValueOrder`] per column, `Some` exactly for the int columns.
+    orders: Vec<Option<ValueOrder>>,
     n: usize,
 }
 
@@ -216,6 +225,13 @@ impl AttrStore {
         }
     }
 
+    /// The int column's [`ValueOrder`]; `None` for any other kind of
+    /// column.
+    #[inline]
+    pub(crate) fn order(&self, f: FieldId) -> Option<&ValueOrder> {
+        self.orders[f].as_ref()
+    }
+
     /// Integer value at (`f`, `id`).
     ///
     /// # Panics
@@ -246,10 +262,12 @@ impl AttrStore {
         }
     }
 
-    /// Approximate heap bytes over all columns, text arenas included.
+    /// Approximate heap bytes over all columns, text arenas and the int
+    /// columns' orders included.
     pub fn memory_bytes(&self) -> usize {
         let arenas: usize = self.arenas.iter().flatten().map(TextArena::memory_bytes).sum();
-        self.columns.iter().map(Column::memory_bytes).sum::<usize>() + arenas
+        let orders: usize = self.orders.iter().flatten().map(ValueOrder::memory_bytes).sum();
+        self.columns.iter().map(Column::memory_bytes).sum::<usize>() + arenas + orders
     }
 }
 
@@ -287,11 +305,12 @@ impl AttrStoreBuilder {
         self.add(name, Column::Str(values))
     }
 
-    /// Finish, validating row-count agreement, and copy each text column
-    /// into its [`TextArena`].
+    /// Finish, validating row-count agreement, copy each text column into
+    /// its [`TextArena`] and order each int column's rows by value.
     ///
     /// # Panics
-    /// Panics if columns disagree on length.
+    /// Panics if columns disagree on length, or an int column has more
+    /// than `u32::MAX` rows.
     pub fn build(self) -> AttrStore {
         let n = self.columns.first().map_or(0, Column::len);
         for (name, col) in self.names.iter().zip(&self.columns) {
@@ -305,7 +324,82 @@ impl AttrStoreBuilder {
                 _ => None,
             })
             .collect();
-        AttrStore { names: self.names, columns: self.columns, arenas, n }
+        let orders = self
+            .columns
+            .iter()
+            .map(|col| match col {
+                Column::Int(values) => Some(ValueOrder::new(values)),
+                _ => None,
+            })
+            .collect();
+        AttrStore { names: self.names, columns: self.columns, arenas, orders, n }
+    }
+}
+
+/// One int column's rows in ascending order of value, ties in ascending
+/// row order, and every [`FENCE`](Self::FENCE)-th of those values: the
+/// *fences*. The fences place any value to within `FENCE` positions from
+/// one short contiguous array, which is what counting a range for the
+/// work rule reads; a search of the `FENCE` rows between two fences then
+/// places it exactly.
+#[derive(Debug, Clone)]
+pub(crate) struct ValueOrder {
+    rows: Box<[u32]>,
+    fences: Box<[i64]>,
+}
+
+impl ValueOrder {
+    /// Positions between two fences.
+    const FENCE: usize = 64;
+
+    /// Order `values`. The `(value, row)` pairs are distinct, so the
+    /// unstable sort is deterministic.
+    fn new(values: &[i64]) -> Self {
+        let rows = u32::try_from(values.len()).expect("an int column holds at most u32::MAX rows");
+        let mut pairs: Vec<(i64, u32)> = values.iter().copied().zip(0..rows).collect();
+        pairs.sort_unstable();
+        let fences = pairs.iter().step_by(Self::FENCE).map(|&(v, _)| v).collect();
+        Self { rows: pairs.into_iter().map(|(_, row)| row).collect(), fences }
+    }
+
+    /// The rows, ascending by value.
+    #[inline]
+    pub(crate) fn rows(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// How many fences hold a value `below` passes (`below` holds for a
+    /// prefix of the order): the first position it fails lies after
+    /// `FENCE · (k - 1)` and at or before `FENCE · k`.
+    fn fence(&self, below: impl Fn(i64) -> bool) -> usize {
+        self.fences.partition_point(|&v| below(v))
+    }
+
+    /// The rows holding a value in `lo..=hi`, counted to within `FENCE` at
+    /// each end from the fences alone.
+    pub(crate) fn approx_count(&self, lo: i64, hi: i64) -> usize {
+        let (start, end) = (self.fence(|v| v < lo), self.fence(|v| v <= hi));
+        Self::FENCE * end.saturating_sub(start)
+    }
+
+    /// The positions holding a value in `lo..=hi` (`column` is the column
+    /// this orders); empty when `lo > hi`.
+    pub(crate) fn positions(&self, column: &[i64], lo: i64, hi: i64) -> Range<usize> {
+        let point = |below: &dyn Fn(i64) -> bool| match self.fence(below) {
+            0 => 0,
+            k => {
+                let window = Self::FENCE * (k - 1) + 1..(Self::FENCE * k).min(self.rows.len());
+                let rows = &self.rows[window.clone()];
+                window.start + rows.partition_point(|&r| below(column[r as usize]))
+            }
+        };
+        let start = point(&|v| v < lo);
+        start..point(&|v| v <= hi).max(start)
+    }
+
+    /// Heap bytes: 4 per row and 8 per fence.
+    fn memory_bytes(&self) -> usize {
+        self.rows.len() * 4 + self.fences.len() * 8
     }
 }
 
@@ -378,6 +472,39 @@ mod tests {
     #[test]
     fn memory_accounting_nonzero() {
         assert!(sample().memory_bytes() > 0);
+    }
+
+    #[test]
+    fn each_int_column_is_ordered_by_value_at_4_bytes_a_row_and_8_per_64() {
+        let values = vec![3, i64::MIN, 3, -1, i64::MAX, 0, 3, -1];
+        let ints = AttrStore::builder().add_int("a", values.clone()).add_int("b", vec![7; 8]);
+        let without = AttrStore::builder().add_keywords("k", vec![0; 8]).build().memory_bytes();
+        let s = ints.add_keywords("k", vec![0; 8]).build();
+        assert_eq!(s.order(0).unwrap().rows(), &[1, 3, 7, 5, 0, 2, 6, 4], "by value, ties by row");
+        assert_eq!(s.order(1).unwrap().rows(), &[0, 1, 2, 3, 4, 5, 6, 7], "a constant column");
+        assert!(s.order(2).is_none(), "keywords have no order");
+        let (columns, orders) = (2 * 8 * 8, 2 * (8 * 4 + 8));
+        assert_eq!(s.memory_bytes(), without + columns + orders, "4 B a row, 8 per 64 rows");
+        let big = AttrStore::builder().add_int("a", vec![0; 1000]).build();
+        assert_eq!(big.memory_bytes(), 1000 * 8 + 1000 * 4 + 1000usize.div_ceil(64) * 8);
+    }
+
+    #[test]
+    fn fences_count_a_range_to_within_64_at_each_end_and_the_search_places_it_exactly() {
+        let values: Vec<i64> = (0..1000).map(|i| (i * 7919) % 301 - 150).collect();
+        let s = AttrStore::builder().add_int("a", values.clone()).build();
+        let order = s.order(0).unwrap();
+        let bounds = [i64::MIN, -151, -150, -1, 0, 3, 149, 150, 151, i64::MAX];
+        for lo in bounds {
+            for hi in bounds {
+                let want = values.iter().filter(|&&v| lo <= v && v <= hi).count();
+                let got = order.positions(&values, lo, hi);
+                assert_eq!(got.len(), want, "{lo}..={hi}");
+                assert!(got.clone().all(|p| (lo..=hi).contains(&values[order.rows()[p] as usize])));
+                let approx = order.approx_count(lo, hi);
+                assert!(approx.abs_diff(want) < 2 * 64, "{lo}..={hi}: {approx} for {want}");
+            }
+        }
     }
 
     #[test]

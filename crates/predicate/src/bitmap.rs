@@ -76,6 +76,13 @@ impl Bitset {
         self.trim();
     }
 
+    /// The packed backing words, writable; bits beyond `len` must stay
+    /// clear.
+    #[inline]
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// The packed backing words (bit `i` of `words()[i / 64]` is row `i`).
     #[inline]
     pub fn words(&self) -> &[u64] {

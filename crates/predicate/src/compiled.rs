@@ -21,13 +21,37 @@
 //!   still undecided, so a regex clause behind a cheap date filter runs on
 //!   the few rows that survive the date check.
 //!
-//! [`CompiledPredicate::to_bitset`] (backing `Predicate::to_bitset` and
-//! `BitmapFilter::from_predicate`) is therefore a word-at-a-time columnar
-//! scan, [`CompiledPredicate::to_bitset_range`] is the same scan over one
-//! segment's row span (what the hybrid query planner materializes for every
-//! segment), and [`CompiledPredicate::eval`] answers one row at a time.
-//! Results are bit-identical to interpreted evaluation (property tested over
-//! random ASTs × stores).
+//! [`CompiledPredicate::eval`] answers one row at a time.
+//! [`CompiledPredicate::to_bitset_range`] is the word-at-a-time columnar
+//! scan over one segment's row span.
+//!
+//! ## Two routes to a bitmap
+//!
+//! A program whose root is an int `Equals`, `Between` or `In` — or an `And`
+//! with such a conjunct, the first one in its cheapest-first order — can be
+//! materialized without evaluating every row. Each int column carries its
+//! rows ordered by value, with every 64th value beside them as a fence
+//! ([`AttrStore`] builds both), so each value range of that conjunct is
+//! two searches — of the fences, then of the 64 rows between two — and
+//! the rows between them are exactly its passing rows:
+//!
+//! * **the ordered route**: [`CompiledPredicate::ordered_candidates`] sets
+//!   those rows (the *candidates*) in one store-wide bitmap, and
+//!   [`CompiledPredicate::ordered_range`] cuts a span out of it (a word
+//!   shift) and runs the `And`'s other conjuncts through the block kernels
+//!   on the candidate rows alone;
+//! * **the block route**: the block kernels over every row of the span.
+//!
+//! One rule picks, for [`CompiledPredicate::to_bitset`] and for the hybrid
+//! query planner alike: the ordered route when its candidates, as the
+//! fences count them, cost less than evaluating the spanned rows would
+//! (`ordered_wins`; the constants and their fit are in this module's
+//! source), which on a 2-vCPU AVX2 host means fewer than about a quarter
+//! of the spanned rows. Rejecting the ordered route costs the fence
+//! searches alone (~0.25 µs a query on the repo benchmark's 32,000 rows). Either route
+//! yields the same bits. Results are bit-identical to interpreted
+//! evaluation (property tested over random ASTs × stores, each route
+//! forced in turn).
 
 use std::ops::RangeInclusive;
 
@@ -91,6 +115,50 @@ pub struct CompiledPredicate {
     ops: Vec<Op>,
     root: u32,
     has_regex: bool,
+    /// The int leaf the ordered index can answer: the root itself, or the
+    /// first such conjunct of a root `And`.
+    ordered: Option<u32>,
+}
+
+/// Which kernels materialize a program: the rule's choice, or one route
+/// forced (the seam this crate's tests hold both routes to the interpreter
+/// through).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Via {
+    /// Whichever route [`ordered_wins`] picks.
+    Rule,
+    /// The ordered index, whenever the program has an indexable conjunct.
+    #[cfg_attr(not(test), allow(dead_code))]
+    Ordered,
+    /// The block kernels over every row.
+    Blocks,
+}
+
+// The work rule between the two routes, in units of one row evaluated by
+// a cheap block kernel. Fitted on a `Between` over 32,000- and
+// 1,000,000-row columns of uniform values, 1–50 % of the rows passing,
+// each route forced in turn (a 2-vCPU AVX2 host, the planner's pooled
+// bitmaps; `benches/predicate_eval.rs`'s `to_bitset` rows time the rule's
+// choice against `to_bitset_range`):
+// - the block route costs ~0.19 ns a row at 32,000 rows and ~0.25 at
+//   1,000,000, whatever passes: one unit per spanned row;
+// - the ordered route costs ~0.8 ns per candidate at both sizes — reading
+//   its row id from the order and setting one bit of the store-wide
+//   bitmap, a random write — so `ORDERED_ROW` units, plus ~0.011 ns per
+//   row of the store for zeroing that bitmap and cutting the spans out of
+//   it, `ORDERED_CLEAR` units.
+// The routes tie at ~21 % passing at 32,000 rows and ~30 % at 1,000,000;
+// the rule switches at ~24 %.
+
+/// Ordered-route work per candidate row.
+const ORDERED_ROW: f64 = 4.0;
+/// Ordered-route work per row of the store.
+const ORDERED_CLEAR: f64 = 0.05;
+
+/// Whether `candidates` rows set through the ordered index, in a store of
+/// `store_rows`, cost no more than the block kernels over `spanned` rows.
+fn ordered_wins(candidates: usize, spanned: usize, store_rows: usize) -> bool {
+    candidates as f64 * ORDERED_ROW + store_rows as f64 * ORDERED_CLEAR <= spanned as f64
 }
 
 impl CompiledPredicate {
@@ -103,7 +171,17 @@ impl CompiledPredicate {
         let mut ops = Vec::new();
         let root = lower(&normalized, &mut ops);
         let has_regex = ops.iter().any(|op| matches!(op, Op::Regex { .. }));
-        Self { ops, root, has_regex }
+        let indexable = |&i: &u32| {
+            matches!(
+                ops[i as usize],
+                Op::Equals { .. } | Op::Between { .. } | Op::InMask { .. } | Op::InSorted { .. }
+            )
+        };
+        let ordered = match &ops[root as usize] {
+            Op::And { children } => children.iter().copied().find(indexable),
+            _ => Some(root).filter(indexable),
+        };
+        Self { ops, root, has_regex, ordered }
     }
 
     /// Number of program nodes (after folding and flattening).
@@ -235,13 +313,143 @@ impl CompiledPredicate {
         }
     }
 
-    /// Materialize the predicate over all rows with the block kernels: one
-    /// mask word per 64 rows, written straight into the bitset's backing
-    /// words. Bit-identical to setting `eval(attrs, id)` per row.
+    /// Materialize the predicate over all rows, on the route the rule picks
+    /// for a span of the whole store: through the ordered index, or with
+    /// the block kernels, one mask word per 64 rows written straight into
+    /// the bitset's backing words. Bit-identical to setting
+    /// `eval(attrs, id)` per row.
     pub fn to_bitset(&self, attrs: &AttrStore) -> Bitset {
+        self.to_bitset_via(attrs, Via::Rule)
+    }
+
+    /// [`to_bitset`](Self::to_bitset) on the route `via` names.
+    pub(crate) fn to_bitset_via(&self, attrs: &AttrStore, via: Via) -> Bitset {
         let mut bits = Bitset::default();
-        self.fill_rows(kernel_path(), attrs, 0, attrs.len(), &mut bits);
+        if self.candidates_via(attrs, attrs.len(), via, &mut bits).is_some() {
+            self.refine(kernel_path(), attrs, 0, bits.words_mut());
+        } else {
+            self.fill_rows(kernel_path(), attrs, 0, attrs.len(), &mut bits);
+        }
         bits
+    }
+
+    /// The ordered route's first step, when the rule picks it for `spanned`
+    /// rows (what the block kernels would evaluate instead): set in `out`,
+    /// over the whole store's universe, every row the program's indexed
+    /// conjunct passes — its *candidates*, found with two searches per
+    /// value range of the conjunct — and return how many there are.
+    /// When the program has no indexed conjunct, or the rule picks the
+    /// block kernels, it returns `None` and leaves `out` as it was.
+    /// [`ordered_range`](Self::ordered_range) then cuts each span out.
+    ///
+    /// The indexed conjunct is an int `Equals`, `Between` or `In` at the
+    /// root, or the first of them among a root `And`'s conjuncts.
+    pub fn ordered_candidates(
+        &self,
+        attrs: &AttrStore,
+        spanned: usize,
+        out: &mut Bitset,
+    ) -> Option<usize> {
+        self.candidates_via(attrs, spanned, Via::Rule, out)
+    }
+
+    /// The ordered route over rows `rows`: what
+    /// [`to_bitset_range`](Self::to_bitset_range) writes into `out`, built
+    /// from `candidates`, the store-wide bitmap
+    /// [`ordered_candidates`](Self::ordered_candidates) filled for this
+    /// program. The span's words are shifted out of `candidates`, and a
+    /// root `And`'s other conjuncts run on the candidate rows alone.
+    /// Returns the candidates in the span: the rows the program ran on.
+    ///
+    /// # Panics
+    /// Panics if a non-empty range ends beyond `candidates`' universe.
+    pub fn ordered_range(
+        &self,
+        attrs: &AttrStore,
+        candidates: &Bitset,
+        rows: RangeInclusive<u32>,
+        out: &mut Bitset,
+    ) -> usize {
+        let (start, end) = (*rows.start() as usize, *rows.end() as usize + 1);
+        assert!(
+            start >= end || end <= candidates.len(),
+            "row range {rows:?} exceeds the candidates ({} rows)",
+            candidates.len()
+        );
+        let len = end.saturating_sub(start);
+        let (words, shift) = (candidates.words(), start % 64);
+        out.refill(
+            len,
+            (start / 64..).take(len.div_ceil(64)).map(|w| {
+                let high = match (shift, words.get(w + 1)) {
+                    (1.., Some(next)) => next << (64 - shift),
+                    _ => 0,
+                };
+                words[w] >> shift | high
+            }),
+        );
+        let count = out.count();
+        self.refine(kernel_path(), attrs, start, out.words_mut());
+        count
+    }
+
+    /// [`ordered_candidates`](Self::ordered_candidates), or with `via` a
+    /// route forced. The rule reads the candidates as the fences count
+    /// them; only the route it picks places them exactly.
+    fn candidates_via(
+        &self,
+        attrs: &AttrStore,
+        spanned: usize,
+        via: Via,
+        out: &mut Bitset,
+    ) -> Option<usize> {
+        if via == Via::Blocks {
+            return None;
+        }
+        let (field, ranges) = match &self.ops[self.ordered? as usize] {
+            Op::Equals { field, value } => (*field, vec![(*value, *value)]),
+            Op::Between { field, lo, hi } => (*field, vec![(*lo, *hi)]),
+            // Bit `i` is value `base + i`, which the `In` list held.
+            Op::InMask { field, base, mask } => {
+                (*field, value_runs((0..64).filter(|i| mask >> i & 1 == 1).map(|i| base + i)))
+            }
+            Op::InSorted { field, values } => (*field, value_runs(values.iter().copied())),
+            op => unreachable!("{op:?} is not an indexed leaf"),
+        };
+        let (order, column) = (attrs.order(field)?, attrs.ints(field));
+        let approx = ranges.iter().map(|&(lo, hi)| order.approx_count(lo, hi)).sum();
+        if via == Via::Rule && !ordered_wins(approx, spanned, attrs.len()) {
+            return None;
+        }
+        out.refill(attrs.len(), std::iter::repeat(0).take(attrs.len().div_ceil(64)));
+        let (words, mut count) = (out.words_mut(), 0);
+        for (lo, hi) in ranges {
+            let rows = &order.rows()[order.positions(column, lo, hi)];
+            count += rows.len();
+            for &row in rows {
+                words[row as usize / 64] |= 1 << (row % 64);
+            }
+        }
+        Some(count)
+    }
+
+    /// Run a root `And`'s conjuncts other than the indexed one over the set
+    /// bits of `words`, bit `i` of word `j` standing for row
+    /// `first + 64 j + i`, keeping the rows that pass them all. Any other
+    /// program is its indexed leaf, which the candidates answered already.
+    fn refine(&self, path: KernelPath, attrs: &AttrStore, first: usize, words: &mut [u64]) {
+        let (Some(indexed), Op::And { children }) = (self.ordered, &self.ops[self.root as usize])
+        else {
+            return;
+        };
+        for (j, word) in words.iter_mut().enumerate() {
+            for &c in children.iter().filter(|&&c| c != indexed) {
+                if *word == 0 {
+                    break;
+                }
+                *word = self.eval_block_masked(path, c, attrs, first + 64 * j, *word);
+            }
+        }
     }
 
     /// The range form of [`to_bitset`](Self::to_bitset): materialize rows
@@ -358,6 +566,19 @@ fn lower_in(field: FieldId, values: &[i64]) -> Op {
     }
 }
 
+/// Ascending, distinct `In` values as inclusive ranges of consecutive
+/// values.
+fn value_runs(values: impl IntoIterator<Item = i64>) -> Vec<(i64, i64)> {
+    let mut runs: Vec<(i64, i64)> = Vec::new();
+    for v in values {
+        match runs.last_mut() {
+            Some((_, hi)) if hi.checked_add(1) == Some(v) => *hi = v,
+            _ => runs.push((v, v)),
+        }
+    }
+    runs
+}
+
 /// Lazy per-node evaluation through a compiled program: the compiled
 /// counterpart of [`PredicateFilter`](crate::filter::PredicateFilter).
 /// Usually wrapped in a [`MemoFilter`](crate::memo::MemoFilter) so each row
@@ -385,6 +606,9 @@ impl NodeFilter for CompiledFilter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn store() -> AttrStore {
         AttrStore::builder()
@@ -493,6 +717,149 @@ mod tests {
         let f = CompiledFilter::new(&s, &c);
         for id in 0..s.len() as u32 {
             assert_eq!(f.passes(id), p.eval(&s, id));
+        }
+    }
+
+    #[test]
+    fn the_rule_takes_the_order_for_a_selective_conjunct_and_the_blocks_for_a_wide_one() {
+        // `v = row id`: `Between(0, c - 1)` has exactly `c` candidates.
+        let n = 10_000;
+        let s = AttrStore::builder()
+            .add_int("v", (0..n as i64).collect())
+            .add_keywords("kw", vec![1; n])
+            .build();
+        let mut out = Bitset::default();
+        for (passing, ordered) in [(0, true), (100, true), (2_000, true), (3_000, false)] {
+            let band = Predicate::Between { field: 0, lo: 0, hi: passing - 1 };
+            let with_kw =
+                Predicate::And(vec![Predicate::ContainsAny { field: 1, mask: 1 }, band.clone()]);
+            for p in [band, with_kw] {
+                let c = CompiledPredicate::compile(&p);
+                let got = c.ordered_candidates(&s, n, &mut out);
+                assert_eq!(got, ordered.then_some(passing as usize), "{passing} of {n}");
+                // Spanning a fortieth of the store, clearing the store-wide
+                // bitmap alone costs more than the blocks.
+                assert_eq!(c.ordered_candidates(&s, n / 40, &mut out), None, "{passing}");
+            }
+        }
+        // No int leaf to index: the blocks.
+        let kw = CompiledPredicate::compile(&Predicate::ContainsAny { field: 1, mask: 1 });
+        assert_eq!(kw.ordered_candidates(&s, n, &mut out), None);
+        let not = Predicate::Not(Box::new(Predicate::Equals { field: 0, value: 3 }));
+        assert_eq!(CompiledPredicate::compile(&not).ordered_candidates(&s, n, &mut out), None);
+    }
+
+    /// Int values with duplicates, negatives and both extremes.
+    fn ordered_value(rng: &mut StdRng) -> i64 {
+        match rng.gen_range(0..10) {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            _ => rng.gen_range(-6..6),
+        }
+    }
+
+    /// An int leaf on `field`: `Equals` of a present or absent value,
+    /// `Between` with inverted or extreme bounds, `In` in its mask form
+    /// (a span under 64) and in its sorted form.
+    fn ordered_leaf(rng: &mut StdRng, field: FieldId) -> Predicate {
+        match rng.gen_range(0..5) {
+            0 => Predicate::Equals { field, value: ordered_value(rng) },
+            1 => Predicate::Equals { field, value: 1_000 },
+            2 => Predicate::Between { field, lo: ordered_value(rng), hi: ordered_value(rng) },
+            3 => {
+                let values = (0..rng.gen_range(1..6)).map(|_| rng.gen_range(-8..8)).collect();
+                Predicate::in_values(field, values)
+            }
+            _ => {
+                let mut values: Vec<i64> =
+                    (0..rng.gen_range(0..5)).map(|_| ordered_value(rng)).collect();
+                values.push([i64::MIN, i64::MAX, 1_000_000][rng.gen_range(0..3usize)]);
+                Predicate::in_values(field, values)
+            }
+        }
+    }
+
+    /// An int leaf on the random column (0) or the constant one (1), alone
+    /// or in an `And` with a keyword or regex conjunct and maybe a second
+    /// int leaf.
+    fn ordered_pred(rng: &mut StdRng) -> Predicate {
+        let field = rng.gen_range(0..2);
+        let leaf = ordered_leaf(rng, field);
+        let other = match rng.gen_range(0..3) {
+            0 => return leaf,
+            1 => Predicate::ContainsAny { field: 2, mask: rng.gen_range(1..16) },
+            _ => Predicate::RegexMatch { field: 3, regex: Regex::new("^r|9").unwrap() },
+        };
+        let mut conjuncts = vec![other, leaf];
+        if rng.gen_bool(0.3) {
+            conjuncts.push(ordered_leaf(rng, 0));
+        }
+        Predicate::And(conjuncts)
+    }
+
+    fn ordered_store(n: usize, rng: &mut StdRng) -> AttrStore {
+        let words = ["red", "cat 9", "dog", ""];
+        let constant = ordered_value(rng);
+        AttrStore::builder()
+            .add_int("x", (0..n).map(|_| ordered_value(rng)).collect())
+            .add_int("c", vec![constant; n])
+            .add_keywords("kw", (0..n).map(|_| rng.gen_range(0..16)).collect())
+            .add_text("cap", (0..n).map(|_| words[rng.gen_range(0..4usize)].to_string()).collect())
+            .build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The ordered route's bitmap is the block kernels' and the
+        /// interpreter's, over the whole store and over unaligned spans cut
+        /// from one store-wide candidate bitmap; each span reports the
+        /// candidates in it.
+        #[test]
+        fn ordered_route_equals_the_blocks_and_the_interpreter(
+            seed in 0u64..u64::MAX,
+            n in prop::sample::select(vec![0usize, 1, 63, 64, 65, 200, 333]),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let s = ordered_store(n, &mut rng);
+            let mut all = Bitset::default();
+            let mut out = Bitset::full(400);
+            for _ in 0..8 {
+                let p = ordered_pred(&mut rng);
+                let c = CompiledPredicate::compile(&p);
+                let oracle = Bitset::from_ids(n, (0..n as u32).filter(|&i| p.eval(&s, i)));
+                for via in [Via::Ordered, Via::Blocks, Via::Rule] {
+                    prop_assert_eq!(&c.to_bitset_via(&s, via), &oracle, "{:?}", via);
+                }
+                if c.as_const().is_some() {
+                    continue;
+                }
+                let count = c.candidates_via(&s, 0, Via::Ordered, &mut all);
+                prop_assert!(count.is_some(), "{} has an indexed conjunct", p.describe(&s));
+                prop_assert_eq!((all.len(), Some(all.count())), (n, count));
+                #[allow(clippy::reversed_empty_ranges)]
+                c.ordered_range(&s, &all, 1..=0, &mut out);
+                prop_assert_eq!(&out, &Bitset::new(0), "an empty range is the empty universe");
+                let mut bounds = vec![0usize, 1, 63, 64, 65, 130, 199];
+                bounds.extend((0..3).map(|_| rng.gen_range(0..n.max(1))));
+                bounds.retain(|&b| b < n);
+                for &start in &bounds {
+                    for &end in bounds.iter().filter(|&&end| end >= start) {
+                        let rows = start as u32..=end as u32;
+                        let got = c.ordered_range(&s, &all, rows.clone(), &mut out);
+                        let mut blocks = Bitset::default();
+                        c.to_bitset_range(&s, rows, &mut blocks);
+                        prop_assert_eq!(&out, &blocks, "rows {}..={}", start, end);
+                        let want = Bitset::from_ids(
+                            end - start + 1,
+                            (start..=end).filter(|&r| oracle.get(r as u32)).map(|r| (r - start) as u32),
+                        );
+                        prop_assert_eq!(&out, &want, "rows {}..={}", start, end);
+                        let in_span = (start..=end).filter(|&r| all.get(r as u32)).count();
+                        prop_assert_eq!(got, in_span, "candidates in rows {}..={}", start, end);
+                    }
+                }
+            }
         }
     }
 

@@ -24,9 +24,12 @@
 //! chosen once per process by [`kernels::kernel_path`]), and [`memo`] provides
 //! the per-query tri-state [`MemoTable`]/[`MemoFilter`] so lazy graph
 //! search evaluates each row at most once per query. The hybrid query
-//! planner (`acorn_core::plan`) serves from the compiled block kernels:
-//! it materializes every segment's predicate into a bitmap and routes on the
-//! exact count.
+//! planner (`acorn_core::plan`) serves from the compiled program: it
+//! materializes every segment's predicate into a bitmap and routes on the
+//! exact count. A selective int `Equals`/`Between`/`In` (alone or as a
+//! conjunct) is set from the [`AttrStore`]'s value-ordered index of its
+//! column instead of evaluated row by row; one work rule in [`compiled`]
+//! picks that route or the block kernels.
 
 pub mod attrs;
 pub mod bitmap;
