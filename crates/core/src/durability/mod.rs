@@ -25,8 +25,8 @@
 //! file again beside the segment's current tombstone words. A checkpoint
 //! therefore costs the active segment plus whatever segments froze or merged
 //! since the last one, not the index. The byte formats are
-//! [`serialize`]'s: one segment-block codec inside three
-//! checksummed containers.
+//! [`serialize`]'s: checkpoints and segment files are containers of the
+//! same shape as an exported index, around the same segment block.
 //!
 //! # Commit protocol
 //!
@@ -92,7 +92,7 @@ use std::time::Instant;
 use acorn_hnsw::checksum::crc32;
 
 use crate::segment::MergeOutcome;
-use crate::serialize::{self, Checkpoint, SegmentFileRef};
+use crate::serialize::{self, SegmentFileRef};
 use crate::snapshot::{check_vector, SegmentPayload, SegmentSnapshot, SegmentView};
 use crate::SegmentedAcornIndex;
 
@@ -660,8 +660,9 @@ fn load_generation(
     dir: &Path,
     gen: u64,
 ) -> io::Result<(SegmentedAcornIndex, Vec<SegmentFileRef>)> {
-    Checkpoint::load(&vfs.read(&snap_path(dir, gen))?)?
-        .into_index(|seg| vfs.read(&seg_path(dir, seg.file)))
+    serialize::load_checkpoint(&vfs.read(&snap_path(dir, gen))?, |seg| {
+        vfs.read(&seg_path(dir, seg.file))
+    })
 }
 
 /// `refs` (one per frozen segment of `snap`, in order), each beside a weak
@@ -1065,9 +1066,9 @@ mod tests {
 
     #[test]
     fn a_directory_in_another_layout_is_invalid_data() {
-        // The store has one layout. A whole-index v6 file where a
-        // checkpoint belongs (what earlier stores wrote) is refused by its
-        // magic; so is a checkpoint offered as an index export.
+        // The store has one layout. An exported index where a checkpoint
+        // belongs (what earlier stores wrote) is refused by its magic; so is
+        // a checkpoint offered as an index export.
         let dir = tmp_dir("layout");
         let dim = 4;
         let idx = SegmentedAcornIndex::new(dim, params(), AcornVariant::One);

@@ -18,7 +18,7 @@
 //!
 //! The store hands a whole checkpoint or segment file to one `write_all`.
 //! A real kernel may persist any prefix of that, so the fault-injecting
-//! file accepts at most `WRITE_CAP` (512) bytes per `write` call (`Write`
+//! file accepts at most `WRITE_CAP` (256) bytes per `write` call (`Write`
 //! allows a short count; `write_all` comes back with the rest): a kill
 //! point falls every `WRITE_CAP` bytes of a large file and a torn write
 //! still persists a strict prefix. The granularity belongs to the fault
@@ -158,7 +158,7 @@ pub struct FaultPlan {
 }
 
 /// The most bytes one `write` call on a [`FailpointFile`] accepts.
-const WRITE_CAP: usize = 512;
+const WRITE_CAP: usize = 256;
 
 /// What a single injectable operation should do.
 enum Fire {

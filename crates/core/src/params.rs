@@ -91,18 +91,32 @@ impl AcornParams {
         self.s_min_override.unwrap_or(1.0 / self.gamma as f64)
     }
 
+    /// The one parameter rule: `Err` names the first condition broken.
+    /// [`validate`](Self::validate) panics with it; a loader turns it into
+    /// an error, since a corrupt file must not panic (the `M·γ` product is
+    /// checked, not computed, for the same reason).
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let budget = self.m.checked_mul(self.gamma);
+        if self.m < 2 {
+            Err(format!("M must be >= 2 (got {})", self.m))
+        } else if self.gamma < 1 {
+            Err(format!("gamma must be >= 1 (got {})", self.gamma))
+        } else if budget.filter(|&budget| self.m_beta <= budget).is_none() {
+            Err(format!("M_beta ({}) must be <= M*gamma ({}*{})", self.m_beta, self.m, self.gamma))
+        } else if self.ef_construction < 1 {
+            Err("ef_construction must be >= 1".into())
+        } else if self.compressed_levels < 1 {
+            Err("at least level 0 must be compressed".into())
+        } else {
+            Ok(())
+        }
+    }
+
     /// Panic with a clear message if parameters are inconsistent.
     pub fn validate(&self) {
-        assert!(self.m >= 2, "M must be >= 2 (got {})", self.m);
-        assert!(self.gamma >= 1, "gamma must be >= 1 (got {})", self.gamma);
-        assert!(
-            self.m_beta <= self.edge_budget(),
-            "M_beta ({}) must be <= M*gamma ({})",
-            self.m_beta,
-            self.edge_budget()
-        );
-        assert!(self.ef_construction >= 1, "ef_construction must be >= 1");
-        assert!(self.compressed_levels >= 1, "at least level 0 must be compressed");
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
 

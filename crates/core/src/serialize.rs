@@ -1,121 +1,78 @@
 //! Binary serialization for [`SegmentedAcornIndex`]: one little-endian,
-//! versioned, length-prefixed codec — no external serialization crates —
-//! behind three checksummed containers.
+//! length-prefixed codec — no external serialization crates — and one
+//! checksummed container that every file is an instance of.
 //!
-//! ## The v3 blob — one segment's graph
-//!
-//! Every segment block below ends in the graph (+ parameters) of its
-//! [`AcornIndex`], in the layout that used to be a file format of its own
-//! (hence the magic and version it still leads with; nothing outside this
-//! module reads or writes it):
+//! ## The container
 //!
 //! ```text
-//! magic "ACRN" | version u32 | variant u8 | m u64 | gamma u64 | m_beta u64
-//! | efc u64 | metric u8 | seed u64 | s_min f64 (NaN = none) | n_c u64
-//! | flatten u8 | nodes u64 | per node: level u8, per level: len u32, ids [u32]
-//! | edges_pruned u64 | compacted u8
+//! magic | version u32 | manifest | per frozen segment: entry
+//! | active block | active tombstone words | CRC32 footer
 //! ```
 //!
-//! The trailing `compacted` flag records whether the index was
-//! [sealed](AcornIndex::seal) when saved. A sealed index's graph has a node
-//! per row of its block; an unsealed one — the active segment's, or a
-//! pending segment's — is its rows alone and writes no node. The active
-//! block's flag must be clear; a frozen block's is set once its graph is
-//! built. A blob whose node count disagrees with its flag is refused.
+//! The magic says which kind of file it is; all three kinds share one
+//! `FORMAT_VERSION`, and a loader refuses another kind's magic and any
+//! other version (there is no reader for an older one):
+//!
+//! | magic | file | frozen entry |
+//! |---|---|---|
+//! | `ACRN` | the export: [`SegmentSnapshot::save`] / [`SegmentedAcornIndex::load`] | block, tombstone words |
+//! | `ACCP` | a durable store's checkpoint, one per generation | file reference, tombstone words |
+//! | `ACSG` | a durable store's segment file, one per frozen segment | — |
+//!
+//! A segment file is `ACSG | version | block | CRC32 footer`: no manifest
+//! (it is decoded under the checkpoint's) and no tombstones (a frozen
+//! segment is immutable but for those, so they live in each checkpoint's
+//! entry and the file is written once). A checkpoint's file reference is
+//! `file u64 | len u64 | crc u32 | rows u64`: the `<n>` of `seg-<n>.acorn`,
+//! and the length, footer and row count the file must have, so a checkpoint
+//! can only ever be joined with the files it was written against.
+//!
+//! ## The manifest
+//!
+//! Written once per file, it holds what every block is decoded under:
+//!
+//! ```text
+//! variant u8 | m u64 | gamma u64 | m_beta u64 | efc u64 | metric u8
+//! | seed u64 | s_min f64 (NaN = none) | n_c u64 | flatten u8
+//! | dim u64 | next_global u64
+//! | min_rows u64 | max_tombstone_fraction f64 | active_max_rows u64
+//! | frozen count u64
+//! ```
+//!
+//! The parameters are those the index was created with; each segment's
+//! index carries them as `resolve_params` turns them for the variant.
+//! There is no field for [`AcornParams::prune`], so only
+//! [`PruneStrategy::AcornCompress`] can be saved.
 //!
 //! ## The segment block
 //!
-//! Everything below stores a segment as the same block, written by one
-//! encoder and read by one decoder:
-//!
 //! ```text
-//! encoding u8 (always 0 = f32)
-//! | n u64 | global_ids [u64; n] | tombstone words [u64; ceil(n/64)]
-//! | vectors [f32; n · dim] | embedded v3 index blob
+//! n u64 | global_ids [u64; n] | vectors [f32; n · dim] | sealed u8
+//! | if sealed, per node: level u8, per level: len u32, ids [u32; len]
+//! | edges_pruned u64
 //! ```
 //!
-//! The vectors are embedded beside the graph: the segmented index owns its
-//! per-segment stores (rows arrive one at a time through `insert`), so a
-//! loaded index resumes serving **and accepting writes** with no external
-//! store to re-attach. Row data, id maps, tombstone words and neighbor lists
-//! are converted to and from little-endian a slice at a time, and the decoder
-//! works on bytes already in memory, so every count it reads is checked
-//! against the bytes actually present before anything is allocated for it —
-//! a corrupt length fails with `InvalidData` or `UnexpectedEof` instead of
-//! a giant allocation.
+//! The vectors are stored beside the graph: the segmented index owns its
+//! per-segment stores, so a loaded index resumes serving **and accepting
+//! writes** with no external store to re-attach. A sealed block has a node
+//! per row; an unsealed one — the active segment's, or a pending segment's
+//! — is its rows alone and prunes no edge. The active block must be
+//! unsealed, and a frozen block must not be empty. Tombstone words
+//! (`[u64; ceil(n/64)]`, no bit past the last row) follow each block in
+//! its container, never inside it.
 //!
-//! The decoder turns a block straight into the [`SegmentView`] the index
-//! serves — there is no intermediate "loaded segment" form — and the
-//! manifest fields ahead of the blocks into epoch 0 of the loaded index's
-//! [`SegmentSnapshot`], to which the views are attached once the
-//! cross-segment checks pass. It is told the block's *role* and holds the
-//! embedded `compacted` flag to it. Either block's per-node lists are decoded
-//! by one decoder, into [`CsrGraph`] arenas through the validating
-//! [`CsrBuilder`] (node count, level, list length and every edge target
-//! checked; the same entry point the nested graph would have picked). A
-//! sealed block serves those arenas as they are — no nested graph is built
-//! only to be frozen.
+//! ## Reading
 //!
-//! ## Retired quantization fields
-//!
-//! Two fields of a removed SQ8 segment tier stay, so that files keep every
-//! byte: the segment block's leading encoding tag, always `0`, and the
-//! manifest's 9-byte quantization field (`flag u8 | rerank depth u64`),
-//! written as the unquantized default always wrote it (`0`, then `32`) and
-//! skipped on load. A tag or flag of `1` — a quantized segment — is refused
-//! with `InvalidData`. The next format version drops both fields together
-//! with the nested v3 header.
-//!
-//! ## Format v6 — the one-file export of a segmented index
-//!
-//! [`SegmentSnapshot::save`] / [`SegmentedAcornIndex::load`] files share the
-//! magic but use version 6 (the only segmented version; 4 and 5 were
-//! footerless predecessors that no deployed file ever used and `load`
-//! refuses): the shared parameter header, then the segment manifest —
-//! `dim`, `next_global`, the [`MergePolicy`], the retired quantization
-//! field (`0 u8 | 32 u64`), the frozen-segment count — and one
-//! block per segment (frozen segments first, the active segment last).
-//!
-//! The body is followed by a 4-byte footer: the CRC32 (IEEE) of every
-//! preceding byte, magic and version included. [`SegmentedAcornIndex::load`]
-//! verifies the footer over the **whole file before parsing a single body
-//! field**, so no length read out of a torn or bit-rotted file is ever
-//! trusted — corruption anywhere yields a clean `InvalidData` error, never
-//! a panic or an attempted giant allocation. The per-field structural
-//! guards still run on the body after the checksum passes, as defense in
-//! depth: every count in the manifest is cross-checked against the vector
-//! data and the embedded graph, and trailing bytes after the body are
-//! rejected.
-//!
-//! ## Segment files and checkpoints — the durable store's containers
-//!
-//! The [`durability`](crate::durability) layer stores the same state as
-//! files whose cost follows what changed. A frozen segment is immutable but
-//! for its tombstones, so it is written once, as a **segment file**:
-//!
-//! ```text
-//! magic "ACSG" | version u32 | dim u64 | segment block | CRC32 footer
-//! ```
-//!
-//! and each generation's **checkpoint** holds the manifest fields, one
-//! reference per frozen segment and the active segment's block:
-//!
-//! ```text
-//! magic "ACCP" | version u32 | parameter header | dim | next_global
-//! | merge policy | retired quantization field | frozen count
-//! | per frozen segment: file u64, len u64, crc u32, rows u64,
-//!                       tombstone words [u64; ceil(rows/64)]
-//! | active segment block | CRC32 footer
-//! ```
-//!
-//! A reference pins the segment file's number, byte length and footer, so a
-//! checkpoint can only ever be joined with the files it was written
-//! against. The tombstone words in the checkpoint are the current ones and
-//! replace whatever the block carried when its file was written. Both
-//! containers are verified like v6 — footer over the whole file first, then
-//! the same structural guards — and a loaded store goes through the same
-//! cross-segment checks as a loaded export. Each container versions on its
-//! own: a change to the segment block bumps the two numbers that embed it.
+//! The footer — the CRC32 (IEEE) of every preceding byte — is checked over
+//! the whole file **before a single body field is parsed**, so no length
+//! read out of a torn or bit-rotted file is ever trusted. The structural
+//! guards still run on the body as defense in depth: every count is
+//! checked against the bytes present before anything is allocated for it,
+//! global ids must ascend below `next_global`, a block's per-node lists go
+//! straight into [`CsrGraph`] arenas through the validating [`CsrBuilder`]
+//! (level, list length and every edge target checked), gid ranges must not
+//! overlap across segments, and trailing bytes are refused. A loaded store
+//! goes through the same cross-segment checks as a loaded export.
 //!
 //! [`CsrGraph`]: acorn_hnsw::CsrGraph
 //! [`CsrBuilder`]: acorn_hnsw::csr::CsrBuilder
@@ -125,7 +82,7 @@ use std::sync::Arc;
 
 use acorn_hnsw::checksum::{crc32, ChecksumWriter};
 use acorn_hnsw::csr::CsrBuilder;
-use acorn_hnsw::{Metric, VectorStore};
+use acorn_hnsw::{CsrGraph, GraphView, Metric, VectorStore};
 use acorn_predicate::Bitset;
 
 use crate::index::{resolve_params, AcornIndex};
@@ -134,24 +91,21 @@ use crate::prune::PruneStrategy;
 use crate::segment::{MergePolicy, SegmentedAcornIndex};
 use crate::snapshot::{SegmentPayload, SegmentSnapshot, SegmentView};
 
-const MAGIC: &[u8; 4] = b"ACRN";
-const VERSION: u32 = 3;
-/// The segmented format: the body followed by a CRC32 footer over every
-/// preceding byte, verified before any body field is parsed.
-const SEGMENTED_V6: u32 = 6;
-const SEGMENT_FILE_MAGIC: &[u8; 4] = b"ACSG";
-const SEGMENT_FILE_VERSION: u32 = 1;
-const CHECKPOINT_MAGIC: &[u8; 4] = b"ACCP";
-const CHECKPOINT_VERSION: u32 = 1;
-/// The only encoding, f32 rows: every block's tag and the manifest's flag.
-const ENC_F32: u8 = 0;
-/// The retired SQ8 encoding, as a block tag or the manifest's flag.
-const ENC_SQ8: u8 = 1;
-/// The retired manifest field's rerank depth, as the default policy wrote it.
-const RETIRED_RERANK_K: u64 = 32;
+/// The version every container kind is written with and the only one read.
+const FORMAT_VERSION: u32 = 7;
 /// Upper bound on a plausible vector dimensionality; a corrupt `dim` above
 /// this fails cleanly instead of sizing row buffers from garbage.
 const MAX_DIM: usize = 1 << 20;
+
+/// One kind of container: the magic its files lead with, and its name.
+struct Kind {
+    magic: &'static [u8; 4],
+    name: &'static str,
+}
+
+const EXPORT: Kind = Kind { magic: b"ACRN", name: "index" };
+const CHECKPOINT: Kind = Kind { magic: b"ACCP", name: "checkpoint" };
+const SEGMENT_FILE: Kind = Kind { magic: b"ACSG", name: "segment" };
 
 fn put_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
@@ -223,20 +177,31 @@ fn get_le<T, const N: usize>(
     Ok(bytes.chunks_exact(N).map(|c| le(c.try_into().expect("N-byte chunk"))).collect())
 }
 
-fn bad(msg: &str) -> io::Error {
+fn bad(msg: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Run `body` against `w` behind a buffer and the checksummer, then append
-/// the CRC32 of everything it wrote as the (unhashed) 4-byte footer.
-/// Returns that sum. The buffer turns the body's field-sized writes into
-/// runs the checksummer and `w` take in one call each; slices larger than
-/// the buffer pass straight through.
+fn invalid_input(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, msg)
+}
+
+/// What a container's body is written into: a buffer in front of the
+/// checksummer in front of the file.
+type Sink<W> = BufWriter<ChecksumWriter<W>>;
+
+/// Write a container of `kind` to `w`: its magic and [`FORMAT_VERSION`],
+/// what `body` writes, and the CRC32 of all of it as the (unhashed) 4-byte
+/// footer, which is returned. The buffer turns the body's field-sized
+/// writes into runs the checksummer and `w` take in one call each; slices
+/// larger than the buffer pass straight through.
 fn with_footer<W: Write>(
     w: W,
-    body: impl FnOnce(&mut BufWriter<ChecksumWriter<W>>) -> io::Result<()>,
+    kind: &Kind,
+    body: impl FnOnce(&mut Sink<W>) -> io::Result<()>,
 ) -> io::Result<u32> {
     let mut buffered = BufWriter::with_capacity(64 << 10, ChecksumWriter::new(w));
+    buffered.write_all(kind.magic)?;
+    put_u32(&mut buffered, FORMAT_VERSION)?;
     body(&mut buffered)?;
     let mut summed = buffered.into_inner().map_err(io::IntoInnerError::into_error)?;
     let sum = summed.sum();
@@ -244,41 +209,37 @@ fn with_footer<W: Write>(
     Ok(sum)
 }
 
-/// Split a footered file into its body and the sum the footer records,
-/// after checking that sum over the whole body.
-fn footer_checked<'a>(file: &'a [u8], what: &str) -> io::Result<(&'a [u8], u32)> {
-    let Some(body_len) = file.len().checked_sub(4) else {
-        return Err(bad(&format!("{what} too short for its checksum footer")));
-    };
-    let (body, footer) = file.split_at(body_len);
+/// Open a container of `kind`: its magic and version checked, then its
+/// footer over the whole file, and the body between them handed back with
+/// the footer's sum.
+fn container_body<'a>(file: &'a [u8], kind: &Kind) -> io::Result<(&'a [u8], u32)> {
+    let Kind { magic, name } = kind;
+    if file.len() < 8 || &file[..4] != *magic {
+        return Err(bad(format!("not an ACORN {name} file")));
+    }
+    let version = u32::from_le_bytes(file[4..8].try_into().expect("4 version bytes"));
+    if version != FORMAT_VERSION {
+        return Err(bad(format!(
+            "unsupported ACORN {name} file version {version} (this build reads {FORMAT_VERSION})"
+        )));
+    }
+    let (body, footer) = file.split_at(file.len() - 4);
     let sum = u32::from_le_bytes(footer.try_into().expect("4 footer bytes"));
-    if crc32(body) != sum {
-        return Err(bad(&format!("{what} checksum mismatch (torn or corrupt file)")));
+    if file.len() < 12 || crc32(body) != sum {
+        return Err(bad(format!("{name} file checksum mismatch (torn or corrupt file)")));
     }
-    Ok((body, sum))
-}
-
-/// Open one of the durable store's containers: `magic` and `version` up
-/// front, the footer checked over the whole file, and what lies between
-/// them handed back with the footer's sum.
-fn container_body<'a>(
-    file: &'a [u8],
-    magic: &[u8; 4],
-    version: u32,
-    what: &str,
-) -> io::Result<(&'a [u8], u32)> {
-    if file.len() < 8 || &file[..4] != magic {
-        return Err(bad(&format!("not an ACORN {what}")));
-    }
-    if file[4..8] != version.to_le_bytes() {
-        return Err(bad(&format!("unsupported ACORN {what} version")));
-    }
-    let (body, sum) = footer_checked(file, what)?;
     Ok((&body[8..], sum))
 }
 
-/// The parameter header shared by v3 (per index) and the segmented
-/// containers (top level and per embedded segment): variant tag, then every
+/// Refuse whatever of a container's body its decoder left unread.
+fn finished(r: &[u8], kind: &Kind) -> io::Result<()> {
+    if !r.is_empty() {
+        return Err(bad(format!("trailing bytes after the {} file body", kind.name)));
+    }
+    Ok(())
+}
+
+/// The manifest's parameter header: variant tag, then every
 /// [`AcornParams`] field but `prune`, which the format has no field for.
 ///
 /// # Errors
@@ -287,10 +248,10 @@ fn container_body<'a>(
 /// different graph than the never-saved index.
 fn put_header(w: &mut impl Write, variant: AcornVariant, p: &AcornParams) -> io::Result<()> {
     if p.prune != PruneStrategy::AcornCompress {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("only AcornCompress pruning can be saved, not {:?}", p.prune),
-        ));
+        return Err(invalid_input(format!(
+            "only AcornCompress pruning can be saved, not {:?}",
+            p.prune
+        )));
     }
     w.write_all(&[match variant {
         AcornVariant::Gamma => 0u8,
@@ -319,134 +280,25 @@ fn get_header(r: &mut impl Read) -> io::Result<(AcornVariant, AcornParams)> {
         1 => AcornVariant::One,
         _ => return Err(bad("unknown variant tag")),
     };
-    let m = get_u64(r)? as usize;
-    let gamma = get_u64(r)? as usize;
-    let m_beta = get_u64(r)? as usize;
-    let ef_construction = get_u64(r)? as usize;
-    let metric = match get_u8(r)? {
-        0 => Metric::L2,
-        1 => Metric::InnerProduct,
-        2 => Metric::Cosine,
-        _ => return Err(bad("unknown metric tag")),
-    };
-    let seed = get_u64(r)?;
-    let s_min = get_f64(r)?;
-    let s_min_override = if s_min.is_nan() { None } else { Some(s_min) };
-    let compressed_levels = get_u64(r)? as usize;
-    let flatten_hierarchy = get_u8(r)? != 0;
+    // The fields are read in the order they are written.
     let params = AcornParams {
-        m,
-        gamma,
-        m_beta,
-        ef_construction,
-        metric,
-        seed,
+        m: get_u64(r)? as usize,
+        gamma: get_u64(r)? as usize,
+        m_beta: get_u64(r)? as usize,
+        ef_construction: get_u64(r)? as usize,
+        metric: match get_u8(r)? {
+            0 => Metric::L2,
+            1 => Metric::InnerProduct,
+            2 => Metric::Cosine,
+            _ => return Err(bad("unknown metric tag")),
+        },
+        seed: get_u64(r)?,
         prune: PruneStrategy::AcornCompress,
-        s_min_override,
-        compressed_levels,
-        flatten_hierarchy,
+        s_min_override: Some(get_f64(r)?).filter(|s| !s.is_nan()),
+        compressed_levels: get_u64(r)? as usize,
+        flatten_hierarchy: get_u8(r)? != 0,
     };
     Ok((variant, params))
-}
-
-impl AcornIndex {
-    /// Write the v3 blob (graph + parameters, not the vectors) to `w`.
-    ///
-    /// # Errors
-    /// `InvalidInput` unless the index prunes with
-    /// [`PruneStrategy::AcornCompress`] (see [`put_header`]); the ablation
-    /// strategies are research knobs of in-memory graphs.
-    fn save(&self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(MAGIC)?;
-        put_u32(w, VERSION)?;
-        put_header(w, self.variant(), self.params())?;
-
-        let g = self.graph_view();
-        let nodes = g.map_or(0, |g| g.len());
-        put_u64(w, nodes as u64)?;
-        for v in 0..nodes as u32 {
-            let g = g.expect("an index with nodes has a graph");
-            let level = g.level_of(v);
-            // The format stores levels as one byte. Real graphs top out
-            // around level ~10 (geometric level distribution), so > 255 is
-            // pathological — but silently truncating it would corrupt the
-            // file, so refuse instead.
-            let level_byte = u8::try_from(level).map_err(|_| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("node {v} has level {level}, exceeding the format maximum of 255"),
-                )
-            })?;
-            w.write_all(&[level_byte])?;
-            for lev in 0..=level {
-                let list = g.neighbors(v, lev);
-                put_u32(w, list.len() as u32)?;
-                put_le(w, list, u32::to_le_bytes)?;
-            }
-        }
-        put_u64(w, self.edges_pruned())?;
-        w.write_all(&[self.csr().is_some() as u8])?;
-        Ok(())
-    }
-
-    /// A v3 blob over `vecs` (the rows of its block): a sealed index, its
-    /// per-node lists decoded into CSR arenas through the validating
-    /// [`CsrBuilder`] — the one neighbor-list decoder — or, when the blob's
-    /// `compacted` flag is clear, the rows alone.
-    ///
-    /// # Errors
-    /// Returns `InvalidData` on magic/version mismatch, if the graph has
-    /// neither as many nodes as `vecs` has rows nor none, if its node count
-    /// disagrees with the flag (`role` names the block in the message), and
-    /// on any list the builder refuses; `UnexpectedEof` for a list length
-    /// the bytes present cannot hold.
-    fn load(r: &mut &[u8], vecs: Arc<VectorStore>, role: Role) -> io::Result<AcornIndex> {
-        if take(r, 4, 1)? != MAGIC {
-            return Err(bad("not an ACORN index file"));
-        }
-        if get_u32(r)? != VERSION {
-            return Err(bad("unsupported ACORN index version"));
-        }
-        let (variant, params) = get_header(r)?;
-        let nodes = get_u64(r)? as usize;
-        if nodes != vecs.len() && nodes != 0 {
-            return Err(bad("vector store size does not match serialized index"));
-        }
-        let mut csr = CsrBuilder::new(nodes);
-        for _ in 0..nodes {
-            let level = get_u8(r)? as usize;
-            csr.push_node(level).map_err(bad)?;
-            for _ in 0..=level {
-                let len = get_u32(r)? as usize;
-                let ids = take(r, len, 4)?.chunks_exact(4);
-                csr.push_list(ids.map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk"))))
-                    .map_err(bad)?;
-            }
-        }
-        let graph = csr.finish().map_err(bad)?;
-        let edges_pruned = get_u64(r)?;
-        match (get_u8(r)? != 0, role) {
-            (true, Role::Active) => Err(bad("the active segment must not be sealed")),
-            (true, Role::Frozen) if nodes != vecs.len() => {
-                Err(bad("a sealed segment must hold a graph of every row"))
-            }
-            (true, Role::Frozen) => {
-                Ok(AcornIndex::from_sealed_parts(params, variant, vecs, graph, edges_pruned))
-            }
-            (false, _) if nodes != 0 => Err(bad("an unsealed segment must hold its rows alone")),
-            (false, _) => Ok(AcornIndex::rows(vecs, params, variant)),
-        }
-    }
-}
-
-/// The fields ahead of the segment blocks, shared by the v6 export and the
-/// store's checkpoints: the top-level configuration every block is held to.
-struct Manifest {
-    /// Epoch 0 of the index being loaded, its segments not yet attached.
-    state: SegmentSnapshot,
-    /// What `save` wrote into every embedded blob: `params` after the
-    /// variant override [`AcornIndex::new`] applies.
-    expected_params: AcornParams,
 }
 
 /// Whether the manifest can hold `fraction` as a merge policy's
@@ -456,7 +308,7 @@ fn tombstone_fraction_fits(fraction: f64) -> bool {
     fraction.is_finite() && fraction >= 0.0
 }
 
-/// Write the manifest fields of `snap`: parameters, sizes, merge policy.
+/// Write the manifest of `snap`.
 ///
 /// # Errors
 /// `InvalidInput` for what [`put_header`] refuses, and for a merge policy
@@ -465,13 +317,10 @@ fn tombstone_fraction_fits(fraction: f64) -> bool {
 fn put_manifest(w: &mut impl Write, snap: &SegmentSnapshot) -> io::Result<()> {
     let policy = snap.policy();
     if !tombstone_fraction_fits(policy.max_tombstone_fraction) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "merge policy tombstone fraction {} cannot be saved",
-                policy.max_tombstone_fraction
-            ),
-        ));
+        return Err(invalid_input(format!(
+            "merge policy tombstone fraction {} cannot be saved",
+            policy.max_tombstone_fraction
+        )));
     }
     put_header(w, snap.variant(), snap.params())?;
     put_u64(w, snap.dim() as u64)?;
@@ -479,26 +328,18 @@ fn put_manifest(w: &mut impl Write, snap: &SegmentSnapshot) -> io::Result<()> {
     put_u64(w, policy.min_rows as u64)?;
     w.write_all(&policy.max_tombstone_fraction.to_le_bytes())?;
     put_u64(w, policy.active_max_rows as u64)?;
-    w.write_all(&[ENC_F32])?;
-    put_u64(w, RETIRED_RERANK_K)?;
     put_u64(w, snap.frozen_segments().len() as u64)
 }
 
-/// Inverse of [`put_manifest`]: the manifest and the frozen-segment count.
-fn get_manifest(r: &mut impl Read) -> io::Result<(Manifest, usize)> {
+/// Inverse of [`put_manifest`]: epoch 0 of the index being loaded, its
+/// segments not yet attached, and the frozen-segment count. Parameters
+/// `AcornParams::check` refuses are `InvalidData`, never a panic.
+fn get_manifest(r: &mut &[u8]) -> io::Result<(SegmentSnapshot, usize)> {
     let (variant, params) = get_header(r)?;
-    // `AcornParams::validate` panics; a corrupt file must error instead.
-    if params.m < 2
-        || params.gamma < 1
-        || params.m_beta > params.edge_budget()
-        || params.ef_construction < 1
-        || params.compressed_levels < 1
-    {
-        return Err(bad("inconsistent parameters in segmented index header"));
-    }
+    params.check().map_err(|e| bad(format!("inconsistent parameters in the manifest: {e}")))?;
     let dim = get_u64(r)? as usize;
     if dim == 0 || dim > MAX_DIM {
-        return Err(bad("implausible vector dimension in segmented index header"));
+        return Err(bad("implausible vector dimension in the manifest"));
     }
     let next_global = get_u64(r)?;
     let min_rows = get_u64(r)? as usize;
@@ -508,68 +349,49 @@ fn get_manifest(r: &mut impl Read) -> io::Result<(Manifest, usize)> {
     }
     let active_max_rows = get_u64(r)? as usize;
     let policy = MergePolicy { min_rows, max_tombstone_fraction, active_max_rows };
-    match get_u8(r)? {
-        ENC_F32 => {}
-        ENC_SQ8 => return Err(quantized()),
-        _ => return Err(bad("invalid quantization policy flag")),
-    }
-    get_u64(r)?;
-
-    // Every segment was built from the top-level configuration (with the
-    // ACORN-1 override applied by `AcornIndex::new`); reconstruct that
-    // expectation once and hold each embedded header to it.
-    let expected_params = resolve_params(params.clone(), variant);
-    let nseg = get_u64(r)? as usize;
+    let frozen = get_u64(r)? as usize;
     let state =
         SegmentSnapshot { next_global, policy, ..SegmentSnapshot::empty(params, variant, dim) };
-    Ok((Manifest { state, expected_params }, nseg))
+    Ok((state, frozen))
 }
 
-/// The error for a file holding a retired SQ8 segment.
-fn quantized() -> io::Error {
-    bad("quantized segments are not supported")
-}
-
-/// One segment block: the encoding tag, then the row count, global ids,
-/// tombstones, vector data, and the embedded v3 index blob
-/// (self-delimiting).
-fn put_segment(w: &mut impl Write, seg: &SegmentView) -> io::Result<()> {
+/// One segment block; `None` writes the block of an empty active segment
+/// (no row, unsealed, no edge pruned), so the bytes do not depend on
+/// whether the writer had published a view of it.
+///
+/// # Errors
+/// `InvalidInput` for a node above level 255, which the level byte cannot
+/// hold (no graph grows one: `LayeredGraph::add_node` refuses it).
+fn put_block(w: &mut impl Write, seg: Option<&SegmentView>) -> io::Result<()> {
+    let Some(seg) = seg else {
+        put_u64(w, 0)?;
+        w.write_all(&[0])?;
+        return put_u64(w, 0);
+    };
     let index = seg.index();
-    w.write_all(&[ENC_F32])?;
-    put_u64(w, seg.global_ids().len() as u64)?;
+    put_u64(w, seg.rows() as u64)?;
     put_le(w, seg.global_ids(), u64::to_le_bytes)?;
-    put_le(w, seg.tombstones().words(), u64::to_le_bytes)?;
     put_le(w, index.vectors().as_flat(), f32::to_le_bytes)?;
-    index.save(w)
-}
-
-/// The active segment's block. With no published active view (empty or
-/// just sealed) that is the block an empty active segment would produce —
-/// zero rows, then the blob of no rows carrying the expected header — so the
-/// layout is invariant to whether the writer happened to have an unsealed
-/// row in flight.
-fn put_active(w: &mut impl Write, snap: &SegmentSnapshot) -> io::Result<()> {
-    if let Some(seg) = snap.active_segment() {
-        return put_segment(w, seg);
+    let csr = index.csr();
+    w.write_all(&[csr.is_some() as u8])?;
+    if let Some(csr) = csr {
+        for v in 0..csr.len() as u32 {
+            let level = csr.level_of(v);
+            let byte = u8::try_from(level)
+                .map_err(|_| invalid_input(format!("node {v} has level {level}, above 255")))?;
+            w.write_all(&[byte])?;
+            for lev in 0..=level {
+                let list = csr.neighbors(v, lev);
+                put_u32(w, list.len() as u32)?;
+                put_le(w, list, u32::to_le_bytes)?;
+            }
+        }
     }
-    w.write_all(&[ENC_F32])?;
-    put_u64(w, 0)?;
-    let (params, variant) = (resolve_params(snap.params().clone(), snap.variant()), snap.variant());
-    AcornIndex::rows(Arc::new(VectorStore::new(snap.dim())), params, variant).save(w)
+    put_u64(w, index.edges_pruned())
 }
 
-/// `n` rows' tombstone words, with no bit set beyond the last row.
-fn get_tombstones(r: &mut &[u8], n: usize) -> io::Result<Bitset> {
-    let words = get_le(r, n.div_ceil(64), u64::from_le_bytes)?;
-    let rem = n % 64;
-    if rem != 0 && words.last().is_some_and(|&w| w >> rem != 0) {
-        return Err(bad("tombstone bits set beyond the segment's row count"));
-    }
-    Ok(Bitset::from_words(n, words))
-}
-
-/// Which segment of the index a block holds, and so which state its
-/// embedded index must be in.
+/// Which segment of the index a block holds, and so which state it must
+/// be in.
 #[derive(Clone, Copy)]
 enum Role {
     /// Non-empty: sealed, or pending its graph.
@@ -578,49 +400,111 @@ enum Role {
     Active,
 }
 
-/// Inverse of [`put_segment`] — the block decodes into the [`SegmentView`]
-/// the index will serve — with every count cross-checked against the bytes
-/// present and against `m`: a disagreeing embedded header means
-/// corruption: segments searched under a different metric or seed would
-/// merge incommensurable distances.
-fn get_segment(r: &mut &[u8], m: &Manifest, role: Role) -> io::Result<SegmentView> {
-    let (dim, next_global) = (m.state.dim, m.state.next_global);
-    match get_u8(r)? {
-        ENC_F32 => {}
-        ENC_SQ8 => return Err(quantized()),
-        _ => return Err(bad("unknown segment encoding tag")),
-    }
-
+/// Inverse of [`put_block`], decoded under manifest `m`: the payload the
+/// index will serve, every count checked against the bytes present.
+fn get_block(r: &mut &[u8], m: &SegmentSnapshot, role: Role) -> io::Result<SegmentPayload> {
     let n = get_u64(r)? as usize;
     let global_ids = get_le(r, n, u64::from_le_bytes)?;
     if global_ids.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(bad("segment manifest global ids must be strictly ascending"));
+        return Err(bad("segment global ids must be strictly ascending"));
     }
-    if global_ids.last().is_some_and(|&g| g >= next_global) {
-        return Err(bad("segment manifest global id at or beyond next_global"));
+    if global_ids.last().is_some_and(|&g| g >= m.next_global) {
+        return Err(bad("segment global id at or beyond next_global"));
     }
-    let tombstones = get_tombstones(r, n)?;
-    // One conversion into a store of exactly the rows' size.
-    let rows = take(r, n, dim * 4)?;
-    let store = Arc::new(VectorStore::from_le_bytes(dim, rows));
-
     if matches!(role, Role::Frozen) && n == 0 {
         return Err(bad("frozen segments must not be empty"));
     }
-    // The embedded blob carries its own node count; the decoder rejects it
-    // unless it matches the store just rebuilt (or is 0 for rows alone) —
-    // the row-count guard.
-    let index = AcornIndex::load(r, store, role)?;
-    if index.variant() != m.state.variant || index.params() != &m.expected_params {
-        return Err(bad("embedded segment header disagrees with the segmented index header"));
-    }
-    Ok(SegmentView::new(SegmentPayload { index, global_ids }, tombstones))
+    // One conversion into a store of exactly the rows' size.
+    let vecs = Arc::new(VectorStore::from_le_bytes(m.dim, take(r, n, m.dim * 4)?));
+    let graph = match (get_u8(r)?, role) {
+        (0, _) => None,
+        (1, Role::Frozen) => Some(get_lists(r, n)?),
+        (1, Role::Active) => return Err(bad("the active segment must not be sealed")),
+        _ => return Err(bad("invalid sealed flag")),
+    };
+    let edges_pruned = get_u64(r)?;
+    let params = resolve_params(m.params.clone(), m.variant);
+    let index = match graph {
+        Some(csr) => AcornIndex::from_sealed_parts(params, m.variant, vecs, csr, edges_pruned),
+        None if edges_pruned == 0 => AcornIndex::rows(vecs, params, m.variant),
+        None => return Err(bad("an unsealed segment must hold its rows alone")),
+    };
+    Ok(SegmentPayload { index, global_ids })
 }
 
-/// The checks no single block can make, then the index: shared by the v6
-/// export and the store's checkpoint + segment files.
+/// A sealed block's per-node lists, for `n` nodes, decoded into CSR arenas
+/// through the validating [`CsrBuilder`].
+fn get_lists(r: &mut &[u8], n: usize) -> io::Result<CsrGraph> {
+    let mut csr = CsrBuilder::new(n);
+    for _ in 0..n {
+        let level = get_u8(r)? as usize;
+        csr.push_node(level).map_err(bad)?;
+        for _ in 0..=level {
+            let len = get_u32(r)? as usize;
+            let ids = take(r, len, 4)?.chunks_exact(4);
+            csr.push_list(ids.map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk"))))
+                .map_err(bad)?;
+        }
+    }
+    csr.finish().map_err(bad)
+}
+
+/// `payload` under the tombstone words that follow its entry's head: `n`
+/// rows' worth, with no bit set beyond the last row.
+fn get_view(r: &mut &[u8], payload: SegmentPayload) -> io::Result<SegmentView> {
+    let n = payload.global_ids.len();
+    let words = get_le(r, n.div_ceil(64), u64::from_le_bytes)?;
+    if n % 64 != 0 && words.last().is_some_and(|&w| w >> (n % 64) != 0) {
+        return Err(bad("tombstone bits set beyond the segment's row count"));
+    }
+    Ok(SegmentView::new(payload, Bitset::from_words(n, words)))
+}
+
+/// The one writer: `snap` as a container of `kind` — the manifest, each
+/// frozen segment's entry (what `head` writes of it, then its tombstone
+/// words) and the active segment's block and tombstone words.
+fn save_container<W: Write>(
+    w: W,
+    kind: &Kind,
+    snap: &SegmentSnapshot,
+    mut head: impl FnMut(&mut Sink<W>, usize, &SegmentView) -> io::Result<()>,
+) -> io::Result<()> {
+    with_footer(w, kind, |w| {
+        put_manifest(w, snap)?;
+        for (i, seg) in snap.frozen_segments().iter().enumerate() {
+            head(w, i, seg)?;
+            put_le(w, seg.tombstones().words(), u64::to_le_bytes)?;
+        }
+        let active = snap.active_segment();
+        put_block(w, active)?;
+        put_le(w, active.map_or(&[][..], |a| a.tombstones().words()), u64::to_le_bytes)
+    })
+    .map(drop)
+}
+
+/// The one reader: a container of `kind`, each frozen entry's head decoded
+/// by `head` under the manifest, then the checks no single block can make.
+fn load_container(
+    file: &[u8],
+    kind: &Kind,
+    mut head: impl FnMut(&mut &[u8], &SegmentSnapshot) -> io::Result<SegmentPayload>,
+) -> io::Result<SegmentedAcornIndex> {
+    let (mut r, _) = container_body(file, kind)?;
+    let (state, nseg) = get_manifest(&mut r)?;
+    let mut frozen = Vec::new();
+    for _ in 0..nseg {
+        let payload = head(&mut r, &state)?;
+        frozen.push(get_view(&mut r, payload)?);
+    }
+    let active = get_block(&mut r, &state, Role::Active)?;
+    let active = get_view(&mut r, active)?;
+    finished(r, kind)?;
+    assemble(state, frozen, active)
+}
+
+/// The checks no single block can make, then the index.
 fn assemble(
-    m: Manifest,
+    state: SegmentSnapshot,
     frozen: Vec<SegmentView>,
     active: SegmentView,
 ) -> io::Result<SegmentedAcornIndex> {
@@ -655,16 +539,16 @@ fn assemble(
         return Err(bad("segment global id ranges overlap"));
     }
 
-    Ok(SegmentedAcornIndex::from_loaded_parts(SegmentSnapshot { frozen, ..m.state }, active))
+    Ok(SegmentedAcornIndex::from_loaded_parts(SegmentSnapshot { frozen, ..state }, active))
 }
 
 impl SegmentSnapshot {
-    /// Serialize this snapshot — manifest, tombstones, vectors, and
-    /// per-segment graphs — to `w` (format v6: the body plus a CRC32 footer
-    /// over every byte written). A snapshot is immutable, so the bytes are
-    /// consistent *as of this epoch* no matter how many inserts, deletes,
-    /// or background merges land while the write is in flight; saving the
-    /// same snapshot twice yields identical bytes.
+    /// Serialize this snapshot — manifest, vectors, per-segment graphs and
+    /// tombstones — to `w` as one export file (see the [module
+    /// docs](self)). A snapshot is immutable, so the bytes are consistent
+    /// *as of this epoch* no matter how many inserts, deletes, or
+    /// background merges land while the write is in flight; saving the same
+    /// snapshot twice yields identical bytes.
     ///
     /// # Errors
     /// `InvalidInput` if the index prunes with anything but
@@ -673,16 +557,7 @@ impl SegmentSnapshot {
     /// merge policy's `max_tombstone_fraction` is NaN, negative or infinite
     /// (the loader would refuse the bytes).
     pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
-        with_footer(w, |w| {
-            w.write_all(MAGIC)?;
-            put_u32(w, SEGMENTED_V6)?;
-            put_manifest(w, self)?;
-            for seg in self.frozen_segments() {
-                put_segment(w, seg)?;
-            }
-            put_active(w, self)
-        })
-        .map(drop)
+        save_container(w, &EXPORT, self, |w, _, seg| put_block(w, Some(seg)))
     }
 }
 
@@ -693,47 +568,26 @@ impl SegmentedAcornIndex {
     /// immediately.
     ///
     /// # Errors
-    /// Returns `InvalidData` on magic/version mismatch, a checksum-footer
-    /// mismatch (torn or corrupt v6 file), trailing bytes after the body,
-    /// inconsistent parameters, a tombstone/segment manifest whose row
-    /// counts disagree with the embedded vector store or graph,
-    /// non-ascending / out-of-range / cross-segment-duplicated global ids,
-    /// overlapping segment gid ranges, tombstone bits beyond a segment's
-    /// rows, embedded segment headers that disagree with the top-level
-    /// configuration, a block whose graph disagrees with its `compacted`
-    /// flag, an active block that is sealed, and a quantized segment (see
-    /// the module docs).
+    /// Returns `InvalidData` for another kind of file or another format
+    /// version, a checksum-footer mismatch (torn or corrupt file), trailing
+    /// bytes after the body, inconsistent parameters, non-ascending /
+    /// out-of-range / cross-segment-duplicated global ids, overlapping
+    /// segment gid ranges, tombstone bits beyond a segment's rows, a
+    /// neighbor list the graph cannot hold, and a block whose sealed flag
+    /// disagrees with its role; `UnexpectedEof` for a count the bytes
+    /// present cannot hold.
     pub fn load(r: &mut impl Read) -> io::Result<SegmentedAcornIndex> {
-        // Checksum-first: slurp the stream (allocation bounded by bytes
-        // actually present, never by a parsed length), verify the footer
-        // over everything, and only then hand the body to the structural
-        // parser.
+        // Slurp the stream: the allocation is bounded by the bytes actually
+        // present, never by a parsed length.
         let mut file = Vec::new();
         r.read_to_end(&mut file)?;
-        if file.len() < 8 || &file[..4] != MAGIC {
-            return Err(bad("not an ACORN index file"));
-        }
-        if file[4..8] != SEGMENTED_V6.to_le_bytes() {
-            return Err(bad("unsupported ACORN index version"));
-        }
-        let (body, _) = footer_checked(&file, "segmented index")?;
-        let mut r = &body[8..];
-        let (m, nseg) = get_manifest(&mut r)?;
-        let mut frozen = Vec::new();
-        for _ in 0..nseg {
-            frozen.push(get_segment(&mut r, &m, Role::Frozen)?);
-        }
-        let active = get_segment(&mut r, &m, Role::Active)?;
-        if !r.is_empty() {
-            return Err(bad("trailing bytes after segmented index body"));
-        }
-        assemble(m, frozen, active)
+        load_container(&file, &EXPORT, |r, m| get_block(r, m, Role::Frozen))
     }
 }
 
 /// A checkpoint's reference to one segment file: which file, and the
-/// length and CRC32 footer it must have — the file as it was written, or
-/// not at all.
+/// length, CRC32 footer and rows it must have — the file as it was
+/// written, or not at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SegmentFileRef {
     /// The `<n>` of `seg-<n>.acorn`.
@@ -742,8 +596,7 @@ pub(crate) struct SegmentFileRef {
     pub(crate) len: u64,
     /// The file's footer: the CRC32 of every byte before it.
     pub(crate) crc: u32,
-    /// Rows in the segment (sizes the tombstone words beside the
-    /// reference).
+    /// Rows in the segment.
     pub(crate) rows: u64,
 }
 
@@ -754,107 +607,53 @@ pub(crate) fn save_segment_file(
     file: u64,
     seg: &SegmentView,
 ) -> io::Result<SegmentFileRef> {
-    let crc = with_footer(&mut *w, |w| {
-        w.write_all(SEGMENT_FILE_MAGIC)?;
-        put_u32(w, SEGMENT_FILE_VERSION)?;
-        put_u64(w, seg.index().vectors().dim() as u64)?;
-        put_segment(w, seg)
-    })?;
+    let crc = with_footer(&mut *w, &SEGMENT_FILE, |w| put_block(w, Some(seg)))?;
     Ok(SegmentFileRef { file, len: w.len() as u64, crc, rows: seg.rows() as u64 })
 }
 
-/// Write the checkpoint of `snap` to `w`: everything [`SegmentSnapshot::save`]
-/// writes, with each frozen segment's block replaced by `refs[i]` and its
-/// current tombstone words.
+/// Write the checkpoint of `snap` to `w`: the export with each frozen
+/// segment's block replaced by `refs[i]`, the reference to its file.
 pub(crate) fn save_checkpoint(
     w: &mut impl Write,
     snap: &SegmentSnapshot,
     refs: &[SegmentFileRef],
 ) -> io::Result<()> {
     debug_assert_eq!(refs.len(), snap.frozen_segments().len());
-    with_footer(w, |w| {
-        w.write_all(CHECKPOINT_MAGIC)?;
-        put_u32(w, CHECKPOINT_VERSION)?;
-        put_manifest(w, snap)?;
-        for (seg, r) in snap.frozen_segments().iter().zip(refs) {
-            put_u64(w, r.file)?;
-            put_u64(w, r.len)?;
-            put_u32(w, r.crc)?;
-            put_u64(w, r.rows)?;
-            put_le(w, seg.tombstones().words(), u64::to_le_bytes)?;
-        }
-        put_active(w, snap)
+    save_container(w, &CHECKPOINT, snap, |w, i, _| {
+        put_u64(w, refs[i].file)?;
+        put_u64(w, refs[i].len)?;
+        put_u32(w, refs[i].crc)?;
+        put_u64(w, refs[i].rows)
     })
-    .map(drop)
 }
 
-/// A decoded checkpoint: everything but the frozen segments' blocks, which
-/// [`into_index`](Self::into_index) fetches through their references.
-pub(crate) struct Checkpoint {
-    manifest: Manifest,
-    /// One per frozen segment, in segment order.
-    refs: Vec<SegmentFileRef>,
-    /// The frozen segments' tombstones as of the checkpoint.
-    tombstones: Vec<Bitset>,
-    active: SegmentView,
-}
-
-impl Checkpoint {
-    /// Decode a checkpoint file, footer first.
-    pub(crate) fn load(file: &[u8]) -> io::Result<Self> {
-        let (mut r, _) =
-            container_body(file, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint file")?;
-        let (manifest, nseg) = get_manifest(&mut r)?;
-        let mut refs = Vec::new();
-        let mut tombstones = Vec::new();
-        for _ in 0..nseg {
-            let (file, len) = (get_u64(&mut r)?, get_u64(&mut r)?);
-            let (crc, rows) = (get_u32(&mut r)?, get_u64(&mut r)?);
-            refs.push(SegmentFileRef { file, len, crc, rows });
-            tombstones.push(get_tombstones(&mut r, rows as usize)?);
+/// Load the index a checkpoint file was taken of, joined with its segment
+/// files — `read` fetches the one a reference names — and return it with
+/// the references in segment order. Each segment file must be the one its
+/// reference was written against (length, footer and rows), pass its own
+/// checksum and decode under the same guards as an export's block.
+pub(crate) fn load_checkpoint(
+    file: &[u8],
+    mut read: impl FnMut(&SegmentFileRef) -> io::Result<Vec<u8>>,
+) -> io::Result<(SegmentedAcornIndex, Vec<SegmentFileRef>)> {
+    let mut refs = Vec::new();
+    let index = load_container(file, &CHECKPOINT, |r, m| {
+        let (file, len, crc, rows) = (get_u64(r)?, get_u64(r)?, get_u32(r)?, get_u64(r)?);
+        let seg_ref = SegmentFileRef { file, len, crc, rows };
+        let bytes = read(&seg_ref)?;
+        let (mut body, sum) = container_body(&bytes, &SEGMENT_FILE)?;
+        if bytes.len() as u64 != len || sum != crc {
+            return Err(bad("segment file is not the one the checkpoint references"));
         }
-        let active = get_segment(&mut r, &manifest, Role::Active)?;
-        if !r.is_empty() {
-            return Err(bad("trailing bytes after checkpoint body"));
+        let payload = get_block(&mut body, m, Role::Frozen)?;
+        finished(body, &SEGMENT_FILE)?;
+        if payload.global_ids.len() as u64 != rows {
+            return Err(bad("segment file row count disagrees with the checkpoint"));
         }
-        Ok(Self { manifest, refs, tombstones, active })
-    }
-
-    /// Join the checkpoint with its segment files — `read` fetches the one
-    /// a reference names — into the index it was taken of, returned with
-    /// the references in segment order. Each file must be the one the
-    /// reference was written against (length and footer), pass its own
-    /// checksum over the whole file, and decode under the same guards as a
-    /// v6 block.
-    pub(crate) fn into_index(
-        self,
-        mut read: impl FnMut(&SegmentFileRef) -> io::Result<Vec<u8>>,
-    ) -> io::Result<(SegmentedAcornIndex, Vec<SegmentFileRef>)> {
-        let m = self.manifest;
-        let mut frozen = Vec::with_capacity(self.refs.len());
-        for (seg_ref, tombstones) in self.refs.iter().zip(self.tombstones) {
-            let file = read(seg_ref)?;
-            let (mut r, sum) =
-                container_body(&file, SEGMENT_FILE_MAGIC, SEGMENT_FILE_VERSION, "segment file")?;
-            if file.len() as u64 != seg_ref.len || sum != seg_ref.crc {
-                return Err(bad("segment file is not the one the checkpoint references"));
-            }
-            if get_u64(&mut r)? as usize != m.state.dim {
-                return Err(bad("segment file dimension disagrees with the checkpoint"));
-            }
-            let mut seg = get_segment(&mut r, &m, Role::Frozen)?;
-            if !r.is_empty() {
-                return Err(bad("trailing bytes after segment file body"));
-            }
-            if seg.rows() as u64 != seg_ref.rows {
-                return Err(bad("segment file row count disagrees with the checkpoint"));
-            }
-            seg.deleted = tombstones.count();
-            seg.tombstones = Arc::new(tombstones);
-            frozen.push(seg);
-        }
-        Ok((assemble(m, frozen, self.active)?, self.refs))
-    }
+        refs.push(seg_ref);
+        Ok(payload)
+    })?;
+    Ok((index, refs))
 }
 
 #[cfg(test)]
@@ -873,17 +672,29 @@ mod tests {
         Arc::new(s)
     }
 
-    /// The v3 blob of `idx`.
-    fn blob(idx: &AcornIndex) -> Vec<u8> {
+    /// `idx` as the block of a frozen segment holding gids `0..n`.
+    fn block(idx: &AcornIndex) -> Vec<u8> {
+        let n = idx.vectors().len();
+        let payload = SegmentPayload { index: idx.clone(), global_ids: (0..n as u64).collect() };
         let mut buf = Vec::new();
-        idx.save(&mut buf).unwrap();
+        put_block(&mut buf, Some(&SegmentView::new(payload, Bitset::new(n)))).unwrap();
         buf
     }
 
-    /// Decode a v3 blob the way a frozen segment's block is: sealed, or
-    /// rows alone, as its `compacted` flag says.
-    fn load_blob(buf: &[u8], vecs: Arc<VectorStore>) -> io::Result<AcornIndex> {
-        AcornIndex::load(&mut &*buf, vecs, Role::Frozen)
+    /// Decode a whole buffer as a frozen segment's block, under the manifest
+    /// of an index like `like`: its parameters, variant and dimension
+    /// (resolving an index's parameters again changes nothing).
+    fn load_block(buf: &[u8], like: &AcornIndex) -> io::Result<AcornIndex> {
+        let (params, variant) = (like.params().clone(), like.variant());
+        let dim = like.vectors().dim();
+        let m = SegmentSnapshot {
+            next_global: u64::MAX,
+            ..SegmentSnapshot::empty(params, variant, dim)
+        };
+        let mut r = buf;
+        let payload = get_block(&mut r, &m, Role::Frozen)?;
+        finished(r, &EXPORT)?;
+        Ok(payload.index)
     }
 
     /// A sealed index over `vecs`.
@@ -907,7 +718,7 @@ mod tests {
             AcornParams { m: 8, gamma: 4, m_beta: 16, ef_construction: 32, ..Default::default() };
         let idx = sealed(&vecs, params, AcornVariant::Gamma);
 
-        let loaded = load_blob(&blob(&idx), vecs.clone()).unwrap();
+        let loaded = load_block(&block(&idx), &idx).unwrap();
 
         assert_eq!(loaded.len(), idx.len());
         assert_eq!(loaded.variant(), idx.variant());
@@ -921,10 +732,14 @@ mod tests {
         let vecs = random_store(200, 4, 2);
         let params =
             AcornParams { m: 8, gamma: 6, m_beta: 8, ef_construction: 16, ..Default::default() };
-        let idx = sealed(&vecs, params, AcornVariant::One);
-        let loaded = load_blob(&blob(&idx), vecs).unwrap();
+        let idx = sealed(&vecs, params.clone(), AcornVariant::One);
+        // The manifest holds the parameters as given; the block's index
+        // carries them as ACORN-1 resolves them.
+        let like = AcornIndex::rows(vecs.clone(), params, AcornVariant::One);
+        let loaded = load_block(&block(&idx), &like).unwrap();
         assert_eq!(loaded.variant(), AcornVariant::One);
-        assert_eq!(loaded.params().s_min(), idx.params().s_min());
+        assert_eq!(loaded.params(), idx.params());
+        assert_eq!(loaded.params().s_min(), 1.0 / 6.0);
     }
 
     #[test]
@@ -932,30 +747,31 @@ mod tests {
         let vecs = random_store(400, 8, 6);
         let params =
             AcornParams { m: 8, gamma: 4, m_beta: 16, ef_construction: 32, ..Default::default() };
-        let plain = AcornIndex::build(vecs.clone(), params.clone(), AcornVariant::Gamma);
-        let idx = plain.clone().seal();
+        let idx = sealed(&vecs, params, AcornVariant::Gamma);
 
-        let buf = blob(&idx);
-        let loaded = load_blob(&buf, vecs.clone()).unwrap();
+        let buf = block(&idx);
+        let loaded = load_block(&buf, &idx).unwrap();
         assert!(loaded.csr().is_some(), "a sealed index must load sealed");
         let q = vec![0.3; 8];
         assert_eq!(search(&idx, &q), search(&loaded, &q));
 
-        // Rows alone round-trip as rows alone: no node, a clear flag.
+        // Rows alone round-trip as rows alone: the same rows, a clear flag,
+        // no list and no pruned edge.
         let rows = AcornIndex::rows(vecs.clone(), idx.params().clone(), AcornVariant::Gamma);
-        let rows_buf = blob(&rows);
-        let loaded = load_blob(&rows_buf, vecs.clone()).unwrap();
+        let rows_buf = block(&rows);
+        let flag = 8 + 400 * 8 + 400 * 8 * 4;
+        assert_eq!(rows_buf.len(), flag + 1 + 8);
+        assert_eq!((rows_buf[flag], buf[flag]), (0, 1));
+        assert_eq!(rows_buf[..flag], buf[..flag], "the same rows either way");
+        let loaded = load_block(&rows_buf, &idx).unwrap();
         assert!(loaded.is_empty() && loaded.csr().is_none() && loaded.graph().is_none());
         assert_eq!(loaded.vectors().len(), 400);
-        assert_eq!(rows_buf[rows_buf.len() - 1], 0);
 
-        // A growing graph's blob — its nodes under a clear flag — and a
-        // sealed one with its flag cleared are refused.
-        let plain_buf = blob(&plain);
-        let flag = buf.len() - 1;
-        assert_eq!((plain_buf[flag], buf[flag]), (0, 1));
-        assert_eq!(plain_buf[..flag], buf[..flag], "the same lists from either graph");
-        let err = load_blob(&plain_buf, vecs).unwrap_err();
+        // A sealed block with its flag cleared leaves its lists unread, and
+        // they do not pass for the zero pruned-edge count of rows alone.
+        let mut cleared = buf.clone();
+        cleared[flag] = 0;
+        let err = load_block(&cleared, &idx).unwrap_err();
         assert!(err.to_string().contains("must hold its rows alone"), "unexpected: {err}");
     }
 
@@ -965,14 +781,16 @@ mod tests {
         let params =
             AcornParams { m: 4, gamma: 2, m_beta: 4, ef_construction: 8, ..Default::default() };
         let idx = sealed(&vecs, params, AcornVariant::Gamma);
-        let buf = blob(&idx);
 
-        let mut corrupted = buf.clone();
-        corrupted[0] = b'X';
-        assert!(load_blob(&corrupted, vecs.clone()).is_err());
+        // A block read under another manifest's dimension runs off its rows.
+        let wider = AcornIndex::rows(random_store(1, 8, 4), idx.params().clone(), idx.variant());
+        assert!(load_block(&block(&idx), &wider).is_err());
 
-        let wrong_store = random_store(49, 4, 4);
-        assert!(load_blob(&buf, wrong_store).is_err());
+        let mut file = saved(&tiny_fixture());
+        file[0] = b'X';
+        let err = crate::SegmentedAcornIndex::load(&mut file.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("not an ACORN index file"), "unexpected: {err}");
     }
 
     #[test]
@@ -992,19 +810,18 @@ mod tests {
         let params =
             AcornParams { m: 4, gamma: 2, m_beta: 4, ef_construction: 8, ..Default::default() };
         let idx = sealed(&vecs, params, AcornVariant::Gamma);
-        let mut buf = blob(&idx);
-        // Layout: 4 magic + 4 version + 1 variant + 4×8 params + 1 metric
-        // + 8 seed + 8 s_min + 8 n_c + 1 flatten = 67 bytes of header, then
-        // 8 bytes of n, 1 byte of node-0 level, then node 0's first list
-        // length at offset 76. Corrupt it to an absurd value: load must
+        let mut buf = block(&idx);
+        // Layout: n 8 + 50 gids × 8 + 50 rows × 4 dims × 4 = 1208 bytes,
+        // then the sealed flag, node 0's level and node 0's first list
+        // length at offset 1210. Corrupt it to an absurd value: load must
         // error out — on the bytes present — instead of attempting a 16 GiB
         // allocation.
-        buf[76..80].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = load_blob(&buf, vecs.clone()).unwrap_err();
+        buf[1210..1214].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = load_block(&buf, &idx).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "unexpected: {err}");
         // A length the bytes could hold is still refused by the graph's size.
-        buf[76..80].copy_from_slice(&51u32.to_le_bytes());
-        let err = load_blob(&buf, vecs).unwrap_err();
+        buf[1210..1214].copy_from_slice(&51u32.to_le_bytes());
+        let err = load_block(&buf, &idx).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("neighbor list"), "unexpected message: {err}");
     }
@@ -1034,20 +851,53 @@ mod tests {
     /// `(length, CRC32 of everything before the footer)` of
     /// `saved(segmented_fixture)`; see
     /// `saved_bytes_are_those_of_the_two_layout_index`.
-    const FIXTURE_SUM: (usize, u32) = (16_338, 247_927_260);
+    const FIXTURE_SUM: (usize, u32) = (16_177, 2_272_716_043);
 
     /// Bytes before the first frozen segment block: magic 4 + version 4 +
-    /// header 59 + dim 8 + next_global 8 + policy 24 + quant 9 + nseg 8.
-    const SEG_HEADER_BYTES: usize = 124;
-    /// Offset of the fixture's first frozen segment's row count `n`: the
-    /// block leads with its 1-byte encoding tag.
-    const SEG_N_OFF: usize = SEG_HEADER_BYTES + 1;
+    /// header 59 + dim 8 + next_global 8 + policy 24 + frozen count 8.
+    const SEG_HEADER_BYTES: usize = 115;
+    /// Offset of the fixture's first frozen segment's row count `n`, which
+    /// its block leads with.
+    const SEG_N_OFF: usize = SEG_HEADER_BYTES;
+    /// Offset of the fixture's frozen block's sealed flag: after its `n`,
+    /// 100 gids and 100 rows of 8 floats. Its lists follow.
+    const FROZEN_FLAG: usize = SEG_N_OFF + 8 + 100 * 8 + 100 * 8 * 4;
+    /// Bytes of the fixture's active entry, the last before the footer:
+    /// `n`, 60 gids, 60 rows of 8 floats, the flag, the pruned-edge count
+    /// and one tombstone word.
+    const ACTIVE_ENTRY: usize = 8 + 60 * 8 + 60 * 8 * 4 + 1 + 8 + 8;
 
     fn saved(idx: &crate::SegmentedAcornIndex) -> Vec<u8> {
         let mut buf = Vec::new();
         idx.snapshot().save(&mut buf).unwrap();
         buf
     }
+
+    /// `idx` as a durable store writes it: the checkpoint, and segment file
+    /// `i` for frozen segment `i`.
+    fn store_files(idx: &crate::SegmentedAcornIndex) -> (Vec<u8>, Vec<Vec<u8>>) {
+        let snap = idx.snapshot();
+        let (mut files, mut refs) = (Vec::new(), Vec::new());
+        for (i, seg) in snap.frozen_segments().iter().enumerate() {
+            let mut file = Vec::new();
+            refs.push(save_segment_file(&mut file, i as u64, seg).unwrap());
+            files.push(file);
+        }
+        let mut checkpoint = Vec::new();
+        save_checkpoint(&mut checkpoint, &snap, &refs).unwrap();
+        (checkpoint, files)
+    }
+
+    /// Load a checkpoint joined with `files` (file `i` is `files[i]`).
+    fn load_store(checkpoint: &[u8], files: &[Vec<u8>]) -> io::Result<crate::SegmentedAcornIndex> {
+        let read = |r: &SegmentFileRef| {
+            files.get(r.file as usize).cloned().ok_or(io::ErrorKind::NotFound.into())
+        };
+        load_checkpoint(checkpoint, read).map(|(idx, _)| idx)
+    }
+
+    /// A loader of one kind of file, as the tests drive it.
+    type Loader<'a> = &'a dyn Fn(&[u8]) -> io::Result<()>;
 
     /// Recompute the CRC32 footer of a file whose body a test has just
     /// corrupted. The structural-guard tests poke specific byte offsets and
@@ -1105,7 +955,7 @@ mod tests {
         let (idx, _) = segmented_fixture();
         let mut buf = saved(&idx);
         // First frozen segment's n: an absurd value must error (EOF while
-        // reading the manifest), never attempt a proportional allocation.
+        // reading its gids), never attempt a proportional allocation.
         buf[SEG_N_OFF..SEG_N_OFF + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         reseal(&mut buf);
         let err = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap_err();
@@ -1132,9 +982,11 @@ mod tests {
     fn segmented_load_rejects_tombstone_bits_beyond_rows() {
         let (idx, _) = segmented_fixture();
         let mut buf = saved(&idx);
-        // Frozen segment: n = 100 -> 2 tombstone words, valid bits 0..36 of
-        // the last word. Set bits 40..48.
-        let words_off = SEG_N_OFF + 8 + 100 * 8;
+        // The frozen entry ends in its 2 tombstone words (n = 100), just
+        // ahead of the active entry; valid bits are 0..36 of the last word.
+        // Set bits 40..48.
+        let words_off = buf.len() - 4 - ACTIVE_ENTRY - 16;
+        assert_eq!(buf[words_off..words_off + 8], ((1u64 << 10) - 1).to_le_bytes());
         buf[words_off + 8 + 5] = 0xFF;
         reseal(&mut buf);
         let err = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap_err();
@@ -1173,35 +1025,13 @@ mod tests {
     }
 
     #[test]
-    fn segmented_load_rejects_mismatched_embedded_header() {
-        let (idx, _) = segmented_fixture();
-        let mut buf = saved(&idx);
-        // The frozen segment's embedded v3 blob starts after its manifest
-        // (n = 100, dim = 8): 8 + 800 gid bytes + 16 tombstone bytes +
-        // 3200 vector bytes. Its metric byte sits 8 (magic + version) + 1
-        // (variant) + 32 (four u64 params) further in; flip L2 -> IP.
-        let blob = SEG_N_OFF + 8 + 800 + 16 + 3200;
-        let metric = blob + 8 + 1 + 32;
-        assert_eq!(buf[metric], 0, "expected the L2 metric tag at the computed offset");
-        buf[metric] = 1;
-        reseal(&mut buf);
-        let err = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap_err();
-        assert!(
-            err.to_string().contains("disagrees with the segmented index header"),
-            "unexpected: {err}"
-        );
-    }
-
-    #[test]
     fn segmented_load_rejects_corrupt_lists_in_a_frozen_block() {
         // A sealed block's lists go straight into CSR arenas through the one
-        // decoder. The blob starts after its block's manifest (see the test
-        // above); its header is 8 + 59 bytes, then the node count (8), node
-        // 0's level (1), node 0's first list length (4) and that list's
-        // first target.
+        // decoder. Node 0's level follows the frozen block's sealed flag,
+        // then its first list length and that list's first target.
         let (idx, _) = segmented_fixture();
         let buf = saved(&idx);
-        let (len_off, n) = (SEG_N_OFF + 8 + 800 + 16 + 3200 + 67 + 8 + 1, 100);
+        let (len_off, n) = (FROZEN_FLAG + 2, 100);
         let corrupt = |off: usize, value: u32| {
             let mut bad = buf.clone();
             bad[off..off + 4].copy_from_slice(&value.to_le_bytes());
@@ -1221,21 +1051,14 @@ mod tests {
 
     #[test]
     fn segmented_and_plain_files_reject_each_other_with_guidance() {
-        // A bare v3 blob was a public file format once; the one public
-        // loader must still turn it (and the blob decoder a whole v6 file)
-        // away by version, before parsing anything else.
-        let (seg_idx, _) = segmented_fixture();
-        let err = load_blob(&saved(&seg_idx), random_store(1, 8, 1)).unwrap_err();
-        assert!(err.to_string().contains("unsupported ACORN index version"), "unexpected: {err}");
-
-        let plain = AcornIndex::build(
-            random_store(1, 8, 1),
-            AcornParams { m: 4, gamma: 2, m_beta: 4, ef_construction: 8, ..Default::default() },
-            AcornVariant::Gamma,
-        );
-        let err = crate::SegmentedAcornIndex::load(&mut blob(&plain).as_slice()).unwrap_err();
+        // A bare `AcornIndex` blob (magic "ACRN", version 3) was a public
+        // file format once: the export loader turns a file headed like one
+        // away by its version, before parsing anything else.
+        let mut blob = saved(&tiny_fixture());
+        blob[4..8].copy_from_slice(&3u32.to_le_bytes());
+        let err = crate::SegmentedAcornIndex::load(&mut blob.as_slice()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("unsupported ACORN index version"), "unexpected: {err}");
+        assert!(err.to_string().contains("index file version 3"), "unexpected: {err}");
     }
 
     #[test]
@@ -1252,10 +1075,11 @@ mod tests {
 
     #[test]
     fn saved_bytes_are_those_of_the_two_layout_index() {
-        // Length and CRC32 of the fixture's file. Re-pinned when the active
-        // segment came to hold its rows alone: its block lost its growing
-        // graph's nodes (the frozen block's bytes are unchanged, since its
-        // graph is built over the same rows in the same order).
+        // Length and CRC32 of the fixture's file. Re-pinned when every
+        // container came to share one version and one block: the blocks
+        // lost their encoding tag, nested header and node count, the
+        // manifest its retired quantization field, and the tombstone words
+        // moved from inside each block to after it.
         let file = saved(&segmented_fixture().0);
         let body = &file[..file.len() - 4];
         assert_eq!((file.len(), acorn_hnsw::checksum::crc32(body)), FIXTURE_SUM);
@@ -1263,27 +1087,20 @@ mod tests {
 
     #[test]
     fn segmented_load_holds_each_block_to_the_state_of_its_role() {
-        // Every embedded v3 blob ends in its `compacted` byte: the frozen
-        // block's is the last byte before the active block, the active
-        // block's the last before the footer.
+        // The active block's flag sits before its pruned-edge count and
+        // tombstone word, at the end of the file.
         let (idx, _) = segmented_fixture();
         let buf = saved(&idx);
-        let active_flag = buf.len() - 5;
-        // Active block: tag 1 + n 8 + 60 gids + 1 tombstone word + 60 × 8
-        // floats, then its blob: the header (67), no node, edges pruned (8)
-        // and the flag.
-        let blob = blob(idx.snapshot().active_segment().unwrap().index());
-        assert_eq!(blob.len(), 67 + 8 + 8 + 1, "the active segment's rows alone");
-        let active_block = 1 + 8 + 60 * 8 + 8 + 60 * 8 * 4 + blob.len();
-        let frozen_flag = active_flag - active_block;
-        assert_eq!((buf[frozen_flag], buf[active_flag]), (1, 0));
+        let active_flag = buf.len() - 4 - 8 - 8 - 1;
+        assert_eq!((buf[FROZEN_FLAG], buf[active_flag]), (1, 0));
 
-        for (flag, message) in [
-            (frozen_flag, "an unsealed segment must hold its rows alone"),
-            (active_flag, "the active segment must not be sealed"),
+        for (flag, value, message) in [
+            (FROZEN_FLAG, 0, "an unsealed segment must hold its rows alone"),
+            (FROZEN_FLAG, 2, "invalid sealed flag"),
+            (active_flag, 1, "the active segment must not be sealed"),
         ] {
             let mut flipped = buf.clone();
-            flipped[flag] ^= 1;
+            flipped[flag] = value;
             reseal(&mut flipped);
             let err = crate::SegmentedAcornIndex::load(&mut flipped.as_slice()).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -1292,31 +1109,18 @@ mod tests {
     }
 
     #[test]
-    fn load_rejects_corrupt_codebook_and_unknown_encoding_tag() {
-        // No segment carries a codebook any more: a block tagged SQ8, or a
-        // manifest whose retired quantization flag is set, is refused, and
-        // so is a tag no version ever wrote.
-        let (idx, _) = segmented_fixture();
-        let buf = saved(&idx);
-        // The retired manifest field sits after magic 4 + version 4 + header
-        // 59 + dim 8 + next_global 8 + policy 24 = offset 107: flag, then
-        // the rerank depth the default policy wrote.
-        let flag = 107;
-        assert_eq!(buf[flag], 0);
-        assert_eq!(buf[flag + 1..flag + 9], 32u64.to_le_bytes());
-        assert_eq!(buf[SEG_HEADER_BYTES], 0, "the frozen block's f32 tag");
-        for (off, value, message) in [
-            (SEG_HEADER_BYTES, 1, "quantized segments are not supported"),
-            (SEG_HEADER_BYTES, 7, "unknown segment encoding tag"),
-            (flag, 1, "quantized segments are not supported"),
-        ] {
-            let mut bad = buf.clone();
-            bad[off] = value;
-            reseal(&mut bad);
-            let err = crate::SegmentedAcornIndex::load(&mut bad.as_slice()).unwrap_err();
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains(message), "unexpected: {err}");
+    fn manifest_parameters_that_overflow_are_invalid_data() {
+        // m = γ = 2^33 under a valid footer: the loader must refuse the
+        // header, not panic (or wrap) multiplying M·γ. `m` and `gamma` follow
+        // magic 4 + version 4 + variant 1.
+        let mut buf = saved(&tiny_fixture());
+        for off in [9, 17] {
+            buf[off..off + 8].copy_from_slice(&(1u64 << 33).to_le_bytes());
         }
+        reseal(&mut buf);
+        let err = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("M_beta"), "unexpected: {err}");
     }
 
     /// A small segmented fixture (one frozen + one active segment, a few
@@ -1343,20 +1147,27 @@ mod tests {
 
     #[test]
     fn v6_flipping_any_bit_anywhere_is_a_clean_error() {
+        // Exhaustive over every file of every kind: every bit of every byte
+        // — header, manifest, length fields, vector data, graphs, file
+        // references and the footer itself. A flip must yield Err (clean
+        // `io::Error`), never a panic and never a length-driven giant
+        // allocation (allocations are bounded by the actual byte count
+        // before the parser ever runs).
         let idx = tiny_fixture();
-        let mut buf = saved(&idx);
-        crate::SegmentedAcornIndex::load(&mut buf.as_slice()).expect("pristine file must load");
-        // Exhaustive: every bit of every byte — header, manifest, length
-        // fields, vector data, embedded graphs, and the footer itself. A
-        // flip must yield Err (clean `io::Error`), never a panic and never
-        // a length-driven giant allocation (allocations are bounded by the
-        // actual byte count before the parser ever runs).
-        for i in 0..buf.len() {
-            for bit in 0..8 {
-                buf[i] ^= 1 << bit;
-                let res = crate::SegmentedAcornIndex::load(&mut buf.as_slice());
-                assert!(res.is_err(), "flip at byte {i} bit {bit} loaded successfully");
-                buf[i] ^= 1 << bit;
+        let (checkpoint, segments) = store_files(&idx);
+        let export = |f: &[u8]| crate::SegmentedAcornIndex::load(&mut &*f).map(drop);
+        let store = |f: &[u8]| load_store(f, &segments).map(drop);
+        let segment = |f: &[u8]| load_store(&checkpoint, &[f.to_vec()]).map(drop);
+        let files: [(Loader, Vec<u8>); 3] =
+            [(&export, saved(&idx)), (&store, checkpoint.clone()), (&segment, segments[0].clone())];
+        for (load, mut buf) in files {
+            load(&buf).expect("pristine file must load");
+            for i in 0..buf.len() {
+                for bit in 0..8 {
+                    buf[i] ^= 1 << bit;
+                    assert!(load(&buf).is_err(), "flip at byte {i} bit {bit} loaded successfully");
+                    buf[i] ^= 1 << bit;
+                }
             }
         }
     }
@@ -1375,15 +1186,36 @@ mod tests {
 
     #[test]
     fn retired_segmented_versions_are_unsupported() {
+        // One loader per kind of file. Each refuses the other two kinds by
+        // their magic, and every version but `FORMAT_VERSION` by its number:
+        // the v6 export and the footerless v4 and v5 before it, and the
+        // first segment files and checkpoints (`ACSG` and `ACCP` v1).
         let (idx, _) = segmented_fixture();
-        for version in [4u32, 5] {
-            let mut buf = saved(&idx);
-            buf[4..8].copy_from_slice(&version.to_le_bytes());
-            reseal(&mut buf);
-            let err = crate::SegmentedAcornIndex::load(&mut buf.as_slice()).unwrap_err();
-            assert!(err.to_string().contains("unsupported ACORN index version"), "{err}");
-            let err = load_blob(&buf, random_store(1, 8, 1)).unwrap_err();
-            assert!(err.to_string().contains("unsupported ACORN index version"), "{err}");
+        let (checkpoint, segments) = store_files(&idx);
+        let export = |f: &[u8]| crate::SegmentedAcornIndex::load(&mut &*f).map(drop);
+        let store = |f: &[u8]| load_store(f, &segments).map(drop);
+        let segment = |f: &[u8]| load_store(&checkpoint, &[f.to_vec()]).map(drop);
+        let kinds: [(&str, Loader, Vec<u8>, &[u32]); 3] = [
+            ("index", &export, saved(&idx), &[4, 5, 6]),
+            ("checkpoint", &store, checkpoint.clone(), &[1]),
+            ("segment", &segment, segments[0].clone(), &[1]),
+        ];
+        for (name, load, own, retired) in &kinds {
+            load(own).expect("a file of the loader's own kind loads");
+            for (_, _, other, _) in kinds.iter().filter(|k| k.0 != *name) {
+                let err = load(other).unwrap_err();
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+                assert!(err.to_string().contains(&format!("not an ACORN {name} file")), "{err}");
+            }
+            for &version in *retired {
+                let mut old = own.clone();
+                old[4..8].copy_from_slice(&version.to_le_bytes());
+                reseal(&mut old);
+                let err = load(&old).unwrap_err();
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+                let message = format!("unsupported ACORN {name} file version {version}");
+                assert!(err.to_string().contains(&message), "{err}");
+            }
         }
     }
 
@@ -1412,12 +1244,9 @@ mod tests {
         let params =
             AcornParams { m: 4, gamma: 2, m_beta: 4, ef_construction: 8, ..Default::default() };
         let idx = sealed(&vecs, params, AcornVariant::Gamma);
-        let buf = blob(&idx);
+        let buf = block(&idx);
         for cut in [3usize, 10, buf.len() / 2, buf.len() - 1] {
-            assert!(
-                load_blob(&buf[..cut], vecs.clone()).is_err(),
-                "truncation at {cut} must error"
-            );
+            assert!(load_block(&buf[..cut], &idx).is_err(), "truncation at {cut} must error");
         }
     }
 }
